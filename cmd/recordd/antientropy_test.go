@@ -91,11 +91,8 @@ func TestArtifactPushRejectsCorruptAndMalformed(t *testing.T) {
 // hint, and the "degraded" refusal kind clients branch on.
 func TestDegradedRefusalMapping(t *testing.T) {
 	err := &resilience.DegradedError{Resource: "disk tier", After: rcache.DegradedRetryAfter}
-	if got := statusFor(err); got != http.StatusServiceUnavailable {
-		t.Fatalf("statusFor(DegradedError) = %d, want 503", got)
-	}
-	if got := refusalKind(err); got != "degraded" {
-		t.Fatalf("refusalKind(DegradedError) = %q, want degraded", got)
+	if status, kind := classify(err); status != http.StatusServiceUnavailable || kind != "degraded" {
+		t.Fatalf("classify(DegradedError) = %d %q, want 503 degraded", status, kind)
 	}
 	if after, ok := resilience.RetryAfterOf(err); !ok || after != rcache.DegradedRetryAfter {
 		t.Fatalf("RetryAfterOf = %v/%v, want %v", after, ok, rcache.DegradedRetryAfter)

@@ -92,6 +92,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/obs"
 	"repro/internal/qos"
+	"repro/internal/rclient"
 )
 
 func main() {
@@ -198,11 +199,13 @@ func main() {
 		fmt.Printf("recordd pre-warm every %v (top %d hot models)\n", s.cfg.prewarmEvery, s.cfg.prewarmTop)
 	}
 	if s.cfg.scrubInterval > 0 && s.cfg.cacheDir != "" {
-		go s.scrubLoop(proberCtx)
+		go s.cache.RunScrubber(proberCtx, s.cfg.scrubInterval, s.drainCh)
 		fmt.Printf("recordd disk scrub every %v\n", s.cfg.scrubInterval)
 	}
 	if s.ae != nil {
-		go s.antiEntropyLoop(proberCtx)
+		// A draining node stops pushing; its artifact endpoints stay
+		// drain-exempt so peers can still pull from and backfill to it.
+		go s.ae.Run(proberCtx, s.cfg.aeInterval, s.drainCh)
 		fmt.Printf("recordd anti-entropy every %v (replicate=%d)\n", s.cfg.aeInterval, s.cfg.replicate)
 	}
 	if len(s.cfg.peers) > 0 {
@@ -212,20 +215,7 @@ func main() {
 			Check: func(ctx context.Context, ep string) error {
 				ctx, cancel := context.WithTimeout(ctx, 2*time.Second)
 				defer cancel()
-				req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-					strings.TrimRight(ep, "/")+"/healthz", nil)
-				if err != nil {
-					return err
-				}
-				resp, err := s.peerHTTP.Do(req)
-				if err != nil {
-					return err
-				}
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					return fmt.Errorf("peer %s: status %d", ep, resp.StatusCode)
-				}
-				return nil
+				return (&rclient.Client{Base: strings.TrimRight(ep, "/"), HTTP: s.peerHTTP}).Healthz(ctx)
 			},
 		}
 		go p.Run(proberCtx)

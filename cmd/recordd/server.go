@@ -120,6 +120,15 @@ func (c serverConfig) withDefaults() serverConfig {
 // metrics endpoints.  Targets are frozen, so compiles against one entry
 // run genuinely in parallel — the worker pool bounds CPU, not correctness.
 //
+// The three POST routes share one request pipeline (run): decode the
+// body, compute the model's content address once, check its circuit,
+// take a QoS slot, resolve the model through the cache, compile, render
+// and write.  A route only picks its request type (whose job says
+// whether and how many programs to compile), its default priority class
+// and its response shape.  Every response, success or refusal, is
+// rendered to a wireResult and sent by write, and one table (classify)
+// maps a failure to its status and wire kind.
+//
 // The service protects itself (internal/resilience + internal/qos): the
 // QoS scheduler owns the worker slots — weighted multi-queue admission
 // over interactive/batch priority classes sheds with 429 + Retry-After
@@ -340,16 +349,16 @@ func (s *server) self() string {
 }
 
 // prewarmOne is the Prewarmer's Warm hook: it loads one hot model into
-// the memory tier under pre-warm attribution.  The budget mirrors
-// resolveEntry's so a pre-warm retarget computes the same content
-// address a real request would.
+// the memory tier under pre-warm attribution.  It retargets with the
+// options a real request resolves with, so it computes the same content
+// address.
 func (s *server) prewarmOne(ctx context.Context, key, mdlSource string) error {
 	if err := faultpoint.Hit("recordd.prewarm.retarget", key); err != nil {
 		return err
 	}
-	budget, cancel := s.budget(ctx)
+	ctx, cancel := s.bounded(ctx)
 	defer cancel()
-	_, err := s.cache.Prewarm(ctx, key, mdlSource, core.RetargetOptions{Budget: budget, Obs: s.scp})
+	_, err := s.cache.Prewarm(ctx, key, mdlSource, s.retargetOptions(ctx))
 	return err
 }
 
@@ -380,11 +389,11 @@ func (s *server) prewarmLoop(ctx context.Context) {
 // client is dropped without a status; health and metrics stay readable.
 func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/v1/retarget", s.traced("retarget", s.handleRetarget))
-	mux.HandleFunc("/v1/compile", s.traced("compile", s.handleCompile))
-	mux.HandleFunc("/v1/compile-batch", s.traced("batch", s.handleCompileBatch))
+	mux.HandleFunc("/healthz", s.getOnly(s.handleHealthz))
+	mux.HandleFunc("/metrics", s.getOnly(s.handleMetrics))
+	mux.HandleFunc("/v1/retarget", s.traced("retarget", s.serve(retargetRoute)))
+	mux.HandleFunc("/v1/compile", s.traced("compile", s.serve(compileRoute)))
+	mux.HandleFunc("/v1/compile-batch", s.traced("batch", s.serve(batchRoute)))
 	// GET serves artifacts to peers; PUT accepts anti-entropy pushes.
 	// Both stay drain-exempt (see the gate below): peers must be able to
 	// replicate artifacts off a draining node AND backfill replicas onto
@@ -392,19 +401,29 @@ func (s *server) handler() http.Handler {
 	mux.HandleFunc("/v1/artifact/", s.traced("artifact", s.handleArtifact))
 	// GET-only inventory listing for anti-entropy digest exchange;
 	// drain-exempt so peers can still see what a draining node holds.
-	mux.HandleFunc("/v1/inventory", s.traced("inventory", s.handleInventory))
+	mux.HandleFunc("/v1/inventory", s.traced("inventory", s.getOnly(s.handleInventory)))
 	// Drain-exempt like /v1/artifact (GET): the span ring must stay
 	// readable while a node drains, or a chaos trace loses its tail.
-	mux.HandleFunc("/v1/debug/spans", s.handleDebugSpans)
+	mux.HandleFunc("/v1/debug/spans", s.getOnly(s.handleDebugSpans))
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() && r.Method != http.MethodGet &&
 			!strings.HasPrefix(r.URL.Path, "/v1/artifact/") {
-			s.fail(w, r, http.StatusServiceUnavailable,
-				&resilience.DrainingError{After: time.Second})
+			s.write(w, r, errWire(&resilience.DrainingError{After: time.Second}))
 			return
 		}
 		mux.ServeHTTP(w, r)
 	})
+}
+
+// getOnly refuses every method but GET with 405.
+func (s *server) getOnly(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet {
+			s.write(w, r, errWire(withStatus(http.StatusMethodNotAllowed, errors.New("use GET"))))
+			return
+		}
+		h(w, r)
+	}
 }
 
 // statusWriter captures the response status so the traced middleware can
@@ -472,11 +491,7 @@ func (s *server) obsFrom(ctx context.Context) *obs.Scope {
 // cmd/tracefuse joins /v1/debug/spans dumps from every fleet node into
 // one cross-process Chrome trace.
 func (s *server) handleDebugSpans(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.fail(w, r, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
-		return
-	}
-	writeJSON(w, http.StatusOK, s.tracer.Dump(s.cfg.nodeID))
+	s.write(w, r, marshalWire(http.StatusOK, s.tracer.Dump(s.cfg.nodeID)))
 }
 
 // beginDrain flips the service into draining mode: /healthz reports
@@ -514,20 +529,15 @@ func (s *server) observePhase(phase string, d time.Duration) {
 	s.hPhase.With(phase).Observe(d.Seconds())
 }
 
-// classOf reads the client-declared X-Record-Priority header; unknown,
-// empty or garbage values degrade to the route's default class — a bad
-// header can never fail a request.
-func classOf(r *http.Request, def qos.Class) qos.Class {
-	return qos.ParseClass(r.Header.Get("X-Record-Priority"), def)
-}
-
 // acquire takes a worker-pool slot through the QoS scheduler.  Weighted
 // admission sheds immediately (429) when the waiter backlog is at
 // -max-queue — batch first, interactive only when the queue holds
 // nothing else; an admitted waiter can still fail with 503 when the
 // drain starts or the client goes away before a slot frees up.  The
-// returned release is idempotent and must be called when the work ends.
-func (s *server) acquire(ctx context.Context, cl qos.Class) (func(), error) {
+// returned context carries the per-request wall-clock budget, started at
+// the grant so queueing does not eat into the work's time.  The returned
+// release is idempotent and must be called when the work ends.
+func (s *server) acquire(ctx context.Context, cl qos.Class) (context.Context, func(), error) {
 	sp, _ := obs.ScopeFromContext(ctx).Start("qos.wait", obs.KV("class", cl.String()))
 	release, err := s.sched.Acquire(ctx, cl)
 	if err != nil {
@@ -537,118 +547,46 @@ func (s *server) acquire(ctx context.Context, cl qos.Class) (func(), error) {
 		if errors.As(err, &ov) {
 			s.cShed.With(cl.String()).Inc()
 		}
-		return nil, err
+		return nil, nil, err
 	}
 	sp.SetAttr("outcome", "granted")
 	sp.End()
 	if err := faultpoint.Hit("recordd.worker.spawn", ""); err != nil {
 		release()
-		return nil, err
+		return nil, nil, err
 	}
 	s.cDispatched.With(cl.String()).Inc()
-	return release, nil
+	wctx, cancel := s.bounded(ctx)
+	return wctx, func() { cancel(); release() }, nil
 }
 
-// budget builds the per-request resource budget, mirroring the record CLI:
-// wall-clock timeout, BDD-node cap, route cap.
-func (s *server) budget(ctx context.Context) (*diag.Budget, context.CancelFunc) {
-	cancel := context.CancelFunc(func() {})
-	if s.cfg.timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.timeout)
-	}
-	return &diag.Budget{Ctx: ctx, MaxBDDNodes: s.cfg.maxBDDNodes, MaxRoutes: s.cfg.maxRoutes}, cancel
-}
-
-// compileCtx narrows a request context by the configured per-request
-// timeout; compiles rely on context cancellation alone.
-func (s *server) compileCtx(ctx context.Context) (context.Context, context.CancelFunc) {
+// bounded narrows ctx by the per-request wall-clock budget (-timeout).
+func (s *server) bounded(ctx context.Context) (context.Context, context.CancelFunc) {
 	if s.cfg.timeout > 0 {
 		return context.WithTimeout(ctx, s.cfg.timeout)
 	}
 	return ctx, func() {}
 }
 
-// breakerKey fingerprints the model a request targets: the artifact key
-// when the caller sent one, else the content address the cache will use
-// for the model — computable without running any pipeline work.
-func (s *server) breakerKey(key string, m modelRequest) (string, error) {
-	if key != "" {
-		return key, nil
+// retargetOptions are the retarget inputs every request resolves with,
+// mirroring the record CLI: ctx as the wall-clock budget, the BDD-node
+// and route caps.  The route cap is part of the artifact fingerprint, so
+// a model's content address must come from these same options.
+func (s *server) retargetOptions(ctx context.Context) core.RetargetOptions {
+	return core.RetargetOptions{
+		Budget: &diag.Budget{Ctx: ctx, MaxBDDNodes: s.cfg.maxBDDNodes, MaxRoutes: s.cfg.maxRoutes},
+		Obs:    s.obsFrom(ctx),
 	}
-	mdl, err := m.source()
-	if err != nil {
-		return "", err
-	}
-	return s.cache.Key(mdl, core.RetargetOptions{}), nil
-}
-
-// allow consults the model's circuit; an open circuit refuses the request
-// with 503 + Retry-After before any pipeline work runs.
-func (s *server) allow(w http.ResponseWriter, r *http.Request, bkey string) bool {
-	if err := s.brk.Allow(bkey); err != nil {
-		s.cBrkReject.Inc()
-		s.fail(w, r, statusFor(err), err)
-		return false
-	}
-	return true
-}
-
-// serverFault reports whether err is the service's failure class (the
-// 5xx statuses the breaker counts): budget exhaustion, recovered panics
-// and injected service faults — not caller mistakes.
-func serverFault(err error) bool {
-	return err != nil && statusFor(err) >= http.StatusInternalServerError
 }
 
 // recordOutcome lands one pipeline outcome in the model's circuit: success
-// and server faults move the window, caller errors (4xx) do not.
-func (s *server) recordOutcome(bkey string, err error) {
-	switch {
-	case err == nil:
-		s.brk.Record(bkey, true)
-	case serverFault(err):
-		s.brk.Record(bkey, false)
+// and server faults (5xx) move the window, caller errors (4xx) do not.
+func (s *server) recordOutcome(key string, err error) {
+	if err == nil {
+		s.brk.Record(key, true)
+	} else if status, _ := classify(err); status >= http.StatusInternalServerError {
+		s.brk.Record(key, false)
 	}
-}
-
-// resolveEntry turns (key | model | model_name) into a cache entry,
-// retargeting on demand.  On failure it returns the HTTP status the
-// caller should fail with.
-func (s *server) resolveEntry(ctx context.Context, key string, m modelRequest) (*rcache.Entry, rcache.Outcome, int, error) {
-	if key != "" {
-		if m.Model != "" || m.ModelName != "" {
-			return nil, rcache.Miss, http.StatusBadRequest, fmt.Errorf("use either key or a model, not both")
-		}
-		// LookupContext consults fleet peers after the local tiers, so a
-		// by-key compile routed to a non-owner replicates the artifact
-		// instead of 404ing.  The lookup span parents any peer fetch the
-		// walk performs, keeping it on the caller's trace.
-		sp, lscope := s.obsFrom(ctx).Start("rcache.lookup", obs.KV("key", key))
-		entry, outcome, ok := s.cache.LookupContext(obs.ContextWithScope(ctx, lscope), key)
-		sp.SetAttr("outcome", string(outcome))
-		sp.End()
-		if !ok {
-			return nil, rcache.Miss, http.StatusNotFound,
-				fmt.Errorf("no artifact for key %s: retarget first or send the model inline", key)
-		}
-		return entry, outcome, 0, nil
-	}
-	mdl, err := m.source()
-	if err != nil {
-		return nil, rcache.Miss, http.StatusBadRequest, err
-	}
-	budget, cancel := s.budget(ctx)
-	defer cancel()
-	start := time.Now()
-	entry, outcome, err := s.cache.GetContext(ctx, mdl, core.RetargetOptions{Budget: budget, Obs: s.obsFrom(ctx)})
-	s.observePhase("retarget", time.Since(start))
-	if err != nil {
-		return nil, rcache.Miss, statusFor(err), fmt.Errorf("retarget: %w", err)
-	}
-	if outcome == rcache.Miss {
-		s.observePhase("freeze", entry.Target().Stats.Freeze)
-	}
-	return entry, outcome, 0, nil
 }
 
 // ---- request/response types --------------------------------------------
@@ -676,9 +614,7 @@ func (m *modelRequest) source() (string, error) {
 	return "", fmt.Errorf("no model: set model (inline MDL) or model_name")
 }
 
-type retargetRequest struct {
-	modelRequest
-}
+func (m modelRequest) job() (job, error) { return job{model: m}, nil }
 
 type retargetResponse struct {
 	Key       string `json:"key"`
@@ -694,6 +630,13 @@ type compileRequest struct {
 	Key     string         `json:"key,omitempty"` // artifact key from /v1/retarget
 	Source  string         `json:"source"`        // RecC program
 	Options compileOptions `json:"options"`
+}
+
+func (r compileRequest) job() (job, error) {
+	if r.Source == "" {
+		return job{}, withStatus(http.StatusBadRequest, errors.New("no source program"))
+	}
+	return job{key: r.Key, model: r.modelRequest, programs: []batchProgram{{Source: r.Source}}, options: r.Options}, nil
 }
 
 type compileResponse struct {
@@ -730,6 +673,21 @@ type compileBatchRequest struct {
 	Options  compileOptions `json:"options"` // default for programs without their own
 }
 
+func (r compileBatchRequest) job() (job, error) {
+	if len(r.Programs) == 0 {
+		return job{}, withStatus(http.StatusBadRequest, errors.New("no programs"))
+	}
+	for i := range r.Programs {
+		if r.Programs[i].Source == "" {
+			return job{}, withStatus(http.StatusBadRequest, fmt.Errorf("program %d has no source", i))
+		}
+		if r.Programs[i].ID == "" {
+			r.Programs[i].ID = strconv.Itoa(i)
+		}
+	}
+	return job{key: r.Key, model: r.modelRequest, programs: r.Programs, options: r.Options}, nil
+}
+
 // batchResult is the per-program outcome.  Status mirrors the /v1/compile
 // status mapping: 200 ok, 422 unencodable program, 504 budget exhausted,
 // 500 internal fault.  On non-200 only Error is populated.
@@ -760,48 +718,20 @@ type errorResponse struct {
 	Kind  string `json:"kind,omitempty"` // refusal class: "overload" | "open" | "draining" | "degraded"
 }
 
-// refusalKind classifies typed resilience refusals for the wire, so a
-// client can tell a draining node (fail over now, the hint is exact)
-// from overload or an open circuit (backing off harder is fine) from a
-// degraded disk tier (push or write elsewhere; reads still work here).
-func refusalKind(err error) string {
-	var ov *resilience.OverloadError
-	if errors.As(err, &ov) {
-		return "overload"
-	}
-	var oe *resilience.OpenError
-	if errors.As(err, &oe) {
-		return "open"
-	}
-	var de *resilience.DrainingError
-	if errors.As(err, &de) {
-		return "draining"
-	}
-	var ge *resilience.DegradedError
-	if errors.As(err, &ge) {
-		return "degraded"
-	}
-	return ""
-}
-
 // ---- handlers -----------------------------------------------------------
 
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.fail(w, r, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
-		return
-	}
 	body := map[string]interface{}{"ok": true, "node": s.cfg.nodeID}
 	if slo := s.slo.Health(); slo != nil {
 		body["slo"] = slo
 	}
+	status := http.StatusOK
 	if s.draining.Load() {
 		body["ok"] = false
 		body["draining"] = true
-		writeJSON(w, http.StatusServiceUnavailable, body)
-		return
+		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, http.StatusOK, body)
+	s.write(w, r, marshalWire(status, body))
 }
 
 // handleArtifact serves the encoded artifact for a content address to
@@ -818,7 +748,7 @@ func (s *server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		data, err := s.cache.Encoded(key)
 		if err != nil {
 			s.cArtifactServes.With(s.cfg.nodeID, "miss").Inc()
-			s.fail(w, r, http.StatusNotFound, fmt.Errorf("no artifact for key %s", key))
+			s.write(w, r, errWire(withStatus(http.StatusNotFound, fmt.Errorf("no artifact for key %s", key))))
 			return
 		}
 		s.cArtifactServes.With(s.cfg.nodeID, "hit").Inc()
@@ -828,7 +758,7 @@ func (s *server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	case http.MethodPut:
 		s.handleArtifactPush(w, r, key)
 	default:
-		s.fail(w, r, http.StatusMethodNotAllowed, fmt.Errorf("use GET or PUT"))
+		s.write(w, r, errWire(withStatus(http.StatusMethodNotAllowed, errors.New("use GET or PUT"))))
 	}
 }
 
@@ -843,22 +773,22 @@ func (s *server) handleArtifactPush(w http.ResponseWriter, r *http.Request, key 
 	body, err := io.ReadAll(io.LimitReader(r.Body, 256<<20))
 	if err != nil {
 		s.cArtifactPushes.With(s.cfg.nodeID, "rejected").Inc()
-		s.fail(w, r, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
+		s.write(w, r, errWire(withStatus(http.StatusBadRequest, fmt.Errorf("reading body: %w", err))))
 		return
 	}
 	if err := s.cache.Ingest(key, body); err != nil {
+		outcome := "rejected"
 		var de *resilience.DegradedError
 		switch {
 		case errors.As(err, &de):
-			s.cArtifactPushes.With(s.cfg.nodeID, "degraded").Inc()
-			s.fail(w, r, http.StatusServiceUnavailable, err)
+			outcome = "degraded" // 503 + Retry-After from the error table
 		case errors.Is(err, rcache.ErrNoStore):
-			s.cArtifactPushes.With(s.cfg.nodeID, "rejected").Inc()
-			s.fail(w, r, http.StatusConflict, err)
+			err = withStatus(http.StatusConflict, err)
 		default:
-			s.cArtifactPushes.With(s.cfg.nodeID, "rejected").Inc()
-			s.fail(w, r, http.StatusBadRequest, err)
+			err = withStatus(http.StatusBadRequest, err)
 		}
+		s.cArtifactPushes.With(s.cfg.nodeID, outcome).Inc()
+		s.write(w, r, errWire(err))
 		return
 	}
 	s.cArtifactPushes.With(s.cfg.nodeID, "ok").Inc()
@@ -870,21 +800,17 @@ func (s *server) handleArtifactPush(w http.ResponseWriter, r *http.Request, key 
 // cheap "did anything change" probe), otherwise one sorted page of keys
 // starting after ?after, each page carrying the full-set digest.
 func (s *server) handleInventory(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.fail(w, r, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
-		return
-	}
 	limit := 0
 	if v := r.URL.Query().Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < -1 {
-			s.fail(w, r, http.StatusBadRequest, fmt.Errorf("bad limit %q", v))
+			s.write(w, r, errWire(withStatus(http.StatusBadRequest, fmt.Errorf("bad limit %q", v))))
 			return
 		}
 		limit = n
 	}
 	after := r.URL.Query().Get("after")
-	writeJSON(w, http.StatusOK, antientropy.Page(s.self(), s.cache.Keys(), after, limit))
+	s.write(w, r, marshalWire(http.StatusOK, antientropy.Page(s.self(), s.cache.Keys(), after, limit)))
 }
 
 // peerFetch is the cache's PeerFetch hook, shared by miss-replication
@@ -1048,26 +974,7 @@ func (s *server) pushTo(ctx context.Context, peer, key string, data []byte) erro
 	}
 }
 
-// scrubLoop drives disk-scrub cycles until ctx ends or the drain starts.
-func (s *server) scrubLoop(ctx context.Context) {
-	s.cache.RunScrubber(ctx, s.cfg.scrubInterval, s.drainCh)
-}
-
-// antiEntropyLoop drives push-replication sweeps until ctx ends or the
-// drain starts (a draining node stops pushing; its artifact endpoints
-// stay drain-exempt so peers can still pull from and backfill to it).
-func (s *server) antiEntropyLoop(ctx context.Context) {
-	if s.ae == nil {
-		return
-	}
-	s.ae.Run(ctx, s.cfg.aeInterval, s.drainCh)
-}
-
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.fail(w, r, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
-		return
-	}
 	// Burn rates and ring ownership are point-in-time quantities, so
 	// their gauges refresh at scrape time rather than per request.
 	s.slo.Refresh()
@@ -1080,451 +987,427 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = s.reg.WritePrometheus(w)
 }
 
-func (s *server) handleRetarget(w http.ResponseWriter, r *http.Request) {
-	var req retargetRequest
-	if !s.readJSON(w, r, &req) {
-		return
-	}
-	mdl, err := req.source()
-	if err != nil {
-		s.fail(w, r, http.StatusBadRequest, err)
-		return
-	}
-	bkey := s.cache.Key(mdl, core.RetargetOptions{})
-	if !s.allow(w, r, bkey) {
-		return
-	}
-	release, err := s.acquire(r.Context(), classOf(r, qos.Interactive))
-	if err != nil {
-		s.fail(w, r, statusFor(err), err)
-		return
-	}
-	defer release()
+// ---- request pipeline ---------------------------------------------------
 
-	rep := diag.NewReporter()
-	budget, cancel := s.budget(r.Context())
-	defer cancel()
-
-	start := time.Now()
-	entry, outcome, err := s.cache.GetContext(r.Context(), mdl, core.RetargetOptions{Reporter: rep, Budget: budget, Obs: s.obsFrom(r.Context())})
-	s.observePhase("retarget", time.Since(start))
-	s.recordOutcome(bkey, err)
-	if err != nil {
-		s.fail(w, r, statusFor(err), fmt.Errorf("retarget: %w", err))
-		return
-	}
-	s.touch(entry.Key, req.modelRequest)
-	t := entry.Target()
-	if outcome == rcache.Miss {
-		s.observePhase("freeze", t.Stats.Freeze)
-	}
-	writeJSON(w, http.StatusOK, retargetResponse{
-		Key:       entry.Key,
-		Name:      t.Name,
-		Templates: t.Base.Len(),
-		Rules:     len(t.Grammar.Rules),
-		Cache:     string(outcome),
-		Warnings:  rep.Warns(),
-	})
+// route is all that tells the POST endpoints apart: the request type its
+// body decodes into, whose job says whether and how many programs to
+// compile; the default priority class; and the response shape.  Every
+// other step is the shared pipeline in run.
+type route struct {
+	decode func(body []byte) (job, error)
+	class  qos.Class // default; X-Record-Priority overrides
+	render func(*result) *wireResult
+	// batch programs each take a pool slot of their own once the model
+	// resolves, and the whole request is timed as phase "batch".
+	batch bool
 }
 
-func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
-	var req compileRequest
-	if !s.readJSON(w, r, &req) {
-		return
+var (
+	retargetRoute = route{decode: decodeJob[modelRequest], class: qos.Interactive, render: renderRetarget}
+	compileRoute  = route{decode: decodeJob[compileRequest], class: qos.Interactive, render: renderCompile}
+	batchRoute    = route{decode: decodeJob[compileBatchRequest], class: qos.Batch, render: renderBatch, batch: true}
+)
+
+// job is a decoded POST request in the pipeline's terms.
+type job struct {
+	key      string // content address: the caller's artifact key, or computed by decode
+	model    modelRequest
+	mdl      string         // model source; "" when the caller sent a key
+	programs []batchProgram // none for /v1/retarget
+	options  compileOptions // default for programs without their own
+}
+
+// result is what resolving and compiling hand to a route's renderer.
+type result struct {
+	entry    *rcache.Entry
+	cache    rcache.Outcome
+	warnings int        // retarget diagnostics; only a miss has any
+	programs []compiled // in request order
+}
+
+// compiled is one program's outcome.
+type compiled struct {
+	id  string
+	res *core.CompileResult
+	err error
+}
+
+// decodeJob parses a body as request type T and validates it into a job.
+func decodeJob[T interface{ job() (job, error) }](body []byte) (job, error) {
+	var req T
+	if err := json.Unmarshal(body, &req); err != nil {
+		return job{}, withStatus(http.StatusBadRequest, fmt.Errorf("bad JSON: %w", err))
 	}
-	if req.Source == "" {
-		s.fail(w, r, http.StatusBadRequest, fmt.Errorf("no source program"))
-		return
-	}
-	bkey, err := s.breakerKey(req.Key, req.modelRequest)
+	return req.job()
+}
+
+// serve is the handler for one POST route.
+func (s *server) serve(rt route) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) { s.write(w, r, s.run(r, rt)) }
+}
+
+// run is the request pipeline: decode, content address, circuit, then a
+// slot, resolve, compile and render (execute).  Every outcome, success or
+// refusal, comes back rendered.
+func (s *server) run(r *http.Request, rt route) *wireResult {
+	ctx := r.Context()
+	j, err := s.decode(r, rt)
 	if err != nil {
-		s.fail(w, r, http.StatusBadRequest, err)
-		return
+		return errWire(err)
 	}
-	if !s.allow(w, r, bkey) {
-		return
+	if err := s.brk.Allow(j.key); err != nil {
+		s.cBrkReject.Inc()
+		return errWire(err)
 	}
-	// Identical compiles queued at the same time collapse onto one
-	// execution: the first request becomes the leader and runs the work,
-	// duplicates wait and replay the leader's byte-identical response.
-	cl := classOf(r, qos.Interactive)
-	v, shared, err := s.coal.Do(r.Context(), coalesceKey(bkey, req), func() (interface{}, error) {
-		return s.compileWire(r.Context(), req, bkey, cl), nil
+	// A bad X-Record-Priority degrades to the route default; it can never
+	// fail a request.
+	cl := qos.ParseClass(r.Header.Get("X-Record-Priority"), rt.class)
+	if rt.batch {
+		start := time.Now()
+		defer func() { s.observePhase("batch", time.Since(start)) }()
+	}
+	if rt.batch || len(j.programs) != 1 {
+		return s.execute(ctx, rt, j, cl)
+	}
+	// A single compile is a pure function of its model, program and
+	// options, so identical requests queued at the same time collapse onto
+	// one execution: the first becomes the leader, duplicates wait and
+	// replay its bytes.  Refusals are shared exactly like results.
+	v, shared, err := s.coal.Do(ctx, coalesceKey(j), func() (interface{}, error) {
+		wr := s.execute(ctx, rt, j, cl)
+		if sc := s.obsFrom(ctx).Span().Context(); sc.Valid() {
+			wr.trace = sc.Trace.String()
+		}
+		return wr, nil
 	})
 	if err != nil {
 		// This request's own context ended while waiting on the leader.
-		s.fail(w, r, statusFor(err), err)
-		return
+		return errWire(err)
 	}
 	wr := v.(*wireResult)
 	if shared {
 		s.cCoalesced.Inc()
 		// The work ran on the leader's trace; link the follower's span to
 		// it so a trace viewer can hop from the waiter to the execution.
-		if sp := obs.ScopeFromContext(r.Context()).Span(); sp != nil {
+		if sp := obs.ScopeFromContext(ctx).Span(); sp != nil {
 			sp.SetAttr("coalesced", true)
 			if wr.trace != "" {
 				sp.SetAttr("leader_trace", wr.trace)
 			}
 		}
 	}
-	s.writeWire(w, r, wr)
+	return wr
 }
 
-// compileWire runs one /v1/compile request end to end — admission,
-// target resolution, compile — and returns the response as wire bytes so
-// coalesced duplicates can replay it verbatim.  Failures are encoded
-// too: a shed or broken-circuit refusal is shared exactly like a result.
-func (s *server) compileWire(ctx context.Context, req compileRequest, bkey string, cl qos.Class) *wireResult {
-	// The leader's trace identifies where coalesced followers' work ran.
-	var leaderTrace string
-	if sc := s.obsFrom(ctx).Span().Context(); sc.Valid() {
-		leaderTrace = sc.Trace.String()
+// decode reads a POST body under the size cap into the route's job and
+// computes the model's content address, once per request: the caller's
+// artifact key, else the address of the inline or bundled MDL under the
+// options resolve retargets with.  The breaker, the coalescer and the
+// cache all key on it.
+func (s *server) decode(r *http.Request, rt route) (job, error) {
+	if r.Method != http.MethodPost {
+		return job{}, withStatus(http.StatusMethodNotAllowed, errors.New("use POST"))
 	}
-	release, err := s.acquire(ctx, cl)
+	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.maxBody+1))
+	if err != nil {
+		return job{}, withStatus(http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
+	}
+	if int64(len(body)) > s.cfg.maxBody {
+		return job{}, withStatus(http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", s.cfg.maxBody))
+	}
+	j, err := rt.decode(body)
+	switch {
+	case err != nil:
+		return job{}, err
+	case j.key != "" && j.model != modelRequest{}:
+		return job{}, withStatus(http.StatusBadRequest, errors.New("use either key or a model, not both"))
+	case j.key == "":
+		if j.mdl, err = j.model.source(); err != nil {
+			return job{}, withStatus(http.StatusBadRequest, err)
+		}
+		j.key = s.cache.Key(j.mdl, s.retargetOptions(r.Context()))
+	}
+	return j, nil
+}
+
+// execute runs a job on a pool slot: resolve the model, compile the
+// programs, render.  A batch hands its slot back once the model resolves
+// and compiles each program on a slot of its own, so it can never hold
+// more of the pool than the configured concurrency.
+func (s *server) execute(ctx context.Context, rt route, j job, cl qos.Class) *wireResult {
+	wctx, release, err := s.acquire(ctx, cl)
 	if err != nil {
 		return errWire(err)
 	}
 	defer release()
-
-	entry, outcome, status, err := s.resolveEntry(ctx, req.Key, req.modelRequest)
-	if err != nil {
-		s.recordOutcome(bkey, err)
-		return errWireStatus(status, err)
+	res, err := s.resolve(wctx, j)
+	if err != nil || len(j.programs) == 0 {
+		s.recordOutcome(j.key, err)
 	}
-	s.touch(entry.Key, req.modelRequest)
-	done := s.trackCompile(entry.Key)
-	defer done()
+	if err != nil {
+		return errWire(err)
+	}
+	s.pop.Touch(j.key, j.mdl)
 
-	cctx, cancel := s.compileCtx(ctx)
-	defer cancel()
+	res.programs = make([]compiled, len(j.programs))
+	if rt.batch {
+		release()
+		var wg sync.WaitGroup
+		for i, p := range j.programs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				pctx, release, err := s.acquire(ctx, cl)
+				if err != nil {
+					res.programs[i] = compiled{id: p.ID, err: err}
+					return
+				}
+				defer release()
+				res.programs[i] = s.compile(pctx, res.entry, j, p)
+			}()
+		}
+		wg.Wait()
+	} else {
+		for i, p := range j.programs {
+			res.programs[i] = s.compile(wctx, res.entry, j, p)
+		}
+	}
+
 	start := time.Now()
-	res, err := entry.Compile(cctx, req.Source, core.CompileOptions{
-		NoCompaction: req.Options.NoCompaction,
-		NoPeephole:   req.Options.NoPeephole,
-		Obs:          s.obsFrom(ctx),
-	})
-	s.observePhase("compile", time.Since(start))
-	s.recordOutcome(bkey, err)
-	if err != nil {
-		return errWire(fmt.Errorf("compile: %w", err))
-	}
-
-	start = time.Now()
-	wr := marshalWire(http.StatusOK, compileResponse{
-		Key:     entry.Key,
-		Name:    entry.Target().Name,
-		Cache:   string(outcome),
-		SeqLen:  res.SeqLen(),
-		CodeLen: res.CodeLen(),
-		Words:   res.Words(),
-		Listing: entry.Listing(res),
-	})
+	wr := rt.render(res)
 	s.observePhase("encode", time.Since(start))
-	wr.trace = leaderTrace
 	return wr
 }
 
-// handleCompileBatch resolves the target once, then fans the programs
-// across the worker pool.  Each program independently acquires a pool
-// slot, so a large batch cannot starve other requests of more than the
-// configured concurrency.
-func (s *server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
-	var req compileBatchRequest
-	if !s.readJSON(w, r, &req) {
-		return
-	}
-	if len(req.Programs) == 0 {
-		s.fail(w, r, http.StatusBadRequest, fmt.Errorf("no programs"))
-		return
-	}
-	for i, p := range req.Programs {
-		if p.Source == "" {
-			s.fail(w, r, http.StatusBadRequest, fmt.Errorf("program %d has no source", i))
-			return
+// resolve turns the request's model into a cache entry: by key through
+// the local tiers and then fleet peers, or by source through a retarget
+// on demand.
+func (s *server) resolve(ctx context.Context, j job) (*result, error) {
+	if j.mdl == "" {
+		// The lookup span parents any peer fetch the walk performs,
+		// keeping it on the caller's trace; a by-key compile routed to a
+		// non-owner replicates the artifact instead of 404ing.
+		sp, lscope := s.obsFrom(ctx).Start("rcache.lookup", obs.KV("key", j.key))
+		entry, outcome, ok := s.cache.LookupContext(obs.ContextWithScope(ctx, lscope), j.key)
+		sp.SetAttr("outcome", string(outcome))
+		sp.End()
+		if !ok {
+			return nil, withStatus(http.StatusNotFound,
+				fmt.Errorf("no artifact for key %s: retarget first or send the model inline", j.key))
 		}
+		return &result{entry: entry, cache: outcome}, nil
 	}
-	bkey, err := s.breakerKey(req.Key, req.modelRequest)
+	rep := diag.NewReporter()
+	ropts := s.retargetOptions(ctx)
+	ropts.Reporter = rep
+	start := time.Now()
+	entry, outcome, err := s.cache.GetContext(ctx, j.mdl, ropts)
+	s.observePhase("retarget", time.Since(start))
 	if err != nil {
-		s.fail(w, r, http.StatusBadRequest, err)
-		return
+		return nil, fmt.Errorf("retarget: %w", err)
 	}
-	if !s.allow(w, r, bkey) {
-		return
+	if outcome == rcache.Miss {
+		s.observePhase("freeze", entry.Target().Stats.Freeze)
 	}
-	batchStart := time.Now()
-	defer func() { s.observePhase("batch", time.Since(batchStart)) }()
-
-	// Batch work defaults to the batch class: it is dispatched after
-	// queued interactive requests and shed first under pressure.
-	cl := classOf(r, qos.Batch)
-
-	// Resolving the model may retarget: that runs under a pool slot too.
-	release, err := s.acquire(r.Context(), cl)
-	if err != nil {
-		s.fail(w, r, statusFor(err), err)
-		return
-	}
-	entry, outcome, status, err := s.resolveEntry(r.Context(), req.Key, req.modelRequest)
-	release()
-	if err != nil {
-		s.recordOutcome(bkey, err)
-		s.fail(w, r, status, err)
-		return
-	}
-	s.touch(entry.Key, req.modelRequest)
-
-	results := make([]batchResult, len(req.Programs))
-	var wg sync.WaitGroup
-	for i := range req.Programs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			p := req.Programs[i]
-			id := p.ID
-			if id == "" {
-				id = fmt.Sprintf("%d", i)
-			}
-			results[i] = s.compileOne(r.Context(), cl, entry, id, p, req.Options)
-		}(i)
-	}
-	wg.Wait()
-
-	resp := compileBatchResponse{
-		Key:     entry.Key,
-		Name:    entry.Target().Name,
-		Cache:   string(outcome),
-		Results: results,
-	}
-	for _, res := range results {
-		if res.Status == http.StatusOK {
-			resp.Succeeded++
-		} else {
-			resp.Failed++
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return &result{entry: entry, cache: outcome, warnings: rep.Warns()}, nil
 }
 
-// compileOne runs a single batch program under a worker-pool slot.
-func (s *server) compileOne(ctx context.Context, cl qos.Class, entry *rcache.Entry, id string, p batchProgram, def compileOptions) batchResult {
-	release, err := s.acquire(ctx, cl)
-	if err != nil {
-		return batchResult{ID: id, Status: statusFor(err), Error: err.Error()}
-	}
-	defer release()
-	done := s.trackCompile(entry.Key)
+// compile runs one of the job's programs against the resolved entry on
+// the caller's slot and lands its outcome in the model's circuit.
+func (s *server) compile(ctx context.Context, entry *rcache.Entry, j job, p batchProgram) compiled {
+	done := s.trackCompile(j.key)
 	defer done()
-
-	opts := def
+	opts := j.options
 	if p.Options != nil {
 		opts = *p.Options
 	}
-	cctx, cancel := s.compileCtx(ctx)
-	defer cancel()
 	start := time.Now()
-	res, err := entry.Compile(cctx, p.Source, core.CompileOptions{
+	res, err := entry.Compile(ctx, p.Source, core.CompileOptions{
 		NoCompaction: opts.NoCompaction,
 		NoPeephole:   opts.NoPeephole,
 		Obs:          s.obsFrom(ctx),
 	})
 	s.observePhase("compile", time.Since(start))
-	s.recordOutcome(entry.Key, err)
-	if err != nil {
-		return batchResult{ID: id, Status: statusFor(err), Error: err.Error()}
-	}
-	return batchResult{
-		ID:      id,
-		Status:  http.StatusOK,
-		SeqLen:  res.SeqLen(),
-		CodeLen: res.CodeLen(),
-		Words:   res.Words(),
-		Listing: entry.Listing(res),
-	}
+	s.recordOutcome(j.key, err)
+	return compiled{id: p.ID, res: res, err: err}
 }
 
-// ---- plumbing -----------------------------------------------------------
+func renderRetarget(res *result) *wireResult {
+	t := res.entry.Target()
+	return marshalWire(http.StatusOK, retargetResponse{
+		Key:       res.entry.Key,
+		Name:      t.Name,
+		Templates: t.Base.Len(),
+		Rules:     len(t.Grammar.Rules),
+		Cache:     string(res.cache),
+		Warnings:  res.warnings,
+	})
+}
 
-// touch records one unit of demand against an artifact key for the
-// pre-warm popularity tracker.  The model source rides along so an
-// evicted entry can be re-retargeted speculatively; by-key requests have
-// no source and contribute demand only.
-func (s *server) touch(key string, m modelRequest) {
-	if s.pop == nil {
-		return
+func renderCompile(res *result) *wireResult {
+	p := res.programs[0]
+	if p.err != nil {
+		return errWire(fmt.Errorf("compile: %w", p.err))
 	}
-	src, err := m.source()
-	if err != nil {
-		src = ""
+	return marshalWire(http.StatusOK, compileResponse{
+		Key:     res.entry.Key,
+		Name:    res.entry.Target().Name,
+		Cache:   string(res.cache),
+		SeqLen:  p.res.SeqLen(),
+		CodeLen: p.res.CodeLen(),
+		Words:   p.res.Words(),
+		Listing: res.entry.Listing(p.res),
+	})
+}
+
+func renderBatch(res *result) *wireResult {
+	resp := compileBatchResponse{
+		Key:     res.entry.Key,
+		Name:    res.entry.Target().Name,
+		Cache:   string(res.cache),
+		Results: make([]batchResult, len(res.programs)),
 	}
-	s.pop.Touch(key, src)
+	for i, p := range res.programs {
+		if p.err != nil {
+			status, _ := classify(p.err)
+			resp.Results[i] = batchResult{ID: p.id, Status: status, Error: p.err.Error()}
+			resp.Failed++
+			continue
+		}
+		resp.Results[i] = batchResult{
+			ID:      p.id,
+			Status:  http.StatusOK,
+			SeqLen:  p.res.SeqLen(),
+			CodeLen: p.res.CodeLen(),
+			Words:   p.res.Words(),
+			Listing: res.entry.Listing(p.res),
+		}
+		resp.Succeeded++
+	}
+	return marshalWire(http.StatusOK, resp)
 }
 
 // coalesceKey fingerprints everything that determines a /v1/compile
-// response: the model's breaker key (its content address), the program
-// source and the compile options.  Two requests with equal keys are
-// interchangeable and safe to answer with one execution.
-func coalesceKey(bkey string, req compileRequest) string {
+// response: the model's content address, the program source and the
+// compile options.  Two requests with equal keys are interchangeable and
+// safe to answer with one execution.
+func coalesceKey(j job) string {
 	h := sha256.New()
-	io.WriteString(h, bkey)
+	io.WriteString(h, j.key)
 	h.Write([]byte{0})
-	io.WriteString(h, req.Source)
-	fmt.Fprintf(h, "\x00%v\x00%v", req.Options.NoCompaction, req.Options.NoPeephole)
+	io.WriteString(h, j.programs[0].Source)
+	fmt.Fprintf(h, "\x00%v\x00%v", j.options.NoCompaction, j.options.NoPeephole)
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// wireResult is a fully rendered HTTP response — status, Retry-After
-// hint, marshaled JSON body — so a coalesced duplicate can write exactly
-// the bytes its leader produced.
+// ---- responses ----------------------------------------------------------
+
+// wireResult is a fully rendered JSON response, so a coalesced duplicate
+// writes exactly the bytes its leader produced.
 type wireResult struct {
-	status int
-	after  time.Duration // Retry-After hint; 0 = none
-	body   []byte        // JSON body, newline-framed like writeJSON
-	trace  string        // leader's trace ID, for coalesced-follower linkage
-}
-
-func errWire(err error) *wireResult { return errWireStatus(statusFor(err), err) }
-
-func errWireStatus(status int, err error) *wireResult {
-	wr := &wireResult{status: status}
-	if after, ok := resilience.RetryAfterOf(err); ok {
-		wr.after = after
-	}
-	body, _ := json.Marshal(errorResponse{Error: err.Error(), Kind: refusalKind(err)})
-	wr.body = append(body, '\n')
-	return wr
+	status     int
+	retryAfter int    // Retry-After seconds; 0 = none
+	failed     bool   // an error response, counted in errors_total
+	body       []byte // JSON body, newline-framed
+	trace      string // leader's trace ID, for coalesced-follower linkage
 }
 
 func marshalWire(status int, v interface{}) *wireResult {
 	body, err := json.Marshal(v)
 	if err != nil {
-		return errWireStatus(http.StatusInternalServerError, err)
+		return errWire(withStatus(http.StatusInternalServerError, err))
 	}
 	return &wireResult{status: status, body: append(body, '\n')}
 }
 
-// writeWire writes a pre-rendered response.  Per-request concerns stay
-// per-request even when the result was shared: a disconnected client is
-// a silent abort, every error response is counted against its own
-// request, and the encode faultpoint fires once per response written.
-func (s *server) writeWire(w http.ResponseWriter, r *http.Request, wr *wireResult) {
+// errWire renders a failure: status and kind from classify, Retry-After
+// from the error's hint rounded up to whole seconds (at least one).
+func errWire(err error) *wireResult {
+	status, kind := classify(err)
+	wr := marshalWire(status, errorResponse{Error: err.Error(), Kind: kind})
+	wr.failed = true
+	if after, ok := resilience.RetryAfterOf(err); ok {
+		wr.retryAfter = max(1, int((after+time.Second-1)/time.Second))
+	}
+	return wr
+}
+
+// write sends a rendered response; every JSON response goes through it.
+// Per-request concerns stay per-request even when a coalesced result is
+// shared: a disconnected client is a silent 499-style abort, counted
+// apart from server errors; every error response is counted against its
+// own request; and the encode faultpoint fires once per response written.
+func (s *server) write(w http.ResponseWriter, r *http.Request, wr *wireResult) {
 	if r.Context().Err() == context.Canceled {
 		s.cAborts.Inc()
 		return
 	}
-	if wr.after > 0 {
-		secs := int((wr.after + time.Second - 1) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
+	if wr.retryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(wr.retryAfter))
 	}
-	if wr.status >= 400 {
+	if wr.failed {
 		s.cErrors.With(strconv.Itoa(wr.status)).Inc()
 	}
 	if err := faultpoint.Hit("recordd.response.encode", ""); err != nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusInternalServerError)
-		fmt.Fprintf(w, "{\"error\":%q}\n", err.Error())
-		return
+		wr = errWire(err) // a 500 in place of the response, not a second error
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(wr.status)
 	_, _ = w.Write(wr.body)
 }
 
-func (s *server) readJSON(w http.ResponseWriter, r *http.Request, dst interface{}) bool {
-	if r.Method != http.MethodPost {
-		s.fail(w, r, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
-		return false
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.maxBody+1))
-	if err != nil {
-		s.fail(w, r, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
-		return false
-	}
-	if int64(len(body)) > s.cfg.maxBody {
-		s.fail(w, r, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("body exceeds %d bytes", s.cfg.maxBody))
-		return false
-	}
-	if err := json.Unmarshal(body, dst); err != nil {
-		s.fail(w, r, http.StatusBadRequest, fmt.Errorf("bad JSON: %w", err))
-		return false
-	}
-	return true
+// statusError pins the HTTP status of a failure the error table cannot
+// tell from its type: a malformed request, an unknown key, a conflict.
+type statusError struct {
+	status int
+	err    error
 }
 
-// fail writes an error response.  A client that already disconnected gets
-// nothing — that is a 499-style silent abort counted apart from server
-// errors, not a 500.  Resilience errors carry Retry-After hints that
-// surface as the HTTP header of the same name.
-func (s *server) fail(w http.ResponseWriter, r *http.Request, status int, err error) {
-	if r.Context().Err() == context.Canceled {
-		s.cAborts.Inc()
-		return
+func withStatus(status int, err error) error { return &statusError{status, err} }
+
+func (e *statusError) Error() string { return e.err.Error() }
+
+// errorClasses is the one map from a failure to its HTTP status and wire
+// kind; the first row the error matches wins.  The kind lets a client
+// tell a draining node (fail over now, the hint is exact) from overload
+// or an open circuit (backing off harder is fine) from a degraded disk
+// tier (push or write elsewhere; reads still work here).  Budget
+// exhaustion is the server's timeout class, recovered panics and injected
+// faults are internal, and an abandoned wait is unavailability.
+var errorClasses = []struct {
+	is     func(error) bool
+	status int
+	kind   string
+}{
+	{isA[*resilience.OverloadError], http.StatusTooManyRequests, "overload"},
+	{isA[*resilience.OpenError], http.StatusServiceUnavailable, "open"},
+	{isA[*resilience.DrainingError], http.StatusServiceUnavailable, "draining"},
+	{isA[*resilience.DegradedError], http.StatusServiceUnavailable, "degraded"},
+	{isA[*diag.BudgetError], http.StatusGatewayTimeout, ""},
+	{isA[*diag.PanicError], http.StatusInternalServerError, ""},
+	{isA[*faultpoint.Fault], http.StatusInternalServerError, ""},
+	{func(err error) bool {
+		return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+	}, http.StatusServiceUnavailable, ""},
+}
+
+func isA[T error](err error) bool {
+	var target T
+	return errors.As(err, &target)
+}
+
+// classify maps a failure to its HTTP status and wire kind: a pinned
+// status first, then errorClasses, else the caller's unprocessable model
+// or program (422).
+func classify(err error) (status int, kind string) {
+	var se *statusError
+	if errors.As(err, &se) {
+		return se.status, ""
 	}
-	if after, ok := resilience.RetryAfterOf(err); ok {
-		secs := int((after + time.Second - 1) / time.Second)
-		if secs < 1 {
-			secs = 1
+	for _, c := range errorClasses {
+		if c.is(err) {
+			return c.status, c.kind
 		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
 	}
-	s.cErrors.With(strconv.Itoa(status)).Inc()
-	writeJSON(w, status, errorResponse{Error: err.Error(), Kind: refusalKind(err)})
-}
-
-// statusFor maps failures onto HTTP statuses: overload sheds as 429,
-// breaker/drain refusals and abandoned pool waits are 503, resource-budget
-// exhaustion is the server's fault class (504-ish), internal faults —
-// recovered panics and injected service faults — are 500, and everything
-// else is a caller problem (unprocessable model/program).
-func statusFor(err error) int {
-	var ov *resilience.OverloadError
-	if errors.As(err, &ov) {
-		return http.StatusTooManyRequests
-	}
-	var oe *resilience.OpenError
-	if errors.As(err, &oe) {
-		return http.StatusServiceUnavailable
-	}
-	var de *resilience.DrainingError
-	if errors.As(err, &de) {
-		return http.StatusServiceUnavailable
-	}
-	var ge *resilience.DegradedError
-	if errors.As(err, &ge) {
-		return http.StatusServiceUnavailable
-	}
-	var be *diag.BudgetError
-	if errors.As(err, &be) {
-		return http.StatusGatewayTimeout
-	}
-	var pe *diag.PanicError
-	if errors.As(err, &pe) {
-		return http.StatusInternalServerError
-	}
-	var fe *faultpoint.Fault
-	if errors.As(err, &fe) {
-		return http.StatusInternalServerError
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return http.StatusServiceUnavailable
-	}
-	return http.StatusUnprocessableEntity
-}
-
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	if err := faultpoint.Hit("recordd.response.encode", ""); err != nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusInternalServerError)
-		fmt.Fprintf(w, "{\"error\":%q}\n", err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	return http.StatusUnprocessableEntity, ""
 }

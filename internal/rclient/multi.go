@@ -219,15 +219,8 @@ func (f *Fleet) Healthz(ctx context.Context) error {
 // the ring owner of the model's content address so the artifact is built
 // (and cached) where by-key compiles will look for it.
 func (f *Fleet) Retarget(ctx context.Context, ref ModelRef) (*RetargetResult, error) {
-	in := map[string]string{}
-	if ref.Model != "" {
-		in["model"] = ref.Model
-	}
-	if ref.ModelName != "" {
-		in["model_name"] = ref.ModelName
-	}
 	var out RetargetResult
-	trace, err := f.call(ctx, ref.routeKey(), ref.fingerprint(), "/v1/retarget", in, &out)
+	trace, err := f.call(ctx, ref.routeKey(), ref.fingerprint(), "/v1/retarget", ref.retargetBody(), &out)
 	if err != nil {
 		return nil, err
 	}
@@ -238,18 +231,8 @@ func (f *Fleet) Retarget(ctx context.Context, ref ModelRef) (*RetargetResult, er
 // Compile compiles one RecC program against the model, on the model's
 // ring owner when it is up and the next replica when it is not.
 func (f *Fleet) Compile(ctx context.Context, ref ModelRef, source string, opts CompileOptions) (*CompileResult, error) {
-	in := map[string]interface{}{"source": source, "options": opts}
-	if ref.Key != "" {
-		in["key"] = ref.Key
-	}
-	if ref.Model != "" {
-		in["model"] = ref.Model
-	}
-	if ref.ModelName != "" {
-		in["model_name"] = ref.ModelName
-	}
 	var out CompileResult
-	trace, err := f.call(ctx, ref.routeKey(), ref.fingerprint(), "/v1/compile", in, &out)
+	trace, err := f.call(ctx, ref.routeKey(), ref.fingerprint(), "/v1/compile", ref.compileBody(source, opts), &out)
 	if err != nil {
 		return nil, err
 	}

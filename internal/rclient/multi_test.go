@@ -250,8 +250,9 @@ func TestFleetHedgedRequestLoserCancelled(t *testing.T) {
 	order := f.ring.Successors(ref.routeKey(), 2)
 	primary, backup := byURL(t, nodes, order[0]), byURL(t, nodes, order[1])
 
-	cancelled := make(chan struct{})
+	entered, cancelled := make(chan struct{}), make(chan struct{})
 	primary.handler.Store(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		close(entered)
 		// Drain the body so the server's background read can observe the
 		// client abandoning the connection.
 		io.Copy(io.Discard, r.Body)
@@ -263,11 +264,16 @@ func TestFleetHedgedRequestLoserCancelled(t *testing.T) {
 		}
 	}))
 
-	// Hedge fires immediately via an injected, pre-fired timer.
+	// The hedge fires as soon as the primary holds the request: a hedge
+	// that won before the primary's request arrived would leave no leg
+	// to cancel.
 	f.HedgeDelay = time.Millisecond
 	f.After = func(time.Duration) <-chan time.Time {
 		ch := make(chan time.Time, 1)
-		ch <- time.Time{}
+		go func() {
+			<-entered
+			ch <- time.Time{}
+		}()
 		return ch
 	}
 

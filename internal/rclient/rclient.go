@@ -50,6 +50,24 @@ func (m ModelRef) fingerprint() string {
 	return "mdl:" + hex.EncodeToString(sum[:8])
 }
 
+// request is the JSON body of /v1/retarget and /v1/compile.
+type request struct {
+	Key       string          `json:"key,omitempty"`
+	Model     string          `json:"model,omitempty"`
+	ModelName string          `json:"model_name,omitempty"`
+	Source    string          `json:"source,omitempty"`
+	Options   *CompileOptions `json:"options,omitempty"`
+}
+
+// retargetBody is the /v1/retarget request selecting m's model.
+func (m ModelRef) retargetBody() request { return request{Model: m.Model, ModelName: m.ModelName} }
+
+// compileBody is the /v1/compile request compiling source against m's
+// model, selected by artifact key, inline MDL or bundled name.
+func (m ModelRef) compileBody(source string, opts CompileOptions) request {
+	return request{Key: m.Key, Model: m.Model, ModelName: m.ModelName, Source: source, Options: &opts}
+}
+
 // CompileOptions mirrors the service's per-program options.
 type CompileOptions struct {
 	NoCompaction bool `json:"no_compaction,omitempty"`
@@ -212,15 +230,8 @@ func (c *Client) Healthz(ctx context.Context) error {
 // Retarget asks the service to retarget to the model, returning the
 // artifact key for subsequent by-key compiles.
 func (c *Client) Retarget(ctx context.Context, ref ModelRef) (*RetargetResult, error) {
-	in := map[string]string{}
-	if ref.Model != "" {
-		in["model"] = ref.Model
-	}
-	if ref.ModelName != "" {
-		in["model_name"] = ref.ModelName
-	}
 	var out RetargetResult
-	trace, err := c.call(ctx, ref.fingerprint(), "/v1/retarget", in, &out)
+	trace, err := c.call(ctx, ref.fingerprint(), "/v1/retarget", ref.retargetBody(), &out)
 	if err != nil {
 		return nil, err
 	}
@@ -230,18 +241,8 @@ func (c *Client) Retarget(ctx context.Context, ref ModelRef) (*RetargetResult, e
 
 // Compile compiles one RecC program against the model.
 func (c *Client) Compile(ctx context.Context, ref ModelRef, source string, opts CompileOptions) (*CompileResult, error) {
-	in := map[string]interface{}{"source": source, "options": opts}
-	if ref.Key != "" {
-		in["key"] = ref.Key
-	}
-	if ref.Model != "" {
-		in["model"] = ref.Model
-	}
-	if ref.ModelName != "" {
-		in["model_name"] = ref.ModelName
-	}
 	var out CompileResult
-	trace, err := c.call(ctx, ref.fingerprint(), "/v1/compile", in, &out)
+	trace, err := c.call(ctx, ref.fingerprint(), "/v1/compile", ref.compileBody(source, opts), &out)
 	if err != nil {
 		return nil, err
 	}

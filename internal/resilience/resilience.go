@@ -1,5 +1,5 @@
 // Package resilience is the service-hardening layer of the compile
-// service: admission control, circuit breaking, retry policy and drain
+// service: typed refusals, circuit breaking, retry policy and drain
 // signalling, shared by recordd (server side) and rclient (client side).
 //
 // The retargeting pipeline already degrades gracefully inside one request
@@ -12,12 +12,11 @@
 // than drops.
 //
 // Everything here is stdlib-only and nil-safe in the style of
-// diag.Reporter and the obs instruments: a nil *Admission admits
-// everything, a nil *Breaker allows everything, and the zero Policy
-// performs a sane default retry.  Typed errors (OverloadError, OpenError,
-// DrainingError) carry machine-readable retry hints so HTTP layers can
-// map them to 429/503 plus a Retry-After header, and the client can honor
-// that header symmetrically.
+// diag.Reporter and the obs instruments: a nil *Breaker allows
+// everything, and the zero Policy performs a sane default retry.  Typed
+// errors (OverloadError, OpenError, DrainingError) carry machine-readable
+// retry hints so HTTP layers can map them to 429/503 plus a Retry-After
+// header, and the client can honor that header symmetrically.
 package resilience
 
 import (

@@ -10,16 +10,6 @@ import (
 )
 
 func TestNilSafety(t *testing.T) {
-	var a *Admission
-	leave, err := a.Enter()
-	if err != nil {
-		t.Fatalf("nil admission shed: %v", err)
-	}
-	leave()
-	if a.Depth() != 0 || a.Shed() != 0 {
-		t.Fatal("nil admission has state")
-	}
-
 	var b *Breaker
 	if err := b.Allow("k"); err != nil {
 		t.Fatalf("nil breaker refused: %v", err)
@@ -27,62 +17,6 @@ func TestNilSafety(t *testing.T) {
 	b.Record("k", false)
 	if b.State("k") != Closed {
 		t.Fatal("nil breaker not closed")
-	}
-}
-
-func TestAdmissionShedsAtLimit(t *testing.T) {
-	a := NewAdmission(2, 3*time.Second)
-	l1, err1 := a.Enter()
-	l2, err2 := a.Enter()
-	if err1 != nil || err2 != nil {
-		t.Fatalf("admits under limit: %v %v", err1, err2)
-	}
-	if a.Depth() != 2 {
-		t.Fatalf("depth %d, want 2", a.Depth())
-	}
-	_, err := a.Enter()
-	var ov *OverloadError
-	if !errors.As(err, &ov) {
-		t.Fatalf("over limit: %v, want OverloadError", err)
-	}
-	if ov.Queue != 2 || ov.Limit != 2 || ov.After != 3*time.Second {
-		t.Fatalf("overload detail: %+v", ov)
-	}
-	if !IsTransient(err) {
-		t.Fatal("overload not transient")
-	}
-	if after, ok := RetryAfterOf(err); !ok || after != 3*time.Second {
-		t.Fatalf("retry-after %v %v", after, ok)
-	}
-	if a.Shed() != 1 {
-		t.Fatalf("shed %d, want 1", a.Shed())
-	}
-	l1()
-	l1() // leave must be idempotent
-	if a.Depth() != 1 {
-		t.Fatalf("depth after leave %d, want 1", a.Depth())
-	}
-	if _, err := a.Enter(); err != nil {
-		t.Fatalf("freed capacity still sheds: %v", err)
-	}
-	l2()
-}
-
-func TestAdmissionConcurrent(t *testing.T) {
-	a := NewAdmission(8, time.Second)
-	var wg sync.WaitGroup
-	for i := 0; i < 64; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if leave, err := a.Enter(); err == nil {
-				leave()
-			}
-		}()
-	}
-	wg.Wait()
-	if a.Depth() != 0 {
-		t.Fatalf("leaked depth %d", a.Depth())
 	}
 }
 
