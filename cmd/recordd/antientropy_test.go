@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -293,6 +294,52 @@ func TestAntiEntropyConvergesFleet(t *testing.T) {
 	for _, s := range servers {
 		if rep := s.ae.Sweep(context.Background()); rep.Pushed != 0 {
 			t.Fatalf("post-convergence sweep still pushed: %+v", rep)
+		}
+	}
+}
+
+// TestPeerHealthRule pins the one rule every peer exchange lands in the
+// peer's circuit by: a transport error or a 5xx other than the typed
+// degraded refusal counts against the peer; any other answer — a 404
+// miss, a rejected request, a degraded refusal — counts for it.
+func TestPeerHealthRule(t *testing.T) {
+	var status atomic.Int64
+	var kind atomic.Value
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(int(status.Load()))
+		json.NewEncoder(w).Encode(errorResponse{Error: "scripted", Kind: kind.Load().(string)})
+	}))
+	defer peer.Close()
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+
+	ctx := context.Background()
+	for _, c := range []struct {
+		peer   string
+		status int
+		kind   string
+		open   bool
+	}{
+		{peer.URL, http.StatusNotFound, "", false},
+		{peer.URL, http.StatusBadRequest, "", false},
+		{peer.URL, http.StatusServiceUnavailable, "degraded", false},
+		{peer.URL, http.StatusServiceUnavailable, "draining", true},
+		{peer.URL, http.StatusInternalServerError, "", true},
+		{dead.URL, 0, "", true},
+	} {
+		s, err := newServer(serverConfig{peers: []string{c.peer}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		status.Store(int64(c.status))
+		kind.Store(c.kind)
+		// Three exchanges, one of each kind: three consecutive failures
+		// open the circuit.
+		s.peerFetch(ctx, "k")
+		s.inventoryPage(ctx, c.peer, "", -1)
+		s.pushTo(ctx, c.peer, "k", []byte("x"))
+		if got := s.peerHealth.State(c.peer) == resilience.Open; got != c.open {
+			t.Errorf("status %d kind %q: circuit open=%v, want %v", c.status, c.kind, got, c.open)
 		}
 	}
 }

@@ -9,7 +9,8 @@
 //   - the cache recovers from orphaned temp files and corrupt artifacts;
 //   - a repeatedly failing model trips its breaker (fast 503s with
 //     Retry-After) while other models keep compiling, and recovers through
-//     a half-open probe once the fault clears.
+//     a half-open probe once the fault clears, even when a probe ends
+//     without a recorded outcome.
 //
 // These run under -race in the CI chaos job; `go test -short` skips them.
 package main
@@ -394,4 +395,45 @@ func TestChaosBreakerOpensAndRecovers(t *testing.T) {
 		}
 	}
 	_ = s
+}
+
+// TestChaosBreakerAbandonedProbeExpires: a half-open probe that ends
+// without a recorded outcome — here a compile whose program is rejected
+// with 422, which says nothing about the model's health — must not hold
+// the circuit open forever.  One cooldown later the next request is
+// admitted as a new probe and closes the circuit.
+func TestChaosBreakerAbandonedProbeExpires(t *testing.T) {
+	skipChaos(t)
+	defer faultpoint.Reset()
+
+	_, ts := newTestServer(t, serverConfig{
+		workers: 2, brkWindow: 4, brkRate: 0.5, brkCooldown: 100 * time.Millisecond,
+	})
+	if err := faultpoint.ArmSpec("ise.extract@tms320c25=error*"); err != nil {
+		t.Fatal(err)
+	}
+	body := map[string]string{"model_name": "tms320c25"}
+	sawOpen := false
+	for i := 0; i < 6; i++ {
+		code, _, _, err := rawPost(ts.URL+"/v1/retarget", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sawOpen = sawOpen || code == http.StatusServiceUnavailable
+	}
+	if !sawOpen {
+		t.Fatal("circuit never opened")
+	}
+
+	faultpoint.Disarm("ise.extract")
+	time.Sleep(150 * time.Millisecond)
+	bad := map[string]string{"model_name": "tms320c25", "source": "this is not RecC ((("}
+	if code, _, raw, err := rawPost(ts.URL+"/v1/compile", bad); err != nil || code != http.StatusUnprocessableEntity {
+		t.Fatalf("half-open probe with a bad program: %d %v %s", code, err, raw)
+	}
+
+	time.Sleep(150 * time.Millisecond)
+	if code, _, raw, err := rawPost(ts.URL+"/v1/retarget", body); err != nil || code != http.StatusOK {
+		t.Fatalf("retarget one cooldown after the abandoned probe: %d %v %s", code, err, raw)
+	}
 }

@@ -33,6 +33,7 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/fleet"
 	"repro/internal/rclient"
+	"repro/internal/resilience"
 )
 
 // TestMain lets this test binary double as the recordd executable: a
@@ -302,7 +303,7 @@ func TestFleetChaosNodeKillFailover(t *testing.T) {
 
 	// Revive the killed node on the same address and store.  Its
 	// crash-safe cache must still hold the artifact, and the fleet
-	// client's ring must route to it again after a probe.
+	// client's ring must route to it again after one Healthz.
 	owner.start(t)
 	revived := rclient.NewClient(owner.url)
 	res, err = revived.Compile(ctx, byKey, prog, rclient.CompileOptions{})
@@ -315,9 +316,11 @@ func TestFleetChaosNodeKillFailover(t *testing.T) {
 	if res.Listing != expected.Listing {
 		t.Error("revived node output differs from reference")
 	}
-	fl.Probe(ctx)
-	if st := fl.States()[owner.url]; st != fleet.Healthy {
-		t.Fatalf("revived node state %v in client ring, want healthy", st)
+	if err := fl.Healthz(ctx); err != nil {
+		t.Fatalf("fleet health check: %v", err)
+	}
+	if st := fl.States()[owner.url]; st != resilience.Closed {
+		t.Fatalf("revived node circuit %v in client ring, want closed", st)
 	}
 	post, err := fl.Compile(ctx, byKey, prog, rclient.CompileOptions{})
 	if err != nil || post.Listing != expected.Listing {

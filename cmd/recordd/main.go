@@ -92,7 +92,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/obs"
 	"repro/internal/qos"
-	"repro/internal/rclient"
 )
 
 func main() {
@@ -210,12 +209,13 @@ func main() {
 	}
 	if len(s.cfg.peers) > 0 {
 		p := &fleet.Prober{
-			Tracker:   s.peerHealth,
+			Health:    s.peerHealth,
 			Endpoints: s.cfg.peers,
 			Check: func(ctx context.Context, ep string) error {
 				ctx, cancel := context.WithTimeout(ctx, 2*time.Second)
 				defer cancel()
-				return (&rclient.Client{Base: strings.TrimRight(ep, "/"), HTTP: s.peerHTTP}).Healthz(ctx)
+				_, _, err := s.peerRequest(ctx, http.MethodGet, ep, "/healthz", nil, 64<<10)
+				return err
 			},
 		}
 		go p.Run(proberCtx)

@@ -180,9 +180,10 @@ type server struct {
 	ring     *fleet.Ring   // fleet membership, for rebalancing gauges
 	gRingKey *obs.GaugeVec // disk-store keys owned, by ring member
 
-	// Fleet state: peer health drives which ring peer a cache miss
-	// consults first; peerHTTP is the transport for artifact fetches.
-	peerHealth *fleet.Tracker
+	// Fleet state: peer health (one circuit per peer, fleet.NewHealth)
+	// decides which peers a cache miss or a push consults; peerHTTP is the
+	// transport for every peer request.
+	peerHealth *resilience.Breaker
 	peerHTTP   *http.Client
 
 	cPeerFetch      *obs.CounterVec // by node, peer, outcome: hit | miss | error
@@ -257,7 +258,7 @@ func newServer(cfg serverConfig) (*server, error) {
 			"error responses, by HTTP status", "status"),
 		cAborts: reg.Counter("record_recordd_client_aborts_total",
 			"requests whose client disconnected before a response (499-style)"),
-		peerHealth: fleet.NewTracker(fleet.TrackerConfig{}),
+		peerHealth: fleet.NewHealth(),
 		peerHTTP:   &http.Client{Timeout: 30 * time.Second},
 		cPeerFetch: reg.CounterVec("record_recordd_peer_fetch_total",
 			"peer artifact fetch attempts, by node, peer and outcome", "node", "peer", "outcome"),
@@ -332,7 +333,7 @@ func newServer(cfg serverConfig) (*server, error) {
 			FetchDigest: s.inventoryDigestFrom,
 			FetchKeys:   s.inventoryKeysFrom,
 			Push:        s.pushTo,
-			Healthy:     s.peerHealth.Usable,
+			Healthy:     s.peerUp,
 			Obs:         scp,
 		})
 	}
@@ -813,70 +814,39 @@ func (s *server) handleInventory(w http.ResponseWriter, r *http.Request) {
 	s.write(w, r, marshalWire(http.StatusOK, antientropy.Page(s.self(), s.cache.Keys(), after, limit)))
 }
 
+// peerUp reports whether peer's circuit admits a request; for a
+// half-open peer the caller that sees true is its probe.
+func (s *server) peerUp(peer string) bool { return s.peerHealth.Allow(peer) == nil }
+
 // peerFetch is the cache's PeerFetch hook, shared by miss-replication
 // and scrub repair: it walks fleet.RepairPeers' order — every healthy
 // peer, in the key's rendezvous order, self excluded, each exactly once
 // (so every node agrees which replica to ask first, and a repair only
 // gives up as unrepairable after every candidate was tried) — and
 // returns the first copy found.  (nil, nil) means no peer has one; the
-// cache then retargets locally.  Failures degrade the peer's health so
-// a dead peer stops being asked.
+// cache then retargets locally.
 func (s *server) peerFetch(ctx context.Context, key string) ([]byte, error) {
-	for _, peer := range fleet.RepairPeers(key, s.self(), s.cfg.peers, s.peerHealth.Usable) {
+	for _, peer := range fleet.RepairPeers(key, s.self(), s.cfg.peers, s.peerUp) {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
 		sp, pscope := obs.ScopeFromContext(ctx).Start("peer.fetch", obs.KV("peer", peer))
-		data, err := s.fetchFrom(obs.ContextWithScope(ctx, pscope), peer, key)
+		status, data, err := s.peerDo(obs.ContextWithScope(ctx, pscope), http.MethodGet, peer, "/v1/artifact/"+key, nil, 256<<20)
+		outcome := "hit"
 		switch {
-		case err != nil:
-			sp.SetAttr("outcome", "error")
-			s.peerHealth.Report(peer, false)
-			s.cPeerFetch.With(s.cfg.nodeID, peer, "error").Inc()
-		case data == nil: // peer alive, no copy
-			sp.SetAttr("outcome", "miss")
-			s.peerHealth.Report(peer, true)
-			s.cPeerFetch.With(s.cfg.nodeID, peer, "miss").Inc()
-		default:
-			sp.SetAttr("outcome", "hit")
-			sp.End()
-			s.peerHealth.Report(peer, true)
-			s.cPeerFetch.With(s.cfg.nodeID, peer, "hit").Inc()
+		case err == nil && status == http.StatusNotFound: // peer alive, no copy
+			outcome = "miss"
+		case err != nil || status != http.StatusOK:
+			outcome = "error"
+		}
+		sp.SetAttr("outcome", outcome)
+		sp.End()
+		s.cPeerFetch.With(s.cfg.nodeID, peer, outcome).Inc()
+		if outcome == "hit" {
 			return data, nil
 		}
-		sp.End()
 	}
 	return nil, nil
-}
-
-// fetchFrom performs one GET /v1/artifact/{key} against one peer under
-// the per-peer timeout.  (nil, nil) is the peer's 404.  The request
-// re-injects the active trace (X-Record-Trace) so the peer's artifact
-// serve records on the same trace as the compile that triggered it.
-func (s *server) fetchFrom(ctx context.Context, peer, key string) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, s.cfg.peerTimeout)
-	defer cancel()
-	url := strings.TrimRight(peer, "/") + "/v1/artifact/" + key
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	if sc := obs.ScopeFromContext(ctx).Span().Context(); sc.Valid() {
-		req.Header.Set(obs.TraceHeader, sc.Header())
-	}
-	resp, err := s.peerHTTP.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return io.ReadAll(io.LimitReader(resp.Body, 256<<20))
-	case http.StatusNotFound:
-		return nil, nil
-	default:
-		return nil, fmt.Errorf("peer %s: status %d", peer, resp.StatusCode)
-	}
 }
 
 // inventoryDigestFrom is the anti-entropy agent's cheap probe: one
@@ -912,32 +882,21 @@ func (s *server) inventoryKeysFrom(ctx context.Context, peer string) (*antientro
 	}
 }
 
-// inventoryPage performs one GET /v1/inventory against a peer under the
-// per-peer timeout.
+// inventoryPage fetches one GET /v1/inventory page from a peer.
 func (s *server) inventoryPage(ctx context.Context, peer, after string, limit int) (*antientropy.Inventory, error) {
-	ctx, cancel := context.WithTimeout(ctx, s.cfg.peerTimeout)
-	defer cancel()
-	u := strings.TrimRight(peer, "/") + "/v1/inventory?limit=" + strconv.Itoa(limit)
+	path := "/v1/inventory?limit=" + strconv.Itoa(limit)
 	if after != "" {
-		u += "&after=" + after
+		path += "&after=" + after
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+	status, data, err := s.peerDo(ctx, http.MethodGet, peer, path, nil, 64<<20)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := s.peerHTTP.Do(req)
-	if err != nil {
-		s.peerHealth.Report(peer, false)
-		return nil, err
+	if status != http.StatusOK {
+		return nil, fmt.Errorf("peer %s: inventory status %d", peer, status)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		s.peerHealth.Report(peer, false)
-		return nil, fmt.Errorf("peer %s: inventory status %d", peer, resp.StatusCode)
-	}
-	s.peerHealth.Report(peer, true)
 	var inv antientropy.Inventory
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&inv); err != nil {
+	if err := json.Unmarshal(data, &inv); err != nil {
 		return nil, err
 	}
 	return &inv, nil
@@ -948,30 +907,64 @@ func (s *server) inventoryPage(ctx context.Context, peer, after string, limit in
 // — including a degraded-disk 503 — is an error the agent retries on a
 // later sweep, ideally after the peer recovers.
 func (s *server) pushTo(ctx context.Context, peer, key string, data []byte) error {
+	status, _, err := s.peerDo(ctx, http.MethodPut, peer, "/v1/artifact/"+key, data, 64<<10)
+	if err != nil {
+		return err
+	}
+	if status != http.StatusNoContent && status != http.StatusOK {
+		return fmt.Errorf("peer %s: push status %d", peer, status)
+	}
+	return nil
+}
+
+// peerDo is the request every peer exchange goes through (peerRequest)
+// with its outcome landed in the peer's circuit.
+func (s *server) peerDo(ctx context.Context, method, peer, path string, body []byte, limit int64) (int, []byte, error) {
+	status, data, err := s.peerRequest(ctx, method, peer, path, body, limit)
+	s.peerHealth.Record(peer, err == nil)
+	return status, data, err
+}
+
+// peerRequest performs one request against a peer under the per-peer
+// timeout, re-injecting the active trace (X-Record-Trace) so the peer's
+// work records on the same trace, and returns the answer's status and
+// body (at most limit bytes).  err is non-nil exactly when the exchange
+// counts against the peer: a transport error, or a 5xx other than the
+// typed degraded refusal (a degraded disk still serves reads).  Any
+// other answer — a 404, a rejected push — is the peer alive and talking.
+func (s *server) peerRequest(ctx context.Context, method, peer, path string, body []byte, limit int64) (int, []byte, error) {
 	ctx, cancel := context.WithTimeout(ctx, s.cfg.peerTimeout)
 	defer cancel()
-	url := strings.TrimRight(peer, "/") + "/v1/artifact/" + key
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, url, bytes.NewReader(data))
-	if err != nil {
-		return err
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
 	}
-	req.Header.Set("Content-Type", "application/octet-stream")
+	req, err := http.NewRequestWithContext(ctx, method, strings.TrimRight(peer, "/")+path, rd)
+	if err != nil {
+		return 0, nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/octet-stream")
+	}
+	if sc := obs.ScopeFromContext(ctx).Span().Context(); sc.Valid() {
+		req.Header.Set(obs.TraceHeader, sc.Header())
+	}
 	resp, err := s.peerHTTP.Do(req)
 	if err != nil {
-		s.peerHealth.Report(peer, false)
-		return err
+		return 0, nil, err
 	}
 	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusNoContent, http.StatusOK:
-		s.peerHealth.Report(peer, true)
-		return nil
-	default:
-		// The peer answered: it is alive, just unwilling (degraded disk,
-		// memory-only, malformed push).  Do not poison its health — reads
-		// may still work fine.
-		return fmt.Errorf("peer %s: push status %d", peer, resp.StatusCode)
+	data, err := io.ReadAll(io.LimitReader(resp.Body, limit))
+	if err != nil {
+		return resp.StatusCode, nil, err
 	}
+	if resp.StatusCode >= http.StatusInternalServerError {
+		var e errorResponse
+		if json.Unmarshal(data, &e) != nil || e.Kind != "degraded" {
+			return resp.StatusCode, data, fmt.Errorf("peer %s: %s %s: status %d", peer, method, path, resp.StatusCode)
+		}
+	}
+	return resp.StatusCode, data, nil
 }
 
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -2,7 +2,7 @@
 // pieces that turn a set of independent recordd nodes into one fleet that
 // survives any single node dying mid-compile.
 //
-// It provides three mechanisms, all deterministic and all free of I/O so
+// It provides two mechanisms, both deterministic and free of I/O so
 // both sides of the wire can share them:
 //
 //   - Ring: a consistent-hash ring with virtual nodes, keyed on the
@@ -16,10 +16,10 @@
 //     every node computes identically without coordination — used to pick
 //     which peers to consult for artifact replication.
 //
-//   - Tracker: a per-endpoint health state machine
-//     (healthy → suspect → down → probing) driven by request outcomes and
-//     periodic /healthz probes (Prober), with an injectable clock so the
-//     full lifecycle is unit-testable without wall time.
+// Endpoint health is not a state machine of its own: NewHealth supplies
+// the resilience.Breaker policy, keyed by endpoint, that both the fleet
+// client and recordd's peer walk route by, and Prober feeds it periodic
+// /healthz outcomes.
 //
 // Everything here is safe for concurrent use and stdlib-only, in the
 // style of internal/resilience.

@@ -3,212 +3,35 @@ package fleet
 import (
 	"context"
 	"sort"
-	"sync"
 	"time"
+
+	"repro/internal/resilience"
 )
 
-// State is one endpoint health state.
-type State int
-
-// Endpoint health states.  The lifecycle is
-// Healthy → Suspect → Down → Probing → Healthy (or back to Down): a
-// failure makes a healthy endpoint suspect, repeated failures take it
-// down, a down endpoint is retried by exactly one probe per cooldown,
-// and the probe's outcome decides between recovery and another cooldown.
-const (
-	Healthy State = iota // serving normally
-	Suspect              // recent failure; still routed, watched closely
-	Down                 // failing; excluded from routing until a probe
-	Probing              // one probe in flight deciding recovery
-)
-
-func (s State) String() string {
-	switch s {
-	case Healthy:
-		return "healthy"
-	case Suspect:
-		return "suspect"
-	case Down:
-		return "down"
-	case Probing:
-		return "probing"
-	}
-	return "state(?)"
+// healthConfig is the endpoint policy: a circuit opens after three
+// consecutive failures, then admits one probe request per 2 s cooldown.
+var healthConfig = resilience.BreakerConfig{
+	Window:      3,
+	MinSamples:  3,
+	FailureRate: 1,
+	Cooldown:    2 * time.Second,
 }
 
-// TrackerConfig tunes a Tracker; zero fields take the documented defaults.
-type TrackerConfig struct {
-	// DownAfter is the consecutive-failure count that takes an endpoint
-	// from suspect to down (default 3, minimum 2 — the first failure is
-	// what makes it suspect).
-	DownAfter int
-	// ProbeAfter is how long a down endpoint is excluded before one
-	// probe may try it again (default 2s).  It also bounds a probe: a
-	// probe older than ProbeAfter whose outcome never arrived (caller
-	// died, request hedged away) is forgotten and a new probe allowed.
-	ProbeAfter time.Duration
-	// Now is the clock; nil means time.Now.  Injectable for tests.
-	Now func() time.Time
-}
+// NewHealth builds the fleet's per-endpoint health: a circuit breaker
+// keyed by endpoint under healthConfig.  A probe whose outcome never
+// arrives expires after one cooldown, and any success — the probe's, a
+// straggler's, a /healthz check's — closes the circuit.  Callers route to
+// an endpoint only when Allow(endpoint) == nil and land every outcome
+// with Record.
+func NewHealth() *resilience.Breaker { return resilience.NewBreaker(healthConfig) }
 
-func (c TrackerConfig) withDefaults() TrackerConfig {
-	if c.DownAfter < 2 {
-		if c.DownAfter <= 0 {
-			c.DownAfter = 3
-		} else {
-			c.DownAfter = 2
-		}
-	}
-	if c.ProbeAfter <= 0 {
-		c.ProbeAfter = 2 * time.Second
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
-	return c
-}
-
-// endpoint is the per-endpoint state; guarded by the Tracker's mutex.
-type endpoint struct {
-	state State
-	fails int       // consecutive failures while suspect
-	since time.Time // when the current Down/Probing state began
-}
-
-// Tracker is the per-endpoint health state machine.  Request outcomes
-// land via Report; routing consults Usable, which also hands out the
-// single probe slot a down endpoint gets per cooldown.  A nil *Tracker
-// considers every endpoint healthy and records nothing.
-type Tracker struct {
-	cfg TrackerConfig
-
-	mu  sync.Mutex
-	eps map[string]*endpoint
-}
-
-// NewTracker builds a tracker; zero-valued config fields get defaults.
-func NewTracker(cfg TrackerConfig) *Tracker {
-	return &Tracker{cfg: cfg.withDefaults(), eps: make(map[string]*endpoint)}
-}
-
-func (t *Tracker) endpointFor(name string) *endpoint {
-	e, ok := t.eps[name]
-	if !ok {
-		e = &endpoint{state: Healthy}
-		t.eps[name] = e
-	}
-	return e
-}
-
-// Report lands one observed outcome for an endpoint: a completed request,
-// a refused connection, or a /healthz probe result.
-func (t *Tracker) Report(name string, ok bool) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	e := t.endpointFor(name)
-	switch e.state {
-	case Healthy:
-		if !ok {
-			e.state = Suspect
-			e.fails = 1
-		}
-	case Suspect:
-		if ok {
-			e.state = Healthy
-			e.fails = 0
-		} else if e.fails++; e.fails >= t.cfg.DownAfter {
-			e.state = Down
-			e.since = t.cfg.Now()
-		}
-	case Down:
-		// An outcome from before the endpoint went down, or a straggler
-		// racing the probe slot: success is evidence enough to recover.
-		if ok {
-			e.state = Healthy
-			e.fails = 0
-		}
-	case Probing:
-		if ok {
-			e.state = Healthy
-			e.fails = 0
-		} else {
-			e.state = Down
-			e.since = t.cfg.Now()
-		}
-	}
-}
-
-// Usable reports whether an endpoint should receive traffic.  Healthy and
-// suspect endpoints are usable; a down endpoint becomes usable once per
-// ProbeAfter cooldown — the caller that sees true is the probe, and its
-// next Report decides recovery.  While a probe is in flight everyone else
-// sees false.
-func (t *Tracker) Usable(name string) bool {
-	if t == nil {
-		return true
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	e := t.endpointFor(name)
-	now := t.cfg.Now()
-	switch e.state {
-	case Healthy, Suspect:
-		return true
-	case Down:
-		if now.Sub(e.since) >= t.cfg.ProbeAfter {
-			e.state = Probing
-			e.since = now
-			return true
-		}
-		return false
-	default: // Probing
-		// A probe whose outcome never arrived expires; claim a new one.
-		if now.Sub(e.since) >= t.cfg.ProbeAfter {
-			e.since = now
-			return true
-		}
-		return false
-	}
-}
-
-// State returns the endpoint's current state (Healthy for unknown names).
-func (t *Tracker) State(name string) State {
-	if t == nil {
-		return Healthy
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	e, ok := t.eps[name]
-	if !ok {
-		return Healthy
-	}
-	return e.state
-}
-
-// Snapshot returns every tracked endpoint's state.
-func (t *Tracker) Snapshot() map[string]State {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[string]State, len(t.eps))
-	for n, e := range t.eps {
-		out[n] = e.state
-	}
-	return out
-}
-
-// Prober drives the tracker from periodic /healthz checks: every tick it
-// probes each endpoint and reports the outcome, so a dead node is noticed
-// even when no request traffic touches it, and a revived node rejoins the
-// rotation without waiting for a request-path probe.
+// Prober drives endpoint health from periodic /healthz checks: every tick
+// it probes each endpoint and records the outcome, so a dead node is
+// noticed even when no request traffic touches it, and a revived node
+// rejoins the rotation without waiting for a request-path probe.
 type Prober struct {
-	// Tracker receives the probe outcomes.
-	Tracker *Tracker
+	// Health receives the probe outcomes.
+	Health *resilience.Breaker
 	// Endpoints are the names to probe.
 	Endpoints []string
 	// Check performs one health check (a GET /healthz round trip).
@@ -220,7 +43,7 @@ type Prober struct {
 	Tick <-chan time.Time
 }
 
-// Once probes every endpoint, in sorted order, reporting each outcome.
+// Once probes every endpoint, in sorted order, recording each outcome.
 func (p *Prober) Once(ctx context.Context) {
 	eps := append([]string(nil), p.Endpoints...)
 	sort.Strings(eps)
@@ -228,7 +51,7 @@ func (p *Prober) Once(ctx context.Context) {
 		if ctx.Err() != nil {
 			return
 		}
-		p.Tracker.Report(ep, p.Check(ctx, ep) == nil)
+		p.Health.Record(ep, p.Check(ctx, ep) == nil)
 	}
 }
 

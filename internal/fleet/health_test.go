@@ -6,9 +6,11 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/resilience"
 )
 
-// clock is an adjustable tracker clock.
+// clock is an adjustable health clock.
 type clock struct {
 	mu sync.Mutex
 	t  time.Time
@@ -26,130 +28,141 @@ func (c *clock) advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-func newTestTracker() (*Tracker, *clock) {
+// newTestTracker is the endpoint health NewHealth builds, on a test clock.
+func newTestTracker() (*resilience.Breaker, *clock) {
 	clk := &clock{t: time.Unix(1000, 0)}
-	return NewTracker(TrackerConfig{DownAfter: 3, ProbeAfter: 2 * time.Second, Now: clk.now}), clk
+	cfg := healthConfig
+	cfg.Now = clk.now
+	return resilience.NewBreaker(cfg), clk
 }
 
+// usable is the routing test every caller applies.
+func usable(h *resilience.Breaker, ep string) bool { return h.Allow(ep) == nil }
+
 func TestTrackerLifecycle(t *testing.T) {
-	tr, clk := newTestTracker()
+	h, clk := newTestTracker()
 
-	if tr.State("a") != Healthy || !tr.Usable("a") {
-		t.Fatal("unknown endpoint not healthy")
+	if h.State("a") != resilience.Closed || !usable(h, "a") {
+		t.Fatal("unknown endpoint not usable")
 	}
 
-	// One failure: suspect, still usable.
-	tr.Report("a", false)
-	if tr.State("a") != Suspect || !tr.Usable("a") {
-		t.Fatalf("after 1 failure: %v usable=%v", tr.State("a"), tr.Usable("a"))
+	// Failures short of three in a row are noise: a success in between
+	// restarts the count.
+	h.Record("a", false)
+	h.Record("a", false)
+	h.Record("a", true)
+	h.Record("a", false)
+	h.Record("a", false)
+	if h.State("a") != resilience.Closed || !usable(h, "a") {
+		t.Fatalf("after a broken failure streak: %v", h.State("a"))
 	}
 
-	// Success heals a suspect fully (failure streak resets).
-	tr.Report("a", true)
-	if tr.State("a") != Healthy {
-		t.Fatalf("suspect did not heal: %v", tr.State("a"))
-	}
-
-	// DownAfter consecutive failures: down, not usable.
-	for i := 0; i < 3; i++ {
-		tr.Report("a", false)
-	}
-	if tr.State("a") != Down || tr.Usable("a") {
-		t.Fatalf("after 3 failures: %v usable=%v", tr.State("a"), tr.Usable("a"))
+	// The third consecutive failure opens the circuit.
+	h.Record("a", false)
+	if h.State("a") != resilience.Open || usable(h, "a") {
+		t.Fatalf("after 3 consecutive failures: %v", h.State("a"))
 	}
 
 	// Before the cooldown nobody gets through.
 	clk.advance(time.Second)
-	if tr.Usable("a") {
-		t.Fatal("down endpoint usable before ProbeAfter")
+	if usable(h, "a") {
+		t.Fatal("open endpoint usable before the cooldown")
 	}
 
-	// After the cooldown exactly one caller claims the probe slot.
+	// After the cooldown exactly one caller claims the probe.
+	clk.advance(time.Second)
+	if !usable(h, "a") {
+		t.Fatal("probe not admitted after the cooldown")
+	}
+	if h.State("a") != resilience.HalfOpen {
+		t.Fatalf("state %v, want half-open", h.State("a"))
+	}
+	if usable(h, "a") {
+		t.Fatal("second caller admitted while the probe is in flight")
+	}
+
+	// Probe failure: open again for another full cooldown.
+	h.Record("a", false)
+	if h.State("a") != resilience.Open || usable(h, "a") {
+		t.Fatalf("failed probe: %v", h.State("a"))
+	}
+
+	// Probe success after the next cooldown: closed again.
 	clk.advance(2 * time.Second)
-	if !tr.Usable("a") {
-		t.Fatal("probe slot not granted after cooldown")
+	if !usable(h, "a") {
+		t.Fatal("second probe not admitted")
 	}
-	if tr.State("a") != Probing {
-		t.Fatalf("state %v, want Probing", tr.State("a"))
-	}
-	if tr.Usable("a") {
-		t.Fatal("second caller admitted while probe in flight")
-	}
-
-	// Probe failure: down again for another full cooldown.
-	tr.Report("a", false)
-	if tr.State("a") != Down || tr.Usable("a") {
-		t.Fatalf("failed probe: %v usable=%v", tr.State("a"), tr.Usable("a"))
-	}
-
-	// Probe success after the next cooldown: healthy again.
-	clk.advance(3 * time.Second)
-	if !tr.Usable("a") {
-		t.Fatal("second probe slot not granted")
-	}
-	tr.Report("a", true)
-	if tr.State("a") != Healthy || !tr.Usable("a") {
-		t.Fatalf("recovery: %v", tr.State("a"))
+	h.Record("a", true)
+	if h.State("a") != resilience.Closed || !usable(h, "a") {
+		t.Fatalf("recovery: %v", h.State("a"))
 	}
 }
 
 func TestTrackerAbandonedProbeExpires(t *testing.T) {
-	tr, clk := newTestTracker()
+	h, clk := newTestTracker()
 	for i := 0; i < 3; i++ {
-		tr.Report("a", false)
+		h.Record("a", false)
 	}
 	clk.advance(2 * time.Second)
-	if !tr.Usable("a") {
-		t.Fatal("probe slot not granted")
+	if !usable(h, "a") {
+		t.Fatal("probe not admitted")
 	}
 	// The probe's outcome never arrives (hedged away, caller died).
 	clk.advance(2 * time.Second)
-	if !tr.Usable("a") {
-		t.Fatal("abandoned probe slot never expired")
+	if !usable(h, "a") {
+		t.Fatal("abandoned probe never expired")
 	}
 }
 
 func TestTrackerDownRecoversOnStragglerSuccess(t *testing.T) {
-	tr, _ := newTestTracker()
+	h, _ := newTestTracker()
 	for i := 0; i < 3; i++ {
-		tr.Report("a", false)
+		h.Record("a", false)
 	}
 	// A request that was in flight when the endpoint went down comes back
 	// fine: that is direct evidence of life.
-	tr.Report("a", true)
-	if tr.State("a") != Healthy {
-		t.Fatalf("straggler success ignored: %v", tr.State("a"))
+	h.Record("a", true)
+	if h.State("a") != resilience.Closed {
+		t.Fatalf("straggler success ignored: %v", h.State("a"))
 	}
 }
 
 func TestTrackerIndependentEndpoints(t *testing.T) {
-	tr, _ := newTestTracker()
+	h, _ := newTestTracker()
 	for i := 0; i < 3; i++ {
-		tr.Report("a", false)
+		h.Record("a", false)
 	}
-	if tr.Usable("a") || !tr.Usable("b") {
+	if usable(h, "a") || !usable(h, "b") {
 		t.Fatal("endpoint states not independent")
 	}
-	snap := tr.Snapshot()
-	if snap["a"] != Down {
-		t.Fatalf("snapshot %v", snap)
+	if h.State("a") != resilience.Open || h.State("b") != resilience.Closed {
+		t.Fatalf("a=%v b=%v", h.State("a"), h.State("b"))
 	}
 }
 
+// Nil endpoint health has no opinions: every endpoint is routable, every
+// endpoint reads Closed, and recording — directly or through a Prober — is
+// a no-op.
 func TestTrackerNilSafe(t *testing.T) {
-	var tr *Tracker
-	tr.Report("a", false)
-	if !tr.Usable("a") || tr.State("a") != Healthy || tr.Snapshot() != nil {
-		t.Fatal("nil tracker has opinions")
+	var h *resilience.Breaker
+	h.Record("a", false)
+	p := &Prober{
+		Health:    h,
+		Endpoints: []string{"a"},
+		Check:     func(context.Context, string) error { return errors.New("down") },
+	}
+	p.Once(context.Background())
+	if !usable(h, "a") || h.State("a") != resilience.Closed {
+		t.Fatal("nil health has opinions")
 	}
 }
 
 func TestProberDrivesTracker(t *testing.T) {
-	tr, clk := newTestTracker()
+	h, clk := newTestTracker()
 	alive := map[string]bool{"a": true, "b": false}
 	var mu sync.Mutex
 	p := &Prober{
-		Tracker:   tr,
+		Health:    h,
 		Endpoints: []string{"a", "b"},
 		Check: func(_ context.Context, ep string) error {
 			mu.Lock()
@@ -163,8 +176,8 @@ func TestProberDrivesTracker(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		p.Once(context.Background())
 	}
-	if tr.State("a") != Healthy || tr.State("b") != Down {
-		t.Fatalf("a=%v b=%v", tr.State("a"), tr.State("b"))
+	if h.State("a") != resilience.Closed || h.State("b") != resilience.Open {
+		t.Fatalf("a=%v b=%v", h.State("a"), h.State("b"))
 	}
 
 	// b comes back: the next probe after the cooldown revives it.
@@ -173,17 +186,17 @@ func TestProberDrivesTracker(t *testing.T) {
 	mu.Unlock()
 	clk.advance(2 * time.Second)
 	p.Once(context.Background())
-	if tr.State("b") != Healthy {
-		t.Fatalf("revived endpoint not healthy after probe: %v", tr.State("b"))
+	if h.State("b") != resilience.Closed {
+		t.Fatalf("revived endpoint not closed after probe: %v", h.State("b"))
 	}
 }
 
 func TestProberRunStopsOnContext(t *testing.T) {
 	tick := make(chan time.Time)
-	tr, _ := newTestTracker()
+	h, _ := newTestTracker()
 	probed := make(chan string, 8)
 	p := &Prober{
-		Tracker:   tr,
+		Health:    h,
 		Endpoints: []string{"a"},
 		Check: func(_ context.Context, ep string) error {
 			probed <- ep

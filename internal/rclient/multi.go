@@ -59,9 +59,11 @@ func (m ModelRef) routeKey() string {
 // Fleet talks to a set of recordd nodes as one service: requests shard
 // across the fleet's consistent-hash ring by artifact content address,
 // fail over to the next ring replica when a node is down, draining, or
-// has an open circuit for the model, and optionally hedge — a second leg
-// to the next replica when the first is slow, first answer wins, loser
-// cancelled.  Construct with NewFleet.
+// refuses the model with its own open circuit, and optionally hedge — a
+// second leg to the next replica when the first is slow, first answer
+// wins, loser cancelled.  Health is one circuit per endpoint
+// (fleet.NewHealth): the fleet keeps no per-model circuit of its own.
+// Construct with NewFleet.
 type Fleet struct {
 	// Policy drives cross-endpoint retries.  Each race through the
 	// candidate list is one policy attempt; backoff between attempts
@@ -75,9 +77,9 @@ type Fleet struct {
 	After func(d time.Duration) <-chan time.Time
 
 	endpoints []string           // normalized base URLs, stable order
-	clients   map[string]*Client // one per endpoint, each with its own breaker
+	clients   map[string]*Client // one per endpoint, transport only
 	ring      *fleet.Ring
-	health    *fleet.Tracker
+	health    *resilience.Breaker // keyed by endpoint
 
 	lat               latencyWindow
 	hedges, hedgeWins atomic.Uint64
@@ -114,13 +116,14 @@ func NewFleet(bases []string) (*Fleet, error) {
 		endpoints: eps,
 		clients:   make(map[string]*Client, len(eps)),
 		ring:      fleet.NewRing(fleet.DefaultVirtualNodes, eps...),
-		health:    fleet.NewTracker(fleet.TrackerConfig{}),
+		health:    fleet.NewHealth(),
 	}
 	for _, ep := range eps {
 		c := NewClient(ep)
-		// The fleet's Policy owns retries; per-endpoint clients only
-		// contribute their transport and per-model breaker.
+		// The fleet's Policy owns retries and its health owns circuit
+		// breaking; per-endpoint clients only contribute their transport.
 		c.Policy = resilience.Policy{MaxAttempts: 1}
+		c.Breaker = nil
 		f.clients[ep] = c
 	}
 	return f, nil
@@ -138,9 +141,9 @@ func (f *Fleet) SetPriority(p string) {
 	}
 }
 
-// States snapshots per-endpoint health, every endpoint present.
-func (f *Fleet) States() map[string]fleet.State {
-	out := make(map[string]fleet.State, len(f.endpoints))
+// States snapshots per-endpoint circuit states, every endpoint present.
+func (f *Fleet) States() map[string]resilience.State {
+	out := make(map[string]resilience.State, len(f.endpoints))
 	for _, ep := range f.endpoints {
 		out[ep] = f.health.State(ep)
 	}
@@ -177,29 +180,16 @@ func (f *Fleet) countHedge(ctx context.Context, outcome string) {
 		"outcome").With(outcome).Inc()
 }
 
-// Probe health-checks every endpoint once and feeds the outcomes to the
-// health tracker, so a dead node is excluded (and a revived one rejoins)
-// without waiting for request traffic to discover it.
-func (f *Fleet) Probe(ctx context.Context) {
-	p := &fleet.Prober{
-		Tracker:   f.health,
-		Endpoints: f.endpoints,
-		Check: func(ctx context.Context, ep string) error {
-			pctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-			defer cancel()
-			return f.clients[ep].Healthz(pctx)
-		},
-	}
-	p.Once(ctx)
-}
-
 // Healthz reports fleet liveness: nil if any endpoint answers healthy.
+// Every endpoint is checked and each outcome lands in its circuit, so a
+// dead node is excluded (and a revived one rejoins) without waiting for
+// request traffic to discover it.
 func (f *Fleet) Healthz(ctx context.Context) error {
 	var lastErr error
 	ok := false
 	for _, ep := range f.endpoints {
 		err := f.clients[ep].Healthz(ctx)
-		f.health.Report(ep, err == nil)
+		f.health.Record(ep, err == nil)
 		if err == nil {
 			ok = true
 		} else {
@@ -220,7 +210,7 @@ func (f *Fleet) Healthz(ctx context.Context) error {
 // (and cached) where by-key compiles will look for it.
 func (f *Fleet) Retarget(ctx context.Context, ref ModelRef) (*RetargetResult, error) {
 	var out RetargetResult
-	trace, err := f.call(ctx, ref.routeKey(), ref.fingerprint(), "/v1/retarget", ref.retargetBody(), &out)
+	trace, err := f.call(ctx, ref.routeKey(), "/v1/retarget", ref.retargetBody(), &out)
 	if err != nil {
 		return nil, err
 	}
@@ -232,7 +222,7 @@ func (f *Fleet) Retarget(ctx context.Context, ref ModelRef) (*RetargetResult, er
 // ring owner when it is up and the next replica when it is not.
 func (f *Fleet) Compile(ctx context.Context, ref ModelRef, source string, opts CompileOptions) (*CompileResult, error) {
 	var out CompileResult
-	trace, err := f.call(ctx, ref.routeKey(), ref.fingerprint(), "/v1/compile", ref.compileBody(source, opts), &out)
+	trace, err := f.call(ctx, ref.routeKey(), "/v1/compile", ref.compileBody(source, opts), &out)
 	if err != nil {
 		return nil, err
 	}
@@ -243,10 +233,10 @@ func (f *Fleet) Compile(ctx context.Context, ref ModelRef, source string, opts C
 // call races one request across the shard's replica order under the
 // fleet retry policy, decoding the winning body into out and returning
 // the trace ID the winning leg's response echoed.
-func (f *Fleet) call(ctx context.Context, rkey, bkey, path string, in, out interface{}) (string, error) {
+func (f *Fleet) call(ctx context.Context, rkey, path string, in, out interface{}) (string, error) {
 	var trace string
 	err := f.Policy.Do(ctx, func(ctx context.Context) error {
-		raw, echo, err := f.race(ctx, f.candidates(rkey), bkey, path, in)
+		raw, echo, err := f.race(ctx, f.candidates(rkey), path, in)
 		if err != nil {
 			return err
 		}
@@ -257,14 +247,15 @@ func (f *Fleet) call(ctx context.Context, rkey, bkey, path string, in, out inter
 }
 
 // candidates is the replica order for a shard key: the ring's successor
-// walk filtered to usable endpoints.  When health has everything down the
+// walk filtered to endpoints whose circuit admits traffic (Allow may claim
+// a half-open endpoint's probe).  When every circuit is open the
 // full ordered list is returned instead — last-resort traffic is how a
 // recovered fleet is rediscovered, and strictly better than refusing.
 func (f *Fleet) candidates(rkey string) []string {
 	ordered := f.ring.Successors(rkey, len(f.endpoints))
 	usable := ordered[:0:0]
 	for _, ep := range ordered {
-		if f.health.Usable(ep) {
+		if f.health.Allow(ep) == nil {
 			usable = append(usable, ep)
 		}
 	}
@@ -287,7 +278,7 @@ type legResult struct {
 // early while the primary is still in flight.  First success wins and
 // cancels the rest; a non-failover-worthy error (the request is wrong,
 // not the node) returns immediately.
-func (f *Fleet) race(ctx context.Context, cands []string, bkey, path string, in interface{}) ([]byte, string, error) {
+func (f *Fleet) race(ctx context.Context, cands []string, path string, in interface{}) ([]byte, string, error) {
 	if len(cands) == 0 {
 		return nil, "", errors.New("rclient: no usable endpoints")
 	}
@@ -303,7 +294,7 @@ func (f *Fleet) race(ctx context.Context, cands []string, bkey, path string, in 
 		ep := cands[started]
 		started++
 		go func() {
-			raw, echo, err := f.leg(hctx, ep, bkey, path, in, hedged)
+			raw, echo, err := f.leg(hctx, ep, path, in, hedged)
 			results <- legResult{raw: raw, echo: echo, err: err, hedged: hedged}
 		}()
 		return true
@@ -354,52 +345,37 @@ func (f *Fleet) race(ctx context.Context, cands []string, bkey, path string, in 
 	return nil, "", lastErr
 }
 
-// leg runs one request against one endpoint, recording the outcome with
-// that endpoint's breaker and the fleet health tracker.  A leg cancelled
-// by the race (hedge loser, caller gone) reports nothing to either —
-// cancellation is not evidence about the node — but a cancelled hedge
-// leg does count as a hedge loser.
-func (f *Fleet) leg(ctx context.Context, ep, bkey, path string, in interface{}, hedged bool) ([]byte, string, error) {
-	c := f.clients[ep]
-	if err := c.Breaker.Allow(bkey); err != nil {
-		// Local refusal; the node was never contacted.  The race loop
-		// does the hedge-failure accounting when it consumes the result.
-		return nil, "", fmt.Errorf("%s: %w", ep, err)
-	}
+// leg runs one request against one endpoint, recording the outcome in
+// that endpoint's circuit: a transport error or 5xx counts against the
+// node, any other answer for it.  A leg cancelled by the race (hedge
+// loser, caller gone) records nothing — cancellation is not evidence
+// about the node, and a probe it held expires after one cooldown — but a
+// cancelled hedge leg does count as a hedge loser.
+func (f *Fleet) leg(ctx context.Context, ep, path string, in interface{}, hedged bool) ([]byte, string, error) {
 	var extra []obs.Attr
 	if hedged {
 		extra = append(extra, obs.KV("hedge", true))
 	}
 	start := time.Now()
-	raw, echo, err := c.postRaw(ctx, path, in, extra...)
+	raw, echo, err := f.clients[ep].postRaw(ctx, path, in, extra...)
 	if err != nil && ctx.Err() != nil {
 		if hedged {
 			f.countHedge(ctx, "cancelled")
 		}
 		return nil, "", err
 	}
-	switch {
-	case err == nil:
-		c.Breaker.Record(bkey, true)
-		f.health.Report(ep, true)
-		f.lat.observe(time.Since(start))
-	case serverFault(err):
-		c.Breaker.Record(bkey, false)
-		f.health.Report(ep, false)
-	default:
-		// 4xx: the node answered; the request is the problem.
-		f.health.Report(ep, true)
-	}
+	f.health.Record(ep, err == nil || !serverFault(err))
 	if err != nil {
 		return nil, "", fmt.Errorf("%s: %w", ep, err)
 	}
+	f.lat.observe(time.Since(start))
 	return raw, echo, nil
 }
 
 // failoverWorthy reports whether another replica could answer where this
-// one failed: transient statuses, open circuits, and transport failures
-// qualify; a rejected request (bad model, bad program) fails the same
-// way everywhere.
+// one failed: transient statuses (including a node's open circuit for
+// the model) and transport failures qualify; a rejected request (bad
+// model, bad program) fails the same way everywhere.
 func failoverWorthy(err error) bool {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return false
@@ -407,9 +383,6 @@ func failoverWorthy(err error) bool {
 	var se *StatusError
 	if errors.As(err, &se) {
 		return se.Transient()
-	}
-	if resilience.IsTransient(err) {
-		return true // local breaker open, typed resilience refusal
 	}
 	return true // transport-level failure: connection refused, reset, ...
 }

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/fleet"
 	"repro/internal/resilience"
 )
 
@@ -123,18 +122,22 @@ func TestFleetFailoverConnectionRefused(t *testing.T) {
 	primary, backup := byURL(t, nodes, order[0]), byURL(t, nodes, order[1])
 	primary.srv.Close() // connections to the primary now refuse
 
-	res, err := f.Compile(context.Background(), ref, "x = 1", CompileOptions{})
-	if err != nil {
-		t.Fatalf("Compile with dead primary: %v", err)
+	// Each compile fails over; the third consecutive refusal opens the
+	// primary's circuit.
+	for i := 0; i < 3; i++ {
+		res, err := f.Compile(context.Background(), ref, "x = 1", CompileOptions{})
+		if err != nil {
+			t.Fatalf("Compile %d with dead primary: %v", i, err)
+		}
+		if res.Name != backup.name {
+			t.Fatalf("answered by %q, want backup %q", res.Name, backup.name)
+		}
 	}
-	if res.Name != backup.name {
-		t.Fatalf("answered by %q, want backup %q", res.Name, backup.name)
+	if st := f.health.State(order[0]); st != resilience.Open {
+		t.Fatalf("dead primary is %v, want open", st)
 	}
-	if st := f.health.State(order[0]); st == fleet.Healthy {
-		t.Fatalf("dead primary still %v, want degraded", st)
-	}
-	if st := f.health.State(order[1]); st != fleet.Healthy {
-		t.Fatalf("backup is %v, want healthy", st)
+	if st := f.health.State(order[1]); st != resilience.Closed {
+		t.Fatalf("backup is %v, want closed", st)
 	}
 }
 
@@ -181,6 +184,9 @@ func TestFleetDrainingReconstructedOverWire(t *testing.T) {
 	}
 }
 
+// TestFleetFailoverOpenBreaker: a node whose own circuit for the model
+// is open refuses with a fast 503 {"kind":"open"}; the fleet fails over
+// to the next replica within the same attempt.
 func TestFleetFailoverOpenBreaker(t *testing.T) {
 	a, b := newFakeNode(t, "a"), newFakeNode(t, "b")
 	nodes := []*fakeNode{a, b}
@@ -189,26 +195,25 @@ func TestFleetFailoverOpenBreaker(t *testing.T) {
 	ref := ModelRef{Key: strings.Repeat("23", 32)}
 	order := f.ring.Successors(ref.routeKey(), 2)
 	primary, backup := byURL(t, nodes, order[0]), byURL(t, nodes, order[1])
-
-	// Trip the primary's local per-model circuit: default window opens at
-	// 4 consecutive failures.
-	brk := f.clients[order[0]].Breaker
-	for i := 0; i < 4; i++ {
-		brk.Record(ref.fingerprint(), false)
-	}
-	if brk.Allow(ref.fingerprint()) == nil {
-		t.Fatal("breaker did not open")
-	}
+	primary.handler.Store(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", "10")
+		w.WriteHeader(http.StatusServiceUnavailable)
+		json.NewEncoder(w).Encode(map[string]string{
+			"error": "circuit open for " + ref.Key + ": retry in 10s",
+			"kind":  "open",
+		})
+	}))
 
 	res, err := f.Compile(context.Background(), ref, "x = 1", CompileOptions{})
 	if err != nil {
-		t.Fatalf("Compile with open primary breaker: %v", err)
+		t.Fatalf("Compile with open primary circuit: %v", err)
 	}
 	if res.Name != backup.name {
 		t.Fatalf("answered by %q, want backup %q", res.Name, backup.name)
 	}
-	if primary.hits.Load() != 0 {
-		t.Fatalf("primary was contacted %d times through an open circuit", primary.hits.Load())
+	if primary.hits.Load() != 1 || backup.hits.Load() != 1 {
+		t.Fatalf("hits primary=%d backup=%d, want 1 and 1",
+			primary.hits.Load(), backup.hits.Load())
 	}
 }
 
@@ -236,8 +241,8 @@ func TestFleetCallerErrorDoesNotFailOver(t *testing.T) {
 	if primary.hits.Load() != 1 {
 		t.Fatalf("4xx retried against primary (%d hits)", primary.hits.Load())
 	}
-	if st := f.health.State(order[0]); st != fleet.Healthy {
-		t.Fatalf("4xx degraded primary health to %v", st)
+	if st := f.health.State(order[0]); st != resilience.Closed {
+		t.Fatalf("4xx moved primary health to %v", st)
 	}
 }
 
@@ -294,8 +299,8 @@ func TestFleetHedgedRequestLoserCancelled(t *testing.T) {
 		t.Fatalf("hedges started=%d won=%d, want 1 and 1", started, won)
 	}
 	// Cancellation is not evidence about the slow node's health.
-	if st := f.health.State(order[0]); st != fleet.Healthy {
-		t.Fatalf("cancelled leg degraded primary health to %v", st)
+	if st := f.health.State(order[0]); st != resilience.Closed {
+		t.Fatalf("cancelled leg moved primary health to %v", st)
 	}
 	if primary.hits.Load() != 1 || backup.hits.Load() != 1 {
 		t.Fatalf("hits primary=%d backup=%d, want 1 and 1",
@@ -307,13 +312,13 @@ func TestFleetAllDownLastResort(t *testing.T) {
 	a, b := newFakeNode(t, "a"), newFakeNode(t, "b")
 	f := newTestFleet(t, a, b)
 
-	// Mark both endpoints down via the health tracker.
+	// Open both endpoints' circuits.
 	for _, ep := range f.endpoints {
 		for i := 0; i < 3; i++ {
-			f.health.Report(ep, false)
+			f.health.Record(ep, false)
 		}
-		if f.health.State(ep) != fleet.Down {
-			t.Fatalf("setup: %s not down", ep)
+		if f.health.State(ep) != resilience.Open {
+			t.Fatalf("setup: %s not open", ep)
 		}
 	}
 	// Both nodes actually answer: the last-resort path must still reach

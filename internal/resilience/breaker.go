@@ -73,18 +73,19 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 // circuit is the per-key state machine.  All fields are guarded by the
 // owning Breaker's mutex.
 type circuit struct {
-	state    State
-	window   []bool // ring of outcomes, true = failure
-	idx, n   int
-	fails    int
-	openedAt time.Time
-	probing  bool // a half-open probe is in flight
+	state  State
+	window []bool // ring of outcomes, true = failure
+	idx, n int
+	fails  int
+	since  time.Time // Open: when it opened; HalfOpen: when the probe was admitted
 }
 
 // Breaker is a per-key circuit breaker: each key (a model fingerprint in
-// recordd, a server endpoint in rclient) gets an independent circuit, so
-// one pathological model failing its budget over and over stops consuming
-// workers while every other model keeps compiling.
+// recordd, a fleet endpoint in rclient and recordd's peer walk) gets an
+// independent circuit, so one pathological model failing its budget over
+// and over stops consuming workers while every other model keeps
+// compiling, and one dead node stops receiving traffic while its peers
+// keep serving.
 //
 // A nil *Breaker allows everything and records nothing.
 type Breaker struct {
@@ -111,7 +112,10 @@ func (b *Breaker) circuitFor(key string) *circuit {
 // Allow reports whether a request for key may proceed.  Open circuits
 // return an *OpenError carrying the remaining cooldown; once the cooldown
 // elapses exactly one caller is admitted as the half-open probe and
-// everyone else keeps failing fast until its outcome is Recorded.
+// everyone else keeps failing fast until its outcome is Recorded.  A
+// probe whose outcome is not Recorded within one Cooldown (it ended as a
+// 4xx, the client went away, the leg was hedged away) is forgotten, and
+// the next caller is admitted as a new probe.
 func (b *Breaker) Allow(key string) error {
 	if b == nil {
 		return nil
@@ -119,30 +123,24 @@ func (b *Breaker) Allow(key string) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	c := b.circuitFor(key)
-	switch c.state {
-	case Closed:
-		return nil
-	case Open:
-		remaining := c.openedAt.Add(b.cfg.Cooldown).Sub(b.cfg.Now())
-		if remaining > 0 {
-			return &OpenError{Key: key, After: remaining}
-		}
-		c.state = HalfOpen
-		c.probing = true
-		return nil
-	default: // HalfOpen
-		if c.probing {
-			return &OpenError{Key: key, After: b.cfg.Cooldown}
-		}
-		c.probing = true
+	if c.state == Closed {
 		return nil
 	}
+	now := b.cfg.Now()
+	if wait := c.since.Add(b.cfg.Cooldown).Sub(now); wait > 0 {
+		return &OpenError{Key: key, After: wait}
+	}
+	c.state, c.since = HalfOpen, now
+	return nil
 }
 
-// Record lands the outcome of an admitted request for key.  In half-open
-// state the probe's outcome decides: success closes the circuit with a
-// clean window, failure reopens it for another cooldown.  In closed state
-// the outcome joins the rolling window and may trip the circuit.
+// Record lands the outcome of a request for key.  In closed state the
+// outcome joins the rolling window and may trip the circuit.  Otherwise a
+// success closes the circuit with a clean window — the half-open probe
+// came back fine, or a straggler or health check proved the key alive
+// while it was open — and a failed probe reopens it for another
+// cooldown.  A failure recorded while open is a straggler from before
+// the trip and carries no information.
 func (b *Breaker) Record(key string, success bool) {
 	if b == nil {
 		return
@@ -150,24 +148,20 @@ func (b *Breaker) Record(key string, success bool) {
 	b.mu.Lock()
 	c := b.circuitFor(key)
 	var tripped bool
-	switch c.state {
-	case HalfOpen:
-		c.probing = false
-		if success {
-			c.reset()
-		} else {
-			c.open(b.cfg.Now())
-			tripped = true
-		}
-	case Closed:
+	switch {
+	case c.state == Closed:
 		c.push(!success)
-		if c.n >= b.cfg.MinSamples &&
-			float64(c.fails) >= b.cfg.FailureRate*float64(c.n) {
-			c.open(b.cfg.Now())
-			tripped = true
-		}
-	// Open: a straggler from before the trip; the window is already
-	// cleared, so the late outcome carries no information.
+		tripped = c.n >= b.cfg.MinSamples &&
+			float64(c.fails) >= b.cfg.FailureRate*float64(c.n)
+	case success:
+		c.state = Closed
+		c.clearWindow()
+	default:
+		tripped = c.state == HalfOpen
+	}
+	if tripped {
+		c.state, c.since = Open, b.cfg.Now()
+		c.clearWindow()
 	}
 	onTrip := b.cfg.OnTrip
 	b.mu.Unlock()
@@ -188,7 +182,7 @@ func (b *Breaker) State(key string) State {
 	if !ok {
 		return Closed
 	}
-	if c.state == Open && !b.cfg.Now().Before(c.openedAt.Add(b.cfg.Cooldown)) {
+	if c.state == Open && !b.cfg.Now().Before(c.since.Add(b.cfg.Cooldown)) {
 		return HalfOpen
 	}
 	return c.state
@@ -207,18 +201,6 @@ func (c *circuit) push(failure bool) {
 		c.fails++
 	}
 	c.idx = (c.idx + 1) % len(c.window)
-}
-
-func (c *circuit) open(now time.Time) {
-	c.state = Open
-	c.openedAt = now
-	c.clearWindow()
-}
-
-func (c *circuit) reset() {
-	c.state = Closed
-	c.probing = false
-	c.clearWindow()
 }
 
 func (c *circuit) clearWindow() {

@@ -112,6 +112,66 @@ func TestBreakerTripHalfOpenRecover(t *testing.T) {
 	}
 }
 
+// trip opens k's circuit with n recorded failures.
+func trip(t *testing.T, b *Breaker, k string, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		b.Record(k, false)
+	}
+	if got := b.State(k); got != Open {
+		t.Fatalf("state %v after %d failures, want Open", got, n)
+	}
+}
+
+// TestBreakerAbandonedProbeExpires: a half-open probe whose outcome is
+// never recorded (it ended as a 4xx, its client went away) must not hold
+// the circuit open forever; after one cooldown a new probe is admitted.
+func TestBreakerAbandonedProbeExpires(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	b := NewBreaker(BreakerConfig{Window: 4, MinSamples: 2, Cooldown: 100 * time.Millisecond, Now: clk.now})
+	trip(t, b, "m", 2)
+	clk.advance(100 * time.Millisecond)
+	if err := b.Allow("m"); err != nil {
+		t.Fatalf("probe refused: %v", err)
+	}
+	// Within the cooldown the in-flight probe still blocks everyone else.
+	clk.advance(50 * time.Millisecond)
+	var oe *OpenError
+	if err := b.Allow("m"); !errors.As(err, &oe) {
+		t.Fatalf("second caller admitted during the probe: %v", err)
+	}
+	clk.advance(50 * time.Millisecond)
+	if err := b.Allow("m"); err != nil {
+		t.Fatalf("abandoned probe never expired: %v (state %v)", err, b.State("m"))
+	}
+	b.Record("m", true)
+	if got := b.State("m"); got != Closed {
+		t.Fatalf("state %v after the new probe succeeded, want Closed", got)
+	}
+}
+
+// TestBreakerOpenClosesOnSuccess: a success recorded while the circuit
+// is open — a straggler admitted before the trip, or a health check —
+// is direct evidence of life and closes it with a clean window.  A
+// straggler's failure changes nothing.
+func TestBreakerOpenClosesOnSuccess(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	b := NewBreaker(BreakerConfig{Window: 4, MinSamples: 2, Cooldown: time.Second, Now: clk.now})
+	trip(t, b, "m", 2)
+	b.Record("m", false)
+	if got := b.State("m"); got != Open {
+		t.Fatalf("straggler failure moved an open circuit to %v", got)
+	}
+	b.Record("m", true)
+	if got := b.State("m"); got != Closed {
+		t.Fatalf("state %v after a success while open, want Closed", got)
+	}
+	b.Record("m", false)
+	if got := b.State("m"); got != Closed {
+		t.Fatal("window not cleared on close: one failure re-tripped")
+	}
+}
+
 func TestBreakerWindowRolls(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(0, 0)}
 	b := NewBreaker(BreakerConfig{Window: 4, MinSamples: 4, FailureRate: 0.5, Now: clk.now})
