@@ -269,12 +269,12 @@ func TestChaosCacheCrashRecovery(t *testing.T) {
 	}
 
 	// A fresh server sweeps the orphan at startup...
-	s2, ts2 := newTestServer(t, serverConfig{cacheDir: dir})
+	_, ts2 := newTestServer(t, serverConfig{cacheDir: dir})
 	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
 		t.Fatal("orphaned temp file survived the recovery scan")
 	}
-	if s2.cache.Stats().Orphans != 1 {
-		t.Fatalf("orphans recovered = %d, want 1", s2.cache.Stats().Orphans)
+	if got := metricValue(t, ts2.URL, "record_rcache_orphans_recovered_total"); got != 1 {
+		t.Fatalf("orphans recovered = %d, want 1", got)
 	}
 	// ...and recomputes through the corrupt artifact.
 	var rt2 retargetResponse
@@ -284,8 +284,8 @@ func TestChaosCacheCrashRecovery(t *testing.T) {
 	if rt2.Key != rt.Key {
 		t.Fatalf("key changed across recovery: %s vs %s", rt2.Key, rt.Key)
 	}
-	if s2.cache.Stats().Corrupt != 1 {
-		t.Fatalf("corrupt drops = %d, want 1", s2.cache.Stats().Corrupt)
+	if got := metricValue(t, ts2.URL, "record_rcache_corrupt_total"); got != 1 {
+		t.Fatalf("corrupt drops = %d, want 1", got)
 	}
 
 	// The rewritten artifact is whole again: a third server gets disk hits.

@@ -208,6 +208,65 @@ func TestQoSCompileCoalescing(t *testing.T) {
 	}
 }
 
+// TestQoSCoalescedFollowerOutlivesLeader: a duplicate compile that
+// coalesced onto a queued leader does not inherit the leader's client
+// hanging up.  The live duplicate takes the execution over and gets its
+// 200 once a slot frees up.
+func TestQoSCoalescedFollowerOutlivesLeader(t *testing.T) {
+	s, ts := newTestServer(t, serverConfig{workers: 1})
+	if code, raw := post(t, ts.URL+"/v1/retarget", map[string]string{"model_name": "demo"}, nil); code != http.StatusOK {
+		t.Fatalf("warm retarget: %d %s", code, raw)
+	}
+	hold, err := s.sched.Acquire(context.Background(), qos.Interactive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hold()
+	body := map[string]interface{}{"model_name": "demo", "source": "int a = 4; int y; y = a * a;"}
+
+	// The leader queues for the held slot under a client that will hang up.
+	lctx, hangUp := context.WithCancel(context.Background())
+	defer hangUp()
+	b, _ := json.Marshal(body)
+	req, err := http.NewRequestWithContext(lctx, http.MethodPost, ts.URL+"/v1/compile", bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	waitCond(t, "the leader to queue", func() bool { return s.sched.Queued() == 1 })
+
+	// An identical request with a live client coalesces onto it.
+	type reply struct {
+		code int
+		body string
+	}
+	follower := make(chan reply, 1)
+	go func() {
+		code, _, raw, err := rawPost(ts.URL+"/v1/compile", body)
+		if err != nil {
+			code = -1
+		}
+		follower <- reply{code, raw}
+	}()
+	waitCond(t, "the duplicate to coalesce", func() bool { return s.coal.Merged() == 1 })
+
+	hangUp()
+	waitCond(t, "the leader's abort", func() bool { return s.cAborts.Value() == 1 })
+	hold()
+	select {
+	case r := <-follower:
+		if r.code != http.StatusOK {
+			t.Fatalf("live follower got %d %s, want 200", r.code, r.body)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("live follower never answered")
+	}
+}
+
 // TestQoSPriorityHeaderGarbage: whatever a client puts in
 // X-Record-Priority, the request is served — garbage degrades to the
 // route default, it can never become an error.
@@ -283,20 +342,15 @@ func TestQoSPrewarmServesFromMemory(t *testing.T) {
 	}
 
 	// Attribution: the pre-warm shows up only in its own counters.
-	st := s.cache.Stats()
-	if st.PrewarmLoads != 1 {
-		t.Fatalf("prewarm loads = %d, want 1 (%+v)", st.PrewarmLoads, st)
-	}
-	if st.MemHits != 1 || st.DiskHits != 0 || st.Misses != 0 || st.Retargets != 0 {
-		t.Fatalf("serving stats inflated by prewarm: %+v", st)
-	}
-	body := scrapeMetrics(t, ts.URL)
-	for _, want := range []string{
-		`record_rcache_prewarm_total{outcome="hit-disk"} 1`,
-		`record_rcache_hits_total{tier="mem"} 1`,
+	for series, want := range map[string]int{
+		`record_rcache_prewarm_total{outcome="hit-disk"}`: 1,
+		`record_rcache_hits_total{tier="mem"}`:            1,
+		`record_rcache_hits_total{tier="disk"}`:           0,
+		"record_rcache_misses_total":                      0,
+		"record_rcache_retargets_total":                   0,
 	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("metrics missing %q:\n%s", want, body)
+		if got := metricValue(t, ts.URL, series); got != want {
+			t.Errorf("%s = %d, want %d", series, got, want)
 		}
 	}
 }

@@ -148,8 +148,8 @@ type server struct {
 	cfg   serverConfig
 	cache *rcache.Cache
 
-	sched     *qos.Scheduler // worker slots + per-class admission
-	coal      *qos.Coalescer // duplicate /v1/compile merging
+	sched     *qos.Scheduler        // worker slots + per-class admission
+	coal      *resilience.Coalescer // duplicate /v1/compile merging
 	pop       *qos.Popularity
 	prewarmer *qos.Prewarmer
 
@@ -221,7 +221,7 @@ func newServer(cfg serverConfig) (*server, error) {
 	s = &server{
 		cfg:     cfg,
 		cache:   cache,
-		coal:    &qos.Coalescer{},
+		coal:    &resilience.Coalescer{},
 		drainCh: make(chan struct{}),
 		reg:     reg,
 		scp:     scp,
@@ -1064,8 +1064,8 @@ func (s *server) run(r *http.Request, rt route) *wireResult {
 	}
 	// A single compile is a pure function of its model, program and
 	// options, so identical requests queued at the same time collapse onto
-	// one execution: the first becomes the leader, duplicates wait and
-	// replay its bytes.  Refusals are shared exactly like results.
+	// one execution whose bytes (refusals too) every duplicate replays —
+	// unless the leader's client left first, and a duplicate takes over.
 	v, shared, err := s.coal.Do(ctx, coalesceKey(j), func() (interface{}, error) {
 		wr := s.execute(ctx, rt, j, cl)
 		if sc := s.obsFrom(ctx).Span().Context(); sc.Valid() {

@@ -139,7 +139,7 @@ func TestBadRequests(t *testing.T) {
 // concurrent /v1/compile requests for the same (uncached) model must
 // trigger exactly one underlying retarget and all return identical code.
 func TestConcurrentCompileSingleflight(t *testing.T) {
-	s, ts := newTestServer(t, serverConfig{workers: 16})
+	_, ts := newTestServer(t, serverConfig{workers: 16})
 	k, ok := dspstone.Get("real_update")
 	if !ok {
 		t.Fatal("kernel real_update missing")
@@ -187,7 +187,7 @@ func TestConcurrentCompileSingleflight(t *testing.T) {
 	if responses[0].CodeLen == 0 {
 		t.Fatal("empty code")
 	}
-	if got := s.cache.Stats().Retargets; got != 1 {
+	if got := metricValue(t, ts.URL, "record_rcache_retargets_total"); got != 1 {
 		t.Fatalf("%d concurrent compiles ran %d retargets, want exactly 1 (singleflight)", n, got)
 	}
 }

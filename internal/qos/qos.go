@@ -1,13 +1,11 @@
 // Package qos differentiates recordd traffic: priority classes with
-// weighted admission (interactive vs. batch), duplicate-request
-// coalescing, and speculative pre-warm of hot models during idle
-// capacity.
+// weighted admission (interactive vs. batch) and speculative pre-warm of
+// hot models during idle capacity.
 //
 // The package is stdlib-only and nil-safe in the style of diag, obs and
-// resilience: a nil *Scheduler admits everything immediately, a nil
-// *Coalescer runs every call, a nil *Popularity forgets everything — so
-// callers thread QoS through unconditionally and flip it on by
-// constructing the pieces.
+// resilience: a nil *Scheduler admits everything immediately and a nil
+// *Popularity forgets everything — so callers thread QoS through
+// unconditionally and flip it on by constructing the pieces.
 //
 // Refusals are typed with internal/resilience errors (OverloadError,
 // DrainingError), so the HTTP status mapping, Retry-After hints and the

@@ -477,117 +477,6 @@ func TestSchedulerConcurrentChurn(t *testing.T) {
 	}
 }
 
-func TestCoalescerLeaderAndFollowers(t *testing.T) {
-	var c Coalescer
-	var calls atomic.Uint64
-	gate := make(chan struct{})
-	running := make(chan struct{})
-
-	const followers = 5
-	results := make(chan string, followers+1)
-	shareds := make(chan bool, followers+1)
-	launch := func() {
-		v, shared, err := c.Do(context.Background(), "k", func() (interface{}, error) {
-			calls.Add(1)
-			close(running)
-			<-gate
-			return "payload", nil
-		})
-		if err != nil {
-			t.Errorf("Do: %v", err)
-		}
-		results <- v.(string)
-		shareds <- shared
-	}
-	go launch()
-	<-running // leader is inside fn
-	var wg sync.WaitGroup
-	for i := 0; i < followers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v, shared, err := c.Do(context.Background(), "k", func() (interface{}, error) {
-				calls.Add(1)
-				return "wrong", nil
-			})
-			if err != nil {
-				t.Errorf("follower: %v", err)
-			}
-			results <- v.(string)
-			shareds <- shared
-		}()
-	}
-	waitFor(t, func() bool { return c.Merged() == followers })
-	close(gate)
-	wg.Wait()
-
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("fn ran %d times, want 1", got)
-	}
-	for i := 0; i < followers+1; i++ {
-		if v := <-results; v != "payload" {
-			t.Fatalf("waiter %d got %q", i, v)
-		}
-	}
-	sharedCount := 0
-	for i := 0; i < followers+1; i++ {
-		if <-shareds {
-			sharedCount++
-		}
-	}
-	if sharedCount != followers {
-		t.Fatalf("shared count = %d, want %d", sharedCount, followers)
-	}
-	if c.Merged() != followers {
-		t.Fatalf("Merged = %d, want %d", c.Merged(), followers)
-	}
-
-	// The flight is gone: the next call is a fresh leader.
-	v, shared, err := c.Do(context.Background(), "k", func() (interface{}, error) { return "fresh", nil })
-	if err != nil || shared || v.(string) != "fresh" {
-		t.Fatalf("post-flight call: %v %v %v", v, shared, err)
-	}
-}
-
-func TestCoalescerFollowerContextCancel(t *testing.T) {
-	var c Coalescer
-	gate := make(chan struct{})
-	running := make(chan struct{})
-	go func() {
-		_, _, _ = c.Do(context.Background(), "k", func() (interface{}, error) {
-			close(running)
-			<-gate
-			return "late", nil
-		})
-	}()
-	<-running
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, shared, err := c.Do(ctx, "k", func() (interface{}, error) { return "never", nil })
-	if !shared || !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled follower: shared=%v err=%v", shared, err)
-	}
-	close(gate)
-}
-
-func TestCoalescerNilAndDistinctKeys(t *testing.T) {
-	var nilC *Coalescer
-	v, shared, err := nilC.Do(context.Background(), "k", func() (interface{}, error) { return 7, nil })
-	if err != nil || shared || v.(int) != 7 {
-		t.Fatalf("nil coalescer: %v %v %v", v, shared, err)
-	}
-	if nilC.Merged() != 0 {
-		t.Fatal("nil coalescer counted a merge")
-	}
-	// Distinct keys never coalesce.
-	var c Coalescer
-	a, _, _ := c.Do(context.Background(), "a", func() (interface{}, error) { return "a", nil })
-	b, _, _ := c.Do(context.Background(), "b", func() (interface{}, error) { return "b", nil })
-	if a.(string) != "a" || b.(string) != "b" {
-		t.Fatal("distinct keys shared a flight")
-	}
-}
-
 func TestPopularityDecayAndOrder(t *testing.T) {
 	now := time.Unix(0, 0)
 	clock := func() time.Time { return now }

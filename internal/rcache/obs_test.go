@@ -65,7 +65,8 @@ func TestCacheHitTrace(t *testing.T) {
 	}
 }
 
-// TestCacheCounters checks the registry mirrors of the Stats counters.
+// TestCacheCounters checks the cache's counters as a caller-supplied
+// registry sees them.
 func TestCacheCounters(t *testing.T) {
 	reg := obs.NewRegistry()
 	c, err := New(Options{Obs: obs.NewScope(reg, nil)})

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -31,7 +33,7 @@ func TestPeerFetchSatisfiesGet(t *testing.T) {
 	key, data := seedArtifact(t)
 
 	fetches := 0
-	c, err := New(Options{
+	c := openCache(t, Options{
 		Dir:        t.TempDir(),
 		MaxEntries: 4,
 		PeerFetch: func(ctx context.Context, k string) ([]byte, error) {
@@ -42,9 +44,6 @@ func TestPeerFetchSatisfiesGet(t *testing.T) {
 			return data, nil
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	e, outcome, err := c.GetContext(context.Background(), demoModel(t), core.RetargetOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -61,9 +60,8 @@ func TestPeerFetchSatisfiesGet(t *testing.T) {
 	if e.Key != key {
 		t.Fatalf("entry key %s, want %s", e.Key, key)
 	}
-	st := c.Stats()
-	if st.PeerHits != 1 || st.Retargets != 0 {
-		t.Fatalf("stats = %+v, want 1 peer hit and 0 retargets", st)
+	if h, r := metric(t, c, peerHits), metric(t, c, retargets); h != 1 || r != 0 {
+		t.Fatalf("peer hits %d, retargets %d; want 1 peer hit and 0 retargets", h, r)
 	}
 
 	// The fetched copy must be persisted: a fresh cache over the same dir
@@ -102,10 +100,7 @@ func TestPeerFailureDegradesToRetarget(t *testing.T) {
 		"absent":  func(context.Context, string) ([]byte, error) { return nil, nil },
 	} {
 		t.Run(name, func(t *testing.T) {
-			c, err := New(Options{MaxEntries: 4, PeerFetch: hook})
-			if err != nil {
-				t.Fatal(err)
-			}
+			c := openCache(t, Options{MaxEntries: 4, PeerFetch: hook})
 			_, outcome, err := c.GetContext(context.Background(), demoModel(t), core.RetargetOptions{})
 			if err != nil {
 				t.Fatalf("peer %s failed the request: %v", name, err)
@@ -113,14 +108,14 @@ func TestPeerFailureDegradesToRetarget(t *testing.T) {
 			if outcome != Miss {
 				t.Fatalf("outcome = %s, want %s (local retarget)", outcome, Miss)
 			}
-			st := c.Stats()
-			if st.Retargets != 1 {
-				t.Fatalf("retargets = %d, want 1", st.Retargets)
+			if got := metric(t, c, retargets); got != 1 {
+				t.Fatalf("retargets = %d, want 1", got)
 			}
-			if name != "absent" && st.PeerFails != 1 {
-				t.Fatalf("peer fails = %d, want 1", st.PeerFails)
+			fails := metric(t, c, "record_rcache_peer_errors_total")
+			if name != "absent" && fails != 1 {
+				t.Fatalf("peer fails = %d, want 1", fails)
 			}
-			if name == "absent" && st.PeerFails != 0 {
+			if name == "absent" && fails != 0 {
 				t.Fatalf("an absent peer copy counted as a failure")
 			}
 		})
@@ -129,17 +124,14 @@ func TestPeerFailureDegradesToRetarget(t *testing.T) {
 
 func TestPeerWrongKeyRejected(t *testing.T) {
 	key, data := seedArtifact(t)
-	c, err := New(Options{MaxEntries: 4, PeerFetch: func(context.Context, string) ([]byte, error) {
+	c := openCache(t, Options{MaxEntries: 4, PeerFetch: func(context.Context, string) ([]byte, error) {
 		return data, nil // valid artifact, but for a different key
 	}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if _, _, ok := c.LookupContext(context.Background(), "deadbeef"+key[8:]); ok {
 		t.Fatal("mismatched peer artifact was accepted")
 	}
-	if st := c.Stats(); st.PeerFails != 1 {
-		t.Fatalf("peer fails = %d, want 1", st.PeerFails)
+	if got := metric(t, c, "record_rcache_peer_errors_total"); got != 1 {
+		t.Fatalf("peer fails = %d, want 1", got)
 	}
 }
 
@@ -158,5 +150,42 @@ func TestEncodedValidatesKey(t *testing.T) {
 	m := newCache(t, "", 4)
 	if _, err := m.Encoded(key); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("memory-only Encoded: %v, want ErrNotExist", err)
+	}
+}
+
+// TestConcurrentLookupsFetchPeerOnce: by-key lookups share one fill, so
+// concurrent lookups for a key only a peer holds download, decode and
+// restore it once; the rest are counted as coalesced.
+func TestConcurrentLookupsFetchPeerOnce(t *testing.T) {
+	key, data := seedArtifact(t)
+	var fetches atomic.Int32
+	release := make(chan struct{})
+	c := openCache(t, Options{MaxEntries: 4, PeerFetch: func(context.Context, string) ([]byte, error) {
+		fetches.Add(1)
+		<-release
+		return data, nil
+	}})
+
+	const n = 8
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, _, ok := c.LookupContext(context.Background(), key); !ok {
+				t.Error("lookup missed a key a peer holds")
+			}
+		}()
+	}
+	// Hold the fetch until every other lookup has joined it.
+	waitFor(t, "the lookups to coalesce", func() bool { return c.fills.Merged() == n-1 })
+	close(release)
+	wg.Wait()
+
+	if got := fetches.Load(); got != 1 {
+		t.Fatalf("%d concurrent lookups fetched from a peer %d times, want 1", n, got)
+	}
+	if h, co := metric(t, c, peerHits), metric(t, c, coalesced); h != 1 || co != n-1 {
+		t.Fatalf("%d peer hits and %d coalesced, want 1 and %d", h, co, n-1)
 	}
 }

@@ -9,6 +9,19 @@ import (
 	"repro/internal/models"
 )
 
+// prewarmed reads one pre-warm outcome counter.
+func prewarmed(t *testing.T, c *Cache, outcome string) uint64 {
+	t.Helper()
+	return metric(t, c, `record_rcache_prewarm_total{outcome="`+outcome+`"}`)
+}
+
+// prewarmLoads counts keys pre-warm brought into the memory tier, from
+// any tier.
+func prewarmLoads(t *testing.T, c *Cache) uint64 {
+	t.Helper()
+	return prewarmed(t, c, "hit-disk") + prewarmed(t, c, "hit-peer") + prewarmed(t, c, "retargeted")
+}
+
 func TestPrewarmFromDiskAttribution(t *testing.T) {
 	dir := t.TempDir()
 	mdl := demoModel(t)
@@ -37,12 +50,13 @@ func TestPrewarmFromDiskAttribution(t *testing.T) {
 	}
 
 	// Nothing pre-warm did shows up in the serving counters.
-	st := c2.Stats()
-	if st.MemHits != 0 || st.DiskHits != 0 || st.Misses != 0 || st.Retargets != 0 {
-		t.Fatalf("prewarm leaked into serving stats: %+v", st)
+	for _, series := range []string{memHits, diskHits, misses, retargets} {
+		if got := metric(t, c2, series); got != 0 {
+			t.Fatalf("prewarm leaked into serving counter %s = %d", series, got)
+		}
 	}
-	if st.PrewarmLoads != 1 || st.PrewarmRetargets != 0 {
-		t.Fatalf("prewarm attribution: %+v", st)
+	if l, r := prewarmLoads(t, c2), prewarmed(t, c2, "retargeted"); l != 1 || r != 0 {
+		t.Fatalf("prewarm attribution: %d loads, %d retargets; want 1 and 0", l, r)
 	}
 
 	// The first real request is now a memory hit.
@@ -53,8 +67,8 @@ func TestPrewarmFromDiskAttribution(t *testing.T) {
 	if out2 != Mem || e2.Key != key {
 		t.Fatalf("post-prewarm get: %s (key %s)", out2, e2.Key)
 	}
-	if st := c2.Stats(); st.MemHits != 1 {
-		t.Fatalf("serving stats after real hit: %+v", st)
+	if got := metric(t, c2, memHits); got != 1 {
+		t.Fatalf("mem hits after real hit = %d, want 1", got)
 	}
 
 	// Prewarming an already-warm key is a cheap no-op.
@@ -78,12 +92,11 @@ func TestPrewarmRetargetsFromSource(t *testing.T) {
 	if !c.InMemory(key) {
 		t.Fatal("retargeting prewarm did not land in memory")
 	}
-	st := c.Stats()
-	if st.Retargets != 0 || st.Misses != 0 {
-		t.Fatalf("prewarm retarget counted as serving work: %+v", st)
+	if r, m := metric(t, c, retargets), metric(t, c, misses); r != 0 || m != 0 {
+		t.Fatalf("prewarm retarget counted as serving work: %d retargets, %d misses", r, m)
 	}
-	if st.PrewarmRetargets != 1 || st.PrewarmLoads != 1 {
-		t.Fatalf("prewarm attribution: %+v", st)
+	if r, l := prewarmed(t, c, "retargeted"), prewarmLoads(t, c); r != 1 || l != 1 {
+		t.Fatalf("prewarm attribution: %d retargets, %d loads; want 1 each", r, l)
 	}
 	// First real request: memory hit.
 	_, out2, err := c.GetContext(context.Background(), mdl, core.RetargetOptions{})
@@ -102,8 +115,11 @@ func TestPrewarmNothingToWarmFrom(t *testing.T) {
 	if c.InMemory(key) || c.Len() != 0 {
 		t.Fatal("skipped prewarm inserted something")
 	}
-	if st := c.Stats(); st.PrewarmLoads != 0 || st.PrewarmRetargets != 0 {
-		t.Fatalf("skipped prewarm counted work: %+v", st)
+	if l, r := prewarmLoads(t, c), prewarmed(t, c, "retargeted"); l != 0 || r != 0 {
+		t.Fatalf("skipped prewarm counted work: %d loads, %d retargets", l, r)
+	}
+	if got := prewarmed(t, c, "skipped"); got != 1 {
+		t.Fatalf("skipped prewarm counted %d times, want 1", got)
 	}
 }
 
@@ -121,34 +137,94 @@ func TestPrewarmRejectsBadKeys(t *testing.T) {
 }
 
 func TestPrewarmCoalescesWithRealRequests(t *testing.T) {
-	// While a real retarget is in flight, Prewarm for the same key backs
-	// off with Coalesced instead of duplicating the work.
-	c := newCache(t, "", 0)
 	mdl := demoModel(t)
-	key := c.Key(mdl, core.RetargetOptions{})
+	ropts := core.RetargetOptions{}
+	ctx := context.Background()
 
-	c.mu.Lock()
-	c.flight[key] = &flight{done: make(chan struct{})}
-	c.mu.Unlock()
-	out, err := c.Prewarm(context.Background(), key, mdl, core.RetargetOptions{})
-	if err != nil || out != Coalesced {
-		t.Fatalf("prewarm during flight: %s, %v", out, err)
-	}
-	c.mu.Lock()
-	delete(c.flight, key)
-	c.mu.Unlock()
+	t.Run("prewarm joins a real fill", func(t *testing.T) {
+		c, fetches, release := gatedCache(t)
+		real := make(chan error, 1)
+		go func() {
+			_, _, err := c.GetContext(ctx, mdl, ropts)
+			real <- err
+		}()
+		waitFor(t, "the real fill to start", func() bool { return fetches.Load() == 1 })
+		warm := make(chan Outcome, 1)
+		go func() {
+			out, err := c.Prewarm(ctx, c.Key(mdl, ropts), mdl, ropts)
+			if err != nil {
+				t.Error(err)
+			}
+			warm <- out
+		}()
+		waitFor(t, "the prewarm to join", func() bool { return c.fills.Merged() == 1 })
+		close(release)
+		if err := <-real; err != nil {
+			t.Fatal(err)
+		}
+		if out := <-warm; out != Coalesced {
+			t.Fatalf("prewarm during a real fill: %s, want %s", out, Coalesced)
+		}
+		// One fill, one retarget, and pre-warm did none of the work.
+		if f, r := fetches.Load(), metric(t, c, retargets); f != 1 || r != 1 {
+			t.Fatalf("%d peer fetches and %d retargets, want 1 each", f, r)
+		}
+		if r, i := prewarmed(t, c, "retargeted"), prewarmed(t, c, "inflight"); r != 0 || i != 1 {
+			t.Fatalf("prewarm counted %d retargets and %d inflight, want 0 and 1", r, i)
+		}
+	})
 
-	// Conversely, a real GetContext arriving while a prewarm retarget is
-	// registered coalesces onto it: run the prewarm, then check the
-	// flight bookkeeping emptied and real traffic proceeds.
-	if out, err := c.Prewarm(context.Background(), key, mdl, core.RetargetOptions{}); err != nil || out != Miss {
-		t.Fatalf("prewarm: %s, %v", out, err)
-	}
-	c.mu.Lock()
-	inflight := len(c.flight)
-	c.mu.Unlock()
-	if inflight != 0 {
-		t.Fatalf("%d stale flights after prewarm", inflight)
+	for _, revoked := range []bool{false, true} {
+		name := "real request joins a prewarm fill"
+		if revoked {
+			name += " whose lease is revoked"
+		}
+		t.Run(name, func(t *testing.T) {
+			c, fetches, release := gatedCache(t)
+			wctx, revoke := context.WithCancel(ctx)
+			defer revoke()
+			warm := make(chan error, 1)
+			go func() {
+				_, err := c.Prewarm(wctx, c.Key(mdl, ropts), mdl, ropts)
+				warm <- err
+			}()
+			waitFor(t, "the prewarm fill to start", func() bool { return fetches.Load() == 1 })
+			type reply struct {
+				e   *Entry
+				out Outcome
+				err error
+			}
+			real := make(chan reply, 1)
+			go func() {
+				e, out, err := c.GetContext(ctx, mdl, ropts)
+				real <- reply{e, out, err}
+			}()
+			waitFor(t, "the real request to join", func() bool { return c.fills.Merged() == 1 })
+			want := Coalesced
+			if revoked {
+				revoke()
+				if err := <-warm; err == nil {
+					t.Fatal("revoked prewarm succeeded")
+				}
+				want = Miss // the real request took the fill over
+			}
+			close(release)
+			r := <-real
+			if r.err != nil || r.e == nil {
+				t.Fatalf("real request joining a prewarm fill failed: %v", r.err)
+			}
+			if r.out != want {
+				t.Fatalf("real request outcome %s, want %s", r.out, want)
+			}
+			if !revoked {
+				if err := <-warm; err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !c.InMemory(r.e.Key) {
+				t.Fatal("the fill did not land in memory")
+			}
+		})
 	}
 }
 
@@ -167,22 +243,18 @@ func TestPrewarmPeerTierAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c, err := New(Options{PeerFetch: func(ctx context.Context, key string) ([]byte, error) {
+	c := openCache(t, Options{PeerFetch: func(ctx context.Context, key string) ([]byte, error) {
 		return data, nil
 	}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	out, err := c.Prewarm(context.Background(), e.Key, "", core.RetargetOptions{})
 	if err != nil || out != Peer {
 		t.Fatalf("peer prewarm: %s, %v", out, err)
 	}
-	st := c.Stats()
-	if st.PeerHits != 0 {
-		t.Fatalf("peer prewarm counted as a serving peer hit: %+v", st)
+	if got := metric(t, c, peerHits); got != 0 {
+		t.Fatalf("peer prewarm counted as %d serving peer hits", got)
 	}
-	if st.PrewarmLoads != 1 {
-		t.Fatalf("prewarm attribution: %+v", st)
+	if got := prewarmLoads(t, c); got != 1 {
+		t.Fatalf("prewarm attribution: %d loads, want 1", got)
 	}
 	if !c.InMemory(e.Key) {
 		t.Fatal("peer prewarm did not land in memory")

@@ -5,11 +5,16 @@
 // Retargeting a processor model costs CPU minutes at paper scale while its
 // product is a pure function of (MDL source, options); serving compiles at
 // production traffic therefore demands that the product be computed once
-// and shared.  Get collapses concurrent requests for the same content
-// address into a single underlying Retarget (singleflight), promotes disk
-// artifacts into the memory tier on first use, and tolerates cache-file
-// corruption: a file that fails to decode is a miss plus a diagnostic
-// warning, never an error.
+// and shared.  GetContext (by source), LookupContext (by key) and Prewarm
+// are one resolve path: memory, then an in-flight fill for the same
+// content address, then disk, a fleet peer's copy and — when the source
+// is known — a retarget.  One resilience.Coalescer covers every fill, so
+// concurrent requests for an address cost one disk decode, one peer fetch
+// or one retarget.  Disk artifacts are promoted into the memory tier on
+// first use, and cache-file corruption is tolerated: a file that fails to
+// decode is quarantined and treated as a miss plus a diagnostic warning,
+// never an error.  Every cache event is counted once, in the obs registry
+// (record_rcache_*).
 //
 // Entries need no per-entry lock: every cached Target is frozen (its BDD
 // tables are read-only and compiles run against private copy-on-write
@@ -48,42 +53,11 @@ const (
 	Disk      Outcome = "hit-disk"  // decoded from the artifact store
 	Peer      Outcome = "hit-peer"  // fetched encoded from a fleet peer
 	Miss      Outcome = "miss"      // full retarget ran
-	Coalesced Outcome = "coalesced" // waited on another request's retarget
+	Coalesced Outcome = "coalesced" // waited on another request's fill
 )
 
 // Hit reports whether the outcome avoided a full retarget.
 func (o Outcome) Hit() bool { return o != Miss }
-
-// Stats are the cache counters; all increments happen under the cache
-// mutex, reads return a snapshot.
-type Stats struct {
-	MemHits   uint64 // satisfied from the memory LRU
-	DiskHits  uint64 // decoded from the disk store
-	Misses    uint64 // required a full retarget
-	Coalesced uint64 // waited on an in-flight retarget for the same key
-	Evictions uint64 // memory-tier LRU evictions
-	Corrupt   uint64 // disk artifacts dropped as corrupt
-	Retargets uint64 // underlying core.Retarget invocations
-	Orphans   uint64 // crash-orphaned temp files removed by the recovery scan
-	DiskFails uint64 // disk-tier write failures (any cause)
-	PeerHits  uint64 // artifacts fetched from a fleet peer
-	PeerFails uint64 // peer fetches that failed (degraded to local retarget)
-
-	// Self-healing disk tier: corrupt artifacts are renamed to
-	// <key>.quarantine (never deleted — the bytes are forensic evidence)
-	// and the scrubber repairs them from fleet peers.
-	Quarantined   uint64 // corrupt artifacts renamed aside (loadDisk + scrub)
-	ScrubClean    uint64 // scrubbed artifacts that verified clean
-	ScrubRepaired uint64 // quarantined artifacts re-fetched from a peer
-	ScrubLost     uint64 // quarantined artifacts no healthy peer could supply
-	Ingested      uint64 // artifacts accepted from peer pushes (anti-entropy)
-
-	// Speculative pre-warm is attributed apart from serving traffic so
-	// the hit-rate computed from the counters above is what real
-	// requests experienced, not what background loading manufactured.
-	PrewarmLoads     uint64 // keys brought into the memory tier by Prewarm
-	PrewarmRetargets uint64 // retargets run by Prewarm (not counted in Retargets)
-}
 
 // Options configures a cache.
 type Options struct {
@@ -150,32 +124,27 @@ func (e *Entry) Listing(r *core.CompileResult) string {
 // goroutines.
 func (e *Entry) Target() *core.Target { return e.target }
 
-type flight struct {
-	done  chan struct{}
-	entry *Entry
-	err   error
-}
-
 // Cache is the two-tier retarget cache.  All methods are safe for
 // concurrent use.
 type Cache struct {
 	opts Options
 
-	mu     sync.Mutex
-	lru    *list.List               // of *Entry, front = most recent
-	byKey  map[string]*list.Element // key -> LRU element
-	flight map[string]*flight       // key -> in-flight retarget
-	stats  Stats
+	mu    sync.Mutex
+	lru   *list.List               // of *Entry, front = most recent
+	byKey map[string]*list.Element // key -> LRU element
+
+	// fills is the one singleflight below the memory tier: disk decode,
+	// peer fetch and retarget, for every entry point.
+	fills resilience.Coalescer
 
 	// diskOff flips on when the store becomes unusable (disk full,
 	// read-only filesystem, permission loss): the cache degrades to
 	// memory-only with one warning instead of failing every request.
 	diskOff atomic.Bool
 
-	// Registry mirrors of the Stats counters (nil-safe when Options.Obs
-	// carries no registry).  Stats stays authoritative for programmatic
-	// reads; these exist so /metrics needs no snapshot plumbing.
-	cHits       *obs.CounterVec // by tier: mem | disk
+	// The cache's counters, in the registry /metrics serves and nowhere
+	// else (nil-safe when Options.Obs carries no registry).
+	cHits       *obs.CounterVec // by tier: mem | disk | peer
 	cMisses     *obs.Counter
 	cCoalesced  *obs.Counter
 	cEvictions  *obs.Counter
@@ -214,10 +183,9 @@ func New(opts Options) (*Cache, error) {
 		}
 	}
 	c := &Cache{
-		opts:   opts,
-		lru:    list.New(),
-		byKey:  make(map[string]*list.Element),
-		flight: make(map[string]*flight),
+		opts:  opts,
+		lru:   list.New(),
+		byKey: make(map[string]*list.Element),
 	}
 	reg := opts.Obs.Registry()
 	c.cHits = reg.CounterVec("record_rcache_hits_total",
@@ -225,7 +193,7 @@ func New(opts Options) (*Cache, error) {
 	c.cMisses = reg.Counter("record_rcache_misses_total",
 		"retarget cache misses (full retarget ran)")
 	c.cCoalesced = reg.Counter("record_rcache_coalesced_total",
-		"requests coalesced onto an in-flight retarget")
+		"requests coalesced onto an in-flight cache fill")
 	c.cEvictions = reg.Counter("record_rcache_evictions_total",
 		"memory-tier LRU evictions")
 	c.cCorrupt = reg.Counter("record_rcache_corrupt_total",
@@ -299,9 +267,6 @@ func (c *Cache) recoverOrphans() {
 		}
 	}
 	if removed > 0 {
-		c.mu.Lock()
-		c.stats.Orphans += uint64(removed)
-		c.mu.Unlock()
 		c.cOrphans.Add(removed)
 		c.opts.Reporter.Warnf("rcache", diag.Pos{},
 			"recovered %d orphan temp file(s) from a previous crash", removed)
@@ -314,13 +279,6 @@ func (c *Cache) recoverOrphans() {
 func markHit(scope *obs.Scope, tier string) {
 	sp, _ := scope.Start("cache.hit", obs.KV("tier", tier))
 	sp.End()
-}
-
-// Stats returns a snapshot of the counters.
-func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
 }
 
 // Len returns the number of memory-tier entries.
@@ -353,155 +311,156 @@ func (c *Cache) newEntry(key string, t *core.Target) *Entry {
 
 // GetContext returns the cached retarget product for (mdlSource, ropts),
 // running the retarget at most once per content address across concurrent
-// callers.  ctx bounds a retarget this call initiates; coalesced waiters
-// also stop waiting when their own ctx is done (the in-flight retarget
-// keeps running for its initiator).  The returned outcome says which tier
-// satisfied the request.
+// callers.  ctx bounds the work this call leads; a caller that joins
+// another's fill stops waiting when its own ctx ends, and takes the fill
+// over if the leader's ctx ends first (resilience.Coalescer).  The
+// returned outcome says which tier satisfied the request.
 func (c *Cache) GetContext(ctx context.Context, mdlSource string, ropts core.RetargetOptions) (*Entry, Outcome, error) {
 	key := artifact.Key(mdlSource, ropts)
-
 	// The request's trace: everything below — hit markers, coalesced
-	// waits, a full retarget — parents under one rcache.get span.
+	// waits, a peer fetch, a full retarget — parents under one rcache.get
+	// span.
 	gSpan, gScope := ropts.Obs.Start("rcache.get")
 	defer gSpan.End()
 	ropts.Obs = gScope
-
-	c.mu.Lock()
-	if el, ok := c.byKey[key]; ok {
-		c.lru.MoveToFront(el)
-		c.stats.MemHits++
-		e := el.Value.(*Entry)
-		c.mu.Unlock()
-		c.cHits.With("mem").Inc()
-		markHit(gScope, "mem")
-		return e, Mem, nil
-	}
-	if f, ok := c.flight[key]; ok {
-		c.stats.Coalesced++
-		c.mu.Unlock()
-		c.cCoalesced.Inc()
-		wSpan, _ := gScope.Start("cache.coalesced")
-		select {
-		case <-f.done:
-		case <-ctx.Done():
-			wSpan.End()
-			return nil, Miss, &diag.BudgetError{Resource: "deadline", Cause: ctx.Err()}
-		}
-		wSpan.End()
-		if f.err != nil {
-			return nil, Miss, f.err
-		}
-		return f.entry, Coalesced, nil
-	}
-	f := &flight{done: make(chan struct{})}
-	c.flight[key] = f
-	c.mu.Unlock()
-
-	entry, outcome, err := c.fill(ctx, key, mdlSource, ropts)
-
-	c.mu.Lock()
-	delete(c.flight, key)
-	if err == nil {
-		// Budget-degraded (partial) products stay out of both tiers: the
-		// content address does not encode the budget, so a retry with a
-		// larger one must not hit the degraded result.
-		if artifact.Cacheable(entry.target) {
-			c.insert(key, entry)
-		}
-		switch outcome {
-		case Disk:
-			c.stats.DiskHits++
-			c.cHits.With("disk").Inc()
-		case Miss:
-			c.stats.Misses++
-			c.cMisses.Inc()
-		}
-	}
-	c.mu.Unlock()
-
-	f.entry, f.err = entry, err
-	close(f.done)
-	return entry, outcome, err
-}
-
-// Lookup is LookupContext with a background context, for callers that
-// have no request context to thread through a peer fetch.
-func (c *Cache) Lookup(key string) (*Entry, bool) {
-	e, _, ok := c.LookupContext(context.Background(), key)
-	return e, ok
+	return c.resolve(ctx, key, mdlSource, ropts, false)
 }
 
 // LookupContext returns the entry for a content address without being
-// able to retarget: memory tier, then disk tier, then — when a PeerFetch
-// hook is configured — the fleet's peers.  ok is false when the key is
-// in none of them (or its disk artifact is corrupt).  The outcome says
-// which tier answered, Miss when none did.
+// able to retarget: memory tier, an in-flight fill for the key, disk
+// tier, then — when a PeerFetch hook is configured — the fleet's peers.
+// ok is false when the key is in none of them (or its disk artifact is
+// corrupt).  The outcome says which tier answered, Miss when none did.
 func (c *Cache) LookupContext(ctx context.Context, key string) (*Entry, Outcome, bool) {
+	e, out, _ := c.resolve(ctx, key, "", core.RetargetOptions{}, false)
+	return e, out, e != nil
+}
+
+// resolve is the one tier walk behind every entry point: memory, then an
+// in-flight fill for the same key, then fill's disk, peer and retarget
+// steps.  A nil entry with a nil error means no tier holds the key and
+// there is no source to rebuild it from.  warm attributes the call to the
+// pre-warm counters instead of the serving ones.
+func (c *Cache) resolve(ctx context.Context, key, mdlSource string, ropts core.RetargetOptions, warm bool) (*Entry, Outcome, error) {
+	if e := c.memGet(key); e != nil {
+		c.count(warm, ropts.Obs, Mem)
+		return e, Mem, nil
+	}
+	for {
+		start := time.Now()
+		v, shared, err := c.fills.Do(ctx, key, func() (interface{}, error) {
+			return c.fill(ctx, key, mdlSource, ropts, warm)
+		})
+		r, _ := v.(filled)
+		if shared {
+			if err == nil && r.entry == nil && mdlSource != "" {
+				continue // a by-key fill found nothing; this caller can retarget
+			}
+			ropts.Obs.Event("cache.coalesced", time.Since(start))
+			if err != nil && ctx.Err() != nil {
+				err = &diag.BudgetError{Resource: "deadline", Cause: ctx.Err()}
+			}
+			r.outcome = Coalesced
+		}
+		switch {
+		case err != nil:
+			if warm {
+				c.cPrewarm.With("error").Inc()
+			}
+			return nil, Miss, err
+		case r.entry == nil:
+			if warm {
+				c.cPrewarm.With("skipped").Inc()
+			}
+			return nil, Miss, nil
+		}
+		c.count(warm, ropts.Obs, r.outcome)
+		return r.entry, r.outcome, nil
+	}
+}
+
+// filled is what one fill hands to every caller that joined it.
+type filled struct {
+	entry   *Entry
+	outcome Outcome
+}
+
+// Counter labels by outcome: the tier a serving hit came from, and the
+// pre-warm outcome (kept apart so the serving hit rate reflects real
+// traffic, not what background loading manufactured).
+var (
+	hitTier      = map[Outcome]string{Mem: "mem", Disk: "disk", Peer: "peer"}
+	prewarmLabel = map[Outcome]string{Mem: "warm", Coalesced: "inflight", Disk: "hit-disk", Peer: "hit-peer", Miss: "retargeted"}
+)
+
+// count lands one resolved call in exactly one counter, and marks a
+// serving hit's tier on the request's trace.
+func (c *Cache) count(warm bool, scope *obs.Scope, out Outcome) {
+	switch {
+	case warm:
+		c.cPrewarm.With(prewarmLabel[out]).Inc()
+	case out == Miss:
+		c.cMisses.Inc()
+	case out == Coalesced:
+		c.cCoalesced.Inc()
+	default:
+		c.cHits.With(hitTier[out]).Inc()
+		markHit(scope, hitTier[out])
+	}
+}
+
+// memGet returns the memory-tier entry for key, marking it most recent.
+func (c *Cache) memGet(key string) *Entry {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
 		c.lru.MoveToFront(el)
-		c.stats.MemHits++
-		e := el.Value.(*Entry)
-		c.mu.Unlock()
-		c.cHits.With("mem").Inc()
-		return e, Mem, true
+		return el.Value.(*Entry)
 	}
-	c.mu.Unlock()
-
-	entry, outcome := c.loadDisk(key), Disk
-	if entry == nil {
-		entry, outcome = c.fetchPeer(ctx, key), Peer
-		if entry == nil {
-			return nil, Miss, false
-		}
-	}
-	c.mu.Lock()
-	// Another goroutine may have inserted meanwhile; prefer its entry.
-	if el, ok := c.byKey[key]; ok {
-		entry = el.Value.(*Entry)
-	} else {
-		c.insert(key, entry)
-	}
-	if outcome == Disk {
-		c.stats.DiskHits++
-	}
-	c.mu.Unlock()
-	if outcome == Disk {
-		c.cHits.With("disk").Inc()
-	}
-	return entry, outcome, true
+	return nil
 }
 
 // fill resolves a key the memory tier does not have: disk first, then a
-// fleet peer's copy, then a full retarget (persisting the fresh artifact
-// for the next process).
-func (c *Cache) fill(ctx context.Context, key, mdlSource string, ropts core.RetargetOptions) (*Entry, Outcome, error) {
-	if entry := c.loadDisk(key); entry != nil {
-		markHit(ropts.Obs, "disk")
-		return entry, Disk, nil
+// fleet peer's copy, then — when mdlSource is known — a full retarget,
+// persisting the fresh artifact for the next process.  The entry lands in
+// the memory tier before the fill ends, so a caller arriving after it is
+// a memory hit.  Budget-degraded (partial) products stay out of both
+// tiers: the content address does not encode the budget, so a retry with
+// a larger one must not hit the degraded result.
+func (c *Cache) fill(ctx context.Context, key, mdlSource string, ropts core.RetargetOptions, warm bool) (interface{}, error) {
+	if e := c.memGet(key); e != nil { // a fill ended since the caller looked
+		return filled{e, Mem}, nil
 	}
-	// The rewrapped context parents the peer fetch's HTTP span (and its
-	// trace header) under this get's span rather than the request root.
-	if entry := c.fetchPeer(obs.ContextWithScope(ctx, ropts.Obs), key); entry != nil {
-		markHit(ropts.Obs, "peer")
-		return entry, Peer, nil
+	entry, out := c.loadDisk(key), Disk
+	if entry == nil {
+		// The rewrapped context parents the peer fetch's HTTP span (and its
+		// trace header) under the caller's span rather than the request root.
+		entry, out = c.peerEntry(obs.ContextWithScope(ctx, ropts.Obs), key), Peer
 	}
-
-	c.mu.Lock()
-	c.stats.Retargets++
-	c.mu.Unlock()
-	c.cRetargets.Inc()
-	t, err := core.RetargetContext(ctx, mdlSource, ropts)
-	if err != nil {
-		return nil, Miss, err
-	}
-	entry := c.newEntry(key, t)
-	if c.opts.Dir != "" && !c.diskOff.Load() && artifact.Cacheable(t) {
-		if err := c.store(key, t, mdlSource, ropts); err != nil {
-			c.diskFail(key, err)
+	if entry == nil {
+		if mdlSource == "" {
+			return filled{}, nil
+		}
+		if !warm {
+			c.cRetargets.Inc()
+		}
+		t, err := core.RetargetContext(ctx, mdlSource, ropts)
+		if err != nil {
+			return nil, err
+		}
+		entry, out = c.newEntry(key, t), Miss
+		if c.opts.Dir != "" && !c.diskOff.Load() && artifact.Cacheable(t) {
+			if err := c.store(key, t, mdlSource, ropts); err != nil {
+				c.diskFail(key, err)
+			}
 		}
 	}
-	return entry, Miss, nil
+	if artifact.Cacheable(entry.target) {
+		c.mu.Lock()
+		c.insert(key, entry)
+		c.mu.Unlock()
+	}
+	return filled{entry, out}, nil
 }
 
 // loadDisk decodes the artifact for key, quarantining corrupt files as
@@ -516,22 +475,40 @@ func (c *Cache) loadDisk(key string) *Entry {
 	if err != nil {
 		return nil // absent: plain miss
 	}
-	bad := func(err error) *Entry {
+	e, err := c.restore(key, data)
+	if err != nil {
 		c.quarantine(key, err)
-		return nil
 	}
+	return e
+}
+
+// verifyArtifact decodes encoded artifact bytes and checks them against
+// their content address: the frame's payload checksum catches bit rot,
+// the embedded key catches bytes stored or served under the wrong name.
+// Every way bytes enter the cache — disk load, peer fetch, peer push,
+// scrub — goes through it.
+func verifyArtifact(key string, data []byte) (*artifact.Artifact, error) {
 	a, err := artifact.Decode(data)
 	if err != nil {
-		return bad(err)
+		return nil, err
 	}
 	if a.Key != key {
-		return bad(fmt.Errorf("artifact self-identifies as %s", a.Key))
+		return nil, fmt.Errorf("artifact self-identifies as %s", a.Key)
+	}
+	return a, nil
+}
+
+// restore verifies encoded artifact bytes and rebuilds their entry.
+func (c *Cache) restore(key string, data []byte) (*Entry, error) {
+	a, err := verifyArtifact(key, data)
+	if err != nil {
+		return nil, err
 	}
 	t, err := a.Target()
 	if err != nil {
-		return bad(err)
+		return nil, err
 	}
-	return c.newEntry(key, t)
+	return c.newEntry(key, t), nil
 }
 
 func (c *Cache) quarantinePath(key string) string {
@@ -544,9 +521,6 @@ func (c *Cache) quarantinePath(key string) string {
 // failed rename leaves the file in place — deletion is never the
 // fallback — and the key simply stays a miss until the scrubber retries.
 func (c *Cache) quarantine(key string, cause error) {
-	c.mu.Lock()
-	c.stats.Corrupt++
-	c.mu.Unlock()
 	c.cCorrupt.Inc()
 	_, statErr := os.Stat(c.quarantinePath(key))
 	if err := os.Rename(c.path(key), c.quarantinePath(key)); err != nil {
@@ -554,9 +528,6 @@ func (c *Cache) quarantine(key string, cause error) {
 			"corrupt cache artifact %s (%v) could not be quarantined: %v", key, cause, err)
 		return
 	}
-	c.mu.Lock()
-	c.stats.Quarantined++
-	c.mu.Unlock()
 	c.cScrub.With("quarantined").Inc()
 	if statErr != nil { // first quarantine of this key; re-corruption overwrites
 		c.gQuarantine.Inc()
@@ -565,49 +536,25 @@ func (c *Cache) quarantine(key string, cause error) {
 		"quarantined corrupt cache artifact %s: %v", key, cause)
 }
 
-// fetchPeer asks the PeerFetch hook for another node's encoded artifact
-// on a local miss, counting a success as a serving peer hit.  Any
-// failure — peer miss, transport error, corrupt or mismatched bytes —
+// peerEntry asks the PeerFetch hook for another node's encoded artifact.
+// Any failure — peer miss, transport error, corrupt or mismatched bytes —
 // returns nil and the caller falls back to a local retarget: peer
-// replication can only ever save work, never fail a request.
-func (c *Cache) fetchPeer(ctx context.Context, key string) *Entry {
-	entry := c.peerEntry(ctx, key)
-	if entry == nil {
-		return nil
-	}
-	c.mu.Lock()
-	c.stats.PeerHits++
-	c.mu.Unlock()
-	c.cHits.With("peer").Inc()
-	return entry
-}
-
-// peerEntry is the fetch itself, without the serving-hit attribution:
-// Prewarm uses it directly so background replication does not inflate
-// the hit counters.  Fetched bytes are persisted to the local disk tier
-// so the copy survives restarts and is servable onward to other peers.
+// replication can only ever save work, never fail a request.  Fetched
+// bytes are persisted to the local disk tier so the copy survives
+// restarts and is servable onward to other peers.  The caller attributes
+// the fetch: a serving hit, a pre-warm load or a scrub repair.
 func (c *Cache) peerEntry(ctx context.Context, key string) *Entry {
 	if c.opts.PeerFetch == nil {
 		return nil
 	}
 	data, err := c.opts.PeerFetch(ctx, key)
-	if err != nil {
-		c.peerFail(key, err)
-		return nil
-	}
-	if data == nil {
+	if data == nil && err == nil {
 		return nil // no peer has a copy: plain miss, not a failure
 	}
-	a, err := artifact.Decode(data)
-	if err != nil {
-		c.peerFail(key, err)
-		return nil
+	var e *Entry
+	if err == nil {
+		e, err = c.restore(key, data)
 	}
-	if a.Key != key {
-		c.peerFail(key, fmt.Errorf("peer artifact self-identifies as %s", a.Key))
-		return nil
-	}
-	t, err := a.Target()
 	if err != nil {
 		c.peerFail(key, err)
 		return nil
@@ -617,14 +564,11 @@ func (c *Cache) peerEntry(ctx context.Context, key string) *Entry {
 			c.diskFail(key, err)
 		}
 	}
-	return c.newEntry(key, t)
+	return e
 }
 
 // peerFail records one failed peer fetch; the request continues locally.
 func (c *Cache) peerFail(key string, err error) {
-	c.mu.Lock()
-	c.stats.PeerFails++
-	c.mu.Unlock()
 	c.cPeerErrors.Inc()
 	c.opts.Reporter.Warnf("rcache", diag.Pos{},
 		"peer fetch for %s failed, retargeting locally: %v", key, err)
@@ -681,14 +625,9 @@ func (c *Cache) Ingest(key string, data []byte) error {
 		c.cIngest.With("duplicate").Inc()
 		return nil
 	}
-	a, err := artifact.Decode(data)
-	if err != nil {
+	if _, err := verifyArtifact(key, data); err != nil {
 		c.cIngest.With("rejected").Inc()
 		return fmt.Errorf("rcache: rejecting pushed artifact for %s: %w", key, err)
-	}
-	if a.Key != key {
-		c.cIngest.With("rejected").Inc()
-		return fmt.Errorf("rcache: pushed artifact self-identifies as %s, not %s", a.Key, key)
 	}
 	if err := c.storeBytes(key, data); err != nil {
 		c.diskFail(key, err)
@@ -699,9 +638,6 @@ func (c *Cache) Ingest(key string, data []byte) error {
 		c.cIngest.With("error").Inc()
 		return err
 	}
-	c.mu.Lock()
-	c.stats.Ingested++
-	c.mu.Unlock()
 	c.cIngest.With("stored").Inc()
 	return nil
 }
@@ -783,9 +719,6 @@ func syncDir(dir string) error {
 // the rest of the process with a single warning — the cache keeps serving
 // memory-only; anything else warns per-failure and leaves the tier on.
 func (c *Cache) diskFail(key string, err error) {
-	c.mu.Lock()
-	c.stats.DiskFails++
-	c.mu.Unlock()
 	c.cDiskErrors.Inc()
 	if !diskUnusable(err) {
 		c.opts.Reporter.Warnf("rcache", diag.Pos{}, "cannot persist artifact %s: %v", key, err)
@@ -854,113 +787,29 @@ func (c *Cache) Keys() []string {
 }
 
 // Prewarm brings the artifact for key into the memory tier ahead of
-// demand: disk first, then a fleet peer, then — when mdlSource is known
-// — a fresh retarget.  The next real request for the key is then a
-// memory hit.
+// demand through the same resolve as a real request — disk, then a fleet
+// peer, then, when mdlSource is known, a fresh retarget — so the next
+// real request for the key is a memory hit, and pre-warm and real
+// traffic join each other's in-flight fills instead of duplicating them.
 //
-// Attribution is the point of having a separate entry point: everything
-// Prewarm does lands in record_rcache_prewarm_total{outcome} and the
-// Stats.Prewarm* counters, never in the serving hit/miss/retarget
-// counters, so the externally observed hit rate reflects real traffic
-// only.  A retargeting Prewarm registers the same in-flight marker as
-// GetContext, so a real request arriving mid-warm coalesces onto the
-// background work instead of duplicating it.
-//
-// The returned outcome mirrors GetContext's tiers: Mem (already warm),
-// Coalesced (someone else is filling it), Disk/Peer (decoded into
-// memory), Miss with nil error (retargeted, or nothing to warm from
-// when mdlSource is empty and no tier has a copy).
+// Everything Prewarm does lands in record_rcache_prewarm_total{outcome},
+// never in the serving hit/miss/retarget counters, so the externally
+// observed hit rate reflects real traffic only.  The returned outcome
+// mirrors GetContext's tiers: Mem (already warm), Coalesced (joined
+// another fill), Disk/Peer (decoded into memory), Miss with nil error
+// (retargeted, or nothing to warm from when mdlSource is empty and no
+// tier has a copy).
 func (c *Cache) Prewarm(ctx context.Context, key, mdlSource string, ropts core.RetargetOptions) (Outcome, error) {
 	if !validKey(key) {
 		return Miss, fmt.Errorf("rcache: malformed artifact key %q", key)
 	}
-	c.mu.Lock()
-	if _, ok := c.byKey[key]; ok {
-		c.mu.Unlock()
-		c.cPrewarm.With("warm").Inc()
-		return Mem, nil
-	}
-	if _, ok := c.flight[key]; ok {
-		c.mu.Unlock()
-		c.cPrewarm.With("inflight").Inc()
-		return Coalesced, nil
-	}
-	c.mu.Unlock()
-
-	// Cheap tiers first, without an in-flight marker: a decode failure
-	// here degrades to the next tier and can never poison a concurrent
-	// real request.
-	if entry := c.loadDisk(key); entry != nil {
-		c.adoptPrewarmed(key, entry, "hit-disk")
-		return Disk, nil
-	}
-	if entry := c.peerEntry(ctx, key); entry != nil {
-		c.adoptPrewarmed(key, entry, "hit-peer")
-		return Peer, nil
-	}
-	if mdlSource == "" {
-		// Known only by key (the clients always sent "key"): with no
-		// tier holding a copy there is nothing to rebuild it from.
-		c.cPrewarm.With("skipped").Inc()
-		return Miss, nil
-	}
-	if got := artifact.Key(mdlSource, ropts); got != key {
-		return Miss, fmt.Errorf("rcache: prewarm source addresses %s, not %s", got, key)
-	}
-
-	c.mu.Lock()
-	if _, ok := c.byKey[key]; ok { // raced a real fill
-		c.mu.Unlock()
-		c.cPrewarm.With("warm").Inc()
-		return Mem, nil
-	}
-	if _, ok := c.flight[key]; ok {
-		c.mu.Unlock()
-		c.cPrewarm.With("inflight").Inc()
-		return Coalesced, nil
-	}
-	f := &flight{done: make(chan struct{})}
-	c.flight[key] = f
-	c.stats.PrewarmRetargets++
-	c.mu.Unlock()
-
-	t, err := core.RetargetContext(ctx, mdlSource, ropts)
-	var entry *Entry
-	if err == nil {
-		entry = c.newEntry(key, t)
-		if c.opts.Dir != "" && !c.diskOff.Load() && artifact.Cacheable(t) {
-			if serr := c.store(key, t, mdlSource, ropts); serr != nil {
-				c.diskFail(key, serr)
-			}
+	if mdlSource != "" {
+		if got := artifact.Key(mdlSource, ropts); got != key {
+			return Miss, fmt.Errorf("rcache: prewarm source addresses %s, not %s", got, key)
 		}
 	}
-	c.mu.Lock()
-	delete(c.flight, key)
-	if err == nil && artifact.Cacheable(entry.target) {
-		c.insert(key, entry)
-		c.stats.PrewarmLoads++
-	}
-	c.mu.Unlock()
-	f.entry, f.err = entry, err
-	close(f.done)
-	if err != nil {
-		c.cPrewarm.With("error").Inc()
-		return Miss, err
-	}
-	c.cPrewarm.With("retargeted").Inc()
-	return Miss, nil
-}
-
-// adoptPrewarmed inserts a tier-decoded entry under pre-warm
-// attribution, preferring a concurrently inserted one.
-func (c *Cache) adoptPrewarmed(key string, entry *Entry, outcome string) {
-	c.mu.Lock()
-	if _, ok := c.byKey[key]; !ok {
-		c.insert(key, entry)
-		c.stats.PrewarmLoads++
-	}
-	c.mu.Unlock()
-	c.cPrewarm.With(outcome).Inc()
+	_, out, err := c.resolve(ctx, key, mdlSource, ropts, true)
+	return out, err
 }
 
 // insert adds an entry to the memory tier, evicting from the LRU tail.
@@ -975,7 +824,6 @@ func (c *Cache) insert(key string, e *Entry) {
 		tail := c.lru.Back()
 		victim := c.lru.Remove(tail).(*Entry)
 		delete(c.byKey, victim.Key)
-		c.stats.Evictions++
 		c.cEvictions.Inc()
 	}
 }

@@ -5,15 +5,19 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/diag"
 	"repro/internal/faultpoint"
 	"repro/internal/models"
+	"repro/internal/obs"
 )
 
 func demoModel(t testing.TB) string {
@@ -27,12 +31,81 @@ func demoModel(t testing.TB) string {
 
 func newCache(t testing.TB, dir string, max int) *Cache {
 	t.Helper()
-	c, err := New(Options{Dir: dir, MaxEntries: max})
+	return openCache(t, Options{Dir: dir, MaxEntries: max})
+}
+
+// openCache builds a cache whose counters land in a registry of its own,
+// so metric can read them.
+func openCache(t testing.TB, opts Options) *Cache {
+	t.Helper()
+	if opts.Obs == nil {
+		opts.Obs = obs.NewScope(obs.NewRegistry(), nil)
+	}
+	c, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c
 }
+
+// metric reads one series of the cache's registry as /metrics shows it,
+// e.g. metric(t, c, `record_rcache_hits_total{tier="mem"}`); an absent
+// series reads as zero.
+func metric(t testing.TB, c *Cache, series string) uint64 {
+	t.Helper()
+	var b strings.Builder
+	if err := c.opts.Obs.Registry().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				t.Fatalf("series %s: bad value %q", series, v)
+			}
+			return n
+		}
+	}
+	return 0
+}
+
+func waitFor(t testing.TB, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// gatedCache returns a memory-only cache whose every fill stops at its
+// peer step until release closes (or the filling call's context ends),
+// so a second caller can be made to arrive mid-fill; fetches counts the
+// fills that reached the peer step.
+func gatedCache(t *testing.T) (c *Cache, fetches *atomic.Int32, release chan struct{}) {
+	fetches, release = new(atomic.Int32), make(chan struct{})
+	c = openCache(t, Options{PeerFetch: func(ctx context.Context, _ string) ([]byte, error) {
+		fetches.Add(1)
+		select {
+		case <-release:
+			return nil, nil // no peer has a copy: go on to retarget
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}})
+	return c, fetches, release
+}
+
+const (
+	memHits   = `record_rcache_hits_total{tier="mem"}`
+	diskHits  = `record_rcache_hits_total{tier="disk"}`
+	peerHits  = `record_rcache_hits_total{tier="peer"}`
+	misses    = "record_rcache_misses_total"
+	retargets = "record_rcache_retargets_total"
+	coalesced = "record_rcache_coalesced_total"
+)
 
 func TestMemoryTier(t *testing.T) {
 	c := newCache(t, "", 0) // memory-only
@@ -52,9 +125,8 @@ func TestMemoryTier(t *testing.T) {
 	if out != Mem || e2 != e1 {
 		t.Fatalf("second get: %s (same entry: %t), want memory hit of same entry", out, e2 == e1)
 	}
-	st := c.Stats()
-	if st.Retargets != 1 || st.MemHits != 1 || st.Misses != 1 {
-		t.Fatalf("stats %+v", st)
+	if r, h, m := metric(t, c, retargets), metric(t, c, memHits), metric(t, c, misses); r != 1 || h != 1 || m != 1 {
+		t.Fatalf("retargets %d, mem hits %d, misses %d; want 1 each", r, h, m)
 	}
 }
 
@@ -76,7 +148,7 @@ func TestDiskTierAcrossInstances(t *testing.T) {
 	if out != Disk {
 		t.Fatalf("fresh instance: %s, want disk hit", out)
 	}
-	if c2.Stats().Retargets != 0 {
+	if metric(t, c2, retargets) != 0 {
 		t.Fatal("disk hit still retargeted")
 	}
 	// The decoded target compiles.
@@ -118,10 +190,7 @@ func TestCorruptAndTruncatedArtifacts(t *testing.T) {
 			}
 
 			rep := diag.NewReporter()
-			c2, err := New(Options{Dir: dir, Reporter: rep})
-			if err != nil {
-				t.Fatal(err)
-			}
+			c2 := openCache(t, Options{Dir: dir, Reporter: rep})
 			_, out, err := c2.GetContext(context.Background(), mdl, core.RetargetOptions{})
 			if err != nil {
 				t.Fatalf("corrupt artifact became an error: %v", err)
@@ -129,9 +198,8 @@ func TestCorruptAndTruncatedArtifacts(t *testing.T) {
 			if out != Miss {
 				t.Fatalf("corrupt artifact: %s, want miss", out)
 			}
-			st := c2.Stats()
-			if st.Corrupt != 1 || st.Retargets != 1 {
-				t.Fatalf("stats %+v", st)
+			if cr, r := metric(t, c2, "record_rcache_corrupt_total"), metric(t, c2, retargets); cr != 1 || r != 1 {
+				t.Fatalf("corrupt %d, retargets %d; want 1 each", cr, r)
 			}
 			if rep.Warns() == 0 {
 				t.Fatal("no corruption warning reported")
@@ -178,7 +246,7 @@ func TestSingleflight(t *testing.T) {
 			t.Fatalf("request %d got nil entry", i)
 		}
 	}
-	if got := c.Stats().Retargets; got != 1 {
+	if got := metric(t, c, retargets); got != 1 {
 		t.Fatalf("%d concurrent gets ran %d retargets, want 1", n, got)
 	}
 }
@@ -200,11 +268,11 @@ func TestLRUEviction(t *testing.T) {
 	if c.Len() != 2 {
 		t.Fatalf("memory tier holds %d entries, cap 2", c.Len())
 	}
-	if c.Stats().Evictions != 1 {
-		t.Fatalf("evictions %d, want 1", c.Stats().Evictions)
+	if got := metric(t, c, "record_rcache_evictions_total"); got != 1 {
+		t.Fatalf("evictions %d, want 1", got)
 	}
 	get(100) // must retarget again (memory-only cache)
-	if got := c.Stats().Retargets; got != 4 {
+	if got := metric(t, c, retargets); got != 4 {
 		t.Fatalf("retargets %d, want 4", got)
 	}
 }
@@ -218,14 +286,15 @@ func TestLookupByKey(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, ok := c1.Lookup("no-such-key"); ok {
+	ctx := context.Background()
+	if _, _, ok := c1.LookupContext(ctx, "no-such-key"); ok {
 		t.Fatal("unknown key resolved")
 	}
-	if got, ok := c1.Lookup(e.Key); !ok || got != e {
+	if got, out, ok := c1.LookupContext(ctx, e.Key); !ok || got != e || out != Mem {
 		t.Fatal("memory lookup failed")
 	}
 	c2 := newCache(t, dir, 0)
-	if _, ok := c2.Lookup(e.Key); !ok {
+	if _, out, ok := c2.LookupContext(ctx, e.Key); !ok || out != Disk {
 		t.Fatal("disk lookup failed")
 	}
 }
@@ -300,7 +369,7 @@ func TestRecoveryScanRemovesOrphans(t *testing.T) {
 	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
 		t.Fatalf("orphan survived the recovery scan: %v", err)
 	}
-	if got := c2.Stats().Orphans; got != 1 {
+	if got := metric(t, c2, "record_rcache_orphans_recovered_total"); got != 1 {
 		t.Fatalf("orphans recovered = %d, want 1", got)
 	}
 	// The valid artifact next to it is untouched.
@@ -317,10 +386,7 @@ func TestStoreFailureLeavesNoTempFiles(t *testing.T) {
 	defer faultpoint.Reset()
 
 	rep := diag.NewReporter()
-	c, err := New(Options{Dir: dir, Reporter: rep})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := openCache(t, Options{Dir: dir, Reporter: rep})
 	if _, out, err := c.GetContext(context.Background(), mdl, core.RetargetOptions{}); err != nil || out != Miss {
 		t.Fatalf("get through store failure: %v %s", err, out)
 	}
@@ -337,7 +403,7 @@ func TestStoreFailureLeavesNoTempFiles(t *testing.T) {
 	if c.Degraded() {
 		t.Fatal("an injected one-off error must not disable the disk tier")
 	}
-	if got := c.Stats().DiskFails; got != 1 {
+	if got := metric(t, c, "record_rcache_disk_errors_total"); got != 1 {
 		t.Fatalf("disk failures = %d, want 1", got)
 	}
 }
@@ -403,10 +469,7 @@ func TestCloseFlushesDir(t *testing.T) {
 
 func TestDiskFailENOSPCDegrades(t *testing.T) {
 	rep := diag.NewReporter()
-	c, err := New(Options{Dir: t.TempDir(), Reporter: rep})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := openCache(t, Options{Dir: t.TempDir(), Reporter: rep})
 	full := &os.PathError{Op: "write", Path: "x", Err: syscall.ENOSPC}
 	c.diskFail("k1", full)
 	if !c.Degraded() {
@@ -417,10 +480,84 @@ func TestDiskFailENOSPCDegrades(t *testing.T) {
 	if rep.Warns() != warns {
 		t.Fatal("degradation warned more than once")
 	}
-	if got := c.Stats().DiskFails; got != 2 {
+	if got := metric(t, c, "record_rcache_disk_errors_total"); got != 2 {
 		t.Fatalf("disk failures = %d, want 2", got)
 	}
 	if e := c.loadDisk("k1"); e != nil {
 		t.Fatal("degraded cache still reads disk")
+	}
+}
+
+// TestCoalescedFollowerOutlivesCancelledLeader: a request that joins
+// another request's retarget does not inherit that request's
+// cancellation — when the leader's context ends, the follower takes the
+// fill over under its own context.
+func TestCoalescedFollowerOutlivesCancelledLeader(t *testing.T) {
+	faultpoint.Arm("ise.extract", faultpoint.Action{Kind: faultpoint.KindDelay, Delay: 300 * time.Millisecond})
+	defer faultpoint.Reset()
+	c := newCache(t, "", 0)
+	mdl := demoModel(t)
+
+	lctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	leader := make(chan error, 1)
+	go func() {
+		_, _, err := c.GetContext(lctx, mdl, core.RetargetOptions{})
+		leader <- err
+	}()
+	// The one-shot delay disarms as it fires: the leader is then inside
+	// its slowed retarget.
+	waitFor(t, "the leader's retarget", func() bool { return len(faultpoint.Armed()) == 0 })
+	follower := make(chan error, 1)
+	go func() {
+		_, _, err := c.GetContext(context.Background(), mdl, core.RetargetOptions{})
+		follower <- err
+	}()
+	waitFor(t, "the follower to join", func() bool { return c.fills.Merged() == 1 })
+	cancel()
+	if err := <-leader; err == nil {
+		t.Fatal("cancelled leader succeeded")
+	}
+	if err := <-follower; err != nil {
+		t.Fatalf("follower inherited its leader's cancellation: %v", err)
+	}
+	if !c.InMemory(c.Key(mdl, core.RetargetOptions{})) {
+		t.Fatal("the follower's retarget did not land in memory")
+	}
+}
+
+// TestSourcedRequestOutlivesKeyOnlyFill: a by-source request that joins a
+// by-key lookup's fill does not inherit the lookup's "not found" — it has
+// the source, so it retargets.
+func TestSourcedRequestOutlivesKeyOnlyFill(t *testing.T) {
+	c, fetches, release := gatedCache(t)
+	mdl := demoModel(t)
+	ropts := core.RetargetOptions{}
+	lookup := make(chan bool, 1)
+	go func() {
+		_, _, ok := c.LookupContext(context.Background(), c.Key(mdl, ropts))
+		lookup <- ok
+	}()
+	waitFor(t, "the lookup's fill to start", func() bool { return fetches.Load() == 1 })
+	type reply struct {
+		e   *Entry
+		out Outcome
+		err error
+	}
+	get := make(chan reply, 1)
+	go func() {
+		e, out, err := c.GetContext(context.Background(), mdl, ropts)
+		get <- reply{e, out, err}
+	}()
+	waitFor(t, "the request to join", func() bool { return c.fills.Merged() == 1 })
+	close(release)
+	if <-lookup {
+		t.Fatal("lookup found a key no tier holds")
+	}
+	if r := <-get; r.err != nil || r.e == nil || r.out != Miss {
+		t.Fatalf("sourced request: %s, %v; want a retarget", r.out, r.err)
+	}
+	if got := metric(t, c, coalesced); got != 0 {
+		t.Fatalf("the retargeting request counted as coalesced %d times", got)
 	}
 }

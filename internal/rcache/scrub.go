@@ -2,11 +2,9 @@ package rcache
 
 import (
 	"context"
-	"fmt"
 	"os"
 	"time"
 
-	"repro/internal/artifact"
 	"repro/internal/diag"
 	"repro/internal/faultpoint"
 )
@@ -19,11 +17,11 @@ const DefaultScrubRate = 64
 
 // ScrubReport summarizes one scrub cycle.
 type ScrubReport struct {
-	Scanned      int // artifacts examined
-	Clean        int // verified intact
-	Quarantined  int // corrupt, renamed to <key>.quarantine
-	Repaired     int // quarantined keys re-fetched from a peer this cycle
-	Unrepairable int // quarantined keys no peer could supply
+	Scanned      int  // artifacts examined
+	Clean        int  // verified intact
+	Quarantined  int  // corrupt, renamed to <key>.quarantine
+	Repaired     int  // quarantined keys re-fetched from a peer this cycle
+	Unrepairable int  // quarantined keys no peer could supply
 	Paused       bool // the cycle stopped early (degraded disk or ctx end)
 }
 
@@ -131,12 +129,9 @@ func (c *Cache) scrubOne(ctx context.Context, key string) scrubOutcome {
 	}
 	verr := faultpoint.Hit("rcache.scrub.verify", key)
 	if verr == nil {
-		verr = verifyArtifact(key, data)
+		_, verr = verifyArtifact(key, data)
 	}
 	if verr == nil {
-		c.mu.Lock()
-		c.stats.ScrubClean++
-		c.mu.Unlock()
 		c.cScrub.With("clean").Inc()
 		return scrubClean
 	}
@@ -147,20 +142,6 @@ func (c *Cache) scrubOne(ctx context.Context, key string) scrubOutcome {
 	return scrubLost
 }
 
-// verifyArtifact re-checks an encoded artifact against its content
-// address: the frame's payload checksum catches bit rot, the embedded
-// key catches a file stored under the wrong name.
-func verifyArtifact(key string, data []byte) error {
-	a, err := artifact.Decode(data)
-	if err != nil {
-		return err
-	}
-	if a.Key != key {
-		return fmt.Errorf("artifact self-identifies as %s", a.Key)
-	}
-	return nil
-}
-
 // repair re-fetches a quarantined key through the PeerFetch hook (which
 // enumerates every healthy peer in the key's rendezvous order before
 // giving up); peerEntry decode-verifies the bytes and persists them, so
@@ -169,17 +150,11 @@ func verifyArtifact(key string, data []byte) error {
 // hit counters.
 func (c *Cache) repair(ctx context.Context, key string) bool {
 	if c.opts.PeerFetch != nil && c.peerEntry(ctx, key) != nil {
-		c.mu.Lock()
-		c.stats.ScrubRepaired++
-		c.mu.Unlock()
 		c.cScrub.With("repaired").Inc()
 		c.opts.Reporter.Warnf("rcache", diag.Pos{},
 			"repaired quarantined artifact %s from a peer", key)
 		return true
 	}
-	c.mu.Lock()
-	c.stats.ScrubLost++
-	c.mu.Unlock()
 	c.cScrub.With("unrepairable").Inc()
 	c.opts.Reporter.Warnf("rcache", diag.Pos{},
 		"quarantined artifact %s is unrepairable: no healthy peer has a copy", key)

@@ -37,15 +37,15 @@ func TestScrubCleanStore(t *testing.T) {
 	if rep.Scanned != 1 || rep.Clean != 1 || rep.Quarantined != 0 || rep.Paused {
 		t.Fatalf("scrub report %+v, want 1 scanned, 1 clean", rep)
 	}
-	if st := c.Stats(); st.ScrubClean != 1 {
-		t.Fatalf("stats %+v, want ScrubClean=1", st)
+	if got := metric(t, c, `record_rcache_scrub_total{outcome="clean"}`); got != 1 {
+		t.Fatalf("scrub clean = %d, want 1", got)
 	}
 }
 
 func TestScrubQuarantinesAndRepairs(t *testing.T) {
 	key, data := seedArtifact(t)
 	dir := t.TempDir()
-	c, err := New(Options{
+	c := openCache(t, Options{
 		Dir:        dir,
 		MaxEntries: 4,
 		PeerFetch: func(ctx context.Context, k string) ([]byte, error) {
@@ -55,9 +55,6 @@ func TestScrubQuarantinesAndRepairs(t *testing.T) {
 			return data, nil
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := c.Ingest(key, data); err != nil {
 		t.Fatal(err)
 	}
@@ -76,12 +73,17 @@ func TestScrubQuarantinesAndRepairs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("repaired copy missing: %v", err)
 	}
-	if verifyArtifact(key, fixed) != nil {
+	if _, err := verifyArtifact(key, fixed); err != nil {
 		t.Fatal("repaired copy does not verify")
 	}
-	st := c.Stats()
-	if st.Corrupt != 1 || st.Quarantined != 1 || st.ScrubRepaired != 1 {
-		t.Fatalf("stats %+v, want Corrupt=Quarantined=ScrubRepaired=1", st)
+	for _, series := range []string{
+		"record_rcache_corrupt_total",
+		`record_rcache_scrub_total{outcome="quarantined"}`,
+		`record_rcache_scrub_total{outcome="repaired"}`,
+	} {
+		if got := metric(t, c, series); got != 1 {
+			t.Fatalf("%s = %d, want 1", series, got)
+		}
 	}
 }
 
@@ -105,8 +107,8 @@ func TestScrubUnrepairableWithoutPeers(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, key+".rart")); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("corrupt original should have been renamed away, stat err = %v", err)
 	}
-	if st := c.Stats(); st.ScrubLost != 1 {
-		t.Fatalf("stats %+v, want ScrubLost=1", st)
+	if got := metric(t, c, `record_rcache_scrub_total{outcome="unrepairable"}`); got != 1 {
+		t.Fatalf("scrub unrepairable = %d, want 1", got)
 	}
 }
 
@@ -159,15 +161,14 @@ func TestLoadDiskQuarantinesCorruptArtifact(t *testing.T) {
 	corruptFile(t, filepath.Join(dir, key+".rart"))
 
 	// A read-path discovery of the corruption must quarantine, not delete.
-	if _, ok := c.Lookup(key); ok {
+	if _, _, ok := c.LookupContext(context.Background(), key); ok {
 		t.Fatal("corrupt artifact should not load")
 	}
 	if _, err := os.Stat(filepath.Join(dir, key+".quarantine")); err != nil {
 		t.Fatalf("loadDisk should quarantine, not remove: %v", err)
 	}
-	st := c.Stats()
-	if st.Corrupt != 1 || st.Quarantined != 1 {
-		t.Fatalf("stats %+v, want Corrupt=1 Quarantined=1", st)
+	if cr, q := metric(t, c, "record_rcache_corrupt_total"), metric(t, c, `record_rcache_scrub_total{outcome="quarantined"}`); cr != 1 || q != 1 {
+		t.Fatalf("corrupt %d, quarantined %d; want 1 each", cr, q)
 	}
 }
 
@@ -206,8 +207,8 @@ func TestIngest(t *testing.T) {
 		if err := c.Ingest(key, data); err != nil {
 			t.Fatalf("duplicate ingest: %v", err)
 		}
-		if st := c.Stats(); st.Ingested != 1 {
-			t.Fatalf("stats %+v, want exactly 1 ingested (duplicate is a no-op)", st)
+		if got := metric(t, c, `record_rcache_ingest_total{outcome="stored"}`); got != 1 {
+			t.Fatalf("ingested %d, want exactly 1 (duplicate is a no-op)", got)
 		}
 	})
 

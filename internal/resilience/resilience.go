@@ -1,6 +1,7 @@
 // Package resilience is the service-hardening layer of the compile
-// service: typed refusals, circuit breaking, retry policy and drain
-// signalling, shared by recordd (server side) and rclient (client side).
+// service: typed refusals, circuit breaking, retry policy, drain
+// signalling and duplicate-call coalescing, shared by recordd (server
+// side), rcache and rclient (client side).
 //
 // The retargeting pipeline already degrades gracefully inside one request
 // (internal/diag budgets, faultpoint-exercised recovery boundaries); this
@@ -13,7 +14,8 @@
 //
 // Everything here is stdlib-only and nil-safe in the style of
 // diag.Reporter and the obs instruments: a nil *Breaker allows
-// everything, and the zero Policy performs a sane default retry.  Typed
+// everything, a nil *Coalescer runs every call itself, and the zero
+// Policy performs a sane default retry.  Typed
 // errors (OverloadError, OpenError, DrainingError) carry machine-readable
 // retry hints so HTTP layers can map them to 429/503 plus a Retry-After
 // header, and the client can honor that header symmetrically.
