@@ -1,25 +1,26 @@
-// Package artifact serializes the full retarget product — template base,
-// tree grammar, BURS match tables and model metadata — into a versioned,
-// deterministic, content-addressed artifact.
+// Package artifact serializes the expensive retarget product — the
+// extended template base, its execution conditions and model metadata —
+// into a versioned, deterministic, content-addressed artifact.
 //
 // Retargeting is automatic but not free (the paper's table 3 measures
 // minutes of CPU per processor model), while the artifact is a pure
 // function of the MDL source and the retargeting options.  Encoding that
 // product once and decoding it into a working core.Target lets a cache
 // (internal/rcache) and a compile service (cmd/recordd) amortize the
-// expensive phases — ISE, template extension, grammar construction, parser
-// generation — across every program compiled for the same model.  Only the
-// cheap frontend (parse + elaborate) is re-run on decode, to rebuild the
-// netlist the simulator and binder need.
+// expensive phases — ISE and template extension — across every program
+// compiled for the same model.  The cheap phases are re-run on decode: the
+// frontend (parse + elaborate) rebuilds the netlist the simulator and
+// binder need, and grammar construction and parser generation rebuild the
+// tree parser from the restored template base, through the same
+// grammar.Build and burs.NewParser the retarget path uses.
 //
 // Determinism: encoding the same Target twice, or Targets from two
 // independent Retarget runs of the same model, yields byte-identical
 // artifacts.  BDD nodes are renumbered in template order by bdd.Exporter,
-// match tables are emitted sorted (burs.BuildTables), and wall-clock
-// durations are excluded from the stats.  The content address is
-// SHA-256 over the format version, an options fingerprint and the MDL
-// source — computable without running the pipeline, which is what makes
-// cache lookups free.
+// and wall-clock durations are not stored.  The content address is SHA-256
+// over the format version, an options fingerprint and the MDL source —
+// computable without running the pipeline, which is what makes cache
+// lookups free.
 package artifact
 
 import (
@@ -34,6 +35,7 @@ import (
 	"repro/internal/bdd"
 	"repro/internal/burs"
 	"repro/internal/core"
+	"repro/internal/diag"
 	"repro/internal/grammar"
 	"repro/internal/hdl"
 	"repro/internal/ise"
@@ -47,8 +49,9 @@ import (
 //
 // Version 2 added the frozen encoding tables (per-template solo word
 // conditions) so decoded targets are born frozen without re-running the
-// freeze-time conjunction sweep.
-const FormatVersion = 2
+// freeze-time conjunction sweep.  Version 3 dropped the tree grammar and
+// BURS match tables, which decode now rebuilds from the template base.
+const FormatVersion = 3
 
 // magic heads every encoded artifact, followed by the payload checksum.
 const magic = "recordart"
@@ -69,18 +72,6 @@ type TemplateEnc struct {
 	Synthetic bool        `json:"synthetic,omitempty"`
 }
 
-// RuleEnc is the wire form of one grammar rule; Template indexes the
-// artifact's template list (-1 for start/stop rules).
-type RuleEnc struct {
-	ID       int          `json:"id"`
-	Kind     int          `json:"kind"`
-	LHS      int          `json:"lhs"`
-	Pat      *grammar.Pat `json:"pat"`
-	Cost     int          `json:"cost"`
-	Template int          `json:"template"`
-	Dest     string       `json:"dest,omitempty"`
-}
-
 // BDDTable carries the shared condition universe: the manager's variable
 // names in declaration order (indices must match ise.VarMap) and the
 // renumbered node table.
@@ -95,31 +86,21 @@ type VarsEnc struct {
 	ModeVars map[string][]int `json:"mode_vars,omitempty"`
 }
 
-// StatsEnc keeps the deterministic counters of RetargetStats; durations
-// are measurements, not products, and would break byte-determinism.
-type StatsEnc struct {
-	Extracted int           `json:"extracted"`
-	Templates int           `json:"templates"`
-	Grammar   grammar.Stats `json:"grammar"`
-	ISE       ise.Stats     `json:"ise"`
-}
-
-// Artifact is the complete serialized retarget product.
+// Artifact is the serialized retarget product: everything Target needs
+// beyond what grammar.Build and burs.NewParser derive from the templates.
 type Artifact struct {
-	Format       int           `json:"format"`
-	Key          string        `json:"key"`
-	Name         string        `json:"name"`
-	Options      string        `json:"options"`
-	Model        string        `json:"model"`
-	BDD          BDDTable      `json:"bdd"`
-	Vars         VarsEnc       `json:"vars"`
-	Templates    []TemplateEnc `json:"templates"`
-	NTNames      []string      `json:"nt_names"`
-	Spec         grammar.Spec  `json:"spec"`
-	Rules        []RuleEnc     `json:"rules"`
-	Tables       burs.Tables   `json:"tables"`
-	ParserSource string        `json:"parser_source,omitempty"`
-	Stats        StatsEnc      `json:"stats"`
+	Format    int           `json:"format"`
+	Key       string        `json:"key"`
+	Name      string        `json:"name"`
+	Options   string        `json:"options"`
+	Model     string        `json:"model"`
+	BDD       BDDTable      `json:"bdd"`
+	Vars      VarsEnc       `json:"vars"`
+	Templates []TemplateEnc `json:"templates"`
+	// Stats are the extraction counters; RetargetStats' other counters
+	// derive from them and from the restored grammar, and its durations
+	// are measurements that would break byte-determinism.
+	Stats ise.Stats `json:"stats"`
 }
 
 // Fingerprint renders the product-relevant retargeting options as a
@@ -151,10 +132,10 @@ func Fingerprint(opts core.RetargetOptions) string {
 		ruleNames[i] = r.Name
 	}
 	return fmt.Sprintf(
-		"ise.maxalts=%d;ise.maxtemplates=%d;ise.msbfirst=%t;noext=%t;ext.comm=%t;ext.maxvariants=%d;ext.rules=%s;emitsrc=%t",
+		"ise.maxalts=%d;ise.maxtemplates=%d;ise.msbfirst=%t;noext=%t;ext.comm=%t;ext.maxvariants=%d;ext.rules=%s",
 		iseOpts.MaxAlts, iseOpts.MaxTemplates, iseOpts.MSBFirstVars,
 		opts.NoExtension, ext.Commutativity, ext.MaxVariantsPerTemplate,
-		strings.Join(ruleNames, ","), opts.EmitParserSource)
+		strings.Join(ruleNames, ","))
 }
 
 // Key returns the content address of the artifact for (mdlSource, opts):
@@ -171,28 +152,19 @@ func Key(mdlSource string, opts core.RetargetOptions) string {
 // opts must be the inputs the Target was retargeted from; they determine
 // the content address.
 func New(t *core.Target, mdlSource string, opts core.RetargetOptions) (*Artifact, error) {
-	if t.Base == nil || t.Grammar == nil || t.ISE == nil || t.ISE.Vars == nil {
+	if t.Base == nil || t.ISE == nil || t.ISE.Vars == nil {
 		return nil, fmt.Errorf("artifact: target is incomplete")
 	}
 	if !t.Frozen() {
 		return nil, fmt.Errorf("artifact: target is not frozen (retarget always freezes; construct targets through core.Retarget)")
 	}
 	a := &Artifact{
-		Format:       FormatVersion,
-		Key:          Key(mdlSource, opts),
-		Name:         t.Name,
-		Options:      Fingerprint(opts),
-		Model:        mdlSource,
-		NTNames:      t.Grammar.NTNames,
-		Spec:         t.Grammar.Spec,
-		Tables:       burs.BuildTables(t.Grammar),
-		ParserSource: t.ParserSource,
-		Stats: StatsEnc{
-			Extracted: t.Stats.Extracted,
-			Templates: t.Stats.Templates,
-			Grammar:   t.Stats.GrammarSz,
-			ISE:       t.Stats.ISEDetails,
-		},
+		Format:  FormatVersion,
+		Key:     Key(mdlSource, opts),
+		Name:    t.Name,
+		Options: Fingerprint(opts),
+		Model:   mdlSource,
+		Stats:   t.Stats.ISEDetails,
 	}
 
 	m := t.Base.BDD
@@ -201,9 +173,7 @@ func New(t *core.Target, mdlSource string, opts core.RetargetOptions) (*Artifact
 		a.BDD.Names[v] = m.VarName(v)
 	}
 	ex := bdd.NewExporter()
-	tmplIdx := make(map[*rtl.Template]int, t.Base.Len())
-	for i, tm := range t.Base.Templates {
-		tmplIdx[tm] = i
+	for _, tm := range t.Base.Templates {
 		a.Templates = append(a.Templates, TemplateEnc{
 			ID:        tm.ID,
 			Dest:      tm.Dest,
@@ -222,21 +192,6 @@ func New(t *core.Target, mdlSource string, opts core.RetargetOptions) (*Artifact
 	a.Vars.InsnVars = t.ISE.Vars.InsnVars
 	if len(t.ISE.Vars.ModeVars) > 0 {
 		a.Vars.ModeVars = t.ISE.Vars.ModeVars
-	}
-
-	for _, r := range t.Grammar.Rules {
-		re := RuleEnc{
-			ID: r.ID, Kind: int(r.Kind), LHS: r.LHS,
-			Pat: r.Pat, Cost: r.Cost, Template: -1, Dest: r.Dest,
-		}
-		if r.Template != nil {
-			idx, ok := tmplIdx[r.Template]
-			if !ok {
-				return nil, fmt.Errorf("artifact: rule %d references a template outside the base", r.ID)
-			}
-			re.Template = idx
-		}
-		a.Rules = append(a.Rules, re)
 	}
 	return a, nil
 }
@@ -288,10 +243,11 @@ func Decode(data []byte) (*Artifact, error) {
 	return a, nil
 }
 
-// Target rebuilds a working compiler from the artifact: the cheap frontend
-// re-runs on the stored MDL source (netlist for the binder and simulator),
-// while templates, conditions, grammar and match tables are restored from
-// the wire form without re-running ISE, extension or grammar construction.
+// Target rebuilds a working compiler from the artifact.  Templates and
+// conditions come from the wire form instead of re-running ISE and
+// extension; the cheap phases re-run: the frontend on the stored MDL
+// source (netlist for the binder and simulator), then grammar construction
+// and parser generation on the restored template base.
 func (a *Artifact) Target() (*core.Target, error) {
 	model, err := hdl.ParseAndCheck(a.Model)
 	if err != nil {
@@ -346,26 +302,14 @@ func (a *Artifact) Target() (*core.Target, error) {
 			vars.InsnWidth(), net.InsnWidth)
 	}
 
-	rules := make([]*grammar.Rule, len(a.Rules))
-	for i, re := range a.Rules {
-		r := &grammar.Rule{
-			ID: re.ID, Kind: grammar.RuleKind(re.Kind), LHS: re.LHS,
-			Pat: re.Pat, Cost: re.Cost, Dest: re.Dest,
-		}
-		if re.Template >= 0 {
-			if re.Template >= len(templates) {
-				return nil, fmt.Errorf("artifact: rule %d references template %d of %d", re.ID, re.Template, len(templates))
-			}
-			r.Template = templates[re.Template]
-		}
-		rules[i] = r
-	}
-	g, err := grammar.Restore(a.NTNames, rules, a.Spec)
-	if err != nil {
-		return nil, fmt.Errorf("artifact: %w", err)
-	}
-	parser, err := burs.RestoreParser(g, a.Tables)
-	if err != nil {
+	// Grammar construction runs under the recovery boundary the retarget
+	// path gives it, so a fault while lowering (an armed grammar.rule
+	// faultpoint included) is an error the cache quarantines, not a crash.
+	var g *grammar.Grammar
+	if err := diag.Capture(func() (err error) {
+		g, err = grammar.Build(base, grammar.SpecFromNetlist(net))
+		return err
+	}); err != nil {
 		return nil, fmt.Errorf("artifact: %w", err)
 	}
 
@@ -382,28 +326,21 @@ func (a *Artifact) Target() (*core.Target, error) {
 		return nil, fmt.Errorf("artifact: %w", err)
 	}
 	t := &core.Target{
-		Name:         a.Name,
-		Model:        model,
-		Net:          net,
-		ISE:          &ise.Result{Base: base, Vars: vars, Stats: a.Stats.ISE, Net: net},
-		Base:         base,
-		Grammar:      g,
-		Parser:       parser,
-		Encoder:      enc,
-		ParserSource: a.ParserSource,
+		Name:    a.Name,
+		Model:   model,
+		Net:     net,
+		ISE:     &ise.Result{Base: base, Vars: vars, Stats: a.Stats, Net: net},
+		Base:    base,
+		Grammar: g,
+		Parser:  burs.NewParser(g),
+		Encoder: enc,
 	}
-	t.Stats.Extracted = a.Stats.Extracted
-	t.Stats.Templates = a.Stats.Templates
-	t.Stats.GrammarSz = a.Stats.Grammar
-	t.Stats.ISEDetails = a.Stats.ISE
+	t.Stats.Extracted = a.Stats.Templates
+	t.Stats.Templates = base.Len()
+	t.Stats.GrammarSz = g.Stats()
+	t.Stats.ISEDetails = a.Stats
 	return t, nil
 }
-
-// RuleCount returns the number of grammar rules in the artifact.
-func (a *Artifact) RuleCount() int { return len(a.Rules) }
-
-// TemplateCount returns the number of RT templates in the artifact.
-func (a *Artifact) TemplateCount() int { return len(a.Templates) }
 
 // Cacheable reports whether t's retarget product may be stored under its
 // content address.  A run whose budget expired mid-extraction (Partial) is

@@ -3,11 +3,19 @@ package artifact
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/diag"
 	"repro/internal/dspstone"
+	"repro/internal/faultpoint"
 	"repro/internal/models"
+	"repro/internal/rtl"
 )
 
 func retarget(t testing.TB, model string) (*core.Target, string) {
@@ -23,21 +31,18 @@ func retarget(t testing.TB, model string) (*core.Target, string) {
 	return tg, mdl
 }
 
-// TestRoundTripGolden retargets the TMS320C25, encodes and decodes the
-// artifact, compiles a DSPStone kernel through the decoded Target and
-// requires the emitted words to be identical to the fresh-Target compile.
-func TestRoundTripGolden(t *testing.T) {
-	tg, mdl := retarget(t, "tms320c25")
-	k, ok := dspstone.Get("dot_product")
-	if !ok {
-		t.Fatal("kernel dot_product missing")
+// modelNames lists every bundled model: the table-3 set plus brancher.
+func modelNames() []string {
+	names := []string{"brancher"}
+	for _, e := range models.All() {
+		names = append(names, e.Name)
 	}
+	return names
+}
 
-	fresh, err := tg.CompileSourceContext(context.Background(), k.Source, core.CompileOptions{})
-	if err != nil {
-		t.Fatalf("fresh compile: %v", err)
-	}
-
+// roundTrip encodes tg's artifact and decodes it into a fresh Target.
+func roundTrip(t *testing.T, tg *core.Target, mdl string) *core.Target {
+	t.Helper()
 	a, err := New(tg, mdl, core.RetargetOptions{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -57,32 +62,55 @@ func TestRoundTripGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Target: %v", err)
 	}
-	if tg2.Base.Len() != tg.Base.Len() {
-		t.Fatalf("template count %d -> %d", tg.Base.Len(), tg2.Base.Len())
-	}
-	if len(tg2.Grammar.Rules) != len(tg.Grammar.Rules) {
-		t.Fatalf("rule count %d -> %d", len(tg.Grammar.Rules), len(tg2.Grammar.Rules))
-	}
+	return tg2
+}
 
-	decoded, err := tg2.CompileSourceContext(context.Background(), k.Source, core.CompileOptions{})
-	if err != nil {
-		t.Fatalf("decoded compile: %v", err)
+// TestRoundTripGolden retargets every bundled model, encodes and decodes
+// its artifact, and compiles every DSPStone kernel through both the fresh
+// and the decoded Target: the words and listings must be identical (or
+// both compiles fail with the same error), and every decoded compile must
+// pass the hardware-vs-oracle check.
+func TestRoundTripGolden(t *testing.T) {
+	compiled := 0
+	for _, name := range modelNames() {
+		t.Run(name, func(t *testing.T) {
+			tg, mdl := retarget(t, name)
+			tg2 := roundTrip(t, tg, mdl)
+			if tg2.Stats.Templates != tg.Stats.Templates || tg2.Base.Len() != tg.Base.Len() {
+				t.Fatalf("templates %d (base %d) -> %d (base %d)",
+					tg.Stats.Templates, tg.Base.Len(), tg2.Stats.Templates, tg2.Base.Len())
+			}
+			if tg2.Stats.GrammarSz != tg.Stats.GrammarSz {
+				t.Fatalf("grammar stats %+v -> %+v", tg.Stats.GrammarSz, tg2.Stats.GrammarSz)
+			}
+			if tg2.Stats.Extracted != tg.Stats.Extracted || tg2.Stats.ISEDetails != tg.Stats.ISEDetails {
+				t.Fatalf("extraction stats %d %+v -> %d %+v", tg.Stats.Extracted, tg.Stats.ISEDetails,
+					tg2.Stats.Extracted, tg2.Stats.ISEDetails)
+			}
+			for _, k := range dspstone.Suite() {
+				fresh, ferr := tg.CompileSourceContext(context.Background(), k.Source, core.CompileOptions{})
+				decoded, derr := tg2.CompileSourceContext(context.Background(), k.Source, core.CompileOptions{})
+				if ferr != nil || derr != nil {
+					if ferr == nil || derr == nil || ferr.Error() != derr.Error() {
+						t.Errorf("%s: fresh error %v, decoded error %v", k.Name, ferr, derr)
+					}
+					continue
+				}
+				if !slices.Equal(fresh.Words(), decoded.Words()) {
+					t.Errorf("%s: words differ between fresh and decoded targets", k.Name)
+				}
+				if tg.Listing(fresh) != tg2.Listing(decoded) {
+					t.Errorf("%s: listings differ between fresh and decoded targets", k.Name)
+				}
+				if err := tg2.CheckAgainstOracle(decoded); err != nil {
+					t.Errorf("%s: decoded target fails oracle: %v", k.Name, err)
+				}
+				compiled++
+			}
+		})
 	}
-	fw, dw := fresh.Words(), decoded.Words()
-	if len(fw) != len(dw) {
-		t.Fatalf("word count %d -> %d", len(fw), len(dw))
-	}
-	for i := range fw {
-		if fw[i] != dw[i] {
-			t.Fatalf("word %d: fresh %#x, decoded %#x", i, fw[i], dw[i])
-		}
-	}
-	if tg.Listing(fresh) != tg2.Listing(decoded) {
-		t.Fatal("listings differ between fresh and decoded targets")
-	}
-	// The decoded target must also pass the hardware-vs-oracle check.
-	if err := tg2.CheckAgainstOracle(decoded); err != nil {
-		t.Fatalf("decoded target fails oracle: %v", err)
+	if compiled == 0 {
+		t.Fatal("no kernel compiled on any model")
 	}
 }
 
@@ -160,4 +188,106 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	if _, err := Decode(nil); err == nil {
 		t.Fatal("empty input accepted")
 	}
+}
+
+// TestTargetRejectsMalformedExpr: a checksum-valid artifact whose stored
+// expression trees are missing kids (or carry extra ones) must fail to
+// restore with an error — grammar construction, the encoder and the
+// simulator all index Kids without checking, and a panic on the scrubber's
+// path would kill the daemon.
+func TestTargetRejectsMalformedExpr(t *testing.T) {
+	konst := rtl.NewConst(1, 4)
+	malformed := []struct {
+		name  string
+		e     *rtl.Expr
+		apply func(te *TemplateEnc, e *rtl.Expr)
+	}{
+		{"slice without kid", &rtl.Expr{Kind: rtl.Slice, Hi: 1, Width: 2}, setSrc},
+		{"op with nil kids", &rtl.Expr{Kind: rtl.OpApp, Op: rtl.OpAdd, Width: 4, Kids: []*rtl.Expr{nil, nil}}, setSrc},
+		{"op without kids", &rtl.Expr{Kind: rtl.OpApp, Op: rtl.OpAdd, Width: 4}, setSrc},
+		{"unary op with two kids", &rtl.Expr{Kind: rtl.OpApp, Op: rtl.OpNot, Width: 4, Kids: []*rtl.Expr{konst, konst}}, setSrc},
+		{"leaf with kid", &rtl.Expr{Kind: rtl.Const, Width: 4, Kids: []*rtl.Expr{konst}}, setSrc},
+		{"read with two kids", &rtl.Expr{Kind: rtl.Read, Storage: "m", Width: 4, Kids: []*rtl.Expr{konst, konst}}, setSrc},
+		{"read with nil address", &rtl.Expr{Kind: rtl.Read, Storage: "m", Width: 4, Kids: []*rtl.Expr{nil}}, setSrc},
+		{"unknown kind", &rtl.Expr{Kind: 42, Width: 4}, setSrc},
+		{"nested slice without kid", rtl.NewOp(rtl.OpAdd, 4, konst, &rtl.Expr{Kind: rtl.Slice, Width: 1}), setSrc},
+		{"destination address", &rtl.Expr{Kind: rtl.Slice, Width: 1},
+			func(te *TemplateEnc, e *rtl.Expr) { te.DestAddr = e }},
+		{"dynamic guard", &rtl.Expr{Kind: rtl.OpApp, Op: rtl.OpEq, Width: 1},
+			func(te *TemplateEnc, e *rtl.Expr) { te.Dynamic = append(te.Dynamic, e) }},
+	}
+	tg, mdl := retarget(t, "tms320c25")
+	for _, m := range malformed {
+		t.Run(m.name, func(t *testing.T) {
+			a, err := New(tg, mdl, core.RetargetOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range a.Templates {
+				m.apply(&a.Templates[i], m.e)
+			}
+			data, err := a.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			a2, err := Decode(data)
+			if err != nil {
+				t.Fatalf("Decode: %v", err)
+			}
+			if _, err := a2.Target(); err == nil {
+				t.Fatal("artifact with malformed expressions restored without error")
+			}
+		})
+	}
+}
+
+func setSrc(te *TemplateEnc, e *rtl.Expr) { te.Src = e }
+
+// TestTargetRecoversGrammarFault: decode re-runs grammar construction, so
+// a panic while lowering a rule must come back as an error, as it does
+// from the retarget path's phase boundary.
+func TestTargetRecoversGrammarFault(t *testing.T) {
+	tg, mdl := retarget(t, "tanenbaum")
+	a, err := New(tg, mdl, core.RetargetOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := faultpoint.ArmSpec("grammar.rule=panic"); err != nil {
+		t.Fatal(err)
+	}
+	defer faultpoint.Reset()
+	var pe *diag.PanicError
+	if _, err := a.Target(); !errors.As(err, &pe) {
+		t.Fatalf("Target with a panicking grammar.rule: %v, want a recovered panic", err)
+	}
+}
+
+// frame wraps a JSON payload in a valid artifact header, so mutated
+// payloads pass the checksum and reach Target.
+func frame(payload []byte) []byte {
+	sum := sha256.Sum256(payload)
+	return fmt.Appendf(nil, "%s %d %x\n%s", magic, FormatVersion, sum, payload)
+}
+
+// FuzzArtifactTarget mutates a valid tanenbaum artifact's payload and
+// re-frames it with a correct checksum: Decode followed by Target must
+// return an error or a target, never panic.
+func FuzzArtifactTarget(f *testing.F) {
+	tg, mdl := retarget(f, "tanenbaum")
+	a, err := New(tg, mdl, core.RetargetOptions{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	payload, err := json.Marshal(a)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(payload)
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		a, err := Decode(frame(payload))
+		if err != nil {
+			return
+		}
+		a.Target()
+	})
 }

@@ -23,10 +23,9 @@ import (
 // section).
 type Config struct {
 	// Retargeting.
-	NoExtension      bool             // skip template-base extension (ablation)
-	EmitParserSource bool             // also render the BURS tables as Go source
-	ISE              ise.Options      // instruction-set extraction limits
-	Extension        *rewrite.Options // nil = rewrite.DefaultOptions()
+	NoExtension bool             // skip template-base extension (ablation)
+	ISE         ise.Options      // instruction-set extraction limits
+	Extension   *rewrite.Options // nil = rewrite.DefaultOptions()
 
 	// Compilation.
 	NoCompaction bool // one RT per word (ablation baseline)
@@ -115,13 +114,12 @@ func (c Config) Budget(ctx context.Context) (*diag.Budget, context.CancelFunc) {
 // come from Reporter and Budget (or the caller's own).
 func (c Config) Retarget(rep *diag.Reporter, budget *diag.Budget) RetargetOptions {
 	return RetargetOptions{
-		ISE:              c.ISE,
-		Extension:        c.Extension,
-		NoExtension:      c.NoExtension,
-		EmitParserSource: c.EmitParserSource,
-		Reporter:         rep,
-		Budget:           budget,
-		Obs:              c.Obs,
+		ISE:         c.ISE,
+		Extension:   c.Extension,
+		NoExtension: c.NoExtension,
+		Reporter:    rep,
+		Budget:      budget,
+		Obs:         c.Obs,
 	}
 }
 

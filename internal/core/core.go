@@ -43,11 +43,6 @@ type RetargetOptions struct {
 	Extension *rewrite.Options
 	// NoExtension skips the extension phase entirely (ablation).
 	NoExtension bool
-	// EmitParserSource also renders the generated tree parser as Go source
-	// (mirroring iburg's C emission); the source is stored in
-	// Target.ParserSource and its generation counted as parser-generation
-	// time.
-	EmitParserSource bool
 	// Reporter collects diagnostics (frontend errors with positions,
 	// degraded-mode warnings) from every phase.  nil is safe.
 	Reporter *diag.Reporter
@@ -77,7 +72,7 @@ type RetargetStats struct {
 	ISE        time.Duration // instruction-set extraction
 	Extension  time.Duration // template-base extension
 	Grammar    time.Duration // tree grammar construction
-	ParserGen  time.Duration // parser generation (tables + optional source)
+	ParserGen  time.Duration // parser generation
 	Freeze     time.Duration // baking the read-only encoding tables
 	Total      time.Duration
 	Extracted  int // templates delivered by ISE
@@ -104,8 +99,7 @@ type Target struct {
 	Parser  *burs.Parser
 	Encoder *asm.Encoder
 
-	ParserSource string
-	Stats        RetargetStats
+	Stats RetargetStats
 }
 
 // RetargetContext builds a compiler for the processor described by MDL
@@ -266,9 +260,6 @@ func RetargetContext(ctx context.Context, mdlSource string, opts RetargetOptions
 	bSpan, _ := scope.Start("burs")
 	err = diag.Guard(rep, "burs", func() error {
 		t.Parser = burs.NewParser(t.Grammar)
-		if opts.EmitParserSource {
-			t.ParserSource = burs.EmitGo(t.Grammar, sanitizeIdent(t.Name)+"parser")
-		}
 		var background []string
 		for _, st := range t.Net.Seq {
 			if st.PC {
@@ -309,19 +300,6 @@ func RetargetContext(ctx context.Context, mdlSource string, opts RetargetOptions
 			t.Name, t.ISE.Stats.Dropped, t.Stats.Templates)
 	}
 	return t, nil
-}
-
-func sanitizeIdent(s string) string {
-	out := make([]rune, 0, len(s))
-	for _, r := range s {
-		if (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') || (r >= '0' && r <= '9') {
-			out = append(out, r)
-		}
-	}
-	if len(out) == 0 {
-		return "target"
-	}
-	return string(out)
 }
 
 // CompileOptions tunes program compilation.

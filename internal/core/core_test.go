@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/burs"
 	"repro/internal/ir"
 )
 
@@ -115,11 +116,11 @@ func TestRetargetMicro16(t *testing.T) {
 }
 
 func TestParserSourceEmission(t *testing.T) {
-	tg, err := RetargetContext(context.Background(), micro16, RetargetOptions{EmitParserSource: true})
+	tg, err := RetargetContext(context.Background(), micro16, RetargetOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(tg.ParserSource, "package micro16parser") {
+	if !strings.Contains(burs.EmitGo(tg.Grammar, "micro16parser"), "package micro16parser") {
 		t.Errorf("parser source missing package clause")
 	}
 }

@@ -52,21 +52,20 @@ const (
 	PatSlice                // subword-select terminal; one kid
 )
 
-// Pat is a tree-grammar pattern node.  The JSON tags define the
-// retarget-artifact wire form (internal/artifact).
+// Pat is a tree-grammar pattern node.
 type Pat struct {
-	Kind    PatKind `json:"k,omitempty"`
-	NT      int     `json:"nt,omitempty"`   // PatNT: nonterminal index
-	Op      rtl.Op  `json:"op,omitempty"`   // PatOp
-	Width   int     `json:"w,omitempty"`    // result width (all kinds)
-	Storage string  `json:"st,omitempty"`   // PatReg / PatMem: qualified storage name
-	ImmHi   int     `json:"ihi,omitempty"`  // PatImm: instruction field bits
-	ImmLo   int     `json:"ilo,omitempty"`  // PatImm
-	Val     int64   `json:"val,omitempty"`  // PatConst
-	Port    string  `json:"port,omitempty"` // PatPort
-	Hi      int     `json:"hi,omitempty"`   // PatSlice
-	Lo      int     `json:"lo,omitempty"`
-	Kids    []*Pat  `json:"kids,omitempty"`
+	Kind    PatKind
+	NT      int    // PatNT: nonterminal index
+	Op      rtl.Op // PatOp
+	Width   int    // result width (all kinds)
+	Storage string // PatReg / PatMem: qualified storage name
+	ImmHi   int    // PatImm: instruction field bits
+	ImmLo   int    // PatImm
+	Val     int64  // PatConst
+	Port    string // PatPort
+	Hi      int    // PatSlice
+	Lo      int
+	Kids    []*Pat
 }
 
 // TermKey returns the rule-indexing bucket for this pattern node (empty for
