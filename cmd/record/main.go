@@ -45,7 +45,8 @@
 //	                   Retry-After-aware) and circuit-breaks per model.
 //	                   A comma-separated list forms a fleet: requests
 //	                   shard by artifact content address and fail over
-//	                   to the next ring replica when a node is down
+//	                   to the next ring replica when a node is down;
+//	                   compiles name the model, so that node retargets it
 //	-faultpoints s     arm fault-injection points (testing); "list"
 //	                   prints every planted site and exits
 //
@@ -409,7 +410,9 @@ func compileRemote(c *config, budget *diag.Budget, stdout io.Writer) error {
 		}
 	}
 
-	byKey := rclient.ModelRef{Key: rt.Key}
+	// Compiles name the model the same way the retarget did, not by its
+	// key: a failover or hedge leg that lands on a node without the
+	// artifact then retargets it there instead of answering 404.
 	opts := rclient.CompileOptions{
 		NoCompaction: c.core.NoCompaction,
 		NoPeephole:   c.core.NoPeephole,
@@ -420,7 +423,7 @@ func compileRemote(c *config, budget *diag.Budget, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		res, err := cl.Compile(ctx, byKey, src, opts)
+		res, err := cl.Compile(ctx, ref, src, opts)
 		if err != nil {
 			return err
 		}
@@ -438,7 +441,7 @@ func compileRemote(c *config, budget *diag.Budget, stdout io.Writer) error {
 		src, err := os.ReadFile(file)
 		if err == nil {
 			var res *rclient.CompileResult
-			if res, err = cl.Compile(ctx, byKey, string(src), opts); err == nil {
+			if res, err = cl.Compile(ctx, ref, string(src), opts); err == nil {
 				printRemoteResult(stdout, res)
 			}
 		}

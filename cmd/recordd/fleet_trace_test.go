@@ -1,9 +1,9 @@
-// Fleet trace assembly: one traced compile crosses three real recordd
-// processes — the client misses on the node it asked, which walks its
-// peers (one miss, one hit) to replicate the artifact — and every hop
-// records spans under the client's single trace ID.  cmd/tracefuse's
-// library then joins the four span rings (client + three nodes) into one
-// Chrome trace with a pid lane per process.
+// Fleet trace assembly: one traced compile through the fleet client
+// lands on the model's ring owner, which retargets it, and records spans
+// under the client's single trace ID.  No other node takes part — nodes
+// never call each other — so the other two rings hold nothing under the
+// trace, and cmd/tracefuse's library joins the client's ring and the
+// serving node's into one Chrome trace with two pid lanes.
 //
 // Runs under the fleet chaos harness's child re-exec; `go test -short`
 // skips it.
@@ -13,7 +13,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"testing"
 
 	"repro/internal/artifact"
@@ -27,80 +26,50 @@ import (
 
 func TestFleetChaosTraceAssembly(t *testing.T) {
 	skipChaos(t)
+	_, urls, byURL := bootFleet(t)
 
-	addrs := freeAddrs(t, 3)
-	urls := make([]string, 3)
-	for i, a := range addrs {
-		urls[i] = "http://" + a
-	}
-	nodes := make([]*fleetNode, 3)
-	for i := range nodes {
-		var peers []string
-		for j, u := range urls {
-			if j != i {
-				peers = append(peers, u)
-			}
-		}
-		nodes[i] = &fleetNode{
-			id:       fmt.Sprintf("n%d", i+1),
-			addr:     addrs[i],
-			url:      urls[i],
-			cacheDir: t.TempDir(),
-			peers:    peers,
-		}
-		nodes[i].start(t)
-	}
-	byURL := make(map[string]*fleetNode, 3)
-	for _, n := range nodes {
-		byURL[n.url] = n
-	}
-
-	// The artifact key is computable without retargeting, so the test can
-	// stage the topology it needs: plant the artifact on the node with the
-	// LOWEST rendezvous rank for the key.  Whichever node then compiles,
-	// its peer walk asks the higher-ranked peer first (miss) before
-	// hitting the planted copy — so the one compile touches every node.
+	// The artifact key is computable without retargeting, so the test
+	// knows which node the fleet client routes the model to.
 	src, ok := models.Get("demo")
 	if !ok {
 		t.Fatal("bundled model demo missing")
 	}
 	key := artifact.Key(src, core.RetargetOptions{})
-	order := fleet.Rendezvous(key, urls, 3)
-	planted, missPeer, compileOn := byURL[order[2]], byURL[order[1]], byURL[order[0]]
-	t.Logf("artifact %.12s…: planted on %s, compiling on %s (peer walk: %s then %s)",
-		key, planted.id, compileOn.id, missPeer.id, planted.id)
+	serving := byURL[fleet.NewRing(fleet.DefaultVirtualNodes, urls...).Successors(key, 1)[0]]
+	t.Logf("artifact %.12s… routes to %s", key, serving.id)
 
-	ctx := context.Background()
-	rt, err := rclient.NewClient(planted.url).Retarget(ctx, rclient.ModelRef{ModelName: "demo"})
+	fl, err := rclient.NewFleet(urls)
 	if err != nil {
-		t.Fatalf("planting retarget on %s: %v", planted.id, err)
+		t.Fatal(err)
 	}
-	if rt.Key != key {
-		t.Fatalf("server key %s differs from client-side key %s", rt.Key, key)
-	}
+	fl.HedgeDelay = -1 // one leg, one serving node
 
 	// The traced compile: a client-side root span rides the context into
 	// rclient, which ships the trace in X-Record-Trace.
+	ctx := context.Background()
 	tracer := obs.NewTracer()
 	root, scope := obs.NewScope(obs.NewRegistry(), tracer).Start("record.run")
-	res, err := rclient.NewClient(compileOn.url).Compile(
+	res, err := fl.Compile(
 		obs.ContextWithScope(ctx, scope),
-		rclient.ModelRef{Key: key}, "int a = 2; int b = 3; int y; y = a + b;",
+		rclient.ModelRef{ModelName: "demo"}, "int a = 2; int b = 3; int y; y = a + b;",
 		rclient.CompileOptions{})
 	if err != nil {
-		t.Fatalf("traced compile on %s: %v", compileOn.id, err)
+		t.Fatalf("traced compile: %v", err)
 	}
 	tid := root.Context().Trace.String()
 	root.End()
-	if res.Cache != "hit-peer" {
-		t.Fatalf("compile outcome %q, want hit-peer", res.Cache)
+	if res.Cache != "miss" {
+		t.Fatalf("compile outcome %q, want miss (a retarget on the serving node)", res.Cache)
+	}
+	if res.Key != key {
+		t.Fatalf("server key %s differs from client-side key %s", res.Key, key)
 	}
 	if res.Trace != tid {
 		t.Fatalf("response echoed trace %q, want the client root %q", res.Trace, tid)
 	}
 
-	// Every process holds a piece of the same trace: the client ring plus
-	// all three node rings fetched over /v1/debug/spans.
+	// The client ring and the serving node's hold the trace; the other
+	// two nodes hold nothing under it.
 	dumps := []obs.SpanDump{tracer.Dump("client")}
 	fetched, err := tracefuse.Fetch(ctx, nil, urls)
 	if err != nil {
@@ -115,8 +84,8 @@ func TestFleetChaosTraceAssembly(t *testing.T) {
 				break
 			}
 		}
-		if !found {
-			t.Errorf("node %s has no span under trace %s", d.Node, tid)
+		if want := d.Node == "client" || d.Node == serving.id; found != want {
+			t.Errorf("node %s holds a span under trace %s: %v, want %v", d.Node, tid, found, want)
 		}
 	}
 	if t.Failed() {
@@ -124,7 +93,7 @@ func TestFleetChaosTraceAssembly(t *testing.T) {
 	}
 
 	// Fusion joins the rings into one Chrome trace with a pid lane per
-	// process.
+	// process that holds the trace.
 	fused, err := tracefuse.Fuse(dumps, tracefuse.Options{Trace: tid})
 	if err != nil {
 		t.Fatal(err)
@@ -153,12 +122,10 @@ func TestFleetChaosTraceAssembly(t *testing.T) {
 		}
 		spansByPid[ev.Pid]++
 	}
-	for _, want := range []string{"client", "n1", "n2", "n3"} {
-		if !lanes[want] {
-			t.Errorf("fused trace lacks a pid lane for %s (lanes: %v)", want, lanes)
-		}
+	if len(lanes) != 2 || !lanes["client"] || !lanes[serving.id] {
+		t.Errorf("fused trace lanes %v, want client and %s", lanes, serving.id)
 	}
-	if len(spansByPid) != 4 {
-		t.Errorf("spans landed in %d pid lanes, want 4: %v", len(spansByPid), spansByPid)
+	if len(spansByPid) != 2 {
+		t.Errorf("spans landed in %d pid lanes, want 2: %v", len(spansByPid), spansByPid)
 	}
 }

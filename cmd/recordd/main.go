@@ -15,30 +15,13 @@
 //	GET  /healthz      liveness; 503 {"draining": true} during shutdown;
 //	                   includes the node identity ("node")
 //	GET  /metrics      cache counters, in-flight compiles, per-phase latency
-//	GET  /v1/artifact/{key}  encoded artifact bytes for fleet peers; 404
-//	                   when the key is not in the local disk store
-//	PUT  /v1/artifact/{key}  anti-entropy push from a fleet peer; the body
-//	                   is decode-verified against the content address, 503
-//	                   + Retry-After while the disk tier is degraded
-//	GET  /v1/inventory paginated artifact-key listing + set digest, for
-//	                   the peers' anti-entropy inventory exchange
+//	GET  /v1/debug/spans  the request tracer's span ring, for cmd/tracefuse
 //
 // Flags:
 //
 //	-addr host:port    listen address (default :8347)
 //	-node-id id        fleet node identity in /healthz and metrics
 //	                   (default: the bound listen address)
-//	-peers urls        comma-separated base URLs of the other fleet nodes;
-//	                   on a local cache miss the artifact is fetched from
-//	                   the key's rendezvous peer before retargeting
-//	-advertise url     this node's own base URL as the peers dial it; names
-//	                   the node on the consistent-hash ring so all nodes
-//	                   compute the same ownership (required for anti-entropy)
-//	-scrub-interval d  background disk-scrub cycle interval (0 = off);
-//	                   corrupt artifacts are quarantined and peer-repaired
-//	-scrub-rate f      scrub pacing in artifacts verified per second
-//	-anti-entropy-interval d  push-replication sweep interval (0 = off)
-//	-replicate n       desired durable copies per owned artifact (default 2)
 //	-debug-addr h:p    profiling listener: net/http/pprof plus /metrics
 //	                   (default off; keep it off the public address)
 //	-cache-dir dir     artifact store directory (default: memory-only)
@@ -62,13 +45,19 @@
 //	-trace-spans n     request-tracer span ring bound; overwritten spans
 //	                   count in record_obs_spans_dropped_total
 //	-slo-targets spec  per-route latency objectives,
-//	                   "compile=500ms,retarget=60s,batch=10s,artifact=100ms"
+//	                   "compile=500ms,retarget=60s,batch=10s"
 //	-slo-availability f  good-event fraction objective (default 0.999)
 //	-slo-fast-window d   fast burn-rate window (default 1m)
 //	-slo-slow-window d   slow burn-rate window (default 10m)
 //
 // Every traced request (X-Record-Trace in, echoed out) records into a
 // bounded span ring served at GET /v1/debug/spans for cmd/tracefuse.
+//
+// A fleet is several independent nodes behind the sharding client
+// (`record -server U1,U2,U3`, internal/rclient): nodes never talk to each
+// other.  A node that lacks a model's artifact retargets it from the
+// model the request carries, which costs less than fetching a copy; a
+// by-key compile for a key the node does not hold answers 404.
 //
 // On SIGTERM/SIGINT the daemon drains: /healthz flips to 503, new work is
 // refused with explicit statuses, in-flight requests get -drain-timeout to
@@ -89,7 +78,6 @@ import (
 	"time"
 
 	"repro/internal/faultpoint"
-	"repro/internal/fleet"
 	"repro/internal/obs"
 	"repro/internal/qos"
 )
@@ -100,7 +88,6 @@ func main() {
 		debugAddr = flag.String("debug-addr", "", "profiling listener (pprof + /metrics); empty = disabled")
 		drain     = flag.Duration("drain-timeout", 15*time.Second, "grace for in-flight requests on SIGTERM/SIGINT")
 		faults    = flag.String("faultpoints", "", "arm fault-injection points: name[@match]=kind[:arg][*times],...")
-		peers     = flag.String("peers", "", "comma-separated base URLs of the other fleet nodes (enables peer artifact replication)")
 		cfg       serverConfig
 	)
 	flag.StringVar(&cfg.nodeID, "node-id", "", "fleet node identity in /healthz and metrics (default: the listen address)")
@@ -117,11 +104,6 @@ func main() {
 	flag.IntVar(&cfg.brkWindow, "breaker-window", 8, "per-model circuit-breaker outcome window (0 = breaker off)")
 	flag.Float64Var(&cfg.brkRate, "breaker-rate", 0.5, "failure rate that opens a model's circuit")
 	flag.DurationVar(&cfg.brkCooldown, "breaker-cooldown", 10*time.Second, "circuit open -> half-open probe cooldown")
-	flag.StringVar(&cfg.advertise, "advertise", "", "this node's own base URL as peers dial it (ring member name; default: -node-id)")
-	flag.DurationVar(&cfg.scrubInterval, "scrub-interval", 0, "disk-scrub cycle interval (0 = off)")
-	flag.Float64Var(&cfg.scrubRate, "scrub-rate", 0, "disk-scrub pacing in artifacts/sec (0 = default)")
-	flag.DurationVar(&cfg.aeInterval, "anti-entropy-interval", 0, "anti-entropy replication sweep interval (0 = off)")
-	flag.IntVar(&cfg.replicate, "replicate", 2, "desired durable copies per owned artifact, self included")
 	flag.IntVar(&cfg.traceSpans, "trace-spans", 4096, "request-tracer span ring bound")
 	sloTargets := flag.String("slo-targets", "", `per-route latency objectives, e.g. "compile=500ms,retarget=60s"`)
 	flag.Float64Var(&cfg.sloAvailability, "slo-availability", 0, "SLO good-event fraction objective (0 = 0.999)")
@@ -155,12 +137,6 @@ func main() {
 		cfg.qosWeights = w
 	}
 
-	for _, p := range strings.Split(*peers, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			cfg.peers = append(cfg.peers, p)
-		}
-	}
-
 	// Listen before building the server so an unset -node-id can default
 	// to the concrete bound address (":8347" resolves to host:port here).
 	ln, err := net.Listen("tcp", *addr)
@@ -185,40 +161,13 @@ func main() {
 		}()
 		fmt.Printf("recordd debug listener on %s (pprof + /metrics)\n", *debugAddr)
 	}
-	fmt.Printf("recordd %s listening on %s (workers=%d, cache-dir=%q, peers=%d)\n",
-		s.cfg.nodeID, ln.Addr(), s.cfg.workers, s.cfg.cacheDir, len(s.cfg.peers))
+	fmt.Printf("recordd %s listening on %s (workers=%d, cache-dir=%q)\n",
+		s.cfg.nodeID, ln.Addr(), s.cfg.workers, s.cfg.cacheDir)
 
-	// Probe peers in the background so a dead peer is excluded from
-	// artifact fetches (and a revived one rejoins) without waiting for a
-	// cache miss to discover it.
-	proberCtx, stopProber := context.WithCancel(context.Background())
-	defer stopProber()
 	if s.cfg.prewarmEvery > 0 {
-		go s.prewarmLoop(proberCtx)
+		// The sweeps stop when the drain starts.
+		go s.prewarmLoop(context.Background())
 		fmt.Printf("recordd pre-warm every %v (top %d hot models)\n", s.cfg.prewarmEvery, s.cfg.prewarmTop)
-	}
-	if s.cfg.scrubInterval > 0 && s.cfg.cacheDir != "" {
-		go s.cache.RunScrubber(proberCtx, s.cfg.scrubInterval, s.drainCh)
-		fmt.Printf("recordd disk scrub every %v\n", s.cfg.scrubInterval)
-	}
-	if s.ae != nil {
-		// A draining node stops pushing; its artifact endpoints stay
-		// drain-exempt so peers can still pull from and backfill to it.
-		go s.ae.Run(proberCtx, s.cfg.aeInterval, s.drainCh)
-		fmt.Printf("recordd anti-entropy every %v (replicate=%d)\n", s.cfg.aeInterval, s.cfg.replicate)
-	}
-	if len(s.cfg.peers) > 0 {
-		p := &fleet.Prober{
-			Health:    s.peerHealth,
-			Endpoints: s.cfg.peers,
-			Check: func(ctx context.Context, ep string) error {
-				ctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-				defer cancel()
-				_, _, err := s.peerRequest(ctx, http.MethodGet, ep, "/healthz", nil, 64<<10)
-				return err
-			},
-		}
-		go p.Run(proberCtx)
 	}
 
 	sigs := make(chan os.Signal, 1)

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
@@ -10,16 +9,13 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/antientropy"
 	"repro/internal/core"
 	"repro/internal/diag"
 	"repro/internal/faultpoint"
-	"repro/internal/fleet"
 	"repro/internal/models"
 	"repro/internal/obs"
 	"repro/internal/qos"
@@ -46,15 +42,7 @@ type serverConfig struct {
 	prewarmEvery time.Duration       // speculative pre-warm sweep interval (0 = off)
 	prewarmTop   int                 // hot models considered per sweep
 
-	nodeID      string        // fleet identity: /healthz field + node metric label
-	advertise   string        // this node's own base URL, for ring membership ("" = nodeID)
-	peers       []string      // base URLs of fleet peers to fetch artifacts from
-	peerTimeout time.Duration // per-peer artifact fetch budget
-
-	scrubInterval time.Duration // disk-scrub cycle interval (0 = off)
-	scrubRate     float64       // scrub pacing, artifacts/sec (0 = rcache default)
-	aeInterval    time.Duration // anti-entropy sweep interval (0 = off)
-	replicate     int           // desired durable copies per owned key (0 = default 2)
+	nodeID string // fleet identity: /healthz field + node metric label
 
 	traceSpans int // span-ring bound for the request tracer (0 = default)
 
@@ -68,13 +56,12 @@ type serverConfig struct {
 
 // defaultSLOTargets are the per-route latency objectives: a compile
 // should be interactive, a retarget may legitimately run the full
-// pipeline, artifact serves are a disk read.
+// pipeline.
 func defaultSLOTargets() map[string]time.Duration {
 	return map[string]time.Duration{
 		"retarget": 60 * time.Second,
 		"compile":  500 * time.Millisecond,
 		"batch":    10 * time.Second,
-		"artifact": 100 * time.Millisecond,
 	}
 }
 
@@ -91,14 +78,8 @@ func (c serverConfig) withDefaults() serverConfig {
 	if c.nodeID == "" {
 		c.nodeID = "recordd"
 	}
-	if c.peerTimeout <= 0 {
-		c.peerTimeout = 2 * time.Second
-	}
 	if c.prewarmTop <= 0 {
 		c.prewarmTop = 4
-	}
-	if c.replicate <= 0 {
-		c.replicate = 2
 	}
 	if c.traceSpans <= 0 {
 		c.traceSpans = 4096
@@ -177,21 +158,6 @@ type server struct {
 	cErrors       *obs.CounterVec // error responses, by status
 	cAborts       *obs.Counter    // client disconnects before a response
 
-	ring     *fleet.Ring   // fleet membership, for rebalancing gauges
-	gRingKey *obs.GaugeVec // disk-store keys owned, by ring member
-
-	// Fleet state: peer health (one circuit per peer, fleet.NewHealth)
-	// decides which peers a cache miss or a push consults; peerHTTP is the
-	// transport for every peer request.
-	peerHealth *resilience.Breaker
-	peerHTTP   *http.Client
-
-	cPeerFetch      *obs.CounterVec // by node, peer, outcome: hit | miss | error
-	cArtifactServes *obs.CounterVec // by node, outcome: hit | miss
-	cArtifactPushes *obs.CounterVec // by node, outcome: ok | degraded | rejected
-
-	ae *antientropy.Agent // push replication; nil when peers or interval are unset
-
 	// targMu serializes the zero-check-then-delete on gTargInflight so a
 	// concurrent Inc cannot land between Dec and Delete.
 	targMu sync.Mutex
@@ -201,16 +167,7 @@ func newServer(cfg serverConfig) (*server, error) {
 	cfg = cfg.withDefaults()
 	reg := obs.NewRegistry()
 	scp := obs.NewScope(reg, nil)
-	// The cache's peer hook closes over the server being built: peer
-	// fetches only run while serving requests, well after s is assigned.
-	var s *server
-	copts := rcache.Options{Dir: cfg.cacheDir, MaxEntries: cfg.cacheSize, Obs: scp, ScrubRate: cfg.scrubRate}
-	if len(cfg.peers) > 0 {
-		copts.PeerFetch = func(ctx context.Context, key string) ([]byte, error) {
-			return s.peerFetch(ctx, key)
-		}
-	}
-	cache, err := rcache.New(copts)
+	cache, err := rcache.New(rcache.Options{Dir: cfg.cacheDir, MaxEntries: cfg.cacheSize, Obs: scp})
 	if err != nil {
 		return nil, err
 	}
@@ -218,7 +175,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		obs.WithMaxSpans(cfg.traceSpans),
 		obs.WithDropCounter(reg.Counter("record_obs_spans_dropped_total",
 			"spans overwritten past the tracer ring bound")))
-	s = &server{
+	s := &server{
 		cfg:     cfg,
 		cache:   cache,
 		coal:    &resilience.Coalescer{},
@@ -258,14 +215,6 @@ func newServer(cfg serverConfig) (*server, error) {
 			"error responses, by HTTP status", "status"),
 		cAborts: reg.Counter("record_recordd_client_aborts_total",
 			"requests whose client disconnected before a response (499-style)"),
-		peerHealth: fleet.NewHealth(),
-		peerHTTP:   &http.Client{Timeout: 30 * time.Second},
-		cPeerFetch: reg.CounterVec("record_recordd_peer_fetch_total",
-			"peer artifact fetch attempts, by node, peer and outcome", "node", "peer", "outcome"),
-		cArtifactServes: reg.CounterVec("record_recordd_artifact_serves_total",
-			"artifact store lookups served to fleet peers, by node and outcome", "node", "outcome"),
-		cArtifactPushes: reg.CounterVec("record_recordd_artifact_pushes_total",
-			"anti-entropy artifact pushes received, by node and outcome", "node", "outcome"),
 	}
 	s.sched = qos.NewScheduler(qos.Config{
 		Capacity: cfg.workers,
@@ -293,24 +242,6 @@ func newServer(cfg serverConfig) (*server, error) {
 	}
 	reg.GaugeVec("record_recordd_node_info",
 		"static node identity; always 1", "node").With(cfg.nodeID).Set(1)
-	if len(cfg.peers) > 0 {
-		// Ring members are named by the node's advertised base URL when one
-		// is configured: every fleet node then builds the ring over the same
-		// member strings (its own URL + its peers' URLs), so ownership and
-		// successor order agree fleet-wide — the invariant anti-entropy
-		// pushes rely on.  Without -advertise the member name degrades to
-		// the nodeID, which keeps single-view uses (rebalancing gauges)
-		// working but makes cross-node ownership views disagree.
-		members := append([]string{s.self()}, cfg.peers...)
-		s.ring = fleet.NewRing(0, members...)
-		gArc := reg.GaugeVec("record_recordd_ring_arc_ppm",
-			"consistent-hash arc share per fleet member, parts per million", "member")
-		for member, frac := range s.ring.Arcs() {
-			gArc.With(member).Set(int64(frac * 1e6))
-		}
-		s.gRingKey = reg.GaugeVec("record_recordd_ring_owned_keys",
-			"local disk-store artifacts owned by each ring member", "member")
-	}
 	if cfg.brkWindow > 0 {
 		s.brk = resilience.NewBreaker(resilience.BreakerConfig{
 			Window:      cfg.brkWindow,
@@ -322,31 +253,7 @@ func newServer(cfg serverConfig) (*server, error) {
 	}
 	reg.Gauge("record_recordd_worker_pool_size",
 		"configured worker pool capacity").Set(int64(cfg.workers))
-	if len(cfg.peers) > 0 && cfg.aeInterval > 0 {
-		s.ae = antientropy.New(antientropy.Config{
-			Self:        s.self(),
-			Peers:       cfg.peers,
-			Ring:        s.ring,
-			Replicate:   cfg.replicate,
-			Keys:        s.cache.Keys,
-			Encoded:     s.cache.Encoded,
-			FetchDigest: s.inventoryDigestFrom,
-			FetchKeys:   s.inventoryKeysFrom,
-			Push:        s.pushTo,
-			Healthy:     s.peerUp,
-			Obs:         scp,
-		})
-	}
 	return s, nil
-}
-
-// self is this node's ring member name: its advertised base URL when one
-// is configured, else the bare nodeID.
-func (s *server) self() string {
-	if s.cfg.advertise != "" {
-		return strings.TrimRight(s.cfg.advertise, "/")
-	}
-	return s.cfg.nodeID
 }
 
 // prewarmOne is the Prewarmer's Warm hook: it loads one hot model into
@@ -395,20 +302,11 @@ func (s *server) handler() http.Handler {
 	mux.HandleFunc("/v1/retarget", s.traced("retarget", s.serve(retargetRoute)))
 	mux.HandleFunc("/v1/compile", s.traced("compile", s.serve(compileRoute)))
 	mux.HandleFunc("/v1/compile-batch", s.traced("batch", s.serve(batchRoute)))
-	// GET serves artifacts to peers; PUT accepts anti-entropy pushes.
-	// Both stay drain-exempt (see the gate below): peers must be able to
-	// replicate artifacts off a draining node AND backfill replicas onto
-	// it — a drain is exactly when its copies are about to disappear.
-	mux.HandleFunc("/v1/artifact/", s.traced("artifact", s.handleArtifact))
-	// GET-only inventory listing for anti-entropy digest exchange;
-	// drain-exempt so peers can still see what a draining node holds.
-	mux.HandleFunc("/v1/inventory", s.traced("inventory", s.getOnly(s.handleInventory)))
-	// Drain-exempt like /v1/artifact (GET): the span ring must stay
-	// readable while a node drains, or a chaos trace loses its tail.
+	// The span ring stays readable while a node drains (every GET does),
+	// or a chaos trace loses its tail.
 	mux.HandleFunc("/v1/debug/spans", s.getOnly(s.handleDebugSpans))
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if s.draining.Load() && r.Method != http.MethodGet &&
-			!strings.HasPrefix(r.URL.Path, "/v1/artifact/") {
+		if s.draining.Load() && r.Method != http.MethodGet {
 			s.write(w, r, errWire(&resilience.DrainingError{After: time.Second}))
 			return
 		}
@@ -453,7 +351,7 @@ func (sw *statusWriter) Write(b []byte) (int, error) {
 // span (parented under the caller's X-Record-Trace context when one
 // arrived), echoes the span's trace ID in the response header, threads a
 // request-scoped obs.Scope through the context for every layer below —
-// QoS wait, cache lookups, compile phases, peer fetches — and lands the
+// QoS wait, cache lookups, compile phases — and lands the
 // outcome in the SLO tracker.
 func (s *server) traced(route string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -716,7 +614,7 @@ type compileBatchResponse struct {
 
 type errorResponse struct {
 	Error string `json:"error"`
-	Kind  string `json:"kind,omitempty"` // refusal class: "overload" | "open" | "draining" | "degraded"
+	Kind  string `json:"kind,omitempty"` // refusal class: "overload" | "open" | "draining"
 }
 
 // ---- handlers -----------------------------------------------------------
@@ -735,247 +633,10 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.write(w, r, marshalWire(status, body))
 }
 
-// handleArtifact serves the encoded artifact for a content address to
-// fleet peers (GET) and accepts anti-entropy pushes from them (PUT): a
-// peer resolving a key its own cache misses fetches the bytes here
-// instead of re-running the retarget, and a peer that owns a key this
-// node should replicate pushes the bytes here.  Memory-only nodes (no
-// -cache-dir) answer 404 to GET and refuse PUT — peer replication runs
-// against the durable tier only.
-func (s *server) handleArtifact(w http.ResponseWriter, r *http.Request) {
-	key := strings.TrimPrefix(r.URL.Path, "/v1/artifact/")
-	switch r.Method {
-	case http.MethodGet:
-		data, err := s.cache.Encoded(key)
-		if err != nil {
-			s.cArtifactServes.With(s.cfg.nodeID, "miss").Inc()
-			s.write(w, r, errWire(withStatus(http.StatusNotFound, fmt.Errorf("no artifact for key %s", key))))
-			return
-		}
-		s.cArtifactServes.With(s.cfg.nodeID, "hit").Inc()
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(data)
-	case http.MethodPut:
-		s.handleArtifactPush(w, r, key)
-	default:
-		s.write(w, r, errWire(withStatus(http.StatusMethodNotAllowed, errors.New("use GET or PUT"))))
-	}
-}
-
-// handleArtifactPush lands one pushed artifact in the durable tier.
-// Ingest validates the key shape, decode-verifies the bytes against the
-// content address, refuses while the disk tier is degraded (typed 503 +
-// Retry-After, satisfying the invariant that an accepted push IS a
-// durable replica — never memory-only buffering), and treats an
-// already-present key as a successful no-op so repeated pushes are
-// idempotent.
-func (s *server) handleArtifactPush(w http.ResponseWriter, r *http.Request, key string) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 256<<20))
-	if err != nil {
-		s.cArtifactPushes.With(s.cfg.nodeID, "rejected").Inc()
-		s.write(w, r, errWire(withStatus(http.StatusBadRequest, fmt.Errorf("reading body: %w", err))))
-		return
-	}
-	if err := s.cache.Ingest(key, body); err != nil {
-		outcome := "rejected"
-		var de *resilience.DegradedError
-		switch {
-		case errors.As(err, &de):
-			outcome = "degraded" // 503 + Retry-After from the error table
-		case errors.Is(err, rcache.ErrNoStore):
-			err = withStatus(http.StatusConflict, err)
-		default:
-			err = withStatus(http.StatusBadRequest, err)
-		}
-		s.cArtifactPushes.With(s.cfg.nodeID, outcome).Inc()
-		s.write(w, r, errWire(err))
-		return
-	}
-	s.cArtifactPushes.With(s.cfg.nodeID, "ok").Inc()
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// handleInventory serves this node's artifact-key inventory for the
-// anti-entropy digest exchange: ?limit=-1 returns the digest alone (the
-// cheap "did anything change" probe), otherwise one sorted page of keys
-// starting after ?after, each page carrying the full-set digest.
-func (s *server) handleInventory(w http.ResponseWriter, r *http.Request) {
-	limit := 0
-	if v := r.URL.Query().Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < -1 {
-			s.write(w, r, errWire(withStatus(http.StatusBadRequest, fmt.Errorf("bad limit %q", v))))
-			return
-		}
-		limit = n
-	}
-	after := r.URL.Query().Get("after")
-	s.write(w, r, marshalWire(http.StatusOK, antientropy.Page(s.self(), s.cache.Keys(), after, limit)))
-}
-
-// peerUp reports whether peer's circuit admits a request; for a
-// half-open peer the caller that sees true is its probe.
-func (s *server) peerUp(peer string) bool { return s.peerHealth.Allow(peer) == nil }
-
-// peerFetch is the cache's PeerFetch hook, shared by miss-replication
-// and scrub repair: it walks fleet.RepairPeers' order — every healthy
-// peer, in the key's rendezvous order, self excluded, each exactly once
-// (so every node agrees which replica to ask first, and a repair only
-// gives up as unrepairable after every candidate was tried) — and
-// returns the first copy found.  (nil, nil) means no peer has one; the
-// cache then retargets locally.
-func (s *server) peerFetch(ctx context.Context, key string) ([]byte, error) {
-	for _, peer := range fleet.RepairPeers(key, s.self(), s.cfg.peers, s.peerUp) {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		sp, pscope := obs.ScopeFromContext(ctx).Start("peer.fetch", obs.KV("peer", peer))
-		status, data, err := s.peerDo(obs.ContextWithScope(ctx, pscope), http.MethodGet, peer, "/v1/artifact/"+key, nil, 256<<20)
-		outcome := "hit"
-		switch {
-		case err == nil && status == http.StatusNotFound: // peer alive, no copy
-			outcome = "miss"
-		case err != nil || status != http.StatusOK:
-			outcome = "error"
-		}
-		sp.SetAttr("outcome", outcome)
-		sp.End()
-		s.cPeerFetch.With(s.cfg.nodeID, peer, outcome).Inc()
-		if outcome == "hit" {
-			return data, nil
-		}
-	}
-	return nil, nil
-}
-
-// inventoryDigestFrom is the anti-entropy agent's cheap probe: one
-// digest-only inventory page from a peer.
-func (s *server) inventoryDigestFrom(ctx context.Context, peer string) (string, error) {
-	inv, err := s.inventoryPage(ctx, peer, "", -1)
-	if err != nil {
-		return "", err
-	}
-	return inv.Digest, nil
-}
-
-// inventoryKeysFrom walks a peer's full paginated inventory.  A digest
-// change mid-walk means the set moved underneath us; the partial listing
-// is still returned — anti-entropy converges over repeated sweeps, so a
-// slightly stale view only defers work, never corrupts it.
-func (s *server) inventoryKeysFrom(ctx context.Context, peer string) (*antientropy.PeerInventory, error) {
-	out := &antientropy.PeerInventory{Keys: make(map[string]bool)}
-	after := ""
-	for {
-		inv, err := s.inventoryPage(ctx, peer, after, 0)
-		if err != nil {
-			return nil, err
-		}
-		out.Digest = inv.Digest
-		for _, k := range inv.Keys {
-			out.Keys[k] = true
-		}
-		if inv.Next == "" {
-			return out, nil
-		}
-		after = inv.Next
-	}
-}
-
-// inventoryPage fetches one GET /v1/inventory page from a peer.
-func (s *server) inventoryPage(ctx context.Context, peer, after string, limit int) (*antientropy.Inventory, error) {
-	path := "/v1/inventory?limit=" + strconv.Itoa(limit)
-	if after != "" {
-		path += "&after=" + after
-	}
-	status, data, err := s.peerDo(ctx, http.MethodGet, peer, path, nil, 64<<20)
-	if err != nil {
-		return nil, err
-	}
-	if status != http.StatusOK {
-		return nil, fmt.Errorf("peer %s: inventory status %d", peer, status)
-	}
-	var inv antientropy.Inventory
-	if err := json.Unmarshal(data, &inv); err != nil {
-		return nil, err
-	}
-	return &inv, nil
-}
-
-// pushTo uploads one encoded artifact to a peer (PUT /v1/artifact/{key}).
-// 204 and 200 both mean the replica is durable over there; anything else
-// — including a degraded-disk 503 — is an error the agent retries on a
-// later sweep, ideally after the peer recovers.
-func (s *server) pushTo(ctx context.Context, peer, key string, data []byte) error {
-	status, _, err := s.peerDo(ctx, http.MethodPut, peer, "/v1/artifact/"+key, data, 64<<10)
-	if err != nil {
-		return err
-	}
-	if status != http.StatusNoContent && status != http.StatusOK {
-		return fmt.Errorf("peer %s: push status %d", peer, status)
-	}
-	return nil
-}
-
-// peerDo is the request every peer exchange goes through (peerRequest)
-// with its outcome landed in the peer's circuit.
-func (s *server) peerDo(ctx context.Context, method, peer, path string, body []byte, limit int64) (int, []byte, error) {
-	status, data, err := s.peerRequest(ctx, method, peer, path, body, limit)
-	s.peerHealth.Record(peer, err == nil)
-	return status, data, err
-}
-
-// peerRequest performs one request against a peer under the per-peer
-// timeout, re-injecting the active trace (X-Record-Trace) so the peer's
-// work records on the same trace, and returns the answer's status and
-// body (at most limit bytes).  err is non-nil exactly when the exchange
-// counts against the peer: a transport error, or a 5xx other than the
-// typed degraded refusal (a degraded disk still serves reads).  Any
-// other answer — a 404, a rejected push — is the peer alive and talking.
-func (s *server) peerRequest(ctx context.Context, method, peer, path string, body []byte, limit int64) (int, []byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, s.cfg.peerTimeout)
-	defer cancel()
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, strings.TrimRight(peer, "/")+path, rd)
-	if err != nil {
-		return 0, nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/octet-stream")
-	}
-	if sc := obs.ScopeFromContext(ctx).Span().Context(); sc.Valid() {
-		req.Header.Set(obs.TraceHeader, sc.Header())
-	}
-	resp, err := s.peerHTTP.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, limit))
-	if err != nil {
-		return resp.StatusCode, nil, err
-	}
-	if resp.StatusCode >= http.StatusInternalServerError {
-		var e errorResponse
-		if json.Unmarshal(data, &e) != nil || e.Kind != "degraded" {
-			return resp.StatusCode, data, fmt.Errorf("peer %s: %s %s: status %d", peer, method, path, resp.StatusCode)
-		}
-	}
-	return resp.StatusCode, data, nil
-}
-
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	// Burn rates and ring ownership are point-in-time quantities, so
-	// their gauges refresh at scrape time rather than per request.
+	// Burn rates are point-in-time quantities, so their gauges refresh at
+	// scrape time rather than per request.
 	s.slo.Refresh()
-	if s.ring != nil && s.gRingKey != nil {
-		for member, n := range s.ring.OwnerCounts(s.cache.Keys()) {
-			s.gRingKey.With(member).Set(int64(n))
-		}
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.reg.WritePrometheus(w)
 }
@@ -1173,15 +834,13 @@ func (s *server) execute(ctx context.Context, rt route, j job, cl qos.Class) *wi
 }
 
 // resolve turns the request's model into a cache entry: by key through
-// the local tiers and then fleet peers, or by source through a retarget
-// on demand.
+// the local tiers, or by source through a retarget on demand.  A node
+// never asks another for an artifact: one that lacks a key answers 404,
+// and a request that carries the model retargets it here.
 func (s *server) resolve(ctx context.Context, j job) (*result, error) {
 	if j.mdl == "" {
-		// The lookup span parents any peer fetch the walk performs,
-		// keeping it on the caller's trace; a by-key compile routed to a
-		// non-owner replicates the artifact instead of 404ing.
-		sp, lscope := s.obsFrom(ctx).Start("rcache.lookup", obs.KV("key", j.key))
-		entry, outcome, ok := s.cache.LookupContext(obs.ContextWithScope(ctx, lscope), j.key)
+		sp, _ := s.obsFrom(ctx).Start("rcache.lookup", obs.KV("key", j.key))
+		entry, outcome, ok := s.cache.LookupContext(ctx, j.key)
 		sp.SetAttr("outcome", string(outcome))
 		sp.End()
 		if !ok {
@@ -1363,8 +1022,7 @@ func (e *statusError) Error() string { return e.err.Error() }
 // errorClasses is the one map from a failure to its HTTP status and wire
 // kind; the first row the error matches wins.  The kind lets a client
 // tell a draining node (fail over now, the hint is exact) from overload
-// or an open circuit (backing off harder is fine) from a degraded disk
-// tier (push or write elsewhere; reads still work here).  Budget
+// or an open circuit (backing off harder is fine).  Budget
 // exhaustion is the server's timeout class, recovered panics and injected
 // faults are internal, and an abandoned wait is unavailability.
 var errorClasses = []struct {
@@ -1375,7 +1033,6 @@ var errorClasses = []struct {
 	{isA[*resilience.OverloadError], http.StatusTooManyRequests, "overload"},
 	{isA[*resilience.OpenError], http.StatusServiceUnavailable, "open"},
 	{isA[*resilience.DrainingError], http.StatusServiceUnavailable, "draining"},
-	{isA[*resilience.DegradedError], http.StatusServiceUnavailable, "degraded"},
 	{isA[*diag.BudgetError], http.StatusGatewayTimeout, ""},
 	{isA[*diag.PanicError], http.StatusInternalServerError, ""},
 	{isA[*faultpoint.Fault], http.StatusInternalServerError, ""},

@@ -132,7 +132,7 @@ func TestHealthzReportsSLO(t *testing.T) {
 		SLO map[string]obs.SLOStatus `json:"slo"`
 	}
 	getJSON(t, ts.URL+"/healthz", &hz)
-	for _, route := range []string{"retarget", "compile", "batch", "artifact"} {
+	for _, route := range []string{"retarget", "compile", "batch"} {
 		if _, ok := hz.SLO[route]; !ok {
 			t.Fatalf("healthz slo missing route %q: %v", route, hz.SLO)
 		}

@@ -6,7 +6,8 @@
 // Spans join by trace ID, clocks align via request/response span-pair
 // skew estimation, and every node gets its own pid lane named by its
 // node identity — load the output in chrome://tracing or Perfetto to
-// see one compile cross the whole fleet.
+// see one compile cross from the client (a saved dump) to the node that
+// served it.
 //
 //	tracefuse -out fused.json http://n1:8347 http://n2:8347 http://n3:8347
 //	tracefuse -trace 0123...ef -out fused.json http://n1:8347 http://n2:8347

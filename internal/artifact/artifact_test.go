@@ -193,8 +193,8 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 // TestTargetRejectsMalformedExpr: a checksum-valid artifact whose stored
 // expression trees are missing kids (or carry extra ones) must fail to
 // restore with an error — grammar construction, the encoder and the
-// simulator all index Kids without checking, and a panic on the scrubber's
-// path would kill the daemon.
+// simulator all index Kids without checking, and a panic on the disk
+// load path would kill the daemon.
 func TestTargetRejectsMalformedExpr(t *testing.T) {
 	konst := rtl.NewConst(1, 4)
 	malformed := []struct {

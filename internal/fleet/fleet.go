@@ -1,25 +1,18 @@
 // Package fleet is the distribution layer of the compile service: the
-// pieces that turn a set of independent recordd nodes into one fleet that
-// survives any single node dying mid-compile.
-//
-// It provides two mechanisms, both deterministic and free of I/O so
-// both sides of the wire can share them:
+// pieces the fleet client (internal/rclient) uses to spread requests over
+// a set of independent recordd nodes and to survive any single node dying
+// mid-compile.  Nodes never talk to each other; a node that lacks a
+// model's artifact retargets it, which is cheaper than copying it.
 //
 //   - Ring: a consistent-hash ring with virtual nodes, keyed on the
 //     artifact SHA-256 content address (internal/artifact).  The ring
-//     decides which node owns a model's retarget product; removing a node
-//     remaps only that node's keys, so a node death never reshuffles the
-//     whole fleet's cache locality.
+//     decides which node a model's requests go to first, and in which
+//     order the rest are tried when it is down; dropping a node from the
+//     ring remaps only that node's keys, so a node death never reshuffles
+//     the whole fleet's cache locality.
 //
-//   - Rendezvous: highest-random-weight replica selection.  Given a key
-//     and a candidate set it yields a deterministic preference order that
-//     every node computes identically without coordination — used to pick
-//     which peers to consult for artifact replication.
-//
-// Endpoint health is not a state machine of its own: NewHealth supplies
-// the resilience.Breaker policy, keyed by endpoint, that both the fleet
-// client and recordd's peer walk route by, and Prober feeds it periodic
-// /healthz outcomes.
+//   - NewHealth: the resilience.Breaker policy, keyed by endpoint, that
+//     the fleet client routes by.
 //
 // Everything here is safe for concurrent use and stdlib-only, in the
 // style of internal/resilience.

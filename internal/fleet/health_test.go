@@ -1,8 +1,6 @@
 package fleet
 
 import (
-	"context"
-	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -141,80 +139,13 @@ func TestTrackerIndependentEndpoints(t *testing.T) {
 }
 
 // Nil endpoint health has no opinions: every endpoint is routable, every
-// endpoint reads Closed, and recording — directly or through a Prober — is
-// a no-op.
+// endpoint reads Closed, and recording is a no-op.
 func TestTrackerNilSafe(t *testing.T) {
 	var h *resilience.Breaker
-	h.Record("a", false)
-	p := &Prober{
-		Health:    h,
-		Endpoints: []string{"a"},
-		Check:     func(context.Context, string) error { return errors.New("down") },
+	for i := 0; i < 3; i++ {
+		h.Record("a", false)
 	}
-	p.Once(context.Background())
 	if !usable(h, "a") || h.State("a") != resilience.Closed {
 		t.Fatal("nil health has opinions")
-	}
-}
-
-func TestProberDrivesTracker(t *testing.T) {
-	h, clk := newTestTracker()
-	alive := map[string]bool{"a": true, "b": false}
-	var mu sync.Mutex
-	p := &Prober{
-		Health:    h,
-		Endpoints: []string{"a", "b"},
-		Check: func(_ context.Context, ep string) error {
-			mu.Lock()
-			defer mu.Unlock()
-			if alive[ep] {
-				return nil
-			}
-			return errors.New("connection refused")
-		},
-	}
-	for i := 0; i < 3; i++ {
-		p.Once(context.Background())
-	}
-	if h.State("a") != resilience.Closed || h.State("b") != resilience.Open {
-		t.Fatalf("a=%v b=%v", h.State("a"), h.State("b"))
-	}
-
-	// b comes back: the next probe after the cooldown revives it.
-	mu.Lock()
-	alive["b"] = true
-	mu.Unlock()
-	clk.advance(2 * time.Second)
-	p.Once(context.Background())
-	if h.State("b") != resilience.Closed {
-		t.Fatalf("revived endpoint not closed after probe: %v", h.State("b"))
-	}
-}
-
-func TestProberRunStopsOnContext(t *testing.T) {
-	tick := make(chan time.Time)
-	h, _ := newTestTracker()
-	probed := make(chan string, 8)
-	p := &Prober{
-		Health:    h,
-		Endpoints: []string{"a"},
-		Check: func(_ context.Context, ep string) error {
-			probed <- ep
-			return nil
-		},
-		Tick: tick,
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { p.Run(ctx); close(done) }()
-	tick <- time.Now()
-	if ep := <-probed; ep != "a" {
-		t.Fatalf("probed %q", ep)
-	}
-	cancel()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Run did not stop on context cancel")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // DefaultVirtualNodes is the per-node vnode count when NewRing is given
@@ -16,8 +15,8 @@ const DefaultVirtualNodes = 128
 
 // hash64 is the ring's hash: the first 8 bytes of SHA-256, matching the
 // family of the artifact content addresses the ring is keyed on.  Speed
-// is irrelevant here (one hash per lookup, a few hundred at membership
-// changes); stability and spread are what matter.
+// is irrelevant here (one hash per lookup, a few hundred when a ring is
+// built); stability and spread are what matter.
 func hash64(s string) uint64 {
 	sum := sha256.Sum256([]byte(s))
 	return binary.BigEndian.Uint64(sum[:8])
@@ -26,15 +25,13 @@ func hash64(s string) uint64 {
 // Ring is a consistent-hash ring with virtual nodes.  Keys (artifact
 // content addresses) map to the first node point at or clockwise after
 // the key's hash; each node contributes vnodes points so load spreads
-// evenly.  Membership changes move only the keys of the node that
-// changed — the property the stability test pins down.
+// evenly.  A ring without one of the nodes differs only in that node's
+// keys — the property the stability test pins down.
 //
-// All methods are safe for concurrent use.
+// A Ring is immutable once built, so it is safe for concurrent use.
 type Ring struct {
-	mu     sync.RWMutex
-	vnodes int
 	points []ringPoint // sorted by hash
-	nodes  map[string]bool
+	nodes  int         // distinct members
 }
 
 type ringPoint struct {
@@ -42,77 +39,26 @@ type ringPoint struct {
 	node string
 }
 
-// NewRing builds a ring over the given nodes with vnodes virtual points
-// per node (0 = DefaultVirtualNodes).
+// NewRing builds a ring over the given nodes (duplicates ignored) with
+// vnodes virtual points per node (0 = DefaultVirtualNodes).
 func NewRing(vnodes int, nodes ...string) *Ring {
 	if vnodes <= 0 {
 		vnodes = DefaultVirtualNodes
 	}
-	r := &Ring{vnodes: vnodes, nodes: make(map[string]bool)}
+	r := &Ring{}
+	seen := make(map[string]bool, len(nodes))
 	for _, n := range nodes {
-		r.Add(n)
-	}
-	return r
-}
-
-// Add inserts a node (idempotent).
-func (r *Ring) Add(node string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.nodes[node] {
-		return
-	}
-	r.nodes[node] = true
-	for i := 0; i < r.vnodes; i++ {
-		r.points = append(r.points, ringPoint{hash: hash64(fmt.Sprintf("%s#%d", node, i)), node: node})
-	}
-	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
-}
-
-// Remove deletes a node (idempotent).  Only keys owned by the removed
-// node change owners.
-func (r *Ring) Remove(node string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.nodes[node] {
-		return
-	}
-	delete(r.nodes, node)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.node != node {
-			kept = append(kept, p)
+		if seen[n] {
+			continue
+		}
+		seen[n] = true
+		r.nodes++
+		for i := 0; i < vnodes; i++ {
+			r.points = append(r.points, ringPoint{hash: hash64(fmt.Sprintf("%s#%d", n, i)), node: n})
 		}
 	}
-	r.points = kept
-}
-
-// Len returns the number of member nodes.
-func (r *Ring) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.nodes)
-}
-
-// Nodes returns the members in sorted order.
-func (r *Ring) Nodes() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.nodes))
-	for n := range r.nodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Owner returns the node owning key ("" on an empty ring).
-func (r *Ring) Owner(key string) string {
-	s := r.Successors(key, 1)
-	if len(s) == 0 {
-		return ""
-	}
-	return s[0]
+	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
+	return r
 }
 
 // Successors returns up to n distinct nodes in ring order starting at
@@ -120,13 +66,11 @@ func (r *Ring) Owner(key string) string {
 // This is the failover order — when the owner is down, the next successor
 // is the node whose cache is most likely warm for neighboring keys.
 func (r *Ring) Successors(key string, n int) []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	if len(r.points) == 0 || n <= 0 {
 		return nil
 	}
-	if n > len(r.nodes) {
-		n = len(r.nodes)
+	if n > r.nodes {
+		n = r.nodes
 	}
 	h := hash64(key)
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
@@ -138,84 +82,6 @@ func (r *Ring) Successors(key string, n int) []string {
 			seen[p.node] = true
 			out = append(out, p.node)
 		}
-	}
-	return out
-}
-
-// Arcs returns each node's share of the hash space as a fraction in
-// [0, 1], summing to 1 on a non-empty ring.  The arc between two
-// consecutive ring points belongs to the later point's node (the one a
-// key in that arc resolves to), with the wrap-around arc closing the
-// circle.  With the default 128 vnodes per node the shares stay within
-// a few tens of percent of 1/n — the rebalancing gauges built on this
-// make any drift visible as the fleet grows.
-func (r *Ring) Arcs() map[string]float64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make(map[string]float64, len(r.nodes))
-	for n := range r.nodes {
-		out[n] = 0
-	}
-	if len(r.points) == 0 {
-		return out
-	}
-	if len(r.points) == 1 {
-		out[r.points[0].node] = 1 // the self-wrap arc is the whole circle
-		return out
-	}
-	const space = float64(1 << 63) * 2 // 2^64 as a float
-	prev := r.points[len(r.points)-1].hash
-	for _, p := range r.points {
-		// Arc length from the previous point to this one, clockwise.
-		// The first iteration wraps: p.hash - prev underflows to
-		// exactly the wrap-around arc in uint64 arithmetic.
-		out[p.node] += float64(p.hash-prev) / space
-		prev = p.hash
-	}
-	return out
-}
-
-// OwnerCounts buckets keys by their owning node, including zero counts
-// for members that own none of them.
-func (r *Ring) OwnerCounts(keys []string) map[string]int {
-	out := make(map[string]int)
-	for _, n := range r.Nodes() {
-		out[n] = 0
-	}
-	for _, k := range keys {
-		if owner := r.Owner(k); owner != "" {
-			out[owner]++
-		}
-	}
-	return out
-}
-
-// Rendezvous orders candidates by highest-random-weight for key and
-// returns the top n (n <= 0 or n > len means all).  Every caller computes
-// the same order with no shared state, and removing a candidate never
-// reorders the survivors — the classic rendezvous-hashing property, used
-// here to pick which ring peers to ask for a replicated artifact.
-func Rendezvous(key string, candidates []string, n int) []string {
-	type scored struct {
-		node  string
-		score uint64
-	}
-	scores := make([]scored, 0, len(candidates))
-	for _, c := range candidates {
-		scores = append(scores, scored{node: c, score: hash64(c + "\x00" + key)})
-	}
-	sort.Slice(scores, func(i, j int) bool {
-		if scores[i].score != scores[j].score {
-			return scores[i].score > scores[j].score
-		}
-		return scores[i].node < scores[j].node
-	})
-	if n <= 0 || n > len(scores) {
-		n = len(scores)
-	}
-	out := make([]string, n)
-	for i := 0; i < n; i++ {
-		out[i] = scores[i].node
 	}
 	return out
 }

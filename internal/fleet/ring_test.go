@@ -14,13 +14,21 @@ func keys(n int) []string {
 	return out
 }
 
+// owner is the node a key routes to first ("" on an empty ring).
+func owner(r *Ring, key string) string {
+	if s := r.Successors(key, 1); len(s) > 0 {
+		return s[0]
+	}
+	return ""
+}
+
 func TestRingOwnerDeterministic(t *testing.T) {
 	a := NewRing(0, "n1", "n2", "n3")
 	b := NewRing(0, "n3", "n1", "n2") // insertion order must not matter
 	for _, k := range keys(200) {
-		if a.Owner(k) != b.Owner(k) {
+		if owner(a, k) != owner(b, k) {
 			t.Fatalf("owner of %s differs across construction orders: %s vs %s",
-				k, a.Owner(k), b.Owner(k))
+				k, owner(a, k), owner(b, k))
 		}
 	}
 }
@@ -39,8 +47,8 @@ func TestRingSuccessorsDistinctAndStable(t *testing.T) {
 			}
 			seen[n] = true
 		}
-		if s[0] != r.Owner(k) {
-			t.Fatalf("successors(%s)[0] = %s, owner = %s", k, s[0], r.Owner(k))
+		if s[0] != owner(r, k) {
+			t.Fatalf("successors(%s)[0] = %s, owner = %s", k, s[0], owner(r, k))
 		}
 		if got := r.Successors(k, 10); len(got) != 3 {
 			t.Fatalf("successors capped at membership: %v", got)
@@ -48,44 +56,29 @@ func TestRingSuccessorsDistinctAndStable(t *testing.T) {
 	}
 }
 
-// TestRingStabilityOnRemoval is the consistent-hashing contract: removing
-// one endpoint remaps only the keys that endpoint owned.  Every other
-// key keeps its owner, so a node death never invalidates the surviving
-// nodes' cache locality.
+// TestRingStabilityOnRemoval is the consistent-hashing contract: a ring
+// without one endpoint remaps only the keys that endpoint owned.  Every
+// other key keeps its owner, so a node death never invalidates the
+// surviving nodes' cache locality.
 func TestRingStabilityOnRemoval(t *testing.T) {
-	nodes := []string{"n1", "n2", "n3", "n4", "n5"}
-	r := NewRing(0, nodes...)
-	ks := keys(500)
-	before := make(map[string]string, len(ks))
-	for _, k := range ks {
-		before[k] = r.Owner(k)
-	}
-
+	r := NewRing(0, "n1", "n2", "n3", "n4", "n5")
 	victim := "n3"
-	r.Remove(victim)
+	without := NewRing(0, "n1", "n2", "n4", "n5")
 	remapped := 0
-	for _, k := range ks {
-		after := r.Owner(k)
+	for _, k := range keys(500) {
+		before, after := owner(r, k), owner(without, k)
 		if after == victim {
 			t.Fatalf("removed node still owns %s", k)
 		}
 		switch {
-		case before[k] == victim:
+		case before == victim:
 			remapped++
-		case after != before[k]:
-			t.Fatalf("key %s moved from surviving node %s to %s", k, before[k], after)
+		case after != before:
+			t.Fatalf("key %s moved from surviving node %s to %s", k, before, after)
 		}
 	}
 	if remapped == 0 {
 		t.Fatal("victim owned no keys; test has no teeth (bad spread?)")
-	}
-
-	// Re-adding restores exactly the original assignment.
-	r.Add(victim)
-	for _, k := range ks {
-		if got := r.Owner(k); got != before[k] {
-			t.Fatalf("after rejoin, key %s owned by %s, want %s", k, got, before[k])
-		}
 	}
 }
 
@@ -95,7 +88,7 @@ func TestRingSpread(t *testing.T) {
 	counts := map[string]int{}
 	ks := keys(3000)
 	for _, k := range ks {
-		counts[r.Owner(k)]++
+		counts[owner(r, k)]++
 	}
 	for _, n := range nodes {
 		share := float64(counts[n]) / float64(len(ks))
@@ -107,118 +100,11 @@ func TestRingSpread(t *testing.T) {
 }
 
 func TestRingEmptyAndMembership(t *testing.T) {
-	r := NewRing(4)
-	if r.Owner("k") != "" || r.Successors("k", 2) != nil || r.Len() != 0 {
+	if r := NewRing(4); owner(r, "k") != "" || r.Successors("k", 2) != nil {
 		t.Fatal("empty ring not empty")
 	}
-	r.Add("a")
-	r.Add("a") // idempotent
-	r.Remove("missing")
-	if r.Len() != 1 || r.Owner("k") != "a" {
-		t.Fatalf("membership: len=%d owner=%q", r.Len(), r.Owner("k"))
-	}
-	if got := r.Nodes(); !reflect.DeepEqual(got, []string{"a"}) {
-		t.Fatalf("nodes %v", got)
-	}
-}
-
-func TestRendezvousDeterministicAndStable(t *testing.T) {
-	cands := []string{"n1", "n2", "n3", "n4"}
-	for _, k := range keys(100) {
-		full := Rendezvous(k, cands, 0)
-		if len(full) != len(cands) {
-			t.Fatalf("rendezvous dropped candidates: %v", full)
-		}
-		if top := Rendezvous(k, cands, 2); !reflect.DeepEqual(top, full[:2]) {
-			t.Fatalf("top-2 %v disagrees with full order %v", top, full)
-		}
-		// Removing a non-top candidate never reorders the survivors.
-		without := Rendezvous(k, []string{"n1", "n2", "n4"}, 0)
-		want := make([]string, 0, 3)
-		for _, n := range full {
-			if n != "n3" {
-				want = append(want, n)
-			}
-		}
-		if !reflect.DeepEqual(without, want) {
-			t.Fatalf("removal reordered survivors: %v vs %v", without, want)
-		}
-	}
-}
-
-func TestRingArcsNearUniform(t *testing.T) {
-	// With the default 128-vnode split, every member's share of the hash
-	// space stays near 1/n — the property the rebalancing gauges exist
-	// to watch.  sha256 point placement is deterministic, so the bounds
-	// here are exact for these member names, with headroom for growth.
-	for _, n := range []int{2, 3, 5, 8} {
-		members := make([]string, n)
-		for i := range members {
-			members[i] = fmt.Sprintf("node-%d", i)
-		}
-		r := NewRing(0, members...)
-		arcs := r.Arcs()
-		if len(arcs) != n {
-			t.Fatalf("n=%d: %d arcs", n, len(arcs))
-		}
-		total := 0.0
-		uniform := 1.0 / float64(n)
-		for node, frac := range arcs {
-			total += frac
-			if frac < uniform/2 || frac > uniform*2 {
-				t.Errorf("n=%d: %s owns %.4f of the ring (uniform %.4f)", n, node, frac, uniform)
-			}
-		}
-		if total < 0.9999 || total > 1.0001 {
-			t.Fatalf("n=%d: arcs sum to %.6f", n, total)
-		}
-	}
-}
-
-func TestRingArcsEdgeCases(t *testing.T) {
-	if got := NewRing(0).Arcs(); len(got) != 0 {
-		t.Fatalf("empty ring arcs: %v", got)
-	}
-	one := NewRing(1, "solo").Arcs()
-	if one["solo"] != 1 {
-		t.Fatalf("single-point ring arc = %v", one["solo"])
-	}
-}
-
-func TestRingOwnerCounts(t *testing.T) {
-	r := NewRing(0, "a", "b", "c")
-	ks := keys(300)
-	counts := r.OwnerCounts(ks)
-	if len(counts) != 3 {
-		t.Fatalf("counts for %d nodes", len(counts))
-	}
-	total := 0
-	for node, c := range counts {
-		total += c
-		if c == 0 {
-			t.Errorf("node %s owns zero of %d keys", node, len(ks))
-		}
-	}
-	if total != len(ks) {
-		t.Fatalf("counts sum to %d, want %d", total, len(ks))
-	}
-	// Counts agree with Owner, and absent members report zero.
-	for node, c := range counts {
-		manual := 0
-		for _, k := range ks {
-			if r.Owner(k) == node {
-				manual++
-			}
-		}
-		if manual != c {
-			t.Fatalf("node %s: OwnerCounts %d vs manual %d", node, c, manual)
-		}
-	}
-	r2 := NewRing(0, "a", "b", "lonely-node-that-owns-nothing-maybe")
-	counts2 := r2.OwnerCounts(nil)
-	for node, c := range counts2 {
-		if c != 0 {
-			t.Fatalf("no keys but node %s counts %d", node, c)
-		}
+	r := NewRing(4, "a", "a") // duplicates ignored
+	if got := r.Successors("k", 2); !reflect.DeepEqual(got, []string{"a"}) {
+		t.Fatalf("membership: successors %v", got)
 	}
 }

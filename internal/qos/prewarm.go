@@ -159,7 +159,7 @@ type Prewarmer struct {
 	// IsWarm reports whether key already sits in the memory tier; warm
 	// keys are skipped without taking a lease.
 	IsWarm func(key string) bool
-	// Warm loads one key into the memory tier (decode from disk/peer,
+	// Warm loads one key into the memory tier (decode from disk,
 	// or retarget from source).  It must honor ctx cancellation.
 	Warm func(ctx context.Context, key, source string) error
 

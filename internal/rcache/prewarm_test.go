@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/models"
 )
 
 // prewarmed reads one pre-warm outcome counter.
@@ -19,7 +18,7 @@ func prewarmed(t *testing.T, c *Cache, outcome string) uint64 {
 // any tier.
 func prewarmLoads(t *testing.T, c *Cache) uint64 {
 	t.Helper()
-	return prewarmed(t, c, "hit-disk") + prewarmed(t, c, "hit-peer") + prewarmed(t, c, "retargeted")
+	return prewarmed(t, c, "hit-disk") + prewarmed(t, c, "retargeted")
 }
 
 func TestPrewarmFromDiskAttribution(t *testing.T) {
@@ -142,13 +141,13 @@ func TestPrewarmCoalescesWithRealRequests(t *testing.T) {
 	ctx := context.Background()
 
 	t.Run("prewarm joins a real fill", func(t *testing.T) {
-		c, fetches, release := gatedCache(t)
+		c, started := newCache(t, "", 0), slowFill(t)
 		real := make(chan error, 1)
 		go func() {
 			_, _, err := c.GetContext(ctx, mdl, ropts)
 			real <- err
 		}()
-		waitFor(t, "the real fill to start", func() bool { return fetches.Load() == 1 })
+		waitFor(t, "the real fill to start", started)
 		warm := make(chan Outcome, 1)
 		go func() {
 			out, err := c.Prewarm(ctx, c.Key(mdl, ropts), mdl, ropts)
@@ -158,7 +157,6 @@ func TestPrewarmCoalescesWithRealRequests(t *testing.T) {
 			warm <- out
 		}()
 		waitFor(t, "the prewarm to join", func() bool { return c.fills.Merged() == 1 })
-		close(release)
 		if err := <-real; err != nil {
 			t.Fatal(err)
 		}
@@ -166,8 +164,8 @@ func TestPrewarmCoalescesWithRealRequests(t *testing.T) {
 			t.Fatalf("prewarm during a real fill: %s, want %s", out, Coalesced)
 		}
 		// One fill, one retarget, and pre-warm did none of the work.
-		if f, r := fetches.Load(), metric(t, c, retargets); f != 1 || r != 1 {
-			t.Fatalf("%d peer fetches and %d retargets, want 1 each", f, r)
+		if r := metric(t, c, retargets); r != 1 {
+			t.Fatalf("%d retargets, want 1", r)
 		}
 		if r, i := prewarmed(t, c, "retargeted"), prewarmed(t, c, "inflight"); r != 0 || i != 1 {
 			t.Fatalf("prewarm counted %d retargets and %d inflight, want 0 and 1", r, i)
@@ -180,7 +178,7 @@ func TestPrewarmCoalescesWithRealRequests(t *testing.T) {
 			name += " whose lease is revoked"
 		}
 		t.Run(name, func(t *testing.T) {
-			c, fetches, release := gatedCache(t)
+			c, started := newCache(t, "", 0), slowFill(t)
 			wctx, revoke := context.WithCancel(ctx)
 			defer revoke()
 			warm := make(chan error, 1)
@@ -188,7 +186,7 @@ func TestPrewarmCoalescesWithRealRequests(t *testing.T) {
 				_, err := c.Prewarm(wctx, c.Key(mdl, ropts), mdl, ropts)
 				warm <- err
 			}()
-			waitFor(t, "the prewarm fill to start", func() bool { return fetches.Load() == 1 })
+			waitFor(t, "the prewarm fill to start", started)
 			type reply struct {
 				e   *Entry
 				out Outcome
@@ -208,7 +206,6 @@ func TestPrewarmCoalescesWithRealRequests(t *testing.T) {
 				}
 				want = Miss // the real request took the fill over
 			}
-			close(release)
 			r := <-real
 			if r.err != nil || r.e == nil {
 				t.Fatalf("real request joining a prewarm fill failed: %v", r.err)
@@ -225,77 +222,5 @@ func TestPrewarmCoalescesWithRealRequests(t *testing.T) {
 				t.Fatal("the fill did not land in memory")
 			}
 		})
-	}
-}
-
-func TestPrewarmPeerTierAttribution(t *testing.T) {
-	// Seed a "peer" by encoding the demo artifact through a disk cache,
-	// then prewarm a memory-only cache whose PeerFetch serves it.
-	dir := t.TempDir()
-	seed := newCache(t, dir, 0)
-	mdl := demoModel(t)
-	e, _, err := seed.GetContext(context.Background(), mdl, core.RetargetOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := seed.Encoded(e.Key)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	c := openCache(t, Options{PeerFetch: func(ctx context.Context, key string) ([]byte, error) {
-		return data, nil
-	}})
-	out, err := c.Prewarm(context.Background(), e.Key, "", core.RetargetOptions{})
-	if err != nil || out != Peer {
-		t.Fatalf("peer prewarm: %s, %v", out, err)
-	}
-	if got := metric(t, c, peerHits); got != 0 {
-		t.Fatalf("peer prewarm counted as %d serving peer hits", got)
-	}
-	if got := prewarmLoads(t, c); got != 1 {
-		t.Fatalf("prewarm attribution: %d loads, want 1", got)
-	}
-	if !c.InMemory(e.Key) {
-		t.Fatal("peer prewarm did not land in memory")
-	}
-}
-
-func TestKeysListsDiskStore(t *testing.T) {
-	dir := t.TempDir()
-	c := newCache(t, dir, 0)
-	if got := c.Keys(); len(got) != 0 {
-		t.Fatalf("empty store lists %v", got)
-	}
-	var want []string
-	for _, name := range []string{"demo", "tms320c25"} {
-		mdl, ok := models.Get(name)
-		if !ok {
-			t.Fatalf("model %s missing", name)
-		}
-		e, _, err := c.GetContext(context.Background(), mdl, core.RetargetOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, e.Key)
-	}
-	got := c.Keys()
-	if len(got) != 2 {
-		t.Fatalf("Keys() = %v", got)
-	}
-	for _, k := range want {
-		found := false
-		for _, g := range got {
-			if g == k {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("Keys() = %v missing %s", got, k)
-		}
-	}
-	// Memory-only caches list nothing.
-	if got := newCache(t, "", 0).Keys(); got != nil {
-		t.Fatalf("memory-only Keys() = %v", got)
 	}
 }

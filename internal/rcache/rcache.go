@@ -7,14 +7,13 @@
 // production traffic therefore demands that the product be computed once
 // and shared.  GetContext (by source), LookupContext (by key) and Prewarm
 // are one resolve path: memory, then an in-flight fill for the same
-// content address, then disk, a fleet peer's copy and — when the source
-// is known — a retarget.  One resilience.Coalescer covers every fill, so
-// concurrent requests for an address cost one disk decode, one peer fetch
-// or one retarget.  Disk artifacts are promoted into the memory tier on
-// first use, and cache-file corruption is tolerated: a file that fails to
-// decode is quarantined and treated as a miss plus a diagnostic warning,
-// never an error.  Every cache event is counted once, in the obs registry
-// (record_rcache_*).
+// content address, then disk and — when the source is known — a retarget.
+// One resilience.Coalescer covers every fill, so concurrent requests for
+// an address cost one disk decode or one retarget.  Disk artifacts are
+// promoted into the memory tier on first use, and cache-file corruption
+// is tolerated: a file that fails to decode is quarantined and treated as
+// a miss plus a diagnostic warning, never an error.  Every cache event is
+// counted once, in the obs registry (record_rcache_*).
 //
 // Entries need no per-entry lock: every cached Target is frozen (its BDD
 // tables are read-only and compiles run against private copy-on-write
@@ -29,7 +28,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -51,7 +49,6 @@ type Outcome string
 const (
 	Mem       Outcome = "hit"       // memory tier
 	Disk      Outcome = "hit-disk"  // decoded from the artifact store
-	Peer      Outcome = "hit-peer"  // fetched encoded from a fleet peer
 	Miss      Outcome = "miss"      // full retarget ran
 	Coalesced Outcome = "coalesced" // waited on another request's fill
 )
@@ -71,18 +68,6 @@ type Options struct {
 	// (record_rcache_*); per-request spans come from the RetargetOptions
 	// passed to GetContext instead.  nil is safe.
 	Obs *obs.Scope
-	// PeerFetch, when set, is consulted on a local miss before a full
-	// retarget: it should return the encoded artifact bytes for key from
-	// a fleet peer, (nil, nil) when no peer has a copy, or an error.
-	// Failures degrade to a local retarget, never to a request failure.
-	// The disk scrubber uses the same hook to repair quarantined
-	// artifacts.
-	PeerFetch func(ctx context.Context, key string) ([]byte, error)
-	// ScrubRate paces the disk scrubber in artifacts verified per second
-	// (token bucket, burst of one second's worth); 0 means
-	// DefaultScrubRate.  The scrubber never runs unless RunScrubber or
-	// ScrubOnce is called.
-	ScrubRate float64
 }
 
 // DefaultMaxEntries is the memory-tier capacity when Options.MaxEntries
@@ -133,8 +118,8 @@ type Cache struct {
 	lru   *list.List               // of *Entry, front = most recent
 	byKey map[string]*list.Element // key -> LRU element
 
-	// fills is the one singleflight below the memory tier: disk decode,
-	// peer fetch and retarget, for every entry point.
+	// fills is the one singleflight below the memory tier: disk decode
+	// and retarget, for every entry point.
 	fills resilience.Coalescer
 
 	// diskOff flips on when the store becomes unusable (disk full,
@@ -144,7 +129,7 @@ type Cache struct {
 
 	// The cache's counters, in the registry /metrics serves and nowhere
 	// else (nil-safe when Options.Obs carries no registry).
-	cHits       *obs.CounterVec // by tier: mem | disk | peer
+	cHits       *obs.CounterVec // by tier: mem | disk
 	cMisses     *obs.Counter
 	cCoalesced  *obs.Counter
 	cEvictions  *obs.Counter
@@ -152,21 +137,9 @@ type Cache struct {
 	cRetargets  *obs.Counter
 	cOrphans    *obs.Counter
 	cDiskErrors *obs.Counter
-	cPeerErrors *obs.Counter
 	cPrewarm    *obs.CounterVec // by outcome; kept apart from cHits/cMisses
 	gDegraded   *obs.Gauge
-
-	// Self-healing instruments: scrub outcomes, cycle duration, the
-	// count of .quarantine files accumulated on disk (swept at startup,
-	// bumped per quarantine, dropped per repair), and peer-push ingests.
-	cScrub      *obs.CounterVec
-	hScrubCycle *obs.Histogram
-	gQuarantine *obs.Gauge
-	cIngest     *obs.CounterVec
-
-	// scrubGate serializes scrub cycles so RunScrubber and a direct
-	// ScrubOnce caller never double-walk the store.
-	scrubGate sync.Mutex
+	gQuarantine *obs.Gauge // .quarantine files: swept at startup, bumped per quarantine
 }
 
 // New creates a cache; when opts.Dir is set the directory is created and
@@ -204,20 +177,12 @@ func New(opts Options) (*Cache, error) {
 		"crash-orphaned temp files removed by the startup recovery scan")
 	c.cDiskErrors = reg.Counter("record_rcache_disk_errors_total",
 		"disk-tier write failures")
-	c.cPeerErrors = reg.Counter("record_rcache_peer_errors_total",
-		"peer artifact fetches that failed (degraded to local retarget)")
 	c.cPrewarm = reg.CounterVec("record_rcache_prewarm_total",
 		"speculative pre-warm attempts, by outcome; attributed apart from the serving hit/miss counters", "outcome")
 	c.gDegraded = reg.Gauge("record_rcache_disk_degraded",
 		"1 when the disk tier is disabled after an unusable-disk error")
-	c.cScrub = reg.CounterVec("record_rcache_scrub_total",
-		"disk-scrub verifications, by outcome (clean | quarantined | repaired | unrepairable)", "outcome")
-	c.hScrubCycle = reg.Histogram("record_rcache_scrub_cycle_seconds",
-		"wall time of one full disk-scrub cycle", nil)
 	c.gQuarantine = reg.Gauge("record_rcache_quarantined_files",
 		"corrupt artifacts currently set aside as <key>.quarantine in the store directory")
-	c.cIngest = reg.CounterVec("record_rcache_ingest_total",
-		"artifacts pushed by peers (anti-entropy), by outcome", "outcome")
 	if opts.Dir != "" {
 		c.recoverOrphans()
 		c.sweepQuarantine()
@@ -318,7 +283,7 @@ func (c *Cache) newEntry(key string, t *core.Target) *Entry {
 func (c *Cache) GetContext(ctx context.Context, mdlSource string, ropts core.RetargetOptions) (*Entry, Outcome, error) {
 	key := artifact.Key(mdlSource, ropts)
 	// The request's trace: everything below — hit markers, coalesced
-	// waits, a peer fetch, a full retarget — parents under one rcache.get
+	// waits, a disk decode, a full retarget — parents under one rcache.get
 	// span.
 	gSpan, gScope := ropts.Obs.Start("rcache.get")
 	defer gSpan.End()
@@ -327,19 +292,23 @@ func (c *Cache) GetContext(ctx context.Context, mdlSource string, ropts core.Ret
 }
 
 // LookupContext returns the entry for a content address without being
-// able to retarget: memory tier, an in-flight fill for the key, disk
-// tier, then — when a PeerFetch hook is configured — the fleet's peers.
-// ok is false when the key is in none of them (or its disk artifact is
-// corrupt).  The outcome says which tier answered, Miss when none did.
+// able to retarget: memory tier, an in-flight fill for the key, then the
+// disk tier.  ok is false when the key is in none of them (or its disk
+// artifact is corrupt), and for a key that is not a content address, so
+// a caller-supplied key never names a file outside the store.  The
+// outcome says which tier answered, Miss when none did.
 func (c *Cache) LookupContext(ctx context.Context, key string) (*Entry, Outcome, bool) {
+	if !validKey(key) {
+		return nil, Miss, false
+	}
 	e, out, _ := c.resolve(ctx, key, "", core.RetargetOptions{}, false)
 	return e, out, e != nil
 }
 
 // resolve is the one tier walk behind every entry point: memory, then an
-// in-flight fill for the same key, then fill's disk, peer and retarget
-// steps.  A nil entry with a nil error means no tier holds the key and
-// there is no source to rebuild it from.  warm attributes the call to the
+// in-flight fill for the same key, then fill's disk and retarget steps.
+// A nil entry with a nil error means no tier holds the key and there is
+// no source to rebuild it from.  warm attributes the call to the
 // pre-warm counters instead of the serving ones.
 func (c *Cache) resolve(ctx context.Context, key, mdlSource string, ropts core.RetargetOptions, warm bool) (*Entry, Outcome, error) {
 	if e := c.memGet(key); e != nil {
@@ -389,8 +358,8 @@ type filled struct {
 // pre-warm outcome (kept apart so the serving hit rate reflects real
 // traffic, not what background loading manufactured).
 var (
-	hitTier      = map[Outcome]string{Mem: "mem", Disk: "disk", Peer: "peer"}
-	prewarmLabel = map[Outcome]string{Mem: "warm", Coalesced: "inflight", Disk: "hit-disk", Peer: "hit-peer", Miss: "retargeted"}
+	hitTier      = map[Outcome]string{Mem: "mem", Disk: "disk"}
+	prewarmLabel = map[Outcome]string{Mem: "warm", Coalesced: "inflight", Disk: "hit-disk", Miss: "retargeted"}
 )
 
 // count lands one resolved call in exactly one counter, and marks a
@@ -420,23 +389,18 @@ func (c *Cache) memGet(key string) *Entry {
 	return nil
 }
 
-// fill resolves a key the memory tier does not have: disk first, then a
-// fleet peer's copy, then — when mdlSource is known — a full retarget,
-// persisting the fresh artifact for the next process.  The entry lands in
-// the memory tier before the fill ends, so a caller arriving after it is
-// a memory hit.  Budget-degraded (partial) products stay out of both
-// tiers: the content address does not encode the budget, so a retry with
-// a larger one must not hit the degraded result.
+// fill resolves a key the memory tier does not have: disk first, then —
+// when mdlSource is known — a full retarget, persisting the fresh
+// artifact for the next process.  The entry lands in the memory tier
+// before the fill ends, so a caller arriving after it is a memory hit.
+// Budget-degraded (partial) products stay out of both tiers: the content
+// address does not encode the budget, so a retry with a larger one must
+// not hit the degraded result.
 func (c *Cache) fill(ctx context.Context, key, mdlSource string, ropts core.RetargetOptions, warm bool) (interface{}, error) {
 	if e := c.memGet(key); e != nil { // a fill ended since the caller looked
 		return filled{e, Mem}, nil
 	}
 	entry, out := c.loadDisk(key), Disk
-	if entry == nil {
-		// The rewrapped context parents the peer fetch's HTTP span (and its
-		// trace header) under the caller's span rather than the request root.
-		entry, out = c.peerEntry(obs.ContextWithScope(ctx, ropts.Obs), key), Peer
-	}
 	if entry == nil {
 		if mdlSource == "" {
 			return filled{}, nil
@@ -465,8 +429,8 @@ func (c *Cache) fill(ctx context.Context, key, mdlSource string, ropts core.Reta
 
 // loadDisk decodes the artifact for key, quarantining corrupt files as
 // misses: the bytes are renamed to <key>.quarantine, never deleted, so
-// the evidence of how they rotted survives for forensics and the
-// scrubber can repair the key from a peer.
+// the evidence of how they rotted survives for forensics, and the key is
+// rebuilt by the next retarget that has its source.
 func (c *Cache) loadDisk(key string) *Entry {
 	if c.opts.Dir == "" || c.diskOff.Load() {
 		return nil
@@ -482,27 +446,16 @@ func (c *Cache) loadDisk(key string) *Entry {
 	return e
 }
 
-// verifyArtifact decodes encoded artifact bytes and checks them against
-// their content address: the frame's payload checksum catches bit rot,
-// the embedded key catches bytes stored or served under the wrong name.
-// Every way bytes enter the cache — disk load, peer fetch, peer push,
-// scrub — goes through it.
-func verifyArtifact(key string, data []byte) (*artifact.Artifact, error) {
+// restore verifies encoded artifact bytes against their content address
+// and rebuilds their entry: the frame's payload checksum catches bit rot,
+// the embedded key catches bytes stored under the wrong name.
+func (c *Cache) restore(key string, data []byte) (*Entry, error) {
 	a, err := artifact.Decode(data)
 	if err != nil {
 		return nil, err
 	}
 	if a.Key != key {
 		return nil, fmt.Errorf("artifact self-identifies as %s", a.Key)
-	}
-	return a, nil
-}
-
-// restore verifies encoded artifact bytes and rebuilds their entry.
-func (c *Cache) restore(key string, data []byte) (*Entry, error) {
-	a, err := verifyArtifact(key, data)
-	if err != nil {
-		return nil, err
 	}
 	t, err := a.Target()
 	if err != nil {
@@ -517,9 +470,8 @@ func (c *Cache) quarantinePath(key string) string {
 
 // quarantine sets a corrupt artifact aside as <key>.quarantine and counts
 // the corruption once.  Renaming (not deleting) preserves the corrupt
-// bytes for forensics; a later scrub repairs the key from a peer.  A
-// failed rename leaves the file in place — deletion is never the
-// fallback — and the key simply stays a miss until the scrubber retries.
+// bytes for forensics.  A failed rename leaves the file in place —
+// deletion is never the fallback — and the key simply stays a miss.
 func (c *Cache) quarantine(key string, cause error) {
 	c.cCorrupt.Inc()
 	_, statErr := os.Stat(c.quarantinePath(key))
@@ -528,118 +480,11 @@ func (c *Cache) quarantine(key string, cause error) {
 			"corrupt cache artifact %s (%v) could not be quarantined: %v", key, cause, err)
 		return
 	}
-	c.cScrub.With("quarantined").Inc()
 	if statErr != nil { // first quarantine of this key; re-corruption overwrites
 		c.gQuarantine.Inc()
 	}
 	c.opts.Reporter.Warnf("rcache", diag.Pos{},
 		"quarantined corrupt cache artifact %s: %v", key, cause)
-}
-
-// peerEntry asks the PeerFetch hook for another node's encoded artifact.
-// Any failure — peer miss, transport error, corrupt or mismatched bytes —
-// returns nil and the caller falls back to a local retarget: peer
-// replication can only ever save work, never fail a request.  Fetched
-// bytes are persisted to the local disk tier so the copy survives
-// restarts and is servable onward to other peers.  The caller attributes
-// the fetch: a serving hit, a pre-warm load or a scrub repair.
-func (c *Cache) peerEntry(ctx context.Context, key string) *Entry {
-	if c.opts.PeerFetch == nil {
-		return nil
-	}
-	data, err := c.opts.PeerFetch(ctx, key)
-	if data == nil && err == nil {
-		return nil // no peer has a copy: plain miss, not a failure
-	}
-	var e *Entry
-	if err == nil {
-		e, err = c.restore(key, data)
-	}
-	if err != nil {
-		c.peerFail(key, err)
-		return nil
-	}
-	if c.opts.Dir != "" && !c.diskOff.Load() {
-		if err := c.storeBytes(key, data); err != nil {
-			c.diskFail(key, err)
-		}
-	}
-	return e
-}
-
-// peerFail records one failed peer fetch; the request continues locally.
-func (c *Cache) peerFail(key string, err error) {
-	c.cPeerErrors.Inc()
-	c.opts.Reporter.Warnf("rcache", diag.Pos{},
-		"peer fetch for %s failed, retargeting locally: %v", key, err)
-}
-
-// Encoded returns the on-disk encoded artifact for key, for serving to
-// fleet peers.  Only the disk tier is served: a memory-only cache (no
-// store directory, or a degraded disk) reports os.ErrNotExist — entries
-// in RAM no longer carry their model source, so the artifact cannot be
-// re-encoded.  The key is validated as a content address first, so a
-// peer-supplied key can never escape the store directory.
-func (c *Cache) Encoded(key string) ([]byte, error) {
-	if !validKey(key) {
-		return nil, fmt.Errorf("rcache: malformed artifact key %q", key)
-	}
-	if c.opts.Dir == "" || c.diskOff.Load() {
-		return nil, os.ErrNotExist
-	}
-	return os.ReadFile(c.path(key))
-}
-
-// ErrNoStore reports an Ingest against a cache with no disk tier: a
-// memory-only node cannot hold a durable replica, so accepting the push
-// would let the fleet believe the key is safer than it is.
-var ErrNoStore = errors.New("rcache: no disk store configured")
-
-// DegradedRetryAfter is the backoff hint attached to Ingest refusals
-// while the disk tier is degraded.
-const DegradedRetryAfter = 30 * time.Second
-
-// Ingest accepts an encoded artifact pushed by a fleet peer
-// (anti-entropy replication) and persists it crash-safely.  The bytes
-// are decode-verified against the content address before acceptance — a
-// corrupt or mis-keyed push is rejected, never written.  A degraded disk
-// tier refuses with a typed transient *resilience.DegradedError (the
-// push must land on a node that can actually hold a durable replica,
-// not be buffered memory-only); a cache with no store directory refuses
-// with ErrNoStore.  A key already present is a successful no-op, so
-// repeated pushes from concurrent sweeps are idempotent and cheap.
-func (c *Cache) Ingest(key string, data []byte) error {
-	if !validKey(key) {
-		c.cIngest.With("rejected").Inc()
-		return fmt.Errorf("rcache: malformed artifact key %q", key)
-	}
-	if c.opts.Dir == "" {
-		c.cIngest.With("rejected").Inc()
-		return ErrNoStore
-	}
-	if c.diskOff.Load() {
-		c.cIngest.With("degraded").Inc()
-		return &resilience.DegradedError{Resource: "disk tier", After: DegradedRetryAfter}
-	}
-	if _, err := os.Stat(c.path(key)); err == nil {
-		c.cIngest.With("duplicate").Inc()
-		return nil
-	}
-	if _, err := verifyArtifact(key, data); err != nil {
-		c.cIngest.With("rejected").Inc()
-		return fmt.Errorf("rcache: rejecting pushed artifact for %s: %w", key, err)
-	}
-	if err := c.storeBytes(key, data); err != nil {
-		c.diskFail(key, err)
-		if c.diskOff.Load() {
-			c.cIngest.With("degraded").Inc()
-			return &resilience.DegradedError{Resource: "disk tier", After: DegradedRetryAfter}
-		}
-		c.cIngest.With("error").Inc()
-		return err
-	}
-	c.cIngest.With("stored").Inc()
-	return nil
 }
 
 // validKey reports whether key has the exact shape of a content address
@@ -765,30 +610,9 @@ func (c *Cache) InMemory(key string) bool {
 	return ok
 }
 
-// Keys lists the content addresses present in the disk store, sorted.
-// A memory-only or degraded cache lists nothing.
-func (c *Cache) Keys() []string {
-	if c.opts.Dir == "" || c.diskOff.Load() {
-		return nil
-	}
-	entries, err := os.ReadDir(c.opts.Dir)
-	if err != nil {
-		return nil
-	}
-	var keys []string
-	for _, e := range entries {
-		name := e.Name()
-		if k := strings.TrimSuffix(name, ".rart"); k != name && validKey(k) {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // Prewarm brings the artifact for key into the memory tier ahead of
-// demand through the same resolve as a real request — disk, then a fleet
-// peer, then, when mdlSource is known, a fresh retarget — so the next
+// demand through the same resolve as a real request — disk, then, when
+// mdlSource is known, a fresh retarget — so the next
 // real request for the key is a memory hit, and pre-warm and real
 // traffic join each other's in-flight fills instead of duplicating them.
 //
@@ -796,7 +620,7 @@ func (c *Cache) Keys() []string {
 // never in the serving hit/miss/retarget counters, so the externally
 // observed hit rate reflects real traffic only.  The returned outcome
 // mirrors GetContext's tiers: Mem (already warm), Coalesced (joined
-// another fill), Disk/Peer (decoded into memory), Miss with nil error
+// another fill), Disk (decoded into memory), Miss with nil error
 // (retargeted, or nothing to warm from when mdlSource is empty and no
 // tier has a copy).
 func (c *Cache) Prewarm(ctx context.Context, key, mdlSource string, ropts core.RetargetOptions) (Outcome, error) {

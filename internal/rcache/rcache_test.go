@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -80,28 +79,59 @@ func waitFor(t testing.TB, what string, cond func() bool) {
 	}
 }
 
-// gatedCache returns a memory-only cache whose every fill stops at its
-// peer step until release closes (or the filling call's context ends),
-// so a second caller can be made to arrive mid-fill; fetches counts the
-// fills that reached the peer step.
-func gatedCache(t *testing.T) (c *Cache, fetches *atomic.Int32, release chan struct{}) {
-	fetches, release = new(atomic.Int32), make(chan struct{})
-	c = openCache(t, Options{PeerFetch: func(ctx context.Context, _ string) ([]byte, error) {
-		fetches.Add(1)
-		select {
-		case <-release:
-			return nil, nil // no peer has a copy: go on to retarget
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}})
-	return c, fetches, release
+// slowFill arms a one-shot delay inside the next retarget (the
+// ise.extract faultpoint), so a second caller can be made to arrive
+// mid-fill; the returned func reports whether a fill has reached it.
+func slowFill(t *testing.T) (started func() bool) {
+	faultpoint.Arm("ise.extract", faultpoint.Action{Kind: faultpoint.KindDelay, Delay: 300 * time.Millisecond})
+	t.Cleanup(faultpoint.Reset)
+	return func() bool { return len(faultpoint.Armed()) == 0 }
+}
+
+// seedArtifact retargets the demo model into a throwaway store and
+// returns (key, encoded artifact bytes) as they sit on disk.
+func seedArtifact(t *testing.T) (string, []byte) {
+	t.Helper()
+	dir := t.TempDir()
+	c := newCache(t, dir, 4)
+	e, _, err := c.GetContext(context.Background(), demoModel(t), core.RetargetOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, e.Key+".rart"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e.Key, data
+}
+
+// storeWith returns a fresh cache over a store holding data under key.
+func storeWith(t *testing.T, key string, data []byte) *Cache {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, key+".rart"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return newCache(t, dir, 4)
+}
+
+// corruptFile flips one byte in the middle of the on-disk artifact so the
+// frame checksum no longer matches.
+func corruptFile(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x40
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 const (
 	memHits   = `record_rcache_hits_total{tier="mem"}`
 	diskHits  = `record_rcache_hits_total{tier="disk"}`
-	peerHits  = `record_rcache_hits_total{tier="peer"}`
 	misses    = "record_rcache_misses_total"
 	retargets = "record_rcache_retargets_total"
 	coalesced = "record_rcache_coalesced_total"
@@ -296,6 +326,24 @@ func TestLookupByKey(t *testing.T) {
 	c2 := newCache(t, dir, 0)
 	if _, out, ok := c2.LookupContext(ctx, e.Key); !ok || out != Disk {
 		t.Fatal("disk lookup failed")
+	}
+}
+
+// TestLookupRejectsKeyOutsideStore: a caller-supplied key that is not a
+// content address never names a file, so a lookup cannot read — or
+// quarantine — anything outside the store.
+func TestLookupRejectsKeyOutsideStore(t *testing.T) {
+	root := t.TempDir()
+	outside := filepath.Join(root, "victim.rart")
+	if err := os.WriteFile(outside, []byte("not an artifact"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := newCache(t, filepath.Join(root, "store"), 0)
+	if _, _, ok := c.LookupContext(context.Background(), "../victim"); ok {
+		t.Fatal("a path resolved as a key")
+	}
+	if _, err := os.Stat(outside); err != nil {
+		t.Fatalf("lookup touched a file outside the store: %v", err)
 	}
 }
 
@@ -530,15 +578,23 @@ func TestCoalescedFollowerOutlivesCancelledLeader(t *testing.T) {
 // by-key lookup's fill does not inherit the lookup's "not found" — it has
 // the source, so it retargets.
 func TestSourcedRequestOutlivesKeyOnlyFill(t *testing.T) {
-	c, fetches, release := gatedCache(t)
+	c := newCache(t, "", 0)
 	mdl := demoModel(t)
 	ropts := core.RetargetOptions{}
+	key := c.Key(mdl, ropts)
+	// The fill a by-key lookup runs for a key no tier holds, held open
+	// until release closes.
+	started, release := make(chan struct{}), make(chan struct{})
 	lookup := make(chan bool, 1)
 	go func() {
-		_, _, ok := c.LookupContext(context.Background(), c.Key(mdl, ropts))
-		lookup <- ok
+		v, _, _ := c.fills.Do(context.Background(), key, func() (interface{}, error) {
+			close(started)
+			<-release
+			return c.fill(context.Background(), key, "", ropts, false)
+		})
+		lookup <- v.(filled).entry != nil
 	}()
-	waitFor(t, "the lookup's fill to start", func() bool { return fetches.Load() == 1 })
+	<-started
 	type reply struct {
 		e   *Entry
 		out Outcome
@@ -559,5 +615,86 @@ func TestSourcedRequestOutlivesKeyOnlyFill(t *testing.T) {
 	}
 	if got := metric(t, c, coalesced); got != 0 {
 		t.Fatalf("the retargeting request counted as coalesced %d times", got)
+	}
+}
+
+func TestLoadDiskQuarantinesCorruptArtifact(t *testing.T) {
+	key, data := seedArtifact(t)
+	c := storeWith(t, key, data)
+	corruptFile(t, c.path(key))
+
+	// A read-path discovery of the corruption must quarantine, not delete.
+	if _, _, ok := c.LookupContext(context.Background(), key); ok {
+		t.Fatal("corrupt artifact should not load")
+	}
+	if _, err := os.Stat(c.quarantinePath(key)); err != nil {
+		t.Fatalf("loadDisk should quarantine, not remove: %v", err)
+	}
+	if cr, q := metric(t, c, "record_rcache_corrupt_total"), metric(t, c, "record_rcache_quarantined_files"); cr != 1 || q != 1 {
+		t.Fatalf("corrupt %d, quarantined %d; want 1 each", cr, q)
+	}
+}
+
+// TestWrongKeyArtifactQuarantined: a valid artifact stored under another
+// content address is rejected by its self-identifying key, not served.
+func TestWrongKeyArtifactQuarantined(t *testing.T) {
+	key, data := seedArtifact(t)
+	wrong := "deadbeef" + key[8:]
+	c := storeWith(t, wrong, data)
+	if _, _, ok := c.LookupContext(context.Background(), wrong); ok {
+		t.Fatal("mismatched artifact was accepted")
+	}
+	if got := metric(t, c, "record_rcache_corrupt_total"); got != 1 {
+		t.Fatalf("corrupt = %d, want 1", got)
+	}
+}
+
+func TestStartupQuarantineSweep(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"aa.quarantine", "bb.quarantine"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("junk"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := New(Options{
+		Dir:        dir,
+		MaxEntries: 4,
+		Obs:        obs.NewScope(obs.NewRegistry(), nil),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.gQuarantine.Value(); got != 2 {
+		t.Fatalf("startup quarantine gauge = %d, want 2", got)
+	}
+}
+
+// TestConcurrentLookupsDecodeDiskOnce: by-key lookups share one fill, so
+// concurrent lookups for a key only the disk holds decode and restore it
+// once; the rest are counted as coalesced.
+func TestConcurrentLookupsDecodeDiskOnce(t *testing.T) {
+	key, data := seedArtifact(t)
+	c := storeWith(t, key, data)
+	// Hold the leader inside its restore: grammar.rule fires while Target
+	// rebuilds the grammar, until every other lookup has joined.
+	faultpoint.Arm("grammar.rule", faultpoint.Action{Kind: faultpoint.KindDelay, Delay: 500 * time.Millisecond})
+	defer faultpoint.Reset()
+
+	const n = 8
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, _, ok := c.LookupContext(context.Background(), key); !ok {
+				t.Error("lookup missed a key the disk holds")
+			}
+		}()
+	}
+	waitFor(t, "the lookups to coalesce", func() bool { return c.fills.Merged() == n-1 })
+	wg.Wait()
+
+	if h, co := metric(t, c, diskHits), metric(t, c, coalesced); h != 1 || co != n-1 {
+		t.Fatalf("%d disk hits and %d coalesced, want 1 and %d", h, co, n-1)
 	}
 }

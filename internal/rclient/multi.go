@@ -37,11 +37,11 @@ var (
 // address when it can be computed client-side, so requests for a model
 // land on the node whose cache owns that model's artifact.  Key refs are
 // already the content address; inline source and bundled names hash to
-// the same SHA-256 the server caches under (with default options —
-// a server running non-default options still shards consistently, just
-// under a different owner than its cache key, which only costs one
-// peer-fetch).  Unresolvable names fall back to the breaker fingerprint:
-// stable routing, arbitrary owner.
+// the same SHA-256 the server caches under with default options.  A
+// server running non-default options caches under another key, but every
+// request for the model still lands on the same node, which retargets it
+// once.  Unresolvable names fall back to the breaker fingerprint: stable
+// routing, arbitrary owner.
 func (m ModelRef) routeKey() string {
 	switch {
 	case m.Key != "":

@@ -307,7 +307,7 @@ func (c *Client) post(ctx context.Context, path string, in, out interface{}) (st
 // becomes a child span ("rclient.request", tagged endpoint + path +
 // outcome, plus any extra attrs) and the span's identity travels in the
 // X-Record-Trace request header, parenting everything the server does —
-// queue wait, compile phases, peer fetches — under this leg.
+// queue wait, cache lookup, compile phases — under this leg.
 func (c *Client) postRaw(ctx context.Context, path string, in interface{}, extra ...obs.Attr) ([]byte, string, error) {
 	body, err := json.Marshal(in)
 	if err != nil {
@@ -375,11 +375,8 @@ func statusError(resp *http.Response) *StatusError {
 			}
 		}
 	}
-	switch se.Kind {
-	case "draining":
+	if se.Kind == "draining" {
 		se.wrapped = &resilience.DrainingError{After: se.After}
-	case "degraded":
-		se.wrapped = &resilience.DegradedError{Resource: "disk tier", After: se.After}
 	}
 	return se
 }

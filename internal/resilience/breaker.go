@@ -81,11 +81,11 @@ type circuit struct {
 }
 
 // Breaker is a per-key circuit breaker: each key (a model fingerprint in
-// recordd, a fleet endpoint in rclient and recordd's peer walk) gets an
+// recordd, a fleet endpoint in rclient) gets an
 // independent circuit, so one pathological model failing its budget over
 // and over stops consuming workers while every other model keeps
-// compiling, and one dead node stops receiving traffic while its peers
-// keep serving.
+// compiling, and one dead node stops receiving traffic while the rest of
+// the fleet keeps serving.
 //
 // A nil *Breaker allows everything and records nothing.
 type Breaker struct {

@@ -13,8 +13,8 @@ import (
 // distinct dynamic guards) are suffixed with the template id, which equals
 // the nextID Add used at insertion time — so a restored base accepts
 // further Add calls exactly like the original.  Every template's
-// expressions must pass CheckShape: decoded trees come from disk or a
-// peer, and everything downstream indexes Kids without checking.
+// expressions must pass CheckShape: decoded trees come from disk, and
+// everything downstream indexes Kids without checking.
 func RestoreBase(m *bdd.Manager, templates []*Template) (*Base, error) {
 	b := NewBase(m)
 	for i, t := range templates {
