@@ -1,13 +1,10 @@
 // Command benchtraj appends BenchmarkParallelCompile results to the bench
 // trajectory file — a JSON array tracking parallel-compile throughput
 // across commits, so scaling regressions show up as data rather than
-// anecdotes.  BenchmarkServerCompile* lines (recordd request latency on
-// the happy path and under shedding) ride along in server_ns_per_op, so
-// the resilience layers' overhead is tracked the same way, and
-// BenchmarkCompile{Baseline,Traced} lines land in compile_ns_per_op —
-// the per-compile cost without and with a live span-producing obs scope
-// (repeat lines from -count N keep the minimum, so the floors are
-// noise-free).  BenchmarkCompileTracedOverhead's "overhead" metric —
+// anecdotes.  BenchmarkCompile{Baseline,Traced} lines land in
+// compile_ns_per_op — the per-compile cost without and with a live
+// span-producing obs scope (repeat lines from -count N keep the minimum,
+// so the floors are noise-free).  BenchmarkCompileTracedOverhead's "overhead" metric —
 // measured by interleaving plain and traced compiles so machine-load
 // drift cancels out of the ratio — lands in traced_overhead, which
 // -max-traced-overhead turns into a CI ceiling on the tracing tax.
@@ -20,8 +17,7 @@
 // BenchmarkParallelCompile<N> lines, and appends one entry per invocation:
 //
 //	{"label": "...", "ns_per_op": {"1": 527672, "4": 1268698},
-//	 "speedup_at_4": 0.41,
-//	 "server_ns_per_op": {"base": 353216, "shed": 337470}}
+//	 "speedup_at_4": 0.41}
 //
 // speedup_at_4 is ns/op(1 worker) / ns/op(4 workers): >1 means parallel
 // compilation pays off (expect near-linear on multicore; ~1 or below on a
@@ -35,6 +31,11 @@
 //
 // When -phase-trace is given, bench input is optional: an entry with only
 // phase_seconds is still recorded.
+//
+// Older entries carry server_ns_per_op (recordd request latency from a
+// retired in-process benchmark); Entry keeps the field so an append
+// rewrites those entries byte for byte.  Service latency is measured by
+// bench/recordbench instead.
 package main
 
 import (
@@ -56,7 +57,7 @@ type Entry struct {
 	NsPerOp        map[string]float64 `json:"ns_per_op,omitempty"`
 	SpeedupAt4     float64            `json:"speedup_at_4,omitempty"`
 	SpeedupAt16    float64            `json:"speedup_at_16,omitempty"`
-	ServerNsPerOp  map[string]float64 `json:"server_ns_per_op,omitempty"`
+	ServerNsPerOp  map[string]float64 `json:"server_ns_per_op,omitempty"` // past entries only
 	CompileNsPerOp map[string]float64 `json:"compile_ns_per_op,omitempty"`
 	TracedOverhead float64            `json:"traced_overhead,omitempty"`
 	PhaseSeconds   map[string]float64 `json:"phase_seconds,omitempty"`
@@ -64,31 +65,25 @@ type Entry struct {
 
 // errNoBench marks input that contained no benchmark lines — fatal on its
 // own, tolerated when a phase trace supplies the entry's payload instead.
-var errNoBench = errors.New("benchtraj: no BenchmarkParallelCompile, BenchmarkServerCompile or BenchmarkCompile{Baseline,Traced,TracedOverhead} lines in input")
+var errNoBench = errors.New("benchtraj: no BenchmarkParallelCompile or BenchmarkCompile{Baseline,Traced,TracedOverhead} lines in input")
 
 var (
 	benchLine    = regexp.MustCompile(`^BenchmarkParallelCompile(\d+)\S*\s+\d+\s+([\d.]+) ns/op`)
-	serverLine   = regexp.MustCompile(`^BenchmarkServerCompile(\w*)\S*\s+\d+\s+([\d.]+) ns/op`)
 	compileLine  = regexp.MustCompile(`^BenchmarkCompile(Baseline|Traced)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op`)
 	overheadLine = regexp.MustCompile(`^BenchmarkCompileTracedOverhead\S*\s+\d+\s+[\d.]+ ns/op\s+([\d.]+) overhead`)
 )
 
-// serverKeys maps BenchmarkServerCompile<Suffix> onto trajectory keys.
-var serverKeys = map[string]string{"": "base", "Shed": "shed", "QoS": "qos"}
-
 // compileKeys maps BenchmarkCompile<Suffix> onto trajectory keys.
 var compileKeys = map[string]string{"Baseline": "base", "Traced": "traced"}
 
-// parse extracts worker-count → ns/op (parallel-compile lines), scenario
-// → ns/op (server-latency lines), base/traced → ns/op (single-compile
-// observability cost lines) and the interleaved traced/base overhead
-// ratio from `go test -bench` output.  The compile pair and the overhead
+// parse extracts worker-count → ns/op (parallel-compile lines),
+// base/traced → ns/op (single-compile observability cost lines) and the
+// interleaved traced/base overhead ratio from `go test -bench` output.  The compile pair and the overhead
 // ratio keep the MINIMUM across repeated lines, so CI can run them with
 // -count N and gate on the noise-free floor rather than on whichever
 // single run the scheduler disturbed.
-func parse(r io.Reader) (ns, server, compile map[string]float64, overhead float64, err error) {
+func parse(r io.Reader) (ns, compile map[string]float64, overhead float64, err error) {
 	ns = make(map[string]float64)
-	server = make(map[string]float64)
 	compile = make(map[string]float64)
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
@@ -96,7 +91,7 @@ func parse(r io.Reader) (ns, server, compile map[string]float64, overhead float6
 		if m := overheadLine.FindStringSubmatch(line); m != nil {
 			v, perr := strconv.ParseFloat(m[1], 64)
 			if perr != nil {
-				return nil, nil, nil, 0, fmt.Errorf("benchtraj: bad overhead in %q: %w", line, perr)
+				return nil, nil, 0, fmt.Errorf("benchtraj: bad overhead in %q: %w", line, perr)
 			}
 			if overhead == 0 || v < overhead {
 				overhead = v
@@ -106,28 +101,16 @@ func parse(r io.Reader) (ns, server, compile map[string]float64, overhead float6
 		if m := benchLine.FindStringSubmatch(line); m != nil {
 			v, perr := strconv.ParseFloat(m[2], 64)
 			if perr != nil {
-				return nil, nil, nil, 0, fmt.Errorf("benchtraj: bad ns/op in %q: %w", line, perr)
+				return nil, nil, 0, fmt.Errorf("benchtraj: bad ns/op in %q: %w", line, perr)
 			}
 			ns[m[1]] = v
-			continue
-		}
-		if m := serverLine.FindStringSubmatch(line); m != nil {
-			key, ok := serverKeys[m[1]]
-			if !ok {
-				key = m[1] // unknown scenario: keep it under its own name
-			}
-			v, perr := strconv.ParseFloat(m[2], 64)
-			if perr != nil {
-				return nil, nil, nil, 0, fmt.Errorf("benchtraj: bad ns/op in %q: %w", line, perr)
-			}
-			server[key] = v
 			continue
 		}
 		if m := compileLine.FindStringSubmatch(line); m != nil {
 			key := compileKeys[m[1]]
 			v, perr := strconv.ParseFloat(m[2], 64)
 			if perr != nil {
-				return nil, nil, nil, 0, fmt.Errorf("benchtraj: bad ns/op in %q: %w", line, perr)
+				return nil, nil, 0, fmt.Errorf("benchtraj: bad ns/op in %q: %w", line, perr)
 			}
 			if prev, ok := compile[key]; !ok || v < prev {
 				compile[key] = v
@@ -135,12 +118,12 @@ func parse(r io.Reader) (ns, server, compile map[string]float64, overhead float6
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, nil, nil, 0, err
+		return nil, nil, 0, err
 	}
-	if len(ns) == 0 && len(server) == 0 && len(compile) == 0 && overhead == 0 {
-		return nil, nil, nil, 0, errNoBench
+	if len(ns) == 0 && len(compile) == 0 && overhead == 0 {
+		return nil, nil, 0, errNoBench
 	}
-	return ns, server, compile, overhead, nil
+	return ns, compile, overhead, nil
 }
 
 // parsePhaseTrace sums span durations per name from a Chrome trace_event
@@ -309,7 +292,7 @@ func gateTracedOverhead(path, spec string) error {
 }
 
 func run(in io.Reader, outPath, label, tracePath string) error {
-	ns, server, compile, overhead, err := parse(in)
+	ns, compile, overhead, err := parse(in)
 	if err != nil {
 		// A run that only records phase timings has no bench lines to
 		// parse; any other parse failure is still fatal.
@@ -317,13 +300,9 @@ func run(in io.Reader, outPath, label, tracePath string) error {
 			return err
 		}
 	}
-	e := Entry{Label: label, NsPerOp: ns, ServerNsPerOp: server,
-		CompileNsPerOp: compile, TracedOverhead: overhead}
+	e := Entry{Label: label, NsPerOp: ns, CompileNsPerOp: compile, TracedOverhead: overhead}
 	if len(e.NsPerOp) == 0 {
 		e.NsPerOp = nil
-	}
-	if len(e.ServerNsPerOp) == 0 {
-		e.ServerNsPerOp = nil
 	}
 	if len(e.CompileNsPerOp) == 0 {
 		e.CompileNsPerOp = nil

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -18,9 +19,6 @@ BenchmarkParallelCompile4 	     870	   1268698 ns/op	  291604 B/op	    3947 allo
 BenchmarkParallelCompile8-4 	     894	   1493683 ns/op	  291576 B/op	    3944 allocs/op
 BenchmarkParallelCompile16-4 	     612	   1655133 ns/op	  291580 B/op	    3944 allocs/op
 BenchmarkParallelCompile32-4 	     433	   1892411 ns/op	  291587 B/op	    3945 allocs/op
-BenchmarkServerCompile-4     	      50	    353216 ns/op	  107867 B/op	    1517 allocs/op
-BenchmarkServerCompileShed-4 	      50	    137470 ns/op	  107898 B/op	    1518 allocs/op
-BenchmarkServerCompileQoS-4 	      50	    221133 ns/op	  107902 B/op	    1519 allocs/op
 BenchmarkCompileBaseline-4 	    2355	    248272 ns/op	   81876 B/op	    1880 allocs/op
 BenchmarkCompileBaseline-4 	    3073	    199936 ns/op	   81858 B/op	    1880 allocs/op
 BenchmarkCompileTraced-4   	    2341	    251843 ns/op	   83097 B/op	    1894 allocs/op
@@ -32,15 +30,12 @@ ok  	repro	5.234s
 `
 
 func TestParse(t *testing.T) {
-	ns, server, compile, overhead, err := parse(strings.NewReader(sample))
+	ns, compile, overhead, err := parse(strings.NewReader(sample))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ns) != 6 || ns["1"] != 527672 || ns["8"] != 1493683 || ns["32"] != 1892411 {
 		t.Fatalf("parsed %v", ns)
-	}
-	if len(server) != 3 || server["base"] != 353216 || server["shed"] != 137470 || server["qos"] != 221133 {
-		t.Fatalf("server latencies %v", server)
 	}
 	// Repeated -count lines keep the minimum of each half of the pair,
 	// and of the interleaved overhead ratio.
@@ -53,19 +48,62 @@ func TestParse(t *testing.T) {
 }
 
 func TestParseRejectsEmpty(t *testing.T) {
-	if _, _, _, _, err := parse(strings.NewReader("PASS\n")); err == nil {
+	if _, _, _, err := parse(strings.NewReader("PASS\n")); err == nil {
 		t.Fatal("no error for input without benchmark lines")
 	}
 }
 
-func TestParseServerOnly(t *testing.T) {
-	in := "BenchmarkServerCompile-4 	 50 	 353216 ns/op\nPASS\n"
-	ns, server, _, _, err := parse(strings.NewReader(in))
+// TestAppendKeepsPastServerNsPerOp: an append rewrites every earlier
+// entry byte for byte, including the server_ns_per_op maps that only
+// past entries carry — both for a synthetic trajectory and for the
+// repository's own bench/trajectory.json.
+func TestAppendKeepsPastServerNsPerOp(t *testing.T) {
+	past, err := json.MarshalIndent([]Entry{{
+		Label:         "past",
+		NsPerOp:       map[string]float64{"1": 527672, "4": 1268698},
+		SpeedupAt4:    527672.0 / 1268698.0,
+		ServerNsPerOp: map[string]float64{"base": 353216, "qos": 221133.5, "shed": 137470},
+	}}, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ns) != 0 || server["base"] != 353216 {
-		t.Fatalf("ns=%v server=%v", ns, server)
+	repoTraj, err := os.ReadFile(filepath.Join("..", "..", "bench", "trajectory.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(repoTraj), `"server_ns_per_op"`) {
+		t.Fatal("bench/trajectory.json has no server_ns_per_op entry to preserve")
+	}
+	for name, before := range map[string][]byte{"synthetic": append(past, '\n'), "bench/trajectory.json": repoTraj} {
+		path := filepath.Join(t.TempDir(), "trajectory.json")
+		if err := os.WriteFile(path, before, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := run(strings.NewReader(sample), path, "new", ""); err != nil {
+			t.Fatal(err)
+		}
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var old, grown []json.RawMessage
+		if err := json.Unmarshal(before, &old); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(after, &grown); err != nil {
+			t.Fatal(err)
+		}
+		if len(grown) != len(old)+1 {
+			t.Fatalf("%s: append grew %d entries to %d", name, len(old), len(grown))
+		}
+		for i := range old {
+			if !bytes.Equal(old[i], grown[i]) {
+				t.Errorf("%s: entry %d rewritten:\n%s\nbecame\n%s", name, i, old[i], grown[i])
+			}
+		}
+		if strings.Contains(string(grown[len(old)]), "server_ns_per_op") {
+			t.Errorf("%s: new entry carries server_ns_per_op: %s", name, grown[len(old)])
+		}
 	}
 }
 
@@ -94,9 +132,6 @@ func TestRunAppends(t *testing.T) {
 	want16 := 527672.0 / 1655133.0
 	if got := entries[0].SpeedupAt16; got < want16-1e-9 || got > want16+1e-9 {
 		t.Fatalf("speedup_at_16 = %v, want %v", got, want16)
-	}
-	if entries[0].ServerNsPerOp["shed"] != 137470 {
-		t.Fatalf("server_ns_per_op not persisted: %+v", entries[0])
 	}
 	if entries[0].CompileNsPerOp["base"] != 199936 || entries[0].CompileNsPerOp["traced"] != 201582 {
 		t.Fatalf("compile_ns_per_op not persisted: %+v", entries[0])

@@ -31,11 +31,6 @@
 //	-max-bdd-nodes n   per-request BDD universe cap (0 = unlimited)
 //	-max-routes n      per-request route enumeration cap (0 = default)
 //	-max-queue n       pool-slot waiters admitted before shedding 429 (0 = unlimited)
-//	-qos-weights spec  per-class dispatch weights, "interactive=8,batch=1";
-//	                   clients declare a class with X-Record-Priority
-//	-prewarm d         speculative pre-warm sweep interval (0 = off);
-//	                   idle capacity retargets hot models back into memory
-//	-prewarm-top n     hot models considered per pre-warm sweep
 //	-drain-timeout d   grace for in-flight requests after SIGTERM/SIGINT
 //	-breaker-window n  per-model circuit-breaker outcome window (0 = off)
 //	-breaker-rate f    failure rate that opens a model's circuit
@@ -44,11 +39,14 @@
 //	                   `record -faultpoints list`)
 //	-trace-spans n     request-tracer span ring bound; overwritten spans
 //	                   count in record_obs_spans_dropped_total
-//	-slo-targets spec  per-route latency objectives,
-//	                   "compile=500ms,retarget=60s,batch=10s"
-//	-slo-availability f  good-event fraction objective (default 0.999)
-//	-slo-fast-window d   fast burn-rate window (default 1m)
-//	-slo-slow-window d   slow burn-rate window (default 10m)
+//
+// Clients declare a priority class with X-Record-Priority (interactive
+// or batch); under contention the scheduler grants eight interactive
+// slots for every batch slot.  A model enters the memory tier only when
+// a request asks for it, and the LRU (-cache-size) alone decides what
+// stays.  Each route is held to a fixed latency objective (compile
+// 500ms, retarget 60s, batch 10s) at 99.9% availability, with burn rates
+// over 1m and 10m windows reported in /healthz and /metrics.
 //
 // Every traced request (X-Record-Trace in, echoed out) records into a
 // bounded span ring served at GET /v1/debug/spans for cmd/tracefuse.
@@ -73,13 +71,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/faultpoint"
 	"repro/internal/obs"
-	"repro/internal/qos"
 )
 
 func main() {
@@ -98,27 +94,11 @@ func main() {
 	flag.IntVar(&cfg.maxBDDNodes, "max-bdd-nodes", 0, "per-request BDD universe cap (0 = unlimited)")
 	flag.IntVar(&cfg.maxRoutes, "max-routes", 0, "per-request route enumeration cap (0 = default)")
 	flag.IntVar(&cfg.maxQueue, "max-queue", 64, "pool-slot waiters admitted before shedding with 429 (0 = unlimited)")
-	qosWeights := flag.String("qos-weights", "", `per-class dispatch weights, e.g. "interactive=8,batch=1"`)
-	flag.DurationVar(&cfg.prewarmEvery, "prewarm", 0, "speculative pre-warm sweep interval (0 = off)")
-	flag.IntVar(&cfg.prewarmTop, "prewarm-top", 4, "hot models considered per pre-warm sweep")
 	flag.IntVar(&cfg.brkWindow, "breaker-window", 8, "per-model circuit-breaker outcome window (0 = breaker off)")
 	flag.Float64Var(&cfg.brkRate, "breaker-rate", 0.5, "failure rate that opens a model's circuit")
 	flag.DurationVar(&cfg.brkCooldown, "breaker-cooldown", 10*time.Second, "circuit open -> half-open probe cooldown")
 	flag.IntVar(&cfg.traceSpans, "trace-spans", 4096, "request-tracer span ring bound")
-	sloTargets := flag.String("slo-targets", "", `per-route latency objectives, e.g. "compile=500ms,retarget=60s"`)
-	flag.Float64Var(&cfg.sloAvailability, "slo-availability", 0, "SLO good-event fraction objective (0 = 0.999)")
-	flag.DurationVar(&cfg.sloFastWindow, "slo-fast-window", 0, "fast burn-rate window (0 = 1m)")
-	flag.DurationVar(&cfg.sloSlowWindow, "slo-slow-window", 0, "slow burn-rate window (0 = 10m)")
 	flag.Parse()
-
-	if *sloTargets != "" {
-		targets, err := parseSLOTargets(*sloTargets)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "recordd: %v\n", err)
-			os.Exit(2)
-		}
-		cfg.sloTargets = targets
-	}
 
 	if *faults != "" {
 		if err := faultpoint.ArmSpec(*faults); err != nil {
@@ -126,15 +106,6 @@ func main() {
 			os.Exit(2)
 		}
 		fmt.Fprintf(os.Stderr, "recordd: armed faultpoints: %v\n", faultpoint.Armed())
-	}
-
-	if *qosWeights != "" {
-		w, err := qos.ParseWeights(*qosWeights)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "recordd: %v\n", err)
-			os.Exit(2)
-		}
-		cfg.qosWeights = w
 	}
 
 	// Listen before building the server so an unset -node-id can default
@@ -164,41 +135,12 @@ func main() {
 	fmt.Printf("recordd %s listening on %s (workers=%d, cache-dir=%q)\n",
 		s.cfg.nodeID, ln.Addr(), s.cfg.workers, s.cfg.cacheDir)
 
-	if s.cfg.prewarmEvery > 0 {
-		// The sweeps stop when the drain starts.
-		go s.prewarmLoop(context.Background())
-		fmt.Printf("recordd pre-warm every %v (top %d hot models)\n", s.cfg.prewarmEvery, s.cfg.prewarmTop)
-	}
-
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)
 	if err := serve(ln, s, *drain, sigs, os.Stderr); err != nil {
 		fmt.Fprintf(os.Stderr, "recordd: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-// parseSLOTargets parses "route=duration,..." into per-route latency
-// objectives, starting from the defaults so a spec can override one
-// route without restating the rest.
-func parseSLOTargets(spec string) (map[string]time.Duration, error) {
-	targets := defaultSLOTargets()
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		route, val, ok := strings.Cut(part, "=")
-		if !ok {
-			return nil, fmt.Errorf("slo-targets: %q is not route=duration", part)
-		}
-		d, err := time.ParseDuration(strings.TrimSpace(val))
-		if err != nil || d <= 0 {
-			return nil, fmt.Errorf("slo-targets: bad duration in %q", part)
-		}
-		targets[strings.TrimSpace(route)] = d
-	}
-	return targets, nil
 }
 
 // serve runs the HTTP service on ln until a signal arrives on sigs, then

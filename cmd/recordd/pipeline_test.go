@@ -90,7 +90,7 @@ func TestRefusalContract(t *testing.T) {
 					release()
 				}
 			}()
-			waitCond(t, "the queue to fill", func() bool { return s.sched.Queued() == 1 })
+			waitCond(t, "the queue to fill", func() bool { return queueDepth(s) == 1 })
 			return func() {
 				cancel()
 				<-waited

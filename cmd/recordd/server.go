@@ -38,31 +38,19 @@ type serverConfig struct {
 	brkRate     float64       // breaker failure-rate threshold
 	brkCooldown time.Duration // breaker open -> half-open cooldown
 
-	qosWeights   [qos.NumClasses]int // per-class dispatch weights (0 = qos defaults)
-	prewarmEvery time.Duration       // speculative pre-warm sweep interval (0 = off)
-	prewarmTop   int                 // hot models considered per sweep
-
 	nodeID string // fleet identity: /healthz field + node metric label
 
 	traceSpans int // span-ring bound for the request tracer (0 = default)
 
-	sloTargets      map[string]time.Duration // per-route latency objectives (nil = defaults)
-	sloAvailability float64                  // good-event fraction objective (0 = default)
-	sloFastWindow   time.Duration            // fast burn window (0 = default)
-	sloSlowWindow   time.Duration            // slow burn window (0 = default)
-
 	brkClock func() time.Time // injectable breaker clock (tests); nil = time.Now
 }
 
-// defaultSLOTargets are the per-route latency objectives: a compile
-// should be interactive, a retarget may legitimately run the full
-// pipeline.
-func defaultSLOTargets() map[string]time.Duration {
-	return map[string]time.Duration{
-		"retarget": 60 * time.Second,
-		"compile":  500 * time.Millisecond,
-		"batch":    10 * time.Second,
-	}
+// sloTargets are the per-route latency objectives: a compile should be
+// interactive, a retarget may legitimately run the full pipeline.
+var sloTargets = map[string]time.Duration{
+	"retarget": 60 * time.Second,
+	"compile":  500 * time.Millisecond,
+	"batch":    10 * time.Second,
 }
 
 func (c serverConfig) withDefaults() serverConfig {
@@ -78,20 +66,8 @@ func (c serverConfig) withDefaults() serverConfig {
 	if c.nodeID == "" {
 		c.nodeID = "recordd"
 	}
-	if c.prewarmTop <= 0 {
-		c.prewarmTop = 4
-	}
 	if c.traceSpans <= 0 {
 		c.traceSpans = 4096
-	}
-	if c.sloTargets == nil {
-		c.sloTargets = defaultSLOTargets()
-	}
-	if c.sloFastWindow <= 0 {
-		c.sloFastWindow = time.Minute
-	}
-	if c.sloSlowWindow <= 0 {
-		c.sloSlowWindow = 10 * time.Minute
 	}
 	return c
 }
@@ -114,12 +90,11 @@ func (c serverConfig) withDefaults() serverConfig {
 // QoS scheduler owns the worker slots — weighted multi-queue admission
 // over interactive/batch priority classes sheds with 429 + Retry-After
 // once the backlog exceeds -max-queue (batch first, always), duplicate
-// /v1/compile requests coalesce into one execution, and idle capacity
-// speculatively pre-warms hot models.  A per-model circuit breaker turns
-// a repeatedly failing model into fast 503s instead of burnt retarget
-// workers, and beginDrain flips the whole surface into refusal mode so
-// shutdown finishes in-flight work and nothing is dropped without an
-// explicit status.
+// /v1/compile requests coalesce into one execution.  A per-model circuit
+// breaker turns a repeatedly failing model into fast 503s instead of
+// burnt retarget workers, and beginDrain flips the whole surface into
+// refusal mode so shutdown finishes in-flight work and nothing is
+// dropped without an explicit status.
 //
 // All counters and gauges live in one obs.Registry: the cache and the
 // compile pipeline register their own instruments against it, the
@@ -129,10 +104,8 @@ type server struct {
 	cfg   serverConfig
 	cache *rcache.Cache
 
-	sched     *qos.Scheduler        // worker slots + per-class admission
-	coal      *resilience.Coalescer // duplicate /v1/compile merging
-	pop       *qos.Popularity
-	prewarmer *qos.Prewarmer
+	sched *qos.Scheduler        // worker slots + per-class admission
+	coal  *resilience.Coalescer // duplicate /v1/compile merging
 
 	brk      *resilience.Breaker
 	drainCh  chan struct{} // closed when draining starts
@@ -147,16 +120,15 @@ type server struct {
 	gTargInflight *obs.GaugeVec     // by artifact key; series dropped at zero
 	hPhase        *obs.HistogramVec // request-handling latency by phase
 
-	gQueue        *obs.GaugeVec   // queued waiters, by priority class
-	gDraining     *obs.Gauge      // 1 while draining
-	cShed         *obs.CounterVec // requests shed by admission, by class
-	cDispatched   *obs.CounterVec // pool slots granted, by class
-	cCoalesced    *obs.Counter    // duplicate compiles answered from a leader's run
-	cPrewarmSweep *obs.Counter    // pre-warm sweeps run
-	cBrkOpens     *obs.Counter    // breaker trips to open
-	cBrkReject    *obs.Counter    // requests refused by an open circuit
-	cErrors       *obs.CounterVec // error responses, by status
-	cAborts       *obs.Counter    // client disconnects before a response
+	gQueue      *obs.GaugeVec   // queued waiters, by priority class
+	gDraining   *obs.Gauge      // 1 while draining
+	cShed       *obs.CounterVec // requests shed by admission, by class
+	cDispatched *obs.CounterVec // pool slots granted, by class
+	cCoalesced  *obs.Counter    // duplicate compiles answered from a leader's run
+	cBrkOpens   *obs.Counter    // breaker trips to open
+	cBrkReject  *obs.Counter    // requests refused by an open circuit
+	cErrors     *obs.CounterVec // error responses, by status
+	cAborts     *obs.Counter    // client disconnects before a response
 
 	// targMu serializes the zero-check-then-delete on gTargInflight so a
 	// concurrent Inc cannot land between Dec and Delete.
@@ -183,12 +155,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		reg:     reg,
 		scp:     scp,
 		tracer:  tracer,
-		slo: obs.NewSLOTracker(reg, "record_recordd_slo", obs.SLOConfig{
-			Targets:      cfg.sloTargets,
-			Availability: cfg.sloAvailability,
-			FastWindow:   cfg.sloFastWindow,
-			SlowWindow:   cfg.sloSlowWindow,
-		}),
+		slo:     obs.NewSLOTracker(reg, "record_recordd_slo", obs.SLOConfig{Targets: sloTargets}),
 		gInflight: reg.Gauge("record_recordd_inflight_compiles",
 			"compiles currently executing"),
 		gTargInflight: reg.GaugeVec("record_recordd_target_inflight_compiles",
@@ -205,8 +172,6 @@ func newServer(cfg serverConfig) (*server, error) {
 			"worker-pool slots granted, by priority class", "class"),
 		cCoalesced: reg.Counter("record_recordd_qos_coalesced_total",
 			"duplicate compile requests answered from another request's execution"),
-		cPrewarmSweep: reg.Counter("record_recordd_prewarm_sweeps_total",
-			"speculative pre-warm sweeps run"),
 		cBrkOpens: reg.Counter("record_recordd_breaker_opens_total",
 			"circuit-breaker trips to open, across all models"),
 		cBrkReject: reg.Counter("record_recordd_breaker_rejections_total",
@@ -219,7 +184,6 @@ func newServer(cfg serverConfig) (*server, error) {
 	s.sched = qos.NewScheduler(qos.Config{
 		Capacity: cfg.workers,
 		MaxQueue: cfg.maxQueue,
-		Weights:  cfg.qosWeights,
 		Drain:    s.drainCh,
 		OnDepth:  func(cl qos.Class, depth int) { s.gQueue.With(cl.String()).Set(int64(depth)) },
 	})
@@ -229,16 +193,6 @@ func newServer(cfg serverConfig) (*server, error) {
 		s.gQueue.With(cl.String()).Set(0)
 		s.cShed.With(cl.String()).Add(0)
 		s.cDispatched.With(cl.String()).Add(0)
-	}
-	if cfg.prewarmEvery > 0 {
-		s.pop = qos.NewPopularity(0, 0, nil)
-		s.prewarmer = &qos.Prewarmer{
-			Sched:  s.sched,
-			Pop:    s.pop,
-			Top:    cfg.prewarmTop,
-			IsWarm: s.cache.InMemory,
-			Warm:   s.prewarmOne,
-		}
 	}
 	reg.GaugeVec("record_recordd_node_info",
 		"static node identity; always 1", "node").With(cfg.nodeID).Set(1)
@@ -254,42 +208,6 @@ func newServer(cfg serverConfig) (*server, error) {
 	reg.Gauge("record_recordd_worker_pool_size",
 		"configured worker pool capacity").Set(int64(cfg.workers))
 	return s, nil
-}
-
-// prewarmOne is the Prewarmer's Warm hook: it loads one hot model into
-// the memory tier under pre-warm attribution.  It retargets with the
-// options a real request resolves with, so it computes the same content
-// address.
-func (s *server) prewarmOne(ctx context.Context, key, mdlSource string) error {
-	if err := faultpoint.Hit("recordd.prewarm.retarget", key); err != nil {
-		return err
-	}
-	ctx, cancel := s.bounded(ctx)
-	defer cancel()
-	_, err := s.cache.Prewarm(ctx, key, mdlSource, s.retargetOptions(ctx))
-	return err
-}
-
-// prewarmLoop drives pre-warm sweeps until ctx ends or the drain starts.
-// Sweeps only ever use idle capacity: the scheduler refuses the lease
-// when any real work is queued, and revokes it when real work arrives.
-func (s *server) prewarmLoop(ctx context.Context) {
-	if s.prewarmer == nil {
-		return
-	}
-	t := time.NewTicker(s.cfg.prewarmEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-s.drainCh:
-			return
-		case <-t.C:
-			s.cPrewarmSweep.Inc()
-			s.prewarmer.Sweep(ctx)
-		}
-	}
 }
 
 // handler wraps the route mux in the drain gate: once draining, every
@@ -801,7 +719,6 @@ func (s *server) execute(ctx context.Context, rt route, j job, cl qos.Class) *wi
 	if err != nil {
 		return errWire(err)
 	}
-	s.pop.Touch(j.key, j.mdl)
 
 	res.programs = make([]compiled, len(j.programs))
 	if rt.batch {

@@ -423,7 +423,7 @@ func TestPoolSaturationSheds(t *testing.T) {
 		queued <- code
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for s.sched.Queued() == 0 {
+	for queueDepth(s) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("request never queued")
 		}
@@ -448,7 +448,7 @@ func TestPoolSaturationSheds(t *testing.T) {
 	if d := time.Since(start); d > 2*time.Second {
 		t.Fatalf("shed took %v, want a fast rejection", d)
 	}
-	if got := s.sched.Shed(qos.Interactive); got != 1 {
+	if got := s.cShed.With("interactive").Value(); got != 1 {
 		t.Fatalf("shed counter = %d, want 1", got)
 	}
 

@@ -132,15 +132,19 @@ func TestHealthzReportsSLO(t *testing.T) {
 		SLO map[string]obs.SLOStatus `json:"slo"`
 	}
 	getJSON(t, ts.URL+"/healthz", &hz)
-	for _, route := range []string{"retarget", "compile", "batch"} {
-		if _, ok := hz.SLO[route]; !ok {
+	for route, target := range map[string]string{"retarget": "1m0s", "compile": "500ms", "batch": "10s"} {
+		st, ok := hz.SLO[route]
+		if !ok {
 			t.Fatalf("healthz slo missing route %q: %v", route, hz.SLO)
 		}
+		if st.Target != target {
+			t.Errorf("%s SLO target %q, want %q", route, st.Target, target)
+		}
+	}
+	if len(hz.SLO) != 3 {
+		t.Errorf("healthz slo has %d routes, want 3: %v", len(hz.SLO), hz.SLO)
 	}
 	st := hz.SLO["retarget"]
-	if st.Target == "" {
-		t.Fatalf("retarget SLO has no latency target: %+v", st)
-	}
 	if st.Page || st.Warn {
 		t.Fatalf("healthy server paging: %+v", st)
 	}

@@ -51,15 +51,39 @@ func TestSuiteComplete(t *testing.T) {
 	}
 }
 
+// figure2Words pins the Figure 2 result on tms320c25: the exact code
+// size, in instruction words, of each kernel as RECORD and the naive
+// baseline compile it.  Any change to code selection, compaction or the
+// baseline that moves a count shows up here as a failing diff.
+var figure2Words = map[string]struct{ record, naive int }{
+	"real_update":       {5, 7},
+	"complex_multiply":  {11, 22},
+	"complex_update":    {13, 28},
+	"n_real_updates":    {19, 56},
+	"n_complex_updates": {51, 224},
+	"dot_product":       {11, 58},
+	"fir":               {27, 74},
+	"biquad_one":        {18, 36},
+	"biquad_N":          {61, 146},
+	"convolution":       {11, 58},
+}
+
 // TestKernelsCompileAndVerify is the core figure-2 integrity check: every
 // kernel compiles for the TMS320C25 model, runs on the netlist simulator,
 // and matches the IR oracle — for both the RECORD pipeline and the naive
-// baseline.
+// baseline — at exactly the code size figure2Words records.
 func TestKernelsCompileAndVerify(t *testing.T) {
 	tg := c25Target(t)
+	if len(figure2Words) != len(Suite()) {
+		t.Fatalf("figure2Words has %d kernels, suite has %d", len(figure2Words), len(Suite()))
+	}
 	for _, k := range Suite() {
 		k := k
 		t.Run(k.Name, func(t *testing.T) {
+			want, ok := figure2Words[k.Name]
+			if !ok {
+				t.Fatalf("no pinned word counts for %s", k.Name)
+			}
 			rec, err := tg.CompileSourceContext(context.Background(), k.Source, core.CompileOptions{})
 			if err != nil {
 				t.Fatalf("record compile: %v", err)
@@ -78,6 +102,10 @@ func TestKernelsCompileAndVerify(t *testing.T) {
 			nvPct := 100 * nv.CodeLen() / k.HandWords
 			t.Logf("%-18s hand=%3d  record=%3d (%d%%)  naive=%3d (%d%%)",
 				k.Name, k.HandWords, rec.CodeLen(), recPct, nv.CodeLen(), nvPct)
+			if rec.CodeLen() != want.record || nv.CodeLen() != want.naive {
+				t.Errorf("words {record, naive} = {%d, %d}, want {%d, %d}",
+					rec.CodeLen(), nv.CodeLen(), want.record, want.naive)
+			}
 			// Figure 2 shape: RECORD never loses to the naive baseline.
 			if rec.CodeLen() > nv.CodeLen() {
 				t.Errorf("record (%d) worse than naive (%d)", rec.CodeLen(), nv.CodeLen())

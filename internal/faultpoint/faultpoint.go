@@ -15,9 +15,9 @@
 // scenarios are a one-liner.
 //
 // The planted sites are listed by Sites (and by `record -faultpoints
-// list`): eight pipeline sites from the retargeting path plus four
-// service-layer sites (cache disk write, worker spawn, response encode,
-// speculative pre-warm) exercised by the recordd chaos harness.
+// list`): eight pipeline sites from the retargeting path plus three
+// service-layer sites (cache disk write, worker spawn, response encode)
+// exercised by the recordd chaos harness.
 package faultpoint
 
 import (
@@ -49,7 +49,6 @@ var sites = []Site{
 	{"ise.extract", "start of instruction-set extraction (detail: model name)"},
 	{"ise.route.explosion", "per RT-destination enumeration (detail: destination)"},
 	{"rcache.disk.write", "artifact cache disk write (detail: artifact key)"},
-	{"recordd.prewarm.retarget", "recordd speculative pre-warm of a hot model (detail: artifact key)"},
 	{"recordd.response.encode", "recordd response serialization"},
 	{"recordd.worker.spawn", "recordd worker-pool slot handoff"},
 	{"sim.step", "per simulated machine cycle (detail: netlist name)"},

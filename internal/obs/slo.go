@@ -7,16 +7,17 @@ import (
 	"time"
 )
 
-// SLO defaults.  Burn thresholds follow the SRE-workbook multi-window
-// pattern: a page needs the fast AND slow windows burning at >=14.4x the
-// error budget (1h/30d exhaustion pace scaled to our short windows); a
-// warning needs both at >=6x.
+// The SLO objective every tracker monitors: 99.9% of events good, burn
+// rates over a 1m fast and a 10m slow window.  Burn thresholds follow
+// the SRE-workbook multi-window pattern: a page needs the fast AND slow
+// windows burning at >=14.4x the error budget (1h/30d exhaustion pace
+// scaled to these short windows); a warning needs both at >=6x.
 const (
-	DefaultSLOAvailability = 0.999
-	DefaultSLOFastWindow   = 5 * time.Minute
-	DefaultSLOSlowWindow   = time.Hour
-	DefaultSLOFastBurn     = 14.4
-	DefaultSLOSlowBurn     = 6.0
+	sloAvailability = 0.999
+	sloFastWindow   = time.Minute
+	sloSlowWindow   = 10 * time.Minute
+	sloPageBurn     = 14.4
+	sloWarnBurn     = 6.0
 )
 
 // SLOConfig declares the objectives an SLOTracker monitors.
@@ -24,14 +25,7 @@ type SLOConfig struct {
 	// Targets maps a route class to its latency objective: an event is
 	// "good" iff it succeeded and finished within the target.
 	Targets map[string]time.Duration
-	// Availability is the fraction of events that must be good
-	// (e.g. 0.999); the error budget is 1-Availability.
-	Availability float64
-	// FastWindow / SlowWindow are the two burn-rate windows.
-	FastWindow, SlowWindow time.Duration
-	// FastBurn / SlowBurn are the page / warn burn-rate thresholds.
-	FastBurn, SlowBurn float64
-	// Now injects the clock for tests.
+	// Now injects the clock for tests; nil = time.Now.
 	Now func() time.Time
 }
 
@@ -46,7 +40,7 @@ type sloBucket struct {
 // sloClass is one route class's bucket ring plus its exported gauges.
 type sloClass struct {
 	target  time.Duration
-	buckets []sloBucket // ring over SlowWindow seconds, indexed sec%len
+	buckets []sloBucket // ring over the slow window's seconds, indexed sec%len
 }
 
 // SLOStatus is one route class's burn-rate snapshot as reported in
@@ -66,7 +60,7 @@ type SLOStatus struct {
 // are nil-safe.
 type SLOTracker struct {
 	mu      sync.Mutex
-	cfg     SLOConfig
+	now     func() time.Time
 	classes map[string]*sloClass
 
 	events *CounterVec // <prefix>_events_total{route,result}
@@ -75,36 +69,18 @@ type SLOTracker struct {
 }
 
 // NewSLOTracker builds a tracker for cfg's route classes, registering
-// its instruments under prefix (e.g. "record_recordd_slo").  Zero config
-// fields take the Default* values.  A nil registry or empty target set
-// returns nil, which discards.
+// its instruments under prefix (e.g. "record_recordd_slo").  A nil
+// registry or empty target set returns nil, which discards.
 func NewSLOTracker(reg *Registry, prefix string, cfg SLOConfig) *SLOTracker {
 	if reg == nil || len(cfg.Targets) == 0 {
 		return nil
 	}
-	if cfg.Availability <= 0 || cfg.Availability >= 1 {
-		cfg.Availability = DefaultSLOAvailability
-	}
-	if cfg.FastWindow <= 0 {
-		cfg.FastWindow = DefaultSLOFastWindow
-	}
-	if cfg.SlowWindow <= 0 {
-		cfg.SlowWindow = DefaultSLOSlowWindow
-	}
-	if cfg.SlowWindow < cfg.FastWindow {
-		cfg.SlowWindow = cfg.FastWindow
-	}
-	if cfg.FastBurn <= 0 {
-		cfg.FastBurn = DefaultSLOFastBurn
-	}
-	if cfg.SlowBurn <= 0 {
-		cfg.SlowBurn = DefaultSLOSlowBurn
-	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
+	now := cfg.Now
+	if now == nil {
+		now = time.Now
 	}
 	t := &SLOTracker{
-		cfg:     cfg,
+		now:     now,
 		classes: make(map[string]*sloClass, len(cfg.Targets)),
 		events: reg.CounterVec(prefix+"_events_total",
 			"SLO events by route class and good/bad result.", "route", "result"),
@@ -114,10 +90,7 @@ func NewSLOTracker(reg *Registry, prefix string, cfg SLOConfig) *SLOTracker {
 		alert: reg.GaugeVec(prefix+"_alert",
 			"Multi-window burn alert state (1 = firing).", "route", "severity"),
 	}
-	secs := int(cfg.SlowWindow / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
+	secs := int(sloSlowWindow / time.Second)
 	for route, target := range cfg.Targets {
 		t.classes[route] = &sloClass{target: target, buckets: make([]sloBucket, secs)}
 		// Pre-touch the label sets so exposition shows every class from
@@ -145,7 +118,7 @@ func (t *SLOTracker) Observe(route string, latency time.Duration, ok bool) {
 		t.mu.Unlock()
 		return
 	}
-	sec := t.cfg.Now().Unix()
+	sec := t.now().Unix()
 	b := &c.buckets[int(sec%int64(len(c.buckets)))]
 	if b.sec != sec {
 		*b = sloBucket{sec: sec}
@@ -168,13 +141,7 @@ func (t *SLOTracker) Observe(route string, latency time.Duration, ok bool) {
 // burn rate: badFraction / errorBudget.  Zero traffic burns nothing.
 // Call with t.mu held.
 func (t *SLOTracker) windowBurn(c *sloClass, now int64, d time.Duration) float64 {
-	secs := int64(d / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > int64(len(c.buckets)) {
-		secs = int64(len(c.buckets))
-	}
+	secs := int64(d / time.Second) // d is at most the slow window the ring spans
 	var good, bad uint64
 	for s := now - secs + 1; s <= now; s++ {
 		b := &c.buckets[int(((s%int64(len(c.buckets)))+int64(len(c.buckets)))%int64(len(c.buckets)))]
@@ -187,7 +154,7 @@ func (t *SLOTracker) windowBurn(c *sloClass, now int64, d time.Duration) float64
 	if total == 0 {
 		return 0
 	}
-	budget := 1 - t.cfg.Availability
+	budget := 1 - sloAvailability
 	return (float64(bad) / float64(total)) / budget
 }
 
@@ -203,13 +170,13 @@ func (t *SLOTracker) Refresh() {
 
 // Health returns the per-class burn snapshot (and, as a side effect,
 // refreshes the exported gauges).  A page fires when both windows burn
-// at >= FastBurn; a warning when both burn at >= SlowBurn.
+// at >= 14.4x the budget; a warning when both burn at >= 6x.
 func (t *SLOTracker) Health() map[string]SLOStatus {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
-	now := t.cfg.Now().Unix()
+	now := t.now().Unix()
 	type cb struct {
 		route      string
 		fast, slow float64
@@ -219,8 +186,8 @@ func (t *SLOTracker) Health() map[string]SLOStatus {
 	for route, c := range t.classes {
 		snaps = append(snaps, cb{
 			route:  route,
-			fast:   t.windowBurn(c, now, t.cfg.FastWindow),
-			slow:   t.windowBurn(c, now, t.cfg.SlowWindow),
+			fast:   t.windowBurn(c, now, sloFastWindow),
+			slow:   t.windowBurn(c, now, sloSlowWindow),
 			target: c.target,
 		})
 	}
@@ -229,8 +196,8 @@ func (t *SLOTracker) Health() map[string]SLOStatus {
 
 	out := make(map[string]SLOStatus, len(snaps))
 	for _, s := range snaps {
-		page := s.fast >= t.cfg.FastBurn && s.slow >= t.cfg.FastBurn
-		warn := s.fast >= t.cfg.SlowBurn && s.slow >= t.cfg.SlowBurn
+		page := s.fast >= sloPageBurn && s.slow >= sloPageBurn
+		warn := s.fast >= sloWarnBurn && s.slow >= sloWarnBurn
 		t.burn.With(s.route, "fast").Set(int64(math.Round(s.fast * 1e6)))
 		t.burn.With(s.route, "slow").Set(int64(math.Round(s.slow * 1e6)))
 		t.alert.With(s.route, "page").Set(boolGauge(page))

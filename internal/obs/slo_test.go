@@ -12,11 +12,8 @@ func sloHarness(t *testing.T) (*SLOTracker, *Registry, *time.Time) {
 	now := time.Unix(1_700_000_000, 0)
 	reg := NewRegistry()
 	tr := NewSLOTracker(reg, "record_recordd_slo", SLOConfig{
-		Targets:      map[string]time.Duration{"compile": 100 * time.Millisecond},
-		Availability: 0.999,
-		FastWindow:   time.Minute,
-		SlowWindow:   10 * time.Minute,
-		Now:          func() time.Time { return now },
+		Targets: map[string]time.Duration{"compile": 100 * time.Millisecond},
+		Now:     func() time.Time { return now },
 	})
 	if tr == nil {
 		t.Fatal("NewSLOTracker returned nil")
@@ -120,6 +117,30 @@ func TestSLOWindowExpiry(t *testing.T) {
 	st := tr.Health()["compile"]
 	if st.FastBurn != 0 || st.SlowBurn != 0 {
 		t.Fatalf("expired window still burning: %+v", st)
+	}
+}
+
+// TestSLOWindowsAreOneAndTenMinutes pins the fixed burn windows: a bad
+// event burns the fast window for 60 s and the slow window for 600 s.
+func TestSLOWindowsAreOneAndTenMinutes(t *testing.T) {
+	tr, _, now := sloHarness(t)
+	start := *now
+	tr.Observe("compile", time.Millisecond, false)
+	for _, c := range []struct {
+		after      time.Duration
+		fast, slow bool
+	}{
+		{59 * time.Second, true, true},
+		{60 * time.Second, false, true},
+		{599 * time.Second, false, true},
+		{600 * time.Second, false, false},
+	} {
+		*now = start.Add(c.after)
+		st := tr.Health()["compile"]
+		if (st.FastBurn > 0) != c.fast || (st.SlowBurn > 0) != c.slow {
+			t.Errorf("%v after a bad event: fast burn %v, slow burn %v; want burning fast=%v slow=%v",
+				c.after, st.FastBurn, st.SlowBurn, c.fast, c.slow)
+		}
 	}
 }
 

@@ -1,11 +1,11 @@
 // Package qos differentiates recordd traffic: priority classes with
-// weighted admission (interactive vs. batch) and speculative pre-warm of
-// hot models during idle capacity.
+// weighted admission (interactive vs. batch) over a bounded worker pool.
+// The dispatch weights and Retry-After hints are fixed; only the pool
+// size, the queue bound and the drain signal are configured.
 //
 // The package is stdlib-only and nil-safe in the style of diag, obs and
-// resilience: a nil *Scheduler admits everything immediately and a nil
-// *Popularity forgets everything — so callers thread QoS through
-// unconditionally and flip it on by constructing the pieces.
+// resilience: a nil *Scheduler admits everything immediately, so callers
+// thread QoS through unconditionally and flip it on by constructing one.
 //
 // Refusals are typed with internal/resilience errors (OverloadError,
 // DrainingError), so the HTTP status mapping, Retry-After hints and the
@@ -14,7 +14,6 @@
 package qos
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 	"time"
@@ -62,47 +61,13 @@ func ParseClass(s string, def Class) Class {
 	return def
 }
 
-// DefaultWeights is the dispatch weighting when none is configured:
-// eight interactive grants for every batch grant under contention.
-var DefaultWeights = [NumClasses]int{Interactive: 8, Batch: 1}
+// weights is the dispatch weighting under contention: eight interactive
+// grants for every batch grant.
+var weights = [NumClasses]int{Interactive: 8, Batch: 1}
 
-// DefaultRetryAfter is the per-class Retry-After hint attached to sheds:
-// batch callers are told to back off harder than interactive ones.
-var DefaultRetryAfter = [NumClasses]time.Duration{
+// retryAfter is the per-class Retry-After hint attached to sheds: batch
+// callers are told to back off harder than interactive ones.
+var retryAfter = [NumClasses]time.Duration{
 	Interactive: time.Second,
 	Batch:       2 * time.Second,
-}
-
-// ParseWeights parses a "-qos-weights" style spec: comma-separated
-// class=weight pairs, e.g. "interactive=8,batch=1".  Omitted classes
-// keep their DefaultWeights value; an empty spec is the defaults.
-// Weights must be positive integers.
-func ParseWeights(spec string) ([NumClasses]int, error) {
-	w := DefaultWeights
-	if strings.TrimSpace(spec) == "" {
-		return w, nil
-	}
-	for _, item := range strings.Split(spec, ",") {
-		item = strings.TrimSpace(item)
-		if item == "" {
-			continue
-		}
-		name, val, ok := strings.Cut(item, "=")
-		if !ok {
-			return w, fmt.Errorf("qos: weight %q is not class=weight", item)
-		}
-		n, err := strconv.Atoi(strings.TrimSpace(val))
-		if err != nil || n <= 0 {
-			return w, fmt.Errorf("qos: weight %q must be a positive integer", item)
-		}
-		switch strings.ToLower(strings.TrimSpace(name)) {
-		case "interactive":
-			w[Interactive] = n
-		case "batch":
-			w[Batch] = n
-		default:
-			return w, fmt.Errorf("qos: unknown class %q (want interactive or batch)", name)
-		}
-	}
-	return w, nil
 }

@@ -62,24 +62,21 @@ func FuzzParseClass(f *testing.F) {
 	})
 }
 
-func TestParseWeights(t *testing.T) {
-	w, err := ParseWeights("")
-	if err != nil || w != DefaultWeights {
-		t.Fatalf("empty spec: got %v, %v", w, err)
-	}
-	w, err = ParseWeights("interactive=5,batch=2")
-	if err != nil || w[Interactive] != 5 || w[Batch] != 2 {
-		t.Fatalf("got %v, %v", w, err)
-	}
-	w, err = ParseWeights(" Batch=3 ")
-	if err != nil || w[Batch] != 3 || w[Interactive] != DefaultWeights[Interactive] {
-		t.Fatalf("partial spec: got %v, %v", w, err)
-	}
-	for _, bad := range []string{"interactive", "interactive=0", "batch=-1", "batch=x", "urgent=2"} {
-		if _, err := ParseWeights(bad); err == nil {
-			t.Errorf("ParseWeights(%q): want error", bad)
-		}
-	}
+// depthLog records the queue depth each class last reported through
+// Config.OnDepth — the scheduler's only observable state, and the one a
+// caller's queue gauge sees.
+type depthLog struct{ d [NumClasses]atomic.Int64 }
+
+func (l *depthLog) observe(cl Class, n int) { l.d[cl].Store(int64(n)) }
+func (l *depthLog) of(cl Class) int         { return int(l.d[cl].Load()) }
+func (l *depthLog) total() int              { return l.of(Interactive) + l.of(Batch) }
+
+// newScheduler builds a Scheduler whose queue depths land in the
+// returned log.
+func newScheduler(cfg Config) (*Scheduler, *depthLog) {
+	l := &depthLog{}
+	cfg.OnDepth = l.observe
+	return NewScheduler(cfg), l
 }
 
 func TestNilSchedulerAdmitsEverything(t *testing.T) {
@@ -89,18 +86,10 @@ func TestNilSchedulerAdmitsEverything(t *testing.T) {
 		t.Fatalf("nil scheduler refused: %v", err)
 	}
 	release()
-	if _, rel, ok := s.AcquireIdle(context.Background()); !ok {
-		t.Fatal("nil scheduler refused idle lease")
-	} else {
-		rel()
-	}
-	if s.Depth(Batch) != 0 || s.Shed(Batch) != 0 {
-		t.Fatal("nil scheduler has state")
-	}
 }
 
 func TestSchedulerImmediateGrantAndRelease(t *testing.T) {
-	s := NewScheduler(Config{Capacity: 2})
+	s, depth := newScheduler(Config{Capacity: 2})
 	r1, err := s.Acquire(context.Background(), Interactive)
 	if err != nil {
 		t.Fatal(err)
@@ -112,15 +101,18 @@ func TestSchedulerImmediateGrantAndRelease(t *testing.T) {
 	r1()
 	r1() // idempotent
 	r2()
-	if got := s.Dispatched(Interactive) + s.Dispatched(Batch); got != 2 {
-		t.Fatalf("dispatched = %d, want 2", got)
+	if depth.total() != 0 {
+		t.Fatalf("immediate grants queued: depth %d", depth.total())
 	}
-	// All slots back: another acquire succeeds immediately.
-	r3, err := s.Acquire(context.Background(), Interactive)
-	if err != nil {
-		t.Fatal(err)
+	// All slots back, and the double release returned no extra one: two
+	// more acquires succeed immediately and a third has to queue.
+	free := occupy(t, s, 2)
+	defer free()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := s.Acquire(ctx, Interactive); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("third acquire on a two-slot pool: want a deadline, got %v", err)
 	}
-	r3()
 }
 
 // occupy claims every slot and returns a func releasing them all.
@@ -142,10 +134,10 @@ func occupy(t *testing.T, s *Scheduler, n int) func() {
 }
 
 func TestSchedulerWeightedDispatchOrder(t *testing.T) {
-	s := NewScheduler(Config{Capacity: 1, Weights: [NumClasses]int{Interactive: 2, Batch: 1}})
+	s, depth := newScheduler(Config{Capacity: 1})
 	free := occupy(t, s, 1)
 
-	// Queue 4 interactive and 2 batch waiters, then hand the slot back:
+	// Queue 16 interactive and 2 batch waiters, then hand the slot back:
 	// each grant's release chains the next, so the grant order is the
 	// dispatcher's order.  Enqueue deterministically by waiting until
 	// each waiter is visibly queued.
@@ -166,21 +158,23 @@ func TestSchedulerWeightedDispatchOrder(t *testing.T) {
 			mu.Unlock()
 			rel()
 		}()
-		waitFor(t, func() bool { return s.Depth(cl) >= wantDepth })
+		waitFor(t, func() bool { return depth.of(cl) >= wantDepth })
 	}
-	add(Interactive, 1)
-	add(Interactive, 2)
-	add(Interactive, 3)
-	add(Interactive, 4)
+	for i := 1; i <= 16; i++ {
+		add(Interactive, i)
+	}
 	add(Batch, 1)
 	add(Batch, 2)
 
 	free() // hand the slot back; each waiter's release chains the next
 	wg.Wait()
 
-	// Smooth WRR at 2:1 interleaves rather than bursting: I B I I B I —
-	// interactive gets its 2/3 share and batch is never starved.
-	want := []Class{Interactive, Batch, Interactive, Interactive, Batch, Interactive}
+	// Smooth WRR at the fixed 8:1 interleaves rather than bursting: each
+	// round of nine grants is I I I I B I I I I — interactive gets its
+	// 8/9 share and batch is never starved.
+	round := []Class{Interactive, Interactive, Interactive, Interactive, Batch,
+		Interactive, Interactive, Interactive, Interactive}
+	want := append(append([]Class{}, round...), round...)
 	mu.Lock()
 	defer mu.Unlock()
 	if len(order) != len(want) {
@@ -205,9 +199,19 @@ func waitFor(t *testing.T, cond func() bool) {
 }
 
 func TestSchedulerBatchShedFirst(t *testing.T) {
-	s := NewScheduler(Config{Capacity: 1, MaxQueue: 2})
+	s, depth := newScheduler(Config{Capacity: 1, MaxQueue: 2})
 	free := occupy(t, s, 1)
 	defer free()
+
+	// overload asserts err is the typed shed and returns it.
+	overload := func(what string, err error) *resilience.OverloadError {
+		t.Helper()
+		var ov *resilience.OverloadError
+		if !errors.As(err, &ov) {
+			t.Fatalf("%s: want OverloadError, got %T: %v", what, err, err)
+		}
+		return ov
+	}
 
 	// Fill the queue with two batch waiters.
 	errs := make(chan error, 2)
@@ -220,19 +224,13 @@ func TestSchedulerBatchShedFirst(t *testing.T) {
 			errs <- err
 		}()
 	}
-	waitFor(t, func() bool { return s.Depth(Batch) == 2 })
+	waitFor(t, func() bool { return depth.of(Batch) == 2 })
 
-	// A batch arrival on a full queue is shed outright.
-	if _, err := s.Acquire(context.Background(), Batch); err == nil {
-		t.Fatal("batch arrival on full queue: want overload")
-	} else {
-		var ov *resilience.OverloadError
-		if !errors.As(err, &ov) {
-			t.Fatalf("want OverloadError, got %T: %v", err, err)
-		}
-	}
-	if got := s.Shed(Batch); got != 1 {
-		t.Fatalf("batch sheds = %d, want 1", got)
+	// A batch arrival on a full queue is shed outright, with batch's
+	// Retry-After hint.
+	_, err := s.Acquire(context.Background(), Batch)
+	if ov := overload("batch arrival on full queue", err); ov.After != retryAfter[Batch] {
+		t.Fatalf("batch Retry-After = %v, want %v", ov.After, retryAfter[Batch])
 	}
 
 	// An interactive arrival displaces the NEWEST queued batch waiter.
@@ -249,20 +247,14 @@ func TestSchedulerBatchShedFirst(t *testing.T) {
 	// One of the queued batch acquires comes back shed.
 	select {
 	case err := <-errs:
-		var ov *resilience.OverloadError
-		if !errors.As(err, &ov) {
-			t.Fatalf("evicted batch waiter: want OverloadError, got %v", err)
-		}
+		overload("evicted batch waiter", err)
 	case <-time.After(5 * time.Second):
 		t.Fatal("no batch waiter was evicted")
 	}
-	if got := s.Shed(Batch); got != 2 {
-		t.Fatalf("batch sheds = %d, want 2", got)
+	waitFor(t, func() bool { return depth.of(Interactive) == 1 })
+	if depth.of(Batch) != 1 {
+		t.Fatalf("batch depth %d after one eviction, want 1", depth.of(Batch))
 	}
-	if got := s.Shed(Interactive); got != 0 {
-		t.Fatalf("interactive sheds = %d, want 0", got)
-	}
-	waitFor(t, func() bool { return s.Depth(Interactive) == 1 })
 
 	// Queue now holds one batch + one interactive; an interactive
 	// arrival evicts the remaining batch waiter, and the NEXT
@@ -275,34 +267,25 @@ func TestSchedulerBatchShedFirst(t *testing.T) {
 	}()
 	select {
 	case err := <-errs:
-		var ov *resilience.OverloadError
-		if !errors.As(err, &ov) {
-			t.Fatalf("second eviction: want OverloadError, got %v", err)
-		}
+		overload("second eviction", err)
 	case <-time.After(5 * time.Second):
 		t.Fatal("second batch waiter not evicted")
 	}
-	waitFor(t, func() bool { return s.Depth(Interactive) == 2 })
-	_, err := s.Acquire(context.Background(), Interactive)
-	var ov *resilience.OverloadError
-	if !errors.As(err, &ov) {
-		t.Fatalf("interactive on all-interactive full queue: want OverloadError, got %v", err)
-	}
-	if got := s.Shed(Interactive); got != 1 {
-		t.Fatalf("interactive sheds = %d, want 1", got)
-	}
+	waitFor(t, func() bool { return depth.of(Interactive) == 2 })
+	_, err = s.Acquire(context.Background(), Interactive)
 	// Retry-After hints are per-class.
-	if ov.After != DefaultRetryAfter[Interactive] {
-		t.Fatalf("interactive Retry-After = %v, want %v", ov.After, DefaultRetryAfter[Interactive])
+	if ov := overload("interactive on all-interactive full queue", err); ov.After != retryAfter[Interactive] {
+		t.Fatalf("interactive Retry-After = %v, want %v", ov.After, retryAfter[Interactive])
 	}
 
 	free() // let the queued waiters drain
 	<-done
+	waitFor(t, func() bool { return depth.total() == 0 })
 }
 
 func TestSchedulerDrainReleasesWaiters(t *testing.T) {
 	drain := make(chan struct{})
-	s := NewScheduler(Config{Capacity: 1, Drain: drain})
+	s, depth := newScheduler(Config{Capacity: 1, Drain: drain})
 	free := occupy(t, s, 1)
 	defer free()
 
@@ -311,7 +294,7 @@ func TestSchedulerDrainReleasesWaiters(t *testing.T) {
 		_, err := s.Acquire(context.Background(), Interactive)
 		errc <- err
 	}()
-	waitFor(t, func() bool { return s.Depth(Interactive) == 1 })
+	waitFor(t, func() bool { return depth.of(Interactive) == 1 })
 	close(drain)
 	err := <-errc
 	if !resilience.IsDraining(err) {
@@ -321,14 +304,10 @@ func TestSchedulerDrainReleasesWaiters(t *testing.T) {
 	if _, err := s.Acquire(context.Background(), Batch); !resilience.IsDraining(err) {
 		t.Fatalf("post-drain arrival: want DrainingError, got %v", err)
 	}
-	// And no idle leases during drain.
-	if _, _, ok := s.AcquireIdle(context.Background()); ok {
-		t.Fatal("idle lease granted during drain")
-	}
 }
 
 func TestSchedulerContextCancelWhileQueued(t *testing.T) {
-	s := NewScheduler(Config{Capacity: 1})
+	s, depth := newScheduler(Config{Capacity: 1})
 	free := occupy(t, s, 1)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -337,12 +316,12 @@ func TestSchedulerContextCancelWhileQueued(t *testing.T) {
 		_, err := s.Acquire(ctx, Batch)
 		errc <- err
 	}()
-	waitFor(t, func() bool { return s.Depth(Batch) == 1 })
+	waitFor(t, func() bool { return depth.of(Batch) == 1 })
 	cancel()
 	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	waitFor(t, func() bool { return s.Queued() == 0 })
+	waitFor(t, func() bool { return depth.total() == 0 })
 
 	// The pool is intact: release and re-acquire works.
 	free()
@@ -353,72 +332,12 @@ func TestSchedulerContextCancelWhileQueued(t *testing.T) {
 	rel()
 }
 
-func TestSchedulerIdleLeaseYieldsToRealTraffic(t *testing.T) {
-	s := NewScheduler(Config{Capacity: 1})
-
-	lease, release, ok := s.AcquireIdle(context.Background())
-	if !ok {
-		t.Fatal("idle pool refused a lease")
-	}
-	if s.IdleGrants() != 1 {
-		t.Fatalf("idle grants = %d, want 1", s.IdleGrants())
-	}
-	// Pool fully claimed by the lease: a second lease is refused.
-	if _, _, ok := s.AcquireIdle(context.Background()); ok {
-		t.Fatal("second lease granted over a full pool")
-	}
-
-	// A real request queues → the lease context is cancelled.
-	got := make(chan error, 1)
-	go func() {
-		rel, err := s.Acquire(context.Background(), Interactive)
-		if err == nil {
-			rel()
-		}
-		got <- err
-	}()
-	select {
-	case <-lease.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("lease not revoked by real arrival")
-	}
-	release() // the pre-warm work aborts and frees the slot
-	if err := <-got; err != nil {
-		t.Fatalf("real request after yield: %v", err)
-	}
-
-	// With traffic gone the next lease is granted again.
-	_, release2, ok := s.AcquireIdle(context.Background())
-	if !ok {
-		t.Fatal("lease refused on idle pool after yield")
-	}
-	release2()
-}
-
-func TestSchedulerIdleLeaseRefusedWhenBusy(t *testing.T) {
-	s := NewScheduler(Config{Capacity: 2})
-	free := occupy(t, s, 1)
-	defer free()
-	// One slot busy with real work, one free, nobody queued: idle work
-	// may still use the spare slot.
-	_, release, ok := s.AcquireIdle(context.Background())
-	if !ok {
-		t.Fatal("lease refused with a free slot and empty queue")
-	}
-	release()
-	free2 := occupy(t, s, 1)
-	defer free2()
-	// Now both slots are real work: no lease.
-	if _, _, ok := s.AcquireIdle(context.Background()); ok {
-		t.Fatal("lease granted with zero free slots")
-	}
-}
-
 func TestSchedulerConcurrentChurn(t *testing.T) {
 	// Hammer the scheduler from many goroutines under -race: every
-	// grant must be released, and the pool must end intact.
-	s := NewScheduler(Config{Capacity: 4, MaxQueue: 8})
-	var granted, refused atomic.Uint64
+	// grant must be released, every refusal must be typed, and the pool
+	// must end intact.
+	s, depth := newScheduler(Config{Capacity: 4, MaxQueue: 8})
+	var granted, shed, timedOut atomic.Uint64
 	var wg sync.WaitGroup
 	for i := 0; i < 64; i++ {
 		cl := Interactive
@@ -431,236 +350,34 @@ func TestSchedulerConcurrentChurn(t *testing.T) {
 			for j := 0; j < 50; j++ {
 				ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 				rel, err := s.Acquire(ctx, cl)
-				if err == nil {
+				var ov *resilience.OverloadError
+				switch {
+				case err == nil:
 					granted.Add(1)
 					time.Sleep(time.Microsecond)
 					rel()
-				} else {
-					refused.Add(1)
+				case errors.As(err, &ov):
+					shed.Add(1)
+				case errors.Is(err, context.DeadlineExceeded):
+					timedOut.Add(1)
+				default:
+					t.Errorf("untyped refusal: %v", err)
 				}
 				cancel()
 			}
 		}(cl)
 	}
-	// Interleave pre-warm leases with the storm.
-	stop := make(chan struct{})
-	var lwg sync.WaitGroup
-	lwg.Add(1)
-	go func() {
-		defer lwg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if lease, rel, ok := s.AcquireIdle(context.Background()); ok {
-				select {
-				case <-lease.Done():
-				case <-time.After(time.Microsecond):
-				}
-				rel()
-			}
-		}
-	}()
 	wg.Wait()
-	close(stop)
-	lwg.Wait()
 	if granted.Load() == 0 {
 		t.Fatal("storm granted nothing")
+	}
+	if got := granted.Load() + shed.Load() + timedOut.Load(); got != 64*50 {
+		t.Fatalf("accounted for %d of %d acquires", got, 64*50)
 	}
 	// Pool intact: all four slots acquirable.
 	free := occupy(t, s, 4)
 	free()
-	if s.Queued() != 0 {
-		t.Fatalf("queue not empty after storm: %d", s.Queued())
-	}
-}
-
-func TestPopularityDecayAndOrder(t *testing.T) {
-	now := time.Unix(0, 0)
-	clock := func() time.Time { return now }
-	p := NewPopularity(time.Minute, 0, clock)
-
-	p.Touch("a", "srcA")
-	p.Touch("a", "")
-	p.Touch("a", "")
-	p.Touch("b", "srcB")
-
-	top := p.Top(10)
-	if len(top) != 2 || top[0].Key != "a" || top[1].Key != "b" {
-		t.Fatalf("top = %+v", top)
-	}
-	if top[0].Source != "srcA" || top[1].Source != "srcB" {
-		t.Fatalf("sources lost: %+v", top)
-	}
-	if top[0].Score != 3 || top[1].Score != 1 {
-		t.Fatalf("scores = %v, %v", top[0].Score, top[1].Score)
-	}
-
-	// Two half-lives later a's score is 0.75; one fresh touch on b (1.75)
-	// overtakes it.
-	now = now.Add(2 * time.Minute)
-	p.Touch("b", "")
-	top = p.Top(1)
-	if len(top) != 1 || top[0].Key != "b" {
-		t.Fatalf("after decay top = %+v", top)
-	}
-
-	// Top(n) truncates; empty source never clobbers a remembered one.
-	if got := p.Top(1); len(got) != 1 {
-		t.Fatalf("Top(1) returned %d", len(got))
-	}
-	all := p.Top(10)
-	for _, hk := range all {
-		if hk.Key == "b" && hk.Source != "srcB" {
-			t.Fatalf("b lost its source: %+v", hk)
-		}
-	}
-}
-
-func TestPopularityBoundedEviction(t *testing.T) {
-	now := time.Unix(0, 0)
-	p := NewPopularity(time.Minute, 3, func() time.Time { return now })
-	p.Touch("hot", "")
-	p.Touch("hot", "")
-	p.Touch("warm", "")
-	p.Touch("warm", "")
-	p.Touch("cold", "")
-	if p.Len() != 3 {
-		t.Fatalf("len = %d", p.Len())
-	}
-	p.Touch("new", "") // 4th entry: the coldest ("cold" or "new", both score 1; largest key evicts)
-	if p.Len() != 3 {
-		t.Fatalf("after eviction len = %d", p.Len())
-	}
-	for _, hk := range p.Top(10) {
-		if hk.Key == "new" {
-			t.Fatalf("tie eviction dropped the wrong key: %+v", p.Top(10))
-		}
-	}
-}
-
-func TestPopularityNilSafe(t *testing.T) {
-	var p *Popularity
-	p.Touch("k", "src")
-	if p.Top(5) != nil || p.Len() != 0 {
-		t.Fatal("nil popularity has state")
-	}
-}
-
-func TestPrewarmerSweep(t *testing.T) {
-	now := time.Unix(0, 0)
-	pop := NewPopularity(time.Minute, 0, func() time.Time { return now })
-	pop.Touch("hot", "srcH")
-	pop.Touch("hot", "")
-	pop.Touch("cool", "srcC")
-
-	sched := NewScheduler(Config{Capacity: 2})
-	warm := map[string]bool{"cool": true}
-	var mu sync.Mutex
-	var warmedKeys []string
-	pw := &Prewarmer{
-		Sched:  sched,
-		Pop:    pop,
-		Top:    4,
-		IsWarm: func(k string) bool { mu.Lock(); defer mu.Unlock(); return warm[k] },
-		Warm: func(ctx context.Context, key, source string) error {
-			mu.Lock()
-			defer mu.Unlock()
-			if key == "hot" && source != "srcH" {
-				t.Errorf("hot warmed with source %q", source)
-			}
-			warm[key] = true
-			warmedKeys = append(warmedKeys, key)
-			return nil
-		},
-	}
-	if n := pw.Sweep(context.Background()); n != 1 {
-		t.Fatalf("sweep warmed %d, want 1 (cool already warm)", n)
-	}
-	mu.Lock()
-	if len(warmedKeys) != 1 || warmedKeys[0] != "hot" {
-		t.Fatalf("warmed %v", warmedKeys)
-	}
-	mu.Unlock()
-	// Second sweep: everything warm, nothing to do.
-	if n := pw.Sweep(context.Background()); n != 0 {
-		t.Fatalf("idempotent sweep warmed %d", n)
-	}
-	sweeps, warmed, yields, errs := pw.Stats()
-	if sweeps != 2 || warmed != 1 || yields != 0 || errs != 0 {
-		t.Fatalf("stats = %d %d %d %d", sweeps, warmed, yields, errs)
-	}
-}
-
-func TestPrewarmerSkipsBusyPool(t *testing.T) {
-	pop := NewPopularity(0, 0, nil)
-	pop.Touch("k", "src")
-	sched := NewScheduler(Config{Capacity: 1})
-	free := occupy(t, sched, 1)
-	defer free()
-	pw := &Prewarmer{
-		Sched: sched,
-		Pop:   pop,
-		Warm: func(ctx context.Context, key, source string) error {
-			t.Error("warm ran on a busy pool")
-			return nil
-		},
-	}
-	if n := pw.Sweep(context.Background()); n != 0 {
-		t.Fatalf("busy sweep warmed %d", n)
-	}
-}
-
-func TestPrewarmerYieldStopsSweep(t *testing.T) {
-	pop := NewPopularity(0, 0, nil)
-	pop.Touch("k1", "s")
-	pop.Touch("k2", "s")
-	sched := NewScheduler(Config{Capacity: 1})
-	pw := &Prewarmer{
-		Sched: sched,
-		Pop:   pop,
-		Warm: func(ctx context.Context, key, source string) error {
-			// Simulate a real arrival mid-warm: queue a request, which
-			// revokes this lease, then honor the cancellation.
-			done := make(chan error, 1)
-			go func() {
-				rel, err := sched.Acquire(context.Background(), Interactive)
-				if err == nil {
-					rel()
-				}
-				done <- err
-			}()
-			<-ctx.Done()
-			go func() { <-done }()
-			return ctx.Err()
-		},
-	}
-	if n := pw.Sweep(context.Background()); n != 0 {
-		t.Fatalf("yielding sweep warmed %d", n)
-	}
-	_, _, yields, errs := pw.Stats()
-	if yields != 1 || errs != 0 {
-		t.Fatalf("yields=%d errs=%d, want 1, 0", yields, errs)
-	}
-}
-
-func TestPrewarmerErrorCounted(t *testing.T) {
-	pop := NewPopularity(0, 0, nil)
-	pop.Touch("bad", "s")
-	pw := &Prewarmer{
-		Sched: NewScheduler(Config{Capacity: 1}),
-		Pop:   pop,
-		Warm: func(ctx context.Context, key, source string) error {
-			return errors.New("boom")
-		},
-	}
-	if n := pw.Sweep(context.Background()); n != 0 {
-		t.Fatalf("failing sweep warmed %d", n)
-	}
-	_, _, yields, errs := pw.Stats()
-	if errs != 1 || yields != 0 {
-		t.Fatalf("errs=%d yields=%d, want 1, 0", errs, yields)
+	if depth.total() != 0 {
+		t.Fatalf("queue not empty after storm: %d", depth.total())
 	}
 }

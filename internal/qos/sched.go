@@ -16,12 +16,6 @@ type Config struct {
 	// MaxQueue bounds the total queued waiters across all classes; an
 	// arrival beyond it is shed with 429.  0 = unlimited.
 	MaxQueue int
-	// Weights is the per-class dispatch weighting; non-positive entries
-	// take DefaultWeights.
-	Weights [NumClasses]int
-	// RetryAfter is the per-class Retry-After hint on sheds;
-	// non-positive entries take DefaultRetryAfter.
-	RetryAfter [NumClasses]time.Duration
 	// Drain, when closed, releases every queued waiter with a
 	// DrainingError and refuses new arrivals.  Nil = never drains.
 	Drain <-chan struct{}
@@ -51,15 +45,14 @@ type waiter struct {
 
 // Scheduler is a weighted multi-queue worker pool: Capacity slots,
 // one FIFO queue per priority class, and smooth weighted round-robin
-// dispatch across non-empty queues so batch load never starves
-// interactive traffic.  Under overload batch is always shed first: an
-// interactive arrival that finds the queue full evicts the newest
-// queued batch waiter and takes its place.
+// dispatch (weights) across non-empty queues so batch load never
+// starves interactive traffic.  Under overload batch is always shed
+// first: an interactive arrival that finds the queue full evicts the
+// newest queued batch waiter and takes its place.
 //
-// Background pre-warm work runs on the same slots via AcquireIdle, but
-// strictly subordinate: an idle lease is granted only when no real
-// request is running or waiting, and is revoked (its context cancelled)
-// the moment a real request has to queue.
+// The scheduler keeps no tallies: every grant and typed refusal is
+// returned by Acquire, and queue depth is reported through
+// Config.OnDepth, so the caller counts each event once, in its registry.
 //
 // A nil *Scheduler grants everything immediately (unlimited pool).
 type Scheduler struct {
@@ -69,31 +62,15 @@ type Scheduler struct {
 	free   int // unclaimed slots
 	queues [NumClasses][]*waiter
 	credit [NumClasses]int // smooth-WRR running credit
-
-	leases map[*idleLease]struct{} // outstanding pre-warm slot leases
-
-	shed       [NumClasses]uint64
-	dispatched [NumClasses]uint64
-	idleGrants uint64
 }
 
-// NewScheduler builds a Scheduler; zero-value Config fields take the
-// package defaults (Capacity 4, unlimited queue, DefaultWeights).
+// NewScheduler builds a Scheduler; a zero Capacity takes 4 slots and a
+// zero MaxQueue leaves the queue unbounded.
 func NewScheduler(cfg Config) *Scheduler {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = 4
 	}
-	for c := range cfg.Weights {
-		if cfg.Weights[c] <= 0 {
-			cfg.Weights[c] = DefaultWeights[c]
-		}
-	}
-	for c := range cfg.RetryAfter {
-		if cfg.RetryAfter[c] <= 0 {
-			cfg.RetryAfter[c] = DefaultRetryAfter[c]
-		}
-	}
-	return &Scheduler{cfg: cfg, free: cfg.Capacity, leases: make(map[*idleLease]struct{})}
+	return &Scheduler{cfg: cfg, free: cfg.Capacity}
 }
 
 // Acquire claims a worker slot for a real request of class cl, queueing
@@ -116,22 +93,18 @@ func (s *Scheduler) Acquire(ctx context.Context, cl Class) (release func(), err 
 	s.mu.Lock()
 	if s.free > 0 && s.queuedLocked() == 0 {
 		s.free--
-		s.dispatched[cl]++
 		s.mu.Unlock()
 		return s.releaseOnce(), nil
 	}
-	// A real request has to wait: pre-warm leases yield their slots now.
-	s.revokeLeasesLocked()
 	if s.cfg.MaxQueue > 0 && s.queuedLocked() >= s.cfg.MaxQueue {
 		// Full queue: batch arrivals shed; interactive arrivals displace
 		// the newest queued batch waiter, and only shed when the queue
 		// is all interactive.
 		if cl == Batch || !s.evictNewestLocked(Batch) {
-			s.shed[cl]++
 			depth := s.queuedLocked()
 			s.mu.Unlock()
 			return nil, &resilience.OverloadError{
-				Queue: depth, Limit: s.cfg.MaxQueue, After: s.cfg.RetryAfter[cl],
+				Queue: depth, Limit: s.cfg.MaxQueue, After: retryAfter[cl],
 			}
 		}
 	}
@@ -194,7 +167,6 @@ func (s *Scheduler) releaseOnce() func() {
 func (s *Scheduler) handBackLocked() {
 	if w := s.nextLocked(); w != nil {
 		w.state = wGranted
-		s.dispatched[w.class]++
 		s.depthChangedLocked(w.class)
 		w.res <- nil
 		return
@@ -214,8 +186,8 @@ func (s *Scheduler) nextLocked() *waiter {
 			s.credit[c] = 0
 			continue
 		}
-		s.credit[c] += s.cfg.Weights[c]
-		total += s.cfg.Weights[c]
+		s.credit[c] += weights[c]
+		total += weights[c]
 		if best < 0 || s.credit[c] > s.credit[best] {
 			best = c
 		}
@@ -240,10 +212,9 @@ func (s *Scheduler) evictNewestLocked(cl Class) bool {
 	w := q[len(q)-1]
 	s.queues[cl] = q[:len(q)-1]
 	w.state = wShed
-	s.shed[cl]++
 	s.depthChangedLocked(cl)
 	w.res <- &resilience.OverloadError{
-		Queue: s.queuedLocked(), Limit: s.cfg.MaxQueue, After: s.cfg.RetryAfter[cl],
+		Queue: s.queuedLocked(), Limit: s.cfg.MaxQueue, After: retryAfter[cl],
 	}
 	return true
 }
@@ -271,111 +242,4 @@ func (s *Scheduler) depthChangedLocked(cl Class) {
 	if s.cfg.OnDepth != nil {
 		s.cfg.OnDepth(cl, len(s.queues[cl]))
 	}
-}
-
-// revokeLeasesLocked cancels every outstanding idle lease so pre-warm
-// work aborts and its slots come back for real traffic.
-func (s *Scheduler) revokeLeasesLocked() {
-	for l := range s.leases {
-		l.cancel()
-	}
-}
-
-// ---- idle leases (speculative pre-warm) --------------------------------
-
-type idleLease struct {
-	cancel context.CancelFunc
-}
-
-// AcquireIdle claims a worker slot for background pre-warm work, but
-// only when the scheduler is completely idle: a free slot exists and no
-// real request is queued.  It never blocks — ok=false means "the pool
-// is busy, come back later".  The returned context is cancelled the
-// moment a real request has to queue, so lease holders must run their
-// work under it and treat cancellation as "yield now".  release is
-// idempotent and must be called when the work ends either way.
-func (s *Scheduler) AcquireIdle(ctx context.Context) (lease context.Context, release func(), ok bool) {
-	if s == nil {
-		return ctx, func() {}, true
-	}
-	select {
-	case <-s.cfg.Drain:
-		return nil, nil, false
-	default:
-	}
-	s.mu.Lock()
-	if s.free == 0 || s.queuedLocked() > 0 {
-		s.mu.Unlock()
-		return nil, nil, false
-	}
-	s.free--
-	s.idleGrants++
-	lctx, cancel := context.WithCancel(ctx)
-	l := &idleLease{cancel: cancel}
-	s.leases[l] = struct{}{}
-	s.mu.Unlock()
-
-	var once sync.Once
-	rel := func() {
-		once.Do(func() {
-			s.mu.Lock()
-			delete(s.leases, l)
-			s.handBackLocked()
-			s.mu.Unlock()
-			cancel()
-		})
-	}
-	return lctx, rel, true
-}
-
-// ---- introspection ------------------------------------------------------
-
-// Depth reports the queued waiters of one class.
-func (s *Scheduler) Depth(cl Class) int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.queues[cl])
-}
-
-// Queued reports the total queued waiters across classes.
-func (s *Scheduler) Queued() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.queuedLocked()
-}
-
-// Shed reports how many class-cl requests were refused with overload.
-func (s *Scheduler) Shed(cl Class) uint64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.shed[cl]
-}
-
-// Dispatched reports how many class-cl requests were granted a slot.
-func (s *Scheduler) Dispatched(cl Class) uint64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dispatched[cl]
-}
-
-// IdleGrants reports how many pre-warm leases were ever granted.
-func (s *Scheduler) IdleGrants() uint64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.idleGrants
 }

@@ -5,9 +5,11 @@
 // Retargeting a processor model costs CPU minutes at paper scale while its
 // product is a pure function of (MDL source, options); serving compiles at
 // production traffic therefore demands that the product be computed once
-// and shared.  GetContext (by source), LookupContext (by key) and Prewarm
-// are one resolve path: memory, then an in-flight fill for the same
-// content address, then disk and — when the source is known — a retarget.
+// and shared.  GetContext (by source) and LookupContext (by key) are one
+// resolve path: memory, then an in-flight fill for the same content
+// address, then disk and — when the source is known — a retarget.  An
+// entry enters the memory tier only because a request asked for it, and
+// the LRU alone decides what stays.
 // One resilience.Coalescer covers every fill, so concurrent requests for
 // an address cost one disk decode or one retarget.  Disk artifacts are
 // promoted into the memory tier on first use, and cache-file corruption
@@ -137,7 +139,6 @@ type Cache struct {
 	cRetargets  *obs.Counter
 	cOrphans    *obs.Counter
 	cDiskErrors *obs.Counter
-	cPrewarm    *obs.CounterVec // by outcome; kept apart from cHits/cMisses
 	gDegraded   *obs.Gauge
 	gQuarantine *obs.Gauge // .quarantine files: swept at startup, bumped per quarantine
 }
@@ -177,8 +178,6 @@ func New(opts Options) (*Cache, error) {
 		"crash-orphaned temp files removed by the startup recovery scan")
 	c.cDiskErrors = reg.Counter("record_rcache_disk_errors_total",
 		"disk-tier write failures")
-	c.cPrewarm = reg.CounterVec("record_rcache_prewarm_total",
-		"speculative pre-warm attempts, by outcome; attributed apart from the serving hit/miss counters", "outcome")
 	c.gDegraded = reg.Gauge("record_rcache_disk_degraded",
 		"1 when the disk tier is disabled after an unusable-disk error")
 	c.gQuarantine = reg.Gauge("record_rcache_quarantined_files",
@@ -288,7 +287,7 @@ func (c *Cache) GetContext(ctx context.Context, mdlSource string, ropts core.Ret
 	gSpan, gScope := ropts.Obs.Start("rcache.get")
 	defer gSpan.End()
 	ropts.Obs = gScope
-	return c.resolve(ctx, key, mdlSource, ropts, false)
+	return c.resolve(ctx, key, mdlSource, ropts)
 }
 
 // LookupContext returns the entry for a content address without being
@@ -301,24 +300,23 @@ func (c *Cache) LookupContext(ctx context.Context, key string) (*Entry, Outcome,
 	if !validKey(key) {
 		return nil, Miss, false
 	}
-	e, out, _ := c.resolve(ctx, key, "", core.RetargetOptions{}, false)
+	e, out, _ := c.resolve(ctx, key, "", core.RetargetOptions{})
 	return e, out, e != nil
 }
 
 // resolve is the one tier walk behind every entry point: memory, then an
 // in-flight fill for the same key, then fill's disk and retarget steps.
 // A nil entry with a nil error means no tier holds the key and there is
-// no source to rebuild it from.  warm attributes the call to the
-// pre-warm counters instead of the serving ones.
-func (c *Cache) resolve(ctx context.Context, key, mdlSource string, ropts core.RetargetOptions, warm bool) (*Entry, Outcome, error) {
+// no source to rebuild it from.
+func (c *Cache) resolve(ctx context.Context, key, mdlSource string, ropts core.RetargetOptions) (*Entry, Outcome, error) {
 	if e := c.memGet(key); e != nil {
-		c.count(warm, ropts.Obs, Mem)
+		c.count(ropts.Obs, Mem)
 		return e, Mem, nil
 	}
 	for {
 		start := time.Now()
 		v, shared, err := c.fills.Do(ctx, key, func() (interface{}, error) {
-			return c.fill(ctx, key, mdlSource, ropts, warm)
+			return c.fill(ctx, key, mdlSource, ropts)
 		})
 		r, _ := v.(filled)
 		if shared {
@@ -331,19 +329,10 @@ func (c *Cache) resolve(ctx context.Context, key, mdlSource string, ropts core.R
 			}
 			r.outcome = Coalesced
 		}
-		switch {
-		case err != nil:
-			if warm {
-				c.cPrewarm.With("error").Inc()
-			}
+		if err != nil || r.entry == nil {
 			return nil, Miss, err
-		case r.entry == nil:
-			if warm {
-				c.cPrewarm.With("skipped").Inc()
-			}
-			return nil, Miss, nil
 		}
-		c.count(warm, ropts.Obs, r.outcome)
+		c.count(ropts.Obs, r.outcome)
 		return r.entry, r.outcome, nil
 	}
 }
@@ -354,23 +343,16 @@ type filled struct {
 	outcome Outcome
 }
 
-// Counter labels by outcome: the tier a serving hit came from, and the
-// pre-warm outcome (kept apart so the serving hit rate reflects real
-// traffic, not what background loading manufactured).
-var (
-	hitTier      = map[Outcome]string{Mem: "mem", Disk: "disk"}
-	prewarmLabel = map[Outcome]string{Mem: "warm", Coalesced: "inflight", Disk: "hit-disk", Miss: "retargeted"}
-)
+// hitTier labels a hit by the tier it came from.
+var hitTier = map[Outcome]string{Mem: "mem", Disk: "disk"}
 
 // count lands one resolved call in exactly one counter, and marks a
-// serving hit's tier on the request's trace.
-func (c *Cache) count(warm bool, scope *obs.Scope, out Outcome) {
-	switch {
-	case warm:
-		c.cPrewarm.With(prewarmLabel[out]).Inc()
-	case out == Miss:
+// hit's tier on the request's trace.
+func (c *Cache) count(scope *obs.Scope, out Outcome) {
+	switch out {
+	case Miss:
 		c.cMisses.Inc()
-	case out == Coalesced:
+	case Coalesced:
 		c.cCoalesced.Inc()
 	default:
 		c.cHits.With(hitTier[out]).Inc()
@@ -396,7 +378,7 @@ func (c *Cache) memGet(key string) *Entry {
 // Budget-degraded (partial) products stay out of both tiers: the content
 // address does not encode the budget, so a retry with a larger one must
 // not hit the degraded result.
-func (c *Cache) fill(ctx context.Context, key, mdlSource string, ropts core.RetargetOptions, warm bool) (interface{}, error) {
+func (c *Cache) fill(ctx context.Context, key, mdlSource string, ropts core.RetargetOptions) (interface{}, error) {
 	if e := c.memGet(key); e != nil { // a fill ended since the caller looked
 		return filled{e, Mem}, nil
 	}
@@ -405,9 +387,7 @@ func (c *Cache) fill(ctx context.Context, key, mdlSource string, ropts core.Reta
 		if mdlSource == "" {
 			return filled{}, nil
 		}
-		if !warm {
-			c.cRetargets.Inc()
-		}
+		c.cRetargets.Inc()
 		t, err := core.RetargetContext(ctx, mdlSource, ropts)
 		if err != nil {
 			return nil, err
@@ -597,43 +577,6 @@ func (c *Cache) Close() error {
 		return nil
 	}
 	return syncDir(c.opts.Dir)
-}
-
-// ---- speculative pre-warm ----------------------------------------------
-
-// InMemory reports whether key already sits in the memory tier, without
-// touching its LRU position or any counter.
-func (c *Cache) InMemory(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.byKey[key]
-	return ok
-}
-
-// Prewarm brings the artifact for key into the memory tier ahead of
-// demand through the same resolve as a real request — disk, then, when
-// mdlSource is known, a fresh retarget — so the next
-// real request for the key is a memory hit, and pre-warm and real
-// traffic join each other's in-flight fills instead of duplicating them.
-//
-// Everything Prewarm does lands in record_rcache_prewarm_total{outcome},
-// never in the serving hit/miss/retarget counters, so the externally
-// observed hit rate reflects real traffic only.  The returned outcome
-// mirrors GetContext's tiers: Mem (already warm), Coalesced (joined
-// another fill), Disk (decoded into memory), Miss with nil error
-// (retargeted, or nothing to warm from when mdlSource is empty and no
-// tier has a copy).
-func (c *Cache) Prewarm(ctx context.Context, key, mdlSource string, ropts core.RetargetOptions) (Outcome, error) {
-	if !validKey(key) {
-		return Miss, fmt.Errorf("rcache: malformed artifact key %q", key)
-	}
-	if mdlSource != "" {
-		if got := artifact.Key(mdlSource, ropts); got != key {
-			return Miss, fmt.Errorf("rcache: prewarm source addresses %s, not %s", got, key)
-		}
-	}
-	_, out, err := c.resolve(ctx, key, mdlSource, ropts, true)
-	return out, err
 }
 
 // insert adds an entry to the memory tier, evicting from the LRU tail.

@@ -569,7 +569,7 @@ func TestCoalescedFollowerOutlivesCancelledLeader(t *testing.T) {
 	if err := <-follower; err != nil {
 		t.Fatalf("follower inherited its leader's cancellation: %v", err)
 	}
-	if !c.InMemory(c.Key(mdl, core.RetargetOptions{})) {
+	if c.memGet(c.Key(mdl, core.RetargetOptions{})) == nil {
 		t.Fatal("the follower's retarget did not land in memory")
 	}
 }
@@ -590,7 +590,7 @@ func TestSourcedRequestOutlivesKeyOnlyFill(t *testing.T) {
 		v, _, _ := c.fills.Do(context.Background(), key, func() (interface{}, error) {
 			close(started)
 			<-release
-			return c.fill(context.Background(), key, "", ropts, false)
+			return c.fill(context.Background(), key, "", ropts)
 		})
 		lookup <- v.(filled).entry != nil
 	}()
