@@ -60,11 +60,11 @@ func BenchmarkTable3_BassBoost(b *testing.B) { benchRetarget(b, "bass_boost") }
 func BenchmarkTable3_TMS320C25(b *testing.B) { benchRetarget(b, "tms320c25") }
 
 // BenchmarkRetargetCached times the three ways a retarget can be served,
-// per bundled model: Cold runs the full pipeline, WarmDisk reads, checks,
-// decodes and restores the persisted artifact (a fresh cache instance each
-// iteration, so the memory tier never helps), and WarmMem hits the
-// in-memory LRU.  WarmDisk/Cold is the price of the disk tier relative to
-// recomputing; nothing here asserts which side wins.
+// per bundled model: Cold runs the full pipeline, WarmDisk reads and
+// verifies the persisted artifact and retargets its stored source (a
+// fresh cache instance each iteration, so the memory tier never helps),
+// and WarmMem hits the in-memory LRU.  WarmDisk - Cold is the price of
+// the file read and the checks; nothing here asserts it.
 func BenchmarkRetargetCached(b *testing.B) {
 	for _, model := range []string{"demo", "ref", "manocpu", "tanenbaum", "bass_boost", "tms320c25", "brancher"} {
 		b.Run(model, func(b *testing.B) { benchRetargetCached(b, model) })

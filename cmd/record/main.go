@@ -32,8 +32,6 @@
 //	                   -server the root span propagates to the service
 //	                   as X-Record-Trace, and -stats prints the trace ID
 //	                   the service echoes back
-//	-cache-dir dir     reuse retarget artifacts across runs (prints
-//	                   "cache: hit|miss" under -stats)
 //	-run               execute on the netlist simulator and dump variables
 //	-strict            treat warnings as errors
 //	-max-errors n      stop after n errors (0 = unlimited)
@@ -77,7 +75,6 @@ import (
 	"repro/internal/models"
 	"repro/internal/naive"
 	"repro/internal/obs"
-	"repro/internal/rcache"
 	"repro/internal/rclient"
 	"repro/internal/vhdl"
 )
@@ -103,7 +100,6 @@ type config struct {
 	list, useNaive               bool
 	showSeq, showStats, execute  bool
 
-	cacheDir    string
 	traceFile   string
 	faultpoints string
 	serverURL   string   // remote compile against a recordd instance
@@ -133,7 +129,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&c.showSeq, "seq", false, "print sequential RT code")
 	fs.BoolVar(&c.showStats, "stats", false, "print statistics")
 	fs.BoolVar(&c.execute, "run", false, "simulate and dump final variables")
-	fs.StringVar(&c.cacheDir, "cache-dir", "", "retarget artifact cache directory (skips ISE on repeat runs)")
 	fs.StringVar(&c.traceFile, "trace", "", "write a Chrome trace_event JSON file of the run")
 	fs.BoolVar(&c.core.Strict, "strict", false, "treat warnings as errors")
 	fs.IntVar(&c.core.MaxErrors, "max-errors", 0, "stop after this many errors (0 = unlimited)")
@@ -295,37 +290,9 @@ func compile(c *config, rep *diag.Reporter, budget *diag.Budget, stdout, stderr 
 		return usagef("use either -src/-kernel or positional source files, not both")
 	}
 
-	ropts := c.core.Retarget(rep, budget)
-	var target *core.Target
-	var comp *core.Compiler
-	if c.cacheDir != "" {
-		cache, err := rcache.New(rcache.Options{Dir: c.cacheDir, MaxEntries: 1, Reporter: rep, Obs: c.core.Obs})
-		if err != nil {
-			return err
-		}
-		ctx := context.Background()
-		if budget != nil && budget.Ctx != nil {
-			ctx = budget.Ctx
-		}
-		entry, outcome, err := cache.GetContext(ctx, mdl, ropts)
-		if err != nil {
-			return err
-		}
-		target = entry.Target()
-		comp = entry.Compiler()
-		if c.showStats {
-			state := "miss"
-			if outcome.Hit() {
-				state = "hit"
-			}
-			fmt.Fprintf(stdout, "cache: %s\n", state)
-		}
-	} else {
-		var err error
-		target, err = core.RetargetContext(context.Background(), mdl, ropts)
-		if err != nil {
-			return err
-		}
+	target, err := core.RetargetContext(context.Background(), mdl, c.core.Retarget(rep, budget))
+	if err != nil {
+		return err
 	}
 	if c.showStats {
 		printRetargetStats(stdout, target)
@@ -333,10 +300,9 @@ func compile(c *config, rep *diag.Reporter, budget *diag.Budget, stdout, stderr 
 
 	// One Compiler for the whole run: every file, worker goroutine and
 	// control-flow block compiles through its pooled sessions.
-	if comp == nil {
-		if comp, err = core.NewCompiler(target, c.core); err != nil {
-			return err
-		}
+	comp, err := core.NewCompiler(target, c.core)
+	if err != nil {
+		return err
 	}
 
 	if len(c.srcFiles) > 0 {
@@ -359,8 +325,6 @@ func compileRemote(c *config, budget *diag.Budget, stdout io.Writer) error {
 		return usagef("-run (simulation) is local-only; it cannot be combined with -server")
 	case c.showSeq:
 		return usagef("-seq is local-only; it cannot be combined with -server")
-	case c.cacheDir != "":
-		return usagef("-cache-dir is local-only; the server has its own artifact cache")
 	case c.priority != "" && c.priority != "interactive" && c.priority != "batch":
 		return usagef("-priority must be interactive or batch, not %q", c.priority)
 	}

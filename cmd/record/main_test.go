@@ -176,51 +176,6 @@ func TestHealthyRunHasNoDiagnostics(t *testing.T) {
 	}
 }
 
-// TestCacheDirHitMiss exercises the -cache-dir satellite: the first run
-// retargets and stores an artifact, the second run (a fresh process in
-// spirit — a fresh cache instance in practice) reuses it, and identical
-// code comes out of both.
-func TestCacheDirHitMiss(t *testing.T) {
-	dir := t.TempDir()
-	code, out1, errs := record(t, "-model", "demo", "-kernel", "real_update",
-		"-cache-dir", dir, "-stats")
-	if code != exitOK {
-		t.Fatalf("cold run exit = %d\nstderr:\n%s", code, errs)
-	}
-	if !strings.Contains(out1, "cache: miss") {
-		t.Errorf("cold run did not report a miss:\n%s", out1)
-	}
-
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, e := range ents {
-		if filepath.Ext(e.Name()) == ".rart" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no artifact persisted in %s", dir)
-	}
-
-	code, out2, errs := record(t, "-model", "demo", "-kernel", "real_update",
-		"-cache-dir", dir, "-stats")
-	if code != exitOK {
-		t.Fatalf("warm run exit = %d\nstderr:\n%s", code, errs)
-	}
-	if !strings.Contains(out2, "cache: hit") {
-		t.Errorf("warm run did not report a hit:\n%s", out2)
-	}
-
-	// Same machine code either way: compare the listing sections.
-	cut := func(s string) string { return s[strings.Index(s, "code for"):] }
-	if cut(out1) != cut(out2) {
-		t.Errorf("cached run produced different output:\ncold:\n%s\nwarm:\n%s", cut(out1), cut(out2))
-	}
-}
-
 func TestJobsParallelSources(t *testing.T) {
 	dir := t.TempDir()
 	srcs := []string{
@@ -315,7 +270,6 @@ func TestServerFlagUsageErrors(t *testing.T) {
 		{"-server", "http://x", "-model", "demo", "-kernel", "dot_product", "-naive"},
 		{"-server", "http://x", "-model", "demo", "-kernel", "dot_product", "-run"},
 		{"-server", "http://x", "-model", "demo", "-kernel", "dot_product", "-seq"},
-		{"-server", "http://x", "-model", "demo", "-kernel", "dot_product", "-cache-dir", "d"},
 	}
 	for _, args := range cases {
 		if code, _, _ := record(t, args...); code != exitUsage {

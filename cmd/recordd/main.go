@@ -1,9 +1,10 @@
 // Command recordd is the long-running compile service over the retargetable
 // compiler: the expensive retarget step (ISE → template extension → tree
-// grammar → BURS tables) runs at most once per processor model and is kept
-// as a content-addressed artifact in a two-tier cache (internal/rcache);
-// compile requests against a cached model pay only code selection,
-// compaction and encoding.
+// grammar → BURS tables) runs once per processor model while its target
+// stays in the memory tier of a two-tier cache (internal/rcache), whose
+// disk tier keeps each model's source under its content address; compile
+// requests against a cached model pay only code selection, compaction and
+// encoding.
 //
 // Endpoints:
 //

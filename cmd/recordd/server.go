@@ -757,10 +757,13 @@ func (s *server) execute(ctx context.Context, rt route, j job, cl qos.Class) *wi
 func (s *server) resolve(ctx context.Context, j job) (*result, error) {
 	if j.mdl == "" {
 		sp, _ := s.obsFrom(ctx).Start("rcache.lookup", obs.KV("key", j.key))
-		entry, outcome, ok := s.cache.LookupContext(ctx, j.key)
+		entry, outcome, err := s.cache.LookupContext(ctx, j.key)
 		sp.SetAttr("outcome", string(outcome))
 		sp.End()
-		if !ok {
+		if err != nil {
+			return nil, fmt.Errorf("restore %s: %w", j.key, err)
+		}
+		if entry == nil {
 			return nil, withStatus(http.StatusNotFound,
 				fmt.Errorf("no artifact for key %s: retarget first or send the model inline", j.key))
 		}

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/dspstone"
+	"repro/internal/faultpoint"
 	"repro/internal/qos"
 )
 
@@ -104,6 +105,33 @@ func TestCompileUnknownKey404(t *testing.T) {
 	}, nil)
 	if code != http.StatusNotFound {
 		t.Fatalf("unknown key: %d, want 404", code)
+	}
+}
+
+// TestCompileByKeyRestoreFault: a by-key compile whose disk artifact is
+// valid but whose retarget fails answers with that failure's class (a
+// recovered panic is 500), not 404, and the artifact still serves the
+// next request.
+func TestCompileByKeyRestoreFault(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newTestServer(t, serverConfig{cacheDir: dir})
+	var rt retargetResponse
+	if code, raw := post(t, ts.URL+"/v1/retarget", map[string]string{"model_name": "demo"}, &rt); code != http.StatusOK {
+		t.Fatalf("retarget: %d %s", code, raw)
+	}
+	_, ts = newTestServer(t, serverConfig{cacheDir: dir}) // the key is only on disk
+	req := map[string]string{"key": rt.Key, "source": "int y; y = 1;"}
+	if err := faultpoint.ArmSpec("grammar.rule=panic"); err != nil {
+		t.Fatal(err)
+	}
+	code, raw := post(t, ts.URL+"/v1/compile", req, nil)
+	faultpoint.Reset()
+	if code != http.StatusInternalServerError {
+		t.Fatalf("by-key compile through a panicking restore: %d %s, want 500", code, raw)
+	}
+	var cp compileResponse
+	if code, raw := post(t, ts.URL+"/v1/compile", req, &cp); code != http.StatusOK || cp.Cache != "hit-disk" {
+		t.Fatalf("by-key compile after the fault: %d %s, want a disk hit", code, raw)
 	}
 }
 

@@ -1,7 +1,6 @@
 package artifact
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
@@ -10,12 +9,14 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/bdd"
 	"repro/internal/core"
 	"repro/internal/diag"
 	"repro/internal/dspstone"
 	"repro/internal/faultpoint"
+	"repro/internal/ise"
 	"repro/internal/models"
-	"repro/internal/rtl"
+	"repro/internal/rewrite"
 )
 
 func retarget(t testing.TB, model string) (*core.Target, string) {
@@ -55,12 +56,15 @@ func roundTrip(t *testing.T, tg *core.Target, mdl string) *core.Target {
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
-	if a2.Key != a.Key || a2.Name != tg.Name {
-		t.Fatalf("metadata lost: key %q name %q", a2.Key, a2.Name)
+	if a2.Key != a.Key || a2.Model != mdl || a2.Options.String() != a.Options.String() {
+		t.Fatalf("artifact changed across encode and decode: %+v -> %+v", a.Options, a2.Options)
 	}
 	tg2, err := a2.Target()
 	if err != nil {
 		t.Fatalf("Target: %v", err)
+	}
+	if tg2.Name != tg.Name {
+		t.Fatalf("target name %q -> %q", tg.Name, tg2.Name)
 	}
 	return tg2
 }
@@ -114,33 +118,45 @@ func TestRoundTripGolden(t *testing.T) {
 	}
 }
 
-// TestEncodeDeterministic asserts that two independent Retarget runs of
-// the same model encode to byte-identical artifacts (satellite: map-order
-// nondeterminism in grammar/BURS table construction would surface here).
-func TestEncodeDeterministic(t *testing.T) {
+// TestRetargetDeterministic: a restored target is a second retarget of
+// the stored source, so compiled output survives the round trip only if
+// independent retargets of one model agree — the same template base, and
+// the same execution condition on every template.
+func TestRetargetDeterministic(t *testing.T) {
 	for _, model := range []string{"demo", "tms320c25"} {
-		tg1, mdl := retarget(t, model)
+		tg1, _ := retarget(t, model)
 		tg2, _ := retarget(t, model)
-		a1, err := New(tg1, mdl, core.RetargetOptions{})
-		if err != nil {
-			t.Fatal(err)
+		if s1, s2 := tg1.Base.String(), tg2.Base.String(); s1 != s2 {
+			t.Fatalf("%s: independent retargets build different template bases:\n%s\n---\n%s", model, s1, s2)
 		}
-		a2, err := New(tg2, mdl, core.RetargetOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b1, err := a1.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		b2, err := a2.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(b1, b2) {
-			t.Fatalf("%s: independent retargets encode differently (%d vs %d bytes)", model, len(b1), len(b2))
+		same := sameFunction(tg1.Base.BDD, tg2.Base.BDD)
+		for i, tm := range tg1.Base.Templates {
+			if !same(tm.Cond.Static, tg2.Base.Templates[i].Cond.Static) {
+				t.Errorf("%s: template %d: conditions differ between independent retargets", model, tm.ID)
+			}
 		}
 	}
+}
+
+// sameFunction compares BDDs of two managers: canonical ROBDDs denote the
+// same function exactly when they have the same shape over the same
+// variable names.
+func sameFunction(m1, m2 *bdd.Manager) func(a, b *bdd.Node) bool {
+	memo := map[[2]*bdd.Node]bool{}
+	var same func(a, b *bdd.Node) bool
+	same = func(a, b *bdd.Node) bool {
+		if a.IsLeaf() || b.IsLeaf() {
+			return a.IsLeaf() && b.IsLeaf() && m1.Tautology(a) == m2.Tautology(b)
+		}
+		k := [2]*bdd.Node{a, b}
+		if v, ok := memo[k]; ok {
+			return v
+		}
+		v := m1.VarName(a.Var) == m2.VarName(b.Var) && same(a.Low, b.Low) && same(a.High, b.High)
+		memo[k] = v
+		return v
+	}
+	return same
 }
 
 func TestKeySensitivity(t *testing.T) {
@@ -188,64 +204,69 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	if _, err := Decode(nil); err == nil {
 		t.Fatal("empty input accepted")
 	}
-}
-
-// TestTargetRejectsMalformedExpr: a checksum-valid artifact whose stored
-// expression trees are missing kids (or carry extra ones) must fail to
-// restore with an error — grammar construction, the encoder and the
-// simulator all index Kids without checking, and a panic on the disk
-// load path would kill the daemon.
-func TestTargetRejectsMalformedExpr(t *testing.T) {
-	konst := rtl.NewConst(1, 4)
-	malformed := []struct {
-		name  string
-		e     *rtl.Expr
-		apply func(te *TemplateEnc, e *rtl.Expr)
-	}{
-		{"slice without kid", &rtl.Expr{Kind: rtl.Slice, Hi: 1, Width: 2}, setSrc},
-		{"op with nil kids", &rtl.Expr{Kind: rtl.OpApp, Op: rtl.OpAdd, Width: 4, Kids: []*rtl.Expr{nil, nil}}, setSrc},
-		{"op without kids", &rtl.Expr{Kind: rtl.OpApp, Op: rtl.OpAdd, Width: 4}, setSrc},
-		{"unary op with two kids", &rtl.Expr{Kind: rtl.OpApp, Op: rtl.OpNot, Width: 4, Kids: []*rtl.Expr{konst, konst}}, setSrc},
-		{"leaf with kid", &rtl.Expr{Kind: rtl.Const, Width: 4, Kids: []*rtl.Expr{konst}}, setSrc},
-		{"read with two kids", &rtl.Expr{Kind: rtl.Read, Storage: "m", Width: 4, Kids: []*rtl.Expr{konst, konst}}, setSrc},
-		{"read with nil address", &rtl.Expr{Kind: rtl.Read, Storage: "m", Width: 4, Kids: []*rtl.Expr{nil}}, setSrc},
-		{"unknown kind", &rtl.Expr{Kind: 42, Width: 4}, setSrc},
-		{"nested slice without kid", rtl.NewOp(rtl.OpAdd, 4, konst, &rtl.Expr{Kind: rtl.Slice, Width: 1}), setSrc},
-		{"destination address", &rtl.Expr{Kind: rtl.Slice, Width: 1},
-			func(te *TemplateEnc, e *rtl.Expr) { te.DestAddr = e }},
-		{"dynamic guard", &rtl.Expr{Kind: rtl.OpApp, Op: rtl.OpEq, Width: 1},
-			func(te *TemplateEnc, e *rtl.Expr) { te.Dynamic = append(te.Dynamic, e) }},
-	}
-	tg, mdl := retarget(t, "tms320c25")
-	for _, m := range malformed {
-		t.Run(m.name, func(t *testing.T) {
-			a, err := New(tg, mdl, core.RetargetOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range a.Templates {
-				m.apply(&a.Templates[i], m.e)
-			}
-			data, err := a.Encode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			a2, err := Decode(data)
-			if err != nil {
-				t.Fatalf("Decode: %v", err)
-			}
-			if _, err := a2.Target(); err == nil {
-				t.Fatal("artifact with malformed expressions restored without error")
-			}
-		})
+	// Checksum-valid frames whose key does not address their contents, or
+	// whose options name a rule Target could not resolve.
+	wrongKey, unknownRule := *a, *a
+	wrongKey.Model += " "
+	unknownRule.Options.Rules = append(slices.Clone(a.Options.Rules), "custom")
+	unknownRule.Key = key(unknownRule.Model, unknownRule.Options)
+	for _, bad := range []*Artifact{&wrongKey, &unknownRule} {
+		payload, err := json.Marshal(bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Decode(frame(payload)); err == nil {
+			t.Fatalf("artifact with options %s and key %s accepted", bad.Options, bad.Key)
+		}
 	}
 }
 
-func setSrc(te *TemplateEnc, e *rtl.Expr) { te.Src = e }
+// TestOptionsRoundTrip: the options an artifact restores with address the
+// same key as the options it was created with, including ones that differ
+// from the defaults and a route limit given through the budget.
+func TestOptionsRoundTrip(t *testing.T) {
+	mdl, _ := models.Get("tanenbaum")
+	ext := rewrite.DefaultOptions()
+	ext.Rules = ext.Rules[1:]
+	ext.Commutativity = false
+	for _, opts := range []core.RetargetOptions{
+		{},
+		{NoExtension: true},
+		{Extension: &ext},
+		{ISE: ise.Options{MSBFirstVars: true, MaxTemplates: 500}, Budget: &diag.Budget{MaxRoutes: 64}},
+	} {
+		tg, err := core.RetargetContext(context.Background(), mdl, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := New(tg, mdl, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := a.Options.retarget()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if Key(mdl, restored) != a.Key || a.Key != Key(mdl, opts) {
+			t.Errorf("%s: restored options address a different key", a.Options)
+		}
+	}
+}
 
-// TestTargetRecoversGrammarFault: decode re-runs grammar construction, so
-// a panic while lowering a rule must come back as an error, as it does
-// from the retarget path's phase boundary.
+// TestNewRejectsUnknownRule: a rule outside the standard library has no
+// name Target could resolve, so it cannot be stored.
+func TestNewRejectsUnknownRule(t *testing.T) {
+	tg, mdl := retarget(t, "tanenbaum")
+	ext := rewrite.DefaultOptions()
+	ext.Rules = append(ext.Rules, rewrite.Rule{Name: "custom"})
+	if _, err := New(tg, mdl, core.RetargetOptions{Extension: &ext}); err == nil {
+		t.Fatal("artifact with a rule outside the standard library created")
+	}
+}
+
+// TestTargetRecoversGrammarFault: Target retargets, so a panic while
+// lowering a rule must come back as an error from the retarget path's
+// phase boundary.
 func TestTargetRecoversGrammarFault(t *testing.T) {
 	tg, mdl := retarget(t, "tanenbaum")
 	a, err := New(tg, mdl, core.RetargetOptions{})
@@ -263,15 +284,16 @@ func TestTargetRecoversGrammarFault(t *testing.T) {
 }
 
 // frame wraps a JSON payload in a valid artifact header, so mutated
-// payloads pass the checksum and reach Target.
+// payloads pass the checksum.
 func frame(payload []byte) []byte {
 	sum := sha256.Sum256(payload)
 	return fmt.Appendf(nil, "%s %d %x\n%s", magic, FormatVersion, sum, payload)
 }
 
-// FuzzArtifactTarget mutates a valid tanenbaum artifact's payload and
-// re-frames it with a correct checksum: Decode followed by Target must
-// return an error or a target, never panic.
+// FuzzArtifactTarget mutates a valid tanenbaum artifact's payload (its
+// MDL source and options) and re-frames it with a correct checksum:
+// Decode followed by Target on anything that decodes must return an
+// error or a target, never panic.
 func FuzzArtifactTarget(f *testing.F) {
 	tg, mdl := retarget(f, "tanenbaum")
 	a, err := New(tg, mdl, core.RetargetOptions{})

@@ -137,47 +137,6 @@ func (e *Encoder) Freeze() {
 // Frozen reports whether Freeze has run.
 func (e *Encoder) Frozen() bool { return e.frozen }
 
-// SoloCond returns the baked single-instruction word condition of a
-// template, or nil before Freeze.  internal/artifact serializes these so
-// decoded targets skip the conjunction sweep.
-func (e *Encoder) SoloCond(t *rtl.Template) *bdd.Node {
-	if !e.frozen {
-		return nil
-	}
-	return e.solo[t]
-}
-
-// FreezeWithSolo freezes the encoder installing pre-baked solo word
-// conditions (aligned with Base.Templates, e.g. decoded from an artifact)
-// instead of recomputing them; only the cheap per-storage quiescence
-// negations and the NOP word are rebuilt.  The conditions must denote the
-// same Boolean functions Freeze would compute — BDD canonicity then makes
-// encodings from restored and fresh targets byte-identical.
-func (e *Encoder) FreezeWithSolo(solo []*bdd.Node) error {
-	if e.frozen {
-		return nil
-	}
-	if len(solo) != len(e.Base.Templates) {
-		return fmt.Errorf("asm: %d solo conditions for %d templates", len(solo), len(e.Base.Templates))
-	}
-	e.storageList = e.storages()
-	e.notQuiesce = make([]*bdd.Node, len(e.storageList))
-	for i, s := range e.storageList {
-		e.notQuiesce[i] = e.m.Not(e.quiesce[s])
-	}
-	e.solo = make(map[*rtl.Template]*bdd.Node, e.Base.Len())
-	for i, t := range e.Base.Templates {
-		if solo[i] == nil {
-			return fmt.Errorf("asm: nil solo condition for template %d", t.ID)
-		}
-		e.solo[t] = solo[i]
-	}
-	e.nop, e.nopErr = e.nopWord()
-	e.frozen = true
-	e.m.Freeze()
-	return nil
-}
-
 // condOps is the BDD operation set encoding needs; satisfied by both
 // *bdd.Manager (single-threaded, pre-freeze) and *bdd.View (copy-on-write
 // overlay, post-freeze).

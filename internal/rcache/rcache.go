@@ -1,21 +1,24 @@
 // Package rcache is the two-tier retarget cache: an in-memory LRU of live
-// core.Target instances over an on-disk store of encoded artifacts
-// (internal/artifact).
+// core.Target instances over an on-disk store of artifacts
+// (internal/artifact), each holding a model's source and retarget options
+// under its content address.
 //
-// Retargeting a processor model costs CPU minutes at paper scale while its
-// product is a pure function of (MDL source, options); serving compiles at
-// production traffic therefore demands that the product be computed once
-// and shared.  GetContext (by source) and LookupContext (by key) are one
-// resolve path: memory, then an in-flight fill for the same content
-// address, then disk and — when the source is known — a retarget.  An
-// entry enters the memory tier only because a request asked for it, and
-// the LRU alone decides what stays.
+// A retarget product is a pure function of (MDL source, options), so
+// serving compiles at production traffic means computing it once per
+// process and sharing it.  GetContext (by source) and LookupContext (by
+// key) are one resolve path: memory, then an in-flight fill for the same
+// content address, then disk and — when the source is known — a
+// retarget.  A disk hit re-runs the retarget from the stored source: the
+// disk tier is what lets a by-key lookup find a model's source after a
+// restart or an eviction.  An entry enters the memory tier only because a
+// request asked for it, and the LRU alone decides what stays.
 // One resilience.Coalescer covers every fill, so concurrent requests for
-// an address cost one disk decode or one retarget.  Disk artifacts are
-// promoted into the memory tier on first use, and cache-file corruption
-// is tolerated: a file that fails to decode is quarantined and treated as
-// a miss plus a diagnostic warning, never an error.  Every cache event is
-// counted once, in the obs registry (record_rcache_*).
+// an address cost one retarget.  Disk artifacts are promoted into the
+// memory tier on first use.  Bytes that fail artifact.Decode are
+// quarantined and treated as a miss plus a diagnostic warning; a
+// retarget that fails on verified bytes is the caller's error and leaves
+// the file in place.  Every cache event is counted once, in the obs
+// registry (record_rcache_*).
 //
 // Entries need no per-entry lock: every cached Target is frozen (its BDD
 // tables are read-only and compiles run against private copy-on-write
@@ -50,7 +53,7 @@ type Outcome string
 // Get outcomes.
 const (
 	Mem       Outcome = "hit"       // memory tier
-	Disk      Outcome = "hit-disk"  // decoded from the artifact store
+	Disk      Outcome = "hit-disk"  // retargeted from the artifact store
 	Miss      Outcome = "miss"      // full retarget ran
 	Coalesced Outcome = "coalesced" // waited on another request's fill
 )
@@ -120,7 +123,7 @@ type Cache struct {
 	lru   *list.List               // of *Entry, front = most recent
 	byKey map[string]*list.Element // key -> LRU element
 
-	// fills is the one singleflight below the memory tier: disk decode
+	// fills is the one singleflight below the memory tier: disk load
 	// and retarget, for every entry point.
 	fills resilience.Coalescer
 
@@ -173,7 +176,7 @@ func New(opts Options) (*Cache, error) {
 	c.cCorrupt = reg.Counter("record_rcache_corrupt_total",
 		"disk artifacts dropped as corrupt")
 	c.cRetargets = reg.Counter("record_rcache_retargets_total",
-		"underlying retarget invocations")
+		"retargets of a request's model source (a disk hit counts as a hit)")
 	c.cOrphans = reg.Counter("record_rcache_orphans_recovered_total",
 		"crash-orphaned temp files removed by the startup recovery scan")
 	c.cDiskErrors = reg.Counter("record_rcache_disk_errors_total",
@@ -282,7 +285,7 @@ func (c *Cache) newEntry(key string, t *core.Target) *Entry {
 func (c *Cache) GetContext(ctx context.Context, mdlSource string, ropts core.RetargetOptions) (*Entry, Outcome, error) {
 	key := artifact.Key(mdlSource, ropts)
 	// The request's trace: everything below — hit markers, coalesced
-	// waits, a disk decode, a full retarget — parents under one rcache.get
+	// waits, a disk load, a full retarget — parents under one rcache.get
 	// span.
 	gSpan, gScope := ropts.Obs.Start("rcache.get")
 	defer gSpan.End()
@@ -291,17 +294,18 @@ func (c *Cache) GetContext(ctx context.Context, mdlSource string, ropts core.Ret
 }
 
 // LookupContext returns the entry for a content address without being
-// able to retarget: memory tier, an in-flight fill for the key, then the
-// disk tier.  ok is false when the key is in none of them (or its disk
-// artifact is corrupt), and for a key that is not a content address, so
-// a caller-supplied key never names a file outside the store.  The
-// outcome says which tier answered, Miss when none did.
-func (c *Cache) LookupContext(ctx context.Context, key string) (*Entry, Outcome, bool) {
+// able to retarget from a caller's source: memory tier, an in-flight fill
+// for the key, then the disk tier.  The entry is nil with a nil error
+// when the key is in none of them (or its disk artifact is corrupt), and
+// for a key that is not a content address, so a caller-supplied key never
+// names a file outside the store.  A retarget of a verified disk artifact
+// that fails returns its error.  The outcome says which tier answered,
+// Miss when none did.
+func (c *Cache) LookupContext(ctx context.Context, key string) (*Entry, Outcome, error) {
 	if !validKey(key) {
-		return nil, Miss, false
+		return nil, Miss, nil
 	}
-	e, out, _ := c.resolve(ctx, key, "", core.RetargetOptions{})
-	return e, out, e != nil
+	return c.resolve(ctx, key, "", core.RetargetOptions{})
 }
 
 // resolve is the one tier walk behind every entry point: memory, then an
@@ -382,7 +386,11 @@ func (c *Cache) fill(ctx context.Context, key, mdlSource string, ropts core.Reta
 	if e := c.memGet(key); e != nil { // a fill ended since the caller looked
 		return filled{e, Mem}, nil
 	}
-	entry, out := c.loadDisk(key), Disk
+	entry, err := c.loadDisk(key)
+	if err != nil {
+		return nil, err
+	}
+	out := Disk
 	if entry == nil {
 		if mdlSource == "" {
 			return filled{}, nil
@@ -407,35 +415,27 @@ func (c *Cache) fill(ctx context.Context, key, mdlSource string, ropts core.Reta
 	return filled{entry, out}, nil
 }
 
-// loadDisk decodes the artifact for key, quarantining corrupt files as
-// misses: the bytes are renamed to <key>.quarantine, never deleted, so
-// the evidence of how they rotted survives for forensics, and the key is
-// rebuilt by the next retarget that has its source.
-func (c *Cache) loadDisk(key string) *Entry {
+// loadDisk restores the entry for key from its artifact.  Bytes that fail
+// to decode, or that self-identify as another key, are quarantined as a
+// miss: renamed to <key>.quarantine, never deleted, so the evidence of how
+// they rotted survives for forensics, and the key is rebuilt by the next
+// retarget that has its source.  A retarget of verified bytes that fails
+// is returned as an error and leaves the file in place.
+func (c *Cache) loadDisk(key string) (*Entry, error) {
 	if c.opts.Dir == "" || c.diskOff.Load() {
-		return nil
+		return nil, nil
 	}
 	data, err := os.ReadFile(c.path(key))
 	if err != nil {
-		return nil // absent: plain miss
+		return nil, nil // absent: plain miss
 	}
-	e, err := c.restore(key, data)
+	a, err := artifact.Decode(data)
+	if err == nil && a.Key != key {
+		err = fmt.Errorf("artifact self-identifies as %s", a.Key)
+	}
 	if err != nil {
 		c.quarantine(key, err)
-	}
-	return e
-}
-
-// restore verifies encoded artifact bytes against their content address
-// and rebuilds their entry: the frame's payload checksum catches bit rot,
-// the embedded key catches bytes stored under the wrong name.
-func (c *Cache) restore(key string, data []byte) (*Entry, error) {
-	a, err := artifact.Decode(data)
-	if err != nil {
-		return nil, err
-	}
-	if a.Key != key {
-		return nil, fmt.Errorf("artifact self-identifies as %s", a.Key)
+		return nil, nil
 	}
 	t, err := a.Target()
 	if err != nil {

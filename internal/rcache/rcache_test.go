@@ -2,6 +2,7 @@ package rcache
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -179,9 +180,9 @@ func TestDiskTierAcrossInstances(t *testing.T) {
 		t.Fatalf("fresh instance: %s, want disk hit", out)
 	}
 	if metric(t, c2, retargets) != 0 {
-		t.Fatal("disk hit still retargeted")
+		t.Fatal("disk hit counted as a retarget of the request's source")
 	}
-	// The decoded target compiles.
+	// The restored target compiles.
 	res, err := e.Compile(context.Background(), "int a = 2; int b = 3; int y; y = a + b;", core.CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -317,14 +318,14 @@ func TestLookupByKey(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	if _, _, ok := c1.LookupContext(ctx, "no-such-key"); ok {
+	if e, _, err := c1.LookupContext(ctx, "no-such-key"); e != nil || err != nil {
 		t.Fatal("unknown key resolved")
 	}
-	if got, out, ok := c1.LookupContext(ctx, e.Key); !ok || got != e || out != Mem {
+	if got, out, err := c1.LookupContext(ctx, e.Key); err != nil || got != e || out != Mem {
 		t.Fatal("memory lookup failed")
 	}
 	c2 := newCache(t, dir, 0)
-	if _, out, ok := c2.LookupContext(ctx, e.Key); !ok || out != Disk {
+	if got, out, err := c2.LookupContext(ctx, e.Key); err != nil || got == nil || out != Disk {
 		t.Fatal("disk lookup failed")
 	}
 }
@@ -339,7 +340,7 @@ func TestLookupRejectsKeyOutsideStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := newCache(t, filepath.Join(root, "store"), 0)
-	if _, _, ok := c.LookupContext(context.Background(), "../victim"); ok {
+	if e, _, err := c.LookupContext(context.Background(), "../victim"); e != nil || err != nil {
 		t.Fatal("a path resolved as a key")
 	}
 	if _, err := os.Stat(outside); err != nil {
@@ -531,7 +532,7 @@ func TestDiskFailENOSPCDegrades(t *testing.T) {
 	if got := metric(t, c, "record_rcache_disk_errors_total"); got != 2 {
 		t.Fatalf("disk failures = %d, want 2", got)
 	}
-	if e := c.loadDisk("k1"); e != nil {
+	if e, _ := c.loadDisk("k1"); e != nil {
 		t.Fatal("degraded cache still reads disk")
 	}
 }
@@ -624,8 +625,8 @@ func TestLoadDiskQuarantinesCorruptArtifact(t *testing.T) {
 	corruptFile(t, c.path(key))
 
 	// A read-path discovery of the corruption must quarantine, not delete.
-	if _, _, ok := c.LookupContext(context.Background(), key); ok {
-		t.Fatal("corrupt artifact should not load")
+	if e, _, err := c.LookupContext(context.Background(), key); e != nil || err != nil {
+		t.Fatalf("corrupt artifact should be a miss, got entry %v, error %v", e, err)
 	}
 	if _, err := os.Stat(c.quarantinePath(key)); err != nil {
 		t.Fatalf("loadDisk should quarantine, not remove: %v", err)
@@ -641,11 +642,38 @@ func TestWrongKeyArtifactQuarantined(t *testing.T) {
 	key, data := seedArtifact(t)
 	wrong := "deadbeef" + key[8:]
 	c := storeWith(t, wrong, data)
-	if _, _, ok := c.LookupContext(context.Background(), wrong); ok {
+	if e, _, err := c.LookupContext(context.Background(), wrong); e != nil || err != nil {
 		t.Fatal("mismatched artifact was accepted")
 	}
 	if got := metric(t, c, "record_rcache_corrupt_total"); got != 1 {
 		t.Fatalf("corrupt = %d, want 1", got)
+	}
+}
+
+// TestRestoreFailureKeepsValidArtifact: quarantine is for bad bytes.  A
+// retarget that fails on a verified artifact (here an injected panic
+// while building the grammar) is the lookup's error, and the file stays
+// in place, uncounted as corrupt, for the next lookup to restore.
+func TestRestoreFailureKeepsValidArtifact(t *testing.T) {
+	key, data := seedArtifact(t)
+	c := storeWith(t, key, data)
+	if err := faultpoint.ArmSpec("grammar.rule=panic"); err != nil {
+		t.Fatal(err)
+	}
+	e, _, err := c.LookupContext(context.Background(), key)
+	faultpoint.Reset()
+	var pe *diag.PanicError
+	if e != nil || !errors.As(err, &pe) {
+		t.Fatalf("lookup through a panicking retarget: entry %v, error %v; want the recovered panic", e, err)
+	}
+	if _, err := os.Stat(c.path(key)); err != nil {
+		t.Fatalf("valid artifact moved after a failed restore: %v", err)
+	}
+	if cr, q := metric(t, c, "record_rcache_corrupt_total"), metric(t, c, "record_rcache_quarantined_files"); cr != 0 || q != 0 {
+		t.Fatalf("corrupt %d, quarantined %d; want 0 each", cr, q)
+	}
+	if e, out, err := c.LookupContext(context.Background(), key); e == nil || err != nil || out != Disk {
+		t.Fatalf("lookup after the fault: %s, %v; want a disk hit", out, err)
 	}
 }
 
@@ -670,13 +698,13 @@ func TestStartupQuarantineSweep(t *testing.T) {
 }
 
 // TestConcurrentLookupsDecodeDiskOnce: by-key lookups share one fill, so
-// concurrent lookups for a key only the disk holds decode and restore it
+// concurrent lookups for a key only the disk holds decode and retarget it
 // once; the rest are counted as coalesced.
 func TestConcurrentLookupsDecodeDiskOnce(t *testing.T) {
 	key, data := seedArtifact(t)
 	c := storeWith(t, key, data)
 	// Hold the leader inside its restore: grammar.rule fires while Target
-	// rebuilds the grammar, until every other lookup has joined.
+	// retargets, until every other lookup has joined.
 	faultpoint.Arm("grammar.rule", faultpoint.Action{Kind: faultpoint.KindDelay, Delay: 500 * time.Millisecond})
 	defer faultpoint.Reset()
 
@@ -686,8 +714,8 @@ func TestConcurrentLookupsDecodeDiskOnce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, _, ok := c.LookupContext(context.Background(), key); !ok {
-				t.Error("lookup missed a key the disk holds")
+			if e, _, err := c.LookupContext(context.Background(), key); e == nil || err != nil {
+				t.Errorf("lookup missed a key the disk holds: %v", err)
 			}
 		}()
 	}

@@ -81,19 +81,17 @@ const (
 )
 
 // Expr is an RT-level expression tree.  Exprs are treated as immutable
-// after construction; sharing subtrees is allowed.  The JSON tags define
-// the retarget-artifact wire form (internal/artifact); zero-valued fields
-// are omitted and restore to their zero values.
+// after construction; sharing subtrees is allowed.
 type Expr struct {
-	Kind    ExprKind `json:"k,omitempty"`
-	Width   int      `json:"w,omitempty"` // result width in bits
-	Op      Op       `json:"op,omitempty"` // OpApp
-	Val     int64    `json:"val,omitempty"` // Const
-	Storage string   `json:"st,omitempty"` // Read: qualified "part.var"
-	Port    string   `json:"port,omitempty"` // PortRef: qualified primary port name
-	Lo      int      `json:"lo,omitempty"` // InsnField: bit range within the instruction word
-	Hi      int      `json:"hi,omitempty"`
-	Kids    []*Expr  `json:"kids,omitempty"`
+	Kind    ExprKind
+	Width   int    // result width in bits
+	Op      Op     // OpApp
+	Val     int64  // Const
+	Storage string // Read: qualified "part.var"
+	Port    string // PortRef: qualified primary port name
+	Lo      int    // InsnField: bit range within the instruction word
+	Hi      int
+	Kids    []*Expr
 }
 
 // NewConst builds a constant node.
