@@ -324,7 +324,7 @@ func BenchmarkCompileTracedOverhead(b *testing.B) {
 	case m0 > 0 && m1 > 0:
 		b.ReportMetric(math.Sqrt(m0*m1), "overhead")
 	case m0+m1 > 0:
-		b.ReportMetric(m0 + m1, "overhead")
+		b.ReportMetric(m0+m1, "overhead")
 	}
 }
 

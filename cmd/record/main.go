@@ -40,11 +40,12 @@
 //	-max-routes n      cap route enumeration per traversal point
 //	-server urls       compile remotely against running recordd node(s);
 //	                   the client retries transient failures (429/5xx,
-//	                   Retry-After-aware) and circuit-breaks per model.
-//	                   A comma-separated list forms a fleet: requests
-//	                   shard by artifact content address and fail over
-//	                   to the next ring replica when a node is down;
-//	                   compiles name the model, so that node retargets it
+//	                   Retry-After-aware) and skips a node that keeps
+//	                   failing.  A comma-separated list forms a fleet:
+//	                   requests shard by artifact content address and
+//	                   fail over to the next ring replica when a node is
+//	                   down; compiles name the model, so that node
+//	                   retargets it
 //	-faultpoints s     arm fault-injection points (testing); "list"
 //	                   prints every planted site and exits
 //
@@ -134,10 +135,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&c.core.MaxErrors, "max-errors", 0, "stop after this many errors (0 = unlimited)")
 	fs.DurationVar(&c.core.Timeout, "timeout", 0, "wall-clock budget for the whole run (0 = unlimited)")
 	fs.IntVar(&c.core.MaxBDDNodes, "max-bdd-nodes", 0, "cap the BDD universe during extraction (0 = unlimited)")
-	fs.IntVar(&c.core.MaxRoutes, "max-routes", 0, "cap route enumeration per traversal point (0 = default)")
+	fs.IntVar(&c.core.ISE.MaxAlts, "max-routes", 0, "cap route enumeration per traversal point (0 = default)")
 	fs.IntVar(&c.core.Jobs, "jobs", 1, "parallel workers for positional source files")
 	fs.StringVar(&c.serverURL, "server", "",
-		"compile against running recordd node(s) instead of locally; comma-separate base URLs for a fleet with sharding, failover and hedging")
+		"compile against running recordd node(s) instead of locally; comma-separate base URLs for a fleet with sharding and failover")
 	fs.StringVar(&c.priority, "priority", "",
 		"QoS class declared to the service: interactive or batch (default: the server's per-route default)")
 	fs.StringVar(&c.faultpoints, "faultpoints", "",
@@ -345,18 +346,17 @@ func compileRemote(c *config, budget *diag.Budget, stdout io.Writer) error {
 		ctx = budget.Ctx
 	}
 	// Under -trace the run's root scope rides the context, so every
-	// request leg spans client-side AND ships its trace identity to the
-	// service in X-Record-Trace — the fleet's span rings then hold the
-	// server half of the same trace ID.
+	// request spans client-side AND ships its trace identity to the
+	// service in X-Record-Trace — the serving node's span ring then holds
+	// the server half of the same trace ID.
 	ctx = obs.ContextWithScope(ctx, c.core.Obs)
-	// -server takes 1..N comma-separated URLs through one constructor: a
-	// single endpoint gets the plain client, more get the fleet client
-	// (content-address sharding, failover, hedging) — same Service either
-	// way, no branching here.
-	cl, err := rclient.New(strings.Split(c.serverURL, ","), rclient.Options{Priority: c.priority})
+	// -server takes 1..N comma-separated URLs; with more than one the
+	// client shards by content address and fails over along the ring.
+	cl, err := rclient.New(strings.Split(c.serverURL, ","))
 	if err != nil {
 		return err
 	}
+	cl.Priority = c.priority
 	rt, err := cl.Retarget(ctx, ref)
 	if err != nil {
 		return err
@@ -375,8 +375,8 @@ func compileRemote(c *config, budget *diag.Budget, stdout io.Writer) error {
 	}
 
 	// Compiles name the model the same way the retarget did, not by its
-	// key: a failover or hedge leg that lands on a node without the
-	// artifact then retargets it there instead of answering 404.
+	// key: a failover that lands on a node without the artifact then
+	// retargets it there instead of answering 404.
 	opts := rclient.CompileOptions{
 		NoCompaction: c.core.NoCompaction,
 		NoPeephole:   c.core.NoPeephole,
@@ -395,7 +395,6 @@ func compileRemote(c *config, budget *diag.Budget, stdout io.Writer) error {
 		if c.showStats && res.Trace != "" {
 			fmt.Fprintf(stdout, "trace: %s\n", res.Trace)
 		}
-		printHedgeStats(c, cl, stdout)
 		return nil
 	}
 	var firstErr error
@@ -417,28 +416,10 @@ func compileRemote(c *config, budget *diag.Budget, stdout io.Writer) error {
 			}
 		}
 	}
-	printHedgeStats(c, cl, stdout)
 	if firstErr != nil {
 		return fmt.Errorf("%d of %d source files failed: %w", failed, len(sources), firstErr)
 	}
 	return nil
-}
-
-// printHedgeStats reports how fleet hedge legs fared under -stats; a
-// single-endpoint client (or a run that never hedged) prints nothing.
-func printHedgeStats(c *config, cl rclient.Service, stdout io.Writer) {
-	if !c.showStats {
-		return
-	}
-	f, ok := cl.(*rclient.Fleet)
-	if !ok {
-		return
-	}
-	if started, won := f.Hedges(); started > 0 {
-		_, cancelled, failed := f.HedgeOutcomes()
-		fmt.Fprintf(stdout, "hedges: %d started, %d won, %d cancelled, %d failed\n",
-			started, won, cancelled, failed)
-	}
 }
 
 // printRemoteResult writes a remote compile in the same shape as the local

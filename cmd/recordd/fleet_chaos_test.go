@@ -189,14 +189,13 @@ func TestFleetChaosNodeKillFailover(t *testing.T) {
 	}
 	_, urls, byURL := bootFleet(t)
 
-	fl, err := rclient.NewFleet(urls)
+	fl, err := rclient.New(urls)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fl.Policy.MaxAttempts = 5
 	fl.Policy.Base = 50 * time.Millisecond
 	fl.Policy.Cap = 500 * time.Millisecond
-	fl.HedgeDelay = -1 // failover only; hedging has its own unit tests
 
 	ctx := context.Background()
 	const prog = "int a = 2; int b = 3; int y; y = a + b;"
@@ -309,7 +308,7 @@ func TestFleetChaosNodeKillFailover(t *testing.T) {
 	if err := fl.Healthz(ctx); err != nil {
 		t.Fatalf("fleet health check: %v", err)
 	}
-	if st := fl.States()[owner.url]; st != resilience.Closed {
+	if st := fl.Breaker.State(owner.url); st != resilience.Closed {
 		t.Fatalf("revived node circuit %v in client ring, want closed", st)
 	}
 	post, err := fl.Compile(ctx, demo, prog, rclient.CompileOptions{})

@@ -38,11 +38,10 @@ func TestFleetChaosTraceAssembly(t *testing.T) {
 	serving := byURL[fleet.NewRing(fleet.DefaultVirtualNodes, urls...).Successors(key, 1)[0]]
 	t.Logf("artifact %.12s… routes to %s", key, serving.id)
 
-	fl, err := rclient.NewFleet(urls)
+	fl, err := rclient.New(urls)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl.HedgeDelay = -1 // one leg, one serving node
 
 	// The traced compile: a client-side root span rides the context into
 	// rclient, which ships the trace in X-Record-Trace.

@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/diag"
 	"repro/internal/faultpoint"
+	"repro/internal/ise"
 	"repro/internal/models"
 	"repro/internal/obs"
 	"repro/internal/qos"
@@ -391,7 +392,8 @@ func (s *server) bounded(ctx context.Context) (context.Context, context.CancelFu
 // a model's content address must come from these same options.
 func (s *server) retargetOptions(ctx context.Context) core.RetargetOptions {
 	return core.RetargetOptions{
-		Budget: &diag.Budget{Ctx: ctx, MaxBDDNodes: s.cfg.maxBDDNodes, MaxRoutes: s.cfg.maxRoutes},
+		ISE:    ise.Options{MaxAlts: s.cfg.maxRoutes},
+		Budget: &diag.Budget{Ctx: ctx, MaxBDDNodes: s.cfg.maxBDDNodes},
 		Obs:    s.obsFrom(ctx),
 	}
 }

@@ -72,13 +72,9 @@ type Artifact struct {
 
 // normalize keeps the product-relevant retargeting options.  Reporter,
 // Budget and Obs are excluded: they affect diagnostics and effort, not
-// (absent budget exhaustion) the product — except Budget.MaxRoutes, which
-// core.RetargetContext folds into the ISE route limit.
+// (absent budget exhaustion) the product.
 func normalize(opts core.RetargetOptions) Options {
 	iseOpts := opts.ISE
-	if iseOpts.MaxAlts <= 0 && opts.Budget != nil && opts.Budget.MaxRoutes > 0 {
-		iseOpts.MaxAlts = opts.Budget.MaxRoutes
-	}
 	def := ise.DefaultOptions()
 	if iseOpts.MaxAlts <= 0 {
 		iseOpts.MaxAlts = def.MaxAlts

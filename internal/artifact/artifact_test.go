@@ -223,7 +223,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 
 // TestOptionsRoundTrip: the options an artifact restores with address the
 // same key as the options it was created with, including ones that differ
-// from the defaults and a route limit given through the budget.
+// from the defaults, such as a route limit.
 func TestOptionsRoundTrip(t *testing.T) {
 	mdl, _ := models.Get("tanenbaum")
 	ext := rewrite.DefaultOptions()
@@ -233,7 +233,7 @@ func TestOptionsRoundTrip(t *testing.T) {
 		{},
 		{NoExtension: true},
 		{Extension: &ext},
-		{ISE: ise.Options{MSBFirstVars: true, MaxTemplates: 500}, Budget: &diag.Budget{MaxRoutes: 64}},
+		{ISE: ise.Options{MSBFirstVars: true, MaxTemplates: 500, MaxAlts: 64}},
 	} {
 		tg, err := core.RetargetContext(context.Background(), mdl, opts)
 		if err != nil {

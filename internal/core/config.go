@@ -36,7 +36,6 @@ type Config struct {
 	// *Context APIs take effect regardless.
 	Timeout     time.Duration // wall clock per run; 0 = unlimited
 	MaxBDDNodes int           // BDD universe cap during extraction; 0 = unlimited
-	MaxRoutes   int           // route enumeration cap per traversal point; 0 = default
 
 	// Diagnostics policy.
 	Strict    bool // promote warnings to errors
@@ -63,8 +62,6 @@ func (c Config) Validate() error {
 		return bad("Timeout", c.Timeout)
 	case c.MaxBDDNodes < 0:
 		return bad("MaxBDDNodes", c.MaxBDDNodes)
-	case c.MaxRoutes < 0:
-		return bad("MaxRoutes", c.MaxRoutes)
 	case c.MaxErrors < 0:
 		return bad("MaxErrors", c.MaxErrors)
 	case c.Jobs < 0:
@@ -107,7 +104,7 @@ func (c Config) Budget(ctx context.Context) (*diag.Budget, context.CancelFunc) {
 	if c.Timeout > 0 {
 		ctx, cancel = context.WithTimeout(ctx, c.Timeout)
 	}
-	return &diag.Budget{Ctx: ctx, MaxBDDNodes: c.MaxBDDNodes, MaxRoutes: c.MaxRoutes}, cancel
+	return &diag.Budget{Ctx: ctx, MaxBDDNodes: c.MaxBDDNodes}, cancel
 }
 
 // Retarget is the RetargetOptions view of the config.  rep and budget

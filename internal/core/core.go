@@ -47,9 +47,8 @@ type RetargetOptions struct {
 	// degraded-mode warnings) from every phase.  nil is safe.
 	Reporter *diag.Reporter
 	// Budget bounds the whole retargeting run: its deadline is checked at
-	// phase boundaries and inside route enumeration, its BDD node cap
-	// during control-signal analysis, and Budget.MaxRoutes overrides
-	// ISE.MaxAlts when set.  nil means unlimited.
+	// phase boundaries and inside route enumeration, and its BDD node cap
+	// during control-signal analysis.  nil means unlimited.
 	Budget *diag.Budget
 	// Obs receives per-phase spans and pipeline instruments (see
 	// internal/obs); like Reporter it is excluded from artifact
@@ -154,9 +153,6 @@ func RetargetContext(ctx context.Context, mdlSource string, opts RetargetOptions
 	}
 	if opts.ISE.Budget == nil {
 		opts.ISE.Budget = opts.Budget
-	}
-	if opts.ISE.MaxAlts <= 0 && opts.Budget != nil && opts.Budget.MaxRoutes > 0 {
-		opts.ISE.MaxAlts = opts.Budget.MaxRoutes
 	}
 
 	feSpan, _ := scope.Start("frontend")

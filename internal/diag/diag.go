@@ -262,9 +262,6 @@ type Budget struct {
 	// MaxBDDNodes caps the BDD universe size during control-signal
 	// analysis; 0 = unlimited.
 	MaxBDDNodes int
-	// MaxRoutes caps route enumeration per traversal point in ISE,
-	// overriding the phase default when > 0.
-	MaxRoutes int
 }
 
 // Context returns the budget's context, never nil.

@@ -1,6 +1,6 @@
 // Package fleet is the distribution layer of the compile service: the
-// pieces the fleet client (internal/rclient) uses to spread requests over
-// a set of independent recordd nodes and to survive any single node dying
+// pieces the client (internal/rclient) uses to spread requests over a set
+// of independent recordd nodes and to survive any single node dying
 // mid-compile.  Nodes never talk to each other; a node that lacks a
 // model's artifact retargets it, which is cheaper than copying it.
 //
@@ -12,7 +12,7 @@
 //     the whole fleet's cache locality.
 //
 //   - NewHealth: the resilience.Breaker policy, keyed by endpoint, that
-//     the fleet client routes by.
+//     the client consults before contacting each node.
 //
 // Everything here is safe for concurrent use and stdlib-only, in the
 // style of internal/resilience.

@@ -18,7 +18,8 @@ var healthConfig = resilience.BreakerConfig{
 // NewHealth builds the fleet's per-endpoint health: a circuit breaker
 // keyed by endpoint under healthConfig.  A probe whose outcome never
 // arrives expires after one cooldown, and any success — the probe's, a
-// straggler's, a fleet Healthz check's — closes the circuit.  Callers
-// route to an endpoint only when Allow(endpoint) == nil and land every
-// outcome with Record.
+// straggler's, a Healthz check's — closes the circuit.  Callers contact
+// an endpoint only when Allow(endpoint) == nil, ask just before that
+// contact (Allow may claim the endpoint's half-open probe), and land
+// every outcome with Record.
 func NewHealth() *resilience.Breaker { return resilience.NewBreaker(healthConfig) }

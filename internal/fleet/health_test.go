@@ -105,7 +105,7 @@ func TestTrackerAbandonedProbeExpires(t *testing.T) {
 	if !usable(h, "a") {
 		t.Fatal("probe not admitted")
 	}
-	// The probe's outcome never arrives (hedged away, caller died).
+	// The probe's outcome never arrives (the caller died).
 	clk.advance(2 * time.Second)
 	if !usable(h, "a") {
 		t.Fatal("abandoned probe never expired")

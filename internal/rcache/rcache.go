@@ -95,15 +95,8 @@ type Entry struct {
 // entry; they share the handle's session pool instead of allocating a
 // fresh encoding session per request.
 func (e *Entry) Compile(ctx context.Context, src string, opts core.CompileOptions) (*core.CompileResult, error) {
-	if e.compiler != nil {
-		return e.compiler.CompileSourceOpts(ctx, src, opts)
-	}
-	return e.target.CompileSourceContext(ctx, src, opts)
+	return e.compiler.CompileSourceOpts(ctx, src, opts)
 }
-
-// Compiler exposes the entry's long-lived compile handle (nil only for a
-// target that could not back one, e.g. an unfrozen test construction).
-func (e *Entry) Compiler() *core.Compiler { return e.compiler }
 
 // Listing renders a compile result against the cached target.
 func (e *Entry) Listing(r *core.CompileResult) string {
@@ -265,15 +258,14 @@ func (c *Cache) path(key string) string {
 }
 
 // newEntry wraps a frozen target in an Entry with a pooled compile
-// handle.  A target that cannot back one (unfrozen — possible only in
-// synthetic tests) still gets an entry; Compile then falls back to the
-// per-call session path.
-func (c *Cache) newEntry(key string, t *core.Target) *Entry {
-	e := &Entry{Key: key, target: t}
-	if cc, err := core.NewCompiler(t, core.Config{Obs: c.opts.Obs}); err == nil {
-		e.compiler = cc
+// handle.  Every retarget freezes its target, so a target that cannot
+// back a Compiler is a failed fill, not an entry.
+func (c *Cache) newEntry(key string, t *core.Target) (*Entry, error) {
+	cc, err := core.NewCompiler(t, core.Config{Obs: c.opts.Obs})
+	if err != nil {
+		return nil, err
 	}
-	return e
+	return &Entry{Key: key, target: t, compiler: cc}, nil
 }
 
 // GetContext returns the cached retarget product for (mdlSource, ropts),
@@ -400,7 +392,10 @@ func (c *Cache) fill(ctx context.Context, key, mdlSource string, ropts core.Reta
 		if err != nil {
 			return nil, err
 		}
-		entry, out = c.newEntry(key, t), Miss
+		if entry, err = c.newEntry(key, t); err != nil {
+			return nil, err
+		}
+		out = Miss
 		if c.opts.Dir != "" && !c.diskOff.Load() && artifact.Cacheable(t) {
 			if err := c.store(key, t, mdlSource, ropts); err != nil {
 				c.diskFail(key, err)
@@ -441,7 +436,7 @@ func (c *Cache) loadDisk(key string) (*Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.newEntry(key, t), nil
+	return c.newEntry(key, t)
 }
 
 func (c *Cache) quarantinePath(key string) string {

@@ -4,7 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -58,20 +58,18 @@ func drainingHandler() http.HandlerFunc {
 	}
 }
 
-// newTestFleet builds a fleet over the nodes with instant retries and
-// hedging off (tests that want hedging turn it back on).
-func newTestFleet(t *testing.T, nodes ...*fakeNode) *Fleet {
+// newTestFleet builds a client over the nodes with instant retries.
+func newTestFleet(t *testing.T, nodes ...*fakeNode) *Client {
 	t.Helper()
 	urls := make([]string, len(nodes))
 	for i, n := range nodes {
 		urls[i] = n.url()
 	}
-	f, err := NewFleet(urls)
+	f, err := New(urls)
 	if err != nil {
-		t.Fatalf("NewFleet: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 	f.Policy = fastPolicy(3)
-	f.HedgeDelay = -1
 	return f
 }
 
@@ -133,10 +131,10 @@ func TestFleetFailoverConnectionRefused(t *testing.T) {
 			t.Fatalf("answered by %q, want backup %q", res.Name, backup.name)
 		}
 	}
-	if st := f.health.State(order[0]); st != resilience.Open {
+	if st := f.Breaker.State(order[0]); st != resilience.Open {
 		t.Fatalf("dead primary is %v, want open", st)
 	}
-	if st := f.health.State(order[1]); st != resilience.Closed {
+	if st := f.Breaker.State(order[1]); st != resilience.Closed {
 		t.Fatalf("backup is %v, want closed", st)
 	}
 }
@@ -158,7 +156,7 @@ func TestFleetFailoverDraining(t *testing.T) {
 	if res.Name != backup.name {
 		t.Fatalf("answered by %q, want backup %q", res.Name, backup.name)
 	}
-	// Failover happens inside one policy attempt: the race walks to the
+	// Failover happens inside one policy attempt: the walk moves to the
 	// backup without sleeping out the draining node's Retry-After.
 	if primary.hits.Load() != 1 || backup.hits.Load() != 1 {
 		t.Fatalf("hits primary=%d backup=%d, want 1 and 1",
@@ -241,70 +239,8 @@ func TestFleetCallerErrorDoesNotFailOver(t *testing.T) {
 	if primary.hits.Load() != 1 {
 		t.Fatalf("4xx retried against primary (%d hits)", primary.hits.Load())
 	}
-	if st := f.health.State(order[0]); st != resilience.Closed {
+	if st := f.Breaker.State(order[0]); st != resilience.Closed {
 		t.Fatalf("4xx moved primary health to %v", st)
-	}
-}
-
-func TestFleetHedgedRequestLoserCancelled(t *testing.T) {
-	a, b := newFakeNode(t, "a"), newFakeNode(t, "b")
-	nodes := []*fakeNode{a, b}
-	f := newTestFleet(t, nodes...)
-
-	ref := ModelRef{Key: strings.Repeat("67", 32)}
-	order := f.ring.Successors(ref.routeKey(), 2)
-	primary, backup := byURL(t, nodes, order[0]), byURL(t, nodes, order[1])
-
-	entered, cancelled := make(chan struct{}), make(chan struct{})
-	primary.handler.Store(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		close(entered)
-		// Drain the body so the server's background read can observe the
-		// client abandoning the connection.
-		io.Copy(io.Discard, r.Body)
-		select {
-		case <-r.Context().Done():
-			close(cancelled)
-		case <-time.After(10 * time.Second):
-			t.Error("slow primary was never cancelled")
-		}
-	}))
-
-	// The hedge fires as soon as the primary holds the request: a hedge
-	// that won before the primary's request arrived would leave no leg
-	// to cancel.
-	f.HedgeDelay = time.Millisecond
-	f.After = func(time.Duration) <-chan time.Time {
-		ch := make(chan time.Time, 1)
-		go func() {
-			<-entered
-			ch <- time.Time{}
-		}()
-		return ch
-	}
-
-	res, err := f.Compile(context.Background(), ref, "x = 1", CompileOptions{})
-	if err != nil {
-		t.Fatalf("hedged Compile: %v", err)
-	}
-	if res.Name != backup.name {
-		t.Fatalf("answered by %q, want hedge winner %q", res.Name, backup.name)
-	}
-	select {
-	case <-cancelled:
-	case <-time.After(5 * time.Second):
-		t.Fatal("losing leg was not cancelled")
-	}
-	started, won := f.Hedges()
-	if started != 1 || won != 1 {
-		t.Fatalf("hedges started=%d won=%d, want 1 and 1", started, won)
-	}
-	// Cancellation is not evidence about the slow node's health.
-	if st := f.health.State(order[0]); st != resilience.Closed {
-		t.Fatalf("cancelled leg moved primary health to %v", st)
-	}
-	if primary.hits.Load() != 1 || backup.hits.Load() != 1 {
-		t.Fatalf("hits primary=%d backup=%d, want 1 and 1",
-			primary.hits.Load(), backup.hits.Load())
 	}
 }
 
@@ -315,9 +251,9 @@ func TestFleetAllDownLastResort(t *testing.T) {
 	// Open both endpoints' circuits.
 	for _, ep := range f.endpoints {
 		for i := 0; i < 3; i++ {
-			f.health.Record(ep, false)
+			f.Breaker.Record(ep, false)
 		}
-		if f.health.State(ep) != resilience.Open {
+		if f.Breaker.State(ep) != resilience.Open {
 			t.Fatalf("setup: %s not open", ep)
 		}
 	}
@@ -333,33 +269,69 @@ func TestFleetAllDownLastResort(t *testing.T) {
 }
 
 func TestFleetRejectsEmptyEndpointList(t *testing.T) {
-	if _, err := NewFleet([]string{" ", ""}); err == nil {
-		t.Fatal("NewFleet accepted an empty endpoint list")
+	if _, err := New([]string{" ", ""}); err == nil {
+		t.Fatal("New accepted an empty endpoint list")
 	}
-	f, err := NewFleet([]string{"http://x:1/", "http://x:1"})
+	f, err := New([]string{"http://x:1/", " http://x:1"})
 	if err != nil {
-		t.Fatalf("NewFleet: %v", err)
+		t.Fatalf("New: %v", err)
 	}
-	if len(f.Endpoints()) != 1 {
-		t.Fatalf("duplicates not collapsed: %v", f.Endpoints())
+	if len(f.endpoints) != 1 || f.ring != nil {
+		t.Fatalf("duplicates not collapsed: %v", f.endpoints)
 	}
 }
 
-func TestLatencyWindowPercentile(t *testing.T) {
-	var w latencyWindow
-	if _, ok := w.percentile(0.95); ok {
-		t.Fatal("percentile available with no samples")
+// TestUncontactedReplicaKeepsProbe: a request served by its ring owner
+// must not claim the half-open probe of a replica it never contacts.  If
+// it did, the recovered replica would refuse its own keys for another
+// cooldown, and they would go to a node that does not own them.
+func TestUncontactedReplicaKeepsProbe(t *testing.T) {
+	x, y, z := newFakeNode(t, "x"), newFakeNode(t, "y"), newFakeNode(t, "z")
+	f := newTestFleet(t, x, y, z)
+	now := time.Unix(0, 0)
+	f.Breaker = resilience.NewBreaker(resilience.BreakerConfig{
+		Window: 3, MinSamples: 3, FailureRate: 1, Cooldown: time.Second,
+		Now: func() time.Time { return now },
+	})
+	ownedBy := func(n *fakeNode) ModelRef {
+		for i := 0; ; i++ {
+			ref := ModelRef{Key: fmt.Sprintf("%064x", i)}
+			if f.ring.Successors(ref.routeKey(), 1)[0] == n.url() {
+				return ref
+			}
+		}
 	}
-	for i := 1; i <= 100; i++ {
-		w.observe(time.Duration(i) * time.Millisecond)
+
+	// y failed three times in a row; one cooldown later it may be probed.
+	for i := 0; i < 3; i++ {
+		f.Breaker.Record(y.url(), false)
 	}
-	// Window holds the last 64 samples: 37ms..100ms.
-	p, ok := w.percentile(0.95)
-	if !ok {
-		t.Fatal("percentile unavailable after 100 samples")
+	now = now.Add(time.Second)
+	if st := f.Breaker.State(y.url()); st != resilience.HalfOpen {
+		t.Fatalf("setup: y is %v, want half-open", st)
 	}
-	if p < 90*time.Millisecond || p > 100*time.Millisecond {
-		t.Fatalf("p95 = %v, want in [90ms, 100ms]", p)
+
+	// A request x owns is answered by x; y is a successor of its key but
+	// is never contacted.
+	res, err := f.Compile(context.Background(), ownedBy(x), "x = 1", CompileOptions{})
+	if err != nil || res.Name != x.name {
+		t.Fatalf("request owned by x: %v, %+v", err, res)
+	}
+
+	// y's probe is still free: y's own key goes to y, and the probe's
+	// success closes y's circuit.
+	res, err = f.Compile(context.Background(), ownedBy(y), "x = 1", CompileOptions{})
+	if err != nil {
+		t.Fatalf("request owned by y: %v", err)
+	}
+	if res.Name != y.name {
+		t.Fatalf("request owned by recovered y answered by %q", res.Name)
+	}
+	if st := f.Breaker.State(y.url()); st != resilience.Closed {
+		t.Fatalf("y is %v after its probe succeeded, want closed", st)
+	}
+	if y.hits.Load() != 1 || z.hits.Load() != 0 {
+		t.Fatalf("hits y=%d z=%d, want 1 and 0", y.hits.Load(), z.hits.Load())
 	}
 }
 

@@ -1,20 +1,21 @@
 // Package rclient is the HTTP client for the recordd compile service.
 //
+// One Client speaks to one recordd node or a fleet of independent ones.
 // It speaks the /v1/retarget and /v1/compile wire protocol and layers the
-// client half of the resilience model (internal/resilience) on top:
-// transient failures — 429 overload sheds, 503 drain/breaker refusals,
-// 5xx faults and transport errors — are retried with capped exponential
-// backoff and full jitter, honoring any Retry-After the server sent, and
-// a local per-model circuit breaker stops hammering a model the service
-// keeps failing on.  Compiles are pure functions of (model, source,
-// options), so retrying is always safe.
+// client half of the resilience model (internal/resilience) on top.
+// With several endpoints, requests shard over a consistent-hash ring
+// keyed on the model's artifact content address and fail over along the
+// ring when a node is down or refusing (internal/fleet).  A per-endpoint
+// circuit skips a node that keeps failing.  Transient failures — 429
+// overload sheds, 503 drain/breaker refusals, 5xx faults — are retried
+// with capped exponential backoff and full jitter, honoring any
+// Retry-After the server sent.  Compiles are pure functions of (model,
+// source, options), so retrying and failing over are always safe.
 package rclient
 
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -24,6 +25,10 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/artifact"
+	"repro/internal/core"
+	"repro/internal/fleet"
+	"repro/internal/models"
 	"repro/internal/obs"
 	"repro/internal/resilience"
 )
@@ -35,19 +40,6 @@ type ModelRef struct {
 	Key       string // artifact key from Retarget
 	Model     string // inline MDL source
 	ModelName string // bundled model name
-}
-
-// fingerprint is the client-side circuit-breaker key: stable per model,
-// cheap to compute, and independent of the program being compiled.
-func (m ModelRef) fingerprint() string {
-	switch {
-	case m.Key != "":
-		return m.Key
-	case m.ModelName != "":
-		return "name:" + m.ModelName
-	}
-	sum := sha256.Sum256([]byte(m.Model))
-	return "mdl:" + hex.EncodeToString(sum[:8])
 }
 
 // request is the JSON body of /v1/retarget and /v1/compile.
@@ -144,75 +136,118 @@ func (e *StatusError) Transient() bool {
 // RetryAfterHint surfaces the server's Retry-After to the retry policy.
 func (e *StatusError) RetryAfterHint() time.Duration { return e.After }
 
-// Client talks to one recordd instance.  The zero value is not usable;
-// construct with New.  Fields may be tuned before first use.
+// Client talks to one recordd node or a fleet of them.  With several
+// endpoints, requests shard over a consistent-hash ring (internal/fleet)
+// keyed on the model's artifact content address, so every request for a
+// model lands first on the node whose cache holds it.  Each request walks
+// its key's ring successors in order, owner first, and fails over to the
+// next node when one is down, draining, or refuses the model with its own
+// open circuit.  The zero value is not usable; construct with New or
+// NewClient.  Fields may be tuned before first use.
 type Client struct {
-	Base    string              // service base URL, e.g. http://127.0.0.1:8347
-	HTTP    *http.Client        // transport; New sets a sane timeout
-	Policy  resilience.Policy   // retry policy for transient failures
-	Breaker *resilience.Breaker // local per-model circuit; nil = always allow
+	HTTP    *http.Client        // transport; the constructors set a 5-minute timeout
+	Policy  resilience.Policy   // retries of a whole walk over the endpoints
+	Breaker *resilience.Breaker // per-endpoint circuit (fleet.NewHealth); nil = always allow
 
 	// Priority is the declared QoS class sent as X-Record-Priority
 	// ("interactive" or "batch"); empty keeps the server's per-route
 	// default.  The server treats unknown values as the default, so this
 	// is a hint, never a way to fail a request.
 	Priority string
+
+	endpoints []string    // normalized base URLs, in the order given
+	ring      *fleet.Ring // nil with one endpoint: nothing to route
 }
 
-// Options tunes a Service built by New.
-type Options struct {
-	// Priority is the declared QoS class ("interactive" or "batch") sent
-	// with every request; empty keeps the server's per-route defaults.
-	Priority string
-}
-
-// New builds a Service over one or more recordd base URLs.  It is the one
-// constructor callers need: a single endpoint gets the plain client, two
-// or more get the fleet client (content-address sharding, failover,
-// hedging) — the caller compiles through the same Service either way.
-func New(endpoints []string, opts Options) (Service, error) {
+// New builds a client over one or more recordd base URLs.  Blank entries
+// and duplicates are dropped; an empty list is an error.
+func New(endpoints []string) (*Client, error) {
+	seen := make(map[string]bool, len(endpoints))
 	var eps []string
 	for _, e := range endpoints {
-		if e = strings.TrimSpace(e); e != "" {
+		e = strings.TrimRight(strings.TrimSpace(e), "/")
+		if e != "" && !seen[e] {
+			seen[e] = true
 			eps = append(eps, e)
 		}
 	}
-	switch len(eps) {
-	case 0:
+	if len(eps) == 0 {
 		return nil, errors.New("rclient: no endpoints")
-	case 1:
-		c := NewClient(eps[0])
-		c.Priority = opts.Priority
-		return c, nil
 	}
-	f, err := NewFleet(eps)
-	if err != nil {
-		return nil, err
-	}
-	f.SetPriority(opts.Priority)
-	return f, nil
+	return newClient(eps), nil
 }
 
-// NewClient returns a single-endpoint client with the default resilience
-// posture: four attempts with 250ms base / 5s cap full-jitter backoff, and
-// a local breaker so a model the service keeps failing on stops consuming
-// round trips.
+// NewClient returns a client for one recordd base URL.
 func NewClient(base string) *Client {
-	return &Client{
-		Base: strings.TrimRight(base, "/"),
+	return newClient([]string{strings.TrimRight(base, "/")})
+}
+
+// newClient applies the default resilience posture: four attempts with
+// 250ms base / 5s cap full-jitter backoff, and the fleet's per-endpoint
+// circuit.
+func newClient(eps []string) *Client {
+	c := &Client{
 		HTTP: &http.Client{Timeout: 5 * time.Minute},
 		Policy: resilience.Policy{
 			MaxAttempts: 4,
 			Base:        250 * time.Millisecond,
 			Cap:         5 * time.Second,
 		},
-		Breaker: resilience.NewBreaker(resilience.BreakerConfig{}),
+		Breaker:   fleet.NewHealth(),
+		endpoints: eps,
 	}
+	if len(eps) > 1 {
+		c.ring = fleet.NewRing(fleet.DefaultVirtualNodes, eps...)
+	}
+	return c
 }
 
-// Healthz reports service liveness; a draining or down service errors.
+// routeKey is the ring shard key for a request: the artifact content
+// address when it can be computed client-side, so requests for a model
+// land on the node whose cache owns that model's artifact.  Key refs are
+// already the content address; inline source and bundled names hash to
+// the same SHA-256 the server caches under with default options.  A
+// server running non-default options caches under another key, but every
+// request for the model still lands on the same node, which retargets it
+// once.  A name the client does not know routes by the name itself:
+// stable routing, arbitrary owner.
+func (m ModelRef) routeKey() string {
+	switch {
+	case m.Key != "":
+		return m.Key
+	case m.Model != "":
+		return artifact.Key(m.Model, core.RetargetOptions{})
+	}
+	if src, ok := models.Get(m.ModelName); ok {
+		return artifact.Key(src, core.RetargetOptions{})
+	}
+	return m.ModelName
+}
+
+// Healthz reports liveness: nil if any endpoint answers healthy.  Every
+// endpoint is checked and each outcome lands in its circuit, so a dead
+// node is skipped, and a revived one rejoins, without waiting for
+// request traffic to find out.
 func (c *Client) Healthz(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/healthz", nil)
+	var err error
+	healthy := false
+	for _, ep := range c.endpoints {
+		e := c.healthz(ctx, ep)
+		c.Breaker.Record(ep, e == nil)
+		if e == nil {
+			healthy = true
+		} else {
+			err = e
+		}
+	}
+	if healthy {
+		return nil
+	}
+	return err
+}
+
+func (c *Client) healthz(ctx context.Context, ep string) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ep+"/healthz", nil)
 	if err != nil {
 		return err
 	}
@@ -228,10 +263,12 @@ func (c *Client) Healthz(ctx context.Context) error {
 }
 
 // Retarget asks the service to retarget to the model, returning the
-// artifact key for subsequent by-key compiles.
+// artifact key for subsequent by-key compiles.  The request goes to the
+// ring owner of the model's content address, so the artifact is built and
+// cached where by-key compiles look for it.
 func (c *Client) Retarget(ctx context.Context, ref ModelRef) (*RetargetResult, error) {
 	var out RetargetResult
-	trace, err := c.call(ctx, ref.fingerprint(), "/v1/retarget", ref.retargetBody(), &out)
+	trace, err := c.call(ctx, ref, "/v1/retarget", ref.retargetBody(), &out)
 	if err != nil {
 		return nil, err
 	}
@@ -242,7 +279,7 @@ func (c *Client) Retarget(ctx context.Context, ref ModelRef) (*RetargetResult, e
 // Compile compiles one RecC program against the model.
 func (c *Client) Compile(ctx context.Context, ref ModelRef, source string, opts CompileOptions) (*CompileResult, error) {
 	var out CompileResult
-	trace, err := c.call(ctx, ref.fingerprint(), "/v1/compile", ref.compileBody(source, opts), &out)
+	trace, err := c.call(ctx, ref, "/v1/compile", ref.compileBody(source, opts), &out)
 	if err != nil {
 		return nil, err
 	}
@@ -250,27 +287,91 @@ func (c *Client) Compile(ctx context.Context, ref ModelRef, source string, opts 
 	return &out, nil
 }
 
-// call runs one POST under the retry policy and the model's circuit,
-// returning the trace ID the winning response echoed.  Breaker
-// bookkeeping counts only service-fault outcomes: a 4xx is the caller's
-// problem and leaves the circuit alone.
-func (c *Client) call(ctx context.Context, bkey, path string, in, out interface{}) (string, error) {
+// call runs one request under the retry policy, one walk over ref's
+// endpoints per attempt, decoding the answer into out and returning the
+// trace ID its response echoed.  Only a client with several endpoints
+// computes a route key.
+func (c *Client) call(ctx context.Context, ref ModelRef, path string, in, out interface{}) (string, error) {
+	body, err := json.Marshal(in)
+	if err != nil {
+		return "", err
+	}
+	order := c.endpoints
+	if c.ring != nil {
+		order = c.ring.Successors(ref.routeKey(), len(c.endpoints))
+	}
 	var trace string
-	err := c.Policy.Do(ctx, func(ctx context.Context) error {
-		if err := c.Breaker.Allow(bkey); err != nil {
+	err = c.Policy.Do(ctx, func(ctx context.Context) error {
+		raw, echo, err := c.walk(ctx, order, path, body)
+		if err != nil {
 			return err
 		}
-		echo, err := c.post(ctx, path, in, out)
-		switch {
-		case err == nil:
-			trace = echoTrace(echo)
-			c.Breaker.Record(bkey, true)
-		case serverFault(err):
-			c.Breaker.Record(bkey, false)
-		}
-		return err
+		trace = echoTrace(echo)
+		return json.Unmarshal(raw, out)
 	})
 	return trace, err
+}
+
+// walk tries the endpoints in order until one answers.  Each endpoint's
+// circuit is asked just before that endpoint is contacted, never ahead of
+// time: a request its owner serves must not claim the half-open probe of
+// a replica it never reaches.  A node failure moves on to the next
+// endpoint; an error that would recur on any node (a rejected request, a
+// cancelled context) ends the walk.  When every circuit refuses, each
+// endpoint is tried once anyway, in order: last-resort traffic is how a
+// recovered fleet is rediscovered, and strictly better than refusing.
+func (c *Client) walk(ctx context.Context, order []string, path string, body []byte) ([]byte, string, error) {
+	var err error
+	for _, lastResort := range []bool{false, true} {
+		contacted := false
+		for _, ep := range order {
+			if !lastResort && c.Breaker.Allow(ep) != nil {
+				continue
+			}
+			contacted = true
+			var raw []byte
+			var echo string
+			if raw, echo, err = c.post(ctx, ep, path, body); err == nil || !failoverWorthy(err) {
+				return raw, echo, err
+			}
+		}
+		if contacted {
+			break
+		}
+	}
+	return nil, "", err
+}
+
+// post runs one request against one endpoint and lands the outcome in
+// that endpoint's circuit: a transport error or 5xx counts against the
+// node, any other answer for it.  A request cancelled by its caller
+// records nothing: cancellation is not evidence about the node, and a
+// probe it held expires after one cooldown.
+func (c *Client) post(ctx context.Context, ep, path string, body []byte) ([]byte, string, error) {
+	raw, echo, err := c.send(ctx, ep, path, body)
+	if err != nil && ctx.Err() != nil {
+		return nil, "", err
+	}
+	c.Breaker.Record(ep, err == nil || !serverFault(err))
+	if err != nil {
+		return nil, "", fmt.Errorf("%s: %w", ep, err)
+	}
+	return raw, echo, nil
+}
+
+// failoverWorthy reports whether another endpoint could answer where this
+// one failed: transient statuses (including a node's open circuit for
+// the model) and transport failures qualify; a rejected request (bad
+// model, bad program) fails the same way everywhere.
+func failoverWorthy(err error) bool {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return false
+	}
+	var se *StatusError
+	if errors.As(err, &se) {
+		return se.Transient()
+	}
+	return true // transport-level failure: connection refused, reset, ...
 }
 
 // echoTrace extracts the trace ID from an echoed X-Record-Trace value.
@@ -290,34 +391,19 @@ func serverFault(err error) bool {
 	return true // transport-level failure
 }
 
-func (c *Client) post(ctx context.Context, path string, in, out interface{}) (string, error) {
-	raw, echo, err := c.postRaw(ctx, path, in)
-	if err != nil {
-		return "", err
-	}
-	return echo, json.Unmarshal(raw, out)
-}
-
-// postRaw runs one POST and returns the raw 200-response body plus the
-// X-Record-Trace value the server echoed.  The fleet client builds on
-// this rather than post so hedged request legs can each hold their own
-// undecoded body and only the winner is unmarshalled.
+// send runs one POST against ep and returns the raw 200-response body
+// plus the X-Record-Trace value the server echoed.
 //
 // When the context carries an obs scope (ContextWithScope), the request
 // becomes a child span ("rclient.request", tagged endpoint + path +
-// outcome, plus any extra attrs) and the span's identity travels in the
-// X-Record-Trace request header, parenting everything the server does —
-// queue wait, cache lookup, compile phases — under this leg.
-func (c *Client) postRaw(ctx context.Context, path string, in interface{}, extra ...obs.Attr) ([]byte, string, error) {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return nil, "", err
-	}
-	attrs := append([]obs.Attr{obs.KV("endpoint", c.Base), obs.KV("path", path)}, extra...)
-	sp, _ := obs.ScopeFromContext(ctx).Start("rclient.request", attrs...)
+// outcome) and the span's identity travels in the X-Record-Trace request
+// header, parenting everything the server does — queue wait, cache
+// lookup, compile phases — under this request.
+func (c *Client) send(ctx context.Context, ep, path string, body []byte) ([]byte, string, error) {
+	sp, _ := obs.ScopeFromContext(ctx).Start("rclient.request", obs.KV("endpoint", ep), obs.KV("path", path))
 	defer sp.End()
 
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+path, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ep+path, bytes.NewReader(body))
 	if err != nil {
 		sp.SetAttr("outcome", "bad-request")
 		return nil, "", err

@@ -83,45 +83,6 @@ func TestTerminalStatusDoesNotRetry(t *testing.T) {
 	}
 }
 
-func TestBreakerFastFailsRepeatedlyFailingModel(t *testing.T) {
-	var calls atomic.Int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		w.WriteHeader(http.StatusInternalServerError)
-		w.Write([]byte(`{"error":"injected"}`))
-	}))
-	defer srv.Close()
-
-	c := NewClient(srv.URL)
-	c.Policy = fastPolicy(1) // isolate breaker behavior from retries
-	c.Breaker = resilience.NewBreaker(resilience.BreakerConfig{
-		Window: 4, MinSamples: 2, FailureRate: 0.5, Cooldown: time.Hour,
-	})
-	ref := ModelRef{ModelName: "demo"}
-	for i := 0; i < 2; i++ {
-		if _, err := c.Compile(context.Background(), ref, "x = 1;", CompileOptions{}); err == nil {
-			t.Fatal("expected failure")
-		}
-	}
-	before := calls.Load()
-	_, err := c.Compile(context.Background(), ref, "x = 1;", CompileOptions{})
-	var oe *resilience.OpenError
-	if !errors.As(err, &oe) {
-		t.Fatalf("err %v, want OpenError once the circuit tripped", err)
-	}
-	if calls.Load() != before {
-		t.Fatal("open circuit still reached the server")
-	}
-
-	// Another model is unaffected by demo's open circuit.
-	if _, err := c.Compile(context.Background(), ModelRef{ModelName: "ref"}, "x = 1;", CompileOptions{}); err != nil {
-		var se *StatusError
-		if !errors.As(err, &se) {
-			t.Fatalf("independent model saw %v, want the server's 500", err)
-		}
-	}
-}
-
 func TestStatusErrorTransience(t *testing.T) {
 	for status, want := range map[int]bool{
 		429: true, 500: true, 502: true, 503: true, 504: true,

@@ -114,8 +114,8 @@ func (b *Breaker) circuitFor(key string) *circuit {
 // elapses exactly one caller is admitted as the half-open probe and
 // everyone else keeps failing fast until its outcome is Recorded.  A
 // probe whose outcome is not Recorded within one Cooldown (it ended as a
-// 4xx, the client went away, the leg was hedged away) is forgotten, and
-// the next caller is admitted as a new probe.
+// 4xx, the client went away) is forgotten, and the next caller is
+// admitted as a new probe.
 func (b *Breaker) Allow(key string) error {
 	if b == nil {
 		return nil
