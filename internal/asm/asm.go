@@ -118,16 +118,30 @@ func (e *Encoder) Freeze() {
 	for i, s := range e.storageList {
 		e.notQuiesce[i] = e.m.Not(e.quiesce[s])
 	}
+	// quietBut[i] is the quiescence of every storage except storageList[i],
+	// from prefix and suffix products: O(storages) Ands instead of one per
+	// (template, storage) pair.  Each template then costs a single And;
+	// ROBDD canonicity makes the result the node the storage-by-storage
+	// conjunction would reach.
+	n := len(e.storageList)
+	quietBut := make([]*bdd.Node, n)
+	prefix := e.m.True()
+	for i := range n {
+		quietBut[i] = prefix
+		prefix = e.m.And(prefix, e.notQuiesce[i])
+	}
+	suffix := e.m.True()
+	for i := n - 1; i >= 0; i-- {
+		quietBut[i] = e.m.And(quietBut[i], suffix)
+		suffix = e.m.And(suffix, e.notQuiesce[i])
+	}
 	e.solo = make(map[*rtl.Template]*bdd.Node, e.Base.Len())
 	for _, t := range e.Base.Templates {
-		cond := t.Cond.Static
-		for i, s := range e.storageList {
-			if !t.DestPort && s == t.Dest {
-				continue
-			}
-			cond = e.m.And(cond, e.notQuiesce[i])
+		q := e.quiet
+		if i := sort.SearchStrings(e.storageList, t.Dest); !t.DestPort && i < n && e.storageList[i] == t.Dest {
+			q = quietBut[i]
 		}
-		e.solo[t] = cond
+		e.solo[t] = e.m.And(t.Cond.Static, q)
 	}
 	e.nop, e.nopErr = e.nopWord()
 	e.frozen = true
@@ -405,10 +419,10 @@ func (s *Session) EncodeProgram(p *code.Program) (ModeReq, error) {
 	return required, nil
 }
 
-// OverlaySize returns the number of private BDD nodes the session's view
-// has accumulated, or 0 for a pre-freeze session operating on the shared
-// manager.  Session pools use it to decide whether a returned session is
-// still cheap enough to reuse.
+// OverlaySize returns the number of private BDD entries (nodes and memo)
+// the session's view has accumulated, or 0 for a pre-freeze session
+// operating on the shared manager.  Session pools use it to decide whether
+// a returned session is still cheap enough to reuse.
 func (s *Session) OverlaySize() int {
 	if v, ok := s.ops.(*bdd.View); ok {
 		return v.OverlaySize()

@@ -5,75 +5,14 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/code"
 	"repro/internal/core"
 )
 
-// micro16t is a compact accumulator machine exercising encoding paths.
-const micro16t = `
-PROCESSOR enctest;
-CONST WORD = 16;
-
-MODULE Alu (IN a: WORD; IN b: WORD; IN op: 3; OUT y: WORD);
-BEGIN
-  y <- CASE op OF 0: a + b; 1: a - b; 2: a & b; 3: a | b;
-                  4: a ^ b; 5: b; 6: a * b; 7: -b; END;
-END;
-
-MODULE BMux (IN m: WORD; IN imm: WORD; IN s: 1; OUT y: WORD);
-BEGIN
-  y <- CASE s OF 0: m; 1: imm; END;
-END;
-
-MODULE Reg (IN d: WORD; IN ld: 1; OUT q: WORD);
-VAR r: WORD;
-BEGIN q <- r; AT ld == 1 DO r <- d; END;
-
-MODULE Ram (IN a: 8; IN d: WORD; IN w: 1; OUT q: WORD);
-VAR m: WORD [256];
-BEGIN q <- m[a]; AT w == 1 DO m[a] <- d; END;
-
-MODULE Rom (IN a: 8; OUT q: 32);
-VAR m: 32 [256];
-BEGIN q <- m[a]; END;
-
-MODULE Inc (IN a: 8; OUT y: 8);
-BEGIN y <- a + 1; END;
-
-MODULE PcReg (IN d: 8; OUT q: 8);
-VAR r: 8;
-BEGIN q <- r; r <- d; END;
-
-PARTS
-  alu  : Alu;
-  bmux : BMux;
-  acc  : Reg;
-  ram  : Ram;
-  imem : Rom INSTRUCTION;
-  pc   : PcReg PC;
-  pinc : Inc;
-
-CONNECT
-  alu.a    <- acc.q;
-  alu.b    <- bmux.y;
-  alu.op   <- imem.q[31:29];
-  bmux.m   <- ram.q;
-  bmux.imm <- imem.q[15:0];
-  bmux.s   <- imem.q[28];
-  acc.d    <- alu.y;
-  acc.ld   <- imem.q[27];
-  ram.a    <- imem.q[7:0];
-  ram.d    <- acc.q;
-  ram.w    <- imem.q[26];
-  imem.a   <- pc.q;
-  pinc.a   <- pc.q;
-  pc.d     <- pinc.y;
-END.
-`
-
 func target(t *testing.T) *core.Target {
 	t.Helper()
-	tg, err := core.RetargetContext(context.Background(), micro16t, core.RetargetOptions{})
+	tg, err := core.RetargetContext(context.Background(), asm.Micro16T, core.RetargetOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -189,10 +189,12 @@ func (v *View) AnySatWalk(f *Node, fn func(va int, val bool)) bool {
 	return v.base.AnySatWalk(f, fn)
 }
 
-// OverlaySize returns the number of private nodes this view has created —
-// the memory it retains beyond the frozen base.  Session pools use it to
-// decide when a recycled view has grown too large to be worth keeping.
-func (v *View) OverlaySize() int { return len(v.unique) }
+// OverlaySize returns the number of private entries this view retains
+// beyond the frozen base: the nodes it created plus its operation memo,
+// which also grows when an Ite resolves to a node that already exists.
+// Session pools use it to decide when a recycled view has grown too large
+// to be worth keeping.
+func (v *View) OverlaySize() int { return len(v.unique) + len(v.iteMemo) }
 
 // Sat reports whether f is satisfiable.
 func (v *View) Sat(f *Node) bool { return f != v.base.falseN }

@@ -132,3 +132,33 @@ func TestConcurrentViews(t *testing.T) {
 		}
 	}
 }
+
+// TestOverlaySizeCountsMemo checks that a view whose Ites all resolve to
+// nodes already in the frozen base still reports the memo entries it
+// retains: the base holds x_i ∧ x_{i+1} built as Ite(x_i, x_{i+1}, 0); the
+// view asks for the swapped conjunctions, which are memo misses that
+// create no node.
+func TestOverlaySizeCountsMemo(t *testing.T) {
+	const n = 64
+	m, vars := buildManager(n)
+	pairs := make([]*Node, n-1)
+	for i := range pairs {
+		pairs[i] = m.And(vars[i], vars[i+1])
+	}
+	m.Freeze()
+	v := m.NewView()
+	for i := range pairs {
+		if got := v.And(vars[i+1], vars[i]); got != pairs[i] {
+			t.Fatalf("x%d ∧ x%d: view built a new node for a base function", i+1, i)
+		}
+	}
+	if len(v.unique) != 0 {
+		t.Fatalf("view created %d overlay nodes; want 0", len(v.unique))
+	}
+	if len(v.iteMemo) < n-1 {
+		t.Fatalf("view memo holds %d entries; want at least %d", len(v.iteMemo), n-1)
+	}
+	if got, want := v.OverlaySize(), len(v.unique)+len(v.iteMemo); got != want {
+		t.Fatalf("OverlaySize = %d; want %d (overlay nodes plus memo entries)", got, want)
+	}
+}

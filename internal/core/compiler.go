@@ -33,11 +33,14 @@ import (
 	"repro/internal/obs"
 )
 
-// maxPooledOverlay bounds the private BDD nodes a pooled session may
-// accumulate before ReleaseSession drops it instead of recycling it: the
-// warm operation memo is worth keeping, an unboundedly growing overlay is
-// not.  2^15 nodes ≈ 1.5 MB of overlay map per retained session.
-const maxPooledOverlay = 1 << 15
+// maxPooledOverlay bounds the private BDD entries (overlay nodes plus
+// operation memo) a pooled session may accumulate before ReleaseSession
+// drops it instead of recycling it: the warm operation memo is worth
+// keeping, an unboundedly growing overlay is not.  2^16 entries ≈ 3 MB of
+// overlay maps per retained session.  A session that has compiled every
+// DSPStone kernel up to N = 64 on tms320c25 levels off near 43k entries
+// (about 23k nodes and 20k memo entries), so it stays pooled.
+const maxPooledOverlay = 1 << 16
 
 // compileStages are the per-program pipeline stage labels, in order.
 var compileStages = []string{"bind", "select", "peephole", "compact", "encode"}

@@ -237,11 +237,13 @@ func RetargetContext(ctx context.Context, mdlSource string, opts RetargetOptions
 	phase = time.Now()
 	gSpan, gScope := scope.Start("grammar")
 	err = diag.Guard(rep, "grammar", func() error {
-		g, err := grammar.BuildObs(t.Base, grammar.SpecFromNetlist(t.Net), rep, gScope)
+		g, err := grammar.BuildReported(t.Base, grammar.SpecFromNetlist(t.Net), rep)
 		if err != nil {
 			return err
 		}
 		t.Grammar = g
+		t.Stats.GrammarSz = g.Stats()
+		t.Stats.GrammarSz.Observe(gScope)
 		return nil
 	})
 	gSpan.End()
@@ -249,7 +251,6 @@ func RetargetContext(ctx context.Context, mdlSource string, opts RetargetOptions
 		return nil, fmt.Errorf("core: grammar construction: %w", err)
 	}
 	t.Stats.Grammar = time.Since(phase)
-	t.Stats.GrammarSz = t.Grammar.Stats()
 	phaseSec.With("grammar").Observe(t.Stats.Grammar.Seconds())
 
 	phase = time.Now()

@@ -27,6 +27,7 @@ package grammar
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/diag"
@@ -73,7 +74,7 @@ type Pat struct {
 func (p *Pat) TermKey() string {
 	switch p.Kind {
 	case PatOp:
-		return fmt.Sprintf("op:%s:%d", p.Op, p.Width)
+		return "op:" + string(p.Op) + ":" + strconv.Itoa(p.Width)
 	case PatReg:
 		return "reg:" + p.Storage
 	case PatMem:
@@ -83,7 +84,7 @@ func (p *Pat) TermKey() string {
 	case PatPort:
 		return "port:" + p.Port
 	case PatSlice:
-		return fmt.Sprintf("slice:%d:%d", p.Hi, p.Lo)
+		return "slice:" + strconv.Itoa(p.Hi) + ":" + strconv.Itoa(p.Lo)
 	}
 	return ""
 }
@@ -92,7 +93,7 @@ func (p *Pat) TermKey() string {
 func SubjectKey(e *rtl.Expr) string {
 	switch e.Kind {
 	case rtl.OpApp:
-		return fmt.Sprintf("op:%s:%d", e.Op, e.Width)
+		return "op:" + string(e.Op) + ":" + strconv.Itoa(e.Width)
 	case rtl.Read:
 		if e.Addr() != nil {
 			return "mem:" + e.Storage
@@ -103,7 +104,7 @@ func SubjectKey(e *rtl.Expr) string {
 	case rtl.PortRef:
 		return "port:" + e.Port
 	case rtl.Slice:
-		return fmt.Sprintf("slice:%d:%d", e.Hi, e.Lo)
+		return "slice:" + strconv.Itoa(e.Hi) + ":" + strconv.Itoa(e.Lo)
 	case rtl.InsnField:
 		return "#const" // fields in subject trees behave like immediates
 	}
@@ -281,28 +282,6 @@ func SpecFromNetlist(n *netlist.Netlist) Spec {
 // Build constructs the tree grammar from a template base and machine spec.
 func Build(base *rtl.Base, spec Spec) (*Grammar, error) {
 	return BuildReported(base, spec, nil)
-}
-
-// BuildObs is BuildReported with instrumentation: the finished grammar's
-// rule counts land in the scope's registry, broken down by rule kind, so
-// `record -stats` and the recordd /metrics endpoint report grammar size
-// without recomputing Stats.  scope may be nil.
-func BuildObs(base *rtl.Base, spec Spec, rep *diag.Reporter, scope *obs.Scope) (*Grammar, error) {
-	g, err := BuildReported(base, spec, rep)
-	if err != nil {
-		return nil, err
-	}
-	if reg := scope.Registry(); reg != nil {
-		st := g.Stats()
-		rules := reg.CounterVec("record_grammar_rules_total",
-			"tree-grammar rules constructed, by rule kind", "kind")
-		rules.With("start").Add(st.StartRules)
-		rules.With("rt").Add(st.RTRules)
-		rules.With("stop").Add(st.StopRules)
-		reg.Counter("record_grammar_nonterminals_total",
-			"tree-grammar nonterminals constructed").Add(st.Nonterminals)
-	}
-	return g, nil
 }
 
 // BuildReported is Build with degraded-mode diagnostics: a template that
@@ -501,6 +480,24 @@ func (g *Grammar) Stats() Stats {
 	}
 	st.Terminals = len(terms) + 1 // + ASSIGN
 	return st
+}
+
+// Observe records the grammar's size in the scope's registry — rule counts
+// by kind and the nonterminal count — so `record -stats` and the recordd
+// /metrics endpoint report grammar size from the same Stats walk as the
+// retargeting report.  scope may be nil.
+func (st Stats) Observe(scope *obs.Scope) {
+	reg := scope.Registry()
+	if reg == nil {
+		return
+	}
+	rules := reg.CounterVec("record_grammar_rules_total",
+		"tree-grammar rules constructed, by rule kind", "kind")
+	rules.With("start").Add(st.StartRules)
+	rules.With("rt").Add(st.RTRules)
+	rules.With("stop").Add(st.StopRules)
+	reg.Counter("record_grammar_nonterminals_total",
+		"tree-grammar nonterminals constructed").Add(st.Nonterminals)
 }
 
 // String renders the grammar in a BNF-like form.

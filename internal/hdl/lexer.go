@@ -3,7 +3,6 @@ package hdl
 import (
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // Error is a positioned HDL front-end diagnostic.
@@ -101,7 +100,7 @@ func (l *lexer) next() (Token, error) {
 			l.advance()
 		}
 		text := l.src[start:l.off]
-		if kw, ok := keywords[strings.ToUpper(text)]; ok {
+		if kw, ok := keyword(text); ok {
 			return Token{Kind: kw, Text: text, Pos: pos}, nil
 		}
 		return Token{Kind: TokIdent, Text: text, Pos: pos}, nil
@@ -217,6 +216,25 @@ func (l *lexer) next() (Token, error) {
 		return mk(TokGt)
 	}
 	return Token{}, errf(pos, "unexpected character %q", string(c))
+}
+
+// keyword looks an identifier up in the case-insensitive keyword table
+// without allocating an upper-cased copy: identifiers are ASCII and no
+// keyword is longer than the buffer.
+func keyword(text string) (TokKind, bool) {
+	var buf [16]byte
+	if len(text) > len(buf) {
+		return 0, false
+	}
+	for i := 0; i < len(text); i++ {
+		c := text[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	kw, ok := keywords[string(buf[:len(text)])]
+	return kw, ok
 }
 
 func isHex(c byte) bool {

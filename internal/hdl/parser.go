@@ -510,69 +510,47 @@ func (p *parser) parseConnects(m *Model) error {
 	return nil
 }
 
-// Expression parsing with C-like precedence, lowest first:
+// binLevels holds the binary operators by C-like precedence, lowest first:
 //
-//	|  ^  &  ==/!=  </<=/>/>=  <</>>/>>>  +/-  * / %  unary  primary
-func (p *parser) parseExpr() (Expr, error) { return p.parseOr() }
-
-type binLevel struct {
-	toks map[TokKind]rtl.Op
-	next func() (Expr, error)
+//	|  ^  &  ==/!=  </<=/>/>=  <</>>/>>>  +/-  * / %
+//
+// Unary and primary expressions bind tighter than the last level.
+var binLevels = []map[TokKind]rtl.Op{
+	{TokPipe: rtl.OpOr},
+	{TokCaret: rtl.OpXor},
+	{TokAmp: rtl.OpAnd},
+	{TokEq: rtl.OpEq, TokNe: rtl.OpNe},
+	{TokLt: rtl.OpLt, TokLe: rtl.OpLe, TokGt: rtl.OpGt, TokGe: rtl.OpGe},
+	{TokShl: rtl.OpShl, TokShr: rtl.OpShr, TokAshr: rtl.OpAshr},
+	{TokPlus: rtl.OpAdd, TokMinus: rtl.OpSub},
+	{TokStar: rtl.OpMul, TokSlash: rtl.OpDiv, TokPercent: rtl.OpMod},
 }
 
-func (p *parser) binary(lv binLevel) (Expr, error) {
-	x, err := lv.next()
+func (p *parser) parseExpr() (Expr, error) { return p.parseBinary(0) }
+
+// parseBinary parses a left-associative chain of binLevels[level]
+// operators over operands of the next tighter level.
+func (p *parser) parseBinary(level int) (Expr, error) {
+	if level == len(binLevels) {
+		return p.parseUnary()
+	}
+	x, err := p.parseBinary(level + 1)
 	if err != nil {
 		return nil, err
 	}
 	for {
-		op, ok := lv.toks[p.tok.Kind]
+		op, ok := binLevels[level][p.tok.Kind]
 		if !ok {
 			return x, nil
 		}
 		pos := p.tok.Pos
 		p.advance()
-		y, err := lv.next()
+		y, err := p.parseBinary(level + 1)
 		if err != nil {
 			return nil, err
 		}
 		x = &BinExpr{Op: op, X: x, Y: y, Pos: pos}
 	}
-}
-
-func (p *parser) parseOr() (Expr, error) {
-	return p.binary(binLevel{map[TokKind]rtl.Op{TokPipe: rtl.OpOr}, p.parseXor})
-}
-
-func (p *parser) parseXor() (Expr, error) {
-	return p.binary(binLevel{map[TokKind]rtl.Op{TokCaret: rtl.OpXor}, p.parseAnd})
-}
-
-func (p *parser) parseAnd() (Expr, error) {
-	return p.binary(binLevel{map[TokKind]rtl.Op{TokAmp: rtl.OpAnd}, p.parseEquality})
-}
-
-func (p *parser) parseEquality() (Expr, error) {
-	return p.binary(binLevel{map[TokKind]rtl.Op{TokEq: rtl.OpEq, TokNe: rtl.OpNe}, p.parseRelational})
-}
-
-func (p *parser) parseRelational() (Expr, error) {
-	return p.binary(binLevel{map[TokKind]rtl.Op{
-		TokLt: rtl.OpLt, TokLe: rtl.OpLe, TokGt: rtl.OpGt, TokGe: rtl.OpGe}, p.parseShift})
-}
-
-func (p *parser) parseShift() (Expr, error) {
-	return p.binary(binLevel{map[TokKind]rtl.Op{
-		TokShl: rtl.OpShl, TokShr: rtl.OpShr, TokAshr: rtl.OpAshr}, p.parseAdditive})
-}
-
-func (p *parser) parseAdditive() (Expr, error) {
-	return p.binary(binLevel{map[TokKind]rtl.Op{TokPlus: rtl.OpAdd, TokMinus: rtl.OpSub}, p.parseMultiplicative})
-}
-
-func (p *parser) parseMultiplicative() (Expr, error) {
-	return p.binary(binLevel{map[TokKind]rtl.Op{
-		TokStar: rtl.OpMul, TokSlash: rtl.OpDiv, TokPercent: rtl.OpMod}, p.parseUnary})
 }
 
 func (p *parser) parseUnary() (Expr, error) {

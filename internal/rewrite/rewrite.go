@@ -81,7 +81,13 @@ type Bindings struct {
 }
 
 // Match attempts to match p against e, returning bindings on success.
+// Extension probes every rule at every template node, and most probes fail
+// at the root, so the root's kind, operator and arity are checked before
+// any bindings are allocated.
 func (p *Pattern) Match(e *rtl.Expr) (*Bindings, bool) {
+	if !p.rootMatches(e) {
+		return nil, false
+	}
 	b := &Bindings{Sub: make(map[string]*rtl.Expr), Const: make(map[string]int64)}
 	if p.match(e, b) {
 		return b, true
@@ -89,37 +95,45 @@ func (p *Pattern) Match(e *rtl.Expr) (*Bindings, bool) {
 	return nil, false
 }
 
+// rootMatches reports whether p's root node can match e; it is the
+// binding-free part of match at the root.
+func (p *Pattern) rootMatches(e *rtl.Expr) bool {
+	switch p.Kind {
+	case PVar:
+		return true
+	case PConst:
+		return e.Kind == rtl.Const && e.Val == p.Val
+	case PAnyConst:
+		return e.Kind == rtl.Const
+	case POp:
+		return e.Kind == rtl.OpApp && e.Op == p.Op && len(e.Kids) == len(p.Kids)
+	}
+	return false
+}
+
 func (p *Pattern) match(e *rtl.Expr, b *Bindings) bool {
+	if !p.rootMatches(e) {
+		return false
+	}
 	switch p.Kind {
 	case PVar:
 		if prev, ok := b.Sub[p.Name]; ok {
 			return prev.Equal(e)
 		}
 		b.Sub[p.Name] = e
-		return true
-	case PConst:
-		return e.Kind == rtl.Const && e.Val == p.Val
 	case PAnyConst:
-		if e.Kind != rtl.Const {
-			return false
-		}
 		if prev, ok := b.Const[p.Name]; ok {
 			return prev == e.Val
 		}
 		b.Const[p.Name] = e.Val
-		return true
 	case POp:
-		if e.Kind != rtl.OpApp || e.Op != p.Op || len(e.Kids) != len(p.Kids) {
-			return false
-		}
 		for i, k := range p.Kids {
 			if !k.match(e.Kids[i], b) {
 				return false
 			}
 		}
-		return true
 	}
-	return false
+	return true
 }
 
 // Instantiate builds an expression from p under bindings, with the given
@@ -335,7 +349,9 @@ func commuteVariants(e *rtl.Expr, limit int) []*rtl.Expr {
 // variant).
 func ruleVariants(e *rtl.Expr, r Rule, limit int) []*rtl.Expr {
 	var out []*rtl.Expr
-	// rewriteAt returns e with the node at path replaced by repl.
+	// replaceAt returns n with the node at path replaced by repl.  It reads
+	// path only while it runs and keeps none of it, so walk can share one
+	// path stack across the whole traversal.
 	var replaceAt func(n *rtl.Expr, path []int, repl *rtl.Expr) *rtl.Expr
 	replaceAt = func(n *rtl.Expr, path []int, repl *rtl.Expr) *rtl.Expr {
 		if len(path) == 0 {
@@ -346,8 +362,9 @@ func ruleVariants(e *rtl.Expr, r Rule, limit int) []*rtl.Expr {
 		c.Kids[path[0]] = replaceAt(n.Kids[path[0]], path[1:], repl)
 		return &c
 	}
-	var walk func(n *rtl.Expr, path []int)
-	walk = func(n *rtl.Expr, path []int) {
+	var path []int
+	var walk func(n *rtl.Expr)
+	walk = func(n *rtl.Expr) {
 		if len(out) >= limit {
 			return
 		}
@@ -368,9 +385,11 @@ func ruleVariants(e *rtl.Expr, r Rule, limit int) []*rtl.Expr {
 			}
 		}
 		for i, k := range n.Kids {
-			walk(k, append(append([]int(nil), path...), i))
+			path = append(path, i)
+			walk(k)
+			path = path[:len(path)-1]
 		}
 	}
-	walk(e, nil)
+	walk(e)
 	return out
 }

@@ -13,6 +13,7 @@ package rtl
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/bdd"
@@ -309,17 +310,35 @@ func (e *Expr) key(b *strings.Builder) {
 	}
 	switch e.Kind {
 	case Const:
-		fmt.Fprintf(b, "c%d:%d", e.Val, e.Width)
+		b.WriteByte('c')
+		keyInt(b, e.Val)
+		b.WriteByte(':')
+		keyInt(b, int64(e.Width))
 	case PortRef:
-		fmt.Fprintf(b, "p%s:%d", e.Port, e.Width)
+		b.WriteByte('p')
+		b.WriteString(e.Port)
+		b.WriteByte(':')
+		keyInt(b, int64(e.Width))
 	case InsnField:
-		fmt.Fprintf(b, "f%d.%d", e.Hi, e.Lo)
+		b.WriteByte('f')
+		keyInt(b, int64(e.Hi))
+		b.WriteByte('.')
+		keyInt(b, int64(e.Lo))
 	case Read:
-		fmt.Fprintf(b, "r%s:%d", e.Storage, e.Width)
+		b.WriteByte('r')
+		b.WriteString(e.Storage)
+		b.WriteByte(':')
+		keyInt(b, int64(e.Width))
 	case OpApp:
-		fmt.Fprintf(b, "o%s:%d", e.Op, e.Width)
+		b.WriteByte('o')
+		b.WriteString(string(e.Op))
+		b.WriteByte(':')
+		keyInt(b, int64(e.Width))
 	case Slice:
-		fmt.Fprintf(b, "s%d.%d", e.Hi, e.Lo)
+		b.WriteByte('s')
+		keyInt(b, int64(e.Hi))
+		b.WriteByte('.')
+		keyInt(b, int64(e.Lo))
 	}
 	if len(e.Kids) > 0 {
 		b.WriteByte('(')
@@ -331,6 +350,12 @@ func (e *Expr) key(b *strings.Builder) {
 		}
 		b.WriteByte(')')
 	}
+}
+
+// keyInt appends v in decimal without going through fmt.
+func keyInt(b *strings.Builder, v int64) {
+	var buf [20]byte
+	b.Write(strconv.AppendInt(buf[:0], v, 10))
 }
 
 // ExecCond is an RT template's execution condition: a static constraint over
