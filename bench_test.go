@@ -220,19 +220,16 @@ func benchParallelCompile(b *testing.B, workers int) {
 
 // benchCompileObs measures one kernel compile through a shared Compiler
 // with and without a live obs scope, so CI can gate the tracing tax: the
-// traced variant runs every compile under a span-producing scope exactly
-// as recordd does per request, against a bounded ring with a drop
-// counter.  benchtraj records the pair as compile_ns_per_op{base,traced}
-// and -max-traced-overhead fails the build if traced/base drifts.
+// traced variant records every compile stage's span into one long-lived
+// bounded tracer, so it measures the per-span tax on the compile path.
+// benchtraj records the pair as compile_ns_per_op{base,traced} and
+// -max-traced-overhead fails the build if traced/base drifts.
 func benchCompileObs(b *testing.B, traced bool) {
 	tg := c25(b)
 	var cfg core.Config
 	if traced {
-		reg := obs.NewRegistry()
-		tracer := obs.NewTracer(obs.WithMaxSpans(4096),
-			obs.WithDropCounter(reg.Counter("record_obs_spans_dropped_total",
-				"spans overwritten past the tracer ring bound")))
-		_, cfg.Obs = obs.NewScope(reg, tracer).Start("bench.compile")
+		tracer := obs.NewTracer(obs.WithMaxSpans(4096))
+		_, cfg.Obs = obs.NewScope(obs.NewRegistry(), tracer).Start("bench.compile")
 	}
 	comp, err := core.NewCompiler(tg, cfg)
 	if err != nil {
@@ -271,12 +268,9 @@ func BenchmarkCompileTracedOverhead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	tracer := obs.NewTracer(obs.WithMaxSpans(4096),
-		obs.WithDropCounter(reg.Counter("record_obs_spans_dropped_total",
-			"spans overwritten past the tracer ring bound")))
+	tracer := obs.NewTracer(obs.WithMaxSpans(4096))
 	var cfg core.Config
-	_, cfg.Obs = obs.NewScope(reg, tracer).Start("bench.compile")
+	_, cfg.Obs = obs.NewScope(obs.NewRegistry(), tracer).Start("bench.compile")
 	traced, err := core.NewCompiler(tg, cfg)
 	if err != nil {
 		b.Fatal(err)

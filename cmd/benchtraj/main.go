@@ -32,6 +32,11 @@
 // When -phase-trace is given, bench input is optional: an entry with only
 // phase_seconds is still recorded.
 //
+// Each new entry is stamped with its host: num_cpu and go_version from
+// the running toolchain, gomaxprocs from the -N suffix go test puts on
+// benchmark names (none means 1), and cpu from the output's cpu: line.
+// Older entries carry no stamp and are rewritten as they are.
+//
 // Older entries carry server_ns_per_op (recordd request latency from a
 // retired in-process benchmark); Entry keeps the field so an append
 // rewrites those entries byte for byte.  Service latency is measured by
@@ -48,12 +53,17 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strconv"
 )
 
 // Entry is one benchmark run in the trajectory.
 type Entry struct {
 	Label          string             `json:"label"`
+	NumCPU         int                `json:"num_cpu,omitempty"`
+	GOMAXPROCS     int                `json:"gomaxprocs,omitempty"`
+	GoVersion      string             `json:"go_version,omitempty"`
+	CPU            string             `json:"cpu,omitempty"`
 	NsPerOp        map[string]float64 `json:"ns_per_op,omitempty"`
 	SpeedupAt4     float64            `json:"speedup_at_4,omitempty"`
 	SpeedupAt16    float64            `json:"speedup_at_16,omitempty"`
@@ -71,6 +81,8 @@ var (
 	benchLine    = regexp.MustCompile(`^BenchmarkParallelCompile(\d+)\S*\s+\d+\s+([\d.]+) ns/op`)
 	compileLine  = regexp.MustCompile(`^BenchmarkCompile(Baseline|Traced)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op`)
 	overheadLine = regexp.MustCompile(`^BenchmarkCompileTracedOverhead\S*\s+\d+\s+[\d.]+ ns/op\s+([\d.]+) overhead`)
+	procsLine    = regexp.MustCompile(`^Benchmark\S*?(?:-(\d+))?\s+\d+\s`)
+	cpuLine      = regexp.MustCompile(`^cpu: (.+)$`)
 )
 
 // compileKeys maps BenchmarkCompile<Suffix> onto trajectory keys.
@@ -78,20 +90,41 @@ var compileKeys = map[string]string{"Baseline": "base", "Traced": "traced"}
 
 // parse extracts worker-count → ns/op (parallel-compile lines),
 // base/traced → ns/op (single-compile observability cost lines) and the
-// interleaved traced/base overhead ratio from `go test -bench` output.  The compile pair and the overhead
-// ratio keep the MINIMUM across repeated lines, so CI can run them with
-// -count N and gate on the noise-free floor rather than on whichever
-// single run the scheduler disturbed.
-func parse(r io.Reader) (ns, compile map[string]float64, overhead float64, err error) {
-	ns = make(map[string]float64)
-	compile = make(map[string]float64)
+// interleaved traced/base overhead ratio from `go test -bench` output,
+// plus the host's GOMAXPROCS and CPU model.  The compile pair and the
+// overhead ratio keep the MINIMUM across repeated lines, so CI can run
+// them with -count N and gate on the noise-free floor rather than on
+// whichever single run the scheduler disturbed.  GOMAXPROCS stays 0
+// when benchmark lines disagree on it.
+func parse(r io.Reader) (Entry, error) {
+	ns := make(map[string]float64)
+	compile := make(map[string]float64)
+	var overhead float64
+	e := Entry{GOMAXPROCS: -1}
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		line := sc.Text()
+		if m := cpuLine.FindStringSubmatch(line); m != nil {
+			e.CPU = m[1]
+			continue
+		}
+		if m := procsLine.FindStringSubmatch(line); m != nil {
+			procs := 1
+			if m[1] != "" {
+				procs, _ = strconv.Atoi(m[1])
+			}
+			switch e.GOMAXPROCS {
+			case -1:
+				e.GOMAXPROCS = procs
+			case procs:
+			default:
+				e.GOMAXPROCS = 0
+			}
+		}
 		if m := overheadLine.FindStringSubmatch(line); m != nil {
 			v, perr := strconv.ParseFloat(m[1], 64)
 			if perr != nil {
-				return nil, nil, 0, fmt.Errorf("benchtraj: bad overhead in %q: %w", line, perr)
+				return Entry{}, fmt.Errorf("benchtraj: bad overhead in %q: %w", line, perr)
 			}
 			if overhead == 0 || v < overhead {
 				overhead = v
@@ -101,7 +134,7 @@ func parse(r io.Reader) (ns, compile map[string]float64, overhead float64, err e
 		if m := benchLine.FindStringSubmatch(line); m != nil {
 			v, perr := strconv.ParseFloat(m[2], 64)
 			if perr != nil {
-				return nil, nil, 0, fmt.Errorf("benchtraj: bad ns/op in %q: %w", line, perr)
+				return Entry{}, fmt.Errorf("benchtraj: bad ns/op in %q: %w", line, perr)
 			}
 			ns[m[1]] = v
 			continue
@@ -110,7 +143,7 @@ func parse(r io.Reader) (ns, compile map[string]float64, overhead float64, err e
 			key := compileKeys[m[1]]
 			v, perr := strconv.ParseFloat(m[2], 64)
 			if perr != nil {
-				return nil, nil, 0, fmt.Errorf("benchtraj: bad ns/op in %q: %w", line, perr)
+				return Entry{}, fmt.Errorf("benchtraj: bad ns/op in %q: %w", line, perr)
 			}
 			if prev, ok := compile[key]; !ok || v < prev {
 				compile[key] = v
@@ -118,12 +151,14 @@ func parse(r io.Reader) (ns, compile map[string]float64, overhead float64, err e
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, nil, 0, err
+		return Entry{}, err
 	}
 	if len(ns) == 0 && len(compile) == 0 && overhead == 0 {
-		return nil, nil, 0, errNoBench
+		return Entry{}, errNoBench
 	}
-	return ns, compile, overhead, nil
+	e.GOMAXPROCS = max(e.GOMAXPROCS, 0)
+	e.NsPerOp, e.CompileNsPerOp, e.TracedOverhead = ns, compile, overhead
+	return e, nil
 }
 
 // parsePhaseTrace sums span durations per name from a Chrome trace_event
@@ -292,7 +327,7 @@ func gateTracedOverhead(path, spec string) error {
 }
 
 func run(in io.Reader, outPath, label, tracePath string) error {
-	ns, compile, overhead, err := parse(in)
+	e, err := parse(in)
 	if err != nil {
 		// A run that only records phase timings has no bench lines to
 		// parse; any other parse failure is still fatal.
@@ -300,13 +335,15 @@ func run(in io.Reader, outPath, label, tracePath string) error {
 			return err
 		}
 	}
-	e := Entry{Label: label, NsPerOp: ns, CompileNsPerOp: compile, TracedOverhead: overhead}
+	e.Label = label
+	e.NumCPU, e.GoVersion = runtime.NumCPU(), runtime.Version()
 	if len(e.NsPerOp) == 0 {
 		e.NsPerOp = nil
 	}
 	if len(e.CompileNsPerOp) == 0 {
 		e.CompileNsPerOp = nil
 	}
+	ns := e.NsPerOp
 	if n1, ok1 := ns["1"]; ok1 {
 		if n4, ok4 := ns["4"]; ok4 && n4 > 0 {
 			e.SpeedupAt4 = n1 / n4

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -30,10 +31,11 @@ ok  	repro	5.234s
 `
 
 func TestParse(t *testing.T) {
-	ns, compile, overhead, err := parse(strings.NewReader(sample))
+	e, err := parse(strings.NewReader(sample))
 	if err != nil {
 		t.Fatal(err)
 	}
+	ns, compile, overhead := e.NsPerOp, e.CompileNsPerOp, e.TracedOverhead
 	if len(ns) != 6 || ns["1"] != 527672 || ns["8"] != 1493683 || ns["32"] != 1892411 {
 		t.Fatalf("parsed %v", ns)
 	}
@@ -48,7 +50,7 @@ func TestParse(t *testing.T) {
 }
 
 func TestParseRejectsEmpty(t *testing.T) {
-	if _, _, _, err := parse(strings.NewReader("PASS\n")); err == nil {
+	if _, err := parse(strings.NewReader("PASS\n")); err == nil {
 		t.Fatal("no error for input without benchmark lines")
 	}
 }
@@ -148,6 +150,51 @@ func TestRunRejectsCorruptTrajectory(t *testing.T) {
 	}
 	if err := run(strings.NewReader(sample), path, "x", ""); err == nil {
 		t.Fatal("corrupt trajectory accepted")
+	}
+}
+
+// TestRunStampsHost: a new entry records the host it ran on — CPU count
+// and Go version from the toolchain, GOMAXPROCS from the benchmark names'
+// -N suffix (none means 1, a mix means unknown) and the CPU model from
+// the cpu: line.
+func TestRunStampsHost(t *testing.T) {
+	const two = `goos: linux
+cpu: AMD EPYC 7B13
+BenchmarkParallelCompile1-2 	    2138	    527672 ns/op
+BenchmarkCompileBaseline-2 	    2355	    248272 ns/op
+BenchmarkRetargetCached/demo/Cold-2 	    1	    4248272 ns/op
+`
+	for _, tc := range []struct {
+		name, in string
+		procs    int
+		cpu      string
+	}{
+		{"suffix", two, 2, "AMD EPYC 7B13"},
+		{"no-suffix", "BenchmarkCompileBaseline \t 10\t 100 ns/op\n", 1, ""},
+		{"mixed", sample, 0, "Intel(R) Xeon(R) Processor @ 2.10GHz"},
+	} {
+		path := filepath.Join(t.TempDir(), "trajectory.json")
+		if err := run(strings.NewReader(tc.in), path, tc.name, ""); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var entries []Entry
+		if err := json.Unmarshal(data, &entries); err != nil {
+			t.Fatal(err)
+		}
+		e := entries[0]
+		if e.NumCPU != runtime.NumCPU() || e.GoVersion != runtime.Version() ||
+			e.GOMAXPROCS != tc.procs || e.CPU != tc.cpu {
+			t.Errorf("%s: host stamp {num_cpu %d, go %q, gomaxprocs %d, cpu %q}, want {%d, %q, %d, %q}",
+				tc.name, e.NumCPU, e.GoVersion, e.GOMAXPROCS, e.CPU,
+				runtime.NumCPU(), runtime.Version(), tc.procs, tc.cpu)
+		}
+		if tc.procs == 0 && strings.Contains(string(data), `"gomaxprocs"`) {
+			t.Errorf("%s: an unknown GOMAXPROCS is written: %s", tc.name, data)
+		}
 	}
 }
 

@@ -26,12 +26,12 @@
 //	-no-peephole       disable redundant-load/dead-store elimination
 //	-no-extension      disable template-base extension
 //	-seq               print the sequential RT code as well
-//	-stats             print retargeting and compilation statistics
+//	-stats             print retargeting and compilation statistics; with
+//	                   -server, each response's Server-Timing header (the
+//	                   serving node's own phase breakdown) as a
+//	                   "server-timing:" line
 //	-trace file        write a Chrome trace_event JSON file of the run
-//	                   (open in chrome://tracing or Perfetto); with
-//	                   -server the root span propagates to the service
-//	                   as X-Record-Trace, and -stats prints the trace ID
-//	                   the service echoes back
+//	                   (open in chrome://tracing or Perfetto)
 //	-run               execute on the netlist simulator and dump variables
 //	-strict            treat warnings as errors
 //	-max-errors n      stop after n errors (0 = unlimited)
@@ -346,9 +346,8 @@ func compileRemote(c *config, budget *diag.Budget, stdout io.Writer) error {
 		ctx = budget.Ctx
 	}
 	// Under -trace the run's root scope rides the context, so every
-	// request spans client-side AND ships its trace identity to the
-	// service in X-Record-Trace — the serving node's span ring then holds
-	// the server half of the same trace ID.
+	// request spans client-side; the server half of each request comes
+	// back in its Server-Timing header, which -stats prints.
 	ctx = obs.ContextWithScope(ctx, c.core.Obs)
 	// -server takes 1..N comma-separated URLs; with more than one the
 	// client shards by content address and fails over along the ring.
@@ -369,9 +368,7 @@ func compileRemote(c *config, budget *diag.Budget, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "cache: %s (remote)\n", state)
 		fmt.Fprintf(stdout, "retargeted %s remotely: %d templates, %d rules\n",
 			rt.Name, rt.Templates, rt.Rules)
-		if rt.Trace != "" {
-			fmt.Fprintf(stdout, "trace: %s\n", rt.Trace)
-		}
+		printServerTiming(stdout, rt.ServerTiming)
 	}
 
 	// Compiles name the model the same way the retarget did, not by its
@@ -392,8 +389,8 @@ func compileRemote(c *config, budget *diag.Budget, stdout io.Writer) error {
 			return err
 		}
 		printRemoteResult(stdout, res)
-		if c.showStats && res.Trace != "" {
-			fmt.Fprintf(stdout, "trace: %s\n", res.Trace)
+		if c.showStats {
+			printServerTiming(stdout, res.ServerTiming)
 		}
 		return nil
 	}
@@ -428,6 +425,14 @@ func printRemoteResult(stdout io.Writer, res *rclient.CompileResult) {
 	fmt.Fprintf(stdout, "code for %s: %d RT instructions in %d words\n\n",
 		res.Name, res.SeqLen, res.CodeLen)
 	fmt.Fprint(stdout, res.Listing)
+}
+
+// printServerTiming writes a response's Server-Timing header, as the
+// serving node sent it; a response without one prints nothing.
+func printServerTiming(stdout io.Writer, timing string) {
+	if timing != "" {
+		fmt.Fprintf(stdout, "server-timing: %s\n", timing)
+	}
 }
 
 // compileMany compiles every positional source file against one frozen

@@ -316,3 +316,39 @@ func TestServerRemoteCompile(t *testing.T) {
 		t.Errorf("compiles = %d, want 2 (retry through the injected failure)", compiles.Load())
 	}
 }
+
+// TestServerStatsPrintsServerTiming: with -stats, each response's
+// Server-Timing header is printed as it came, one line per response;
+// without -stats nothing is.
+func TestServerStatsPrintsServerTiming(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		switch r.URL.Path {
+		case "/v1/retarget":
+			w.Header().Set("Server-Timing", "cache;desc=miss;dur=0.100, frontend;dur=1.000, total;dur=2.000")
+			fmt.Fprint(w, `{"key":"k1","name":"demo","templates":5,"rules":9,"cache":"miss"}`)
+		case "/v1/compile":
+			w.Header().Set("Server-Timing", "cache;desc=mem;dur=0.010, bind;dur=0.020, total;dur=0.500")
+			fmt.Fprint(w, `{"key":"k1","name":"demo","cache":"hit","seq_len":4,"code_len":3,"words":[1,2,3],"listing":"0000 nop\n"}`)
+		default:
+			w.WriteHeader(http.StatusNotFound)
+		}
+	}))
+	defer srv.Close()
+
+	code, out, stderr := record(t, "-server", srv.URL, "-model", "demo", "-kernel", "dot_product", "-stats")
+	if code != exitOK {
+		t.Fatalf("exit = %d, stderr:\n%s", code, stderr)
+	}
+	for _, want := range []string{
+		"server-timing: cache;desc=miss;dur=0.100, frontend;dur=1.000, total;dur=2.000\n",
+		"server-timing: cache;desc=mem;dur=0.010, bind;dur=0.020, total;dur=0.500\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("-stats output lacks %q:\n%s", want, out)
+		}
+	}
+	if _, out, _ := record(t, "-server", srv.URL, "-model", "demo", "-kernel", "dot_product"); strings.Contains(out, "server-timing:") {
+		t.Errorf("server-timing printed without -stats:\n%s", out)
+	}
+}

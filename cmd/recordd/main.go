@@ -16,7 +16,6 @@
 //	GET  /healthz      liveness; 503 {"draining": true} during shutdown;
 //	                   includes the node identity ("node")
 //	GET  /metrics      cache counters, in-flight compiles, per-phase latency
-//	GET  /v1/debug/spans  the request tracer's span ring, for cmd/tracefuse
 //
 // Flags:
 //
@@ -38,19 +37,18 @@
 //	-breaker-cooldown d  open → half-open probe cooldown
 //	-faultpoints spec  arm fault-injection points (chaos testing; see
 //	                   `record -faultpoints list`)
-//	-trace-spans n     request-tracer span ring bound; overwritten spans
-//	                   count in record_obs_spans_dropped_total
 //
 // Clients declare a priority class with X-Record-Priority (interactive
 // or batch); under contention the scheduler grants eight interactive
 // slots for every batch slot.  A model enters the memory tier only when
 // a request asks for it, and the LRU (-cache-size) alone decides what
-// stays.  Each route is held to a fixed latency objective (compile
-// 500ms, retarget 60s, batch 10s) at 99.9% availability, with burn rates
-// over 1m and 10m windows reported in /healthz and /metrics.
+// stays.
 //
-// Every traced request (X-Record-Trace in, echoed out) records into a
-// bounded span ring served at GET /v1/debug/spans for cmd/tracefuse.
+// Every POST response carries a Server-Timing header: where that request's
+// time went on this node, by phase — decode, qos, cache (its desc names
+// the tier: mem, disk, miss or coalesced), the retarget phases and compile
+// stages that ran, render, and total — in milliseconds on the node's own
+// clock.  `record -server -stats` prints it.
 //
 // A fleet is several independent nodes behind the sharding client
 // (`record -server U1,U2,U3`, internal/rclient): nodes never talk to each
@@ -98,7 +96,6 @@ func main() {
 	flag.IntVar(&cfg.brkWindow, "breaker-window", 8, "per-model circuit-breaker outcome window (0 = breaker off)")
 	flag.Float64Var(&cfg.brkRate, "breaker-rate", 0.5, "failure rate that opens a model's circuit")
 	flag.DurationVar(&cfg.brkCooldown, "breaker-cooldown", 10*time.Second, "circuit open -> half-open probe cooldown")
-	flag.IntVar(&cfg.traceSpans, "trace-spans", 4096, "request-tracer span ring bound")
 	flag.Parse()
 
 	if *faults != "" {

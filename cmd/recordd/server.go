@@ -41,17 +41,7 @@ type serverConfig struct {
 
 	nodeID string // fleet identity: /healthz field + node metric label
 
-	traceSpans int // span-ring bound for the request tracer (0 = default)
-
 	brkClock func() time.Time // injectable breaker clock (tests); nil = time.Now
-}
-
-// sloTargets are the per-route latency objectives: a compile should be
-// interactive, a retarget may legitimately run the full pipeline.
-var sloTargets = map[string]time.Duration{
-	"retarget": 60 * time.Second,
-	"compile":  500 * time.Millisecond,
-	"batch":    10 * time.Second,
 }
 
 func (c serverConfig) withDefaults() serverConfig {
@@ -66,9 +56,6 @@ func (c serverConfig) withDefaults() serverConfig {
 	}
 	if c.nodeID == "" {
 		c.nodeID = "recordd"
-	}
-	if c.traceSpans <= 0 {
-		c.traceSpans = 4096
 	}
 	return c
 }
@@ -101,6 +88,8 @@ func (c serverConfig) withDefaults() serverConfig {
 // compile pipeline register their own instruments against it, the
 // request-handling instruments below are the server's, and /metrics is a
 // plain registry scrape — the server keeps no metric state of its own.
+// Each POST request records spans into a tracer of its own (timing.go),
+// and its response carries their sums by phase in Server-Timing.
 type server struct {
 	cfg   serverConfig
 	cache *rcache.Cache
@@ -112,10 +101,8 @@ type server struct {
 	drainCh  chan struct{} // closed when draining starts
 	draining atomic.Bool
 
-	reg    *obs.Registry
-	scp    *obs.Scope      // registry-only scope for work outside any request
-	tracer *obs.Tracer     // bounded span ring served at /v1/debug/spans
-	slo    *obs.SLOTracker // per-route burn-rate monitor
+	reg *obs.Registry
+	scp *obs.Scope // registry-only scope for work outside any request
 
 	gInflight     *obs.Gauge        // compiles currently executing
 	gTargInflight *obs.GaugeVec     // by artifact key; series dropped at zero
@@ -144,10 +131,6 @@ func newServer(cfg serverConfig) (*server, error) {
 	if err != nil {
 		return nil, err
 	}
-	tracer := obs.NewTracer(
-		obs.WithMaxSpans(cfg.traceSpans),
-		obs.WithDropCounter(reg.Counter("record_obs_spans_dropped_total",
-			"spans overwritten past the tracer ring bound")))
 	s := &server{
 		cfg:     cfg,
 		cache:   cache,
@@ -155,8 +138,6 @@ func newServer(cfg serverConfig) (*server, error) {
 		drainCh: make(chan struct{}),
 		reg:     reg,
 		scp:     scp,
-		tracer:  tracer,
-		slo:     obs.NewSLOTracker(reg, "record_recordd_slo", obs.SLOConfig{Targets: sloTargets}),
 		gInflight: reg.Gauge("record_recordd_inflight_compiles",
 			"compiles currently executing"),
 		gTargInflight: reg.GaugeVec("record_recordd_target_inflight_compiles",
@@ -211,23 +192,25 @@ func newServer(cfg serverConfig) (*server, error) {
 	return s, nil
 }
 
-// handler wraps the route mux in the drain gate: once draining, every
-// request that would start new work is refused with an explicit 503 so no
-// client is dropped without a status; health and metrics stay readable.
+// handler wraps the route mux in the request clock and the drain gate:
+// every request but a GET starts a clock, whose breakdown its response
+// carries, and once draining, every request that would start new work is
+// refused with an explicit 503 so no client is dropped without a status;
+// health and metrics stay readable.
 func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", s.getOnly(s.handleHealthz))
 	mux.HandleFunc("/metrics", s.getOnly(s.handleMetrics))
-	mux.HandleFunc("/v1/retarget", s.traced("retarget", s.serve(retargetRoute)))
-	mux.HandleFunc("/v1/compile", s.traced("compile", s.serve(compileRoute)))
-	mux.HandleFunc("/v1/compile-batch", s.traced("batch", s.serve(batchRoute)))
-	// The span ring stays readable while a node drains (every GET does),
-	// or a chaos trace loses its tail.
-	mux.HandleFunc("/v1/debug/spans", s.getOnly(s.handleDebugSpans))
+	mux.HandleFunc("/v1/retarget", s.serve(retargetRoute))
+	mux.HandleFunc("/v1/compile", s.serve(compileRoute))
+	mux.HandleFunc("/v1/compile-batch", s.serve(batchRoute))
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if s.draining.Load() && r.Method != http.MethodGet {
-			s.write(w, r, errWire(&resilience.DrainingError{After: time.Second}))
-			return
+		if r.Method != http.MethodGet {
+			r = r.WithContext(withClock(r.Context(), s.reg))
+			if s.draining.Load() {
+				s.write(w, r, errWire(&resilience.DrainingError{After: time.Second}))
+				return
+			}
 		}
 		mux.ServeHTTP(w, r)
 	})
@@ -244,72 +227,14 @@ func (s *server) getOnly(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// statusWriter captures the response status so the traced middleware can
-// tag the request span and classify the SLO event.  code 0 means nothing
-// was written (client abort).
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (sw *statusWriter) WriteHeader(code int) {
-	if sw.code == 0 {
-		sw.code = code
-	}
-	sw.ResponseWriter.WriteHeader(code)
-}
-
-func (sw *statusWriter) Write(b []byte) (int, error) {
-	if sw.code == 0 {
-		sw.code = http.StatusOK
-	}
-	return sw.ResponseWriter.Write(b)
-}
-
-// traced is the per-route observability middleware: it opens a request
-// span (parented under the caller's X-Record-Trace context when one
-// arrived), echoes the span's trace ID in the response header, threads a
-// request-scoped obs.Scope through the context for every layer below —
-// QoS wait, cache lookups, compile phases — and lands the
-// outcome in the SLO tracker.
-func (s *server) traced(route string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		remote, _ := obs.ParseTraceHeader(r.Header.Get(obs.TraceHeader))
-		scope := obs.NewScope(s.reg, s.tracer).WithRemote(remote)
-		sp, rscope := scope.Start("recordd."+route, obs.KV("node", s.cfg.nodeID))
-		defer sp.End()
-		if sc := sp.Context(); sc.Valid() {
-			w.Header().Set(obs.TraceHeader, sc.Header())
-		}
-		sw := &statusWriter{ResponseWriter: w}
-		start := time.Now()
-		h(sw, r.WithContext(obs.ContextWithScope(r.Context(), rscope)))
-		if sw.code == 0 {
-			// Nothing written: the client went away. Not an SLO event —
-			// the service never answered, well or badly.
-			sp.SetAttr("outcome", "abort")
-			return
-		}
-		sp.SetAttr("status", sw.code)
-		s.slo.Observe(route, time.Since(start), sw.code < http.StatusInternalServerError)
-	}
-}
-
-// obsFrom returns the request's trace-carrying scope when the context
-// has one, else the server's registry-only scope — pipeline metrics land
-// in the same registry either way.
+// obsFrom returns the scope of the request's clock when the context has
+// one, else the server's registry-only scope — pipeline metrics land in
+// the same registry either way.
 func (s *server) obsFrom(ctx context.Context) *obs.Scope {
-	if scope := obs.ScopeFromContext(ctx); scope != nil {
-		return scope
+	if c := clockFrom(ctx); c != nil {
+		return c.scope
 	}
 	return s.scp
-}
-
-// handleDebugSpans serves the node's span ring for trace fusion:
-// cmd/tracefuse joins /v1/debug/spans dumps from every fleet node into
-// one cross-process Chrome trace.
-func (s *server) handleDebugSpans(w http.ResponseWriter, r *http.Request) {
-	s.write(w, r, marshalWire(http.StatusOK, s.tracer.Dump(s.cfg.nodeID)))
 }
 
 // beginDrain flips the service into draining mode: /healthz reports
@@ -356,19 +281,16 @@ func (s *server) observePhase(phase string, d time.Duration) {
 // the grant so queueing does not eat into the work's time.  The returned
 // release is idempotent and must be called when the work ends.
 func (s *server) acquire(ctx context.Context, cl qos.Class) (context.Context, func(), error) {
-	sp, _ := obs.ScopeFromContext(ctx).Start("qos.wait", obs.KV("class", cl.String()))
+	start := time.Now()
 	release, err := s.sched.Acquire(ctx, cl)
+	s.obsFrom(ctx).Event("qos", time.Since(start))
 	if err != nil {
-		sp.SetAttr("outcome", "refused")
-		sp.End()
 		var ov *resilience.OverloadError
 		if errors.As(err, &ov) {
 			s.cShed.With(cl.String()).Inc()
 		}
 		return nil, nil, err
 	}
-	sp.SetAttr("outcome", "granted")
-	sp.End()
 	if err := faultpoint.Hit("recordd.worker.spawn", ""); err != nil {
 		release()
 		return nil, nil, err
@@ -541,9 +463,6 @@ type errorResponse struct {
 
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	body := map[string]interface{}{"ok": true, "node": s.cfg.nodeID}
-	if slo := s.slo.Health(); slo != nil {
-		body["slo"] = slo
-	}
 	status := http.StatusOK
 	if s.draining.Load() {
 		body["ok"] = false
@@ -554,9 +473,6 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	// Burn rates are point-in-time quantities, so their gauges refresh at
-	// scrape time rather than per request.
-	s.slo.Refresh()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.reg.WritePrometheus(w)
 }
@@ -625,7 +541,10 @@ func (s *server) serve(rt route) http.HandlerFunc {
 // refusal, comes back rendered.
 func (s *server) run(r *http.Request, rt route) *wireResult {
 	ctx := r.Context()
+	scope := s.obsFrom(ctx)
+	start := time.Now()
 	j, err := s.decode(r, rt)
+	scope.Event("decode", time.Since(start))
 	if err != nil {
 		return errWire(err)
 	}
@@ -647,30 +566,20 @@ func (s *server) run(r *http.Request, rt route) *wireResult {
 	// options, so identical requests queued at the same time collapse onto
 	// one execution whose bytes (refusals too) every duplicate replays —
 	// unless the leader's client left first, and a duplicate takes over.
+	// A duplicate's time is its wait, timed as a coalesced cache answer.
+	start = time.Now()
 	v, shared, err := s.coal.Do(ctx, coalesceKey(j), func() (interface{}, error) {
-		wr := s.execute(ctx, rt, j, cl)
-		if sc := s.obsFrom(ctx).Span().Context(); sc.Valid() {
-			wr.trace = sc.Trace.String()
-		}
-		return wr, nil
+		return s.execute(ctx, rt, j, cl), nil
 	})
 	if err != nil {
 		// This request's own context ended while waiting on the leader.
 		return errWire(err)
 	}
-	wr := v.(*wireResult)
 	if shared {
 		s.cCoalesced.Inc()
-		// The work ran on the leader's trace; link the follower's span to
-		// it so a trace viewer can hop from the waiter to the execution.
-		if sp := obs.ScopeFromContext(ctx).Span(); sp != nil {
-			sp.SetAttr("coalesced", true)
-			if wr.trace != "" {
-				sp.SetAttr("leader_trace", wr.trace)
-			}
-		}
+		scope.Event("cache", time.Since(start), obs.KV("tier", "coalesced"))
 	}
-	return wr
+	return v.(*wireResult)
 }
 
 // decode reads a POST body under the size cap into the route's job and
@@ -748,7 +657,9 @@ func (s *server) execute(ctx context.Context, rt route, j job, cl qos.Class) *wi
 
 	start := time.Now()
 	wr := rt.render(res)
-	s.observePhase("encode", time.Since(start))
+	d := time.Since(start)
+	s.observePhase("encode", d)
+	s.obsFrom(ctx).Event("render", d)
 	return wr
 }
 
@@ -757,11 +668,11 @@ func (s *server) execute(ctx context.Context, rt route, j job, cl qos.Class) *wi
 // never asks another for an artifact: one that lacks a key answers 404,
 // and a request that carries the model retargets it here.
 func (s *server) resolve(ctx context.Context, j job) (*result, error) {
+	scope := s.obsFrom(ctx)
+	start := time.Now()
 	if j.mdl == "" {
-		sp, _ := s.obsFrom(ctx).Start("rcache.lookup", obs.KV("key", j.key))
 		entry, outcome, err := s.cache.LookupContext(ctx, j.key)
-		sp.SetAttr("outcome", string(outcome))
-		sp.End()
+		scope.Event("cache", time.Since(start), obs.KV("tier", cacheTier[outcome]))
 		if err != nil {
 			return nil, fmt.Errorf("restore %s: %w", j.key, err)
 		}
@@ -774,9 +685,10 @@ func (s *server) resolve(ctx context.Context, j job) (*result, error) {
 	rep := diag.NewReporter()
 	ropts := s.retargetOptions(ctx)
 	ropts.Reporter = rep
-	start := time.Now()
 	entry, outcome, err := s.cache.GetContext(ctx, j.mdl, ropts)
-	s.observePhase("retarget", time.Since(start))
+	d := time.Since(start)
+	s.observePhase("retarget", d)
+	scope.Event("cache", d, obs.KV("tier", cacheTier[outcome]))
 	if err != nil {
 		return nil, fmt.Errorf("retarget: %w", err)
 	}
@@ -804,6 +716,11 @@ func (s *server) compile(ctx context.Context, entry *rcache.Entry, j job, p batc
 	s.observePhase("compile", time.Since(start))
 	s.recordOutcome(j.key, err)
 	return compiled{id: p.ID, res: res, err: err}
+}
+
+// cacheTier names each cache outcome in the Server-Timing cache desc.
+var cacheTier = map[rcache.Outcome]string{
+	rcache.Mem: "mem", rcache.Disk: "disk", rcache.Miss: "miss", rcache.Coalesced: "coalesced",
 }
 
 func renderRetarget(res *result) *wireResult {
@@ -883,7 +800,6 @@ type wireResult struct {
 	retryAfter int    // Retry-After seconds; 0 = none
 	failed     bool   // an error response, counted in errors_total
 	body       []byte // JSON body, newline-framed
-	trace      string // leader's trace ID, for coalesced-follower linkage
 }
 
 func marshalWire(status int, v interface{}) *wireResult {
@@ -909,12 +825,17 @@ func errWire(err error) *wireResult {
 // write sends a rendered response; every JSON response goes through it.
 // Per-request concerns stay per-request even when a coalesced result is
 // shared: a disconnected client is a silent 499-style abort, counted
-// apart from server errors; every error response is counted against its
-// own request; and the encode faultpoint fires once per response written.
+// apart from server errors; the encode faultpoint fires once per response
+// written, and may swap it for a 500 before any header or counter sees
+// it; every error response is counted against its own request; and a
+// POST response carries its request's Server-Timing breakdown.
 func (s *server) write(w http.ResponseWriter, r *http.Request, wr *wireResult) {
 	if r.Context().Err() == context.Canceled {
 		s.cAborts.Inc()
 		return
+	}
+	if err := faultpoint.Hit("recordd.response.encode", ""); err != nil {
+		wr = errWire(err)
 	}
 	if wr.retryAfter > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(wr.retryAfter))
@@ -922,10 +843,10 @@ func (s *server) write(w http.ResponseWriter, r *http.Request, wr *wireResult) {
 	if wr.failed {
 		s.cErrors.With(strconv.Itoa(wr.status)).Inc()
 	}
-	if err := faultpoint.Hit("recordd.response.encode", ""); err != nil {
-		wr = errWire(err) // a 500 in place of the response, not a second error
-	}
 	w.Header().Set("Content-Type", "application/json")
+	if c := clockFrom(r.Context()); c != nil {
+		w.Header().Set("Server-Timing", c.serverTiming())
+	}
 	w.WriteHeader(wr.status)
 	_, _ = w.Write(wr.body)
 }

@@ -18,7 +18,9 @@
 //     compilation, per-program compile) with attributes (route counts,
 //     node counts, cache hit/miss).  A run exports as Chrome trace_event
 //     JSON, loadable in chrome://tracing or Perfetto.  The clock is
-//     injectable so serialized traces never depend on time.Now.
+//     injectable so serialized traces never depend on time.Now.  recordd
+//     gives each request a small tracer of its own and sums its spans by
+//     name into the response's Server-Timing header.
 //
 //   - Profiling hooks: DebugMux wires net/http/pprof (recordd
 //     -debug-addr), and every span opens a runtime/trace region when
@@ -61,7 +63,6 @@ type Scope struct {
 	reg    *Registry
 	tracer *Tracer
 	span   *Span
-	remote SpanContext // parents the next Start when span is nil
 }
 
 // NewScope builds a scope over a registry and a tracer; either may be nil.
@@ -89,31 +90,11 @@ func (s *Scope) Tracer() *Tracer {
 	return s.tracer
 }
 
-// Span returns the scope's current parent span, or nil.
-func (s *Scope) Span() *Span {
-	if s == nil {
-		return nil
-	}
-	return s.span
-}
-
-// WithRemote returns a copy of the scope whose next Start parents its
-// span under the given cross-process span context — the receiving half
-// of X-Record-Trace propagation.  Invalid contexts and nil scopes return
-// the receiver unchanged, so a garbage header degrades to a local trace.
-func (s *Scope) WithRemote(sc SpanContext) *Scope {
-	if s == nil || !sc.Valid() {
-		return s
-	}
-	return &Scope{reg: s.reg, tracer: s.tracer, span: s.span, remote: sc}
-}
-
-// Start opens a span named name under the scope's current span (or, for
-// a scope built by WithRemote, under the remote parent) and returns it
-// with a derived scope that parents subsequent spans under it.  The
-// caller must End the span.  On a nil scope or a scope without a tracer
-// the span is nil (End and SetAttr on it are no-ops) and the returned
-// scope keeps whatever registry the receiver had.
+// Start opens a span named name under the scope's current span and
+// returns it with a derived scope that parents subsequent spans under
+// it.  The caller must End the span.  On a nil scope or a scope without
+// a tracer the span is nil (End and SetAttr on it are no-ops) and the
+// returned scope keeps whatever registry the receiver had.
 func (s *Scope) Start(name string, attrs ...Attr) (*Span, *Scope) {
 	if s == nil {
 		return nil, nil
@@ -121,7 +102,7 @@ func (s *Scope) Start(name string, attrs ...Attr) (*Span, *Scope) {
 	if s.tracer == nil {
 		return nil, s
 	}
-	sp := s.tracer.start(s.span, s.remote, name, attrs)
+	sp := s.tracer.start(s.span, name, attrs)
 	return sp, &Scope{reg: s.reg, tracer: s.tracer, span: sp}
 }
 
@@ -135,16 +116,15 @@ func (s *Scope) Event(name string, dur time.Duration, attrs ...Attr) {
 	if s == nil || s.tracer == nil {
 		return
 	}
-	s.tracer.event(s.span, s.remote, name, dur, attrs)
+	s.tracer.event(s.span, name, dur, attrs)
 }
 
 // scopeCtxKey keys the request-scope value in a context.
 type scopeCtxKey struct{}
 
 // ContextWithScope attaches a scope to a context so layers that already
-// thread contexts (rclient legs, recordd handlers)
-// can propagate the active trace without new parameters.  A nil scope
-// returns ctx unchanged.
+// thread contexts (rclient legs) can record spans into the active tracer
+// without new parameters.  A nil scope returns ctx unchanged.
 func ContextWithScope(ctx context.Context, s *Scope) context.Context {
 	if s == nil {
 		return ctx

@@ -24,7 +24,6 @@ const DefaultMaxSpans = 1 << 20
 type Tracer struct {
 	mu      sync.Mutex
 	now     func() time.Time
-	ids     func() uint64
 	base    time.Time
 	spans   []*Span // circular once len == max; head is the oldest slot
 	head    int
@@ -34,7 +33,6 @@ type Tracer struct {
 	nextTid int
 	max     int
 	dropped int
-	dropC   *Counter // optional registry counter mirroring dropped
 }
 
 // eventRec is one one-shot span in the tracer's value ring.  Events skip
@@ -43,14 +41,12 @@ type Tracer struct {
 // objects is what the GC re-scans every cycle — a flat value slice is
 // one allocation total, amortized to zero.
 type eventRec struct {
-	name   string
-	tid    int
-	seq    int
-	sc     SpanContext
-	parent SpanID
-	start  time.Duration
-	dur    time.Duration
-	attrs  []Attr
+	name  string
+	tid   int
+	seq   int
+	start time.Duration
+	dur   time.Duration
+	attrs []Attr
 }
 
 // TracerOption configures a tracer.
@@ -67,64 +63,15 @@ func WithMaxSpans(n int) TracerOption {
 	return func(t *Tracer) { t.max = n }
 }
 
-// WithIDSource injects the 64-bit random source minting trace and span
-// IDs, so tests produce deterministic identities.  The source must not
-// return only zeros.
-func WithIDSource(ids func() uint64) TracerOption {
-	return func(t *Tracer) { t.ids = ids }
-}
-
-// WithDropCounter mirrors the tracer's overwritten-span count into a
-// registry counter (record_obs_spans_dropped_total), so silent span loss
-// past the ring bound is visible on /metrics, not just via Dropped.
-func WithDropCounter(c *Counter) TracerOption {
-	return func(t *Tracer) { t.dropC = c }
-}
-
 // NewTracer returns a tracer whose timestamps are offsets from its
 // creation instant.
 func NewTracer(opts ...TracerOption) *Tracer {
-	t := &Tracer{now: time.Now, ids: randIDs, max: DefaultMaxSpans}
+	t := &Tracer{now: time.Now, max: DefaultMaxSpans}
 	for _, o := range opts {
 		o(t)
 	}
 	t.base = t.now()
 	return t
-}
-
-// Base returns the tracer's creation instant — the zero point its span
-// timestamps are offsets from.  Exporting it lets multi-process trace
-// fusion place each process's spans on one wall-clock timeline.
-func (t *Tracer) Base() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	return t.base
-}
-
-// newTraceID mints a nonzero 128-bit trace ID; call with t.mu held.
-func (t *Tracer) newTraceID() TraceID {
-	var id TraceID
-	for id.IsZero() {
-		hi, lo := t.ids(), t.ids()
-		for i := 0; i < 8; i++ {
-			id[i] = byte(hi >> (56 - 8*i))
-			id[8+i] = byte(lo >> (56 - 8*i))
-		}
-	}
-	return id
-}
-
-// newSpanID mints a nonzero 64-bit span ID; call with t.mu held.
-func (t *Tracer) newSpanID() SpanID {
-	var id SpanID
-	for id.IsZero() {
-		v := t.ids()
-		for i := 0; i < 8; i++ {
-			id[i] = byte(v >> (56 - 8*i))
-		}
-	}
-	return id
 }
 
 // Span is one timed region of the pipeline.  End it exactly once; SetAttr
@@ -134,8 +81,6 @@ type Span struct {
 	name   string
 	tid    int
 	seq    int
-	sc     SpanContext
-	parent SpanID // zero for a root with no remote parent
 	start  time.Duration
 	dur    time.Duration
 	ended  bool
@@ -144,52 +89,28 @@ type Span struct {
 }
 
 // start records a new span; nil receiver returns a nil span.  A non-nil
-// parent keeps the span in the parent's trace and lane; otherwise a valid
-// remote context parents the span under a span from another process (new
-// lane, inherited trace ID); otherwise the span roots a fresh trace.
-// Once the ring is full the oldest recorded span is overwritten, counted
-// in Dropped and the optional drop counter.
-func (t *Tracer) start(parent *Span, remote SpanContext, name string, attrs []Attr) *Span {
+// parent keeps the span in the parent's lane; otherwise the span opens a
+// lane of its own.  Once the ring is full the oldest recorded span is
+// overwritten and counted in Dropped.
+func (t *Tracer) start(parent *Span, name string, attrs []Attr) *Span {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	sp := &Span{tr: t, name: name, seq: t.nextSeq, attrs: append([]Attr(nil), attrs...)}
 	t.nextSeq++
-	switch {
-	case parent != nil:
-		sp.tid = parent.tid
-		sp.sc.Trace = parent.sc.Trace
-		sp.parent = parent.sc.Span
-	case remote.Valid():
-		t.nextTid++
-		sp.tid = t.nextTid
-		sp.sc.Trace = remote.Trace
-		sp.parent = remote.Span
-	default:
-		t.nextTid++
-		sp.tid = t.nextTid
-		sp.sc.Trace = t.newTraceID()
-	}
-	sp.sc.Span = t.newSpanID()
+	sp.tid = t.lane(parent)
 	sp.start = t.now().Sub(t.base)
-	overwrote := false
 	if len(t.spans) < t.max {
 		t.spans = append(t.spans, sp)
 	} else if t.max > 0 {
 		t.spans[t.head] = sp
 		t.head = (t.head + 1) % t.max
 		t.dropped++
-		overwrote = true
 	} else {
 		t.dropped++
-		overwrote = true
 	}
-	dropC := t.dropC
 	t.mu.Unlock()
-	if overwrote && dropC != nil {
-		dropC.Inc()
-	}
 	if rtrace.IsEnabled() {
 		sp.region = rtrace.StartRegion(context.Background(), name)
 	}
@@ -204,8 +125,8 @@ func (t *Tracer) start(parent *Span, remote SpanContext, name string, attrs []At
 // the cost of a Start/End pair, at the price of no live runtime/trace
 // region and ring order following completion order rather than start
 // order.  The event ring is bounded by the same max as the span ring;
-// overwrites count into Dropped and the drop counter alike.
-func (t *Tracer) event(parent *Span, remote SpanContext, name string, dur time.Duration, attrs []Attr) {
+// overwrites count into Dropped.
+func (t *Tracer) event(parent *Span, name string, dur time.Duration, attrs []Attr) {
 	if t == nil {
 		return
 	}
@@ -219,55 +140,35 @@ func (t *Tracer) event(parent *Span, remote SpanContext, name string, dur time.D
 	t.mu.Lock()
 	rec.seq = t.nextSeq
 	t.nextSeq++
-	switch {
-	case parent != nil:
-		rec.tid = parent.tid
-		rec.sc.Trace = parent.sc.Trace
-		rec.parent = parent.sc.Span
-	case remote.Valid():
-		t.nextTid++
-		rec.tid = t.nextTid
-		rec.sc.Trace = remote.Trace
-		rec.parent = remote.Span
-	default:
-		t.nextTid++
-		rec.tid = t.nextTid
-		rec.sc.Trace = t.newTraceID()
-	}
-	rec.sc.Span = t.newSpanID()
+	rec.tid = t.lane(parent)
 	rec.start = t.now().Sub(t.base) - dur
-	overwrote := false
 	if len(t.events) < t.max {
 		t.events = append(t.events, rec)
 	} else if t.max > 0 {
 		t.events[t.evHead] = rec
 		t.evHead = (t.evHead + 1) % t.max
 		t.dropped++
-		overwrote = true
 	} else {
 		t.dropped++
-		overwrote = true
 	}
-	dropC := t.dropC
 	t.mu.Unlock()
-	if overwrote && dropC != nil {
-		dropC.Inc()
-	}
 }
 
-// Root opens a top-level span (a new trace lane and a new trace ID).
-// Prefer Scope.Start for pipeline code; Root is for drivers establishing
-// the run's outermost span.
+// lane returns the Chrome trace lane (tid) of a new span: its parent's,
+// or a fresh one for a root; call with t.mu held.
+func (t *Tracer) lane(parent *Span) int {
+	if parent != nil {
+		return parent.tid
+	}
+	t.nextTid++
+	return t.nextTid
+}
+
+// Root opens a top-level span on a new trace lane.  Prefer Scope.Start
+// for pipeline code; Root is for drivers establishing the run's
+// outermost span.
 func (t *Tracer) Root(name string, attrs ...Attr) *Span {
-	return t.start(nil, SpanContext{}, name, attrs)
-}
-
-// Context returns the span's wire identity (zero for a nil span).
-func (sp *Span) Context() SpanContext {
-	if sp == nil {
-		return SpanContext{}
-	}
-	return sp.sc
+	return t.start(nil, name, attrs)
 }
 
 // Name returns the span name ("" for nil).
@@ -308,16 +209,13 @@ func (sp *Span) End() {
 
 // SpanInfo is the exported snapshot of one recorded span.
 type SpanInfo struct {
-	Name   string
-	Tid    int
-	Seq    int
-	Trace  TraceID
-	Span   SpanID
-	Parent SpanID // zero for roots with no remote parent
-	Start  time.Duration
-	Dur    time.Duration
-	Ended  bool
-	Attrs  []Attr
+	Name  string
+	Tid   int
+	Seq   int
+	Start time.Duration
+	Dur   time.Duration
+	Ended bool
+	Attrs []Attr
 }
 
 // Snapshot returns every recorded span — Start/End spans and one-shot
@@ -334,7 +232,6 @@ func (t *Tracer) Snapshot() []SpanInfo {
 		sp := t.spans[(t.head+i)%len(t.spans)]
 		out = append(out, SpanInfo{
 			Name: sp.name, Tid: sp.tid, Seq: sp.seq,
-			Trace: sp.sc.Trace, Span: sp.sc.Span, Parent: sp.parent,
 			Start: sp.start, Dur: sp.dur, Ended: sp.ended,
 			Attrs: append([]Attr(nil), sp.attrs...),
 		})
@@ -343,7 +240,6 @@ func (t *Tracer) Snapshot() []SpanInfo {
 		ev := &t.events[(t.evHead+i)%len(t.events)]
 		out = append(out, SpanInfo{
 			Name: ev.name, Tid: ev.tid, Seq: ev.seq,
-			Trace: ev.sc.Trace, Span: ev.sc.Span, Parent: ev.parent,
 			Start: ev.start, Dur: ev.dur, Ended: true,
 			Attrs: append([]Attr(nil), ev.attrs...),
 		})
@@ -361,60 +257,6 @@ func (t *Tracer) Dropped() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.dropped
-}
-
-// SpanRecord is the wire form of one span in a /v1/debug/spans dump.
-// IDs are hex strings (the header encoding without version/flags);
-// timestamps are microsecond offsets from the dump's base instant.
-type SpanRecord struct {
-	Name    string                 `json:"name"`
-	Trace   string                 `json:"trace"`
-	Span    string                 `json:"span"`
-	Parent  string                 `json:"parent,omitempty"`
-	Tid     int                    `json:"tid"`
-	Seq     int                    `json:"seq"`
-	StartUS int64                  `json:"start_us"`
-	DurUS   int64                  `json:"dur_us"`
-	Ended   bool                   `json:"ended"`
-	Attrs   map[string]interface{} `json:"attrs,omitempty"`
-}
-
-// SpanDump is one process's bounded span ring as served at
-// /v1/debug/spans: the node's identity, the tracer's wall-clock zero
-// point (for cross-process alignment), the overwrite count, and every
-// surviving span.  cmd/tracefuse joins dumps from N nodes by trace ID.
-type SpanDump struct {
-	Node       string       `json:"node"`
-	BaseUnixNS int64        `json:"base_unix_ns"`
-	Dropped    int          `json:"dropped"`
-	Spans      []SpanRecord `json:"spans"`
-}
-
-// Dump snapshots the ring in SpanDump form under the given node identity.
-func (t *Tracer) Dump(node string) SpanDump {
-	d := SpanDump{Node: node, BaseUnixNS: t.Base().UnixNano(), Dropped: t.Dropped(), Spans: []SpanRecord{}}
-	for _, si := range t.Snapshot() {
-		rec := SpanRecord{
-			Name:  si.Name,
-			Trace: si.Trace.String(),
-			Span:  si.Span.String(),
-			Tid:   si.Tid, Seq: si.Seq,
-			StartUS: si.Start.Microseconds(),
-			DurUS:   si.Dur.Microseconds(),
-			Ended:   si.Ended,
-		}
-		if !si.Parent.IsZero() {
-			rec.Parent = si.Parent.String()
-		}
-		if len(si.Attrs) > 0 {
-			rec.Attrs = make(map[string]interface{}, len(si.Attrs))
-			for _, a := range si.Attrs {
-				rec.Attrs[a.Key] = a.Value
-			}
-		}
-		d.Spans = append(d.Spans, rec)
-	}
-	return d
 }
 
 // chromeEvent is one Chrome trace_event complete ("X") event.  Field

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -150,5 +151,38 @@ func TestScopeRegistryOnly(t *testing.T) {
 	}
 	if child.Registry() != reg {
 		t.Errorf("registry lost through Start")
+	}
+}
+
+// TestSpanRingOverflowCountsDrops: past the bound the ring keeps the most
+// recent spans, oldest first, and counts every overwritten one.
+func TestSpanRingOverflowCountsDrops(t *testing.T) {
+	tr := NewTracer(WithMaxSpans(3))
+	for i := 0; i < 8; i++ {
+		tr.Root("span").End()
+	}
+	if got := tr.Dropped(); got != 5 {
+		t.Fatalf("Dropped() = %d, want 5", got)
+	}
+	infos := tr.Snapshot()
+	if len(infos) != 3 {
+		t.Fatalf("Snapshot len = %d, want 3", len(infos))
+	}
+	if infos[0].Seq != 5 || infos[2].Seq != 7 {
+		t.Fatalf("ring kept seqs %d..%d, want 5..7", infos[0].Seq, infos[2].Seq)
+	}
+}
+
+func TestContextScopeRoundTrip(t *testing.T) {
+	scope := NewScope(nil, NewTracer())
+	ctx := ContextWithScope(context.Background(), scope)
+	if got := ScopeFromContext(ctx); got != scope {
+		t.Fatalf("ScopeFromContext = %p, want %p", got, scope)
+	}
+	if got := ScopeFromContext(context.Background()); got != nil {
+		t.Fatalf("empty context yielded scope %p", got)
+	}
+	if got := ContextWithScope(context.Background(), nil); ScopeFromContext(got) != nil {
+		t.Fatal("nil scope attached to context")
 	}
 }

@@ -75,10 +75,9 @@ type RetargetResult struct {
 	Cache     string `json:"cache"`
 	Warnings  int    `json:"warnings"`
 
-	// Trace is the distributed trace ID echoed by the server in the
-	// X-Record-Trace response header ("" when the request carried no
-	// trace); it names the server-side spans this request produced.
-	Trace string `json:"-"`
+	// ServerTiming is the raw Server-Timing header of the response: the
+	// serving node's own breakdown of this request, by phase.
+	ServerTiming string `json:"-"`
 }
 
 // CompileResult is the /v1/compile response.
@@ -91,9 +90,9 @@ type CompileResult struct {
 	Words   []uint64 `json:"words"`
 	Listing string   `json:"listing"`
 
-	// Trace is the distributed trace ID echoed by the server (see
-	// RetargetResult.Trace).
-	Trace string `json:"-"`
+	// ServerTiming is the raw Server-Timing header of the response (see
+	// RetargetResult.ServerTiming).
+	ServerTiming string `json:"-"`
 }
 
 // StatusError is a non-2xx service response.  Its transience follows the
@@ -268,29 +267,29 @@ func (c *Client) healthz(ctx context.Context, ep string) error {
 // cached where by-key compiles look for it.
 func (c *Client) Retarget(ctx context.Context, ref ModelRef) (*RetargetResult, error) {
 	var out RetargetResult
-	trace, err := c.call(ctx, ref, "/v1/retarget", ref.retargetBody(), &out)
+	timing, err := c.call(ctx, ref, "/v1/retarget", ref.retargetBody(), &out)
 	if err != nil {
 		return nil, err
 	}
-	out.Trace = trace
+	out.ServerTiming = timing
 	return &out, nil
 }
 
 // Compile compiles one RecC program against the model.
 func (c *Client) Compile(ctx context.Context, ref ModelRef, source string, opts CompileOptions) (*CompileResult, error) {
 	var out CompileResult
-	trace, err := c.call(ctx, ref, "/v1/compile", ref.compileBody(source, opts), &out)
+	timing, err := c.call(ctx, ref, "/v1/compile", ref.compileBody(source, opts), &out)
 	if err != nil {
 		return nil, err
 	}
-	out.Trace = trace
+	out.ServerTiming = timing
 	return &out, nil
 }
 
 // call runs one request under the retry policy, one walk over ref's
 // endpoints per attempt, decoding the answer into out and returning the
-// trace ID its response echoed.  Only a client with several endpoints
-// computes a route key.
+// Server-Timing header of the answer.  Only a client with several
+// endpoints computes a route key.
 func (c *Client) call(ctx context.Context, ref ModelRef, path string, in, out interface{}) (string, error) {
 	body, err := json.Marshal(in)
 	if err != nil {
@@ -300,16 +299,16 @@ func (c *Client) call(ctx context.Context, ref ModelRef, path string, in, out in
 	if c.ring != nil {
 		order = c.ring.Successors(ref.routeKey(), len(c.endpoints))
 	}
-	var trace string
+	var timing string
 	err = c.Policy.Do(ctx, func(ctx context.Context) error {
-		raw, echo, err := c.walk(ctx, order, path, body)
+		raw, t, err := c.walk(ctx, order, path, body)
 		if err != nil {
 			return err
 		}
-		trace = echoTrace(echo)
+		timing = t
 		return json.Unmarshal(raw, out)
 	})
-	return trace, err
+	return timing, err
 }
 
 // walk tries the endpoints in order until one answers.  Each endpoint's
@@ -330,9 +329,9 @@ func (c *Client) walk(ctx context.Context, order []string, path string, body []b
 			}
 			contacted = true
 			var raw []byte
-			var echo string
-			if raw, echo, err = c.post(ctx, ep, path, body); err == nil || !failoverWorthy(err) {
-				return raw, echo, err
+			var timing string
+			if raw, timing, err = c.post(ctx, ep, path, body); err == nil || !failoverWorthy(err) {
+				return raw, timing, err
 			}
 		}
 		if contacted {
@@ -348,7 +347,7 @@ func (c *Client) walk(ctx context.Context, order []string, path string, body []b
 // records nothing: cancellation is not evidence about the node, and a
 // probe it held expires after one cooldown.
 func (c *Client) post(ctx context.Context, ep, path string, body []byte) ([]byte, string, error) {
-	raw, echo, err := c.send(ctx, ep, path, body)
+	raw, timing, err := c.send(ctx, ep, path, body)
 	if err != nil && ctx.Err() != nil {
 		return nil, "", err
 	}
@@ -356,7 +355,7 @@ func (c *Client) post(ctx context.Context, ep, path string, body []byte) ([]byte
 	if err != nil {
 		return nil, "", fmt.Errorf("%s: %w", ep, err)
 	}
-	return raw, echo, nil
+	return raw, timing, nil
 }
 
 // failoverWorthy reports whether another endpoint could answer where this
@@ -374,14 +373,6 @@ func failoverWorthy(err error) bool {
 	return true // transport-level failure: connection refused, reset, ...
 }
 
-// echoTrace extracts the trace ID from an echoed X-Record-Trace value.
-func echoTrace(echo string) string {
-	if sc, ok := obs.ParseTraceHeader(echo); ok {
-		return sc.Trace.String()
-	}
-	return ""
-}
-
 // serverFault reports whether err indicates the service (not the request)
 // failed: transport errors and 5xx statuses.
 func serverFault(err error) bool {
@@ -392,13 +383,9 @@ func serverFault(err error) bool {
 }
 
 // send runs one POST against ep and returns the raw 200-response body
-// plus the X-Record-Trace value the server echoed.
-//
-// When the context carries an obs scope (ContextWithScope), the request
-// becomes a child span ("rclient.request", tagged endpoint + path +
-// outcome) and the span's identity travels in the X-Record-Trace request
-// header, parenting everything the server does — queue wait, cache
-// lookup, compile phases — under this request.
+// plus its Server-Timing header.  When the context carries an obs scope
+// (ContextWithScope), the request becomes a child span
+// ("rclient.request", tagged endpoint + path + outcome).
 func (c *Client) send(ctx context.Context, ep, path string, body []byte) ([]byte, string, error) {
 	sp, _ := obs.ScopeFromContext(ctx).Start("rclient.request", obs.KV("endpoint", ep), obs.KV("path", path))
 	defer sp.End()
@@ -412,9 +399,6 @@ func (c *Client) send(ctx context.Context, ep, path string, body []byte) ([]byte
 	if c.Priority != "" {
 		req.Header.Set("X-Record-Priority", c.Priority)
 	}
-	if sc := sp.Context(); sc.Valid() {
-		req.Header.Set(obs.TraceHeader, sc.Header())
-	}
 	resp, err := c.HTTP.Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
@@ -425,14 +409,13 @@ func (c *Client) send(ctx context.Context, ep, path string, body []byte) ([]byte
 		return nil, "", err
 	}
 	defer resp.Body.Close()
-	echo := resp.Header.Get(obs.TraceHeader)
 	if resp.StatusCode != http.StatusOK {
 		sp.SetAttr("outcome", fmt.Sprintf("status-%d", resp.StatusCode))
-		return nil, echo, statusError(resp)
+		return nil, "", statusError(resp)
 	}
 	sp.SetAttr("outcome", "ok")
 	raw, err := io.ReadAll(resp.Body)
-	return raw, echo, err
+	return raw, resp.Header.Get("Server-Timing"), err
 }
 
 // statusError drains a non-2xx response into a StatusError, parsing the

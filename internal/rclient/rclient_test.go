@@ -118,3 +118,41 @@ func TestHealthz(t *testing.T) {
 		t.Fatalf("draining healthz err %v, want 503", err)
 	}
 }
+
+// TestResultsCarryServerTiming: a result carries the Server-Timing
+// header of the response that answered it, not of a failed attempt.
+func TestResultsCarryServerTiming(t *testing.T) {
+	var calls atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) == 1 {
+			w.Header().Set("Server-Timing", "decode;dur=0.010, total;dur=0.020")
+			w.WriteHeader(http.StatusInternalServerError)
+			w.Write([]byte(`{"error":"injected"}`))
+			return
+		}
+		w.Header().Set("Server-Timing", "cache;desc=mem;dur=0.010, total;dur=0.500")
+		if r.URL.Path == "/v1/retarget" {
+			w.Write([]byte(`{"key":"k","name":"demo","cache":"hit"}`))
+			return
+		}
+		w.Write([]byte(`{"key":"k","name":"demo","cache":"hit","seq_len":3,"code_len":2,"words":[1,2]}`))
+	}))
+	defer srv.Close()
+
+	c := NewClient(srv.URL)
+	c.Policy = fastPolicy(3)
+	res, err := c.Compile(context.Background(), ModelRef{ModelName: "demo"}, "x = 1;", CompileOptions{})
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	if want := "cache;desc=mem;dur=0.010, total;dur=0.500"; res.ServerTiming != want {
+		t.Fatalf("compile ServerTiming %q, want %q", res.ServerTiming, want)
+	}
+	rt, err := c.Retarget(context.Background(), ModelRef{ModelName: "demo"})
+	if err != nil {
+		t.Fatalf("retarget: %v", err)
+	}
+	if rt.ServerTiming == "" {
+		t.Fatal("retarget result has no ServerTiming")
+	}
+}
