@@ -45,7 +45,9 @@
 //	                   requests shard by artifact content address and
 //	                   fail over to the next ring replica when a node is
 //	                   down; compiles name the model, so that node
-//	                   retargets it
+//	                   retargets it.  The node retargets under its own
+//	                   caps, so -no-extension, -max-routes and
+//	                   -max-bdd-nodes are local-only, like -seq and -run
 //	-faultpoints s     arm fault-injection points (testing); "list"
 //	                   prints every planted site and exits
 //
@@ -104,7 +106,6 @@ type config struct {
 	traceFile   string
 	faultpoints string
 	serverURL   string   // remote compile against a recordd instance
-	priority    string   // QoS class declared to the service
 	srcFiles    []string // positional: parallel multi-source mode
 
 	core core.Config
@@ -139,8 +140,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&c.core.Jobs, "jobs", 1, "parallel workers for positional source files")
 	fs.StringVar(&c.serverURL, "server", "",
 		"compile against running recordd node(s) instead of locally; comma-separate base URLs for a fleet with sharding and failover")
-	fs.StringVar(&c.priority, "priority", "",
-		"QoS class declared to the service: interactive or batch (default: the server's per-route default)")
 	fs.StringVar(&c.faultpoints, "faultpoints", "",
 		"comma-separated fault injection specs name[@match]=kind[:arg][*times] (testing); \"list\" prints sites")
 	if err := fs.Parse(args); err != nil {
@@ -326,8 +325,10 @@ func compileRemote(c *config, budget *diag.Budget, stdout io.Writer) error {
 		return usagef("-run (simulation) is local-only; it cannot be combined with -server")
 	case c.showSeq:
 		return usagef("-seq is local-only; it cannot be combined with -server")
-	case c.priority != "" && c.priority != "interactive" && c.priority != "batch":
-		return usagef("-priority must be interactive or batch, not %q", c.priority)
+	case c.core.NoExtension, c.core.ISE.MaxAlts != 0, c.core.MaxBDDNodes != 0:
+		// The node retargets under its own -max-routes and -max-bdd-nodes,
+		// and always extends the template base.
+		return usagef("-no-extension, -max-routes and -max-bdd-nodes shape the retarget, which -server leaves to the node; drop them or compile locally")
 	}
 
 	// Bundled models go by name (the server has them); file-based models
@@ -355,7 +356,6 @@ func compileRemote(c *config, budget *diag.Budget, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cl.Priority = c.priority
 	rt, err := cl.Retarget(ctx, ref)
 	if err != nil {
 		return err
@@ -570,6 +570,7 @@ func runControlFlow(comp *core.Compiler, prog *ir.Program, c *config, rep *diag.
 	defer comp.ReleaseSession(sess)
 	opts := cflow.Options{
 		NoCompaction: c.core.NoCompaction,
+		NoPeephole:   c.core.NoPeephole,
 		Reporter:     rep,
 		Budget:       budget,
 		Obs:          c.core.Obs,

@@ -278,6 +278,31 @@ func TestServerFlagUsageErrors(t *testing.T) {
 	}
 }
 
+// TestServerRejectsRetargetFlags: a flag that shapes the retarget cannot
+// reach the node, which retargets under its own settings, so with -server
+// it is a usage error raised before any request is sent.
+func TestServerRejectsRetargetFlags(t *testing.T) {
+	var requests atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		w.WriteHeader(http.StatusInternalServerError)
+	}))
+	defer srv.Close()
+	for _, flag := range [][]string{
+		{"-no-extension"},
+		{"-max-routes", "1"},
+		{"-max-bdd-nodes", "100000"},
+	} {
+		args := append([]string{"-server", srv.URL, "-model", "demo", "-kernel", "fir"}, flag...)
+		if code, _, stderr := record(t, args...); code != exitUsage {
+			t.Errorf("%v: exit = %d, want %d; stderr:\n%s", flag, code, exitUsage, stderr)
+		}
+	}
+	if n := requests.Load(); n != 0 {
+		t.Errorf("the server was contacted %d times", n)
+	}
+}
+
 // TestServerRemoteCompile drives the -server path against a stub speaking
 // the recordd wire protocol; the end-to-end version against a live daemon
 // runs in CI.

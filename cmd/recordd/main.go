@@ -38,15 +38,16 @@
 //	-faultpoints spec  arm fault-injection points (chaos testing; see
 //	                   `record -faultpoints list`)
 //
-// Clients declare a priority class with X-Record-Priority (interactive
-// or batch); under contention the scheduler grants eight interactive
-// slots for every batch slot.  A model enters the memory tier only when
-// a request asks for it, and the LRU (-cache-size) alone decides what
-// stays.
+// Admission is one FIFO pool: every POST (one retarget, or one program
+// to compile) takes one of -workers slots in arrival order; at most
+// -max-queue requests wait, and the next is shed with 429 and
+// Retry-After.  A model enters the memory tier only when a request asks
+// for it, and the LRU (-cache-size) alone decides what stays.
 //
 // Every POST response carries a Server-Timing header: where that request's
-// time went on this node, by phase — decode, qos, cache (its desc names
-// the tier: mem, disk, miss or coalesced), the retarget phases and compile
+// time went on this node, by phase — decode, qos (the slot wait), cache
+// (its desc names the tier: mem, disk, miss, or coalesced when the
+// request joined another's retarget), the retarget phases and compile
 // stages that ran, render, and total — in milliseconds on the node's own
 // clock.  `record -server -stats` prints it.
 //

@@ -11,8 +11,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/qos"
 )
 
 var update = flag.Bool("update", false, "rewrite the testdata golden response bodies")
@@ -21,19 +19,14 @@ const pipelineProg = "int a = 2; int b = 3; int y; y = a + b;"
 
 type postRoute struct {
 	name, path string
-	class      qos.Class
 	body       interface{}
 }
 
-// postRoutes are the three POST endpoints with one valid body each, by
-// bundled model name, and each route's default priority class.
+// postRoutes are the two POST endpoints with one valid body each, by
+// bundled model name.
 var postRoutes = []postRoute{
-	{"retarget", "/v1/retarget", qos.Interactive, map[string]string{"model_name": "demo"}},
-	{"compile", "/v1/compile", qos.Interactive, map[string]string{"model_name": "demo", "source": pipelineProg}},
-	{"batch", "/v1/compile-batch", qos.Batch, map[string]interface{}{
-		"model_name": "demo",
-		"programs":   []map[string]string{{"id": "p", "source": pipelineProg}, {"source": "int y; y = ;"}},
-	}},
+	{"retarget", "/v1/retarget", map[string]string{"model_name": "demo"}},
+	{"compile", "/v1/compile", map[string]string{"model_name": "demo", "source": pipelineProg}},
 }
 
 // metricValue reads one series from a /metrics scrape; an absent series
@@ -76,21 +69,20 @@ func TestRefusalContract(t *testing.T) {
 			return func() {}
 		}},
 		{"shed", http.StatusTooManyRequests, "overload", func(t *testing.T, s *server, ts string) func() {
-			hold, err := s.sched.Acquire(context.Background(), qos.Interactive)
+			hold, err := s.pool.acquire(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
-			// One interactive waiter fills the queue, so any arrival of
-			// either class is shed.
+			// One waiter fills the queue, so any arrival is shed.
 			ctx, cancel := context.WithCancel(context.Background())
 			waited := make(chan struct{})
 			go func() {
 				defer close(waited)
-				if release, err := s.sched.Acquire(ctx, qos.Interactive); err == nil {
+				if release, err := s.pool.acquire(ctx); err == nil {
 					release()
 				}
 			}()
-			waitCond(t, "the queue to fill", func() bool { return queueDepth(s) == 1 })
+			waitCond(t, "the queue to fill", func() bool { return s.gQueue.Value() == 1 })
 			return func() {
 				cancel()
 				<-waited
@@ -112,7 +104,7 @@ func TestRefusalContract(t *testing.T) {
 				defer undo()
 
 				errSeries := `record_recordd_errors_total{status="` + strconv.Itoa(c.status) + `"}`
-				shedSeries := `record_recordd_shed_total{class="` + rt.class.String() + `"}`
+				const shedSeries = "record_recordd_shed_total"
 				const rejSeries = "record_recordd_breaker_rejections_total"
 				errs0 := metricValue(t, ts.URL, errSeries)
 				shed0 := metricValue(t, ts.URL, shedSeries)
@@ -159,9 +151,8 @@ func TestRefusalContract(t *testing.T) {
 
 // TestResponseGolden pins one success body per POST route byte for byte,
 // so a change in how responses are rendered or written cannot change what
-// clients receive.  The batch body carries a failing program too, pinning
-// per-program error rendering.  Regenerate with go test -run
-// TestResponseGolden -update after an intended output change.
+// clients receive.  Regenerate with go test -run TestResponseGolden
+// -update after an intended output change.
 func TestResponseGolden(t *testing.T) {
 	_, ts := newTestServer(t, serverConfig{})
 	for _, rt := range postRoutes {
@@ -200,7 +191,7 @@ func TestBreakerKeyIsArtifactKey(t *testing.T) {
 		s.brk.Record(rt.Key, false)
 	}
 	byKey := map[string]string{"key": rt.Key, "source": pipelineProg}
-	for _, r := range append(postRoutes, postRoute{"compile by key", "/v1/compile", qos.Interactive, byKey}) {
+	for _, r := range append(postRoutes, postRoute{"compile by key", "/v1/compile", byKey}) {
 		code, _, raw, err := rawPost(ts.URL+r.path, r.body)
 		if err != nil {
 			t.Fatal(err)

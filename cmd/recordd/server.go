@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -19,7 +18,6 @@ import (
 	"repro/internal/ise"
 	"repro/internal/models"
 	"repro/internal/obs"
-	"repro/internal/qos"
 	"repro/internal/rcache"
 	"repro/internal/resilience"
 )
@@ -61,28 +59,24 @@ func (c serverConfig) withDefaults() serverConfig {
 }
 
 // server is the recordd HTTP service: a retarget-artifact cache behind
-// /v1/retarget, /v1/compile and /v1/compile-batch, with health and
-// metrics endpoints.  Targets are frozen, so compiles against one entry
-// run genuinely in parallel — the worker pool bounds CPU, not correctness.
+// /v1/retarget and /v1/compile, with health and metrics endpoints.
+// Targets are frozen, so compiles against one entry run genuinely in
+// parallel — the worker pool bounds CPU, not correctness.
 //
-// The three POST routes share one request pipeline (run): decode the
-// body, compute the model's content address once, check its circuit,
-// take a QoS slot, resolve the model through the cache, compile, render
-// and write.  A route only picks its request type (whose job says
-// whether and how many programs to compile), its default priority class
-// and its response shape.  Every response, success or refusal, is
-// rendered to a wireResult and sent by write, and one table (classify)
-// maps a failure to its status and wire kind.
+// Both POST routes share one request pipeline (run): decode the body,
+// compute the model's content address once, check its circuit, take a
+// pool slot, resolve the model through the cache, compile the program if
+// the request carries one, render and write.  A route only picks its
+// request type and its response shape.  Every response, success or
+// refusal, is rendered to a wireResult and sent by write, and one table
+// (classify) maps a failure to its status and wire kind.
 //
-// The service protects itself (internal/resilience + internal/qos): the
-// QoS scheduler owns the worker slots — weighted multi-queue admission
-// over interactive/batch priority classes sheds with 429 + Retry-After
-// once the backlog exceeds -max-queue (batch first, always), duplicate
-// /v1/compile requests coalesce into one execution.  A per-model circuit
-// breaker turns a repeatedly failing model into fast 503s instead of
-// burnt retarget workers, and beginDrain flips the whole surface into
-// refusal mode so shutdown finishes in-flight work and nothing is
-// dropped without an explicit status.
+// The service protects itself (internal/resilience): one FIFO pool owns
+// the worker slots and sheds with 429 + Retry-After once -max-queue
+// requests wait.  A per-model circuit breaker turns a repeatedly failing
+// model into fast 503s instead of burnt retarget workers, and beginDrain
+// flips the whole surface into refusal mode so shutdown finishes
+// in-flight work and nothing is dropped without an explicit status.
 //
 // All counters and gauges live in one obs.Registry: the cache and the
 // compile pipeline register their own instruments against it, the
@@ -94,8 +88,7 @@ type server struct {
 	cfg   serverConfig
 	cache *rcache.Cache
 
-	sched *qos.Scheduler        // worker slots + per-class admission
-	coal  *resilience.Coalescer // duplicate /v1/compile merging
+	pool *pool // worker slots + admission
 
 	brk      *resilience.Breaker
 	drainCh  chan struct{} // closed when draining starts
@@ -108,11 +101,10 @@ type server struct {
 	gTargInflight *obs.GaugeVec     // by artifact key; series dropped at zero
 	hPhase        *obs.HistogramVec // request-handling latency by phase
 
-	gQueue      *obs.GaugeVec   // queued waiters, by priority class
+	gQueue      *obs.Gauge      // queued waiters
 	gDraining   *obs.Gauge      // 1 while draining
-	cShed       *obs.CounterVec // requests shed by admission, by class
-	cDispatched *obs.CounterVec // pool slots granted, by class
-	cCoalesced  *obs.Counter    // duplicate compiles answered from a leader's run
+	cShed       *obs.Counter    // requests shed by admission
+	cDispatched *obs.Counter    // pool slots granted
 	cBrkOpens   *obs.Counter    // breaker trips to open
 	cBrkReject  *obs.Counter    // requests refused by an open circuit
 	cErrors     *obs.CounterVec // error responses, by status
@@ -134,7 +126,6 @@ func newServer(cfg serverConfig) (*server, error) {
 	s := &server{
 		cfg:     cfg,
 		cache:   cache,
-		coal:    &resilience.Coalescer{},
 		drainCh: make(chan struct{}),
 		reg:     reg,
 		scp:     scp,
@@ -144,16 +135,14 @@ func newServer(cfg serverConfig) (*server, error) {
 			"compiles currently executing, by artifact key", "key"),
 		hPhase: reg.HistogramVec("record_recordd_phase_seconds",
 			"request-handling latency by phase", nil, "phase"),
-		gQueue: reg.GaugeVec("record_recordd_queue_depth",
-			"requests waiting for a worker-pool slot, by priority class", "class"),
+		gQueue: reg.Gauge("record_recordd_queue_depth",
+			"requests waiting for a worker-pool slot"),
 		gDraining: reg.Gauge("record_recordd_draining",
 			"1 while the service is draining"),
-		cShed: reg.CounterVec("record_recordd_shed_total",
-			"requests shed by admission control (429), by priority class", "class"),
-		cDispatched: reg.CounterVec("record_recordd_dispatched_total",
-			"worker-pool slots granted, by priority class", "class"),
-		cCoalesced: reg.Counter("record_recordd_qos_coalesced_total",
-			"duplicate compile requests answered from another request's execution"),
+		cShed: reg.Counter("record_recordd_shed_total",
+			"requests shed by admission control (429)"),
+		cDispatched: reg.Counter("record_recordd_dispatched_total",
+			"worker-pool slots granted"),
 		cBrkOpens: reg.Counter("record_recordd_breaker_opens_total",
 			"circuit-breaker trips to open, across all models"),
 		cBrkReject: reg.Counter("record_recordd_breaker_rejections_total",
@@ -163,19 +152,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		cAborts: reg.Counter("record_recordd_client_aborts_total",
 			"requests whose client disconnected before a response (499-style)"),
 	}
-	s.sched = qos.NewScheduler(qos.Config{
-		Capacity: cfg.workers,
-		MaxQueue: cfg.maxQueue,
-		Drain:    s.drainCh,
-		OnDepth:  func(cl qos.Class, depth int) { s.gQueue.With(cl.String()).Set(int64(depth)) },
-	})
-	// Pre-create the per-class series so a scrape of an idle server shows
-	// explicit zeros instead of absent lines.
-	for _, cl := range qos.Classes {
-		s.gQueue.With(cl.String()).Set(0)
-		s.cShed.With(cl.String()).Add(0)
-		s.cDispatched.With(cl.String()).Add(0)
-	}
+	s.pool = newPool(cfg.workers, cfg.maxQueue, s.drainCh, s.gQueue)
 	reg.GaugeVec("record_recordd_node_info",
 		"static node identity; always 1", "node").With(cfg.nodeID).Set(1)
 	if cfg.brkWindow > 0 {
@@ -203,7 +180,6 @@ func (s *server) handler() http.Handler {
 	mux.HandleFunc("/metrics", s.getOnly(s.handleMetrics))
 	mux.HandleFunc("/v1/retarget", s.serve(retargetRoute))
 	mux.HandleFunc("/v1/compile", s.serve(compileRoute))
-	mux.HandleFunc("/v1/compile-batch", s.serve(batchRoute))
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			r = r.WithContext(withClock(r.Context(), s.reg))
@@ -272,22 +248,20 @@ func (s *server) observePhase(phase string, d time.Duration) {
 	s.hPhase.With(phase).Observe(d.Seconds())
 }
 
-// acquire takes a worker-pool slot through the QoS scheduler.  Weighted
-// admission sheds immediately (429) when the waiter backlog is at
-// -max-queue — batch first, interactive only when the queue holds
-// nothing else; an admitted waiter can still fail with 503 when the
-// drain starts or the client goes away before a slot frees up.  The
-// returned context carries the per-request wall-clock budget, started at
-// the grant so queueing does not eat into the work's time.  The returned
-// release is idempotent and must be called when the work ends.
-func (s *server) acquire(ctx context.Context, cl qos.Class) (context.Context, func(), error) {
+// acquire takes a worker-pool slot.  The pool sheds immediately (429)
+// when -max-queue requests already wait; an admitted waiter can still
+// fail with 503 when the drain starts or the client goes away before a
+// slot frees up.  The returned context carries the per-request wall-clock
+// budget, started at the grant so queueing does not eat into the work's
+// time.  The returned release is idempotent and must be called when the
+// work ends.
+func (s *server) acquire(ctx context.Context) (context.Context, func(), error) {
 	start := time.Now()
-	release, err := s.sched.Acquire(ctx, cl)
+	release, err := s.pool.acquire(ctx)
 	s.obsFrom(ctx).Event("qos", time.Since(start))
 	if err != nil {
-		var ov *resilience.OverloadError
-		if errors.As(err, &ov) {
-			s.cShed.With(cl.String()).Inc()
+		if isA[*resilience.OverloadError](err) {
+			s.cShed.Inc()
 		}
 		return nil, nil, err
 	}
@@ -295,7 +269,7 @@ func (s *server) acquire(ctx context.Context, cl qos.Class) (context.Context, fu
 		release()
 		return nil, nil, err
 	}
-	s.cDispatched.With(cl.String()).Inc()
+	s.cDispatched.Inc()
 	wctx, cancel := s.bounded(ctx)
 	return wctx, func() { cancel(); release() }, nil
 }
@@ -377,7 +351,7 @@ func (r compileRequest) job() (job, error) {
 	if r.Source == "" {
 		return job{}, withStatus(http.StatusBadRequest, errors.New("no source program"))
 	}
-	return job{key: r.Key, model: r.modelRequest, programs: []batchProgram{{Source: r.Source}}, options: r.Options}, nil
+	return job{key: r.Key, model: r.modelRequest, source: r.Source, options: r.Options}, nil
 }
 
 type compileResponse struct {
@@ -390,68 +364,10 @@ type compileResponse struct {
 	Listing string   `json:"listing"`
 }
 
-// compileOptions is the per-program options object shared by /v1/compile
-// and /v1/compile-batch.
+// compileOptions are a /v1/compile request's compile switches.
 type compileOptions struct {
 	NoCompaction bool `json:"no_compaction,omitempty"`
 	NoPeephole   bool `json:"no_peephole,omitempty"`
-}
-
-// batchProgram is one unit of work in a /v1/compile-batch request.
-type batchProgram struct {
-	ID      string          `json:"id,omitempty"` // echoed back; defaults to its index
-	Source  string          `json:"source"`
-	Options *compileOptions `json:"options,omitempty"` // overrides the batch default
-}
-
-// compileBatchRequest fans a set of programs over the worker pool against
-// one target.  The model is resolved once (key, inline MDL, or bundled
-// name); programs compile concurrently against the frozen target.
-type compileBatchRequest struct {
-	modelRequest
-	Key      string         `json:"key,omitempty"`
-	Programs []batchProgram `json:"programs"`
-	Options  compileOptions `json:"options"` // default for programs without their own
-}
-
-func (r compileBatchRequest) job() (job, error) {
-	if len(r.Programs) == 0 {
-		return job{}, withStatus(http.StatusBadRequest, errors.New("no programs"))
-	}
-	for i := range r.Programs {
-		if r.Programs[i].Source == "" {
-			return job{}, withStatus(http.StatusBadRequest, fmt.Errorf("program %d has no source", i))
-		}
-		if r.Programs[i].ID == "" {
-			r.Programs[i].ID = strconv.Itoa(i)
-		}
-	}
-	return job{key: r.Key, model: r.modelRequest, programs: r.Programs, options: r.Options}, nil
-}
-
-// batchResult is the per-program outcome.  Status mirrors the /v1/compile
-// status mapping: 200 ok, 422 unencodable program, 504 budget exhausted,
-// 500 internal fault.  On non-200 only Error is populated.
-type batchResult struct {
-	ID      string   `json:"id"`
-	Status  int      `json:"status"`
-	Error   string   `json:"error,omitempty"`
-	SeqLen  int      `json:"seq_len,omitempty"`
-	CodeLen int      `json:"code_len,omitempty"`
-	Words   []uint64 `json:"words,omitempty"`
-	Listing string   `json:"listing,omitempty"`
-}
-
-// compileBatchResponse reports every program's outcome.  The HTTP status
-// is 200 whenever the target resolved, even if every program failed —
-// partial failure is data, not transport error.
-type compileBatchResponse struct {
-	Key       string        `json:"key"`
-	Name      string        `json:"name"`
-	Cache     string        `json:"cache"`
-	Succeeded int           `json:"succeeded"`
-	Failed    int           `json:"failed"`
-	Results   []batchResult `json:"results"`
 }
 
 type errorResponse struct {
@@ -480,46 +396,34 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // ---- request pipeline ---------------------------------------------------
 
 // route is all that tells the POST endpoints apart: the request type its
-// body decodes into, whose job says whether and how many programs to
-// compile; the default priority class; and the response shape.  Every
-// other step is the shared pipeline in run.
+// body decodes into, whose job says whether there is a program to
+// compile, and the response shape.  Every other step is the shared
+// pipeline in run.
 type route struct {
 	decode func(body []byte) (job, error)
-	class  qos.Class // default; X-Record-Priority overrides
 	render func(*result) *wireResult
-	// batch programs each take a pool slot of their own once the model
-	// resolves, and the whole request is timed as phase "batch".
-	batch bool
 }
 
 var (
-	retargetRoute = route{decode: decodeJob[modelRequest], class: qos.Interactive, render: renderRetarget}
-	compileRoute  = route{decode: decodeJob[compileRequest], class: qos.Interactive, render: renderCompile}
-	batchRoute    = route{decode: decodeJob[compileBatchRequest], class: qos.Batch, render: renderBatch, batch: true}
+	retargetRoute = route{decode: decodeJob[modelRequest], render: renderRetarget}
+	compileRoute  = route{decode: decodeJob[compileRequest], render: renderCompile}
 )
 
 // job is a decoded POST request in the pipeline's terms.
 type job struct {
-	key      string // content address: the caller's artifact key, or computed by decode
-	model    modelRequest
-	mdl      string         // model source; "" when the caller sent a key
-	programs []batchProgram // none for /v1/retarget
-	options  compileOptions // default for programs without their own
+	key     string // content address: the caller's artifact key, or computed by decode
+	model   modelRequest
+	mdl     string // model source; "" when the caller sent a key
+	source  string // RecC program; "" for /v1/retarget
+	options compileOptions
 }
 
 // result is what resolving and compiling hand to a route's renderer.
 type result struct {
 	entry    *rcache.Entry
 	cache    rcache.Outcome
-	warnings int        // retarget diagnostics; only a miss has any
-	programs []compiled // in request order
-}
-
-// compiled is one program's outcome.
-type compiled struct {
-	id  string
-	res *core.CompileResult
-	err error
+	warnings int                 // retarget diagnostics; only a miss has any
+	compiled *core.CompileResult // nil for /v1/retarget
 }
 
 // decodeJob parses a body as request type T and validates it into a job.
@@ -537,8 +441,8 @@ func (s *server) serve(rt route) http.HandlerFunc {
 }
 
 // run is the request pipeline: decode, content address, circuit, then a
-// slot, resolve, compile and render (execute).  Every outcome, success or
-// refusal, comes back rendered.
+// slot, resolve, compile and render.  Every outcome, success or refusal,
+// comes back rendered.
 func (s *server) run(r *http.Request, rt route) *wireResult {
 	ctx := r.Context()
 	scope := s.obsFrom(ctx)
@@ -552,41 +456,35 @@ func (s *server) run(r *http.Request, rt route) *wireResult {
 		s.cBrkReject.Inc()
 		return errWire(err)
 	}
-	// A bad X-Record-Priority degrades to the route default; it can never
-	// fail a request.
-	cl := qos.ParseClass(r.Header.Get("X-Record-Priority"), rt.class)
-	if rt.batch {
-		start := time.Now()
-		defer func() { s.observePhase("batch", time.Since(start)) }()
-	}
-	if rt.batch || len(j.programs) != 1 {
-		return s.execute(ctx, rt, j, cl)
-	}
-	// A single compile is a pure function of its model, program and
-	// options, so identical requests queued at the same time collapse onto
-	// one execution whose bytes (refusals too) every duplicate replays —
-	// unless the leader's client left first, and a duplicate takes over.
-	// A duplicate's time is its wait, timed as a coalesced cache answer.
-	start = time.Now()
-	v, shared, err := s.coal.Do(ctx, coalesceKey(j), func() (interface{}, error) {
-		return s.execute(ctx, rt, j, cl), nil
-	})
+	wctx, release, err := s.acquire(ctx)
 	if err != nil {
-		// This request's own context ended while waiting on the leader.
 		return errWire(err)
 	}
-	if shared {
-		s.cCoalesced.Inc()
-		scope.Event("cache", time.Since(start), obs.KV("tier", "coalesced"))
+	defer release()
+	res, err := s.resolve(wctx, j)
+	if err == nil && j.source != "" {
+		if res.compiled, err = s.compile(wctx, res.entry, j); err != nil {
+			err = fmt.Errorf("compile: %w", err)
+		}
 	}
-	return v.(*wireResult)
+	s.recordOutcome(j.key, err)
+	if err != nil {
+		return errWire(err)
+	}
+
+	start = time.Now()
+	wr := rt.render(res)
+	d := time.Since(start)
+	s.observePhase("encode", d)
+	scope.Event("render", d)
+	return wr
 }
 
 // decode reads a POST body under the size cap into the route's job and
 // computes the model's content address, once per request: the caller's
 // artifact key, else the address of the inline or bundled MDL under the
-// options resolve retargets with.  The breaker, the coalescer and the
-// cache all key on it.
+// options resolve retargets with.  The breaker and the cache both key
+// on it.
 func (s *server) decode(r *http.Request, rt route) (job, error) {
 	if r.Method != http.MethodPost {
 		return job{}, withStatus(http.StatusMethodNotAllowed, errors.New("use POST"))
@@ -611,56 +509,6 @@ func (s *server) decode(r *http.Request, rt route) (job, error) {
 		j.key = s.cache.Key(j.mdl, s.retargetOptions(r.Context()))
 	}
 	return j, nil
-}
-
-// execute runs a job on a pool slot: resolve the model, compile the
-// programs, render.  A batch hands its slot back once the model resolves
-// and compiles each program on a slot of its own, so it can never hold
-// more of the pool than the configured concurrency.
-func (s *server) execute(ctx context.Context, rt route, j job, cl qos.Class) *wireResult {
-	wctx, release, err := s.acquire(ctx, cl)
-	if err != nil {
-		return errWire(err)
-	}
-	defer release()
-	res, err := s.resolve(wctx, j)
-	if err != nil || len(j.programs) == 0 {
-		s.recordOutcome(j.key, err)
-	}
-	if err != nil {
-		return errWire(err)
-	}
-
-	res.programs = make([]compiled, len(j.programs))
-	if rt.batch {
-		release()
-		var wg sync.WaitGroup
-		for i, p := range j.programs {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				pctx, release, err := s.acquire(ctx, cl)
-				if err != nil {
-					res.programs[i] = compiled{id: p.ID, err: err}
-					return
-				}
-				defer release()
-				res.programs[i] = s.compile(pctx, res.entry, j, p)
-			}()
-		}
-		wg.Wait()
-	} else {
-		for i, p := range j.programs {
-			res.programs[i] = s.compile(wctx, res.entry, j, p)
-		}
-	}
-
-	start := time.Now()
-	wr := rt.render(res)
-	d := time.Since(start)
-	s.observePhase("encode", d)
-	s.obsFrom(ctx).Event("render", d)
-	return wr
 }
 
 // resolve turns the request's model into a cache entry: by key through
@@ -692,30 +540,22 @@ func (s *server) resolve(ctx context.Context, j job) (*result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("retarget: %w", err)
 	}
-	if outcome == rcache.Miss {
-		s.observePhase("freeze", entry.Target().Stats.Freeze)
-	}
 	return &result{entry: entry, cache: outcome, warnings: rep.Warns()}, nil
 }
 
-// compile runs one of the job's programs against the resolved entry on
-// the caller's slot and lands its outcome in the model's circuit.
-func (s *server) compile(ctx context.Context, entry *rcache.Entry, j job, p batchProgram) compiled {
+// compile runs the job's program against the resolved entry on the
+// request's slot.
+func (s *server) compile(ctx context.Context, entry *rcache.Entry, j job) (*core.CompileResult, error) {
 	done := s.trackCompile(j.key)
 	defer done()
-	opts := j.options
-	if p.Options != nil {
-		opts = *p.Options
-	}
 	start := time.Now()
-	res, err := entry.Compile(ctx, p.Source, core.CompileOptions{
-		NoCompaction: opts.NoCompaction,
-		NoPeephole:   opts.NoPeephole,
+	res, err := entry.Compile(ctx, j.source, core.CompileOptions{
+		NoCompaction: j.options.NoCompaction,
+		NoPeephole:   j.options.NoPeephole,
 		Obs:          s.obsFrom(ctx),
 	})
 	s.observePhase("compile", time.Since(start))
-	s.recordOutcome(j.key, err)
-	return compiled{id: p.ID, res: res, err: err}
+	return res, err
 }
 
 // cacheTier names each cache outcome in the Server-Timing cache desc.
@@ -736,65 +576,21 @@ func renderRetarget(res *result) *wireResult {
 }
 
 func renderCompile(res *result) *wireResult {
-	p := res.programs[0]
-	if p.err != nil {
-		return errWire(fmt.Errorf("compile: %w", p.err))
-	}
+	p := res.compiled
 	return marshalWire(http.StatusOK, compileResponse{
 		Key:     res.entry.Key,
 		Name:    res.entry.Target().Name,
 		Cache:   string(res.cache),
-		SeqLen:  p.res.SeqLen(),
-		CodeLen: p.res.CodeLen(),
-		Words:   p.res.Words(),
-		Listing: res.entry.Listing(p.res),
+		SeqLen:  p.SeqLen(),
+		CodeLen: p.CodeLen(),
+		Words:   p.Words(),
+		Listing: res.entry.Listing(p),
 	})
-}
-
-func renderBatch(res *result) *wireResult {
-	resp := compileBatchResponse{
-		Key:     res.entry.Key,
-		Name:    res.entry.Target().Name,
-		Cache:   string(res.cache),
-		Results: make([]batchResult, len(res.programs)),
-	}
-	for i, p := range res.programs {
-		if p.err != nil {
-			status, _ := classify(p.err)
-			resp.Results[i] = batchResult{ID: p.id, Status: status, Error: p.err.Error()}
-			resp.Failed++
-			continue
-		}
-		resp.Results[i] = batchResult{
-			ID:      p.id,
-			Status:  http.StatusOK,
-			SeqLen:  p.res.SeqLen(),
-			CodeLen: p.res.CodeLen(),
-			Words:   p.res.Words(),
-			Listing: res.entry.Listing(p.res),
-		}
-		resp.Succeeded++
-	}
-	return marshalWire(http.StatusOK, resp)
-}
-
-// coalesceKey fingerprints everything that determines a /v1/compile
-// response: the model's content address, the program source and the
-// compile options.  Two requests with equal keys are interchangeable and
-// safe to answer with one execution.
-func coalesceKey(j job) string {
-	h := sha256.New()
-	io.WriteString(h, j.key)
-	h.Write([]byte{0})
-	io.WriteString(h, j.programs[0].Source)
-	fmt.Fprintf(h, "\x00%v\x00%v", j.options.NoCompaction, j.options.NoPeephole)
-	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
 // ---- responses ----------------------------------------------------------
 
-// wireResult is a fully rendered JSON response, so a coalesced duplicate
-// writes exactly the bytes its leader produced.
+// wireResult is a fully rendered JSON response.
 type wireResult struct {
 	status     int
 	retryAfter int    // Retry-After seconds; 0 = none
@@ -823,12 +619,11 @@ func errWire(err error) *wireResult {
 }
 
 // write sends a rendered response; every JSON response goes through it.
-// Per-request concerns stay per-request even when a coalesced result is
-// shared: a disconnected client is a silent 499-style abort, counted
-// apart from server errors; the encode faultpoint fires once per response
-// written, and may swap it for a 500 before any header or counter sees
-// it; every error response is counted against its own request; and a
-// POST response carries its request's Server-Timing breakdown.
+// A disconnected client is a silent 499-style abort, counted apart from
+// server errors; the encode faultpoint fires once per response written,
+// and may swap it for a 500 before any header or counter sees it; every
+// error response is counted; and a POST response carries its request's
+// Server-Timing breakdown.
 func (s *server) write(w http.ResponseWriter, r *http.Request, wr *wireResult) {
 	if r.Context().Err() == context.Canceled {
 		s.cAborts.Inc()

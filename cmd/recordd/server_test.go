@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/dspstone"
 	"repro/internal/faultpoint"
-	"repro/internal/qos"
 )
 
 func newTestServer(t *testing.T, cfg serverConfig) (*server, *httptest.Server) {
@@ -147,6 +146,7 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/retarget", map[string]string{"model": "bogus model text"}, http.StatusUnprocessableEntity},
 		{"/v1/compile", map[string]string{"model_name": "demo"}, http.StatusBadRequest}, // no source
 		{"/v1/compile", map[string]string{"key": "k", "model_name": "demo", "source": "int y;"}, http.StatusBadRequest},
+		{"/v1/compile", map[string]string{"model_name": "demo", "source": "int a = 1; int y; y = a + ;"}, http.StatusUnprocessableEntity},
 	}
 	for _, c := range cases {
 		if code, raw := post(t, ts.URL+c.path, c.body, nil); code != c.want {
@@ -282,130 +282,37 @@ func TestWorkerPoolBounds(t *testing.T) {
 	}
 }
 
-func TestCompileBatch(t *testing.T) {
-	_, ts := newTestServer(t, serverConfig{workers: 4})
-	good1 := "int a = 2; int b = 3; int y; y = a + b;"
-	good2 := "int a = 5; int b = 2; int y; y = a - b;"
-	bad := "int a = 1; int y; y = a + ;"
-
-	// Individual reference words for the good programs.
-	ref := func(src string) []uint64 {
-		var cr compileResponse
-		code, raw := post(t, ts.URL+"/v1/compile", map[string]interface{}{
-			"model_name": "demo", "source": src,
-		}, &cr)
-		if code != http.StatusOK {
-			t.Fatalf("reference compile: %d %s", code, raw)
-		}
-		return cr.Words
-	}
-	ref1, ref2 := ref(good1), ref(good2)
-
-	var br compileBatchResponse
-	code, raw := post(t, ts.URL+"/v1/compile-batch", map[string]interface{}{
-		"model_name": "demo",
-		"programs": []map[string]string{
-			{"id": "first", "source": good1},
-			{"source": bad},
-			{"id": "third", "source": good2},
-		},
-	}, &br)
-	if code != http.StatusOK {
-		t.Fatalf("batch: %d %s", code, raw)
-	}
-	if br.Succeeded != 2 || br.Failed != 1 || len(br.Results) != 3 {
-		t.Fatalf("batch counts: %+v", br)
-	}
-	if br.Results[0].ID != "first" || br.Results[1].ID != "1" || br.Results[2].ID != "third" {
-		t.Fatalf("ids not echoed: %+v", br.Results)
-	}
-	if br.Results[0].Status != http.StatusOK || !reflect.DeepEqual(br.Results[0].Words, ref1) {
-		t.Fatalf("program 0: %+v, want words %v", br.Results[0], ref1)
-	}
-	if br.Results[2].Status != http.StatusOK || !reflect.DeepEqual(br.Results[2].Words, ref2) {
-		t.Fatalf("program 2: %+v, want words %v", br.Results[2], ref2)
-	}
-	// Partial failure mirrors the /v1/compile status mapping: a program
-	// the frontend rejects is 422 with an error, no words.
-	if br.Results[1].Status != http.StatusUnprocessableEntity || br.Results[1].Error == "" || len(br.Results[1].Words) != 0 {
-		t.Fatalf("bad program: %+v, want 422 with error", br.Results[1])
-	}
-}
-
-func TestCompileBatchValidation(t *testing.T) {
-	_, ts := newTestServer(t, serverConfig{})
-	if code, _ := post(t, ts.URL+"/v1/compile-batch", map[string]interface{}{
-		"model_name": "demo",
-	}, nil); code != http.StatusBadRequest {
-		t.Fatalf("empty batch: %d, want 400", code)
-	}
-	if code, _ := post(t, ts.URL+"/v1/compile-batch", map[string]interface{}{
-		"model_name": "demo",
-		"programs":   []map[string]string{{"id": "x"}},
-	}, nil); code != http.StatusBadRequest {
-		t.Fatalf("sourceless program: %d, want 400", code)
-	}
-	if code, _ := post(t, ts.URL+"/v1/compile-batch", map[string]interface{}{
-		"programs": []map[string]string{{"source": "int a = 1;"}},
-	}, nil); code != http.StatusBadRequest {
-		t.Fatalf("no model: %d, want 400", code)
-	}
-}
-
-func TestCompileBatchParallelConsistency(t *testing.T) {
-	// A batch larger than the pool, all compiling the same program, must
-	// return identical words for every entry (frozen-target determinism).
-	_, ts := newTestServer(t, serverConfig{workers: 4})
-	src := "int a = 2; int b = 3; int c = 4; int y; y = (a + b) - c;"
-	programs := make([]map[string]string, 12)
-	for i := range programs {
-		programs[i] = map[string]string{"source": src}
-	}
-	var br compileBatchResponse
-	code, raw := post(t, ts.URL+"/v1/compile-batch", map[string]interface{}{
-		"model_name": "demo", "programs": programs,
-	}, &br)
-	if code != http.StatusOK {
-		t.Fatalf("batch: %d %s", code, raw)
-	}
-	if br.Succeeded != len(programs) {
-		t.Fatalf("%d of %d succeeded: %s", br.Succeeded, len(programs), raw)
-	}
-	for i := 1; i < len(br.Results); i++ {
-		if !reflect.DeepEqual(br.Results[i].Words, br.Results[0].Words) {
-			t.Fatalf("result %d words %v differ from result 0 %v", i, br.Results[i].Words, br.Results[0].Words)
-		}
-	}
-}
-
+// TestMetricsParallelGauges: concurrent compiles against one uncached
+// model land one retarget and one compile each in the phase histogram,
+// the freeze phase only in the pipeline's own histogram, and the
+// per-target in-flight gauge lives exactly as long as a compile.
 func TestMetricsParallelGauges(t *testing.T) {
 	s, ts := newTestServer(t, serverConfig{})
-	if code, _ := post(t, ts.URL+"/v1/compile-batch", map[string]interface{}{
-		"model_name": "demo",
-		"programs":   []map[string]string{{"source": "int a = 1; int y; y = a + a;"}},
-	}, nil); code != http.StatusOK {
-		t.Fatalf("batch: %d", code)
+	const n = 4
+	codes := make(chan int, n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			code, _, _, err := rawPost(ts.URL+"/v1/compile", map[string]string{
+				"model_name": "demo", "source": fmt.Sprintf("int a = %d; int y; y = a + a;", i),
+			})
+			if err != nil {
+				code = -1
+			}
+			codes <- code
+		}(i)
+	}
+	for i := 0; i < n; i++ {
+		if code := <-codes; code != http.StatusOK {
+			t.Fatalf("compile: %d", code)
+		}
 	}
 
-	scrape := func() string {
-		resp, err := http.Get(ts.URL + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var buf bytes.Buffer
-		if _, err := buf.ReadFrom(resp.Body); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
-	}
-
-	text := scrape()
+	text := scrapeMetrics(t, ts.URL)
 	for _, want := range []string{
-		`record_recordd_phase_seconds_count{phase="freeze"} 1`, // one retarget ran, so one freeze was measured
-		`record_recordd_phase_seconds_sum{phase="freeze"}`,
-		`record_recordd_phase_seconds_count{phase="batch"} 1`,
-		`record_recordd_phase_seconds_count{phase="compile"} 1`,
+		fmt.Sprintf(`record_recordd_phase_seconds_count{phase="retarget"} %d`, n),
+		fmt.Sprintf(`record_recordd_phase_seconds_count{phase="compile"} %d`, n),
+		fmt.Sprintf(`record_recordd_phase_seconds_count{phase="encode"} %d`, n),
+		`record_core_phase_seconds_count{phase="freeze"} 1`, // one retarget ran, so one freeze was measured
 		"record_rcache_misses_total 1",
 		"record_recordd_worker_pool_size",
 	} {
@@ -413,14 +320,17 @@ func TestMetricsParallelGauges(t *testing.T) {
 			t.Errorf("metrics missing %q:\n%s", want, text)
 		}
 	}
+	if strings.Contains(text, `record_recordd_phase_seconds_count{phase="freeze"}`) {
+		t.Errorf("recordd's phase histogram copies the freeze phase:\n%s", text)
+	}
 
 	// The per-target gauge appears exactly while a compile is in flight.
 	release := s.trackCompile("somekey")
-	if text := scrape(); !strings.Contains(text, `record_recordd_target_inflight_compiles{key="somekey"} 1`) {
+	if text := scrapeMetrics(t, ts.URL); !strings.Contains(text, `record_recordd_target_inflight_compiles{key="somekey"} 1`) {
 		t.Errorf("per-target inflight gauge missing:\n%s", text)
 	}
 	release()
-	if text := scrape(); strings.Contains(text, "somekey") {
+	if text := scrapeMetrics(t, ts.URL); strings.Contains(text, "somekey") {
 		t.Errorf("per-target gauge leaked after compile finished:\n%s", text)
 	}
 }
@@ -438,7 +348,7 @@ func TestPoolSaturationSheds(t *testing.T) {
 	}
 
 	// Occupy the only worker slot.
-	hold, err := s.sched.Acquire(context.Background(), qos.Interactive)
+	hold, err := s.pool.acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,16 +361,14 @@ func TestPoolSaturationSheds(t *testing.T) {
 		queued <- code
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for queueDepth(s) == 0 {
+	for s.gQueue.Value() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("request never queued")
 		}
 		time.Sleep(time.Millisecond)
 	}
 
-	// ...and the one after that is shed, fast and with a retry hint.  The
-	// program differs from the queued one so the coalescer cannot merge it
-	// into the waiting leader — it must face the full queue on its own.
+	// ...and the one after that is shed, fast and with a retry hint.
 	start := time.Now()
 	code, hdr, raw, err := rawPost(ts.URL+"/v1/compile",
 		map[string]string{"model_name": "demo", "source": "int a = 3; int y; y = a + 2;"})
@@ -476,7 +384,7 @@ func TestPoolSaturationSheds(t *testing.T) {
 	if d := time.Since(start); d > 2*time.Second {
 		t.Fatalf("shed took %v, want a fast rejection", d)
 	}
-	if got := s.cShed.With("interactive").Value(); got != 1 {
+	if got := s.cShed.Value(); got != 1 {
 		t.Fatalf("shed counter = %d, want 1", got)
 	}
 
@@ -498,7 +406,7 @@ func TestPoolSaturationSheds(t *testing.T) {
 func TestClientDisconnectIsSilentAbort(t *testing.T) {
 	s, ts := newTestServer(t, serverConfig{workers: 1})
 	// Hold the only slot so the request queues and cancellation lands first.
-	hold, err := s.sched.Acquire(context.Background(), qos.Interactive)
+	hold, err := s.pool.acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

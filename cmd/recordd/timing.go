@@ -9,11 +9,10 @@ import (
 )
 
 // requestSpans bounds one request's tracer.  A cold retarget of the
-// largest bundled model records about twenty spans and each program of a
-// batch seven, so only a batch of hundreds of programs drops spans; its
-// header then under-reports, and the request never fails for it.  The
-// tracer's rings grow on demand, so the bound costs a small request
-// nothing.
+// largest bundled model records about twenty spans and a compile about
+// seven, far below the bound; a request that overran it would only
+// under-report in its header, never fail.  The tracer's rings grow on
+// demand, so the bound costs a small request nothing.
 const requestSpans = 4096
 
 // timingMetrics are the Server-Timing metrics in header order, each the
@@ -54,8 +53,7 @@ func clockFrom(ctx context.Context) *clock {
 // (https://www.w3.org/TR/server-timing/): the durations of timingMetrics
 // that ran, in milliseconds, and the total so far.  The cache metric
 // names the tier that answered in its desc and excludes the retarget it
-// ran, whose phases are listed on their own.  A batch compiles its
-// programs in parallel, so its stage sums may exceed the total.
+// ran, whose phases are listed on their own.
 func (c *clock) serverTiming() string {
 	sums := make(map[string]time.Duration, len(timingMetrics)+1)
 	tier := ""

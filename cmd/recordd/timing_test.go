@@ -2,17 +2,17 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/faultpoint"
-	"repro/internal/qos"
+	"repro/internal/models"
 )
 
 // timingMetric is one parsed Server-Timing entry.
@@ -127,11 +127,14 @@ func TestServerTimingByKeyCompile(t *testing.T) {
 	}
 }
 
-// TestServerTimingOnRefusalAndFollower: a 404 and a coalesced duplicate
-// still carry the total; the duplicate's wait is its coalesced cache
-// answer.
+// TestServerTimingOnRefusalAndFollower: a 404 still carries the total,
+// and of concurrent cold retargets of one inline model exactly one runs
+// the retarget while the rest wait on it, timed as a coalesced cache
+// answer without the leader's phases.
 func TestServerTimingOnRefusalAndFollower(t *testing.T) {
-	s, ts := newTestServer(t, serverConfig{workers: 1})
+	defer faultpoint.Reset()
+	const dup = 3
+	_, ts := newTestServer(t, serverConfig{workers: dup})
 	code, hdr, _, err := rawPost(ts.URL+"/v1/compile",
 		map[string]string{"key": strings.Repeat("0", 64), "source": "int y; y = 1;"})
 	if err != nil || code != http.StatusNotFound {
@@ -139,40 +142,46 @@ func TestServerTimingOnRefusalAndFollower(t *testing.T) {
 	}
 	requireMetrics(t, parseServerTiming(t, hdr.Get("Server-Timing")), "miss", "decode", "cache")
 
-	if code, raw := post(t, ts.URL+"/v1/retarget", map[string]string{"model_name": "demo"}, nil); code != http.StatusOK {
-		t.Fatalf("warm retarget: %d %s", code, raw)
-	}
-	hold, err := s.sched.Acquire(context.Background(), qos.Interactive)
-	if err != nil {
+	// The leader's extraction stalls long enough for every duplicate to
+	// join its fill.
+	if err := faultpoint.ArmSpec("ise.extract=delay:300ms*1"); err != nil {
 		t.Fatal(err)
 	}
-	const dup = 3
+	mdl, _ := models.Get("demo")
+	retargets0 := metricValue(t, ts.URL, "record_rcache_retargets_total")
 	headers := make(chan string, dup)
 	for i := 0; i < dup; i++ {
 		go func() {
-			_, hdr, _, _ := rawPost(ts.URL+"/v1/compile", map[string]string{
-				"model_name": "demo", "source": "int a = 2; int y; y = a + 1;"})
+			code, hdr, raw, err := rawPost(ts.URL+"/v1/retarget", map[string]string{"model": mdl})
+			if err != nil || code != http.StatusOK {
+				t.Errorf("retarget: %d %s %v", code, raw, err)
+				headers <- ""
+				return
+			}
 			headers <- hdr.Get("Server-Timing")
 		}()
 	}
-	waitCond(t, "duplicates to coalesce onto the leader", func() bool {
-		return queueDepth(s) == 1 && s.coal.Merged() == dup-1
-	})
-	hold()
-	followers := 0
+	tiers := map[string]int{}
 	for i := 0; i < dup; i++ {
-		got := parseServerTiming(t, <-headers)
+		h := <-headers
+		if h == "" {
+			continue
+		}
+		got := parseServerTiming(t, h)
+		tiers[got["cache"].desc]++
 		if got["cache"].desc == "coalesced" {
-			followers++
-			if _, ok := got["bind"]; ok {
-				t.Errorf("a follower reports the leader's compile: %v", got)
+			if _, ok := got["frontend"]; ok {
+				t.Errorf("a follower reports the leader's retarget: %v", got)
 			}
 		} else {
-			requireMetrics(t, got, "mem", "qos", "bind", "render")
+			requireMetrics(t, got, "miss", "qos", "frontend", "freeze", "render")
 		}
 	}
-	if followers != dup-1 {
-		t.Errorf("%d responses timed as coalesced, want %d", followers, dup-1)
+	if tiers["miss"] != 1 || tiers["coalesced"] != dup-1 {
+		t.Errorf("cache tiers %v, want one miss and %d coalesced", tiers, dup-1)
+	}
+	if got := metricValue(t, ts.URL, "record_rcache_retargets_total") - retargets0; got != 1 {
+		t.Errorf("%d concurrent cold retargets ran %d retargets, want 1", dup, got)
 	}
 }
 
@@ -190,7 +199,8 @@ func runClocked(t *testing.T, s *server, path string, rt route, body interface{}
 }
 
 // TestRequestTracerFitsBound: the largest bundled model's cold retarget
-// and a multi-program batch record every span within requestSpans.
+// and concurrent compiles against it each record every span within
+// requestSpans, into a tracer of their own.
 func TestRequestTracerFitsBound(t *testing.T) {
 	s, err := newServer(serverConfig{workers: 2})
 	if err != nil {
@@ -203,21 +213,27 @@ func TestRequestTracerFitsBound(t *testing.T) {
 	if n := c.scope.Tracer().Dropped(); n != 0 {
 		t.Errorf("cold ref retarget dropped %d spans past %d", n, requestSpans)
 	}
-	var progs []map[string]string
-	for i := 0; i < 16; i++ {
-		progs = append(progs, map[string]string{"source": fmt.Sprintf("int a = %d; int y; y = a + 1;", i)})
+	const n = 16
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			code, c := runClocked(t, s, "/v1/compile", compileRoute, map[string]string{
+				"model_name": "ref", "source": fmt.Sprintf("int a = %d; int y; y = a + 1;", i)})
+			if code != http.StatusOK {
+				t.Errorf("compile %d: %d", i, code)
+				return
+			}
+			if n := c.scope.Tracer().Dropped(); n != 0 {
+				t.Errorf("compile %d dropped %d spans past %d", i, n, requestSpans)
+			}
+			if got := strings.Count(c.serverTiming(), "bind;"); got != 1 {
+				t.Errorf("compile %d header lists bind %d times, want once", i, got)
+			}
+		}(i)
 	}
-	code, c = runClocked(t, s, "/v1/compile-batch", batchRoute,
-		map[string]interface{}{"model_name": "ref", "programs": progs})
-	if code != http.StatusOK {
-		t.Fatalf("batch: %d", code)
-	}
-	if n := c.scope.Tracer().Dropped(); n != 0 {
-		t.Errorf("16-program batch dropped %d spans past %d", n, requestSpans)
-	}
-	if got := strings.Count(c.serverTiming(), "bind;"); got != 1 {
-		t.Errorf("batch header lists bind %d times, want once (summed)", got)
-	}
+	wg.Wait()
 }
 
 // TestEncodeFaultCountedAsItsOwnError: the response-encode faultpoint

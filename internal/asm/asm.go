@@ -24,10 +24,9 @@ import (
 
 // Encoder encodes instruction words for one extracted machine.
 //
-// A fresh Encoder is single-threaded: encoding operations memoize in the
-// shared BDD manager.  Freeze bakes the per-template encoding tables and
-// freezes the manager, after which the Encoder is immutable and any number
-// of Sessions may encode concurrently.
+// A fresh Encoder cannot encode yet: Freeze bakes the per-template
+// encoding tables and freezes the manager, after which the Encoder is
+// immutable and any number of Sessions may encode concurrently.
 type Encoder struct {
 	Vars *ise.VarMap
 	Base *rtl.Base
@@ -151,30 +150,17 @@ func (e *Encoder) Freeze() {
 // Frozen reports whether Freeze has run.
 func (e *Encoder) Frozen() bool { return e.frozen }
 
-// condOps is the BDD operation set encoding needs; satisfied by both
-// *bdd.Manager (single-threaded, pre-freeze) and *bdd.View (copy-on-write
-// overlay, post-freeze).
-type condOps interface {
-	True() *bdd.Node
-	False() *bdd.Node
-	And(...*bdd.Node) *bdd.Node
-	Not(*bdd.Node) *bdd.Node
-	Cube(map[int]bool) *bdd.Node
-	CubeLits([]bdd.Lit) *bdd.Node
-	AnySatWalk(*bdd.Node, func(v int, val bool)) bool
-}
-
-// Session is one encoding session against the (usually frozen) encoder.
-// Sessions of a frozen Encoder are independent and may run concurrently;
-// one Session must not be shared between goroutines.  The session's view
-// accumulates operation memos across words, so one compilation should use
-// one session.  Sessions of a frozen encoder may also be pooled and reused
-// across sequential compilations: results stay byte-identical because BDD
-// canonicity makes every condition independent of what the view memoized
-// earlier, and OverlaySize bounds how much memory a pooled session retains.
+// Session is one encoding session against the frozen encoder.  Sessions
+// are independent and may run concurrently; one Session must not be
+// shared between goroutines.  The session's view accumulates operation
+// memos across words, so one compilation should use one session.
+// Sessions may also be pooled and reused across sequential compilations:
+// results stay byte-identical because BDD canonicity makes every
+// condition independent of what the view memoized earlier, and
+// OverlaySize bounds how much memory a pooled session retains.
 type Session struct {
 	e   *Encoder
-	ops condOps
+	ops *bdd.View // private copy-on-write overlay on the frozen manager
 
 	// lits is scratch for operand-field literal collection, reused across
 	// words so the per-word cube costs no map and no fresh slice.
@@ -185,14 +171,10 @@ type Session struct {
 	cWords *obs.Counter
 }
 
-// NewSession opens an encoding session.  Pre-freeze the session operates
-// directly (and destructively) on the shared manager, preserving the old
-// single-threaded behavior; post-freeze it gets a private view.
+// NewSession opens an encoding session with a private view of the frozen
+// manager.  It panics with a bdd.InvariantError before Freeze.
 func (e *Encoder) NewSession() *Session {
-	if e.frozen {
-		return &Session{e: e, ops: e.m.NewView()}
-	}
-	return &Session{e: e, ops: e.m}
+	return &Session{e: e, ops: e.m.NewView()}
 }
 
 // NewSessionObs opens an encoding session with instrumentation: every
@@ -217,7 +199,7 @@ func (e *Encoder) NewSessionObs(scope *obs.Scope) *Session {
 func (s *Session) WordCond(instrs []*code.Instr) (*bdd.Node, error) {
 	e := s.e
 	var cond *bdd.Node
-	if e.frozen && len(instrs) == 1 {
+	if len(instrs) == 1 {
 		// Baked fast path: the solo condition already conjoins the static
 		// condition with quiescence of every other storage.  A false solo
 		// condition falls through to the slow path for a precise error.
@@ -246,11 +228,11 @@ func (s *Session) WordCond(instrs []*code.Instr) (*bdd.Node, error) {
 			return nil, fmt.Errorf("asm: operand fields contradict execution conditions")
 		}
 		// Quiescence for untouched storages, in sorted storage order.
-		for i, st := range e.quiesceOrder() {
+		for i, st := range e.storageList {
 			if intended[st] {
 				continue
 			}
-			c = s.ops.And(c, e.notQuiesceAt(s.ops, i))
+			c = s.ops.And(c, e.notQuiesce[i])
 			if c == s.ops.False() {
 				return nil, fmt.Errorf("asm: cannot encode word without disturbing %s", st)
 			}
@@ -308,24 +290,6 @@ func (s *Session) fieldLits(instrs []*code.Instr) ([]bdd.Lit, error) {
 	return out, nil
 }
 
-// quiesceOrder returns the suppressible storages in sorted order, baked
-// when frozen.
-func (e *Encoder) quiesceOrder() []string {
-	if e.frozen {
-		return e.storageList
-	}
-	return e.storages()
-}
-
-// notQuiesceAt returns ¬quiesce of the i'th ordered storage, baked when
-// frozen.
-func (e *Encoder) notQuiesceAt(ops condOps, i int) *bdd.Node {
-	if e.frozen {
-		return e.notQuiesce[i]
-	}
-	return ops.Not(e.quiesce[e.quiesceOrder()[i]])
-}
-
 // Encode picks a concrete instruction word (and required mode state)
 // satisfying the word condition.  Unconstrained bits default to 0.
 func (s *Session) Encode(instrs []*code.Instr) (word uint64, mode ModeReq, err error) {
@@ -371,10 +335,7 @@ func (s *Session) Feasible(instrs []*code.Instr) bool {
 
 // NOP returns an instruction word that changes no suppressible storage.
 func (s *Session) NOP() (uint64, error) {
-	if s.e.frozen {
-		return s.e.nop, s.e.nopErr
-	}
-	return s.e.nopWord()
+	return s.e.nop, s.e.nopErr
 }
 
 // nopWord picks a quiescent word from the quiet condition (read-only).
@@ -420,14 +381,10 @@ func (s *Session) EncodeProgram(p *code.Program) (ModeReq, error) {
 }
 
 // OverlaySize returns the number of private BDD entries (nodes and memo)
-// the session's view has accumulated, or 0 for a pre-freeze session
-// operating on the shared manager.  Session pools use it to decide whether
-// a returned session is still cheap enough to reuse.
+// the session's view has accumulated.  Session pools use it to decide
+// whether a returned session is still cheap enough to reuse.
 func (s *Session) OverlaySize() int {
-	if v, ok := s.ops.(*bdd.View); ok {
-		return v.OverlaySize()
-	}
-	return 0
+	return s.ops.OverlaySize()
 }
 
 // Listing renders an encoded program as an annotated listing.

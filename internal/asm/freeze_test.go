@@ -126,6 +126,18 @@ func TestFreezeSoloMatchesStorageByStorage(t *testing.T) {
 	}
 }
 
+// TestNewSessionBeforeFreezePanics: encoding needs the frozen tables, so
+// opening a session before Freeze is a caller bug.
+func TestNewSessionBeforeFreezePanics(t *testing.T) {
+	e, _ := unfrozenEncoder(t, Micro16T)
+	defer func() {
+		if _, ok := recover().(bdd.InvariantError); !ok {
+			t.Fatal("NewSession on an unfrozen encoder did not panic with bdd.InvariantError")
+		}
+	}()
+	e.NewSession()
+}
+
 // unfrozenEncoder runs the retarget pipeline up to (not including) Freeze,
 // the way core.RetargetContext does, and returns the encoder with its set
 // of background (PC) storages.

@@ -36,6 +36,8 @@ type Options struct {
 	MaxCycles int
 	// NoCompaction disables per-block compaction.
 	NoCompaction bool
+	// NoPeephole skips per-block redundant-load/dead-store elimination.
+	NoPeephole bool
 	// Reporter receives per-block diagnostics.  nil is safe.
 	Reporter *diag.Reporter
 	// Budget bounds compilation (checked at block boundaries) and
@@ -202,7 +204,9 @@ func Compile(t *core.Target, prog *ir.Program, opts Options) (*Result, error) {
 			if err != nil {
 				return fmt.Errorf("cflow: block %d: %w", i, err)
 			}
-			seq, _ = opt.Optimize(seq)
+			if !opts.NoPeephole {
+				seq, _ = opt.Optimize(seq)
+			}
 
 			// Branch conditions materialize into the flag register before the
 			// jump; the flag-set code joins the block for compaction.

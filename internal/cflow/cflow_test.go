@@ -284,6 +284,39 @@ void main() {
 	}
 }
 
+// TestNoPeepholeWithinBlocks: the peephole pass runs per block unless
+// NoPeephole is set; the unoptimized program is longer and still correct.
+func TestNoPeepholeWithinBlocks(t *testing.T) {
+	target := brancher(t)
+	prog, err := cfront.Parse(`
+int a = 1; int b; int c;
+void main() {
+  b = a + 1;
+  c = b + 2;
+  while (c != 0) { c = c - 1; }
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, err := cflow.Compile(target, prog, cflow.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := cflow.Compile(target, prog, cflow.Options{NoPeephole: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw.Code.Len() <= opt.Code.Len() {
+		t.Errorf("NoPeephole gave %d words, want more than the optimized %d", raw.Code.Len(), opt.Code.Len())
+	}
+	for _, res := range []*cflow.Result{opt, raw} {
+		if err := cflow.CheckAgainstOracle(target, res, cflow.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestNoJumpTemplatesDiagnostic(t *testing.T) {
 	// The micro16-family machines have a plain incrementing PC: cflow must
 	// refuse with a clear error.

@@ -148,12 +148,6 @@ type Client struct {
 	Policy  resilience.Policy   // retries of a whole walk over the endpoints
 	Breaker *resilience.Breaker // per-endpoint circuit (fleet.NewHealth); nil = always allow
 
-	// Priority is the declared QoS class sent as X-Record-Priority
-	// ("interactive" or "batch"); empty keeps the server's per-route
-	// default.  The server treats unknown values as the default, so this
-	// is a hint, never a way to fail a request.
-	Priority string
-
 	endpoints []string    // normalized base URLs, in the order given
 	ring      *fleet.Ring // nil with one endpoint: nothing to route
 }
@@ -396,9 +390,6 @@ func (c *Client) send(ctx context.Context, ep, path string, body []byte) ([]byte
 		return nil, "", err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	if c.Priority != "" {
-		req.Header.Set("X-Record-Priority", c.Priority)
-	}
 	resp, err := c.HTTP.Do(req)
 	if err != nil {
 		if ctx.Err() != nil {

@@ -10,8 +10,7 @@ import (
 // caller for a key (the leader) runs its fn; every caller that arrives
 // while the leader is still working (a follower) waits and receives the
 // leader's exact result.  internal/rcache runs every cache fill through
-// one, and recordd collapses identical /v1/compile requests into one
-// execution whose bytes fan out to every waiter.
+// one, so concurrent requests for one model share one retarget.
 //
 // A follower is bound by its own context only: it stops waiting when its
 // ctx ends, and it never inherits the leader's cancellation.  When the

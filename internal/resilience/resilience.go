@@ -1,7 +1,7 @@
 // Package resilience is the service-hardening layer of the compile
 // service: typed refusals, circuit breaking, retry policy, drain
 // signalling and duplicate-call coalescing, shared by recordd (server
-// side), rcache and rclient (client side).
+// side), rcache (its fill coalescer) and rclient (client side).
 //
 // The retargeting pipeline already degrades gracefully inside one request
 // (internal/diag budgets, faultpoint-exercised recovery boundaries); this
