@@ -248,6 +248,34 @@ func benchCompileObs(b *testing.B, traced bool) {
 	}
 }
 
+// BenchmarkCompileLarge compiles the two largest programs of recordbench's
+// compile corpus through a shared Compiler on the TMS320C25 target.  The
+// Figure 2 benchmarks run DSPStone's own sizes, where compaction is a small
+// share of a compile; at 512 and 704 RTs a stage that grows faster than
+// linearly in the program length dominates ns/op.
+func BenchmarkCompileLarge(b *testing.B) {
+	tg := c25(b)
+	comp, err := core.NewCompiler(tg, core.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, k := range []dspstone.Kernel{dspstone.BiquadN(32), dspstone.NComplexUpdates(32)} {
+		b.Run(k.Name+"/n=32", func(b *testing.B) {
+			b.ReportAllocs()
+			var rts, words int
+			for i := 0; i < b.N; i++ {
+				res, err := comp.CompileSource(context.Background(), k.Source)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rts, words = res.SeqLen(), res.CodeLen()
+			}
+			b.ReportMetric(float64(rts), "RTs")
+			b.ReportMetric(float64(words), "words")
+		})
+	}
+}
+
 func BenchmarkCompileBaseline(b *testing.B) { benchCompileObs(b, false) }
 func BenchmarkCompileTraced(b *testing.B)   { benchCompileObs(b, true) }
 

@@ -11,7 +11,9 @@
 package asm
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -165,6 +167,9 @@ type Session struct {
 	// lits is scratch for operand-field literal collection, reused across
 	// words so the per-word cube costs no map and no fresh slice.
 	lits []bdd.Lit
+	// intended is scratch for the storages a multi-RT word writes on
+	// purpose, reused across feasibility probes.
+	intended []string
 
 	// Session-local instruments (see NewSessionObs); nil discards.
 	cFeas  *obs.Counter
@@ -209,11 +214,11 @@ func (s *Session) WordCond(instrs []*code.Instr) (*bdd.Node, error) {
 	}
 	if cond == nil {
 		c := s.ops.True()
-		intended := make(map[string]bool)
+		s.intended = s.intended[:0]
 		for _, in := range instrs {
 			c = s.ops.And(c, in.Template.Cond.Static)
 			if !in.Template.DestPort {
-				intended[in.Template.Dest] = true
+				s.intended = append(s.intended, in.Template.Dest)
 			}
 		}
 		if c == s.ops.False() {
@@ -229,7 +234,7 @@ func (s *Session) WordCond(instrs []*code.Instr) (*bdd.Node, error) {
 		}
 		// Quiescence for untouched storages, in sorted storage order.
 		for i, st := range e.storageList {
-			if intended[st] {
+			if slices.Contains(s.intended, st) {
 				continue
 			}
 			c = s.ops.And(c, e.notQuiesce[i])
@@ -273,7 +278,7 @@ func (s *Session) fieldLits(instrs []*code.Instr) ([]bdd.Lit, error) {
 			}
 		}
 	}
-	sort.Slice(lits, func(i, j int) bool { return lits[i].Var < lits[j].Var })
+	slices.SortFunc(lits, func(a, b bdd.Lit) int { return cmp.Compare(a.Var, b.Var) })
 	// Collapse duplicate pins of one variable; disagreeing pins conflict.
 	out := lits[:0]
 	for i, l := range lits {

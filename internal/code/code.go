@@ -30,7 +30,7 @@ func (f Field) String() string {
 // operand fields.
 //
 // Dependence queries (Def, Uses) are memoized on first call, because
-// compaction and verification ask them O(n²) times per block while the
+// compaction and verification ask them many times per block while the
 // answer is a pure function of Template and Fields.  The memo assumes
 // Fields do not change after the first dependence query; instructions
 // whose fields are patched late (jump targets in cflow) never take part

@@ -12,10 +12,18 @@
 // operand fields do not clash, and all untouched storages stay quiescent.
 // The encoder provides exactly that feasibility test, so compaction and
 // encoding can never disagree.
+//
+// Compact finds an RT's earliest word from two tables of the latest word
+// that wrote and read each location, one lookup per location the RT
+// touches.  Verify shares nothing with those tables: it checks that each
+// RT of the sequence is placed exactly once and nothing else is placed,
+// that each word is encodable, and every dependence pair by the pairwise
+// definition (code.RAW, WAW, WAR).
 package compact
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/code"
 	"repro/internal/obs"
@@ -66,73 +74,144 @@ func Compact(seq *code.Seq, enc Feasibility, opts Options) (*code.Program, error
 		return p, nil
 	}
 
-	wordOf := make([]int, len(seq.Instrs))
-	var trial []*code.Instr // placement-probe scratch, reused across trials
-	for idx, in := range seq.Instrs {
-		earliest := 0
-		for j := 0; j < idx; j++ {
-			w := wordOf[j]
-			if code.RAW(seq.Instrs[j], in) || code.WAW(seq.Instrs[j], in) {
-				if w+1 > earliest {
-					earliest = w + 1
-				}
-			} else if code.WAR(seq.Instrs[j], in) {
-				if w > earliest {
-					earliest = w
-				}
-			}
+	defs, uses := locWords{}, locWords{} // latest word of earlier writes and reads
+	var trial []*code.Instr              // placement-probe scratch, reused across trials
+	for _, in := range seq.Instrs {
+		def := in.Def()
+		// WAW and RAW predecessors force a strictly later word, WAR ones
+		// at least the same word.
+		earliest := max(defs.latest(def)+1, uses.latest(def))
+		for _, u := range in.Uses() {
+			earliest = max(earliest, defs.latest(u)+1)
 		}
-		placed := false
+		placed := -1
 		for w := earliest; w < len(p.Words); w++ {
 			trial = append(trial[:0], p.Words[w].Instrs...)
 			trial = append(trial, in)
 			if enc.Feasible(trial) {
 				p.Words[w].Instrs = append(p.Words[w].Instrs, in)
-				wordOf[idx] = w
-				placed = true
+				placed = w
 				break
 			}
 		}
-		if !placed {
-			if !enc.Feasible([]*code.Instr{in}) {
+		if placed < 0 {
+			if !enc.Feasible(append(trial[:0], in)) {
 				return nil, fmt.Errorf("compact: instruction %s not encodable alone", in)
 			}
 			p.Words = append(p.Words, &code.Word{Instrs: []*code.Instr{in}})
-			wordOf[idx] = len(p.Words) - 1
+			placed = len(p.Words) - 1
+		}
+		defs.add(def, placed)
+		for _, u := range in.Uses() {
+			uses.add(u, placed)
 		}
 	}
 	record(opts.Obs, seq, p)
 	return p, nil
 }
 
-// Verify checks that a compacted program respects every dependence of the
-// original sequence and that each word is encodable; it is used by tests
-// and as a safety net after compaction.
+// locWords maps storage locations to the latest word that holds an access
+// (one table for writes, one for reads) to them.  A query answers exactly
+// what code.Loc.Overlaps would over every recorded access: same storage,
+// and addresses equal or either one unknown.
+type locWords map[string]*storageWords
+
+// storageWords is one storage's entry in a locWords table.
+type storageWords struct {
+	addr    map[int64]int // per known address
+	unknown int           // accesses whose address is unknown
+	any     int           // every access to the storage
+}
+
+// latest returns the latest word holding an access that overlaps l, or -1.
+func (t locWords) latest(l code.Loc) int {
+	s := t[l.Storage]
+	if s == nil {
+		return -1
+	}
+	if !l.AddrKnown {
+		return s.any
+	}
+	if w, ok := s.addr[l.Addr]; ok {
+		return max(w, s.unknown)
+	}
+	return s.unknown
+}
+
+// add records an access to l in word w.
+func (t locWords) add(l code.Loc, w int) {
+	s := t[l.Storage]
+	if s == nil {
+		s = &storageWords{addr: map[int64]int{}, unknown: -1, any: -1}
+		t[l.Storage] = s
+	}
+	s.any = max(s.any, w)
+	if !l.AddrKnown {
+		s.unknown = max(s.unknown, w)
+	} else if prev, ok := s.addr[l.Addr]; !ok || w > prev {
+		s.addr[l.Addr] = w
+	}
+}
+
+// Verify checks a compacted program against its sequence: every RT of the
+// sequence is placed exactly once and nothing else is placed, every word
+// is encodable, and every pair of RTs keeps its dependences — read-after-
+// write and write-after-write successors in a strictly later word,
+// write-after-read successors in the same word or later.  The dependence
+// check is the pairwise definition (code.RAW, WAW, WAR), independent of
+// the tables Compact schedules with.  It is used by tests and as a safety
+// net after compaction.
 func Verify(seq *code.Seq, p *code.Program, enc Feasibility) error {
-	// Map instructions to their word index (pointer identity).
-	wordOf := make(map[*code.Instr]int)
-	count := 0
+	pos := make(map[*code.Instr]int, len(seq.Instrs))
+	for i, in := range seq.Instrs {
+		pos[in] = i
+	}
+	wordOf := make([]int, len(seq.Instrs)) // by sequence position
+	for i := range wordOf {
+		wordOf[i] = -1
+	}
 	for w, word := range p.Words {
 		for _, in := range word.Instrs {
-			wordOf[in] = w
-			count++
+			i, ok := pos[in]
+			if !ok {
+				return fmt.Errorf("compact: word %d holds %s, which is not in the sequence", w, in)
+			}
+			if wordOf[i] >= 0 {
+				return fmt.Errorf("compact: %s placed twice (words %d, %d)", in, wordOf[i], w)
+			}
+			wordOf[i] = w
 		}
 		if !enc.Feasible(word.Instrs) {
 			return fmt.Errorf("compact: word %d not encodable", w)
 		}
 	}
-	if count != len(seq.Instrs) {
-		return fmt.Errorf("compact: %d instructions packed, %d expected", count, len(seq.Instrs))
+	for i, w := range wordOf {
+		if w < 0 {
+			return fmt.Errorf("compact: instruction %d (%s) not placed", i, seq.Instrs[i])
+		}
 	}
-	for i := 0; i < len(seq.Instrs); i++ {
-		for j := i + 1; j < len(seq.Instrs); j++ {
-			a, b := seq.Instrs[i], seq.Instrs[j]
-			wa, wb := wordOf[a], wordOf[b]
-			if (code.RAW(a, b) || code.WAW(a, b)) && wb <= wa {
-				return fmt.Errorf("compact: dependence %s -> %s violated (words %d, %d)", a, b, wa, wb)
+	// minFrom[j] is the earliest word of the RTs from position j on: once
+	// it passes a's word, no later RT can break a dependence on a.
+	minFrom := slices.Clone(wordOf)
+	for j := len(minFrom) - 2; j >= 0; j-- {
+		minFrom[j] = min(minFrom[j], minFrom[j+1])
+	}
+	for i, a := range seq.Instrs {
+		wa := wordOf[i]
+		for j := i + 1; j < len(seq.Instrs) && minFrom[j] <= wa; j++ {
+			wb := wordOf[j]
+			if wb > wa {
+				continue // a strictly later word satisfies every dependence kind
+			}
+			b := seq.Instrs[j]
+			if code.RAW(a, b) {
+				return fmt.Errorf("compact: read-after-write dependence %s -> %s violated (words %d, %d)", a, b, wa, wb)
+			}
+			if code.WAW(a, b) {
+				return fmt.Errorf("compact: write-after-write dependence %s -> %s violated (words %d, %d)", a, b, wa, wb)
 			}
 			if code.WAR(a, b) && wb < wa {
-				return fmt.Errorf("compact: anti-dependence %s -> %s violated (words %d, %d)", a, b, wa, wb)
+				return fmt.Errorf("compact: write-after-read dependence %s -> %s violated (words %d, %d)", a, b, wa, wb)
 			}
 		}
 	}
