@@ -141,18 +141,20 @@ func TestRetargetDeterministic(t *testing.T) {
 // sameFunction compares BDDs of two managers: canonical ROBDDs denote the
 // same function exactly when they have the same shape over the same
 // variable names.
-func sameFunction(m1, m2 *bdd.Manager) func(a, b *bdd.Node) bool {
-	memo := map[[2]*bdd.Node]bool{}
-	var same func(a, b *bdd.Node) bool
-	same = func(a, b *bdd.Node) bool {
+func sameFunction(m1, m2 *bdd.Manager) func(a, b bdd.Node) bool {
+	memo := map[[2]bdd.Node]bool{}
+	var same func(a, b bdd.Node) bool
+	same = func(a, b bdd.Node) bool {
 		if a.IsLeaf() || b.IsLeaf() {
 			return a.IsLeaf() && b.IsLeaf() && m1.Tautology(a) == m2.Tautology(b)
 		}
-		k := [2]*bdd.Node{a, b}
+		k := [2]bdd.Node{a, b}
 		if v, ok := memo[k]; ok {
 			return v
 		}
-		v := m1.VarName(a.Var) == m2.VarName(b.Var) && same(a.Low, b.Low) && same(a.High, b.High)
+		va, alo, ahi := m1.Top(a)
+		vb, blo, bhi := m2.Top(b)
+		v := m1.VarName(va) == m2.VarName(vb) && same(alo, blo) && same(ahi, bhi)
 		memo[k] = v
 		return v
 	}

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/bdd"
@@ -36,21 +37,21 @@ type Encoder struct {
 	m *bdd.Manager
 	// quiesce maps a storage to the disjunction of the static conditions
 	// of its suppressible write templates.
-	quiesce map[string]*bdd.Node
+	quiesce map[string]bdd.Node
 	// quiet is the conjunction of all negated quiesce conditions (the NOP
 	// condition).
-	quiet *bdd.Node
+	quiet bdd.Node
 
 	// Baked at Freeze time; read-only afterwards.
 	frozen      bool
-	storageList []string    // sorted quiesce keys
-	notQuiesce  []*bdd.Node // ¬quiesce[storageList[i]]
+	storageList []string   // sorted quiesce keys
+	notQuiesce  []bdd.Node // ¬quiesce[storageList[i]]
 	// solo[t] is t's full single-instruction word condition: its static
 	// execution condition conjoined with quiescence of every other
 	// suppressible storage.  Encoding the common case (one RT per word,
 	// and every word under -no-compaction) is then one cube conjunction
 	// and a satisfiability walk — no shared-state mutation at all.
-	solo map[*rtl.Template]*bdd.Node
+	solo map[*rtl.Template]bdd.Node
 	// nop is the baked quiescent instruction word; nopErr records a
 	// machine without one.
 	nop    uint64
@@ -64,7 +65,7 @@ type Encoder struct {
 // 0 — models must make the all-zero selection the benign one (PC+1).
 func NewEncoder(vars *ise.VarMap, base *rtl.Base, background ...string) *Encoder {
 	e := &Encoder{Vars: vars, Base: base, m: vars.M,
-		quiesce: make(map[string]*bdd.Node)}
+		quiesce: make(map[string]bdd.Node)}
 	bg := make(map[string]bool, len(background))
 	for _, s := range background {
 		bg[s] = true
@@ -115,7 +116,7 @@ func (e *Encoder) Freeze() {
 		return
 	}
 	e.storageList = e.storages()
-	e.notQuiesce = make([]*bdd.Node, len(e.storageList))
+	e.notQuiesce = make([]bdd.Node, len(e.storageList))
 	for i, s := range e.storageList {
 		e.notQuiesce[i] = e.m.Not(e.quiesce[s])
 	}
@@ -125,7 +126,7 @@ func (e *Encoder) Freeze() {
 	// ROBDD canonicity makes the result the node the storage-by-storage
 	// conjunction would reach.
 	n := len(e.storageList)
-	quietBut := make([]*bdd.Node, n)
+	quietBut := make([]bdd.Node, n)
 	prefix := e.m.True()
 	for i := range n {
 		quietBut[i] = prefix
@@ -136,7 +137,7 @@ func (e *Encoder) Freeze() {
 		quietBut[i] = e.m.And(quietBut[i], suffix)
 		suffix = e.m.And(suffix, e.notQuiesce[i])
 	}
-	e.solo = make(map[*rtl.Template]*bdd.Node, e.Base.Len())
+	e.solo = make(map[*rtl.Template]bdd.Node, e.Base.Len())
 	for _, t := range e.Base.Templates {
 		q := e.quiet
 		if i := sort.SearchStrings(e.storageList, t.Dest); !t.DestPort && i < n && e.storageList[i] == t.Dest {
@@ -154,11 +155,11 @@ func (e *Encoder) Frozen() bool { return e.frozen }
 
 // Session is one encoding session against the frozen encoder.  Sessions
 // are independent and may run concurrently; one Session must not be
-// shared between goroutines.  The session's view accumulates operation
-// memos across words, so one compilation should use one session.
+// shared between goroutines.  The session's view accumulates nodes and
+// cached operations across words, so one compilation should use one session.
 // Sessions may also be pooled and reused across sequential compilations:
 // results stay byte-identical because BDD canonicity makes every
-// condition independent of what the view memoized earlier, and
+// condition independent of what the view cached earlier, and
 // OverlaySize bounds how much memory a pooled session retains.
 type Session struct {
 	e   *Encoder
@@ -201,19 +202,19 @@ func (e *Encoder) NewSessionObs(scope *obs.Scope) *Session {
 // WordCond computes the full encoding condition of a set of parallel RT
 // instances: conjunction of their static conditions, their operand-field
 // bit cubes, and quiescence of every untouched storage.
-func (s *Session) WordCond(instrs []*code.Instr) (*bdd.Node, error) {
+func (s *Session) WordCond(instrs []*code.Instr) (bdd.Node, error) {
 	e := s.e
-	var cond *bdd.Node
+	var c bdd.Node
+	solo := false
 	if len(instrs) == 1 {
 		// Baked fast path: the solo condition already conjoins the static
 		// condition with quiescence of every other storage.  A false solo
 		// condition falls through to the slow path for a precise error.
-		if c, ok := e.solo[instrs[0].Template]; ok && c != e.m.False() {
-			cond = c
-		}
+		c, solo = e.solo[instrs[0].Template]
+		solo = solo && c != e.m.False()
 	}
-	if cond == nil {
-		c := s.ops.True()
+	if !solo {
+		c = s.ops.True()
 		s.intended = s.intended[:0]
 		for _, in := range instrs {
 			c = s.ops.And(c, in.Template.Cond.Static)
@@ -222,38 +223,31 @@ func (s *Session) WordCond(instrs []*code.Instr) (*bdd.Node, error) {
 			}
 		}
 		if c == s.ops.False() {
-			return nil, fmt.Errorf("asm: conflicting execution conditions (instruction encoding conflict)")
+			return c, fmt.Errorf("asm: conflicting execution conditions (instruction encoding conflict)")
 		}
-		lits, err := s.fieldLits(instrs)
-		if err != nil {
-			return nil, err
-		}
-		c = s.ops.And(c, s.ops.CubeLits(lits))
-		if c == s.ops.False() {
-			return nil, fmt.Errorf("asm: operand fields contradict execution conditions")
-		}
-		// Quiescence for untouched storages, in sorted storage order.
-		for i, st := range e.storageList {
-			if slices.Contains(s.intended, st) {
-				continue
-			}
-			c = s.ops.And(c, e.notQuiesce[i])
-			if c == s.ops.False() {
-				return nil, fmt.Errorf("asm: cannot encode word without disturbing %s", st)
-			}
-		}
-		return c, nil
 	}
-	// Fast path: solo condition plus the operand-field cube.
 	lits, err := s.fieldLits(instrs)
 	if err != nil {
-		return nil, err
+		return s.ops.False(), err
 	}
-	cond = s.ops.And(cond, s.ops.CubeLits(lits))
-	if cond == s.ops.False() {
-		return nil, fmt.Errorf("asm: operand fields contradict execution conditions")
+	c = s.ops.And(c, s.ops.CubeLits(lits))
+	if c == s.ops.False() {
+		return c, fmt.Errorf("asm: operand fields contradict execution conditions")
 	}
-	return cond, nil
+	if solo {
+		return c, nil
+	}
+	// Quiescence for untouched storages, in sorted storage order.
+	for i, st := range e.storageList {
+		if slices.Contains(s.intended, st) {
+			continue
+		}
+		c = s.ops.And(c, e.notQuiesce[i])
+		if c == s.ops.False() {
+			return c, fmt.Errorf("asm: cannot encode word without disturbing %s", st)
+		}
+	}
+	return c, nil
 }
 
 // fieldLits collects the instruction bits pinned by operand fields as a
@@ -385,30 +379,47 @@ func (s *Session) EncodeProgram(p *code.Program) (ModeReq, error) {
 	return required, nil
 }
 
-// OverlaySize returns the number of private BDD entries (nodes and memo)
-// the session's view has accumulated.  Session pools use it to decide
-// whether a returned session is still cheap enough to reuse.
+// OverlaySize returns the number of private BDD entries (overlay nodes and
+// filled cache entries) the session's view has accumulated.  Session pools
+// use it to decide whether a returned session is still cheap enough to
+// reuse.
 func (s *Session) OverlaySize() int {
 	return s.ops.OverlaySize()
 }
 
-// Listing renders an encoded program as an annotated listing.
+// Listing renders an encoded program as an annotated listing: per word,
+// its index (four digits), its bits in zero-padded hex, its RTs joined by
+// " || " and their comments.
 func (e *Encoder) Listing(p *code.Program) string {
 	var b strings.Builder
 	width := (e.Vars.InsnWidth() + 3) / 4
+	var num [20]byte
 	for i, w := range p.Words {
-		fmt.Fprintf(&b, "%04d  %0*x  ", i, width, w.Bits)
-		parts := make([]string, len(w.Instrs))
+		zeroPad(&b, strconv.AppendInt(num[:0], int64(i), 10), 4)
+		b.WriteString("  ")
+		zeroPad(&b, strconv.AppendUint(num[:0], w.Bits, 16), width)
+		b.WriteString("  ")
 		for j, in := range w.Instrs {
-			parts[j] = in.Template.String()
+			if j > 0 {
+				b.WriteString(" || ")
+			}
+			in.Template.Render(&b)
 		}
-		b.WriteString(strings.Join(parts, " || "))
 		for _, in := range w.Instrs {
 			if in.Comment != "" {
-				fmt.Fprintf(&b, "  ; %s", in.Comment)
+				b.WriteString("  ; ")
+				b.WriteString(in.Comment)
 			}
 		}
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// zeroPad writes digits left-padded with zeros to width.
+func zeroPad(b *strings.Builder, digits []byte, width int) {
+	for n := len(digits); n < width; n++ {
+		b.WriteByte('0')
+	}
+	b.Write(digits)
 }

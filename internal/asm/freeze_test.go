@@ -96,7 +96,7 @@ func TestFreezeSoloMatchesStorageByStorage(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			e, bg := unfrozenEncoder(t, src)
 			storages := e.storages()
-			want := make(map[*rtl.Template]*bdd.Node, e.Base.Len())
+			want := make(map[*rtl.Template]bdd.Node, e.Base.Len())
 			for _, tp := range e.Base.Templates {
 				cond := tp.Cond.Static
 				for _, s := range storages {

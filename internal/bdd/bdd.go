@@ -4,17 +4,22 @@
 // Boolean functions over instruction-word bits and mode-register bits
 // (Leupers/Marwedel, DATE 1997, section 2).  This package provides the
 // underlying BDD machinery: a manager with a unique table guaranteeing
-// canonicity, the classic ternary ITE operator with memoization, quantifier
-// and restriction operations, and satisfiability queries used to prune
-// templates with conflicting encodings.
+// canonicity, the classic ternary ITE operator with an operation cache,
+// quantifier and restriction operations, and satisfiability queries used
+// to prune templates with conflicting encodings.
 //
 // Nodes are immutable and hash-consed: two structurally equal functions are
-// represented by the same *Node pointer, so semantic equivalence is pointer
-// equality.  All operations on nodes from different managers are invalid.
+// represented by the same Node handle, so semantic equivalence is handle
+// equality.  A handle is an int32 index into the manager's node slice
+// (Brace, Rudell and Bryant, DAC 1990): 0 is false, 1 is true.  The store
+// holds no Go pointer — nodes, the open-addressed unique table and the
+// lossy operation cache are flat slices — so the garbage collector never
+// traces it.  All operations on nodes from different managers are invalid.
 package bdd
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -33,29 +38,36 @@ type InvariantError string
 
 func (e InvariantError) Error() string { return string(e) }
 
-// Node is a vertex of a shared ROBDD.  Leaf nodes are the manager's True
-// and False constants.  For internal nodes, Low is the cofactor for
-// variable=0 and High for variable=1.
-type Node struct {
-	Var  int // variable index (level); -1 for terminals
-	Low  *Node
-	High *Node
-	id   int // unique id within the manager, used for cache keys
-}
+// Node is a handle to a vertex of a shared ROBDD: an index into its
+// manager's node slice (or, past the frozen base, into a View's overlay).
+// The zero value is the constant false.
+type Node int32
+
+const (
+	falseNode Node = 0
+	trueNode  Node = 1
+)
 
 // IsLeaf reports whether n is a terminal (constant) node.
-func (n *Node) IsLeaf() bool { return n.Var < 0 }
+func (n Node) IsLeaf() bool { return n <= trueNode }
+
+// leafVar is the level of the terminals: below every variable, so the top
+// variable of an Ite is a plain minimum and cofactoring needs no leaf test.
+const leafVar = math.MaxInt32
+
+// node is one vertex: variable v with low (v=0) and high (v=1) cofactors.
+type node struct {
+	v      int32
+	lo, hi Node
+}
 
 // Manager owns a universe of BDD nodes over a fixed, growable variable
 // order.  The zero value is not usable; call New.
 type Manager struct {
-	unique  map[triple]*Node
-	iteMemo map[triple]*Node
-	nodes   []*Node
-	names   []string // variable names, index = variable
-	byName  map[string]int
-	trueN   *Node
-	falseN  *Node
+	store  table
+	memo   opCache
+	names  []string // variable names, index = variable
+	byName map[string]int
 	// frozen makes every table read-only: mutation panics, concurrent
 	// reads become safe, and NewView hands out copy-on-write overlays.
 	frozen bool
@@ -68,33 +80,26 @@ type Manager struct {
 	iteOps         *obs.Counter
 }
 
-type triple struct{ a, b, c int }
-
 // New creates an empty manager with no variables declared.
 func New() *Manager {
-	m := &Manager{
-		unique:  make(map[triple]*Node),
-		iteMemo: make(map[triple]*Node),
-		byName:  make(map[string]int),
-	}
-	m.falseN = &Node{Var: -1, id: 0}
-	m.trueN = &Node{Var: -1, id: 1}
-	m.nodes = []*Node{m.falseN, m.trueN}
+	m := &Manager{byName: make(map[string]int)}
+	m.store.nodes = []node{{v: leafVar}, {v: leafVar}}
+	m.store.slots = make([]Node, minSlots)
 	return m
 }
 
 // True returns the constant-true node.
-func (m *Manager) True() *Node { return m.trueN }
+func (m *Manager) True() Node { return trueNode }
 
 // False returns the constant-false node.
-func (m *Manager) False() *Node { return m.falseN }
+func (m *Manager) False() Node { return falseNode }
 
 // Const returns the constant node for b.
-func (m *Manager) Const(b bool) *Node {
+func (m *Manager) Const(b bool) Node {
 	if b {
-		return m.trueN
+		return trueNode
 	}
-	return m.falseN
+	return falseNode
 }
 
 // NumVars returns the number of declared variables.
@@ -133,44 +138,50 @@ func (m *Manager) VarByName(name string) int {
 
 // Var returns the BDD for the single variable v, declaring anonymous
 // variables as needed so that v is in range.
-func (m *Manager) Var(v int) *Node {
-	if v < 0 {
-		panic(InvariantError("bdd: negative variable index"))
-	}
-	for len(m.names) <= v {
-		m.DeclareVar(fmt.Sprintf("x%d", len(m.names)))
-	}
-	return m.mk(v, m.falseN, m.trueN)
+func (m *Manager) Var(v int) Node {
+	m.declareUpTo(v)
+	return m.mk(int32(v), falseNode, trueNode)
 }
 
 // NVar returns the BDD for the negation of variable v.
-func (m *Manager) NVar(v int) *Node {
+func (m *Manager) NVar(v int) Node {
+	m.declareUpTo(v)
+	return m.mk(int32(v), trueNode, falseNode)
+}
+
+func (m *Manager) declareUpTo(v int) {
 	if v < 0 {
 		panic(InvariantError("bdd: negative variable index"))
 	}
 	for len(m.names) <= v {
 		m.DeclareVar(fmt.Sprintf("x%d", len(m.names)))
 	}
-	return m.mk(v, m.trueN, m.falseN)
+}
+
+// Top returns the variable of n and its low and high cofactors.  For a
+// terminal v is -1 and lo == hi == n.
+func (m *Manager) Top(n Node) (v int, lo, hi Node) {
+	if n.IsLeaf() {
+		return -1, n, n
+	}
+	x := m.store.nodes[n]
+	return int(x.v), x.lo, x.hi
 }
 
 // mk returns the canonical node (v, lo, hi), applying the reduction rule.
-func (m *Manager) mk(v int, lo, hi *Node) *Node {
+func (m *Manager) mk(v int32, lo, hi Node) Node {
 	if lo == hi {
 		return lo
 	}
-	key := triple{v, lo.id, hi.id}
-	if n, ok := m.unique[key]; ok {
+	slot, n := m.store.find(v, lo, hi)
+	if n != falseNode {
 		return n
 	}
 	if m.frozen {
 		panic(InvariantError("bdd: node creation on frozen manager (use a View)"))
 	}
-	n := &Node{Var: v, Low: lo, High: hi, id: len(m.nodes)}
-	m.nodes = append(m.nodes, n)
-	m.unique[key] = n
 	m.nodesAllocated.Inc()
-	return n
+	return m.store.insert(slot, node{v, lo, hi})
 }
 
 // Instrument wires observability counters into the manager's hot paths:
@@ -185,69 +196,61 @@ func (m *Manager) Instrument(nodesAllocated, iteOps *obs.Counter) {
 
 // Size returns the total number of nodes ever created in the manager
 // (including the two terminals).
-func (m *Manager) Size() int { return len(m.nodes) }
+func (m *Manager) Size() int { return len(m.store.nodes) }
 
 // Ite computes if-then-else: f·g + ¬f·h.  All binary operations are
-// expressed through Ite, sharing one memo table.
-func (m *Manager) Ite(f, g, h *Node) *Node {
+// expressed through Ite, sharing one operation cache.  The cache is lossy:
+// a miss recomputes, and the exact unique table returns the same node.  A
+// frozen manager neither writes the cache nor creates nodes, so Ite on it
+// succeeds only for functions that already exist (residual operations go
+// through a View).
+func (m *Manager) Ite(f, g, h Node) Node {
 	if err := faultpoint.Hit("bdd.ite", ""); err != nil {
 		panic(err) // Ite cannot return errors; the phase boundary recovers.
 	}
 	m.iteOps.Inc()
 	// Terminal cases.
 	switch {
-	case f == m.trueN:
+	case f == trueNode:
 		return g
-	case f == m.falseN:
+	case f == falseNode:
 		return h
 	case g == h:
 		return g
-	case g == m.trueN && h == m.falseN:
+	case g == trueNode && h == falseNode:
 		return f
 	}
-	key := triple{f.id, g.id, h.id}
-	if r, ok := m.iteMemo[key]; ok {
+	if r, ok := m.memo.get(f, g, h); ok {
 		return r
 	}
-	if m.frozen {
-		// Even a cache-miss recomputation would write the memo table and
-		// race concurrent readers; residual operations go through a View.
-		panic(InvariantError("bdd: Ite on frozen manager (use a View)"))
+	nf, ng, nh := m.store.nodes[f], m.store.nodes[g], m.store.nodes[h]
+	v := min(nf.v, ng.v, nh.v)
+	f0, f1 := nf.cofactors(f, v)
+	g0, g1 := ng.cofactors(g, v)
+	h0, h1 := nh.cofactors(h, v)
+	r := m.mk(v, m.Ite(f0, g0, h0), m.Ite(f1, g1, h1))
+	if !m.frozen {
+		m.memo.fit(len(m.store.nodes))
+		m.memo.put(f, g, h, r)
 	}
-	v := topVar(f, g, h)
-	f0, f1 := m.cofactors(f, v)
-	g0, g1 := m.cofactors(g, v)
-	h0, h1 := m.cofactors(h, v)
-	lo := m.Ite(f0, g0, h0)
-	hi := m.Ite(f1, g1, h1)
-	r := m.mk(v, lo, hi)
-	m.iteMemo[key] = r
 	return r
 }
 
-func topVar(ns ...*Node) int {
-	v := int(^uint(0) >> 1) // max int
-	for _, n := range ns {
-		if !n.IsLeaf() && n.Var < v {
-			v = n.Var
-		}
-	}
-	return v
-}
-
-func (m *Manager) cofactors(n *Node, v int) (lo, hi *Node) {
-	if n.IsLeaf() || n.Var != v {
+// cofactors returns the cofactors of n (whose vertex is x) with respect
+// to variable v, which is at or above x's level.
+func (x node) cofactors(n Node, v int32) (lo, hi Node) {
+	if x.v != v {
 		return n, n
 	}
-	return n.Low, n.High
+	return x.lo, x.hi
 }
 
 // And returns the conjunction of its arguments (true for zero arguments).
-func (m *Manager) And(ns ...*Node) *Node {
-	r := m.trueN
+func (m *Manager) And(ns ...Node) Node {
+	r := trueNode
 	for _, n := range ns {
-		r = m.Ite(r, n, m.falseN)
-		if r == m.falseN {
+		r = m.Ite(r, n, falseNode)
+		if r == falseNode {
 			return r
 		}
 	}
@@ -255,11 +258,11 @@ func (m *Manager) And(ns ...*Node) *Node {
 }
 
 // Or returns the disjunction of its arguments (false for zero arguments).
-func (m *Manager) Or(ns ...*Node) *Node {
-	r := m.falseN
+func (m *Manager) Or(ns ...Node) Node {
+	r := falseNode
 	for _, n := range ns {
-		r = m.Ite(n, m.trueN, r)
-		if r == m.trueN {
+		r = m.Ite(n, trueNode, r)
+		if r == trueNode {
 			return r
 		}
 	}
@@ -267,38 +270,39 @@ func (m *Manager) Or(ns ...*Node) *Node {
 }
 
 // Not returns the complement of f.
-func (m *Manager) Not(f *Node) *Node { return m.Ite(f, m.falseN, m.trueN) }
+func (m *Manager) Not(f Node) Node { return m.Ite(f, falseNode, trueNode) }
 
 // Xor returns the exclusive-or of f and g.
-func (m *Manager) Xor(f, g *Node) *Node { return m.Ite(f, m.Not(g), g) }
+func (m *Manager) Xor(f, g Node) Node { return m.Ite(f, m.Not(g), g) }
 
 // Xnor returns the complement of Xor(f, g), i.e. Boolean equality.
-func (m *Manager) Xnor(f, g *Node) *Node { return m.Ite(f, g, m.Not(g)) }
+func (m *Manager) Xnor(f, g Node) Node { return m.Ite(f, g, m.Not(g)) }
 
 // Implies returns ¬f + g.
-func (m *Manager) Implies(f, g *Node) *Node { return m.Ite(f, g, m.trueN) }
+func (m *Manager) Implies(f, g Node) Node { return m.Ite(f, g, trueNode) }
 
 // Restrict fixes variable v to the given value in f.
-func (m *Manager) Restrict(f *Node, v int, value bool) *Node {
-	if f.IsLeaf() || f.Var > v {
+func (m *Manager) Restrict(f Node, v int, value bool) Node {
+	x := m.store.nodes[f]
+	if int(x.v) > v { // terminals sit at leafVar
 		return f
 	}
-	if f.Var == v {
+	if int(x.v) == v {
 		if value {
-			return f.High
+			return x.hi
 		}
-		return f.Low
+		return x.lo
 	}
-	return m.mk(f.Var, m.Restrict(f.Low, v, value), m.Restrict(f.High, v, value))
+	return m.mk(x.v, m.Restrict(x.lo, v, value), m.Restrict(x.hi, v, value))
 }
 
 // Exists existentially quantifies variable v out of f.
-func (m *Manager) Exists(f *Node, v int) *Node {
+func (m *Manager) Exists(f Node, v int) Node {
 	return m.Or(m.Restrict(f, v, false), m.Restrict(f, v, true))
 }
 
 // ExistsAll existentially quantifies every variable in vs out of f.
-func (m *Manager) ExistsAll(f *Node, vs []int) *Node {
+func (m *Manager) ExistsAll(f Node, vs []int) Node {
 	for _, v := range vs {
 		f = m.Exists(f, v)
 	}
@@ -306,80 +310,96 @@ func (m *Manager) ExistsAll(f *Node, vs []int) *Node {
 }
 
 // Sat reports whether f is satisfiable.
-func (m *Manager) Sat(f *Node) bool { return f != m.falseN }
+func (m *Manager) Sat(f Node) bool { return f != falseNode }
 
 // Tautology reports whether f is constant true.
-func (m *Manager) Tautology(f *Node) bool { return f == m.trueN }
+func (m *Manager) Tautology(f Node) bool { return f == trueNode }
 
 // AnySat returns one satisfying assignment of f as a map from variable to
 // value.  Variables not in the map are don't-cares.  ok is false when f is
 // unsatisfiable.
-func (m *Manager) AnySat(f *Node) (assign map[int]bool, ok bool) {
-	if f == m.falseN {
+func (m *Manager) AnySat(f Node) (assign map[int]bool, ok bool) {
+	return anySat(m.node, f)
+}
+
+// AnySatWalk visits one satisfying assignment of f literal by literal
+// (variables absent from the path are don't-cares), avoiding the map
+// allocation of AnySat.  It reports whether f is satisfiable; fn is never
+// called when it is not.
+func (m *Manager) AnySatWalk(f Node, fn func(v int, val bool)) bool {
+	return anySatWalk(m.node, f, fn)
+}
+
+func (m *Manager) node(n Node) node { return m.store.nodes[n] }
+
+// anySat collects anySatWalk's path into a map.
+func anySat(at func(Node) node, f Node) (map[int]bool, bool) {
+	if f == falseNode {
 		return nil, false
 	}
-	assign = make(map[int]bool)
-	for !f.IsLeaf() {
-		if f.Low != m.falseN {
-			assign[f.Var] = false
-			f = f.Low
-		} else {
-			assign[f.Var] = true
-			f = f.High
-		}
-	}
+	assign := make(map[int]bool)
+	anySatWalk(at, f, func(v int, val bool) { assign[v] = val })
 	return assign, true
 }
 
-// Eval evaluates f under a total assignment (missing variables read false).
-func (m *Manager) Eval(f *Node, assign map[int]bool) bool {
+// anySatWalk follows the low branch unless it is false: the path every
+// AnySat answer has always taken, so encodings do not depend on the store.
+func anySatWalk(at func(Node) node, f Node, fn func(v int, val bool)) bool {
+	if f == falseNode {
+		return false
+	}
 	for !f.IsLeaf() {
-		if assign[f.Var] {
-			f = f.High
+		x := at(f)
+		if x.lo != falseNode {
+			fn(int(x.v), false)
+			f = x.lo
 		} else {
-			f = f.Low
+			fn(int(x.v), true)
+			f = x.hi
 		}
 	}
-	return f == m.trueN
+	return true
+}
+
+// Eval evaluates f under a total assignment (missing variables read false).
+func (m *Manager) Eval(f Node, assign map[int]bool) bool {
+	for !f.IsLeaf() {
+		x := m.store.nodes[f]
+		if assign[int(x.v)] {
+			f = x.hi
+		} else {
+			f = x.lo
+		}
+	}
+	return f == trueNode
 }
 
 // SatCount returns the number of satisfying assignments of f over the first
 // nvars variables (nvars must be at least the index of every variable in f,
 // plus one).  The result is a float64 because counts grow as 2^nvars.
-func (m *Manager) SatCount(f *Node, nvars int) float64 {
-	memo := make(map[int]float64)
-	var count func(n *Node) float64 // over variables n.Var..nvars-1
-	count = func(n *Node) float64 {
-		if n == m.falseN {
-			return 0
+func (m *Manager) SatCount(f Node, nvars int) float64 {
+	// level maps terminals to nvars so skipped levels below the last
+	// variable count like any other gap.
+	level := func(n Node) int {
+		if n.IsLeaf() {
+			return nvars
 		}
-		if n == m.trueN {
-			return 1
+		return int(m.store.nodes[n].v)
+	}
+	memo := make([]float64, len(m.store.nodes)) // by handle; 0 = not yet counted
+	memo[trueNode] = 1
+	var count func(n Node) float64 // over variables level(n)..nvars-1
+	count = func(n Node) float64 {
+		if n == falseNode || memo[n] != 0 {
+			return memo[n]
 		}
-		if c, ok := memo[n.id]; ok {
-			return c
-		}
-		c := count(n.Low)*pow2(gap(n, n.Low, nvars)) +
-			count(n.High)*pow2(gap(n, n.High, nvars))
-		memo[n.id] = c
+		x := m.store.nodes[n]
+		c := count(x.lo)*pow2(level(x.lo)-int(x.v)-1) +
+			count(x.hi)*pow2(level(x.hi)-int(x.v)-1)
+		memo[n] = c
 		return c
 	}
-	if f.IsLeaf() {
-		if f == m.trueN {
-			return pow2(nvars)
-		}
-		return 0
-	}
-	return count(f) * pow2(f.Var)
-}
-
-// gap returns the number of skipped variable levels between parent n and
-// child c, counting toward nvars for terminals.
-func gap(n, c *Node, nvars int) int {
-	if c.IsLeaf() {
-		return nvars - n.Var - 1
-	}
-	return c.Var - n.Var - 1
+	return count(f) * pow2(level(f))
 }
 
 func pow2(k int) float64 {
@@ -390,63 +410,57 @@ func pow2(k int) float64 {
 	return r
 }
 
-// Support returns the sorted set of variables f depends on.
-func (m *Manager) Support(f *Node) []int {
-	seen := make(map[int]bool)
-	visited := make(map[int]bool)
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if n.IsLeaf() || visited[n.id] {
+// reachable calls visit once for every internal node reachable from f.
+func (m *Manager) reachable(f Node, visit func(x node)) {
+	seen := make([]bool, len(m.store.nodes))
+	var walk func(n Node)
+	walk = func(n Node) {
+		if n.IsLeaf() || seen[n] {
 			return
 		}
-		visited[n.id] = true
-		seen[n.Var] = true
-		walk(n.Low)
-		walk(n.High)
+		seen[n] = true
+		x := m.store.nodes[n]
+		visit(x)
+		walk(x.lo)
+		walk(x.hi)
 	}
 	walk(f)
-	vars := make([]int, 0, len(seen))
-	for v := range seen {
-		vars = append(vars, v)
-	}
+}
+
+// Support returns the sorted set of variables f depends on.
+func (m *Manager) Support(f Node) []int {
+	seen := make([]bool, len(m.names))
+	vars := []int{}
+	m.reachable(f, func(x node) {
+		if !seen[x.v] {
+			seen[x.v] = true
+			vars = append(vars, int(x.v))
+		}
+	})
 	sort.Ints(vars)
 	return vars
 }
 
 // NodeCount returns the number of distinct internal nodes reachable from f.
-func (m *Manager) NodeCount(f *Node) int {
-	visited := make(map[int]bool)
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if n.IsLeaf() || visited[n.id] {
-			return
-		}
-		visited[n.id] = true
-		walk(n.Low)
-		walk(n.High)
-	}
-	walk(f)
-	return len(visited)
+func (m *Manager) NodeCount(f Node) int {
+	n := 0
+	m.reachable(f, func(node) { n++ })
+	return n
 }
 
 // Cube builds the conjunction of literals given as variable→value.
-func (m *Manager) Cube(assign map[int]bool) *Node {
-	vars := make([]int, 0, len(assign))
-	for v := range assign {
-		vars = append(vars, v)
+func (m *Manager) Cube(assign map[int]bool) Node {
+	return m.CubeLits(sortedLits(assign))
+}
+
+// sortedLits turns a variable→value map into CubeLits' sorted form.
+func sortedLits(assign map[int]bool) []Lit {
+	lits := make([]Lit, 0, len(assign))
+	for v, val := range assign {
+		lits = append(lits, Lit{Var: v, Val: val})
 	}
-	sort.Ints(vars)
-	r := m.trueN
-	// Build bottom-up for linear-size construction.
-	for i := len(vars) - 1; i >= 0; i-- {
-		v := vars[i]
-		if assign[v] {
-			r = m.mk(v, m.falseN, r)
-		} else {
-			r = m.mk(v, r, m.falseN)
-		}
-	}
-	return r
+	sort.Slice(lits, func(i, j int) bool { return lits[i].Var < lits[j].Var })
+	return lits
 }
 
 // Lit is one literal of a cube: variable Var with value Val.  Slices of
@@ -460,57 +474,41 @@ type Lit struct {
 // CubeLits builds the conjunction of the given literals.  lits must be
 // sorted by Var ascending with no duplicate variables; unlike Cube this
 // allocates nothing beyond the canonical nodes themselves.
-func (m *Manager) CubeLits(lits []Lit) *Node {
-	r := m.trueN
-	// Build bottom-up for linear-size construction.
+func (m *Manager) CubeLits(lits []Lit) Node {
+	return cubeLits(m.mk, lits)
+}
+
+// cubeLits builds a cube bottom-up, for linear-size construction.
+func cubeLits(mk func(v int32, lo, hi Node) Node, lits []Lit) Node {
+	r := trueNode
 	for i := len(lits) - 1; i >= 0; i-- {
 		l := lits[i]
 		if l.Val {
-			r = m.mk(l.Var, m.falseN, r)
+			r = mk(int32(l.Var), falseNode, r)
 		} else {
-			r = m.mk(l.Var, r, m.falseN)
+			r = mk(int32(l.Var), r, falseNode)
 		}
 	}
 	return r
 }
 
-// AnySatWalk visits one satisfying assignment of f literal by literal
-// (variables absent from the path are don't-cares), avoiding the map
-// allocation of AnySat.  It reports whether f is satisfiable; fn is never
-// called when it is not.
-func (m *Manager) AnySatWalk(f *Node, fn func(v int, val bool)) bool {
-	if f == m.falseN {
-		return false
-	}
-	for !f.IsLeaf() {
-		if f.Low != m.falseN {
-			fn(f.Var, false)
-			f = f.Low
-		} else {
-			fn(f.Var, true)
-			f = f.High
-		}
-	}
-	return true
-}
-
 // String renders f as a sum of cubes over variable names (for diagnostics;
 // exponential in the worst case, so callers should keep f small).
-func (m *Manager) String(f *Node) string {
+func (m *Manager) String(f Node) string {
 	switch f {
-	case m.trueN:
+	case trueNode:
 		return "1"
-	case m.falseN:
+	case falseNode:
 		return "0"
 	}
 	var cubes []string
 	lits := make([]string, 0, 8)
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if n == m.falseN {
+	var walk func(n Node)
+	walk = func(n Node) {
+		if n == falseNode {
 			return
 		}
-		if n == m.trueN {
+		if n == trueNode {
 			if len(lits) == 0 {
 				cubes = append(cubes, "1")
 			} else {
@@ -518,13 +516,125 @@ func (m *Manager) String(f *Node) string {
 			}
 			return
 		}
-		lits = append(lits, "!"+m.VarName(n.Var))
-		walk(n.Low)
-		lits = lits[:len(lits)-1]
-		lits = append(lits, m.VarName(n.Var))
-		walk(n.High)
+		x := m.store.nodes[n]
+		name := m.VarName(int(x.v))
+		lits = append(lits, "!"+name)
+		walk(x.lo)
+		lits[len(lits)-1] = name
+		walk(x.hi)
 		lits = lits[:len(lits)-1]
 	}
 	walk(f)
 	return strings.Join(cubes, " | ")
+}
+
+// ----- the store: unique table and operation cache ---------------------
+
+// minSlots is the initial size of an empty unique table.
+const minSlots = 64
+
+// table is a node slice with an open-addressed, linear-probed unique table
+// over it.  Handles of its nodes start at off (0 for a manager, the frozen
+// base's size for a View's overlay); a slot holds a handle, and 0 marks it
+// empty (the false terminal is never stored).
+type table struct {
+	nodes []node
+	slots []Node // length a power of two, at most ¾ full
+	off   Node
+}
+
+// hash3 mixes three 32-bit keys for the unique table and the cache.
+func hash3(a, b, c uint32) uint32 {
+	h := a*0x9E3779B1 + b*0x85EBCA77 + c*0xC2B2AE3D
+	return h ^ h>>15
+}
+
+// find returns the handle of node (v, lo, hi), or 0 and the empty slot
+// where it belongs.
+func (t *table) find(v int32, lo, hi Node) (slot int, n Node) {
+	mask := len(t.slots) - 1
+	for i := int(hash3(uint32(v), uint32(lo), uint32(hi))) & mask; ; i = (i + 1) & mask {
+		n := t.slots[i]
+		if n == falseNode {
+			return i, falseNode
+		}
+		if x := t.nodes[n-t.off]; x.v == v && x.lo == lo && x.hi == hi {
+			return i, n
+		}
+	}
+}
+
+// insert appends x at the empty slot find returned and doubles the slots
+// at ¾ load.
+func (t *table) insert(slot int, x node) Node {
+	if len(t.nodes)+int(t.off) >= math.MaxInt32 {
+		panic(InvariantError("bdd: node handles exhausted"))
+	}
+	n := t.off + Node(len(t.nodes))
+	t.nodes = append(t.nodes, x)
+	t.slots[slot] = n
+	if 4*len(t.nodes) >= 3*len(t.slots) {
+		t.slots = make([]Node, 2*len(t.slots))
+		mask := len(t.slots) - 1
+		for j, x := range t.nodes {
+			if x.v == leafVar {
+				continue // the manager's terminals are never looked up
+			}
+			i := int(hash3(uint32(x.v), uint32(x.lo), uint32(x.hi))) & mask
+			for t.slots[i] != falseNode {
+				i = (i + 1) & mask
+			}
+			t.slots[i] = t.off + Node(j)
+		}
+	}
+	return n
+}
+
+// cacheEntry memoizes Ite(f, g, h) = r.  f is never a terminal for a
+// cached call, so f == 0 marks an empty entry.
+type cacheEntry struct{ f, g, h, r Node }
+
+// opCache is a lossy, direct-mapped Ite cache: a colliding put overwrites.
+type opCache struct {
+	entries []cacheEntry // length a power of two
+	filled  int          // entries with f != 0
+	pinned  bool         // fit is a no-op (tests pin the size to force evictions)
+}
+
+func (c *opCache) index(f, g, h Node) int {
+	return int(hash3(uint32(f), uint32(g), uint32(h))) & (len(c.entries) - 1)
+}
+
+func (c *opCache) get(f, g, h Node) (Node, bool) {
+	if len(c.entries) == 0 {
+		return falseNode, false
+	}
+	e := c.entries[c.index(f, g, h)]
+	return e.r, e.f == f && e.g == g && e.h == h
+}
+
+func (c *opCache) put(f, g, h, r Node) {
+	e := &c.entries[c.index(f, g, h)]
+	if e.f == falseNode {
+		c.filled++
+	}
+	*e = cacheEntry{f, g, h, r}
+}
+
+// fit grows the cache to the next power of two ≥ n, keeping its entries.
+func (c *opCache) fit(n int) {
+	if n <= len(c.entries) || c.pinned {
+		return
+	}
+	size := max(len(c.entries), 1)
+	for size < n {
+		size *= 2
+	}
+	old := c.entries
+	c.entries, c.filled = make([]cacheEntry, size), 0
+	for _, e := range old {
+		if e.f != falseNode {
+			c.put(e.f, e.g, e.h, e.r)
+		}
+	}
 }

@@ -22,11 +22,15 @@ func TestConstants(t *testing.T) {
 func TestVarBasics(t *testing.T) {
 	m := New()
 	x := m.Var(0)
-	if x.IsLeaf() || x.Var != 0 {
-		t.Fatalf("Var(0) malformed: %+v", x)
+	v, lo, hi := m.Top(x)
+	if x.IsLeaf() || v != 0 {
+		t.Fatalf("Var(0) malformed: var %d", v)
 	}
-	if x.Low != m.False() || x.High != m.True() {
+	if lo != m.False() || hi != m.True() {
 		t.Fatal("Var(0) cofactors wrong")
+	}
+	if v, lo, hi := m.Top(m.True()); v != -1 || lo != m.True() || hi != m.True() {
+		t.Fatal("Top of a terminal must be (-1, n, n)")
 	}
 	if m.Var(0) != x {
 		t.Fatal("hash-consing failed: Var(0) not canonical")
@@ -155,7 +159,7 @@ func TestSatCount(t *testing.T) {
 	m := New()
 	x, y, z := m.Var(0), m.Var(1), m.Var(2)
 	cases := []struct {
-		f    *Node
+		f    Node
 		want float64
 	}{
 		{m.True(), 8},
@@ -234,7 +238,7 @@ func TestStringRendering(t *testing.T) {
 // with a reference truth-table evaluator, used for property testing.
 type boolFn func(assign uint) bool
 
-func randomExpr(m *Manager, rng *rand.Rand, nvars, depth int) (*Node, boolFn) {
+func randomExpr(m *Manager, rng *rand.Rand, nvars, depth int) (Node, boolFn) {
 	if depth == 0 || rng.Intn(4) == 0 {
 		switch rng.Intn(4) {
 		case 0:
@@ -281,7 +285,7 @@ func TestPropTruthTable(t *testing.T) {
 }
 
 // TestPropCanonicity: semantically equal random expressions built through
-// different operator decompositions must be pointer-equal.
+// different operator decompositions must get the same handle.
 func TestPropCanonicity(t *testing.T) {
 	m := New()
 	f := func(xv, yv, zv bool) bool {
@@ -298,7 +302,7 @@ func TestPropCanonicity(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		g, _ := randomExpr(m, rng, 4, 4)
 		h, _ := randomExpr(m, rng, 4, 4)
-		// (g -> h) == (!g | h) must be pointer-equal.
+		// (g -> h) == (!g | h) must be the same handle.
 		if m.Implies(g, h) != m.Or(m.Not(g), h) {
 			t.Fatalf("trial %d: implication decomposition not canonical", trial)
 		}
@@ -371,6 +375,97 @@ func TestPropExistsIsDisjunction(t *testing.T) {
 					t.Fatalf("trial %d: var %d still in support after Exists", trial, v)
 				}
 			}
+		}
+	}
+}
+
+// TestLossyCacheCanonicity pins one manager's operation cache to a single
+// entry, so nearly every Ite misses and recomputes, and builds the same
+// random expressions as a manager with the default cache.  The exact
+// unique table must hand back the same handle for every result, create
+// nodes in the same order, and every result must match its truth table.
+func TestLossyCacheCanonicity(t *testing.T) {
+	const nvars = 8
+	def, tiny := New(), New()
+	tiny.memo = opCache{entries: make([]cacheEntry, 1), pinned: true}
+	rngDef, rngTiny := rand.New(rand.NewSource(11)), rand.New(rand.NewSource(11))
+	for trial := 0; trial < 60; trial++ {
+		want, _ := randomExpr(def, rngDef, nvars, 6)
+		got, ref := randomExpr(tiny, rngTiny, nvars, 6)
+		if got != want {
+			t.Fatalf("trial %d: one-entry cache gave handle %d, default cache %d", trial, got, want)
+		}
+		for a := uint(0); a < 1<<nvars; a++ {
+			assign := make(map[int]bool, nvars)
+			for v := 0; v < nvars; v++ {
+				assign[v] = a&(1<<uint(v)) != 0
+			}
+			if tiny.Eval(got, assign) != ref(a) {
+				t.Fatalf("trial %d: one-entry-cache BDD disagrees with reference at %08b", trial, a)
+			}
+		}
+	}
+	if def.Size() != tiny.Size() {
+		t.Fatalf("managers hold %d and %d nodes; recomputation created nodes", def.Size(), tiny.Size())
+	}
+	if len(tiny.memo.entries) != 1 {
+		t.Fatalf("pinned cache grew to %d entries", len(tiny.memo.entries))
+	}
+}
+
+// TestUniqueTableGrowth builds more than 2^16 nodes, so the unique table
+// doubles many times, and checks that every node is still found at its
+// own handle and that rebuilding every function creates nothing new.
+func TestUniqueTableGrowth(t *testing.T) {
+	const nvars = 24
+	m := New()
+	rng := rand.New(rand.NewSource(3))
+	var cubes [][]Lit
+	var handles []Node
+	for m.Size() <= 1<<16+1000 {
+		val := rng.Uint32()
+		lits := make([]Lit, nvars)
+		for v := range lits {
+			lits[v] = Lit{Var: v, Val: val&(1<<uint(v)) != 0}
+		}
+		cubes = append(cubes, lits)
+		handles = append(handles, m.CubeLits(lits))
+	}
+	if len(m.store.slots) < 1<<17 {
+		t.Fatalf("unique table has %d slots for %d nodes; it did not grow", len(m.store.slots), m.Size())
+	}
+	if 4*len(m.store.nodes) >= 3*len(m.store.slots) {
+		t.Fatalf("unique table over ¾ load: %d nodes, %d slots", len(m.store.nodes), len(m.store.slots))
+	}
+	for n := Node(2); int(n) < m.Size(); n++ {
+		x := m.store.nodes[n]
+		if _, got := m.store.find(x.v, x.lo, x.hi); got != n {
+			t.Fatalf("node %d found as %d after growth", n, got)
+		}
+	}
+	size := m.Size()
+	for i, lits := range cubes {
+		if m.CubeLits(lits) != handles[i] {
+			t.Fatalf("cube %d rebuilt as a different handle", i)
+		}
+	}
+	if m.Size() != size {
+		t.Fatalf("rebuilding created %d nodes", m.Size()-size)
+	}
+	// The same functions through Ite (the cache is cold for them) also
+	// land on the existing handles.
+	for i := 0; i < 200; i++ {
+		want := handles[i]
+		got := m.True()
+		for _, l := range cubes[i] {
+			lit := m.Var(l.Var)
+			if !l.Val {
+				lit = m.Not(lit)
+			}
+			got = m.And(got, lit)
+		}
+		if got != want {
+			t.Fatalf("cube %d built with And is handle %d, CubeLits gave %d", i, got, want)
 		}
 	}
 }

@@ -11,17 +11,18 @@
 // compile still needs (conjoining word conditions, operand-field cubes).
 //
 // A View resolves nodes against the frozen base tables first and keeps its
-// private inserts in overlay maps, so concurrent views never write shared
-// state; reads of the frozen maps are safe because Freeze guarantees no
-// further writes.  Canonicity is preserved per view: structurally equal
-// functions built through one view are pointer-equal, and any function
-// already present in the frozen base resolves to the base node, so results
-// are bit-for-bit the ones a serial, unfrozen run would produce (ROBDDs
-// are canonical for a fixed variable order).  A View is NOT safe for
-// concurrent use itself — it is meant to live for one compilation.
+// private nodes in an overlay store of the same shape as the manager's: a
+// node slice whose handles start at the base's size, an open-addressed
+// unique table and a lossy operation cache.  Concurrent views never write
+// shared state; reads of the frozen slices are safe because Freeze
+// guarantees no further writes.  Canonicity is preserved per view:
+// structurally equal functions built through one view get the same handle,
+// and any function already present in the frozen base resolves to the
+// base handle, so results are bit-for-bit the ones a serial, unfrozen run
+// would produce (ROBDDs are canonical for a fixed variable order).  A View
+// is NOT safe for concurrent use itself — it is meant to live for one
+// compilation.
 package bdd
-
-import "sort"
 
 // Freeze marks the manager read-only.  Subsequent calls that would create
 // nodes, declare variables or write the operation cache panic with an
@@ -33,15 +34,19 @@ func (m *Manager) Freeze() { m.frozen = true }
 // Frozen reports whether Freeze was called.
 func (m *Manager) Frozen() bool { return m.frozen }
 
+// minViewCache is the operation-cache size of a view with few overlay
+// nodes: a view's Ites mostly resolve to base nodes, so its cache cannot
+// start at its (empty) node count the way a manager's does.
+const minViewCache = 1 << 10
+
 // View is a copy-on-write overlay over a frozen Manager: node construction
 // reads the frozen unique table and operation cache, and keeps its own
 // inserts privately.  Views of the same manager may be used concurrently
 // with each other (one goroutine per view).
 type View struct {
 	base    *Manager
-	unique  map[triple]*Node
-	iteMemo map[triple]*Node
-	nextID  int
+	overlay table // handles start at len(base nodes)
+	memo    opCache
 }
 
 // NewView returns a fresh copy-on-write overlay.  The manager must be
@@ -50,78 +55,83 @@ func (m *Manager) NewView() *View {
 	if !m.frozen {
 		panic(InvariantError("bdd: NewView on unfrozen manager (call Freeze first)"))
 	}
-	return &View{base: m, nextID: len(m.nodes)}
+	return &View{base: m, overlay: table{off: Node(len(m.store.nodes))}}
 }
 
 // True returns the constant-true node of the underlying manager.
-func (v *View) True() *Node { return v.base.trueN }
+func (v *View) True() Node { return trueNode }
 
 // False returns the constant-false node of the underlying manager.
-func (v *View) False() *Node { return v.base.falseN }
+func (v *View) False() Node { return falseNode }
 
-// mk is Manager.mk against base-then-overlay tables.  Overlay node ids
-// start past the frozen table so memo keys never collide with base ids.
-func (v *View) mk(va int, lo, hi *Node) *Node {
+// node resolves a base or overlay handle.
+func (v *View) node(n Node) node {
+	if n < v.overlay.off {
+		return v.base.store.nodes[n]
+	}
+	return v.overlay.nodes[n-v.overlay.off]
+}
+
+// mk is Manager.mk against base-then-overlay tables.  A node with an
+// overlay child cannot be in the base, so only all-base triples probe it.
+func (v *View) mk(va int32, lo, hi Node) Node {
 	if lo == hi {
 		return lo
 	}
-	key := triple{va, lo.id, hi.id}
-	if n, ok := v.base.unique[key]; ok {
+	if lo < v.overlay.off && hi < v.overlay.off {
+		if _, n := v.base.store.find(va, lo, hi); n != falseNode {
+			return n
+		}
+	}
+	if v.overlay.slots == nil {
+		v.overlay.slots = make([]Node, minSlots)
+	}
+	slot, n := v.overlay.find(va, lo, hi)
+	if n != falseNode {
 		return n
 	}
-	if n, ok := v.unique[key]; ok {
-		return n
-	}
-	if v.unique == nil {
-		v.unique = make(map[triple]*Node)
-	}
-	n := &Node{Var: va, Low: lo, High: hi, id: v.nextID}
-	v.nextID++
-	v.unique[key] = n
-	return n
+	return v.overlay.insert(slot, node{va, lo, hi})
 }
 
 // Ite computes if-then-else through the overlay, consulting the frozen
-// operation cache read-only and memoizing privately.
-func (v *View) Ite(f, g, h *Node) *Node {
-	m := v.base
+// operation cache read-only and caching privately.
+func (v *View) Ite(f, g, h Node) Node {
 	switch {
-	case f == m.trueN:
+	case f == trueNode:
 		return g
-	case f == m.falseN:
+	case f == falseNode:
 		return h
 	case g == h:
 		return g
-	case g == m.trueN && h == m.falseN:
+	case g == trueNode && h == falseNode:
 		return f
 	}
-	key := triple{f.id, g.id, h.id}
-	if r, ok := m.iteMemo[key]; ok {
+	off := v.overlay.off
+	if f < off && g < off && h < off {
+		if r, ok := v.base.memo.get(f, g, h); ok {
+			return r
+		}
+	}
+	if r, ok := v.memo.get(f, g, h); ok {
 		return r
 	}
-	if r, ok := v.iteMemo[key]; ok {
-		return r
-	}
-	vv := topVar(f, g, h)
-	f0, f1 := m.cofactors(f, vv)
-	g0, g1 := m.cofactors(g, vv)
-	h0, h1 := m.cofactors(h, vv)
-	lo := v.Ite(f0, g0, h0)
-	hi := v.Ite(f1, g1, h1)
-	r := v.mk(vv, lo, hi)
-	if v.iteMemo == nil {
-		v.iteMemo = make(map[triple]*Node)
-	}
-	v.iteMemo[key] = r
+	nf, ng, nh := v.node(f), v.node(g), v.node(h)
+	vv := min(nf.v, ng.v, nh.v)
+	f0, f1 := nf.cofactors(f, vv)
+	g0, g1 := ng.cofactors(g, vv)
+	h0, h1 := nh.cofactors(h, vv)
+	r := v.mk(vv, v.Ite(f0, g0, h0), v.Ite(f1, g1, h1))
+	v.memo.fit(max(minViewCache, len(v.overlay.nodes)))
+	v.memo.put(f, g, h, r)
 	return r
 }
 
 // And returns the conjunction of its arguments (true for zero arguments).
-func (v *View) And(ns ...*Node) *Node {
-	r := v.base.trueN
+func (v *View) And(ns ...Node) Node {
+	r := trueNode
 	for _, n := range ns {
-		r = v.Ite(r, n, v.base.falseN)
-		if r == v.base.falseN {
+		r = v.Ite(r, n, falseNode)
+		if r == falseNode {
 			return r
 		}
 	}
@@ -129,11 +139,11 @@ func (v *View) And(ns ...*Node) *Node {
 }
 
 // Or returns the disjunction of its arguments (false for zero arguments).
-func (v *View) Or(ns ...*Node) *Node {
-	r := v.base.falseN
+func (v *View) Or(ns ...Node) Node {
+	r := falseNode
 	for _, n := range ns {
-		r = v.Ite(n, v.base.trueN, r)
-		if r == v.base.trueN {
+		r = v.Ite(n, trueNode, r)
+		if r == trueNode {
 			return r
 		}
 	}
@@ -141,60 +151,38 @@ func (v *View) Or(ns ...*Node) *Node {
 }
 
 // Not returns the complement of f.
-func (v *View) Not(f *Node) *Node { return v.Ite(f, v.base.falseN, v.base.trueN) }
+func (v *View) Not(f Node) Node { return v.Ite(f, falseNode, trueNode) }
 
 // Cube builds the conjunction of literals given as variable→value, exactly
 // as Manager.Cube but through the overlay.
-func (v *View) Cube(assign map[int]bool) *Node {
-	vars := make([]int, 0, len(assign))
-	for va := range assign {
-		vars = append(vars, va)
-	}
-	sort.Ints(vars)
-	r := v.base.trueN
-	for i := len(vars) - 1; i >= 0; i-- {
-		va := vars[i]
-		if assign[va] {
-			r = v.mk(va, v.base.falseN, r)
-		} else {
-			r = v.mk(va, r, v.base.falseN)
-		}
-	}
-	return r
+func (v *View) Cube(assign map[int]bool) Node {
+	return v.CubeLits(sortedLits(assign))
 }
 
 // CubeLits builds the conjunction of the given literals through the
 // overlay; lits must be sorted by Var ascending with no duplicates (see
 // Manager.CubeLits).
-func (v *View) CubeLits(lits []Lit) *Node {
-	r := v.base.trueN
-	for i := len(lits) - 1; i >= 0; i-- {
-		l := lits[i]
-		if l.Val {
-			r = v.mk(l.Var, v.base.falseN, r)
-		} else {
-			r = v.mk(l.Var, r, v.base.falseN)
-		}
-	}
-	return r
+func (v *View) CubeLits(lits []Lit) Node {
+	return cubeLits(v.mk, lits)
 }
 
 // AnySat returns one satisfying assignment of f (which may contain overlay
 // nodes); semantics match Manager.AnySat.
-func (v *View) AnySat(f *Node) (map[int]bool, bool) { return v.base.AnySat(f) }
+func (v *View) AnySat(f Node) (map[int]bool, bool) { return anySat(v.node, f) }
 
 // AnySatWalk visits one satisfying assignment of f without allocating;
 // semantics match Manager.AnySatWalk.
-func (v *View) AnySatWalk(f *Node, fn func(va int, val bool)) bool {
-	return v.base.AnySatWalk(f, fn)
+func (v *View) AnySatWalk(f Node, fn func(va int, val bool)) bool {
+	return anySatWalk(v.node, f, fn)
 }
 
 // OverlaySize returns the number of private entries this view retains
-// beyond the frozen base: the nodes it created plus its operation memo,
-// which also grows when an Ite resolves to a node that already exists.
-// Session pools use it to decide when a recycled view has grown too large
-// to be worth keeping.
-func (v *View) OverlaySize() int { return len(v.unique) + len(v.iteMemo) }
+// beyond the frozen base: the nodes it created plus its filled operation
+// cache entries, which also fill when an Ite resolves to a base node.  The
+// cache is sized from the overlay node count (at least minViewCache), so
+// the memory a view holds grows with this count.  Session pools use it to
+// decide when a recycled view has grown too large to be worth keeping.
+func (v *View) OverlaySize() int { return len(v.overlay.nodes) + v.memo.filled }
 
 // Sat reports whether f is satisfiable.
-func (v *View) Sat(f *Node) bool { return f != v.base.falseN }
+func (v *View) Sat(f Node) bool { return f != falseNode }

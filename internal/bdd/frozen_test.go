@@ -8,9 +8,9 @@ import (
 
 // buildManager declares n variables and some shared structure, so frozen
 // lookups hit real content.
-func buildManager(n int) (*Manager, []*Node) {
+func buildManager(n int) (*Manager, []Node) {
 	m := New()
-	vars := make([]*Node, n)
+	vars := make([]Node, n)
 	for i := 0; i < n; i++ {
 		vars[i] = m.Var(m.DeclareVar(fmt.Sprintf("x%d", i)))
 	}
@@ -59,16 +59,13 @@ func TestViewMatchesManagerSemantics(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			assign[i] = bits&(1<<i) != 0
 		}
-		if m.Eval(f, assign) != m.Eval(g, assign) {
+		if m.Eval(f, assign) != viewEval(v, g, assign) {
 			t.Fatalf("view disagrees with manager at assignment %04b", bits)
 		}
 	}
 	// Functions already in the frozen base come back as the SAME node
 	// (canonicity across the view boundary), which is what makes AnySat
 	// answers identical serial vs parallel.
-	if v.And(vars[0], vars[1]) == nil {
-		t.Fatal("nil node from view")
-	}
 	h := v.And(vars[0], vars[1])
 	h2 := m2And(m, vars[0], vars[1])
 	if h != h2 {
@@ -76,9 +73,21 @@ func TestViewMatchesManagerSemantics(t *testing.T) {
 	}
 }
 
+// viewEval is Manager.Eval for a function that may hold overlay nodes.
+func viewEval(v *View, f Node, assign map[int]bool) bool {
+	for !f.IsLeaf() {
+		if x := v.node(f); assign[int(x.v)] {
+			f = x.hi
+		} else {
+			f = x.lo
+		}
+	}
+	return f == v.True()
+}
+
 // m2And reads the pre-freeze conjunction out of the frozen manager's memo
 // via a throwaway view (the manager itself panics on Ite post-freeze).
-func m2And(m *Manager, a, b *Node) *Node {
+func m2And(m *Manager, a, b Node) Node {
 	return m.NewView().And(a, b)
 }
 
@@ -134,14 +143,14 @@ func TestConcurrentViews(t *testing.T) {
 }
 
 // TestOverlaySizeCountsMemo checks that a view whose Ites all resolve to
-// nodes already in the frozen base still reports the memo entries it
+// nodes already in the frozen base still reports the cache entries it
 // retains: the base holds x_i ∧ x_{i+1} built as Ite(x_i, x_{i+1}, 0); the
-// view asks for the swapped conjunctions, which are memo misses that
+// view asks for the swapped conjunctions, which are cache misses that
 // create no node.
 func TestOverlaySizeCountsMemo(t *testing.T) {
 	const n = 64
 	m, vars := buildManager(n)
-	pairs := make([]*Node, n-1)
+	pairs := make([]Node, n-1)
 	for i := range pairs {
 		pairs[i] = m.And(vars[i], vars[i+1])
 	}
@@ -152,13 +161,77 @@ func TestOverlaySizeCountsMemo(t *testing.T) {
 			t.Fatalf("x%d ∧ x%d: view built a new node for a base function", i+1, i)
 		}
 	}
-	if len(v.unique) != 0 {
-		t.Fatalf("view created %d overlay nodes; want 0", len(v.unique))
+	if len(v.overlay.nodes) != 0 {
+		t.Fatalf("view created %d overlay nodes; want 0", len(v.overlay.nodes))
 	}
-	if len(v.iteMemo) < n-1 {
-		t.Fatalf("view memo holds %d entries; want at least %d", len(v.iteMemo), n-1)
+	filled, baseResults := 0, 0
+	for _, e := range v.memo.entries {
+		if e.f != v.False() {
+			filled++
+			if e.r < v.overlay.off {
+				baseResults++
+			}
+		}
 	}
-	if got, want := v.OverlaySize(), len(v.unique)+len(v.iteMemo); got != want {
-		t.Fatalf("OverlaySize = %d; want %d (overlay nodes plus memo entries)", got, want)
+	if baseResults == 0 {
+		t.Fatal("view cache holds no entry whose result is a base node")
+	}
+	if v.memo.filled != filled {
+		t.Fatalf("filled counter %d; the cache holds %d entries", v.memo.filled, filled)
+	}
+	if got, want := v.OverlaySize(), len(v.overlay.nodes)+filled; got != want {
+		t.Fatalf("OverlaySize = %d; want %d (overlay nodes plus filled cache entries)", got, want)
+	}
+}
+
+// TestViewHandles: AnySat, AnySatWalk and Cube through a view give the
+// manager's answers for the same functions, whether the view's result is
+// an overlay node or a base node.
+func TestViewHandles(t *testing.T) {
+	const n = 12
+	build := func(and func(...Node) Node, or func(...Node) Node, not func(Node) Node,
+		cube func(map[int]bool) Node, vars []Node) []Node {
+		var out []Node
+		for i := 0; i+2 < n; i++ {
+			out = append(out,
+				or(and(vars[i], not(vars[i+2])), and(vars[i+1], vars[(i+5)%n])),
+				and(cube(map[int]bool{i: true, i + 1: false}), not(vars[(i+7)%n])))
+		}
+		return out
+	}
+	ref, rv := buildManager(n)
+	want := build(ref.And, ref.Or, ref.Not, ref.Cube, rv)
+
+	m, vars := buildManager(n)
+	base := m.Or(m.And(vars[0], m.Not(vars[2])), m.And(vars[1], vars[5]))
+	m.Freeze()
+	v := m.NewView()
+	got := build(v.And, v.Or, v.Not, v.Cube, vars)
+	if got[0] != base {
+		t.Fatal("a base function built through the view did not return the base handle")
+	}
+	overlay := 0
+	for i, f := range got {
+		if f >= v.overlay.off {
+			overlay++
+		}
+		wa, wok := ref.AnySat(want[i])
+		ga, gok := v.AnySat(f)
+		if wok != gok || fmt.Sprint(wa) != fmt.Sprint(ga) {
+			t.Fatalf("function %d: view AnySat %v,%t; manager %v,%t", i, ga, gok, wa, wok)
+		}
+		var walk []Lit
+		v.AnySatWalk(f, func(va int, val bool) { walk = append(walk, Lit{va, val}) })
+		var refWalk []Lit
+		ref.AnySatWalk(want[i], func(va int, val bool) { refWalk = append(refWalk, Lit{va, val}) })
+		if fmt.Sprint(walk) != fmt.Sprint(refWalk) {
+			t.Fatalf("function %d: view AnySatWalk %v; manager %v", i, walk, refWalk)
+		}
+		if v.Cube(ga) != v.CubeLits(walk) {
+			t.Fatalf("function %d: Cube and CubeLits of one path differ", i)
+		}
+	}
+	if overlay == 0 {
+		t.Fatal("no function landed in the overlay; the test exercises nothing")
 	}
 }

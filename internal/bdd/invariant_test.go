@@ -67,7 +67,7 @@ func TestIteFaultpoint(t *testing.T) {
 		t.Errorf("recovered %T, want *faultpoint.Fault", pe.Value)
 	}
 	// Disarmed after one firing: the same operation now succeeds.
-	if got := m.And(a, b); got == nil || got == m.False() {
+	if got := m.And(a, b); got == m.False() {
 		t.Errorf("And after disarm = %v", got)
 	}
 }

@@ -39,7 +39,7 @@ func invariantf(format string, args ...interface{}) InvariantError {
 }
 
 // Vec is a fixed-width symbolic word; element i is bit i (LSB first).
-type Vec []*bdd.Node
+type Vec []bdd.Node
 
 // Width returns the number of bits in v.
 func (v Vec) Width() int { return len(v) }
@@ -281,7 +281,7 @@ func AshrConst(m *bdd.Manager, a Vec, k int) Vec {
 }
 
 // Eq returns the single-bit predicate a == b.
-func Eq(m *bdd.Manager, a, b Vec) *bdd.Node {
+func Eq(m *bdd.Manager, a, b Vec) bdd.Node {
 	sameWidth(a, b)
 	r := m.True()
 	for i := range a {
@@ -294,12 +294,12 @@ func Eq(m *bdd.Manager, a, b Vec) *bdd.Node {
 }
 
 // EqConst returns the predicate a == value.
-func EqConst(m *bdd.Manager, a Vec, value int64) *bdd.Node {
+func EqConst(m *bdd.Manager, a Vec, value int64) bdd.Node {
 	return Eq(m, a, Const(m, value, len(a)))
 }
 
 // Ult returns the unsigned predicate a < b.
-func Ult(m *bdd.Manager, a, b Vec) *bdd.Node {
+func Ult(m *bdd.Manager, a, b Vec) bdd.Node {
 	sameWidth(a, b)
 	lt := m.False()
 	for i := 0; i < len(a); i++ { // from LSB to MSB, MSB dominates
@@ -311,7 +311,7 @@ func Ult(m *bdd.Manager, a, b Vec) *bdd.Node {
 }
 
 // Slt returns the signed (two's complement) predicate a < b.
-func Slt(m *bdd.Manager, a, b Vec) *bdd.Node {
+func Slt(m *bdd.Manager, a, b Vec) bdd.Node {
 	sameWidth(a, b)
 	if len(a) == 0 {
 		return m.False()
@@ -331,7 +331,7 @@ func Slt(m *bdd.Manager, a, b Vec) *bdd.Node {
 }
 
 // Mux returns sel ? a : b, bitwise.
-func Mux(m *bdd.Manager, sel *bdd.Node, a, b Vec) Vec {
+func Mux(m *bdd.Manager, sel bdd.Node, a, b Vec) Vec {
 	sameWidth(a, b)
 	r := make(Vec, len(a))
 	for i := range a {
@@ -341,7 +341,7 @@ func Mux(m *bdd.Manager, sel *bdd.Node, a, b Vec) Vec {
 }
 
 // IsZero returns the predicate a == 0.
-func IsZero(m *bdd.Manager, a Vec) *bdd.Node {
+func IsZero(m *bdd.Manager, a Vec) bdd.Node {
 	r := m.True()
 	for i := range a {
 		r = m.And(r, m.Not(a[i]))
@@ -350,16 +350,16 @@ func IsZero(m *bdd.Manager, a Vec) *bdd.Node {
 }
 
 // NonZero returns the predicate a != 0 as a single bit.
-func NonZero(m *bdd.Manager, a Vec) *bdd.Node {
+func NonZero(m *bdd.Manager, a Vec) bdd.Node {
 	return m.Not(IsZero(m, a))
 }
 
 // Bool converts a 1-bit-style condition BDD into a width-1 vector.
-func Bool(b *bdd.Node) Vec { return Vec{b} }
+func Bool(b bdd.Node) Vec { return Vec{b} }
 
 // Truth returns the low bit of v as a condition, treating any wider vector
 // like hardware does when a word drives a 1-bit control port: bit 0 is used.
-func Truth(m *bdd.Manager, v Vec) *bdd.Node {
+func Truth(m *bdd.Manager, v Vec) bdd.Node {
 	if len(v) == 0 {
 		return m.False()
 	}

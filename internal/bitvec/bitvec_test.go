@@ -48,7 +48,7 @@ func checkBinary(t *testing.T, name string,
 }
 
 func checkPredicate(t *testing.T, name string,
-	sym func(m *bdd.Manager, a, b Vec) *bdd.Node, ref func(a, b uint8) bool) {
+	sym func(m *bdd.Manager, a, b Vec) bdd.Node, ref func(a, b uint8) bool) {
 	t.Helper()
 	m := bdd.New()
 	a, b := operands(m)
@@ -104,10 +104,10 @@ func TestPredicates(t *testing.T) {
 	checkPredicate(t, "Ult", Ult, func(a, b uint8) bool { return a < b })
 	checkPredicate(t, "Slt", Slt, func(a, b uint8) bool { return int8(a) < int8(b) })
 	checkPredicate(t, "IsZero",
-		func(m *bdd.Manager, a, b Vec) *bdd.Node { return IsZero(m, a) },
+		func(m *bdd.Manager, a, b Vec) bdd.Node { return IsZero(m, a) },
 		func(a, b uint8) bool { return a == 0 })
 	checkPredicate(t, "NonZero",
-		func(m *bdd.Manager, a, b Vec) *bdd.Node { return NonZero(m, a) },
+		func(m *bdd.Manager, a, b Vec) bdd.Node { return NonZero(m, a) },
 		func(a, b uint8) bool { return a != 0 })
 }
 

@@ -5,7 +5,7 @@
 // meant to be cheap and massively parallel.  CompileSourceContext alone
 // cannot deliver that: every call re-resolves metric instruments through
 // the registry mutex, allocates a fresh encoding session (a BDD view plus
-// its overlay maps) and throws the session's warmed operation memo away.
+// its overlay tables) and throws the session's warmed operation cache away.
 // A Compiler binds one frozen Target to one Config once and amortizes all
 // of it — sessions are pooled per worker via sync.Pool and recycled while
 // their copy-on-write overlay stays small, instruments are resolved at
@@ -16,7 +16,7 @@
 // Reusing an encoding session across compilations is sound because the
 // produced code is a pure function of the frozen tables: ROBDDs are
 // canonical for the frozen variable order, so every condition a session
-// builds is structurally identical whether its view memo is cold or warm,
+// builds is structurally identical whether its view cache is cold or warm,
 // and the satisfying-path walk that picks instruction bits sees the same
 // structure either way.  Output stays byte-identical to a serial,
 // fresh-session run; the -race 32-way test in freeze_test.go holds this.
@@ -34,12 +34,14 @@ import (
 )
 
 // maxPooledOverlay bounds the private BDD entries (overlay nodes plus
-// operation memo) a pooled session may accumulate before ReleaseSession
-// drops it instead of recycling it: the warm operation memo is worth
-// keeping, an unboundedly growing overlay is not.  2^16 entries ≈ 3 MB of
-// overlay maps per retained session.  A session that has compiled every
-// DSPStone kernel up to N = 64 on tms320c25 levels off near 43k entries
-// (about 23k nodes and 20k memo entries), so it stays pooled.
+// filled operation-cache entries) a pooled session may accumulate before
+// ReleaseSession drops it instead of recycling it: the warm cache is worth
+// keeping, an unboundedly growing overlay is not.  The view's cache is
+// sized from its node count, so 2^16 entries is at most ~2 MB of overlay
+// slices per retained session.  A session that has compiled every DSPStone
+// kernel at the sizes recordbench draws on tms320c25 (N ≤ 64, ≤ 32 for
+// n_complex_updates and biquad_N) holds about 44k entries (28k nodes and
+// 16k filled cache entries), so it stays pooled.
 const maxPooledOverlay = 1 << 16
 
 // compileStages are the per-program pipeline stage labels, in order.
@@ -54,7 +56,7 @@ type Compiler struct {
 
 	// sessions pools *asm.Session values.  Sessions of a frozen encoder
 	// are independent; pooling trades the per-compile view allocation for
-	// an OverlaySize-bounded amount of retained memo per idle session.
+	// an OverlaySize-bounded amount of retained overlay per idle session.
 	sessions sync.Pool
 
 	// Instruments resolved once against the configured registry so the hot

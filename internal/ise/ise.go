@@ -193,7 +193,7 @@ func Extract(n *netlist.Netlist, opts Options) (*Result, error) {
 // steer the hardware along it.
 type alt struct {
 	expr *rtl.Expr
-	cond *bdd.Node
+	cond bdd.Node
 	dyn  []*rtl.Expr
 }
 
@@ -646,13 +646,13 @@ func (x *extractor) symDriver(d *netlist.Driver) (bitvec.Vec, bool) {
 
 // condition converts a module-scope Boolean expression into a static BDD
 // condition, or a residual dynamic guard when it depends on run-time data.
-func (x *extractor) condition(inst *netlist.Inst, e hdl.Expr) (*bdd.Node, []*rtl.Expr, error) {
+func (x *extractor) condition(inst *netlist.Inst, e hdl.Expr) (bdd.Node, []*rtl.Expr, error) {
 	if vec, ok := x.symModExpr(inst, e); ok {
 		return bitvec.Truth(x.m, vec), nil, nil
 	}
 	g, err := x.guardExpr(inst, e)
 	if err != nil {
-		return nil, nil, err
+		return x.m.False(), nil, err
 	}
 	return x.m.True(), []*rtl.Expr{g}, nil
 }
@@ -786,7 +786,7 @@ func (x *extractor) resolveCase(inst *netlist.Inst, ce *hdl.CaseExpr) ([]alt, er
 		selDynBase = g
 	}
 
-	branchCond := func(val int64) (*bdd.Node, []*rtl.Expr) {
+	branchCond := func(val int64) (bdd.Node, []*rtl.Expr) {
 		if selStatic {
 			return bitvec.EqConst(x.m, selVec, val), nil
 		}
@@ -796,7 +796,7 @@ func (x *extractor) resolveCase(inst *netlist.Inst, ce *hdl.CaseExpr) ([]alt, er
 	}
 
 	var out []alt
-	addBranch := func(cond *bdd.Node, dyn []*rtl.Expr, body hdl.Expr) error {
+	addBranch := func(cond bdd.Node, dyn []*rtl.Expr, body hdl.Expr) error {
 		if err := x.opts.Budget.Exceeded(); err != nil {
 			return err
 		}
@@ -909,7 +909,7 @@ func (x *extractor) resolveDriver(d *netlist.Driver) ([]alt, error) {
 func (x *extractor) resolveBus(b *netlist.Bus) ([]alt, error) {
 	// Precompute enable conditions.
 	type enable struct {
-		cond   *bdd.Node
+		cond   bdd.Node
 		dyn    *rtl.Expr
 		static bool
 	}

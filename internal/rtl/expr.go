@@ -266,33 +266,63 @@ func (e *Expr) Reads() []*Expr {
 // String renders the tree in a compact prefix-free infix form used in
 // diagnostics and golden tests.
 func (e *Expr) String() string {
+	var b strings.Builder
+	e.Render(&b)
+	return b.String()
+}
+
+// Render appends String's rendering of e to b, so a listing builds every
+// line in one buffer.
+func (e *Expr) Render(b *strings.Builder) {
 	if e == nil {
-		return "<nil>"
+		b.WriteString("<nil>")
+		return
 	}
 	switch e.Kind {
 	case Const:
-		return fmt.Sprintf("%d", e.Val)
+		keyInt(b, e.Val)
 	case PortRef:
-		return e.Port
+		b.WriteString(e.Port)
 	case InsnField:
-		if e.Hi == e.Lo {
-			return fmt.Sprintf("IW[%d]", e.Lo)
+		b.WriteString("IW[")
+		if e.Hi != e.Lo {
+			keyInt(b, int64(e.Hi))
+			b.WriteByte(':')
 		}
-		return fmt.Sprintf("IW[%d:%d]", e.Hi, e.Lo)
+		keyInt(b, int64(e.Lo))
+		b.WriteByte(']')
 	case Read:
+		b.WriteString(e.Storage)
 		if a := e.Addr(); a != nil {
-			return fmt.Sprintf("%s[%s]", e.Storage, a)
+			b.WriteByte('[')
+			a.Render(b)
+			b.WriteByte(']')
 		}
-		return e.Storage
 	case Slice:
-		return fmt.Sprintf("%s[%d:%d]", e.Kids[0], e.Hi, e.Lo)
+		e.Kids[0].Render(b)
+		b.WriteByte('[')
+		keyInt(b, int64(e.Hi))
+		b.WriteByte(':')
+		keyInt(b, int64(e.Lo))
+		b.WriteByte(']')
 	case OpApp:
 		if e.Op.Arity() == 1 {
-			return fmt.Sprintf("%s(%s)", e.Op, e.Kids[0])
+			b.WriteString(string(e.Op))
+			b.WriteByte('(')
+			e.Kids[0].Render(b)
+			b.WriteByte(')')
+			return
 		}
-		return fmt.Sprintf("(%s %s %s)", e.Kids[0], e.Op, e.Kids[1])
+		b.WriteByte('(')
+		e.Kids[0].Render(b)
+		b.WriteByte(' ')
+		b.WriteString(string(e.Op))
+		b.WriteByte(' ')
+		e.Kids[1].Render(b)
+		b.WriteByte(')')
+	default:
+		b.WriteString("<bad expr>")
 	}
-	return "<bad expr>"
 }
 
 // Key returns a canonical string usable for structural deduplication; two
@@ -363,7 +393,7 @@ func keyInt(b *strings.Builder, v int64) {
 // guards that depend on run-time state (e.g. a zero flag for conditional
 // jumps).  A template is valid iff Static is satisfiable.
 type ExecCond struct {
-	Static  *bdd.Node
+	Static  bdd.Node
 	Dynamic []*Expr
 }
 
@@ -383,19 +413,29 @@ type Template struct {
 
 // String renders the template as "dest := src [cond]".
 func (t *Template) String() string {
-	dest := t.Dest
+	var b strings.Builder
+	t.Render(&b)
+	return b.String()
+}
+
+// Render appends String's rendering of t to b.
+func (t *Template) Render(b *strings.Builder) {
+	b.WriteString(t.Dest)
 	if t.DestAddr != nil {
-		dest = fmt.Sprintf("%s[%s]", t.Dest, t.DestAddr)
+		b.WriteByte('[')
+		t.DestAddr.Render(b)
+		b.WriteByte(']')
 	}
-	var dyn string
-	if len(t.Cond.Dynamic) > 0 {
-		parts := make([]string, len(t.Cond.Dynamic))
-		for i, d := range t.Cond.Dynamic {
-			parts[i] = d.String()
+	b.WriteString(" := ")
+	t.Src.Render(b)
+	for i, d := range t.Cond.Dynamic {
+		if i == 0 {
+			b.WriteString(" when ")
+		} else {
+			b.WriteString(" && ")
 		}
-		dyn = " when " + strings.Join(parts, " && ")
+		d.Render(b)
 	}
-	return fmt.Sprintf("%s := %s%s", dest, t.Src, dyn)
 }
 
 // Key returns a canonical deduplication key covering destination and source
