@@ -83,8 +83,12 @@ func (p *Parser) Label(e *rtl.Expr) *Node {
 	for _, k := range e.Kids {
 		node.Kids = append(node.Kids, p.Label(k))
 	}
-	// Match every rule whose root terminal bucket fits this node.
-	for _, r := range p.G.RulesByKey[grammar.SubjectKey(e)] {
+	// Match every rule whose root terminal fits this node.
+	var rules []*grammar.Rule
+	if term := p.G.SubjectTerm(e); term >= 0 {
+		rules = p.G.RulesByTerm[term]
+	}
+	for _, r := range rules {
 		c := p.MatchCost(r.Pat, node)
 		if c >= Inf {
 			continue

@@ -217,10 +217,18 @@ func TestStepWalkOrder(t *testing.T) {
 	}
 }
 
+// refKey memoizes refCost per (subtree, nonterminal); the subtree is its
+// handle in a store local to the test, so equal subtrees share an entry
+// and trees differing only in widths do not.
+type refKey struct {
+	e  rtl.ExprID
+	nt int
+}
+
 // refCost is an independent top-down memoized implementation of minimum
 // derivation cost, used as the oracle for optimality property tests.
-func refCost(g *grammar.Grammar, e *rtl.Expr, nt int, memo map[string]int32, visiting map[string]bool) int32 {
-	key := e.Key() + "@" + g.NTNames[nt]
+func refCost(g *grammar.Grammar, e *rtl.Expr, nt int, store *rtl.Store, memo map[refKey]int32, visiting map[refKey]bool) int32 {
+	key := refKey{store.Intern(e), nt}
 	if v, ok := memo[key]; ok {
 		return v
 	}
@@ -234,7 +242,7 @@ func refCost(g *grammar.Grammar, e *rtl.Expr, nt int, memo map[string]int32, vis
 	var try func(pat *grammar.Pat, n *rtl.Expr) int32
 	try = func(pat *grammar.Pat, n *rtl.Expr) int32 {
 		if pat.Kind == grammar.PatNT {
-			return refCost(g, n, pat.NT, memo, visiting)
+			return refCost(g, n, pat.NT, store, memo, visiting)
 		}
 		if !pat.MatchesLeaf(n) || len(pat.Kids) != len(n.Kids) {
 			return Inf
@@ -288,9 +296,10 @@ func TestPropOptimalityVsReference(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		e := gen(3)
 		root := p.Label(e)
-		memo := make(map[string]int32)
+		var store rtl.Store
+		memo := make(map[refKey]int32)
 		for nt := 1; nt < g.NumNT(); nt++ {
-			want := refCost(g, e, nt, memo, make(map[string]bool))
+			want := refCost(g, e, nt, &store, memo, make(map[refKey]bool))
 			got := root.cost[nt]
 			if got >= Inf && want >= Inf {
 				continue

@@ -27,7 +27,6 @@ package grammar
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/diag"
@@ -69,46 +68,56 @@ type Pat struct {
 	Kids    []*Pat
 }
 
-// TermKey returns the rule-indexing bucket for this pattern node (empty for
-// nonterminals).  Subject trees map into the same buckets via SubjectKey.
-func (p *Pat) TermKey() string {
-	switch p.Kind {
-	case PatOp:
-		return "op:" + string(p.Op) + ":" + strconv.Itoa(p.Width)
-	case PatReg:
-		return "reg:" + p.Storage
-	case PatMem:
-		return "mem:" + p.Storage
-	case PatImm, PatConst:
-		return "#const"
-	case PatPort:
-		return "port:" + p.Port
-	case PatSlice:
-		return "slice:" + strconv.Itoa(p.Hi) + ":" + strconv.Itoa(p.Lo)
-	}
-	return ""
+// term identifies a terminal symbol: the part of a pattern node's root
+// that the subject node at that position must agree with.  Immediates and
+// hardwired constants share one terminal, since both match program
+// constants; a subject node finds its terminal through the same key.
+type term struct {
+	kind  uint8  // a PatKind; PatImm is filed under PatConst
+	width int32  // PatOp
+	hi    int32  // PatSlice
+	lo    int32  // PatSlice
+	name  string // operator, storage or port
 }
 
-// SubjectKey returns the rule bucket a subject tree node falls into.
-func SubjectKey(e *rtl.Expr) string {
+// termOf returns the terminal of pattern node p; ok is false for a
+// nonterminal.
+func termOf(p *Pat) (term, bool) {
+	switch p.Kind {
+	case PatOp:
+		return term{kind: uint8(PatOp), width: int32(p.Width), name: string(p.Op)}, true
+	case PatReg, PatMem:
+		return term{kind: uint8(p.Kind), name: p.Storage}, true
+	case PatImm, PatConst:
+		return term{kind: uint8(PatConst)}, true
+	case PatPort:
+		return term{kind: uint8(PatPort), name: p.Port}, true
+	case PatSlice:
+		return term{kind: uint8(PatSlice), hi: int32(p.Hi), lo: int32(p.Lo)}, true
+	}
+	return term{}, false
+}
+
+// subjectTerm returns the terminal a subject tree node falls under; ok is
+// false for a node no pattern can match at its root.
+func subjectTerm(e *rtl.Expr) (term, bool) {
 	switch e.Kind {
 	case rtl.OpApp:
-		return "op:" + string(e.Op) + ":" + strconv.Itoa(e.Width)
+		return term{kind: uint8(PatOp), width: int32(e.Width), name: string(e.Op)}, true
 	case rtl.Read:
 		if e.Addr() != nil {
-			return "mem:" + e.Storage
+			return term{kind: uint8(PatMem), name: e.Storage}, true
 		}
-		return "reg:" + e.Storage
-	case rtl.Const:
-		return "#const"
+		return term{kind: uint8(PatReg), name: e.Storage}, true
+	case rtl.Const, rtl.InsnField:
+		// Fields in subject trees behave like immediates.
+		return term{kind: uint8(PatConst)}, true
 	case rtl.PortRef:
-		return "port:" + e.Port
+		return term{kind: uint8(PatPort), name: e.Port}, true
 	case rtl.Slice:
-		return "slice:" + strconv.Itoa(e.Hi) + ":" + strconv.Itoa(e.Lo)
-	case rtl.InsnField:
-		return "#const" // fields in subject trees behave like immediates
+		return term{kind: uint8(PatSlice), hi: int32(e.Hi), lo: int32(e.Lo)}, true
 	}
-	return ""
+	return term{}, false
 }
 
 // MatchesLeaf reports whether terminal pattern p matches subject node e at
@@ -205,6 +214,9 @@ type Rule struct {
 	Cost     int
 	Template *rtl.Template // KindRT: the originating template
 	Dest     string        // KindStart: the destination this rule targets
+	// Term is the terminal ID of the pattern's root, the RulesByTerm
+	// bucket the rule is filed in; -1 for start and chain rules.
+	Term int
 }
 
 // IsChain reports whether the rule's pattern is a bare nonterminal (a chain
@@ -222,9 +234,11 @@ type Grammar struct {
 	ntIdx   map[string]int
 
 	Rules []*Rule
-	// RulesByKey indexes non-chain RT and stop rules by root terminal
-	// bucket.
-	RulesByKey map[string][]*Rule
+	// RulesByTerm indexes non-chain RT and stop rules by the terminal ID
+	// of their pattern's root (see SubjectTerm).
+	RulesByTerm [][]*Rule
+	// terms numbers the terminals of the rules' patterns.
+	terms map[term]int
 	// ChainRules[src] lists chain rules deriving from nonterminal src.
 	ChainRules map[int][]*Rule
 	// StartRules maps destination name to its start rule.
@@ -232,6 +246,8 @@ type Grammar struct {
 
 	// StorageWidths/Sizes echo the machine spec for clients.
 	Spec Spec
+
+	stats Stats // counted as Build adds rules
 }
 
 // START is the index of the start symbol.
@@ -248,6 +264,30 @@ func (g *Grammar) NT(name string) int {
 
 // NumNT returns the number of nonterminals.
 func (g *Grammar) NumNT() int { return len(g.NTNames) }
+
+// SubjectTerm returns the terminal ID of subject node e, the RulesByTerm
+// bucket holding every rule whose root can match e, or -1 when no rule's
+// can.
+func (g *Grammar) SubjectTerm(e *rtl.Expr) int {
+	if t, ok := subjectTerm(e); ok {
+		if id, ok := g.terms[t]; ok {
+			return id
+		}
+	}
+	return -1
+}
+
+// internTerms numbers every terminal of pattern p.
+func (g *Grammar) internTerms(p *Pat) {
+	if t, ok := termOf(p); ok {
+		if _, ok := g.terms[t]; !ok {
+			g.terms[t] = len(g.terms)
+		}
+	}
+	for _, k := range p.Kids {
+		g.internTerms(k)
+	}
+}
 
 // StorageInfo describes one sequential component to the grammar builder.
 type StorageInfo struct {
@@ -291,7 +331,7 @@ func Build(base *rtl.Base, spec Spec) (*Grammar, error) {
 func BuildReported(base *rtl.Base, spec Spec, rep *diag.Reporter) (*Grammar, error) {
 	g := &Grammar{
 		ntIdx:      make(map[string]int),
-		RulesByKey: make(map[string][]*Rule),
+		terms:      make(map[term]int),
 		ChainRules: make(map[int][]*Rule),
 		StartRules: make(map[string]*Rule),
 		Spec:       spec,
@@ -316,17 +356,27 @@ func BuildReported(base *rtl.Base, spec Spec, rep *diag.Reporter) (*Grammar, err
 		addNT(p)
 	}
 
+	// addRule files r; the terminals of its pattern must be interned.
 	addRule := func(r *Rule) {
 		r.ID = len(g.Rules)
+		r.Term = -1
 		g.Rules = append(g.Rules, r)
 		switch {
 		case r.Kind == KindStart:
 			g.StartRules[r.Dest] = r
+			g.stats.StartRules++
+			return
 		case r.IsChain():
 			g.ChainRules[r.Pat.NT] = append(g.ChainRules[r.Pat.NT], r)
+			g.stats.ChainRules++
 		default:
-			key := r.Pat.TermKey()
-			g.RulesByKey[key] = append(g.RulesByKey[key], r)
+			t, _ := termOf(r.Pat)
+			r.Term = g.terms[t]
+		}
+		if r.Kind == KindRT {
+			g.stats.RTRules++
+		} else {
+			g.stats.StopRules++
 		}
 	}
 
@@ -340,7 +390,11 @@ func BuildReported(base *rtl.Base, spec Spec, rep *diag.Reporter) (*Grammar, err
 			Pat: &Pat{Kind: PatNT, NT: g.ntIdx[p], Width: 0}})
 	}
 
-	// 2. RT rules, cost 1.
+	// 2. RT rules, cost 1.  A pattern depends on its template's source
+	// alone, so each distinct source is lowered once and its pattern is
+	// shared, read-only, by every rule for it.  A failed lowering is rare
+	// and not memoised.
+	lowered := make([]*Pat, base.Exprs().Len())
 	var skipErr error
 	skipped, rtRules := 0, 0
 	for _, t := range base.Templates {
@@ -361,7 +415,12 @@ func BuildReported(base *rtl.Base, spec Spec, rep *diag.Reporter) (*Grammar, err
 		var pat *Pat
 		err := faultpoint.Hit("grammar.rule", t.Dest)
 		if err == nil {
-			pat, err = g.lower(t.Src)
+			if pat = lowered[t.SrcID()]; pat == nil {
+				if pat, err = g.lower(t.Src); err == nil {
+					g.internTerms(pat)
+					lowered[t.SrcID()] = pat
+				}
+			}
 		}
 		if err != nil {
 			err = fmt.Errorf("template %d (%s): %w", t.ID, t, err)
@@ -384,9 +443,19 @@ func BuildReported(base *rtl.Base, spec Spec, rep *diag.Reporter) (*Grammar, err
 		if s.Size != 1 {
 			continue
 		}
-		addRule(&Rule{Kind: KindStop, LHS: g.ntIdx[s.Name], Cost: 0,
-			Pat: &Pat{Kind: PatReg, Storage: s.Name, Width: s.Width}})
+		pat := &Pat{Kind: PatReg, Storage: s.Name, Width: s.Width}
+		g.internTerms(pat)
+		addRule(&Rule{Kind: KindStop, LHS: g.ntIdx[s.Name], Cost: 0, Pat: pat})
 	}
+	// Every terminal gets a bucket, empty if it roots no rule.
+	g.RulesByTerm = make([][]*Rule, len(g.terms))
+	for _, r := range g.Rules {
+		if r.Term >= 0 {
+			g.RulesByTerm[r.Term] = append(g.RulesByTerm[r.Term], r)
+		}
+	}
+	g.stats.Nonterminals = len(g.NTNames)
+	g.stats.Terminals = len(g.terms) + 1 // + ASSIGN
 	return g, nil
 }
 
@@ -450,41 +519,14 @@ type Stats struct {
 	ChainRules   int
 }
 
-// Stats computes summary counts.
-func (g *Grammar) Stats() Stats {
-	st := Stats{Nonterminals: len(g.NTNames)}
-	terms := make(map[string]bool)
-	var walkTerms func(p *Pat)
-	walkTerms = func(p *Pat) {
-		if p.Kind != PatNT {
-			terms[p.TermKey()] = true
-		}
-		for _, k := range p.Kids {
-			walkTerms(k)
-		}
-	}
-	for _, r := range g.Rules {
-		switch r.Kind {
-		case KindStart:
-			st.StartRules++
-		case KindRT:
-			st.RTRules++
-			walkTerms(r.Pat)
-		case KindStop:
-			st.StopRules++
-			walkTerms(r.Pat)
-		}
-		if r.Kind != KindStart && r.IsChain() {
-			st.ChainRules++
-		}
-	}
-	st.Terminals = len(terms) + 1 // + ASSIGN
-	return st
-}
+// Stats returns the summary counts Build took as it added rules.  The
+// terminals are those of the rules' patterns plus ASSIGN; a template whose
+// lowering failed contributes none.
+func (g *Grammar) Stats() Stats { return g.stats }
 
 // Observe records the grammar's size in the scope's registry — rule counts
 // by kind and the nonterminal count — so `record -stats` and the recordd
-// /metrics endpoint report grammar size from the same Stats walk as the
+// /metrics endpoint report grammar size from the same Stats as the
 // retargeting report.  scope may be nil.
 func (st Stats) Observe(scope *obs.Scope) {
 	reg := scope.Registry()

@@ -123,28 +123,48 @@ func TestPatternLowering(t *testing.T) {
 	}
 }
 
-func TestSubjectKeys(t *testing.T) {
+// TestSubjectTerms checks which rule bucket each subject node kind finds:
+// constants and instruction fields share the immediates' terminal, reads
+// split into registers and memories, and a node no rule's root can match
+// finds none.
+func TestSubjectTerms(t *testing.T) {
+	g, _ := buildTestGrammar(t)
+	acc := rtl.NewRead("acc.r", 8, nil)
+	mul := rtl.NewOp(rtl.OpMul, 16, rtl.NewRead("x.r", 16, nil), rtl.NewRead("x.r", 16, nil))
+	roots := func(e *rtl.Expr) string {
+		id := g.SubjectTerm(e)
+		if id < 0 {
+			return "none"
+		}
+		var b strings.Builder
+		for _, r := range g.RulesByTerm[id] {
+			b.WriteString(g.patString(r.Pat))
+			b.WriteByte(';')
+		}
+		return b.String()
+	}
 	cases := []struct {
 		e    *rtl.Expr
 		want string
 	}{
-		{rtl.NewOp(rtl.OpAdd, 8, rtl.NewConst(0, 8), rtl.NewConst(0, 8)), "op:+:8"},
-		{rtl.NewRead("acc.r", 8, nil), "reg:acc.r"},
-		{rtl.NewRead("ram.m", 8, rtl.NewConst(1, 4)), "mem:ram.m"},
-		{rtl.NewConst(7, 8), "#const"},
-		{rtl.NewPort("pin", 8), "port:pin"},
-		{rtl.NewInsnField(3, 0), "#const"},
+		{rtl.NewOp(rtl.OpAdd, 8, acc, acc), "(acc.r + ram.m[IMM[3:0]]);"},
+		{rtl.NewOp(rtl.OpAdd, 16, acc, acc), "none"}, // widths tell operators apart
+		{rtl.NewOp(rtl.OpSub, 8, acc, acc), "none"},
+		{acc, "acc.r;"},
+		{rtl.NewRead("ram.m", 8, rtl.NewConst(1, 4)), ""},
+		{rtl.NewConst(7, 8), "0;"},
+		{rtl.NewInsnField(3, 0), "0;"},
+		{rtl.NewPort("pin", 8), "pin;"},
+		{&rtl.Expr{Kind: rtl.Slice, Hi: 7, Lo: 0, Width: 8, Kids: []*rtl.Expr{mul}}, "(x.r * x.r)[7:0];"},
+		{&rtl.Expr{Kind: rtl.ExprKind(99)}, "none"},
 	}
 	for i, c := range cases {
-		if got := SubjectKey(c.e); got != c.want {
-			t.Errorf("case %d: key = %q, want %q", i, got, c.want)
+		if got := roots(c.e); got != c.want {
+			t.Errorf("case %d (%s): rules %q, want %q", i, c.e, got, c.want)
 		}
 	}
-	// Slice subject key.
-	sl := &rtl.Expr{Kind: rtl.Slice, Hi: 7, Lo: 0, Width: 8,
-		Kids: []*rtl.Expr{rtl.NewOp(rtl.OpMul, 16, rtl.NewConst(0, 16), rtl.NewConst(0, 16))}}
-	if SubjectKey(sl) != "slice:7:0" {
-		t.Errorf("slice key = %q", SubjectKey(sl))
+	if g.SubjectTerm(rtl.NewConst(7, 8)) != g.SubjectTerm(rtl.NewInsnField(3, 0)) {
+		t.Error("constants and instruction fields must share a terminal")
 	}
 }
 

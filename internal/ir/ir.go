@@ -15,6 +15,7 @@ package ir
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/rtl"
@@ -69,7 +70,16 @@ type For struct {
 func (*Assign) stmt() {}
 func (*For) stmt()    {}
 
-func (a *Assign) String() string { return fmt.Sprintf("%s = %s;", a.LHS, a.RHS) }
+// String renders "lhs = rhs;".  Every statement's listing comment is
+// rendered through it, so it builds the line in one strings.Builder.
+func (a *Assign) String() string {
+	var b strings.Builder
+	writeExpr(&b, a.LHS)
+	b.WriteString(" = ")
+	writeExpr(&b, a.RHS)
+	b.WriteByte(';')
+	return b.String()
+}
 
 func (f *For) String() string {
 	var b strings.Builder
@@ -115,22 +125,63 @@ func (*Ref) expr()   {}
 func (*Bin) expr()   {}
 func (*Un) expr()    {}
 
-func (c *Const) String() string { return fmt.Sprintf("%d", c.Val) }
+func (c *Const) String() string { return exprString(c) }
+func (r *Ref) String() string   { return exprString(r) }
+func (b *Bin) String() string   { return exprString(b) }
+func (u *Un) String() string    { return exprString(u) }
 
-func (r *Ref) String() string {
-	if r.Index != nil {
-		return fmt.Sprintf("%s[%s]", r.Name, r.Index)
-	}
-	return r.Name
+func exprString(e Expr) string {
+	var b strings.Builder
+	writeExpr(&b, e)
+	return b.String()
 }
 
-func (b *Bin) String() string { return fmt.Sprintf("(%s %s %s)", b.X, b.Op, b.Y) }
-
-func (u *Un) String() string {
-	if u.Op == rtl.OpNeg {
-		return fmt.Sprintf("-(%s)", u.X)
+// writeExpr appends e's rendering to b: constants in decimal, "name" or
+// "name[index]", "(x op y)", and "-(x)" or "op(x)" for unary operators.
+// A nil expression renders as fmt's %s renders it.
+func writeExpr(b *strings.Builder, e Expr) {
+	switch x := e.(type) {
+	case *Const:
+		if x != nil {
+			var buf [20]byte
+			b.Write(strconv.AppendInt(buf[:0], x.Val, 10))
+			return
+		}
+	case *Ref:
+		if x != nil {
+			b.WriteString(x.Name)
+			if x.Index != nil {
+				b.WriteByte('[')
+				writeExpr(b, x.Index)
+				b.WriteByte(']')
+			}
+			return
+		}
+	case *Bin:
+		if x != nil {
+			b.WriteByte('(')
+			writeExpr(b, x.X)
+			b.WriteByte(' ')
+			b.WriteString(string(x.Op))
+			b.WriteByte(' ')
+			writeExpr(b, x.Y)
+			b.WriteByte(')')
+			return
+		}
+	case *Un:
+		if x != nil {
+			if x.Op == rtl.OpNeg {
+				b.WriteByte('-')
+			} else {
+				b.WriteString(string(x.Op))
+			}
+			b.WriteByte('(')
+			writeExpr(b, x.X)
+			b.WriteByte(')')
+			return
+		}
 	}
-	return fmt.Sprintf("%s(%s)", u.Op, u.X)
+	fmt.Fprintf(b, "%s", e)
 }
 
 // subst returns e with every reference to name replaced by val, folding

@@ -27,6 +27,7 @@ package ise
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/bdd"
@@ -76,6 +77,9 @@ type VarMap struct {
 	// ModeVars maps a mode storage qualified name to the BDD variable
 	// indices of its bits (LSB first).
 	ModeVars map[string][]int
+	// insnBit[x] is 1 + the instruction bit of BDD variable x, 0 when x is
+	// no instruction bit; indexInsnVars builds it from InsnVars.
+	insnBit []int32
 }
 
 // InsnWidth returns the instruction word width.
@@ -84,12 +88,22 @@ func (v *VarMap) InsnWidth() int { return len(v.InsnVars) }
 // IsInsnVar reports whether BDD variable x is an instruction bit, returning
 // the bit position.
 func (v *VarMap) IsInsnVar(x int) (bit int, ok bool) {
-	for i, iv := range v.InsnVars {
-		if iv == x {
-			return i, true
-		}
+	if x < 0 || x >= len(v.insnBit) || v.insnBit[x] == 0 {
+		return 0, false
 	}
-	return 0, false
+	return int(v.insnBit[x]) - 1, true
+}
+
+// indexInsnVars builds IsInsnVar's table once InsnVars is complete.
+func (v *VarMap) indexInsnVars() {
+	n := 0
+	for _, x := range v.InsnVars {
+		n = max(n, x+1)
+	}
+	v.insnBit = make([]int32, n)
+	for i, x := range v.InsnVars {
+		v.insnBit[x] = int32(i) + 1
+	}
 }
 
 // ModeVarOwner returns the mode storage owning BDD variable x, with the bit
@@ -242,6 +256,7 @@ func (x *extractor) declareVars() {
 			v.InsnVars[i] = x.m.DeclareVar(fmt.Sprintf("I%d", i))
 		}
 	}
+	v.indexInsnVars()
 	for _, s := range x.n.ModeStorages() {
 		var bits []int
 		for b := 0; b < s.Width(); b++ {
@@ -411,7 +426,7 @@ func (x *extractor) extractWrite(s *netlist.Storage, inst *netlist.Inst, st *hdl
 				x.unsatEncoding()
 				continue
 			}
-			dyn := concatDyn(gDyn, aa.dyn, da.dyn)
+			dyn := x.concatDyn(gDyn, aa.dyn, da.dyn)
 			x.emit(&rtl.Template{
 				Dest:     s.QName(),
 				DestAddr: aa.expr,
@@ -431,25 +446,24 @@ func (x *extractor) emit(t *rtl.Template) {
 	x.pending = append(x.pending, t)
 }
 
-func concatDyn(ds ...[]*rtl.Expr) []*rtl.Expr {
+// concatDyn concatenates dynamic guard lists, dropping structurally equal
+// repeats; guards are interned in the base's store, so a repeat is a
+// repeated handle.
+func (x *extractor) concatDyn(ds ...[]*rtl.Expr) []*rtl.Expr {
 	var out []*rtl.Expr
+	var buf [4]rtl.ExprID
+	seen := buf[:0]
+	store := x.res.Base.Exprs()
 	for _, d := range ds {
-		out = append(out, d...)
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	// Deduplicate structurally equal guards.
-	var uniq []*rtl.Expr
-	seen := make(map[string]bool)
-	for _, g := range out {
-		k := g.Key()
-		if !seen[k] {
-			seen[k] = true
-			uniq = append(uniq, g)
+		for _, g := range d {
+			id := store.Intern(g)
+			if !slices.Contains(seen, id) {
+				seen = append(seen, id)
+				out = append(out, g)
+			}
 		}
 	}
-	return uniq
+	return out
 }
 
 // ----- symbolic control evaluation ------------------------------------
@@ -744,7 +758,7 @@ func (x *extractor) resolveModExpr(inst *netlist.Inst, e hdl.Expr) ([]alt, error
 				out = append(out, alt{
 					expr: rtl.NewOp(ex.Op, ex.Width, a.expr, b.expr),
 					cond: cond,
-					dyn:  concatDyn(a.dyn, b.dyn),
+					dyn:  x.concatDyn(a.dyn, b.dyn),
 				})
 				if len(out) > x.opts.MaxAlts {
 					return nil, fmt.Errorf("ise: route explosion in %s (limit %d)", inst.Name, x.opts.MaxAlts)
@@ -814,7 +828,7 @@ func (x *extractor) resolveCase(inst *netlist.Inst, ce *hdl.CaseExpr) ([]alt, er
 				x.unsatEncoding()
 				continue
 			}
-			out = append(out, alt{expr: a.expr, cond: c, dyn: concatDyn(dyn, a.dyn)})
+			out = append(out, alt{expr: a.expr, cond: c, dyn: x.concatDyn(dyn, a.dyn)})
 			if len(out) > x.opts.MaxAlts {
 				return fmt.Errorf("ise: route explosion in CASE of %s (limit %d)", inst.Name, x.opts.MaxAlts)
 			}
@@ -964,7 +978,7 @@ func (x *extractor) resolveBus(b *netlist.Bus) ([]alt, error) {
 				x.unsatBus()
 				continue
 			}
-			out = append(out, alt{expr: a.expr, cond: c, dyn: concatDyn(dyn, a.dyn)})
+			out = append(out, alt{expr: a.expr, cond: c, dyn: x.concatDyn(dyn, a.dyn)})
 			if len(out) > x.opts.MaxAlts {
 				return nil, fmt.Errorf("ise: route explosion on bus %s (limit %d)", b.Name, x.opts.MaxAlts)
 			}

@@ -266,7 +266,9 @@ func DefaultOptions() Options {
 }
 
 // Extend enlarges base in place with synthetic templates and returns the
-// number added (paper section 3).
+// number added (paper section 3).  A template's variants depend on its
+// source tree alone, so they are computed once per distinct source and
+// replayed, in the same order, for every template sharing it.
 func Extend(base *rtl.Base, opts Options) int {
 	if opts.MaxVariantsPerTemplate <= 0 {
 		opts.MaxVariantsPerTemplate = 128
@@ -275,39 +277,45 @@ func Extend(base *rtl.Base, opts Options) int {
 	// Snapshot: extension applies to extracted templates (and first-level
 	// synthetic results), not to its own output transitively forever.
 	snapshot := append([]*rtl.Template(nil), base.Templates...)
-
+	store := base.Exprs()
+	memo := make([][]rtl.ExprID, store.Len())
 	for _, t := range snapshot {
-		var variants []*rtl.Expr
-		if opts.Commutativity {
-			variants = append(variants, commuteVariants(t.Src, opts.MaxVariantsPerTemplate)...)
+		vs := memo[t.SrcID()]
+		if vs == nil {
+			vs = variants(store, t, opts)
+			memo[t.SrcID()] = vs
 		}
-		for _, r := range opts.Rules {
-			variants = append(variants, ruleVariants(t.Src, r, opts.MaxVariantsPerTemplate)...)
-		}
-		for _, v := range variants {
-			if v.Equal(t.Src) {
-				continue
-			}
-			nt := &rtl.Template{
-				Dest:      t.Dest,
-				DestPort:  t.DestPort,
-				DestAddr:  t.DestAddr,
-				Src:       v,
-				Width:     t.Width,
-				Cond:      t.Cond,
-				Synthetic: true,
-			}
-			base.Add(nt)
+		for _, v := range vs {
+			base.AddVariant(t, v)
 		}
 	}
 	return base.Len() - before
 }
 
+// variants returns the interned commutativity and rule variants of t's
+// source, in generation order and with repeats, minus the source itself.
+// The result is never nil, so Extend's memo tells "none" from "not yet".
+func variants(store *rtl.Store, t *rtl.Template, opts Options) []rtl.ExprID {
+	var trees []*rtl.Expr
+	if opts.Commutativity {
+		trees = append(trees, commuteVariants(t.Src, opts.MaxVariantsPerTemplate)...)
+	}
+	for _, r := range opts.Rules {
+		trees = append(trees, ruleVariants(t.Src, r, opts.MaxVariantsPerTemplate)...)
+	}
+	out := make([]rtl.ExprID, 0, len(trees))
+	for _, v := range trees {
+		if id := store.Intern(v); id != t.SrcID() {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
 // commuteVariants returns every tree obtainable by swapping the operands of
-// commutative operator nodes (all subsets of swap positions), excluding the
-// original.
+// commutative operator nodes (all subsets of swap positions), the original
+// among them.
 func commuteVariants(e *rtl.Expr, limit int) []*rtl.Expr {
-	var out []*rtl.Expr
 	var rec func(n *rtl.Expr) []*rtl.Expr
 	rec = func(n *rtl.Expr) []*rtl.Expr {
 		if n.Kind != rtl.OpApp {
@@ -337,12 +345,7 @@ func commuteVariants(e *rtl.Expr, limit int) []*rtl.Expr {
 		}
 		return vars
 	}
-	for _, v := range rec(e) {
-		if !v.Equal(e) {
-			out = append(out, v)
-		}
-	}
-	return out
+	return rec(e)
 }
 
 // ruleVariants applies rule r at every node of e (one application per

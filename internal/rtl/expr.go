@@ -197,30 +197,8 @@ func (e *Expr) Equal(o *Expr) bool {
 	if e == nil || o == nil {
 		return e == o
 	}
-	if e.Kind != o.Kind || e.Width != o.Width || len(e.Kids) != len(o.Kids) {
+	if !sameHead(e, o) {
 		return false
-	}
-	switch e.Kind {
-	case Const:
-		if e.Val != o.Val {
-			return false
-		}
-	case OpApp:
-		if e.Op != o.Op {
-			return false
-		}
-	case Read:
-		if e.Storage != o.Storage {
-			return false
-		}
-	case PortRef:
-		if e.Port != o.Port {
-			return false
-		}
-	case InsnField, Slice:
-		if e.Lo != o.Lo || e.Hi != o.Hi {
-			return false
-		}
 	}
 	for i := range e.Kids {
 		if !e.Kids[i].Equal(o.Kids[i]) {
@@ -280,16 +258,16 @@ func (e *Expr) Render(b *strings.Builder) {
 	}
 	switch e.Kind {
 	case Const:
-		keyInt(b, e.Val)
+		writeInt(b, e.Val)
 	case PortRef:
 		b.WriteString(e.Port)
 	case InsnField:
 		b.WriteString("IW[")
 		if e.Hi != e.Lo {
-			keyInt(b, int64(e.Hi))
+			writeInt(b, int64(e.Hi))
 			b.WriteByte(':')
 		}
-		keyInt(b, int64(e.Lo))
+		writeInt(b, int64(e.Lo))
 		b.WriteByte(']')
 	case Read:
 		b.WriteString(e.Storage)
@@ -301,9 +279,9 @@ func (e *Expr) Render(b *strings.Builder) {
 	case Slice:
 		e.Kids[0].Render(b)
 		b.WriteByte('[')
-		keyInt(b, int64(e.Hi))
+		writeInt(b, int64(e.Hi))
 		b.WriteByte(':')
-		keyInt(b, int64(e.Lo))
+		writeInt(b, int64(e.Lo))
 		b.WriteByte(']')
 	case OpApp:
 		if e.Op.Arity() == 1 {
@@ -325,65 +303,8 @@ func (e *Expr) Render(b *strings.Builder) {
 	}
 }
 
-// Key returns a canonical string usable for structural deduplication; two
-// trees have equal keys iff Equal reports true (widths included).
-func (e *Expr) Key() string {
-	var b strings.Builder
-	e.key(&b)
-	return b.String()
-}
-
-func (e *Expr) key(b *strings.Builder) {
-	if e == nil {
-		b.WriteString("_")
-		return
-	}
-	switch e.Kind {
-	case Const:
-		b.WriteByte('c')
-		keyInt(b, e.Val)
-		b.WriteByte(':')
-		keyInt(b, int64(e.Width))
-	case PortRef:
-		b.WriteByte('p')
-		b.WriteString(e.Port)
-		b.WriteByte(':')
-		keyInt(b, int64(e.Width))
-	case InsnField:
-		b.WriteByte('f')
-		keyInt(b, int64(e.Hi))
-		b.WriteByte('.')
-		keyInt(b, int64(e.Lo))
-	case Read:
-		b.WriteByte('r')
-		b.WriteString(e.Storage)
-		b.WriteByte(':')
-		keyInt(b, int64(e.Width))
-	case OpApp:
-		b.WriteByte('o')
-		b.WriteString(string(e.Op))
-		b.WriteByte(':')
-		keyInt(b, int64(e.Width))
-	case Slice:
-		b.WriteByte('s')
-		keyInt(b, int64(e.Hi))
-		b.WriteByte('.')
-		keyInt(b, int64(e.Lo))
-	}
-	if len(e.Kids) > 0 {
-		b.WriteByte('(')
-		for i, k := range e.Kids {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			k.key(b)
-		}
-		b.WriteByte(')')
-	}
-}
-
-// keyInt appends v in decimal without going through fmt.
-func keyInt(b *strings.Builder, v int64) {
+// writeInt appends v in decimal without going through fmt.
+func writeInt(b *strings.Builder, v int64) {
 	var buf [20]byte
 	b.Write(strconv.AppendInt(buf[:0], v, 10))
 }
@@ -402,6 +323,7 @@ type Template struct {
 	ID       int
 	Dest     string // qualified storage name, or primary output port name
 	DestPort bool   // true when Dest is a primary output port
+	addr     ExprID // DestAddr interned in the owning base
 	DestAddr *Expr  // address pattern for array destinations, nil otherwise
 	Src      *Expr  // the tree pattern
 	Cond     ExecCond
@@ -409,7 +331,11 @@ type Template struct {
 	// Synthetic marks templates added by algebraic extension rather than
 	// extracted from the netlist.
 	Synthetic bool
+	src       ExprID // Src interned in the owning base
 }
+
+// SrcID returns the handle of Src in the store of the base t was added to.
+func (t *Template) SrcID() ExprID { return t.src }
 
 // String renders the template as "dest := src [cond]".
 func (t *Template) String() string {
@@ -438,57 +364,106 @@ func (t *Template) Render(b *strings.Builder) {
 	}
 }
 
-// Key returns a canonical deduplication key covering destination and source
-// pattern (but not the condition: structurally equal transfers with
-// different encodings are merged by Base.Add, OR-ing their conditions).
-func (t *Template) Key() string {
-	var b strings.Builder
-	if t.DestPort {
-		b.WriteString("P!")
-	}
-	b.WriteString(t.Dest)
-	b.WriteByte('=')
-	if t.DestAddr != nil {
-		t.DestAddr.key(&b)
-	}
-	b.WriteByte(';')
-	t.Src.key(&b)
-	return b.String()
-}
-
 // Base is an RT template base: the complete set of valid templates for one
 // processor, with structural deduplication.
 type Base struct {
 	Templates []*Template
-	byKey     map[string]*Template
-	nextID    int
+	exprs     Store
+	// A template's identity is its destination, address and source, not
+	// its condition: structurally equal transfers with different
+	// encodings merge.  first[src] is 1 + the ID of the first template
+	// with source handle src to claim an identity, and next[id] is 1 +
+	// the ID of the one after template id, 0 ending the chain.
+	first, next []int32
 	// BDD is the manager owning every template's static condition.
 	BDD *bdd.Manager
 }
 
 // NewBase creates an empty template base whose conditions live in m.
 func NewBase(m *bdd.Manager) *Base {
-	return &Base{byKey: make(map[string]*Template), BDD: m}
+	return &Base{BDD: m}
 }
+
+// Exprs returns the store interning every template's source and address
+// trees.  Trees interned by other users (dynamic guards, say) live there
+// too; extension and grammar construction memoise their work per handle.
+func (b *Base) Exprs() *Store { return &b.exprs }
 
 // Add inserts t unless an identical transfer already exists; when a
 // duplicate transfer arrives, their static conditions are OR-ed (the same
-// RT reachable under several encodings).  It returns the canonical
-// template.
+// RT reachable under several encodings).  Add interns t's source and
+// address, replacing them with their canonical trees, and returns the
+// canonical template.
 func (b *Base) Add(t *Template) *Template {
-	key := t.Key()
-	if prev, ok := b.byKey[key]; ok {
-		if len(t.Cond.Dynamic) == 0 && len(prev.Cond.Dynamic) == 0 {
-			prev.Cond.Static = b.BDD.Or(prev.Cond.Static, t.Cond.Static)
-			return prev
-		}
-		// Distinct dynamic guards: keep both; disambiguate the key.
-		key = fmt.Sprintf("%s#%d", key, b.nextID)
+	t.addr = b.exprs.Intern(t.DestAddr)
+	t.DestAddr = b.exprs.Expr(t.addr)
+	t.src = b.exprs.Intern(t.Src)
+	t.Src = b.exprs.Expr(t.src)
+	prev := b.find(t.Dest, t.DestPort, t.addr, t.src)
+	if b.merge(prev, t.Cond) {
+		return prev
 	}
-	t.ID = b.nextID
-	b.nextID++
-	b.byKey[key] = t
+	return b.insert(prev, t)
+}
+
+// AddVariant adds the synthetic template performing of's transfer with the
+// interned source src instead, with Add's deduplication.  of must belong
+// to b.
+func (b *Base) AddVariant(of *Template, src ExprID) *Template {
+	prev := b.find(of.Dest, of.DestPort, of.addr, src)
+	if b.merge(prev, of.Cond) {
+		return prev
+	}
+	return b.insert(prev, &Template{
+		Dest:      of.Dest,
+		DestPort:  of.DestPort,
+		DestAddr:  of.DestAddr,
+		addr:      of.addr,
+		Src:       b.exprs.Expr(src),
+		src:       src,
+		Width:     of.Width,
+		Cond:      of.Cond,
+		Synthetic: true,
+	})
+}
+
+// find returns the first template added with the given identity, or nil.
+func (b *Base) find(dest string, destPort bool, addr, src ExprID) *Template {
+	if int(src) >= len(b.first) {
+		return nil
+	}
+	for i := b.first[src]; i != 0; i = b.next[i-1] {
+		if t := b.Templates[i-1]; t.addr == addr && t.Dest == dest && t.DestPort == destPort {
+			return t
+		}
+	}
+	return nil
+}
+
+// merge ORs cond into prev, the template found with the same identity,
+// and reports whether it did.  A transfer with dynamic guards on either
+// side is never merged: both are kept.
+func (b *Base) merge(prev *Template, cond ExecCond) bool {
+	if prev == nil || len(cond.Dynamic) > 0 || len(prev.Cond.Dynamic) > 0 {
+		return false
+	}
+	prev.Cond.Static = b.BDD.Or(prev.Cond.Static, cond.Static)
+	return true
+}
+
+// insert appends t as a new template.  Unless a template with its
+// identity exists (prev), t becomes the one later duplicates merge into.
+func (b *Base) insert(prev, t *Template) *Template {
+	t.ID = len(b.Templates)
 	b.Templates = append(b.Templates, t)
+	b.next = append(b.next, 0)
+	if prev == nil {
+		for len(b.first) <= int(t.src) {
+			b.first = append(b.first, 0)
+		}
+		b.next[t.ID] = b.first[t.src]
+		b.first[t.src] = int32(t.ID) + 1
+	}
 	return t
 }
 

@@ -1,7 +1,6 @@
 package rtl
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -102,33 +101,6 @@ func TestEqualDiscriminates(t *testing.T) {
 	for i, c := range cases {
 		if c.a.Equal(c.b) {
 			t.Errorf("case %d: distinct trees reported equal: %s vs %s", i, c.a, c.b)
-		}
-	}
-}
-
-func TestKeyMatchesEqual(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	var gen func(depth int) *Expr
-	gen = func(depth int) *Expr {
-		if depth == 0 || rng.Intn(3) == 0 {
-			switch rng.Intn(4) {
-			case 0:
-				return NewConst(int64(rng.Intn(4)), 8)
-			case 1:
-				return NewRead([]string{"a.r", "b.r"}[rng.Intn(2)], 8, nil)
-			case 2:
-				return NewInsnField(7, 0)
-			default:
-				return NewPort("p", 8)
-			}
-		}
-		ops := []Op{OpAdd, OpSub, OpMul}
-		return NewOp(ops[rng.Intn(3)], 8, gen(depth-1), gen(depth-1))
-	}
-	for trial := 0; trial < 500; trial++ {
-		a, b := gen(3), gen(3)
-		if (a.Key() == b.Key()) != a.Equal(b) {
-			t.Fatalf("Key/Equal disagree for %s vs %s", a, b)
 		}
 	}
 }

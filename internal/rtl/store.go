@@ -1,0 +1,171 @@
+package rtl
+
+import "math"
+
+// ExprID is the handle of an interned expression in a Store.  Two trees
+// interned into one store get the same handle iff they are Equal.
+type ExprID int32
+
+// NoExpr is the handle of the nil expression (an absent address).
+const NoExpr ExprID = -1
+
+// minExprSlots is the initial size of an empty store's unique table.
+const minExprSlots = 64
+
+// Store hash-conses expression trees: each structurally distinct tree gets
+// one handle and one canonical *Expr, whose kids are canonical too, so
+// equal subtrees of interned trees share a pointer.  The canonical trees
+// are a node slice indexed by handle; an open-addressed, linear-probed
+// unique table over it finds a node by its head (kind, width and the
+// kind's own fields) and its kids' handles.  The zero value is an empty
+// store.  A Store is not safe for concurrent mutation.
+type Store struct {
+	exprs  []*Expr
+	hashes []uint32 // hashes[id] is exprs[id]'s unique-table hash
+	slots  []int32  // handle+1, 0 marks an empty slot; at most ¾ full
+}
+
+// Len returns the number of distinct trees interned.
+func (s *Store) Len() int { return len(s.exprs) }
+
+// Expr returns the canonical tree of handle id (nil for NoExpr).
+func (s *Store) Expr(id ExprID) *Expr {
+	if id == NoExpr {
+		return nil
+	}
+	return s.exprs[id]
+}
+
+// Intern returns the handle of e, adding e and its subtrees to the store
+// if they are new.  When e's kids are already canonical, e itself becomes
+// the canonical tree; otherwise its head is copied over canonical kids.
+// e is never modified.
+func (s *Store) Intern(e *Expr) ExprID {
+	if e == nil {
+		return NoExpr
+	}
+	var buf [2]*Expr
+	kids := buf[:0]
+	if len(e.Kids) > len(buf) {
+		kids = make([]*Expr, 0, len(e.Kids))
+	}
+	h := headHash(e)
+	reuse := true
+	for _, k := range e.Kids {
+		id := s.Intern(k)
+		c := s.Expr(id)
+		kids = append(kids, c)
+		reuse = reuse && c == k
+		h = mix(h, uint32(id))
+	}
+	if s.slots == nil {
+		s.slots = make([]int32, minExprSlots)
+		s.exprs = make([]*Expr, 0, minExprSlots*3/4)
+		s.hashes = make([]uint32, 0, minExprSlots*3/4)
+	}
+	mask := len(s.slots) - 1
+	i := int(h) & mask
+	for ; s.slots[i] != 0; i = (i + 1) & mask {
+		id := s.slots[i] - 1
+		if s.hashes[id] == h && sameNode(s.exprs[id], e, kids) {
+			return ExprID(id)
+		}
+	}
+	c := e
+	if !reuse {
+		cp := *e
+		cp.Kids = append([]*Expr(nil), kids...)
+		c = &cp
+	}
+	if len(s.exprs) >= math.MaxInt32-1 {
+		panic("rtl: expression handles exhausted")
+	}
+	id := int32(len(s.exprs))
+	s.exprs = append(s.exprs, c)
+	s.hashes = append(s.hashes, h)
+	s.slots[i] = id + 1
+	if 4*len(s.exprs) >= 3*len(s.slots) {
+		s.grow()
+	}
+	return ExprID(id)
+}
+
+// grow doubles the unique table and reinserts every handle.
+func (s *Store) grow() {
+	s.slots = make([]int32, 2*len(s.slots))
+	mask := len(s.slots) - 1
+	for id, h := range s.hashes {
+		i := int(h) & mask
+		for s.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		s.slots[i] = int32(id) + 1
+	}
+}
+
+// sameNode reports whether canonical node c has e's head and the canonical
+// kids kids.
+func sameNode(c, e *Expr, kids []*Expr) bool {
+	if !sameHead(c, e) || len(c.Kids) != len(kids) {
+		return false
+	}
+	for i, k := range kids {
+		if c.Kids[i] != k {
+			return false
+		}
+	}
+	return true
+}
+
+// sameHead compares the fields Equal compares at one node: kind, width,
+// kid count and the kind's own fields.
+func sameHead(e, o *Expr) bool {
+	if e.Kind != o.Kind || e.Width != o.Width || len(e.Kids) != len(o.Kids) {
+		return false
+	}
+	switch e.Kind {
+	case Const:
+		return e.Val == o.Val
+	case OpApp:
+		return e.Op == o.Op
+	case Read:
+		return e.Storage == o.Storage
+	case PortRef:
+		return e.Port == o.Port
+	case InsnField, Slice:
+		return e.Lo == o.Lo && e.Hi == o.Hi
+	}
+	return true
+}
+
+// headHash hashes the fields sameHead compares.
+func headHash(e *Expr) uint32 {
+	h := mix(uint32(e.Kind), uint32(e.Width))
+	h = mix(h, uint32(len(e.Kids)))
+	switch e.Kind {
+	case Const:
+		h = mix(mix(h, uint32(e.Val)), uint32(uint64(e.Val)>>32))
+	case OpApp:
+		h = mixString(h, string(e.Op))
+	case Read:
+		h = mixString(h, e.Storage)
+	case PortRef:
+		h = mixString(h, e.Port)
+	case InsnField, Slice:
+		h = mix(mix(h, uint32(e.Lo)), uint32(e.Hi))
+	}
+	return h
+}
+
+func mix(h, v uint32) uint32 {
+	h = (h ^ v) * 0x9E3779B1
+	return h ^ h>>15
+}
+
+// mixString folds s into h byte by byte (FNV-1a); names are short.
+func mixString(h uint32, s string) uint32 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint32(s[i])) * 0x01000193
+	}
+	return mix(h, uint32(len(s)))
+}
