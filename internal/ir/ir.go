@@ -138,50 +138,38 @@ func exprString(e Expr) string {
 
 // writeExpr appends e's rendering to b: constants in decimal, "name" or
 // "name[index]", "(x op y)", and "-(x)" or "op(x)" for unary operators.
-// A nil expression renders as fmt's %s renders it.
 func writeExpr(b *strings.Builder, e Expr) {
 	switch x := e.(type) {
 	case *Const:
-		if x != nil {
-			var buf [20]byte
-			b.Write(strconv.AppendInt(buf[:0], x.Val, 10))
-			return
-		}
+		var buf [20]byte
+		b.Write(strconv.AppendInt(buf[:0], x.Val, 10))
 	case *Ref:
-		if x != nil {
-			b.WriteString(x.Name)
-			if x.Index != nil {
-				b.WriteByte('[')
-				writeExpr(b, x.Index)
-				b.WriteByte(']')
-			}
-			return
+		b.WriteString(x.Name)
+		if x.Index != nil {
+			b.WriteByte('[')
+			writeExpr(b, x.Index)
+			b.WriteByte(']')
 		}
 	case *Bin:
-		if x != nil {
-			b.WriteByte('(')
-			writeExpr(b, x.X)
-			b.WriteByte(' ')
-			b.WriteString(string(x.Op))
-			b.WriteByte(' ')
-			writeExpr(b, x.Y)
-			b.WriteByte(')')
-			return
-		}
+		b.WriteByte('(')
+		writeExpr(b, x.X)
+		b.WriteByte(' ')
+		b.WriteString(string(x.Op))
+		b.WriteByte(' ')
+		writeExpr(b, x.Y)
+		b.WriteByte(')')
 	case *Un:
-		if x != nil {
-			if x.Op == rtl.OpNeg {
-				b.WriteByte('-')
-			} else {
-				b.WriteString(string(x.Op))
-			}
-			b.WriteByte('(')
-			writeExpr(b, x.X)
-			b.WriteByte(')')
-			return
+		if x.Op == rtl.OpNeg {
+			b.WriteByte('-')
+		} else {
+			b.WriteString(string(x.Op))
 		}
+		b.WriteByte('(')
+		writeExpr(b, x.X)
+		b.WriteByte(')')
+	default:
+		fmt.Fprintf(b, "%s", e) // nil renders as fmt renders it
 	}
-	fmt.Fprintf(b, "%s", e)
 }
 
 // subst returns e with every reference to name replaced by val, folding
