@@ -71,14 +71,14 @@ func (*Assign) stmt() {}
 func (*For) stmt()    {}
 
 // String renders "lhs = rhs;".  Every statement's listing comment is
-// rendered through it, so it builds the line in one strings.Builder.
+// rendered through it, so it builds the line in one stack buffer and
+// copies it out once, at its exact size.
 func (a *Assign) String() string {
-	var b strings.Builder
-	writeExpr(&b, a.LHS)
-	b.WriteString(" = ")
-	writeExpr(&b, a.RHS)
-	b.WriteByte(';')
-	return b.String()
+	var buf [128]byte
+	b := appendExpr(buf[:0], a.LHS)
+	b = append(b, " = "...)
+	b = appendExpr(b, a.RHS)
+	return string(append(b, ';'))
 }
 
 func (f *For) String() string {
@@ -131,45 +131,35 @@ func (b *Bin) String() string   { return exprString(b) }
 func (u *Un) String() string    { return exprString(u) }
 
 func exprString(e Expr) string {
-	var b strings.Builder
-	writeExpr(&b, e)
-	return b.String()
+	var buf [64]byte
+	return string(appendExpr(buf[:0], e))
 }
 
-// writeExpr appends e's rendering to b: constants in decimal, "name" or
+// appendExpr appends e's rendering to b: constants in decimal, "name" or
 // "name[index]", "(x op y)", and "-(x)" or "op(x)" for unary operators.
-func writeExpr(b *strings.Builder, e Expr) {
+func appendExpr(b []byte, e Expr) []byte {
 	switch x := e.(type) {
 	case *Const:
-		var buf [20]byte
-		b.Write(strconv.AppendInt(buf[:0], x.Val, 10))
+		return strconv.AppendInt(b, x.Val, 10)
 	case *Ref:
-		b.WriteString(x.Name)
+		b = append(b, x.Name...)
 		if x.Index != nil {
-			b.WriteByte('[')
-			writeExpr(b, x.Index)
-			b.WriteByte(']')
+			b = append(appendExpr(append(b, '['), x.Index), ']')
 		}
+		return b
 	case *Bin:
-		b.WriteByte('(')
-		writeExpr(b, x.X)
-		b.WriteByte(' ')
-		b.WriteString(string(x.Op))
-		b.WriteByte(' ')
-		writeExpr(b, x.Y)
-		b.WriteByte(')')
+		b = appendExpr(append(b, '('), x.X)
+		b = append(append(append(b, ' '), x.Op...), ' ')
+		return append(appendExpr(b, x.Y), ')')
 	case *Un:
 		if x.Op == rtl.OpNeg {
-			b.WriteByte('-')
+			b = append(b, '-')
 		} else {
-			b.WriteString(string(x.Op))
+			b = append(b, x.Op...)
 		}
-		b.WriteByte('(')
-		writeExpr(b, x.X)
-		b.WriteByte(')')
-	default:
-		fmt.Fprintf(b, "%s", e) // nil renders as fmt renders it
+		return append(appendExpr(append(b, '('), x.X), ')')
 	}
+	return fmt.Appendf(b, "%s", e) // nil renders as fmt renders it
 }
 
 // subst returns e with every reference to name replaced by val, folding
