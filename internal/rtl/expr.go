@@ -371,9 +371,9 @@ type Base struct {
 	exprs     Store
 	// A template's identity is its destination, address and source, not
 	// its condition: structurally equal transfers with different
-	// encodings merge.  first[src] is 1 + the ID of the first template
-	// with source handle src to claim an identity, and next[id] is 1 +
-	// the ID of the one after template id, 0 ending the chain.
+	// encodings merge.  The templates that claimed an identity are
+	// chained per source handle: first[src] is 1 + the ID of the chain's
+	// head, next[id] is 1 + the ID after template id, and 0 ends it.
 	first, next []int32
 	// BDD is the manager owning every template's static condition.
 	BDD *bdd.Manager
