@@ -396,7 +396,7 @@ func BuildReported(base *rtl.Base, spec Spec, rep *diag.Reporter) (*Grammar, err
 	// and not memoised.
 	lowered := make([]*Pat, base.Exprs().Len())
 	var skipErr error
-	skipped, rtRules := 0, 0
+	skipped := 0
 	for _, t := range base.Templates {
 		if len(t.Cond.Dynamic) > 0 {
 			// Templates with residual dynamic guards (conditional jumps,
@@ -432,9 +432,8 @@ func BuildReported(base *rtl.Base, spec Spec, rep *diag.Reporter) (*Grammar, err
 			continue
 		}
 		addRule(&Rule{Kind: KindRT, LHS: lhs, Pat: pat, Cost: 1, Template: t})
-		rtRules++
 	}
-	if skipped > 0 && rtRules == 0 {
+	if skipped > 0 && g.stats.RTRules == 0 {
 		return nil, fmt.Errorf("grammar: no selectable rules survive lowering: %w", skipErr)
 	}
 
