@@ -149,8 +149,18 @@ func c25(b *testing.B) *core.Target {
 	return c25Tg
 }
 
+// compiler builds a compile handle for tg.  Every benchmark compiles
+// through one, so a loop past its first iteration times pooled compiles.
+func compiler(b *testing.B, tg *core.Target) *core.Compiler {
+	comp, err := core.NewCompiler(tg, core.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return comp
+}
+
 func benchKernel(b *testing.B, name string) {
-	tg := c25(b)
+	comp := compiler(b, c25(b))
 	k, ok := dspstone.Get(name)
 	if !ok {
 		b.Fatalf("kernel %s missing", name)
@@ -158,7 +168,7 @@ func benchKernel(b *testing.B, name string) {
 	b.ReportAllocs()
 	var words int
 	for i := 0; i < b.N; i++ {
-		res, err := tg.CompileSourceContext(context.Background(), k.Source, core.CompileOptions{})
+		res, err := comp.CompileSource(context.Background(), k.Source)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -187,11 +197,7 @@ func BenchmarkFigure2_Convolution(b *testing.B)     { benchKernel(b, "convolutio
 // design plus the pooled-session hot path.  ns/op is per compiled kernel,
 // so near-linear scaling shows as ns/op dropping with the worker count.
 func benchParallelCompile(b *testing.B, workers int) {
-	tg := c25(b)
-	comp, err := core.NewCompiler(tg, core.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	comp := compiler(b, c25(b))
 	kernels := []string{"real_update", "dot_product", "fir", "biquad_one"}
 	srcs := make([]string, len(kernels))
 	for i, name := range kernels {
@@ -254,11 +260,7 @@ func benchCompileObs(b *testing.B, traced bool) {
 // share of a compile; at 512 and 704 RTs a stage that grows faster than
 // linearly in the program length dominates ns/op.
 func BenchmarkCompileLarge(b *testing.B) {
-	tg := c25(b)
-	comp, err := core.NewCompiler(tg, core.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	comp := compiler(b, c25(b))
 	for _, k := range []dspstone.Kernel{dspstone.BiquadN(32), dspstone.NComplexUpdates(32)} {
 		b.Run(k.Name+"/n=32", func(b *testing.B) {
 			b.ReportAllocs()
@@ -292,10 +294,7 @@ func BenchmarkCompileTraced(b *testing.B)   { benchCompileObs(b, true) }
 // ns/op covers one plain+traced compile pair.
 func BenchmarkCompileTracedOverhead(b *testing.B) {
 	tg := c25(b)
-	plain, err := core.NewCompiler(tg, core.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	plain := compiler(b, tg)
 	tracer := obs.NewTracer(obs.WithMaxSpans(4096))
 	var cfg core.Config
 	_, cfg.Obs = obs.NewScope(obs.NewRegistry(), tracer).Start("bench.compile")
@@ -367,12 +366,12 @@ func BenchmarkParallelCompile32(b *testing.B) { benchParallelCompile(b, 32) }
 // BenchmarkFigure2_NaiveBaseline measures the baseline compiler on the
 // dot-product kernel (its worst case, 527% of hand-written).
 func BenchmarkFigure2_NaiveBaseline(b *testing.B) {
-	tg := c25(b)
+	comp := compiler(b, c25(b))
 	k, _ := dspstone.Get("dot_product")
 	b.ReportAllocs()
 	var words int
 	for i := 0; i < b.N; i++ {
-		res, err := naive.CompileSource(tg, k.Source)
+		res, err := naive.CompileSource(comp, k.Source)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -404,9 +403,10 @@ y = b*a + d*c;
 			if err != nil {
 				b.Fatal(err)
 			}
+			comp := compiler(b, tg)
 			var words int
 			for i := 0; i < b.N; i++ {
-				res, err := tg.CompileSourceContext(context.Background(), src, core.CompileOptions{})
+				res, err := comp.CompileSource(context.Background(), src)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -420,7 +420,7 @@ y = b*a + d*c;
 // BenchmarkAblationCompaction measures the contribution of code compaction
 // on the MAC-pipeline kernel.
 func BenchmarkAblationCompaction(b *testing.B) {
-	tg := c25(b)
+	comp := compiler(b, c25(b))
 	k, _ := dspstone.Get("dot_product")
 	for _, on := range []bool{true, false} {
 		on := on
@@ -431,7 +431,7 @@ func BenchmarkAblationCompaction(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var words int
 			for i := 0; i < b.N; i++ {
-				res, err := tg.CompileSourceContext(context.Background(), k.Source,
+				res, err := comp.CompileSourceOpts(context.Background(), k.Source,
 					core.CompileOptions{NoCompaction: !on})
 				if err != nil {
 					b.Fatal(err)
@@ -445,7 +445,7 @@ func BenchmarkAblationCompaction(b *testing.B) {
 
 // BenchmarkAblationPeephole measures the redundant-load/dead-store pass.
 func BenchmarkAblationPeephole(b *testing.B) {
-	tg := c25(b)
+	comp := compiler(b, c25(b))
 	k, _ := dspstone.Get("dot_product")
 	for _, on := range []bool{true, false} {
 		on := on
@@ -456,7 +456,7 @@ func BenchmarkAblationPeephole(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var words int
 			for i := 0; i < b.N; i++ {
-				res, err := tg.CompileSourceContext(context.Background(), k.Source,
+				res, err := comp.CompileSourceOpts(context.Background(), k.Source,
 					core.CompileOptions{NoPeephole: !on})
 				if err != nil {
 					b.Fatal(err)
@@ -498,12 +498,12 @@ func BenchmarkAblationBDDOrder(b *testing.B) {
 // kernel (templates emitted per second; the paper reports several hundred
 // per CPU second on a SPARC-20).
 func BenchmarkCodeSelection(b *testing.B) {
-	tg := c25(b)
+	comp := compiler(b, c25(b))
 	k, _ := dspstone.Get("n_complex_updates")
 	b.ResetTimer()
 	var rts int
 	for i := 0; i < b.N; i++ {
-		res, err := tg.CompileSourceContext(context.Background(), k.Source, core.CompileOptions{NoCompaction: true})
+		res, err := comp.CompileSourceOpts(context.Background(), k.Source, core.CompileOptions{NoCompaction: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -516,7 +516,7 @@ func BenchmarkCodeSelection(b *testing.B) {
 func BenchmarkSimulation(b *testing.B) {
 	tg := c25(b)
 	k, _ := dspstone.Get("fir")
-	res, err := tg.CompileSourceContext(context.Background(), k.Source, core.CompileOptions{})
+	res, err := compiler(b, tg).CompileSource(context.Background(), k.Source)
 	if err != nil {
 		b.Fatal(err)
 	}

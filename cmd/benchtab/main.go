@@ -112,18 +112,22 @@ func printFig2() error {
 	if err != nil {
 		return err
 	}
+	comp, err := core.NewCompiler(tg, core.Config{})
+	if err != nil {
+		return err
+	}
 	fmt.Printf("%-20s %6s %8s %8s %9s %9s\n",
 		"kernel", "hand", "record", "naive", "record%", "naive%")
 	fmt.Println(strings.Repeat("-", 66))
 	for _, k := range dspstone.Suite() {
-		rec, err := tg.CompileSourceContext(context.Background(), k.Source, core.CompileOptions{})
+		rec, err := comp.CompileSource(context.Background(), k.Source)
 		if err != nil {
 			return fmt.Errorf("%s (record): %w", k.Name, err)
 		}
 		if err := tg.CheckAgainstOracle(rec); err != nil {
 			return fmt.Errorf("%s (record oracle): %w", k.Name, err)
 		}
-		nv, err := naive.CompileSource(tg, k.Source)
+		nv, err := naive.CompileSource(comp, k.Source)
 		if err != nil {
 			return fmt.Errorf("%s (naive): %w", k.Name, err)
 		}

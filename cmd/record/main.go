@@ -512,7 +512,7 @@ func compileOne(c *config, comp *core.Compiler, src string, rep *diag.Reporter, 
 	err = diag.Guard(rep, "compile", func() error {
 		var err error
 		if c.useNaive {
-			res, err = naive.Compile(target, prog)
+			res, err = naive.Compile(comp, prog)
 		} else {
 			ctx := context.Background()
 			if budget != nil && budget.Ctx != nil {
@@ -566,20 +566,17 @@ func compileOne(c *config, comp *core.Compiler, src string, rep *diag.Reporter, 
 // through the control-flow extension.
 func runControlFlow(comp *core.Compiler, prog *ir.Program, c *config, rep *diag.Reporter, budget *diag.Budget, stdout io.Writer) error {
 	target := comp.Target()
-	sess := comp.AcquireSession()
-	defer comp.ReleaseSession(sess)
 	opts := cflow.Options{
 		NoCompaction: c.core.NoCompaction,
 		NoPeephole:   c.core.NoPeephole,
 		Reporter:     rep,
 		Budget:       budget,
 		Obs:          c.core.Obs,
-		Session:      sess,
 	}
 	var res *cflow.Result
 	err := diag.Guard(rep, "cflow", func() error {
 		var err error
-		res, err = cflow.Compile(target, prog, opts)
+		res, err = cflow.Compile(comp, prog, opts)
 		return err
 	})
 	if err != nil {

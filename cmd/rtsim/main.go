@@ -18,7 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dspstone"
 	"repro/internal/models"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -78,7 +77,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	res, err := target.CompileSourceContext(context.Background(), src, core.CompileOptions{})
+	comp, err := core.NewCompiler(target, core.Config{})
+	if err != nil {
+		return err
+	}
+	res, err := comp.CompileSource(context.Background(), src)
 	if err != nil {
 		return err
 	}
@@ -110,11 +113,9 @@ func run() error {
 }
 
 func traceRun(target *core.Target, res *core.CompileResult) error {
-	s := sim.New(target.Net)
-	for storage, img := range res.Binding.InitialImages(res.Program) {
-		if err := s.SetMemory(storage, img); err != nil {
-			return err
-		}
+	s, err := target.Simulator(res.ModeReq, res.Binding, res.Program.Decls)
+	if err != nil {
+		return err
 	}
 	words := res.Words()
 	if err := s.LoadProgram(words); err != nil {

@@ -51,7 +51,11 @@ func main() {
 		if err != nil {
 			log.Fatalf("%s: %v", e.Name, err)
 		}
-		res, err := target.CompileSourceContext(context.Background(), kernel, core.CompileOptions{})
+		comp, err := core.NewCompiler(target, core.Config{})
+		if err != nil {
+			log.Fatalf("%s: %v", e.Name, err)
+		}
+		res, err := comp.CompileSource(context.Background(), kernel)
 		if err != nil {
 			// An architecture that cannot run the kernel is itself a
 			// codesign data point.

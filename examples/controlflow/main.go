@@ -55,7 +55,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := cflow.Compile(target, prog, cflow.Options{})
+	comp, err := core.NewCompiler(target, core.Config{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := cflow.Compile(comp, prog, cflow.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -30,7 +30,11 @@ func main() {
 	fmt.Printf("kernel %s (N=%d), hand-written reference: %d words\n\n",
 		kernel.Name, kernel.N, kernel.HandWords)
 
-	res, err := target.CompileSourceContext(context.Background(), kernel.Source, core.CompileOptions{})
+	comp, err := core.NewCompiler(target, core.Config{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := comp.CompileSource(context.Background(), kernel.Source)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,7 +62,7 @@ func main() {
 		parallel, res.CodeLen())
 
 	// Compare with the naive macro-expansion baseline.
-	nv, err := naive.CompileSource(target, kernel.Source)
+	nv, err := naive.CompileSource(comp, kernel.Source)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -111,8 +111,13 @@ func main() {
 	fmt.Printf("retargeted to %q in %v: %d RT templates extracted, %d after extension\n\n",
 		target.Name, target.Stats.Total, target.Stats.Extracted, target.Stats.Templates)
 
-	// 2. Compile.
-	res, err := target.CompileSourceContext(context.Background(), program, core.CompileOptions{})
+	// 2. Compile through a compile handle, which pools the per-program
+	//    encoding sessions of the frozen target.
+	comp, err := core.NewCompiler(target, core.Config{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := comp.CompileSource(context.Background(), program)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -33,6 +33,17 @@ func retarget(t testing.TB, model string) (*core.Target, string) {
 }
 
 // modelNames lists every bundled model: the table-3 set plus brancher.
+// newCompiler builds a compile handle for tg.  A new handle's session
+// pool is empty, so its first compile runs on a fresh encoding session.
+func newCompiler(t testing.TB, tg *core.Target) *core.Compiler {
+	t.Helper()
+	c, err := core.NewCompiler(tg, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func modelNames() []string {
 	names := []string{"brancher"}
 	for _, e := range models.All() {
@@ -92,8 +103,8 @@ func TestRoundTripGolden(t *testing.T) {
 					tg2.Stats.Extracted, tg2.Stats.ISEDetails)
 			}
 			for _, k := range dspstone.Suite() {
-				fresh, ferr := tg.CompileSourceContext(context.Background(), k.Source, core.CompileOptions{})
-				decoded, derr := tg2.CompileSourceContext(context.Background(), k.Source, core.CompileOptions{})
+				fresh, ferr := newCompiler(t, tg).CompileSource(context.Background(), k.Source)
+				decoded, derr := newCompiler(t, tg2).CompileSource(context.Background(), k.Source)
 				if ferr != nil || derr != nil {
 					if ferr == nil || derr == nil || ferr.Error() != derr.Error() {
 						t.Errorf("%s: fresh error %v, decoded error %v", k.Name, ferr, derr)

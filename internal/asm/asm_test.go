@@ -126,7 +126,11 @@ func TestParallelStoreAndUnrelatedFieldSharing(t *testing.T) {
 
 func TestEncodeProgramAndListing(t *testing.T) {
 	tg := target(t)
-	res, err := tg.CompileSourceContext(context.Background(), `int x; int y; x = 7; y = x + 1;`, core.CompileOptions{})
+	comp, err := core.NewCompiler(tg, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := comp.CompileSource(context.Background(), `int x; int y; x = 7; y = x + 1;`)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -349,6 +349,23 @@ func (b *Binding) InitialImages(prog *ir.Program) map[string][]int64 {
 	return imgs
 }
 
+// ReadBack is the inverse of InitialImages: it reads the values of decls
+// out of the memory images mem (storage name to cells) at their
+// placements.  Declarations without a placement are skipped.
+func (b *Binding) ReadBack(mem map[string][]int64, decls []*ir.Decl) ir.Env {
+	env := make(ir.Env, len(decls))
+	for _, d := range decls {
+		place, ok := b.Place[d.Name]
+		if !ok {
+			continue
+		}
+		cells := make([]int64, d.Cells())
+		copy(cells, mem[place.Storage][place.Addr:place.Addr+d.Cells()])
+		env[d.Name] = cells
+	}
+	return env
+}
+
 // Layout renders the frame layout for diagnostics.
 func (b *Binding) Layout() string {
 	names := make([]string, 0, len(b.Place))

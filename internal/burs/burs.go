@@ -75,13 +75,19 @@ func NewParser(g *grammar.Grammar) *Parser {
 
 // Label computes the dynamic-programming labels for the subject tree.
 func (p *Parser) Label(e *rtl.Expr) *Node {
+	return p.label(e, make(map[FieldKey]int64, 2))
+}
+
+// label labels e bottom-up.  fields is the field-binding scratch map of
+// the whole Label call, cleared before each rule probe.
+func (p *Parser) label(e *rtl.Expr, fields map[FieldKey]int64) *Node {
 	nNT := p.G.NumNT()
 	node := &Node{Expr: e, cost: make([]int32, nNT), rule: make([]*grammar.Rule, nNT)}
 	for i := range node.cost {
 		node.cost[i] = Inf
 	}
 	for _, k := range e.Kids {
-		node.Kids = append(node.Kids, p.Label(k))
+		node.Kids = append(node.Kids, p.label(k, fields))
 	}
 	// Match every rule whose root terminal fits this node.
 	var rules []*grammar.Rule
@@ -89,7 +95,8 @@ func (p *Parser) Label(e *rtl.Expr) *Node {
 		rules = p.G.RulesByTerm[term]
 	}
 	for _, r := range rules {
-		c := p.MatchCost(r.Pat, node)
+		clear(fields)
+		c := p.MatchCostFields(r.Pat, node, fields)
 		if c >= Inf {
 			continue
 		}
@@ -123,18 +130,14 @@ func (p *Parser) Label(e *rtl.Expr) *Node {
 // FieldKey identifies an instruction field by its bit range.
 type FieldKey struct{ Hi, Lo int }
 
-// MatchCost returns the cost of matching pattern pat at node (excluding the
-// rule's own cost), or Inf.  Nonlinear patterns — where one instruction
-// field appears at several leaves (both FU inputs wired to the same memory
-// output, say) — only match when every occurrence binds the same operand
-// value.
-func (p *Parser) MatchCost(pat *grammar.Pat, node *Node) int32 {
-	return p.MatchCostFields(pat, node, make(map[FieldKey]int64, 2))
-}
-
-// MatchCostFields is MatchCost threading an explicit field-binding map; the
-// same (non-nil) map may be shared across several patterns (a template's
-// source and destination-address patterns) to enforce global consistency.
+// MatchCostFields returns the cost of matching pattern pat at node
+// (excluding the rule's own cost), or Inf.  Nonlinear patterns — where one
+// instruction field appears at several leaves (both FU inputs wired to the
+// same memory output, say) — only match when every occurrence binds the
+// same operand value; fields holds the bindings made so far and receives
+// the new ones.  The same (non-nil) map may be shared across several
+// patterns (a template's source and destination-address patterns) to
+// enforce global consistency.
 func (p *Parser) MatchCostFields(pat *grammar.Pat, node *Node, fields map[FieldKey]int64) int32 {
 	if pat.Kind == grammar.PatNT {
 		return node.cost[pat.NT]

@@ -27,7 +27,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/opt"
 	"repro/internal/rtl"
-	"repro/internal/sim"
 )
 
 // Options tunes control-flow compilation and execution.
@@ -45,11 +44,6 @@ type Options struct {
 	Budget *diag.Budget
 	// Obs receives per-block spans and block/word counters.  nil is safe.
 	Obs *obs.Scope
-	// Session, when set, is a caller-provided (typically pooled) encoding
-	// session used for the whole program instead of allocating a fresh
-	// one; the caller keeps ownership and must not use it concurrently.
-	// core.Compiler.AcquireSession is the intended source.
-	Session *asm.Session
 }
 
 // Result is a compiled control-flow program.
@@ -137,8 +131,12 @@ type pendingJump struct {
 	targetBlock int // or exit when < 0
 }
 
-// Compile lowers, selects, compacts and encodes a control-flow program.
-func Compile(t *core.Target, prog *ir.Program, opts Options) (*Result, error) {
+// Compile lowers, selects, compacts and encodes a control-flow program for
+// c's target.  The whole program runs on one encoding session borrowed from
+// c's pool (feasibility tests and encoding share its private view), so
+// concurrent Compiles on one Compiler need no locking.
+func Compile(c *core.Compiler, prog *ir.Program, opts Options) (*Result, error) {
+	t := c.Target()
 	cfg, err := ir.BuildCFG(prog)
 	if err != nil {
 		return nil, err
@@ -153,13 +151,8 @@ func Compile(t *core.Target, prog *ir.Program, opts Options) (*Result, error) {
 		return nil, err
 	}
 	gen := codegen.New(t.Grammar, t.Parser, b)
-	// One encoding session for the whole program keeps cflow reentrant on
-	// frozen targets (feasibility tests and encoding share a private view);
-	// a caller-supplied pooled session skips the per-program allocation.
-	sess := opts.Session
-	if sess == nil {
-		sess = t.Encoder.NewSessionObs(opts.Obs)
-	}
+	sess := c.AcquireSession()
+	defer c.ReleaseSession(sess)
 	cfSpan, scope := opts.Obs.Start("cflow.compile", obs.KV("blocks", len(cfg.Blocks)))
 	defer cfSpan.End()
 	cBlocks := scope.Registry().Counter("record_cflow_blocks_total",
@@ -298,17 +291,9 @@ func Execute(t *core.Target, r *Result, opts Options) (ir.Env, error) {
 	if maxCycles <= 0 {
 		maxCycles = 1 << 20
 	}
-	s := sim.New(t.Net)
-	for storage, val := range r.ModeReq {
-		if err := s.SetMemory(storage, []int64{val}); err != nil {
-			return nil, err
-		}
-	}
-	declProg := &ir.Program{Decls: r.CFG.Decls}
-	for storage, img := range r.Binding.InitialImages(declProg) {
-		if err := s.SetMemory(storage, img); err != nil {
-			return nil, err
-		}
+	s, err := t.Simulator(r.ModeReq, r.Binding, r.CFG.Decls)
+	if err != nil {
+		return nil, err
 	}
 	if err := s.LoadProgram(r.Words()); err != nil {
 		return nil, err
@@ -329,18 +314,7 @@ func Execute(t *core.Target, r *Result, opts Options) (ir.Env, error) {
 			return nil, err
 		}
 	}
-	env := make(ir.Env)
-	for _, d := range r.CFG.Decls {
-		place, ok := r.Binding.AddrOf(d.Name)
-		if !ok {
-			continue
-		}
-		memory := s.Mem[place.Storage]
-		cells := make([]int64, d.Cells())
-		copy(cells, memory[place.Addr:place.Addr+d.Cells()])
-		env[d.Name] = cells
-	}
-	return env, nil
+	return r.Binding.ReadBack(s.Mem, r.CFG.Decls), nil
 }
 
 // CheckAgainstOracle executes the compiled program and compares every
@@ -354,13 +328,8 @@ func CheckAgainstOracle(t *core.Target, r *Result, opts Options) error {
 	if err := r.CFG.Interp(want, r.Binding.Width); err != nil {
 		return fmt.Errorf("cflow: oracle: %w", err)
 	}
-	for _, d := range r.CFG.Decls {
-		for i := range want[d.Name] {
-			if got[d.Name][i] != want[d.Name][i] {
-				return fmt.Errorf("cflow: %s[%d] = %d on hardware, %d per oracle",
-					d.Name, i, got[d.Name][i], want[d.Name][i])
-			}
-		}
+	if err := ir.Mismatch(r.CFG.Decls, got, want); err != nil {
+		return fmt.Errorf("cflow: %w", err)
 	}
 	return nil
 }

@@ -30,6 +30,17 @@ func brancher(t *testing.T) *core.Target {
 	return tg
 }
 
+// newCompiler builds a compile handle for tg.  A new handle's session
+// pool is empty, so its first compile runs on a fresh encoding session.
+func newCompiler(t testing.TB, tg *core.Target) *core.Compiler {
+	t.Helper()
+	c, err := core.NewCompiler(tg, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // compileRun compiles a control-flow program, runs it on the netlist
 // simulator, checks the CFG oracle, and returns the environment.
 func compileRun(t *testing.T, src string) (ir.Env, *cflow.Result) {
@@ -39,7 +50,7 @@ func compileRun(t *testing.T, src string) (ir.Env, *cflow.Result) {
 	if err != nil {
 		t.Fatalf("frontend: %v", err)
 	}
-	res, err := cflow.Compile(target, prog, cflow.Options{})
+	res, err := cflow.Compile(newCompiler(t, target), prog, cflow.Options{})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -223,7 +234,7 @@ void main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cflow.Compile(target, prog, cflow.Options{}); err == nil {
+	if _, err := cflow.Compile(newCompiler(t, target), prog, cflow.Options{}); err == nil {
 		t.Error("runtime-indexed array access compiled for a machine without indexed addressing")
 	}
 }
@@ -240,7 +251,7 @@ void main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cflow.Compile(target, prog, cflow.Options{})
+	res, err := cflow.Compile(newCompiler(t, target), prog, cflow.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,11 +276,11 @@ void main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed, err := cflow.Compile(target, prog, cflow.Options{})
+	packed, err := cflow.Compile(newCompiler(t, target), prog, cflow.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := cflow.Compile(target, prog, cflow.Options{NoCompaction: true})
+	plain, err := cflow.Compile(newCompiler(t, target), prog, cflow.Options{NoCompaction: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,11 +310,11 @@ void main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := cflow.Compile(target, prog, cflow.Options{})
+	opt, err := cflow.Compile(newCompiler(t, target), prog, cflow.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := cflow.Compile(target, prog, cflow.Options{NoPeephole: true})
+	raw, err := cflow.Compile(newCompiler(t, target), prog, cflow.Options{NoPeephole: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +340,7 @@ func TestNoJumpTemplatesDiagnostic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cflow.Compile(c25, prog, cflow.Options{}); err == nil ||
+	if _, err := cflow.Compile(newCompiler(t, c25), prog, cflow.Options{}); err == nil ||
 		!strings.Contains(err.Error(), "jump template") {
 		t.Errorf("err = %v", err)
 	}

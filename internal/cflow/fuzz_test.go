@@ -89,7 +89,7 @@ func TestPropRandomControlFlow(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	for trial := 0; trial < 80; trial++ {
 		p := randomCFProgram(rng)
-		res, err := cflow.Compile(target, p, cflow.Options{})
+		res, err := cflow.Compile(newCompiler(t, target), p, cflow.Options{})
 		if err != nil {
 			t.Fatalf("trial %d: compile: %v", trial, err)
 		}
@@ -107,7 +107,7 @@ func TestPropRandomControlFlowNoCompaction(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 30; trial++ {
 		p := randomCFProgram(rng)
-		res, err := cflow.Compile(target, p, cflow.Options{NoCompaction: true})
+		res, err := cflow.Compile(newCompiler(t, target), p, cflow.Options{NoCompaction: true})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -82,11 +82,22 @@ func retarget(t *testing.T, mdl string) *core.Target {
 	return tg
 }
 
+// newCompiler builds a compile handle for tg.  A new handle's session
+// pool is empty, so its first compile runs on a fresh encoding session.
+func newCompiler(t testing.TB, tg *core.Target) *core.Compiler {
+	t.Helper()
+	c, err := core.NewCompiler(tg, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestSpillThroughMemory(t *testing.T) {
 	tg := retarget(t, oneAcc)
 	// Both multiplier operands are computed: the ET must split through a
 	// scratch cell.
-	res, err := tg.CompileSourceContext(context.Background(), `
+	res, err := newCompiler(t, tg).CompileSourceOpts(context.Background(), `
 int a = 3; int b = 4; int c = 5; int d = 6;
 int x;
 x = (a + b) * (c + d);
@@ -115,12 +126,12 @@ x = (a + b) * (c + d);
 
 func TestDeepNestingStaysCorrect(t *testing.T) {
 	tg := retarget(t, oneAcc)
-	res, err := tg.CompileSourceContext(context.Background(), `
+	res, err := newCompiler(t, tg).CompileSource(context.Background(), `
 int a = 1; int b = 2; int c = 3; int d = 4;
 int e = 5; int f = 6; int g = 7; int h = 8;
 int x;
 x = ((a + b) * (c + d)) ^ ((e - f) * (g + h));
-`, core.CompileOptions{})
+`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +147,11 @@ func TestEvaluationOrderAvoidsSpill(t *testing.T) {
 	tg := retarget(t, oneAcc)
 	// (a+b) + c: right operand is a leaf, so evaluating left-first into
 	// the accumulator needs no spill at all.
-	res, err := tg.CompileSourceContext(context.Background(), `
+	res, err := newCompiler(t, tg).CompileSource(context.Background(), `
 int a = 1; int b = 2; int c = 3;
 int x;
 x = (a + b) + c;
-`, core.CompileOptions{})
+`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +168,11 @@ func TestSharedSubtreeElision(t *testing.T) {
 	tg := retarget(t, mdl)
 	// t*t: both multiplier operands are the same subtree; on the c25 the
 	// square needs t loaded once.
-	res, err := tg.CompileSourceContext(context.Background(), `
+	res, err := newCompiler(t, tg).CompileSource(context.Background(), `
 int v = 9;
 int sq;
 sq = v * v;
-`, core.CompileOptions{})
+`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,10 +194,10 @@ func TestFieldConsistencyForcesSplit(t *testing.T) {
 	tg := retarget(t, oneAcc)
 	// a & (a+1) with a nonlinear immediate would be wrong; here we check
 	// two DIFFERENT immediates sharing the field force separate words.
-	res, err := tg.CompileSourceContext(context.Background(), `
+	res, err := newCompiler(t, tg).CompileSource(context.Background(), `
 int x;
 x = 100 + 200;
-`, core.CompileOptions{})
+`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +212,7 @@ x = 100 + 200;
 
 func TestCommentsCarrySource(t *testing.T) {
 	tg := retarget(t, oneAcc)
-	res, err := tg.CompileSourceContext(context.Background(), `int x; x = 5;`, core.CompileOptions{})
+	res, err := newCompiler(t, tg).CompileSource(context.Background(), `int x; x = 5;`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,12 +232,12 @@ func TestTwosComplementFallbackWidths(t *testing.T) {
 	// the result is numerically right across sign boundaries.
 	mdl, _ := models.Get("manocpu")
 	tg := retarget(t, mdl)
-	res, err := tg.CompileSourceContext(context.Background(), `
+	res, err := newCompiler(t, tg).CompileSource(context.Background(), `
 int a = 5; int b = 12;
 int x; int y;
 x = a - b;
 y = b - a;
-`, core.CompileOptions{})
+`)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,6 +21,17 @@ func c25(t *testing.T) *core.Target {
 	return tg
 }
 
+// newCompiler builds a compile handle for tg.  A new handle's session
+// pool is empty, so its first compile runs on a fresh encoding session.
+func newCompiler(t testing.TB, tg *core.Target) *core.Compiler {
+	t.Helper()
+	c, err := core.NewCompiler(tg, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 const macSrc = `
 int a[4] = {1, 2, 3, 4};
 int b[4] = {5, 6, 7, 8};
@@ -35,7 +46,7 @@ void main() {
 
 func TestCompactShortensAndVerifies(t *testing.T) {
 	tg := c25(t)
-	res, err := tg.CompileSourceContext(context.Background(), macSrc, core.CompileOptions{})
+	res, err := newCompiler(t, tg).CompileSource(context.Background(), macSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +69,7 @@ func TestCompactShortensAndVerifies(t *testing.T) {
 
 func TestDisableKeepsOrder(t *testing.T) {
 	tg := c25(t)
-	res, err := tg.CompileSourceContext(context.Background(), macSrc, core.CompileOptions{NoCompaction: true})
+	res, err := newCompiler(t, tg).CompileSourceOpts(context.Background(), macSrc, core.CompileOptions{NoCompaction: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +87,7 @@ func TestDisableKeepsOrder(t *testing.T) {
 // given words, each a list of sequence positions.
 func relaid(t *testing.T, tg *core.Target, src string, words [][]int) *core.CompileResult {
 	t.Helper()
-	res, err := tg.CompileSourceContext(context.Background(), src, core.CompileOptions{NoCompaction: true})
+	res, err := newCompiler(t, tg).CompileSourceOpts(context.Background(), src, core.CompileOptions{NoCompaction: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +158,7 @@ func TestVerifyCatchesForeignInstr(t *testing.T) {
 
 func TestVerifyCatchesMissingInstr(t *testing.T) {
 	tg := c25(t)
-	res, err := tg.CompileSourceContext(context.Background(), `int x; x = 5;`, core.CompileOptions{})
+	res, err := newCompiler(t, tg).CompileSource(context.Background(), `int x; x = 5;`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +171,7 @@ func TestVerifyCatchesMissingInstr(t *testing.T) {
 
 func TestParallelWordsEncodable(t *testing.T) {
 	tg := c25(t)
-	res, err := tg.CompileSourceContext(context.Background(), macSrc, core.CompileOptions{})
+	res, err := newCompiler(t, tg).CompileSource(context.Background(), macSrc)
 	if err != nil {
 		t.Fatal(err)
 	}

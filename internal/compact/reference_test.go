@@ -88,7 +88,7 @@ func TestCompactMatchesPairwiseReference(t *testing.T) {
 		}
 		compiled, largest := 0, 0
 		for _, k := range kernels {
-			res, err := tg.CompileSourceContext(context.Background(), k.Source, core.CompileOptions{})
+			res, err := newCompiler(t, tg).CompileSource(context.Background(), k.Source)
 			if err != nil {
 				continue // a kernel the machine cannot hold or express
 			}
@@ -98,7 +98,7 @@ func TestCompactMatchesPairwiseReference(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(12345))
 		for trial := 0; trial < 150; trial++ {
-			res, err := tg.CompileProgramContext(context.Background(), randomProgram(rng), core.CompileOptions{})
+			res, err := newCompiler(t, tg).CompileProgramOpts(context.Background(), randomProgram(rng), core.CompileOptions{})
 			if err != nil {
 				continue
 			}
@@ -121,7 +121,7 @@ func TestCompactMatchesPairwiseReferenceMicro16(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(12345))
 	for trial := 0; trial < 150; trial++ {
-		res, err := tg.CompileProgramContext(context.Background(), randomProgram(rng), core.CompileOptions{})
+		res, err := newCompiler(t, tg).CompileProgramOpts(context.Background(), randomProgram(rng), core.CompileOptions{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

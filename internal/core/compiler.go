@@ -1,17 +1,15 @@
-// The Compiler handle: the long-lived compile side of a retargeted
-// processor.
+// The Compiler handle: the per-program half of RECORD, and the one way to
+// compile against a retargeted processor.
 //
 // RetargetContext is the expensive offline step; per-program compilation is
-// meant to be cheap and massively parallel.  CompileSourceContext alone
-// cannot deliver that: every call re-resolves metric instruments through
-// the registry mutex, allocates a fresh encoding session (a BDD view plus
-// its overlay tables) and throws the session's warmed operation cache away.
-// A Compiler binds one frozen Target to one Config once and amortizes all
-// of it — sessions are pooled per worker via sync.Pool and recycled while
-// their copy-on-write overlay stays small, instruments are resolved at
-// construction, and the compile options are fixed up front — so cmd/record
-// -jobs, recordd workers and the batch path all compile through one
-// reusable object.
+// meant to be cheap and massively parallel.  A Compiler binds one frozen
+// Target to one Config and amortizes everything a compile needs besides
+// the program: encoding sessions (a BDD view plus its overlay tables) are
+// pooled via sync.Pool and recycled while their copy-on-write overlay
+// stays small, instruments are resolved at construction, and the compile
+// options are fixed up front.  cmd/record, recordd workers, the
+// control-flow and naive compilers and the batch path all compile through
+// it; a new Compiler's first compile is a fresh-session compile.
 //
 // Reusing an encoding session across compilations is sound because the
 // produced code is a pure function of the frozen tables: ROBDDs are
@@ -19,18 +17,24 @@
 // builds is structurally identical whether its view cache is cold or warm,
 // and the satisfying-path walk that picks instruction bits sees the same
 // structure either way.  Output stays byte-identical to a serial,
-// fresh-session run; the -race 32-way test in freeze_test.go holds this.
+// fresh-session run; the -race 32-way test in compiler_test.go holds this.
 package core
 
 import (
 	"context"
 	"fmt"
 	"sync"
+	"time"
 
 	"repro/internal/asm"
+	"repro/internal/bind"
 	"repro/internal/cfront"
+	"repro/internal/codegen"
+	"repro/internal/compact"
+	"repro/internal/diag"
 	"repro/internal/ir"
 	"repro/internal/obs"
+	"repro/internal/opt"
 )
 
 // maxPooledOverlay bounds the private BDD entries (overlay nodes plus
@@ -114,13 +118,18 @@ func (c *Compiler) CompileSourceOpts(ctx context.Context, src string, opts Compi
 	return c.CompileProgramOpts(ctx, prog, opts)
 }
 
-// CompileProgram compiles an IR program through the pooled hot path.
-func (c *Compiler) CompileProgram(ctx context.Context, prog *ir.Program) (*CompileResult, error) {
-	return c.CompileProgramOpts(ctx, prog, c.opts)
-}
-
 // CompileProgramOpts compiles an IR program with per-call option
-// overrides (see CompileSourceOpts for the Obs caveat).
+// overrides (see CompileSourceOpts for the Obs caveat).  It runs the
+// per-program pipeline — bind → select → peephole → compact → encode — on
+// a pooled encoding session, timing each stage into the compiler's stage
+// histograms.
+//
+// On a frozen target the whole compilation touches no shared mutable
+// state: selection walks read-only tables, and encoding runs in the
+// session's private copy-on-write BDD view, so concurrent compiles need no
+// locking.  ctx cancellation is observed between stages; a cancelled
+// compile returns ctx.Err wrapped in a *diag.BudgetError so servers map it
+// onto their timeout class.
 func (c *Compiler) CompileProgramOpts(ctx context.Context, prog *ir.Program, opts CompileOptions) (*CompileResult, error) {
 	c.compiles.Inc()
 	sess := c.AcquireSession()
@@ -128,13 +137,93 @@ func (c *Compiler) CompileProgramOpts(ctx context.Context, prog *ir.Program, opt
 	if opts.Obs == nil {
 		opts.Obs = c.opts.Obs
 	}
-	return c.t.compile(ctx, prog, opts, sess, opts.Obs, c.observeStage)
-}
-
-func (c *Compiler) observeStage(stage string, seconds float64) {
-	if h := c.stageSec[stage]; h != nil {
-		h.Observe(seconds)
+	if ctx == nil {
+		ctx = context.Background()
 	}
+	t := c.t
+	check := func(stage string) error {
+		if err := ctx.Err(); err != nil {
+			return &diag.BudgetError{Resource: "deadline", Cause: fmt.Errorf("compile cancelled at %s: %w", stage, err)}
+		}
+		return nil
+	}
+	cSpan, scope := opts.Obs.Start("compile")
+	defer cSpan.End()
+	// stage wraps one pipeline stage in a span and the phase histogram;
+	// the returned func must run exactly once, error path included.  The
+	// stage's own wall-clock measurement feeds both, via Event, so tracing
+	// a stage costs one ring append rather than a Start/End pair.
+	stage := func(name string) func() {
+		from := time.Now()
+		return func() {
+			d := time.Since(from)
+			scope.Event(name, d)
+			c.stageSec[name].Observe(d.Seconds())
+		}
+	}
+	done := stage("bind")
+	b, err := bind.Bind(prog, t.Net)
+	if err != nil {
+		done()
+		return nil, err
+	}
+	ets, err := b.LowerProgram(prog)
+	done()
+	if err != nil {
+		return nil, err
+	}
+	if err := check("selection"); err != nil {
+		return nil, err
+	}
+	done = stage("select")
+	gen := codegen.New(t.Grammar, t.Parser, b)
+	raw, err := gen.Compile(ets)
+	done()
+	if err != nil {
+		return nil, err
+	}
+	seq := raw
+	var optStats opt.Stats
+	if !opts.NoPeephole {
+		done = stage("peephole")
+		seq, optStats = opt.Optimize(raw)
+		done()
+	}
+	if err := check("compaction"); err != nil {
+		return nil, err
+	}
+	done = stage("compact")
+	prg, err := compact.Compact(seq, sess, compact.Options{Disable: opts.NoCompaction, Obs: scope})
+	if err != nil {
+		done()
+		return nil, err
+	}
+	err = compact.Verify(seq, prg, sess)
+	done()
+	if err != nil {
+		return nil, err
+	}
+	if err := check("encoding"); err != nil {
+		return nil, err
+	}
+	done = stage("encode")
+	mode, err := sess.EncodeProgram(prg)
+	done()
+	if err != nil {
+		return nil, err
+	}
+	cSpan.SetAttr("instrs", seq.Len())
+	cSpan.SetAttr("words", prg.Len())
+	return &CompileResult{
+		Program: prog,
+		Binding: b,
+		Seq:     seq,
+		RawSeq:  raw,
+		Code:    prg,
+		ModeReq: mode,
+		Stats:   gen.Stats,
+		Opt:     optStats,
+	}, nil
 }
 
 // AcquireSession borrows an encoding session from the pool for callers
@@ -153,6 +242,3 @@ func (c *Compiler) ReleaseSession(s *asm.Session) {
 	}
 	c.sessions.Put(s)
 }
-
-// Listing renders a compiled program as an annotated listing.
-func (c *Compiler) Listing(r *CompileResult) string { return c.t.Listing(r) }

@@ -70,11 +70,11 @@ func TestCompilerParallelByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Serial baseline through the one-shot path: a fresh session
-			// per compile, before any pooling is in play.
+			// Serial baseline on fresh sessions: a new Compiler per
+			// compile, so no pooled session is in play.
 			ref := make([][]uint64, len(tc.srcs))
 			for i, src := range tc.srcs {
-				res, err := target.CompileSourceContext(context.Background(), src, CompileOptions{})
+				res, err := newCompiler(t, target).CompileSource(context.Background(), src)
 				if err != nil {
 					t.Fatalf("serial reference %d: %v", i, err)
 				}

@@ -18,10 +18,8 @@ import (
 	"repro/internal/asm"
 	"repro/internal/bind"
 	"repro/internal/burs"
-	"repro/internal/cfront"
 	"repro/internal/code"
 	"repro/internal/codegen"
-	"repro/internal/compact"
 	"repro/internal/diag"
 	"repro/internal/grammar"
 	"repro/internal/hdl"
@@ -104,9 +102,7 @@ type Target struct {
 // RetargetContext builds a compiler for the processor described by MDL
 // source.  ctx bounds the run: cancellation or deadline expiry is observed
 // at phase boundaries and inside route enumeration (it becomes the
-// wall-clock axis of the diag.Budget, replacing the older ad-hoc timeout
-// plumbing — a Budget with its own Ctx keeps it, so legacy callers are
-// unaffected).
+// wall-clock axis of the diag.Budget; a Budget with its own Ctx keeps it).
 //
 // Every phase runs under a recovery boundary: panics (pipeline invariant
 // violations, injected faults) surface as Error diagnostics on
@@ -155,140 +151,105 @@ func RetargetContext(ctx context.Context, mdlSource string, opts RetargetOptions
 		opts.ISE.Budget = opts.Budget
 	}
 
-	feSpan, _ := scope.Start("frontend")
-	err := diag.Guard(rep, "hdl", func() error {
-		model, err := hdl.ParseAndCheck(mdlSource)
-		if err != nil {
-			for _, e := range hdl.Errors(err) {
-				rep.Errorf("hdl", diag.Pos{Line: e.Pos.Line, Col: e.Pos.Col}, "%s", e.Msg)
+	// The phases in pipeline order.  Each runs under its own span (name)
+	// and recovery boundary (guard); its wall clock lands in *d and in the
+	// phase histogram, and a failure is wrapped as "core: what: ...".
+	// budget marks the phases preceded by a budget check.
+	phases := []struct {
+		name, guard, what string
+		budget            bool
+		d                 *time.Duration
+		run               func(sp *obs.Span, sc *obs.Scope) error
+	}{
+		{"frontend", "hdl", "HDL frontend", false, &t.Stats.Frontend, func(*obs.Span, *obs.Scope) error {
+			model, err := hdl.ParseAndCheck(mdlSource)
+			if err != nil {
+				for _, e := range hdl.Errors(err) {
+					rep.Errorf("hdl", diag.Pos{Line: e.Pos.Line, Col: e.Pos.Col}, "%s", e.Msg)
+				}
+				return err
 			}
-			return err
-		}
-		net, err := netlist.Elaborate(model)
-		if err != nil {
-			rep.Errorf("hdl", diag.Pos{}, "elaboration: %v", err)
-			return err
-		}
-		t.Name = net.Name
-		t.Model = model
-		t.Net = net
-		return nil
-	})
-	feSpan.End()
-	if err != nil {
-		return nil, fmt.Errorf("core: HDL frontend: %w", err)
-	}
-	t.Stats.Frontend = time.Since(start)
-	phaseSec.With("frontend").Observe(t.Stats.Frontend.Seconds())
-	rtSpan.SetAttr("target", t.Name)
-
-	if err := opts.Budget.Exceeded(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	phase := time.Now()
-	iseSpan, iseScope := scope.Start("ise")
-	if opts.ISE.Obs == nil {
-		opts.ISE.Obs = iseScope
-	}
-	err = diag.Guard(rep, "ise", func() error {
-		res, err := ise.Extract(t.Net, opts.ISE)
-		if err != nil {
-			return err
-		}
-		t.ISE = res
-		t.Base = res.Base
-		return nil
-	})
-	if err != nil {
-		iseSpan.End()
-		return nil, fmt.Errorf("core: instruction-set extraction: %w", err)
-	}
-	iseSpan.SetAttr("templates", t.Base.Len())
-	iseSpan.SetAttr("dropped", t.ISE.Stats.Dropped)
-	iseSpan.End()
-	t.Stats.ISE = time.Since(phase)
-	t.Stats.Extracted = t.Base.Len()
-	t.Stats.ISEDetails = t.ISE.Stats
-	phaseSec.With("ise").Observe(t.Stats.ISE.Seconds())
-
-	phase = time.Now()
-	extSpan, _ := scope.Start("extend")
-	err = diag.Guard(rep, "extend", func() error {
-		if !opts.NoExtension {
-			ext := rewrite.DefaultOptions()
-			if opts.Extension != nil {
-				ext = *opts.Extension
+			net, err := netlist.Elaborate(model)
+			if err != nil {
+				rep.Errorf("hdl", diag.Pos{}, "elaboration: %v", err)
+				return err
 			}
-			rewrite.Extend(t.Base, ext)
-		}
-		return nil
-	})
-	extSpan.End()
-	if err != nil {
-		return nil, fmt.Errorf("core: template-base extension: %w", err)
+			t.Name, t.Model, t.Net = net.Name, model, net
+			rtSpan.SetAttr("target", t.Name)
+			return nil
+		}},
+		{"ise", "ise", "instruction-set extraction", true, &t.Stats.ISE, func(sp *obs.Span, sc *obs.Scope) error {
+			if opts.ISE.Obs == nil {
+				opts.ISE.Obs = sc
+			}
+			res, err := ise.Extract(t.Net, opts.ISE)
+			if err != nil {
+				return err
+			}
+			t.ISE, t.Base = res, res.Base
+			t.Stats.Extracted = t.Base.Len()
+			t.Stats.ISEDetails = res.Stats
+			sp.SetAttr("templates", t.Base.Len())
+			sp.SetAttr("dropped", res.Stats.Dropped)
+			return nil
+		}},
+		{"extend", "extend", "template-base extension", false, &t.Stats.Extension, func(*obs.Span, *obs.Scope) error {
+			if !opts.NoExtension {
+				ext := rewrite.DefaultOptions()
+				if opts.Extension != nil {
+					ext = *opts.Extension
+				}
+				rewrite.Extend(t.Base, ext)
+			}
+			t.Stats.Templates = t.Base.Len()
+			return nil
+		}},
+		{"grammar", "grammar", "grammar construction", true, &t.Stats.Grammar, func(_ *obs.Span, sc *obs.Scope) error {
+			g, err := grammar.BuildReported(t.Base, grammar.SpecFromNetlist(t.Net), rep)
+			if err != nil {
+				return err
+			}
+			t.Grammar = g
+			t.Stats.GrammarSz = g.Stats()
+			t.Stats.GrammarSz.Observe(sc)
+			return nil
+		}},
+		{"burs", "burs", "parser generation", false, &t.Stats.ParserGen, func(*obs.Span, *obs.Scope) error {
+			t.Parser = burs.NewParser(t.Grammar)
+			var background []string
+			for _, st := range t.Net.Seq {
+				if st.PC {
+					background = append(background, st.QName())
+				}
+			}
+			t.Encoder = asm.NewEncoder(t.ISE.Vars, t.Base, background...)
+			return nil
+		}},
+		// Freeze: bake the per-template encoding tables and mark the BDD
+		// manager read-only, making the Target safe for concurrent
+		// compiles.  This is the last manager-mutating step; it runs for
+		// degraded targets too (frozen ≠ cacheable).
+		{"freeze", "freeze", "target freeze", false, &t.Stats.Freeze, func(*obs.Span, *obs.Scope) error {
+			t.Encoder.Freeze()
+			return nil
+		}},
 	}
-	t.Stats.Extension = time.Since(phase)
-	t.Stats.Templates = t.Base.Len()
-	phaseSec.With("extend").Observe(t.Stats.Extension.Seconds())
-
-	if err := opts.Budget.Exceeded(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	phase = time.Now()
-	gSpan, gScope := scope.Start("grammar")
-	err = diag.Guard(rep, "grammar", func() error {
-		g, err := grammar.BuildReported(t.Base, grammar.SpecFromNetlist(t.Net), rep)
-		if err != nil {
-			return err
-		}
-		t.Grammar = g
-		t.Stats.GrammarSz = g.Stats()
-		t.Stats.GrammarSz.Observe(gScope)
-		return nil
-	})
-	gSpan.End()
-	if err != nil {
-		return nil, fmt.Errorf("core: grammar construction: %w", err)
-	}
-	t.Stats.Grammar = time.Since(phase)
-	phaseSec.With("grammar").Observe(t.Stats.Grammar.Seconds())
-
-	phase = time.Now()
-	bSpan, _ := scope.Start("burs")
-	err = diag.Guard(rep, "burs", func() error {
-		t.Parser = burs.NewParser(t.Grammar)
-		var background []string
-		for _, st := range t.Net.Seq {
-			if st.PC {
-				background = append(background, st.QName())
+	for _, p := range phases {
+		if p.budget {
+			if err := opts.Budget.Exceeded(); err != nil {
+				return nil, fmt.Errorf("core: %w", err)
 			}
 		}
-		t.Encoder = asm.NewEncoder(t.ISE.Vars, t.Base, background...)
-		return nil
-	})
-	bSpan.End()
-	if err != nil {
-		return nil, fmt.Errorf("core: parser generation: %w", err)
+		from := time.Now()
+		sp, sc := scope.Start(p.name)
+		err := diag.Guard(rep, p.guard, func() error { return p.run(sp, sc) })
+		sp.End()
+		if err != nil {
+			return nil, fmt.Errorf("core: %s: %w", p.what, err)
+		}
+		*p.d = time.Since(from)
+		phaseSec.With(p.name).Observe(p.d.Seconds())
 	}
-	t.Stats.ParserGen = time.Since(phase)
-	phaseSec.With("burs").Observe(t.Stats.ParserGen.Seconds())
-
-	// Freeze: bake the per-template encoding tables and mark the BDD
-	// manager read-only, making the Target safe for concurrent compiles.
-	// This is the last manager-mutating step; it runs for degraded targets
-	// too (frozen ≠ cacheable).
-	phase = time.Now()
-	fzSpan, _ := scope.Start("freeze")
-	err = diag.Guard(rep, "freeze", func() error {
-		t.Encoder.Freeze()
-		return nil
-	})
-	fzSpan.End()
-	if err != nil {
-		return nil, fmt.Errorf("core: target freeze: %w", err)
-	}
-	t.Stats.Freeze = time.Since(phase)
-	phaseSec.With("freeze").Observe(t.Stats.Freeze.Seconds())
 
 	t.Stats.Total = time.Since(start)
 	if t.ISE.Stats.Dropped > 0 {
@@ -342,165 +303,41 @@ func (r *CompileResult) CodeLen() int { return r.Code.Len() }
 // BDD manager read-only (always true for Retarget-built targets).
 func (t *Target) Frozen() bool { return t.Encoder != nil && t.Encoder.Frozen() }
 
-// CompileSourceContext compiles RecC source text for the target,
-// observing ctx cancellation between pipeline stages.  Safe for concurrent
-// use on a frozen target.
-func (t *Target) CompileSourceContext(ctx context.Context, src string, opts CompileOptions) (*CompileResult, error) {
-	prog, err := cfront.Parse(src)
-	if err != nil {
-		return nil, fmt.Errorf("core: RecC frontend: %w", err)
-	}
-	return t.CompileProgramContext(ctx, prog, opts)
-}
-
-// CompileProgramContext compiles an IR program for the target.  ctx
-// cancellation is observed between stages (bind, selection, peephole,
-// compaction, encoding); a cancelled compile returns ctx.Err wrapped in a
-// *diag.BudgetError so servers map it onto their timeout class.
-//
-// On a frozen target the whole compilation touches no shared mutable
-// state: selection walks read-only tables, and encoding runs in a private
-// copy-on-write BDD view, so concurrent compiles need no locking and the
-// produced words are byte-identical to a serial run's.
-func (t *Target) CompileProgramContext(ctx context.Context, prog *ir.Program, opts CompileOptions) (*CompileResult, error) {
-	opts.Obs.Registry().Counter("record_core_compiles_total",
-		"program compilations started").Inc()
-	phaseSec := phaseSeconds(opts.Obs.Registry())
-	// One throwaway encoding session per compilation; long-lived callers
-	// should hold a Compiler, whose pooled sessions and pre-resolved
-	// instruments avoid the per-call registry lookups and view allocation.
-	sess := t.Encoder.NewSessionObs(opts.Obs)
-	return t.compile(ctx, prog, opts, sess, opts.Obs, func(stage string, seconds float64) {
-		phaseSec.With(stage).Observe(seconds)
-	})
-}
-
-// compile is the shared per-program pipeline behind CompileProgramContext
-// and Compiler: bind → select → peephole → compact → encode, using the
-// caller-provided encoding session (owned by the caller; never retained)
-// and reporting each stage's wall clock through observe.
-func (t *Target) compile(ctx context.Context, prog *ir.Program, opts CompileOptions, sess *asm.Session, parent *obs.Scope, observe func(stage string, seconds float64)) (*CompileResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	check := func(stage string) error {
-		if err := ctx.Err(); err != nil {
-			return &diag.BudgetError{Resource: "deadline", Cause: fmt.Errorf("compile cancelled at %s: %w", stage, err)}
-		}
-		return nil
-	}
-	cSpan, scope := parent.Start("compile")
-	defer cSpan.End()
-	// stage wraps one pipeline stage in a span and the phase histogram;
-	// the returned func must run exactly once, error path included.  The
-	// stage's own wall-clock measurement feeds both, via Event, so tracing
-	// a stage costs one ring append rather than a Start/End pair.
-	stage := func(name string) func() {
-		from := time.Now()
-		return func() {
-			d := time.Since(from)
-			scope.Event(name, d)
-			observe(name, d.Seconds())
-		}
-	}
-	done := stage("bind")
-	b, err := bind.Bind(prog, t.Net)
-	if err != nil {
-		done()
-		return nil, err
-	}
-	ets, err := b.LowerProgram(prog)
-	done()
-	if err != nil {
-		return nil, err
-	}
-	if err := check("selection"); err != nil {
-		return nil, err
-	}
-	done = stage("select")
-	gen := codegen.New(t.Grammar, t.Parser, b)
-	raw, err := gen.Compile(ets)
-	done()
-	if err != nil {
-		return nil, err
-	}
-	seq := raw
-	var optStats opt.Stats
-	if !opts.NoPeephole {
-		done = stage("peephole")
-		seq, optStats = opt.Optimize(raw)
-		done()
-	}
-	if err := check("compaction"); err != nil {
-		return nil, err
-	}
-	done = stage("compact")
-	prg, err := compact.Compact(seq, sess, compact.Options{Disable: opts.NoCompaction, Obs: scope})
-	if err != nil {
-		done()
-		return nil, err
-	}
-	err = compact.Verify(seq, prg, sess)
-	done()
-	if err != nil {
-		return nil, err
-	}
-	if err := check("encoding"); err != nil {
-		return nil, err
-	}
-	done = stage("encode")
-	mode, err := sess.EncodeProgram(prg)
-	done()
-	if err != nil {
-		return nil, err
-	}
-	cSpan.SetAttr("instrs", seq.Len())
-	cSpan.SetAttr("words", prg.Len())
-	return &CompileResult{
-		Program: prog,
-		Binding: b,
-		Seq:     seq,
-		RawSeq:  raw,
-		Code:    prg,
-		ModeReq: mode,
-		Stats:   gen.Stats,
-		Opt:     optStats,
-	}, nil
-}
-
 // Listing renders the compiled program as an annotated listing.
 func (t *Target) Listing(r *CompileResult) string {
 	return t.Encoder.Listing(r.Code)
 }
 
-// Execute runs compiled code on the netlist simulator and returns the final
-// values of every program variable (read back from the bound data memory).
-func (t *Target) Execute(r *CompileResult) (ir.Env, error) {
+// Simulator returns a netlist simulator of the target loaded with a
+// compiled program's data: the mode register values its encoding requires
+// and the initial images of decls at their placements in b.  The program
+// words are the caller's to load and run.
+func (t *Target) Simulator(mode asm.ModeReq, b *bind.Binding, decls []*ir.Decl) (*sim.Simulator, error) {
 	s := sim.New(t.Net)
-	if len(r.ModeReq) > 0 {
-		for storage, val := range r.ModeReq {
-			if err := s.SetMemory(storage, []int64{val}); err != nil {
-				return nil, err
-			}
+	for storage, val := range mode {
+		if err := s.SetMemory(storage, []int64{val}); err != nil {
+			return nil, err
 		}
 	}
-	for storage, img := range r.Binding.InitialImages(r.Program) {
+	for storage, img := range b.InitialImages(&ir.Program{Decls: decls}) {
 		if err := s.SetMemory(storage, img); err != nil {
 			return nil, err
 		}
 	}
+	return s, nil
+}
+
+// Execute runs compiled code on the netlist simulator and returns the final
+// values of every program variable (read back from the bound data memory).
+func (t *Target) Execute(r *CompileResult) (ir.Env, error) {
+	s, err := t.Simulator(r.ModeReq, r.Binding, r.Program.Decls)
+	if err != nil {
+		return nil, err
+	}
 	if err := s.RunProgram(r.Words()); err != nil {
 		return nil, err
 	}
-	env := make(ir.Env)
-	for _, d := range r.Program.Decls {
-		place, _ := r.Binding.AddrOf(d.Name)
-		memory := s.Mem[place.Storage]
-		cells := make([]int64, d.Cells())
-		copy(cells, memory[place.Addr:place.Addr+d.Cells()])
-		env[d.Name] = cells
-	}
-	return env, nil
+	return r.Binding.ReadBack(s.Mem, r.Program.Decls), nil
 }
 
 // CheckAgainstOracle compiles nothing new: it compares the simulator
@@ -515,13 +352,8 @@ func (t *Target) CheckAgainstOracle(r *CompileResult) error {
 	if err != nil {
 		return fmt.Errorf("core: oracle: %w", err)
 	}
-	for _, d := range r.Program.Decls {
-		for i := range want[d.Name] {
-			if got[d.Name][i] != want[d.Name][i] {
-				return fmt.Errorf("core: %s[%d] = %d on hardware, %d per oracle",
-					d.Name, i, got[d.Name][i], want[d.Name][i])
-			}
-		}
+	if err := ir.Mismatch(r.Program.Decls, got, want); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	return nil
 }

@@ -95,6 +95,17 @@ func retargetMicro16(t *testing.T) *Target {
 	return tg
 }
 
+// newCompiler builds a compile handle for tg.  A new handle's session
+// pool is empty, so its first compile runs on a fresh encoding session.
+func newCompiler(t testing.TB, tg *Target) *Compiler {
+	t.Helper()
+	c, err := NewCompiler(tg, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestRetargetMicro16(t *testing.T) {
 	tg := retargetMicro16(t)
 	if tg.Name != "micro16" {
@@ -129,7 +140,7 @@ func TestParserSourceEmission(t *testing.T) {
 // netlist simulator, and compares every variable with the IR oracle.
 func compileAndCheck(t *testing.T, tg *Target, src string, opts CompileOptions) *CompileResult {
 	t.Helper()
-	res, err := tg.CompileSourceContext(context.Background(), src, opts)
+	res, err := newCompiler(t, tg).CompileSourceOpts(context.Background(), src, opts)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -237,16 +248,15 @@ y = b + 20;
 func TestCompileErrors(t *testing.T) {
 	tg := retargetMicro16(t)
 	// Unsupported operator (no divider in micro16).
-	if _, err := tg.CompileSourceContext(context.Background(), `int a = 8; int b = 2; int x; x = a / b;`,
-		CompileOptions{}); err == nil {
+	if _, err := newCompiler(t, tg).CompileSource(context.Background(), `int a = 8; int b = 2; int x; x = a / b;`); err == nil {
 		t.Error("division should be uncoverable on micro16")
 	}
 	// Frontend error propagates.
-	if _, err := tg.CompileSourceContext(context.Background(), `int x; x = ;`, CompileOptions{}); err == nil {
+	if _, err := newCompiler(t, tg).CompileSource(context.Background(), `int x; x = ;`); err == nil {
 		t.Error("syntax error not reported")
 	}
 	// Memory overflow.
-	if _, err := tg.CompileSourceContext(context.Background(), `int big[1000]; big[0] = 1;`, CompileOptions{}); err == nil {
+	if _, err := newCompiler(t, tg).CompileSource(context.Background(), `int big[1000]; big[0] = 1;`); err == nil {
 		t.Error("oversized frame not reported")
 	}
 }
@@ -314,7 +324,7 @@ x = b + a * b;
 	if err != nil {
 		t.Fatal(err)
 	}
-	resWithout, err := without.CompileSourceContext(context.Background(), src, CompileOptions{})
+	resWithout, err := newCompiler(t, without).CompileSource(context.Background(), src)
 	if err == nil {
 		if err := without.CheckAgainstOracle(resWithout); err != nil {
 			t.Fatalf("no-extension result wrong: %v", err)
@@ -428,10 +438,10 @@ func TestModeRegisterEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Arithmetic program: needs mode 0.
-	res, err := tg.CompileSourceContext(context.Background(), `
+	res, err := newCompiler(t, tg).CompileSource(context.Background(), `
 int a = 9; int b = 4; int x;
 x = a - b;
-`, CompileOptions{})
+`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,10 +452,10 @@ x = a - b;
 		t.Fatal(err)
 	}
 	// Logic program: needs mode 1.
-	res2, err := tg.CompileSourceContext(context.Background(), `
+	res2, err := newCompiler(t, tg).CompileSource(context.Background(), `
 int a = 12; int b = 10; int x;
 x = a & b;
-`, CompileOptions{})
+`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,11 +467,11 @@ x = a & b;
 	}
 	// Mixing both banks in one straight-line program must be diagnosed
 	// (this encoder does not insert mode switches).
-	if _, err := tg.CompileSourceContext(context.Background(), `
+	if _, err := newCompiler(t, tg).CompileSource(context.Background(), `
 int a = 9; int b = 4; int x; int y;
 x = a - b;
 y = a & b;
-`, CompileOptions{}); err == nil {
+`); err == nil {
 		t.Error("conflicting mode requirements not diagnosed")
 	}
 }

@@ -71,7 +71,7 @@ func TestDegradedRetargetCompilesKernels(t *testing.T) {
 	// DSPStone kernels.
 	checked := 0
 	for _, k := range dspstone.Suite() {
-		res, err := tg.CompileSourceContext(context.Background(), k.Source, CompileOptions{})
+		res, err := newCompiler(t, tg).CompileSource(context.Background(), k.Source)
 		if err != nil {
 			continue // kernels needing features micro16 lacks
 		}

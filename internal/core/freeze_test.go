@@ -28,8 +28,9 @@ func TestRetargetFreezesTarget(t *testing.T) {
 
 // TestConcurrentCompileByteIdentical is the acceptance test for lock-free
 // parallel compilation: 8 goroutines compile the same programs against one
-// frozen target with no external synchronization, and every word sequence
-// must equal the serial reference bit for bit.
+// frozen target with no external synchronization, each compile on a fresh
+// session of its own Compiler, and every word sequence must equal the
+// serial reference bit for bit.
 func TestConcurrentCompileByteIdentical(t *testing.T) {
 	target, err := RetargetContext(context.Background(), micro16, RetargetOptions{})
 	if err != nil {
@@ -41,10 +42,11 @@ func TestConcurrentCompileByteIdentical(t *testing.T) {
 		"int a = 4; int y; y = a + a;",
 		"int a = 9; int b = 5; int y; int z; y = a - b; z = y + a;",
 	}
-	// Serial reference words, compiled before any concurrency starts.
+	// Serial reference words on fresh sessions, compiled before any
+	// concurrency starts.
 	ref := make([][]uint64, len(srcs))
 	for i, src := range srcs {
-		res, err := target.CompileSourceContext(context.Background(), src, CompileOptions{})
+		res, err := newCompiler(t, target).CompileSource(context.Background(), src)
 		if err != nil {
 			t.Fatalf("serial reference %d: %v", i, err)
 		}
@@ -61,7 +63,7 @@ func TestConcurrentCompileByteIdentical(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				i := (w + r) % len(srcs)
-				res, err := target.CompileSourceContext(context.Background(), srcs[i], CompileOptions{})
+				res, err := newCompiler(t, target).CompileSource(context.Background(), srcs[i])
 				if err != nil {
 					errs <- fmt.Errorf("worker %d round %d: %v", w, r, err)
 					return
@@ -146,7 +148,7 @@ func TestFreezePropertyRandomPrograms(t *testing.T) {
 			ref := make([][]uint64, nPrograms)
 			for i := range srcs {
 				srcs[i] = randomSource(rng, tc.ops)
-				res, err := target.CompileSourceContext(context.Background(), srcs[i], CompileOptions{})
+				res, err := newCompiler(t, target).CompileSource(context.Background(), srcs[i])
 				if err != nil {
 					t.Fatalf("serial %q: %v", srcs[i], err)
 				}
@@ -158,7 +160,7 @@ func TestFreezePropertyRandomPrograms(t *testing.T) {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
-					res, err := target.CompileSourceContext(context.Background(), srcs[i], CompileOptions{})
+					res, err := newCompiler(t, target).CompileSource(context.Background(), srcs[i])
 					if err != nil {
 						errs <- fmt.Errorf("parallel %q: %v", srcs[i], err)
 						return
@@ -179,7 +181,7 @@ func TestFreezePropertyRandomPrograms(t *testing.T) {
 }
 
 // TestCompileContextCancellation checks the satellite API change: a
-// canceled context aborts CompileProgram between stages with a budget
+// canceled context aborts a compile between stages with a budget
 // error, not a hang or a panic.
 func TestCompileContextCancellation(t *testing.T) {
 	target, err := RetargetContext(context.Background(), micro16, RetargetOptions{})
@@ -188,7 +190,7 @@ func TestCompileContextCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = target.CompileSourceContext(ctx, "int a = 1; int y; y = a + a;", CompileOptions{})
+	_, err = newCompiler(t, target).CompileSource(ctx, "int a = 1; int y; y = a + a;")
 	if err == nil {
 		t.Fatal("compile with canceled context succeeded")
 	}

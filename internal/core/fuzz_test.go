@@ -63,7 +63,7 @@ func TestPropRandomProgramsMicro16(t *testing.T) {
 	rng := rand.New(rand.NewSource(12345))
 	for trial := 0; trial < 150; trial++ {
 		p := randomProgram(rng)
-		res, err := tg.CompileProgramContext(context.Background(), p, CompileOptions{})
+		res, err := newCompiler(t, tg).CompileProgramOpts(context.Background(), p, CompileOptions{})
 		if err != nil {
 			t.Fatalf("trial %d: compile: %v\nprogram: %v", trial, err, p.Body)
 		}
@@ -81,7 +81,7 @@ func TestPropRandomProgramsNoPeephole(t *testing.T) {
 	rng := rand.New(rand.NewSource(777))
 	for trial := 0; trial < 60; trial++ {
 		p := randomProgram(rng)
-		raw, err := tg.CompileProgramContext(context.Background(), p, CompileOptions{NoPeephole: true, NoCompaction: true})
+		raw, err := newCompiler(t, tg).CompileProgramOpts(context.Background(), p, CompileOptions{NoPeephole: true, NoCompaction: true})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

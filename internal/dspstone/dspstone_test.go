@@ -28,6 +28,17 @@ func c25Target(t *testing.T) *core.Target {
 	return c25
 }
 
+// newCompiler builds a compile handle for tg.  A new handle's session
+// pool is empty, so its first compile runs on a fresh encoding session.
+func newCompiler(t testing.TB, tg *core.Target) *core.Compiler {
+	t.Helper()
+	c, err := core.NewCompiler(tg, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestSuiteComplete(t *testing.T) {
 	suite := Suite()
 	if len(suite) != 10 {
@@ -84,14 +95,14 @@ func TestKernelsCompileAndVerify(t *testing.T) {
 			if !ok {
 				t.Fatalf("no pinned word counts for %s", k.Name)
 			}
-			rec, err := tg.CompileSourceContext(context.Background(), k.Source, core.CompileOptions{})
+			rec, err := newCompiler(t, tg).CompileSource(context.Background(), k.Source)
 			if err != nil {
 				t.Fatalf("record compile: %v", err)
 			}
 			if err := tg.CheckAgainstOracle(rec); err != nil {
 				t.Fatalf("record oracle: %v", err)
 			}
-			nv, err := naive.CompileSource(tg, k.Source)
+			nv, err := naive.CompileSource(newCompiler(t, tg), k.Source)
 			if err != nil {
 				t.Fatalf("naive compile: %v", err)
 			}
@@ -123,11 +134,11 @@ func TestNaiveIsGenuinelyWorseSomewhere(t *testing.T) {
 	tg := c25Target(t)
 	worse := 0
 	for _, k := range Suite() {
-		rec, err := tg.CompileSourceContext(context.Background(), k.Source, core.CompileOptions{})
+		rec, err := newCompiler(t, tg).CompileSource(context.Background(), k.Source)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nv, err := naive.CompileSource(tg, k.Source)
+		nv, err := naive.CompileSource(newCompiler(t, tg), k.Source)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -295,6 +295,21 @@ func NewEnv(p *Program, width int) Env {
 	return env
 }
 
+// Mismatch compares got, the values a compiled program left on the
+// hardware, with want, the oracle's, cell by cell over decls, and
+// describes the first difference.
+func Mismatch(decls []*Decl, got, want Env) error {
+	for _, d := range decls {
+		for i := range want[d.Name] {
+			if got[d.Name][i] != want[d.Name][i] {
+				return fmt.Errorf("%s[%d] = %d on hardware, %d per oracle",
+					d.Name, i, got[d.Name][i], want[d.Name][i])
+			}
+		}
+	}
+	return nil
+}
+
 // Interp executes a flattened assignment list at the given word width,
 // mutating env.  Out-of-range indices and unknown variables are errors.
 func Interp(assigns []*Assign, env Env, width int) error {

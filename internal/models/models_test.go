@@ -22,6 +22,17 @@ func retarget(t *testing.T, name string) *core.Target {
 	return tg
 }
 
+// newCompiler builds a compile handle for tg.  A new handle's session
+// pool is empty, so its first compile runs on a fresh encoding session.
+func newCompiler(t testing.TB, tg *core.Target) *core.Compiler {
+	t.Helper()
+	c, err := core.NewCompiler(tg, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestAllModelsRetarget(t *testing.T) {
 	counts := make(map[string]int)
 	for _, e := range All() {
@@ -65,7 +76,7 @@ func TestGetUnknown(t *testing.T) {
 func checkProgram(t *testing.T, name, src string) *core.CompileResult {
 	t.Helper()
 	tg := retarget(t, name)
-	res, err := tg.CompileSourceContext(context.Background(), src, core.CompileOptions{})
+	res, err := newCompiler(t, tg).CompileSource(context.Background(), src)
 	if err != nil {
 		t.Fatalf("%s: compile: %v", name, err)
 	}
@@ -207,14 +218,14 @@ void main() {
   }
 }
 `
-	packed, err := tg.CompileSourceContext(context.Background(), src, core.CompileOptions{})
+	packed, err := newCompiler(t, tg).CompileSource(context.Background(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := tg.CheckAgainstOracle(packed); err != nil {
 		t.Fatalf("packed: %v", err)
 	}
-	plain, err := tg.CompileSourceContext(context.Background(), src, core.CompileOptions{NoCompaction: true})
+	plain, err := newCompiler(t, tg).CompileSourceOpts(context.Background(), src, core.CompileOptions{NoCompaction: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +252,7 @@ func TestKernelsAcrossModels(t *testing.T) {
 			if !ok {
 				t.Fatalf("kernel %s missing", kname)
 			}
-			res, err := tg.CompileSourceContext(context.Background(), k.Source, core.CompileOptions{})
+			res, err := newCompiler(t, tg).CompileSource(context.Background(), k.Source)
 			if err != nil {
 				t.Errorf("%s on %s: compile: %v", kname, model, err)
 				continue

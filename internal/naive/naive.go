@@ -133,8 +133,8 @@ func (l *lowerer) expr(e ir.Expr, top bool) ([]ir.Stmt, ir.Expr, error) {
 // Compile compiles a program with the naive strategy on the given target:
 // loops are unrolled first (so array indices are constants, as the tree
 // path also sees them), then everything is three-address lowered and
-// compiled with compaction disabled.
-func Compile(t *core.Target, prog *ir.Program) (*core.CompileResult, error) {
+// compiled through c with compaction disabled.
+func Compile(c *core.Compiler, prog *ir.Program) (*core.CompileResult, error) {
 	assigns, err := ir.Flatten(prog)
 	if err != nil {
 		return nil, err
@@ -147,14 +147,14 @@ func Compile(t *core.Target, prog *ir.Program) (*core.CompileResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return t.CompileProgramContext(context.Background(), lowered, core.CompileOptions{NoCompaction: true})
+	return c.CompileProgramOpts(context.Background(), lowered, core.CompileOptions{NoCompaction: true})
 }
 
 // CompileSource is Compile for RecC source text.
-func CompileSource(t *core.Target, src string) (*core.CompileResult, error) {
+func CompileSource(c *core.Compiler, src string) (*core.CompileResult, error) {
 	prog, err := cfront.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	return Compile(t, prog)
+	return Compile(c, prog)
 }

@@ -76,6 +76,17 @@ y = -x + 2;
 	}
 }
 
+// newCompiler builds a compile handle for tg.  A new handle's session
+// pool is empty, so its first compile runs on a fresh encoding session.
+func newCompiler(t testing.TB, tg *core.Target) *core.Compiler {
+	t.Helper()
+	c, err := core.NewCompiler(tg, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestNaiveCompileIsLonger(t *testing.T) {
 	mdl, _ := models.Get("tms320c25")
 	tg, err := core.RetargetContext(context.Background(), mdl, core.RetargetOptions{})
@@ -87,14 +98,14 @@ int a = 2; int b = 3; int c = 4;
 int y;
 y = c + a * b;
 `
-	nv, err := CompileSource(tg, src)
+	nv, err := CompileSource(newCompiler(t, tg), src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := tg.CheckAgainstOracle(nv); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := tg.CompileSourceContext(context.Background(), src, core.CompileOptions{})
+	rec, err := newCompiler(t, tg).CompileSource(context.Background(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +120,7 @@ func TestNaiveHandlesLoops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nv, err := CompileSource(tg, `
+	nv, err := CompileSource(newCompiler(t, tg), `
 int a[4] = {1,2,3,4};
 int s;
 void main() {
@@ -131,7 +142,7 @@ func TestNaiveSyntaxError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CompileSource(tg, `int x; x = ;`); err == nil {
+	if _, err := CompileSource(newCompiler(t, tg), `int x; x = ;`); err == nil {
 		t.Error("syntax error accepted")
 	}
 }

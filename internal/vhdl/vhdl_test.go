@@ -184,12 +184,16 @@ func TestVHDLEndToEnd(t *testing.T) {
 	if tg.Stats.Extracted == 0 {
 		t.Fatal("no templates extracted")
 	}
-	res, err := tg.CompileSourceContext(context.Background(), `
+	comp, err := core.NewCompiler(tg, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := comp.CompileSource(context.Background(), `
 int a = 6; int b = 7;
 int prod; int mix;
 prod = a * b;
 mix = (prod ^ a) & 255;
-`, core.CompileOptions{})
+`)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
