@@ -7,9 +7,9 @@
 // the program: encoding sessions (a BDD view plus its overlay tables) are
 // pooled via sync.Pool and recycled while their copy-on-write overlay
 // stays small, instruments are resolved at construction, and the compile
-// options are fixed up front.  cmd/record, recordd workers, the
-// control-flow and naive compilers and the batch path all compile through
-// it; a new Compiler's first compile is a fresh-session compile.
+// options are fixed up front.  cmd/record, recordd workers and the
+// control-flow and naive compilers all compile through it; a new
+// Compiler's first compile is a fresh-session compile.
 //
 // Reusing an encoding session across compilations is sound because the
 // produced code is a pure function of the frozen tables: ROBDDs are
