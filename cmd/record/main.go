@@ -67,7 +67,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/cflow"
 	"repro/internal/cfront"
 	"repro/internal/core"
 	"repro/internal/diag"
@@ -298,8 +297,8 @@ func compile(c *config, rep *diag.Reporter, budget *diag.Budget, stdout, stderr 
 		printRetargetStats(stdout, target)
 	}
 
-	// One Compiler for the whole run: every file, worker goroutine and
-	// control-flow block compiles through its pooled sessions.
+	// One Compiler for the whole run: every file and worker goroutine
+	// compiles through its pooled sessions.
 	comp, err := core.NewCompiler(target, c.core)
 	if err != nil {
 		return err
@@ -501,11 +500,12 @@ func compileOne(c *config, comp *core.Compiler, src string, rep *diag.Reporter, 
 		rep.Errorf("recc", diag.Pos{}, "%v", err)
 		return err
 	}
-	if ir.HasControlFlow(prog) {
-		if c.useNaive {
-			return usagef("the naive baseline does not support control flow")
-		}
-		return runControlFlow(comp, prog, c, rep, budget, stdout)
+	if c.useNaive && ir.HasControlFlow(prog) {
+		return usagef("the naive baseline does not support control flow")
+	}
+	ctx := context.Background()
+	if budget != nil && budget.Ctx != nil {
+		ctx = budget.Ctx
 	}
 
 	var res *core.CompileResult
@@ -514,10 +514,6 @@ func compileOne(c *config, comp *core.Compiler, src string, rep *diag.Reporter, 
 		if c.useNaive {
 			res, err = naive.Compile(comp, prog)
 		} else {
-			ctx := context.Background()
-			if budget != nil && budget.Ctx != nil {
-				ctx = budget.Ctx
-			}
 			res, err = comp.CompileProgramOpts(ctx, prog, c.core.Compile())
 		}
 		return err
@@ -545,55 +541,13 @@ func compileOne(c *config, comp *core.Compiler, src string, rep *diag.Reporter, 
 		var env ir.Env
 		err := diag.Guard(rep, "sim", func() error {
 			var err error
-			if env, err = target.Execute(res); err != nil {
+			if env, err = target.ExecuteContext(ctx, res); err != nil {
 				return err
 			}
-			if err := target.CheckAgainstOracle(res); err != nil {
+			if err := target.CheckAgainstOracleContext(ctx, res); err != nil {
 				return fmt.Errorf("simulation disagrees with the IR oracle: %w", err)
 			}
 			return nil
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, "\nfinal variable values (simulated, oracle-checked):")
-		printEnv(stdout, env)
-	}
-	return nil
-}
-
-// runControlFlow compiles and optionally executes a program with branches
-// through the control-flow extension.
-func runControlFlow(comp *core.Compiler, prog *ir.Program, c *config, rep *diag.Reporter, budget *diag.Budget, stdout io.Writer) error {
-	target := comp.Target()
-	opts := cflow.Options{
-		NoCompaction: c.core.NoCompaction,
-		NoPeephole:   c.core.NoPeephole,
-		Reporter:     rep,
-		Budget:       budget,
-		Obs:          c.core.Obs,
-	}
-	var res *cflow.Result
-	err := diag.Guard(rep, "cflow", func() error {
-		var err error
-		res, err = cflow.Compile(comp, prog, opts)
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "control-flow code for %s: %d basic blocks, %d words\n\n",
-		target.Name, len(res.CFG.Blocks), res.Code.Len())
-	fmt.Fprint(stdout, target.Encoder.Listing(res.Code))
-	if c.execute {
-		var env ir.Env
-		err := diag.Guard(rep, "sim", func() error {
-			if err := cflow.CheckAgainstOracle(target, res, opts); err != nil {
-				return fmt.Errorf("simulation disagrees with the oracle: %w", err)
-			}
-			var err error
-			env, err = cflow.Execute(target, res, opts)
-			return err
 		})
 		if err != nil {
 			return err

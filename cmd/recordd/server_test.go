@@ -13,8 +13,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dspstone"
 	"repro/internal/faultpoint"
+	"repro/internal/models"
 )
 
 func newTestServer(t *testing.T, cfg serverConfig) (*server, *httptest.Server) {
@@ -94,6 +96,53 @@ func TestRetargetThenCompileByKey(t *testing.T) {
 	code, raw = post(t, ts.URL+"/v1/retarget", map[string]string{"model_name": "demo"}, &rt)
 	if code != http.StatusOK || !strings.Contains(rt.Cache, "hit") {
 		t.Fatalf("second retarget: %d %s outcome %q", code, raw, rt.Cache)
+	}
+}
+
+// TestControlFlowRemoteParity: a program with a while loop compiles by
+// model name on recordd to the words a local Compiler produces.  A target
+// without jump templates, and a jump the target field cannot reach,
+// answer 422 with a message naming the cause.
+func TestControlFlowRemoteParity(t *testing.T) {
+	_, ts := newTestServer(t, serverConfig{})
+	const src = "int s; int i; void main() { s = 0; i = 1; while (i <= 10) { s = s + i; i = i + 1; } }"
+	tg, err := core.RetargetContext(context.Background(), models.BrancherMDL, core.RetargetOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, err := core.NewCompiler(tg, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := comp.CompileSource(context.Background(), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cp compileResponse
+	code, raw := post(t, ts.URL+"/v1/compile", map[string]string{"model_name": "brancher", "source": src}, &cp)
+	if code != http.StatusOK {
+		t.Fatalf("brancher compile: %d %s", code, raw)
+	}
+	if !reflect.DeepEqual(cp.Words, local.Words()) || cp.Listing != tg.Listing(local) {
+		t.Errorf("remote words %x differ from local %x", cp.Words, local.Words())
+	}
+	code, raw = post(t, ts.URL+"/v1/compile", map[string]string{"model_name": "tms320c25", "source": src}, nil)
+	if code != http.StatusUnprocessableEntity || !strings.Contains(raw, "jump template") {
+		t.Errorf("tms320c25 compile: %d %s, want 422 naming the missing jump template", code, raw)
+	}
+	// A loop placed past word 255 is out of reach of the 8-bit jump field.
+	var long strings.Builder
+	for i := 0; i < 100; i++ {
+		fmt.Fprintf(&long, "int y%d; ", i)
+	}
+	long.WriteString("int n = 2; void main() { ")
+	for i := 0; i < 100; i++ {
+		fmt.Fprintf(&long, "y%d = y%d + 1; ", i, i)
+	}
+	long.WriteString("while (n != 0) { n = n - 1; } }")
+	code, raw = post(t, ts.URL+"/v1/compile", map[string]string{"model_name": "brancher", "source": long.String()}, nil)
+	if code != http.StatusUnprocessableEntity || !strings.Contains(raw, "8-bit") {
+		t.Errorf("out-of-field jump: %d %s, want 422 naming the field width", code, raw)
 	}
 }
 

@@ -2,7 +2,7 @@
 // class, end to end.  The brancher model adds a comparator, a 1-bit flag
 // register and a next-PC multiplexer to the accumulator machine;
 // instruction-set extraction turns the multiplexer into jump RT templates
-// (the conditional ones carrying dynamic flag guards), and internal/cflow
+// (the conditional ones carrying dynamic flag guards), and core.Compiler
 // compiles genuine runtime loops against them — no unrolling.
 //
 //	go run ./examples/controlflow
@@ -13,8 +13,6 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/cflow"
-	"repro/internal/cfront"
 	"repro/internal/core"
 	"repro/internal/models"
 )
@@ -51,26 +49,22 @@ func main() {
 		}
 	}
 
-	prog, err := cfront.Parse(program)
-	if err != nil {
-		log.Fatal(err)
-	}
 	comp, err := core.NewCompiler(target, core.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := cflow.Compile(comp, prog, cflow.Options{})
+	res, err := comp.CompileSource(context.Background(), program)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ncompiled Collatz(27) with real branches: %d words, %d basic blocks\n",
 		res.Code.Len(), len(res.CFG.Blocks))
-	fmt.Print(target.Encoder.Listing(res.Code))
+	fmt.Print(target.Listing(res))
 
-	if err := cflow.CheckAgainstOracle(target, res, cflow.Options{}); err != nil {
+	if err := target.CheckAgainstOracle(res); err != nil {
 		log.Fatal(err)
 	}
-	env, err := cflow.Execute(target, res, cflow.Options{})
+	env, err := target.Execute(res)
 	if err != nil {
 		log.Fatal(err)
 	}

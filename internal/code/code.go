@@ -33,9 +33,9 @@ func (f Field) String() string {
 // compaction and verification ask them many times per block while the
 // answer is a pure function of Template and Fields.  The memo assumes
 // Fields do not change after the first dependence query; instructions
-// whose fields are patched late (jump targets in cflow) never take part
-// in dependence analysis.  An Instr belongs to one compilation and its
-// first dependence query is not safe for concurrent use.
+// whose fields are patched late (jump targets) never take part in
+// dependence analysis.  An Instr belongs to one compilation and its first
+// dependence query is not safe for concurrent use.
 type Instr struct {
 	Template *rtl.Template
 	Fields   []Field

@@ -7,9 +7,10 @@
 // the program: encoding sessions (a BDD view plus its overlay tables) are
 // pooled via sync.Pool and recycled while their copy-on-write overlay
 // stays small, instruments are resolved at construction, and the compile
-// options are fixed up front.  cmd/record, recordd workers and the
-// control-flow and naive compilers all compile through it; a new
-// Compiler's first compile is a fresh-session compile.
+// options are fixed up front.  cmd/record, recordd workers and the naive
+// compiler all compile through it, straight-line programs and programs
+// with if/while alike; a new Compiler's first compile is a fresh-session
+// compile.
 //
 // Reusing an encoding session across compilations is sound because the
 // produced code is a pure function of the frozen tables: ROBDDs are
@@ -27,7 +28,6 @@ import (
 	"time"
 
 	"repro/internal/asm"
-	"repro/internal/bind"
 	"repro/internal/cfront"
 	"repro/internal/codegen"
 	"repro/internal/compact"
@@ -122,7 +122,13 @@ func (c *Compiler) CompileSourceOpts(ctx context.Context, src string, opts Compi
 // overrides (see CompileSourceOpts for the Obs caveat).  It runs the
 // per-program pipeline — bind → select → peephole → compact → encode — on
 // a pooled encoding session, timing each stage into the compiler's stage
-// histograms.
+// histograms.  A straight-line program compiles as one flattened block.  A
+// program with if/while compiles as the basic blocks of its CFG, for
+// targets whose instruction set has jump templates: each block is
+// selected, peephole-optimized and compacted on its own, its branch
+// condition is materialized into the flag register, and jump words link
+// the blocks.  Each stage handles every block before the next stage
+// starts, so a stage's time is observed once per program.
 //
 // On a frozen target the whole compilation touches no shared mutable
 // state: selection walks read-only tables, and encoding runs in the
@@ -161,13 +167,9 @@ func (c *Compiler) CompileProgramOpts(ctx context.Context, prog *ir.Program, opt
 			c.stageSec[name].Observe(d.Seconds())
 		}
 	}
+	var single [1]block
 	done := stage("bind")
-	b, err := bind.Bind(prog, t.Net)
-	if err != nil {
-		done()
-		return nil, err
-	}
-	ets, err := b.LowerProgram(prog)
+	b, cf, blocks, err := lower(t, prog, single[:0])
 	done()
 	if err != nil {
 		return nil, err
@@ -177,28 +179,36 @@ func (c *Compiler) CompileProgramOpts(ctx context.Context, prog *ir.Program, opt
 	}
 	done = stage("select")
 	gen := codegen.New(t.Grammar, t.Parser, b)
-	raw, err := gen.Compile(ets)
+	for i := range blocks {
+		if err = blocks[i].selectCode(gen); err != nil {
+			break
+		}
+	}
 	done()
 	if err != nil {
 		return nil, err
 	}
-	seq := raw
 	var optStats opt.Stats
 	if !opts.NoPeephole {
 		done = stage("peephole")
-		seq, optStats = opt.Optimize(raw)
+		for i := range blocks {
+			var s opt.Stats
+			blocks[i].seq, s = opt.Optimize(blocks[i].raw)
+			optStats.LoadsRemoved += s.LoadsRemoved
+			optStats.StoresRemoved += s.StoresRemoved
+			optStats.Passes += s.Passes
+		}
 		done()
 	}
 	if err := check("compaction"); err != nil {
 		return nil, err
 	}
 	done = stage("compact")
-	prg, err := compact.Compact(seq, sess, compact.Options{Disable: opts.NoCompaction, Obs: scope})
-	if err != nil {
-		done()
-		return nil, err
+	for i := range blocks {
+		if err = blocks[i].compact(sess, compact.Options{Disable: opts.NoCompaction, Obs: scope}); err != nil {
+			break
+		}
 	}
-	err = compact.Verify(seq, prg, sess)
 	done()
 	if err != nil {
 		return nil, err
@@ -207,27 +217,26 @@ func (c *Compiler) CompileProgramOpts(ctx context.Context, prog *ir.Program, opt
 		return nil, err
 	}
 	done = stage("encode")
-	mode, err := sess.EncodeProgram(prg)
+	res := &CompileResult{Program: prog, Binding: b, Stats: gen.Stats, Opt: optStats}
+	if cf == nil {
+		res.RawSeq, res.Seq, res.Code = blocks[0].raw, blocks[0].seq, blocks[0].prg
+	} else {
+		err = cf.link(res, blocks)
+	}
+	if err == nil {
+		res.ModeReq, err = sess.EncodeProgram(res.Code)
+	}
 	done()
 	if err != nil {
 		return nil, err
 	}
-	cSpan.SetAttr("instrs", seq.Len())
-	cSpan.SetAttr("words", prg.Len())
-	return &CompileResult{
-		Program: prog,
-		Binding: b,
-		Seq:     seq,
-		RawSeq:  raw,
-		Code:    prg,
-		ModeReq: mode,
-		Stats:   gen.Stats,
-		Opt:     optStats,
-	}, nil
+	cSpan.SetAttr("instrs", res.Seq.Len())
+	cSpan.SetAttr("words", res.Code.Len())
+	return res, nil
 }
 
 // AcquireSession borrows an encoding session from the pool for callers
-// that drive the phases themselves (the control-flow compiler).  The
+// that drive the phases themselves (recordbench's per-layer timing).  The
 // session must be returned with ReleaseSession and must not be shared
 // between goroutines while borrowed.
 func (c *Compiler) AcquireSession() *asm.Session {

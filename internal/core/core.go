@@ -272,7 +272,11 @@ type CompileOptions struct {
 	Obs *obs.Scope
 }
 
-// CompileResult is compiled machine code with its provenance.
+// CompileResult is compiled machine code with its provenance.  For a
+// program with control flow, CFG is its lowering, Seq and RawSeq hold the
+// basic blocks' sequences (jumps excluded) concatenated in layout order,
+// BlockStart[i] is the word address of block i and Exit the halt address
+// (one past the last word); CFG is nil for straight-line code.
 type CompileResult struct {
 	Program *ir.Program
 	Binding *bind.Binding
@@ -282,6 +286,10 @@ type CompileResult struct {
 	ModeReq asm.ModeReq
 	Stats   codegen.Stats
 	Opt     opt.Stats
+
+	CFG        *ir.CFG
+	BlockStart []int
+	Exit       int
 }
 
 // Words returns the encoded instruction words.
@@ -327,32 +335,96 @@ func (t *Target) Simulator(mode asm.ModeReq, b *bind.Binding, decls []*ir.Decl) 
 	return s, nil
 }
 
+// maxCycles bounds the simulated run of a control-flow program; a
+// straight-line program runs exactly as many cycles as it has words.
+const maxCycles = 1 << 20
+
+// decls are the variables a compiled program places: the program's own,
+// plus a control-flow program's synthetic loop variables.
+func (r *CompileResult) decls() []*ir.Decl {
+	if r.CFG != nil {
+		return r.CFG.Decls
+	}
+	return r.Program.Decls
+}
+
 // Execute runs compiled code on the netlist simulator and returns the final
 // values of every program variable (read back from the bound data memory).
 func (t *Target) Execute(r *CompileResult) (ir.Env, error) {
-	s, err := t.Simulator(r.ModeReq, r.Binding, r.Program.Decls)
+	return t.ExecuteContext(context.Background(), r)
+}
+
+// ExecuteContext is Execute under a deadline: a control-flow program runs
+// until the PC reaches its exit address, for at most maxCycles cycles,
+// and stops with a *diag.BudgetError once ctx is done (checked every 1024
+// cycles).
+func (t *Target) ExecuteContext(ctx context.Context, r *CompileResult) (ir.Env, error) {
+	decls := r.decls()
+	s, err := t.Simulator(r.ModeReq, r.Binding, decls)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.RunProgram(r.Words()); err != nil {
+	if r.CFG == nil {
+		err = s.RunProgram(r.Words())
+	} else {
+		err = runToExit(ctx, s, r)
+	}
+	if err != nil {
 		return nil, err
 	}
-	return r.Binding.ReadBack(s.Mem, r.Program.Decls), nil
+	return r.Binding.ReadBack(s.Mem, decls), nil
+}
+
+// runToExit steps a loaded control-flow program until its PC reaches the
+// exit address.
+func runToExit(ctx context.Context, s *sim.Simulator, r *CompileResult) error {
+	if err := s.LoadProgram(r.Words()); err != nil {
+		return err
+	}
+	budget := diag.Budget{Ctx: ctx}
+	for cycle := 0; int(s.PC()) != r.Exit; cycle++ {
+		if cycle >= maxCycles {
+			return fmt.Errorf("core: execution exceeded %d cycles (PC=%d)", maxCycles, s.PC())
+		}
+		if cycle&1023 == 0 {
+			if err := budget.Exceeded(); err != nil {
+				return fmt.Errorf("core: execution stopped at cycle %d: %w", cycle, err)
+			}
+		}
+		if err := s.Step(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // CheckAgainstOracle compiles nothing new: it compares the simulator
-// results with the IR interpreter on the same program and word width,
-// returning a descriptive error on the first mismatch.
+// results with the IR interpreter (the CFG interpreter for control flow)
+// on the same program and word width, returning a descriptive error on
+// the first mismatch.
 func (t *Target) CheckAgainstOracle(r *CompileResult) error {
-	got, err := t.Execute(r)
+	return t.CheckAgainstOracleContext(context.Background(), r)
+}
+
+// CheckAgainstOracleContext is CheckAgainstOracle with the simulated run
+// under ctx, as in ExecuteContext.
+func (t *Target) CheckAgainstOracleContext(ctx context.Context, r *CompileResult) error {
+	got, err := t.ExecuteContext(ctx, r)
 	if err != nil {
 		return fmt.Errorf("core: simulation: %w", err)
 	}
-	want, err := ir.Run(r.Program, r.Binding.Width)
+	width := r.Binding.Width
+	var want ir.Env
+	if r.CFG == nil {
+		want, err = ir.Run(r.Program, width)
+	} else {
+		want = ir.NewEnv(&ir.Program{Decls: r.CFG.Decls}, width)
+		err = r.CFG.Interp(want, width)
+	}
 	if err != nil {
 		return fmt.Errorf("core: oracle: %w", err)
 	}
-	if err := ir.Mismatch(r.Program.Decls, got, want); err != nil {
+	if err := ir.Mismatch(r.decls(), got, want); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
 	return nil

@@ -12,11 +12,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cflow"
-	"repro/internal/cfront"
 	"repro/internal/core"
 	"repro/internal/dspstone"
-	"repro/internal/ir"
 	"repro/internal/models"
 )
 
@@ -33,15 +30,6 @@ func compileDigest(words []uint64, listing string) string {
 	return fmt.Sprintf("%d %s", len(words), hex.EncodeToString(h.Sum(nil)))
 }
 
-// compileControlFlow compiles a program with branches and digests it.
-func compileControlFlow(c *core.Compiler, prog *ir.Program) (string, error) {
-	res, err := cflow.Compile(c, prog, cflow.Options{})
-	if err != nil {
-		return "", err
-	}
-	return compileDigest(res.Words(), c.Target().Encoder.Listing(res.Code)), nil
-}
-
 // TestCompileProductsPinned pins compiled bits across commits, the
 // compile-side twin of TestRetargetProductsPinned: the words and listing
 // of every bundled model × DSPStone kernel pair (a pair that does not
@@ -52,9 +40,10 @@ func compileControlFlow(c *core.Compiler, prog *ir.Program) (string, error) {
 func TestCompileProductsPinned(t *testing.T) {
 	ctx := context.Background()
 	var lines []string
-	add := func(name, digest string, err error) {
-		if err != nil {
-			digest = "error"
+	add := func(name string, c *core.Compiler, res *core.CompileResult, err error) {
+		digest := "error"
+		if err == nil {
+			digest = compileDigest(res.Words(), c.Target().Listing(res))
 		}
 		lines = append(lines, name+" "+digest)
 	}
@@ -78,24 +67,16 @@ func TestCompileProductsPinned(t *testing.T) {
 		}
 		for _, k := range dspstone.Suite() {
 			res, err := c.CompileSource(ctx, k.Source)
-			digest := ""
-			if err == nil {
-				digest = compileDigest(res.Words(), tg.Listing(res))
-			}
-			add(name+"/"+k.Name, digest, err)
+			add(name+"/"+k.Name, c, res, err)
 		}
 	}
 	rng := rand.New(rand.NewSource(4242))
 	for i := 0; i < 80; i++ {
-		digest, err := compileControlFlow(branch, randomCFProgram(rng))
-		add(fmt.Sprintf("brancher/cf%02d", i), digest, err)
+		res, err := branch.CompileProgramOpts(ctx, randomCFProgram(rng), core.CompileOptions{})
+		add(fmt.Sprintf("brancher/cf%02d", i), branch, res, err)
 	}
-	prog, err := cfront.Parse(collatzSource)
-	if err != nil {
-		t.Fatal(err)
-	}
-	digest, err := compileControlFlow(branch, prog)
-	add("brancher/collatz", digest, err)
+	res, err := branch.CompileSource(ctx, collatzSource)
+	add("brancher/collatz", branch, res, err)
 
 	got := strings.Join(lines, "\n") + "\n"
 	path := filepath.Join("testdata", "compile_products.golden")

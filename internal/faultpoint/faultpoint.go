@@ -43,7 +43,6 @@ type Site struct {
 var sites = []Site{
 	{"bdd.ite", "BDD apply step (panics on error kind)"},
 	{"bitvec.slice", "symbolic word slicing (panics on error kind)"},
-	{"cflow.block", "per basic-block compilation (detail: block name)"},
 	{"grammar.rule", "per-template rule lowering (detail: template dest)"},
 	{"hdl.parse", "start of MDL parsing"},
 	{"ise.extract", "start of instruction-set extraction (detail: model name)"},

@@ -6,7 +6,7 @@ package models
 // PC+1, an unconditional jump target and a flag-conditional jump target.
 // Instruction-set extraction turns the multiplexer into PC-destination RT
 // templates — the conditional ones carrying residual dynamic guards on
-// the flag — which internal/cflow uses to compile if/while programs.
+// the flag — which core.Compiler uses to compile if/while programs.
 //
 // Instruction word (32 bits):
 //
