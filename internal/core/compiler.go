@@ -24,11 +24,13 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/asm"
 	"repro/internal/cfront"
+	"repro/internal/code"
 	"repro/internal/codegen"
 	"repro/internal/compact"
 	"repro/internal/diag"
@@ -205,7 +207,16 @@ func (c *Compiler) CompileProgramOpts(ctx context.Context, prog *ir.Program, opt
 	}
 	done = stage("compact")
 	for i := range blocks {
-		if err = blocks[i].compact(sess, compact.Options{Disable: opts.NoCompaction, Obs: scope}); err != nil {
+		k := &blocks[i]
+		if len(k.flag) > 0 {
+			// The branch condition's code joins the block after the
+			// peephole pass, so it sets the flag right before the jump.
+			k.seq = &code.Seq{Instrs: append(slices.Clip(k.seq.Instrs), k.flag...)}
+		}
+		if k.prg, err = compact.Compact(k.seq, sess, compact.Options{Disable: opts.NoCompaction, Obs: scope}); err != nil {
+			break
+		}
+		if err = compact.Verify(k.seq, k.prg, sess); err != nil {
 			break
 		}
 	}

@@ -3,11 +3,9 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/asm"
 	"repro/internal/bind"
 	"repro/internal/code"
 	"repro/internal/codegen"
-	"repro/internal/compact"
 	"repro/internal/ir"
 	"repro/internal/rtl"
 )
@@ -95,26 +93,6 @@ func (k *block) selectCode(gen *codegen.Generator) error {
 			return fmt.Errorf("core: %s: %w", k.cond.Source, err)
 		}
 	}
-	return nil
-}
-
-// compact packs the block's code into words and verifies the packing.
-// The branch condition's code joins the block here, after the peephole
-// pass, so it sets the flag right before the block's jump.
-func (k *block) compact(sess *asm.Session, opts compact.Options) error {
-	if len(k.flag) > 0 {
-		seq := &code.Seq{Instrs: make([]*code.Instr, 0, k.seq.Len()+len(k.flag))}
-		seq.Instrs = append(append(seq.Instrs, k.seq.Instrs...), k.flag...)
-		k.seq = seq
-	}
-	prg, err := compact.Compact(k.seq, sess, opts)
-	if err != nil {
-		return err
-	}
-	if err := compact.Verify(k.seq, prg, sess); err != nil {
-		return err
-	}
-	k.prg = prg
 	return nil
 }
 
