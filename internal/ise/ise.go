@@ -498,15 +498,20 @@ func (x *extractor) symOutUncached(inst *netlist.Inst, out string) (bitvec.Vec, 
 	return x.symModExpr(inst, st.RHS)
 }
 
-// symModExpr evaluates a module-scope expression symbolically.
+// symModExpr evaluates an expression symbolically, in the module scope of
+// inst or, with inst nil, in connect scope (a bus WHEN condition).
 func (x *extractor) symModExpr(inst *netlist.Inst, e hdl.Expr) (bitvec.Vec, bool) {
 	switch ex := e.(type) {
 	case *hdl.NumExpr:
 		return bitvec.Const(x.m, ex.Val, ex.Width), true
+	case *hdl.PortSelExpr:
+		return x.symOut(x.n.InstByName[ex.Part], ex.Port)
 	case *hdl.IdentExpr:
 		switch {
 		case ex.Port != nil:
 			return x.symPort(inst, ex.Name)
+		case ex.Bus != nil:
+			return x.symBus(x.n.Buses[ex.Name])
 		case ex.Var != nil:
 			// Storage read: only mode registers are static control.
 			s := x.n.Storages[inst.Name+"."+ex.Var.Name]
@@ -522,7 +527,7 @@ func (x *extractor) symModExpr(inst *netlist.Inst, e hdl.Expr) (bitvec.Vec, bool
 		case ex.Const != nil:
 			return bitvec.Const(x.m, ex.Const.Value, ex.Width), true
 		}
-		return nil, false
+		return nil, false // primary input: run-time data
 	case *hdl.IndexExpr:
 		if ex.IsSlice {
 			base, ok := x.symModExpr(inst, ex.X)
@@ -642,24 +647,29 @@ func (x *extractor) symDriver(d *netlist.Driver) (bitvec.Vec, bool) {
 		}
 		return bitvec.Slice(full, d.Hi, d.Lo), true
 	case netlist.DriveBus:
-		// A bus is static control only when it has a single unconditional
-		// driver.
-		if len(d.Bus.Drivers) == 1 && d.Bus.Drivers[0].When == nil {
-			full, ok := x.symDriver(d.Bus.Drivers[0].Src)
-			if !ok {
-				return nil, false
-			}
-			return bitvec.Slice(full, d.Hi, d.Lo), true
+		full, ok := x.symBus(d.Bus)
+		if !ok {
+			return nil, false
 		}
-		return nil, false
+		return bitvec.Slice(full, d.Hi, d.Lo), true
 	case netlist.DrivePrimary:
 		return nil, false // run-time data
 	}
 	return nil, false
 }
 
-// condition converts a module-scope Boolean expression into a static BDD
-// condition, or a residual dynamic guard when it depends on run-time data.
+// symBus evaluates a bus symbolically.  A bus is static control only when
+// it has a single unconditional driver.
+func (x *extractor) symBus(b *netlist.Bus) (bitvec.Vec, bool) {
+	if len(b.Drivers) == 1 && b.Drivers[0].When == nil {
+		return x.symDriver(b.Drivers[0].Src)
+	}
+	return nil, false
+}
+
+// condition converts a Boolean expression (module scope of inst, or connect
+// scope when inst is nil) into a static BDD condition, or a residual
+// dynamic guard when it depends on run-time data.
 func (x *extractor) condition(inst *netlist.Inst, e hdl.Expr) (bdd.Node, []*rtl.Expr, error) {
 	if vec, ok := x.symModExpr(inst, e); ok {
 		return bitvec.Truth(x.m, vec), nil, nil
@@ -679,24 +689,40 @@ func (x *extractor) guardExpr(inst *netlist.Inst, e hdl.Expr) (*rtl.Expr, error)
 		return nil, err
 	}
 	if len(alts) != 1 || alts[0].cond != x.m.True() || len(alts[0].dyn) != 0 {
-		return nil, fmt.Errorf("ise: dynamic guard %s in %s is steered by control logic; unsupported", e, inst.Name)
+		return nil, fmt.Errorf("ise: dynamic guard %s in %s is steered by control logic; unsupported", e, scopeName(inst))
 	}
 	return alts[0].expr, nil
 }
 
+// scopeName names an expression's scope in messages: the instance, or a
+// bus WHEN condition in connect scope.
+func scopeName(inst *netlist.Inst) string {
+	if inst == nil {
+		return "a WHEN condition"
+	}
+	return inst.Name
+}
+
 // ----- route enumeration ----------------------------------------------
 
-// resolveModExpr enumerates route alternatives for a module-scope
-// expression in instance inst.
+// resolveModExpr enumerates route alternatives for an expression in the
+// module scope of inst or, with inst nil, in connect scope.
 func (x *extractor) resolveModExpr(inst *netlist.Inst, e hdl.Expr) ([]alt, error) {
 	switch ex := e.(type) {
 	case *hdl.NumExpr:
 		return []alt{{expr: rtl.NewConst(ex.Val, ex.Width), cond: x.m.True()}}, nil
 
+	case *hdl.PortSelExpr:
+		return x.resolveOut(x.n.InstByName[ex.Part], ex.Port)
+
 	case *hdl.IdentExpr:
 		switch {
 		case ex.Port != nil:
 			return x.resolvePort(inst, ex.Name)
+		case ex.Bus != nil:
+			return x.resolveBus(x.n.Buses[ex.Name])
+		case ex.Primary != nil:
+			return []alt{{expr: rtl.NewPort(ex.Name, ex.Width), cond: x.m.True()}}, nil
 		case ex.Var != nil:
 			q := inst.Name + "." + ex.Var.Name
 			return []alt{{expr: rtl.NewRead(q, ex.Var.Width, nil), cond: x.m.True()}}, nil
@@ -761,7 +787,7 @@ func (x *extractor) resolveModExpr(inst *netlist.Inst, e hdl.Expr) ([]alt, error
 					dyn:  x.concatDyn(a.dyn, b.dyn),
 				})
 				if len(out) > x.opts.MaxAlts {
-					return nil, fmt.Errorf("ise: route explosion in %s (limit %d)", inst.Name, x.opts.MaxAlts)
+					return nil, fmt.Errorf("ise: route explosion in %s (limit %d)", scopeName(inst), x.opts.MaxAlts)
 				}
 			}
 		}
@@ -830,7 +856,7 @@ func (x *extractor) resolveCase(inst *netlist.Inst, ce *hdl.CaseExpr) ([]alt, er
 			}
 			out = append(out, alt{expr: a.expr, cond: c, dyn: x.concatDyn(dyn, a.dyn)})
 			if len(out) > x.opts.MaxAlts {
-				return fmt.Errorf("ise: route explosion in CASE of %s (limit %d)", inst.Name, x.opts.MaxAlts)
+				return fmt.Errorf("ise: route explosion in CASE of %s (limit %d)", scopeName(inst), x.opts.MaxAlts)
 			}
 		}
 		return nil
@@ -921,46 +947,33 @@ func (x *extractor) resolveDriver(d *netlist.Driver) ([]alt, error) {
 // its enable condition true and every other statically-analysable enable
 // false (otherwise the routes would contend on the bus).
 func (x *extractor) resolveBus(b *netlist.Bus) ([]alt, error) {
-	// Precompute enable conditions.
+	// Precompute enable conditions: WHEN conditions are analysed like
+	// module guards, in connect scope.
 	type enable struct {
-		cond   bdd.Node
-		dyn    *rtl.Expr
-		static bool
+		cond bdd.Node
+		dyn  []*rtl.Expr
 	}
 	enables := make([]enable, len(b.Drivers))
 	for i, bd := range b.Drivers {
+		enables[i].cond = x.m.True()
 		if bd.When == nil {
-			enables[i] = enable{cond: x.m.True(), static: true}
 			continue
 		}
-		// WHEN conditions are connect-scope expressions.
-		if vec, ok := x.symConnExpr(bd.When); ok {
-			enables[i] = enable{cond: bitvec.Truth(x.m, vec), static: true}
-			continue
-		}
-		g, err := x.connGuardExpr(bd.When)
+		c, d, err := x.condition(nil, bd.When)
 		if err != nil {
 			return nil, err
 		}
-		enables[i] = enable{cond: x.m.True(), dyn: g, static: false}
+		enables[i] = enable{cond: c, dyn: d}
 	}
-
 	var out []alt
 	for i, bd := range b.Drivers {
 		if err := x.opts.Budget.Exceeded(); err != nil {
 			return nil, err
 		}
-		cond := enables[i].cond
-		var dyn []*rtl.Expr
-		if enables[i].dyn != nil {
-			dyn = append(dyn, enables[i].dyn)
-		}
-		// Exclusivity against other drivers.
+		cond, dyn := enables[i].cond, enables[i].dyn
+		// Exclusivity against the other drivers' static enables.
 		for j := range b.Drivers {
-			if j == i {
-				continue
-			}
-			if enables[j].static {
+			if j != i && enables[j].dyn == nil {
 				cond = x.m.And(cond, x.m.Not(enables[j].cond))
 			}
 		}
@@ -1010,91 +1023,4 @@ func (x *extractor) resolveOut(inst *netlist.Inst, out string) ([]alt, error) {
 	}
 	x.outMemo[key] = alts
 	return alts, nil
-}
-
-// ----- connect-scope expressions (bus WHEN conditions) -----------------
-
-func (x *extractor) symConnExpr(e hdl.Expr) (bitvec.Vec, bool) {
-	switch ex := e.(type) {
-	case *hdl.NumExpr:
-		return bitvec.Const(x.m, ex.Val, ex.Width), true
-	case *hdl.PortSelExpr:
-		inst := x.n.InstByName[ex.Part]
-		return x.symOut(inst, ex.Port)
-	case *hdl.IndexExpr:
-		if !ex.IsSlice {
-			return nil, false
-		}
-		base, ok := x.symConnExpr(ex.X)
-		if !ok {
-			return nil, false
-		}
-		return bitvec.Slice(base, ex.SliceHi, ex.SliceLo), true
-	case *hdl.BinExpr:
-		a, okA := x.symConnExpr(ex.X)
-		if !okA {
-			return nil, false
-		}
-		b, okB := x.symConnExpr(ex.Y)
-		if !okB {
-			return nil, false
-		}
-		return x.symBin(ex.Op, a, b)
-	case *hdl.UnExpr:
-		a, ok := x.symConnExpr(ex.X)
-		if !ok {
-			return nil, false
-		}
-		switch ex.Op {
-		case rtl.OpNeg:
-			return bitvec.Neg(x.m, a), true
-		case rtl.OpNot:
-			return bitvec.Not(x.m, a), true
-		}
-	}
-	return nil, false
-}
-
-// connGuardExpr lowers a dynamic WHEN condition to an RT expression.
-func (x *extractor) connGuardExpr(e hdl.Expr) (*rtl.Expr, error) {
-	switch ex := e.(type) {
-	case *hdl.NumExpr:
-		return rtl.NewConst(ex.Val, ex.Width), nil
-	case *hdl.PortSelExpr:
-		inst := x.n.InstByName[ex.Part]
-		alts, err := x.resolveOut(inst, ex.Port)
-		if err != nil {
-			return nil, err
-		}
-		if len(alts) != 1 || alts[0].cond != x.m.True() || len(alts[0].dyn) != 0 {
-			return nil, fmt.Errorf("ise: dynamic bus enable %s is itself multiplexed; unsupported", e)
-		}
-		return alts[0].expr, nil
-	case *hdl.IndexExpr:
-		if !ex.IsSlice {
-			break
-		}
-		base, err := x.connGuardExpr(ex.X)
-		if err != nil {
-			return nil, err
-		}
-		return rtl.NewSlice(ex.SliceHi, ex.SliceLo, base), nil
-	case *hdl.BinExpr:
-		a, err := x.connGuardExpr(ex.X)
-		if err != nil {
-			return nil, err
-		}
-		b, err := x.connGuardExpr(ex.Y)
-		if err != nil {
-			return nil, err
-		}
-		return rtl.NewOp(ex.Op, ex.Width, a, b), nil
-	case *hdl.UnExpr:
-		a, err := x.connGuardExpr(ex.X)
-		if err != nil {
-			return nil, err
-		}
-		return rtl.NewOp(ex.Op, ex.Width, a), nil
-	}
-	return nil, fmt.Errorf("ise: unsupported dynamic bus enable %s", e)
 }

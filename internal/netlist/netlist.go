@@ -265,43 +265,47 @@ func (n *Netlist) OutputDeps(inst *Inst, out string) []string {
 	}
 	seen := make(map[string]bool)
 	var deps []string
-	var walk func(e hdl.Expr)
-	walk = func(e hdl.Expr) {
-		switch x := e.(type) {
-		case *hdl.IdentExpr:
-			if x.Port != nil && x.Port.Dir == hdl.DirIn && !seen[x.Name] {
-				seen[x.Name] = true
-				deps = append(deps, x.Name)
-			}
-		case *hdl.IndexExpr:
-			walk(x.X)
-			walk(x.Hi)
-			if x.Lo != nil {
-				walk(x.Lo)
-			}
-		case *hdl.BinExpr:
-			walk(x.X)
-			walk(x.Y)
-		case *hdl.UnExpr:
-			walk(x.X)
-		case *hdl.CaseExpr:
-			walk(x.Sel)
-			for _, a := range x.Alts {
-				walk(a.Body)
-			}
-			if x.Else != nil {
-				walk(x.Else)
-			}
+	refs(st.RHS, func(r hdl.Expr) {
+		if x, ok := r.(*hdl.IdentExpr); ok && x.Port != nil && x.Port.Dir == hdl.DirIn && !seen[x.Name] {
+			seen[x.Name] = true
+			deps = append(deps, x.Name)
 		}
-	}
-	walk(st.RHS)
+	})
 	sort.Strings(deps)
 	return deps
 }
 
+// refs calls fn for every identifier and part.port reference in e, in
+// either scope.
+func refs(e hdl.Expr, fn func(hdl.Expr)) {
+	switch x := e.(type) {
+	case *hdl.IdentExpr, *hdl.PortSelExpr:
+		fn(e)
+	case *hdl.IndexExpr:
+		refs(x.X, fn)
+		refs(x.Hi, fn)
+		if x.Lo != nil {
+			refs(x.Lo, fn)
+		}
+	case *hdl.BinExpr:
+		refs(x.X, fn)
+		refs(x.Y, fn)
+	case *hdl.UnExpr:
+		refs(x.X, fn)
+	case *hdl.CaseExpr:
+		refs(x.Sel, fn)
+		for _, a := range x.Alts {
+			refs(a.Body, fn)
+		}
+		if x.Else != nil {
+			refs(x.Else, fn)
+		}
+	}
+}
+
 // checkCombLoops rejects models with combinational cycles.  Nodes of the
 // dependency graph are instance output ports and buses; edges follow
-// behavior expressions and interconnect.
+// behavior expressions, bus WHEN conditions and interconnect.
 func (n *Netlist) checkCombLoops() error {
 	const (
 		white = 0
@@ -313,6 +317,24 @@ func (n *Netlist) checkCombLoops() error {
 	var visitDrv func(d *Driver) error
 	var visitBus func(b *Bus) error
 
+	// visitWhen follows the part outputs and buses a WHEN condition reads.
+	visitWhen := func(e hdl.Expr) error {
+		var err error
+		refs(e, func(r hdl.Expr) {
+			if err != nil {
+				return
+			}
+			switch x := r.(type) {
+			case *hdl.PortSelExpr:
+				err = visitOut(n.InstByName[x.Part], x.Port)
+			case *hdl.IdentExpr:
+				if x.Bus != nil {
+					err = visitBus(n.Buses[x.Name])
+				}
+			}
+		})
+		return err
+	}
 	visitDrv = func(d *Driver) error {
 		if d == nil {
 			return nil
@@ -338,11 +360,8 @@ func (n *Netlist) checkCombLoops() error {
 			if err := visitDrv(bd.Src); err != nil {
 				return err
 			}
-			// WHEN conditions also propagate combinationally.
-			for _, dep := range whenDeps(bd.When) {
-				if err := visitOut(n.InstByName[dep.part], dep.port); err != nil {
-					return err
-				}
+			if err := visitWhen(bd.When); err != nil {
+				return err
 			}
 		}
 		color[key] = black
@@ -381,39 +400,6 @@ func (n *Netlist) checkCombLoops() error {
 		}
 	}
 	return nil
-}
-
-type portDep struct{ part, port string }
-
-// whenDeps lists part.port references in a bus WHEN condition.
-func whenDeps(e hdl.Expr) []portDep {
-	var deps []portDep
-	var walk func(e hdl.Expr)
-	walk = func(e hdl.Expr) {
-		switch x := e.(type) {
-		case *hdl.PortSelExpr:
-			deps = append(deps, portDep{x.Part, x.Port})
-		case *hdl.IndexExpr:
-			walk(x.X)
-		case *hdl.BinExpr:
-			walk(x.X)
-			walk(x.Y)
-		case *hdl.UnExpr:
-			walk(x.X)
-		case *hdl.CaseExpr:
-			walk(x.Sel)
-			for _, a := range x.Alts {
-				walk(a.Body)
-			}
-			if x.Else != nil {
-				walk(x.Else)
-			}
-		}
-	}
-	if e != nil {
-		walk(e)
-	}
-	return deps
 }
 
 // DataStorages returns the sequential storages that participate in the

@@ -168,6 +168,37 @@ END.
 	}
 }
 
+// A WHEN condition that reads a bus driven from the bus it enables is a
+// combinational loop.
+func TestWhenBusLoopDetected(t *testing.T) {
+	src := `
+PROCESSOR whenloop;
+MODULE Rom (IN a: 4; OUT q: 8);
+VAR m: 8 [16];
+BEGIN q <- m[a]; END;
+MODULE Reg (IN d: 8; IN ld: 1; OUT q: 8);
+VAR r: 8;
+BEGIN q <- r; AT ld == 1 DO r <- d; END;
+BUS db : 8;
+BUS sel : 8;
+PARTS imem : Rom INSTRUCTION; r0 : Reg;
+CONNECT
+  imem.a <- 3;
+  db <- r0.q WHEN sel[0] == 1;
+  sel <- db;
+  r0.d <- db;
+  r0.ld <- imem.q[6];
+END.
+`
+	m, err := hdl.ParseAndCheck(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Elaborate(m); err == nil || !strings.Contains(err.Error(), "combinational loop through bus") {
+		t.Fatalf("expected combinational loop error, got %v", err)
+	}
+}
+
 func TestSequentialBreaksLoop(t *testing.T) {
 	// acc feeds alu feeds acc: fine, the register breaks the cycle.
 	n := elaborate(t, tinySrc)

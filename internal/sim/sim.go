@@ -205,13 +205,20 @@ func (s *Simulator) OutVal(name string) (int64, error) {
 	return s.evalDriver(d)
 }
 
-// evalMod evaluates a module-scope expression within an instance.
+// evalMod evaluates an expression in the module scope of inst or, with
+// inst nil, in connect scope (a bus WHEN condition).
 func (s *Simulator) evalMod(inst *netlist.Inst, e hdl.Expr) (int64, error) {
 	switch x := e.(type) {
 	case *hdl.NumExpr:
 		return rtl.Wrap(x.Val, x.Width), nil
+	case *hdl.PortSelExpr:
+		return s.evalOut(s.N.InstByName[x.Part], x.Port)
 	case *hdl.IdentExpr:
 		switch {
+		case x.Bus != nil:
+			return s.evalBus(s.N.Buses[x.Name])
+		case x.Primary != nil:
+			return rtl.Wrap(s.In[x.Name], x.Width), nil
 		case x.Port != nil:
 			d := inst.Drivers[x.Name]
 			if d == nil {
@@ -356,7 +363,7 @@ func (s *Simulator) evalBus(b *netlist.Bus) (int64, error) {
 	for i, bd := range b.Drivers {
 		en := int64(-1) // unconditional drivers are always on
 		if bd.When != nil {
-			v, err := s.evalConn(bd.When)
+			v, err := s.evalMod(nil, bd.When)
 			if err != nil {
 				return 0, err
 			}
@@ -379,41 +386,4 @@ func (s *Simulator) evalBus(b *netlist.Bus) (int64, error) {
 	}
 	s.busCache[b.Name] = v
 	return v, nil
-}
-
-// evalConn evaluates a connect-scope expression (bus WHEN condition).
-func (s *Simulator) evalConn(e hdl.Expr) (int64, error) {
-	switch x := e.(type) {
-	case *hdl.NumExpr:
-		return rtl.Wrap(x.Val, x.Width), nil
-	case *hdl.PortSelExpr:
-		inst := s.N.InstByName[x.Part]
-		return s.evalOut(inst, x.Port)
-	case *hdl.IndexExpr:
-		if !x.IsSlice {
-			return 0, fmt.Errorf("sim: bad WHEN expression %s", e)
-		}
-		base, err := s.evalConn(x.X)
-		if err != nil {
-			return 0, err
-		}
-		return rtl.EvalSlice(base, x.SliceHi, x.SliceLo), nil
-	case *hdl.BinExpr:
-		a, err := s.evalConn(x.X)
-		if err != nil {
-			return 0, err
-		}
-		b, err := s.evalConn(x.Y)
-		if err != nil {
-			return 0, err
-		}
-		return evalBin(x.Op, a, b, x, e)
-	case *hdl.UnExpr:
-		a, err := s.evalConn(x.X)
-		if err != nil {
-			return 0, err
-		}
-		return rtl.EvalUn(x.Op, a, x.Width), nil
-	}
-	return 0, fmt.Errorf("sim: cannot evaluate WHEN %T", e)
 }
