@@ -541,13 +541,11 @@ func compileOne(c *config, comp *core.Compiler, src string, rep *diag.Reporter, 
 		var env ir.Env
 		err := diag.Guard(rep, "sim", func() error {
 			var err error
-			if env, err = target.ExecuteContext(ctx, res); err != nil {
-				return err
-			}
-			if err := target.CheckAgainstOracleContext(ctx, res); err != nil {
+			env, err = target.CheckAgainstOracleContext(ctx, res)
+			if err != nil && env != nil {
 				return fmt.Errorf("simulation disagrees with the IR oracle: %w", err)
 			}
-			return nil
+			return err
 		})
 		if err != nil {
 			return err

@@ -403,15 +403,21 @@ func runToExit(ctx context.Context, s *sim.Simulator, r *CompileResult) error {
 // on the same program and word width, returning a descriptive error on
 // the first mismatch.
 func (t *Target) CheckAgainstOracle(r *CompileResult) error {
-	return t.CheckAgainstOracleContext(context.Background(), r)
+	got, err := t.CheckAgainstOracleContext(context.Background(), r)
+	if got == nil && err != nil {
+		return fmt.Errorf("core: simulation: %w", err)
+	}
+	return err
 }
 
 // CheckAgainstOracleContext is CheckAgainstOracle with the simulated run
-// under ctx, as in ExecuteContext.
-func (t *Target) CheckAgainstOracleContext(ctx context.Context, r *CompileResult) error {
+// under ctx, as in ExecuteContext.  It returns the simulated values with
+// the verdict; they are nil, and the error is ExecuteContext's, when the
+// simulation itself failed.
+func (t *Target) CheckAgainstOracleContext(ctx context.Context, r *CompileResult) (ir.Env, error) {
 	got, err := t.ExecuteContext(ctx, r)
 	if err != nil {
-		return fmt.Errorf("core: simulation: %w", err)
+		return nil, err
 	}
 	width := r.Binding.Width
 	var want ir.Env
@@ -422,10 +428,10 @@ func (t *Target) CheckAgainstOracleContext(ctx context.Context, r *CompileResult
 		err = r.CFG.Interp(want, width)
 	}
 	if err != nil {
-		return fmt.Errorf("core: oracle: %w", err)
+		return got, fmt.Errorf("core: oracle: %w", err)
 	}
 	if err := ir.Mismatch(r.decls(), got, want); err != nil {
-		return fmt.Errorf("core: %w", err)
+		return got, fmt.Errorf("core: %w", err)
 	}
-	return nil
+	return got, nil
 }

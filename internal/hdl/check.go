@@ -115,6 +115,10 @@ func (c *checker) resolveSize(e Expr) int {
 			c.errorf(s.Pos, "storage size: unknown constant %q", s.Name)
 			return 1
 		}
+		if v <= 0 || v > 1<<24 {
+			c.errorf(s.Pos, "storage size %d (constant %q) out of range", v, s.Name)
+			return 1
+		}
 		return int(v)
 	}
 	c.errorf(e.ExprPos(), "storage size must be a number or constant")

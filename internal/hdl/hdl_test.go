@@ -331,6 +331,15 @@ MODULE F (IN a: 4; OUT y: 4);
 BEGIN y <- a + 99; END;
 `+miniPartsRom("F", "x", "x.a <- imem.q[3:0];"), "does not fit")
 	})
+	t.Run("storage size constant too large", func(t *testing.T) {
+		checkFails(t, `
+PROCESSOR p;
+CONST N = 99999999999;
+MODULE M (IN a: 4; OUT y: 8);
+VAR m: 8 [N];
+BEGIN y <- m[a]; END;
+`+miniPartsRom("M", "x", "x.a <- imem.q[3:0];"), `storage size 99999999999 (constant "N") out of range`)
+	})
 	t.Run("array without index", func(t *testing.T) {
 		checkFails(t, `
 PROCESSOR p;
