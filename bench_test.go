@@ -30,6 +30,7 @@ import (
 	"repro/internal/naive"
 	"repro/internal/obs"
 	"repro/internal/rcache"
+	"repro/internal/rewrite"
 )
 
 // ---- Table 3: retargeting time per processor model ---------------------
@@ -382,24 +383,29 @@ func BenchmarkFigure2_NaiveBaseline(b *testing.B) {
 
 // ---- Ablations ----------------------------------------------------------
 
-// BenchmarkAblationCommutativity compares code size for a sum-of-products
-// block with and without the commutative template extension (paper
-// section 3: badly structured expression trees).
-func BenchmarkAblationCommutativity(b *testing.B) {
+// BenchmarkAblationExtension compares code size and template count for a
+// sum-of-products block with the full template-base extension (paper
+// section 3: badly structured expression trees), with commutativity alone
+// off, and with no extension at all.
+func BenchmarkAblationExtension(b *testing.B) {
 	mdl, _ := models.Get("tms320c25")
 	src := `
 int a = 2; int b = 3; int c = 4; int d = 5;
 int y;
 y = b*a + d*c;
 `
-	for _, ext := range []bool{true, false} {
-		ext := ext
-		name := "extended"
-		if !ext {
-			name = "plain"
-		}
-		b.Run(name, func(b *testing.B) {
-			tg, err := core.RetargetContext(context.Background(), mdl, core.RetargetOptions{NoExtension: !ext})
+	noComm := rewrite.DefaultOptions()
+	noComm.Commutativity = false
+	for _, cfg := range []struct {
+		name string
+		opts core.RetargetOptions
+	}{
+		{"extended", core.RetargetOptions{}},
+		{"no-commutativity", core.RetargetOptions{Extension: &noComm}},
+		{"plain", core.RetargetOptions{NoExtension: true}},
+	} {
+		b.Run(cfg.name, func(b *testing.B) {
+			tg, err := core.RetargetContext(context.Background(), mdl, cfg.opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -413,6 +419,7 @@ y = b*a + d*c;
 				words = res.CodeLen()
 			}
 			b.ReportMetric(float64(words), "words")
+			b.ReportMetric(float64(tg.Stats.Templates), "templates")
 		})
 	}
 }
