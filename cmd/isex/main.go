@@ -18,6 +18,7 @@ import (
 	"repro/internal/burs"
 	"repro/internal/core"
 	"repro/internal/models"
+	"repro/internal/rtl"
 )
 
 func main() {
@@ -73,16 +74,16 @@ func run() error {
 
 	if *templates {
 		fmt.Println("\nRT template base:")
-		for _, t := range target.Base.Templates {
-			fmt.Printf("%4d: %s", t.ID, t)
-			if t.Synthetic {
+		target.Base.Each(func(s rtl.Swap) {
+			fmt.Printf("%4d: %s", s.ID, s)
+			if s.Of.Synthetic || s.Mask != 0 {
 				fmt.Print("  [synthetic]")
 			}
 			if *conditions {
-				fmt.Printf("\n      cond: %s", target.ISE.Vars.M.String(t.Cond.Static))
+				fmt.Printf("\n      cond: %s", target.ISE.Vars.M.String(s.Of.Cond.Static))
 			}
 			fmt.Println()
-		}
+		})
 	}
 	if *grammarDump {
 		fmt.Println("\ntree grammar:")

@@ -403,7 +403,7 @@ func (e *Encoder) Listing(p *code.Program) string {
 			if j > 0 {
 				b.WriteString(" || ")
 			}
-			in.Template.Render(&b)
+			in.Render(&b)
 		}
 		for _, in := range w.Instrs {
 			if in.Comment != "" {

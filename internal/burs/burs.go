@@ -74,20 +74,41 @@ func NewParser(g *grammar.Grammar) *Parser {
 }
 
 // Label computes the dynamic-programming labels for the subject tree.
+// Every node's labels live in arrays shared by the whole tree.
 func (p *Parser) Label(e *rtl.Expr) *Node {
-	return p.label(e, make(map[FieldKey]int64, 2))
+	size, nNT := e.Size(), p.G.NumNT()
+	l := &labeler{
+		fields: make(map[FieldKey]int64, 2),
+		nodes:  make([]Node, size),
+		kids:   make([]*Node, size-1),
+		cost:   make([]int32, size*nNT),
+		rule:   make([]*grammar.Rule, size*nNT),
+	}
+	for i := range l.cost {
+		l.cost[i] = Inf
+	}
+	return p.label(e, l)
 }
 
-// label labels e bottom-up.  fields is the field-binding scratch map of
-// the whole Label call, cleared before each rule probe.
-func (p *Parser) label(e *rtl.Expr, fields map[FieldKey]int64) *Node {
-	nNT := p.G.NumNT()
-	node := &Node{Expr: e, cost: make([]int32, nNT), rule: make([]*grammar.Rule, nNT)}
-	for i := range node.cost {
-		node.cost[i] = Inf
-	}
-	for _, k := range e.Kids {
-		node.Kids = append(node.Kids, p.label(k, fields))
+// labeler holds one Label call's scratch: the field-binding map, cleared
+// before each rule probe, and the unclaimed rest of the arrays the nodes
+// and their labels are carved from.
+type labeler struct {
+	fields map[FieldKey]int64
+	nodes  []Node
+	kids   []*Node
+	cost   []int32
+	rule   []*grammar.Rule
+}
+
+// label labels e bottom-up.
+func (p *Parser) label(e *rtl.Expr, l *labeler) *Node {
+	nNT, nKids := p.G.NumNT(), len(e.Kids)
+	node := &l.nodes[0]
+	*node = Node{Expr: e, Kids: l.kids[:nKids:nKids], cost: l.cost[:nNT:nNT], rule: l.rule[:nNT:nNT]}
+	l.nodes, l.kids, l.cost, l.rule = l.nodes[1:], l.kids[nKids:], l.cost[nNT:], l.rule[nNT:]
+	for i, k := range e.Kids {
+		node.Kids[i] = p.label(k, l)
 	}
 	// Match every rule whose root terminal fits this node.
 	var rules []*grammar.Rule
@@ -95,8 +116,8 @@ func (p *Parser) label(e *rtl.Expr, fields map[FieldKey]int64) *Node {
 		rules = p.G.RulesByTerm[term]
 	}
 	for _, r := range rules {
-		clear(fields)
-		c := p.MatchCostFields(r.Pat, node, fields)
+		clear(l.fields)
+		c := p.MatchCostFields(r.Pat, r.Swap, node, l.fields)
 		if c >= Inf {
 			continue
 		}
@@ -130,15 +151,16 @@ func (p *Parser) label(e *rtl.Expr, fields map[FieldKey]int64) *Node {
 // FieldKey identifies an instruction field by its bit range.
 type FieldKey struct{ Hi, Lo int }
 
-// MatchCostFields returns the cost of matching pattern pat at node
-// (excluding the rule's own cost), or Inf.  Nonlinear patterns — where one
-// instruction field appears at several leaves (both FU inputs wired to the
-// same memory output, say) — only match when every occurrence binds the
-// same operand value; fields holds the bindings made so far and receives
-// the new ones.  The same (non-nil) map may be shared across several
-// patterns (a template's source and destination-address patterns) to
-// enforce global consistency.
-func (p *Parser) MatchCostFields(pat *grammar.Pat, node *Node, fields map[FieldKey]int64) int32 {
+// MatchCostFields returns the cost of matching pattern pat, under swap
+// mask swap (grammar.Rule.Swap), at node (excluding the rule's own cost),
+// or Inf.  Nonlinear patterns — where one instruction field appears at
+// several leaves (both FU inputs wired to the same memory output, say) —
+// only match when every occurrence binds the same operand value; fields
+// holds the bindings made so far and receives the new ones.  The same
+// (non-nil) map may be shared across several patterns (a template's
+// source and destination-address patterns) to enforce global
+// consistency.
+func (p *Parser) MatchCostFields(pat *grammar.Pat, swap uint64, node *Node, fields map[FieldKey]int64) int32 {
 	if pat.Kind == grammar.PatNT {
 		return node.cost[pat.NT]
 	}
@@ -157,8 +179,9 @@ func (p *Parser) MatchCostFields(pat *grammar.Pat, node *Node, fields map[FieldK
 		return Inf
 	}
 	var sum int32
-	for i, k := range pat.Kids {
-		c := p.MatchCostFields(k, node.Kids[i], fields)
+	for i, kid := range node.Kids {
+		k, m := pat.Kid(i, swap)
+		c := p.MatchCostFields(k, m, kid, fields)
 		if c >= Inf {
 			return Inf
 		}
@@ -169,7 +192,8 @@ func (p *Parser) MatchCostFields(pat *grammar.Pat, node *Node, fields map[FieldK
 
 // Step is one rule application in a derivation.  Kids are the
 // sub-derivations at the nonterminal positions of the rule's pattern, in
-// pattern pre-order; NodeAt pairs each with the subject node it derives.
+// pre-order of the pattern as the rule matches it (operands swapped as its
+// mask says); NTPairs pairs each with the subject node it derives.
 type Step struct {
 	Rule *grammar.Rule
 	Node *Node
@@ -261,8 +285,8 @@ func (p *Parser) Derive(node *Node, nt int) (*Step, error) {
 			p.G.NTNames[nt], node.Expr)
 	}
 	step := &Step{Rule: r, Node: node}
-	var rec func(pat *grammar.Pat, n *Node) error
-	rec = func(pat *grammar.Pat, n *Node) error {
+	var rec func(pat *grammar.Pat, swap uint64, n *Node) error
+	rec = func(pat *grammar.Pat, swap uint64, n *Node) error {
 		if pat.Kind == grammar.PatNT {
 			kid, err := p.Derive(n, pat.NT)
 			if err != nil {
@@ -271,33 +295,36 @@ func (p *Parser) Derive(node *Node, nt int) (*Step, error) {
 			step.Kids = append(step.Kids, kid)
 			return nil
 		}
-		for i, k := range pat.Kids {
-			if err := rec(k, n.Kids[i]); err != nil {
+		for i, kid := range n.Kids {
+			k, m := pat.Kid(i, swap)
+			if err := rec(k, m, kid); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := rec(r.Pat, node); err != nil {
+	if err := rec(r.Pat, r.Swap, node); err != nil {
 		return nil, err
 	}
 	return step, nil
 }
 
 // NTPairs returns, for each nonterminal position of the rule's pattern (in
-// pre-order), the subject node derived there.  It parallels Step.Kids.
+// pre-order, operands swapped as the rule's mask says), the subject node
+// derived there.  It parallels Step.Kids.
 func NTPairs(r *grammar.Rule, node *Node) []*Node {
 	var out []*Node
-	var rec func(pat *grammar.Pat, n *Node)
-	rec = func(pat *grammar.Pat, n *Node) {
+	var rec func(pat *grammar.Pat, swap uint64, n *Node)
+	rec = func(pat *grammar.Pat, swap uint64, n *Node) {
 		if pat.Kind == grammar.PatNT {
 			out = append(out, n)
 			return
 		}
-		for i, k := range pat.Kids {
-			rec(k, n.Kids[i])
+		for i, kid := range n.Kids {
+			k, m := pat.Kid(i, swap)
+			rec(k, m, kid)
 		}
 	}
-	rec(r.Pat, node)
+	rec(r.Pat, r.Swap, node)
 	return out
 }

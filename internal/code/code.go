@@ -38,7 +38,11 @@ func (f Field) String() string {
 // dependence query is not safe for concurrent use.
 type Instr struct {
 	Template *rtl.Template
-	Fields   []Field
+	// Swap is the mask of the swap entry the instruction was selected
+	// through (rtl.Swap), 0 for Template itself.  A swap performs
+	// Template's transfer, so only the rendering reads it.
+	Swap   uint64
+	Fields []Field
 	// Comment carries provenance for listings (e.g. the source statement).
 	Comment string
 
@@ -47,9 +51,14 @@ type Instr struct {
 	usesCache []Loc
 }
 
+// Render appends the instruction's RT, swapped as selected, to b.
+func (i *Instr) Render(b *strings.Builder) { i.Template.RenderSwap(b, i.Swap) }
+
 // String renders the instruction with its operand fields.
 func (i *Instr) String() string {
-	s := i.Template.String()
+	var b strings.Builder
+	i.Render(&b)
+	s := b.String()
 	if len(i.Fields) > 0 {
 		parts := make([]string, len(i.Fields))
 		for j, f := range i.Fields {
@@ -217,11 +226,14 @@ type Word struct {
 }
 
 func (w *Word) String() string {
-	parts := make([]string, len(w.Instrs))
+	var b strings.Builder
 	for i, in := range w.Instrs {
-		parts[i] = in.Template.String()
+		if i > 0 {
+			b.WriteString("  ||  ")
+		}
+		in.Render(&b)
 	}
-	return strings.Join(parts, "  ||  ")
+	return b.String()
 }
 
 // Seq is a code sequence (one basic block).

@@ -269,7 +269,7 @@ func (cg *Generator) compileWhole(et *bind.ET) ([]*code.Instr, error) {
 	// Build the root step by hand (sub-derivations for the source pattern),
 	// then address sub-derivations.
 	step := &burs.Step{Rule: rule, Node: root}
-	if err := cg.deriveInto(step, rule.Pat, root); err != nil {
+	if err := cg.deriveInto(step, rule.Pat, rule.Swap, root); err != nil {
 		return nil, err
 	}
 	addrPat, err := cg.G.LowerPattern(rule.Template.DestAddr)
@@ -277,7 +277,7 @@ func (cg *Generator) compileWhole(et *bind.ET) ([]*code.Instr, error) {
 		return nil, err
 	}
 	addrStep := &burs.Step{Rule: rule, Node: addrRoot}
-	if err := cg.deriveInto(addrStep, addrPat, addrRoot); err != nil {
+	if err := cg.deriveInto(addrStep, addrPat, 0, addrRoot); err != nil {
 		return nil, err
 	}
 
@@ -287,8 +287,8 @@ func (cg *Generator) compileWhole(et *bind.ET) ([]*code.Instr, error) {
 	kids := append(append([]*burs.Step(nil), addrStep.Kids...), step.Kids...)
 	combined := &burs.Step{Rule: rule, Node: root, Kids: kids}
 	instrs, err := cg.genStepWithFields(combined, func(fields map[burs.FieldKey]int64) error {
-		collectFields(rule.Pat, root, fields)
-		collectFields(addrPat, addrRoot, fields)
+		collectFields(rule.Pat, rule.Swap, root, fields)
+		collectFields(addrPat, 0, addrRoot, fields)
 		return nil
 	}, nil)
 	if err != nil {
@@ -312,7 +312,7 @@ func (cg *Generator) selectRoot(dest string, root, addrRoot *burs.Node) (*gramma
 			continue
 		}
 		fields := make(map[burs.FieldKey]int64, 2)
-		c := cg.P.MatchCostFields(r.Pat, root, fields)
+		c := cg.P.MatchCostFields(r.Pat, r.Swap, root, fields)
 		if c >= burs.Inf {
 			continue
 		}
@@ -320,7 +320,7 @@ func (cg *Generator) selectRoot(dest string, root, addrRoot *burs.Node) (*gramma
 		if err != nil {
 			continue
 		}
-		ac := cg.P.MatchCostFields(addrPat, addrRoot, fields)
+		ac := cg.P.MatchCostFields(addrPat, 0, addrRoot, fields)
 		if ac >= burs.Inf {
 			continue
 		}
@@ -337,8 +337,9 @@ func (cg *Generator) selectRoot(dest string, root, addrRoot *burs.Node) (*gramma
 	return best, int(bestCost), nil
 }
 
-// deriveInto appends sub-derivations for every NT position of pat to step.
-func (cg *Generator) deriveInto(step *burs.Step, pat *grammar.Pat, node *burs.Node) error {
+// deriveInto appends sub-derivations for every NT position of pat, under
+// swap mask swap, to step.
+func (cg *Generator) deriveInto(step *burs.Step, pat *grammar.Pat, swap uint64, node *burs.Node) error {
 	if pat.Kind == grammar.PatNT {
 		kid, err := cg.P.Derive(node, pat.NT)
 		if err != nil {
@@ -347,8 +348,9 @@ func (cg *Generator) deriveInto(step *burs.Step, pat *grammar.Pat, node *burs.No
 		step.Kids = append(step.Kids, kid)
 		return nil
 	}
-	for i, k := range pat.Kids {
-		if err := cg.deriveInto(step, k, node.Kids[i]); err != nil {
+	for i, kid := range node.Kids {
+		k, m := pat.Kid(i, swap)
+		if err := cg.deriveInto(step, k, m, kid); err != nil {
 			return err
 		}
 	}
@@ -358,7 +360,7 @@ func (cg *Generator) deriveInto(step *burs.Step, pat *grammar.Pat, node *burs.No
 // genStep linearizes a derivation step into instructions.
 func (cg *Generator) genStep(step *burs.Step, live []string) ([]*code.Instr, error) {
 	return cg.genStepWithFields(step, func(fields map[burs.FieldKey]int64) error {
-		collectFields(step.Rule.Pat, step.Node, fields)
+		collectFields(step.Rule.Pat, step.Rule.Swap, step.Node, fields)
 		return nil
 	}, live)
 }
@@ -447,7 +449,7 @@ func (cg *Generator) genStepWithFields(step *burs.Step,
 	if err := collect(fields); err != nil {
 		return nil, err
 	}
-	out = append(out, &code.Instr{Template: r.Template, Fields: sortedFields(fields)})
+	out = append(out, &code.Instr{Template: r.Template, Swap: r.Swap, Fields: sortedFields(fields)})
 	return out, nil
 }
 
@@ -603,9 +605,9 @@ func (cg *Generator) freeScratch(cell int) {
 	cg.scratchFree = append(cg.scratchFree, cell)
 }
 
-// collectFields walks a pattern against a matching subject collecting the
-// immediate-field operand values.
-func collectFields(pat *grammar.Pat, node *burs.Node, out map[burs.FieldKey]int64) {
+// collectFields walks a pattern, under swap mask swap, against a matching
+// subject collecting the immediate-field operand values.
+func collectFields(pat *grammar.Pat, swap uint64, node *burs.Node, out map[burs.FieldKey]int64) {
 	if pat.Kind == grammar.PatNT {
 		return
 	}
@@ -613,9 +615,10 @@ func collectFields(pat *grammar.Pat, node *burs.Node, out map[burs.FieldKey]int6
 		out[burs.FieldKey{Hi: pat.ImmHi, Lo: pat.ImmLo}] = node.Expr.Val
 		return
 	}
-	for i, k := range pat.Kids {
+	for i := range pat.Kids {
 		if i < len(node.Kids) {
-			collectFields(k, node.Kids[i], out)
+			k, m := pat.Kid(i, swap)
+			collectFields(k, m, node.Kids[i], out)
 		}
 	}
 }

@@ -66,6 +66,31 @@ type Pat struct {
 	Hi      int    // PatSlice
 	Lo      int
 	Kids    []*Pat
+	// sites counts the swap sites (rtl.Expr.SwapSite) of the lowered
+	// tree, p's own first when site is set.  A rule's swap mask numbers
+	// them in pre-order, so a pattern shared by several trees reads the
+	// mask relative to its own first site.
+	sites int
+	site  bool
+}
+
+// Kid returns the kid of p matched against kid i of a subject node under
+// swap mask swap (relative to p), and the mask relative to that kid: the
+// other operand where the mask swaps p.
+func (p *Pat) Kid(i int, swap uint64) (*Pat, uint64) {
+	if swap == 0 {
+		return p.Kids[i], 0
+	}
+	if p.site {
+		if swap&1 != 0 {
+			i = 1 - i
+		}
+		swap >>= 1
+	}
+	if i == 1 {
+		swap >>= uint(p.Kids[0].sites)
+	}
+	return p.Kids[i], swap
 }
 
 // term identifies a terminal symbol: the part of a pattern node's root
@@ -158,19 +183,24 @@ func fitsField(v int64, w int) bool {
 	return v >= -(1 << uint(w-1))
 }
 
-func (p *Pat) String() string {
+func (p *Pat) String() string { return p.render(0) }
+
+// render renders p as a rule with swap mask swap matches it.
+func (p *Pat) render(swap uint64) string {
 	switch p.Kind {
 	case PatNT:
 		return fmt.Sprintf("<%d>", p.NT)
 	case PatOp:
 		if len(p.Kids) == 1 {
-			return fmt.Sprintf("%s(%s)", p.Op, p.Kids[0])
+			return fmt.Sprintf("%s(%s)", p.Op, p.Kids[0].render(swap))
 		}
-		return fmt.Sprintf("(%s %s %s)", p.Kids[0], p.Op, p.Kids[1])
+		l, lm := p.Kid(0, swap)
+		r, rm := p.Kid(1, swap)
+		return fmt.Sprintf("(%s %s %s)", l.render(lm), p.Op, r.render(rm))
 	case PatReg:
 		return p.Storage
 	case PatMem:
-		return fmt.Sprintf("%s[%s]", p.Storage, p.Kids[0])
+		return fmt.Sprintf("%s[%s]", p.Storage, p.Kids[0].render(swap))
 	case PatImm:
 		return fmt.Sprintf("IMM[%d:%d]", p.ImmHi, p.ImmLo)
 	case PatConst:
@@ -178,7 +208,7 @@ func (p *Pat) String() string {
 	case PatPort:
 		return p.Port
 	case PatSlice:
-		return fmt.Sprintf("%s[%d:%d]", p.Kids[0], p.Hi, p.Lo)
+		return fmt.Sprintf("%s[%d:%d]", p.Kids[0].render(swap), p.Hi, p.Lo)
 	}
 	return "?"
 }
@@ -217,6 +247,10 @@ type Rule struct {
 	// Term is the terminal ID of the pattern's root, the RulesByTerm
 	// bucket the rule is filed in; -1 for start and chain rules.
 	Term int
+	// Swap is the mask of a KindRT rule for a swap entry of the base
+	// (rtl.Swap): the rule matches Pat, Template's pattern, with the
+	// operands of the sites it selects exchanged (see Pat.Kid).
+	Swap uint64
 }
 
 // IsChain reports whether the rule's pattern is a bare nonterminal (a chain
@@ -224,7 +258,7 @@ type Rule struct {
 func (r *Rule) IsChain() bool { return r.Pat.Kind == PatNT }
 
 func (r *Rule) String() string {
-	return fmt.Sprintf("#%d %s: <%d> -> %s (cost %d)", r.ID, r.Kind, r.LHS, r.Pat, r.Cost)
+	return fmt.Sprintf("#%d %s: <%d> -> %s (cost %d)", r.ID, r.Kind, r.LHS, r.Pat.render(r.Swap), r.Cost)
 }
 
 // Grammar is the constructed tree grammar.
@@ -277,15 +311,12 @@ func (g *Grammar) SubjectTerm(e *rtl.Expr) int {
 	return -1
 }
 
-// internTerms numbers every terminal of pattern p.
-func (g *Grammar) internTerms(p *Pat) {
+// internTerm numbers the terminal of pattern node p, if it has one.
+func (g *Grammar) internTerm(p *Pat) {
 	if t, ok := termOf(p); ok {
 		if _, ok := g.terms[t]; !ok {
 			g.terms[t] = len(g.terms)
 		}
-	}
-	for _, k := range p.Kids {
-		g.internTerms(k)
 	}
 }
 
@@ -330,6 +361,9 @@ func Build(base *rtl.Base, spec Spec) (*Grammar, error) {
 // fails only when no selectable rule survives.  rep may be nil.
 func BuildReported(base *rtl.Base, spec Spec, rep *diag.Reporter) (*Grammar, error) {
 	g := &Grammar{
+		// At most a start and a stop rule per storage, a start rule per
+		// port and an RT rule per entry of the base.
+		Rules:      make([]*Rule, 0, 2*len(spec.Storages)+len(spec.OutPorts)+base.Len()),
 		ntIdx:      make(map[string]int),
 		terms:      make(map[term]int),
 		ChainRules: make(map[int][]*Rule),
@@ -357,7 +391,9 @@ func BuildReported(base *rtl.Base, spec Spec, rep *diag.Reporter) (*Grammar, err
 	}
 
 	// addRule files r; the terminals of its pattern must be interned.
-	addRule := func(r *Rule) {
+	// term is the terminal of the pattern's root if the caller knows it,
+	// else -1.
+	addRule := func(r *Rule, term int) {
 		r.ID = len(g.Rules)
 		r.Term = -1
 		g.Rules = append(g.Rules, r)
@@ -369,6 +405,8 @@ func BuildReported(base *rtl.Base, spec Spec, rep *diag.Reporter) (*Grammar, err
 		case r.IsChain():
 			g.ChainRules[r.Pat.NT] = append(g.ChainRules[r.Pat.NT], r)
 			g.stats.ChainRules++
+		case term >= 0:
+			r.Term = term
 		default:
 			t, _ := termOf(r.Pat)
 			r.Term = g.terms[t]
@@ -383,56 +421,74 @@ func BuildReported(base *rtl.Base, spec Spec, rep *diag.Reporter) (*Grammar, err
 	// 1. Start rules, cost 0.
 	for _, s := range spec.Storages {
 		addRule(&Rule{Kind: KindStart, LHS: START, Dest: s.Name, Cost: 0,
-			Pat: &Pat{Kind: PatNT, NT: g.ntIdx[s.Name], Width: s.Width}})
+			Pat: &Pat{Kind: PatNT, NT: g.ntIdx[s.Name], Width: s.Width}}, -1)
 	}
 	for _, p := range spec.OutPorts {
 		addRule(&Rule{Kind: KindStart, LHS: START, Dest: p, Cost: 0,
-			Pat: &Pat{Kind: PatNT, NT: g.ntIdx[p], Width: 0}})
+			Pat: &Pat{Kind: PatNT, NT: g.ntIdx[p], Width: 0}}, -1)
 	}
 
 	// 2. RT rules, cost 1.  A pattern depends on its template's source
-	// alone, so each distinct source is lowered once and its pattern is
-	// shared, read-only, by every rule for it.  A failed lowering is rare
-	// and not memoised.
-	lowered := make([]*Pat, base.Exprs().Len())
+	// alone, so each distinct source is lowered once and its pattern (and
+	// root terminal) is shared, read-only, by every rule for it, swaps
+	// included; equal subtrees of distinct sources share theirs too.  A
+	// failed lowering is rare and not memoised.  The rules are carved
+	// from one array.
+	type loweredPat struct {
+		pat  *Pat
+		term int
+	}
+	lowered := make([]loweredPat, base.Exprs().Len())
+	shared := make(map[*rtl.Expr]*Pat)
+	rules := make([]Rule, 0, base.Len())
 	var skipErr error
 	skipped := 0
-	for _, t := range base.Templates {
+	// Entries come grouped by destination, so its nonterminal is looked
+	// up once per run of them.
+	dest, lhs, inSpec := "", 0, false
+	base.Each(func(s rtl.Swap) {
+		t := s.Of
 		if len(t.Cond.Dynamic) > 0 {
 			// Templates with residual dynamic guards (conditional jumps,
 			// flag-steered transfers) execute only under run-time
 			// conditions and are not selectable as unconditional ET
 			// covers.
-			continue
+			return
 		}
-		lhs, ok := g.ntIdx[t.Dest]
-		if !ok {
+		if t.Dest != dest || dest == "" {
+			dest = t.Dest
+			lhs, inSpec = g.ntIdx[dest]
+		}
+		if !inSpec {
 			// Destination outside the spec (e.g. the PC of a machine whose
 			// spec excludes it): skip rather than fail, the template simply
 			// is not selectable.
-			continue
+			return
 		}
-		var pat *Pat
+		lp := &lowered[t.SrcID()]
 		err := faultpoint.Hit("grammar.rule", t.Dest)
-		if err == nil {
-			if pat = lowered[t.SrcID()]; pat == nil {
-				if pat, err = g.lower(t.Src); err == nil {
-					g.internTerms(pat)
-					lowered[t.SrcID()] = pat
+		if err == nil && lp.pat == nil {
+			var pat *Pat
+			if pat, err = g.lower(t.Src, shared); err == nil {
+				g.share(t.Src, pat, shared)
+				lp.pat, lp.term = pat, -1
+				if t, ok := termOf(pat); ok {
+					lp.term = g.terms[t]
 				}
 			}
 		}
 		if err != nil {
-			err = fmt.Errorf("template %d (%s): %w", t.ID, t, err)
+			err = fmt.Errorf("template %d (%s): %w", s.ID, s, err)
 			if skipErr == nil {
 				skipErr = err
 			}
 			skipped++
 			rep.Warnf("grammar", diag.Pos{}, "skipping %v; its RT stays unselectable", err)
-			continue
+			return
 		}
-		addRule(&Rule{Kind: KindRT, LHS: lhs, Pat: pat, Cost: 1, Template: t})
-	}
+		rules = append(rules, Rule{Kind: KindRT, LHS: lhs, Pat: lp.pat, Cost: 1, Template: t, Swap: s.Mask})
+		addRule(&rules[len(rules)-1], lp.term)
+	})
 	if skipped > 0 && g.stats.RTRules == 0 {
 		return nil, fmt.Errorf("grammar: no selectable rules survive lowering: %w", skipErr)
 	}
@@ -443,8 +499,8 @@ func BuildReported(base *rtl.Base, spec Spec, rep *diag.Reporter) (*Grammar, err
 			continue
 		}
 		pat := &Pat{Kind: PatReg, Storage: s.Name, Width: s.Width}
-		g.internTerms(pat)
-		addRule(&Rule{Kind: KindStop, LHS: g.ntIdx[s.Name], Cost: 0, Pat: pat})
+		g.internTerm(pat)
+		addRule(&Rule{Kind: KindStop, LHS: g.ntIdx[s.Name], Cost: 0, Pat: pat}, -1)
 	}
 	// Every terminal gets a bucket, empty if it roots no rule.
 	g.RulesByTerm = make([][]*Rule, len(g.terms))
@@ -461,51 +517,69 @@ func BuildReported(base *rtl.Base, spec Spec, rep *diag.Reporter) (*Grammar, err
 // LowerPattern converts an RT expression pattern (such as a template's
 // destination-address pattern) into a grammar pattern; clients use it to
 // match addressing modes against subject address trees.
-func (g *Grammar) LowerPattern(e *rtl.Expr) (*Pat, error) { return g.lower(e) }
+func (g *Grammar) LowerPattern(e *rtl.Expr) (*Pat, error) { return g.lower(e, nil) }
 
 // lower converts a template source expression into a pattern per table 2 of
-// the paper.
-func (g *Grammar) lower(e *rtl.Expr) (*Pat, error) {
+// the paper.  A subtree that memo holds shares its pattern.
+func (g *Grammar) lower(e *rtl.Expr, memo map[*rtl.Expr]*Pat) (*Pat, error) {
+	if p, ok := memo[e]; ok {
+		return p, nil
+	}
+	p := &Pat{Width: e.Width}
 	switch e.Kind {
 	case rtl.Const:
-		return &Pat{Kind: PatConst, Val: e.Val, Width: e.Width}, nil
+		p.Kind, p.Val = PatConst, e.Val
 	case rtl.InsnField:
-		return &Pat{Kind: PatImm, ImmHi: e.Hi, ImmLo: e.Lo, Width: e.Width}, nil
+		p.Kind, p.ImmHi, p.ImmLo = PatImm, e.Hi, e.Lo
 	case rtl.PortRef:
-		return &Pat{Kind: PatPort, Port: e.Port, Width: e.Width}, nil
+		p.Kind, p.Port = PatPort, e.Port
 	case rtl.Read:
 		if e.Addr() == nil {
 			nt, ok := g.ntIdx[e.Storage]
 			if !ok {
 				return nil, fmt.Errorf("grammar: storage %s not in spec", e.Storage)
 			}
-			return &Pat{Kind: PatNT, NT: nt, Width: e.Width}, nil
+			p.Kind, p.NT = PatNT, nt
+			break
 		}
-		addr, err := g.lower(e.Addr())
-		if err != nil {
-			return nil, err
-		}
-		return &Pat{Kind: PatMem, Storage: e.Storage, Width: e.Width,
-			Kids: []*Pat{addr}}, nil
+		p.Kind, p.Storage = PatMem, e.Storage
 	case rtl.Slice:
-		kid, err := g.lower(e.Kids[0])
-		if err != nil {
-			return nil, err
-		}
-		return &Pat{Kind: PatSlice, Hi: e.Hi, Lo: e.Lo, Width: e.Width,
-			Kids: []*Pat{kid}}, nil
+		p.Kind, p.Hi, p.Lo = PatSlice, e.Hi, e.Lo
 	case rtl.OpApp:
-		kids := make([]*Pat, len(e.Kids))
+		p.Kind, p.Op, p.site = PatOp, e.Op, e.SwapSite()
+	default:
+		return nil, fmt.Errorf("grammar: cannot lower expression %s", e)
+	}
+	if p.site {
+		p.sites = 1
+	}
+	if len(e.Kids) > 0 {
+		p.Kids = make([]*Pat, len(e.Kids))
 		for i, k := range e.Kids {
-			p, err := g.lower(k)
+			kid, err := g.lower(k, memo)
 			if err != nil {
 				return nil, err
 			}
-			kids[i] = p
+			p.Kids[i] = kid
+			p.sites += kid.sites
 		}
-		return &Pat{Kind: PatOp, Op: e.Op, Width: e.Width, Kids: kids}, nil
 	}
-	return nil, fmt.Errorf("grammar: cannot lower expression %s", e)
+	return p, nil
+}
+
+// share records pattern p, lowered from e, and its subtrees in memo, so
+// that equal subtrees of later trees share them, and numbers the terminals
+// of the nodes it records.  e must be a canonical tree of the base's
+// store, whose equal subtrees share a pointer.
+func (g *Grammar) share(e *rtl.Expr, p *Pat, memo map[*rtl.Expr]*Pat) {
+	if _, ok := memo[e]; ok {
+		return
+	}
+	memo[e] = p
+	g.internTerm(p)
+	for i, k := range e.Kids {
+		g.share(k, p.Kids[i], memo)
+	}
 }
 
 // Stats summarizes the grammar for diagnostics and the retargeting report.
@@ -548,15 +622,16 @@ func (g *Grammar) String() string {
 		lhs := g.NTNames[r.LHS]
 		switch r.Kind {
 		case KindStart:
-			fmt.Fprintf(&b, "%-8s -> ASSIGN(%s, %s)  [0]\n", lhs, r.Dest, g.patString(r.Pat))
+			fmt.Fprintf(&b, "%-8s -> ASSIGN(%s, %s)  [0]\n", lhs, r.Dest, g.patString(r.Pat, 0))
 		default:
-			fmt.Fprintf(&b, "%-8s -> %s  [%d]\n", lhs, g.patString(r.Pat), r.Cost)
+			fmt.Fprintf(&b, "%-8s -> %s  [%d]\n", lhs, g.patString(r.Pat, r.Swap), r.Cost)
 		}
 	}
 	return b.String()
 }
 
-func (g *Grammar) patString(p *Pat) string {
+// patString renders p as a rule with swap mask swap matches it.
+func (g *Grammar) patString(p *Pat, swap uint64) string {
 	if p.Kind == PatNT {
 		return g.NTNames[p.NT]
 	}
@@ -564,8 +639,8 @@ func (g *Grammar) patString(p *Pat) string {
 		return p.String()
 	}
 	parts := make([]string, len(p.Kids))
-	for i, k := range p.Kids {
-		parts[i] = g.patString(k)
+	for i := range p.Kids {
+		parts[i] = g.patString(p.Kid(i, swap))
 	}
 	switch p.Kind {
 	case PatOp:

@@ -944,14 +944,16 @@ func (x *extractor) resolveDriver(d *netlist.Driver) ([]alt, error) {
 }
 
 // resolveBus forks across tristate drivers.  Selecting driver i requires
-// its enable condition true and every other statically-analysable enable
-// false (otherwise the routes would contend on the bus).
+// its enable condition true and every other enable false (otherwise the
+// routes would contend on the bus): a static enable in the condition, a
+// dynamic one by a guard that it is off.
 func (x *extractor) resolveBus(b *netlist.Bus) ([]alt, error) {
 	// Precompute enable conditions: WHEN conditions are analysed like
-	// module guards, in connect scope.
+	// module guards, in connect scope.  An enable is either static (a
+	// condition over control bits) or one dynamic guard.
 	type enable struct {
-		cond bdd.Node
-		dyn  []*rtl.Expr
+		cond  bdd.Node
+		guard *rtl.Expr
 	}
 	enables := make([]enable, len(b.Drivers))
 	for i, bd := range b.Drivers {
@@ -963,18 +965,30 @@ func (x *extractor) resolveBus(b *netlist.Bus) ([]alt, error) {
 		if err != nil {
 			return nil, err
 		}
-		enables[i] = enable{cond: c, dyn: d}
+		enables[i].cond = c
+		if len(d) > 0 {
+			enables[i].guard = d[0]
+		}
 	}
 	var out []alt
 	for i, bd := range b.Drivers {
 		if err := x.opts.Budget.Exceeded(); err != nil {
 			return nil, err
 		}
-		cond, dyn := enables[i].cond, enables[i].dyn
-		// Exclusivity against the other drivers' static enables.
-		for j := range b.Drivers {
-			if j != i && enables[j].dyn == nil {
-				cond = x.m.And(cond, x.m.Not(enables[j].cond))
+		cond := enables[i].cond
+		var dyn []*rtl.Expr
+		if g := enables[i].guard; g != nil {
+			dyn = append(dyn, g)
+		}
+		// Exclusivity against the other drivers' enables: a static one
+		// must be off in the word, a dynamic one at run time.
+		for j, en := range enables {
+			switch {
+			case j == i:
+			case en.guard == nil:
+				cond = x.m.And(cond, x.m.Not(en.cond))
+			default:
+				dyn = x.concatDyn(dyn, []*rtl.Expr{negateGuard(en.guard)})
 			}
 		}
 		if cond == x.m.False() {
@@ -998,6 +1012,23 @@ func (x *extractor) resolveBus(b *netlist.Bus) ([]alt, error) {
 		}
 	}
 	return out, nil
+}
+
+// negatedComparison maps each comparison to the one holding exactly when
+// it does not.
+var negatedComparison = map[rtl.Op]rtl.Op{
+	rtl.OpEq: rtl.OpNe, rtl.OpNe: rtl.OpEq,
+	rtl.OpLt: rtl.OpGe, rtl.OpGe: rtl.OpLt,
+	rtl.OpLe: rtl.OpGt, rtl.OpGt: rtl.OpLe,
+}
+
+// negateGuard returns the dynamic guard holding exactly when g does not: a
+// comparison with its operator negated, anything else compared with 0.
+func negateGuard(g *rtl.Expr) *rtl.Expr {
+	if op, ok := negatedComparison[g.Op]; ok && g.Kind == rtl.OpApp {
+		return rtl.NewOp(op, g.Width, g.Kids...)
+	}
+	return rtl.NewOp(rtl.OpEq, 1, g, rtl.NewConst(0, g.Width))
 }
 
 // resolveOut enumerates routes producing an instance output port; results

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/hdl"
 	"repro/internal/netlist"
+	"repro/internal/rtl"
 	"repro/internal/sim"
 )
 
@@ -60,11 +61,14 @@ func renderBase(res *Result) string {
 // TestBusWhenForms extracts and simulates every form a bus WHEN may read:
 // a literal, a named constant and a single-driver bus are static control;
 // a primary input and a register output are run-time data and become the
-// r0 routes' dynamic guard.
+// r0 routes' dynamic guard, and its negation the r1 routes' one, so that
+// no bus route admits both drivers.
 func TestBusWhenForms(t *testing.T) {
 	rows := []struct {
 		name, decls, when, conns string
 		dynamic                  bool
+		// on is the run-time state turning a dynamic WHEN on.
+		on map[string]int64
 		// enable sets the simulator's state so that r0's WHEN is on, and
 		// returns the instruction bits that turn it on.
 		enable func(s *sim.Simulator, on bool) uint64
@@ -73,11 +77,13 @@ func TestBusWhenForms(t *testing.T) {
 		{name: "constant", decls: "CONST ON = 1;", when: "imem.q[7] == ON", enable: insnBit7},
 		{name: "bus", decls: "BUS sel: 1;", when: "sel == 1", conns: "sel <- imem.q[7:7];", enable: insnBit7},
 		{name: "primary", decls: "PORT IN en: 1;", when: "en == 1", dynamic: true,
+			on: map[string]int64{"en": 1},
 			enable: func(s *sim.Simulator, on bool) uint64 {
 				s.In["en"] = b2i(on)
 				return 0
 			}},
 		{name: "register", when: "dst.q[0] == 1", dynamic: true,
+			on: map[string]int64{"dst.r": 1},
 			enable: func(s *sim.Simulator, on bool) uint64 {
 				s.Mem["dst.r"][0] = b2i(on)
 				return 0
@@ -117,6 +123,30 @@ func TestBusWhenForms(t *testing.T) {
 					t.Errorf("r0 route %s: dynamic guards %v", tpl, tpl.Cond.Dynamic)
 				}
 			}
+			r1 := find(res, ":= r1.r")
+			if len(r1) != 3 {
+				t.Fatalf("want 3 r1 routes, got:\n%s", got)
+			}
+			for _, tpl := range r1 {
+				if row.dynamic != (len(tpl.Cond.Dynamic) == 1) {
+					t.Errorf("r1 route %s: dynamic guards %v", tpl, tpl.Cond.Dynamic)
+				}
+			}
+			// Under the WHEN on at run time and instruction bit 6 set,
+			// both drivers would drive db: no bus route may admit that.
+			if row.dynamic {
+				m := res.Base.BDD
+				bit6 := m.Var(res.Vars.InsnVars[6])
+				for _, tpl := range append(r0, r1...) {
+					admits := m.And(tpl.Cond.Static, bit6) != m.False()
+					for _, g := range tpl.Cond.Dynamic {
+						admits = admits && evalGuard(g, row.on) != 0
+					}
+					if admits {
+						t.Errorf("route %s admits the WHEN on with bit 6 set", tpl)
+					}
+				}
+			}
 
 			// Load dst from db: r0 (55) drives it when the condition
 			// holds, r1 (77) otherwise; contention or a floating bus
@@ -145,6 +175,27 @@ func TestBusWhenForms(t *testing.T) {
 }
 
 func insnBit7(_ *sim.Simulator, on bool) uint64 { return uint64(b2i(on)) << 7 }
+
+// evalGuard evaluates a dynamic guard over ports and registers (cell 0)
+// named in state, at each node's width.
+func evalGuard(e *rtl.Expr, state map[string]int64) int64 {
+	switch e.Kind {
+	case rtl.Const:
+		return rtl.Wrap(e.Val, e.Width)
+	case rtl.PortRef:
+		return rtl.Wrap(state[e.Port], e.Width)
+	case rtl.Read:
+		return rtl.Wrap(state[e.Storage], e.Width)
+	case rtl.Slice:
+		return rtl.EvalSlice(evalGuard(e.Kids[0], state), e.Hi, e.Lo)
+	case rtl.OpApp:
+		if len(e.Kids) == 1 {
+			return rtl.EvalUn(e.Op, evalGuard(e.Kids[0], state), e.Width)
+		}
+		return rtl.EvalBin(e.Op, evalGuard(e.Kids[0], state), evalGuard(e.Kids[1], state), e.Width)
+	}
+	panic(fmt.Sprintf("guard %s: unsupported node", e))
+}
 
 func b2i(b bool) int64 {
 	if b {

@@ -1,6 +1,7 @@
 package rewrite
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/models"
@@ -17,9 +18,7 @@ func extendFresh(base *rtl.Base, opts Options) {
 		if opts.Commutativity {
 			vs = append(vs, commuteVariants(t.Src, opts.MaxVariantsPerTemplate)...)
 		}
-		for _, r := range opts.Rules {
-			vs = append(vs, ruleVariants(t.Src, r, opts.MaxVariantsPerTemplate)...)
-		}
+		vs = append(vs, ruleVariants(t.Src, opts.Rules, opts.MaxVariantsPerTemplate)...)
 		for _, v := range vs {
 			if v.Equal(t.Src) {
 				continue
@@ -38,9 +37,9 @@ func extendFresh(base *rtl.Base, opts Options) {
 }
 
 // TestExtendMemoMatchesFresh extends every bundled model's extracted base
-// twice, once by Extend and once by a per-template recompute, under a few
-// option sets, and requires the same template list: IDs, destinations,
-// address and source renderings, condition nodes and provenance.
+// twice, once by Extend and once by a per-template recompute that adds
+// every variant as a template, under a few option sets, and requires the
+// same entries: IDs, renderings, condition nodes, widths and provenance.
 func TestExtendMemoMatchesFresh(t *testing.T) {
 	bundled := models.All()
 	brancher, _ := models.Get("brancher")
@@ -54,20 +53,7 @@ func TestExtendMemoMatchesFresh(t *testing.T) {
 			memo, fresh := extractedBase(t, m.MDL), extractedBase(t, m.MDL)
 			Extend(memo, opts)
 			extendFresh(fresh, opts)
-			if memo.Len() != fresh.Len() {
-				t.Fatalf("%s/%d: %d templates; per-template recompute gives %d", m.Name, oi, memo.Len(), fresh.Len())
-			}
-			for i, a := range memo.Templates {
-				b := fresh.Templates[i]
-				if a.ID != b.ID || a.Dest != b.Dest || a.DestPort != b.DestPort ||
-					a.DestAddr.String() != b.DestAddr.String() || a.Src.String() != b.Src.String() ||
-					!a.Src.Equal(b.Src) || a.Width != b.Width ||
-					a.Cond.Static != b.Cond.Static || len(a.Cond.Dynamic) != len(b.Cond.Dynamic) ||
-					a.Synthetic != b.Synthetic {
-					t.Fatalf("%s/%d: template %d is %s (cond %d, synthetic %v); per-template recompute gives %s (cond %d, synthetic %v)",
-						m.Name, oi, i, a, a.Cond.Static, a.Synthetic, b, b.Cond.Static, b.Synthetic)
-				}
-			}
+			sameEntries(t, fmt.Sprintf("%s/%d", m.Name, oi), memo, fresh)
 		}
 	}
 }

@@ -6,9 +6,14 @@
 // Two mechanisms are provided:
 //
 //   - Commutativity.  For each template containing a commutative operator, a
-//     complementary template with swapped arguments is added.  This avoids
+//     complementary entry with swapped arguments is added.  This avoids
 //     code-quality loss on badly structured expression trees, which matters
-//     for the sum-of-product computations dominating DSP code.
+//     for the sum-of-product computations dominating DSP code.  An entry is
+//     a swap (rtl.Swap): the template plus a mask of the operators whose
+//     operands are exchanged, counted in the base but matched by the tree
+//     parser on the template's own pattern, so a swap builds no tree, no
+//     template and no pattern.  Only a swap that would meet another
+//     transfer (and merge with it) is built as a template.
 //
 //   - An external transformation library of algebraic rewrite rules.  Each
 //     rule pairs a program-side pattern with a hardware-side pattern; when a
@@ -82,10 +87,10 @@ type Bindings struct {
 
 // Match attempts to match p against e, returning bindings on success.
 // Extension probes every rule at every template node, and most probes fail
-// at the root, so the root's kind, operator and arity are checked before
-// any bindings are allocated.
+// on the pattern's shape, so every node's kind, operator, arity and
+// constant is checked before any bindings are allocated.
 func (p *Pattern) Match(e *rtl.Expr) (*Bindings, bool) {
-	if !p.rootMatches(e) {
+	if !p.shapeMatches(e) {
 		return nil, false
 	}
 	b := &Bindings{Sub: make(map[string]*rtl.Expr), Const: make(map[string]int64)}
@@ -93,6 +98,22 @@ func (p *Pattern) Match(e *rtl.Expr) (*Bindings, bool) {
 		return b, true
 	}
 	return nil, false
+}
+
+// shapeMatches reports whether every node of p can match the node of e at
+// its position; it is the binding-free part of match.
+func (p *Pattern) shapeMatches(e *rtl.Expr) bool {
+	if !p.rootMatches(e) {
+		return false
+	}
+	// Only an operator pattern has kids, and rootMatches checked that e
+	// has as many.
+	for i, k := range p.Kids {
+		if !k.shapeMatches(e.Kids[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // rootMatches reports whether p's root node can match e; it is the
@@ -265,10 +286,21 @@ func DefaultOptions() Options {
 	}
 }
 
-// Extend enlarges base in place with synthetic templates and returns the
-// number added (paper section 3).  A template's variants depend on its
-// source tree alone, so they are computed once per distinct source and
-// replayed, in the same order, for every template sharing it.
+// Extend enlarges base in place with synthetic entries and returns the
+// number added (paper section 3).  Each commutative operand swap of a
+// template becomes a swap entry over it (rtl.Base.AddSwap), which the
+// grammar matches with the operands exchanged; each rule variant becomes
+// a synthetic template.  A template's variants depend on its source tree
+// alone, so they are computed once per distinct source and replayed, in
+// the same order, for every template sharing it.
+//
+// A swap stays an entry only where it cannot meet another transfer: a
+// swap equal to a template, a rule variant or another swap would merge
+// into it.  Such a swap lies in the commutation class of its origin, so
+// when an origin's class (per destination and address) holds any other
+// template or rule variant, or two operands of one of its commutative
+// operators are in one class, its swaps are built, interned and added as
+// templates instead, with AddVariant's merging.
 func Extend(base *rtl.Base, opts Options) int {
 	if opts.MaxVariantsPerTemplate <= 0 {
 		opts.MaxVariantsPerTemplate = 128
@@ -278,79 +310,224 @@ func Extend(base *rtl.Base, opts Options) int {
 	// synthetic results), not to its own output transitively forever.
 	snapshot := append([]*rtl.Template(nil), base.Templates...)
 	store := base.Exprs()
-	memo := make([][]rtl.ExprID, store.Len())
-	for _, t := range snapshot {
-		vs := memo[t.SrcID()]
-		if vs == nil {
-			vs = variants(store, t, opts)
-			memo[t.SrcID()] = vs
+	memo := make([]sourceVariants, store.Len())
+	variantsOf := func(t *rtl.Template) *sourceVariants {
+		v := &memo[t.SrcID()]
+		if !v.ready {
+			v.derive(store, t, opts)
 		}
-		for _, v := range vs {
-			base.AddVariant(t, v)
+		return v
+	}
+	// Count the templates and rule variants of every (destination,
+	// address, commutation class) group; keys[i] is snapshot[i]'s group.
+	// A tree without swap sites is alone in its class and is left out.
+	var keys []uint64
+	var groups map[uint64]int
+	if opts.Commutativity {
+		keys = make([]uint64, len(snapshot))
+		groups = make(map[uint64]int, len(snapshot))
+		for i, t := range snapshot {
+			v := variantsOf(t)
+			id := identity(t)
+			if v.sites > 0 {
+				keys[i] = mix(id, v.class)
+				groups[keys[i]]++
+			}
+			for _, c := range v.ruleClasses {
+				groups[mix(id, c)]++
+			}
+		}
+	}
+	masks := commuter[uint64]{limit: opts.MaxVariantsPerTemplate,
+		leaf: func(*rtl.Expr) uint64 { return 0 },
+		join: func(_ *rtl.Expr, site int, l, r uint64, swapped bool) uint64 {
+			if swapped {
+				return l | r | 1<<uint(site)
+			}
+			return l | r
+		}}
+	trees := commuter[*rtl.Expr]{limit: opts.MaxVariantsPerTemplate,
+		leaf: func(e *rtl.Expr) *rtl.Expr { return e },
+		join: func(n *rtl.Expr, _ int, l, r *rtl.Expr, swapped bool) *rtl.Expr {
+			switch {
+			case len(n.Kids) == 1:
+				return rtl.NewOp(n.Op, n.Width, l)
+			case swapped:
+				return rtl.NewOp(n.Op, n.Width, r, l)
+			}
+			return rtl.NewOp(n.Op, n.Width, l, r)
+		}}
+	for i, t := range snapshot {
+		v := variantsOf(t)
+		if opts.Commutativity && v.sites > 0 {
+			if v.distinct && groups[keys[i]] == 1 {
+				// The first form is the source itself.
+				for _, m := range masks.forms(t.Src)[1:] {
+					base.AddSwap(t, m)
+				}
+			} else {
+				for _, tree := range trees.forms(t.Src) {
+					if id := store.Intern(tree); id != t.SrcID() {
+						base.AddVariant(t, id)
+					}
+				}
+			}
+		}
+		for _, id := range v.rules {
+			base.AddVariant(t, id)
 		}
 	}
 	return base.Len() - before
 }
 
-// variants returns the interned commutativity and rule variants of t's
-// source, in generation order and with repeats, minus the source itself.
-// The result is never nil, so Extend's memo tells "none" from "not yet".
-func variants(store *rtl.Store, t *rtl.Template, opts Options) []rtl.ExprID {
-	var trees []*rtl.Expr
+// sourceVariants is what extension derives from one template source.
+type sourceVariants struct {
+	ready bool
+	// sites counts the source's swap sites.  class hashes its commutation
+	// class; distinct reports that it has at most 64 sites and no
+	// commutative operator with operands of one class, so that every swap
+	// mask gives a tree of its own, none of them the source.
+	sites    int
+	class    uint64
+	distinct bool
+	// rules are the interned rule variants, in generation order and with
+	// repeats, minus the source itself; ruleClasses are the classes of
+	// those with swap sites.
+	rules       []rtl.ExprID
+	ruleClasses []uint64
+}
+
+// derive fills v from t's source.
+func (v *sourceVariants) derive(store *rtl.Store, t *rtl.Template, opts Options) {
+	v.ready = true
 	if opts.Commutativity {
-		trees = append(trees, commuteVariants(t.Src, opts.MaxVariantsPerTemplate)...)
-	}
-	for _, r := range opts.Rules {
-		trees = append(trees, ruleVariants(t.Src, r, opts.MaxVariantsPerTemplate)...)
-	}
-	out := make([]rtl.ExprID, 0, len(trees))
-	for _, v := range trees {
-		if id := store.Intern(v); id != t.SrcID() {
-			out = append(out, id)
+		if v.sites = t.Src.SwapSites(); v.sites > 0 {
+			v.class, v.distinct = classOf(t.Src)
+			v.distinct = v.distinct && v.sites <= 64
 		}
 	}
-	return out
-}
-
-// commuteVariants returns every tree obtainable by swapping the operands of
-// commutative operator nodes (all subsets of swap positions), the original
-// among them.
-func commuteVariants(e *rtl.Expr, limit int) []*rtl.Expr {
-	var rec func(n *rtl.Expr) []*rtl.Expr
-	rec = func(n *rtl.Expr) []*rtl.Expr {
-		if n.Kind != rtl.OpApp {
-			return []*rtl.Expr{n}
-		}
-		if len(n.Kids) == 1 {
-			kidVars := rec(n.Kids[0])
-			vars := make([]*rtl.Expr, 0, len(kidVars))
-			for _, kv := range kidVars {
-				vars = append(vars, rtl.NewOp(n.Op, n.Width, kv))
-			}
-			return vars
-		}
-		ls := rec(n.Kids[0])
-		rs := rec(n.Kids[1])
-		var vars []*rtl.Expr
-		for _, l := range ls {
-			for _, r := range rs {
-				vars = append(vars, rtl.NewOp(n.Op, n.Width, l, r))
-				if n.Op.Commutative() {
-					vars = append(vars, rtl.NewOp(n.Op, n.Width, r, l))
-				}
-				if len(vars) > limit {
-					return vars[:limit]
-				}
+	for _, tree := range ruleVariants(t.Src, opts.Rules, opts.MaxVariantsPerTemplate) {
+		if id := store.Intern(tree); id != t.SrcID() {
+			v.rules = append(v.rules, id)
+			if opts.Commutativity && tree.SwapSites() > 0 {
+				c, _ := classOf(tree)
+				v.ruleClasses = append(v.ruleClasses, c)
 			}
 		}
-		return vars
 	}
-	return rec(e)
 }
 
-// ruleVariants applies rule r at every node of e (one application per
-// variant).
-func ruleVariants(e *rtl.Expr, r Rule, limit int) []*rtl.Expr {
+// commuter enumerates commuted forms, of some representation F, into a
+// buffer it reuses: a swap mask per form, or the swapped tree.
+type commuter[F any] struct {
+	limit int
+	// leaf makes the form of a subtree swaps do not enter.  join makes an
+	// operator's form from its operands' forms (l alone for a unary
+	// operator); site numbers the operator among the swap sites when it
+	// is one, and swapped asks for its operands exchanged.
+	leaf func(*rtl.Expr) F
+	join func(n *rtl.Expr, site int, l, r F, swapped bool) F
+	buf  []F
+}
+
+// forms returns e's commuted forms in generation order, e itself first:
+// every combination of operand swaps at the swap sites reachable from the
+// root through operators, at most limit of them.  The result is valid
+// until the next call.
+func (c *commuter[F]) forms(e *rtl.Expr) []F {
+	c.buf = c.buf[:0]
+	forms, _ := c.rec(e, 0)
+	return forms
+}
+
+// rec appends the forms of n, whose first swap site is site, to the
+// buffer and returns them with the site after n's last.
+func (c *commuter[F]) rec(n *rtl.Expr, site int) ([]F, int) {
+	if n.Kind != rtl.OpApp {
+		c.buf = append(c.buf, c.leaf(n))
+		return c.buf[len(c.buf)-1:], site + n.SwapSites()
+	}
+	if len(n.Kids) == 1 {
+		kids, next := c.rec(n.Kids[0], site)
+		start := len(c.buf)
+		var none F
+		for _, k := range kids {
+			c.buf = append(c.buf, c.join(n, site, k, none, false))
+		}
+		return c.buf[start:], next
+	}
+	self := site
+	if n.SwapSite() {
+		site++
+	}
+	ls, mid := c.rec(n.Kids[0], site)
+	rs, next := c.rec(n.Kids[1], mid)
+	start := len(c.buf)
+	for _, l := range ls {
+		for _, r := range rs {
+			c.buf = append(c.buf, c.join(n, self, l, r, false))
+			if n.Op.Commutative() {
+				c.buf = append(c.buf, c.join(n, self, l, r, true))
+			}
+			if len(c.buf)-start > c.limit {
+				c.buf = c.buf[:start+c.limit]
+				return c.buf[start:], next
+			}
+		}
+	}
+	return c.buf[start:], next
+}
+
+// classOf hashes e's commutation class: trees that differ only in the
+// operand order of commutative operators hash alike.  distinct reports
+// that no commutative operator of e has two operands of one class (by
+// hash, so a collision only reports a false "no").
+func classOf(e *rtl.Expr) (class uint64, distinct bool) {
+	h := mix(mix(mix(uint64(e.Kind), uint64(e.Width)), uint64(e.Val)), uint64(e.Lo)<<32|uint64(uint32(e.Hi)))
+	h = mixString(mixString(mixString(h, string(e.Op)), e.Storage), e.Port)
+	distinct = true
+	var buf [2]uint64
+	kids := buf[:0]
+	for _, k := range e.Kids {
+		c, d := classOf(k)
+		kids = append(kids, c)
+		distinct = distinct && d
+	}
+	if e.SwapSite() {
+		distinct = distinct && kids[0] != kids[1]
+		kids[0], kids[1] = min(kids[0], kids[1]), max(kids[0], kids[1])
+	}
+	for _, c := range kids {
+		h = mix(h, c)
+	}
+	return h, distinct
+}
+
+// identity hashes what, besides its source, makes a template's transfer
+// distinct: its destination and destination address.
+func identity(t *rtl.Template) uint64 {
+	h := mixString(0, t.Dest)
+	if t.DestPort {
+		h = mix(h, 1)
+	}
+	return mix(h, uint64(t.AddrID()))
+}
+
+func mix(h, v uint64) uint64 {
+	h = (h ^ v) * 0x9E3779B97F4A7C15
+	return h ^ h>>29
+}
+
+func mixString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * 0x100000001B3
+	}
+	return mix(h, uint64(len(s)))
+}
+
+// ruleVariants applies each rule, in order, at every node of e (one
+// application per variant, at most limit per rule).
+func ruleVariants(e *rtl.Expr, rules []Rule, limit int) []*rtl.Expr {
 	var out []*rtl.Expr
 	// replaceAt returns n with the node at path replaced by repl.  It reads
 	// path only while it runs and keeps none of it, so walk can share one
@@ -365,10 +542,12 @@ func ruleVariants(e *rtl.Expr, r Rule, limit int) []*rtl.Expr {
 		c.Kids[path[0]] = replaceAt(n.Kids[path[0]], path[1:], repl)
 		return &c
 	}
-	var path []int
+	path := make([]int, 0, e.Depth())
+	var r *Rule
+	start := 0 // out[start:] are r's variants
 	var walk func(n *rtl.Expr)
 	walk = func(n *rtl.Expr) {
-		if len(out) >= limit {
+		if len(out)-start >= limit {
 			return
 		}
 		if b, ok := r.HW.Match(n); ok {
@@ -393,6 +572,9 @@ func ruleVariants(e *rtl.Expr, r Rule, limit int) []*rtl.Expr {
 			path = path[:len(path)-1]
 		}
 	}
-	walk(e)
+	for i := range rules {
+		r, start = &rules[i], len(out)
+		walk(e)
+	}
 	return out
 }

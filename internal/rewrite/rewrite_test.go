@@ -99,19 +99,14 @@ func TestCommutativityExtension(t *testing.T) {
 	addTemplate(b, m, "acc.r", rtl.NewOp(rtl.OpAdd, 16, read("mem.m"), read("acc.r")))
 	n := Extend(b, Options{Commutativity: true})
 	if n != 1 {
-		t.Fatalf("added %d templates, want 1:\n%s", n, b)
+		t.Fatalf("added %d entries, want 1:\n%s", n, b)
 	}
-	found := false
-	for _, tpl := range b.Templates {
-		if tpl.Src.String() == "(acc.r + mem.m)" {
-			found = true
-			if !tpl.Synthetic {
-				t.Error("swapped template must be synthetic")
-			}
-		}
+	if len(b.Templates) != 1 || len(b.Swaps) != 1 {
+		t.Fatalf("%d templates and %d swaps, want the swap as an entry over the template:\n%s",
+			len(b.Templates), len(b.Swaps), b)
 	}
-	if !found {
-		t.Fatalf("swapped template missing:\n%s", b)
+	if s := b.Swaps[0]; s.Of != b.Templates[0] || s.String() != "acc.r := (acc.r + mem.m)" {
+		t.Fatalf("swap %s over %s:\n%s", s, s.Of, b)
 	}
 }
 
@@ -122,13 +117,13 @@ func TestCommutativityNested(t *testing.T) {
 		rtl.NewOp(rtl.OpMul, 16, read("x.r"), read("y.r")), read("acc.r"))
 	addTemplate(b, m, "acc.r", mac)
 	n := Extend(b, Options{Commutativity: true})
-	if n != 3 {
-		t.Fatalf("added %d templates, want 3:\n%s", n, b)
+	if n != 3 || len(b.Swaps) != 3 {
+		t.Fatalf("added %d entries (%d swaps), want 3 swaps:\n%s", n, len(b.Swaps), b)
 	}
 	want := "acc.r := (acc.r + (y.r * x.r))"
 	ok := false
-	for _, tpl := range b.Templates {
-		if tpl.String() == want {
+	for _, s := range b.Swaps {
+		if s.String() == want {
 			ok = true
 		}
 	}
@@ -215,11 +210,14 @@ func TestExtendPreservesConditions(t *testing.T) {
 		Cond: rtl.ExecCond{Static: x},
 	})
 	Extend(b, Options{Commutativity: true})
-	for _, tpl := range b.Templates {
-		if tpl.Cond.Static != x {
-			t.Errorf("template %s lost its condition", tpl)
-		}
+	if len(b.Swaps) == 0 {
+		t.Fatalf("no swap entry:\n%s", b)
 	}
+	b.Each(func(s rtl.Swap) {
+		if s.Of.Cond.Static != x {
+			t.Errorf("entry %s lost its condition", s)
+		}
+	})
 }
 
 func TestVariantLimit(t *testing.T) {

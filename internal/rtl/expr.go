@@ -251,7 +251,31 @@ func (e *Expr) String() string {
 
 // Render appends String's rendering of e to b, so a listing builds every
 // line in one buffer.
-func (e *Expr) Render(b *strings.Builder) {
+func (e *Expr) Render(b *strings.Builder) { e.RenderSwap(b, 0) }
+
+// SwapSite reports whether e is a swap site: a commutative binary
+// operator, whose operands the template-base extension may exchange.  A
+// tree's sites are numbered from 0 in pre-order, and bit i of a swap mask
+// exchanges the operands of site i.
+func (e *Expr) SwapSite() bool {
+	return e.Kind == OpApp && len(e.Kids) == 2 && e.Op.Commutative()
+}
+
+// SwapSites returns the number of swap sites in the tree.
+func (e *Expr) SwapSites() int {
+	n := 0
+	if e.SwapSite() {
+		n++
+	}
+	for _, k := range e.Kids {
+		n += k.SwapSites()
+	}
+	return n
+}
+
+// RenderSwap appends the rendering of e with the operands of the swap
+// sites selected by mask exchanged.
+func (e *Expr) RenderSwap(b *strings.Builder, mask uint64) {
 	if e == nil {
 		b.WriteString("<nil>")
 		return
@@ -273,11 +297,11 @@ func (e *Expr) Render(b *strings.Builder) {
 		b.WriteString(e.Storage)
 		if a := e.Addr(); a != nil {
 			b.WriteByte('[')
-			a.Render(b)
+			a.RenderSwap(b, mask)
 			b.WriteByte(']')
 		}
 	case Slice:
-		e.Kids[0].Render(b)
+		e.Kids[0].RenderSwap(b, mask)
 		b.WriteByte('[')
 		writeInt(b, int64(e.Hi))
 		b.WriteByte(':')
@@ -287,16 +311,31 @@ func (e *Expr) Render(b *strings.Builder) {
 		if e.Op.Arity() == 1 {
 			b.WriteString(string(e.Op))
 			b.WriteByte('(')
-			e.Kids[0].Render(b)
+			e.Kids[0].RenderSwap(b, mask)
 			b.WriteByte(')')
 			return
 		}
+		l, r := e.Kids[0], e.Kids[1]
+		swapped := false
+		if e.SwapSite() {
+			swapped = mask&1 != 0
+			mask >>= 1
+		}
+		// Each kid reads the mask from its own first site on; bits past
+		// its last site are never consulted.
+		lm, rm := mask, mask
+		if mask != 0 {
+			rm >>= uint(l.SwapSites())
+		}
+		if swapped {
+			l, r, lm, rm = r, l, rm, lm
+		}
 		b.WriteByte('(')
-		e.Kids[0].Render(b)
+		l.RenderSwap(b, lm)
 		b.WriteByte(' ')
 		b.WriteString(string(e.Op))
 		b.WriteByte(' ')
-		e.Kids[1].Render(b)
+		r.RenderSwap(b, rm)
 		b.WriteByte(')')
 	default:
 		b.WriteString("<bad expr>")
@@ -320,7 +359,7 @@ type ExecCond struct {
 
 // Template is one extracted RT template: Dest := Src under Cond.
 type Template struct {
-	ID       int
+	ID       int    // position in the base, numbered together with its swaps
 	Dest     string // qualified storage name, or primary output port name
 	DestPort bool   // true when Dest is a primary output port
 	addr     ExprID // DestAddr interned in the owning base
@@ -337,6 +376,9 @@ type Template struct {
 // SrcID returns the handle of Src in the store of the base t was added to.
 func (t *Template) SrcID() ExprID { return t.src }
 
+// AddrID returns the handle of DestAddr in that store (NoExpr for none).
+func (t *Template) AddrID() ExprID { return t.addr }
+
 // String renders the template as "dest := src [cond]".
 func (t *Template) String() string {
 	var b strings.Builder
@@ -345,7 +387,11 @@ func (t *Template) String() string {
 }
 
 // Render appends String's rendering of t to b.
-func (t *Template) Render(b *strings.Builder) {
+func (t *Template) Render(b *strings.Builder) { t.RenderSwap(b, 0) }
+
+// RenderSwap appends the rendering of t with the swap sites of its source
+// selected by mask exchanged.
+func (t *Template) RenderSwap(b *strings.Builder, mask uint64) {
 	b.WriteString(t.Dest)
 	if t.DestAddr != nil {
 		b.WriteByte('[')
@@ -353,7 +399,7 @@ func (t *Template) Render(b *strings.Builder) {
 		b.WriteByte(']')
 	}
 	b.WriteString(" := ")
-	t.Src.Render(b)
+	t.Src.RenderSwap(b, mask)
 	for i, d := range t.Cond.Dynamic {
 		if i == 0 {
 			b.WriteString(" when ")
@@ -364,16 +410,38 @@ func (t *Template) Render(b *strings.Builder) {
 	}
 }
 
+// Swap is a commutative operand swap of a template (paper section 3): Of's
+// transfer with the operands of the swap sites of Of.Src that Mask selects
+// exchanged.  A swap is an entry of the base without a template of its
+// own: it shares Of's condition, grammar pattern and encoding.  Every
+// entry of a base reads as a Swap; a template itself has mask 0.
+type Swap struct {
+	ID   int // position in the base, numbered together with the templates
+	Of   *Template
+	Mask uint64
+}
+
+// String renders the swapped transfer as Template.String does.
+func (s Swap) String() string {
+	var b strings.Builder
+	s.Of.RenderSwap(&b, s.Mask)
+	return b.String()
+}
+
 // Base is an RT template base: the complete set of valid templates for one
-// processor, with structural deduplication.
+// processor, with structural deduplication.  Its entries are templates and
+// the swaps of templates, numbered together in the order they were added.
 type Base struct {
+	// Templates lists the templates in ID order; Swaps the swaps.
 	Templates []*Template
+	Swaps     []Swap
 	exprs     Store
 	// A template's identity is its destination, address and source, not
 	// its condition: structurally equal transfers with different
 	// encodings merge.  The templates that claimed an identity are
-	// chained per source handle: first[src] is 1 + the ID of the chain's
-	// head, next[id] is 1 + the ID after template id, and 0 ends it.
+	// chained per source handle: first[src] is 1 + the index in Templates
+	// of the chain's head, next[i] is 1 + the index after Templates[i],
+	// and 0 ends it.
 	first, next []int32
 	// BDD is the manager owning every template's static condition.
 	BDD *bdd.Manager
@@ -427,6 +495,30 @@ func (b *Base) AddVariant(of *Template, src ExprID) *Template {
 	})
 }
 
+// AddSwap adds the swap of the sites of of's source selected by mask as
+// the next entry.  It does not deduplicate: the caller guarantees that the
+// swapped transfer equals no other entry, before or after it, so that
+// AddVariant would have inserted it and nothing would merge into it, and
+// that of's condition does not change afterwards.  of must belong to b.
+func (b *Base) AddSwap(of *Template, mask uint64) {
+	b.Swaps = append(b.Swaps, Swap{ID: b.Len(), Of: of, Mask: mask})
+}
+
+// Each calls f on every entry in ID order: each template as its own swap
+// with mask 0, interleaved with the swaps.
+func (b *Base) Each(f func(Swap)) {
+	ts, ss := b.Templates, b.Swaps
+	for len(ts) > 0 || len(ss) > 0 {
+		if len(ss) == 0 || len(ts) > 0 && ts[0].ID < ss[0].ID {
+			f(Swap{ID: ts[0].ID, Of: ts[0]})
+			ts = ts[1:]
+		} else {
+			f(ss[0])
+			ss = ss[1:]
+		}
+	}
+}
+
 // find returns the first template added with the given identity, or nil.
 func (b *Base) find(dest string, destPort bool, addr, src ExprID) *Template {
 	if int(src) >= len(b.first) {
@@ -454,21 +546,22 @@ func (b *Base) merge(prev *Template, cond ExecCond) bool {
 // insert appends t as a new template.  Unless a template with its
 // identity exists (prev), t becomes the one later duplicates merge into.
 func (b *Base) insert(prev, t *Template) *Template {
-	t.ID = len(b.Templates)
+	t.ID = b.Len()
+	i := int32(len(b.Templates))
 	b.Templates = append(b.Templates, t)
 	b.next = append(b.next, 0)
 	if prev == nil {
 		for len(b.first) <= int(t.src) {
 			b.first = append(b.first, 0)
 		}
-		b.next[t.ID] = b.first[t.src]
-		b.first[t.src] = int32(t.ID) + 1
+		b.next[i] = b.first[t.src]
+		b.first[t.src] = i + 1
 	}
 	return t
 }
 
-// Len returns the number of templates.
-func (b *Base) Len() int { return len(b.Templates) }
+// Len returns the number of entries: templates plus swaps.
+func (b *Base) Len() int { return len(b.Templates) + len(b.Swaps) }
 
 // Destinations returns the sorted set of distinct destinations.
 func (b *Base) Destinations() []string {
@@ -484,11 +577,9 @@ func (b *Base) Destinations() []string {
 	return out
 }
 
-// String renders the whole base, one template per line, sorted by ID.
+// String renders the whole base, one entry per line, sorted by ID.
 func (b *Base) String() string {
 	var sb strings.Builder
-	for _, t := range b.Templates {
-		fmt.Fprintf(&sb, "%4d: %s\n", t.ID, t)
-	}
+	b.Each(func(s Swap) { fmt.Fprintf(&sb, "%4d: %s\n", s.ID, s) })
 	return sb.String()
 }

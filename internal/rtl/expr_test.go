@@ -1,6 +1,7 @@
 package rtl
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -205,16 +206,66 @@ func TestBaseDynamicGuardsKeptSeparate(t *testing.T) {
 	}
 }
 
+// TestBaseIDsAndString numbers swaps together with templates, renders
+// them swapped, and visits every entry in ID order.
 func TestBaseIDsAndString(t *testing.T) {
 	m := bdd.New()
 	b := NewBase(m)
-	b.Add(&Template{Dest: "a.r", Src: NewConst(0, 8), Cond: ExecCond{Static: m.True()}})
-	b.Add(&Template{Dest: "b.r", Src: NewConst(0, 8), Cond: ExecCond{Static: m.True()}})
-	if b.Templates[0].ID != 0 || b.Templates[1].ID != 1 {
-		t.Fatal("IDs not sequential")
+	add := NewOp(OpAdd, 8, NewRead("a.r", 8, nil), NewRead("b.r", 8, nil))
+	t0 := b.Add(&Template{Dest: "a.r", Src: add, Cond: ExecCond{Static: m.True()}})
+	b.AddSwap(t0, 1)
+	t2 := b.Add(&Template{Dest: "b.r", Src: NewConst(0, 8), Cond: ExecCond{Static: m.True()}})
+	if b.Len() != 3 || t0.ID != 0 || b.Swaps[0].ID != 1 || t2.ID != 2 {
+		t.Fatalf("IDs not sequential: Len %d, IDs %d, %d, %d", b.Len(), t0.ID, b.Swaps[0].ID, t2.ID)
 	}
-	s := b.String()
-	if !strings.Contains(s, "a.r := 0") || !strings.Contains(s, "b.r := 0") {
-		t.Errorf("base rendering wrong:\n%s", s)
+	want := "   0: a.r := (a.r + b.r)\n   1: a.r := (b.r + a.r)\n   2: b.r := 0\n"
+	if got := b.String(); got != want {
+		t.Errorf("base rendering wrong:\n%s\nwant:\n%s", got, want)
+	}
+	var ids []int
+	b.Each(func(s Swap) { ids = append(ids, s.ID) })
+	if fmt.Sprint(ids) != "[0 1 2]" {
+		t.Errorf("Each visits %v", ids)
+	}
+}
+
+// swapped builds e with the operands of the swap sites selected by mask
+// exchanged, numbering sites in pre-order from *site.
+func swapped(e *Expr, mask uint64, site *int) *Expr {
+	c := *e
+	swap := false
+	if e.SwapSite() {
+		swap = mask&(1<<uint(*site)) != 0
+		*site++
+	}
+	c.Kids = make([]*Expr, len(e.Kids))
+	for i, k := range e.Kids {
+		c.Kids[i] = swapped(k, mask, site)
+	}
+	if swap {
+		c.Kids[0], c.Kids[1] = c.Kids[1], c.Kids[0]
+	}
+	return &c
+}
+
+// TestRenderSwapMatchesSwappedTree renders a tree with swap sites under
+// operators, in a memory address and under a non-commutative operator,
+// under every mask, against the tree with those operands exchanged.
+func TestRenderSwapMatchesSwappedTree(t *testing.T) {
+	r := func(s string) *Expr { return NewRead(s, 8, nil) }
+	addr := NewOp(OpAdd, 8, r("x.r"), NewConst(1, 8))
+	e := NewOp(OpSub, 8,
+		NewOp(OpMul, 8, NewOp(OpAdd, 8, r("a.r"), r("b.r")), NewOp(OpAnd, 8, r("c.r"), NewRead("m.m", 8, addr))),
+		NewOp(OpXor, 8, NewOp(OpNeg, 8, r("d.r")), NewSlice(3, 0, NewOp(OpOr, 8, r("e.r"), r("f.r")))))
+	if n := e.SwapSites(); n != 6 {
+		t.Fatalf("%d swap sites in %s, want 6", n, e)
+	}
+	for mask := uint64(0); mask < 1<<6; mask++ {
+		var b strings.Builder
+		e.RenderSwap(&b, mask)
+		site := 0
+		if want := swapped(e, mask, &site).String(); b.String() != want {
+			t.Errorf("mask %#x renders %s, want %s", mask, b.String(), want)
+		}
 	}
 }
