@@ -256,49 +256,102 @@ func TestExtendMatchesMaterialised(t *testing.T) {
 // a swap equal to its own source, two swaps of one source equal to each
 // other, a template equal to another one swapped, and a swap equal to a
 // rule variant.  A source whose swaps meet nothing stays swap entries.
+// Seeded random bases over a few operands, destinations, conditions and
+// dynamic guards mix all of these.
 func TestExtendCollisions(t *testing.T) {
 	a, b, c := read("a.r"), read("b.r"), read("c.r")
 	add := func(x, y *rtl.Expr) *rtl.Expr { return rtl.NewOp(rtl.OpAdd, 16, x, y) }
 	mul := func(x, y *rtl.Expr) *rtl.Expr { return rtl.NewOp(rtl.OpMul, 16, x, y) }
 	type tpl struct {
-		dest string
-		src  *rtl.Expr
-		cond int // BDD variable of the condition, -1 for true
+		dest    string
+		src     *rtl.Expr
+		cond    int  // BDD variable of the condition, -1 for true
+		guarded bool // carries a dynamic guard
 	}
-	cases := []struct {
-		name  string
-		tpls  []tpl
-		swaps bool // whether some swaps stay entries
-	}{
-		{"a+a", []tpl{{"acc.r", add(a, a), -1}}, false},
-		{"(a+b)*(b+a)", []tpl{{"acc.r", mul(add(a, b), add(b, a)), -1}}, false},
-		{"template equals a swap", []tpl{{"acc.r", add(a, b), 0}, {"acc.r", add(b, a), 1}}, false},
-		{"swap of a nested swap", []tpl{{"acc.r", add(add(a, b), c), 0}, {"acc.r", add(add(b, a), c), 1}}, false},
-		{"swap equals a rule variant", []tpl{
-			{"acc.r", rtl.NewOp(rtl.OpShl, 16, a, rtl.NewConst(1, 4)), 0},
-			{"acc.r", mul(rtl.NewConst(2, 16), a), 1}}, false},
-		{"distinct destinations", []tpl{{"acc.r", add(a, b), 0}, {"x.r", add(b, a), 1}}, true},
-	}
-	for _, tc := range cases {
+	// check extends a base of tpls both ways and returns Extend's.
+	check := func(name string, tpls []tpl) *rtl.Base {
 		build := func() *rtl.Base {
 			m := bdd.New()
 			base := rtl.NewBase(m)
-			for _, tp := range tc.tpls {
-				cond := m.True()
+			for _, tp := range tpls {
+				cond := rtl.ExecCond{Static: m.True()}
 				if tp.cond >= 0 {
-					cond = m.Var(tp.cond)
+					cond.Static = m.Var(tp.cond)
 				}
-				base.Add(&rtl.Template{Dest: tp.dest, Src: tp.src, Width: 16, Cond: rtl.ExecCond{Static: cond}})
+				if tp.guarded {
+					cond.Dynamic = []*rtl.Expr{read("f.r")}
+				}
+				base.Add(&rtl.Template{Dest: tp.dest, Src: tp.src, Width: 16, Cond: cond})
 			}
 			return base
 		}
 		got, want := build(), build()
 		Extend(got, DefaultOptions())
 		extendMaterialised(want, DefaultOptions())
-		sameEntries(t, tc.name, got, want)
-		if tc.swaps != (len(got.Swaps) > 0) {
+		sameEntries(t, name, got, want)
+		return got
+	}
+	cases := []struct {
+		name  string
+		tpls  []tpl
+		swaps bool // whether some swaps stay entries
+	}{
+		{"a+a", []tpl{{"acc.r", add(a, a), -1, false}}, false},
+		{"(a+b)*(b+a)", []tpl{{"acc.r", mul(add(a, b), add(b, a)), -1, false}}, false},
+		{"template equals a swap", []tpl{{"acc.r", add(a, b), 0, false}, {"acc.r", add(b, a), 1, false}}, false},
+		{"swap of a nested swap", []tpl{{"acc.r", add(add(a, b), c), 0, false}, {"acc.r", add(add(b, a), c), 1, false}}, false},
+		{"swap equals a rule variant", []tpl{
+			{"acc.r", rtl.NewOp(rtl.OpShl, 16, a, rtl.NewConst(1, 4)), 0, false},
+			{"acc.r", mul(rtl.NewConst(2, 16), a), 1, false}}, false},
+		{"distinct destinations", []tpl{{"acc.r", add(a, b), 0, false}, {"x.r", add(b, a), 1, false}}, true},
+	}
+	for _, tc := range cases {
+		if got := check(tc.name, tc.tpls); tc.swaps != (len(got.Swaps) > 0) {
 			t.Errorf("%s: %d swap entries:\n%s", tc.name, len(got.Swaps), strings.Join(entryLines(got), "\n"))
 		}
+	}
+
+	// Random bases draw each template as a randomly commuted copy of one
+	// of a few seed trees, so that classes meet often.
+	rng := rand.New(rand.NewSource(32))
+	leaves := []*rtl.Expr{a, b, c, rtl.NewConst(2, 16), rtl.NewOp(rtl.OpShl, 16, a, rtl.NewConst(1, 4))}
+	ops := []rtl.Op{rtl.OpAdd, rtl.OpMul, rtl.OpAnd, rtl.OpSub}
+	var tree func(depth int) *rtl.Expr
+	tree = func(depth int) *rtl.Expr {
+		if depth == 0 || rng.Intn(3) == 0 {
+			return leaves[rng.Intn(len(leaves))]
+		}
+		return rtl.NewOp(ops[rng.Intn(len(ops))], 16, tree(depth-1), tree(depth-1))
+	}
+	var commuted func(e *rtl.Expr) *rtl.Expr
+	commuted = func(e *rtl.Expr) *rtl.Expr {
+		if e.Kind != rtl.OpApp || len(e.Kids) != 2 {
+			return e
+		}
+		l, r := commuted(e.Kids[0]), commuted(e.Kids[1])
+		if e.SwapSite() && rng.Intn(2) == 0 {
+			l, r = r, l
+		}
+		return rtl.NewOp(e.Op, e.Width, l, r)
+	}
+	kept, merged := 0, 0
+	for i := 0; i < 300; i++ {
+		seeds := []*rtl.Expr{tree(3), tree(3), tree(2)}
+		tpls := make([]tpl, 2+rng.Intn(6))
+		for j := range tpls {
+			tpls[j] = tpl{[]string{"acc.r", "x.r"}[rng.Intn(2)], commuted(seeds[rng.Intn(len(seeds))]),
+				rng.Intn(4) - 1, rng.Intn(8) == 0}
+		}
+		got := check(fmt.Sprintf("random %d", i), tpls)
+		kept += len(got.Swaps)
+		for _, tp := range got.Templates {
+			if tp.Synthetic && tp.Src.SwapSites() > 0 {
+				merged++ // a built swap, or a rule variant with sites
+			}
+		}
+	}
+	if kept == 0 || merged == 0 {
+		t.Fatalf("random bases kept %d swap entries and built %d; want both > 0", kept, merged)
 	}
 }
 
