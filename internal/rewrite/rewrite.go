@@ -300,7 +300,9 @@ func DefaultOptions() Options {
 // when an origin's class (per destination and address) holds any other
 // template or rule variant, or two operands of one of its commutative
 // operators are in one class, its swaps are built, interned and added as
-// templates instead, with AddVariant's merging.
+// templates instead, with AddVariant's merging.  Extend runs once per
+// base: it neither extends nor deduplicates against swap entries the base
+// already holds.
 func Extend(base *rtl.Base, opts Options) int {
 	if opts.MaxVariantsPerTemplate <= 0 {
 		opts.MaxVariantsPerTemplate = 128
