@@ -68,8 +68,8 @@ type Pat struct {
 	Kids    []*Pat
 	// sites counts the swap sites (rtl.Expr.SwapSite) of the lowered
 	// tree, p's own first when site is set.  A rule's swap mask numbers
-	// them in pre-order, so a pattern shared by several trees reads the
-	// mask relative to its own first site.
+	// them in pre-order, and Kid hands each kid the mask relative to its
+	// own first site.
 	sites int
 	site  bool
 }
@@ -311,12 +311,15 @@ func (g *Grammar) SubjectTerm(e *rtl.Expr) int {
 	return -1
 }
 
-// internTerm numbers the terminal of pattern node p, if it has one.
-func (g *Grammar) internTerm(p *Pat) {
+// internTerms numbers every terminal of pattern p.
+func (g *Grammar) internTerms(p *Pat) {
 	if t, ok := termOf(p); ok {
 		if _, ok := g.terms[t]; !ok {
 			g.terms[t] = len(g.terms)
 		}
+	}
+	for _, k := range p.Kids {
+		g.internTerms(k)
 	}
 }
 
@@ -391,9 +394,7 @@ func BuildReported(base *rtl.Base, spec Spec, rep *diag.Reporter) (*Grammar, err
 	}
 
 	// addRule files r; the terminals of its pattern must be interned.
-	// term is the terminal of the pattern's root if the caller knows it,
-	// else -1.
-	addRule := func(r *Rule, term int) {
+	addRule := func(r *Rule) {
 		r.ID = len(g.Rules)
 		r.Term = -1
 		g.Rules = append(g.Rules, r)
@@ -405,8 +406,6 @@ func BuildReported(base *rtl.Base, spec Spec, rep *diag.Reporter) (*Grammar, err
 		case r.IsChain():
 			g.ChainRules[r.Pat.NT] = append(g.ChainRules[r.Pat.NT], r)
 			g.stats.ChainRules++
-		case term >= 0:
-			r.Term = term
 		default:
 			t, _ := termOf(r.Pat)
 			r.Term = g.terms[t]
@@ -421,31 +420,23 @@ func BuildReported(base *rtl.Base, spec Spec, rep *diag.Reporter) (*Grammar, err
 	// 1. Start rules, cost 0.
 	for _, s := range spec.Storages {
 		addRule(&Rule{Kind: KindStart, LHS: START, Dest: s.Name, Cost: 0,
-			Pat: &Pat{Kind: PatNT, NT: g.ntIdx[s.Name], Width: s.Width}}, -1)
+			Pat: &Pat{Kind: PatNT, NT: g.ntIdx[s.Name], Width: s.Width}})
 	}
 	for _, p := range spec.OutPorts {
 		addRule(&Rule{Kind: KindStart, LHS: START, Dest: p, Cost: 0,
-			Pat: &Pat{Kind: PatNT, NT: g.ntIdx[p], Width: 0}}, -1)
+			Pat: &Pat{Kind: PatNT, NT: g.ntIdx[p], Width: 0}})
 	}
 
-	// 2. RT rules, cost 1.  A pattern depends on its template's source
-	// alone, so each distinct source is lowered once and its pattern (and
-	// root terminal) is shared, read-only, by every rule for it, swaps
-	// included; equal subtrees of distinct sources share theirs too.  A
-	// failed lowering is rare and not memoised.  The rules are carved
-	// from one array.
-	type loweredPat struct {
-		pat  *Pat
-		term int
-	}
-	lowered := make([]loweredPat, base.Exprs().Len())
-	shared := make(map[*rtl.Expr]*Pat)
+	// 2. RT rules, cost 1, one per entry of the base.  A pattern depends
+	// on its template's source alone, so each distinct source is lowered
+	// once and its pattern is shared, read-only, by every rule for it,
+	// swaps included.  A failed lowering is rare and not memoised.  Rules
+	// and patterns are carved from shared arrays.
+	lowered := make([]*Pat, base.Exprs().Len())
+	var slab patSlab
 	rules := make([]Rule, 0, base.Len())
 	var skipErr error
 	skipped := 0
-	// Entries come grouped by destination, so its nonterminal is looked
-	// up once per run of them.
-	dest, lhs, inSpec := "", 0, false
 	base.Each(func(s rtl.Swap) {
 		t := s.Of
 		if len(t.Cond.Dynamic) > 0 {
@@ -455,25 +446,20 @@ func BuildReported(base *rtl.Base, spec Spec, rep *diag.Reporter) (*Grammar, err
 			// covers.
 			return
 		}
-		if t.Dest != dest || dest == "" {
-			dest = t.Dest
-			lhs, inSpec = g.ntIdx[dest]
-		}
-		if !inSpec {
+		lhs, ok := g.ntIdx[t.Dest]
+		if !ok {
 			// Destination outside the spec (e.g. the PC of a machine whose
 			// spec excludes it): skip rather than fail, the template simply
 			// is not selectable.
 			return
 		}
-		lp := &lowered[t.SrcID()]
+		var pat *Pat
 		err := faultpoint.Hit("grammar.rule", t.Dest)
-		if err == nil && lp.pat == nil {
-			var pat *Pat
-			if pat, err = g.lower(t.Src, shared); err == nil {
-				g.share(t.Src, pat, shared)
-				lp.pat, lp.term = pat, -1
-				if t, ok := termOf(pat); ok {
-					lp.term = g.terms[t]
+		if err == nil {
+			if pat = lowered[t.SrcID()]; pat == nil {
+				if pat, err = g.lower(t.Src, &slab); err == nil {
+					g.internTerms(pat)
+					lowered[t.SrcID()] = pat
 				}
 			}
 		}
@@ -486,8 +472,8 @@ func BuildReported(base *rtl.Base, spec Spec, rep *diag.Reporter) (*Grammar, err
 			rep.Warnf("grammar", diag.Pos{}, "skipping %v; its RT stays unselectable", err)
 			return
 		}
-		rules = append(rules, Rule{Kind: KindRT, LHS: lhs, Pat: lp.pat, Cost: 1, Template: t, Swap: s.Mask})
-		addRule(&rules[len(rules)-1], lp.term)
+		rules = append(rules, Rule{Kind: KindRT, LHS: lhs, Pat: pat, Cost: 1, Template: t, Swap: s.Mask})
+		addRule(&rules[len(rules)-1])
 	})
 	if skipped > 0 && g.stats.RTRules == 0 {
 		return nil, fmt.Errorf("grammar: no selectable rules survive lowering: %w", skipErr)
@@ -499,8 +485,8 @@ func BuildReported(base *rtl.Base, spec Spec, rep *diag.Reporter) (*Grammar, err
 			continue
 		}
 		pat := &Pat{Kind: PatReg, Storage: s.Name, Width: s.Width}
-		g.internTerm(pat)
-		addRule(&Rule{Kind: KindStop, LHS: g.ntIdx[s.Name], Cost: 0, Pat: pat}, -1)
+		g.internTerms(pat)
+		addRule(&Rule{Kind: KindStop, LHS: g.ntIdx[s.Name], Cost: 0, Pat: pat})
 	}
 	// Every terminal gets a bucket, empty if it roots no rule.
 	g.RulesByTerm = make([][]*Rule, len(g.terms))
@@ -520,12 +506,10 @@ func BuildReported(base *rtl.Base, spec Spec, rep *diag.Reporter) (*Grammar, err
 func (g *Grammar) LowerPattern(e *rtl.Expr) (*Pat, error) { return g.lower(e, nil) }
 
 // lower converts a template source expression into a pattern per table 2 of
-// the paper.  A subtree that memo holds shares its pattern.
-func (g *Grammar) lower(e *rtl.Expr, memo map[*rtl.Expr]*Pat) (*Pat, error) {
-	if p, ok := memo[e]; ok {
-		return p, nil
-	}
-	p := &Pat{Width: e.Width}
+// the paper, carving its nodes from slab.
+func (g *Grammar) lower(e *rtl.Expr, slab *patSlab) (*Pat, error) {
+	p := slab.pat()
+	p.Width = e.Width
 	switch e.Kind {
 	case rtl.Const:
 		p.Kind, p.Val = PatConst, e.Val
@@ -554,9 +538,9 @@ func (g *Grammar) lower(e *rtl.Expr, memo map[*rtl.Expr]*Pat) (*Pat, error) {
 		p.sites = 1
 	}
 	if len(e.Kids) > 0 {
-		p.Kids = make([]*Pat, len(e.Kids))
+		p.Kids = slab.kids(len(e.Kids))
 		for i, k := range e.Kids {
-			kid, err := g.lower(k, memo)
+			kid, err := g.lower(k, slab)
 			if err != nil {
 				return nil, err
 			}
@@ -567,19 +551,40 @@ func (g *Grammar) lower(e *rtl.Expr, memo map[*rtl.Expr]*Pat) (*Pat, error) {
 	return p, nil
 }
 
-// share records pattern p, lowered from e, and its subtrees in memo, so
-// that equal subtrees of later trees share them, and numbers the terminals
-// of the nodes it records.  e must be a canonical tree of the base's
-// store, whose equal subtrees share a pointer.
-func (g *Grammar) share(e *rtl.Expr, p *Pat, memo map[*rtl.Expr]*Pat) {
-	if _, ok := memo[e]; ok {
-		return
+// patSlab carves pattern nodes and kid lists from chunks of patSlabChunk,
+// so that lowering a base's sources costs a few allocations rather than
+// two per node.  A nil slab allocates each on its own.
+type patSlab struct {
+	pats []Pat
+	kidv []*Pat
+}
+
+const patSlabChunk = 256
+
+// pat returns a zero pattern node.
+func (s *patSlab) pat() *Pat {
+	if s == nil {
+		return &Pat{}
 	}
-	memo[e] = p
-	g.internTerm(p)
-	for i, k := range e.Kids {
-		g.share(k, p.Kids[i], memo)
+	if len(s.pats) == 0 {
+		s.pats = make([]Pat, patSlabChunk)
 	}
+	p := &s.pats[0]
+	s.pats = s.pats[1:]
+	return p
+}
+
+// kids returns a kid list of length n.
+func (s *patSlab) kids(n int) []*Pat {
+	if s == nil {
+		return make([]*Pat, n)
+	}
+	if len(s.kidv) < n {
+		s.kidv = make([]*Pat, max(n, 2*patSlabChunk))
+	}
+	k := s.kidv[:n:n]
+	s.kidv = s.kidv[n:]
+	return k
 }
 
 // Stats summarizes the grammar for diagnostics and the retargeting report.

@@ -77,28 +77,69 @@ func extendMaterialised(base *rtl.Base, opts Options) int {
 	return base.Len() - before
 }
 
-// entryLines renders every entry of b with its condition node, guard
-// count, width and provenance, so two bases compare line by line.
-func entryLines(b *rtl.Base) []string {
-	var out []string
-	b.Each(func(s rtl.Swap) {
-		t := s.Of
-		out = append(out, fmt.Sprintf("%d: %s cond=%d dynamic=%d width=%d synthetic=%v",
-			s.ID, s, t.Cond.Static, len(t.Cond.Dynamic), t.Width, t.Synthetic || s.Mask != 0))
-	})
+// entries lists every entry of b in ID order.
+func entries(b *rtl.Base) []rtl.Swap {
+	var out []rtl.Swap
+	b.Each(func(s rtl.Swap) { out = append(out, s) })
 	return out
 }
 
-// sameEntries fails t unless got and want list the same entries.
+// entryLine renders entry s with its destination kind, condition node,
+// guard count, width and provenance.
+func entryLine(s rtl.Swap) string {
+	t := s.Of
+	return fmt.Sprintf("%d: %s port=%v cond=%d dynamic=%d width=%d synthetic=%v",
+		s.ID, s, t.DestPort, t.Cond.Static, len(t.Cond.Dynamic), t.Width, t.Synthetic || s.Mask != 0)
+}
+
+// entryLines renders every entry of b with entryLine.
+func entryLines(b *rtl.Base) []string {
+	var out []string
+	for _, s := range entries(b) {
+		out = append(out, entryLine(s))
+	}
+	return out
+}
+
+// swappedSrc builds the source tree of entry s: its template's source
+// with the operands of the swap sites its mask selects exchanged.
+func swappedSrc(s rtl.Swap) *rtl.Expr {
+	site := 0
+	var rec func(e *rtl.Expr) *rtl.Expr
+	rec = func(e *rtl.Expr) *rtl.Expr {
+		c := *e
+		swap := false
+		if e.SwapSite() {
+			swap = s.Mask&(1<<uint(site)) != 0
+			site++
+		}
+		c.Kids = make([]*rtl.Expr, len(e.Kids))
+		for i, k := range e.Kids {
+			c.Kids[i] = rec(k)
+		}
+		if swap {
+			c.Kids[0], c.Kids[1] = c.Kids[1], c.Kids[0]
+		}
+		return &c
+	}
+	return rec(s.Of.Src)
+}
+
+// sameEntries fails t unless got and want list the same entries: equal
+// entryLines, and structurally equal (Equal, node widths included)
+// destination addresses and sources, a swap's read as its swapped tree.
 func sameEntries(t *testing.T, name string, got, want *rtl.Base) {
 	t.Helper()
 	if got.Len() != want.Len() {
 		t.Fatalf("%s: %d entries; reference has %d", name, got.Len(), want.Len())
 	}
-	g, w := entryLines(got), entryLines(want)
+	g, w := entries(got), entries(want)
 	for i := range w {
-		if g[i] != w[i] {
-			t.Fatalf("%s: entry\n  %s\nreference\n  %s", name, g[i], w[i])
+		if gl, wl := entryLine(g[i]), entryLine(w[i]); gl != wl {
+			t.Fatalf("%s: entry\n  %s\nreference\n  %s", name, gl, wl)
+		}
+		if !g[i].Of.DestAddr.Equal(w[i].Of.DestAddr) || !swappedSrc(g[i]).Equal(swappedSrc(w[i])) {
+			t.Fatalf("%s: entry %s differs in structure from the reference's", name, g[i])
 		}
 	}
 	if got.String() != want.String() {
@@ -204,23 +245,26 @@ func sameLabels(t *testing.T, name string, got, want *burs.Node, nNT int) int {
 	return swaps
 }
 
-// TestExtendMatchesMaterialised is the differential guard of swap
-// entries: on every bundled model and micro16, under the default options
-// and a tight variant limit, Extend and the materialising reference give
+// TestExtendMemoMatchesFresh is the differential guard of swap entries
+// and of Extend's per-source memo: on every bundled model and micro16,
+// under the default options, without commutativity and with a tight
+// variant limit, Extend and the materialising per-template reference give
 // the same entries, the same grammar (statistics and rendering) and the
 // same labels — cost, rule position and rendered RT at every node — on
 // seeded random subject trees.
-func TestExtendMatchesMaterialised(t *testing.T) {
+func TestExtendMemoMatchesFresh(t *testing.T) {
 	sources := map[string]string{"micro16": micro16}
 	for _, m := range models.All() {
 		sources[m.Name] = m.MDL
 	}
 	sources["brancher"], _ = models.Get("brancher")
+	noComm := DefaultOptions()
+	noComm.Commutativity = false
 	tight := DefaultOptions()
 	tight.MaxVariantsPerTemplate = 3
 	swapWins := 0
 	for name, src := range sources {
-		for oi, opts := range []Options{DefaultOptions(), tight} {
+		for oi, opts := range []Options{DefaultOptions(), noComm, tight} {
 			name := fmt.Sprintf("%s/%d", name, oi)
 			got, net := extracted(t, src)
 			want, _ := extracted(t, src)

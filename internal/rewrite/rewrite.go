@@ -323,20 +323,19 @@ func Extend(base *rtl.Base, opts Options) int {
 	// Count the templates and rule variants of every (destination,
 	// address, commutation class) group; keys[i] is snapshot[i]'s group.
 	// A tree without swap sites is alone in its class and is left out.
-	var keys []uint64
-	var groups map[uint64]int
+	var keys []group
+	var groups map[group]int
 	if opts.Commutativity {
-		keys = make([]uint64, len(snapshot))
-		groups = make(map[uint64]int, len(snapshot))
+		keys = make([]group, len(snapshot))
+		groups = make(map[group]int, len(snapshot))
 		for i, t := range snapshot {
 			v := variantsOf(t)
-			id := identity(t)
 			if v.sites > 0 {
-				keys[i] = mix(id, v.class)
+				keys[i] = groupOf(t, v.class)
 				groups[keys[i]]++
 			}
 			for _, c := range v.ruleClasses {
-				groups[mix(id, c)]++
+				groups[groupOf(t, c)]++
 			}
 		}
 	}
@@ -390,13 +389,13 @@ type sourceVariants struct {
 	// commutative operator with operands of one class, so that every swap
 	// mask gives a tree of its own, none of them the source.
 	sites    int
-	class    uint64
+	class    uint32
 	distinct bool
 	// rules are the interned rule variants, in generation order and with
 	// repeats, minus the source itself; ruleClasses are the classes of
 	// those with swap sites.
 	rules       []rtl.ExprID
-	ruleClasses []uint64
+	ruleClasses []uint32
 }
 
 // derive fills v from t's source.
@@ -404,7 +403,7 @@ func (v *sourceVariants) derive(store *rtl.Store, t *rtl.Template, opts Options)
 	v.ready = true
 	if opts.Commutativity {
 		if v.sites = t.Src.SwapSites(); v.sites > 0 {
-			v.class, v.distinct = classOf(t.Src)
+			v.class, v.distinct = t.Src.ClassHash()
 			v.distinct = v.distinct && v.sites <= 64
 		}
 	}
@@ -412,7 +411,7 @@ func (v *sourceVariants) derive(store *rtl.Store, t *rtl.Template, opts Options)
 		if id := store.Intern(tree); id != t.SrcID() {
 			v.rules = append(v.rules, id)
 			if opts.Commutativity && tree.SwapSites() > 0 {
-				c, _ := classOf(tree)
+				c, _ := tree.ClassHash()
 				v.ruleClasses = append(v.ruleClasses, c)
 			}
 		}
@@ -480,51 +479,18 @@ func (c *commuter[F]) rec(n *rtl.Expr, site int) ([]F, int) {
 	return c.buf[start:], next
 }
 
-// classOf hashes e's commutation class: trees that differ only in the
-// operand order of commutative operators hash alike.  distinct reports
-// that no commutative operator of e has two operands of one class (by
-// hash, so a collision only reports a false "no").
-func classOf(e *rtl.Expr) (class uint64, distinct bool) {
-	h := mix(mix(mix(uint64(e.Kind), uint64(e.Width)), uint64(e.Val)), uint64(e.Lo)<<32|uint64(uint32(e.Hi)))
-	h = mixString(mixString(mixString(h, string(e.Op)), e.Storage), e.Port)
-	distinct = true
-	var buf [2]uint64
-	kids := buf[:0]
-	for _, k := range e.Kids {
-		c, d := classOf(k)
-		kids = append(kids, c)
-		distinct = distinct && d
-	}
-	if e.SwapSite() {
-		distinct = distinct && kids[0] != kids[1]
-		kids[0], kids[1] = min(kids[0], kids[1]), max(kids[0], kids[1])
-	}
-	for _, c := range kids {
-		h = mix(h, c)
-	}
-	return h, distinct
+// group identifies the commutation class of a transfer: its destination,
+// destination address and the class of its source.
+type group struct {
+	dest     string
+	destPort bool
+	addr     rtl.ExprID
+	class    uint32
 }
 
-// identity hashes what, besides its source, makes a template's transfer
-// distinct: its destination and destination address.
-func identity(t *rtl.Template) uint64 {
-	h := mixString(0, t.Dest)
-	if t.DestPort {
-		h = mix(h, 1)
-	}
-	return mix(h, uint64(t.AddrID()))
-}
-
-func mix(h, v uint64) uint64 {
-	h = (h ^ v) * 0x9E3779B97F4A7C15
-	return h ^ h>>29
-}
-
-func mixString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * 0x100000001B3
-	}
-	return mix(h, uint64(len(s)))
+// groupOf returns the group of t's transfer with a source of class class.
+func groupOf(t *rtl.Template, class uint32) group {
+	return group{t.Dest, t.DestPort, t.AddrID(), class}
 }
 
 // ruleVariants applies each rule, in order, at every node of e (one

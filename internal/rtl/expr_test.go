@@ -269,3 +269,33 @@ func TestRenderSwapMatchesSwappedTree(t *testing.T) {
 		}
 	}
 }
+
+// TestClassHash gives every commuted form of a tree its class, and only
+// those: a non-commutative operator's operands and node widths count.  A
+// commutative operator with operands of one class is not distinct.
+func TestClassHash(t *testing.T) {
+	r := func(s string) *Expr { return NewRead(s, 8, nil) }
+	e := NewOp(OpMul, 8, NewOp(OpAdd, 8, r("a.r"), r("b.r")), NewOp(OpSub, 8, r("c.r"), NewConst(1, 8)))
+	class, distinct := e.ClassHash()
+	if !distinct {
+		t.Errorf("%s not distinct", e)
+	}
+	for mask := uint64(0); mask < 1<<2; mask++ {
+		site := 0
+		s := swapped(e, mask, &site)
+		if c, _ := s.ClassHash(); c != class {
+			t.Errorf("%s: class %#x, want %s's %#x", s, c, e, class)
+		}
+	}
+	for _, o := range []*Expr{
+		NewOp(OpMul, 8, NewOp(OpAdd, 8, r("a.r"), r("b.r")), NewOp(OpSub, 8, NewConst(1, 8), r("c.r"))),
+		NewOp(OpMul, 8, NewOp(OpAdd, 8, r("a.r"), r("b.r")), NewOp(OpSub, 8, r("c.r"), NewConst(1, 4))),
+	} {
+		if c, _ := o.ClassHash(); c == class {
+			t.Errorf("%s shares %s's class", o, e)
+		}
+	}
+	if _, distinct := NewOp(OpMul, 8, e, NewOp(OpMul, 8, NewOp(OpSub, 8, r("c.r"), NewConst(1, 8)), NewOp(OpAdd, 8, r("b.r"), r("a.r")))).ClassHash(); distinct {
+		t.Error("operands of one class reported distinct")
+	}
+}

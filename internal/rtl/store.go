@@ -157,6 +157,31 @@ func headHash(e *Expr) uint32 {
 	return h
 }
 
+// ClassHash hashes e's commutation class: trees that differ only in the
+// operand order of swap sites hash alike.  Each node contributes its
+// headHash, so Equal trees always hash alike.  distinct reports that no
+// swap site of e has two operands of one class (by hash, so a collision
+// only reports a false "no").
+func (e *Expr) ClassHash() (class uint32, distinct bool) {
+	h := headHash(e)
+	distinct = true
+	var buf [2]uint32
+	kids := buf[:0]
+	for _, k := range e.Kids {
+		c, d := k.ClassHash()
+		kids = append(kids, c)
+		distinct = distinct && d
+	}
+	if e.SwapSite() {
+		distinct = distinct && kids[0] != kids[1]
+		kids[0], kids[1] = min(kids[0], kids[1]), max(kids[0], kids[1])
+	}
+	for _, c := range kids {
+		h = mix(h, c)
+	}
+	return h, distinct
+}
+
 func mix(h, v uint32) uint32 {
 	h = (h ^ v) * 0x9E3779B1
 	return h ^ h>>15
