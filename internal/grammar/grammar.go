@@ -430,10 +430,9 @@ func BuildReported(base *rtl.Base, spec Spec, rep *diag.Reporter) (*Grammar, err
 	// 2. RT rules, cost 1, one per entry of the base.  A pattern depends
 	// on its template's source alone, so each distinct source is lowered
 	// once and its pattern is shared, read-only, by every rule for it,
-	// swaps included.  A failed lowering is rare and not memoised.  Rules
-	// and patterns are carved from shared arrays.
+	// swaps included.  A failed lowering is rare and not memoised.  The
+	// rules are carved from one array.
 	lowered := make([]*Pat, base.Exprs().Len())
-	var slab patSlab
 	rules := make([]Rule, 0, base.Len())
 	var skipErr error
 	skipped := 0
@@ -457,7 +456,7 @@ func BuildReported(base *rtl.Base, spec Spec, rep *diag.Reporter) (*Grammar, err
 		err := faultpoint.Hit("grammar.rule", t.Dest)
 		if err == nil {
 			if pat = lowered[t.SrcID()]; pat == nil {
-				if pat, err = g.lower(t.Src, &slab); err == nil {
+				if pat, err = g.lower(t.Src); err == nil {
 					g.internTerms(pat)
 					lowered[t.SrcID()] = pat
 				}
@@ -503,13 +502,12 @@ func BuildReported(base *rtl.Base, spec Spec, rep *diag.Reporter) (*Grammar, err
 // LowerPattern converts an RT expression pattern (such as a template's
 // destination-address pattern) into a grammar pattern; clients use it to
 // match addressing modes against subject address trees.
-func (g *Grammar) LowerPattern(e *rtl.Expr) (*Pat, error) { return g.lower(e, nil) }
+func (g *Grammar) LowerPattern(e *rtl.Expr) (*Pat, error) { return g.lower(e) }
 
 // lower converts a template source expression into a pattern per table 2 of
-// the paper, carving its nodes from slab.
-func (g *Grammar) lower(e *rtl.Expr, slab *patSlab) (*Pat, error) {
-	p := slab.pat()
-	p.Width = e.Width
+// the paper.
+func (g *Grammar) lower(e *rtl.Expr) (*Pat, error) {
+	p := &Pat{Width: e.Width}
 	switch e.Kind {
 	case rtl.Const:
 		p.Kind, p.Val = PatConst, e.Val
@@ -538,9 +536,9 @@ func (g *Grammar) lower(e *rtl.Expr, slab *patSlab) (*Pat, error) {
 		p.sites = 1
 	}
 	if len(e.Kids) > 0 {
-		p.Kids = slab.kids(len(e.Kids))
+		p.Kids = make([]*Pat, len(e.Kids))
 		for i, k := range e.Kids {
-			kid, err := g.lower(k, slab)
+			kid, err := g.lower(k)
 			if err != nil {
 				return nil, err
 			}
@@ -549,42 +547,6 @@ func (g *Grammar) lower(e *rtl.Expr, slab *patSlab) (*Pat, error) {
 		}
 	}
 	return p, nil
-}
-
-// patSlab carves pattern nodes and kid lists from chunks of patSlabChunk,
-// so that lowering a base's sources costs a few allocations rather than
-// two per node.  A nil slab allocates each on its own.
-type patSlab struct {
-	pats []Pat
-	kidv []*Pat
-}
-
-const patSlabChunk = 256
-
-// pat returns a zero pattern node.
-func (s *patSlab) pat() *Pat {
-	if s == nil {
-		return &Pat{}
-	}
-	if len(s.pats) == 0 {
-		s.pats = make([]Pat, patSlabChunk)
-	}
-	p := &s.pats[0]
-	s.pats = s.pats[1:]
-	return p
-}
-
-// kids returns a kid list of length n.
-func (s *patSlab) kids(n int) []*Pat {
-	if s == nil {
-		return make([]*Pat, n)
-	}
-	if len(s.kidv) < n {
-		s.kidv = make([]*Pat, max(n, 2*patSlabChunk))
-	}
-	k := s.kidv[:n:n]
-	s.kidv = s.kidv[n:]
-	return k
 }
 
 // Stats summarizes the grammar for diagnostics and the retargeting report.
