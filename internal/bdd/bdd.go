@@ -205,9 +205,6 @@ func (m *Manager) Size() int { return len(m.store.nodes) }
 // succeeds only for functions that already exist (residual operations go
 // through a View).
 func (m *Manager) Ite(f, g, h Node) Node {
-	if err := faultpoint.Hit("bdd.ite", ""); err != nil {
-		panic(err) // Ite cannot return errors; the phase boundary recovers.
-	}
 	m.iteOps.Inc()
 	// Terminal cases.
 	switch {
@@ -222,6 +219,9 @@ func (m *Manager) Ite(f, g, h Node) Node {
 	}
 	if r, ok := m.memo.get(f, g, h); ok {
 		return r
+	}
+	if err := faultpoint.Hit("bdd.ite", ""); err != nil {
+		panic(err) // Ite cannot return errors; the phase boundary recovers.
 	}
 	nf, ng, nh := m.store.nodes[f], m.store.nodes[g], m.store.nodes[h]
 	v := min(nf.v, ng.v, nh.v)
@@ -299,14 +299,6 @@ func (m *Manager) Restrict(f Node, v int, value bool) Node {
 // Exists existentially quantifies variable v out of f.
 func (m *Manager) Exists(f Node, v int) Node {
 	return m.Or(m.Restrict(f, v, false), m.Restrict(f, v, true))
-}
-
-// ExistsAll existentially quantifies every variable in vs out of f.
-func (m *Manager) ExistsAll(f Node, vs []int) Node {
-	for _, v := range vs {
-		f = m.Exists(f, v)
-	}
-	return f
 }
 
 // Sat reports whether f is satisfiable.

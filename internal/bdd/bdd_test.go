@@ -131,9 +131,6 @@ func TestExists(t *testing.T) {
 	if m.Exists(g, 0) != m.True() {
 		t.Error("∃x. x^y should be 1")
 	}
-	if m.ExistsAll(f, []int{0, 1}) != m.True() {
-		t.Error("∃x∃y. x&y should be 1")
-	}
 }
 
 func TestAnySatAndEval(t *testing.T) {

@@ -365,34 +365,3 @@ func (b *Binding) ReadBack(mem map[string][]int64, decls []*ir.Decl) ir.Env {
 	}
 	return env
 }
-
-// Layout renders the frame layout for diagnostics.
-func (b *Binding) Layout() string {
-	names := make([]string, 0, len(b.Place))
-	for n := range b.Place {
-		names = append(names, n)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		pi, pj := b.Place[names[i]], b.Place[names[j]]
-		if pi.Storage != pj.Storage {
-			return pi.Storage < pj.Storage
-		}
-		return pi.Addr < pj.Addr
-	})
-	s := fmt.Sprintf("primary memory %s (%d x %d bits)", b.Primary.Memory, b.Primary.Size, b.Primary.Width)
-	if b.ROM != nil {
-		s += fmt.Sprintf(", constant memory %s (%d x %d bits)", b.ROM.Memory, b.ROM.Size, b.ROM.Width)
-	}
-	s += ":\n"
-	for _, n := range names {
-		p := b.Place[n]
-		d := b.decls[n]
-		s += fmt.Sprintf("  %-12s %4d: %s", p.Storage, p.Addr, n)
-		if d != nil && d.IsArray() {
-			s += fmt.Sprintf("[%d]", d.Size)
-		}
-		s += "\n"
-	}
-	s += fmt.Sprintf("  %-12s %4d: <scratch x %d>\n", b.Primary.Memory, b.ScratchBase, b.ScratchLen)
-	return s
-}

@@ -68,47 +68,6 @@ func Vars(m *bdd.Manager, prefix string, w int) Vec {
 	return v
 }
 
-// FromVarRange builds a vector from already-declared consecutive variable
-// indices lo..lo+w-1.
-func FromVarRange(m *bdd.Manager, lo, w int) Vec {
-	v := make(Vec, w)
-	for i := 0; i < w; i++ {
-		v[i] = m.Var(lo + i)
-	}
-	return v
-}
-
-// ZeroExtend returns v widened to w bits with zero bits (or v itself when
-// already at least w bits wide, truncated to w).
-func ZeroExtend(m *bdd.Manager, v Vec, w int) Vec {
-	r := make(Vec, w)
-	for i := 0; i < w; i++ {
-		if i < len(v) {
-			r[i] = v[i]
-		} else {
-			r[i] = m.False()
-		}
-	}
-	return r
-}
-
-// SignExtend returns v widened (or truncated) to w bits replicating the
-// sign bit.
-func SignExtend(m *bdd.Manager, v Vec, w int) Vec {
-	r := make(Vec, w)
-	for i := 0; i < w; i++ {
-		switch {
-		case i < len(v):
-			r[i] = v[i]
-		case len(v) == 0:
-			r[i] = m.False()
-		default:
-			r[i] = v[len(v)-1]
-		}
-	}
-	return r
-}
-
 // Slice returns bits lo..hi inclusive of v (hi >= lo).
 func Slice(v Vec, hi, lo int) Vec {
 	if err := faultpoint.Hit("bitvec.slice", ""); err != nil {
@@ -119,14 +78,6 @@ func Slice(v Vec, hi, lo int) Vec {
 	}
 	out := make(Vec, hi-lo+1)
 	copy(out, v[lo:hi+1])
-	return out
-}
-
-// Concat returns the concatenation with lo occupying the low bits.
-func Concat(lo, hi Vec) Vec {
-	out := make(Vec, 0, len(lo)+len(hi))
-	out = append(out, lo...)
-	out = append(out, hi...)
 	return out
 }
 
@@ -310,26 +261,6 @@ func Ult(m *bdd.Manager, a, b Vec) bdd.Node {
 	return lt
 }
 
-// Slt returns the signed (two's complement) predicate a < b.
-func Slt(m *bdd.Manager, a, b Vec) bdd.Node {
-	sameWidth(a, b)
-	if len(a) == 0 {
-		return m.False()
-	}
-	n := len(a) - 1
-	sa, sb := a[n], b[n]
-	// Same sign: unsigned comparison of remaining bits decides together
-	// with equal MSBs; simplest correct formulation: flip sign bits and
-	// compare unsigned.
-	fa := make(Vec, len(a))
-	fb := make(Vec, len(b))
-	copy(fa, a)
-	copy(fb, b)
-	fa[n] = m.Not(sa)
-	fb[n] = m.Not(sb)
-	return Ult(m, fa, fb)
-}
-
 // Mux returns sel ? a : b, bitwise.
 func Mux(m *bdd.Manager, sel bdd.Node, a, b Vec) Vec {
 	sameWidth(a, b)
@@ -347,11 +278,6 @@ func IsZero(m *bdd.Manager, a Vec) bdd.Node {
 		r = m.And(r, m.Not(a[i]))
 	}
 	return r
-}
-
-// NonZero returns the predicate a != 0 as a single bit.
-func NonZero(m *bdd.Manager, a Vec) bdd.Node {
-	return m.Not(IsZero(m, a))
 }
 
 // Bool converts a 1-bit-style condition BDD into a width-1 vector.

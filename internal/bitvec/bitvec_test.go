@@ -102,13 +102,9 @@ func TestShifts(t *testing.T) {
 func TestPredicates(t *testing.T) {
 	checkPredicate(t, "Eq", Eq, func(a, b uint8) bool { return a == b })
 	checkPredicate(t, "Ult", Ult, func(a, b uint8) bool { return a < b })
-	checkPredicate(t, "Slt", Slt, func(a, b uint8) bool { return int8(a) < int8(b) })
 	checkPredicate(t, "IsZero",
 		func(m *bdd.Manager, a, b Vec) bdd.Node { return IsZero(m, a) },
 		func(a, b uint8) bool { return a == 0 })
-	checkPredicate(t, "NonZero",
-		func(m *bdd.Manager, a, b Vec) bdd.Node { return NonZero(m, a) },
-		func(a, b uint8) bool { return a != 0 })
 }
 
 func TestEqConst(t *testing.T) {
@@ -167,28 +163,6 @@ func TestSliceConcat(t *testing.T) {
 	if val, _ := IsConst(m, lo); val != 0x7 {
 		t.Fatalf("lo nibble = %#x", val)
 	}
-	back := Concat(lo, hi)
-	if val, _ := IsConst(m, back); val != 0xB7 {
-		t.Fatalf("concat = %#x", val)
-	}
-}
-
-func TestExtend(t *testing.T) {
-	m := bdd.New()
-	v := Const(m, 0x9, 4) // 1001: negative as signed nibble
-	z := ZeroExtend(m, v, 8)
-	s := SignExtend(m, v, 8)
-	if val, _ := IsConst(m, z); val != 0x09 {
-		t.Fatalf("zero extend = %#x", val)
-	}
-	if val, _ := IsConst(m, s); val != 0xF9 {
-		t.Fatalf("sign extend = %#x", val)
-	}
-	// Truncation path.
-	tr := ZeroExtend(m, Const(m, 0x1FF, 9), 8)
-	if val, _ := IsConst(m, tr); val != 0xFF {
-		t.Fatalf("truncate = %#x", val)
-	}
 }
 
 func TestTruthAndBool(t *testing.T) {
@@ -202,20 +176,6 @@ func TestTruthAndBool(t *testing.T) {
 	}
 	if Truth(m, Const(m, 2, 2)) != m.False() {
 		t.Error("Truth uses bit 0")
-	}
-}
-
-func TestFromVarRange(t *testing.T) {
-	m := bdd.New()
-	for i := 0; i < 6; i++ {
-		m.DeclareVar("ir" + string(rune('0'+i)))
-	}
-	v := FromVarRange(m, 2, 3)
-	if v.Width() != 3 {
-		t.Fatalf("width = %d", v.Width())
-	}
-	if v[0] != m.Var(2) || v[2] != m.Var(4) {
-		t.Fatal("FromVarRange picked wrong variables")
 	}
 }
 

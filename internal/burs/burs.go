@@ -9,6 +9,9 @@
 // the optimal (minimum-cost) derivation top-down.  Optimal code selection
 // for an expression tree — covering it by a minimum set of RT templates —
 // is exactly a minimum-cost derivation of the tree in the grammar.
+// Patterns are plain trees: the grammar gives every commutative swap a
+// rule with its own swapped pattern, so matching and derivation walk
+// every pattern kid by kid.
 //
 // iburg emits C source compiled into the retargeted compiler; EmitGo
 // mirrors that step by generating a Go source rendering of the rule tables.
@@ -117,7 +120,7 @@ func (p *Parser) label(e *rtl.Expr, l *labeler) *Node {
 	}
 	for _, r := range rules {
 		clear(l.fields)
-		c := p.MatchCostFields(r.Pat, r.Swap, node, l.fields)
+		c := p.MatchCostFields(r.Pat, node, l.fields)
 		if c >= Inf {
 			continue
 		}
@@ -151,16 +154,15 @@ func (p *Parser) label(e *rtl.Expr, l *labeler) *Node {
 // FieldKey identifies an instruction field by its bit range.
 type FieldKey struct{ Hi, Lo int }
 
-// MatchCostFields returns the cost of matching pattern pat, under swap
-// mask swap (grammar.Rule.Swap), at node (excluding the rule's own cost),
-// or Inf.  Nonlinear patterns — where one instruction field appears at
+// MatchCostFields returns the cost of matching pattern pat at node
+// (excluding the rule's own cost), or Inf.  Nonlinear patterns — where one instruction field appears at
 // several leaves (both FU inputs wired to the same memory output, say) —
 // only match when every occurrence binds the same operand value; fields
 // holds the bindings made so far and receives the new ones.  The same
 // (non-nil) map may be shared across several patterns (a template's
 // source and destination-address patterns) to enforce global
 // consistency.
-func (p *Parser) MatchCostFields(pat *grammar.Pat, swap uint64, node *Node, fields map[FieldKey]int64) int32 {
+func (p *Parser) MatchCostFields(pat *grammar.Pat, node *Node, fields map[FieldKey]int64) int32 {
 	if pat.Kind == grammar.PatNT {
 		return node.cost[pat.NT]
 	}
@@ -180,8 +182,7 @@ func (p *Parser) MatchCostFields(pat *grammar.Pat, swap uint64, node *Node, fiel
 	}
 	var sum int32
 	for i, kid := range node.Kids {
-		k, m := pat.Kid(i, swap)
-		c := p.MatchCostFields(k, m, kid, fields)
+		c := p.MatchCostFields(pat.Kids[i], kid, fields)
 		if c >= Inf {
 			return Inf
 		}
@@ -192,8 +193,7 @@ func (p *Parser) MatchCostFields(pat *grammar.Pat, swap uint64, node *Node, fiel
 
 // Step is one rule application in a derivation.  Kids are the
 // sub-derivations at the nonterminal positions of the rule's pattern, in
-// pre-order of the pattern as the rule matches it (operands swapped as its
-// mask says); NTPairs pairs each with the subject node it derives.
+// pre-order.
 type Step struct {
 	Rule *grammar.Rule
 	Node *Node
@@ -284,47 +284,29 @@ func (p *Parser) Derive(node *Node, nt int) (*Step, error) {
 		return nil, fmt.Errorf("burs: internal: no rule for %s at %s",
 			p.G.NTNames[nt], node.Expr)
 	}
-	step := &Step{Rule: r, Node: node}
-	var rec func(pat *grammar.Pat, swap uint64, n *Node) error
-	rec = func(pat *grammar.Pat, swap uint64, n *Node) error {
-		if pat.Kind == grammar.PatNT {
-			kid, err := p.Derive(n, pat.NT)
-			if err != nil {
-				return err
-			}
-			step.Kids = append(step.Kids, kid)
-			return nil
-		}
-		for i, kid := range n.Kids {
-			k, m := pat.Kid(i, swap)
-			if err := rec(k, m, kid); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := rec(r.Pat, r.Swap, node); err != nil {
+	kids, err := p.DeriveKids(r.Pat, node, nil)
+	if err != nil {
 		return nil, err
 	}
-	return step, nil
+	return &Step{Rule: r, Node: node, Kids: kids}, nil
 }
 
-// NTPairs returns, for each nonterminal position of the rule's pattern (in
-// pre-order, operands swapped as the rule's mask says), the subject node
-// derived there.  It parallels Step.Kids.
-func NTPairs(r *grammar.Rule, node *Node) []*Node {
-	var out []*Node
-	var rec func(pat *grammar.Pat, swap uint64, n *Node)
-	rec = func(pat *grammar.Pat, swap uint64, n *Node) {
-		if pat.Kind == grammar.PatNT {
-			out = append(out, n)
-			return
+// DeriveKids appends to kids the optimal derivations of the subject nodes
+// at pattern pat's nonterminal positions, in pre-order; pat must match
+// node, which Label produced.
+func (p *Parser) DeriveKids(pat *grammar.Pat, node *Node, kids []*Step) ([]*Step, error) {
+	if pat.Kind == grammar.PatNT {
+		kid, err := p.Derive(node, pat.NT)
+		if err != nil {
+			return nil, err
 		}
-		for i, kid := range n.Kids {
-			k, m := pat.Kid(i, swap)
-			rec(k, m, kid)
+		return append(kids, kid), nil
+	}
+	for i, kid := range node.Kids {
+		var err error
+		if kids, err = p.DeriveKids(pat.Kids[i], kid, kids); err != nil {
+			return nil, err
 		}
 	}
-	rec(r.Pat, r.Swap, node)
-	return out
+	return kids, nil
 }

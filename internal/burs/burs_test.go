@@ -344,21 +344,32 @@ func TestPropDerivationCostConsistent(t *testing.T) {
 	}
 }
 
-func TestNTPairs(t *testing.T) {
-	g, _ := testMachine(t)
-	p := NewParser(g)
-	e := rtl.NewOp(rtl.OpAdd, 16, accLeaf(), ramAt(6))
-	root := p.Label(e)
-	c, err := p.CoverLabeled("acc.r", root)
+// TestEmitGoSwapRule checks that a swap rule is emitted with its own,
+// swapped pattern: the table carries no swap masks.
+func TestEmitGoSwapRule(t *testing.T) {
+	m := bdd.New()
+	base := rtl.NewBase(m)
+	add := base.Add(&rtl.Template{Dest: "acc.r", Width: 16, Cond: rtl.ExecCond{Static: m.True()},
+		Src: rtl.NewOp(rtl.OpAdd, 16, accLeaf(), rtl.NewRead("ram.m", 16, rtl.NewInsnField(7, 0)))})
+	base.AddSwap(add, 1)
+	g, err := grammar.Build(base, grammar.Spec{Storages: []grammar.StorageInfo{
+		{Name: "acc.r", Width: 16, Size: 1},
+		{Name: "ram.m", Width: 16, Size: 256},
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs := NTPairs(c.Root.Rule, c.Root.Node)
-	if len(pairs) != len(c.Root.Kids) {
-		t.Fatalf("pairs %d != kids %d", len(pairs), len(c.Root.Kids))
+	src := EmitGo(g, "swapparser")
+	for _, want := range []string{
+		`Pat: "+/16(nt1,mem:ram.m(imm[7:0]))"`,
+		`Pat: "+/16(mem:ram.m(imm[7:0]),nt1)"`,
+	} {
+		if !strings.Contains(src, want) {
+			t.Errorf("emitted table lacks %s:\n%s", want, src)
+		}
 	}
-	if pairs[0].Expr.Storage != "acc.r" {
-		t.Errorf("first NT pair = %s", pairs[0].Expr)
+	if strings.Contains(src, "Swap") {
+		t.Errorf("emitted table carries a swap mask:\n%s", src)
 	}
 }
 

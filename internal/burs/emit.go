@@ -24,15 +24,13 @@ func EmitGo(g *grammar.Grammar, pkg string) string {
 	}
 	b.WriteString(")\n\n")
 
-	b.WriteString("// Rule describes one grammar rule in prefix pattern form.  Swap\n")
-	b.WriteString("// exchanges operands: bit i swaps the two operands of the i'th\n")
-	b.WriteString("// commutative binary operator of Pat in pre-order.\n")
-	b.WriteString("type Rule struct {\n\tID   int\n\tLHS  int\n\tCost int\n\tPat  string\n\tSwap uint64\n\tKind string\n}\n\n")
+	b.WriteString("// Rule describes one grammar rule in prefix pattern form.\n")
+	b.WriteString("type Rule struct {\n\tID   int\n\tLHS  int\n\tCost int\n\tPat  string\n\tKind string\n}\n\n")
 
 	b.WriteString("// Rules is the generated rule table.\nvar Rules = []Rule{\n")
 	for _, r := range g.Rules {
-		fmt.Fprintf(&b, "\t{ID: %d, LHS: %d, Cost: %d, Pat: %q, Swap: %#x, Kind: %q},\n",
-			r.ID, r.LHS, r.Cost, prefixPat(r.Pat), r.Swap, r.Kind.String())
+		fmt.Fprintf(&b, "\t{ID: %d, LHS: %d, Cost: %d, Pat: %q, Kind: %q},\n",
+			r.ID, r.LHS, r.Cost, prefixPat(r.Pat), r.Kind.String())
 	}
 	b.WriteString("}\n\n")
 

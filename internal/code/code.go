@@ -212,10 +212,6 @@ func WAR(a, b *Instr) bool {
 	return false
 }
 
-// DependsOn reports whether instruction b must stay at-or-after a
-// (any dependence kind).
-func DependsOn(a, b *Instr) bool { return RAW(a, b) || WAW(a, b) || WAR(a, b) }
-
 // Word is one machine instruction word: RT instances executing in parallel.
 type Word struct {
 	Instrs []*Instr

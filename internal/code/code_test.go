@@ -135,9 +135,6 @@ func TestDependencies(t *testing.T) {
 	if !RAW(load4, store4) {
 		t.Error("register RAW missed")
 	}
-	if !DependsOn(store3, load3) {
-		t.Error("DependsOn missed")
-	}
 }
 
 func TestSeqAndProgramRendering(t *testing.T) {

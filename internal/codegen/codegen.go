@@ -256,71 +256,51 @@ func (cg *Generator) compileWhole(et *bind.ET) ([]*code.Instr, error) {
 			return nil, err
 		}
 		cg.Stats.SelectCost += cov.Cost
-		return cg.genStep(cov.Root, nil)
+		return cg.genStep(cov.Root)
 	}
 	// Addressable destination: pick the best final store considering the
 	// destination-address pattern too.
 	addrRoot := cg.P.Label(et.DestAddr)
-	rule, cost, err := cg.selectRoot(et.Dest, root, addrRoot)
+	rule, cost, fields, err := cg.selectRoot(et.Dest, root, addrRoot)
 	if err != nil {
 		return nil, err
 	}
 	cg.Stats.SelectCost += cost
-	// Build the root step by hand (sub-derivations for the source pattern),
-	// then address sub-derivations.
-	step := &burs.Step{Rule: rule, Node: root}
-	if err := cg.deriveInto(step, rule.Pat, rule.Swap, root); err != nil {
-		return nil, err
-	}
-	addrPat, err := cg.G.LowerPattern(rule.Template.DestAddr)
-	if err != nil {
-		return nil, err
-	}
-	addrStep := &burs.Step{Rule: rule, Node: addrRoot}
-	if err := cg.deriveInto(addrStep, addrPat, 0, addrRoot); err != nil {
-		return nil, err
-	}
-
 	// Evaluate address operands first (they are registers feeding the
 	// store), then the value operands, then the store itself; conflicts
 	// among all operand registers are resolved together.
-	kids := append(append([]*burs.Step(nil), addrStep.Kids...), step.Kids...)
-	combined := &burs.Step{Rule: rule, Node: root, Kids: kids}
-	instrs, err := cg.genStepWithFields(combined, func(fields map[burs.FieldKey]int64) error {
-		collectFields(rule.Pat, rule.Swap, root, fields)
-		collectFields(addrPat, 0, addrRoot, fields)
-		return nil
-	}, nil)
+	kids, err := cg.P.DeriveKids(rule.AddrPat, addrRoot, nil)
 	if err != nil {
 		return nil, err
 	}
-	return instrs, nil
+	if kids, err = cg.P.DeriveKids(rule.Pat, root, kids); err != nil {
+		return nil, err
+	}
+	return cg.genStepWithFields(&burs.Step{Rule: rule, Node: root, Kids: kids}, fields)
 }
 
 // selectRoot finds the cheapest RT rule writing dest whose source pattern
 // matches the labelled tree and whose destination-address pattern matches
-// the labelled address tree (with globally consistent operand fields).
-func (cg *Generator) selectRoot(dest string, root, addrRoot *burs.Node) (*grammar.Rule, int, error) {
+// the labelled address tree (with globally consistent operand fields), and
+// returns it with its cost and those fields.
+func (cg *Generator) selectRoot(dest string, root, addrRoot *burs.Node) (*grammar.Rule, int, map[burs.FieldKey]int64, error) {
 	nt := cg.G.NT(dest)
 	if nt < 0 {
-		return nil, 0, fmt.Errorf("unknown destination %q", dest)
+		return nil, 0, nil, fmt.Errorf("unknown destination %q", dest)
 	}
 	var best *grammar.Rule
+	var bestFields map[burs.FieldKey]int64
 	bestCost := int32(burs.Inf)
 	for _, r := range cg.G.Rules {
-		if r.Kind != grammar.KindRT || r.LHS != nt || r.Template.DestAddr == nil {
+		if r.Kind != grammar.KindRT || r.LHS != nt || r.AddrPat == nil {
 			continue
 		}
 		fields := make(map[burs.FieldKey]int64, 2)
-		c := cg.P.MatchCostFields(r.Pat, r.Swap, root, fields)
+		c := cg.P.MatchCostFields(r.Pat, root, fields)
 		if c >= burs.Inf {
 			continue
 		}
-		addrPat, err := cg.G.LowerPattern(r.Template.DestAddr)
-		if err != nil {
-			continue
-		}
-		ac := cg.P.MatchCostFields(addrPat, 0, addrRoot, fields)
+		ac := cg.P.MatchCostFields(r.AddrPat, addrRoot, fields)
 		if ac >= burs.Inf {
 			continue
 		}
@@ -328,60 +308,38 @@ func (cg *Generator) selectRoot(dest string, root, addrRoot *burs.Node) (*gramma
 		if total < bestCost {
 			bestCost = total
 			best = r
+			bestFields = fields
 		}
 	}
 	if best == nil {
-		return nil, 0, fmt.Errorf("no store route into %s matches address %s (value %s)",
+		return nil, 0, nil, fmt.Errorf("no store route into %s matches address %s (value %s)",
 			dest, addrRoot.Expr, root.Expr)
 	}
-	return best, int(bestCost), nil
-}
-
-// deriveInto appends sub-derivations for every NT position of pat, under
-// swap mask swap, to step.
-func (cg *Generator) deriveInto(step *burs.Step, pat *grammar.Pat, swap uint64, node *burs.Node) error {
-	if pat.Kind == grammar.PatNT {
-		kid, err := cg.P.Derive(node, pat.NT)
-		if err != nil {
-			return err
-		}
-		step.Kids = append(step.Kids, kid)
-		return nil
-	}
-	for i, kid := range node.Kids {
-		k, m := pat.Kid(i, swap)
-		if err := cg.deriveInto(step, k, m, kid); err != nil {
-			return err
-		}
-	}
-	return nil
+	return best, int(bestCost), bestFields, nil
 }
 
 // genStep linearizes a derivation step into instructions.
-func (cg *Generator) genStep(step *burs.Step, live []string) ([]*code.Instr, error) {
-	return cg.genStepWithFields(step, func(fields map[burs.FieldKey]int64) error {
-		collectFields(step.Rule.Pat, step.Rule.Swap, step.Node, fields)
-		return nil
-	}, live)
-}
-
-// genStepWithFields is genStep with a custom field collector for the final
-// instruction (the memory-destination root also contributes address
-// fields).
-func (cg *Generator) genStepWithFields(step *burs.Step,
-	collect func(map[burs.FieldKey]int64) error, live []string) ([]*code.Instr, error) {
-
-	r := step.Rule
-	if r.Kind == grammar.KindStop {
+func (cg *Generator) genStep(step *burs.Step) ([]*code.Instr, error) {
+	if step.Rule.Kind == grammar.KindStop {
 		return nil, nil // value already resides in the register
 	}
+	fields := make(map[burs.FieldKey]int64, 2)
+	cg.P.MatchCostFields(step.Rule.Pat, step.Node, fields)
+	return cg.genStepWithFields(step, fields)
+}
+
+// genStepWithFields is genStep with the operand fields of the final
+// instruction given (the memory-destination root also binds address
+// fields).
+func (cg *Generator) genStepWithFields(step *burs.Step, fields map[burs.FieldKey]int64) ([]*code.Instr, error) {
+	r := step.Rule
 
 	// Generate operand code bottom-up.
 	n := len(step.Kids)
 	kidCode := make([][]*code.Instr, n)
 	kidReg := make([]string, n)
 	for i, kid := range step.Kids {
-		c, err := cg.genStep(kid, nil)
+		c, err := cg.genStep(kid)
 		if err != nil {
 			return nil, err
 		}
@@ -445,10 +403,6 @@ func (cg *Generator) genStepWithFields(step *burs.Step,
 		cg.freeScratch(scratchOf[i])
 	}
 
-	fields := make(map[burs.FieldKey]int64, 2)
-	if err := collect(fields); err != nil {
-		return nil, err
-	}
 	out = append(out, &code.Instr{Template: r.Template, Swap: r.Swap, Fields: sortedFields(fields)})
 	return out, nil
 }
@@ -603,24 +557,6 @@ func (cg *Generator) allocScratch() (int, error) {
 
 func (cg *Generator) freeScratch(cell int) {
 	cg.scratchFree = append(cg.scratchFree, cell)
-}
-
-// collectFields walks a pattern, under swap mask swap, against a matching
-// subject collecting the immediate-field operand values.
-func collectFields(pat *grammar.Pat, swap uint64, node *burs.Node, out map[burs.FieldKey]int64) {
-	if pat.Kind == grammar.PatNT {
-		return
-	}
-	if pat.Kind == grammar.PatImm {
-		out[burs.FieldKey{Hi: pat.ImmHi, Lo: pat.ImmLo}] = node.Expr.Val
-		return
-	}
-	for i := range pat.Kids {
-		if i < len(node.Kids) {
-			k, m := pat.Kid(i, swap)
-			collectFields(k, m, node.Kids[i], out)
-		}
-	}
 }
 
 func sortedFields(m map[burs.FieldKey]int64) []code.Field {

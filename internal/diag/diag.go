@@ -27,7 +27,6 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -97,9 +96,8 @@ type Reporter struct {
 func NewReporter() *Reporter { return &Reporter{} }
 
 // SetMaxErrors caps collection: after n Error diagnostics the reporter
-// bails — it records one final "too many errors" diagnostic, drops further
-// reports, and Bailed returns true so phases can stop early.  n <= 0 means
-// unlimited.
+// bails — it records one final "too many errors" diagnostic and drops
+// further reports.  n <= 0 means unlimited.
 func (r *Reporter) SetMaxErrors(n int) {
 	if r == nil {
 		return
@@ -190,16 +188,6 @@ func (r *Reporter) Warns() int { return r.Count(Warn) }
 // Errors returns the number of Error diagnostics.
 func (r *Reporter) Errors() int { return r.Count(Error) }
 
-// Bailed reports whether the max-errors cap was hit.
-func (r *Reporter) Bailed() bool {
-	if r == nil {
-		return false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.bailed
-}
-
 // Err summarizes collected errors as a single error, or nil when none.
 func (r *Reporter) Err() error {
 	if n := r.Errors(); n > 0 {
@@ -230,25 +218,6 @@ func (r *Reporter) Summary() string {
 		return "no diagnostics"
 	}
 	return strings.Join(parts, ", ")
-}
-
-// Phases returns the sorted set of phases that reported anything.
-func (r *Reporter) Phases() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	seen := make(map[string]bool)
-	for _, d := range r.diags {
-		seen[d.Phase] = true
-	}
-	out := make([]string, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ----- resource budgets -------------------------------------------------

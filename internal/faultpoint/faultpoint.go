@@ -41,7 +41,7 @@ type Site struct {
 // Hit call to new code means adding a row here; TestSitesMatchHits keeps
 // the two in sync.
 var sites = []Site{
-	{"bdd.ite", "BDD apply step (panics on error kind)"},
+	{"bdd.ite", "BDD apply step past the terminal cases and the op cache (panics on error kind)"},
 	{"bitvec.slice", "symbolic word slicing (panics on error kind)"},
 	{"grammar.rule", "per-template rule lowering (detail: template dest)"},
 	{"hdl.parse", "start of MDL parsing"},

@@ -17,11 +17,15 @@
 //
 //   - Rules: start rules START → ASSIGN(Term(dest), NonTerm(dest)) at cost
 //     0 for every possible ET destination; one RT rule NonTerm(dest) →
-//     L(src) at cost 1 per template (table 2 of the paper); and stop rules
-//     NonTerm(reg) → Term(reg) at cost 0 terminating derivations at leaves.
+//     L(src) at cost 1 per entry of the template base (table 2 of the
+//     paper); and stop rules NonTerm(reg) → Term(reg) at cost 0
+//     terminating derivations at leaves.
 //
 // Patterns and subject trees share the rtl.Expr vocabulary; a pattern
-// position is either a terminal node or a nonterminal placeholder.
+// position is either a terminal node or a nonterminal placeholder.  The
+// commutative swaps of the base (rtl.Swap) are resolved here: a swap's
+// rule gets the lowered pattern of its swapped source, so the parser and
+// the code selector match plain patterns and never read a swap mask.
 package grammar
 
 import (
@@ -66,31 +70,6 @@ type Pat struct {
 	Hi      int    // PatSlice
 	Lo      int
 	Kids    []*Pat
-	// sites counts the swap sites (rtl.Expr.SwapSite) of the lowered
-	// tree, p's own first when site is set.  A rule's swap mask numbers
-	// them in pre-order, and Kid hands each kid the mask relative to its
-	// own first site.
-	sites int
-	site  bool
-}
-
-// Kid returns the kid of p matched against kid i of a subject node under
-// swap mask swap (relative to p), and the mask relative to that kid: the
-// other operand where the mask swaps p.
-func (p *Pat) Kid(i int, swap uint64) (*Pat, uint64) {
-	if swap == 0 {
-		return p.Kids[i], 0
-	}
-	if p.site {
-		if swap&1 != 0 {
-			i = 1 - i
-		}
-		swap >>= 1
-	}
-	if i == 1 {
-		swap >>= uint(p.Kids[0].sites)
-	}
-	return p.Kids[i], swap
 }
 
 // term identifies a terminal symbol: the part of a pattern node's root
@@ -183,24 +162,19 @@ func fitsField(v int64, w int) bool {
 	return v >= -(1 << uint(w-1))
 }
 
-func (p *Pat) String() string { return p.render(0) }
-
-// render renders p as a rule with swap mask swap matches it.
-func (p *Pat) render(swap uint64) string {
+func (p *Pat) String() string {
 	switch p.Kind {
 	case PatNT:
 		return fmt.Sprintf("<%d>", p.NT)
 	case PatOp:
 		if len(p.Kids) == 1 {
-			return fmt.Sprintf("%s(%s)", p.Op, p.Kids[0].render(swap))
+			return fmt.Sprintf("%s(%s)", p.Op, p.Kids[0])
 		}
-		l, lm := p.Kid(0, swap)
-		r, rm := p.Kid(1, swap)
-		return fmt.Sprintf("(%s %s %s)", l.render(lm), p.Op, r.render(rm))
+		return fmt.Sprintf("(%s %s %s)", p.Kids[0], p.Op, p.Kids[1])
 	case PatReg:
 		return p.Storage
 	case PatMem:
-		return fmt.Sprintf("%s[%s]", p.Storage, p.Kids[0].render(swap))
+		return fmt.Sprintf("%s[%s]", p.Storage, p.Kids[0])
 	case PatImm:
 		return fmt.Sprintf("IMM[%d:%d]", p.ImmHi, p.ImmLo)
 	case PatConst:
@@ -208,7 +182,7 @@ func (p *Pat) render(swap uint64) string {
 	case PatPort:
 		return p.Port
 	case PatSlice:
-		return fmt.Sprintf("%s[%d:%d]", p.Kids[0].render(swap), p.Hi, p.Lo)
+		return fmt.Sprintf("%s[%d:%d]", p.Kids[0], p.Hi, p.Lo)
 	}
 	return "?"
 }
@@ -244,12 +218,16 @@ type Rule struct {
 	Cost     int
 	Template *rtl.Template // KindRT: the originating template
 	Dest     string        // KindStart: the destination this rule targets
+	// AddrPat is the lowered destination-address pattern of a KindRT
+	// rule, nil when Template has no destination address or it cannot
+	// be lowered.
+	AddrPat *Pat
 	// Term is the terminal ID of the pattern's root, the RulesByTerm
 	// bucket the rule is filed in; -1 for start and chain rules.
 	Term int
 	// Swap is the mask of a KindRT rule for a swap entry of the base
-	// (rtl.Swap): the rule matches Pat, Template's pattern, with the
-	// operands of the sites it selects exchanged (see Pat.Kid).
+	// (rtl.Swap), kept for the listing: Pat is already the swapped
+	// pattern.
 	Swap uint64
 }
 
@@ -258,7 +236,7 @@ type Rule struct {
 func (r *Rule) IsChain() bool { return r.Pat.Kind == PatNT }
 
 func (r *Rule) String() string {
-	return fmt.Sprintf("#%d %s: <%d> -> %s (cost %d)", r.ID, r.Kind, r.LHS, r.Pat.render(r.Swap), r.Cost)
+	return fmt.Sprintf("#%d %s: <%d> -> %s (cost %d)", r.ID, r.Kind, r.LHS, r.Pat, r.Cost)
 }
 
 // Grammar is the constructed tree grammar.
@@ -429,10 +407,15 @@ func BuildReported(base *rtl.Base, spec Spec, rep *diag.Reporter) (*Grammar, err
 
 	// 2. RT rules, cost 1, one per entry of the base.  A pattern depends
 	// on its template's source alone, so each distinct source is lowered
-	// once and its pattern is shared, read-only, by every rule for it,
-	// swaps included.  A failed lowering is rare and not memoised.  The
-	// rules are carved from one array.
+	// once and its pattern is shared, read-only, by every rule for it.  A
+	// swap rule gets that pattern with the operands of its masked sites
+	// exchanged, built once per (source, mask); it shares every subtree
+	// without a masked site with the source's pattern.  Each distinct
+	// destination address is lowered once too.  A failed source lowering
+	// is rare and not memoised.  The rules are carved from one array.
 	lowered := make([]*Pat, base.Exprs().Len())
+	swapped := make(map[swapKey]*Pat)
+	addrs := make(map[rtl.ExprID]*Pat)
 	rules := make([]Rule, 0, base.Len())
 	var skipErr error
 	skipped := 0
@@ -471,7 +454,23 @@ func BuildReported(base *rtl.Base, spec Spec, rep *diag.Reporter) (*Grammar, err
 			rep.Warnf("grammar", diag.Pos{}, "skipping %v; its RT stays unselectable", err)
 			return
 		}
-		rules = append(rules, Rule{Kind: KindRT, LHS: lhs, Pat: pat, Cost: 1, Template: t, Swap: s.Mask})
+		if s.Mask != 0 {
+			key := swapKey{t.SrcID(), s.Mask}
+			if swapped[key] == nil {
+				swapped[key] = swapPat(t.Src, pat, s.Mask)
+			}
+			pat = swapped[key]
+		}
+		var addr *Pat
+		if t.DestAddr != nil {
+			if addr, ok = addrs[t.AddrID()]; !ok {
+				// An address that does not lower leaves the rule
+				// unselectable as a store.
+				addr, _ = g.lower(t.DestAddr)
+				addrs[t.AddrID()] = addr
+			}
+		}
+		rules = append(rules, Rule{Kind: KindRT, LHS: lhs, Pat: pat, AddrPat: addr, Cost: 1, Template: t, Swap: s.Mask})
 		addRule(&rules[len(rules)-1])
 	})
 	if skipped > 0 && g.stats.RTRules == 0 {
@@ -499,11 +498,6 @@ func BuildReported(base *rtl.Base, spec Spec, rep *diag.Reporter) (*Grammar, err
 	return g, nil
 }
 
-// LowerPattern converts an RT expression pattern (such as a template's
-// destination-address pattern) into a grammar pattern; clients use it to
-// match addressing modes against subject address trees.
-func (g *Grammar) LowerPattern(e *rtl.Expr) (*Pat, error) { return g.lower(e) }
-
 // lower converts a template source expression into a pattern per table 2 of
 // the paper.
 func (g *Grammar) lower(e *rtl.Expr) (*Pat, error) {
@@ -528,12 +522,9 @@ func (g *Grammar) lower(e *rtl.Expr) (*Pat, error) {
 	case rtl.Slice:
 		p.Kind, p.Hi, p.Lo = PatSlice, e.Hi, e.Lo
 	case rtl.OpApp:
-		p.Kind, p.Op, p.site = PatOp, e.Op, e.SwapSite()
+		p.Kind, p.Op = PatOp, e.Op
 	default:
 		return nil, fmt.Errorf("grammar: cannot lower expression %s", e)
-	}
-	if p.site {
-		p.sites = 1
 	}
 	if len(e.Kids) > 0 {
 		p.Kids = make([]*Pat, len(e.Kids))
@@ -543,10 +534,40 @@ func (g *Grammar) lower(e *rtl.Expr) (*Pat, error) {
 				return nil, err
 			}
 			p.Kids[i] = kid
-			p.sites += kid.sites
 		}
 	}
 	return p, nil
+}
+
+// swapKey identifies a swap rule's pattern: its source and mask.
+type swapKey struct {
+	src  rtl.ExprID
+	mask uint64
+}
+
+// swapPat returns p, the lowering of e, with the operands of the swap
+// sites of e that mask selects exchanged (bit i selects site i, in the
+// pre-order of rtl.Expr.SwapSite).  Subtrees holding no selected site are
+// p's own.
+func swapPat(e *rtl.Expr, p *Pat, mask uint64) *Pat {
+	if mask == 0 {
+		return p
+	}
+	swap := false
+	if e.SwapSite() {
+		swap, mask = mask&1 != 0, mask>>1
+	}
+	q := *p
+	q.Kids = make([]*Pat, len(p.Kids))
+	for i, k := range e.Kids {
+		n := uint(k.SwapSites())
+		q.Kids[i] = swapPat(k, p.Kids[i], mask&(1<<n-1))
+		mask >>= n
+	}
+	if swap {
+		q.Kids[0], q.Kids[1] = q.Kids[1], q.Kids[0]
+	}
+	return &q
 }
 
 // Stats summarizes the grammar for diagnostics and the retargeting report.
@@ -589,16 +610,16 @@ func (g *Grammar) String() string {
 		lhs := g.NTNames[r.LHS]
 		switch r.Kind {
 		case KindStart:
-			fmt.Fprintf(&b, "%-8s -> ASSIGN(%s, %s)  [0]\n", lhs, r.Dest, g.patString(r.Pat, 0))
+			fmt.Fprintf(&b, "%-8s -> ASSIGN(%s, %s)  [0]\n", lhs, r.Dest, g.patString(r.Pat))
 		default:
-			fmt.Fprintf(&b, "%-8s -> %s  [%d]\n", lhs, g.patString(r.Pat, r.Swap), r.Cost)
+			fmt.Fprintf(&b, "%-8s -> %s  [%d]\n", lhs, g.patString(r.Pat), r.Cost)
 		}
 	}
 	return b.String()
 }
 
-// patString renders p as a rule with swap mask swap matches it.
-func (g *Grammar) patString(p *Pat, swap uint64) string {
+// patString renders p with nonterminals by name.
+func (g *Grammar) patString(p *Pat) string {
 	if p.Kind == PatNT {
 		return g.NTNames[p.NT]
 	}
@@ -606,8 +627,8 @@ func (g *Grammar) patString(p *Pat, swap uint64) string {
 		return p.String()
 	}
 	parts := make([]string, len(p.Kids))
-	for i := range p.Kids {
-		parts[i] = g.patString(p.Kid(i, swap))
+	for i, k := range p.Kids {
+		parts[i] = g.patString(k)
 	}
 	switch p.Kind {
 	case PatOp:

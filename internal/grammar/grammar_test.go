@@ -138,7 +138,7 @@ func TestSubjectTerms(t *testing.T) {
 		}
 		var b strings.Builder
 		for _, r := range g.RulesByTerm[id] {
-			b.WriteString(g.patString(r.Pat, r.Swap))
+			b.WriteString(g.patString(r.Pat))
 			b.WriteByte(';')
 		}
 		return b.String()

@@ -2,6 +2,7 @@ package grammar_test
 
 import (
 	"context"
+	"reflect"
 	"strconv"
 	"testing"
 
@@ -168,5 +169,125 @@ func TestStatsMatchesRuleWalk(t *testing.T) {
 	// op:+:8, #const and the stop rule's reg:acc.r, plus ASSIGN.
 	if got.Terminals != 4 || got.RTRules != 1 {
 		t.Errorf("after a failed lowering: %+v; want 4 terminals and 1 RT rule", got)
+	}
+}
+
+// swappedTree returns e with the operands of the swap sites mask selects
+// exchanged, sites numbered in pre-order.
+func swappedTree(e *rtl.Expr, mask uint64) *rtl.Expr {
+	site := 0
+	var rec func(e *rtl.Expr) *rtl.Expr
+	rec = func(e *rtl.Expr) *rtl.Expr {
+		c := *e
+		swap := false
+		if e.SwapSite() {
+			swap = mask&(1<<uint(site)) != 0
+			site++
+		}
+		c.Kids = make([]*rtl.Expr, len(e.Kids))
+		for i, k := range e.Kids {
+			c.Kids[i] = rec(k)
+		}
+		if swap {
+			c.Kids[0], c.Kids[1] = c.Kids[1], c.Kids[0]
+		}
+		return &c
+	}
+	return rec(e)
+}
+
+// TestSwapRulePatterns checks, on every bundled model, the pattern of
+// each RT rule against the lowering of its source tree with its swap
+// applied, and the sharing Build promises: one pattern per (source,
+// mask), a swap pattern's subtrees without a masked site taken from the
+// origin's pattern, and one address pattern per address.
+func TestSwapRulePatterns(t *testing.T) {
+	swaps := 0
+	for name, tg := range bundledTargets(t) {
+		g := tg.Grammar
+		type key struct {
+			src  rtl.ExprID
+			mask uint64
+		}
+		pats := make(map[key]*grammar.Pat)
+		addrs := make(map[rtl.ExprID]*grammar.Pat)
+		origin := make(map[*rtl.Template]*grammar.Pat)
+		for _, r := range g.Rules {
+			if r.Kind != grammar.KindRT {
+				continue
+			}
+			tpl := r.Template
+			want, err := g.Lower(swappedTree(tpl.Src, r.Swap))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !reflect.DeepEqual(r.Pat, want) || r.Pat.String() != want.String() {
+				t.Errorf("%s: rule %s: pattern %s, want the swapped lowering %s", name, r, r.Pat, want)
+			}
+			k := key{tpl.SrcID(), r.Swap}
+			if p, ok := pats[k]; ok && p != r.Pat {
+				t.Errorf("%s: rule %s does not share the pattern of source %d, mask %#x", name, r, k.src, k.mask)
+			}
+			pats[k] = r.Pat
+			if r.Swap == 0 {
+				origin[tpl] = r.Pat
+			}
+			if tpl.DestAddr == nil {
+				if r.AddrPat != nil {
+					t.Errorf("%s: rule %s has an address pattern but no destination address", name, r)
+				}
+				continue
+			}
+			wantAddr, err := g.Lower(tpl.DestAddr)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !reflect.DeepEqual(r.AddrPat, wantAddr) {
+				t.Errorf("%s: rule %s: address pattern %s, want %s", name, r, r.AddrPat, wantAddr)
+			}
+			if p, ok := addrs[tpl.AddrID()]; ok && p != r.AddrPat {
+				t.Errorf("%s: rule %s does not share the pattern of address %d", name, r, tpl.AddrID())
+			}
+			addrs[tpl.AddrID()] = r.AddrPat
+		}
+		for _, r := range g.Rules {
+			if r.Kind != grammar.KindRT || r.Swap == 0 {
+				continue
+			}
+			swaps++
+			p, ok := origin[r.Template]
+			if !ok {
+				t.Fatalf("%s: swap rule %s has no origin rule", name, r)
+			}
+			mask, site := r.Swap, 0
+			var rec func(e *rtl.Expr, p, q *grammar.Pat)
+			rec = func(e *rtl.Expr, p, q *grammar.Pat) {
+				n := e.SwapSites()
+				if mask>>uint(site)&(1<<uint(n)-1) == 0 {
+					if p != q {
+						t.Errorf("%s: swap rule %s copies %s, which holds no masked site", name, r, p)
+					}
+					site += n
+					return
+				}
+				if p == q {
+					t.Fatalf("%s: swap rule %s shares %s, which holds a masked site", name, r, p)
+				}
+				kids := q.Kids
+				if e.SwapSite() {
+					if mask&(1<<uint(site)) != 0 {
+						kids = []*grammar.Pat{q.Kids[1], q.Kids[0]}
+					}
+					site++
+				}
+				for i, k := range e.Kids {
+					rec(k, p.Kids[i], kids[i])
+				}
+			}
+			rec(r.Template.Src, p, r.Pat)
+		}
+	}
+	if swaps == 0 {
+		t.Error("no bundled model has a swap rule")
 	}
 }

@@ -2,7 +2,6 @@ package hdl
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/rtl"
 )
@@ -629,20 +628,4 @@ func minWidth(v int64) int {
 		return 1
 	}
 	return w
-}
-
-// InsnPart returns the model's instruction part and the width of its
-// instruction word (the single output port).  Check must have succeeded.
-func (m *Model) InsnPart() (*Part, *ModPort, error) {
-	for _, p := range m.Parts {
-		if p.Flag == FlagInstruction {
-			for _, mp := range p.Module.Ports {
-				if mp.Dir == DirOut {
-					return p, mp, nil
-				}
-			}
-			return nil, nil, fmt.Errorf("instruction part %s has no output port", p.Name)
-		}
-	}
-	return nil, nil, fmt.Errorf("model %s has no INSTRUCTION part", m.Name)
 }

@@ -177,13 +177,6 @@ func TestParseAndCheckTiny(t *testing.T) {
 	if !ram.IsSequential() || ram.VarByName["m"].Size != 16 {
 		t.Error("Ram storage wrong")
 	}
-	part, mp, err := m.InsnPart()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if part.Name != "imem" || mp.Name != "q" || mp.Width != 16 {
-		t.Errorf("instruction part %s.%s width %d", part.Name, mp.Name, mp.Width)
-	}
 }
 
 func TestCaseExprChecked(t *testing.T) {

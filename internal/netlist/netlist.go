@@ -96,10 +96,11 @@ type Storage struct {
 	Mode bool // belongs to a MODE part
 	PC   bool // belongs to the PC part
 	Insn bool // belongs to the instruction memory
+	name string
 }
 
 // QName returns the qualified "inst.var" name used across the compiler.
-func (s *Storage) QName() string { return s.Inst.Name + "." + s.Var.Name }
+func (s *Storage) QName() string { return s.name }
 
 // Writable reports whether the module behavior ever writes this storage
 // (false for ROM-style components).
@@ -172,8 +173,9 @@ func Elaborate(m *hdl.Model) (*Netlist, error) {
 				Mode: p.Flag == hdl.FlagMode,
 				PC:   p.Flag == hdl.FlagPC,
 				Insn: p.Flag == hdl.FlagInstruction,
+				name: inst.Name + "." + v.Name,
 			}
-			n.Storages[s.QName()] = s
+			n.Storages[s.name] = s
 			n.Seq = append(n.Seq, s)
 		}
 		if p.Flag == hdl.FlagInstruction {

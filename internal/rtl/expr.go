@@ -230,17 +230,6 @@ func (e *Expr) InsnFields() []*Expr {
 	return fields
 }
 
-// Reads returns every storage-read node in the tree, in pre-order.
-func (e *Expr) Reads() []*Expr {
-	var reads []*Expr
-	e.Walk(func(n *Expr) {
-		if n.Kind == Read {
-			reads = append(reads, n)
-		}
-	})
-	return reads
-}
-
 // String renders the tree in a compact prefix-free infix form used in
 // diagnostics and golden tests.
 func (e *Expr) String() string {

@@ -117,10 +117,6 @@ func TestWalkAndCollectors(t *testing.T) {
 	if len(fields) != 1 || fields[0].Hi != 7 || fields[0].Lo != 0 {
 		t.Errorf("InsnFields = %v", fields)
 	}
-	reads := e.Reads()
-	if len(reads) != 3 {
-		t.Errorf("Reads found %d, want 3", len(reads))
-	}
 }
 
 func TestAddr(t *testing.T) {

@@ -192,19 +192,6 @@ func (s *Simulator) RunProgram(words []uint64) error {
 	return s.Run(len(words))
 }
 
-// OutVal evaluates a primary output port in the current state.
-func (s *Simulator) OutVal(name string) (int64, error) {
-	d, ok := s.N.PrimaryOut[name]
-	if !ok {
-		return 0, fmt.Errorf("sim: unknown primary output %s", name)
-	}
-	if s.outCache == nil {
-		s.outCache = make(map[string]int64)
-		s.busCache = make(map[string]int64)
-	}
-	return s.evalDriver(d)
-}
-
 // evalMod evaluates an expression in the module scope of inst or, with
 // inst nil, in connect scope (a bus WHEN condition).
 func (s *Simulator) evalMod(inst *netlist.Inst, e hdl.Expr) (int64, error) {

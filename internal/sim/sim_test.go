@@ -134,23 +134,6 @@ func TestSubtractWraps(t *testing.T) {
 	}
 }
 
-func TestPrimaryOutput(t *testing.T) {
-	s := newSim(t)
-	if err := s.SetMemory("acc.r", []int64{42}); err != nil {
-		t.Fatal(err)
-	}
-	v, err := s.OutVal("obs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 42 {
-		t.Errorf("obs = %d", v)
-	}
-	if _, err := s.OutVal("nope"); err == nil {
-		t.Error("unknown output accepted")
-	}
-}
-
 func TestLoadProgramErrors(t *testing.T) {
 	s := newSim(t)
 	long := make([]uint64, 100)
