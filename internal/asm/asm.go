@@ -12,6 +12,7 @@ package asm
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -46,6 +47,7 @@ type Encoder struct {
 	frozen      bool
 	storageList []string   // sorted quiesce keys
 	notQuiesce  []bdd.Node // ¬quiesce[storageList[i]]
+	byVar       []int      // instruction bit positions in ascending variable order
 	// solo[t] is t's full single-instruction word condition: its static
 	// execution condition conjoined with quiescence of every other
 	// suppressible storage.  Encoding the common case (one RT per word,
@@ -145,6 +147,11 @@ func (e *Encoder) Freeze() {
 		}
 		e.solo[t] = e.m.And(t.Cond.Static, q)
 	}
+	e.byVar = make([]int, e.Vars.InsnWidth())
+	for i := range e.byVar {
+		e.byVar[i] = i
+	}
+	slices.SortFunc(e.byVar, func(a, b int) int { return cmp.Compare(e.Vars.InsnVars[a], e.Vars.InsnVars[b]) })
 	e.nop, e.nopErr = e.nopWord()
 	e.frozen = true
 	e.m.Freeze()
@@ -165,12 +172,14 @@ type Session struct {
 	e   *Encoder
 	ops *bdd.View // private copy-on-write overlay on the frozen manager
 
-	// lits is scratch for operand-field literal collection, reused across
-	// words so the per-word cube costs no map and no fresh slice.
+	// sets memoises setCond per template set, keyed by the sorted
+	// template IDs; ids and key are the scratch its lookups build.
+	sets map[string]bdd.Node
+	ids  []uint64
+	key  []byte
+	// lits is scratch for operand-field literals, reused across words so
+	// the per-word cube costs no fresh slice.
 	lits []bdd.Lit
-	// intended is scratch for the storages a multi-RT word writes on
-	// purpose, reused across feasibility probes.
-	intended []string
 
 	// Session-local instruments (see NewSessionObs); nil discards.
 	cFeas  *obs.Counter
@@ -180,7 +189,7 @@ type Session struct {
 // NewSession opens an encoding session with a private view of the frozen
 // manager.  It panics with a bdd.InvariantError before Freeze.
 func (e *Encoder) NewSession() *Session {
-	return &Session{e: e, ops: e.m.NewView()}
+	return &Session{e: e, ops: e.m.NewView(), sets: make(map[string]bdd.Node)}
 }
 
 // NewSessionObs opens an encoding session with instrumentation: every
@@ -199,104 +208,137 @@ func (e *Encoder) NewSessionObs(scope *obs.Scope) *Session {
 	return s
 }
 
-// WordCond computes the full encoding condition of a set of parallel RT
-// instances: conjunction of their static conditions, their operand-field
-// bit cubes, and quiescence of every untouched storage.
-func (s *Session) WordCond(instrs []*code.Instr) (bdd.Node, error) {
+// setCond returns the condition of the template set of instrs: the
+// conjunction of their static conditions and the quiescence of every
+// storage none of them writes.  A single RT takes its baked solo
+// condition; a larger set is built once per session and memoised under
+// its sorted template IDs, because compaction probes few distinct sets
+// many times.  Operand fields are not part of it (see pins).
+func (s *Session) setCond(instrs []*code.Instr) bdd.Node {
 	e := s.e
-	var c bdd.Node
-	solo := false
 	if len(instrs) == 1 {
-		// Baked fast path: the solo condition already conjoins the static
-		// condition with quiescence of every other storage.  A false solo
-		// condition falls through to the slow path for a precise error.
-		c, solo = e.solo[instrs[0].Template]
-		solo = solo && c != e.m.False()
-	}
-	if !solo {
-		c = s.ops.True()
-		s.intended = s.intended[:0]
-		for _, in := range instrs {
-			c = s.ops.And(c, in.Template.Cond.Static)
-			if !in.Template.DestPort {
-				s.intended = append(s.intended, in.Template.Dest)
-			}
-		}
-		if c == s.ops.False() {
-			return c, fmt.Errorf("asm: conflicting execution conditions (instruction encoding conflict)")
+		if c, ok := e.solo[instrs[0].Template]; ok {
+			return c
 		}
 	}
-	lits, err := s.fieldLits(instrs)
-	if err != nil {
-		return s.ops.False(), err
+	s.ids = s.ids[:0]
+	for _, in := range instrs {
+		s.ids = append(s.ids, uint64(in.Template.ID))
 	}
-	c = s.ops.And(c, s.ops.CubeLits(lits))
-	if c == s.ops.False() {
-		return c, fmt.Errorf("asm: operand fields contradict execution conditions")
+	slices.Sort(s.ids)
+	s.key = s.key[:0]
+	for _, id := range s.ids {
+		s.key = binary.AppendUvarint(s.key, id)
 	}
-	if solo {
-		return c, nil
+	if c, ok := s.sets[string(s.key)]; ok {
+		return c
 	}
-	// Quiescence for untouched storages, in sorted storage order.
+	c := s.statics(instrs)
 	for i, st := range e.storageList {
-		if slices.Contains(s.intended, st) {
-			continue
-		}
-		c = s.ops.And(c, e.notQuiesce[i])
 		if c == s.ops.False() {
-			return c, fmt.Errorf("asm: cannot encode word without disturbing %s", st)
+			break
+		}
+		if !writes(instrs, st) {
+			c = s.ops.And(c, e.notQuiesce[i])
 		}
 	}
-	return c, nil
+	s.sets[string(s.key)] = c
+	return c
 }
 
-// fieldLits collects the instruction bits pinned by operand fields as a
-// sorted, deduplicated literal slice.  The result aliases the session's
-// scratch buffer and is valid until the next fieldLits call; this keeps
-// the hottest per-word allocation (formerly a map) off the compile path.
-func (s *Session) fieldLits(instrs []*code.Instr) ([]bdd.Lit, error) {
-	e := s.e
-	lits := s.lits[:0]
+// statics conjoins the static execution conditions of instrs.
+func (s *Session) statics(instrs []*code.Instr) bdd.Node {
+	c := s.ops.True()
 	for _, in := range instrs {
-		for _, f := range in.Fields {
+		c = s.ops.And(c, in.Template.Cond.Static)
+	}
+	return c
+}
+
+// writes reports whether one of instrs writes storage st on purpose.
+func writes(instrs []*code.Instr, st string) bool {
+	for _, in := range instrs {
+		if !in.Template.DestPort && in.Template.Dest == st {
+			return true
+		}
+	}
+	return false
+}
+
+// pins folds the operand fields of instrs into the instruction bits they
+// pin (mask) and the values they pin them to (val); instruction words are
+// at most 64 bits wide.  clash holds the bits two fields pin to different
+// values, and wide is the first field that reaches past the instruction
+// width (nil if none).
+func (e *Encoder) pins(instrs []*code.Instr) (mask, val, clash uint64, wide *code.Field) {
+	width := e.Vars.InsnWidth()
+	for _, in := range instrs {
+		for i := range in.Fields {
+			f := &in.Fields[i]
 			w := f.Hi - f.Lo + 1
-			for b := 0; b < w; b++ {
-				pos := f.Lo + b
-				if pos >= e.Vars.InsnWidth() {
-					return nil, fmt.Errorf("asm: field %s exceeds instruction width %d", f, e.Vars.InsnWidth())
-				}
-				lits = append(lits, bdd.Lit{
-					Var: e.Vars.InsnVars[pos],
-					Val: f.Val&(1<<uint(b)) != 0,
-				})
+			if w <= 0 {
+				continue
 			}
+			if f.Hi >= width {
+				return mask, val, clash, f
+			}
+			fm := ^uint64(0) >> (64 - w) << f.Lo
+			fv := uint64(f.Val) << f.Lo & fm
+			clash |= mask & fm & (val ^ fv)
+			mask, val = mask|fm, val|fv&^mask
 		}
 	}
-	slices.SortFunc(lits, func(a, b bdd.Lit) int { return cmp.Compare(a.Var, b.Var) })
-	// Collapse duplicate pins of one variable; disagreeing pins conflict.
-	out := lits[:0]
-	for i, l := range lits {
-		if i > 0 && l.Var == out[len(out)-1].Var {
-			if l.Val != out[len(out)-1].Val {
-				bit, _ := e.Vars.IsInsnVar(l.Var)
-				return nil, fmt.Errorf("asm: operand fields conflict at instruction bit %d", bit)
-			}
-			continue
+	return mask, val, clash, nil
+}
+
+// lits appends the pinned bits to out as literals in ascending variable
+// order, CubeLits' form.
+func (e *Encoder) lits(mask, val uint64, out []bdd.Lit) []bdd.Lit {
+	for _, pos := range e.byVar {
+		if mask == 0 {
+			break
 		}
-		out = append(out, l)
+		if bit := uint64(1) << pos; mask&bit != 0 {
+			out = append(out, bdd.Lit{Var: e.Vars.InsnVars[pos], Val: val&bit != 0})
+			mask &^= bit
+		}
 	}
-	s.lits = lits
-	return out, nil
+	return out
+}
+
+// Feasible reports whether the instruction set can execute in one word:
+// its template set's condition holds together with its operand fields.
+// It builds no BDD node and no error.
+func (s *Session) Feasible(instrs []*code.Instr) bool {
+	s.cFeas.Inc()
+	mask, val, clash, wide := s.e.pins(instrs)
+	if clash != 0 || wide != nil {
+		return false
+	}
+	c := s.setCond(instrs)
+	if c == s.ops.False() {
+		return false
+	}
+	s.lits = s.e.lits(mask, val, s.lits[:0])
+	return s.ops.SatUnder(c, s.lits)
 }
 
 // Encode picks a concrete instruction word (and required mode state)
-// satisfying the word condition.  Unconstrained bits default to 0.
+// satisfying the word condition.  Unconstrained bits default to 0.  It
+// builds the conjunction of the set condition and the field cube, so the
+// word and the mode state come from the one satisfying path that
+// conjunction has.
 func (s *Session) Encode(instrs []*code.Instr) (word uint64, mode ModeReq, err error) {
-	cond, err := s.WordCond(instrs)
-	if err != nil {
-		return 0, nil, err
-	}
 	e := s.e
+	mask, val, clash, wide := e.pins(instrs)
+	if clash != 0 || wide != nil {
+		return 0, nil, s.encodeErr(instrs)
+	}
+	s.lits = e.lits(mask, val, s.lits[:0])
+	cond := s.ops.And(s.setCond(instrs), s.ops.CubeLits(s.lits))
+	if cond == s.ops.False() {
+		return 0, nil, s.encodeErr(instrs)
+	}
 	// Walk the satisfying path directly: no assignment map, and the mode
 	// map (empty for almost every word) is allocated only when a mode
 	// variable actually appears on the path.
@@ -325,11 +367,43 @@ func (s *Session) Encode(instrs []*code.Instr) (word uint64, mode ModeReq, err e
 	return word, mode, nil
 }
 
-// Feasible reports whether the instruction set can execute in one word.
-func (s *Session) Feasible(instrs []*code.Instr) bool {
-	s.cFeas.Inc()
-	_, err := s.WordCond(instrs)
-	return err == nil
+// encodeErr explains why instrs cannot share a word, checking in a fixed
+// order: the static conditions, the fields' width and agreement, the
+// fields against the conditions, then quiescence storage by storage.  A
+// single RT checks its fields against its solo condition, which already
+// includes quiescence.
+func (s *Session) encodeErr(instrs []*code.Instr) error {
+	e := s.e
+	mask, val, clash, wide := e.pins(instrs)
+	c, solo := s.ops.False(), false
+	if len(instrs) == 1 {
+		c, solo = e.solo[instrs[0].Template]
+		solo = solo && c != s.ops.False()
+	}
+	if !solo {
+		if c = s.statics(instrs); c == s.ops.False() {
+			return fmt.Errorf("asm: conflicting execution conditions (instruction encoding conflict)")
+		}
+	}
+	if wide != nil {
+		return fmt.Errorf("asm: field %s exceeds instruction width %d", *wide, e.Vars.InsnWidth())
+	}
+	if clash != 0 {
+		bit, _ := e.Vars.IsInsnVar(e.lits(clash, 0, nil)[0].Var)
+		return fmt.Errorf("asm: operand fields conflict at instruction bit %d", bit)
+	}
+	if c = s.ops.And(c, s.ops.CubeLits(e.lits(mask, val, nil))); c == s.ops.False() {
+		return fmt.Errorf("asm: operand fields contradict execution conditions")
+	}
+	for i, st := range e.storageList {
+		if solo || writes(instrs, st) {
+			continue
+		}
+		if c = s.ops.And(c, e.notQuiesce[i]); c == s.ops.False() {
+			return fmt.Errorf("asm: cannot encode word without disturbing %s", st)
+		}
+	}
+	return fmt.Errorf("asm: unsatisfiable word condition")
 }
 
 // NOP returns an instruction word that changes no suppressible storage.
@@ -380,11 +454,12 @@ func (s *Session) EncodeProgram(p *code.Program) (ModeReq, error) {
 }
 
 // OverlaySize returns the number of private BDD entries (overlay nodes and
-// filled cache entries) the session's view has accumulated.  Session pools
+// filled cache entries) the session's view has accumulated, plus its
+// memoised template-set conditions.  Session pools
 // use it to decide whether a returned session is still cheap enough to
 // reuse.
 func (s *Session) OverlaySize() int {
-	return s.ops.OverlaySize()
+	return s.ops.OverlaySize() + len(s.sets)
 }
 
 // Listing renders an encoded program as an annotated listing: per word,

@@ -147,3 +147,36 @@ func TestEncodeProgramAndListing(t *testing.T) {
 		t.Error("listing line count mismatch")
 	}
 }
+
+// TestOverlaySizeCountsSetMemo checks that the session's memoised
+// template-set conditions count toward OverlaySize, the figure the
+// compiler's session pool bounds: one entry per distinct multi-RT set,
+// whatever the order of its RTs or their fields, none for a single RT and
+// none for a probe whose fields clash.
+func TestOverlaySizeCountsSetMemo(t *testing.T) {
+	tg := target(t)
+	st := findInstr(t, tg, "ram.m[IW[7:0]] := acc.r", code.Field{Hi: 7, Lo: 0, Val: 5})
+	st9 := findInstr(t, tg, "ram.m[IW[7:0]] := acc.r", code.Field{Hi: 7, Lo: 0, Val: 9})
+	add := findInstr(t, tg, "acc.r := (acc.r + IW[15:0])", code.Field{Hi: 15, Lo: 0, Val: 5})
+	add9 := findInstr(t, tg, "acc.r := (acc.r + IW[15:0])", code.Field{Hi: 15, Lo: 0, Val: 9})
+	s := tg.Encoder.NewSession()
+	for _, probe := range []struct {
+		instrs []*code.Instr
+		sets   int
+	}{
+		{[]*code.Instr{st}, 0},
+		{[]*code.Instr{st, add}, 1},
+		{[]*code.Instr{add, st}, 1},
+		{[]*code.Instr{st9, add9}, 1},
+		{[]*code.Instr{st, add9}, 1},
+		{[]*code.Instr{add, add}, 2},
+	} {
+		s.Feasible(probe.instrs)
+		if s.SetCount() != probe.sets {
+			t.Fatalf("after probing %v: %d memoised sets; want %d", probe.instrs, s.SetCount(), probe.sets)
+		}
+		if got, want := s.OverlaySize(), s.ViewSize()+s.SetCount(); got != want {
+			t.Fatalf("OverlaySize = %d; want %d (view entries plus memoised sets)", got, want)
+		}
+	}
+}

@@ -47,6 +47,9 @@ type View struct {
 	base    *Manager
 	overlay table // handles start at len(base nodes)
 	memo    opCache
+	// failed is SatUnder's scratch: the nodes that failed under the
+	// current call's literals.
+	failed map[Node]struct{}
 }
 
 // NewView returns a fresh copy-on-write overlay.  The manager must be
@@ -174,6 +177,46 @@ func (v *View) AnySat(f Node) (map[int]bool, bool) { return anySat(v.node, f) }
 // semantics match Manager.AnySatWalk.
 func (v *View) AnySatWalk(f Node, fn func(va int, val bool)) bool {
 	return anySatWalk(v.node, f, fn)
+}
+
+// SatUnder reports whether f ∧ CubeLits(lits) is satisfiable — the
+// verdict of And(f, CubeLits(lits)) != False — without building a node or
+// filling a cache entry.  lits must be sorted by Var ascending with no
+// duplicates.  Below a node the literals left to honour are fixed by the
+// node's variable, so a node that fails once fails on every path to it:
+// the walk remembers it and visits each node of f at most once.
+func (v *View) SatUnder(f Node, lits []Lit) bool {
+	clear(v.failed)
+	return v.satUnder(f, lits)
+}
+
+func (v *View) satUnder(f Node, lits []Lit) bool {
+	if f.IsLeaf() {
+		return f == trueNode
+	}
+	if _, ok := v.failed[f]; ok {
+		return false
+	}
+	x := v.node(f)
+	for len(lits) > 0 && lits[0].Var < int(x.v) {
+		lits = lits[1:] // pinned above f: f does not depend on it
+	}
+	var ok bool
+	switch {
+	case len(lits) > 0 && lits[0].Var == int(x.v) && lits[0].Val:
+		ok = v.satUnder(x.hi, lits[1:])
+	case len(lits) > 0 && lits[0].Var == int(x.v):
+		ok = v.satUnder(x.lo, lits[1:])
+	default:
+		ok = v.satUnder(x.lo, lits) || v.satUnder(x.hi, lits)
+	}
+	if !ok {
+		if v.failed == nil {
+			v.failed = make(map[Node]struct{})
+		}
+		v.failed[f] = struct{}{}
+	}
+	return ok
 }
 
 // OverlaySize returns the number of private entries this view retains

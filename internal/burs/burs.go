@@ -18,11 +18,14 @@
 package burs
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
+	"repro/internal/code"
 	"repro/internal/grammar"
 	"repro/internal/rtl"
 )
@@ -81,11 +84,10 @@ func NewParser(g *grammar.Grammar) *Parser {
 func (p *Parser) Label(e *rtl.Expr) *Node {
 	size, nNT := e.Size(), p.G.NumNT()
 	l := &labeler{
-		fields: make(map[FieldKey]int64, 2),
-		nodes:  make([]Node, size),
-		kids:   make([]*Node, size-1),
-		cost:   make([]int32, size*nNT),
-		rule:   make([]*grammar.Rule, size*nNT),
+		nodes: make([]Node, size),
+		kids:  make([]*Node, size-1),
+		cost:  make([]int32, size*nNT),
+		rule:  make([]*grammar.Rule, size*nNT),
 	}
 	for i := range l.cost {
 		l.cost[i] = Inf
@@ -93,11 +95,11 @@ func (p *Parser) Label(e *rtl.Expr) *Node {
 	return p.label(e, l)
 }
 
-// labeler holds one Label call's scratch: the field-binding map, cleared
+// labeler holds one Label call's scratch: the field bindings, emptied
 // before each rule probe, and the unclaimed rest of the arrays the nodes
 // and their labels are carved from.
 type labeler struct {
-	fields map[FieldKey]int64
+	fields []code.Field
 	nodes  []Node
 	kids   []*Node
 	cost   []int32
@@ -119,9 +121,8 @@ func (p *Parser) label(e *rtl.Expr, l *labeler) *Node {
 		rules = p.G.RulesByTerm[term]
 	}
 	for _, r := range rules {
-		clear(l.fields)
-		c := p.MatchCostFields(r.Pat, node, l.fields)
-		if c >= Inf {
+		var c int32
+		if c, l.fields = p.MatchCostFields(r.Pat, node, l.fields[:0]); c >= Inf {
 			continue
 		}
 		total := int32(r.Cost) + c
@@ -151,44 +152,46 @@ func (p *Parser) label(e *rtl.Expr, l *labeler) *Node {
 	return node
 }
 
-// FieldKey identifies an instruction field by its bit range.
-type FieldKey struct{ Hi, Lo int }
-
 // MatchCostFields returns the cost of matching pattern pat at node
-// (excluding the rule's own cost), or Inf.  Nonlinear patterns — where one instruction field appears at
-// several leaves (both FU inputs wired to the same memory output, say) —
-// only match when every occurrence binds the same operand value; fields
-// holds the bindings made so far and receives the new ones.  The same
-// (non-nil) map may be shared across several patterns (a template's
-// source and destination-address patterns) to enforce global
-// consistency.
-func (p *Parser) MatchCostFields(pat *grammar.Pat, node *Node, fields map[FieldKey]int64) int32 {
+// (excluding the rule's own cost), or Inf, and fields with the operand
+// fields the match binds added.  fields is kept sorted by (Lo, Hi) and
+// holds each bit range once.  Nonlinear patterns — where one instruction
+// field appears at several leaves (both FU inputs wired to the same memory
+// output, say) — only match when every occurrence binds the same operand
+// value.  Passing one pattern's result on to the next (a template's source
+// and destination-address patterns) enforces consistency across both.
+func (p *Parser) MatchCostFields(pat *grammar.Pat, node *Node, fields []code.Field) (int32, []code.Field) {
 	if pat.Kind == grammar.PatNT {
-		return node.cost[pat.NT]
+		return node.cost[pat.NT], fields
 	}
 	if !pat.MatchesLeaf(node.Expr) {
-		return Inf
+		return Inf, fields
 	}
 	if pat.Kind == grammar.PatImm {
-		key := FieldKey{pat.ImmHi, pat.ImmLo}
-		if prev, ok := fields[key]; ok && prev != node.Expr.Val {
-			return Inf
+		f := code.Field{Hi: pat.ImmHi, Lo: pat.ImmLo, Val: node.Expr.Val}
+		i, found := slices.BinarySearchFunc(fields, f, func(a, b code.Field) int {
+			return cmp.Or(cmp.Compare(a.Lo, b.Lo), cmp.Compare(a.Hi, b.Hi))
+		})
+		if !found {
+			return 0, slices.Insert(fields, i, f)
 		}
-		fields[key] = node.Expr.Val
-		return 0
+		if fields[i].Val != f.Val {
+			return Inf, fields
+		}
+		return 0, fields
 	}
 	if len(pat.Kids) != len(node.Kids) {
-		return Inf
+		return Inf, fields
 	}
 	var sum int32
 	for i, kid := range node.Kids {
-		c := p.MatchCostFields(pat.Kids[i], kid, fields)
-		if c >= Inf {
-			return Inf
+		var c int32
+		if c, fields = p.MatchCostFields(pat.Kids[i], kid, fields); c >= Inf {
+			return Inf, fields
 		}
 		sum += c
 	}
-	return sum
+	return sum, fields
 }
 
 // Step is one rule application in a derivation.  Kids are the

@@ -9,6 +9,7 @@ package codegen
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/bind"
@@ -283,32 +284,30 @@ func (cg *Generator) compileWhole(et *bind.ET) ([]*code.Instr, error) {
 // matches the labelled tree and whose destination-address pattern matches
 // the labelled address tree (with globally consistent operand fields), and
 // returns it with its cost and those fields.
-func (cg *Generator) selectRoot(dest string, root, addrRoot *burs.Node) (*grammar.Rule, int, map[burs.FieldKey]int64, error) {
+func (cg *Generator) selectRoot(dest string, root, addrRoot *burs.Node) (*grammar.Rule, int, []code.Field, error) {
 	nt := cg.G.NT(dest)
 	if nt < 0 {
 		return nil, 0, nil, fmt.Errorf("unknown destination %q", dest)
 	}
 	var best *grammar.Rule
-	var bestFields map[burs.FieldKey]int64
+	var fields, bestFields []code.Field
 	bestCost := int32(burs.Inf)
 	for _, r := range cg.G.Rules {
 		if r.Kind != grammar.KindRT || r.LHS != nt || r.AddrPat == nil {
 			continue
 		}
-		fields := make(map[burs.FieldKey]int64, 2)
-		c := cg.P.MatchCostFields(r.Pat, root, fields)
-		if c >= burs.Inf {
+		var c, ac int32
+		if c, fields = cg.P.MatchCostFields(r.Pat, root, fields[:0]); c >= burs.Inf {
 			continue
 		}
-		ac := cg.P.MatchCostFields(r.AddrPat, addrRoot, fields)
-		if ac >= burs.Inf {
+		if ac, fields = cg.P.MatchCostFields(r.AddrPat, addrRoot, fields); ac >= burs.Inf {
 			continue
 		}
 		total := int32(r.Cost) + c + ac
 		if total < bestCost {
 			bestCost = total
 			best = r
-			bestFields = fields
+			bestFields = append(bestFields[:0], fields...)
 		}
 	}
 	if best == nil {
@@ -323,15 +322,14 @@ func (cg *Generator) genStep(step *burs.Step) ([]*code.Instr, error) {
 	if step.Rule.Kind == grammar.KindStop {
 		return nil, nil // value already resides in the register
 	}
-	fields := make(map[burs.FieldKey]int64, 2)
-	cg.P.MatchCostFields(step.Rule.Pat, step.Node, fields)
+	_, fields := cg.P.MatchCostFields(step.Rule.Pat, step.Node, nil)
 	return cg.genStepWithFields(step, fields)
 }
 
 // genStepWithFields is genStep with the operand fields of the final
 // instruction given (the memory-destination root also binds address
 // fields).
-func (cg *Generator) genStepWithFields(step *burs.Step, fields map[burs.FieldKey]int64) ([]*code.Instr, error) {
+func (cg *Generator) genStepWithFields(step *burs.Step, fields []code.Field) ([]*code.Instr, error) {
 	r := step.Rule
 
 	// Generate operand code bottom-up.
@@ -358,19 +356,26 @@ func (cg *Generator) genStepWithFields(step *burs.Step, fields map[burs.FieldKey
 		}
 	}
 
-	order, spilled, err := cg.schedule(kidCode, kidReg, step)
+	order, spilled, err := schedule(kidCode, kidReg)
 	if err != nil {
 		return nil, err
 	}
 
-	var out []*code.Instr
-	scratchOf := make(map[int]int) // kid index -> scratch cell
+	size := 1 // the kids' code and this step's instruction; spills grow it
+	for _, c := range kidCode {
+		size += len(c)
+	}
+	out := make([]*code.Instr, 0, size)
+	var scratchOf []int // kid index -> scratch cell, made on the first spill
 	for _, i := range order {
 		out = append(out, kidCode[i]...)
 		if spilled[i] {
 			cell, err := cg.allocScratch()
 			if err != nil {
 				return nil, err
+			}
+			if scratchOf == nil {
+				scratchOf = make([]int, n)
 			}
 			scratchOf[i] = cell
 			store, err := cg.spillStore(kidReg[i], cell)
@@ -403,30 +408,40 @@ func (cg *Generator) genStepWithFields(step *burs.Step, fields map[burs.FieldKey
 		cg.freeScratch(scratchOf[i])
 	}
 
-	out = append(out, &code.Instr{Template: r.Template, Swap: r.Swap, Fields: sortedFields(fields)})
+	out = append(out, &code.Instr{Template: r.Template, Swap: r.Swap, Fields: fields})
 	return out, nil
 }
 
 // schedule picks an operand evaluation order minimizing clobbering, and
 // marks operands that still need spilling.  A value computed earlier is
-// clobbered when a later operand's code writes its register.
-func (cg *Generator) schedule(kidCode [][]*code.Instr, kidReg []string,
-	step *burs.Step) (order []int, spilled []bool, err error) {
-
+// clobbered when a later operand's code writes its register.  Up to
+// maxPermuted operands every order is tried; more keep their own order.
+func schedule(kidCode [][]*code.Instr, kidReg []string) (order []int, spilled []bool, err error) {
 	n := len(kidCode)
 	spilled = make([]bool, n)
-	if n <= 1 {
-		for i := 0; i < n; i++ {
-			order = append(order, i)
+	var perms [][]int // the orders to try, the identity first
+	if n <= maxPermuted {
+		perms = permTable[n]
+	} else {
+		identity := make([]int, n)
+		for i := range identity {
+			identity[i] = i
 		}
+		perms = [][]int{identity}
+	}
+	order = perms[0]
+	if n <= 1 {
 		return order, spilled, nil
 	}
 
-	writes := make([]map[string]bool, n)
-	for i, c := range kidCode {
-		writes[i] = make(map[string]bool)
+	// clob[a*n+b]: b's code writes a's register.
+	clob := make([]bool, n*n)
+	for b, c := range kidCode {
 		for _, in := range c {
-			writes[i][in.Def().Storage] = true
+			d := in.Def().Storage
+			for a, reg := range kidReg {
+				clob[a*n+b] = clob[a*n+b] || reg == d
+			}
 		}
 	}
 	conflicts := func(ord []int) int {
@@ -437,10 +452,10 @@ func (cg *Generator) schedule(kidCode [][]*code.Instr, kidReg []string,
 				if kidCode[b] == nil {
 					continue // elided duplicate
 				}
-				if writes[b][kidReg[a]] {
+				if clob[a*n+b] {
 					cnt++
 				}
-				if kidReg[a] == kidReg[b] && kidCode[b] != nil && kidCode[a] != nil {
+				if kidReg[a] == kidReg[b] && kidCode[a] != nil {
 					cnt++ // same register needed for two distinct values
 				}
 			}
@@ -448,29 +463,23 @@ func (cg *Generator) schedule(kidCode [][]*code.Instr, kidReg []string,
 		return cnt
 	}
 
-	best := make([]int, n)
-	for i := range best {
-		best[i] = i
-	}
-	bestConf := conflicts(best)
-	perms := permutations(n)
-	for _, p := range perms {
-		if c := conflicts(p); c < bestConf {
-			bestConf = c
-			best = append([]int(nil), p...)
-		}
+	bestConf := conflicts(order)
+	for _, p := range perms[1:] {
 		if bestConf == 0 {
 			break
+		}
+		if c := conflicts(p); c < bestConf {
+			bestConf, order = c, p
 		}
 	}
 	// Remaining conflicts: spill every earlier operand clobbered later.
 	for ai := 0; ai < n; ai++ {
 		for bi := ai + 1; bi < n; bi++ {
-			a, b := best[ai], best[bi]
+			a, b := order[ai], order[bi]
 			if kidCode[b] == nil {
 				continue
 			}
-			if writes[b][kidReg[a]] {
+			if clob[a*n+b] {
 				spilled[a] = true
 			}
 			if kidReg[a] == kidReg[b] && kidCode[a] != nil {
@@ -481,33 +490,37 @@ func (cg *Generator) schedule(kidCode [][]*code.Instr, kidReg []string,
 			}
 		}
 	}
-	return best, spilled, nil
+	return order, spilled, nil
 }
 
-func permutations(n int) [][]int {
-	if n > 4 {
-		n = 4 // patterns never carry more nonterminals in practice
-	}
-	var out [][]int
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	var rec func(k int)
-	rec = func(k int) {
-		if k == n {
-			out = append(out, append([]int(nil), perm...))
-			return
+// maxPermuted is the most operands schedule tries every order of; patterns
+// rarely carry more nonterminals.
+const maxPermuted = 4
+
+// permTable[n] lists the orders of n operands, the identity first.  The
+// orders are shared: callers must not modify them.
+var permTable = func() (t [maxPermuted + 1][][]int) {
+	for n := range t {
+		perm := make([]int, n)
+		for i := range perm {
+			perm[i] = i
 		}
-		for i := k; i < n; i++ {
-			perm[k], perm[i] = perm[i], perm[k]
-			rec(k + 1)
-			perm[k], perm[i] = perm[i], perm[k]
+		var rec func(k int)
+		rec = func(k int) {
+			if k == n {
+				t[n] = append(t[n], slices.Clone(perm))
+				return
+			}
+			for i := k; i < n; i++ {
+				perm[k], perm[i] = perm[i], perm[k]
+				rec(k + 1)
+				perm[k], perm[i] = perm[i], perm[k]
+			}
 		}
+		rec(0)
 	}
-	rec(0)
-	return out
-}
+	return t
+}()
 
 // spillStore emits code storing register reg into the scratch cell.
 func (cg *Generator) spillStore(reg string, cell int) ([]*code.Instr, error) {
@@ -557,22 +570,4 @@ func (cg *Generator) allocScratch() (int, error) {
 
 func (cg *Generator) freeScratch(cell int) {
 	cg.scratchFree = append(cg.scratchFree, cell)
-}
-
-func sortedFields(m map[burs.FieldKey]int64) []code.Field {
-	keys := make([]burs.FieldKey, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Lo != keys[j].Lo {
-			return keys[i].Lo < keys[j].Lo
-		}
-		return keys[i].Hi < keys[j].Hi
-	})
-	out := make([]code.Field, len(keys))
-	for i, k := range keys {
-		out[i] = code.Field{Hi: k.Hi, Lo: k.Lo, Val: m[k]}
-	}
-	return out
 }

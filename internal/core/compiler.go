@@ -39,15 +39,16 @@ import (
 	"repro/internal/opt"
 )
 
-// maxPooledOverlay bounds the private BDD entries (overlay nodes plus
-// filled operation-cache entries) a pooled session may accumulate before
-// ReleaseSession drops it instead of recycling it: the warm cache is worth
-// keeping, an unboundedly growing overlay is not.  The view's cache is
-// sized from its node count, so 2^16 entries is at most ~2 MB of overlay
-// slices per retained session.  A session that has compiled every DSPStone
-// kernel at the sizes recordbench draws on tms320c25 (N ≤ 64, ≤ 32 for
-// n_complex_updates and biquad_N) holds about 44k entries (28k nodes and
-// 16k filled cache entries), so it stays pooled.
+// maxPooledOverlay bounds the private entries (BDD overlay nodes, filled
+// operation-cache entries and memoised template-set conditions) a pooled
+// session may accumulate before ReleaseSession drops it instead of
+// recycling it: the warm cache is worth keeping, an unboundedly growing
+// overlay is not.  The view's cache is sized from its node count, so 2^16
+// entries is at most ~2 MB of overlay slices per retained session.  A
+// session that has compiled every DSPStone kernel on tms320c25 at every
+// size recordbench can draw (8 ≤ N ≤ 64, ≤ 32 for n_complex_updates and
+// biquad_N) holds about 24.5k entries, 19 of them template sets, so it
+// stays pooled.
 const maxPooledOverlay = 1 << 16
 
 // compileStages are the per-program pipeline stage labels, in order.

@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/diag"
 	"repro/internal/ir"
+	"repro/internal/ir/irtest"
 	"repro/internal/models"
 	"repro/internal/obs"
 	"repro/internal/rtl"
@@ -381,7 +382,7 @@ func TestControlFlowCompileObserved(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer()
 	c := newCompiler(t, brancher(t), core.Config{Obs: obs.NewScope(reg, tr)})
-	res, err := c.CompileSource(context.Background(), collatzSource)
+	res, err := c.CompileSource(context.Background(), irtest.Collatz)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +421,7 @@ func TestPropRandomControlFlow(t *testing.T) {
 	target := brancher(t)
 	rng := rand.New(rand.NewSource(4242))
 	for trial := 0; trial < 80; trial++ {
-		p := randomCFProgram(rng)
+		p := irtest.RandomCF(rng)
 		res, err := newCompiler(t, target, core.Config{}).CompileProgramOpts(context.Background(), p, core.CompileOptions{})
 		if err != nil {
 			t.Fatalf("trial %d: compile: %v", trial, err)
@@ -437,7 +438,7 @@ func TestPropRandomControlFlowNoCompaction(t *testing.T) {
 	target := brancher(t)
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 30; trial++ {
-		p := randomCFProgram(rng)
+		p := irtest.RandomCF(rng)
 		res, err := newCompiler(t, target, core.Config{}).CompileProgramOpts(context.Background(), p, core.CompileOptions{NoCompaction: true})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -466,7 +467,7 @@ func TestPooledCompileByteIdentical(t *testing.T) {
 	progs := make([]*ir.Program, 10)
 	ref := make([][]uint64, len(progs))
 	for i := range progs {
-		progs[i] = randomCFProgram(rng)
+		progs[i] = irtest.RandomCF(rng)
 		res, err := newCompiler(t, target, core.Config{}).CompileProgramOpts(ctx, progs[i], core.CompileOptions{})
 		if err != nil {
 			t.Fatalf("fresh reference %d: %v", i, err)

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dspstone"
+	"repro/internal/ir/irtest"
 	"repro/internal/models"
 )
 
@@ -72,10 +73,10 @@ func TestCompileProductsPinned(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(4242))
 	for i := 0; i < 80; i++ {
-		res, err := branch.CompileProgramOpts(ctx, randomCFProgram(rng), core.CompileOptions{})
+		res, err := branch.CompileProgramOpts(ctx, irtest.RandomCF(rng), core.CompileOptions{})
 		add(fmt.Sprintf("brancher/cf%02d", i), branch, res, err)
 	}
-	res, err := branch.CompileSource(ctx, collatzSource)
+	res, err := branch.CompileSource(ctx, irtest.Collatz)
 	add("brancher/collatz", branch, res, err)
 
 	got := strings.Join(lines, "\n") + "\n"

@@ -1,4 +1,6 @@
-package core_test
+// Package irtest holds a seeded corpus of control-flow programs for tests
+// that compile the same programs in several packages.
+package irtest
 
 import (
 	"fmt"
@@ -8,10 +10,10 @@ import (
 	"repro/internal/rtl"
 )
 
-// randomCFProgram generates a structured random program with nested
-// if/while over a few scalars, with loops guaranteed to terminate (each
-// while decrements a dedicated counter).
-func randomCFProgram(rng *rand.Rand) *ir.Program {
+// RandomCF generates a structured random program with nested if/while
+// over a few scalars, with loops guaranteed to terminate (each while
+// decrements a dedicated counter).
+func RandomCF(rng *rand.Rand) *ir.Program {
 	scalars := []string{"v0", "v1", "v2"}
 	p := &ir.Program{}
 	for i, s := range scalars {
@@ -79,8 +81,8 @@ func randomCFProgram(rng *rand.Rand) *ir.Program {
 	return p
 }
 
-// collatzSource is the Collatz program of examples/controlflow.
-const collatzSource = `
+// Collatz is the Collatz program of examples/controlflow in RecC.
+const Collatz = `
 int n = 27;
 int steps;
 int peak;
