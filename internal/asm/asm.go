@@ -28,9 +28,9 @@ import (
 
 // Encoder encodes instruction words for one extracted machine.
 //
-// A fresh Encoder cannot encode yet: Freeze bakes the per-template
-// encoding tables and freezes the manager, after which the Encoder is
-// immutable and any number of Sessions may encode concurrently.
+// A fresh Encoder cannot encode yet: Freeze bakes the encoding tables and
+// freezes the manager, after which the Encoder is immutable and any
+// number of Sessions may encode concurrently.
 type Encoder struct {
 	Vars *ise.VarMap
 	Base *rtl.Base
@@ -38,22 +38,15 @@ type Encoder struct {
 	m *bdd.Manager
 	// quiesce maps a storage to the disjunction of the static conditions
 	// of its suppressible write templates.
-	quiesce map[string]bdd.Node
+	quiesce     map[string]bdd.Node
+	storageList []string   // sorted quiesce keys
+	notQuiesce  []bdd.Node // ¬quiesce[storageList[i]]
 	// quiet is the conjunction of all negated quiesce conditions (the NOP
 	// condition).
 	quiet bdd.Node
 
 	// Baked at Freeze time; read-only afterwards.
-	frozen      bool
-	storageList []string   // sorted quiesce keys
-	notQuiesce  []bdd.Node // ¬quiesce[storageList[i]]
-	byVar       []int      // instruction bit positions in ascending variable order
-	// solo[t] is t's full single-instruction word condition: its static
-	// execution condition conjoined with quiescence of every other
-	// suppressible storage.  Encoding the common case (one RT per word,
-	// and every word under -no-compaction) is then one cube conjunction
-	// and a satisfiability walk — no shared-state mutation at all.
-	solo map[*rtl.Template]bdd.Node
+	byVar []int // instruction bit positions in ascending variable order
 	// nop is the baked quiescent instruction word; nopErr records a
 	// machine without one.
 	nop    uint64
@@ -61,10 +54,11 @@ type Encoder struct {
 }
 
 // NewEncoder analyses the template base and builds the quiescence
-// conditions.  background lists storages that are written every cycle by
-// design (the program counter behind a next-PC multiplexer): they are
-// exempt from quiescence, and their unconstrained control bits default to
-// 0 — models must make the all-zero selection the benign one (PC+1).
+// conditions and their negations in sorted storage order.  background
+// lists storages that are written every cycle by design (the program
+// counter behind a next-PC multiplexer): they are exempt from quiescence,
+// and their unconstrained control bits default to 0 — models must make
+// the all-zero selection the benign one (PC+1).
 func NewEncoder(vars *ise.VarMap, base *rtl.Base, background ...string) *Encoder {
 	e := &Encoder{Vars: vars, Base: base, m: vars.M,
 		quiesce: make(map[string]bdd.Node)}
@@ -87,65 +81,32 @@ func NewEncoder(vars *ise.VarMap, base *rtl.Base, background ...string) *Encoder
 		}
 		e.quiesce[t.Dest] = e.m.Or(prev, t.Cond.Static)
 	}
+	for s := range e.quiesce {
+		e.storageList = append(e.storageList, s)
+	}
+	sort.Strings(e.storageList)
 	e.quiet = e.m.True()
-	for _, s := range e.storages() {
-		e.quiet = e.m.And(e.quiet, e.m.Not(e.quiesce[s]))
+	for _, s := range e.storageList {
+		nq := e.m.Not(e.quiesce[s])
+		e.notQuiesce = append(e.notQuiesce, nq)
+		e.quiet = e.m.And(e.quiet, nq)
 	}
 	return e
-}
-
-func (e *Encoder) storages() []string {
-	out := make([]string, 0, len(e.quiesce))
-	for s := range e.quiesce {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ModeReq is a required mode-register state: storage name → bit values.
 type ModeReq map[string]int64
 
-// Freeze bakes the read-only encoding tables — per-template solo word
-// conditions, negated quiescence conditions in sorted storage order, the
-// NOP word — and freezes the BDD manager.  After Freeze the Encoder never
-// mutates shared state: every residual BDD operation a Session performs
-// runs through a private copy-on-write view, so any number of Sessions
-// may encode concurrently.  Freeze is idempotent and must be the last
-// manager-mutating step of a retarget.
+// Freeze bakes the read-only encoding tables (the instruction bits in
+// variable order, the NOP word) and freezes the BDD manager; it builds no
+// word condition.  After Freeze the Encoder never mutates shared state:
+// every residual BDD operation a Session performs runs through a private
+// copy-on-write view, so any number of Sessions may encode concurrently.
+// Freeze is idempotent and must be the last manager-mutating step of a
+// retarget.
 func (e *Encoder) Freeze() {
-	if e.frozen {
+	if e.m.Frozen() {
 		return
-	}
-	e.storageList = e.storages()
-	e.notQuiesce = make([]bdd.Node, len(e.storageList))
-	for i, s := range e.storageList {
-		e.notQuiesce[i] = e.m.Not(e.quiesce[s])
-	}
-	// quietBut[i] is the quiescence of every storage except storageList[i],
-	// from prefix and suffix products: O(storages) Ands instead of one per
-	// (template, storage) pair.  Each template then costs a single And;
-	// ROBDD canonicity makes the result the node the storage-by-storage
-	// conjunction would reach.
-	n := len(e.storageList)
-	quietBut := make([]bdd.Node, n)
-	prefix := e.m.True()
-	for i := range n {
-		quietBut[i] = prefix
-		prefix = e.m.And(prefix, e.notQuiesce[i])
-	}
-	suffix := e.m.True()
-	for i := n - 1; i >= 0; i-- {
-		quietBut[i] = e.m.And(quietBut[i], suffix)
-		suffix = e.m.And(suffix, e.notQuiesce[i])
-	}
-	e.solo = make(map[*rtl.Template]bdd.Node, e.Base.Len())
-	for _, t := range e.Base.Templates {
-		q := e.quiet
-		if i := sort.SearchStrings(e.storageList, t.Dest); !t.DestPort && i < n && e.storageList[i] == t.Dest {
-			q = quietBut[i]
-		}
-		e.solo[t] = e.m.And(t.Cond.Static, q)
 	}
 	e.byVar = make([]int, e.Vars.InsnWidth())
 	for i := range e.byVar {
@@ -153,12 +114,11 @@ func (e *Encoder) Freeze() {
 	}
 	slices.SortFunc(e.byVar, func(a, b int) int { return cmp.Compare(e.Vars.InsnVars[a], e.Vars.InsnVars[b]) })
 	e.nop, e.nopErr = e.nopWord()
-	e.frozen = true
 	e.m.Freeze()
 }
 
 // Frozen reports whether Freeze has run.
-func (e *Encoder) Frozen() bool { return e.frozen }
+func (e *Encoder) Frozen() bool { return e.m.Frozen() }
 
 // Session is one encoding session against the frozen encoder.  Sessions
 // are independent and may run concurrently; one Session must not be
@@ -172,11 +132,14 @@ type Session struct {
 	e   *Encoder
 	ops *bdd.View // private copy-on-write overlay on the frozen manager
 
-	// sets memoises setCond per template set, keyed by the sorted
-	// template IDs; ids and key are the scratch its lookups build.
-	sets map[string]bdd.Node
-	ids  []uint64
-	key  []byte
+	// singles[id] is 1 + setCond of one RT of template id (0: not built;
+	// nsingles counts the built), sets that of a larger set keyed by its
+	// sorted template IDs; ids and key are the scratch its lookups build.
+	singles  []bdd.Node
+	nsingles int
+	sets     map[string]bdd.Node
+	ids      []uint64
+	key      []byte
 	// lits is scratch for operand-field literals, reused across words so
 	// the per-word cube costs no fresh slice.
 	lits []bdd.Lit
@@ -189,7 +152,8 @@ type Session struct {
 // NewSession opens an encoding session with a private view of the frozen
 // manager.  It panics with a bdd.InvariantError before Freeze.
 func (e *Encoder) NewSession() *Session {
-	return &Session{e: e, ops: e.m.NewView(), sets: make(map[string]bdd.Node)}
+	return &Session{e: e, ops: e.m.NewView(), sets: make(map[string]bdd.Node),
+		singles: make([]bdd.Node, e.Base.Len())}
 }
 
 // NewSessionObs opens an encoding session with instrumentation: every
@@ -210,16 +174,19 @@ func (e *Encoder) NewSessionObs(scope *obs.Scope) *Session {
 
 // setCond returns the condition of the template set of instrs: the
 // conjunction of their static conditions and the quiescence of every
-// storage none of them writes.  A single RT takes its baked solo
-// condition; a larger set is built once per session and memoised under
-// its sorted template IDs, because compaction probes few distinct sets
-// many times.  Operand fields are not part of it (see pins).
+// storage none of them writes.  Each set, a single RT included, is built
+// on its first use in the session and memoised, a single RT under its
+// template ID and a larger set under its sorted template IDs: a compile
+// uses few distinct sets, and compaction probes them many times.  Operand
+// fields are not part of it (see pins).
 func (s *Session) setCond(instrs []*code.Instr) bdd.Node {
-	e := s.e
 	if len(instrs) == 1 {
-		if c, ok := e.solo[instrs[0].Template]; ok {
-			return c
+		memo := &s.singles[instrs[0].Template.ID]
+		if *memo == 0 {
+			*memo = 1 + s.build(instrs)
+			s.nsingles++
 		}
+		return *memo - 1
 	}
 	s.ids = s.ids[:0]
 	for _, in := range instrs {
@@ -233,16 +200,23 @@ func (s *Session) setCond(instrs []*code.Instr) bdd.Node {
 	if c, ok := s.sets[string(s.key)]; ok {
 		return c
 	}
+	c := s.build(instrs)
+	s.sets[string(s.key)] = c
+	return c
+}
+
+// build conjoins the static conditions of instrs and the quiescence of
+// every storage none of them writes.
+func (s *Session) build(instrs []*code.Instr) bdd.Node {
 	c := s.statics(instrs)
-	for i, st := range e.storageList {
+	for i, st := range s.e.storageList {
 		if c == s.ops.False() {
 			break
 		}
 		if !writes(instrs, st) {
-			c = s.ops.And(c, e.notQuiesce[i])
+			c = s.ops.And(c, s.e.notQuiesce[i])
 		}
 	}
-	s.sets[string(s.key)] = c
 	return c
 }
 
@@ -370,16 +344,16 @@ func (s *Session) Encode(instrs []*code.Instr) (word uint64, mode ModeReq, err e
 // encodeErr explains why instrs cannot share a word, checking in a fixed
 // order: the static conditions, the fields' width and agreement, the
 // fields against the conditions, then quiescence storage by storage.  A
-// single RT checks its fields against its solo condition, which already
-// includes quiescence.
+// single RT whose set condition is satisfiable checks its fields against
+// that condition, which already includes quiescence.
 func (s *Session) encodeErr(instrs []*code.Instr) error {
 	e := s.e
 	mask, val, clash, wide := e.pins(instrs)
-	c, solo := s.ops.False(), false
+	c := s.ops.False()
 	if len(instrs) == 1 {
-		c, solo = e.solo[instrs[0].Template]
-		solo = solo && c != s.ops.False()
+		c = s.setCond(instrs)
 	}
+	solo := c != s.ops.False()
 	if !solo {
 		if c = s.statics(instrs); c == s.ops.False() {
 			return fmt.Errorf("asm: conflicting execution conditions (instruction encoding conflict)")
@@ -412,16 +386,13 @@ func (s *Session) NOP() (uint64, error) {
 }
 
 // nopWord picks a quiescent word from the quiet condition (read-only).
-func (e *Encoder) nopWord() (uint64, error) {
-	assign, ok := e.m.AnySat(e.quiet)
-	if !ok {
-		return 0, fmt.Errorf("asm: machine has no quiescent encoding (NOP impossible)")
-	}
-	var word uint64
-	for v, val := range assign {
+func (e *Encoder) nopWord() (word uint64, err error) {
+	if !e.m.AnySatWalk(e.quiet, func(v int, val bool) {
 		if bit, isInsn := e.Vars.IsInsnVar(v); isInsn && val {
 			word |= 1 << uint(bit)
 		}
+	}) {
+		return 0, fmt.Errorf("asm: machine has no quiescent encoding (NOP impossible)")
 	}
 	return word, nil
 }
@@ -459,7 +430,7 @@ func (s *Session) EncodeProgram(p *code.Program) (ModeReq, error) {
 // use it to decide whether a returned session is still cheap enough to
 // reuse.
 func (s *Session) OverlaySize() int {
-	return s.ops.OverlaySize() + len(s.sets)
+	return s.ops.OverlaySize() + s.nsingles + len(s.sets)
 }
 
 // Listing renders an encoded program as an annotated listing: per word,

@@ -150,9 +150,9 @@ func TestEncodeProgramAndListing(t *testing.T) {
 
 // TestOverlaySizeCountsSetMemo checks that the session's memoised
 // template-set conditions count toward OverlaySize, the figure the
-// compiler's session pool bounds: one entry per distinct multi-RT set,
-// whatever the order of its RTs or their fields, none for a single RT and
-// none for a probe whose fields clash.
+// compiler's session pool bounds: one entry per distinct template set,
+// whatever the order of its RTs or their fields, a single RT included,
+// and none for a probe whose fields clash.
 func TestOverlaySizeCountsSetMemo(t *testing.T) {
 	tg := target(t)
 	st := findInstr(t, tg, "ram.m[IW[7:0]] := acc.r", code.Field{Hi: 7, Lo: 0, Val: 5})
@@ -164,12 +164,13 @@ func TestOverlaySizeCountsSetMemo(t *testing.T) {
 		instrs []*code.Instr
 		sets   int
 	}{
-		{[]*code.Instr{st}, 0},
-		{[]*code.Instr{st, add}, 1},
-		{[]*code.Instr{add, st}, 1},
-		{[]*code.Instr{st9, add9}, 1},
-		{[]*code.Instr{st, add9}, 1},
-		{[]*code.Instr{add, add}, 2},
+		{[]*code.Instr{st}, 1},
+		{[]*code.Instr{st9}, 1},
+		{[]*code.Instr{st, add}, 2},
+		{[]*code.Instr{add, st}, 2},
+		{[]*code.Instr{st9, add9}, 2},
+		{[]*code.Instr{st, add9}, 2},
+		{[]*code.Instr{add, add}, 3},
 	} {
 		s.Feasible(probe.instrs)
 		if s.SetCount() != probe.sets {
@@ -178,5 +179,10 @@ func TestOverlaySizeCountsSetMemo(t *testing.T) {
 		if got, want := s.OverlaySize(), s.ViewSize()+s.SetCount(); got != want {
 			t.Fatalf("OverlaySize = %d; want %d (view entries plus memoised sets)", got, want)
 		}
+	}
+	// Encode's error path explains a field clash without building the
+	// set's condition.
+	if _, _, err := s.Encode([]*code.Instr{st, st9}); err == nil || s.SetCount() != 3 {
+		t.Fatalf("Encode of a field clash: err %v, %d memoised sets; want an error and 3", err, s.SetCount())
 	}
 }

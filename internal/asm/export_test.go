@@ -12,8 +12,9 @@ import (
 // SetCond exposes the memoised template-set condition of instrs.
 func (s *Session) SetCond(instrs []*code.Instr) bdd.Node { return s.setCond(instrs) }
 
-// SetCount returns the number of template sets the session has memoised.
-func (s *Session) SetCount() int { return len(s.sets) }
+// SetCount returns the number of template sets the session has memoised,
+// single RTs included.
+func (s *Session) SetCount() int { return s.nsingles + len(s.sets) }
 
 // ViewSize returns the private entries of the session's BDD view alone.
 func (s *Session) ViewSize() int { return s.ops.OverlaySize() }
@@ -26,7 +27,7 @@ func (s *Session) RefSetCond(instrs []*code.Instr) bdd.Node {
 	for _, in := range instrs {
 		c = s.ops.And(c, in.Template.Cond.Static)
 	}
-	for _, st := range s.e.storages() {
+	for _, st := range s.e.storageList {
 		if !slices.ContainsFunc(instrs, func(in *code.Instr) bool {
 			return !in.Template.DestPort && in.Template.Dest == st
 		}) {
@@ -40,14 +41,16 @@ func (s *Session) RefSetCond(instrs []*code.Instr) bdd.Node {
 // built every probe before the template-set memo: the static conditions,
 // the sorted operand-field cube and the quiescence of every untouched
 // storage, conjoined in that order with an error at the first conjunct
-// that makes the word unencodable.
+// that makes the word unencodable.  A single RT whose fresh set condition
+// (RefSetCond) is satisfiable starts from that condition instead, which
+// already includes quiescence.
 func (s *Session) RefWordCond(instrs []*code.Instr) (bdd.Node, error) {
 	e := s.e
 	var c bdd.Node
 	solo := false
 	if len(instrs) == 1 {
-		c, solo = e.solo[instrs[0].Template]
-		solo = solo && c != e.m.False()
+		c = s.RefSetCond(instrs)
+		solo = c != s.ops.False()
 	}
 	var intended []string
 	if !solo {

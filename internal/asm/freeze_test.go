@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/bdd"
+	"repro/internal/code"
 	"repro/internal/hdl"
 	"repro/internal/ise"
 	"repro/internal/models"
@@ -75,27 +76,18 @@ CONNECT
 END.
 `
 
-// TestFreezeSoloMatchesStorageByStorage checks that Freeze's one And per
-// template reaches the very node the storage-by-storage conjunction does:
-// each template's static condition conjoined with ¬quiesce of every
-// suppressible storage other than its own destination, in sorted order.
-// Port drives and background destinations have no quiescence entry of
-// their own, so they conjoin every storage.
+// TestFreezeSoloMatchesStorageByStorage checks that a session's
+// condition for a single RT is the very node the storage-by-storage
+// conjunction reaches: the template's static condition conjoined with
+// ¬quiesce of every suppressible storage other than its own destination,
+// in sorted order.  Port drives and background destinations have no
+// quiescence entry of their own, so they conjoin every storage.
 func TestFreezeSoloMatchesStorageByStorage(t *testing.T) {
-	// No bundled model drives a primary output, so a micro16 variant with
-	// one covers the DestPort templates.
-	withPort := strings.Replace(Micro16T, "PARTS", "PORT OUT dout : WORD;\nPARTS", 1)
-	withPort = strings.Replace(withPort, "CONNECT", "CONNECT\n  dout <- alu.y;", 1)
-	sources := map[string]string{"micro16": Micro16T, "micro16+port": withPort}
-	for _, e := range models.All() {
-		sources[e.Name] = e.MDL
-	}
-	sources["brancher"], _ = models.Get("brancher")
 	var ports, background int
-	for name, src := range sources {
+	for name, src := range freezeSources() {
 		t.Run(name, func(t *testing.T) {
 			e, bg := unfrozenEncoder(t, src)
-			storages := e.storages()
+			storages := e.storageList
 			want := make(map[*rtl.Template]bdd.Node, e.Base.Len())
 			for _, tp := range e.Base.Templates {
 				cond := tp.Cond.Static
@@ -114,9 +106,10 @@ func TestFreezeSoloMatchesStorageByStorage(t *testing.T) {
 				}
 			}
 			e.Freeze()
+			s := e.NewSession()
 			for _, tp := range e.Base.Templates {
-				if got := e.solo[tp]; got != want[tp] {
-					t.Errorf("template %d (%s): Freeze solo node differs from the storage-by-storage conjunction", tp.ID, tp)
+				if got := s.setCond([]*code.Instr{{Template: tp}}); got != want[tp] {
+					t.Errorf("template %d (%s): the session's single-RT condition differs from the storage-by-storage conjunction", tp.ID, tp)
 				}
 			}
 		})
@@ -124,6 +117,36 @@ func TestFreezeSoloMatchesStorageByStorage(t *testing.T) {
 	if ports == 0 || background == 0 {
 		t.Errorf("coverage: %d port-drive and %d background-destination templates; want both > 0", ports, background)
 	}
+}
+
+// TestFreezeAddsNoPerTemplateNodes checks that Freeze builds no word
+// condition per template: NewEncoder has already built the negated
+// quiescence conditions, so Freeze adds no node to the manager.
+func TestFreezeAddsNoPerTemplateNodes(t *testing.T) {
+	for name, src := range freezeSources() {
+		t.Run(name, func(t *testing.T) {
+			e, _ := unfrozenEncoder(t, src)
+			before := e.m.Size()
+			e.Freeze()
+			if added := e.m.Size() - before; added != 0 {
+				t.Errorf("Freeze added %d nodes to a manager of %d; want none", added, before)
+			}
+		})
+	}
+}
+
+// freezeSources returns every bundled model, brancher and two micro16
+// variants by name.  No bundled model drives a primary output, so the
+// variant with one covers the DestPort templates.
+func freezeSources() map[string]string {
+	withPort := strings.Replace(Micro16T, "PARTS", "PORT OUT dout : WORD;\nPARTS", 1)
+	withPort = strings.Replace(withPort, "CONNECT", "CONNECT\n  dout <- alu.y;", 1)
+	sources := map[string]string{"micro16": Micro16T, "micro16+port": withPort}
+	for _, e := range models.All() {
+		sources[e.Name] = e.MDL
+	}
+	sources["brancher"], _ = models.Get("brancher")
+	return sources
 }
 
 // TestNewSessionBeforeFreezePanics: encoding needs the frozen tables, so

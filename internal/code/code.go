@@ -144,6 +144,8 @@ func (i *Instr) fillDeps() {
 		}
 	}
 
+	var buf [8]Loc // most RTs read a few locations: one allocation, sized once
+	uses := buf[:0]
 	add := func(e *rtl.Expr) {
 		e.Walk(func(n *rtl.Expr) {
 			if n.Kind != rtl.Read {
@@ -157,7 +159,7 @@ func (i *Instr) fillDeps() {
 					loc.AddrKnown = false
 				}
 			}
-			i.usesCache = append(i.usesCache, loc)
+			uses = append(uses, loc)
 		})
 	}
 	add(t.Src)
@@ -167,6 +169,7 @@ func (i *Instr) fillDeps() {
 	for _, g := range t.Cond.Dynamic {
 		add(g)
 	}
+	i.usesCache = append([]Loc(nil), uses...)
 	i.depCached = true
 }
 

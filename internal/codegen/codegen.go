@@ -332,10 +332,13 @@ func (cg *Generator) genStep(step *burs.Step) ([]*code.Instr, error) {
 func (cg *Generator) genStepWithFields(step *burs.Step, fields []code.Field) ([]*code.Instr, error) {
 	r := step.Rule
 
-	// Generate operand code bottom-up.
+	// Generate operand code bottom-up.  Up to maxPermuted operands, the
+	// kids' code and registers live in arrays on the stack.
 	n := len(step.Kids)
-	kidCode := make([][]*code.Instr, n)
-	kidReg := make([]string, n)
+	var codeBuf [maxPermuted][]*code.Instr
+	var regBuf [maxPermuted]string
+	kidCode := append(codeBuf[:0], make([][]*code.Instr, n)...)
+	kidReg := append(regBuf[:0], make([]string, n)...)
 	for i, kid := range step.Kids {
 		c, err := cg.genStep(kid)
 		if err != nil {

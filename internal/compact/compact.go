@@ -110,22 +110,34 @@ func Compact(seq *code.Seq, enc Feasibility, opts Options) (*code.Program, error
 	return p, nil
 }
 
-// locWords maps storage locations to the latest word that holds an access
-// (one table for writes, one for reads) to them.  A query answers exactly
+// locWords records the latest word that holds an access to each storage
+// location (one table for writes, one for reads).  A query answers exactly
 // what code.Loc.Overlaps would over every recorded access: same storage,
-// and addresses equal or either one unknown.
-type locWords map[string]*storageWords
+// and addresses equal or either one unknown.  A compile touches few
+// storages, so they sit in a slice searched by name.
+type locWords []storageWords
 
 // storageWords is one storage's entry in a locWords table.
 type storageWords struct {
-	addr    map[int64]int // per known address
+	name    string
+	addr    map[int64]int // per known address, made on the first one
 	unknown int           // accesses whose address is unknown
 	any     int           // every access to the storage
 }
 
+// find returns the entry of storage name, or nil.
+func (t locWords) find(name string) *storageWords {
+	for i := range t {
+		if t[i].name == name {
+			return &t[i]
+		}
+	}
+	return nil
+}
+
 // latest returns the latest word holding an access that overlaps l, or -1.
 func (t locWords) latest(l code.Loc) int {
-	s := t[l.Storage]
+	s := t.find(l.Storage)
 	if s == nil {
 		return -1
 	}
@@ -139,16 +151,21 @@ func (t locWords) latest(l code.Loc) int {
 }
 
 // add records an access to l in word w.
-func (t locWords) add(l code.Loc, w int) {
-	s := t[l.Storage]
+func (t *locWords) add(l code.Loc, w int) {
+	s := t.find(l.Storage)
 	if s == nil {
-		s = &storageWords{addr: map[int64]int{}, unknown: -1, any: -1}
-		t[l.Storage] = s
+		*t = append(*t, storageWords{name: l.Storage, unknown: -1, any: -1})
+		s = &(*t)[len(*t)-1]
 	}
 	s.any = max(s.any, w)
 	if !l.AddrKnown {
 		s.unknown = max(s.unknown, w)
-	} else if prev, ok := s.addr[l.Addr]; !ok || w > prev {
+		return
+	}
+	if s.addr == nil {
+		s.addr = map[int64]int{}
+	}
+	if prev, ok := s.addr[l.Addr]; !ok || w > prev {
 		s.addr[l.Addr] = w
 	}
 }

@@ -47,8 +47,8 @@ import (
 // entries is at most ~2 MB of overlay slices per retained session.  A
 // session that has compiled every DSPStone kernel on tms320c25 at every
 // size recordbench can draw (8 ≤ N ≤ 64, ≤ 32 for n_complex_updates and
-// biquad_N) holds about 24.5k entries, 19 of them template sets, so it
-// stays pooled.
+// biquad_N) holds about 24.6k entries (21 template sets, 10 of one RT),
+// and a ref session over the DSPStone suite about 1.0k: both stay pooled.
 const maxPooledOverlay = 1 << 16
 
 // compileStages are the per-program pipeline stage labels, in order.

@@ -80,8 +80,8 @@ type RetargetStats struct {
 
 // Target is a retargeted compiler instance for one processor model.
 //
-// Retarget returns the Target frozen: the encoder's per-template encoding
-// tables are baked and the shared BDD manager is read-only, so Compile
+// Retarget returns the Target frozen: the encoder's encoding tables are
+// baked and the shared BDD manager is read-only, so Compile
 // methods touch no shared mutable state and any number of goroutines may
 // compile against one Target concurrently.  Degraded (partial) targets are
 // frozen too — freezing is about reentrancy, cacheability is a separate
@@ -225,7 +225,7 @@ func RetargetContext(ctx context.Context, mdlSource string, opts RetargetOptions
 			t.Encoder = asm.NewEncoder(t.ISE.Vars, t.Base, background...)
 			return nil
 		}},
-		// Freeze: bake the per-template encoding tables and mark the BDD
+		// Freeze: bake the encoding tables and mark the BDD
 		// manager read-only, making the Target safe for concurrent
 		// compiles.  This is the last manager-mutating step; it runs for
 		// degraded targets too (frozen ≠ cacheable).
