@@ -217,101 +217,6 @@ func TestStepWalkOrder(t *testing.T) {
 	}
 }
 
-// refKey memoizes refCost per (subtree, nonterminal); the subtree is its
-// handle in a store local to the test, so equal subtrees share an entry
-// and trees differing only in widths do not.
-type refKey struct {
-	e  rtl.ExprID
-	nt int
-}
-
-// refCost is an independent top-down memoized implementation of minimum
-// derivation cost, used as the oracle for optimality property tests.
-func refCost(g *grammar.Grammar, e *rtl.Expr, nt int, store *rtl.Store, memo map[refKey]int32, visiting map[refKey]bool) int32 {
-	key := refKey{store.Intern(e), nt}
-	if v, ok := memo[key]; ok {
-		return v
-	}
-	if visiting[key] {
-		return Inf // cyclic chain derivations are never cheaper
-	}
-	visiting[key] = true
-	defer delete(visiting, key)
-
-	best := int32(Inf)
-	var try func(pat *grammar.Pat, n *rtl.Expr) int32
-	try = func(pat *grammar.Pat, n *rtl.Expr) int32 {
-		if pat.Kind == grammar.PatNT {
-			return refCost(g, n, pat.NT, store, memo, visiting)
-		}
-		if !pat.MatchesLeaf(n) || len(pat.Kids) != len(n.Kids) {
-			return Inf
-		}
-		var sum int32
-		for i, k := range pat.Kids {
-			c := try(k, n.Kids[i])
-			if c >= Inf {
-				return Inf
-			}
-			sum += c
-		}
-		return sum
-	}
-	for _, r := range g.Rules {
-		if r.Kind == grammar.KindStart || r.LHS != nt {
-			continue
-		}
-		c := try(r.Pat, e)
-		if c < Inf && int32(r.Cost)+c < best {
-			best = int32(r.Cost) + c
-		}
-	}
-	// Do not memoize Inf reached through an active chain (it may improve
-	// on a different path); only cache final results outside cycles.
-	memo[key] = best
-	return best
-}
-
-func TestPropOptimalityVsReference(t *testing.T) {
-	g, _ := testMachine(t)
-	p := NewParser(g)
-	rng := rand.New(rand.NewSource(21))
-
-	var gen func(depth int) *rtl.Expr
-	gen = func(depth int) *rtl.Expr {
-		if depth == 0 || rng.Intn(3) == 0 {
-			switch rng.Intn(3) {
-			case 0:
-				return ramAt(int64(rng.Intn(200)))
-			case 1:
-				return accLeaf()
-			default:
-				return rtl.NewConst(int64(rng.Intn(200)), 16)
-			}
-		}
-		ops := []rtl.Op{rtl.OpAdd, rtl.OpSub, rtl.OpMul}
-		return rtl.NewOp(ops[rng.Intn(3)], 16, gen(depth-1), gen(depth-1))
-	}
-
-	for trial := 0; trial < 300; trial++ {
-		e := gen(3)
-		root := p.Label(e)
-		var store rtl.Store
-		memo := make(map[refKey]int32)
-		for nt := 1; nt < g.NumNT(); nt++ {
-			want := refCost(g, e, nt, &store, memo, make(map[refKey]bool))
-			got := root.cost[nt]
-			if got >= Inf && want >= Inf {
-				continue
-			}
-			if got != want {
-				t.Fatalf("trial %d: cost mismatch for %s at %s: parser=%d ref=%d",
-					trial, e, g.NTNames[nt], got, want)
-			}
-		}
-	}
-}
-
 // TestPropDerivationCostConsistent: the sum of rule costs along the emitted
 // derivation equals the claimed optimal cost.
 func TestPropDerivationCostConsistent(t *testing.T) {
