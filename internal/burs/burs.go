@@ -9,9 +9,11 @@
 // the optimal (minimum-cost) derivation top-down.  Optimal code selection
 // for an expression tree — covering it by a minimum set of RT templates —
 // is exactly a minimum-cost derivation of the tree in the grammar.
-// Patterns are plain trees: the grammar gives every commutative swap a
-// rule with its own swapped pattern, so matching and derivation walk
-// every pattern kid by kid.
+// Patterns are handles into the template base's expression store: the
+// grammar gives every commutative swap a rule with its own swapped
+// pattern, so matching and derivation walk every pattern kid by kid, and
+// a pattern node matches a subject node at its level when their terminal
+// IDs agree (plus a field-fit or value check for constants).
 //
 // iburg emits C source compiled into the retargeted compiler; EmitGo
 // mirrors that step by generating a Go source rendering of the rule tables.
@@ -22,7 +24,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/code"
@@ -37,44 +38,44 @@ const Inf = math.MaxInt32 / 4
 type Node struct {
 	Expr *rtl.Expr
 	Kids []*Node
+	// term is Expr's terminal ID (grammar.Grammar.SubjectTerm).
+	term int32
 	// cost[nt] is the minimal derivation cost of this subtree from
-	// nonterminal nt; rule[nt] achieves it.
+	// nonterminal nt; rule[nt], an index into the grammar's Rules or -1,
+	// achieves it.
 	cost []int32
-	rule []*grammar.Rule
+	rule []int32
 }
 
 // Cost returns the minimal cost of deriving the subtree from nonterminal
 // nt (Inf if impossible).
 func (n *Node) Cost(nt int) int { return int(n.cost[nt]) }
 
-// Rule returns the rule achieving Cost(nt), or nil.
-func (n *Node) Rule(nt int) *grammar.Rule { return n.rule[nt] }
+// Rule returns the index in the grammar's Rules of the rule achieving
+// Cost(nt), or -1.
+func (n *Node) Rule(nt int) int { return int(n.rule[nt]) }
 
 // Parser is a processor-specific tree parser generated from a grammar.
 type Parser struct {
-	G *grammar.Grammar
-	// chain is the chain-rule table in ascending source-nonterminal order.
-	// Closure must not iterate the grammar's ChainRules map directly: on a
-	// cost tie the first rule processed wins, so map order would make code
-	// selection (and artifact-cached compiles) nondeterministic.
+	G     *grammar.Grammar
+	exprs *rtl.Store
+	// chain is the chain-rule table in ascending source-nonterminal
+	// order: on a cost tie the first rule processed wins.
 	chain []chainGroup
 }
 
 type chainGroup struct {
-	src   int
-	rules []*grammar.Rule
+	src   int32
+	rules []int32
 }
 
 // NewParser constructs the parser for grammar g.
 func NewParser(g *grammar.Grammar) *Parser {
-	p := &Parser{G: g}
-	srcs := make([]int, 0, len(g.ChainRules))
-	for src := range g.ChainRules {
-		srcs = append(srcs, src)
-	}
-	sort.Ints(srcs)
-	for _, src := range srcs {
-		p.chain = append(p.chain, chainGroup{src: src, rules: g.ChainRules[src]})
+	p := &Parser{G: g, exprs: g.Exprs()}
+	for src, rules := range g.ChainRules {
+		if len(rules) > 0 {
+			p.chain = append(p.chain, chainGroup{src: int32(src), rules: rules})
+		}
 	}
 	return p
 }
@@ -87,10 +88,10 @@ func (p *Parser) Label(e *rtl.Expr) *Node {
 		nodes: make([]Node, size),
 		kids:  make([]*Node, size-1),
 		cost:  make([]int32, size*nNT),
-		rule:  make([]*grammar.Rule, size*nNT),
+		rule:  make([]int32, size*nNT),
 	}
 	for i := range l.cost {
-		l.cost[i] = Inf
+		l.cost[i], l.rule[i] = Inf, -1
 	}
 	return p.label(e, l)
 }
@@ -103,32 +104,36 @@ type labeler struct {
 	nodes  []Node
 	kids   []*Node
 	cost   []int32
-	rule   []*grammar.Rule
+	rule   []int32
 }
 
 // label labels e bottom-up.
 func (p *Parser) label(e *rtl.Expr, l *labeler) *Node {
-	nNT, nKids := p.G.NumNT(), len(e.Kids)
+	g := p.G
+	nNT, nKids := g.NumNT(), len(e.Kids)
 	node := &l.nodes[0]
-	*node = Node{Expr: e, Kids: l.kids[:nKids:nKids], cost: l.cost[:nNT:nNT], rule: l.rule[:nNT:nNT]}
+	*node = Node{Expr: e, Kids: l.kids[:nKids:nKids], term: g.SubjectTerm(e), cost: l.cost[:nNT:nNT], rule: l.rule[:nNT:nNT]}
 	l.nodes, l.kids, l.cost, l.rule = l.nodes[1:], l.kids[nKids:], l.cost[nNT:], l.rule[nNT:]
 	for i, k := range e.Kids {
 		node.Kids[i] = p.label(k, l)
 	}
-	// Match every rule whose root terminal fits this node.
-	var rules []*grammar.Rule
-	if term := p.G.SubjectTerm(e); term >= 0 {
-		rules = p.G.RulesByTerm[term]
+	// Match every rule whose root terminal is this node's.
+	var rules []int32
+	if node.term >= 0 {
+		rules = g.RulesByTerm[node.term]
 	}
-	for _, r := range rules {
+	for _, ri := range rules {
+		r := &g.Rules[ri]
 		var c int32
-		if c, l.fields = p.MatchCostFields(r.Pat, node, l.fields[:0]); c >= Inf {
-			continue
+		if r.Pat != rtl.NoExpr { // a stop rule's pattern is its terminal alone
+			if c, l.fields = p.MatchCostFields(r.Pat, node, l.fields[:0]); c >= Inf {
+				continue
+			}
 		}
-		total := int32(r.Cost) + c
+		total := r.Cost + c
 		if total < node.cost[r.LHS] {
 			node.cost[r.LHS] = total
-			node.rule[r.LHS] = r
+			node.rule[r.LHS] = ri
 		}
 	}
 	// Chain-rule closure to fixpoint, in deterministic table order.
@@ -139,11 +144,12 @@ func (p *Parser) label(e *rtl.Expr, l *labeler) *Node {
 				continue
 			}
 			src := cg.src
-			for _, r := range cg.rules {
-				total := int32(r.Cost) + node.cost[src]
+			for _, ri := range cg.rules {
+				r := &g.Rules[ri]
+				total := r.Cost + node.cost[src]
 				if total < node.cost[r.LHS] {
 					node.cost[r.LHS] = total
-					node.rule[r.LHS] = r
+					node.rule[r.LHS] = ri
 					changed = true
 				}
 			}
@@ -152,41 +158,59 @@ func (p *Parser) label(e *rtl.Expr, l *labeler) *Node {
 	return node
 }
 
-// MatchCostFields returns the cost of matching pattern pat at node
-// (excluding the rule's own cost), or Inf, and fields with the operand
-// fields the match binds added.  fields is kept sorted by (Lo, Hi) and
+// MatchCostFields returns the cost of matching the pattern of handle pat
+// at node (excluding the rule's own cost), or Inf, and fields with the
+// operand fields the match binds added.  fields is kept sorted by (Lo, Hi) and
 // holds each bit range once.  Nonlinear patterns — where one instruction
 // field appears at several leaves (both FU inputs wired to the same memory
 // output, say) — only match when every occurrence binds the same operand
 // value.  Passing one pattern's result on to the next (a template's source
 // and destination-address patterns) enforces consistency across both.
-func (p *Parser) MatchCostFields(pat *grammar.Pat, node *Node, fields []code.Field) (int32, []code.Field) {
-	if pat.Kind == grammar.PatNT {
-		return node.cost[pat.NT], fields
+func (p *Parser) MatchCostFields(pat rtl.ExprID, node *Node, fields []code.Field) (int32, []code.Field) {
+	if nt := p.G.PatNT(pat); nt != 0 {
+		return node.cost[nt], fields
 	}
-	if !pat.MatchesLeaf(node.Expr) {
+	if p.G.PatTerm(pat) != node.term {
 		return Inf, fields
 	}
-	if pat.Kind == grammar.PatImm {
-		f := code.Field{Hi: pat.ImmHi, Lo: pat.ImmLo, Val: node.Expr.Val}
-		i, found := slices.BinarySearchFunc(fields, f, func(a, b code.Field) int {
-			return cmp.Or(cmp.Compare(a.Lo, b.Lo), cmp.Compare(a.Hi, b.Hi))
-		})
-		if !found {
-			return 0, slices.Insert(fields, i, f)
-		}
-		if fields[i].Val != f.Val {
-			return Inf, fields
+	kids := p.exprs.Kids(pat)
+	if len(kids) == 0 {
+		// Immediates and hardwired constants share a terminal with
+		// every subject constant; a subject instruction field matches
+		// neither.
+		switch e, s := p.exprs.Expr(pat), node.Expr; e.Kind {
+		case rtl.InsnField:
+			if s.Kind != rtl.Const || !grammar.FitsField(s.Val, e.Hi-e.Lo+1) {
+				return Inf, fields
+			}
+			f := code.Field{Hi: e.Hi, Lo: e.Lo, Val: s.Val}
+			i, found := slices.BinarySearchFunc(fields, f, func(a, b code.Field) int {
+				return cmp.Or(cmp.Compare(a.Lo, b.Lo), cmp.Compare(a.Hi, b.Hi))
+			})
+			if !found {
+				return 0, slices.Insert(fields, i, f)
+			}
+			if fields[i].Val != f.Val {
+				return Inf, fields
+			}
+		case rtl.Const:
+			// Hardwired constants match by value; the surrounding
+			// operator node already checks widths, and literal widths
+			// are inference artifacts (a shift amount infers at
+			// minimal width).
+			if s.Kind != rtl.Const || s.Val != e.Val {
+				return Inf, fields
+			}
 		}
 		return 0, fields
 	}
-	if len(pat.Kids) != len(node.Kids) {
+	if len(kids) != len(node.Kids) {
 		return Inf, fields
 	}
 	var sum int32
 	for i, kid := range node.Kids {
 		var c int32
-		if c, fields = p.MatchCostFields(pat.Kids[i], kid, fields); c >= Inf {
+		if c, fields = p.MatchCostFields(kids[i], kid, fields); c >= Inf {
 			return Inf, fields
 		}
 		sum += c
@@ -212,12 +236,12 @@ func (s *Step) Walk(f func(*Step)) {
 }
 
 // Templates returns the RT templates selected by the derivation in
-// bottom-up (operand-first) order.
-func (s *Step) Templates() []*rtl.Template {
+// bottom-up (operand-first) order; g is the grammar of its rules.
+func (s *Step) Templates(g *grammar.Grammar) []*rtl.Template {
 	var out []*rtl.Template
 	s.Walk(func(st *Step) {
 		if st.Rule.Kind == grammar.KindRT {
-			out = append(out, st.Rule.Template)
+			out = append(out, g.Template(st.Rule))
 		}
 	})
 	return out
@@ -257,11 +281,11 @@ func (p *Parser) Cover(dest string, e *rtl.Expr) (*Cover, error) {
 
 // CoverLabeled is Cover for an already-labelled tree.
 func (p *Parser) CoverLabeled(dest string, root *Node) (*Cover, error) {
-	sr, ok := p.G.StartRules[dest]
-	if !ok {
+	nt := p.G.NT(dest)
+	if nt <= 0 || p.G.StartRules[nt] < 0 {
 		return nil, fmt.Errorf("burs: unknown destination %q", dest)
 	}
-	nt := sr.Pat.NT
+	sr := &p.G.Rules[p.G.StartRules[nt]]
 	if root.cost[nt] >= Inf {
 		var derivable []string
 		for i := 1; i < p.G.NumNT(); i++ {
@@ -269,45 +293,49 @@ func (p *Parser) CoverLabeled(dest string, root *Node) (*Cover, error) {
 				derivable = append(derivable, p.G.NTNames[i])
 			}
 		}
-		sort.Strings(derivable)
+		slices.Sort(derivable)
 		return nil, &CoverError{Dest: dest, Expr: root.Expr, Derivable: derivable}
 	}
 	step, err := p.Derive(root, nt)
 	if err != nil {
 		return nil, err
 	}
-	return &Cover{Dest: dest, Start: sr, Root: step, Cost: int(root.cost[nt]) + sr.Cost}, nil
+	return &Cover{Dest: dest, Start: sr, Root: step, Cost: int(root.cost[nt] + sr.Cost)}, nil
 }
 
 // Derive reconstructs the optimal derivation of node from nonterminal nt
 // (Label must have produced the node).
 func (p *Parser) Derive(node *Node, nt int) (*Step, error) {
-	r := node.rule[nt]
-	if r == nil {
+	ri := node.rule[nt]
+	if ri < 0 {
 		return nil, fmt.Errorf("burs: internal: no rule for %s at %s",
 			p.G.NTNames[nt], node.Expr)
 	}
-	kids, err := p.DeriveKids(r.Pat, node, nil)
-	if err != nil {
-		return nil, err
+	r := &p.G.Rules[ri]
+	var kids []*Step
+	if r.Pat != rtl.NoExpr {
+		var err error
+		if kids, err = p.DeriveKids(r.Pat, node, nil); err != nil {
+			return nil, err
+		}
 	}
 	return &Step{Rule: r, Node: node, Kids: kids}, nil
 }
 
 // DeriveKids appends to kids the optimal derivations of the subject nodes
-// at pattern pat's nonterminal positions, in pre-order; pat must match
-// node, which Label produced.
-func (p *Parser) DeriveKids(pat *grammar.Pat, node *Node, kids []*Step) ([]*Step, error) {
-	if pat.Kind == grammar.PatNT {
-		kid, err := p.Derive(node, pat.NT)
+// at the nonterminal positions of the pattern of handle pat, in
+// pre-order; the pattern must match node, which Label produced.
+func (p *Parser) DeriveKids(pat rtl.ExprID, node *Node, kids []*Step) ([]*Step, error) {
+	if nt := p.G.PatNT(pat); nt != 0 {
+		kid, err := p.Derive(node, nt)
 		if err != nil {
 			return nil, err
 		}
 		return append(kids, kid), nil
 	}
-	for i, kid := range node.Kids {
+	for i, k := range p.exprs.Kids(pat) {
 		var err error
-		if kids, err = p.DeriveKids(pat.Kids[i], kid, kids); err != nil {
+		if kids, err = p.DeriveKids(k, node.Kids[i], kids); err != nil {
 			return nil, err
 		}
 	}

@@ -96,7 +96,7 @@ func TestCoverSimpleLoad(t *testing.T) {
 	if c.Cost != 1 {
 		t.Fatalf("cost = %d, want 1", c.Cost)
 	}
-	tpls := c.Root.Templates()
+	tpls := c.Root.Templates(g)
 	if len(tpls) != 1 || tpls[0].String() != "acc.r := ram.m[IW[7:0]]" {
 		t.Fatalf("selected %v", tpls)
 	}
@@ -114,7 +114,7 @@ func TestCoverAdd(t *testing.T) {
 	if c.Cost != 2 {
 		t.Fatalf("cost = %d, want 2", c.Cost)
 	}
-	tpls := c.Root.Templates()
+	tpls := c.Root.Templates(g)
 	if len(tpls) != 2 {
 		t.Fatalf("templates = %v", tpls)
 	}
@@ -141,7 +141,7 @@ func TestCoverChainedMulAcc(t *testing.T) {
 	if c.Cost != 4 {
 		t.Fatalf("cost = %d, want 4", c.Cost)
 	}
-	if got := len(c.Root.Templates()); got != 4 {
+	if got := len(c.Root.Templates(g)); got != 4 {
 		t.Fatalf("template count = %d", got)
 	}
 }
@@ -241,8 +241,8 @@ func TestPropDerivationCostConsistent(t *testing.T) {
 			continue // some shapes are legitimately uncoverable
 		}
 		sum := 0
-		c.Root.Walk(func(s *Step) { sum += s.Rule.Cost })
-		if sum+c.Start.Cost != c.Cost {
+		c.Root.Walk(func(s *Step) { sum += int(s.Rule.Cost) })
+		if sum+int(c.Start.Cost) != c.Cost {
 			t.Fatalf("trial %d: derivation cost %d != claimed %d for %s",
 				trial, sum, c.Cost, e)
 		}

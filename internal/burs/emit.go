@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/grammar"
+	"repro/internal/rtl"
 )
 
 // EmitGo renders the grammar as a standalone Go source file — the analogue
@@ -28,9 +29,10 @@ func EmitGo(g *grammar.Grammar, pkg string) string {
 	b.WriteString("type Rule struct {\n\tID   int\n\tLHS  int\n\tCost int\n\tPat  string\n\tKind string\n}\n\n")
 
 	b.WriteString("// Rules is the generated rule table.\nvar Rules = []Rule{\n")
-	for _, r := range g.Rules {
+	for i := range g.Rules {
+		r := &g.Rules[i]
 		fmt.Fprintf(&b, "\t{ID: %d, LHS: %d, Cost: %d, Pat: %q, Kind: %q},\n",
-			r.ID, r.LHS, r.Cost, prefixPat(r.Pat), r.Kind.String())
+			i, r.LHS, r.Cost, prefixRule(g, r), r.Kind.String())
 	}
 	b.WriteString("}\n\n")
 
@@ -63,29 +65,41 @@ func (l *Labels) Record(lhs int, c int32, id int) bool {
 	return b.String()
 }
 
-// prefixPat renders a pattern in compact prefix form for the emitted table.
-func prefixPat(p *grammar.Pat) string {
-	switch p.Kind {
-	case grammar.PatNT:
-		return fmt.Sprintf("nt%d", p.NT)
-	case grammar.PatOp:
-		parts := make([]string, len(p.Kids))
-		for i, k := range p.Kids {
-			parts[i] = prefixPat(k)
+// prefixRule renders r's pattern in compact prefix form for the emitted
+// table.
+func prefixRule(g *grammar.Grammar, r *grammar.Rule) string {
+	switch r.Kind {
+	case grammar.KindStart:
+		return fmt.Sprintf("nt%d", r.Dest)
+	case grammar.KindStop:
+		return "reg:" + g.NTNames[r.LHS]
+	}
+	return prefixPat(g, r.Pat)
+}
+
+// prefixPat renders the pattern of handle h in prefix form.
+func prefixPat(g *grammar.Grammar, h rtl.ExprID) string {
+	if nt := g.PatNT(h); nt != 0 {
+		return fmt.Sprintf("nt%d", nt)
+	}
+	e, kids := g.Exprs().Expr(h), g.Exprs().Kids(h)
+	switch e.Kind {
+	case rtl.OpApp:
+		parts := make([]string, len(kids))
+		for i, k := range kids {
+			parts[i] = prefixPat(g, k)
 		}
-		return fmt.Sprintf("%s/%d(%s)", p.Op, p.Width, strings.Join(parts, ","))
-	case grammar.PatReg:
-		return "reg:" + p.Storage
-	case grammar.PatMem:
-		return fmt.Sprintf("mem:%s(%s)", p.Storage, prefixPat(p.Kids[0]))
-	case grammar.PatImm:
-		return fmt.Sprintf("imm[%d:%d]", p.ImmHi, p.ImmLo)
-	case grammar.PatConst:
-		return fmt.Sprintf("const:%d", p.Val)
-	case grammar.PatPort:
-		return "port:" + p.Port
-	case grammar.PatSlice:
-		return fmt.Sprintf("slice[%d:%d](%s)", p.Hi, p.Lo, prefixPat(p.Kids[0]))
+		return fmt.Sprintf("%s/%d(%s)", e.Op, e.Width, strings.Join(parts, ","))
+	case rtl.Read:
+		return fmt.Sprintf("mem:%s(%s)", e.Storage, prefixPat(g, kids[0]))
+	case rtl.InsnField:
+		return fmt.Sprintf("imm[%d:%d]", e.Hi, e.Lo)
+	case rtl.Const:
+		return fmt.Sprintf("const:%d", e.Val)
+	case rtl.PortRef:
+		return "port:" + e.Port
+	case rtl.Slice:
+		return fmt.Sprintf("slice[%d:%d](%s)", e.Hi, e.Lo, prefixPat(g, kids[0]))
 	}
 	return "?"
 }

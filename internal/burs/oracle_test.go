@@ -45,27 +45,29 @@ func (o *refOracle) costs(e *rtl.Expr) []int32 {
 	}
 	// Rules whose pattern is more than a bare nonterminal: their
 	// nonterminal leaves sit at proper subtrees of e.
-	for _, r := range g.Rules {
+	for i := range g.Rules {
+		r := &g.Rules[i]
 		if r.Kind == grammar.KindStart || r.IsChain() {
 			continue
 		}
 		var binds []refField
 		c := o.match(r, e, &binds)
-		if c < burs.Inf && int32(r.Cost)+c < cost[r.LHS] {
-			cost[r.LHS] = int32(r.Cost) + c
+		if c < burs.Inf && r.Cost+c < cost[r.LHS] {
+			cost[r.LHS] = r.Cost + c
 		}
 	}
 	// Chain rules at e itself: relax until nothing improves.  Rule costs
 	// are positive, so |NT| rounds reach the fixpoint.
 	for changed := true; changed; {
 		changed = false
-		for _, r := range g.Rules {
+		for i := range g.Rules {
+			r := &g.Rules[i]
 			if r.Kind == grammar.KindStart || !r.IsChain() {
 				continue
 			}
 			src := o.chainSource(r)
-			if cost[src] < burs.Inf && int32(r.Cost)+cost[src] < cost[r.LHS] {
-				cost[r.LHS] = int32(r.Cost) + cost[src]
+			if cost[src] < burs.Inf && r.Cost+cost[src] < cost[r.LHS] {
+				cost[r.LHS] = r.Cost + cost[src]
 				changed = true
 			}
 		}
@@ -102,54 +104,61 @@ func fits(v int64, w int) bool {
 }
 
 // chainSource returns the nonterminal a chain rule derives from.
-func (o *refOracle) chainSource(r *grammar.Rule) int { return r.Pat.NT }
+func (o *refOracle) chainSource(r *grammar.Rule) int { return o.g.PatNT(r.Pat) }
 
 // match returns the cost of the nonterminal leaves of r's pattern matched
-// at e, or burs.Inf.
+// at e, or burs.Inf.  A stop rule's pattern is the register it stops at.
 func (o *refOracle) match(r *grammar.Rule, e *rtl.Expr, binds *[]refField) int32 {
+	if r.Kind == grammar.KindStop {
+		if e.Kind != rtl.Read || len(e.Kids) != 0 || e.Storage != o.g.NTNames[r.LHS] {
+			return burs.Inf
+		}
+		return 0
+	}
 	return o.matchPat(r.Pat, e, binds)
 }
 
-func (o *refOracle) matchPat(p *grammar.Pat, e *rtl.Expr, binds *[]refField) int32 {
+// matchPat matches the pattern of handle h at e, comparing the pattern's
+// own tree node by node; it reads nothing of the grammar but which
+// handles stand for nonterminals.
+func (o *refOracle) matchPat(h rtl.ExprID, e *rtl.Expr, binds *[]refField) int32 {
+	if nt := o.g.PatNT(h); nt != 0 {
+		return o.costs(e)[nt]
+	}
+	p, kids := o.g.Exprs().Expr(h), o.g.Exprs().Kids(h)
 	switch p.Kind {
-	case grammar.PatNT:
-		return o.costs(e)[p.NT]
-	case grammar.PatOp:
+	case rtl.OpApp:
 		if e.Kind != rtl.OpApp || e.Op != p.Op || e.Width != p.Width {
 			return burs.Inf
 		}
-	case grammar.PatReg:
-		if e.Kind != rtl.Read || len(e.Kids) != 0 || e.Storage != p.Storage {
-			return burs.Inf
-		}
-	case grammar.PatMem:
+	case rtl.Read:
 		if e.Kind != rtl.Read || len(e.Kids) != 1 || e.Storage != p.Storage {
 			return burs.Inf
 		}
-	case grammar.PatImm:
-		if e.Kind != rtl.Const || !fits(e.Val, p.ImmHi-p.ImmLo+1) || !bind(binds, p.ImmHi, p.ImmLo, e.Val) {
+	case rtl.InsnField:
+		if e.Kind != rtl.Const || !fits(e.Val, p.Hi-p.Lo+1) || !bind(binds, p.Hi, p.Lo, e.Val) {
 			return burs.Inf
 		}
-	case grammar.PatConst:
+	case rtl.Const:
 		if e.Kind != rtl.Const || e.Val != p.Val {
 			return burs.Inf
 		}
-	case grammar.PatPort:
+	case rtl.PortRef:
 		if e.Kind != rtl.PortRef || e.Port != p.Port {
 			return burs.Inf
 		}
-	case grammar.PatSlice:
+	case rtl.Slice:
 		if e.Kind != rtl.Slice || e.Hi != p.Hi || e.Lo != p.Lo {
 			return burs.Inf
 		}
 	default:
 		return burs.Inf
 	}
-	if len(p.Kids) != len(e.Kids) {
+	if len(kids) != len(e.Kids) {
 		return burs.Inf
 	}
 	var sum int32
-	for i, k := range p.Kids {
+	for i, k := range kids {
 		c := o.matchPat(k, e.Kids[i], binds)
 		if c >= burs.Inf {
 			return burs.Inf

@@ -270,7 +270,7 @@ func (cg *Generator) compileWhole(et *bind.ET) ([]*code.Instr, error) {
 	// Evaluate address operands first (they are registers feeding the
 	// store), then the value operands, then the store itself; conflicts
 	// among all operand registers are resolved together.
-	kids, err := cg.P.DeriveKids(rule.AddrPat, addrRoot, nil)
+	kids, err := cg.P.DeriveKids(rule.Addr, addrRoot, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -283,7 +283,8 @@ func (cg *Generator) compileWhole(et *bind.ET) ([]*code.Instr, error) {
 // selectRoot finds the cheapest RT rule writing dest whose source pattern
 // matches the labelled tree and whose destination-address pattern matches
 // the labelled address tree (with globally consistent operand fields), and
-// returns it with its cost and those fields.
+// returns it with its cost and those fields.  It scans the grammar's
+// store rules for dest, in rule order, so the first cheapest rule wins.
 func (cg *Generator) selectRoot(dest string, root, addrRoot *burs.Node) (*grammar.Rule, int, []code.Field, error) {
 	nt := cg.G.NT(dest)
 	if nt < 0 {
@@ -292,18 +293,16 @@ func (cg *Generator) selectRoot(dest string, root, addrRoot *burs.Node) (*gramma
 	var best *grammar.Rule
 	var fields, bestFields []code.Field
 	bestCost := int32(burs.Inf)
-	for _, r := range cg.G.Rules {
-		if r.Kind != grammar.KindRT || r.LHS != nt || r.AddrPat == nil {
-			continue
-		}
+	for _, ri := range cg.G.StoreRules[nt] {
+		r := &cg.G.Rules[ri]
 		var c, ac int32
 		if c, fields = cg.P.MatchCostFields(r.Pat, root, fields[:0]); c >= burs.Inf {
 			continue
 		}
-		if ac, fields = cg.P.MatchCostFields(r.AddrPat, addrRoot, fields); ac >= burs.Inf {
+		if ac, fields = cg.P.MatchCostFields(r.Addr, addrRoot, fields); ac >= burs.Inf {
 			continue
 		}
-		total := int32(r.Cost) + c + ac
+		total := r.Cost + c + ac
 		if total < bestCost {
 			bestCost = total
 			best = r
@@ -411,7 +410,7 @@ func (cg *Generator) genStepWithFields(step *burs.Step, fields []code.Field) ([]
 		cg.freeScratch(scratchOf[i])
 	}
 
-	out = append(out, &code.Instr{Template: r.Template, Swap: r.Swap, Fields: fields})
+	out = append(out, &code.Instr{Template: cg.G.Template(r), Swap: r.Swap, Fields: fields})
 	return out, nil
 }
 

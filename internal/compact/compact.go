@@ -63,12 +63,22 @@ type Feasibility interface {
 // earliest-fit list scheduling.
 func Compact(seq *code.Seq, enc Feasibility, opts Options) (*code.Program, error) {
 	p := &code.Program{}
+	// Every word opened is carved from one array of at most one word per
+	// RT, and its first RT from another; each word's RT slice has
+	// capacity 1, so the second RT placed in it reallocates.
+	words, firsts := make([]code.Word, len(seq.Instrs)), make([]*code.Instr, len(seq.Instrs))
+	open := func(in *code.Instr) {
+		k := len(p.Words)
+		firsts[k] = in
+		words[k].Instrs = firsts[k : k+1 : k+1]
+		p.Words = append(p.Words, &words[k])
+	}
 	if opts.Disable {
 		for _, in := range seq.Instrs {
 			if !enc.Feasible([]*code.Instr{in}) {
 				return nil, fmt.Errorf("compact: instruction %s not encodable alone", in)
 			}
-			p.Words = append(p.Words, &code.Word{Instrs: []*code.Instr{in}})
+			open(in)
 		}
 		record(opts.Obs, seq, p)
 		return p, nil
@@ -98,7 +108,7 @@ func Compact(seq *code.Seq, enc Feasibility, opts Options) (*code.Program, error
 			if !enc.Feasible(append(trial[:0], in)) {
 				return nil, fmt.Errorf("compact: instruction %s not encodable alone", in)
 			}
-			p.Words = append(p.Words, &code.Word{Instrs: []*code.Instr{in}})
+			open(in)
 			placed = len(p.Words) - 1
 		}
 		defs.add(def, placed)

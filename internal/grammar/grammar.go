@@ -21,16 +21,24 @@
 //     paper); and stop rules NonTerm(reg) → Term(reg) at cost 0
 //     terminating derivations at leaves.
 //
-// Patterns and subject trees share the rtl.Expr vocabulary; a pattern
-// position is either a terminal node or a nonterminal placeholder.  The
-// commutative swaps of the base (rtl.Swap) are resolved here: a swap's
-// rule gets the lowered pattern of its swapped source, so the parser and
-// the code selector match plain patterns and never read a swap mask.
+// A pattern is a template tree, not a copy of one: an RT rule's pattern
+// is the handle of its source in the base's expression store
+// (rtl.Base.Exprs), read through per-handle arrays that Build fills once
+// for each handle a rule reaches.  A handle is either a terminal node,
+// whose terminal ID is the same one a subject node of that shape looks up
+// (SubjectTerm), or an address-less read of a spec storage, which stands
+// for that storage's nonterminal.  The commutative swaps of the base
+// (rtl.Swap) are resolved here: a swap's rule gets the handle of its
+// swapped source tree, interned into the same store during Build, so the
+// parser and the code selector match plain patterns and never read a swap
+// mask.  Rules hold no pointer: rule lists are slices of rule indices.
 package grammar
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/diag"
@@ -41,118 +49,54 @@ import (
 	"repro/internal/rtl"
 )
 
-// PatKind discriminates pattern node roles.
-type PatKind int
-
-// Pattern node kinds.
+// Terminal kinds.  Immediates and hardwired constants share one terminal,
+// since both match program constants.
 const (
-	PatNT    PatKind = iota // nonterminal placeholder
-	PatOp                   // hardware operator terminal
-	PatReg                  // scalar storage terminal (stop-rule leaves)
-	PatMem                  // addressable storage terminal; Kids[0] = address
-	PatImm                  // instruction-field immediate terminal
-	PatConst                // hardwired constant terminal
-	PatPort                 // primary input port terminal
-	PatSlice                // subword-select terminal; one kid
+	termOp uint8 = iota
+	termReg
+	termMem
+	termConst
+	termPort
+	termSlice
 )
 
-// Pat is a tree-grammar pattern node.
-type Pat struct {
-	Kind    PatKind
-	NT      int    // PatNT: nonterminal index
-	Op      rtl.Op // PatOp
-	Width   int    // result width (all kinds)
-	Storage string // PatReg / PatMem: qualified storage name
-	ImmHi   int    // PatImm: instruction field bits
-	ImmLo   int    // PatImm
-	Val     int64  // PatConst
-	Port    string // PatPort
-	Hi      int    // PatSlice
-	Lo      int
-	Kids    []*Pat
-}
-
-// term identifies a terminal symbol: the part of a pattern node's root
-// that the subject node at that position must agree with.  Immediates and
-// hardwired constants share one terminal, since both match program
-// constants; a subject node finds its terminal through the same key.
+// term identifies a terminal symbol: the part of a node's root that a
+// pattern node and the subject node at that position must agree on.
 type term struct {
-	kind  uint8  // a PatKind; PatImm is filed under PatConst
-	width int32  // PatOp
-	hi    int32  // PatSlice
-	lo    int32  // PatSlice
+	kind  uint8
+	width int32  // termOp
+	hi    int32  // termSlice
+	lo    int32  // termSlice
 	name  string // operator, storage or port
 }
 
-// termOf returns the terminal of pattern node p; ok is false for a
-// nonterminal.
-func termOf(p *Pat) (term, bool) {
-	switch p.Kind {
-	case PatOp:
-		return term{kind: uint8(PatOp), width: int32(p.Width), name: string(p.Op)}, true
-	case PatReg, PatMem:
-		return term{kind: uint8(p.Kind), name: p.Storage}, true
-	case PatImm, PatConst:
-		return term{kind: uint8(PatConst)}, true
-	case PatPort:
-		return term{kind: uint8(PatPort), name: p.Port}, true
-	case PatSlice:
-		return term{kind: uint8(PatSlice), hi: int32(p.Hi), lo: int32(p.Lo)}, true
-	}
-	return term{}, false
-}
-
-// subjectTerm returns the terminal a subject tree node falls under; ok is
-// false for a node no pattern can match at its root.
+// subjectTerm returns the terminal a subject or pattern node e falls
+// under; ok is false for a node no pattern can match at its root.  An
+// address-less read is a register terminal here; inside a pattern it
+// stands for its storage's nonterminal instead.
 func subjectTerm(e *rtl.Expr) (term, bool) {
 	switch e.Kind {
 	case rtl.OpApp:
-		return term{kind: uint8(PatOp), width: int32(e.Width), name: string(e.Op)}, true
+		return term{kind: termOp, width: int32(e.Width), name: string(e.Op)}, true
 	case rtl.Read:
 		if e.Addr() != nil {
-			return term{kind: uint8(PatMem), name: e.Storage}, true
+			return term{kind: termMem, name: e.Storage}, true
 		}
-		return term{kind: uint8(PatReg), name: e.Storage}, true
+		return term{kind: termReg, name: e.Storage}, true
 	case rtl.Const, rtl.InsnField:
 		// Fields in subject trees behave like immediates.
-		return term{kind: uint8(PatConst)}, true
+		return term{kind: termConst}, true
 	case rtl.PortRef:
-		return term{kind: uint8(PatPort), name: e.Port}, true
+		return term{kind: termPort, name: e.Port}, true
 	case rtl.Slice:
-		return term{kind: uint8(PatSlice), hi: int32(e.Hi), lo: int32(e.Lo)}, true
+		return term{kind: termSlice, hi: int32(e.Hi), lo: int32(e.Lo)}, true
 	}
 	return term{}, false
 }
 
-// MatchesLeaf reports whether terminal pattern p matches subject node e at
-// this level (kids are matched by the parser).
-func (p *Pat) MatchesLeaf(e *rtl.Expr) bool {
-	switch p.Kind {
-	case PatOp:
-		return e.Kind == rtl.OpApp && e.Op == p.Op && e.Width == p.Width &&
-			len(e.Kids) == len(p.Kids)
-	case PatReg:
-		return e.Kind == rtl.Read && e.Addr() == nil && e.Storage == p.Storage
-	case PatMem:
-		return e.Kind == rtl.Read && e.Addr() != nil && e.Storage == p.Storage
-	case PatImm:
-		return e.Kind == rtl.Const && fitsField(e.Val, p.ImmHi-p.ImmLo+1)
-	case PatConst:
-		// Hardwired constants match by value; the surrounding operator
-		// node already checks widths, and literal widths are inference
-		// artifacts (a shift amount infers at minimal width).
-		return e.Kind == rtl.Const && e.Val == p.Val
-	case PatPort:
-		return e.Kind == rtl.PortRef && e.Port == p.Port
-	case PatSlice:
-		return e.Kind == rtl.Slice && e.Hi == p.Hi && e.Lo == p.Lo
-	}
-	return false
-}
-
-// fitsField reports whether v can be encoded in a w-bit instruction field
+// FitsField reports whether v can be encoded in a w-bit instruction field
 // (unsigned or two's-complement signed).
-func fitsField(v int64, w int) bool {
+func FitsField(v int64, w int) bool {
 	if w >= 64 {
 		return true
 	}
@@ -162,33 +106,8 @@ func fitsField(v int64, w int) bool {
 	return v >= -(1 << uint(w-1))
 }
 
-func (p *Pat) String() string {
-	switch p.Kind {
-	case PatNT:
-		return fmt.Sprintf("<%d>", p.NT)
-	case PatOp:
-		if len(p.Kids) == 1 {
-			return fmt.Sprintf("%s(%s)", p.Op, p.Kids[0])
-		}
-		return fmt.Sprintf("(%s %s %s)", p.Kids[0], p.Op, p.Kids[1])
-	case PatReg:
-		return p.Storage
-	case PatMem:
-		return fmt.Sprintf("%s[%s]", p.Storage, p.Kids[0])
-	case PatImm:
-		return fmt.Sprintf("IMM[%d:%d]", p.ImmHi, p.ImmLo)
-	case PatConst:
-		return fmt.Sprintf("%d", p.Val)
-	case PatPort:
-		return p.Port
-	case PatSlice:
-		return fmt.Sprintf("%s[%d:%d]", p.Kids[0], p.Hi, p.Lo)
-	}
-	return "?"
-}
-
 // RuleKind classifies rules per the paper's three groups.
-type RuleKind int
+type RuleKind uint8
 
 // Rule kinds.
 const (
@@ -209,35 +128,57 @@ func (k RuleKind) String() string {
 	return "?"
 }
 
-// Rule is one grammar rule "LHS → Pattern" with cost and provenance.
+// Rule is one grammar rule "LHS → pattern" with cost and provenance.  It
+// holds no pointer; the grammar resolves its handles and template index.
 type Rule struct {
-	ID       int
-	Kind     RuleKind
-	LHS      int // nonterminal index (START for start rules)
-	Pat      *Pat
-	Cost     int
-	Template *rtl.Template // KindRT: the originating template
-	Dest     string        // KindStart: the destination this rule targets
-	// AddrPat is the lowered destination-address pattern of a KindRT
-	// rule, nil when Template has no destination address or it cannot
-	// be lowered.
-	AddrPat *Pat
-	// Term is the terminal ID of the pattern's root, the RulesByTerm
-	// bucket the rule is filed in; -1 for start and chain rules.
-	Term int
 	// Swap is the mask of a KindRT rule for a swap entry of the base
 	// (rtl.Swap), kept for the listing: Pat is already the swapped
 	// pattern.
 	Swap uint64
+	Kind RuleKind
+	LHS  int32 // nonterminal index (START for start rules)
+	Cost int32
+	// Pat is the handle of a KindRT rule's pattern in the base's store:
+	// its template's source, or the swapped source of a swap entry.
+	// NoExpr for start and stop rules, whose patterns are a bare
+	// nonterminal (Dest) and a bare terminal (Term).
+	Pat rtl.ExprID
+	// Addr is the handle of a KindRT rule's destination-address pattern,
+	// NoExpr when its template has no destination address or the
+	// address cannot be lowered.
+	Addr rtl.ExprID
+	// Term is the terminal ID of the pattern's root, the RulesByTerm
+	// bucket the rule is filed in; -1 for start and chain rules.
+	Term int32
+	// Dest is a start rule's destination nonterminal.
+	Dest int32
+	// Tmpl is a KindRT rule's template: its index in the base's
+	// Templates (see Grammar.Template); -1 for other rules.
+	Tmpl int32
 }
 
-// IsChain reports whether the rule's pattern is a bare nonterminal (a chain
-// rule for the dynamic-programming closure).
-func (r *Rule) IsChain() bool { return r.Pat.Kind == PatNT }
+// IsChain reports whether the rule is an RT rule whose pattern is a bare
+// nonterminal (a chain rule for the dynamic-programming closure).
+func (r *Rule) IsChain() bool { return r.Kind == KindRT && r.Term < 0 }
 
-func (r *Rule) String() string {
-	return fmt.Sprintf("#%d %s: <%d> -> %s (cost %d)", r.ID, r.Kind, r.LHS, r.Pat, r.Cost)
+// patNode is what the grammar knows of one handle of the base's store.
+type patNode struct {
+	// term is the handle's terminal ID, -1 for a nonterminal leaf or a
+	// handle no rule reaches.
+	term int32
+	// nt is the nonterminal an address-less read of a spec storage
+	// stands for, 0 (START) for every other handle.
+	nt int32
+	// state is unseen, lowerable (every node of the tree lowers) or
+	// numbered (every terminal of the tree has its ID as well).
+	state uint8
 }
+
+const (
+	unseen uint8 = iota
+	lowerable
+	numbered
+)
 
 // Grammar is the constructed tree grammar.
 type Grammar struct {
@@ -245,19 +186,29 @@ type Grammar struct {
 	NTNames []string
 	ntIdx   map[string]int
 
-	Rules []*Rule
+	Rules []Rule
 	// RulesByTerm indexes non-chain RT and stop rules by the terminal ID
-	// of their pattern's root (see SubjectTerm).
-	RulesByTerm [][]*Rule
-	// terms numbers the terminals of the rules' patterns.
-	terms map[term]int
-	// ChainRules[src] lists chain rules deriving from nonterminal src.
-	ChainRules map[int][]*Rule
-	// StartRules maps destination name to its start rule.
-	StartRules map[string]*Rule
+	// of their pattern's root (see SubjectTerm); entries are indices
+	// into Rules, in rule order, as in every rule list below.
+	RulesByTerm [][]int32
+	// ChainRules[src] lists the chain rules deriving from nonterminal
+	// src.
+	ChainRules [][]int32
+	// StartRules[nt] is the start rule for destination nonterminal nt,
+	// -1 for START.
+	StartRules []int32
+	// StoreRules[nt] lists the RT rules writing nt that have an address
+	// pattern: the final stores an addressable destination can take.
+	StoreRules [][]int32
 
 	// StorageWidths/Sizes echo the machine spec for clients.
 	Spec Spec
+
+	base  *rtl.Base
+	exprs *rtl.Store
+	// nodes[h] describes handle h of exprs; terms numbers the terminals.
+	nodes []patNode
+	terms map[term]int32
 
 	stats Stats // counted as Build adds rules
 }
@@ -277,28 +228,35 @@ func (g *Grammar) NT(name string) int {
 // NumNT returns the number of nonterminals.
 func (g *Grammar) NumNT() int { return len(g.NTNames) }
 
+// Exprs returns the store the rules' pattern handles index: the base's.
+func (g *Grammar) Exprs() *rtl.Store { return g.exprs }
+
+// PatNT returns the nonterminal that pattern handle h stands for, or 0
+// when h is a terminal node.
+func (g *Grammar) PatNT(h rtl.ExprID) int { return int(g.nodes[h].nt) }
+
+// PatTerm returns the terminal ID of pattern handle h, or -1 for a
+// nonterminal leaf.
+func (g *Grammar) PatTerm(h rtl.ExprID) int32 { return g.nodes[h].term }
+
+// Template returns the template of a KindRT rule, nil for other rules.
+func (g *Grammar) Template(r *Rule) *rtl.Template {
+	if r.Tmpl < 0 {
+		return nil
+	}
+	return g.base.Templates[r.Tmpl]
+}
+
 // SubjectTerm returns the terminal ID of subject node e, the RulesByTerm
 // bucket holding every rule whose root can match e, or -1 when no rule's
 // can.
-func (g *Grammar) SubjectTerm(e *rtl.Expr) int {
+func (g *Grammar) SubjectTerm(e *rtl.Expr) int32 {
 	if t, ok := subjectTerm(e); ok {
 		if id, ok := g.terms[t]; ok {
 			return id
 		}
 	}
 	return -1
-}
-
-// internTerms numbers every terminal of pattern p.
-func (g *Grammar) internTerms(p *Pat) {
-	if t, ok := termOf(p); ok {
-		if _, ok := g.terms[t]; !ok {
-			g.terms[t] = len(g.terms)
-		}
-	}
-	for _, k := range p.Kids {
-		g.internTerms(k)
-	}
 }
 
 // StorageInfo describes one sequential component to the grammar builder.
@@ -340,86 +298,59 @@ func Build(base *rtl.Base, spec Spec) (*Grammar, error) {
 // cannot be lowered into a pattern is skipped with a warning on rep (its RT
 // simply stays unselectable) instead of failing the whole build.  The build
 // fails only when no selectable rule survives.  rep may be nil.
+//
+// Build interns the swapped sources of the base's swap entries into the
+// base's store; it is the only writer of that store after extension.
 func BuildReported(base *rtl.Base, spec Spec, rep *diag.Reporter) (*Grammar, error) {
+	nNT := 1 + len(spec.Storages) + len(spec.OutPorts)
 	g := &Grammar{
+		NTNames: append(make([]string, 0, nNT), "START"),
 		// At most a start and a stop rule per storage, a start rule per
 		// port and an RT rule per entry of the base.
-		Rules:      make([]*Rule, 0, 2*len(spec.Storages)+len(spec.OutPorts)+base.Len()),
-		ntIdx:      make(map[string]int),
-		terms:      make(map[term]int),
-		ChainRules: make(map[int][]*Rule),
-		StartRules: make(map[string]*Rule),
+		Rules:      make([]Rule, 0, 2*len(spec.Storages)+len(spec.OutPorts)+base.Len()),
+		ntIdx:      make(map[string]int, nNT),
+		terms:      make(map[term]int32),
+		StartRules: append(make([]int32, 0, nNT), -1),
 		Spec:       spec,
+		base:       base,
+		exprs:      base.Exprs(),
 	}
-	g.NTNames = append(g.NTNames, "START")
+	g.grow()
 
-	addNT := func(name string) int {
-		if i, ok := g.ntIdx[name]; ok {
-			return i
+	// Nonterminals (SEQ ∪ PORTS), each with its start rule, cost 0.
+	addStart := func(name string) {
+		nt, ok := g.ntIdx[name]
+		if !ok {
+			nt = len(g.NTNames)
+			g.NTNames = append(g.NTNames, name)
+			g.StartRules = append(g.StartRules, -1)
+			g.ntIdx[name] = nt
 		}
-		i := len(g.NTNames)
-		g.NTNames = append(g.NTNames, name)
-		g.ntIdx[name] = i
-		return i
+		g.StartRules[nt] = int32(len(g.Rules))
+		g.Rules = append(g.Rules, Rule{Kind: KindStart, LHS: START, Dest: int32(nt),
+			Pat: rtl.NoExpr, Addr: rtl.NoExpr, Term: -1, Tmpl: -1})
+		g.stats.StartRules++
 	}
-
-	// Nonterminals: SEQ ∪ PORTS.
 	for _, s := range spec.Storages {
-		addNT(s.Name)
+		addStart(s.Name)
 	}
 	for _, p := range spec.OutPorts {
-		addNT(p)
+		addStart(p)
 	}
 
-	// addRule files r; the terminals of its pattern must be interned.
-	addRule := func(r *Rule) {
-		r.ID = len(g.Rules)
-		r.Term = -1
-		g.Rules = append(g.Rules, r)
-		switch {
-		case r.Kind == KindStart:
-			g.StartRules[r.Dest] = r
-			g.stats.StartRules++
-			return
-		case r.IsChain():
-			g.ChainRules[r.Pat.NT] = append(g.ChainRules[r.Pat.NT], r)
-			g.stats.ChainRules++
-		default:
-			t, _ := termOf(r.Pat)
-			r.Term = g.terms[t]
-		}
-		if r.Kind == KindRT {
-			g.stats.RTRules++
-		} else {
-			g.stats.StopRules++
-		}
-	}
-
-	// 1. Start rules, cost 0.
-	for _, s := range spec.Storages {
-		addRule(&Rule{Kind: KindStart, LHS: START, Dest: s.Name, Cost: 0,
-			Pat: &Pat{Kind: PatNT, NT: g.ntIdx[s.Name], Width: s.Width}})
-	}
-	for _, p := range spec.OutPorts {
-		addRule(&Rule{Kind: KindStart, LHS: START, Dest: p, Cost: 0,
-			Pat: &Pat{Kind: PatNT, NT: g.ntIdx[p], Width: 0}})
-	}
-
-	// 2. RT rules, cost 1, one per entry of the base.  A pattern depends
-	// on its template's source alone, so each distinct source is lowered
-	// once and its pattern is shared, read-only, by every rule for it.  A
-	// swap rule gets that pattern with the operands of its masked sites
-	// exchanged, built once per (source, mask); it shares every subtree
-	// without a masked site with the source's pattern.  Each distinct
-	// destination address is lowered once too.  A failed source lowering
-	// is rare and not memoised.  The rules are carved from one array.
-	lowered := make([]*Pat, base.Exprs().Len())
-	swapped := make(map[swapKey]*Pat)
-	addrs := make(map[rtl.ExprID]*Pat)
-	rules := make([]Rule, 0, base.Len())
+	// RT rules, cost 1, one per entry of the base.  A pattern is its
+	// template's source handle, lowered once however many rules share
+	// it; a swap rule's is its swapped source, interned once per
+	// (source, mask).  Destination addresses are numbered after the
+	// terminals are counted: their terminals must match subject nodes
+	// but are not terminals of the grammar's rules.
+	swapped := make(map[swapKey]rtl.ExprID)
 	var skipErr error
-	skipped := 0
+	skipped, tmpl := 0, int32(-1)
 	base.Each(func(s rtl.Swap) {
+		if s.Mask == 0 {
+			tmpl++
+		}
 		t := s.Of
 		if len(t.Cond.Dynamic) > 0 {
 			// Templates with residual dynamic guards (conditional jumps,
@@ -435,15 +366,9 @@ func BuildReported(base *rtl.Base, spec Spec, rep *diag.Reporter) (*Grammar, err
 			// is not selectable.
 			return
 		}
-		var pat *Pat
 		err := faultpoint.Hit("grammar.rule", t.Dest)
 		if err == nil {
-			if pat = lowered[t.SrcID()]; pat == nil {
-				if pat, err = g.lower(t.Src); err == nil {
-					g.internTerms(pat)
-					lowered[t.SrcID()] = pat
-				}
-			}
+			err = g.lowerable(t.SrcID())
 		}
 		if err != nil {
 			err = fmt.Errorf("template %d (%s): %w", s.ID, s, err)
@@ -454,89 +379,172 @@ func BuildReported(base *rtl.Base, spec Spec, rep *diag.Reporter) (*Grammar, err
 			rep.Warnf("grammar", diag.Pos{}, "skipping %v; its RT stays unselectable", err)
 			return
 		}
+		pat, ti := t.SrcID(), tmpl
 		if s.Mask != 0 {
-			key := swapKey{t.SrcID(), s.Mask}
-			if swapped[key] == nil {
-				swapped[key] = swapPat(t.Src, pat, s.Mask)
+			key := swapKey{pat, s.Mask}
+			h, ok := swapped[key]
+			if !ok {
+				// A swapped tree has the nodes of its source, so it
+				// lowers too.
+				h = g.exprs.Intern(swapTree(g.exprs, t.Src, s.Mask))
+				g.grow()
+				g.lowerable(h)
+				swapped[key] = h
 			}
-			pat = swapped[key]
+			pat = h
+			ti = int32(sort.Search(len(base.Templates), func(i int) bool { return base.Templates[i].ID >= t.ID }))
 		}
-		var addr *Pat
-		if t.DestAddr != nil {
-			if addr, ok = addrs[t.AddrID()]; !ok {
-				// An address that does not lower leaves the rule
-				// unselectable as a store.
-				addr, _ = g.lower(t.DestAddr)
-				addrs[t.AddrID()] = addr
-			}
+		g.number(pat)
+		r := Rule{Kind: KindRT, LHS: int32(lhs), Cost: 1, Pat: pat, Addr: t.AddrID(),
+			Term: g.nodes[pat].term, Tmpl: ti, Swap: s.Mask}
+		if g.nodes[pat].nt != 0 {
+			g.stats.ChainRules++
 		}
-		rules = append(rules, Rule{Kind: KindRT, LHS: lhs, Pat: pat, AddrPat: addr, Cost: 1, Template: t, Swap: s.Mask})
-		addRule(&rules[len(rules)-1])
+		g.Rules = append(g.Rules, r)
+		g.stats.RTRules++
 	})
 	if skipped > 0 && g.stats.RTRules == 0 {
 		return nil, fmt.Errorf("grammar: no selectable rules survive lowering: %w", skipErr)
 	}
 
-	// 3. Stop rules, cost 0, for plain registers.
+	// Stop rules, cost 0, for plain registers.
 	for _, s := range spec.Storages {
 		if s.Size != 1 {
 			continue
 		}
-		pat := &Pat{Kind: PatReg, Storage: s.Name, Width: s.Width}
-		g.internTerms(pat)
-		addRule(&Rule{Kind: KindStop, LHS: g.ntIdx[s.Name], Cost: 0, Pat: pat})
-	}
-	// Every terminal gets a bucket, empty if it roots no rule.
-	g.RulesByTerm = make([][]*Rule, len(g.terms))
-	for _, r := range g.Rules {
-		if r.Term >= 0 {
-			g.RulesByTerm[r.Term] = append(g.RulesByTerm[r.Term], r)
-		}
+		g.Rules = append(g.Rules, Rule{Kind: KindStop, LHS: int32(g.ntIdx[s.Name]),
+			Pat: rtl.NoExpr, Addr: rtl.NoExpr, Term: g.termID(term{kind: termReg, name: s.Name}), Tmpl: -1})
+		g.stats.StopRules++
 	}
 	g.stats.Nonterminals = len(g.NTNames)
 	g.stats.Terminals = len(g.terms) + 1 // + ASSIGN
+
+	// Destination addresses.  One that does not lower leaves its rule
+	// unselectable as a store.
+	for i := range g.Rules {
+		r := &g.Rules[i]
+		if r.Addr == rtl.NoExpr {
+			continue
+		}
+		if g.lowerable(r.Addr) != nil {
+			r.Addr = rtl.NoExpr
+			continue
+		}
+		g.number(r.Addr)
+	}
+
+	g.RulesByTerm = g.index(len(g.terms), func(r *Rule) int32 { return r.Term })
+	g.ChainRules = g.index(len(g.NTNames), func(r *Rule) int32 {
+		if !r.IsChain() {
+			return -1
+		}
+		return g.nodes[r.Pat].nt
+	})
+	g.StoreRules = g.index(len(g.NTNames), func(r *Rule) int32 {
+		if r.Addr == rtl.NoExpr {
+			return -1
+		}
+		return r.LHS
+	})
 	return g, nil
 }
 
-// lower converts a template source expression into a pattern per table 2 of
-// the paper.
-func (g *Grammar) lower(e *rtl.Expr) (*Pat, error) {
-	p := &Pat{Width: e.Width}
+// grow extends the per-handle arrays over every handle of the store.
+func (g *Grammar) grow() {
+	n := g.exprs.Len()
+	if n <= len(g.nodes) {
+		return
+	}
+	old := len(g.nodes)
+	g.nodes = slices.Grow(g.nodes, n-old)[:n]
+	for i := old; i < n; i++ {
+		g.nodes[i] = patNode{term: -1}
+	}
+}
+
+// lowerable checks that the tree of handle h lowers into a pattern per
+// table 2 of the paper, recording each address-less read's nonterminal.
+// Only success is memoised; a failing tree is rare.
+func (g *Grammar) lowerable(h rtl.ExprID) error {
+	n := &g.nodes[h]
+	if n.state != unseen {
+		return nil
+	}
+	e := g.exprs.Expr(h)
 	switch e.Kind {
-	case rtl.Const:
-		p.Kind, p.Val = PatConst, e.Val
-	case rtl.InsnField:
-		p.Kind, p.ImmHi, p.ImmLo = PatImm, e.Hi, e.Lo
-	case rtl.PortRef:
-		p.Kind, p.Port = PatPort, e.Port
+	case rtl.Const, rtl.InsnField, rtl.PortRef:
 	case rtl.Read:
 		if e.Addr() == nil {
 			nt, ok := g.ntIdx[e.Storage]
 			if !ok {
-				return nil, fmt.Errorf("grammar: storage %s not in spec", e.Storage)
+				return fmt.Errorf("grammar: storage %s not in spec", e.Storage)
 			}
-			p.Kind, p.NT = PatNT, nt
-			break
+			n.nt = int32(nt)
 		}
-		p.Kind, p.Storage = PatMem, e.Storage
-	case rtl.Slice:
-		p.Kind, p.Hi, p.Lo = PatSlice, e.Hi, e.Lo
-	case rtl.OpApp:
-		p.Kind, p.Op = PatOp, e.Op
+	case rtl.Slice, rtl.OpApp:
 	default:
-		return nil, fmt.Errorf("grammar: cannot lower expression %s", e)
+		return fmt.Errorf("grammar: cannot lower expression %s", e)
 	}
-	if len(e.Kids) > 0 {
-		p.Kids = make([]*Pat, len(e.Kids))
-		for i, k := range e.Kids {
-			kid, err := g.lower(k)
-			if err != nil {
-				return nil, err
-			}
-			p.Kids[i] = kid
+	for _, k := range g.exprs.Kids(h) {
+		if err := g.lowerable(k); err != nil {
+			return err
 		}
 	}
-	return p, nil
+	n.state = lowerable
+	return nil
+}
+
+// number gives every terminal node of h's tree, which lowers, its
+// terminal ID.
+func (g *Grammar) number(h rtl.ExprID) {
+	n := &g.nodes[h]
+	if n.state == numbered {
+		return
+	}
+	n.state = numbered
+	if n.nt != 0 {
+		return
+	}
+	t, _ := subjectTerm(g.exprs.Expr(h))
+	n.term = g.termID(t)
+	for _, k := range g.exprs.Kids(h) {
+		g.number(k)
+	}
+}
+
+// termID returns t's terminal ID, numbering it if it is new.
+func (g *Grammar) termID(t term) int32 {
+	id, ok := g.terms[t]
+	if !ok {
+		id = int32(len(g.terms))
+		g.terms[t] = id
+	}
+	return id
+}
+
+// index groups the indices of the rules by key (skipping those keyed -1)
+// into n lists, in rule order, carved from one array.
+func (g *Grammar) index(n int, key func(*Rule) int32) [][]int32 {
+	at := make([]int32, n+1)
+	for i := range g.Rules {
+		if k := key(&g.Rules[i]); k >= 0 {
+			at[k+1]++
+		}
+	}
+	for k := 1; k <= n; k++ {
+		at[k] += at[k-1]
+	}
+	all := make([]int32, at[n])
+	lists := make([][]int32, n)
+	for k := range lists {
+		lists[k] = all[at[k]:at[k]:at[k+1]]
+	}
+	for i := range g.Rules {
+		if k := key(&g.Rules[i]); k >= 0 {
+			lists[k] = append(lists[k], int32(i))
+		}
+	}
+	return lists
 }
 
 // swapKey identifies a swap rule's pattern: its source and mask.
@@ -545,29 +553,30 @@ type swapKey struct {
 	mask uint64
 }
 
-// swapPat returns p, the lowering of e, with the operands of the swap
-// sites of e that mask selects exchanged (bit i selects site i, in the
+// swapTree returns e, a canonical tree of s, with the operands of the swap
+// sites that mask selects exchanged (bit i selects site i, in the
 // pre-order of rtl.Expr.SwapSite).  Subtrees holding no selected site are
-// p's own.
-func swapPat(e *rtl.Expr, p *Pat, mask uint64) *Pat {
+// e's own; every node it builds is interned as it is built, so the result
+// interns without copying.
+func swapTree(s *rtl.Store, e *rtl.Expr, mask uint64) *rtl.Expr {
 	if mask == 0 {
-		return p
+		return e
 	}
 	swap := false
 	if e.SwapSite() {
 		swap, mask = mask&1 != 0, mask>>1
 	}
-	q := *p
-	q.Kids = make([]*Pat, len(p.Kids))
+	c := *e
+	c.Kids = make([]*rtl.Expr, len(e.Kids))
 	for i, k := range e.Kids {
 		n := uint(k.SwapSites())
-		q.Kids[i] = swapPat(k, p.Kids[i], mask&(1<<n-1))
+		c.Kids[i] = swapTree(s, k, mask&(1<<n-1))
 		mask >>= n
 	}
 	if swap {
-		q.Kids[0], q.Kids[1] = q.Kids[1], q.Kids[0]
+		c.Kids[0], c.Kids[1] = c.Kids[1], c.Kids[0]
 	}
-	return &q
+	return s.Expr(s.Intern(&c))
 }
 
 // Stats summarizes the grammar for diagnostics and the retargeting report.
@@ -582,7 +591,7 @@ type Stats struct {
 
 // Stats returns the summary counts Build took as it added rules.  The
 // terminals are those of the rules' patterns plus ASSIGN; a template whose
-// lowering failed contributes none.
+// lowering failed contributes none, and neither do destination addresses.
 func (g *Grammar) Stats() Stats { return g.stats }
 
 // Observe records the grammar's size in the scope's registry — rule counts
@@ -606,40 +615,72 @@ func (st Stats) Observe(scope *obs.Scope) {
 // String renders the grammar in a BNF-like form.
 func (g *Grammar) String() string {
 	var b strings.Builder
-	for _, r := range g.Rules {
-		lhs := g.NTNames[r.LHS]
-		switch r.Kind {
-		case KindStart:
-			fmt.Fprintf(&b, "%-8s -> ASSIGN(%s, %s)  [0]\n", lhs, r.Dest, g.patString(r.Pat))
-		default:
-			fmt.Fprintf(&b, "%-8s -> %s  [%d]\n", lhs, g.patString(r.Pat), r.Cost)
+	for i := range g.Rules {
+		r := &g.Rules[i]
+		fmt.Fprintf(&b, "%-8s -> ", g.NTNames[r.LHS])
+		if r.Kind == KindStart {
+			fmt.Fprintf(&b, "ASSIGN(%s, %s)  [0]\n", g.NTNames[r.Dest], g.NTNames[r.Dest])
+			continue
 		}
+		g.writePattern(&b, r)
+		fmt.Fprintf(&b, "  [%d]\n", r.Cost)
 	}
 	return b.String()
 }
 
-// patString renders p with nonterminals by name.
-func (g *Grammar) patString(p *Pat) string {
-	if p.Kind == PatNT {
-		return g.NTNames[p.NT]
+// Pattern renders the pattern of r with nonterminals by name, as String
+// does.
+func (g *Grammar) Pattern(r *Rule) string {
+	var b strings.Builder
+	g.writePattern(&b, r)
+	return b.String()
+}
+
+func (g *Grammar) writePattern(b *strings.Builder, r *Rule) {
+	switch r.Kind {
+	case KindStart:
+		b.WriteString(g.NTNames[r.Dest])
+	case KindStop:
+		b.WriteString(g.NTNames[r.LHS])
+	default:
+		g.writePat(b, r.Pat)
 	}
-	if len(p.Kids) == 0 {
-		return p.String()
+}
+
+// writePat renders pattern handle h with nonterminals by name.
+func (g *Grammar) writePat(b *strings.Builder, h rtl.ExprID) {
+	if nt := g.nodes[h].nt; nt != 0 {
+		b.WriteString(g.NTNames[nt])
+		return
 	}
-	parts := make([]string, len(p.Kids))
-	for i, k := range p.Kids {
-		parts[i] = g.patString(k)
-	}
-	switch p.Kind {
-	case PatOp:
-		if len(parts) == 1 {
-			return fmt.Sprintf("%s(%s)", p.Op, parts[0])
+	e, kids := g.exprs.Expr(h), g.exprs.Kids(h)
+	switch e.Kind {
+	case rtl.OpApp:
+		if len(kids) == 1 {
+			b.WriteString(string(e.Op))
+			b.WriteByte('(')
+			g.writePat(b, kids[0])
+			b.WriteByte(')')
+			return
 		}
-		return fmt.Sprintf("(%s %s %s)", parts[0], p.Op, parts[1])
-	case PatMem:
-		return fmt.Sprintf("%s[%s]", p.Storage, parts[0])
-	case PatSlice:
-		return fmt.Sprintf("%s[%d:%d]", parts[0], p.Hi, p.Lo)
+		b.WriteByte('(')
+		g.writePat(b, kids[0])
+		b.WriteString(" " + string(e.Op) + " ")
+		g.writePat(b, kids[1])
+		b.WriteByte(')')
+	case rtl.Read:
+		b.WriteString(e.Storage)
+		b.WriteByte('[')
+		g.writePat(b, kids[0])
+		b.WriteByte(']')
+	case rtl.InsnField:
+		fmt.Fprintf(b, "IMM[%d:%d]", e.Hi, e.Lo)
+	case rtl.Const:
+		b.WriteString(strconv.FormatInt(e.Val, 10))
+	case rtl.PortRef:
+		b.WriteString(e.Port)
+	case rtl.Slice:
+		g.writePat(b, kids[0])
+		fmt.Fprintf(b, "[%d:%d]", e.Hi, e.Lo)
 	}
-	return p.String()
 }

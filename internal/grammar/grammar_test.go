@@ -1,6 +1,7 @@
 package grammar
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -67,33 +68,41 @@ func TestBuildBasics(t *testing.T) {
 
 func TestStartRuleCosts(t *testing.T) {
 	g, _ := buildTestGrammar(t)
-	for dest, r := range g.StartRules {
-		if r.Cost != 0 {
-			t.Errorf("start rule for %s has cost %d", dest, r.Cost)
+	for nt, ri := range g.StartRules {
+		if ri < 0 {
+			if nt != START {
+				t.Errorf("destination %s has no start rule", g.NTNames[nt])
+			}
+			continue
 		}
-		if r.Kind != KindStart {
-			t.Errorf("start rule for %s has kind %v", dest, r.Kind)
+		r := g.Rules[ri]
+		if r.Cost != 0 {
+			t.Errorf("start rule for %s has cost %d", g.NTNames[nt], r.Cost)
+		}
+		if r.Kind != KindStart || r.Dest != int32(nt) {
+			t.Errorf("start rule for %s has kind %v, destination %d", g.NTNames[nt], r.Kind, r.Dest)
 		}
 	}
-	if _, ok := g.StartRules["out"]; !ok {
+	if g.StartRules[g.NT("out")] < 0 {
 		t.Error("primary output port must have a start rule")
 	}
 }
 
 func TestRTCostsAndStopCosts(t *testing.T) {
 	g, _ := buildTestGrammar(t)
-	for _, r := range g.Rules {
+	for i := range g.Rules {
+		r := &g.Rules[i]
 		switch r.Kind {
 		case KindRT:
 			if r.Cost != 1 {
-				t.Errorf("RT rule %s cost %d", r, r.Cost)
+				t.Errorf("RT rule %s cost %d", g.Pattern(r), r.Cost)
 			}
-			if r.Template == nil {
-				t.Errorf("RT rule %s lost its template", r)
+			if g.Template(r) == nil {
+				t.Errorf("RT rule %s lost its template", g.Pattern(r))
 			}
 		case KindStop:
 			if r.Cost != 0 {
-				t.Errorf("stop rule %s cost %d", r, r.Cost)
+				t.Errorf("stop rule %s cost %d", g.Pattern(r), r.Cost)
 			}
 		}
 	}
@@ -101,25 +110,31 @@ func TestRTCostsAndStopCosts(t *testing.T) {
 
 func TestPatternLowering(t *testing.T) {
 	g, _ := buildTestGrammar(t)
-	// Find the MAC-ish rule and inspect its pattern.
+	// Find the MAC-ish rule and inspect its pattern, handle by handle.
 	var mac *Rule
-	for _, r := range g.Rules {
-		if r.Kind == KindRT && r.Pat.Kind == PatOp && r.Pat.Op == rtl.OpAdd {
+	for i := range g.Rules {
+		r := &g.Rules[i]
+		if r.Kind == KindRT && g.exprs.Expr(r.Pat).Op == rtl.OpAdd {
 			mac = r
 		}
 	}
 	if mac == nil {
 		t.Fatal("add rule missing")
 	}
-	if mac.Pat.Kids[0].Kind != PatNT || g.NTNames[mac.Pat.Kids[0].NT] != "acc.r" {
-		t.Errorf("left kid = %+v", mac.Pat.Kids[0])
+	if mac.Pat != g.Template(mac).SrcID() || mac.Term != g.PatTerm(mac.Pat) || mac.Term < 0 {
+		t.Errorf("add rule: pattern %d, terminal %d; template source %d", mac.Pat, mac.Term, g.Template(mac).SrcID())
 	}
-	right := mac.Pat.Kids[1]
-	if right.Kind != PatMem || right.Storage != "ram.m" {
-		t.Fatalf("right kid = %+v", right)
+	kids := g.exprs.Kids(mac.Pat)
+	if nt := g.PatNT(kids[0]); nt == 0 || g.NTNames[nt] != "acc.r" || g.PatTerm(kids[0]) != -1 {
+		t.Errorf("left kid = %s, nonterminal %d", g.exprs.Expr(kids[0]), nt)
 	}
-	if right.Kids[0].Kind != PatImm || right.Kids[0].ImmHi != 3 {
-		t.Errorf("address pattern = %+v", right.Kids[0])
+	right := g.exprs.Expr(kids[1])
+	if g.PatNT(kids[1]) != 0 || right.Kind != rtl.Read || right.Storage != "ram.m" || g.PatTerm(kids[1]) < 0 {
+		t.Fatalf("right kid = %s", right)
+	}
+	addr := g.exprs.Kids(kids[1])[0]
+	if e := g.exprs.Expr(addr); e.Kind != rtl.InsnField || e.Hi != 3 || g.PatTerm(addr) < 0 {
+		t.Errorf("address pattern = %s", e)
 	}
 }
 
@@ -137,8 +152,8 @@ func TestSubjectTerms(t *testing.T) {
 			return "none"
 		}
 		var b strings.Builder
-		for _, r := range g.RulesByTerm[id] {
-			b.WriteString(g.patString(r.Pat))
+		for _, ri := range g.RulesByTerm[id] {
+			b.WriteString(g.Pattern(&g.Rules[ri]))
 			b.WriteByte(';')
 		}
 		return b.String()
@@ -168,32 +183,43 @@ func TestSubjectTerms(t *testing.T) {
 	}
 }
 
+// TestMatchesLeaf checks the leaf-level agreement a pattern node and a
+// subject node need: their terminal IDs, and a field fit for immediates.
 func TestMatchesLeaf(t *testing.T) {
-	imm := &Pat{Kind: PatImm, ImmHi: 3, ImmLo: 0, Width: 4}
-	if !imm.MatchesLeaf(rtl.NewConst(15, 8)) {
+	if !FitsField(15, 4) {
 		t.Error("15 must fit a 4-bit field")
 	}
-	if imm.MatchesLeaf(rtl.NewConst(16, 8)) {
+	if FitsField(16, 4) {
 		t.Error("16 must not fit a 4-bit field")
 	}
-	if !imm.MatchesLeaf(rtl.NewConst(-8, 8)) {
-		t.Error("-8 must fit signed 4-bit")
+	if !FitsField(-8, 4) || FitsField(-9, 4) {
+		t.Error("-8 must fit signed 4-bit, -9 must not")
 	}
-	hc := &Pat{Kind: PatConst, Val: 0, Width: 8}
-	if !hc.MatchesLeaf(rtl.NewConst(0, 8)) || hc.MatchesLeaf(rtl.NewConst(1, 8)) {
-		t.Error("hardwired const matching wrong")
+	g, _ := buildTestGrammar(t)
+	termOfRule := func(kind RuleKind, pattern string) int32 {
+		for i := range g.Rules {
+			if r := &g.Rules[i]; r.Kind == kind && g.Pattern(r) == pattern {
+				return r.Term
+			}
+		}
+		t.Fatalf("no %v rule %s", kind, pattern)
+		return -1
 	}
-	reg := &Pat{Kind: PatReg, Storage: "acc.r"}
-	if !reg.MatchesLeaf(rtl.NewRead("acc.r", 8, nil)) {
-		t.Error("reg leaf must match")
+	// The hardwired clear and every program constant share a terminal;
+	// the parser compares their values.
+	if c := termOfRule(KindRT, "0"); g.SubjectTerm(rtl.NewConst(1, 8)) != c || c < 0 {
+		t.Error("a constant must find the hardwired constant's terminal")
 	}
-	if reg.MatchesLeaf(rtl.NewRead("acc.r", 8, rtl.NewConst(0, 4))) {
-		t.Error("reg pattern matched addressable read")
+	reg := termOfRule(KindStop, "acc.r")
+	if g.SubjectTerm(rtl.NewRead("acc.r", 8, nil)) != reg {
+		t.Error("a register read must find its stop rule's terminal")
 	}
-	op := &Pat{Kind: PatOp, Op: rtl.OpAdd, Width: 8,
-		Kids: []*Pat{{Kind: PatNT}, {Kind: PatNT}}}
-	if op.MatchesLeaf(rtl.NewOp(rtl.OpAdd, 16, rtl.NewConst(0, 16), rtl.NewConst(0, 16))) {
-		t.Error("width mismatch must fail")
+	if g.SubjectTerm(rtl.NewRead("acc.r", 8, rtl.NewConst(0, 4))) == reg {
+		t.Error("an addressable read found the register's terminal")
+	}
+	add := termOfRule(KindRT, "(acc.r + ram.m[IMM[3:0]])")
+	if g.SubjectTerm(rtl.NewOp(rtl.OpAdd, 16, rtl.NewConst(0, 16), rtl.NewConst(0, 16))) == add {
+		t.Error("a 16-bit add found the 8-bit add's terminal")
 	}
 }
 
@@ -233,4 +259,27 @@ func TestGrammarRendering(t *testing.T) {
 			t.Errorf("rendering missing %q:\n%s", want, s)
 		}
 	}
+}
+
+// TestRuleHoldsNoPointer keeps Rule pointer-free, so a grammar's rule
+// array is one allocation the garbage collector never scans: no field,
+// however nested, may be a pointer, string, slice, map or other
+// reference.
+func TestRuleHoldsNoPointer(t *testing.T) {
+	var check func(path string, typ reflect.Type)
+	check = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				check(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			check(path+"[]", typ.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice,
+			reflect.Map, reflect.Interface, reflect.Chan, reflect.Func:
+			t.Errorf("%s is a %s: Rule must hold no pointer", path, typ.Kind())
+		}
+	}
+	check("Rule", reflect.TypeOf(Rule{}))
 }

@@ -2,7 +2,6 @@ package grammar_test
 
 import (
 	"context"
-	"reflect"
 	"strconv"
 	"testing"
 
@@ -34,14 +33,61 @@ func bundledTargets(t *testing.T) map[string]*core.Target {
 	return out
 }
 
-// TestTermAgreesWithMatchesLeaf labels nothing: it checks that whenever a
-// rule's root matches a subject node, the node's terminal is the rule's,
-// so bucketing by terminal never hides a matching rule from the parser.
-// It covers every bundled grammar against the subject trees (sources and
+// leafMatches is the leaf-level match of the pattern node of handle h
+// against subject node n, by comparing the two nodes' own fields: the
+// reference for matching by terminal ID.
+func leafMatches(g *grammar.Grammar, h rtl.ExprID, n *rtl.Expr) bool {
+	p := g.Exprs().Expr(h)
+	switch p.Kind {
+	case rtl.OpApp:
+		return n.Kind == rtl.OpApp && n.Op == p.Op && n.Width == p.Width && len(n.Kids) == len(p.Kids)
+	case rtl.Read:
+		return n.Kind == rtl.Read && n.Addr() != nil && n.Storage == p.Storage
+	case rtl.InsnField:
+		return n.Kind == rtl.Const && grammar.FitsField(n.Val, p.Hi-p.Lo+1)
+	case rtl.Const:
+		return n.Kind == rtl.Const && n.Val == p.Val
+	case rtl.PortRef:
+		return n.Kind == rtl.PortRef && n.Port == p.Port
+	case rtl.Slice:
+		return n.Kind == rtl.Slice && n.Hi == p.Hi && n.Lo == p.Lo
+	}
+	return false
+}
+
+// TestTermAgreesWithMatchesLeaf labels nothing: it checks that a pattern
+// node matches a subject node at its level exactly when their terminal
+// IDs agree (up to the value check a constant needs), so bucketing and
+// matching by terminal ID never hide a matching rule from the parser.
+// It covers every node of every rule's source and address patterns in
+// every bundled grammar against the subject trees (sources and
 // destination addresses) of every DSPStone kernel that binds there.
 func TestTermAgreesWithMatchesLeaf(t *testing.T) {
 	for name, tg := range bundledTargets(t) {
 		g := tg.Grammar
+		var pats []rtl.ExprID
+		seen := make(map[rtl.ExprID]bool)
+		var collect func(h rtl.ExprID)
+		collect = func(h rtl.ExprID) {
+			if seen[h] {
+				return
+			}
+			seen[h] = true
+			if g.PatNT(h) == 0 {
+				pats = append(pats, h)
+			}
+			for _, k := range g.Exprs().Kids(h) {
+				collect(k)
+			}
+		}
+		for i := range g.Rules {
+			r := &g.Rules[i]
+			for _, h := range []rtl.ExprID{r.Pat, r.Addr} {
+				if h != rtl.NoExpr {
+					collect(h)
+				}
+			}
+		}
 		checked := 0
 		for _, k := range dspstone.Suite() {
 			prog, err := cfront.Parse(k.Source)
@@ -60,14 +106,19 @@ func TestTermAgreesWithMatchesLeaf(t *testing.T) {
 				for _, tree := range []*rtl.Expr{et.Src, et.DestAddr} {
 					tree.Walk(func(n *rtl.Expr) {
 						term := g.SubjectTerm(n)
-						for _, r := range g.Rules {
-							if r.Kind == grammar.KindStart || r.IsChain() || !r.Pat.MatchesLeaf(n) {
-								continue
+						for _, h := range pats {
+							match, same := leafMatches(g, h, n), g.PatTerm(h) == term
+							if match {
+								checked++
 							}
-							checked++
-							if r.Term != term {
-								t.Fatalf("%s: rule %s matches %s at its root, but has terminal %d and the node %d",
-									name, r, n, r.Term, term)
+							// Terminal IDs agree on everything but a
+							// constant's value or fit.
+							if c := g.Exprs().Expr(h).Kind; c == rtl.Const || c == rtl.InsnField {
+								same = same && match
+							}
+							if match != same {
+								t.Fatalf("%s: pattern node %s at %s: leaf match %v, terminals %d and %d",
+									name, g.Exprs().Expr(h), n, match, g.PatTerm(h), term)
 							}
 						}
 					})
@@ -75,46 +126,47 @@ func TestTermAgreesWithMatchesLeaf(t *testing.T) {
 			}
 		}
 		if checked == 0 {
-			t.Errorf("%s: no rule matched any kernel node", name)
+			t.Errorf("%s: no pattern node matched any kernel node", name)
 		}
 	}
 }
 
 // termKey is the rule-bucket string the grammar used to count terminals
-// by, kept here as the reference for Stats.
-func termKey(p *grammar.Pat) string {
-	switch p.Kind {
-	case grammar.PatOp:
-		return "op:" + string(p.Op) + ":" + strconv.Itoa(p.Width)
-	case grammar.PatReg:
-		return "reg:" + p.Storage
-	case grammar.PatMem:
-		return "mem:" + p.Storage
-	case grammar.PatImm, grammar.PatConst:
+// by, kept here as the reference for Stats, for pattern node e.
+func termKey(e *rtl.Expr) string {
+	switch e.Kind {
+	case rtl.OpApp:
+		return "op:" + string(e.Op) + ":" + strconv.Itoa(e.Width)
+	case rtl.Read:
+		return "mem:" + e.Storage
+	case rtl.InsnField, rtl.Const:
 		return "#const"
-	case grammar.PatPort:
-		return "port:" + p.Port
-	case grammar.PatSlice:
-		return "slice:" + strconv.Itoa(p.Hi) + ":" + strconv.Itoa(p.Lo)
+	case rtl.PortRef:
+		return "port:" + e.Port
+	case rtl.Slice:
+		return "slice:" + strconv.Itoa(e.Hi) + ":" + strconv.Itoa(e.Lo)
 	}
 	return ""
 }
 
 // walkStats counts g's rules and the distinct terminals of its RT and
 // stop rules' patterns by walking every rule, as Stats once did.
+// Destination addresses are not patterns of a rule.
 func walkStats(g *grammar.Grammar) grammar.Stats {
 	st := grammar.Stats{Nonterminals: g.NumNT()}
 	terms := make(map[string]bool)
-	var walk func(p *grammar.Pat)
-	walk = func(p *grammar.Pat) {
-		if p.Kind != grammar.PatNT {
-			terms[termKey(p)] = true
+	var walk func(h rtl.ExprID)
+	walk = func(h rtl.ExprID) {
+		if g.PatNT(h) != 0 {
+			return
 		}
-		for _, k := range p.Kids {
+		terms[termKey(g.Exprs().Expr(h))] = true
+		for _, k := range g.Exprs().Kids(h) {
 			walk(k)
 		}
 	}
-	for _, r := range g.Rules {
+	for i := range g.Rules {
+		r := &g.Rules[i]
 		switch r.Kind {
 		case grammar.KindStart:
 			st.StartRules++
@@ -123,9 +175,9 @@ func walkStats(g *grammar.Grammar) grammar.Stats {
 			walk(r.Pat)
 		case grammar.KindStop:
 			st.StopRules++
-			walk(r.Pat)
+			terms["reg:"+g.NTNames[r.LHS]] = true
 		}
-		if r.Kind != grammar.KindStart && r.IsChain() {
+		if r.IsChain() {
 			st.ChainRules++
 		}
 	}
@@ -197,94 +249,71 @@ func swappedTree(e *rtl.Expr, mask uint64) *rtl.Expr {
 }
 
 // TestSwapRulePatterns checks, on every bundled model, the pattern of
-// each RT rule against the lowering of its source tree with its swap
-// applied, and the sharing Build promises: one pattern per (source,
-// mask), a swap pattern's subtrees without a masked site taken from the
-// origin's pattern, and one address pattern per address.
+// each RT rule against its source tree with its swap applied, and the
+// sharing Build promises: one handle per (source, mask), a swap
+// pattern's subtrees without a masked site the origin's own handles, and
+// a rule's address pattern its template's address handle.
 func TestSwapRulePatterns(t *testing.T) {
 	swaps := 0
 	for name, tg := range bundledTargets(t) {
 		g := tg.Grammar
+		exprs := g.Exprs()
 		type key struct {
 			src  rtl.ExprID
 			mask uint64
 		}
-		pats := make(map[key]*grammar.Pat)
-		addrs := make(map[rtl.ExprID]*grammar.Pat)
-		origin := make(map[*rtl.Template]*grammar.Pat)
-		for _, r := range g.Rules {
+		pats := make(map[key]rtl.ExprID)
+		for i := range g.Rules {
+			r := &g.Rules[i]
 			if r.Kind != grammar.KindRT {
 				continue
 			}
-			tpl := r.Template
-			want, err := g.Lower(swappedTree(tpl.Src, r.Swap))
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if !reflect.DeepEqual(r.Pat, want) || r.Pat.String() != want.String() {
-				t.Errorf("%s: rule %s: pattern %s, want the swapped lowering %s", name, r, r.Pat, want)
+			tpl := g.Template(r)
+			want := swappedTree(tpl.Src, r.Swap)
+			if got := exprs.Expr(r.Pat); !got.Equal(want) || got.String() != want.String() {
+				t.Errorf("%s: rule %s: pattern %s, want the swapped source %s", name, g.Pattern(r), got, want)
 			}
 			k := key{tpl.SrcID(), r.Swap}
-			if p, ok := pats[k]; ok && p != r.Pat {
-				t.Errorf("%s: rule %s does not share the pattern of source %d, mask %#x", name, r, k.src, k.mask)
+			if h, ok := pats[k]; ok && h != r.Pat {
+				t.Errorf("%s: rule %s does not share the pattern of source %d, mask %#x", name, g.Pattern(r), k.src, k.mask)
 			}
 			pats[k] = r.Pat
-			if r.Swap == 0 {
-				origin[tpl] = r.Pat
+			if r.Addr != tpl.AddrID() {
+				t.Errorf("%s: rule %s: address pattern %d, want the template's address %d", name, g.Pattern(r), r.Addr, tpl.AddrID())
 			}
-			if tpl.DestAddr == nil {
-				if r.AddrPat != nil {
-					t.Errorf("%s: rule %s has an address pattern but no destination address", name, r)
+			if r.Swap == 0 {
+				if r.Pat != tpl.SrcID() {
+					t.Errorf("%s: rule %s: pattern %d, want its source %d", name, g.Pattern(r), r.Pat, tpl.SrcID())
 				}
 				continue
 			}
-			wantAddr, err := g.Lower(tpl.DestAddr)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if !reflect.DeepEqual(r.AddrPat, wantAddr) {
-				t.Errorf("%s: rule %s: address pattern %s, want %s", name, r, r.AddrPat, wantAddr)
-			}
-			if p, ok := addrs[tpl.AddrID()]; ok && p != r.AddrPat {
-				t.Errorf("%s: rule %s does not share the pattern of address %d", name, r, tpl.AddrID())
-			}
-			addrs[tpl.AddrID()] = r.AddrPat
-		}
-		for _, r := range g.Rules {
-			if r.Kind != grammar.KindRT || r.Swap == 0 {
-				continue
-			}
 			swaps++
-			p, ok := origin[r.Template]
-			if !ok {
-				t.Fatalf("%s: swap rule %s has no origin rule", name, r)
-			}
 			mask, site := r.Swap, 0
-			var rec func(e *rtl.Expr, p, q *grammar.Pat)
-			rec = func(e *rtl.Expr, p, q *grammar.Pat) {
+			var rec func(e *rtl.Expr, p, q rtl.ExprID)
+			rec = func(e *rtl.Expr, p, q rtl.ExprID) {
 				n := e.SwapSites()
 				if mask>>uint(site)&(1<<uint(n)-1) == 0 {
 					if p != q {
-						t.Errorf("%s: swap rule %s copies %s, which holds no masked site", name, r, p)
+						t.Errorf("%s: swap rule %s copies %s, which holds no masked site", name, g.Pattern(r), e)
 					}
 					site += n
 					return
 				}
 				if p == q {
-					t.Fatalf("%s: swap rule %s shares %s, which holds a masked site", name, r, p)
+					t.Fatalf("%s: swap rule %s shares %s, which holds a masked site", name, g.Pattern(r), e)
 				}
-				kids := q.Kids
+				kids := exprs.Kids(q)
 				if e.SwapSite() {
 					if mask&(1<<uint(site)) != 0 {
-						kids = []*grammar.Pat{q.Kids[1], q.Kids[0]}
+						kids = []rtl.ExprID{kids[1], kids[0]}
 					}
 					site++
 				}
 				for i, k := range e.Kids {
-					rec(k, p.Kids[i], kids[i])
+					rec(k, exprs.Kids(p)[i], kids[i])
 				}
 			}
-			rec(r.Template.Src, p, r.Pat)
+			rec(tpl.Src, tpl.SrcID(), r.Pat)
 		}
 	}
 	if swaps == 0 {

@@ -213,34 +213,33 @@ func subjectTrees(base *rtl.Base, rng *rand.Rand, n int) []*rtl.Expr {
 	return out
 }
 
-// ruleRT renders the RT a label's rule selects, "" for a rule without a
-// template.
-func ruleRT(r *grammar.Rule) string {
-	if r == nil || r.Template == nil {
+// ruleRT renders the RT that rule ri of g selects, "" for no rule or a
+// rule without a template.
+func ruleRT(g *grammar.Grammar, ri int) string {
+	if ri < 0 || g.Template(&g.Rules[ri]) == nil {
 		return ""
 	}
-	return rtl.Swap{Of: r.Template, Mask: r.Swap}.String()
+	return rtl.Swap{Of: g.Template(&g.Rules[ri]), Mask: g.Rules[ri].Swap}.String()
 }
 
 // sameLabels fails t unless the two labellings agree at every node: the
 // cost from every nonterminal, the position of the rule achieving it and
 // the RT it renders.  It returns the number of labels a swap rule won.
-func sameLabels(t *testing.T, name string, got, want *burs.Node, nNT int) int {
+func sameLabels(t *testing.T, name string, gg, wg *grammar.Grammar, got, want *burs.Node) int {
 	t.Helper()
 	swaps := 0
-	for nt := 0; nt < nNT; nt++ {
+	for nt := 0; nt < gg.NumNT(); nt++ {
 		gr, wr := got.Rule(nt), want.Rule(nt)
-		if got.Cost(nt) != want.Cost(nt) || (gr == nil) != (wr == nil) ||
-			gr != nil && (gr.ID != wr.ID || ruleRT(gr) != ruleRT(wr)) {
-			t.Fatalf("%s: at %s from nonterminal %d: cost %d by %v (%s); reference: cost %d by %v (%s)",
-				name, got.Expr, nt, got.Cost(nt), gr, ruleRT(gr), want.Cost(nt), wr, ruleRT(wr))
+		if got.Cost(nt) != want.Cost(nt) || gr != wr || ruleRT(gg, gr) != ruleRT(wg, wr) {
+			t.Fatalf("%s: at %s from nonterminal %d: cost %d by rule %d (%s); reference: cost %d by rule %d (%s)",
+				name, got.Expr, nt, got.Cost(nt), gr, ruleRT(gg, gr), want.Cost(nt), wr, ruleRT(wg, wr))
 		}
-		if gr != nil && gr.Swap != 0 {
+		if gr >= 0 && gg.Rules[gr].Swap != 0 {
 			swaps++
 		}
 	}
 	for i := range got.Kids {
-		swaps += sameLabels(t, name, got.Kids[i], want.Kids[i], nNT)
+		swaps += sameLabels(t, name, gg, wg, got.Kids[i], want.Kids[i])
 	}
 	return swaps
 }
@@ -286,7 +285,7 @@ func TestExtendMemoMatchesFresh(t *testing.T) {
 			}
 			gp, wp := burs.NewParser(gg), burs.NewParser(wg)
 			for _, e := range subjectTrees(want, rand.New(rand.NewSource(int64(len(name)))), 150) {
-				swapWins += sameLabels(t, name, gp.Label(e), wp.Label(e), gg.NumNT())
+				swapWins += sameLabels(t, name, gg, wg, gp.Label(e), wp.Label(e))
 			}
 		}
 	}

@@ -17,12 +17,16 @@ const minExprSlots = 64
 // equal subtrees of interned trees share a pointer.  The canonical trees
 // are a node slice indexed by handle; an open-addressed, linear-probed
 // unique table over it finds a node by its head (kind, width and the
-// kind's own fields) and its kids' handles.  The zero value is an empty
-// store.  A Store is not safe for concurrent mutation.
+// kind's own fields) and its kids' handles, which the store keeps so that
+// a tree can be walked by handle.  The zero value is an empty store.  A
+// Store is not safe for concurrent mutation.
 type Store struct {
 	exprs  []*Expr
 	hashes []uint32 // hashes[id] is exprs[id]'s unique-table hash
 	slots  []int32  // handle+1, 0 marks an empty slot; at most ¾ full
+	// kids[kidAt[id]:kidAt[id+1]] are the handles of exprs[id]'s kids.
+	kidAt []int32
+	kids  []ExprID
 }
 
 // Len returns the number of distinct trees interned.
@@ -36,6 +40,13 @@ func (s *Store) Expr(id ExprID) *Expr {
 	return s.exprs[id]
 }
 
+// Kids returns the handles of the kids of id, in order.  The slice is the
+// store's own and must not be modified.
+func (s *Store) Kids(id ExprID) []ExprID {
+	lo, hi := s.kidAt[id], s.kidAt[id+1]
+	return s.kids[lo:hi:hi]
+}
+
 // Intern returns the handle of e, adding e and its subtrees to the store
 // if they are new.  When e's kids are already canonical, e itself becomes
 // the canonical tree; otherwise its head is copied over canonical kids.
@@ -45,9 +56,11 @@ func (s *Store) Intern(e *Expr) ExprID {
 		return NoExpr
 	}
 	var buf [2]*Expr
-	kids := buf[:0]
+	var idBuf [2]ExprID
+	kids, ids := buf[:0], idBuf[:0]
 	if len(e.Kids) > len(buf) {
 		kids = make([]*Expr, 0, len(e.Kids))
+		ids = make([]ExprID, 0, len(e.Kids))
 	}
 	h := headHash(e)
 	reuse := true
@@ -55,6 +68,7 @@ func (s *Store) Intern(e *Expr) ExprID {
 		id := s.Intern(k)
 		c := s.Expr(id)
 		kids = append(kids, c)
+		ids = append(ids, id)
 		reuse = reuse && c == k
 		h = mix(h, uint32(id))
 	}
@@ -62,6 +76,7 @@ func (s *Store) Intern(e *Expr) ExprID {
 		s.slots = make([]int32, minExprSlots)
 		s.exprs = make([]*Expr, 0, minExprSlots*3/4)
 		s.hashes = make([]uint32, 0, minExprSlots*3/4)
+		s.kidAt = append(make([]int32, 0, minExprSlots*3/4+1), 0)
 	}
 	mask := len(s.slots) - 1
 	i := int(h) & mask
@@ -83,6 +98,8 @@ func (s *Store) Intern(e *Expr) ExprID {
 	id := int32(len(s.exprs))
 	s.exprs = append(s.exprs, c)
 	s.hashes = append(s.hashes, h)
+	s.kids = append(s.kids, ids...)
+	s.kidAt = append(s.kidAt, int32(len(s.kids)))
 	s.slots[i] = id + 1
 	if 4*len(s.exprs) >= 3*len(s.slots) {
 		s.grow()

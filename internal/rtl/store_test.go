@@ -49,8 +49,9 @@ func decodeTree(data *[]byte, depth int) *Expr {
 }
 
 // checkCanonical checks that id's canonical tree renders and compares
-// like e, and that every kid of it is itself the canonical tree of its
-// handle, so equal subtrees share a pointer.
+// like e, that every kid of it is itself the canonical tree of its
+// handle, so equal subtrees share a pointer, and that Kids gives each
+// node's kids by handle.
 func checkCanonical(t testing.TB, s *Store, e *Expr, id ExprID) {
 	t.Helper()
 	c := s.Expr(id)
@@ -58,9 +59,16 @@ func checkCanonical(t testing.TB, s *Store, e *Expr, id ExprID) {
 		t.Fatalf("canonical tree of %s is %s", e, c)
 	}
 	c.Walk(func(n *Expr) {
-		for _, k := range n.Kids {
+		kids := s.Kids(s.Intern(n))
+		if len(kids) != len(n.Kids) {
+			t.Fatalf("%s has %d kids, the store records %d", n, len(n.Kids), len(kids))
+		}
+		for i, k := range n.Kids {
 			if s.Expr(s.Intern(k)) != k {
 				t.Fatalf("kid %s of canonical %s is not canonical", k, c)
+			}
+			if s.Expr(kids[i]) != k {
+				t.Fatalf("kid %d of %s is %s by handle", i, n, s.Expr(kids[i]))
 			}
 		}
 	})
