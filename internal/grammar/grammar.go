@@ -204,9 +204,9 @@ type Grammar struct {
 	// StorageWidths/Sizes echo the machine spec for clients.
 	Spec Spec
 
-	base  *rtl.Base
-	exprs *rtl.Store
-	// nodes[h] describes handle h of exprs; terms numbers the terminals.
+	base *rtl.Base
+	// nodes[h] describes handle h of the base's store; terms numbers the
+	// terminals.
 	nodes []patNode
 	terms map[term]int32
 
@@ -229,7 +229,7 @@ func (g *Grammar) NT(name string) int {
 func (g *Grammar) NumNT() int { return len(g.NTNames) }
 
 // Exprs returns the store the rules' pattern handles index: the base's.
-func (g *Grammar) Exprs() *rtl.Store { return g.exprs }
+func (g *Grammar) Exprs() *rtl.Store { return g.base.Exprs() }
 
 // PatNT returns the nonterminal that pattern handle h stands for, or 0
 // when h is a terminal node.
@@ -313,7 +313,6 @@ func BuildReported(base *rtl.Base, spec Spec, rep *diag.Reporter) (*Grammar, err
 		StartRules: append(make([]int32, 0, nNT), -1),
 		Spec:       spec,
 		base:       base,
-		exprs:      base.Exprs(),
 	}
 	g.grow()
 
@@ -344,13 +343,14 @@ func BuildReported(base *rtl.Base, spec Spec, rep *diag.Reporter) (*Grammar, err
 	// (source, mask).  Destination addresses are numbered after the
 	// terminals are counted: their terminals must match subject nodes
 	// but are not terminals of the grammar's rules.
-	swapped := make(map[swapKey]rtl.ExprID)
+	// The swap patterns built so far, chained per source handle: first[h]
+	// is 1 + the index in swapped of the latest for source h.
+	first := make([]int32, g.Exprs().Len())
+	var swapped []swapPat
 	var skipErr error
-	skipped, tmpl := 0, int32(-1)
+	skipped := 0
+	dest, lhs, inSpec := "", 0, false // the latest destination looked up
 	base.Each(func(s rtl.Swap) {
-		if s.Mask == 0 {
-			tmpl++
-		}
 		t := s.Of
 		if len(t.Cond.Dynamic) > 0 {
 			// Templates with residual dynamic guards (conditional jumps,
@@ -359,8 +359,11 @@ func BuildReported(base *rtl.Base, spec Spec, rep *diag.Reporter) (*Grammar, err
 			// covers.
 			return
 		}
-		lhs, ok := g.ntIdx[t.Dest]
-		if !ok {
+		if t.Dest != dest {
+			dest = t.Dest
+			lhs, inSpec = g.ntIdx[dest]
+		}
+		if !inSpec {
 			// Destination outside the spec (e.g. the PC of a machine whose
 			// spec excludes it): skip rather than fail, the template simply
 			// is not selectable.
@@ -379,24 +382,27 @@ func BuildReported(base *rtl.Base, spec Spec, rep *diag.Reporter) (*Grammar, err
 			rep.Warnf("grammar", diag.Pos{}, "skipping %v; its RT stays unselectable", err)
 			return
 		}
-		pat, ti := t.SrcID(), tmpl
+		pat := t.SrcID()
 		if s.Mask != 0 {
-			key := swapKey{pat, s.Mask}
-			h, ok := swapped[key]
-			if !ok {
+			j := first[pat]
+			for j != 0 && swapped[j-1].mask != s.Mask {
+				j = swapped[j-1].next
+			}
+			if j == 0 {
 				// A swapped tree has the nodes of its source, so it
 				// lowers too.
-				h = g.exprs.Intern(swapTree(g.exprs, t.Src, s.Mask))
+				h := swapTree(g.Exprs(), pat, s.Mask)
 				g.grow()
 				g.lowerable(h)
-				swapped[key] = h
+				swapped = append(swapped, swapPat{s.Mask, h, first[pat]})
+				j = int32(len(swapped))
+				first[pat] = j
 			}
-			pat = h
-			ti = int32(sort.Search(len(base.Templates), func(i int) bool { return base.Templates[i].ID >= t.ID }))
+			pat = swapped[j-1].pat
 		}
 		g.number(pat)
 		r := Rule{Kind: KindRT, LHS: int32(lhs), Cost: 1, Pat: pat, Addr: t.AddrID(),
-			Term: g.nodes[pat].term, Tmpl: ti, Swap: s.Mask}
+			Term: g.nodes[pat].term, Tmpl: int32(t.Index()), Swap: s.Mask}
 		if g.nodes[pat].nt != 0 {
 			g.stats.ChainRules++
 		}
@@ -451,7 +457,7 @@ func BuildReported(base *rtl.Base, spec Spec, rep *diag.Reporter) (*Grammar, err
 
 // grow extends the per-handle arrays over every handle of the store.
 func (g *Grammar) grow() {
-	n := g.exprs.Len()
+	n := g.Exprs().Len()
 	if n <= len(g.nodes) {
 		return
 	}
@@ -470,7 +476,7 @@ func (g *Grammar) lowerable(h rtl.ExprID) error {
 	if n.state != unseen {
 		return nil
 	}
-	e := g.exprs.Expr(h)
+	e := g.Exprs().Expr(h)
 	switch e.Kind {
 	case rtl.Const, rtl.InsnField, rtl.PortRef:
 	case rtl.Read:
@@ -485,7 +491,7 @@ func (g *Grammar) lowerable(h rtl.ExprID) error {
 	default:
 		return fmt.Errorf("grammar: cannot lower expression %s", e)
 	}
-	for _, k := range g.exprs.Kids(h) {
+	for _, k := range g.Exprs().Kids(h) {
 		if err := g.lowerable(k); err != nil {
 			return err
 		}
@@ -505,9 +511,9 @@ func (g *Grammar) number(h rtl.ExprID) {
 	if n.nt != 0 {
 		return
 	}
-	t, _ := subjectTerm(g.exprs.Expr(h))
+	t, _ := subjectTerm(g.Exprs().Expr(h))
 	n.term = g.termID(t)
-	for _, k := range g.exprs.Kids(h) {
+	for _, k := range g.Exprs().Kids(h) {
 		g.number(k)
 	}
 }
@@ -547,36 +553,40 @@ func (g *Grammar) index(n int, key func(*Rule) int32) [][]int32 {
 	return lists
 }
 
-// swapKey identifies a swap rule's pattern: its source and mask.
-type swapKey struct {
-	src  rtl.ExprID
+// swapPat is the pattern of a swap rule of some source: the handle of the
+// source with the sites of mask swapped.  next is 1 + the index of the
+// source's previous one, 0 for none.
+type swapPat struct {
 	mask uint64
+	pat  rtl.ExprID
+	next int32
 }
 
-// swapTree returns e, a canonical tree of s, with the operands of the swap
+// swapTree interns the tree of handle h with the operands of the swap
 // sites that mask selects exchanged (bit i selects site i, in the
-// pre-order of rtl.Expr.SwapSite).  Subtrees holding no selected site are
-// e's own; every node it builds is interned as it is built, so the result
-// interns without copying.
-func swapTree(s *rtl.Store, e *rtl.Expr, mask uint64) *rtl.Expr {
+// pre-order of rtl.Expr.SwapSite) and returns its handle.  Subtrees
+// holding no selected site keep their handles; only nodes above a
+// selected site can be new.
+func swapTree(s *rtl.Store, h rtl.ExprID, mask uint64) rtl.ExprID {
 	if mask == 0 {
-		return e
+		return h
 	}
+	e := s.Expr(h)
 	swap := false
 	if e.SwapSite() {
 		swap, mask = mask&1 != 0, mask>>1
 	}
-	c := *e
-	c.Kids = make([]*rtl.Expr, len(e.Kids))
+	var buf [2]rtl.ExprID
+	kids := append(buf[:0], s.Kids(h)...)
 	for i, k := range e.Kids {
 		n := uint(k.SwapSites())
-		c.Kids[i] = swapTree(s, k, mask&(1<<n-1))
+		kids[i] = swapTree(s, kids[i], mask&(1<<n-1))
 		mask >>= n
 	}
 	if swap {
-		c.Kids[0], c.Kids[1] = c.Kids[1], c.Kids[0]
+		kids[0], kids[1] = kids[1], kids[0]
 	}
-	return s.Expr(s.Intern(&c))
+	return s.InternHead(e, kids)
 }
 
 // Stats summarizes the grammar for diagnostics and the retargeting report.
@@ -617,70 +627,50 @@ func (g *Grammar) String() string {
 	var b strings.Builder
 	for i := range g.Rules {
 		r := &g.Rules[i]
-		fmt.Fprintf(&b, "%-8s -> ", g.NTNames[r.LHS])
-		if r.Kind == KindStart {
-			fmt.Fprintf(&b, "ASSIGN(%s, %s)  [0]\n", g.NTNames[r.Dest], g.NTNames[r.Dest])
-			continue
+		lhs := g.NTNames[r.LHS]
+		switch r.Kind {
+		case KindStart:
+			fmt.Fprintf(&b, "%-8s -> ASSIGN(%s, %s)  [0]\n", lhs, g.Pattern(r), g.Pattern(r))
+		default:
+			fmt.Fprintf(&b, "%-8s -> %s  [%d]\n", lhs, g.Pattern(r), r.Cost)
 		}
-		g.writePattern(&b, r)
-		fmt.Fprintf(&b, "  [%d]\n", r.Cost)
 	}
 	return b.String()
 }
 
-// Pattern renders the pattern of r with nonterminals by name, as String
-// does.
+// Pattern renders the pattern of r with nonterminals by name.
 func (g *Grammar) Pattern(r *Rule) string {
-	var b strings.Builder
-	g.writePattern(&b, r)
-	return b.String()
-}
-
-func (g *Grammar) writePattern(b *strings.Builder, r *Rule) {
 	switch r.Kind {
 	case KindStart:
-		b.WriteString(g.NTNames[r.Dest])
+		return g.NTNames[r.Dest]
 	case KindStop:
-		b.WriteString(g.NTNames[r.LHS])
-	default:
-		g.writePat(b, r.Pat)
+		return g.NTNames[r.LHS]
 	}
+	return g.patString(r.Pat)
 }
 
-// writePat renders pattern handle h with nonterminals by name.
-func (g *Grammar) writePat(b *strings.Builder, h rtl.ExprID) {
+// patString renders pattern handle h with nonterminals by name.
+func (g *Grammar) patString(h rtl.ExprID) string {
 	if nt := g.nodes[h].nt; nt != 0 {
-		b.WriteString(g.NTNames[nt])
-		return
+		return g.NTNames[nt]
 	}
-	e, kids := g.exprs.Expr(h), g.exprs.Kids(h)
+	e, kids := g.Exprs().Expr(h), g.Exprs().Kids(h)
 	switch e.Kind {
 	case rtl.OpApp:
 		if len(kids) == 1 {
-			b.WriteString(string(e.Op))
-			b.WriteByte('(')
-			g.writePat(b, kids[0])
-			b.WriteByte(')')
-			return
+			return fmt.Sprintf("%s(%s)", e.Op, g.patString(kids[0]))
 		}
-		b.WriteByte('(')
-		g.writePat(b, kids[0])
-		b.WriteString(" " + string(e.Op) + " ")
-		g.writePat(b, kids[1])
-		b.WriteByte(')')
+		return fmt.Sprintf("(%s %s %s)", g.patString(kids[0]), e.Op, g.patString(kids[1]))
 	case rtl.Read:
-		b.WriteString(e.Storage)
-		b.WriteByte('[')
-		g.writePat(b, kids[0])
-		b.WriteByte(']')
+		return fmt.Sprintf("%s[%s]", e.Storage, g.patString(kids[0]))
 	case rtl.InsnField:
-		fmt.Fprintf(b, "IMM[%d:%d]", e.Hi, e.Lo)
+		return fmt.Sprintf("IMM[%d:%d]", e.Hi, e.Lo)
 	case rtl.Const:
-		b.WriteString(strconv.FormatInt(e.Val, 10))
+		return strconv.FormatInt(e.Val, 10)
 	case rtl.PortRef:
-		b.WriteString(e.Port)
+		return e.Port
 	case rtl.Slice:
-		g.writePat(b, kids[0])
-		fmt.Fprintf(b, "[%d:%d]", e.Hi, e.Lo)
+		return fmt.Sprintf("%s[%d:%d]", g.patString(kids[0]), e.Hi, e.Lo)
 	}
+	return "?"
 }

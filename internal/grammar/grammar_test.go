@@ -114,7 +114,7 @@ func TestPatternLowering(t *testing.T) {
 	var mac *Rule
 	for i := range g.Rules {
 		r := &g.Rules[i]
-		if r.Kind == KindRT && g.exprs.Expr(r.Pat).Op == rtl.OpAdd {
+		if r.Kind == KindRT && g.Exprs().Expr(r.Pat).Op == rtl.OpAdd {
 			mac = r
 		}
 	}
@@ -124,16 +124,16 @@ func TestPatternLowering(t *testing.T) {
 	if mac.Pat != g.Template(mac).SrcID() || mac.Term != g.PatTerm(mac.Pat) || mac.Term < 0 {
 		t.Errorf("add rule: pattern %d, terminal %d; template source %d", mac.Pat, mac.Term, g.Template(mac).SrcID())
 	}
-	kids := g.exprs.Kids(mac.Pat)
+	kids := g.Exprs().Kids(mac.Pat)
 	if nt := g.PatNT(kids[0]); nt == 0 || g.NTNames[nt] != "acc.r" || g.PatTerm(kids[0]) != -1 {
-		t.Errorf("left kid = %s, nonterminal %d", g.exprs.Expr(kids[0]), nt)
+		t.Errorf("left kid = %s, nonterminal %d", g.Exprs().Expr(kids[0]), nt)
 	}
-	right := g.exprs.Expr(kids[1])
+	right := g.Exprs().Expr(kids[1])
 	if g.PatNT(kids[1]) != 0 || right.Kind != rtl.Read || right.Storage != "ram.m" || g.PatTerm(kids[1]) < 0 {
 		t.Fatalf("right kid = %s", right)
 	}
-	addr := g.exprs.Kids(kids[1])[0]
-	if e := g.exprs.Expr(addr); e.Kind != rtl.InsnField || e.Hi != 3 || g.PatTerm(addr) < 0 {
+	addr := g.Exprs().Kids(kids[1])[0]
+	if e := g.Exprs().Expr(addr); e.Kind != rtl.InsnField || e.Hi != 3 || g.PatTerm(addr) < 0 {
 		t.Errorf("address pattern = %s", e)
 	}
 }

@@ -360,6 +360,7 @@ type Template struct {
 	// extracted from the netlist.
 	Synthetic bool
 	src       ExprID // Src interned in the owning base
+	index     int32  // position in the owning base's Templates
 }
 
 // SrcID returns the handle of Src in the store of the base t was added to.
@@ -367,6 +368,10 @@ func (t *Template) SrcID() ExprID { return t.src }
 
 // AddrID returns the handle of DestAddr in that store (NoExpr for none).
 func (t *Template) AddrID() ExprID { return t.addr }
+
+// Index returns t's position in the Templates of the base it was added
+// to.
+func (t *Template) Index() int { return int(t.index) }
 
 // String renders the template as "dest := src [cond]".
 func (t *Template) String() string {
@@ -537,6 +542,7 @@ func (b *Base) merge(prev *Template, cond ExecCond) bool {
 func (b *Base) insert(prev, t *Template) *Template {
 	t.ID = b.Len()
 	i := int32(len(b.Templates))
+	t.index = i
 	b.Templates = append(b.Templates, t)
 	b.next = append(b.next, 0)
 	if prev == nil {

@@ -55,21 +55,27 @@ func (s *Store) Intern(e *Expr) ExprID {
 	if e == nil {
 		return NoExpr
 	}
-	var buf [2]*Expr
-	var idBuf [2]ExprID
-	kids, ids := buf[:0], idBuf[:0]
+	var buf [2]ExprID
+	ids := buf[:0]
 	if len(e.Kids) > len(buf) {
-		kids = make([]*Expr, 0, len(e.Kids))
 		ids = make([]ExprID, 0, len(e.Kids))
 	}
-	h := headHash(e)
-	reuse := true
 	for _, k := range e.Kids {
-		id := s.Intern(k)
-		c := s.Expr(id)
-		kids = append(kids, c)
-		ids = append(ids, id)
-		reuse = reuse && c == k
+		ids = append(ids, s.Intern(k))
+	}
+	return s.InternHead(e, ids)
+}
+
+// InternHead returns the handle of the tree with head's kind, width and
+// own fields over the trees of handles kids, adding it if it is new.
+// head.Kids must have len(kids) entries; when they are the canonical
+// trees of kids, head itself becomes the canonical tree, otherwise its
+// head is copied over them.  head is never modified.
+func (s *Store) InternHead(head *Expr, kids []ExprID) ExprID {
+	h := headHash(head)
+	reuse := true
+	for i, id := range kids {
+		reuse = reuse && head.Kids[i] == s.exprs[id]
 		h = mix(h, uint32(id))
 	}
 	if s.slots == nil {
@@ -82,14 +88,17 @@ func (s *Store) Intern(e *Expr) ExprID {
 	i := int(h) & mask
 	for ; s.slots[i] != 0; i = (i + 1) & mask {
 		id := s.slots[i] - 1
-		if s.hashes[id] == h && sameNode(s.exprs[id], e, kids) {
+		if s.hashes[id] == h && s.sameNode(id, head, kids) {
 			return ExprID(id)
 		}
 	}
-	c := e
+	c := head
 	if !reuse {
-		cp := *e
-		cp.Kids = append([]*Expr(nil), kids...)
+		cp := *head
+		cp.Kids = make([]*Expr, len(kids))
+		for j, k := range kids {
+			cp.Kids[j] = s.exprs[k]
+		}
 		c = &cp
 	}
 	if len(s.exprs) >= math.MaxInt32-1 {
@@ -98,7 +107,7 @@ func (s *Store) Intern(e *Expr) ExprID {
 	id := int32(len(s.exprs))
 	s.exprs = append(s.exprs, c)
 	s.hashes = append(s.hashes, h)
-	s.kids = append(s.kids, ids...)
+	s.kids = append(s.kids, kids...)
 	s.kidAt = append(s.kidAt, int32(len(s.kids)))
 	s.slots[i] = id + 1
 	if 4*len(s.exprs) >= 3*len(s.slots) {
@@ -120,14 +129,13 @@ func (s *Store) grow() {
 	}
 }
 
-// sameNode reports whether canonical node c has e's head and the canonical
-// kids kids.
-func sameNode(c, e *Expr, kids []*Expr) bool {
-	if !sameHead(c, e) || len(c.Kids) != len(kids) {
+// sameNode reports whether node id has e's head and the kids kids.
+func (s *Store) sameNode(id int32, e *Expr, kids []ExprID) bool {
+	if !sameHead(s.exprs[id], e) {
 		return false
 	}
-	for i, k := range kids {
-		if c.Kids[i] != k {
+	for i, k := range s.Kids(ExprID(id)) {
+		if kids[i] != k {
 			return false
 		}
 	}
