@@ -351,14 +351,14 @@ type Template struct {
 	ID       int    // position in the base, numbered together with its swaps
 	Dest     string // qualified storage name, or primary output port name
 	DestPort bool   // true when Dest is a primary output port
-	addr     ExprID // DestAddr interned in the owning base
-	DestAddr *Expr  // address pattern for array destinations, nil otherwise
-	Src      *Expr  // the tree pattern
-	Cond     ExecCond
-	Width    int // transfer width
 	// Synthetic marks templates added by algebraic extension rather than
 	// extracted from the netlist.
 	Synthetic bool
+	addr      ExprID // DestAddr interned in the owning base
+	DestAddr  *Expr  // address pattern for array destinations, nil otherwise
+	Src       *Expr  // the tree pattern
+	Cond      ExecCond
+	Width     int    // transfer width
 	src       ExprID // Src interned in the owning base
 	index     int32  // position in the owning base's Templates
 }
