@@ -57,28 +57,11 @@ func (n *Node) Rule(nt int) int { return int(n.rule[nt]) }
 
 // Parser is a processor-specific tree parser generated from a grammar.
 type Parser struct {
-	G     *grammar.Grammar
-	exprs *rtl.Store
-	// chain is the chain-rule table in ascending source-nonterminal
-	// order: on a cost tie the first rule processed wins.
-	chain []chainGroup
-}
-
-type chainGroup struct {
-	src   int32
-	rules []int32
+	G *grammar.Grammar
 }
 
 // NewParser constructs the parser for grammar g.
-func NewParser(g *grammar.Grammar) *Parser {
-	p := &Parser{G: g, exprs: g.Exprs()}
-	for src, rules := range g.ChainRules {
-		if len(rules) > 0 {
-			p.chain = append(p.chain, chainGroup{src: int32(src), rules: rules})
-		}
-	}
-	return p
-}
+func NewParser(g *grammar.Grammar) *Parser { return &Parser{G: g} }
 
 // Label computes the dynamic-programming labels for the subject tree.
 // Every node's labels live in arrays shared by the whole tree.
@@ -136,15 +119,15 @@ func (p *Parser) label(e *rtl.Expr, l *labeler) *Node {
 			node.rule[r.LHS] = ri
 		}
 	}
-	// Chain-rule closure to fixpoint, in deterministic table order.
+	// Chain-rule closure to fixpoint, in ascending source-nonterminal
+	// order: on a cost tie the first rule processed wins.
 	for changed := true; changed; {
 		changed = false
-		for _, cg := range p.chain {
-			if node.cost[cg.src] >= Inf {
+		for src, rules := range g.ChainRules {
+			if node.cost[src] >= Inf {
 				continue
 			}
-			src := cg.src
-			for _, ri := range cg.rules {
+			for _, ri := range rules {
 				r := &g.Rules[ri]
 				total := r.Cost + node.cost[src]
 				if total < node.cost[r.LHS] {
@@ -173,12 +156,12 @@ func (p *Parser) MatchCostFields(pat rtl.ExprID, node *Node, fields []code.Field
 	if p.G.PatTerm(pat) != node.term {
 		return Inf, fields
 	}
-	kids := p.exprs.Kids(pat)
+	kids := p.G.Exprs().Kids(pat)
 	if len(kids) == 0 {
 		// Immediates and hardwired constants share a terminal with
 		// every subject constant; a subject instruction field matches
 		// neither.
-		switch e, s := p.exprs.Expr(pat), node.Expr; e.Kind {
+		switch e, s := p.G.Exprs().Expr(pat), node.Expr; e.Kind {
 		case rtl.InsnField:
 			if s.Kind != rtl.Const || !grammar.FitsField(s.Val, e.Hi-e.Lo+1) {
 				return Inf, fields
@@ -333,7 +316,7 @@ func (p *Parser) DeriveKids(pat rtl.ExprID, node *Node, kids []*Step) ([]*Step, 
 		}
 		return append(kids, kid), nil
 	}
-	for i, k := range p.exprs.Kids(pat) {
+	for i, k := range p.G.Exprs().Kids(pat) {
 		var err error
 		if kids, err = p.DeriveKids(k, node.Kids[i], kids); err != nil {
 			return nil, err
