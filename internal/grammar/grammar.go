@@ -343,8 +343,9 @@ func BuildReported(base *rtl.Base, spec Spec, rep *diag.Reporter) (*Grammar, err
 	// (source, mask).  Destination addresses are numbered after the
 	// terminals are counted: their terminals must match subject nodes
 	// but are not terminals of the grammar's rules.
-	// The swap patterns built so far, chained per source handle: first[h]
-	// is 1 + the index in swapped of the latest for source h.
+	//
+	// The swap patterns built so far are chained per source handle:
+	// first[h] is 1 + the index in swapped of the latest for source h.
 	first := make([]int32, g.Exprs().Len())
 	var swapped []swapPat
 	var skipErr error
