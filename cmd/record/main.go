@@ -38,16 +38,12 @@
 //	-timeout d         wall-clock budget for the whole run (0 = unlimited)
 //	-max-bdd-nodes n   cap the BDD universe during extraction
 //	-max-routes n      cap route enumeration per traversal point
-//	-server urls       compile remotely against running recordd node(s);
-//	                   the client retries transient failures (429/5xx,
-//	                   Retry-After-aware) and skips a node that keeps
-//	                   failing.  A comma-separated list forms a fleet:
-//	                   requests shard by artifact content address and
-//	                   fail over to the next ring replica when a node is
-//	                   down; compiles name the model, so that node
-//	                   retargets it.  The node retargets under its own
-//	                   caps, so -no-extension, -max-routes and
-//	                   -max-bdd-nodes are local-only, like -seq and -run
+//	-server url        compile remotely against a running recordd, given
+//	                   one base URL; the client retries transient
+//	                   failures (429/5xx, Retry-After-aware).  The node
+//	                   retargets under its own caps, so -no-extension,
+//	                   -max-routes and -max-bdd-nodes are local-only,
+//	                   like -seq and -run
 //	-faultpoints s     arm fault-injection points (testing); "list"
 //	                   prints every planted site and exits
 //
@@ -138,7 +134,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&c.core.ISE.MaxAlts, "max-routes", 0, "cap route enumeration per traversal point (0 = default)")
 	fs.IntVar(&c.core.Jobs, "jobs", 1, "parallel workers for positional source files")
 	fs.StringVar(&c.serverURL, "server", "",
-		"compile against running recordd node(s) instead of locally; comma-separate base URLs for a fleet with sharding and failover")
+		"compile against a running recordd instead of locally, given its base URL")
 	fs.StringVar(&c.faultpoints, "faultpoints", "",
 		"comma-separated fault injection specs name[@match]=kind[:arg][*times] (testing); \"list\" prints sites")
 	if err := fs.Parse(args); err != nil {
@@ -312,12 +308,15 @@ func compile(c *config, rep *diag.Reporter, budget *diag.Budget, stdout, stderr 
 
 // compileRemote compiles against a running recordd instead of the local
 // pipeline.  The model is retargeted once server-side (paying at most one
-// cache miss); programs then compile by artifact key.  The client retries
-// transient failures (shed 429s, drain/breaker 503s, injected 5xx faults)
-// with backoff and honors the service's Retry-After — a briefly unhealthy
-// service costs latency, not a failed build.
+// cache miss); programs then compile against the same model selector,
+// which the node resolves from its cache.  The client retries transient
+// failures (shed 429s, drain 503s, injected 5xx faults) with backoff and
+// honors the service's Retry-After — a briefly unhealthy service costs
+// latency, not a failed build.
 func compileRemote(c *config, budget *diag.Budget, stdout io.Writer) error {
 	switch {
+	case strings.Contains(c.serverURL, ","):
+		return usagef("-server takes one base URL, not a list: %q", c.serverURL)
 	case c.useNaive:
 		return usagef("-naive runs locally; it cannot be combined with -server")
 	case c.execute:
@@ -349,12 +348,7 @@ func compileRemote(c *config, budget *diag.Budget, stdout io.Writer) error {
 	// request spans client-side; the server half of each request comes
 	// back in its Server-Timing header, which -stats prints.
 	ctx = obs.ContextWithScope(ctx, c.core.Obs)
-	// -server takes 1..N comma-separated URLs; with more than one the
-	// client shards by content address and fails over along the ring.
-	cl, err := rclient.New(strings.Split(c.serverURL, ","))
-	if err != nil {
-		return err
-	}
+	cl := rclient.NewClient(c.serverURL)
 	rt, err := cl.Retarget(ctx, ref)
 	if err != nil {
 		return err
@@ -371,8 +365,8 @@ func compileRemote(c *config, budget *diag.Budget, stdout io.Writer) error {
 	}
 
 	// Compiles name the model the same way the retarget did, not by its
-	// key: a failover that lands on a node without the artifact then
-	// retargets it there instead of answering 404.
+	// key: a node that lost the artifact since (a restart without a
+	// -cache-dir, an eviction) retargets it instead of answering 404.
 	opts := rclient.CompileOptions{
 		NoCompaction: c.core.NoCompaction,
 		NoPeephole:   c.core.NoPeephole,

@@ -265,16 +265,30 @@ func TestFaultpointsListPrintsEverySite(t *testing.T) {
 	}
 }
 
+// TestServerFlagUsageErrors: local-only flags and a URL list are usage
+// errors with -server, raised before any request is sent.  A comma list
+// would otherwise go out as one malformed URL.
 func TestServerFlagUsageErrors(t *testing.T) {
+	var requests atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		w.WriteHeader(http.StatusInternalServerError)
+	}))
+	defer srv.Close()
 	cases := [][]string{
 		{"-server", "http://x", "-model", "demo", "-kernel", "dot_product", "-naive"},
 		{"-server", "http://x", "-model", "demo", "-kernel", "dot_product", "-run"},
 		{"-server", "http://x", "-model", "demo", "-kernel", "dot_product", "-seq"},
+		{"-server", "http://a,http://b", "-model", "demo", "-kernel", "dot_product"},
+		{"-server", srv.URL + "," + srv.URL, "-model", "demo", "-kernel", "dot_product"},
 	}
 	for _, args := range cases {
 		if code, _, _ := record(t, args...); code != exitUsage {
 			t.Errorf("%v: exit = %d, want %d", args, code, exitUsage)
 		}
+	}
+	if n := requests.Load(); n != 0 {
+		t.Errorf("the server was contacted %d times", n)
 	}
 }
 

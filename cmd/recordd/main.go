@@ -13,15 +13,12 @@
 //	POST /v1/compile   {"key": "<artifact key>"} or a model selector, plus
 //	                   {"source": "<RecC program>", "options": {...}}
 //	                   → {"key", "cache", "words", "listing", "seq_len", "code_len"}
-//	GET  /healthz      liveness; 503 {"draining": true} during shutdown;
-//	                   includes the node identity ("node")
+//	GET  /healthz      liveness; 503 {"draining": true} during shutdown
 //	GET  /metrics      cache counters, in-flight compiles, per-phase latency
 //
 // Flags:
 //
 //	-addr host:port    listen address (default :8347)
-//	-node-id id        fleet node identity in /healthz and metrics
-//	                   (default: the bound listen address)
 //	-debug-addr h:p    profiling listener: net/http/pprof plus /metrics
 //	                   (default off; keep it off the public address)
 //	-cache-dir dir     artifact store directory (default: memory-only)
@@ -32,9 +29,6 @@
 //	-max-routes n      per-request route enumeration cap (0 = default)
 //	-max-queue n       pool-slot waiters admitted before shedding 429 (0 = unlimited)
 //	-drain-timeout d   grace for in-flight requests after SIGTERM/SIGINT
-//	-breaker-window n  per-model circuit-breaker outcome window (0 = off)
-//	-breaker-rate f    failure rate that opens a model's circuit
-//	-breaker-cooldown d  open → half-open probe cooldown
 //	-faultpoints spec  arm fault-injection points (chaos testing; see
 //	                   `record -faultpoints list`)
 //
@@ -51,11 +45,9 @@
 // stages that ran, render, and total — in milliseconds on the node's own
 // clock.  `record -server -stats` prints it.
 //
-// A fleet is several independent nodes behind the sharding client
-// (`record -server U1,U2,U3`, internal/rclient): nodes never talk to each
-// other.  A node that lacks a model's artifact retargets it from the
-// model the request carries, which costs less than fetching a copy; a
-// by-key compile for a key the node does not hold answers 404.
+// One recordd serves one client (`record -server U`, internal/rclient).
+// A request that carries the model retargets it on a miss; a by-key
+// compile for a key the node does not hold answers 404.
 //
 // On SIGTERM/SIGINT the daemon drains: /healthz flips to 503, new work is
 // refused with explicit statuses, in-flight requests get -drain-timeout to
@@ -86,7 +78,6 @@ func main() {
 		faults    = flag.String("faultpoints", "", "arm fault-injection points: name[@match]=kind[:arg][*times],...")
 		cfg       serverConfig
 	)
-	flag.StringVar(&cfg.nodeID, "node-id", "", "fleet node identity in /healthz and metrics (default: the listen address)")
 	flag.StringVar(&cfg.cacheDir, "cache-dir", "", "artifact store directory (empty = memory-only)")
 	flag.IntVar(&cfg.cacheSize, "cache-size", 16, "in-memory target LRU capacity")
 	flag.IntVar(&cfg.workers, "workers", 4, "bounded worker pool size")
@@ -94,9 +85,6 @@ func main() {
 	flag.IntVar(&cfg.maxBDDNodes, "max-bdd-nodes", 0, "per-request BDD universe cap (0 = unlimited)")
 	flag.IntVar(&cfg.maxRoutes, "max-routes", 0, "per-request route enumeration cap (0 = default)")
 	flag.IntVar(&cfg.maxQueue, "max-queue", 64, "pool-slot waiters admitted before shedding with 429 (0 = unlimited)")
-	flag.IntVar(&cfg.brkWindow, "breaker-window", 8, "per-model circuit-breaker outcome window (0 = breaker off)")
-	flag.Float64Var(&cfg.brkRate, "breaker-rate", 0.5, "failure rate that opens a model's circuit")
-	flag.DurationVar(&cfg.brkCooldown, "breaker-cooldown", 10*time.Second, "circuit open -> half-open probe cooldown")
 	flag.Parse()
 
 	if *faults != "" {
@@ -107,17 +95,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "recordd: armed faultpoints: %v\n", faultpoint.Armed())
 	}
 
-	// Listen before building the server so an unset -node-id can default
-	// to the concrete bound address (":8347" resolves to host:port here).
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "recordd: %v\n", err)
 		os.Exit(1)
 	}
-	if cfg.nodeID == "" {
-		cfg.nodeID = ln.Addr().String()
-	}
-
 	s, err := newServer(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "recordd: %v\n", err)
@@ -131,8 +113,8 @@ func main() {
 		}()
 		fmt.Printf("recordd debug listener on %s (pprof + /metrics)\n", *debugAddr)
 	}
-	fmt.Printf("recordd %s listening on %s (workers=%d, cache-dir=%q)\n",
-		s.cfg.nodeID, ln.Addr(), s.cfg.workers, s.cfg.cacheDir)
+	fmt.Printf("recordd listening on %s (workers=%d, cache-dir=%q)\n",
+		ln.Addr(), s.cfg.workers, s.cfg.cacheDir)
 
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)

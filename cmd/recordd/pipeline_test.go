@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 )
 
 var update = flag.Bool("update", false, "rewrite the testdata golden response bodies")
@@ -46,9 +45,9 @@ func metricValue(t *testing.T, base, series string) int {
 }
 
 // TestRefusalContract pins what a client sees when recordd refuses work,
-// on every POST route: an open circuit is 503 kind "open", a shed is 429
-// kind "overload", a draining node is 503 kind "draining"; each carries
-// Retry-After and lands in exactly the counters that name it.
+// on every POST route: a shed is 429 kind "overload", a draining node is
+// 503 kind "draining"; each carries Retry-After and lands in exactly the
+// counters that name it.
 func TestRefusalContract(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -56,19 +55,9 @@ func TestRefusalContract(t *testing.T) {
 		kind   string
 		// refuse puts the server into the refusing state and returns its
 		// undo, run after the request.
-		refuse func(t *testing.T, s *server, ts string) func()
+		refuse func(t *testing.T, s *server) func()
 	}{
-		{"open", http.StatusServiceUnavailable, "open", func(t *testing.T, s *server, ts string) func() {
-			var rt retargetResponse
-			if code, raw := post(t, ts+"/v1/retarget", map[string]string{"model_name": "demo"}, &rt); code != http.StatusOK {
-				t.Fatalf("warm retarget: %d %s", code, raw)
-			}
-			for i := 0; i < 4; i++ {
-				s.brk.Record(rt.Key, false)
-			}
-			return func() {}
-		}},
-		{"shed", http.StatusTooManyRequests, "overload", func(t *testing.T, s *server, ts string) func() {
+		{"shed", http.StatusTooManyRequests, "overload", func(t *testing.T, s *server) func() {
 			hold, err := s.pool.acquire(context.Background())
 			if err != nil {
 				t.Fatal(err)
@@ -89,7 +78,7 @@ func TestRefusalContract(t *testing.T) {
 				hold()
 			}
 		}},
-		{"draining", http.StatusServiceUnavailable, "draining", func(t *testing.T, s *server, ts string) func() {
+		{"draining", http.StatusServiceUnavailable, "draining", func(t *testing.T, s *server) func() {
 			s.beginDrain()
 			return func() {}
 		}},
@@ -97,18 +86,14 @@ func TestRefusalContract(t *testing.T) {
 	for _, rt := range postRoutes {
 		for _, c := range cases {
 			t.Run(rt.name+"/"+c.name, func(t *testing.T) {
-				s, ts := newTestServer(t, serverConfig{
-					workers: 1, maxQueue: 1, brkWindow: 4, brkCooldown: time.Minute,
-				})
-				undo := c.refuse(t, s, ts.URL)
+				s, ts := newTestServer(t, serverConfig{workers: 1, maxQueue: 1})
+				undo := c.refuse(t, s)
 				defer undo()
 
 				errSeries := `record_recordd_errors_total{status="` + strconv.Itoa(c.status) + `"}`
 				const shedSeries = "record_recordd_shed_total"
-				const rejSeries = "record_recordd_breaker_rejections_total"
 				errs0 := metricValue(t, ts.URL, errSeries)
 				shed0 := metricValue(t, ts.URL, shedSeries)
-				rej0 := metricValue(t, ts.URL, rejSeries)
 
 				code, hdr, raw, err := rawPost(ts.URL+rt.path, rt.body)
 				if err != nil {
@@ -125,12 +110,9 @@ func TestRefusalContract(t *testing.T) {
 					t.Fatalf("body %s, want an error of kind %q", raw, c.kind)
 				}
 
-				wantShed, wantRej := 0, 0
-				switch c.name {
-				case "shed":
+				wantShed := 0
+				if c.name == "shed" {
 					wantShed = 1
-				case "open":
-					wantRej = 1
 				}
 				for _, m := range []struct {
 					series    string
@@ -138,7 +120,6 @@ func TestRefusalContract(t *testing.T) {
 				}{
 					{errSeries, errs0, 1},
 					{shedSeries, shed0, wantShed},
-					{rejSeries, rej0, wantRej},
 				} {
 					if got := metricValue(t, ts.URL, m.series) - m.was; got != m.want {
 						t.Errorf("%s moved by %d, want %d", m.series, got, m.want)
@@ -173,31 +154,6 @@ func TestResponseGolden(t *testing.T) {
 		}
 		if raw != string(want) {
 			t.Errorf("%s body changed:\n got %q\nwant %q", rt.name, raw, want)
-		}
-	}
-}
-
-// TestBreakerKeyIsArtifactKey: the route cap is part of the artifact
-// fingerprint, so with -max-routes set the circuit a request is gated on
-// must still be the one its artifact key names — by-key and inline
-// requests for one model share one circuit on every route.
-func TestBreakerKeyIsArtifactKey(t *testing.T) {
-	s, ts := newTestServer(t, serverConfig{maxRoutes: 7, brkWindow: 4, brkCooldown: time.Minute})
-	var rt retargetResponse
-	if code, raw := post(t, ts.URL+"/v1/retarget", map[string]string{"model_name": "demo"}, &rt); code != http.StatusOK {
-		t.Fatalf("retarget: %d %s", code, raw)
-	}
-	for i := 0; i < 4; i++ {
-		s.brk.Record(rt.Key, false)
-	}
-	byKey := map[string]string{"key": rt.Key, "source": pipelineProg}
-	for _, r := range append(postRoutes, postRoute{"compile by key", "/v1/compile", byKey}) {
-		code, _, raw, err := rawPost(ts.URL+r.path, r.body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if code != http.StatusServiceUnavailable || !strings.Contains(raw, `"kind":"open"`) {
-			t.Errorf("%s with the artifact key's circuit open: %d %s, want 503 open", r.name, code, raw)
 		}
 	}
 }

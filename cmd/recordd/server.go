@@ -31,15 +31,7 @@ type serverConfig struct {
 	maxBDDNodes int           // per-request BDD node cap (0 = unlimited)
 	maxRoutes   int           // per-request route cap (0 = phase default)
 	maxBody     int64         // request body cap in bytes
-
 	maxQueue    int           // admission bound on pool-slot waiters (0 = unlimited)
-	brkWindow   int           // breaker outcome window per model (0 = breaker off)
-	brkRate     float64       // breaker failure-rate threshold
-	brkCooldown time.Duration // breaker open -> half-open cooldown
-
-	nodeID string // fleet identity: /healthz field + node metric label
-
-	brkClock func() time.Time // injectable breaker clock (tests); nil = time.Now
 }
 
 func (c serverConfig) withDefaults() serverConfig {
@@ -52,9 +44,6 @@ func (c serverConfig) withDefaults() serverConfig {
 	if c.maxBody <= 0 {
 		c.maxBody = 4 << 20
 	}
-	if c.nodeID == "" {
-		c.nodeID = "recordd"
-	}
 	return c
 }
 
@@ -64,19 +53,18 @@ func (c serverConfig) withDefaults() serverConfig {
 // parallel — the worker pool bounds CPU, not correctness.
 //
 // Both POST routes share one request pipeline (run): decode the body,
-// compute the model's content address once, check its circuit, take a
-// pool slot, resolve the model through the cache, compile the program if
-// the request carries one, render and write.  A route only picks its
-// request type and its response shape.  Every response, success or
-// refusal, is rendered to a wireResult and sent by write, and one table
-// (classify) maps a failure to its status and wire kind.
+// compute the model's content address once, take a pool slot, resolve
+// the model through the cache, compile the program if the request
+// carries one, render and write.  A route only picks its request type
+// and its response shape.  Every response, success or refusal, is
+// rendered to a wireResult and sent by write, and one table (classify)
+// maps a failure to its status and wire kind.
 //
 // The service protects itself (internal/resilience): one FIFO pool owns
 // the worker slots and sheds with 429 + Retry-After once -max-queue
-// requests wait.  A per-model circuit breaker turns a repeatedly failing
-// model into fast 503s instead of burnt retarget workers, and beginDrain
-// flips the whole surface into refusal mode so shutdown finishes
-// in-flight work and nothing is dropped without an explicit status.
+// requests wait, and beginDrain flips the whole surface into refusal
+// mode so shutdown finishes in-flight work and nothing is dropped
+// without an explicit status.
 //
 // All counters and gauges live in one obs.Registry: the cache and the
 // compile pipeline register their own instruments against it, the
@@ -90,7 +78,6 @@ type server struct {
 
 	pool *pool // worker slots + admission
 
-	brk      *resilience.Breaker
 	drainCh  chan struct{} // closed when draining starts
 	draining atomic.Bool
 
@@ -105,8 +92,6 @@ type server struct {
 	gDraining   *obs.Gauge      // 1 while draining
 	cShed       *obs.Counter    // requests shed by admission
 	cDispatched *obs.Counter    // pool slots granted
-	cBrkOpens   *obs.Counter    // breaker trips to open
-	cBrkReject  *obs.Counter    // requests refused by an open circuit
 	cErrors     *obs.CounterVec // error responses, by status
 	cAborts     *obs.Counter    // client disconnects before a response
 
@@ -143,27 +128,12 @@ func newServer(cfg serverConfig) (*server, error) {
 			"requests shed by admission control (429)"),
 		cDispatched: reg.Counter("record_recordd_dispatched_total",
 			"worker-pool slots granted"),
-		cBrkOpens: reg.Counter("record_recordd_breaker_opens_total",
-			"circuit-breaker trips to open, across all models"),
-		cBrkReject: reg.Counter("record_recordd_breaker_rejections_total",
-			"requests refused because a model's circuit was open"),
 		cErrors: reg.CounterVec("record_recordd_errors_total",
 			"error responses, by HTTP status", "status"),
 		cAborts: reg.Counter("record_recordd_client_aborts_total",
 			"requests whose client disconnected before a response (499-style)"),
 	}
 	s.pool = newPool(cfg.workers, cfg.maxQueue, s.drainCh, s.gQueue)
-	reg.GaugeVec("record_recordd_node_info",
-		"static node identity; always 1", "node").With(cfg.nodeID).Set(1)
-	if cfg.brkWindow > 0 {
-		s.brk = resilience.NewBreaker(resilience.BreakerConfig{
-			Window:      cfg.brkWindow,
-			FailureRate: cfg.brkRate,
-			Cooldown:    cfg.brkCooldown,
-			Now:         cfg.brkClock,
-			OnTrip:      func(string) { s.cBrkOpens.Inc() },
-		})
-	}
 	reg.Gauge("record_recordd_worker_pool_size",
 		"configured worker pool capacity").Set(int64(cfg.workers))
 	return s, nil
@@ -294,16 +264,6 @@ func (s *server) retargetOptions(ctx context.Context) core.RetargetOptions {
 	}
 }
 
-// recordOutcome lands one pipeline outcome in the model's circuit: success
-// and server faults (5xx) move the window, caller errors (4xx) do not.
-func (s *server) recordOutcome(key string, err error) {
-	if err == nil {
-		s.brk.Record(key, true)
-	} else if status, _ := classify(err); status >= http.StatusInternalServerError {
-		s.brk.Record(key, false)
-	}
-}
-
 // ---- request/response types --------------------------------------------
 
 // modelRequest selects a processor model: inline MDL source or the name of
@@ -372,13 +332,13 @@ type compileOptions struct {
 
 type errorResponse struct {
 	Error string `json:"error"`
-	Kind  string `json:"kind,omitempty"` // refusal class: "overload" | "open" | "draining"
+	Kind  string `json:"kind,omitempty"` // refusal class: "overload" | "draining"
 }
 
 // ---- handlers -----------------------------------------------------------
 
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	body := map[string]interface{}{"ok": true, "node": s.cfg.nodeID}
+	body := map[string]interface{}{"ok": true}
 	status := http.StatusOK
 	if s.draining.Load() {
 		body["ok"] = false
@@ -440,8 +400,8 @@ func (s *server) serve(rt route) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) { s.write(w, r, s.run(r, rt)) }
 }
 
-// run is the request pipeline: decode, content address, circuit, then a
-// slot, resolve, compile and render.  Every outcome, success or refusal,
+// run is the request pipeline: decode and content address, then a slot,
+// resolve, compile and render.  Every outcome, success or refusal,
 // comes back rendered.
 func (s *server) run(r *http.Request, rt route) *wireResult {
 	ctx := r.Context()
@@ -450,10 +410,6 @@ func (s *server) run(r *http.Request, rt route) *wireResult {
 	j, err := s.decode(r, rt)
 	scope.Event("decode", time.Since(start))
 	if err != nil {
-		return errWire(err)
-	}
-	if err := s.brk.Allow(j.key); err != nil {
-		s.cBrkReject.Inc()
 		return errWire(err)
 	}
 	wctx, release, err := s.acquire(ctx)
@@ -467,7 +423,6 @@ func (s *server) run(r *http.Request, rt route) *wireResult {
 			err = fmt.Errorf("compile: %w", err)
 		}
 	}
-	s.recordOutcome(j.key, err)
 	if err != nil {
 		return errWire(err)
 	}
@@ -483,8 +438,7 @@ func (s *server) run(r *http.Request, rt route) *wireResult {
 // decode reads a POST body under the size cap into the route's job and
 // computes the model's content address, once per request: the caller's
 // artifact key, else the address of the inline or bundled MDL under the
-// options resolve retargets with.  The breaker and the cache both key
-// on it.
+// options resolve retargets with.  The cache keys on it.
 func (s *server) decode(r *http.Request, rt route) (job, error) {
 	if r.Method != http.MethodPost {
 		return job{}, withStatus(http.StatusMethodNotAllowed, errors.New("use POST"))
@@ -512,9 +466,9 @@ func (s *server) decode(r *http.Request, rt route) (job, error) {
 }
 
 // resolve turns the request's model into a cache entry: by key through
-// the local tiers, or by source through a retarget on demand.  A node
-// never asks another for an artifact: one that lacks a key answers 404,
-// and a request that carries the model retargets it here.
+// the local tiers, or by source through a retarget on demand.  A key the
+// node does not hold answers 404; a request that carries the model
+// retargets it here.
 func (s *server) resolve(ctx context.Context, j job) (*result, error) {
 	scope := s.obsFrom(ctx)
 	start := time.Now()
@@ -659,8 +613,8 @@ func (e *statusError) Error() string { return e.err.Error() }
 
 // errorClasses is the one map from a failure to its HTTP status and wire
 // kind; the first row the error matches wins.  The kind lets a client
-// tell a draining node (fail over now, the hint is exact) from overload
-// or an open circuit (backing off harder is fine).  Budget
+// tell a draining node (the hint is exact) from overload (backing off
+// harder is fine).  Budget
 // exhaustion is the server's timeout class, recovered panics and injected
 // faults are internal, and an abandoned wait is unavailability.
 var errorClasses = []struct {
@@ -669,7 +623,6 @@ var errorClasses = []struct {
 	kind   string
 }{
 	{isA[*resilience.OverloadError], http.StatusTooManyRequests, "overload"},
-	{isA[*resilience.OpenError], http.StatusServiceUnavailable, "open"},
 	{isA[*resilience.DrainingError], http.StatusServiceUnavailable, "draining"},
 	{isA[*diag.BudgetError], http.StatusGatewayTimeout, ""},
 	{isA[*diag.PanicError], http.StatusInternalServerError, ""},

@@ -28,7 +28,7 @@ var timingMetrics = []string{
 
 // clock is one request's timing: a tracer of its own, which every layer
 // below the handler records into through the request's scope, and the
-// instant the request arrived.  Each node times its requests on its own
+// instant the request arrived.  The node times its requests on its own
 // clock, and the response carries the breakdown.
 type clock struct {
 	start time.Time

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -95,27 +96,30 @@ func TestStatusErrorTransience(t *testing.T) {
 	}
 }
 
-func TestHealthz(t *testing.T) {
-	var draining atomic.Bool
+// TestDrainingReconstructedOverWire: a node's 503 {"kind":"draining"}
+// unwraps to a *resilience.DrainingError carrying its Retry-After, as if
+// the refusal had happened in-process.
+func TestDrainingReconstructedOverWire(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if draining.Load() {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			w.Write([]byte(`{"ok":false,"draining":true}`))
-			return
-		}
-		w.Write([]byte(`{"ok":true}`))
+		w.Header().Set("Retry-After", "1")
+		w.WriteHeader(http.StatusServiceUnavailable)
+		w.Write([]byte(`{"error":"service draining: retry in 1s","kind":"draining"}`))
 	}))
 	defer srv.Close()
 
 	c := NewClient(srv.URL)
-	if err := c.Healthz(context.Background()); err != nil {
-		t.Fatalf("healthy service: %v", err)
+	c.Policy = fastPolicy(1)
+	_, err := c.Compile(context.Background(), ModelRef{Key: strings.Repeat("01", 32)}, "x = 1", CompileOptions{})
+	if err == nil {
+		t.Fatal("Compile against a draining node succeeded")
 	}
-	draining.Store(true)
-	err := c.Healthz(context.Background())
+	var de *resilience.DrainingError
+	if !errors.As(err, &de) || de.After != time.Second {
+		t.Fatalf("error %v does not unwrap to a DrainingError with a 1s hint", err)
+	}
 	var se *StatusError
-	if !errors.As(err, &se) || se.Status != http.StatusServiceUnavailable {
-		t.Fatalf("draining healthz err %v, want 503", err)
+	if !errors.As(err, &se) || se.Kind != "draining" || se.After != time.Second {
+		t.Fatalf("got %#v, want draining StatusError with 1s hint", err)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // jitter: attempt n sleeps a uniformly random duration in
 // [0, min(Cap, Base<<n)], the spread that minimizes synchronized retry
 // storms from many clients.  A Retry-After hint on the error (server
-// shedding, open breaker) overrides a shorter computed backoff, and the
+// shedding, draining) overrides a shorter computed backoff, and the
 // policy is deadline-aware: it never sleeps past the context deadline —
 // when the budget cannot fit another attempt it returns the last error
 // immediately.
@@ -94,12 +94,11 @@ func (p Policy) Do(ctx context.Context, f func(ctx context.Context) error) error
 		wait := p.backoff(attempt)
 		if hint, ok := RetryAfterOf(err); ok {
 			// A draining node's hint is authoritative: the exponential
-			// backoff would sleep PAST the hint and keep the caller
-			// pinned to a node that is going away, when the next attempt
-			// (routed to another replica, or the restarted node) could
-			// already succeed.  Overload and open-circuit hints only
-			// raise the wait — backing off harder than asked is safe
-			// there because the same node will answer.
+			// backoff would sleep PAST the hint, idling when the next
+			// attempt, against the restarted node, could already
+			// succeed.  Overload hints only raise the wait — backing
+			// off harder than asked is safe there because the same
+			// node will answer.
 			if IsDraining(err) || hint > wait {
 				wait = hint
 			}
