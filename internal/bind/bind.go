@@ -9,7 +9,9 @@
 // written — are placed there alternately, which is what lets dual-bus
 // multiply-accumulate routes be selected.  It also lowers IR
 // expressions/assignments to RT-level expression trees whose leaves are
-// storage reads: the exact subject trees code selection covers.
+// storage reads: the exact subject trees code selection covers.  The trees
+// are handles into the binding's expression store, which gives equal
+// subtrees of a program one handle.
 package bind
 
 import (
@@ -64,12 +66,20 @@ type Binding struct {
 	AddrWidth int
 
 	decls map[string]*ir.Decl
+	exprs *rtl.Store
 }
 
 // Bind lays out the program's variables.  The primary memory is the
 // largest writable addressable data storage; if another addressable data
 // storage exists, constant arrays alternate between it and the primary.
+// The program's trees are lowered into a new store.
 func Bind(prog *ir.Program, net *netlist.Netlist) (*Binding, error) {
+	return BindStore(prog, net, new(rtl.Store))
+}
+
+// BindStore is Bind lowering into the store s, which a caller compiling
+// one program after another resets and reuses.
+func BindStore(prog *ir.Program, net *netlist.Netlist, s *rtl.Store) (*Binding, error) {
 	var addressable []*netlist.Storage
 	for _, s := range net.DataStorages() {
 		if s.Mode || s.PC || s.Size() <= 1 {
@@ -106,6 +116,7 @@ func Bind(prog *ir.Program, net *netlist.Netlist) (*Binding, error) {
 			AddrWidth: addrWidth(primary.Size()), Size: primary.Size()},
 		Place: make(map[string]Placement),
 		decls: make(map[string]*ir.Decl),
+		exprs: s,
 	}
 	b.Memory = b.Primary.Memory
 	b.Width = b.Primary.Width
@@ -190,18 +201,22 @@ func (b *Binding) AddrOf(name string) (Placement, bool) {
 	return p, ok
 }
 
+// Exprs returns the store the lowered trees are handles into.
+func (b *Binding) Exprs() *rtl.Store { return b.exprs }
+
 // LowerExpr converts an IR expression into an RT-level subject tree at the
 // target word width.
-func (b *Binding) LowerExpr(e ir.Expr) (*rtl.Expr, error) {
+func (b *Binding) LowerExpr(e ir.Expr) (rtl.ExprID, error) {
+	s := b.exprs
 	switch x := e.(type) {
 	case *ir.Const:
-		return rtl.NewConst(rtl.Wrap(x.Val, b.Width), b.Width), nil
+		return s.Const(rtl.Wrap(x.Val, b.Width), b.Width), nil
 	case *ir.Ref:
 		place, addr, err := b.lowerAddr(x)
 		if err != nil {
-			return nil, err
+			return rtl.NoExpr, err
 		}
-		return rtl.NewRead(place.Storage, b.regionOf(place.Storage).Width, addr), nil
+		return s.Read(place.Storage, b.regionOf(place.Storage).Width, addr), nil
 	case *ir.Bin:
 		// x - c == x + (-c): widens coverage on machines whose only
 		// immediate path feeds an adder.
@@ -210,28 +225,28 @@ func (b *Binding) LowerExpr(e ir.Expr) (*rtl.Expr, error) {
 		}
 		l, err := b.LowerExpr(x.X)
 		if err != nil {
-			return nil, err
+			return rtl.NoExpr, err
 		}
 		r, err := b.LowerExpr(x.Y)
 		if err != nil {
-			return nil, err
+			return rtl.NoExpr, err
 		}
 		w := opWidth(x.Op, b.Width)
-		if l.Kind == rtl.Const && r.Kind == rtl.Const {
-			return rtl.NewConst(rtl.EvalBin(x.Op, l.Val, r.Val, w), w), nil
+		if le, re := s.Expr(l), s.Expr(r); le.Kind == rtl.Const && re.Kind == rtl.Const {
+			return s.Const(rtl.EvalBin(x.Op, le.Val, re.Val, w), w), nil
 		}
-		return rtl.NewOp(x.Op, w, l, r), nil
+		return s.Op(x.Op, w, l, r), nil
 	case *ir.Un:
 		k, err := b.LowerExpr(x.X)
 		if err != nil {
-			return nil, err
+			return rtl.NoExpr, err
 		}
-		if k.Kind == rtl.Const {
-			return rtl.NewConst(rtl.EvalUn(x.Op, k.Val, b.Width), b.Width), nil
+		if ke := s.Expr(k); ke.Kind == rtl.Const {
+			return s.Const(rtl.EvalUn(x.Op, ke.Val, b.Width), b.Width), nil
 		}
-		return rtl.NewOp(x.Op, b.Width, k), nil
+		return s.Op(x.Op, b.Width, k), nil
 	}
-	return nil, fmt.Errorf("bind: cannot lower %T", e)
+	return rtl.NoExpr, fmt.Errorf("bind: cannot lower %T", e)
 }
 
 func opWidth(op rtl.Op, w int) int {
@@ -243,55 +258,53 @@ func opWidth(op rtl.Op, w int) int {
 }
 
 // lowerAddr builds the address tree for a variable reference.
-func (b *Binding) lowerAddr(r *ir.Ref) (Placement, *rtl.Expr, error) {
+func (b *Binding) lowerAddr(r *ir.Ref) (Placement, rtl.ExprID, error) {
 	place, ok := b.Place[r.Name]
 	if !ok {
-		return place, nil, fmt.Errorf("bind: unbound variable %s", r.Name)
+		return place, rtl.NoExpr, fmt.Errorf("bind: unbound variable %s", r.Name)
 	}
 	region := b.regionOf(place.Storage)
 	d := b.decls[r.Name]
 	if r.Index == nil {
 		if d != nil && d.IsArray() {
-			return place, nil, fmt.Errorf("bind: array %s used without index", r.Name)
+			return place, rtl.NoExpr, fmt.Errorf("bind: array %s used without index", r.Name)
 		}
-		return place, rtl.NewConst(int64(place.Addr), region.AddrWidth), nil
+		return place, b.exprs.Const(int64(place.Addr), region.AddrWidth), nil
 	}
 	if d == nil || !d.IsArray() {
-		return place, nil, fmt.Errorf("bind: indexing scalar %s", r.Name)
+		return place, rtl.NoExpr, fmt.Errorf("bind: indexing scalar %s", r.Name)
 	}
 	if c, isConst := ir.Fold(r.Index).(*ir.Const); isConst {
 		if c.Val < 0 || int(c.Val) >= d.Size {
-			return place, nil, fmt.Errorf("bind: %s[%d] out of range (size %d)", r.Name, c.Val, d.Size)
+			return place, rtl.NoExpr, fmt.Errorf("bind: %s[%d] out of range (size %d)", r.Name, c.Val, d.Size)
 		}
-		return place, rtl.NewConst(int64(place.Addr)+c.Val, region.AddrWidth), nil
+		return place, b.exprs.Const(int64(place.Addr)+c.Val, region.AddrWidth), nil
 	}
 	// Run-time index: base + index computation, at address width.
 	idx, err := b.LowerExpr(r.Index)
 	if err != nil {
-		return place, nil, err
+		return place, rtl.NoExpr, err
 	}
-	return place, rtl.NewOp(rtl.OpAdd, region.AddrWidth,
-		rtl.NewConst(int64(place.Addr), region.AddrWidth),
-		narrow(idx, region.AddrWidth)), nil
+	return place, b.exprs.Op(rtl.OpAdd, region.AddrWidth,
+		b.exprs.Const(int64(place.Addr), region.AddrWidth),
+		b.narrow(idx, region.AddrWidth)), nil
 }
 
 // narrow adapts a word-width tree to address width via a slice node (the
 // usual address-bus truncation).
-func narrow(e *rtl.Expr, w int) *rtl.Expr {
-	if e.Width == w {
-		return e
-	}
-	if e.Width > w {
-		return rtl.NewSlice(w-1, 0, e)
+func (b *Binding) narrow(e rtl.ExprID, w int) rtl.ExprID {
+	if b.exprs.Expr(e).Width > w {
+		return b.exprs.Slice(w-1, 0, e)
 	}
 	return e // narrower-than-bus values are used as-is
 }
 
-// ET is one lowered expression tree with its destination.
+// ET is one lowered expression tree with its destination: handles into
+// the binding's store.
 type ET struct {
-	Dest     string    // destination storage
-	DestAddr *rtl.Expr // cell address tree (nil for register destinations)
-	Src      *rtl.Expr
+	Dest     string     // destination storage
+	DestAddr rtl.ExprID // cell address tree (rtl.NoExpr for register destinations)
+	Src      rtl.ExprID
 	Source   string // original statement text for listings
 }
 

@@ -115,12 +115,13 @@ void main() { y = x + a[2]; }
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := b.LowerExpr(&ir.Bin{Op: rtl.OpAdd,
+	h, err := b.LowerExpr(&ir.Bin{Op: rtl.OpAdd,
 		X: &ir.Ref{Name: "x"},
 		Y: &ir.Ref{Name: "a", Index: &ir.Const{Val: 2}}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	e := b.Exprs().Expr(h)
 	if e.Kind != rtl.OpApp || e.Op != rtl.OpAdd {
 		t.Fatalf("lowered = %s", e)
 	}
@@ -133,10 +134,11 @@ void main() { y = x + a[2]; }
 		t.Errorf("a[2] address = %d", addr.Val)
 	}
 	// Constants wrap at word width.
-	c, err := b.LowerExpr(&ir.Const{Val: 70000})
+	h, err = b.LowerExpr(&ir.Const{Val: 70000})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := b.Exprs().Expr(h)
 	if c.Val != rtl.Wrap(70000, 16) {
 		t.Errorf("const = %d", c.Val)
 	}
@@ -148,11 +150,12 @@ func TestSubConstBecomesAddNeg(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := b.LowerExpr(&ir.Bin{Op: rtl.OpSub,
+	h, err := b.LowerExpr(&ir.Bin{Op: rtl.OpSub,
 		X: &ir.Ref{Name: "x"}, Y: &ir.Const{Val: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	e := b.Exprs().Expr(h)
 	if e.Op != rtl.OpAdd || e.Kids[1].Val != -3 {
 		t.Errorf("lowered = %s", e)
 	}
@@ -211,10 +214,11 @@ func TestRuntimeIndexLowering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := b.LowerExpr(&ir.Ref{Name: "a", Index: &ir.Ref{Name: "i"}})
+	h, err := b.LowerExpr(&ir.Ref{Name: "a", Index: &ir.Ref{Name: "i"}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	e := b.Exprs().Expr(h)
 	addr := e.Addr()
 	if addr.Kind != rtl.OpApp || addr.Op != rtl.OpAdd {
 		t.Fatalf("runtime address = %s", addr)

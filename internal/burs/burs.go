@@ -29,31 +29,11 @@ import (
 	"repro/internal/code"
 	"repro/internal/grammar"
 	"repro/internal/rtl"
+	"repro/internal/slab"
 )
 
 // Inf is the cost of an impossible derivation.
 const Inf = math.MaxInt32 / 4
-
-// Node is a labelled subject-tree node.
-type Node struct {
-	Expr *rtl.Expr
-	Kids []*Node
-	// term is Expr's terminal ID (grammar.Grammar.SubjectTerm).
-	term int32
-	// cost[nt] is the minimal derivation cost of this subtree from
-	// nonterminal nt; rule[nt], an index into the grammar's Rules or -1,
-	// achieves it.
-	cost []int32
-	rule []int32
-}
-
-// Cost returns the minimal cost of deriving the subtree from nonterminal
-// nt (Inf if impossible).
-func (n *Node) Cost(nt int) int { return int(n.cost[nt]) }
-
-// Rule returns the index in the grammar's Rules of the rule achieving
-// Cost(nt), or -1.
-func (n *Node) Rule(nt int) int { return int(n.rule[nt]) }
 
 // Parser is a processor-specific tree parser generated from a grammar.
 type Parser struct {
@@ -63,60 +43,110 @@ type Parser struct {
 // NewParser constructs the parser for grammar g.
 func NewParser(g *grammar.Grammar) *Parser { return &Parser{G: g} }
 
-// Label computes the dynamic-programming labels for the subject tree.
-// Every node's labels live in arrays shared by the whole tree.
-func (p *Parser) Label(e *rtl.Expr) *Node {
-	size, nNT := e.Size(), p.G.NumNT()
-	l := &labeler{
-		nodes: make([]Node, size),
-		kids:  make([]*Node, size-1),
-		cost:  make([]int32, size*nNT),
-		rule:  make([]int32, size*nNT),
-	}
-	for i := range l.cost {
-		l.cost[i], l.rule[i] = Inf, -1
-	}
-	return p.label(e, l)
+// unlabelled marks a handle's terminal ID before Label reaches it.
+const unlabelled = -2
+
+// Labels holds the dynamic-programming labels of the subject trees in one
+// expression store, one row per handle: a label depends only on the
+// subtree, and the store gives equal subtrees one handle, so each distinct
+// subtree of a program is labelled once however often it occurs.  Labels
+// also owns the derivation steps built from its rows, carved from a slab.
+// A Labels is not safe for concurrent use.
+type Labels struct {
+	p   *Parser
+	s   *rtl.Store
+	nNT int
+	// term[h] is handle h's terminal ID (grammar.Grammar.SubjectTerm), or
+	// unlabelled.  cost[h*nNT+nt] is the minimal derivation cost of h's
+	// tree from nonterminal nt; rule[h*nNT+nt], an index into the
+	// grammar's Rules or -1, achieves it.
+	term, cost, rule []int32
+	// fields are the bindings of one rule probe; stack collects the kid
+	// steps of the derivations in progress.
+	fields   []code.Field
+	stack    []*Step
+	steps    slab.Slab[Step]
+	stepKids slab.Slab[*Step]
+	// labelled counts the handles labelled since Reset.
+	labelled int
 }
 
-// labeler holds one Label call's scratch: the field bindings, emptied
-// before each rule probe, and the unclaimed rest of the arrays the nodes
-// and their labels are carved from.
-type labeler struct {
-	fields []code.Field
-	nodes  []Node
-	kids   []*Node
-	cost   []int32
-	rule   []int32
+// NewLabels returns empty labels over the subject store s.
+func (p *Parser) NewLabels(s *rtl.Store) *Labels {
+	return &Labels{p: p, s: s, nNT: p.G.NumNT()}
 }
 
-// label labels e bottom-up.
-func (p *Parser) label(e *rtl.Expr, l *labeler) *Node {
-	g := p.G
-	nNT, nKids := g.NumNT(), len(e.Kids)
-	node := &l.nodes[0]
-	*node = Node{Expr: e, Kids: l.kids[:nKids:nKids], term: g.SubjectTerm(e), cost: l.cost[:nNT:nNT], rule: l.rule[:nNT:nNT]}
-	l.nodes, l.kids, l.cost, l.rule = l.nodes[1:], l.kids[nKids:], l.cost[nNT:], l.rule[nNT:]
-	for i, k := range e.Kids {
-		node.Kids[i] = p.label(k, l)
+// Reset forgets every label and releases every step, keeping the arrays
+// for reuse; s is the store the labels index from now on (the old one,
+// after its own Reset, or another).
+func (l *Labels) Reset(s *rtl.Store) {
+	l.s, l.term, l.labelled = s, l.term[:0], 0
+	l.ResetSteps()
+}
+
+// ResetSteps releases every derivation step handed out so far.
+func (l *Labels) ResetSteps() {
+	l.steps.Reset()
+	l.stepKids.Reset()
+}
+
+// Cost returns the minimal cost of deriving h's tree from nonterminal nt
+// (Inf if impossible); Label must have reached h.
+func (l *Labels) Cost(h rtl.ExprID, nt int) int { return int(l.cost[int(h)*l.nNT+nt]) }
+
+// Rule returns the index in the grammar's Rules of the rule achieving
+// Cost(h, nt), or -1.
+func (l *Labels) Rule(h rtl.ExprID, nt int) int { return int(l.rule[int(h)*l.nNT+nt]) }
+
+// Label labels h's tree bottom-up: every handle in it not labelled yet.
+func (l *Labels) Label(h rtl.ExprID) {
+	if n := l.s.Len(); len(l.term) < n {
+		l.term = slices.Grow(l.term, n-len(l.term))
+		for len(l.term) < n {
+			l.term = append(l.term, unlabelled)
+		}
+		if rows := n * l.nNT; len(l.cost) < rows {
+			l.cost = slices.Grow(l.cost, rows-len(l.cost))[:rows]
+			l.rule = slices.Grow(l.rule, rows-len(l.rule))[:rows]
+		}
+	}
+	l.label(h)
+}
+
+// label labels h after its kids, unless it is labelled already.
+func (l *Labels) label(h rtl.ExprID) {
+	if l.term[h] != unlabelled {
+		return
+	}
+	for _, k := range l.s.Kids(h) {
+		l.label(k)
+	}
+	g := l.p.G
+	l.labelled++
+	term := g.SubjectTerm(l.s.Expr(h))
+	l.term[h] = term
+	row := int(h) * l.nNT
+	cost, rule := l.cost[row:row+l.nNT:row+l.nNT], l.rule[row:row+l.nNT:row+l.nNT]
+	for i := range cost {
+		cost[i], rule[i] = Inf, -1
 	}
 	// Match every rule whose root terminal is this node's.
 	var rules []int32
-	if node.term >= 0 {
-		rules = g.RulesByTerm[node.term]
+	if term >= 0 {
+		rules = g.RulesByTerm[term]
 	}
 	for _, ri := range rules {
 		r := &g.Rules[ri]
 		var c int32
 		if r.Pat != rtl.NoExpr { // a stop rule's pattern is its terminal alone
-			if c, l.fields = p.MatchCostFields(r.Pat, node, l.fields[:0]); c >= Inf {
+			if c, l.fields = l.MatchCostFields(r.Pat, h, l.fields[:0]); c >= Inf {
 				continue
 			}
 		}
 		total := r.Cost + c
-		if total < node.cost[r.LHS] {
-			node.cost[r.LHS] = total
-			node.rule[r.LHS] = ri
+		if total < cost[r.LHS] {
+			cost[r.LHS] = total
+			rule[r.LHS] = ri
 		}
 	}
 	// Chain-rule closure to fixpoint, in ascending source-nonterminal
@@ -124,44 +154,45 @@ func (p *Parser) label(e *rtl.Expr, l *labeler) *Node {
 	for changed := true; changed; {
 		changed = false
 		for src, rules := range g.ChainRules {
-			if node.cost[src] >= Inf {
+			if cost[src] >= Inf {
 				continue
 			}
 			for _, ri := range rules {
 				r := &g.Rules[ri]
-				total := r.Cost + node.cost[src]
-				if total < node.cost[r.LHS] {
-					node.cost[r.LHS] = total
-					node.rule[r.LHS] = ri
+				total := r.Cost + cost[src]
+				if total < cost[r.LHS] {
+					cost[r.LHS] = total
+					rule[r.LHS] = ri
 					changed = true
 				}
 			}
 		}
 	}
-	return node
 }
 
 // MatchCostFields returns the cost of matching the pattern of handle pat
-// at node (excluding the rule's own cost), or Inf, and fields with the
-// operand fields the match binds added.  fields is kept sorted by (Lo, Hi) and
-// holds each bit range once.  Nonlinear patterns — where one instruction
-// field appears at several leaves (both FU inputs wired to the same memory
-// output, say) — only match when every occurrence binds the same operand
-// value.  Passing one pattern's result on to the next (a template's source
-// and destination-address patterns) enforces consistency across both.
-func (p *Parser) MatchCostFields(pat rtl.ExprID, node *Node, fields []code.Field) (int32, []code.Field) {
-	if nt := p.G.PatNT(pat); nt != 0 {
-		return node.cost[nt], fields
+// at subject handle h (excluding the rule's own cost), or Inf, and fields
+// with the operand fields the match binds added; Label must have reached
+// h.  fields is kept sorted by (Lo, Hi) and holds each bit range once.
+// Nonlinear patterns — where one instruction field appears at several
+// leaves (both FU inputs wired to the same memory output, say) — only
+// match when every occurrence binds the same operand value.  Passing one
+// pattern's result on to the next (a template's source and
+// destination-address patterns) enforces consistency across both.
+func (l *Labels) MatchCostFields(pat, h rtl.ExprID, fields []code.Field) (int32, []code.Field) {
+	g := l.p.G
+	if nt := g.PatNT(pat); nt != 0 {
+		return l.cost[int(h)*l.nNT+nt], fields
 	}
-	if p.G.PatTerm(pat) != node.term {
+	if g.PatTerm(pat) != l.term[h] {
 		return Inf, fields
 	}
-	kids := p.G.Exprs().Kids(pat)
+	kids := g.Exprs().Kids(pat)
 	if len(kids) == 0 {
 		// Immediates and hardwired constants share a terminal with
 		// every subject constant; a subject instruction field matches
 		// neither.
-		switch e, s := p.G.Exprs().Expr(pat), node.Expr; e.Kind {
+		switch e, s := g.Exprs().Expr(pat), l.s.Expr(h); e.Kind {
 		case rtl.InsnField:
 			if s.Kind != rtl.Const || !grammar.FitsField(s.Val, e.Hi-e.Lo+1) {
 				return Inf, fields
@@ -187,13 +218,14 @@ func (p *Parser) MatchCostFields(pat rtl.ExprID, node *Node, fields []code.Field
 		}
 		return 0, fields
 	}
-	if len(kids) != len(node.Kids) {
+	skids := l.s.Kids(h)
+	if len(kids) != len(skids) {
 		return Inf, fields
 	}
 	var sum int32
-	for i, kid := range node.Kids {
+	for i, kid := range skids {
 		var c int32
-		if c, fields = p.MatchCostFields(kids[i], kid, fields); c >= Inf {
+		if c, fields = l.MatchCostFields(kids[i], kid, fields); c >= Inf {
 			return Inf, fields
 		}
 		sum += c
@@ -201,12 +233,12 @@ func (p *Parser) MatchCostFields(pat rtl.ExprID, node *Node, fields []code.Field
 	return sum, fields
 }
 
-// Step is one rule application in a derivation.  Kids are the
-// sub-derivations at the nonterminal positions of the rule's pattern, in
-// pre-order.
+// Step is one rule application in a derivation, at subject handle Expr.
+// Kids are the sub-derivations at the nonterminal positions of the rule's
+// pattern, in pre-order.
 type Step struct {
 	Rule *grammar.Rule
-	Node *Node
+	Expr rtl.ExprID
 	Kids []*Step
 }
 
@@ -256,71 +288,97 @@ func (e *CoverError) Error() string {
 }
 
 // Cover computes the minimum-cost derivation of e into destination dest
-// (the paper's ASSIGN(Term(dest), NonTerm(dest)) start rule).
+// (the paper's ASSIGN(Term(dest), NonTerm(dest)) start rule), labelling e
+// in a store of its own.
 func (p *Parser) Cover(dest string, e *rtl.Expr) (*Cover, error) {
-	root := p.Label(e)
-	return p.CoverLabeled(dest, root)
+	s := new(rtl.Store)
+	h := s.Intern(e)
+	l := p.NewLabels(s)
+	l.Label(h)
+	return l.Cover(dest, h)
 }
 
-// CoverLabeled is Cover for an already-labelled tree.
-func (p *Parser) CoverLabeled(dest string, root *Node) (*Cover, error) {
-	nt := p.G.NT(dest)
-	if nt <= 0 || p.G.StartRules[nt] < 0 {
+// Cover is Parser.Cover for subject handle h, which Label has reached.
+func (l *Labels) Cover(dest string, h rtl.ExprID) (*Cover, error) {
+	g := l.p.G
+	nt := g.NT(dest)
+	if nt <= 0 || g.StartRules[nt] < 0 {
 		return nil, fmt.Errorf("burs: unknown destination %q", dest)
 	}
-	sr := &p.G.Rules[p.G.StartRules[nt]]
-	if root.cost[nt] >= Inf {
+	sr := &g.Rules[g.StartRules[nt]]
+	if l.Cost(h, nt) >= Inf {
 		var derivable []string
-		for i := 1; i < p.G.NumNT(); i++ {
-			if root.cost[i] < Inf {
-				derivable = append(derivable, p.G.NTNames[i])
+		for i := 1; i < g.NumNT(); i++ {
+			if l.Cost(h, i) < Inf {
+				derivable = append(derivable, g.NTNames[i])
 			}
 		}
 		slices.Sort(derivable)
-		return nil, &CoverError{Dest: dest, Expr: root.Expr, Derivable: derivable}
+		// The error may outlive the store, which its caller resets.
+		return nil, &CoverError{Dest: dest, Expr: l.s.Expr(h).Clone(), Derivable: derivable}
 	}
-	step, err := p.Derive(root, nt)
+	step, err := l.Derive(h, nt)
 	if err != nil {
 		return nil, err
 	}
-	return &Cover{Dest: dest, Start: sr, Root: step, Cost: int(root.cost[nt] + sr.Cost)}, nil
+	return &Cover{Dest: dest, Start: sr, Root: step, Cost: l.Cost(h, nt) + int(sr.Cost)}, nil
 }
 
-// Derive reconstructs the optimal derivation of node from nonterminal nt
-// (Label must have produced the node).
-func (p *Parser) Derive(node *Node, nt int) (*Step, error) {
-	ri := node.rule[nt]
+// Derive reconstructs the optimal derivation of h's tree from nonterminal
+// nt; Label must have reached h.  The steps stay valid until ResetSteps.
+func (l *Labels) Derive(h rtl.ExprID, nt int) (*Step, error) {
+	ri := l.Rule(h, nt)
 	if ri < 0 {
 		return nil, fmt.Errorf("burs: internal: no rule for %s at %s",
-			p.G.NTNames[nt], node.Expr)
+			l.p.G.NTNames[nt], l.s.Expr(h))
 	}
-	r := &p.G.Rules[ri]
-	var kids []*Step
-	if r.Pat != rtl.NoExpr {
-		var err error
-		if kids, err = p.DeriveKids(r.Pat, node, nil); err != nil {
-			return nil, err
-		}
-	}
-	return &Step{Rule: r, Node: node, Kids: kids}, nil
+	return l.DeriveRule(&l.p.G.Rules[ri], h, rtl.NoExpr)
 }
 
-// DeriveKids appends to kids the optimal derivations of the subject nodes
-// at the nonterminal positions of the pattern of handle pat, in
-// pre-order; the pattern must match node, which Label produced.
-func (p *Parser) DeriveKids(pat rtl.ExprID, node *Node, kids []*Step) ([]*Step, error) {
-	if nt := p.G.PatNT(pat); nt != 0 {
-		kid, err := p.Derive(node, nt)
+// DeriveRule is the step applying rule r at h whose kids are the optimal
+// derivations of the subject trees at the pattern's nonterminal
+// positions: those of r's address pattern at addr first (when addr is not
+// rtl.NoExpr), then those of its source pattern at h.  The patterns must
+// match, and Label must have reached both handles.
+func (l *Labels) DeriveRule(r *grammar.Rule, h, addr rtl.ExprID) (*Step, error) {
+	mark := len(l.stack)
+	defer func() { l.stack = l.stack[:mark] }()
+	if addr != rtl.NoExpr {
+		if err := l.deriveKids(r.Addr, addr); err != nil {
+			return nil, err
+		}
+	}
+	if r.Pat != rtl.NoExpr {
+		if err := l.deriveKids(r.Pat, h); err != nil {
+			return nil, err
+		}
+	}
+	st := l.steps.New()
+	*st = Step{Rule: r, Expr: h}
+	if n := len(l.stack) - mark; n > 0 {
+		st.Kids = l.stepKids.Make(n)
+		copy(st.Kids, l.stack[mark:])
+	}
+	return st, nil
+}
+
+// deriveKids pushes onto the stack the optimal derivations of the subject
+// trees at the nonterminal positions of the pattern of handle pat, in
+// pre-order; the pattern must match h.
+func (l *Labels) deriveKids(pat, h rtl.ExprID) error {
+	if nt := l.p.G.PatNT(pat); nt != 0 {
+		kid, err := l.Derive(h, nt)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return append(kids, kid), nil
+		l.stack = append(l.stack, kid)
+		return nil
 	}
-	for i, k := range p.G.Exprs().Kids(pat) {
-		var err error
-		if kids, err = p.DeriveKids(k, node.Kids[i], kids); err != nil {
-			return nil, err
+	skids := l.s.Kids(h)
+	for i, k := range l.p.G.Exprs().Kids(pat) {
+		if err := l.deriveKids(k, skids[i]); err != nil {
+			return err
 		}
 	}
-	return kids, nil
+	return nil
 }

@@ -7,8 +7,11 @@ import (
 	"sort"
 	"testing"
 
+	rbind "repro/internal/bind"
 	"repro/internal/burs"
+	"repro/internal/cfront"
 	"repro/internal/core"
+	"repro/internal/dspstone"
 	"repro/internal/grammar"
 	"repro/internal/models"
 	"repro/internal/rtl"
@@ -345,16 +348,20 @@ func TestPropOptimalityVsReference(t *testing.T) {
 	}
 	for _, m := range machines {
 		t.Run(m.name, func(t *testing.T) {
-			p := burs.NewParser(m.g)
+			// One store and one set of labels serve every trial, so a
+			// subtree that recurs across trials is labelled once.
+			var s rtl.Store
+			l := burs.NewParser(m.g).NewLabels(&s)
 			a := alphabetOf(m.g, m.base)
 			rng := rand.New(rand.NewSource(21))
 			finite := 0
 			for trial := 0; trial < trials; trial++ {
 				e := a.gen(rng, 3)
-				root := p.Label(e)
+				h := s.Intern(e)
+				l.Label(h)
 				want := newRefOracle(m.g).costs(e)
 				for nt := 1; nt < m.g.NumNT(); nt++ {
-					if got := int32(root.Cost(nt)); got != want[nt] {
+					if got := int32(l.Cost(h, nt)); got != want[nt] {
 						t.Fatalf("trial %d: cost mismatch for %s at %s: parser=%d ref=%d",
 							trial, e, m.g.NTNames[nt], got, want[nt])
 					}
@@ -368,5 +375,74 @@ func TestPropOptimalityVsReference(t *testing.T) {
 			}
 			t.Logf("%d trees, %d finite labels", trials, finite)
 		})
+	}
+}
+
+// TestLabelOncePerHandle checks labelling by handle on real blocks: the
+// lowered trees of DSPStone kernels on tms320c25 repeat subtrees, each
+// distinct handle is labelled exactly once however often it occurs and
+// however often its trees are labelled, and every occurrence reads the
+// same cost and rule row as labelling that subtree alone in a store of
+// its own.
+func TestLabelOncePerHandle(t *testing.T) {
+	mdl, _ := models.Get("tms320c25")
+	tg, err := core.RetargetContext(context.Background(), mdl, core.RetargetOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, p := tg.Grammar, tg.Parser
+	for _, k := range []dspstone.Kernel{dspstone.BiquadN(8), dspstone.NComplexUpdates(8)} {
+		prog, err := cfront.Parse(k.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := rbind.Bind(prog, tg.Net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ets, err := b.LowerProgram(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := b.Exprs()
+		var roots []rtl.ExprID
+		for _, et := range ets {
+			roots = append(roots, et.Src, et.DestAddr)
+		}
+		l := p.NewLabels(s)
+		for range 2 {
+			for _, h := range roots {
+				l.Label(h)
+			}
+		}
+		distinct, occurrences := map[rtl.ExprID]bool{}, 0
+		var visit func(h rtl.ExprID)
+		visit = func(h rtl.ExprID) {
+			occurrences++
+			distinct[h] = true
+			var own rtl.Store
+			ah := own.Intern(s.Expr(h))
+			alone := p.NewLabels(&own)
+			alone.Label(ah)
+			for nt := 0; nt < g.NumNT(); nt++ {
+				if l.Cost(h, nt) != alone.Cost(ah, nt) || l.Rule(h, nt) != alone.Rule(ah, nt) {
+					t.Fatalf("%s: at %s from %s: cost %d by rule %d, alone cost %d by rule %d", k.Name, s.Expr(h),
+						g.NTNames[nt], l.Cost(h, nt), l.Rule(h, nt), alone.Cost(ah, nt), alone.Rule(ah, nt))
+				}
+			}
+			for _, kid := range s.Kids(h) {
+				visit(kid)
+			}
+		}
+		for _, h := range roots {
+			visit(h)
+		}
+		if l.Labelled() != len(distinct) {
+			t.Errorf("%s: %d handles labelled for %d distinct subtrees", k.Name, l.Labelled(), len(distinct))
+		}
+		if occurrences <= len(distinct) {
+			t.Errorf("%s: %d occurrences of %d distinct subtrees: no subtree repeats", k.Name, occurrences, len(distinct))
+		}
+		t.Logf("%s: %d subtree occurrences, %d labelled", k.Name, occurrences, l.Labelled())
 	}
 }

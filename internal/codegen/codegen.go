@@ -8,22 +8,39 @@
 package codegen
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/bind"
 	"repro/internal/burs"
 	"repro/internal/code"
 	"repro/internal/grammar"
 	"repro/internal/rtl"
+	"repro/internal/slab"
 )
 
-// Generator compiles ETs for one retargeted machine.
+// Generator compiles ETs for one retargeted machine.  It keeps its
+// working memory from compile to compile: the labels of the binding's
+// subject store, the code of the tree being compiled and the split
+// candidates.  The instructions it emits and their operand fields are
+// carved from slabs the compile's result keeps, so Reset starts new ones.
 type Generator struct {
 	G *grammar.Grammar
 	P *burs.Parser
 	B *bind.Binding
+
+	labels *burs.Labels
+	// out is the code of the top-level tree being compiled: every step
+	// appends to it, and a failed attempt truncates it back.
+	out []*code.Instr
+	// fields holds one match's operand fields until keep copies them.
+	fields []code.Field
+	// subs holds the split candidates of every splitting level in
+	// progress, innermost last.
+	subs   []candidate
+	instrs slab.Slab[code.Instr]
+	kept   slab.Slab[code.Field]
 
 	scratchFree []int
 	// Stats accumulates selection metrics across Compile calls.
@@ -40,11 +57,22 @@ type Stats struct {
 
 // New builds a generator from the grammar, its parser and the binding.
 func New(g *grammar.Grammar, p *burs.Parser, b *bind.Binding) *Generator {
-	cg := &Generator{G: g, P: p, B: b}
+	cg := &Generator{G: g, P: p, labels: p.NewLabels(b.Exprs())}
+	cg.Reset(b)
+	return cg
+}
+
+// Reset readies the generator to compile the trees of b, for the same
+// grammar, keeping its working memory.
+func (cg *Generator) Reset(b *bind.Binding) {
+	cg.B, cg.Stats = b, Stats{}
+	cg.labels.Reset(b.Exprs())
+	cg.out, cg.subs = cg.out[:0], cg.subs[:0]
+	cg.instrs, cg.kept = slab.Slab[code.Instr]{}, slab.Slab[code.Field]{}
+	cg.scratchFree = cg.scratchFree[:0]
 	for i := 0; i < b.ScratchLen; i++ {
 		cg.scratchFree = append(cg.scratchFree, b.ScratchBase+i)
 	}
-	return cg
 }
 
 // Compile covers every ET and returns the sequential (pre-compaction) code.
@@ -52,16 +80,13 @@ func (cg *Generator) Compile(ets []*bind.ET) (*code.Seq, error) {
 	seq := &code.Seq{}
 	for _, et := range ets {
 		cg.Stats.Trees++
-		instrs, err := cg.CompileET(et)
-		if err != nil {
+		if err := cg.compileTree(et); err != nil {
 			return nil, fmt.Errorf("codegen: %s: %w", et.Source, err)
 		}
-		if len(instrs) > 0 {
-			instrs[len(instrs)-1].Comment = et.Source
+		if len(cg.out) > 0 {
+			cg.out[len(cg.out)-1].Comment = et.Source
 		}
-		for _, in := range instrs {
-			seq.Append(in)
-		}
+		seq.Instrs = append(seq.Instrs, cg.out...)
 	}
 	cg.Stats.Instrs = seq.Len()
 	return seq, nil
@@ -74,6 +99,18 @@ func (cg *Generator) Compile(ets []*bind.ET) (*code.Seq, error) {
 // then selection retries — the register-spill handling the paper delegates
 // to its scheduling extension of Araujo/Malik.
 func (cg *Generator) CompileET(et *bind.ET) ([]*code.Instr, error) {
+	if err := cg.compileTree(et); err != nil {
+		return nil, err
+	}
+	return slices.Clone(cg.out), nil
+}
+
+// compileTree compiles a top-level tree into out.  Nothing of an earlier
+// tree is live any more, so its steps and code are released first; a
+// spill's nested compile must not do this (see compileET).
+func (cg *Generator) compileTree(et *bind.ET) error {
+	cg.labels.ResetSteps()
+	cg.out = cg.out[:0]
 	return cg.compileET(et, maxSplits)
 }
 
@@ -85,117 +122,118 @@ const (
 	maxSplitCandidates = 6
 )
 
-func (cg *Generator) compileET(et *bind.ET, budget int) ([]*code.Instr, error) {
-	instrs, err := cg.compileWhole(et)
-	if err == nil {
-		return instrs, nil
+// compileET appends the code of et to out; on failure out is left as it
+// was.  It runs nested, from a spill inside an enclosing tree's step,
+// while that tree's steps, code and split candidates are still in use, so
+// it only ever appends to the scratch it shares with them.
+func (cg *Generator) compileET(et *bind.ET, budget int) error {
+	entry := len(cg.out)
+	err := cg.compileWhole(et)
+	if err == nil || budget <= 0 {
+		return err
 	}
-	if budget <= 0 {
-		return nil, err
-	}
+	s := cg.B.Exprs()
 	// Algebraic fallback: machines without a subtracter/negator compute
 	// a-b as a+(~b+1) and -b as ~b+1 (two's complement identities).  One
 	// top-level rewrite converts every subtraction at once, so the
 	// fallback is tried only there (retrying per split level would
 	// duplicate the whole search exponentially).
 	if budget == maxSplits {
-		for _, rewritten := range []*rtl.Expr{
-			twosComplement(et.Src),
-			swapComparisons(et.Src, rtl.OpGt, rtl.OpGe),
-			swapComparisons(et.Src, rtl.OpLt, rtl.OpLe),
+		for _, rewritten := range [...]rtl.ExprID{
+			twosComplement(s, et.Src),
+			swapComparisons(s, et.Src, rtl.OpGt, rtl.OpGe),
+			swapComparisons(s, et.Src, rtl.OpLt, rtl.OpLe),
 		} {
-			if rewritten.Equal(et.Src) {
+			if rewritten == et.Src {
 				continue
 			}
-			alt := &bind.ET{Dest: et.Dest, DestAddr: et.DestAddr, Src: rewritten, Source: et.Source}
-			if instrs, aerr := cg.compileET(alt, budget-1); aerr == nil {
-				return instrs, nil
+			alt := bind.ET{Dest: et.Dest, DestAddr: et.DestAddr, Src: rewritten, Source: et.Source}
+			if aerr := cg.compileET(&alt, budget-1); aerr == nil {
+				return nil
 			}
 		}
 	}
 	// Try splitting: largest proper subtree that compiles into memory.
-	tried := 0
-	for _, sub := range splitCandidates(et.Src) {
-		if tried >= maxSplitCandidates {
-			break
-		}
-		tried++
+	base := len(cg.subs)
+	defer func() { cg.subs = cg.subs[:base] }()
+	cg.splitCandidates(et.Src)
+	for i := base; i < len(cg.subs) && i-base < maxSplitCandidates; i++ {
+		sub := cg.subs[i]
 		cell, aerr := cg.allocScratch()
 		if aerr != nil {
-			return nil, err
+			return err
 		}
-		subET := &bind.ET{
-			Dest:     cg.B.Memory,
-			DestAddr: rtl.NewConst(int64(cell), cg.B.AddrWidth),
-			Src:      sub,
-		}
-		subCode, serr := cg.compileWhole(subET)
-		if serr != nil {
+		addr := s.Const(int64(cell), cg.B.AddrWidth)
+		subET := bind.ET{Dest: cg.B.Memory, DestAddr: addr, Src: sub.h}
+		if serr := cg.compileWhole(&subET); serr != nil {
 			cg.freeScratch(cell)
 			continue
 		}
-		leaf := rtl.NewRead(cg.B.Memory, cg.B.Width, rtl.NewConst(int64(cell), cg.B.AddrWidth))
-		rest := &bind.ET{
+		leaf := s.Read(cg.B.Memory, cg.B.Width, addr)
+		rest := bind.ET{
 			Dest:     et.Dest,
 			DestAddr: et.DestAddr,
-			Src:      replaceFirst(et.Src, sub, leaf),
+			Src:      replaceAt(s, et.Src, sub.pos, leaf),
 			Source:   et.Source,
 		}
-		restCode, rerr := cg.compileET(rest, budget-1)
+		rerr := cg.compileET(&rest, budget-1)
 		cg.freeScratch(cell)
 		if rerr != nil {
 			// Commit to the first candidate whose subtree compiles:
 			// backtracking across candidates is exponential, and the
 			// size-ordered heuristic makes later candidates strictly less
 			// promising.
-			return nil, rerr
+			cg.out = cg.out[:entry]
+			return rerr
 		}
 		cg.Stats.Spills++
-		return append(subCode, restCode...), nil
+		return nil
 	}
-	return nil, err
+	return err
 }
 
-// twosComplement rewrites every subtraction and negation into complement
-// identities: a-b → a+(~b+1), -b → ~b+1.
-func twosComplement(e *rtl.Expr) *rtl.Expr {
+// twosComplement rewrites every subtraction and negation of tree h of
+// store s into complement identities: a-b → a+(~b+1), -b → ~b+1.
+func twosComplement(s *rtl.Store, h rtl.ExprID) rtl.ExprID {
+	e := s.Expr(h)
 	if e.Kind != rtl.OpApp {
-		return e
+		return h
 	}
-	kids := make([]*rtl.Expr, len(e.Kids))
-	for i, k := range e.Kids {
-		kids[i] = twosComplement(k)
+	var buf [2]rtl.ExprID
+	kids := buf[:0]
+	for _, k := range s.Kids(h) {
+		kids = append(kids, twosComplement(s, k))
 	}
 	w := e.Width
 	switch e.Op {
 	case rtl.OpSub:
-		return rtl.NewOp(rtl.OpAdd, w, kids[0],
-			rtl.NewOp(rtl.OpAdd, w,
-				rtl.NewOp(rtl.OpNot, w, kids[1]), rtl.NewConst(1, w)))
+		return s.Op(rtl.OpAdd, w, kids[0],
+			s.Op(rtl.OpAdd, w, s.Op(rtl.OpNot, w, kids[1]), s.Const(1, w)))
 	case rtl.OpNeg:
-		return rtl.NewOp(rtl.OpAdd, w,
-			rtl.NewOp(rtl.OpNot, w, kids[0]), rtl.NewConst(1, w))
+		return s.Op(rtl.OpAdd, w, s.Op(rtl.OpNot, w, kids[0]), s.Const(1, w))
 	}
-	return rtl.NewOp(e.Op, w, kids...)
+	return s.Op(e.Op, w, kids...)
 }
 
 // swapComparisons mirrors the listed comparison operators (a > b == b < a,
-// a >= b == b <= a and vice versa), for machines whose comparator
-// implements only one direction.
-func swapComparisons(e *rtl.Expr, ops ...rtl.Op) *rtl.Expr {
+// a >= b == b <= a and vice versa) in tree h of store s, for machines
+// whose comparator implements only one direction.
+func swapComparisons(s *rtl.Store, h rtl.ExprID, ops ...rtl.Op) rtl.ExprID {
+	e := s.Expr(h)
 	if e.Kind != rtl.OpApp {
-		return e
+		return h
 	}
-	kids := make([]*rtl.Expr, len(e.Kids))
-	for i, k := range e.Kids {
-		kids[i] = swapComparisons(k, ops...)
+	var buf [2]rtl.ExprID
+	kids := buf[:0]
+	for _, k := range s.Kids(h) {
+		kids = append(kids, swapComparisons(s, k, ops...))
 	}
 	for _, op := range ops {
 		if e.Op == op {
-			return rtl.NewOp(mirrorOf(op), e.Width, kids[1], kids[0])
+			return s.Op(mirrorOf(op), e.Width, kids[1], kids[0])
 		}
 	}
-	return rtl.NewOp(e.Op, e.Width, kids...)
+	return s.Op(e.Op, e.Width, kids...)
 }
 
 func mirrorOf(op rtl.Op) rtl.Op {
@@ -212,179 +250,257 @@ func mirrorOf(op rtl.Op) rtl.Op {
 	return op
 }
 
-// splitCandidates returns proper subtrees worth evaluating separately,
-// largest first (a smaller remainder converges faster).
-func splitCandidates(e *rtl.Expr) []*rtl.Expr {
-	var subs []*rtl.Expr
-	e.Walk(func(n *rtl.Expr) {
-		if n == e || n.Size() < 3 {
-			return
-		}
-		if n.Kind == rtl.Read {
-			return // already a memory/register leaf
-		}
-		subs = append(subs, n)
-	})
-	sort.SliceStable(subs, func(i, j int) bool { return subs[i].Size() > subs[j].Size() })
-	return subs
+// candidate is a split candidate: the subtree h at pre-order position pos
+// of its tree, of size nodes.
+type candidate struct {
+	h         rtl.ExprID
+	pos, size int32
 }
 
-// replaceFirst returns tree with the first occurrence of old (pointer
-// identity) replaced by repl; when old does not occur, tree is returned
-// unchanged (same pointer), so callers can detect progress.
-func replaceFirst(tree, old, repl *rtl.Expr) *rtl.Expr {
-	if tree == old {
-		return repl
-	}
-	for i, k := range tree.Kids {
-		if nk := replaceFirst(k, old, repl); nk != k {
-			c := *tree
-			c.Kids = append([]*rtl.Expr(nil), tree.Kids...)
-			c.Kids[i] = nk
-			return &c
+// splitCandidates appends to subs the proper subtrees of tree h worth
+// evaluating separately, largest first (a smaller remainder converges
+// faster).  Equal subtrees share a handle, so each occurrence is listed,
+// in pre-order among those of a size.
+func (cg *Generator) splitCandidates(h rtl.ExprID) {
+	base := len(cg.subs)
+	var pos int32
+	cg.collect(h, &pos)
+	subs := cg.subs[base+1:] // the root is no candidate
+	n := 0
+	for _, c := range subs {
+		if c.size >= 3 {
+			subs[n] = c
+			n++
 		}
 	}
-	return tree
+	subs = subs[:n]
+	slices.SortStableFunc(subs, func(a, b candidate) int { return cmp.Compare(b.size, a.size) })
+	copy(cg.subs[base:], subs)
+	cg.subs = cg.subs[:base+n]
 }
 
-// compileWhole covers one expression tree without splitting.
-func (cg *Generator) compileWhole(et *bind.ET) ([]*code.Instr, error) {
-	root := cg.P.Label(et.Src)
-	if et.DestAddr == nil {
+// collect appends a candidate entry for every node of tree h but reads
+// (already memory/register leaves), in pre-order, numbering the nodes
+// from *pos; it returns h's size.  The root's entry is always first.
+func (cg *Generator) collect(h rtl.ExprID, pos *int32) int32 {
+	s := cg.B.Exprs()
+	at := -1
+	if *pos == 0 || s.Expr(h).Kind != rtl.Read {
+		at = len(cg.subs)
+		cg.subs = append(cg.subs, candidate{h: h, pos: *pos})
+	}
+	*pos++
+	size := int32(1)
+	for _, k := range s.Kids(h) {
+		size += cg.collect(k, pos)
+	}
+	if at >= 0 {
+		cg.subs[at].size = size
+	}
+	return size
+}
+
+// replaceAt returns tree h of store s with its subtree at pre-order
+// position pos replaced by repl.
+func replaceAt(s *rtl.Store, h rtl.ExprID, pos int32, repl rtl.ExprID) rtl.ExprID {
+	var walk func(h rtl.ExprID) rtl.ExprID
+	walk = func(h rtl.ExprID) rtl.ExprID {
+		if pos == 0 {
+			pos = -1
+			return repl
+		}
+		pos--
+		kids := s.Kids(h)
+		for i, k := range kids {
+			if nk := walk(k); pos < 0 {
+				var buf [2]rtl.ExprID
+				nkids := append(buf[:0], kids...)
+				nkids[i] = nk
+				return s.Node(*s.Expr(h), nkids...)
+			}
+		}
+		return h
+	}
+	return walk(h)
+}
+
+// compileWhole appends the code of one expression tree, covered without
+// splitting, to out; on failure out is left as it was.
+func (cg *Generator) compileWhole(et *bind.ET) error {
+	l := cg.labels
+	l.Label(et.Src)
+	if et.DestAddr == rtl.NoExpr {
 		// Plain register/port destination: the paper's standard start rule.
-		cov, err := cg.P.CoverLabeled(et.Dest, root)
+		cov, err := l.Cover(et.Dest, et.Src)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		cg.Stats.SelectCost += cov.Cost
 		return cg.genStep(cov.Root)
 	}
 	// Addressable destination: pick the best final store considering the
 	// destination-address pattern too.
-	addrRoot := cg.P.Label(et.DestAddr)
-	rule, cost, fields, err := cg.selectRoot(et.Dest, root, addrRoot)
+	l.Label(et.DestAddr)
+	rule, cost, fields, err := cg.selectRoot(et.Dest, et.Src, et.DestAddr)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	cg.Stats.SelectCost += cost
 	// Evaluate address operands first (they are registers feeding the
 	// store), then the value operands, then the store itself; conflicts
 	// among all operand registers are resolved together.
-	kids, err := cg.P.DeriveKids(rule.Addr, addrRoot, nil)
+	step, err := l.DeriveRule(rule, et.Src, et.DestAddr)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if kids, err = cg.P.DeriveKids(rule.Pat, root, kids); err != nil {
-		return nil, err
-	}
-	return cg.genStepWithFields(&burs.Step{Rule: rule, Node: root, Kids: kids}, fields)
+	return cg.genStepWithFields(step, fields)
 }
 
 // selectRoot finds the cheapest RT rule writing dest whose source pattern
-// matches the labelled tree and whose destination-address pattern matches
-// the labelled address tree (with globally consistent operand fields), and
-// returns it with its cost and those fields.  It scans the grammar's
-// store rules for dest, in rule order, so the first cheapest rule wins.
-func (cg *Generator) selectRoot(dest string, root, addrRoot *burs.Node) (*grammar.Rule, int, []code.Field, error) {
+// matches the labelled tree h and whose destination-address pattern
+// matches the labelled address tree addr (with globally consistent operand
+// fields), and returns it with its cost and those fields.  It scans the
+// grammar's store rules for dest, in rule order, so the first cheapest
+// rule wins.
+func (cg *Generator) selectRoot(dest string, h, addr rtl.ExprID) (*grammar.Rule, int, []code.Field, error) {
 	nt := cg.G.NT(dest)
 	if nt < 0 {
 		return nil, 0, nil, fmt.Errorf("unknown destination %q", dest)
 	}
+	l := cg.labels
 	var best *grammar.Rule
-	var fields, bestFields []code.Field
+	var bestFields []code.Field
+	fields := cg.fields
 	bestCost := int32(burs.Inf)
 	for _, ri := range cg.G.StoreRules[nt] {
 		r := &cg.G.Rules[ri]
 		var c, ac int32
-		if c, fields = cg.P.MatchCostFields(r.Pat, root, fields[:0]); c >= burs.Inf {
+		if c, fields = l.MatchCostFields(r.Pat, h, fields[:0]); c >= burs.Inf {
 			continue
 		}
-		if ac, fields = cg.P.MatchCostFields(r.Addr, addrRoot, fields); ac >= burs.Inf {
+		if ac, fields = l.MatchCostFields(r.Addr, addr, fields); ac >= burs.Inf {
 			continue
 		}
 		total := r.Cost + c + ac
 		if total < bestCost {
 			bestCost = total
 			best = r
-			bestFields = append(bestFields[:0], fields...)
+			bestFields = cg.keep(fields)
 		}
 	}
+	cg.fields = fields
 	if best == nil {
+		s := cg.B.Exprs()
 		return nil, 0, nil, fmt.Errorf("no store route into %s matches address %s (value %s)",
-			dest, addrRoot.Expr, root.Expr)
+			dest, s.Expr(addr), s.Expr(h))
 	}
 	return best, int(bestCost), bestFields, nil
 }
 
-// genStep linearizes a derivation step into instructions.
-func (cg *Generator) genStep(step *burs.Step) ([]*code.Instr, error) {
-	if step.Rule.Kind == grammar.KindStop {
-		return nil, nil // value already resides in the register
+// keep copies operand fields out of the match scratch into the slab the
+// compile's instructions keep, nil when there are none.
+func (cg *Generator) keep(fields []code.Field) []code.Field {
+	if len(fields) == 0 {
+		return nil
 	}
-	_, fields := cg.P.MatchCostFields(step.Rule.Pat, step.Node, nil)
-	return cg.genStepWithFields(step, fields)
+	out := cg.kept.Make(len(fields))
+	copy(out, fields)
+	return out
+}
+
+// genStep appends the code of a derivation step to out.
+func (cg *Generator) genStep(step *burs.Step) error {
+	if step.Rule.Kind == grammar.KindStop {
+		return nil // value already resides in the register
+	}
+	_, cg.fields = cg.labels.MatchCostFields(step.Rule.Pat, step.Expr, cg.fields[:0])
+	return cg.genStepWithFields(step, cg.keep(cg.fields))
 }
 
 // genStepWithFields is genStep with the operand fields of the final
 // instruction given (the memory-destination root also binds address
-// fields).
-func (cg *Generator) genStepWithFields(step *burs.Step, fields []code.Field) ([]*code.Instr, error) {
+// fields).  On failure out is left as it was.
+func (cg *Generator) genStepWithFields(step *burs.Step, fields []code.Field) error {
+	mark := len(cg.out)
+	if err := cg.genOperands(step, mark); err != nil {
+		cg.out = cg.out[:mark]
+		return err
+	}
 	r := step.Rule
+	in := cg.instrs.New()
+	*in = code.Instr{Template: cg.G.Template(r), Swap: r.Swap, Fields: fields}
+	cg.out = append(cg.out, in)
+	return nil
+}
 
-	// Generate operand code bottom-up.  Up to maxPermuted operands, the
-	// kids' code and registers live in arrays on the stack.
+// genOperands appends the code of step's operands, from out[mark:] on, in
+// the evaluation order schedule picks, with spills.
+func (cg *Generator) genOperands(step *burs.Step, mark int) error {
+	// Generate operand code bottom-up.  Each kid's code lands after its
+	// predecessor's in out; up to maxPermuted operands, the bounds,
+	// registers and code views live in arrays on the stack.
 	n := len(step.Kids)
-	var codeBuf [maxPermuted][]*code.Instr
+	var endBuf [maxPermuted]int
 	var regBuf [maxPermuted]string
-	kidCode := append(codeBuf[:0], make([][]*code.Instr, n)...)
+	end := append(endBuf[:0], make([]int, n)...)
 	kidReg := append(regBuf[:0], make([]string, n)...)
 	for i, kid := range step.Kids {
-		c, err := cg.genStep(kid)
-		if err != nil {
-			return nil, err
+		if err := cg.genStep(kid); err != nil {
+			return err
 		}
-		kidCode[i] = c
+		end[i] = len(cg.out)
 		kidReg[i] = cg.G.NTNames[kid.Rule.LHS]
+	}
+	var codeBuf [maxPermuted][]*code.Instr
+	kidCode := append(codeBuf[:0], make([][]*code.Instr, n)...)
+	for i, from := 0, mark; i < n; from, i = end[i], i+1 {
+		if from < end[i] {
+			kidCode[i] = cg.out[from:end[i]:end[i]]
+		}
 	}
 
 	// Shared-subtree elision: two operands in the same register computing
-	// structurally equal subtrees need only one evaluation.
+	// equal subtrees (one handle) need only one evaluation.
+	moved := false
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if kidReg[i] == kidReg[j] && len(kidCode[j]) > 0 &&
-				step.Kids[i].Node.Expr.Equal(step.Kids[j].Node.Expr) {
+				step.Kids[i].Expr == step.Kids[j].Expr {
 				kidCode[j] = nil
+				moved = true
 			}
 		}
 	}
 
-	order, spilled, err := schedule(kidCode, kidReg)
+	var spilledBuf [maxPermuted]bool
+	spilled := append(spilledBuf[:0], make([]bool, n)...)
+	order, err := schedule(kidCode, kidReg, spilled)
 	if err != nil {
-		return nil, err
+		return err
+	}
+	for k, i := range order {
+		moved = moved || i != k || spilled[i]
+	}
+	if !moved {
+		return nil // the kids' code is in place, in order
 	}
 
-	size := 1 // the kids' code and this step's instruction; spills grow it
-	for _, c := range kidCode {
-		size += len(c)
-	}
-	out := make([]*code.Instr, 0, size)
-	var scratchOf []int // kid index -> scratch cell, made on the first spill
+	// Rebuild the operand code in evaluation order after the kids' own,
+	// then move it down over theirs.
+	top := len(cg.out)
+	var scratchBuf [maxPermuted]int
+	scratchOf := append(scratchBuf[:0], make([]int, n)...) // kid index -> scratch cell
 	for _, i := range order {
-		out = append(out, kidCode[i]...)
+		cg.out = append(cg.out, kidCode[i]...)
 		if spilled[i] {
 			cell, err := cg.allocScratch()
 			if err != nil {
-				return nil, err
-			}
-			if scratchOf == nil {
-				scratchOf = make([]int, n)
+				return err
 			}
 			scratchOf[i] = cell
-			store, err := cg.spillStore(kidReg[i], cell)
-			if err != nil {
-				return nil, err
+			if err := cg.spillStore(kidReg[i], cell); err != nil {
+				return err
 			}
-			out = append(out, store...)
 			cg.Stats.Spills++
 		}
 	}
@@ -393,34 +509,31 @@ func (cg *Generator) genStepWithFields(step *burs.Step, fields []code.Field) ([]
 		if !spilled[i] {
 			continue
 		}
-		reload, err := cg.spillReload(kidReg[i], scratchOf[i])
-		if err != nil {
-			return nil, err
+		from := len(cg.out)
+		if err := cg.spillReload(kidReg[i], scratchOf[i]); err != nil {
+			return err
 		}
 		// The reload must not clobber the other operand registers.
-		for _, in := range reload {
+		for _, in := range cg.out[from:] {
 			d := in.Def().Storage
 			for j, reg := range kidReg {
 				if j != i && reg == d && kidCode[j] != nil {
-					return nil, fmt.Errorf("spill reload of %s clobbers operand register %s", kidReg[i], reg)
+					return fmt.Errorf("spill reload of %s clobbers operand register %s", kidReg[i], reg)
 				}
 			}
 		}
-		out = append(out, reload...)
 		cg.freeScratch(scratchOf[i])
 	}
-
-	out = append(out, &code.Instr{Template: cg.G.Template(r), Swap: r.Swap, Fields: fields})
-	return out, nil
+	cg.out = cg.out[:mark+copy(cg.out[mark:], cg.out[top:])]
+	return nil
 }
 
 // schedule picks an operand evaluation order minimizing clobbering, and
-// marks operands that still need spilling.  A value computed earlier is
+// marks in spilled the operands that still need spilling.  A value computed earlier is
 // clobbered when a later operand's code writes its register.  Up to
 // maxPermuted operands every order is tried; more keep their own order.
-func schedule(kidCode [][]*code.Instr, kidReg []string) (order []int, spilled []bool, err error) {
+func schedule(kidCode [][]*code.Instr, kidReg []string, spilled []bool) (order []int, err error) {
 	n := len(kidCode)
-	spilled = make([]bool, n)
 	var perms [][]int // the orders to try, the identity first
 	if n <= maxPermuted {
 		perms = permTable[n]
@@ -433,11 +546,12 @@ func schedule(kidCode [][]*code.Instr, kidReg []string) (order []int, spilled []
 	}
 	order = perms[0]
 	if n <= 1 {
-		return order, spilled, nil
+		return order, nil
 	}
 
 	// clob[a*n+b]: b's code writes a's register.
-	clob := make([]bool, n*n)
+	var clobBuf [maxPermuted * maxPermuted]bool
+	clob := append(clobBuf[:0], make([]bool, n*n)...)
 	for b, c := range kidCode {
 		for _, in := range c {
 			d := in.Def().Storage
@@ -487,12 +601,12 @@ func schedule(kidCode [][]*code.Instr, kidReg []string) (order []int, spilled []
 			if kidReg[a] == kidReg[b] && kidCode[a] != nil {
 				// Two live values in one register cannot be repaired by a
 				// memory spill: the reload destroys the second value.
-				return nil, nil, fmt.Errorf(
+				return nil, fmt.Errorf(
 					"operands compete for register %s and cannot be scheduled apart", kidReg[a])
 			}
 		}
 	}
-	return order, spilled, nil
+	return order, nil
 }
 
 // maxPermuted is the most operands schedule tries every order of; patterns
@@ -524,11 +638,11 @@ var permTable = func() (t [maxPermuted + 1][][]int) {
 	return t
 }()
 
-// spillStore emits code storing register reg into the scratch cell.
-func (cg *Generator) spillStore(reg string, cell int) ([]*code.Instr, error) {
+// spillStore appends code storing register reg into the scratch cell.
+func (cg *Generator) spillStore(reg string, cell int) error {
 	regNT := cg.G.NT(reg)
 	if regNT < 0 {
-		return nil, fmt.Errorf("cannot spill unknown register %s", reg)
+		return fmt.Errorf("cannot spill unknown register %s", reg)
 	}
 	width := 0
 	for _, s := range cg.G.Spec.Storages {
@@ -536,29 +650,30 @@ func (cg *Generator) spillStore(reg string, cell int) ([]*code.Instr, error) {
 			width = s.Width
 		}
 	}
-	et := &bind.ET{
+	s := cg.B.Exprs()
+	et := bind.ET{
 		Dest:     cg.B.Memory,
-		DestAddr: rtl.NewConst(int64(cell), cg.B.AddrWidth),
-		Src:      rtl.NewRead(reg, width, nil),
+		DestAddr: s.Const(int64(cell), cg.B.AddrWidth),
+		Src:      s.Read(reg, width, rtl.NoExpr),
 	}
-	instrs, err := cg.CompileET(et)
-	if err != nil {
-		return nil, fmt.Errorf("spill store of %s: %w", reg, err)
+	if err := cg.compileET(&et, maxSplits); err != nil {
+		return fmt.Errorf("spill store of %s: %w", reg, err)
 	}
-	return instrs, nil
+	return nil
 }
 
-// spillReload emits code loading the scratch cell back into register reg.
-func (cg *Generator) spillReload(reg string, cell int) ([]*code.Instr, error) {
-	et := &bind.ET{
-		Dest: reg,
-		Src:  rtl.NewRead(cg.B.Memory, cg.B.Width, rtl.NewConst(int64(cell), cg.B.AddrWidth)),
+// spillReload appends code loading the scratch cell back into register reg.
+func (cg *Generator) spillReload(reg string, cell int) error {
+	s := cg.B.Exprs()
+	et := bind.ET{
+		Dest:     reg,
+		DestAddr: rtl.NoExpr,
+		Src:      s.Read(cg.B.Memory, cg.B.Width, s.Const(int64(cell), cg.B.AddrWidth)),
 	}
-	instrs, err := cg.CompileET(et)
-	if err != nil {
-		return nil, fmt.Errorf("spill reload of %s: %w", reg, err)
+	if err := cg.compileET(&et, maxSplits); err != nil {
+		return fmt.Errorf("spill reload of %s: %w", reg, err)
 	}
-	return instrs, nil
+	return nil
 }
 
 func (cg *Generator) allocScratch() (int, error) {

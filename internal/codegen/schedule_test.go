@@ -20,7 +20,8 @@ func TestScheduleFiveOperands(t *testing.T) {
 	}
 	kidCode := [][]*code.Instr{write("x"), write("x"), write("c"), write("d"), write("e")}
 	kidReg := []string{"x", "a", "c", "d", "e"}
-	order, spilled, err := schedule(kidCode, kidReg)
+	spilled := make([]bool, len(kidCode))
+	order, err := schedule(kidCode, kidReg, spilled)
 	if err != nil {
 		t.Fatal(err)
 	}

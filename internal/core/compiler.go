@@ -4,21 +4,24 @@
 // RetargetContext is the expensive offline step; per-program compilation is
 // meant to be cheap and massively parallel.  A Compiler binds one frozen
 // Target to one Config and amortizes everything a compile needs besides
-// the program: encoding sessions (a BDD view plus its overlay tables) are
-// pooled via sync.Pool and recycled while their copy-on-write overlay
-// stays small, instruments are resolved at construction, and the compile
-// options are fixed up front.  cmd/record, recordd workers and the naive
-// compiler all compile through it, straight-line programs and programs
-// with if/while alike; a new Compiler's first compile is a fresh-session
-// compile.
+// the program: workspaces — an encoding session (a BDD view plus its
+// overlay tables) beside the subject store, labels and slabs of code
+// selection — are kept on a free list and recycled while the session's
+// copy-on-write overlay stays small, instruments are resolved at
+// construction, and the compile options are fixed up front.  cmd/record,
+// recordd workers and the naive compiler all compile through it,
+// straight-line programs and programs with if/while alike; a new
+// Compiler's first compile is a fresh-session compile.
 //
 // Reusing an encoding session across compilations is sound because the
 // produced code is a pure function of the frozen tables: ROBDDs are
 // canonical for the frozen variable order, so every condition a session
 // builds is structurally identical whether its view cache is cold or warm,
 // and the satisfying-path walk that picks instruction bits sees the same
-// structure either way.  Output stays byte-identical to a serial,
-// fresh-session run; the -race 32-way test in compiler_test.go holds this.
+// structure either way.  Selection's scratch is reset per compile and
+// holds nothing a later compile reads.  Output stays byte-identical to a
+// serial, fresh-session run; the -race 32-way test in compiler_test.go and
+// TestPooledScratchNoLeak hold this.
 package core
 
 import (
@@ -29,6 +32,7 @@ import (
 	"time"
 
 	"repro/internal/asm"
+	"repro/internal/bind"
 	"repro/internal/cfront"
 	"repro/internal/code"
 	"repro/internal/codegen"
@@ -37,11 +41,12 @@ import (
 	"repro/internal/ir"
 	"repro/internal/obs"
 	"repro/internal/opt"
+	"repro/internal/rtl"
 )
 
 // maxPooledOverlay bounds the private entries (BDD overlay nodes, filled
-// operation-cache entries and memoised template-set conditions) a pooled
-// session may accumulate before ReleaseSession drops it instead of
+// operation-cache entries and memoised template-set conditions) a session
+// on the free list may accumulate before its release drops it instead of
 // recycling it: the warm cache is worth keeping, an unboundedly growing
 // overlay is not.  The view's cache is sized from its node count, so 2^16
 // entries is at most ~2 MB of overlay slices per retained session.  A
@@ -61,10 +66,16 @@ type Compiler struct {
 	t    *Target
 	opts CompileOptions
 
-	// sessions pools *asm.Session values.  Sessions of a frozen encoder
-	// are independent; pooling trades the per-compile view allocation for
-	// an OverlaySize-bounded amount of retained overlay per idle session.
-	sessions sync.Pool
+	// free holds the idle workspaces, most recently released last.
+	// Sessions of a frozen encoder are independent; keeping them trades
+	// the per-compile view allocation for an OverlaySize-bounded amount of
+	// retained overlay per idle workspace.  Unlike a sync.Pool, the list
+	// survives garbage collection and is shared by every CPU; it never
+	// holds more workspaces than were ever borrowed at once.
+	mu   sync.Mutex
+	free []*workspace
+	// newSession makes a session for a workspace the list cannot supply.
+	newSession func() *asm.Session
 
 	// Instruments resolved once against the configured registry so the hot
 	// path never takes the registry mutex.  All are nil-safe.
@@ -97,8 +108,53 @@ func NewCompiler(t *Target, cfg Config) (*Compiler, error) {
 		c.stageSec[s] = phaseSec.With(s)
 	}
 	obsScope := cfg.Obs
-	c.sessions.New = func() any { return t.Encoder.NewSessionObs(obsScope) }
+	c.newSession = func() *asm.Session { return t.Encoder.NewSessionObs(obsScope) }
 	return c, nil
+}
+
+// workspace is what one compile borrows: an encoding session and code
+// selection's subject store and generator, whose working memory is reset
+// per compile and kept for the next.
+type workspace struct {
+	sess  *asm.Session
+	exprs rtl.Store
+	gen   *codegen.Generator // nil until the first compile
+}
+
+// acquire borrows a workspace, the most recently released one if any.
+func (c *Compiler) acquire() *workspace {
+	c.mu.Lock()
+	if n := len(c.free); n > 0 {
+		w := c.free[n-1]
+		c.free[n-1] = nil
+		c.free = c.free[:n-1]
+		c.mu.Unlock()
+		return w
+	}
+	c.mu.Unlock()
+	return &workspace{sess: c.newSession()}
+}
+
+// release returns a borrowed workspace, discarding it when its session's
+// private BDD overlay has grown past maxPooledOverlay.
+func (c *Compiler) release(w *workspace) {
+	if w.sess.OverlaySize() > maxPooledOverlay {
+		return
+	}
+	c.mu.Lock()
+	c.free = append(c.free, w)
+	c.mu.Unlock()
+}
+
+// generator returns the workspace's generator, reset to compile the trees
+// of b.
+func (w *workspace) generator(t *Target, b *bind.Binding) *codegen.Generator {
+	if w.gen == nil {
+		w.gen = codegen.New(t.Grammar, t.Parser, b)
+	} else {
+		w.gen.Reset(b)
+	}
+	return w.gen
 }
 
 // Target returns the frozen target the compiler compiles for.
@@ -141,8 +197,9 @@ func (c *Compiler) CompileSourceOpts(ctx context.Context, src string, opts Compi
 // onto their timeout class.
 func (c *Compiler) CompileProgramOpts(ctx context.Context, prog *ir.Program, opts CompileOptions) (*CompileResult, error) {
 	c.compiles.Inc()
-	sess := c.AcquireSession()
-	defer c.ReleaseSession(sess)
+	w := c.acquire()
+	defer c.release(w)
+	sess := w.sess
 	if opts.Obs == nil {
 		opts.Obs = c.opts.Obs
 	}
@@ -172,7 +229,8 @@ func (c *Compiler) CompileProgramOpts(ctx context.Context, prog *ir.Program, opt
 	}
 	var single [1]block
 	done := stage("bind")
-	b, cf, blocks, err := lower(t, prog, single[:0])
+	w.exprs.Reset()
+	b, cf, blocks, err := lower(t, prog, &w.exprs, single[:0])
 	done()
 	if err != nil {
 		return nil, err
@@ -181,7 +239,7 @@ func (c *Compiler) CompileProgramOpts(ctx context.Context, prog *ir.Program, opt
 		return nil, err
 	}
 	done = stage("select")
-	gen := codegen.New(t.Grammar, t.Parser, b)
+	gen := w.generator(t, b)
 	for i := range blocks {
 		if err = blocks[i].selectCode(gen); err != nil {
 			break
@@ -247,19 +305,16 @@ func (c *Compiler) CompileProgramOpts(ctx context.Context, prog *ir.Program, opt
 	return res, nil
 }
 
-// AcquireSession borrows an encoding session from the pool for callers
-// that drive the phases themselves (recordbench's per-layer timing).  The
-// session must be returned with ReleaseSession and must not be shared
-// between goroutines while borrowed.
-func (c *Compiler) AcquireSession() *asm.Session {
-	return c.sessions.Get().(*asm.Session)
-}
+// AcquireSession borrows an encoding session from the free list for
+// callers that drive the phases themselves (recordbench's per-layer
+// timing).  The session must be returned with ReleaseSession and must not
+// be shared between goroutines while borrowed.
+func (c *Compiler) AcquireSession() *asm.Session { return c.acquire().sess }
 
-// ReleaseSession returns a borrowed session to the pool, discarding it
-// when its private BDD overlay has grown past maxPooledOverlay.
+// ReleaseSession returns a borrowed session to the free list, discarding
+// it when its private BDD overlay has grown past maxPooledOverlay.
 func (c *Compiler) ReleaseSession(s *asm.Session) {
-	if s == nil || s.OverlaySize() > maxPooledOverlay {
-		return
+	if s != nil {
+		c.release(&workspace{sess: s})
 	}
-	c.sessions.Put(s)
 }

@@ -152,3 +152,24 @@ func TestCompilerSessionPoolRecycles(t *testing.T) {
 		t.Fatal("pool drained after release")
 	}
 }
+
+// TestSessionSurvivesGC checks that an idle session outlives garbage
+// collection: a released session is the next one acquired even after two
+// collections, which empty a sync.Pool.
+func TestSessionSurvivesGC(t *testing.T) {
+	target, err := RetargetContext(context.Background(), micro16, RetargetOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, err := NewCompiler(target, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := comp.AcquireSession()
+	comp.ReleaseSession(s)
+	runtime.GC()
+	runtime.GC()
+	if got := comp.AcquireSession(); got != s {
+		t.Fatal("the released session did not survive two collections")
+	}
+}

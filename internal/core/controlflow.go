@@ -21,13 +21,13 @@ type block struct {
 	prg  *code.Program // compacted words
 }
 
-// lower binds prog and lowers it to the blocks the pipeline compiles,
-// appended to the caller's buffer: one flattened block for a straight-line
-// program, else the basic blocks of its CFG, returned with the target's
-// jump templates as cf.
-func lower(t *Target, prog *ir.Program, blocks []block) (*bind.Binding, *controlFlow, []block, error) {
+// lower binds prog and lowers it into the subject store s to the blocks
+// the pipeline compiles, appended to the caller's buffer: one flattened
+// block for a straight-line program, else the basic blocks of its CFG,
+// returned with the target's jump templates as cf.
+func lower(t *Target, prog *ir.Program, s *rtl.Store, blocks []block) (*bind.Binding, *controlFlow, []block, error) {
 	if !ir.HasControlFlow(prog) {
-		b, err := bind.Bind(prog, t.Net)
+		b, err := bind.BindStore(prog, t.Net, s)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -45,7 +45,7 @@ func lower(t *Target, prog *ir.Program, blocks []block) (*bind.Binding, *control
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	b, err := bind.Bind(&ir.Program{Decls: cfg.Decls, Body: prog.Body}, t.Net)
+	b, err := bind.BindStore(&ir.Program{Decls: cfg.Decls, Body: prog.Body}, t.Net, s)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -63,7 +63,7 @@ func lower(t *Target, prog *ir.Program, blocks []block) (*bind.Binding, *control
 			if err != nil {
 				return nil, nil, nil, err
 			}
-			k.cond = &bind.ET{Dest: js.flagReg, Src: cond, Source: fmt.Sprintf("branch if %s", br.Cond)}
+			k.cond = &bind.ET{Dest: js.flagReg, DestAddr: rtl.NoExpr, Src: cond, Source: fmt.Sprintf("branch if %s", br.Cond)}
 		}
 		blocks = append(blocks, k)
 	}

@@ -587,7 +587,7 @@ func swapTree(s *rtl.Store, h rtl.ExprID, mask uint64) rtl.ExprID {
 	if swap {
 		kids[0], kids[1] = kids[1], kids[0]
 	}
-	return s.InternHead(e, kids)
+	return s.Node(*e, kids...)
 }
 
 // Stats summarizes the grammar for diagnostics and the retargeting report.

@@ -103,7 +103,7 @@ func TestTermAgreesWithMatchesLeaf(t *testing.T) {
 				continue
 			}
 			for _, et := range ets {
-				for _, tree := range []*rtl.Expr{et.Src, et.DestAddr} {
+				for _, tree := range []*rtl.Expr{b.Exprs().Expr(et.Src), b.Exprs().Expr(et.DestAddr)} {
 					tree.Walk(func(n *rtl.Expr) {
 						term := g.SubjectTerm(n)
 						for _, h := range pats {

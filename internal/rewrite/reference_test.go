@@ -222,24 +222,25 @@ func ruleRT(g *grammar.Grammar, ri int) string {
 	return rtl.Swap{Of: g.Template(&g.Rules[ri]), Mask: g.Rules[ri].Swap}.String()
 }
 
-// sameLabels fails t unless the two labellings agree at every node: the
-// cost from every nonterminal, the position of the rule achieving it and
-// the RT it renders.  It returns the number of labels a swap rule won.
-func sameLabels(t *testing.T, name string, gg, wg *grammar.Grammar, got, want *burs.Node) int {
+// sameLabels fails t unless the two labellings of handle h of s agree
+// at every node of its tree: the cost from every nonterminal, the position
+// of the rule achieving it and the RT it renders.  It returns the number
+// of labels a swap rule won.
+func sameLabels(t *testing.T, name string, gg, wg *grammar.Grammar, s *rtl.Store, got, want *burs.Labels, h rtl.ExprID) int {
 	t.Helper()
 	swaps := 0
 	for nt := 0; nt < gg.NumNT(); nt++ {
-		gr, wr := got.Rule(nt), want.Rule(nt)
-		if got.Cost(nt) != want.Cost(nt) || gr != wr || ruleRT(gg, gr) != ruleRT(wg, wr) {
+		gr, wr := got.Rule(h, nt), want.Rule(h, nt)
+		if got.Cost(h, nt) != want.Cost(h, nt) || gr != wr || ruleRT(gg, gr) != ruleRT(wg, wr) {
 			t.Fatalf("%s: at %s from nonterminal %d: cost %d by rule %d (%s); reference: cost %d by rule %d (%s)",
-				name, got.Expr, nt, got.Cost(nt), gr, ruleRT(gg, gr), want.Cost(nt), wr, ruleRT(wg, wr))
+				name, s.Expr(h), nt, got.Cost(h, nt), gr, ruleRT(gg, gr), want.Cost(h, nt), wr, ruleRT(wg, wr))
 		}
 		if gr >= 0 && gg.Rules[gr].Swap != 0 {
 			swaps++
 		}
 	}
-	for i := range got.Kids {
-		swaps += sameLabels(t, name, gg, wg, got.Kids[i], want.Kids[i])
+	for _, k := range s.Kids(h) {
+		swaps += sameLabels(t, name, gg, wg, s, got, want, k)
 	}
 	return swaps
 }
@@ -283,9 +284,14 @@ func TestExtendMemoMatchesFresh(t *testing.T) {
 			if gg.Stats() != wg.Stats() || gg.String() != wg.String() {
 				t.Fatalf("%s: grammar %+v differs from the reference's %+v", name, gg.Stats(), wg.Stats())
 			}
-			gp, wp := burs.NewParser(gg), burs.NewParser(wg)
+			// Both grammars label one subject store.
+			var s rtl.Store
+			gl, wl := burs.NewParser(gg).NewLabels(&s), burs.NewParser(wg).NewLabels(&s)
 			for _, e := range subjectTrees(want, rand.New(rand.NewSource(int64(len(name)))), 150) {
-				swapWins += sameLabels(t, name, gg, wg, gp.Label(e), wp.Label(e))
+				h := s.Intern(e)
+				gl.Label(h)
+				wl.Label(h)
+				swapWins += sameLabels(t, name, gg, wg, &s, gl, wl, h)
 			}
 		}
 	}

@@ -1,6 +1,10 @@
 package rtl
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/slab"
+)
 
 // ExprID is the handle of an interned expression in a Store.  Two trees
 // interned into one store get the same handle iff they are Equal.
@@ -20,6 +24,11 @@ const minExprSlots = 64
 // kind's own fields) and its kids' handles, which the store keeps so that
 // a tree can be walked by handle.  The zero value is an empty store.  A
 // Store is not safe for concurrent mutation.
+//
+// Intern keeps the caller's nodes where it can; Node builds a tree by
+// handle.  Every node the store makes itself is carved from its own
+// slabs, which Reset reuses: a store that holds one program's trees after
+// another stops allocating once it has held the largest.
 type Store struct {
 	exprs  []*Expr
 	hashes []uint32 // hashes[id] is exprs[id]'s unique-table hash
@@ -27,6 +36,9 @@ type Store struct {
 	// kids[kidAt[id]:kidAt[id+1]] are the handles of exprs[id]'s kids.
 	kidAt []int32
 	kids  []ExprID
+	// Node's canonical nodes and their kid pointers.
+	nodes   slab.Slab[Expr]
+	kidPtrs slab.Slab[*Expr]
 }
 
 // Len returns the number of distinct trees interned.
@@ -63,20 +75,100 @@ func (s *Store) Intern(e *Expr) ExprID {
 	for _, k := range e.Kids {
 		ids = append(ids, s.Intern(k))
 	}
-	return s.InternHead(e, ids)
+	id, h, slot := s.find(e, ids)
+	if id != NoExpr {
+		return id
+	}
+	for i, k := range ids {
+		if e.Kids[i] != s.exprs[k] {
+			return s.add(s.carve(e, ids), h, ids, slot)
+		}
+	}
+	return s.add(e, h, ids, slot)
 }
 
-// InternHead returns the handle of the tree with head's kind, width and
-// own fields over the trees of handles kids, adding it if it is new.
-// head.Kids must have len(kids) entries; when they are the canonical
-// trees of kids, head itself becomes the canonical tree, otherwise its
-// head is copied over them.  head is never modified.
-func (s *Store) InternHead(head *Expr, kids []ExprID) ExprID {
-	h := headHash(head)
-	reuse := true
-	for i, id := range kids {
-		reuse = reuse && head.Kids[i] == s.exprs[id]
-		h = mix(h, uint32(id))
+// Node returns the handle of the tree with head's kind, width and own
+// fields over the trees of handles kids, adding it if it is new; head.Kids
+// is ignored.  A new canonical node is carved from the store's slabs.
+func (s *Store) Node(head Expr, kids ...ExprID) ExprID {
+	id, h, slot := s.find(&head, kids)
+	if id != NoExpr {
+		return id
+	}
+	return s.add(s.carve(&head, kids), h, kids, slot)
+}
+
+// carve copies head's own fields into a node from the store's slabs, over
+// the canonical trees of kids.  Such a node stays valid until Reset.
+func (s *Store) carve(head *Expr, kids []ExprID) *Expr {
+	c := s.nodes.New()
+	*c = *head
+	c.Kids = nil
+	if len(kids) > 0 {
+		c.Kids = s.kidPtrs.Make(len(kids))
+		for j, k := range kids {
+			c.Kids[j] = s.exprs[k]
+		}
+	}
+	return c
+}
+
+// Const is Node for a constant head.
+func (s *Store) Const(val int64, width int) ExprID {
+	return s.Node(Expr{Kind: Const, Val: val, Width: width})
+}
+
+// Read is Node for a storage read; addr is NoExpr for plain registers.
+func (s *Store) Read(storage string, width int, addr ExprID) ExprID {
+	if addr == NoExpr {
+		return s.Node(Expr{Kind: Read, Storage: storage, Width: width})
+	}
+	return s.Node(Expr{Kind: Read, Storage: storage, Width: width}, addr)
+}
+
+// Op is Node for an operator application.
+func (s *Store) Op(op Op, width int, kids ...ExprID) ExprID {
+	return s.Node(Expr{Kind: OpApp, Op: op, Width: width}, kids...)
+}
+
+// Slice is NewSlice by handle: a bit slice hi..lo of kid, folding
+// constants, nested slices, instruction fields and full-range slices.
+func (s *Store) Slice(hi, lo int, kid ExprID) ExprID {
+	w, k := hi-lo+1, s.exprs[kid]
+	switch {
+	case lo == 0 && w == k.Width:
+		return kid
+	case k.Kind == Const:
+		mask := int64(1)<<uint(w) - 1
+		return s.Const((k.Val>>uint(lo))&mask, w)
+	case k.Kind == InsnField:
+		return s.Node(Expr{Kind: InsnField, Lo: k.Lo + lo, Hi: k.Lo + hi, Width: w})
+	case k.Kind == Slice:
+		return s.Slice(k.Lo+hi, k.Lo+lo, s.Kids(kid)[0])
+	}
+	return s.Node(Expr{Kind: Slice, Lo: lo, Hi: hi, Width: w}, kid)
+}
+
+// Reset empties the store, keeping its tables and slabs for reuse.  Every
+// handle, and every tree the store made, becomes invalid.
+func (s *Store) Reset() {
+	if s.slots == nil {
+		return
+	}
+	clear(s.exprs) // drop the references Intern took
+	s.exprs, s.hashes, s.kidAt, s.kids = s.exprs[:0], s.hashes[:0], s.kidAt[:1], s.kids[:0]
+	clear(s.slots)
+	s.nodes.Reset()
+	s.kidPtrs.Reset()
+}
+
+// find looks up the node with head's own fields over kids.  It returns
+// the node's handle, or NoExpr with the node's hash and the empty slot
+// where add inserts it.
+func (s *Store) find(head *Expr, kids []ExprID) (id ExprID, h uint32, slot int) {
+	h = headHash(head, len(kids))
+	for _, k := range kids {
+		h = mix(h, uint32(k))
 	}
 	if s.slots == nil {
 		s.slots = make([]int32, minExprSlots)
@@ -89,18 +181,15 @@ func (s *Store) InternHead(head *Expr, kids []ExprID) ExprID {
 	for ; s.slots[i] != 0; i = (i + 1) & mask {
 		id := s.slots[i] - 1
 		if s.hashes[id] == h && s.sameNode(id, head, kids) {
-			return ExprID(id)
+			return ExprID(id), h, i
 		}
 	}
-	c := head
-	if !reuse {
-		cp := *head
-		cp.Kids = make([]*Expr, len(kids))
-		for j, k := range kids {
-			cp.Kids[j] = s.exprs[k]
-		}
-		c = &cp
-	}
+	return NoExpr, h, i
+}
+
+// add gives canonical node c, of hash h and kids kids, the next handle and
+// the empty unique-table slot slot that find returned.
+func (s *Store) add(c *Expr, h uint32, kids []ExprID, slot int) ExprID {
 	if len(s.exprs) >= math.MaxInt32-1 {
 		panic("rtl: expression handles exhausted")
 	}
@@ -109,7 +198,7 @@ func (s *Store) InternHead(head *Expr, kids []ExprID) ExprID {
 	s.hashes = append(s.hashes, h)
 	s.kids = append(s.kids, kids...)
 	s.kidAt = append(s.kidAt, int32(len(s.kids)))
-	s.slots[i] = id + 1
+	s.slots[slot] = id + 1
 	if 4*len(s.exprs) >= 3*len(s.slots) {
 		s.grow()
 	}
@@ -129,12 +218,13 @@ func (s *Store) grow() {
 	}
 }
 
-// sameNode reports whether node id has e's head and the kids kids.
+// sameNode reports whether node id has e's own fields and the kids kids.
 func (s *Store) sameNode(id int32, e *Expr, kids []ExprID) bool {
-	if !sameHead(s.exprs[id], e) {
+	own := s.Kids(ExprID(id))
+	if len(own) != len(kids) || !sameFields(s.exprs[id], e) {
 		return false
 	}
-	for i, k := range s.Kids(ExprID(id)) {
+	for i, k := range own {
 		if kids[i] != k {
 			return false
 		}
@@ -145,7 +235,12 @@ func (s *Store) sameNode(id int32, e *Expr, kids []ExprID) bool {
 // sameHead compares the fields Equal compares at one node: kind, width,
 // kid count and the kind's own fields.
 func sameHead(e, o *Expr) bool {
-	if e.Kind != o.Kind || e.Width != o.Width || len(e.Kids) != len(o.Kids) {
+	return len(e.Kids) == len(o.Kids) && sameFields(e, o)
+}
+
+// sameFields is sameHead without the kid count.
+func sameFields(e, o *Expr) bool {
+	if e.Kind != o.Kind || e.Width != o.Width {
 		return false
 	}
 	switch e.Kind {
@@ -163,10 +258,10 @@ func sameHead(e, o *Expr) bool {
 	return true
 }
 
-// headHash hashes the fields sameHead compares.
-func headHash(e *Expr) uint32 {
+// headHash hashes the fields sameHead compares, for a node of nkids kids.
+func headHash(e *Expr, nkids int) uint32 {
 	h := mix(uint32(e.Kind), uint32(e.Width))
-	h = mix(h, uint32(len(e.Kids)))
+	h = mix(h, uint32(nkids))
 	switch e.Kind {
 	case Const:
 		h = mix(mix(h, uint32(e.Val)), uint32(uint64(e.Val)>>32))
@@ -188,7 +283,7 @@ func headHash(e *Expr) uint32 {
 // swap site of e has two operands of one class (by hash, so a collision
 // only reports a false "no").
 func (e *Expr) ClassHash() (class uint32, distinct bool) {
-	h := headHash(e)
+	h := headHash(e, len(e.Kids))
 	distinct = true
 	var buf [2]uint32
 	kids := buf[:0]

@@ -33,9 +33,17 @@ type Simulator struct {
 
 	Cycle int
 
-	// per-cycle caches
-	outCache map[string]int64
+	// Per-cycle caches and the cycle's pending writes, emptied and
+	// reused by every Step.
+	outCache map[outKey]int64
 	busCache map[string]int64
+	writes   []write
+}
+
+// outKey names an instance output port in outCache.
+type outKey struct {
+	inst *netlist.Inst
+	port string
 }
 
 // New builds a simulator with zeroed storage.
@@ -107,12 +115,14 @@ func (s *Simulator) PC() int64 {
 	return -1
 }
 
-// write is one pending storage write.
+// write is one pending storage write: cell idx of variable v of inst,
+// whose cells are cells.
 type write struct {
-	storage string
-	idx     int
-	val     int64
-	by      string // diagnostic: instance.var
+	inst  *netlist.Inst
+	v     string
+	cells []int64
+	idx   int
+	val   int64
 }
 
 // Step executes one machine cycle.
@@ -120,9 +130,12 @@ func (s *Simulator) Step() error {
 	if err := faultpoint.Hit("sim.step", s.N.Name); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
-	s.outCache = make(map[string]int64)
-	s.busCache = make(map[string]int64)
-	var writes []write
+	if s.outCache == nil {
+		s.outCache, s.busCache = make(map[outKey]int64), make(map[string]int64)
+	}
+	clear(s.outCache)
+	clear(s.busCache)
+	writes := s.writes[:0]
 	for _, inst := range s.N.Insts {
 		for _, st := range inst.Mod.Stmts {
 			if st.LHS.Var == nil {
@@ -149,25 +162,26 @@ func (s *Simulator) Step() error {
 				}
 				idx = int(uint64(iv) & rtl.Mask(exprWidth(st.LHS.Index)))
 			}
-			q := inst.Name + "." + st.LHS.Var.Name
-			cells := s.Mem[q]
+			v := st.LHS.Var.Name
+			cells := s.Mem[inst.Name+"."+v]
 			if idx < 0 || idx >= len(cells) {
-				return fmt.Errorf("sim: cycle %d: %s index %d out of range", s.Cycle, q, idx)
+				return fmt.Errorf("sim: cycle %d: %s.%s index %d out of range", s.Cycle, inst.Name, v, idx)
 			}
-			writes = append(writes, write{q, idx, rtl.Wrap(val, st.LHS.Var.Width), q})
+			writes = append(writes, write{inst, v, cells, idx, rtl.Wrap(val, st.LHS.Var.Width)})
 		}
 	}
-	// Conflict check and simultaneous commit.
-	seen := make(map[string]int64)
-	for _, w := range writes {
-		key := fmt.Sprintf("%s[%d]", w.storage, w.idx)
-		if prev, dup := seen[key]; dup && prev != w.val {
-			return fmt.Errorf("sim: cycle %d: write conflict on %s", s.Cycle, key)
+	s.writes = writes
+	// Conflict check and simultaneous commit: two writes of one cell
+	// must agree.
+	for i, w := range writes {
+		for _, o := range writes[:i] {
+			if o.inst == w.inst && o.v == w.v && o.idx == w.idx && o.val != w.val {
+				return fmt.Errorf("sim: cycle %d: write conflict on %s.%s[%d]", s.Cycle, w.inst.Name, w.v, w.idx)
+			}
 		}
-		seen[key] = w.val
 	}
 	for _, w := range writes {
-		s.Mem[w.storage][w.idx] = w.val
+		w.cells[w.idx] = w.val
 	}
 	s.Cycle++
 	return nil
@@ -294,13 +308,13 @@ func evalBin(op rtl.Op, a, b int64, x *hdl.BinExpr, e hdl.Expr) (int64, error) {
 
 // evalOut evaluates an instance output port (with per-cycle memoization).
 func (s *Simulator) evalOut(inst *netlist.Inst, port string) (int64, error) {
-	key := inst.Name + "." + port
+	key := outKey{inst, port}
 	if v, ok := s.outCache[key]; ok {
 		return v, nil
 	}
 	st := inst.OutStmt(port)
 	if st == nil {
-		return 0, fmt.Errorf("sim: output %s has no behavior", key)
+		return 0, fmt.Errorf("sim: output %s.%s has no behavior", inst.Name, port)
 	}
 	v, err := s.evalMod(inst, st.RHS)
 	if err != nil {
