@@ -13,12 +13,13 @@ import (
 
 // The fmt-based renderers Listing, Template.String and Expr.String used
 // before they moved to one strings.Builder; kept as the reference for
-// byte-identical output.
+// byte-identical output.  They read a tree head by head out of its store.
 
-func fmtExpr(e *rtl.Expr) string {
-	if e == nil {
+func fmtExpr(s *rtl.Store, h rtl.ExprID) string {
+	if h == rtl.NoExpr {
 		return "<nil>"
 	}
+	e, kids := s.Expr(h), s.Kids(h)
 	switch e.Kind {
 	case rtl.Const:
 		return fmt.Sprintf("%d", e.Val)
@@ -30,35 +31,36 @@ func fmtExpr(e *rtl.Expr) string {
 		}
 		return fmt.Sprintf("IW[%d:%d]", e.Hi, e.Lo)
 	case rtl.Read:
-		if a := e.Addr(); a != nil {
-			return fmt.Sprintf("%s[%s]", e.Storage, fmtExpr(a))
+		if len(kids) == 1 {
+			return fmt.Sprintf("%s[%s]", e.Storage, fmtExpr(s, kids[0]))
 		}
 		return e.Storage
 	case rtl.Slice:
-		return fmt.Sprintf("%s[%d:%d]", fmtExpr(e.Kids[0]), e.Hi, e.Lo)
+		return fmt.Sprintf("%s[%d:%d]", fmtExpr(s, kids[0]), e.Hi, e.Lo)
 	case rtl.OpApp:
 		if e.Op.Arity() == 1 {
-			return fmt.Sprintf("%s(%s)", e.Op, fmtExpr(e.Kids[0]))
+			return fmt.Sprintf("%s(%s)", e.Op, fmtExpr(s, kids[0]))
 		}
-		return fmt.Sprintf("(%s %s %s)", fmtExpr(e.Kids[0]), e.Op, fmtExpr(e.Kids[1]))
+		return fmt.Sprintf("(%s %s %s)", fmtExpr(s, kids[0]), e.Op, fmtExpr(s, kids[1]))
 	}
 	return "<bad expr>"
 }
 
 func fmtTemplate(t *rtl.Template) string {
+	s := t.Exprs()
 	dest := t.Dest
-	if t.DestAddr != nil {
-		dest = fmt.Sprintf("%s[%s]", t.Dest, fmtExpr(t.DestAddr))
+	if t.DestAddr != rtl.NoExpr {
+		dest = fmt.Sprintf("%s[%s]", t.Dest, fmtExpr(s, t.DestAddr))
 	}
 	var dyn string
 	if len(t.Cond.Dynamic) > 0 {
 		parts := make([]string, len(t.Cond.Dynamic))
 		for i, d := range t.Cond.Dynamic {
-			parts[i] = fmtExpr(d)
+			parts[i] = fmtExpr(s, d)
 		}
 		dyn = " when " + strings.Join(parts, " && ")
 	}
-	return fmt.Sprintf("%s := %s%s", dest, fmtExpr(t.Src), dyn)
+	return fmt.Sprintf("%s := %s%s", dest, fmtExpr(s, t.Src), dyn)
 }
 
 func fmtListing(e *Encoder, p *code.Program) string {
@@ -102,17 +104,23 @@ func TestListingMatchesFmt(t *testing.T) {
 				if got, want := tp.String(), fmtTemplate(tp); got != want {
 					t.Fatalf("template %d renders as %q; fmt gives %q", tp.ID, got, want)
 				}
-				tp.Src.Walk(func(k *rtl.Expr) {
-					if k.Kind == rtl.OpApp {
+				s := tp.Exprs()
+				var walk func(h rtl.ExprID)
+				walk = func(h rtl.ExprID) {
+					if k := s.Expr(h); k.Kind == rtl.OpApp {
 						seen[fmt.Sprint("arity ", k.Op.Arity())]++
 					} else {
 						seen[fmt.Sprint("kind ", k.Kind)]++
 					}
-					if got, want := k.String(), fmtExpr(k); got != want {
+					if got, want := s.String(h), fmtExpr(s, h); got != want {
 						t.Fatalf("expression renders as %q; fmt gives %q", got, want)
 					}
-				})
-				if tp.DestAddr != nil {
+					for _, k := range s.Kids(h) {
+						walk(k)
+					}
+				}
+				walk(tp.Src)
+				if tp.DestAddr != rtl.NoExpr {
 					seen["addr"]++
 				}
 				if len(tp.Cond.Dynamic) > 0 {
@@ -136,9 +144,13 @@ func TestListingMatchesFmt(t *testing.T) {
 	}
 	// No bundled model reads an input port or a one-bit instruction
 	// field; cover both directly.
-	port := rtl.NewOp(rtl.OpAdd, 16, rtl.NewPort("din", 16),
-		rtl.NewOp(rtl.OpOr, 16, rtl.NewSlice(3, 0, rtl.NewInsnField(7, 0)), rtl.NewInsnField(5, 5)))
-	if got, want := port.String(), fmtExpr(port); got != want {
+	var s rtl.Store
+	field := func(hi, lo int) rtl.ExprID {
+		return s.Node(rtl.Expr{Kind: rtl.InsnField, Hi: hi, Lo: lo, Width: hi - lo + 1})
+	}
+	port := s.Op(rtl.OpAdd, 16, s.Node(rtl.Expr{Kind: rtl.PortRef, Port: "din", Width: 16}),
+		s.Op(rtl.OpOr, 16, s.Slice(3, 0, field(7, 0)), field(5, 5)))
+	if got, want := s.String(port), fmtExpr(&s, port); got != want {
 		t.Errorf("expression renders as %q; fmt gives %q", got, want)
 	}
 	for _, k := range []rtl.ExprKind{rtl.Const, rtl.Read, rtl.InsnField, rtl.Slice} {

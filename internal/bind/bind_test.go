@@ -121,16 +121,17 @@ void main() { y = x + a[2]; }
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := b.Exprs().Expr(h)
-	if e.Kind != rtl.OpApp || e.Op != rtl.OpAdd {
-		t.Fatalf("lowered = %s", e)
+	s := b.Exprs()
+	if e := s.Expr(h); e.Kind != rtl.OpApp || e.Op != rtl.OpAdd {
+		t.Fatalf("lowered = %s", s.String(h))
 	}
-	if e.Kids[0].Storage != "ram.m" || e.Kids[1].Storage != "crom.m" {
-		t.Errorf("leaf storages: %s, %s", e.Kids[0].Storage, e.Kids[1].Storage)
+	x, a := s.Kids(h)[0], s.Kids(h)[1]
+	if s.Expr(x).Storage != "ram.m" || s.Expr(a).Storage != "crom.m" {
+		t.Errorf("leaf storages: %s, %s", s.Expr(x).Storage, s.Expr(a).Storage)
 	}
 	// The address constant is base + 2 at ROM address width.
 	pa, _ := b.AddrOf("a")
-	if addr := e.Kids[1].Addr(); addr.Val != int64(pa.Addr+2) {
+	if addr := s.Expr(s.Addr(a)); addr.Val != int64(pa.Addr+2) {
 		t.Errorf("a[2] address = %d", addr.Val)
 	}
 	// Constants wrap at word width.
@@ -155,9 +156,9 @@ func TestSubConstBecomesAddNeg(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := b.Exprs().Expr(h)
-	if e.Op != rtl.OpAdd || e.Kids[1].Val != -3 {
-		t.Errorf("lowered = %s", e)
+	s := b.Exprs()
+	if s.Expr(h).Op != rtl.OpAdd || s.Expr(s.Kids(h)[1]).Val != -3 {
+		t.Errorf("lowered = %s", s.String(h))
 	}
 }
 
@@ -218,10 +219,10 @@ func TestRuntimeIndexLowering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := b.Exprs().Expr(h)
-	addr := e.Addr()
+	s := b.Exprs()
+	addr := s.Expr(s.Addr(h))
 	if addr.Kind != rtl.OpApp || addr.Op != rtl.OpAdd {
-		t.Fatalf("runtime address = %s", addr)
+		t.Fatalf("runtime address = %s", s.String(s.Addr(h)))
 	}
 	if addr.Width != b.Primary.AddrWidth {
 		t.Errorf("address width = %d", addr.Width)

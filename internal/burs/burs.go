@@ -123,7 +123,7 @@ func (l *Labels) label(h rtl.ExprID) {
 	}
 	g := l.p.G
 	l.labelled++
-	term := g.SubjectTerm(l.s.Expr(h))
+	term := g.SubjectTerm(l.s, h)
 	l.term[h] = term
 	row := int(h) * l.nNT
 	cost, rule := l.cost[row:row+l.nNT:row+l.nNT], l.rule[row:row+l.nNT:row+l.nNT]
@@ -273,7 +273,7 @@ type Cover struct {
 // CoverError explains an uncoverable tree.
 type CoverError struct {
 	Dest string
-	Expr *rtl.Expr
+	Expr string // the tree's rendering
 	// Derivable lists the nonterminals the tree can be derived from, to
 	// help diagnose the gap.
 	Derivable []string
@@ -287,18 +287,9 @@ func (e *CoverError) Error() string {
 		e.Expr, e.Dest, strings.Join(e.Derivable, ", "))
 }
 
-// Cover computes the minimum-cost derivation of e into destination dest
-// (the paper's ASSIGN(Term(dest), NonTerm(dest)) start rule), labelling e
-// in a store of its own.
-func (p *Parser) Cover(dest string, e *rtl.Expr) (*Cover, error) {
-	s := new(rtl.Store)
-	h := s.Intern(e)
-	l := p.NewLabels(s)
-	l.Label(h)
-	return l.Cover(dest, h)
-}
-
-// Cover is Parser.Cover for subject handle h, which Label has reached.
+// Cover computes the minimum-cost derivation of subject handle h, which
+// Label has reached, into destination dest (the paper's
+// ASSIGN(Term(dest), NonTerm(dest)) start rule).
 func (l *Labels) Cover(dest string, h rtl.ExprID) (*Cover, error) {
 	g := l.p.G
 	nt := g.NT(dest)
@@ -315,7 +306,7 @@ func (l *Labels) Cover(dest string, h rtl.ExprID) (*Cover, error) {
 		}
 		slices.Sort(derivable)
 		// The error may outlive the store, which its caller resets.
-		return nil, &CoverError{Dest: dest, Expr: l.s.Expr(h).Clone(), Derivable: derivable}
+		return nil, &CoverError{Dest: dest, Expr: l.s.String(h), Derivable: derivable}
 	}
 	step, err := l.Derive(h, nt)
 	if err != nil {
@@ -330,7 +321,7 @@ func (l *Labels) Derive(h rtl.ExprID, nt int) (*Step, error) {
 	ri := l.Rule(h, nt)
 	if ri < 0 {
 		return nil, fmt.Errorf("burs: internal: no rule for %s at %s",
-			l.p.G.NTNames[nt], l.s.Expr(h))
+			l.p.G.NTNames[nt], l.s.String(h))
 	}
 	return l.DeriveRule(&l.p.G.Rules[ri], h, rtl.NoExpr)
 }

@@ -26,24 +26,24 @@ func testMachine(t *testing.T) (*grammar.Grammar, *rtl.Base) {
 	t.Helper()
 	m := bdd.New()
 	base := rtl.NewBase(m)
-	imm := func() *rtl.Expr { return rtl.NewInsnField(7, 0) }
-	ram := func() *rtl.Expr { return rtl.NewRead("ram.m", 16, imm()) }
-	acc := func() *rtl.Expr { return rtl.NewRead("acc.r", 16, nil) }
-	tr := func() *rtl.Expr { return rtl.NewRead("t.r", 16, nil) }
-	add := func(tpl *rtl.Template) {
-		tpl.Cond = rtl.ExecCond{Static: m.True()}
-		tpl.Width = 16
-		base.Add(tpl)
+	s := base.Exprs()
+	imm := field(s, 7, 0)
+	ram := s.Read("ram.m", 16, imm)
+	acc := accLeaf(s)
+	tr := s.Read("t.r", 16, rtl.NoExpr)
+	add := func(dest string, addr, src rtl.ExprID) {
+		base.Add(&rtl.Template{Dest: dest, DestAddr: addr, Src: src, Width: 16,
+			Cond: rtl.ExecCond{Static: m.True()}})
 	}
-	add(&rtl.Template{Dest: "acc.r", Src: rtl.NewOp(rtl.OpAdd, 16, acc(), ram())})
-	add(&rtl.Template{Dest: "acc.r", Src: rtl.NewOp(rtl.OpSub, 16, acc(), ram())})
-	add(&rtl.Template{Dest: "acc.r", Src: ram()})
-	add(&rtl.Template{Dest: "ram.m", DestAddr: imm(), Src: acc()})
-	add(&rtl.Template{Dest: "acc.r", Src: imm()})
-	add(&rtl.Template{Dest: "t.r", Src: ram()})
-	add(&rtl.Template{Dest: "acc.r", Src: rtl.NewOp(rtl.OpMul, 16, tr(), ram())})
-	add(&rtl.Template{Dest: "acc.r", Src: rtl.NewOp(rtl.OpAdd, 16, acc(), tr())})
-	add(&rtl.Template{Dest: "t.r", Src: acc()})
+	add("acc.r", rtl.NoExpr, s.Op(rtl.OpAdd, 16, acc, ram))
+	add("acc.r", rtl.NoExpr, s.Op(rtl.OpSub, 16, acc, ram))
+	add("acc.r", rtl.NoExpr, ram)
+	add("ram.m", imm, acc)
+	add("acc.r", rtl.NoExpr, imm)
+	add("t.r", rtl.NoExpr, ram)
+	add("acc.r", rtl.NoExpr, s.Op(rtl.OpMul, 16, tr, ram))
+	add("acc.r", rtl.NoExpr, s.Op(rtl.OpAdd, 16, acc, tr))
+	add("t.r", rtl.NoExpr, acc)
 
 	spec := grammar.Spec{Storages: []grammar.StorageInfo{
 		{Name: "acc.r", Width: 16, Size: 1},
@@ -57,11 +57,22 @@ func testMachine(t *testing.T) (*grammar.Grammar, *rtl.Base) {
 	return g, base
 }
 
-func ramAt(addr int64) *rtl.Expr {
-	return rtl.NewRead("ram.m", 16, rtl.NewConst(addr, 16))
+func field(s *rtl.Store, hi, lo int) rtl.ExprID {
+	return s.Node(rtl.Expr{Kind: rtl.InsnField, Hi: hi, Lo: lo, Width: hi - lo + 1})
 }
 
-func accLeaf() *rtl.Expr { return rtl.NewRead("acc.r", 16, nil) }
+func ramAt(s *rtl.Store, addr int64) rtl.ExprID {
+	return s.Read("ram.m", 16, s.Const(addr, 16))
+}
+
+func accLeaf(s *rtl.Store) rtl.ExprID { return s.Read("acc.r", 16, rtl.NoExpr) }
+
+// cover labels subject tree h of s and covers it into dest.
+func cover(p *Parser, s *rtl.Store, dest string, h rtl.ExprID) (*Cover, error) {
+	l := p.NewLabels(s)
+	l.Label(h)
+	return l.Cover(dest, h)
+}
 
 func TestGrammarShape(t *testing.T) {
 	g, base := testMachine(t)
@@ -89,7 +100,8 @@ func TestCoverSimpleLoad(t *testing.T) {
 	g, _ := testMachine(t)
 	p := NewParser(g)
 	// acc := ram[5]
-	c, err := p.Cover("acc.r", ramAt(5))
+	s := new(rtl.Store)
+	c, err := cover(p, s, "acc.r", ramAt(s, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,8 +118,8 @@ func TestCoverAdd(t *testing.T) {
 	g, _ := testMachine(t)
 	p := NewParser(g)
 	// acc := ram[5] + ram[6]  -> load; add  (cost 2)
-	e := rtl.NewOp(rtl.OpAdd, 16, ramAt(5), ramAt(6))
-	c, err := p.Cover("acc.r", e)
+	s := new(rtl.Store)
+	c, err := cover(p, s, "acc.r", s.Op(rtl.OpAdd, 16, ramAt(s, 5), ramAt(s, 6)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,9 +144,10 @@ func TestCoverChainedMulAcc(t *testing.T) {
 	p := NewParser(g)
 	// acc := acc + ram[5]*ram[6]
 	// -> t := ram[5]; acc := t*ram[6]; t := acc; acc := acc + t
-	e := rtl.NewOp(rtl.OpAdd, 16, accLeaf(),
-		rtl.NewOp(rtl.OpMul, 16, ramAt(5), ramAt(6)))
-	c, err := p.Cover("acc.r", e)
+	s := new(rtl.Store)
+	e := s.Op(rtl.OpAdd, 16, accLeaf(s),
+		s.Op(rtl.OpMul, 16, ramAt(s, 5), ramAt(s, 6)))
+	c, err := cover(p, s, "acc.r", e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,8 +163,8 @@ func TestCoverMemoryDestination(t *testing.T) {
 	g, _ := testMachine(t)
 	p := NewParser(g)
 	// ram[9] := ram[5] + ram[6]: load, add, store = 3.
-	e := rtl.NewOp(rtl.OpAdd, 16, ramAt(5), ramAt(6))
-	c, err := p.Cover("ram.m", e)
+	s := new(rtl.Store)
+	c, err := cover(p, s, "ram.m", s.Op(rtl.OpAdd, 16, ramAt(s, 5), ramAt(s, 6)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,16 +176,17 @@ func TestCoverMemoryDestination(t *testing.T) {
 func TestCoverImmediates(t *testing.T) {
 	g, _ := testMachine(t)
 	p := NewParser(g)
+	s := new(rtl.Store)
 	// Fits the 8-bit field.
-	if c, err := p.Cover("acc.r", rtl.NewConst(255, 16)); err != nil || c.Cost != 1 {
+	if c, err := cover(p, s, "acc.r", s.Const(255, 16)); err != nil || c.Cost != 1 {
 		t.Fatalf("imm 255: cost=%v err=%v", c, err)
 	}
 	// Too wide for the field: uncoverable on this machine.
-	if _, err := p.Cover("acc.r", rtl.NewConst(4096, 16)); err == nil {
+	if _, err := cover(p, s, "acc.r", s.Const(4096, 16)); err == nil {
 		t.Fatal("imm 4096 should not be encodable")
 	}
 	// Negative immediate fits signed.
-	if c, err := p.Cover("acc.r", rtl.NewConst(-128, 16)); err != nil || c.Cost != 1 {
+	if c, err := cover(p, s, "acc.r", s.Const(-128, 16)); err != nil || c.Cost != 1 {
 		t.Fatalf("imm -128: cost=%v err=%v", c, err)
 	}
 }
@@ -181,8 +195,8 @@ func TestCoverErrors(t *testing.T) {
 	g, _ := testMachine(t)
 	p := NewParser(g)
 	// Unsupported operator.
-	e := rtl.NewOp(rtl.OpXor, 16, ramAt(1), ramAt(2))
-	_, err := p.Cover("acc.r", e)
+	s := new(rtl.Store)
+	_, err := cover(p, s, "acc.r", s.Op(rtl.OpXor, 16, ramAt(s, 1), ramAt(s, 2)))
 	ce, ok := err.(*CoverError)
 	if !ok {
 		t.Fatalf("err = %v, want CoverError", err)
@@ -190,11 +204,17 @@ func TestCoverErrors(t *testing.T) {
 	if len(ce.Derivable) != 0 {
 		t.Errorf("xor should be underivable anywhere, got %v", ce.Derivable)
 	}
-	if !strings.Contains(ce.Error(), "unsupported") {
-		t.Errorf("message = %q", ce.Error())
+	want := "burs: expression (ram.m[1] ^ ram.m[2]) not derivable from any nonterminal (operator unsupported by the target?)"
+	if ce.Error() != want {
+		t.Errorf("message = %q, want %q", ce.Error(), want)
+	}
+	// The message survives the store that held the tree.
+	s.Reset()
+	if ce.Error() != want {
+		t.Errorf("after Reset, message = %q", ce.Error())
 	}
 	// Unknown destination.
-	if _, err := p.Cover("bogus", ramAt(1)); err == nil {
+	if _, err := cover(p, s, "bogus", ramAt(s, 1)); err == nil {
 		t.Error("unknown destination accepted")
 	}
 	// Derivable into acc but not into a destination with no templates:
@@ -205,8 +225,8 @@ func TestCoverErrors(t *testing.T) {
 func TestStepWalkOrder(t *testing.T) {
 	g, _ := testMachine(t)
 	p := NewParser(g)
-	e := rtl.NewOp(rtl.OpAdd, 16, ramAt(5), ramAt(6))
-	c, err := p.Cover("acc.r", e)
+	s := new(rtl.Store)
+	c, err := cover(p, s, "acc.r", s.Op(rtl.OpAdd, 16, ramAt(s, 5), ramAt(s, 6)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,20 +243,21 @@ func TestPropDerivationCostConsistent(t *testing.T) {
 	g, _ := testMachine(t)
 	p := NewParser(g)
 	rng := rand.New(rand.NewSource(77))
-	var gen func(depth int) *rtl.Expr
-	gen = func(depth int) *rtl.Expr {
+	s := new(rtl.Store)
+	var gen func(depth int) rtl.ExprID
+	gen = func(depth int) rtl.ExprID {
 		if depth == 0 || rng.Intn(3) == 0 {
 			if rng.Intn(2) == 0 {
-				return ramAt(int64(rng.Intn(100)))
+				return ramAt(s, int64(rng.Intn(100)))
 			}
-			return accLeaf()
+			return accLeaf(s)
 		}
 		ops := []rtl.Op{rtl.OpAdd, rtl.OpSub, rtl.OpMul}
-		return rtl.NewOp(ops[rng.Intn(3)], 16, gen(depth-1), gen(depth-1))
+		return s.Op(ops[rng.Intn(3)], 16, gen(depth-1), gen(depth-1))
 	}
 	for trial := 0; trial < 200; trial++ {
 		e := gen(3)
-		c, err := p.Cover("acc.r", e)
+		c, err := cover(p, s, "acc.r", e)
 		if err != nil {
 			continue // some shapes are legitimately uncoverable
 		}
@@ -244,7 +265,7 @@ func TestPropDerivationCostConsistent(t *testing.T) {
 		c.Root.Walk(func(s *Step) { sum += int(s.Rule.Cost) })
 		if sum+int(c.Start.Cost) != c.Cost {
 			t.Fatalf("trial %d: derivation cost %d != claimed %d for %s",
-				trial, sum, c.Cost, e)
+				trial, sum, c.Cost, s.String(e))
 		}
 	}
 }
@@ -254,8 +275,9 @@ func TestPropDerivationCostConsistent(t *testing.T) {
 func TestEmitGoSwapRule(t *testing.T) {
 	m := bdd.New()
 	base := rtl.NewBase(m)
-	add := base.Add(&rtl.Template{Dest: "acc.r", Width: 16, Cond: rtl.ExecCond{Static: m.True()},
-		Src: rtl.NewOp(rtl.OpAdd, 16, accLeaf(), rtl.NewRead("ram.m", 16, rtl.NewInsnField(7, 0)))})
+	s := base.Exprs()
+	add := base.Add(&rtl.Template{Dest: "acc.r", DestAddr: rtl.NoExpr, Width: 16, Cond: rtl.ExecCond{Static: m.True()},
+		Src: s.Op(rtl.OpAdd, 16, accLeaf(s), s.Read("ram.m", 16, field(s, 7, 0)))})
 	base.AddSwap(add, 1)
 	g, err := grammar.Build(base, grammar.Spec{Storages: []grammar.StorageInfo{
 		{Name: "acc.r", Width: 16, Size: 1},

@@ -17,28 +17,57 @@ import (
 	"repro/internal/rtl"
 )
 
+// tree is the oracle's own subject tree: a head over kid pointers,
+// converted to a handle only to be labelled by the parser.
+type tree struct {
+	rtl.Expr
+	kids []*tree
+}
+
+// treeOf reads the tree of handle h back out of s.
+func treeOf(s *rtl.Store, h rtl.ExprID) *tree {
+	e := &tree{Expr: *s.Expr(h)}
+	for _, k := range s.Kids(h) {
+		e.kids = append(e.kids, treeOf(s, k))
+	}
+	return e
+}
+
+// build builds e into s and returns its handle.
+func (e *tree) build(s *rtl.Store) rtl.ExprID {
+	kids := make([]rtl.ExprID, len(e.kids))
+	for i, k := range e.kids {
+		kids[i] = k.build(s)
+	}
+	return s.Node(e.Expr, kids...)
+}
+
+func (e *tree) String() string {
+	var s rtl.Store
+	return s.String(e.build(&s))
+}
+
+func constTree(v int64, w int) *tree { return &tree{Expr: rtl.Expr{Kind: rtl.Const, Val: v, Width: w}} }
+
 // refOracle is an independent top-down implementation of the minimum
 // derivation cost of a subject tree from every nonterminal, the oracle
 // for the parser's labels.  It tries every non-start rule of the grammar
 // at every node, without the parser's terminal buckets, and closes over
-// chain rules by relaxation.  Subtrees are memoised by their handle in a
-// store local to the oracle, so equal subtrees share an entry and trees
-// differing only in widths do not.
+// chain rules by relaxation.  Subtrees are memoised by node, so a leaf
+// shared across a tree is costed once.
 type refOracle struct {
-	g     *grammar.Grammar
-	store rtl.Store
-	memo  map[rtl.ExprID][]int32
+	g    *grammar.Grammar
+	memo map[*tree][]int32
 }
 
 func newRefOracle(g *grammar.Grammar) *refOracle {
-	return &refOracle{g: g, memo: make(map[rtl.ExprID][]int32)}
+	return &refOracle{g: g, memo: make(map[*tree][]int32)}
 }
 
 // costs returns, per nonterminal, the minimum cost of deriving e from it
 // (burs.Inf if impossible).
-func (o *refOracle) costs(e *rtl.Expr) []int32 {
-	id := o.store.Intern(e)
-	if c, ok := o.memo[id]; ok {
+func (o *refOracle) costs(e *tree) []int32 {
+	if c, ok := o.memo[e]; ok {
 		return c
 	}
 	g := o.g
@@ -75,7 +104,7 @@ func (o *refOracle) costs(e *rtl.Expr) []int32 {
 			}
 		}
 	}
-	o.memo[id] = cost
+	o.memo[e] = cost
 	return cost
 }
 
@@ -111,9 +140,9 @@ func (o *refOracle) chainSource(r *grammar.Rule) int { return o.g.PatNT(r.Pat) }
 
 // match returns the cost of the nonterminal leaves of r's pattern matched
 // at e, or burs.Inf.  A stop rule's pattern is the register it stops at.
-func (o *refOracle) match(r *grammar.Rule, e *rtl.Expr, binds *[]refField) int32 {
+func (o *refOracle) match(r *grammar.Rule, e *tree, binds *[]refField) int32 {
 	if r.Kind == grammar.KindStop {
-		if e.Kind != rtl.Read || len(e.Kids) != 0 || e.Storage != o.g.NTNames[r.LHS] {
+		if e.Kind != rtl.Read || len(e.kids) != 0 || e.Storage != o.g.NTNames[r.LHS] {
 			return burs.Inf
 		}
 		return 0
@@ -124,7 +153,7 @@ func (o *refOracle) match(r *grammar.Rule, e *rtl.Expr, binds *[]refField) int32
 // matchPat matches the pattern of handle h at e, comparing the pattern's
 // own tree node by node; it reads nothing of the grammar but which
 // handles stand for nonterminals.
-func (o *refOracle) matchPat(h rtl.ExprID, e *rtl.Expr, binds *[]refField) int32 {
+func (o *refOracle) matchPat(h rtl.ExprID, e *tree, binds *[]refField) int32 {
 	if nt := o.g.PatNT(h); nt != 0 {
 		return o.costs(e)[nt]
 	}
@@ -135,7 +164,7 @@ func (o *refOracle) matchPat(h rtl.ExprID, e *rtl.Expr, binds *[]refField) int32
 			return burs.Inf
 		}
 	case rtl.Read:
-		if e.Kind != rtl.Read || len(e.Kids) != 1 || e.Storage != p.Storage {
+		if e.Kind != rtl.Read || len(e.kids) != 1 || e.Storage != p.Storage {
 			return burs.Inf
 		}
 	case rtl.InsnField:
@@ -157,12 +186,12 @@ func (o *refOracle) matchPat(h rtl.ExprID, e *rtl.Expr, binds *[]refField) int32
 	default:
 		return burs.Inf
 	}
-	if len(kids) != len(e.Kids) {
+	if len(kids) != len(e.kids) {
 		return burs.Inf
 	}
 	var sum int32
 	for i, k := range kids {
-		c := o.matchPat(k, e.Kids[i], binds)
+		c := o.matchPat(k, e.kids[i], binds)
 		if c >= burs.Inf {
 			return burs.Inf
 		}
@@ -176,13 +205,13 @@ func (o *refOracle) matchPat(h rtl.ExprID, e *rtl.Expr, binds *[]refField) int32
 // its hardwired constants, immediate values around its field widths, and
 // the templates' sources themselves.
 type alphabet struct {
-	ops    []*rtl.Expr // one node per distinct (operator, width, arity)
-	slices []*rtl.Expr // one node per distinct (hi, lo)
-	regs   []*rtl.Expr // address-less reads
+	ops    []*tree // one node per distinct (operator, width, arity)
+	slices []*tree // one node per distinct (hi, lo)
+	regs   []*tree // address-less reads
 	mems   []grammar.StorageInfo
-	ports  []*rtl.Expr
+	ports  []*tree
 	consts []int64
-	srcs   []*rtl.Expr
+	srcs   []*tree
 }
 
 func alphabetOf(g *grammar.Grammar, base *rtl.Base) *alphabet {
@@ -196,10 +225,11 @@ func alphabetOf(g *grammar.Grammar, base *rtl.Base) *alphabet {
 		return true
 	}
 	vals := map[int64]bool{0: true, 1: true, -1: true}
-	visit := func(n *rtl.Expr) {
+	var visit func(n *tree)
+	visit = func(n *tree) { // in pre-order
 		switch n.Kind {
 		case rtl.OpApp:
-			if once(fmt.Sprint("op/", n.Op, "/", n.Width, "/", len(n.Kids))) {
+			if once(fmt.Sprint("op/", n.Op, "/", n.Width, "/", len(n.kids))) {
 				a.ops = append(a.ops, n)
 			}
 		case rtl.Slice:
@@ -220,20 +250,24 @@ func alphabetOf(g *grammar.Grammar, base *rtl.Base) *alphabet {
 				}
 			}
 		}
+		for _, k := range n.kids {
+			visit(k)
+		}
 	}
 	for _, t := range base.Templates {
 		if len(t.Cond.Dynamic) > 0 {
 			continue
 		}
-		t.Src.Walk(visit)
-		if t.DestAddr != nil {
-			t.DestAddr.Walk(visit)
+		src := treeOf(base.Exprs(), t.Src)
+		visit(src)
+		if t.DestAddr != rtl.NoExpr {
+			visit(treeOf(base.Exprs(), t.DestAddr))
 		}
-		a.srcs = append(a.srcs, t.Src)
+		a.srcs = append(a.srcs, src)
 	}
 	for _, s := range g.Spec.Storages {
 		if s.Size == 1 {
-			a.regs = append(a.regs, rtl.NewRead(s.Name, s.Width, nil))
+			a.regs = append(a.regs, &tree{Expr: rtl.Expr{Kind: rtl.Read, Storage: s.Name, Width: s.Width}})
 		} else {
 			a.mems = append(a.mems, s)
 		}
@@ -246,7 +280,7 @@ func alphabetOf(g *grammar.Grammar, base *rtl.Base) *alphabet {
 }
 
 // gen returns a random subject tree of at most depth levels of operators.
-func (a *alphabet) gen(rng *rand.Rand, depth int) *rtl.Expr {
+func (a *alphabet) gen(rng *rand.Rand, depth int) *tree {
 	if depth == 0 || rng.Intn(4) == 0 {
 		return a.leaf(rng, depth)
 	}
@@ -257,19 +291,19 @@ func (a *alphabet) gen(rng *rand.Rand, depth int) *rtl.Expr {
 		return a.instantiate(rng, a.srcs[rng.Intn(len(a.srcs))], depth)
 	case k < 3 && len(a.slices) > 0:
 		s := a.slices[rng.Intn(len(a.slices))]
-		return &rtl.Expr{Kind: rtl.Slice, Hi: s.Hi, Lo: s.Lo, Width: s.Width, Kids: []*rtl.Expr{a.gen(rng, depth-1)}}
+		return &tree{s.Expr, []*tree{a.gen(rng, depth-1)}}
 	case len(a.ops) > 0:
 		op := a.ops[rng.Intn(len(a.ops))]
-		kids := make([]*rtl.Expr, len(op.Kids))
+		kids := make([]*tree, len(op.kids))
 		for i := range kids {
 			kids[i] = a.gen(rng, depth-1)
 		}
-		return rtl.NewOp(op.Op, op.Width, kids...)
+		return &tree{op.Expr, kids}
 	}
 	return a.leaf(rng, depth)
 }
 
-func (a *alphabet) leaf(rng *rand.Rand, depth int) *rtl.Expr {
+func (a *alphabet) leaf(rng *rand.Rand, depth int) *tree {
 	for {
 		switch rng.Intn(4) {
 		case 0:
@@ -279,43 +313,42 @@ func (a *alphabet) leaf(rng *rand.Rand, depth int) *rtl.Expr {
 		case 1:
 			if len(a.mems) > 0 {
 				m := a.mems[rng.Intn(len(a.mems))]
-				addr := rtl.NewConst(int64(rng.Intn(m.Size)), 16)
+				addr := constTree(int64(rng.Intn(m.Size)), 16)
 				if depth > 0 && rng.Intn(3) == 0 {
 					addr = a.gen(rng, depth-1)
 				}
-				return rtl.NewRead(m.Name, m.Width, addr)
+				return &tree{rtl.Expr{Kind: rtl.Read, Storage: m.Name, Width: m.Width}, []*tree{addr}}
 			}
 		case 2:
 			if len(a.ports) > 0 {
 				return a.ports[rng.Intn(len(a.ports))]
 			}
 		default:
-			return rtl.NewConst(a.consts[rng.Intn(len(a.consts))], 16)
+			return constTree(a.consts[rng.Intn(len(a.consts))], 16)
 		}
 	}
 }
 
-func (a *alphabet) instantiate(rng *rand.Rand, e *rtl.Expr, depth int) *rtl.Expr {
+func (a *alphabet) instantiate(rng *rand.Rand, e *tree, depth int) *tree {
 	switch e.Kind {
 	case rtl.InsnField:
-		return rtl.NewConst(a.consts[rng.Intn(len(a.consts))], e.Width)
+		return constTree(a.consts[rng.Intn(len(a.consts))], e.Width)
 	case rtl.Read:
-		if len(e.Kids) == 0 {
+		if len(e.kids) == 0 {
 			if depth > 0 && rng.Intn(2) == 0 {
 				return a.gen(rng, depth-1)
 			}
 			return e
 		}
 	}
-	if len(e.Kids) == 0 {
+	if len(e.kids) == 0 {
 		return e
 	}
-	c := *e
-	c.Kids = make([]*rtl.Expr, len(e.Kids))
-	for i, k := range e.Kids {
-		c.Kids[i] = a.instantiate(rng, k, depth)
+	c := &tree{Expr: e.Expr, kids: make([]*tree, len(e.kids))}
+	for i, k := range e.kids {
+		c.kids[i] = a.instantiate(rng, k, depth)
 	}
-	return &c
+	return c
 }
 
 // TestPropOptimalityVsReference is the selection oracle: on the test
@@ -357,7 +390,7 @@ func TestPropOptimalityVsReference(t *testing.T) {
 			finite := 0
 			for trial := 0; trial < trials; trial++ {
 				e := a.gen(rng, 3)
-				h := s.Intern(e)
+				h := e.build(&s)
 				l.Label(h)
 				want := newRefOracle(m.g).costs(e)
 				for nt := 1; nt < m.g.NumNT(); nt++ {
@@ -421,12 +454,12 @@ func TestLabelOncePerHandle(t *testing.T) {
 			occurrences++
 			distinct[h] = true
 			var own rtl.Store
-			ah := own.Intern(s.Expr(h))
+			ah := treeOf(s, h).build(&own)
 			alone := p.NewLabels(&own)
 			alone.Label(ah)
 			for nt := 0; nt < g.NumNT(); nt++ {
 				if l.Cost(h, nt) != alone.Cost(ah, nt) || l.Rule(h, nt) != alone.Rule(ah, nt) {
-					t.Fatalf("%s: at %s from %s: cost %d by rule %d, alone cost %d by rule %d", k.Name, s.Expr(h),
+					t.Fatalf("%s: at %s from %s: cost %d by rule %d, alone cost %d by rule %d", k.Name, s.String(h),
 						g.NTNames[nt], l.Cost(h, nt), l.Rule(h, nt), alone.Cost(ah, nt), alone.Rule(ah, nt))
 				}
 			}

@@ -134,7 +134,7 @@ func (i *Instr) fillDeps() {
 	switch {
 	case t.DestPort:
 		i.defCache = Loc{Storage: "port:" + t.Dest, AddrKnown: true}
-	case t.DestAddr == nil:
+	case t.DestAddr == rtl.NoExpr:
 		i.defCache = Loc{Storage: t.Dest, AddrKnown: true}
 	default:
 		if a, ok := i.ResolveAddr(t.DestAddr); ok {
@@ -145,43 +145,43 @@ func (i *Instr) fillDeps() {
 	}
 
 	var buf [8]Loc // most RTs read a few locations: one allocation, sized once
-	uses := buf[:0]
-	add := func(e *rtl.Expr) {
-		e.Walk(func(n *rtl.Expr) {
-			if n.Kind != rtl.Read {
-				return
-			}
-			loc := Loc{Storage: n.Storage, AddrKnown: true}
-			if a := n.Addr(); a != nil {
-				if v, ok := i.ResolveAddr(a); ok {
-					loc.Addr = v
-				} else {
-					loc.AddrKnown = false
-				}
-			}
-			uses = append(uses, loc)
-		})
-	}
-	add(t.Src)
-	if t.DestAddr != nil {
-		add(t.DestAddr)
+	uses := i.reads(t.Src, buf[:0])
+	if t.DestAddr != rtl.NoExpr {
+		uses = i.reads(t.DestAddr, uses)
 	}
 	for _, g := range t.Cond.Dynamic {
-		add(g)
+		uses = i.reads(g, uses)
 	}
 	i.usesCache = append([]Loc(nil), uses...)
 	i.depCached = true
 }
 
-// ResolveAddr resolves an address pattern to a concrete value using the
-// instruction's field assignments (InsnField → field value, Const →
-// value); anything else is unknown.
-func (i *Instr) ResolveAddr(a *rtl.Expr) (int64, bool) {
-	switch a.Kind {
+// reads appends the location of every storage read in the template's
+// tree h to uses, in pre-order.
+func (i *Instr) reads(h rtl.ExprID, uses []Loc) []Loc {
+	s := i.Template.Exprs()
+	if e := s.Expr(h); e.Kind == rtl.Read {
+		loc := Loc{Storage: e.Storage, AddrKnown: true}
+		if a := s.Addr(h); a != rtl.NoExpr {
+			loc.Addr, loc.AddrKnown = i.ResolveAddr(a)
+		}
+		uses = append(uses, loc)
+	}
+	for _, k := range s.Kids(h) {
+		uses = i.reads(k, uses)
+	}
+	return uses
+}
+
+// ResolveAddr resolves the address pattern a, a handle in the template's
+// store, to a concrete value using the instruction's field assignments
+// (InsnField → field value, Const → value); anything else is unknown.
+func (i *Instr) ResolveAddr(a rtl.ExprID) (int64, bool) {
+	switch e := i.Template.Exprs().Expr(a); e.Kind {
 	case rtl.Const:
-		return a.Val, true
+		return e.Val, true
 	case rtl.InsnField:
-		return i.FieldValue(a.Hi, a.Lo)
+		return i.FieldValue(e.Hi, e.Lo)
 	}
 	return 0, false
 }

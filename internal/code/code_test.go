@@ -8,13 +8,23 @@ import (
 	"repro/internal/rtl"
 )
 
-func tpl(dest string, destAddr *rtl.Expr, src *rtl.Expr) *rtl.Template {
-	m := bdd.New()
-	return &rtl.Template{Dest: dest, DestAddr: destAddr, Src: src, Width: 16,
-		Cond: rtl.ExecCond{Static: m.True()}}
+// newBase returns an empty base and its store, for the tests' trees.
+func newBase() (*rtl.Base, *rtl.Store) {
+	b := rtl.NewBase(bdd.New())
+	return b, b.Exprs()
 }
 
-func imm() *rtl.Expr { return rtl.NewInsnField(7, 0) }
+// tpl adds the template dest[destAddr] := src to b.
+func tpl(b *rtl.Base, dest string, destAddr, src rtl.ExprID) *rtl.Template {
+	return b.Add(&rtl.Template{Dest: dest, DestAddr: destAddr, Src: src, Width: 16,
+		Cond: rtl.ExecCond{Static: b.BDD.True()}})
+}
+
+func imm(s *rtl.Store) rtl.ExprID {
+	return s.Node(rtl.Expr{Kind: rtl.InsnField, Hi: 7, Lo: 0, Width: 8})
+}
+
+func reg(s *rtl.Store, name string, w int) rtl.ExprID { return s.Read(name, w, rtl.NoExpr) }
 
 func TestFieldString(t *testing.T) {
 	if (Field{Hi: 7, Lo: 0, Val: 5}).String() != "IW[7:0]=5" {
@@ -26,8 +36,9 @@ func TestFieldString(t *testing.T) {
 }
 
 func TestInstrFieldsAndString(t *testing.T) {
+	b, s := newBase()
 	in := &Instr{
-		Template: tpl("acc.r", nil, rtl.NewRead("ram.m", 16, imm())),
+		Template: tpl(b, "acc.r", rtl.NoExpr, s.Read("ram.m", 16, imm(s))),
 		Fields:   []Field{{Hi: 7, Lo: 0, Val: 9}},
 	}
 	if v, ok := in.FieldValue(7, 0); !ok || v != 9 {
@@ -43,8 +54,9 @@ func TestInstrFieldsAndString(t *testing.T) {
 
 func TestDefAndUses(t *testing.T) {
 	// ram[IW=5] := acc
+	b, s := newBase()
 	store := &Instr{
-		Template: tpl("ram.m", imm(), rtl.NewRead("acc.r", 16, nil)),
+		Template: tpl(b, "ram.m", imm(s), reg(s, "acc.r", 16)),
 		Fields:   []Field{{Hi: 7, Lo: 0, Val: 5}},
 	}
 	def := store.Def()
@@ -57,7 +69,7 @@ func TestDefAndUses(t *testing.T) {
 	}
 	// Register dest.
 	load := &Instr{
-		Template: tpl("acc.r", nil, rtl.NewRead("ram.m", 16, imm())),
+		Template: tpl(b, "acc.r", rtl.NoExpr, s.Read("ram.m", 16, imm(s))),
 		Fields:   []Field{{Hi: 7, Lo: 0, Val: 3}},
 	}
 	if d := load.Def(); d.Storage != "acc.r" || !d.AddrKnown {
@@ -69,8 +81,8 @@ func TestDefAndUses(t *testing.T) {
 	}
 	// Unknown address: read through a register.
 	ind := &Instr{
-		Template: tpl("acc.r", nil,
-			rtl.NewRead("ram.m", 16, rtl.NewRead("ar.r", 8, nil))),
+		Template: tpl(b, "acc.r", rtl.NoExpr,
+			s.Read("ram.m", 16, reg(s, "ar.r", 8))),
 	}
 	u2 := ind.Uses()
 	foundUnknown := false
@@ -104,14 +116,13 @@ func TestLocOverlaps(t *testing.T) {
 }
 
 func TestDependencies(t *testing.T) {
-	load3 := &Instr{Template: tpl("acc.r", nil, rtl.NewRead("ram.m", 16, imm())),
-		Fields: []Field{{Hi: 7, Lo: 0, Val: 3}}}
-	store3 := &Instr{Template: tpl("ram.m", imm(), rtl.NewRead("acc.r", 16, nil)),
-		Fields: []Field{{Hi: 7, Lo: 0, Val: 3}}}
-	store4 := &Instr{Template: tpl("ram.m", imm(), rtl.NewRead("acc.r", 16, nil)),
-		Fields: []Field{{Hi: 7, Lo: 0, Val: 4}}}
-	load4 := &Instr{Template: tpl("acc.r", nil, rtl.NewRead("ram.m", 16, imm())),
-		Fields: []Field{{Hi: 7, Lo: 0, Val: 4}}}
+	b, s := newBase()
+	load := tpl(b, "acc.r", rtl.NoExpr, s.Read("ram.m", 16, imm(s)))
+	store := tpl(b, "ram.m", imm(s), reg(s, "acc.r", 16))
+	load3 := &Instr{Template: load, Fields: []Field{{Hi: 7, Lo: 0, Val: 3}}}
+	store3 := &Instr{Template: store, Fields: []Field{{Hi: 7, Lo: 0, Val: 3}}}
+	store4 := &Instr{Template: store, Fields: []Field{{Hi: 7, Lo: 0, Val: 4}}}
+	load4 := &Instr{Template: load, Fields: []Field{{Hi: 7, Lo: 0, Val: 4}}}
 
 	// RAW: store3 then load3 (same cell).
 	if !RAW(store3, load3) {
@@ -138,8 +149,9 @@ func TestDependencies(t *testing.T) {
 }
 
 func TestSeqAndProgramRendering(t *testing.T) {
+	b, st := newBase()
 	s := &Seq{}
-	in := &Instr{Template: tpl("acc.r", nil, rtl.NewConst(0, 16)), Comment: "x = 0;"}
+	in := &Instr{Template: tpl(b, "acc.r", rtl.NoExpr, st.Const(0, 16)), Comment: "x = 0;"}
 	s.Append(in)
 	if s.Len() != 1 {
 		t.Error("Len")
@@ -164,26 +176,25 @@ func TestSeqAndProgramRendering(t *testing.T) {
 }
 
 func TestPortDef(t *testing.T) {
-	m := bdd.New()
-	in := &Instr{Template: &rtl.Template{
-		Dest: "out", DestPort: true, Width: 16,
-		Src:  rtl.NewRead("acc.r", 16, nil),
-		Cond: rtl.ExecCond{Static: m.True()},
-	}}
+	b, s := newBase()
+	in := &Instr{Template: b.Add(&rtl.Template{
+		Dest: "out", DestPort: true, DestAddr: rtl.NoExpr, Width: 16,
+		Src:  reg(s, "acc.r", 16),
+		Cond: rtl.ExecCond{Static: b.BDD.True()},
+	})}
 	if d := in.Def(); d.Storage != "port:out" {
 		t.Errorf("port def = %v", d)
 	}
 }
 
 func TestDynamicGuardUses(t *testing.T) {
-	m := bdd.New()
-	in := &Instr{Template: &rtl.Template{
-		Dest: "pc.r", Width: 8,
-		Src: rtl.NewInsnField(7, 0),
-		Cond: rtl.ExecCond{Static: m.True(),
-			Dynamic: []*rtl.Expr{rtl.NewOp(rtl.OpEq, 1,
-				rtl.NewRead("flag.r", 1, nil), rtl.NewConst(1, 1))}},
-	}}
+	b, s := newBase()
+	in := &Instr{Template: b.Add(&rtl.Template{
+		Dest: "pc.r", DestAddr: rtl.NoExpr, Width: 8,
+		Src: imm(s),
+		Cond: rtl.ExecCond{Static: b.BDD.True(),
+			Dynamic: []rtl.ExprID{s.Op(rtl.OpEq, 1, reg(s, "flag.r", 1), s.Const(1, 1))}},
+	})}
 	found := false
 	for _, u := range in.Uses() {
 		if u.Storage == "flag.r" {

@@ -173,7 +173,7 @@ func (cg *Generator) compileET(et *bind.ET, budget int) error {
 		rest := bind.ET{
 			Dest:     et.Dest,
 			DestAddr: et.DestAddr,
-			Src:      replaceAt(s, et.Src, sub.pos, leaf),
+			Src:      s.ReplaceAt(et.Src, int(sub.pos), leaf),
 			Source:   et.Source,
 		}
 		rerr := cg.compileET(&rest, budget-1)
@@ -300,30 +300,6 @@ func (cg *Generator) collect(h rtl.ExprID, pos *int32) int32 {
 	return size
 }
 
-// replaceAt returns tree h of store s with its subtree at pre-order
-// position pos replaced by repl.
-func replaceAt(s *rtl.Store, h rtl.ExprID, pos int32, repl rtl.ExprID) rtl.ExprID {
-	var walk func(h rtl.ExprID) rtl.ExprID
-	walk = func(h rtl.ExprID) rtl.ExprID {
-		if pos == 0 {
-			pos = -1
-			return repl
-		}
-		pos--
-		kids := s.Kids(h)
-		for i, k := range kids {
-			if nk := walk(k); pos < 0 {
-				var buf [2]rtl.ExprID
-				nkids := append(buf[:0], kids...)
-				nkids[i] = nk
-				return s.Node(*s.Expr(h), nkids...)
-			}
-		}
-		return h
-	}
-	return walk(h)
-}
-
 // compileWhole appends the code of one expression tree, covered without
 // splitting, to out; on failure out is left as it was.
 func (cg *Generator) compileWhole(et *bind.ET) error {
@@ -392,7 +368,7 @@ func (cg *Generator) selectRoot(dest string, h, addr rtl.ExprID) (*grammar.Rule,
 	if best == nil {
 		s := cg.B.Exprs()
 		return nil, 0, nil, fmt.Errorf("no store route into %s matches address %s (value %s)",
-			dest, s.Expr(addr), s.Expr(h))
+			dest, s.String(addr), s.String(h))
 	}
 	return best, int(bestCost), bestFields, nil
 }

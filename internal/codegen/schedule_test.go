@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/bdd"
 	"repro/internal/code"
 	"repro/internal/rtl"
 )
@@ -15,8 +16,10 @@ import (
 // once replaced the five-operand one, and the spill pass then indexed past
 // its end.
 func TestScheduleFiveOperands(t *testing.T) {
+	base := rtl.NewBase(bdd.New())
 	write := func(dest string) []*code.Instr {
-		return []*code.Instr{{Template: &rtl.Template{Dest: dest, Src: rtl.NewConst(0, 16)}}}
+		return []*code.Instr{{Template: base.Add(&rtl.Template{Dest: dest, DestAddr: rtl.NoExpr,
+			Src: base.Exprs().Const(0, 16), Cond: rtl.ExecCond{Static: base.BDD.True()}})}}
 	}
 	kidCode := [][]*code.Instr{write("x"), write("x"), write("c"), write("d"), write("e")}
 	kidReg := []string{"x", "a", "c", "d", "e"}

@@ -126,8 +126,9 @@ func findJumps(t *Target) (*jumpSet, error) {
 		return nil, fmt.Errorf("core: target %s has no PC part", t.Name)
 	}
 	js := &jumpSet{}
+	s := t.Base.Exprs()
 	for _, tpl := range t.Base.Templates {
-		if tpl.Dest != pcQ || tpl.DestPort || tpl.Src.Kind != rtl.InsnField {
+		if tpl.Dest != pcQ || tpl.DestPort || s.Expr(tpl.Src).Kind != rtl.InsnField {
 			continue
 		}
 		switch len(tpl.Cond.Dynamic) {
@@ -138,12 +139,11 @@ func findJumps(t *Target) (*jumpSet, error) {
 		case 1:
 			g := tpl.Cond.Dynamic[0]
 			// Guard shape: (flag == 1).
-			if g.Kind == rtl.OpApp && g.Op == rtl.OpEq &&
-				g.Kids[0].Kind == rtl.Read && g.Kids[1].Kind == rtl.Const &&
-				g.Kids[1].Val != 0 {
-				if js.condTaken == nil {
+			if e := s.Expr(g); e.Kind == rtl.OpApp && e.Op == rtl.OpEq {
+				flag, one := s.Expr(s.Kids(g)[0]), s.Expr(s.Kids(g)[1])
+				if flag.Kind == rtl.Read && one.Kind == rtl.Const && one.Val != 0 && js.condTaken == nil {
 					js.condTaken = tpl
-					js.flagReg = g.Kids[0].Storage
+					js.flagReg = flag.Storage
 				}
 			}
 		}
@@ -154,8 +154,9 @@ func findJumps(t *Target) (*jumpSet, error) {
 	if js.condTaken == nil {
 		return nil, fmt.Errorf("core: target %s has no flag-conditional jump template", t.Name)
 	}
-	js.targetHi, js.targetLo = js.uncond.Src.Hi, js.uncond.Src.Lo
-	if js.condTaken.Src.Hi != js.targetHi || js.condTaken.Src.Lo != js.targetLo {
+	target, condTarget := s.Expr(js.uncond.Src), s.Expr(js.condTaken.Src)
+	js.targetHi, js.targetLo = target.Hi, target.Lo
+	if condTarget.Hi != js.targetHi || condTarget.Lo != js.targetLo {
 		return nil, fmt.Errorf("core: conditional and unconditional jumps use different target fields")
 	}
 	return js, nil

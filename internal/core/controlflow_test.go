@@ -167,17 +167,24 @@ void main() {
 func countOp(res *core.CompileResult, op rtl.Op) int {
 	n := 0
 	for _, in := range res.Seq.Instrs {
-		found := false
-		in.Template.Src.Walk(func(e *rtl.Expr) {
-			if e.Kind == rtl.OpApp && e.Op == op {
-				found = true
-			}
-		})
-		if found {
+		if hasOp(in.Template.Exprs(), in.Template.Src, op) {
 			n++
 		}
 	}
 	return n
+}
+
+// hasOp reports whether tree h of s applies op anywhere.
+func hasOp(s *rtl.Store, h rtl.ExprID, op rtl.Op) bool {
+	if e := s.Expr(h); e.Kind == rtl.OpApp && e.Op == op {
+		return true
+	}
+	for _, k := range s.Kids(h) {
+		if hasOp(s, k, op) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestForLoopAsRealLoop: in a program with control flow a counted loop

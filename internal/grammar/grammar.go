@@ -70,16 +70,16 @@ type term struct {
 	name  string // operator, storage or port
 }
 
-// subjectTerm returns the terminal a subject or pattern node e falls
-// under; ok is false for a node no pattern can match at its root.  An
-// address-less read is a register terminal here; inside a pattern it
+// subjectTerm returns the terminal a subject or pattern node h of store s
+// falls under; ok is false for a node no pattern can match at its root.
+// An address-less read is a register terminal here; inside a pattern it
 // stands for its storage's nonterminal instead.
-func subjectTerm(e *rtl.Expr) (term, bool) {
-	switch e.Kind {
+func subjectTerm(s *rtl.Store, h rtl.ExprID) (term, bool) {
+	switch e := s.Expr(h); e.Kind {
 	case rtl.OpApp:
 		return term{kind: termOp, width: int32(e.Width), name: string(e.Op)}, true
 	case rtl.Read:
-		if e.Addr() != nil {
+		if s.Addr(h) != rtl.NoExpr {
 			return term{kind: termMem, name: e.Storage}, true
 		}
 		return term{kind: termReg, name: e.Storage}, true
@@ -247,11 +247,11 @@ func (g *Grammar) Template(r *Rule) *rtl.Template {
 	return g.base.Templates[r.Tmpl]
 }
 
-// SubjectTerm returns the terminal ID of subject node e, the RulesByTerm
-// bucket holding every rule whose root can match e, or -1 when no rule's
-// can.
-func (g *Grammar) SubjectTerm(e *rtl.Expr) int32 {
-	if t, ok := subjectTerm(e); ok {
+// SubjectTerm returns the terminal ID of subject node h of store s, the
+// RulesByTerm bucket holding every rule whose root can match it, or -1
+// when no rule's can.
+func (g *Grammar) SubjectTerm(s *rtl.Store, h rtl.ExprID) int32 {
+	if t, ok := subjectTerm(s, h); ok {
 		if id, ok := g.terms[t]; ok {
 			return id
 		}
@@ -372,7 +372,7 @@ func BuildReported(base *rtl.Base, spec Spec, rep *diag.Reporter) (*Grammar, err
 		}
 		err := faultpoint.Hit("grammar.rule", t.Dest)
 		if err == nil {
-			err = g.lowerable(t.SrcID())
+			err = g.lowerable(t.Src)
 		}
 		if err != nil {
 			err = fmt.Errorf("template %d (%s): %w", s.ID, s, err)
@@ -383,7 +383,7 @@ func BuildReported(base *rtl.Base, spec Spec, rep *diag.Reporter) (*Grammar, err
 			rep.Warnf("grammar", diag.Pos{}, "skipping %v; its RT stays unselectable", err)
 			return
 		}
-		pat := t.SrcID()
+		pat := t.Src
 		if s.Mask != 0 {
 			j := first[pat]
 			for j != 0 && swapped[j-1].mask != s.Mask {
@@ -402,7 +402,7 @@ func BuildReported(base *rtl.Base, spec Spec, rep *diag.Reporter) (*Grammar, err
 			pat = swapped[j-1].pat
 		}
 		g.number(pat)
-		r := Rule{Kind: KindRT, LHS: int32(lhs), Cost: 1, Pat: pat, Addr: t.AddrID(),
+		r := Rule{Kind: KindRT, LHS: int32(lhs), Cost: 1, Pat: pat, Addr: t.DestAddr,
 			Term: g.nodes[pat].term, Tmpl: int32(t.Index()), Swap: s.Mask}
 		if g.nodes[pat].nt != 0 {
 			g.stats.ChainRules++
@@ -481,7 +481,7 @@ func (g *Grammar) lowerable(h rtl.ExprID) error {
 	switch e.Kind {
 	case rtl.Const, rtl.InsnField, rtl.PortRef:
 	case rtl.Read:
-		if e.Addr() == nil {
+		if g.Exprs().Addr(h) == rtl.NoExpr {
 			nt, ok := g.ntIdx[e.Storage]
 			if !ok {
 				return fmt.Errorf("grammar: storage %s not in spec", e.Storage)
@@ -490,7 +490,7 @@ func (g *Grammar) lowerable(h rtl.ExprID) error {
 		}
 	case rtl.Slice, rtl.OpApp:
 	default:
-		return fmt.Errorf("grammar: cannot lower expression %s", e)
+		return fmt.Errorf("grammar: cannot lower expression %s", g.Exprs().String(h))
 	}
 	for _, k := range g.Exprs().Kids(h) {
 		if err := g.lowerable(k); err != nil {
@@ -512,7 +512,7 @@ func (g *Grammar) number(h rtl.ExprID) {
 	if n.nt != 0 {
 		return
 	}
-	t, _ := subjectTerm(g.Exprs().Expr(h))
+	t, _ := subjectTerm(g.Exprs(), h)
 	n.term = g.termID(t)
 	for _, k := range g.Exprs().Kids(h) {
 		g.number(k)
@@ -563,31 +563,30 @@ type swapPat struct {
 	next int32
 }
 
-// swapTree interns the tree of handle h with the operands of the swap
+// swapTree builds the tree of handle h with the operands of the swap
 // sites that mask selects exchanged (bit i selects site i, in the
-// pre-order of rtl.Expr.SwapSite) and returns its handle.  Subtrees
+// pre-order of rtl.Store.SwapSite) and returns its handle.  Subtrees
 // holding no selected site keep their handles; only nodes above a
 // selected site can be new.
 func swapTree(s *rtl.Store, h rtl.ExprID, mask uint64) rtl.ExprID {
 	if mask == 0 {
 		return h
 	}
-	e := s.Expr(h)
 	swap := false
-	if e.SwapSite() {
+	if s.SwapSite(h) {
 		swap, mask = mask&1 != 0, mask>>1
 	}
 	var buf [2]rtl.ExprID
 	kids := append(buf[:0], s.Kids(h)...)
-	for i, k := range e.Kids {
-		n := uint(k.SwapSites())
-		kids[i] = swapTree(s, kids[i], mask&(1<<n-1))
+	for i, k := range kids {
+		n := uint(s.SwapSites(k))
+		kids[i] = swapTree(s, k, mask&(1<<n-1))
 		mask >>= n
 	}
 	if swap {
 		kids[0], kids[1] = kids[1], kids[0]
 	}
-	return s.Node(*e, kids...)
+	return s.Node(*s.Expr(h), kids...)
 }
 
 // Stats summarizes the grammar for diagnostics and the retargeting report.

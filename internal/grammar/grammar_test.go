@@ -13,22 +13,19 @@ func buildTestGrammar(t *testing.T) (*Grammar, *rtl.Base) {
 	t.Helper()
 	m := bdd.New()
 	base := rtl.NewBase(m)
-	add := func(tpl *rtl.Template) {
-		tpl.Cond = rtl.ExecCond{Static: m.True()}
-		tpl.Width = 8
-		base.Add(tpl)
+	s := base.Exprs()
+	add := func(dest string, src rtl.ExprID) {
+		base.Add(&rtl.Template{Dest: dest, DestAddr: rtl.NoExpr, Src: src, Width: 8,
+			Cond: rtl.ExecCond{Static: m.True()}})
 	}
-	imm := rtl.NewInsnField(3, 0)
-	add(&rtl.Template{Dest: "acc.r",
-		Src: rtl.NewOp(rtl.OpAdd, 8,
-			rtl.NewRead("acc.r", 8, nil),
-			rtl.NewRead("ram.m", 8, imm))})
-	add(&rtl.Template{Dest: "acc.r", Src: rtl.NewConst(0, 8)}) // hardwired clear
-	add(&rtl.Template{Dest: "out", Src: rtl.NewRead("acc.r", 8, nil)})
-	add(&rtl.Template{Dest: "acc.r",
-		Src: rtl.NewSlice(7, 0, rtl.NewOp(rtl.OpMul, 16,
-			rtl.NewRead("x.r", 16, nil), rtl.NewRead("x.r", 16, nil)))})
-	add(&rtl.Template{Dest: "acc.r", Src: rtl.NewPort("pin", 8)})
+	add("acc.r", s.Op(rtl.OpAdd, 8,
+		s.Read("acc.r", 8, rtl.NoExpr),
+		s.Read("ram.m", 8, field(s, 3, 0))))
+	add("acc.r", s.Const(0, 8)) // hardwired clear
+	add("out", s.Read("acc.r", 8, rtl.NoExpr))
+	add("acc.r", s.Slice(7, 0, s.Op(rtl.OpMul, 16,
+		s.Read("x.r", 16, rtl.NoExpr), s.Read("x.r", 16, rtl.NoExpr))))
+	add("acc.r", port(s, "pin", 8))
 
 	spec := Spec{
 		Storages: []StorageInfo{
@@ -43,6 +40,14 @@ func buildTestGrammar(t *testing.T) (*Grammar, *rtl.Base) {
 		t.Fatal(err)
 	}
 	return g, base
+}
+
+func field(s *rtl.Store, hi, lo int) rtl.ExprID {
+	return s.Node(rtl.Expr{Kind: rtl.InsnField, Hi: hi, Lo: lo, Width: hi - lo + 1})
+}
+
+func port(s *rtl.Store, name string, w int) rtl.ExprID {
+	return s.Node(rtl.Expr{Kind: rtl.PortRef, Port: name, Width: w})
 }
 
 func TestBuildBasics(t *testing.T) {
@@ -121,20 +126,21 @@ func TestPatternLowering(t *testing.T) {
 	if mac == nil {
 		t.Fatal("add rule missing")
 	}
-	if mac.Pat != g.Template(mac).SrcID() || mac.Term != g.PatTerm(mac.Pat) || mac.Term < 0 {
-		t.Errorf("add rule: pattern %d, terminal %d; template source %d", mac.Pat, mac.Term, g.Template(mac).SrcID())
+	if mac.Pat != g.Template(mac).Src || mac.Term != g.PatTerm(mac.Pat) || mac.Term < 0 {
+		t.Errorf("add rule: pattern %d, terminal %d; template source %d", mac.Pat, mac.Term, g.Template(mac).Src)
 	}
-	kids := g.Exprs().Kids(mac.Pat)
+	s := g.Exprs()
+	kids := s.Kids(mac.Pat)
 	if nt := g.PatNT(kids[0]); nt == 0 || g.NTNames[nt] != "acc.r" || g.PatTerm(kids[0]) != -1 {
-		t.Errorf("left kid = %s, nonterminal %d", g.Exprs().Expr(kids[0]), nt)
+		t.Errorf("left kid = %s, nonterminal %d", s.String(kids[0]), nt)
 	}
-	right := g.Exprs().Expr(kids[1])
+	right := s.Expr(kids[1])
 	if g.PatNT(kids[1]) != 0 || right.Kind != rtl.Read || right.Storage != "ram.m" || g.PatTerm(kids[1]) < 0 {
-		t.Fatalf("right kid = %s", right)
+		t.Fatalf("right kid = %s", s.String(kids[1]))
 	}
-	addr := g.Exprs().Kids(kids[1])[0]
-	if e := g.Exprs().Expr(addr); e.Kind != rtl.InsnField || e.Hi != 3 || g.PatTerm(addr) < 0 {
-		t.Errorf("address pattern = %s", e)
+	addr := s.Addr(kids[1])
+	if e := s.Expr(addr); e.Kind != rtl.InsnField || e.Hi != 3 || g.PatTerm(addr) < 0 {
+		t.Errorf("address pattern = %s", s.String(addr))
 	}
 }
 
@@ -144,10 +150,11 @@ func TestPatternLowering(t *testing.T) {
 // finds none.
 func TestSubjectTerms(t *testing.T) {
 	g, _ := buildTestGrammar(t)
-	acc := rtl.NewRead("acc.r", 8, nil)
-	mul := rtl.NewOp(rtl.OpMul, 16, rtl.NewRead("x.r", 16, nil), rtl.NewRead("x.r", 16, nil))
-	roots := func(e *rtl.Expr) string {
-		id := g.SubjectTerm(e)
+	var s rtl.Store
+	acc := s.Read("acc.r", 8, rtl.NoExpr)
+	mul := s.Op(rtl.OpMul, 16, s.Read("x.r", 16, rtl.NoExpr), s.Read("x.r", 16, rtl.NoExpr))
+	roots := func(e rtl.ExprID) string {
+		id := g.SubjectTerm(&s, e)
 		if id < 0 {
 			return "none"
 		}
@@ -159,26 +166,26 @@ func TestSubjectTerms(t *testing.T) {
 		return b.String()
 	}
 	cases := []struct {
-		e    *rtl.Expr
+		e    rtl.ExprID
 		want string
 	}{
-		{rtl.NewOp(rtl.OpAdd, 8, acc, acc), "(acc.r + ram.m[IMM[3:0]]);"},
-		{rtl.NewOp(rtl.OpAdd, 16, acc, acc), "none"}, // widths tell operators apart
-		{rtl.NewOp(rtl.OpSub, 8, acc, acc), "none"},
+		{s.Op(rtl.OpAdd, 8, acc, acc), "(acc.r + ram.m[IMM[3:0]]);"},
+		{s.Op(rtl.OpAdd, 16, acc, acc), "none"}, // widths tell operators apart
+		{s.Op(rtl.OpSub, 8, acc, acc), "none"},
 		{acc, "acc.r;"},
-		{rtl.NewRead("ram.m", 8, rtl.NewConst(1, 4)), ""},
-		{rtl.NewConst(7, 8), "0;"},
-		{rtl.NewInsnField(3, 0), "0;"},
-		{rtl.NewPort("pin", 8), "pin;"},
-		{&rtl.Expr{Kind: rtl.Slice, Hi: 7, Lo: 0, Width: 8, Kids: []*rtl.Expr{mul}}, "(x.r * x.r)[7:0];"},
-		{&rtl.Expr{Kind: rtl.ExprKind(99)}, "none"},
+		{s.Read("ram.m", 8, s.Const(1, 4)), ""},
+		{s.Const(7, 8), "0;"},
+		{field(&s, 3, 0), "0;"},
+		{port(&s, "pin", 8), "pin;"},
+		{s.Slice(7, 0, mul), "(x.r * x.r)[7:0];"},
+		{s.Node(rtl.Expr{Kind: rtl.ExprKind(99)}), "none"},
 	}
 	for i, c := range cases {
 		if got := roots(c.e); got != c.want {
-			t.Errorf("case %d (%s): rules %q, want %q", i, c.e, got, c.want)
+			t.Errorf("case %d (%s): rules %q, want %q", i, s.String(c.e), got, c.want)
 		}
 	}
-	if g.SubjectTerm(rtl.NewConst(7, 8)) != g.SubjectTerm(rtl.NewInsnField(3, 0)) {
+	if g.SubjectTerm(&s, s.Const(7, 8)) != g.SubjectTerm(&s, field(&s, 3, 0)) {
 		t.Error("constants and instruction fields must share a terminal")
 	}
 }
@@ -207,18 +214,19 @@ func TestMatchesLeaf(t *testing.T) {
 	}
 	// The hardwired clear and every program constant share a terminal;
 	// the parser compares their values.
-	if c := termOfRule(KindRT, "0"); g.SubjectTerm(rtl.NewConst(1, 8)) != c || c < 0 {
+	var s rtl.Store
+	if c := termOfRule(KindRT, "0"); g.SubjectTerm(&s, s.Const(1, 8)) != c || c < 0 {
 		t.Error("a constant must find the hardwired constant's terminal")
 	}
 	reg := termOfRule(KindStop, "acc.r")
-	if g.SubjectTerm(rtl.NewRead("acc.r", 8, nil)) != reg {
+	if g.SubjectTerm(&s, s.Read("acc.r", 8, rtl.NoExpr)) != reg {
 		t.Error("a register read must find its stop rule's terminal")
 	}
-	if g.SubjectTerm(rtl.NewRead("acc.r", 8, rtl.NewConst(0, 4))) == reg {
+	if g.SubjectTerm(&s, s.Read("acc.r", 8, s.Const(0, 4))) == reg {
 		t.Error("an addressable read found the register's terminal")
 	}
 	add := termOfRule(KindRT, "(acc.r + ram.m[IMM[3:0]])")
-	if g.SubjectTerm(rtl.NewOp(rtl.OpAdd, 16, rtl.NewConst(0, 16), rtl.NewConst(0, 16))) == add {
+	if g.SubjectTerm(&s, s.Op(rtl.OpAdd, 16, s.Const(0, 16), s.Const(0, 16))) == add {
 		t.Error("a 16-bit add found the 8-bit add's terminal")
 	}
 }
@@ -226,8 +234,8 @@ func TestMatchesLeaf(t *testing.T) {
 func TestUnknownStorageRejected(t *testing.T) {
 	m := bdd.New()
 	base := rtl.NewBase(m)
-	base.Add(&rtl.Template{Dest: "acc.r", Width: 8,
-		Src:  rtl.NewRead("ghost.r", 8, nil),
+	base.Add(&rtl.Template{Dest: "acc.r", DestAddr: rtl.NoExpr, Width: 8,
+		Src:  base.Exprs().Read("ghost.r", 8, rtl.NoExpr),
 		Cond: rtl.ExecCond{Static: m.True()}})
 	spec := Spec{Storages: []StorageInfo{{Name: "acc.r", Width: 8, Size: 1}}}
 	if _, err := Build(base, spec); err == nil || !strings.Contains(err.Error(), "ghost.r") {
@@ -238,8 +246,8 @@ func TestUnknownStorageRejected(t *testing.T) {
 func TestTemplateWithUnknownDestSkipped(t *testing.T) {
 	m := bdd.New()
 	base := rtl.NewBase(m)
-	base.Add(&rtl.Template{Dest: "pc.r", Width: 8,
-		Src:  rtl.NewConst(0, 8),
+	base.Add(&rtl.Template{Dest: "pc.r", DestAddr: rtl.NoExpr, Width: 8,
+		Src:  base.Exprs().Const(0, 8),
 		Cond: rtl.ExecCond{Static: m.True()}})
 	spec := Spec{Storages: []StorageInfo{{Name: "acc.r", Width: 8, Size: 1}}}
 	g, err := Build(base, spec)

@@ -33,24 +33,66 @@ func bundledTargets(t *testing.T) map[string]*core.Target {
 	return out
 }
 
+// tree is the tests' own expression tree: a head over kid pointers, read
+// out of a store.
+type tree struct {
+	rtl.Expr
+	kids []*tree
+}
+
+func treeOf(s *rtl.Store, h rtl.ExprID) *tree {
+	e := &tree{Expr: *s.Expr(h)}
+	for _, k := range s.Kids(h) {
+		e.kids = append(e.kids, treeOf(s, k))
+	}
+	return e
+}
+
+func (e *tree) equal(o *tree) bool {
+	if e.Expr != o.Expr || len(e.kids) != len(o.kids) {
+		return false
+	}
+	for i, k := range e.kids {
+		if !k.equal(o.kids[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func (e *tree) swapSite() bool {
+	return e.Kind == rtl.OpApp && len(e.kids) == 2 && e.Op.Commutative()
+}
+
+func (e *tree) swapSites() int {
+	n := 0
+	if e.swapSite() {
+		n++
+	}
+	for _, k := range e.kids {
+		n += k.swapSites()
+	}
+	return n
+}
+
 // leafMatches is the leaf-level match of the pattern node of handle h
-// against subject node n, by comparing the two nodes' own fields: the
-// reference for matching by terminal ID.
-func leafMatches(g *grammar.Grammar, h rtl.ExprID, n *rtl.Expr) bool {
-	p := g.Exprs().Expr(h)
+// against subject node n of store s, by comparing the two nodes' own
+// fields: the reference for matching by terminal ID.
+func leafMatches(g *grammar.Grammar, h rtl.ExprID, s *rtl.Store, n rtl.ExprID) bool {
+	p, e, kids := g.Exprs().Expr(h), s.Expr(n), len(s.Kids(n))
 	switch p.Kind {
 	case rtl.OpApp:
-		return n.Kind == rtl.OpApp && n.Op == p.Op && n.Width == p.Width && len(n.Kids) == len(p.Kids)
+		return e.Kind == rtl.OpApp && e.Op == p.Op && e.Width == p.Width && kids == len(g.Exprs().Kids(h))
 	case rtl.Read:
-		return n.Kind == rtl.Read && n.Addr() != nil && n.Storage == p.Storage
+		return e.Kind == rtl.Read && kids == 1 && e.Storage == p.Storage
 	case rtl.InsnField:
-		return n.Kind == rtl.Const && grammar.FitsField(n.Val, p.Hi-p.Lo+1)
+		return e.Kind == rtl.Const && grammar.FitsField(e.Val, p.Hi-p.Lo+1)
 	case rtl.Const:
-		return n.Kind == rtl.Const && n.Val == p.Val
+		return e.Kind == rtl.Const && e.Val == p.Val
 	case rtl.PortRef:
-		return n.Kind == rtl.PortRef && n.Port == p.Port
+		return e.Kind == rtl.PortRef && e.Port == p.Port
 	case rtl.Slice:
-		return n.Kind == rtl.Slice && n.Hi == p.Hi && n.Lo == p.Lo
+		return e.Kind == rtl.Slice && e.Hi == p.Hi && e.Lo == p.Lo
 	}
 	return false
 }
@@ -102,26 +144,33 @@ func TestTermAgreesWithMatchesLeaf(t *testing.T) {
 			if err != nil {
 				continue
 			}
+			s := b.Exprs()
+			var walk func(n rtl.ExprID)
+			walk = func(n rtl.ExprID) {
+				term := g.SubjectTerm(s, n)
+				for _, h := range pats {
+					match, same := leafMatches(g, h, s, n), g.PatTerm(h) == term
+					if match {
+						checked++
+					}
+					// Terminal IDs agree on everything but a constant's
+					// value or fit.
+					if c := g.Exprs().Expr(h).Kind; c == rtl.Const || c == rtl.InsnField {
+						same = same && match
+					}
+					if match != same {
+						t.Fatalf("%s: pattern node %s at %s: leaf match %v, terminals %d and %d",
+							name, g.Exprs().String(h), s.String(n), match, g.PatTerm(h), term)
+					}
+				}
+				for _, k := range s.Kids(n) {
+					walk(k)
+				}
+			}
 			for _, et := range ets {
-				for _, tree := range []*rtl.Expr{b.Exprs().Expr(et.Src), b.Exprs().Expr(et.DestAddr)} {
-					tree.Walk(func(n *rtl.Expr) {
-						term := g.SubjectTerm(n)
-						for _, h := range pats {
-							match, same := leafMatches(g, h, n), g.PatTerm(h) == term
-							if match {
-								checked++
-							}
-							// Terminal IDs agree on everything but a
-							// constant's value or fit.
-							if c := g.Exprs().Expr(h).Kind; c == rtl.Const || c == rtl.InsnField {
-								same = same && match
-							}
-							if match != same {
-								t.Fatalf("%s: pattern node %s at %s: leaf match %v, terminals %d and %d",
-									name, g.Exprs().Expr(h), n, match, g.PatTerm(h), term)
-							}
-						}
-					})
+				walk(et.Src)
+				if et.DestAddr != rtl.NoExpr {
+					walk(et.DestAddr)
 				}
 			}
 		}
@@ -200,12 +249,14 @@ func TestStatsMatchesRuleWalk(t *testing.T) {
 	// may be counted.
 	m := bdd.New()
 	base := rtl.NewBase(m)
-	acc := rtl.NewRead("acc.r", 8, nil)
-	for _, src := range []*rtl.Expr{
-		rtl.NewOp(rtl.OpAdd, 8, acc, rtl.NewConst(1, 8)),
-		rtl.NewOp(rtl.OpXor, 8, rtl.NewRead("tab.m", 8, rtl.NewInsnField(3, 0)), rtl.NewRead("y.r", 8, nil)),
+	s := base.Exprs()
+	acc := s.Read("acc.r", 8, rtl.NoExpr)
+	imm := s.Node(rtl.Expr{Kind: rtl.InsnField, Hi: 3, Lo: 0, Width: 4})
+	for _, src := range []rtl.ExprID{
+		s.Op(rtl.OpAdd, 8, acc, s.Const(1, 8)),
+		s.Op(rtl.OpXor, 8, s.Read("tab.m", 8, imm), s.Read("y.r", 8, rtl.NoExpr)),
 	} {
-		base.Add(&rtl.Template{Dest: "acc.r", Width: 8, Src: src, Cond: rtl.ExecCond{Static: m.True()}})
+		base.Add(&rtl.Template{Dest: "acc.r", DestAddr: rtl.NoExpr, Width: 8, Src: src, Cond: rtl.ExecCond{Static: m.True()}})
 	}
 	g, err := grammar.Build(base, grammar.Spec{Storages: []grammar.StorageInfo{
 		{Name: "acc.r", Width: 8, Size: 1},
@@ -226,24 +277,23 @@ func TestStatsMatchesRuleWalk(t *testing.T) {
 
 // swappedTree returns e with the operands of the swap sites mask selects
 // exchanged, sites numbered in pre-order.
-func swappedTree(e *rtl.Expr, mask uint64) *rtl.Expr {
+func swappedTree(e *tree, mask uint64) *tree {
 	site := 0
-	var rec func(e *rtl.Expr) *rtl.Expr
-	rec = func(e *rtl.Expr) *rtl.Expr {
-		c := *e
+	var rec func(e *tree) *tree
+	rec = func(e *tree) *tree {
+		c := &tree{Expr: e.Expr}
 		swap := false
-		if e.SwapSite() {
+		if e.swapSite() {
 			swap = mask&(1<<uint(site)) != 0
 			site++
 		}
-		c.Kids = make([]*rtl.Expr, len(e.Kids))
-		for i, k := range e.Kids {
-			c.Kids[i] = rec(k)
+		for _, k := range e.kids {
+			c.kids = append(c.kids, rec(k))
 		}
 		if swap {
-			c.Kids[0], c.Kids[1] = c.Kids[1], c.Kids[0]
+			c.kids[0], c.kids[1] = c.kids[1], c.kids[0]
 		}
-		return &c
+		return c
 	}
 	return rec(e)
 }
@@ -269,51 +319,52 @@ func TestSwapRulePatterns(t *testing.T) {
 				continue
 			}
 			tpl := g.Template(r)
-			want := swappedTree(tpl.Src, r.Swap)
-			if got := exprs.Expr(r.Pat); !got.Equal(want) || got.String() != want.String() {
-				t.Errorf("%s: rule %s: pattern %s, want the swapped source %s", name, g.Pattern(r), got, want)
+			src := treeOf(exprs, tpl.Src)
+			if got := treeOf(exprs, r.Pat); !got.equal(swappedTree(src, r.Swap)) {
+				t.Errorf("%s: rule %s: pattern %s, want the source %s swapped by %#x",
+					name, g.Pattern(r), exprs.String(r.Pat), exprs.String(tpl.Src), r.Swap)
 			}
-			k := key{tpl.SrcID(), r.Swap}
+			k := key{tpl.Src, r.Swap}
 			if h, ok := pats[k]; ok && h != r.Pat {
 				t.Errorf("%s: rule %s does not share the pattern of source %d, mask %#x", name, g.Pattern(r), k.src, k.mask)
 			}
 			pats[k] = r.Pat
-			if r.Addr != tpl.AddrID() {
-				t.Errorf("%s: rule %s: address pattern %d, want the template's address %d", name, g.Pattern(r), r.Addr, tpl.AddrID())
+			if r.Addr != tpl.DestAddr {
+				t.Errorf("%s: rule %s: address pattern %d, want the template's address %d", name, g.Pattern(r), r.Addr, tpl.DestAddr)
 			}
 			if r.Swap == 0 {
-				if r.Pat != tpl.SrcID() {
-					t.Errorf("%s: rule %s: pattern %d, want its source %d", name, g.Pattern(r), r.Pat, tpl.SrcID())
+				if r.Pat != tpl.Src {
+					t.Errorf("%s: rule %s: pattern %d, want its source %d", name, g.Pattern(r), r.Pat, tpl.Src)
 				}
 				continue
 			}
 			swaps++
 			mask, site := r.Swap, 0
-			var rec func(e *rtl.Expr, p, q rtl.ExprID)
-			rec = func(e *rtl.Expr, p, q rtl.ExprID) {
-				n := e.SwapSites()
+			var rec func(e *tree, p, q rtl.ExprID)
+			rec = func(e *tree, p, q rtl.ExprID) {
+				n := e.swapSites()
 				if mask>>uint(site)&(1<<uint(n)-1) == 0 {
 					if p != q {
-						t.Errorf("%s: swap rule %s copies %s, which holds no masked site", name, g.Pattern(r), e)
+						t.Errorf("%s: swap rule %s copies %s, which holds no masked site", name, g.Pattern(r), exprs.String(p))
 					}
 					site += n
 					return
 				}
 				if p == q {
-					t.Fatalf("%s: swap rule %s shares %s, which holds a masked site", name, g.Pattern(r), e)
+					t.Fatalf("%s: swap rule %s shares %s, which holds a masked site", name, g.Pattern(r), exprs.String(p))
 				}
 				kids := exprs.Kids(q)
-				if e.SwapSite() {
+				if e.swapSite() {
 					if mask&(1<<uint(site)) != 0 {
 						kids = []rtl.ExprID{kids[1], kids[0]}
 					}
 					site++
 				}
-				for i, k := range e.Kids {
+				for i, k := range e.kids {
 					rec(k, exprs.Kids(p)[i], kids[i])
 				}
 			}
-			rec(tpl.Src, tpl.SrcID(), r.Pat)
+			rec(src, tpl.Src, r.Pat)
 		}
 	}
 	if swaps == 0 {

@@ -62,5 +62,5 @@ func TestStaticConditionsDisjoint(t *testing.T) {
 // guard and b's holds exactly when a's does not.
 func complementaryGuards(a, b *rtl.Template) bool {
 	return len(a.Cond.Dynamic) == 1 && len(b.Cond.Dynamic) == 1 &&
-		negateGuard(a.Cond.Dynamic[0]).Equal(b.Cond.Dynamic[0])
+		negateGuard(a.Exprs(), a.Cond.Dynamic[0]) == b.Cond.Dynamic[0]
 }

@@ -206,9 +206,9 @@ func Extract(n *netlist.Netlist, opts Options) (*Result, error) {
 // alt is one alternative route: a pattern with the conditions required to
 // steer the hardware along it.
 type alt struct {
-	expr *rtl.Expr
+	expr rtl.ExprID // in the base's store; NoExpr for no address
 	cond bdd.Node
-	dyn  []*rtl.Expr
+	dyn  []rtl.ExprID
 }
 
 type symResult struct {
@@ -222,6 +222,8 @@ type extractor struct {
 	m    *bdd.Manager
 	vars *VarMap
 	res  *Result
+	// s is the base's store: every route is built there.
+	s *rtl.Store
 
 	// Observability: per-destination spans hang off scope; counters are
 	// resolved once in Extract (nil when uninstrumented).
@@ -266,6 +268,7 @@ func (x *extractor) declareVars() {
 	}
 	x.vars = v
 	x.res = &Result{Base: rtl.NewBase(x.m), Vars: v, Net: x.n}
+	x.s = x.res.Base.Exprs()
 }
 
 func (x *extractor) run() error {
@@ -303,6 +306,7 @@ func (x *extractor) run() error {
 				x.emit(&rtl.Template{
 					Dest:     name,
 					DestPort: true,
+					DestAddr: rtl.NoExpr,
 					Src:      a.expr,
 					Width:    drv.Width,
 					Cond:     rtl.ExecCond{Static: a.cond, Dynamic: a.dyn},
@@ -388,7 +392,7 @@ func (x *extractor) unsatBus() {
 // extractWrite enumerates templates for one guarded storage write.
 func (x *extractor) extractWrite(s *netlist.Storage, inst *netlist.Inst, st *hdl.Stmt) error {
 	// Guard condition.
-	gCond, gDyn := x.m.True(), []*rtl.Expr(nil)
+	gCond, gDyn := x.m.True(), []rtl.ExprID(nil)
 	if st.Guard != nil {
 		c, d, err := x.condition(inst, st.Guard)
 		if err != nil {
@@ -402,7 +406,7 @@ func (x *extractor) extractWrite(s *netlist.Storage, inst *netlist.Inst, st *hdl
 	}
 
 	// Destination address routes (for array storages).
-	addrAlts := []alt{{expr: nil, cond: x.m.True()}}
+	addrAlts := []alt{{expr: rtl.NoExpr, cond: x.m.True()}}
 	if st.LHS.Index != nil {
 		var err error
 		addrAlts, err = x.resolveModExpr(inst, st.LHS.Index)
@@ -426,7 +430,7 @@ func (x *extractor) extractWrite(s *netlist.Storage, inst *netlist.Inst, st *hdl
 				x.unsatEncoding()
 				continue
 			}
-			dyn := x.concatDyn(gDyn, aa.dyn, da.dyn)
+			dyn := concatDyn(gDyn, aa.dyn, da.dyn)
 			x.emit(&rtl.Template{
 				Dest:     s.QName(),
 				DestAddr: aa.expr,
@@ -447,18 +451,12 @@ func (x *extractor) emit(t *rtl.Template) {
 }
 
 // concatDyn concatenates dynamic guard lists, dropping structurally equal
-// repeats; guards are interned in the base's store, so a repeat is a
-// repeated handle.
-func (x *extractor) concatDyn(ds ...[]*rtl.Expr) []*rtl.Expr {
-	var out []*rtl.Expr
-	var buf [4]rtl.ExprID
-	seen := buf[:0]
-	store := x.res.Base.Exprs()
+// repeats: repeated handles.
+func concatDyn(ds ...[]rtl.ExprID) []rtl.ExprID {
+	var out []rtl.ExprID
 	for _, d := range ds {
 		for _, g := range d {
-			id := store.Intern(g)
-			if !slices.Contains(seen, id) {
-				seen = append(seen, id)
+			if !slices.Contains(out, g) {
 				out = append(out, g)
 			}
 		}
@@ -670,7 +668,7 @@ func (x *extractor) symBus(b *netlist.Bus) (bitvec.Vec, bool) {
 // condition converts a Boolean expression (module scope of inst, or connect
 // scope when inst is nil) into a static BDD condition, or a residual
 // dynamic guard when it depends on run-time data.
-func (x *extractor) condition(inst *netlist.Inst, e hdl.Expr) (bdd.Node, []*rtl.Expr, error) {
+func (x *extractor) condition(inst *netlist.Inst, e hdl.Expr) (bdd.Node, []rtl.ExprID, error) {
 	if vec, ok := x.symModExpr(inst, e); ok {
 		return bitvec.Truth(x.m, vec), nil, nil
 	}
@@ -678,18 +676,18 @@ func (x *extractor) condition(inst *netlist.Inst, e hdl.Expr) (bdd.Node, []*rtl.
 	if err != nil {
 		return x.m.False(), nil, err
 	}
-	return x.m.True(), []*rtl.Expr{g}, nil
+	return x.m.True(), []rtl.ExprID{g}, nil
 }
 
 // guardExpr lowers a dynamic condition to an RT expression (no forking:
 // guards must be mux-free routes).
-func (x *extractor) guardExpr(inst *netlist.Inst, e hdl.Expr) (*rtl.Expr, error) {
+func (x *extractor) guardExpr(inst *netlist.Inst, e hdl.Expr) (rtl.ExprID, error) {
 	alts, err := x.resolveModExpr(inst, e)
 	if err != nil {
-		return nil, err
+		return rtl.NoExpr, err
 	}
 	if len(alts) != 1 || alts[0].cond != x.m.True() || len(alts[0].dyn) != 0 {
-		return nil, fmt.Errorf("ise: dynamic guard %s in %s is steered by control logic; unsupported", e, scopeName(inst))
+		return rtl.NoExpr, fmt.Errorf("ise: dynamic guard %s in %s is steered by control logic; unsupported", e, scopeName(inst))
 	}
 	return alts[0].expr, nil
 }
@@ -710,7 +708,7 @@ func scopeName(inst *netlist.Inst) string {
 func (x *extractor) resolveModExpr(inst *netlist.Inst, e hdl.Expr) ([]alt, error) {
 	switch ex := e.(type) {
 	case *hdl.NumExpr:
-		return []alt{{expr: rtl.NewConst(ex.Val, ex.Width), cond: x.m.True()}}, nil
+		return x.leaf(x.s.Const(ex.Val, ex.Width)), nil
 
 	case *hdl.PortSelExpr:
 		return x.resolveOut(x.n.InstByName[ex.Part], ex.Port)
@@ -722,12 +720,12 @@ func (x *extractor) resolveModExpr(inst *netlist.Inst, e hdl.Expr) ([]alt, error
 		case ex.Bus != nil:
 			return x.resolveBus(x.n.Buses[ex.Name])
 		case ex.Primary != nil:
-			return []alt{{expr: rtl.NewPort(ex.Name, ex.Width), cond: x.m.True()}}, nil
+			return x.leaf(x.s.Node(rtl.Expr{Kind: rtl.PortRef, Port: ex.Name, Width: ex.Width})), nil
 		case ex.Var != nil:
 			q := inst.Name + "." + ex.Var.Name
-			return []alt{{expr: rtl.NewRead(q, ex.Var.Width, nil), cond: x.m.True()}}, nil
+			return x.leaf(x.s.Read(q, ex.Var.Width, rtl.NoExpr)), nil
 		case ex.Const != nil:
-			return []alt{{expr: rtl.NewConst(ex.Const.Value, ex.Width), cond: x.m.True()}}, nil
+			return x.leaf(x.s.Const(ex.Const.Value, ex.Width)), nil
 		}
 		return nil, fmt.Errorf("ise: unresolved identifier %s", ex.Name)
 
@@ -740,7 +738,7 @@ func (x *extractor) resolveModExpr(inst *netlist.Inst, e hdl.Expr) ([]alt, error
 			out := make([]alt, 0, len(alts))
 			for _, a := range alts {
 				out = append(out, alt{
-					expr: rtl.NewSlice(ex.SliceHi, ex.SliceLo, a.expr),
+					expr: x.s.Slice(ex.SliceHi, ex.SliceLo, a.expr),
 					cond: a.cond, dyn: a.dyn,
 				})
 			}
@@ -756,7 +754,7 @@ func (x *extractor) resolveModExpr(inst *netlist.Inst, e hdl.Expr) ([]alt, error
 		out := make([]alt, 0, len(addrAlts))
 		for _, a := range addrAlts {
 			out = append(out, alt{
-				expr: rtl.NewRead(q, id.Var.Width, a.expr),
+				expr: x.s.Read(q, id.Var.Width, a.expr),
 				cond: a.cond, dyn: a.dyn,
 			})
 		}
@@ -782,9 +780,9 @@ func (x *extractor) resolveModExpr(inst *netlist.Inst, e hdl.Expr) ([]alt, error
 					continue
 				}
 				out = append(out, alt{
-					expr: rtl.NewOp(ex.Op, ex.Width, a.expr, b.expr),
+					expr: x.s.Op(ex.Op, ex.Width, a.expr, b.expr),
 					cond: cond,
-					dyn:  x.concatDyn(a.dyn, b.dyn),
+					dyn:  concatDyn(a.dyn, b.dyn),
 				})
 				if len(out) > x.opts.MaxAlts {
 					return nil, fmt.Errorf("ise: route explosion in %s (limit %d)", scopeName(inst), x.opts.MaxAlts)
@@ -801,7 +799,7 @@ func (x *extractor) resolveModExpr(inst *netlist.Inst, e hdl.Expr) ([]alt, error
 		out := make([]alt, 0, len(as))
 		for _, a := range as {
 			out = append(out, alt{
-				expr: rtl.NewOp(ex.Op, ex.Width, a.expr),
+				expr: x.s.Op(ex.Op, ex.Width, a.expr),
 				cond: a.cond, dyn: a.dyn,
 			})
 		}
@@ -817,7 +815,7 @@ func (x *extractor) resolveModExpr(inst *netlist.Inst, e hdl.Expr) ([]alt, error
 // branch by the selector condition.
 func (x *extractor) resolveCase(inst *netlist.Inst, ce *hdl.CaseExpr) ([]alt, error) {
 	selVec, selStatic := x.symModExpr(inst, ce.Sel)
-	var selDynBase *rtl.Expr
+	selDynBase := rtl.NoExpr
 	if !selStatic {
 		g, err := x.guardExpr(inst, ce.Sel)
 		if err != nil {
@@ -826,17 +824,17 @@ func (x *extractor) resolveCase(inst *netlist.Inst, ce *hdl.CaseExpr) ([]alt, er
 		selDynBase = g
 	}
 
-	branchCond := func(val int64) (bdd.Node, []*rtl.Expr) {
+	branchCond := func(val int64) (bdd.Node, []rtl.ExprID) {
 		if selStatic {
 			return bitvec.EqConst(x.m, selVec, val), nil
 		}
 		selW := ce.Sel.ExprWidth()
-		g := rtl.NewOp(rtl.OpEq, 1, selDynBase, rtl.NewConst(val, selW))
-		return x.m.True(), []*rtl.Expr{g}
+		g := x.s.Op(rtl.OpEq, 1, selDynBase, x.s.Const(val, selW))
+		return x.m.True(), []rtl.ExprID{g}
 	}
 
 	var out []alt
-	addBranch := func(cond bdd.Node, dyn []*rtl.Expr, body hdl.Expr) error {
+	addBranch := func(cond bdd.Node, dyn []rtl.ExprID, body hdl.Expr) error {
 		if err := x.opts.Budget.Exceeded(); err != nil {
 			return err
 		}
@@ -854,7 +852,7 @@ func (x *extractor) resolveCase(inst *netlist.Inst, ce *hdl.CaseExpr) ([]alt, er
 				x.unsatEncoding()
 				continue
 			}
-			out = append(out, alt{expr: a.expr, cond: c, dyn: x.concatDyn(dyn, a.dyn)})
+			out = append(out, alt{expr: a.expr, cond: c, dyn: concatDyn(dyn, a.dyn)})
 			if len(out) > x.opts.MaxAlts {
 				return fmt.Errorf("ise: route explosion in CASE of %s (limit %d)", scopeName(inst), x.opts.MaxAlts)
 			}
@@ -880,9 +878,9 @@ func (x *extractor) resolveCase(inst *netlist.Inst, ce *hdl.CaseExpr) ([]alt, er
 			}
 		} else {
 			selW := ce.Sel.ExprWidth()
-			var dyn []*rtl.Expr
+			var dyn []rtl.ExprID
 			for _, a := range ce.Alts {
-				dyn = append(dyn, rtl.NewOp(rtl.OpNe, 1, selDynBase, rtl.NewConst(a.Val, selW)))
+				dyn = append(dyn, x.s.Op(rtl.OpNe, 1, selDynBase, x.s.Const(a.Val, selW)))
 			}
 			if err := addBranch(x.m.True(), dyn, ce.Else); err != nil {
 				return nil, err
@@ -905,12 +903,12 @@ func (x *extractor) resolvePort(inst *netlist.Inst, port string) ([]alt, error) 
 func (x *extractor) resolveDriver(d *netlist.Driver) ([]alt, error) {
 	switch d.Kind {
 	case netlist.DriveConst:
-		return []alt{{expr: rtl.NewConst(d.Const, d.Width), cond: x.m.True()}}, nil
+		return x.leaf(x.s.Const(d.Const, d.Width)), nil
 
 	case netlist.DrivePrimary:
 		w := x.n.PrimaryIn[d.Primary].Width
-		e := rtl.NewSlice(d.Hi, d.Lo, rtl.NewPort(d.Primary, w))
-		return []alt{{expr: e, cond: x.m.True()}}, nil
+		port := x.s.Node(rtl.Expr{Kind: rtl.PortRef, Port: d.Primary, Width: w})
+		return x.leaf(x.s.Slice(d.Hi, d.Lo, port)), nil
 
 	case netlist.DrivePort:
 		alts, err := x.resolveOut(d.Inst, d.Port)
@@ -920,7 +918,7 @@ func (x *extractor) resolveDriver(d *netlist.Driver) ([]alt, error) {
 		out := make([]alt, 0, len(alts))
 		for _, a := range alts {
 			out = append(out, alt{
-				expr: rtl.NewSlice(d.Hi, d.Lo, a.expr),
+				expr: x.s.Slice(d.Hi, d.Lo, a.expr),
 				cond: a.cond, dyn: a.dyn,
 			})
 		}
@@ -934,7 +932,7 @@ func (x *extractor) resolveDriver(d *netlist.Driver) ([]alt, error) {
 		out := make([]alt, 0, len(alts))
 		for _, a := range alts {
 			out = append(out, alt{
-				expr: rtl.NewSlice(d.Hi, d.Lo, a.expr),
+				expr: x.s.Slice(d.Hi, d.Lo, a.expr),
 				cond: a.cond, dyn: a.dyn,
 			})
 		}
@@ -953,11 +951,11 @@ func (x *extractor) resolveBus(b *netlist.Bus) ([]alt, error) {
 	// condition over control bits) or one dynamic guard.
 	type enable struct {
 		cond  bdd.Node
-		guard *rtl.Expr
+		guard rtl.ExprID
 	}
 	enables := make([]enable, len(b.Drivers))
 	for i, bd := range b.Drivers {
-		enables[i].cond = x.m.True()
+		enables[i].cond, enables[i].guard = x.m.True(), rtl.NoExpr
 		if bd.When == nil {
 			continue
 		}
@@ -976,8 +974,8 @@ func (x *extractor) resolveBus(b *netlist.Bus) ([]alt, error) {
 			return nil, err
 		}
 		cond := enables[i].cond
-		var dyn []*rtl.Expr
-		if g := enables[i].guard; g != nil {
+		var dyn []rtl.ExprID
+		if g := enables[i].guard; g != rtl.NoExpr {
 			dyn = append(dyn, g)
 		}
 		// Exclusivity against the other drivers' enables: a static one
@@ -985,10 +983,10 @@ func (x *extractor) resolveBus(b *netlist.Bus) ([]alt, error) {
 		for j, en := range enables {
 			switch {
 			case j == i:
-			case en.guard == nil:
+			case en.guard == rtl.NoExpr:
 				cond = x.m.And(cond, x.m.Not(en.cond))
 			default:
-				dyn = x.concatDyn(dyn, []*rtl.Expr{negateGuard(en.guard)})
+				dyn = concatDyn(dyn, []rtl.ExprID{negateGuard(x.s, en.guard)})
 			}
 		}
 		if cond == x.m.False() {
@@ -1005,7 +1003,7 @@ func (x *extractor) resolveBus(b *netlist.Bus) ([]alt, error) {
 				x.unsatBus()
 				continue
 			}
-			out = append(out, alt{expr: a.expr, cond: c, dyn: x.concatDyn(dyn, a.dyn)})
+			out = append(out, alt{expr: a.expr, cond: c, dyn: concatDyn(dyn, a.dyn)})
 			if len(out) > x.opts.MaxAlts {
 				return nil, fmt.Errorf("ise: route explosion on bus %s (limit %d)", b.Name, x.opts.MaxAlts)
 			}
@@ -1022,13 +1020,20 @@ var negatedComparison = map[rtl.Op]rtl.Op{
 	rtl.OpLe: rtl.OpGt, rtl.OpGt: rtl.OpLe,
 }
 
-// negateGuard returns the dynamic guard holding exactly when g does not: a
-// comparison with its operator negated, anything else compared with 0.
-func negateGuard(g *rtl.Expr) *rtl.Expr {
-	if op, ok := negatedComparison[g.Op]; ok && g.Kind == rtl.OpApp {
-		return rtl.NewOp(op, g.Width, g.Kids...)
+// negateGuard returns the dynamic guard holding exactly when g, of store
+// s, does not: a comparison with its operator negated, anything else
+// compared with 0.
+func negateGuard(s *rtl.Store, g rtl.ExprID) rtl.ExprID {
+	e := s.Expr(g)
+	if op, ok := negatedComparison[e.Op]; ok && e.Kind == rtl.OpApp {
+		return s.Op(op, e.Width, s.Kids(g)...)
 	}
-	return rtl.NewOp(rtl.OpEq, 1, g, rtl.NewConst(0, g.Width))
+	return s.Op(rtl.OpEq, 1, g, s.Const(0, e.Width))
+}
+
+// leaf is the single unconditional route of tree e.
+func (x *extractor) leaf(e rtl.ExprID) []alt {
+	return []alt{{expr: e, cond: x.m.True()}}
 }
 
 // resolveOut enumerates routes producing an instance output port; results
@@ -1040,7 +1045,7 @@ func (x *extractor) resolveOut(inst *netlist.Inst, out string) ([]alt, error) {
 	}
 	// The instruction word read is an immediate field.
 	if inst == x.n.InsnInst && out == x.n.InsnPort {
-		alts := []alt{{expr: rtl.NewInsnField(x.n.InsnWidth-1, 0), cond: x.m.True()}}
+		alts := x.leaf(x.s.Node(rtl.Expr{Kind: rtl.InsnField, Hi: x.n.InsnWidth - 1, Lo: 0, Width: x.n.InsnWidth}))
 		x.outMemo[key] = alts
 		return alts, nil
 	}

@@ -229,7 +229,13 @@ func TestImmediateOperands(t *testing.T) {
 	if len(ldi) == 0 {
 		t.Fatalf("load-immediate template missing:\n%s", res.Base)
 	}
-	fields := addi[0].Src.InsnFields()
+	s := res.Base.Exprs()
+	var fields []*rtl.Expr
+	for _, k := range s.Kids(addi[0].Src) {
+		if e := s.Expr(k); e.Kind == rtl.InsnField {
+			fields = append(fields, e)
+		}
+	}
 	if len(fields) != 1 || fields[0].Hi != 7 || fields[0].Lo != 0 {
 		t.Errorf("immediate field = %v", fields)
 	}
@@ -327,20 +333,21 @@ func TestDynamicGuards(t *testing.T) {
 	if len(jump[0].Cond.Dynamic) != 1 {
 		t.Fatalf("jump guards = %v", jump[0].Cond.Dynamic)
 	}
+	s := res.Base.Exprs()
 	g := jump[0].Cond.Dynamic[0]
-	if g.Kind != rtl.OpApp || g.Op != rtl.OpEq {
-		t.Errorf("guard = %s", g)
+	if e := s.Expr(g); e.Kind != rtl.OpApp || e.Op != rtl.OpEq {
+		t.Errorf("guard = %s", s.String(g))
 	}
-	if !strings.Contains(g.String(), "flag.r") {
-		t.Errorf("guard must test flag.r, got %s", g)
+	if !strings.Contains(s.String(g), "flag.r") {
+		t.Errorf("guard must test flag.r, got %s", s.String(g))
 	}
 	// Fallthrough template with the complementary guard.
 	ft := find(res, "pc.r := (pc.r + 1)", "when")
 	if len(ft) != 1 {
 		t.Fatalf("guarded fallthrough missing:\n%s", res.Base)
 	}
-	if ft[0].Cond.Dynamic[0].Op != rtl.OpNe {
-		t.Errorf("fallthrough guard = %s", ft[0].Cond.Dynamic[0])
+	if g := ft[0].Cond.Dynamic[0]; s.Expr(g).Op != rtl.OpNe {
+		t.Errorf("fallthrough guard = %s", s.String(g))
 	}
 }
 
@@ -554,8 +561,8 @@ func TestTemplateWidths(t *testing.T) {
 		if tpl.Width <= 0 {
 			t.Errorf("template %s has width %d", tpl, tpl.Width)
 		}
-		if tpl.Src.Width != tpl.Width {
-			t.Errorf("template %s: src width %d != dest width %d", tpl, tpl.Src.Width, tpl.Width)
+		if w := res.Base.Exprs().Expr(tpl.Src).Width; w != tpl.Width {
+			t.Errorf("template %s: src width %d != dest width %d", tpl, w, tpl.Width)
 		}
 	}
 }

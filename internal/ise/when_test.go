@@ -140,7 +140,7 @@ func TestBusWhenForms(t *testing.T) {
 				for _, tpl := range append(r0, r1...) {
 					admits := m.And(tpl.Cond.Static, bit6) != m.False()
 					for _, g := range tpl.Cond.Dynamic {
-						admits = admits && evalGuard(g, row.on) != 0
+						admits = admits && evalGuard(res.Base.Exprs(), g, row.on) != 0
 					}
 					if admits {
 						t.Errorf("route %s admits the WHEN on with bit 6 set", tpl)
@@ -176,9 +176,10 @@ func TestBusWhenForms(t *testing.T) {
 
 func insnBit7(_ *sim.Simulator, on bool) uint64 { return uint64(b2i(on)) << 7 }
 
-// evalGuard evaluates a dynamic guard over ports and registers (cell 0)
-// named in state, at each node's width.
-func evalGuard(e *rtl.Expr, state map[string]int64) int64 {
+// evalGuard evaluates dynamic guard h of store s over ports and registers
+// (cell 0) named in state, at each node's width.
+func evalGuard(s *rtl.Store, h rtl.ExprID, state map[string]int64) int64 {
+	e, kids := s.Expr(h), s.Kids(h)
 	switch e.Kind {
 	case rtl.Const:
 		return rtl.Wrap(e.Val, e.Width)
@@ -187,14 +188,14 @@ func evalGuard(e *rtl.Expr, state map[string]int64) int64 {
 	case rtl.Read:
 		return rtl.Wrap(state[e.Storage], e.Width)
 	case rtl.Slice:
-		return rtl.EvalSlice(evalGuard(e.Kids[0], state), e.Hi, e.Lo)
+		return rtl.EvalSlice(evalGuard(s, kids[0], state), e.Hi, e.Lo)
 	case rtl.OpApp:
-		if len(e.Kids) == 1 {
-			return rtl.EvalUn(e.Op, evalGuard(e.Kids[0], state), e.Width)
+		if len(kids) == 1 {
+			return rtl.EvalUn(e.Op, evalGuard(s, kids[0], state), e.Width)
 		}
-		return rtl.EvalBin(e.Op, evalGuard(e.Kids[0], state), evalGuard(e.Kids[1], state), e.Width)
+		return rtl.EvalBin(e.Op, evalGuard(s, kids[0], state), evalGuard(s, kids[1], state), e.Width)
 	}
-	panic(fmt.Sprintf("guard %s: unsupported node", e))
+	panic(fmt.Sprintf("guard %s: unsupported node", s.String(h)))
 }
 
 func b2i(b bool) int64 {

@@ -51,35 +51,36 @@ func Optimize(seq *code.Seq) (*code.Seq, Stats) {
 // with a concrete address.
 func loadOf(in *code.Instr) (reg string, cell code.Loc, ok bool) {
 	t := in.Template
-	if t.DestPort || t.DestAddr != nil {
+	if t.DestPort || t.DestAddr != rtl.NoExpr {
 		return "", code.Loc{}, false
 	}
-	src := t.Src
-	if src.Kind != rtl.Read || src.Addr() == nil {
+	addr := t.Exprs().Addr(t.Src)
+	if addr == rtl.NoExpr {
 		return "", code.Loc{}, false
 	}
-	a, known := in.ResolveAddr(src.Addr())
+	a, known := in.ResolveAddr(addr)
 	if !known {
 		return "", code.Loc{}, false
 	}
-	return t.Dest, code.Loc{Storage: src.Storage, Addr: a, AddrKnown: true}, true
+	return t.Dest, code.Loc{Storage: t.Exprs().Expr(t.Src).Storage, Addr: a, AddrKnown: true}, true
 }
 
 // storeOf reports whether in is a plain store "mem[addr] := reg" with a
 // concrete address.
 func storeOf(in *code.Instr) (reg string, cell code.Loc, ok bool) {
 	t := in.Template
-	if t.DestPort || t.DestAddr == nil {
+	if t.DestPort || t.DestAddr == rtl.NoExpr {
 		return "", code.Loc{}, false
 	}
-	if t.Src.Kind != rtl.Read || t.Src.Addr() != nil {
+	s := t.Exprs()
+	if src := s.Expr(t.Src); src.Kind != rtl.Read || s.Addr(t.Src) != rtl.NoExpr {
 		return "", code.Loc{}, false
 	}
 	a, known := in.ResolveAddr(t.DestAddr)
 	if !known {
 		return "", code.Loc{}, false
 	}
-	return t.Src.Storage, code.Loc{Storage: t.Dest, Addr: a, AddrKnown: true}, true
+	return s.Expr(t.Src).Storage, code.Loc{Storage: t.Dest, Addr: a, AddrKnown: true}, true
 }
 
 // mirror is a known equality between a register and a memory cell.
@@ -199,7 +200,7 @@ func removeDeadStores(instrs []*code.Instr) ([]*code.Instr, int) {
 			// clears the flag (we cannot prove the earlier store dead
 			// against a non-move write... it actually overwrites too, but
 			// conservatism costs only a kept store).
-			if in.Template.DestAddr != nil {
+			if in.Template.DestAddr != rtl.NoExpr {
 				delete(overwritten, cellKey{def.Storage, def.Addr})
 			}
 		}

@@ -19,19 +19,20 @@ type fixture struct {
 
 func newFixture() *fixture {
 	m := bdd.New()
-	cond := rtl.ExecCond{Static: m.True()}
-	imm := func() *rtl.Expr { return rtl.NewInsnField(7, 0) }
+	b := rtl.NewBase(m)
+	s := b.Exprs()
+	add := func(dest string, addr, src rtl.ExprID) *rtl.Template {
+		return b.Add(&rtl.Template{Dest: dest, DestAddr: addr, Src: src, Width: 16,
+			Cond: rtl.ExecCond{Static: m.True()}})
+	}
+	imm := s.Node(rtl.Expr{Kind: rtl.InsnField, Hi: 7, Lo: 0, Width: 8})
+	mem, acc := s.Read("mem.m", 16, imm), s.Read("acc.r", 16, rtl.NoExpr)
 	return &fixture{
-		m: m,
-		load: &rtl.Template{Dest: "acc.r", Width: 16, Cond: cond,
-			Src: rtl.NewRead("mem.m", 16, imm())},
-		store: &rtl.Template{Dest: "mem.m", DestAddr: imm(), Width: 16, Cond: cond,
-			Src: rtl.NewRead("acc.r", 16, nil)},
-		add: &rtl.Template{Dest: "acc.r", Width: 16, Cond: cond,
-			Src: rtl.NewOp(rtl.OpAdd, 16,
-				rtl.NewRead("acc.r", 16, nil), rtl.NewRead("mem.m", 16, imm()))},
-		tld: &rtl.Template{Dest: "t.r", Width: 16, Cond: cond,
-			Src: rtl.NewRead("mem.m", 16, imm())},
+		m:     m,
+		load:  add("acc.r", rtl.NoExpr, mem),
+		store: add("mem.m", imm, acc),
+		add:   add("acc.r", rtl.NoExpr, s.Op(rtl.OpAdd, 16, acc, mem)),
+		tld:   add("t.r", rtl.NoExpr, mem),
 	}
 }
 

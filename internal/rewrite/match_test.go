@@ -1,7 +1,6 @@
 package rewrite
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/hdl"
@@ -11,76 +10,42 @@ import (
 	"repro/internal/rtl"
 )
 
-// fullMatch is the matcher without the root fast reject: it allocates the
-// bindings first and walks the whole pattern.
-func fullMatch(p *Pattern, e *rtl.Expr) (*Bindings, bool) {
-	b := &Bindings{Sub: make(map[string]*rtl.Expr), Const: make(map[string]int64)}
-	var match func(p *Pattern, e *rtl.Expr) bool
-	match = func(p *Pattern, e *rtl.Expr) bool {
-		switch p.Kind {
-		case PVar:
-			if prev, ok := b.Sub[p.Name]; ok {
-				return prev.Equal(e)
-			}
-			b.Sub[p.Name] = e
-			return true
-		case PConst:
-			return e.Kind == rtl.Const && e.Val == p.Val
-		case PAnyConst:
-			if e.Kind != rtl.Const {
-				return false
-			}
-			if prev, ok := b.Const[p.Name]; ok {
-				return prev == e.Val
-			}
-			b.Const[p.Name] = e.Val
-			return true
-		case POp:
-			if e.Kind != rtl.OpApp || e.Op != p.Op || len(e.Kids) != len(p.Kids) {
-				return false
-			}
-			for i, k := range p.Kids {
-				if !match(k, e.Kids[i]) {
-					return false
-				}
-			}
-			return true
-		}
-		return false
-	}
-	if match(p, e) {
-		return b, true
-	}
-	return nil, false
-}
-
 // TestMatchFastRejectAgreesWithFullMatch probes both sides of every
 // standard-library rule against every node of every bundled model's
-// extended template base: Match must fail exactly where the full matcher
-// fails, with (nil, false), and succeed with the same bindings elsewhere.
+// extended template base: Match by handle must fail exactly where the
+// reference matcher over the tests' own trees fails, and succeed with the
+// same bindings elsewhere.
 func TestMatchFastRejectAgreesWithFullMatch(t *testing.T) {
 	var probes, matches int
 	bundled := models.All()
 	brancher, _ := models.Get("brancher")
 	bundled = append(bundled, models.Entry{Name: "brancher", MDL: brancher})
+	var b Bindings
 	for _, m := range bundled {
 		base := extractedBase(t, m.MDL)
 		Extend(base, DefaultOptions())
+		s := base.Exprs()
+		var probe func(p *Pattern, h rtl.ExprID)
+		probe = func(p *Pattern, h rtl.ExprID) {
+			probes++
+			e := nodeOf(s, h)
+			ok := p.Match(s, h, &b)
+			want, wantOK := refMatch(p, e)
+			if ok != wantOK || ok && !sameBindings(s, &b, want) {
+				t.Errorf("%s: %s against %s: Match = (%v, %v); reference = (%v, %v)",
+					m.Name, p, e, b, ok, want, wantOK)
+			}
+			if ok {
+				matches++
+			}
+			for _, k := range s.Kids(h) {
+				probe(p, k)
+			}
+		}
 		for _, r := range StandardLibrary() {
 			for _, p := range []*Pattern{r.HW, r.Prog} {
 				for _, tp := range base.Templates {
-					tp.Src.Walk(func(e *rtl.Expr) {
-						probes++
-						got, ok := p.Match(e)
-						want, wantOK := fullMatch(p, e)
-						if ok != wantOK || !reflect.DeepEqual(got, want) {
-							t.Errorf("%s: %s against %s: Match = (%v, %v); full matcher = (%v, %v)",
-								m.Name, p, e, got, ok, want, wantOK)
-						}
-						if ok {
-							matches++
-						}
-					})
+					probe(p, tp.Src)
 				}
 			}
 		}
@@ -88,6 +53,25 @@ func TestMatchFastRejectAgreesWithFullMatch(t *testing.T) {
 	if matches == 0 || matches == probes {
 		t.Fatalf("%d of %d probes matched; want some of each", matches, probes)
 	}
+}
+
+// sameBindings reports whether b, by handle in s, binds what the
+// reference bindings want bind.
+func sameBindings(s *rtl.Store, b *Bindings, want *refBindings) bool {
+	if len(b.Sub) != len(want.sub) || len(b.Const) != len(want.consts) {
+		return false
+	}
+	for _, v := range b.Sub {
+		if !nodeOf(s, v.Val).equal(want.sub[v.Name]) {
+			return false
+		}
+	}
+	for _, c := range b.Const {
+		if v, ok := want.consts[c.Name]; !ok || v != c.Val {
+			return false
+		}
+	}
+	return true
 }
 
 func extractedBase(t *testing.T, src string) *rtl.Base {

@@ -19,28 +19,28 @@ import (
 // commuteVariants is the reference commutativity extension: every tree
 // obtainable by swapping the operands of commutative operator nodes (all
 // subsets of swap positions), the original among them.
-func commuteVariants(e *rtl.Expr, limit int) []*rtl.Expr {
-	var rec func(n *rtl.Expr) []*rtl.Expr
-	rec = func(n *rtl.Expr) []*rtl.Expr {
+func commuteVariants(e *node, limit int) []*node {
+	var rec func(n *node) []*node
+	rec = func(n *node) []*node {
 		if n.Kind != rtl.OpApp {
-			return []*rtl.Expr{n}
+			return []*node{n}
 		}
-		if len(n.Kids) == 1 {
-			kidVars := rec(n.Kids[0])
-			vars := make([]*rtl.Expr, 0, len(kidVars))
+		if len(n.kids) == 1 {
+			kidVars := rec(n.kids[0])
+			vars := make([]*node, 0, len(kidVars))
 			for _, kv := range kidVars {
-				vars = append(vars, rtl.NewOp(n.Op, n.Width, kv))
+				vars = append(vars, op(n.Op, n.Width, kv))
 			}
 			return vars
 		}
-		ls := rec(n.Kids[0])
-		rs := rec(n.Kids[1])
-		var vars []*rtl.Expr
+		ls := rec(n.kids[0])
+		rs := rec(n.kids[1])
+		var vars []*node
 		for _, l := range ls {
 			for _, r := range rs {
-				vars = append(vars, rtl.NewOp(n.Op, n.Width, l, r))
+				vars = append(vars, op(n.Op, n.Width, l, r))
 				if n.Op.Commutative() {
-					vars = append(vars, rtl.NewOp(n.Op, n.Width, r, l))
+					vars = append(vars, op(n.Op, n.Width, r, l))
 				}
 				if len(vars) > limit {
 					return vars[:limit]
@@ -53,8 +53,9 @@ func commuteVariants(e *rtl.Expr, limit int) []*rtl.Expr {
 }
 
 // extendMaterialised is the reference extension: Extend as it was when
-// every commutative swap became a template of its own, built, interned
-// and added with AddVariant's merging.
+// every commutative swap became a template of its own, each variant built
+// as a tree of the tests' own, converted to a handle and added with
+// AddVariant's merging.
 func extendMaterialised(base *rtl.Base, opts Options) int {
 	if opts.MaxVariantsPerTemplate <= 0 {
 		opts.MaxVariantsPerTemplate = 128
@@ -63,13 +64,14 @@ func extendMaterialised(base *rtl.Base, opts Options) int {
 	snapshot := append([]*rtl.Template(nil), base.Templates...)
 	store := base.Exprs()
 	for _, t := range snapshot {
-		var trees []*rtl.Expr
+		src := nodeOf(store, t.Src)
+		var trees []*node
 		if opts.Commutativity {
-			trees = append(trees, commuteVariants(t.Src, opts.MaxVariantsPerTemplate)...)
+			trees = append(trees, commuteVariants(src, opts.MaxVariantsPerTemplate)...)
 		}
-		trees = append(trees, ruleVariants(t.Src, opts.Rules, opts.MaxVariantsPerTemplate)...)
+		trees = append(trees, refRuleVariants(src, opts.Rules, opts.MaxVariantsPerTemplate)...)
 		for _, v := range trees {
-			if id := store.Intern(v); id != t.SrcID() {
+			if id := v.build(store); id != t.Src {
 				base.AddVariant(t, id)
 			}
 		}
@@ -101,33 +103,31 @@ func entryLines(b *rtl.Base) []string {
 	return out
 }
 
-// swappedSrc builds the source tree of entry s: its template's source
+// swappedSrc reads the source tree of entry s: its template's source
 // with the operands of the swap sites its mask selects exchanged.
-func swappedSrc(s rtl.Swap) *rtl.Expr {
+func swappedSrc(s rtl.Swap) *node {
 	site := 0
-	var rec func(e *rtl.Expr) *rtl.Expr
-	rec = func(e *rtl.Expr) *rtl.Expr {
-		c := *e
+	var rec func(n *node) *node
+	rec = func(n *node) *node {
 		swap := false
-		if e.SwapSite() {
+		if n.swapSite() {
 			swap = s.Mask&(1<<uint(site)) != 0
 			site++
 		}
-		c.Kids = make([]*rtl.Expr, len(e.Kids))
-		for i, k := range e.Kids {
-			c.Kids[i] = rec(k)
+		for _, k := range n.kids {
+			rec(k)
 		}
 		if swap {
-			c.Kids[0], c.Kids[1] = c.Kids[1], c.Kids[0]
+			n.kids[0], n.kids[1] = n.kids[1], n.kids[0]
 		}
-		return &c
+		return n
 	}
-	return rec(s.Of.Src)
+	return rec(nodeOf(s.Of.Exprs(), s.Of.Src))
 }
 
 // sameEntries fails t unless got and want list the same entries: equal
-// entryLines, and structurally equal (Equal, node widths included)
-// destination addresses and sources, a swap's read as its swapped tree.
+// entryLines, and structurally equal (node widths included) destination
+// addresses and sources, a swap's read as its swapped tree.
 func sameEntries(t *testing.T, name string, got, want *rtl.Base) {
 	t.Helper()
 	if got.Len() != want.Len() {
@@ -138,7 +138,8 @@ func sameEntries(t *testing.T, name string, got, want *rtl.Base) {
 		if gl, wl := entryLine(g[i]), entryLine(w[i]); gl != wl {
 			t.Fatalf("%s: entry\n  %s\nreference\n  %s", name, gl, wl)
 		}
-		if !g[i].Of.DestAddr.Equal(w[i].Of.DestAddr) || !swappedSrc(g[i]).Equal(swappedSrc(w[i])) {
+		ga, wa := nodeOf(got.Exprs(), g[i].Of.DestAddr), nodeOf(want.Exprs(), w[i].Of.DestAddr)
+		if !ga.equal(wa) || !swappedSrc(g[i]).equal(swappedSrc(w[i])) {
 			t.Fatalf("%s: entry %s differs in structure from the reference's", name, g[i])
 		}
 	}
@@ -170,43 +171,44 @@ func extracted(t *testing.T, src string) (*rtl.Base, *netlist.Netlist) {
 // reads are replaced, at random, by other sources of their width, whose
 // commutative operands are exchanged at random, and whose immediates
 // become small constants.
-func subjectTrees(base *rtl.Base, rng *rand.Rand, n int) []*rtl.Expr {
-	var srcs []*rtl.Expr
-	byWidth := map[int][]*rtl.Expr{}
+func subjectTrees(base *rtl.Base, rng *rand.Rand, n int) []*node {
+	var srcs []*node
+	byWidth := map[int][]*node{}
 	for _, t := range base.Templates {
 		if len(t.Cond.Dynamic) == 0 {
-			srcs = append(srcs, t.Src)
-			byWidth[t.Src.Width] = append(byWidth[t.Src.Width], t.Src)
+			src := nodeOf(base.Exprs(), t.Src)
+			srcs = append(srcs, src)
+			byWidth[src.Width] = append(byWidth[src.Width], src)
 		}
 	}
-	var grow func(e *rtl.Expr, depth int) *rtl.Expr
-	grow = func(e *rtl.Expr, depth int) *rtl.Expr {
+	var grow func(e *node, depth int) *node
+	grow = func(e *node, depth int) *node {
 		switch e.Kind {
 		case rtl.InsnField:
-			return rtl.NewConst(rng.Int63n(4), e.Width)
+			return cnst(rng.Int63n(4), e.Width)
 		case rtl.Read:
-			if a := e.Addr(); a != nil {
-				return rtl.NewRead(e.Storage, e.Width, grow(a, 0))
+			if len(e.kids) == 1 {
+				return &node{e.Expr, []*node{grow(e.kids[0], 0)}}
 			}
 			if cands := byWidth[e.Width]; depth > 0 && len(cands) > 0 && rng.Intn(2) == 0 {
 				return grow(cands[rng.Intn(len(cands))], depth-1)
 			}
 			return e
 		case rtl.Slice:
-			return &rtl.Expr{Kind: rtl.Slice, Hi: e.Hi, Lo: e.Lo, Width: e.Width, Kids: []*rtl.Expr{grow(e.Kids[0], depth)}}
+			return &node{e.Expr, []*node{grow(e.kids[0], depth)}}
 		case rtl.OpApp:
-			kids := make([]*rtl.Expr, len(e.Kids))
-			for i, k := range e.Kids {
+			kids := make([]*node, len(e.kids))
+			for i, k := range e.kids {
 				kids[i] = grow(k, depth)
 			}
-			if e.SwapSite() && rng.Intn(3) == 0 {
+			if e.swapSite() && rng.Intn(3) == 0 {
 				kids[0], kids[1] = kids[1], kids[0]
 			}
-			return rtl.NewOp(e.Op, e.Width, kids...)
+			return op(e.Op, e.Width, kids...)
 		}
 		return e
 	}
-	out := make([]*rtl.Expr, n)
+	out := make([]*node, n)
 	for i := range out {
 		out[i] = grow(srcs[rng.Intn(len(srcs))], 2)
 	}
@@ -233,7 +235,7 @@ func sameLabels(t *testing.T, name string, gg, wg *grammar.Grammar, s *rtl.Store
 		gr, wr := got.Rule(h, nt), want.Rule(h, nt)
 		if got.Cost(h, nt) != want.Cost(h, nt) || gr != wr || ruleRT(gg, gr) != ruleRT(wg, wr) {
 			t.Fatalf("%s: at %s from nonterminal %d: cost %d by rule %d (%s); reference: cost %d by rule %d (%s)",
-				name, s.Expr(h), nt, got.Cost(h, nt), gr, ruleRT(gg, gr), want.Cost(h, nt), wr, ruleRT(wg, wr))
+				name, s.String(h), nt, got.Cost(h, nt), gr, ruleRT(gg, gr), want.Cost(h, nt), wr, ruleRT(wg, wr))
 		}
 		if gr >= 0 && gg.Rules[gr].Swap != 0 {
 			swaps++
@@ -288,7 +290,7 @@ func TestExtendMemoMatchesFresh(t *testing.T) {
 			var s rtl.Store
 			gl, wl := burs.NewParser(gg).NewLabels(&s), burs.NewParser(wg).NewLabels(&s)
 			for _, e := range subjectTrees(want, rand.New(rand.NewSource(int64(len(name)))), 150) {
-				h := s.Intern(e)
+				h := e.build(&s)
 				gl.Label(h)
 				wl.Label(h)
 				swapWins += sameLabels(t, name, gg, wg, &s, gl, wl, h)
@@ -309,11 +311,11 @@ func TestExtendMemoMatchesFresh(t *testing.T) {
 // dynamic guards mix all of these.
 func TestExtendCollisions(t *testing.T) {
 	a, b, c := read("a.r"), read("b.r"), read("c.r")
-	add := func(x, y *rtl.Expr) *rtl.Expr { return rtl.NewOp(rtl.OpAdd, 16, x, y) }
-	mul := func(x, y *rtl.Expr) *rtl.Expr { return rtl.NewOp(rtl.OpMul, 16, x, y) }
+	add := func(x, y *node) *node { return op(rtl.OpAdd, 16, x, y) }
+	mul := func(x, y *node) *node { return op(rtl.OpMul, 16, x, y) }
 	type tpl struct {
 		dest    string
-		src     *rtl.Expr
+		src     *node
 		cond    int  // BDD variable of the condition, -1 for true
 		guarded bool // carries a dynamic guard
 	}
@@ -328,9 +330,9 @@ func TestExtendCollisions(t *testing.T) {
 					cond.Static = m.Var(tp.cond)
 				}
 				if tp.guarded {
-					cond.Dynamic = []*rtl.Expr{read("f.r")}
+					cond.Dynamic = []rtl.ExprID{read("f.r").build(base.Exprs())}
 				}
-				base.Add(&rtl.Template{Dest: tp.dest, Src: tp.src, Width: 16, Cond: cond})
+				base.Add(&rtl.Template{Dest: tp.dest, DestAddr: rtl.NoExpr, Src: tp.src.build(base.Exprs()), Width: 16, Cond: cond})
 			}
 			return base
 		}
@@ -350,8 +352,8 @@ func TestExtendCollisions(t *testing.T) {
 		{"template equals a swap", []tpl{{"acc.r", add(a, b), 0, false}, {"acc.r", add(b, a), 1, false}}, false},
 		{"swap of a nested swap", []tpl{{"acc.r", add(add(a, b), c), 0, false}, {"acc.r", add(add(b, a), c), 1, false}}, false},
 		{"swap equals a rule variant", []tpl{
-			{"acc.r", rtl.NewOp(rtl.OpShl, 16, a, rtl.NewConst(1, 4)), 0, false},
-			{"acc.r", mul(rtl.NewConst(2, 16), a), 1, false}}, false},
+			{"acc.r", op(rtl.OpShl, 16, a, cnst(1, 4)), 0, false},
+			{"acc.r", mul(cnst(2, 16), a), 1, false}}, false},
 		{"distinct destinations", []tpl{{"acc.r", add(a, b), 0, false}, {"x.r", add(b, a), 1, false}}, true},
 	}
 	for _, tc := range cases {
@@ -363,29 +365,29 @@ func TestExtendCollisions(t *testing.T) {
 	// Random bases draw each template as a randomly commuted copy of one
 	// of a few seed trees, so that classes meet often.
 	rng := rand.New(rand.NewSource(32))
-	leaves := []*rtl.Expr{a, b, c, rtl.NewConst(2, 16), rtl.NewOp(rtl.OpShl, 16, a, rtl.NewConst(1, 4))}
+	leaves := []*node{a, b, c, cnst(2, 16), op(rtl.OpShl, 16, a, cnst(1, 4))}
 	ops := []rtl.Op{rtl.OpAdd, rtl.OpMul, rtl.OpAnd, rtl.OpSub}
-	var tree func(depth int) *rtl.Expr
-	tree = func(depth int) *rtl.Expr {
+	var tree func(depth int) *node
+	tree = func(depth int) *node {
 		if depth == 0 || rng.Intn(3) == 0 {
 			return leaves[rng.Intn(len(leaves))]
 		}
-		return rtl.NewOp(ops[rng.Intn(len(ops))], 16, tree(depth-1), tree(depth-1))
+		return op(ops[rng.Intn(len(ops))], 16, tree(depth-1), tree(depth-1))
 	}
-	var commuted func(e *rtl.Expr) *rtl.Expr
-	commuted = func(e *rtl.Expr) *rtl.Expr {
-		if e.Kind != rtl.OpApp || len(e.Kids) != 2 {
+	var commuted func(e *node) *node
+	commuted = func(e *node) *node {
+		if e.Kind != rtl.OpApp || len(e.kids) != 2 {
 			return e
 		}
-		l, r := commuted(e.Kids[0]), commuted(e.Kids[1])
-		if e.SwapSite() && rng.Intn(2) == 0 {
+		l, r := commuted(e.kids[0]), commuted(e.kids[1])
+		if e.swapSite() && rng.Intn(2) == 0 {
 			l, r = r, l
 		}
-		return rtl.NewOp(e.Op, e.Width, l, r)
+		return op(e.Op, e.Width, l, r)
 	}
 	kept, merged := 0, 0
 	for i := 0; i < 300; i++ {
-		seeds := []*rtl.Expr{tree(3), tree(3), tree(2)}
+		seeds := []*node{tree(3), tree(3), tree(2)}
 		tpls := make([]tpl, 2+rng.Intn(6))
 		for j := range tpls {
 			tpls[j] = tpl{[]string{"acc.r", "x.r"}[rng.Intn(2)], commuted(seeds[rng.Intn(len(seeds))]),
@@ -394,7 +396,7 @@ func TestExtendCollisions(t *testing.T) {
 		got := check(fmt.Sprintf("random %d", i), tpls)
 		kept += len(got.Swaps)
 		for _, tp := range got.Templates {
-			if tp.Synthetic && tp.Src.SwapSites() > 0 {
+			if tp.Synthetic && got.Exprs().SwapSites(tp.Src) > 0 {
 				merged++ // a built swap, or a rule variant with sites
 			}
 		}

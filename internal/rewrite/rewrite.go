@@ -79,120 +79,115 @@ func (p *Pattern) String() string {
 	return "?"
 }
 
-// Bindings holds the result of a successful match.
+// Bindings holds the result of a successful match: the handle each
+// subtree variable binds and the value each constant variable binds.
 type Bindings struct {
-	Sub   map[string]*rtl.Expr // PVar bindings
-	Const map[string]int64     // PAnyConst bindings
+	Sub   []Bound[rtl.ExprID] // PVar bindings
+	Const Consts              // PAnyConst bindings
 }
 
-// Match attempts to match p against e, returning bindings on success.
-// Extension probes every rule at every template node, and most probes fail
-// on the pattern's shape, so every node's kind, operator, arity and
-// constant is checked before any bindings are allocated.
-func (p *Pattern) Match(e *rtl.Expr) (*Bindings, bool) {
-	if !p.shapeMatches(e) {
-		return nil, false
-	}
-	b := &Bindings{Sub: make(map[string]*rtl.Expr), Const: make(map[string]int64)}
-	if p.match(e, b) {
-		return b, true
-	}
-	return nil, false
+// Bound binds a pattern variable's name to a value.
+type Bound[T any] struct {
+	Name string
+	Val  T
 }
 
-// shapeMatches reports whether every node of p can match the node of e at
-// its position; it is the binding-free part of match.
-func (p *Pattern) shapeMatches(e *rtl.Expr) bool {
-	if !p.rootMatches(e) {
-		return false
-	}
-	// Only an operator pattern has kids, and rootMatches checked that e
-	// has as many.
-	for i, k := range p.Kids {
-		if !k.shapeMatches(e.Kids[i]) {
-			return false
+// Consts are constant bindings.
+type Consts []Bound[int64]
+
+// Get returns the value bound to name.
+func (c Consts) Get(name string) (int64, bool) { return lookup(c, name) }
+
+// lookup returns the value bound to name in bs.
+func lookup[T any](bs []Bound[T], name string) (T, bool) {
+	for _, b := range bs {
+		if b.Name == name {
+			return b.Val, true
 		}
 	}
-	return true
+	var none T
+	return none, false
 }
 
-// rootMatches reports whether p's root node can match e; it is the
-// binding-free part of match at the root.
-func (p *Pattern) rootMatches(e *rtl.Expr) bool {
+// Match reports whether p matches the tree of handle h in store s,
+// filling b, which it empties first, with the bindings.  A variable
+// repeated in p matches only one handle: one subtree.
+func (p *Pattern) Match(s *rtl.Store, h rtl.ExprID, b *Bindings) bool {
+	b.Sub, b.Const = b.Sub[:0], b.Const[:0]
+	return p.match(s, h, b)
+}
+
+func (p *Pattern) match(s *rtl.Store, h rtl.ExprID, b *Bindings) bool {
+	e := s.Expr(h)
 	switch p.Kind {
 	case PVar:
-		return true
+		if prev, ok := lookup(b.Sub, p.Name); ok {
+			return prev == h
+		}
+		b.Sub = append(b.Sub, Bound[rtl.ExprID]{p.Name, h})
 	case PConst:
 		return e.Kind == rtl.Const && e.Val == p.Val
 	case PAnyConst:
-		return e.Kind == rtl.Const
-	case POp:
-		return e.Kind == rtl.OpApp && e.Op == p.Op && len(e.Kids) == len(p.Kids)
-	}
-	return false
-}
-
-func (p *Pattern) match(e *rtl.Expr, b *Bindings) bool {
-	if !p.rootMatches(e) {
-		return false
-	}
-	switch p.Kind {
-	case PVar:
-		if prev, ok := b.Sub[p.Name]; ok {
-			return prev.Equal(e)
+		if e.Kind != rtl.Const {
+			return false
 		}
-		b.Sub[p.Name] = e
-	case PAnyConst:
-		if prev, ok := b.Const[p.Name]; ok {
+		if prev, ok := b.Const.Get(p.Name); ok {
 			return prev == e.Val
 		}
-		b.Const[p.Name] = e.Val
+		b.Const = append(b.Const, Bound[int64]{p.Name, e.Val})
 	case POp:
+		kids := s.Kids(h)
+		if e.Kind != rtl.OpApp || e.Op != p.Op || len(kids) != len(p.Kids) {
+			return false
+		}
 		for i, k := range p.Kids {
-			if !k.match(e.Kids[i], b) {
+			if !k.match(s, kids[i], b) {
 				return false
 			}
 		}
+	default:
+		return false
 	}
 	return true
 }
 
-// Instantiate builds an expression from p under bindings, with the given
-// result width.  Constants bound by name are looked up in b.Const.
-func (p *Pattern) Instantiate(b *Bindings, width int) (*rtl.Expr, error) {
+// Instantiate builds the tree of p under bindings b in store s, with the
+// given result width, and returns its handle.
+func (p *Pattern) Instantiate(s *rtl.Store, b *Bindings, width int) (rtl.ExprID, error) {
 	switch p.Kind {
 	case PVar:
-		e, ok := b.Sub[p.Name]
+		h, ok := lookup(b.Sub, p.Name)
 		if !ok {
-			return nil, fmt.Errorf("rewrite: unbound variable $%s", p.Name)
+			return rtl.NoExpr, fmt.Errorf("rewrite: unbound variable $%s", p.Name)
 		}
-		return e, nil
+		return h, nil
 	case PConst:
-		return rtl.NewConst(p.Val, width), nil
+		return s.Const(p.Val, width), nil
 	case PAnyConst:
-		v, ok := b.Const[p.Name]
+		v, ok := b.Const.Get(p.Name)
 		if !ok {
-			return nil, fmt.Errorf("rewrite: unbound constant #%s", p.Name)
+			return rtl.NoExpr, fmt.Errorf("rewrite: unbound constant #%s", p.Name)
 		}
-		return rtl.NewConst(v, width), nil
+		return s.Const(v, width), nil
 	case POp:
-		kids := make([]*rtl.Expr, len(p.Kids))
+		var buf [2]rtl.ExprID
+		kids := buf[:0]
 		for i, k := range p.Kids {
 			kw := width
 			if isComparison(p.Op) && width == 1 {
 				// Comparison operands keep their own widths via bindings;
 				// fresh constants inherit the sibling width below.
-				kw = siblingWidth(p.Kids, i, b, width)
+				kw = siblingWidth(s, p.Kids, i, b, width)
 			}
-			kid, err := k.Instantiate(b, kw)
+			kid, err := k.Instantiate(s, b, kw)
 			if err != nil {
-				return nil, err
+				return rtl.NoExpr, err
 			}
-			kids[i] = kid
+			kids = append(kids, kid)
 		}
-		return rtl.NewOp(p.Op, width, kids...), nil
+		return s.Op(p.Op, width, kids...), nil
 	}
-	return nil, fmt.Errorf("rewrite: bad pattern kind")
+	return rtl.NoExpr, fmt.Errorf("rewrite: bad pattern kind")
 }
 
 func isComparison(op rtl.Op) bool {
@@ -203,14 +198,14 @@ func isComparison(op rtl.Op) bool {
 	return false
 }
 
-func siblingWidth(kids []*Pattern, i int, b *Bindings, fallback int) int {
+func siblingWidth(s *rtl.Store, kids []*Pattern, i int, b *Bindings, fallback int) int {
 	for j, k := range kids {
 		if j == i {
 			continue
 		}
 		if k.Kind == PVar {
-			if e, ok := b.Sub[k.Name]; ok {
-				return e.Width
+			if h, ok := lookup(b.Sub, k.Name); ok {
+				return s.Expr(h).Width
 			}
 		}
 	}
@@ -228,7 +223,7 @@ type Rule struct {
 	// MapConsts optionally derives program-side constant bindings from the
 	// hardware-side ones (e.g. c = 2^k for shift-to-multiply).  It returns
 	// false when the match should be rejected.
-	MapConsts func(hw map[string]int64) (map[string]int64, bool)
+	MapConsts func(hw Consts) (Consts, bool)
 }
 
 // StandardLibrary returns the default transformation library: algebraic
@@ -240,12 +235,12 @@ func StandardLibrary() []Rule {
 			Name: "mul2shift",
 			Prog: Op(rtl.OpMul, V("a"), AC("c")),
 			HW:   Op(rtl.OpShl, V("a"), AC("k")),
-			MapConsts: func(hw map[string]int64) (map[string]int64, bool) {
-				k := hw["k"]
+			MapConsts: func(hw Consts) (Consts, bool) {
+				k, _ := hw.Get("k")
 				if k < 0 || k > 30 {
 					return nil, false
 				}
-				return map[string]int64{"c": 1 << uint(k)}, true
+				return Consts{{"c", 1 << uint(k)}}, true
 			},
 		},
 		{
@@ -314,9 +309,9 @@ func Extend(base *rtl.Base, opts Options) int {
 	store := base.Exprs()
 	memo := make([]sourceVariants, store.Len())
 	variantsOf := func(t *rtl.Template) *sourceVariants {
-		v := &memo[t.SrcID()]
+		v := &memo[t.Src]
 		if !v.ready {
-			v.derive(store, t, opts)
+			v.derive(store, t.Src, opts)
 		}
 		return v
 	}
@@ -339,24 +334,24 @@ func Extend(base *rtl.Base, opts Options) int {
 			}
 		}
 	}
-	masks := commuter[uint64]{limit: opts.MaxVariantsPerTemplate,
-		leaf: func(*rtl.Expr) uint64 { return 0 },
+	masks := commuter[uint64]{s: store, limit: opts.MaxVariantsPerTemplate,
+		leaf: func(rtl.ExprID) uint64 { return 0 },
 		join: func(_ *rtl.Expr, site int, l, r uint64, swapped bool) uint64 {
 			if swapped {
 				return l | r | 1<<uint(site)
 			}
 			return l | r
 		}}
-	trees := commuter[*rtl.Expr]{limit: opts.MaxVariantsPerTemplate,
-		leaf: func(e *rtl.Expr) *rtl.Expr { return e },
-		join: func(n *rtl.Expr, _ int, l, r *rtl.Expr, swapped bool) *rtl.Expr {
+	trees := commuter[rtl.ExprID]{s: store, limit: opts.MaxVariantsPerTemplate,
+		leaf: func(h rtl.ExprID) rtl.ExprID { return h },
+		join: func(n *rtl.Expr, _ int, l, r rtl.ExprID, swapped bool) rtl.ExprID {
 			switch {
-			case len(n.Kids) == 1:
-				return rtl.NewOp(n.Op, n.Width, l)
+			case n.Op.Arity() == 1:
+				return store.Op(n.Op, n.Width, l)
 			case swapped:
-				return rtl.NewOp(n.Op, n.Width, r, l)
+				return store.Op(n.Op, n.Width, r, l)
 			}
-			return rtl.NewOp(n.Op, n.Width, l, r)
+			return store.Op(n.Op, n.Width, l, r)
 		}}
 	for i, t := range snapshot {
 		v := variantsOf(t)
@@ -367,8 +362,8 @@ func Extend(base *rtl.Base, opts Options) int {
 					base.AddSwap(t, m)
 				}
 			} else {
-				for _, tree := range trees.forms(t.Src) {
-					if id := store.Intern(tree); id != t.SrcID() {
+				for _, id := range trees.forms(t.Src) {
+					if id != t.Src {
 						base.AddVariant(t, id)
 					}
 				}
@@ -391,78 +386,81 @@ type sourceVariants struct {
 	sites    int
 	class    uint32
 	distinct bool
-	// rules are the interned rule variants, in generation order and with
-	// repeats, minus the source itself; ruleClasses are the classes of
-	// those with swap sites.
+	// rules are the rule variants, in generation order and with repeats,
+	// minus the source itself; ruleClasses are the classes of those with
+	// swap sites.
 	rules       []rtl.ExprID
 	ruleClasses []uint32
 }
 
-// derive fills v from t's source.
-func (v *sourceVariants) derive(store *rtl.Store, t *rtl.Template, opts Options) {
+// derive fills v from source src of store s.
+func (v *sourceVariants) derive(s *rtl.Store, src rtl.ExprID, opts Options) {
 	v.ready = true
 	if opts.Commutativity {
-		if v.sites = t.Src.SwapSites(); v.sites > 0 {
-			v.class, v.distinct = t.Src.ClassHash()
+		if v.sites = s.SwapSites(src); v.sites > 0 {
+			v.class, v.distinct = s.ClassHash(src)
 			v.distinct = v.distinct && v.sites <= 64
 		}
 	}
-	for _, tree := range ruleVariants(t.Src, opts.Rules, opts.MaxVariantsPerTemplate) {
-		if id := store.Intern(tree); id != t.SrcID() {
-			v.rules = append(v.rules, id)
-			if opts.Commutativity && tree.SwapSites() > 0 {
-				c, _ := tree.ClassHash()
-				v.ruleClasses = append(v.ruleClasses, c)
-			}
+	ruleVariants(s, src, opts.Rules, opts.MaxVariantsPerTemplate, func(id rtl.ExprID) {
+		if id == src {
+			return
 		}
-	}
+		v.rules = append(v.rules, id)
+		if opts.Commutativity && s.SwapSites(id) > 0 {
+			c, _ := s.ClassHash(id)
+			v.ruleClasses = append(v.ruleClasses, c)
+		}
+	})
 }
 
 // commuter enumerates commuted forms, of some representation F, into a
 // buffer it reuses: a swap mask per form, or the swapped tree.
 type commuter[F any] struct {
+	s     *rtl.Store
 	limit int
 	// leaf makes the form of a subtree swaps do not enter.  join makes an
 	// operator's form from its operands' forms (l alone for a unary
 	// operator); site numbers the operator among the swap sites when it
 	// is one, and swapped asks for its operands exchanged.
-	leaf func(*rtl.Expr) F
+	leaf func(rtl.ExprID) F
 	join func(n *rtl.Expr, site int, l, r F, swapped bool) F
 	buf  []F
 }
 
-// forms returns e's commuted forms in generation order, e itself first:
-// every combination of operand swaps at the swap sites reachable from the
-// root through operators, at most limit of them.  The result is valid
-// until the next call.
-func (c *commuter[F]) forms(e *rtl.Expr) []F {
+// forms returns the commuted forms of tree h in generation order, h
+// itself first: every combination of operand swaps at the swap sites
+// reachable from the root through operators, at most limit of them.  The
+// result is valid until the next call.
+func (c *commuter[F]) forms(h rtl.ExprID) []F {
 	c.buf = c.buf[:0]
-	forms, _ := c.rec(e, 0)
+	forms, _ := c.rec(h, 0)
 	return forms
 }
 
-// rec appends the forms of n, whose first swap site is site, to the
-// buffer and returns them with the site after n's last.
-func (c *commuter[F]) rec(n *rtl.Expr, site int) ([]F, int) {
+// rec appends the forms of h, whose first swap site is site, to the
+// buffer and returns them with the site after h's last.
+func (c *commuter[F]) rec(h rtl.ExprID, site int) ([]F, int) {
+	n, kids := c.s.Expr(h), c.s.Kids(h)
 	if n.Kind != rtl.OpApp {
-		c.buf = append(c.buf, c.leaf(n))
-		return c.buf[len(c.buf)-1:], site + n.SwapSites()
+		c.buf = append(c.buf, c.leaf(h))
+		return c.buf[len(c.buf)-1:], site + c.s.SwapSites(h)
 	}
-	if len(n.Kids) == 1 {
-		kids, next := c.rec(n.Kids[0], site)
+	if len(kids) == 1 {
+		forms, next := c.rec(kids[0], site)
 		start := len(c.buf)
 		var none F
-		for _, k := range kids {
+		for _, k := range forms {
 			c.buf = append(c.buf, c.join(n, site, k, none, false))
 		}
 		return c.buf[start:], next
 	}
 	self := site
-	if n.SwapSite() {
+	if c.s.SwapSite(h) {
 		site++
 	}
-	ls, mid := c.rec(n.Kids[0], site)
-	rs, next := c.rec(n.Kids[1], mid)
+	ls, mid := c.rec(kids[0], site)
+	rs, next := c.rec(kids[1], mid)
 	start := len(c.buf)
 	for _, l := range ls {
 		for _, r := range rs {
@@ -490,59 +488,43 @@ type group struct {
 
 // groupOf returns the group of t's transfer with a source of class class.
 func groupOf(t *rtl.Template, class uint32) group {
-	return group{t.Dest, t.DestPort, t.AddrID(), class}
+	return group{t.Dest, t.DestPort, t.DestAddr, class}
 }
 
-// ruleVariants applies each rule, in order, at every node of e (one
-// application per variant, at most limit per rule).
-func ruleVariants(e *rtl.Expr, rules []Rule, limit int) []*rtl.Expr {
-	var out []*rtl.Expr
-	// replaceAt returns n with the node at path replaced by repl.  It reads
-	// path only while it runs and keeps none of it, so walk can share one
-	// path stack across the whole traversal.
-	var replaceAt func(n *rtl.Expr, path []int, repl *rtl.Expr) *rtl.Expr
-	replaceAt = func(n *rtl.Expr, path []int, repl *rtl.Expr) *rtl.Expr {
-		if len(path) == 0 {
-			return repl
-		}
-		c := *n
-		c.Kids = append([]*rtl.Expr(nil), n.Kids...)
-		c.Kids[path[0]] = replaceAt(n.Kids[path[0]], path[1:], repl)
-		return &c
-	}
-	path := make([]int, 0, e.Depth())
+// ruleVariants applies each rule, in order, at every node of tree root of
+// store s, and passes each variant's handle to emit (one application per
+// variant, at most limit per rule).
+func ruleVariants(s *rtl.Store, root rtl.ExprID, rules []Rule, limit int, emit func(rtl.ExprID)) {
+	var b Bindings
 	var r *Rule
-	start := 0 // out[start:] are r's variants
-	var walk func(n *rtl.Expr)
-	walk = func(n *rtl.Expr) {
-		if len(out)-start >= limit {
+	var pos, n int // the pre-order position of the node walk visits; r's variants
+	var walk func(h rtl.ExprID)
+	walk = func(h rtl.ExprID) {
+		if n >= limit {
 			return
 		}
-		if b, ok := r.HW.Match(n); ok {
-			accept := true
-			if r.MapConsts != nil {
-				mapped, okm := r.MapConsts(b.Const)
-				if !okm {
-					accept = false
-				} else {
-					b.Const = mapped
-				}
-			}
-			if accept {
-				if repl, err := r.Prog.Instantiate(b, n.Width); err == nil {
-					out = append(out, replaceAt(e, path, repl))
-				}
+		at := pos
+		pos++
+		if r.HW.Match(s, h, &b) && (r.MapConsts == nil || b.mapConsts(r)) {
+			if repl, err := r.Prog.Instantiate(s, &b, s.Expr(h).Width); err == nil {
+				emit(s.ReplaceAt(root, at, repl))
+				n++
 			}
 		}
-		for i, k := range n.Kids {
-			path = append(path, i)
+		for _, k := range s.Kids(h) {
 			walk(k)
-			path = path[:len(path)-1]
 		}
 	}
 	for i := range rules {
-		r, start = &rules[i], len(out)
-		walk(e)
+		r, pos, n = &rules[i], 0, 0
+		walk(root)
 	}
-	return out
+}
+
+// mapConsts replaces b's constant bindings by those r.MapConsts derives
+// from them and reports whether r accepts the match.
+func (b *Bindings) mapConsts(r *Rule) bool {
+	mapped, ok := r.MapConsts(b.Const)
+	b.Const = mapped
+	return ok
 }

@@ -8,75 +8,81 @@ import (
 	"repro/internal/rtl"
 )
 
-func read(name string) *rtl.Expr { return rtl.NewRead(name, 16, nil) }
-
 func TestPatternMatchBasics(t *testing.T) {
 	// (a + b) matches Op(+, $x, $y)
-	e := rtl.NewOp(rtl.OpAdd, 16, read("a.r"), read("b.r"))
+	var s rtl.Store
+	e := op(rtl.OpAdd, 16, read("a.r"), read("b.r")).build(&s)
 	p := Op(rtl.OpAdd, V("x"), V("y"))
-	b, ok := p.Match(e)
-	if !ok {
+	var b Bindings
+	if !p.Match(&s, e, &b) {
 		t.Fatal("match failed")
 	}
-	if b.Sub["x"].Storage != "a.r" || b.Sub["y"].Storage != "b.r" {
+	x, _ := lookup(b.Sub, "x")
+	y, _ := lookup(b.Sub, "y")
+	if s.Expr(x).Storage != "a.r" || s.Expr(y).Storage != "b.r" {
 		t.Errorf("bindings = %v", b.Sub)
 	}
 	// Wrong operator.
-	if _, ok := Op(rtl.OpSub, V("x"), V("y")).Match(e); ok {
+	if Op(rtl.OpSub, V("x"), V("y")).Match(&s, e, &b) {
 		t.Error("sub pattern matched add")
 	}
 }
 
 func TestPatternNonlinear(t *testing.T) {
 	// $x + $x only matches equal operands.
+	var s rtl.Store
+	var b Bindings
 	p := Op(rtl.OpAdd, V("x"), V("x"))
-	same := rtl.NewOp(rtl.OpAdd, 16, read("a.r"), read("a.r"))
-	diff := rtl.NewOp(rtl.OpAdd, 16, read("a.r"), read("b.r"))
-	if _, ok := p.Match(same); !ok {
+	same := op(rtl.OpAdd, 16, read("a.r"), read("a.r")).build(&s)
+	diff := op(rtl.OpAdd, 16, read("a.r"), read("b.r")).build(&s)
+	if !p.Match(&s, same, &b) {
 		t.Error("nonlinear match failed on equal operands")
 	}
-	if _, ok := p.Match(diff); ok {
+	if p.Match(&s, diff, &b) {
 		t.Error("nonlinear match succeeded on different operands")
 	}
 }
 
 func TestPatternConsts(t *testing.T) {
-	e := rtl.NewOp(rtl.OpShl, 16, read("a.r"), rtl.NewConst(3, 4))
-	if _, ok := Op(rtl.OpShl, V("a"), C(3)).Match(e); !ok {
+	var s rtl.Store
+	var b Bindings
+	e := op(rtl.OpShl, 16, read("a.r"), cnst(3, 4)).build(&s)
+	if !Op(rtl.OpShl, V("a"), C(3)).Match(&s, e, &b) {
 		t.Error("PConst match failed")
 	}
-	if _, ok := Op(rtl.OpShl, V("a"), C(2)).Match(e); ok {
+	if Op(rtl.OpShl, V("a"), C(2)).Match(&s, e, &b) {
 		t.Error("PConst matched wrong value")
 	}
-	b, ok := Op(rtl.OpShl, V("a"), AC("k")).Match(e)
-	if !ok || b.Const["k"] != 3 {
+	ok := Op(rtl.OpShl, V("a"), AC("k")).Match(&s, e, &b)
+	if k, _ := b.Const.Get("k"); !ok || k != 3 {
 		t.Errorf("PAnyConst binding = %v", b)
 	}
 	// AnyConst refuses non-constants.
-	e2 := rtl.NewOp(rtl.OpShl, 16, read("a.r"), read("b.r"))
-	if _, ok := Op(rtl.OpShl, V("a"), AC("k")).Match(e2); ok {
+	e2 := op(rtl.OpShl, 16, read("a.r"), read("b.r")).build(&s)
+	if Op(rtl.OpShl, V("a"), AC("k")).Match(&s, e2, &b) {
 		t.Error("PAnyConst matched a register read")
 	}
 }
 
 func TestInstantiate(t *testing.T) {
+	var s rtl.Store
 	b := &Bindings{
-		Sub:   map[string]*rtl.Expr{"a": read("x.r")},
-		Const: map[string]int64{"c": 8},
+		Sub:   []Bound[rtl.ExprID]{{"a", read("x.r").build(&s)}},
+		Const: Consts{{"c", 8}},
 	}
 	p := Op(rtl.OpMul, V("a"), AC("c"))
-	e, err := p.Instantiate(b, 16)
+	e, err := p.Instantiate(&s, b, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.String() != "(x.r * 8)" {
-		t.Errorf("instantiated = %s", e)
+	if s.String(e) != "(x.r * 8)" {
+		t.Errorf("instantiated = %s", s.String(e))
 	}
-	if e.Width != 16 || e.Kids[1].Width != 16 {
-		t.Errorf("widths = %d/%d", e.Width, e.Kids[1].Width)
+	if c := s.Kids(e)[1]; s.Expr(e).Width != 16 || s.Expr(c).Width != 16 {
+		t.Errorf("widths = %d/%d", s.Expr(e).Width, s.Expr(c).Width)
 	}
 	// Unbound variable errors.
-	if _, err := Op(rtl.OpAdd, V("zz"), V("a")).Instantiate(b, 16); err == nil {
+	if _, err := Op(rtl.OpAdd, V("zz"), V("a")).Instantiate(&s, b, 16); err == nil {
 		t.Error("unbound variable must error")
 	}
 }
@@ -86,9 +92,9 @@ func newBase() (*rtl.Base, *bdd.Manager) {
 	return rtl.NewBase(m), m
 }
 
-func addTemplate(b *rtl.Base, m *bdd.Manager, dest string, src *rtl.Expr) *rtl.Template {
+func addTemplate(b *rtl.Base, m *bdd.Manager, dest string, src *node) *rtl.Template {
 	return b.Add(&rtl.Template{
-		Dest: dest, Src: src, Width: src.Width,
+		Dest: dest, DestAddr: rtl.NoExpr, Src: src.build(b.Exprs()), Width: src.Width,
 		Cond: rtl.ExecCond{Static: m.True()},
 	})
 }
@@ -96,7 +102,7 @@ func addTemplate(b *rtl.Base, m *bdd.Manager, dest string, src *rtl.Expr) *rtl.T
 func TestCommutativityExtension(t *testing.T) {
 	b, m := newBase()
 	// acc := mem + acc  (a MAC-ish shape)
-	addTemplate(b, m, "acc.r", rtl.NewOp(rtl.OpAdd, 16, read("mem.m"), read("acc.r")))
+	addTemplate(b, m, "acc.r", op(rtl.OpAdd, 16, read("mem.m"), read("acc.r")))
 	n := Extend(b, Options{Commutativity: true})
 	if n != 1 {
 		t.Fatalf("added %d entries, want 1:\n%s", n, b)
@@ -113,8 +119,8 @@ func TestCommutativityExtension(t *testing.T) {
 func TestCommutativityNested(t *testing.T) {
 	b, m := newBase()
 	// acc := (x * y) + acc: 2 commutative nodes -> 3 new variants.
-	mac := rtl.NewOp(rtl.OpAdd, 16,
-		rtl.NewOp(rtl.OpMul, 16, read("x.r"), read("y.r")), read("acc.r"))
+	mac := op(rtl.OpAdd, 16,
+		op(rtl.OpMul, 16, read("x.r"), read("y.r")), read("acc.r"))
 	addTemplate(b, m, "acc.r", mac)
 	n := Extend(b, Options{Commutativity: true})
 	if n != 3 || len(b.Swaps) != 3 {
@@ -134,7 +140,7 @@ func TestCommutativityNested(t *testing.T) {
 
 func TestNonCommutativeUntouched(t *testing.T) {
 	b, m := newBase()
-	addTemplate(b, m, "acc.r", rtl.NewOp(rtl.OpSub, 16, read("a.r"), read("b.r")))
+	addTemplate(b, m, "acc.r", op(rtl.OpSub, 16, read("a.r"), read("b.r")))
 	if n := Extend(b, Options{Commutativity: true}); n != 0 {
 		t.Fatalf("subtraction gained %d commuted variants", n)
 	}
@@ -143,7 +149,7 @@ func TestNonCommutativeUntouched(t *testing.T) {
 func TestMul2ShiftRule(t *testing.T) {
 	b, m := newBase()
 	addTemplate(b, m, "acc.r",
-		rtl.NewOp(rtl.OpShl, 16, read("acc.r"), rtl.NewConst(3, 4)))
+		op(rtl.OpShl, 16, read("acc.r"), cnst(3, 4)))
 	n := Extend(b, Options{Rules: StandardLibrary()})
 	if n == 0 {
 		t.Fatalf("no templates added:\n%s", b)
@@ -162,11 +168,11 @@ func TestMul2ShiftRule(t *testing.T) {
 func TestNegIsZeroSubRule(t *testing.T) {
 	b, m := newBase()
 	addTemplate(b, m, "acc.r",
-		rtl.NewOp(rtl.OpSub, 16, rtl.NewConst(0, 16), read("b.r")))
+		op(rtl.OpSub, 16, cnst(0, 16), read("b.r")))
 	Extend(b, Options{Rules: StandardLibrary()})
 	found := false
 	for _, tpl := range b.Templates {
-		if tpl.Src.Kind == rtl.OpApp && tpl.Src.Op == rtl.OpNeg {
+		if e := b.Exprs().Expr(tpl.Src); e.Kind == rtl.OpApp && e.Op == rtl.OpNeg {
 			found = true
 		}
 	}
@@ -178,11 +184,11 @@ func TestNegIsZeroSubRule(t *testing.T) {
 func TestPassthroughRule(t *testing.T) {
 	b, m := newBase()
 	addTemplate(b, m, "acc.r",
-		rtl.NewOp(rtl.OpPass, 16, read("b.r")))
+		op(rtl.OpPass, 16, read("b.r")))
 	Extend(b, Options{Rules: StandardLibrary()})
 	found := false
 	for _, tpl := range b.Templates {
-		if tpl.Src.Kind == rtl.Read && tpl.Src.Storage == "b.r" {
+		if e := b.Exprs().Expr(tpl.Src); e.Kind == rtl.Read && e.Storage == "b.r" {
 			found = true
 		}
 	}
@@ -193,8 +199,8 @@ func TestPassthroughRule(t *testing.T) {
 
 func TestExtendDedupsAgainstExisting(t *testing.T) {
 	b, m := newBase()
-	addTemplate(b, m, "acc.r", rtl.NewOp(rtl.OpAdd, 16, read("a.r"), read("b.r")))
-	addTemplate(b, m, "acc.r", rtl.NewOp(rtl.OpAdd, 16, read("b.r"), read("a.r")))
+	addTemplate(b, m, "acc.r", op(rtl.OpAdd, 16, read("a.r"), read("b.r")))
+	addTemplate(b, m, "acc.r", op(rtl.OpAdd, 16, read("b.r"), read("a.r")))
 	// Both orders already exist: commutativity adds nothing.
 	if n := Extend(b, Options{Commutativity: true}); n != 0 {
 		t.Fatalf("added %d, want 0", n)
@@ -205,8 +211,8 @@ func TestExtendPreservesConditions(t *testing.T) {
 	b, m := newBase()
 	x := m.Var(0)
 	b.Add(&rtl.Template{
-		Dest: "acc.r", Width: 16,
-		Src:  rtl.NewOp(rtl.OpAdd, 16, read("a.r"), read("b.r")),
+		Dest: "acc.r", DestAddr: rtl.NoExpr, Width: 16,
+		Src:  op(rtl.OpAdd, 16, read("a.r"), read("b.r")).build(b.Exprs()),
 		Cond: rtl.ExecCond{Static: x},
 	})
 	Extend(b, Options{Commutativity: true})
@@ -225,7 +231,7 @@ func TestVariantLimit(t *testing.T) {
 	// Deep chain of commutative adds would explode; the limit caps it.
 	e := read("r0.r")
 	for i := 1; i < 12; i++ {
-		e = rtl.NewOp(rtl.OpAdd, 16, e, read("r1.r"))
+		e = op(rtl.OpAdd, 16, e, read("r1.r"))
 	}
 	addTemplate(b, m, "acc.r", e)
 	n := Extend(b, Options{Commutativity: true, MaxVariantsPerTemplate: 16})

@@ -13,7 +13,6 @@ package rtl
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/bdd"
@@ -75,14 +74,15 @@ type ExprKind int
 const (
 	Const     ExprKind = iota // integer constant (hardwired or program)
 	OpApp                     // operator application
-	Read                      // storage read; Kids[0] is the address for arrays
+	Read                      // storage read; its kid is the address for arrays
 	PortRef                   // primary processor input port
 	InsnField                 // instruction word bits Lo..Hi (an immediate operand)
-	Slice                     // bit slice Lo..Hi of Kids[0] (a subword select)
+	Slice                     // bit slice Lo..Hi of its kid (a subword select)
 )
 
-// Expr is an RT-level expression tree.  Exprs are treated as immutable
-// after construction; sharing subtrees is allowed.
+// Expr is the head of an RT-level expression node: its kind, width and
+// the kind's own fields.  A tree is a handle into a Store, which holds
+// each node's head and the handles of its kids.
 type Expr struct {
 	Kind    ExprKind
 	Width   int    // result width in bits
@@ -90,263 +90,22 @@ type Expr struct {
 	Val     int64  // Const
 	Storage string // Read: qualified "part.var"
 	Port    string // PortRef: qualified primary port name
-	Lo      int    // InsnField: bit range within the instruction word
+	Lo      int    // InsnField, Slice: bit range
 	Hi      int
-	Kids    []*Expr
-}
-
-// NewConst builds a constant node.
-func NewConst(val int64, width int) *Expr {
-	return &Expr{Kind: Const, Val: val, Width: width}
-}
-
-// NewOp builds an operator application.
-func NewOp(op Op, width int, kids ...*Expr) *Expr {
-	return &Expr{Kind: OpApp, Op: op, Width: width, Kids: kids}
-}
-
-// NewRead builds a storage read; addr may be nil for plain registers.
-func NewRead(storage string, width int, addr *Expr) *Expr {
-	e := &Expr{Kind: Read, Storage: storage, Width: width}
-	if addr != nil {
-		e.Kids = []*Expr{addr}
-	}
-	return e
-}
-
-// NewPort builds a primary input port reference.
-func NewPort(port string, width int) *Expr {
-	return &Expr{Kind: PortRef, Port: port, Width: width}
-}
-
-// NewInsnField builds an instruction-field (immediate) reference covering
-// instruction word bits lo..hi.
-func NewInsnField(hi, lo int) *Expr {
-	return &Expr{Kind: InsnField, Lo: lo, Hi: hi, Width: hi - lo + 1}
-}
-
-// NewSlice builds a bit slice hi..lo of kid, folding constants, nested
-// slices, instruction fields and full-range slices.
-func NewSlice(hi, lo int, kid *Expr) *Expr {
-	w := hi - lo + 1
-	switch {
-	case lo == 0 && w == kid.Width:
-		return kid
-	case kid.Kind == Const:
-		mask := int64(1)<<uint(w) - 1
-		return NewConst((kid.Val>>uint(lo))&mask, w)
-	case kid.Kind == InsnField:
-		return NewInsnField(kid.Lo+hi, kid.Lo+lo)
-	case kid.Kind == Slice:
-		return NewSlice(kid.Lo+hi, kid.Lo+lo, kid.Kids[0])
-	}
-	return &Expr{Kind: Slice, Lo: lo, Hi: hi, Width: w, Kids: []*Expr{kid}}
-}
-
-// Addr returns the address subexpression of a Read, or nil.
-func (e *Expr) Addr() *Expr {
-	if e.Kind == Read && len(e.Kids) == 1 {
-		return e.Kids[0]
-	}
-	return nil
-}
-
-// Size returns the number of nodes in the tree.
-func (e *Expr) Size() int {
-	if e == nil {
-		return 0
-	}
-	n := 1
-	for _, k := range e.Kids {
-		n += k.Size()
-	}
-	return n
-}
-
-// Depth returns the height of the tree (1 for a leaf).
-func (e *Expr) Depth() int {
-	if e == nil {
-		return 0
-	}
-	d := 0
-	for _, k := range e.Kids {
-		if kd := k.Depth(); kd > d {
-			d = kd
-		}
-	}
-	return d + 1
-}
-
-// Clone returns a deep copy of the tree.
-func (e *Expr) Clone() *Expr {
-	if e == nil {
-		return nil
-	}
-	c := *e
-	if len(e.Kids) > 0 {
-		c.Kids = make([]*Expr, len(e.Kids))
-		for i, k := range e.Kids {
-			c.Kids[i] = k.Clone()
-		}
-	}
-	return &c
-}
-
-// Equal reports structural equality of two trees.
-func (e *Expr) Equal(o *Expr) bool {
-	if e == nil || o == nil {
-		return e == o
-	}
-	if !sameHead(e, o) {
-		return false
-	}
-	for i := range e.Kids {
-		if !e.Kids[i].Equal(o.Kids[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// Walk calls f on every node of the tree in pre-order.
-func (e *Expr) Walk(f func(*Expr)) {
-	if e == nil {
-		return
-	}
-	f(e)
-	for _, k := range e.Kids {
-		k.Walk(f)
-	}
-}
-
-// InsnFields returns every instruction-field leaf in the tree, in pre-order.
-func (e *Expr) InsnFields() []*Expr {
-	var fields []*Expr
-	e.Walk(func(n *Expr) {
-		if n.Kind == InsnField {
-			fields = append(fields, n)
-		}
-	})
-	return fields
-}
-
-// String renders the tree in a compact prefix-free infix form used in
-// diagnostics and golden tests.
-func (e *Expr) String() string {
-	var b strings.Builder
-	e.Render(&b)
-	return b.String()
-}
-
-// Render appends String's rendering of e to b, so a listing builds every
-// line in one buffer.
-func (e *Expr) Render(b *strings.Builder) { e.RenderSwap(b, 0) }
-
-// SwapSite reports whether e is a swap site: a commutative binary
-// operator, whose operands the template-base extension may exchange.  A
-// tree's sites are numbered from 0 in pre-order, and bit i of a swap mask
-// exchanges the operands of site i.
-func (e *Expr) SwapSite() bool {
-	return e.Kind == OpApp && len(e.Kids) == 2 && e.Op.Commutative()
-}
-
-// SwapSites returns the number of swap sites in the tree.
-func (e *Expr) SwapSites() int {
-	n := 0
-	if e.SwapSite() {
-		n++
-	}
-	for _, k := range e.Kids {
-		n += k.SwapSites()
-	}
-	return n
-}
-
-// RenderSwap appends the rendering of e with the operands of the swap
-// sites selected by mask exchanged.
-func (e *Expr) RenderSwap(b *strings.Builder, mask uint64) {
-	if e == nil {
-		b.WriteString("<nil>")
-		return
-	}
-	switch e.Kind {
-	case Const:
-		writeInt(b, e.Val)
-	case PortRef:
-		b.WriteString(e.Port)
-	case InsnField:
-		b.WriteString("IW[")
-		if e.Hi != e.Lo {
-			writeInt(b, int64(e.Hi))
-			b.WriteByte(':')
-		}
-		writeInt(b, int64(e.Lo))
-		b.WriteByte(']')
-	case Read:
-		b.WriteString(e.Storage)
-		if a := e.Addr(); a != nil {
-			b.WriteByte('[')
-			a.RenderSwap(b, mask)
-			b.WriteByte(']')
-		}
-	case Slice:
-		e.Kids[0].RenderSwap(b, mask)
-		b.WriteByte('[')
-		writeInt(b, int64(e.Hi))
-		b.WriteByte(':')
-		writeInt(b, int64(e.Lo))
-		b.WriteByte(']')
-	case OpApp:
-		if e.Op.Arity() == 1 {
-			b.WriteString(string(e.Op))
-			b.WriteByte('(')
-			e.Kids[0].RenderSwap(b, mask)
-			b.WriteByte(')')
-			return
-		}
-		l, r := e.Kids[0], e.Kids[1]
-		swapped := false
-		if e.SwapSite() {
-			swapped = mask&1 != 0
-			mask >>= 1
-		}
-		// Each kid reads the mask from its own first site on; bits past
-		// its last site are never consulted.
-		lm, rm := mask, mask
-		if mask != 0 {
-			rm >>= uint(l.SwapSites())
-		}
-		if swapped {
-			l, r, lm, rm = r, l, rm, lm
-		}
-		b.WriteByte('(')
-		l.RenderSwap(b, lm)
-		b.WriteByte(' ')
-		b.WriteString(string(e.Op))
-		b.WriteByte(' ')
-		r.RenderSwap(b, rm)
-		b.WriteByte(')')
-	default:
-		b.WriteString("<bad expr>")
-	}
-}
-
-// writeInt appends v in decimal without going through fmt.
-func writeInt(b *strings.Builder, v int64) {
-	var buf [20]byte
-	b.Write(strconv.AppendInt(buf[:0], v, 10))
 }
 
 // ExecCond is an RT template's execution condition: a static constraint over
 // instruction-word and mode-register bits (the BDD), plus residual dynamic
 // guards that depend on run-time state (e.g. a zero flag for conditional
-// jumps).  A template is valid iff Static is satisfiable.
+// jumps), handles in the template's store.  A template is valid iff
+// Static is satisfiable.
 type ExecCond struct {
 	Static  bdd.Node
-	Dynamic []*Expr
+	Dynamic []ExprID
 }
 
-// Template is one extracted RT template: Dest := Src under Cond.
+// Template is one extracted RT template: Dest := Src under Cond.  Its
+// trees are handles into the store of the base it belongs to.
 type Template struct {
 	ID       int    // position in the base, numbered together with its swaps
 	Dest     string // qualified storage name, or primary output port name
@@ -354,24 +113,21 @@ type Template struct {
 	// Synthetic marks templates added by algebraic extension rather than
 	// extracted from the netlist.
 	Synthetic bool
-	addr      ExprID // DestAddr interned in the owning base
-	DestAddr  *Expr  // address pattern for array destinations, nil otherwise
-	Src       *Expr  // the tree pattern
+	DestAddr  ExprID // address pattern for array destinations, NoExpr otherwise
+	Src       ExprID // the tree pattern
+	index     int32  // position in the owning base's Templates
 	Cond      ExecCond
 	Width     int    // transfer width
-	src       ExprID // Src interned in the owning base
-	index     int32  // position in the owning base's Templates
+	exprs     *Store // the owning base's store
 }
-
-// SrcID returns the handle of Src in the store of the base t was added to.
-func (t *Template) SrcID() ExprID { return t.src }
-
-// AddrID returns the handle of DestAddr in that store (NoExpr for none).
-func (t *Template) AddrID() ExprID { return t.addr }
 
 // Index returns t's position in the Templates of the base it was added
 // to.
 func (t *Template) Index() int { return int(t.index) }
+
+// Exprs returns the store holding t's trees: that of the base t was added
+// to.
+func (t *Template) Exprs() *Store { return t.exprs }
 
 // String renders the template as "dest := src [cond]".
 func (t *Template) String() string {
@@ -386,21 +142,22 @@ func (t *Template) Render(b *strings.Builder) { t.RenderSwap(b, 0) }
 // RenderSwap appends the rendering of t with the swap sites of its source
 // selected by mask exchanged.
 func (t *Template) RenderSwap(b *strings.Builder, mask uint64) {
+	s := t.exprs
 	b.WriteString(t.Dest)
-	if t.DestAddr != nil {
+	if t.DestAddr != NoExpr {
 		b.WriteByte('[')
-		t.DestAddr.Render(b)
+		s.Render(b, t.DestAddr)
 		b.WriteByte(']')
 	}
 	b.WriteString(" := ")
-	t.Src.RenderSwap(b, mask)
+	s.RenderSwap(b, t.Src, mask)
 	for i, d := range t.Cond.Dynamic {
 		if i == 0 {
 			b.WriteString(" when ")
 		} else {
 			b.WriteString(" && ")
 		}
-		d.Render(b)
+		s.Render(b, d)
 	}
 }
 
@@ -446,22 +203,18 @@ func NewBase(m *bdd.Manager) *Base {
 	return &Base{BDD: m}
 }
 
-// Exprs returns the store interning every template's source and address
-// trees.  Trees interned by other users (dynamic guards, say) live there
-// too; extension and grammar construction memoise their work per handle.
+// Exprs returns the store holding every template's trees: sources,
+// destination addresses and dynamic guards, and the trees extraction and
+// extension build on the way to them.  Extension and grammar
+// construction memoise their work per handle.
 func (b *Base) Exprs() *Store { return &b.exprs }
 
 // Add inserts t unless an identical transfer already exists; when a
 // duplicate transfer arrives, their static conditions are OR-ed (the same
-// RT reachable under several encodings).  Add interns t's source and
-// address, replacing them with their canonical trees, and returns the
-// canonical template.
+// RT reachable under several encodings).  t's trees must be handles in
+// b.Exprs().  Add returns the canonical template.
 func (b *Base) Add(t *Template) *Template {
-	t.addr = b.exprs.Intern(t.DestAddr)
-	t.DestAddr = b.exprs.Expr(t.addr)
-	t.src = b.exprs.Intern(t.Src)
-	t.Src = b.exprs.Expr(t.src)
-	prev := b.find(t.Dest, t.DestPort, t.addr, t.src)
+	prev := b.find(t.Dest, t.DestPort, t.DestAddr, t.Src)
 	if b.merge(prev, t.Cond) {
 		return prev
 	}
@@ -469,10 +222,10 @@ func (b *Base) Add(t *Template) *Template {
 }
 
 // AddVariant adds the synthetic template performing of's transfer with the
-// interned source src instead, with Add's deduplication.  of must belong
-// to b.
+// source src, a handle in b.Exprs(), instead, with Add's deduplication.
+// of must belong to b.
 func (b *Base) AddVariant(of *Template, src ExprID) *Template {
-	prev := b.find(of.Dest, of.DestPort, of.addr, src)
+	prev := b.find(of.Dest, of.DestPort, of.DestAddr, src)
 	if b.merge(prev, of.Cond) {
 		return prev
 	}
@@ -480,9 +233,7 @@ func (b *Base) AddVariant(of *Template, src ExprID) *Template {
 		Dest:      of.Dest,
 		DestPort:  of.DestPort,
 		DestAddr:  of.DestAddr,
-		addr:      of.addr,
-		Src:       b.exprs.Expr(src),
-		src:       src,
+		Src:       src,
 		Width:     of.Width,
 		Cond:      of.Cond,
 		Synthetic: true,
@@ -519,7 +270,7 @@ func (b *Base) find(dest string, destPort bool, addr, src ExprID) *Template {
 		return nil
 	}
 	for i := b.first[src]; i != 0; i = b.next[i-1] {
-		if t := b.Templates[i-1]; t.addr == addr && t.Dest == dest && t.DestPort == destPort {
+		if t := b.Templates[i-1]; t.DestAddr == addr && t.Dest == dest && t.DestPort == destPort {
 			return t
 		}
 	}
@@ -542,15 +293,15 @@ func (b *Base) merge(prev *Template, cond ExecCond) bool {
 func (b *Base) insert(prev, t *Template) *Template {
 	t.ID = b.Len()
 	i := int32(len(b.Templates))
-	t.index = i
+	t.index, t.exprs = i, &b.exprs
 	b.Templates = append(b.Templates, t)
 	b.next = append(b.next, 0)
 	if prev == nil {
-		for len(b.first) <= int(t.src) {
+		for len(b.first) <= int(t.Src) {
 			b.first = append(b.first, 0)
 		}
-		b.next[i] = b.first[t.src]
-		b.first[t.src] = i + 1
+		b.next[i] = b.first[t.Src]
+		b.first[t.Src] = i + 1
 	}
 	return t
 }

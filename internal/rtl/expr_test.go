@@ -2,8 +2,10 @@ package rtl
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/bdd"
 )
@@ -29,140 +31,183 @@ func TestOpProperties(t *testing.T) {
 	}
 }
 
-func sampleTree() *Expr {
+func sampleTree() *tree {
 	// acc := (ram[IW[7:0]] * t) + acc   — a MAC-shaped template source
-	return NewOp(OpAdd, 16,
-		NewOp(OpMul, 16,
-			NewRead("ram.m", 16, NewInsnField(7, 0)),
-			NewRead("t.r", 16, nil)),
-		NewRead("acc.r", 16, nil))
+	return op(OpAdd, 16,
+		op(OpMul, 16,
+			mem("ram.m", 16, field(7, 0)),
+			reg("t.r", 16)),
+		reg("acc.r", 16))
 }
 
 func TestExprString(t *testing.T) {
-	e := sampleTree()
+	var s Store
 	want := "((ram.m[IW[7:0]] * t.r) + acc.r)"
-	if e.String() != want {
-		t.Fatalf("String = %q, want %q", e, want)
+	if got := s.String(sampleTree().build(&s)); got != want {
+		t.Fatalf("String = %q, want %q", got, want)
 	}
-	if NewInsnField(3, 3).String() != "IW[3]" {
-		t.Error("single-bit field rendering wrong")
+	for e, want := range map[*tree]string{
+		field(3, 3):                             "IW[3]",
+		cnst(42, 8):                             "42",
+		port("in0", 16):                         "in0",
+		op(OpNeg, 16, cnst(1, 16)):              "neg(1)",
+		slice(3, 0, port("in0", 16)):            "in0[3:0]",
+		mem("m.m", 8, cnst(2, 4)):               "m.m[2]",
+		op(OpShl, 8, reg("a.r", 8), cnst(1, 8)): "(a.r << 1)",
+	} {
+		if got := s.String(e.build(&s)); got != want {
+			t.Errorf("String = %q, want %q", got, want)
+		}
 	}
-	if NewConst(42, 8).String() != "42" {
-		t.Error("const rendering wrong")
-	}
-	if NewPort("in0", 16).String() != "in0" {
-		t.Error("port rendering wrong")
-	}
-	if NewOp(OpNeg, 16, NewConst(1, 16)).String() != "neg(1)" {
-		t.Error("unary rendering wrong")
-	}
-}
-
-func TestSizeDepth(t *testing.T) {
-	e := sampleTree()
-	if e.Size() != 6 {
-		t.Errorf("Size = %d, want 6", e.Size())
-	}
-	if e.Depth() != 4 {
-		t.Errorf("Depth = %d, want 4", e.Depth())
-	}
-	var nilExpr *Expr
-	if nilExpr.Size() != 0 || nilExpr.Depth() != 0 {
-		t.Error("nil tree size/depth must be 0")
+	if got := s.String(NoExpr); got != "<nil>" {
+		t.Errorf("String(NoExpr) = %q", got)
 	}
 }
 
-func TestCloneEqual(t *testing.T) {
-	e := sampleTree()
-	c := e.Clone()
-	if !e.Equal(c) {
-		t.Fatal("clone not equal to original")
-	}
-	if e == c || e.Kids[0] == c.Kids[0] {
-		t.Fatal("clone must be a deep copy")
-	}
-	c.Kids[1].Storage = "other.r"
-	if e.Equal(c) {
-		t.Fatal("mutated clone still equal")
-	}
-}
-
+// TestEqualDiscriminates builds pairs of trees that differ in one field
+// each and checks that they get distinct handles.
 func TestEqualDiscriminates(t *testing.T) {
-	cases := []struct{ a, b *Expr }{
-		{NewConst(1, 8), NewConst(2, 8)},
-		{NewConst(1, 8), NewConst(1, 16)},
-		{NewConst(1, 8), NewRead("x", 8, nil)},
-		{NewRead("x", 8, nil), NewRead("y", 8, nil)},
-		{NewPort("a", 8), NewPort("b", 8)},
-		{NewInsnField(7, 0), NewInsnField(7, 1)},
-		{NewOp(OpAdd, 8, NewConst(1, 8), NewConst(2, 8)),
-			NewOp(OpSub, 8, NewConst(1, 8), NewConst(2, 8))},
-		{NewRead("m", 8, NewConst(0, 4)), NewRead("m", 8, nil)},
+	cases := []struct{ a, b *tree }{
+		{cnst(1, 8), cnst(2, 8)},
+		{cnst(1, 8), cnst(1, 16)},
+		{cnst(1, 8), reg("x", 8)},
+		{reg("x", 8), reg("y", 8)},
+		{port("a", 8), port("b", 8)},
+		{field(7, 0), field(7, 1)},
+		{op(OpAdd, 8, cnst(1, 8), cnst(2, 8)), op(OpSub, 8, cnst(1, 8), cnst(2, 8))},
+		{op(OpAdd, 8, cnst(1, 8), cnst(2, 8)), op(OpAdd, 8, cnst(2, 8), cnst(1, 8))},
+		{mem("m", 8, cnst(0, 4)), reg("m", 8)},
+		{slice(3, 0, reg("x", 8)), slice(4, 1, reg("x", 8))},
 	}
+	var s Store
 	for i, c := range cases {
-		if c.a.Equal(c.b) {
-			t.Errorf("case %d: distinct trees reported equal: %s vs %s", i, c.a, c.b)
+		if c.a.build(&s) == c.b.build(&s) {
+			t.Errorf("case %d: distinct trees share a handle: %s vs %s", i, c.a, c.b)
 		}
 	}
 }
 
-func TestWalkAndCollectors(t *testing.T) {
-	e := sampleTree()
-	count := 0
-	e.Walk(func(*Expr) { count++ })
-	if count != e.Size() {
-		t.Errorf("Walk visited %d nodes, Size = %d", count, e.Size())
+func TestAddr(t *testing.T) {
+	var s Store
+	r := mem("ram.m", 16, field(7, 0)).build(&s)
+	if a := s.Addr(r); a == NoExpr || s.Expr(a).Kind != InsnField {
+		t.Fatal("Addr missing")
 	}
-	fields := e.InsnFields()
-	if len(fields) != 1 || fields[0].Hi != 7 || fields[0].Lo != 0 {
-		t.Errorf("InsnFields = %v", fields)
+	if s.Addr(reg("acc.r", 16).build(&s)) != NoExpr {
+		t.Fatal("plain register read must have no Addr")
+	}
+	if s.Addr(slice(3, 0, reg("acc.r", 16)).build(&s)) != NoExpr {
+		t.Fatal("non-read Addr must be NoExpr")
 	}
 }
 
-func TestAddr(t *testing.T) {
-	r := NewRead("ram.m", 16, NewInsnField(7, 0))
-	if r.Addr() == nil || r.Addr().Kind != InsnField {
-		t.Fatal("Addr missing")
+// TestSliceFolds checks that Store.Slice folds full-range slices,
+// constants, instruction fields and nested slices, and builds a raw
+// slice otherwise.
+func TestSliceFolds(t *testing.T) {
+	var s Store
+	x := reg("x.r", 16).build(&s)
+	for _, c := range []struct {
+		got  ExprID
+		want *tree
+	}{
+		{s.Slice(15, 0, x), reg("x.r", 16)},
+		{s.Slice(7, 4, s.Const(0x5a, 16)), cnst(5, 4)},
+		{s.Slice(3, 0, field(11, 4).build(&s)), field(7, 4)},
+		{s.Slice(1, 0, s.Slice(7, 4, x)), slice(5, 4, reg("x.r", 16))},
+		{s.Slice(7, 4, x), slice(7, 4, reg("x.r", 16))},
+	} {
+		if got := treeOf(&s, c.got); !got.equal(c.want) {
+			t.Errorf("slice folds to %s, want %s", got, c.want)
+		}
 	}
-	if NewRead("acc.r", 16, nil).Addr() != nil {
-		t.Fatal("plain register read must have nil Addr")
+}
+
+// TestReplaceAt replaces the subtree at every pre-order position of a
+// tree and checks the result against the reference tree with that node
+// replaced.
+func TestReplaceAt(t *testing.T) {
+	var s Store
+	e := sampleTree()
+	h, repl := e.build(&s), cnst(9, 16)
+	var nodes []**tree
+	var collect func(p **tree)
+	collect = func(p **tree) {
+		nodes = append(nodes, p)
+		for i := range (*p).kids {
+			collect(&(*p).kids[i])
+		}
 	}
-	if NewConst(0, 1).Addr() != nil {
-		t.Fatal("non-read Addr must be nil")
+	for pos := 0; ; pos++ {
+		c := treeOf(&s, h) // a fresh copy to edit
+		nodes = nodes[:0]
+		collect(&c)
+		if pos == len(nodes) {
+			break
+		}
+		*nodes[pos] = repl
+		if got := s.ReplaceAt(h, pos, repl.build(&s)); !treeOf(&s, got).equal(c) {
+			t.Errorf("position %d: got %s, want %s", pos, s.String(got), c)
+		}
+	}
+	if got := s.ReplaceAt(h, 6, s.Const(1, 1)); got != h {
+		t.Errorf("a position past the tree changed it to %s", s.String(got))
+	}
+}
+
+// TestExprHoldsNoPointer pins Expr as a head: it refers to no other node.
+func TestExprHoldsNoPointer(t *testing.T) {
+	typ := reflect.TypeOf(Expr{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Type == reflect.TypeOf((*Expr)(nil)) || f.Type == reflect.TypeOf([]*Expr(nil)) {
+			t.Errorf("Expr.%s is a %s: a tree is a handle into a Store", f.Name, f.Type)
+		}
+	}
+}
+
+// TestTemplateSize pins Template to the 96-byte size class: extraction
+// allocates one per route.
+func TestTemplateSize(t *testing.T) {
+	if n := unsafe.Sizeof(Template{}); n > 96 {
+		t.Errorf("Template is %d bytes, want at most 96", n)
 	}
 }
 
 func TestTemplateString(t *testing.T) {
 	m := bdd.New()
-	tpl := &Template{
-		Dest:  "acc.r",
-		Src:   NewRead("ram.m", 16, NewInsnField(7, 0)),
-		Cond:  ExecCond{Static: m.True()},
-		Width: 16,
-	}
+	b := NewBase(m)
+	s := b.Exprs()
+	tpl := b.Add(&Template{
+		Dest:     "acc.r",
+		DestAddr: NoExpr,
+		Src:      mem("ram.m", 16, field(7, 0)).build(s),
+		Cond:     ExecCond{Static: m.True()},
+		Width:    16,
+	})
 	if got := tpl.String(); got != "acc.r := ram.m[IW[7:0]]" {
 		t.Errorf("String = %q", got)
 	}
-	tpl2 := &Template{
+	tpl2 := b.Add(&Template{
 		Dest:     "ram.m",
-		DestAddr: NewInsnField(7, 0),
-		Src:      NewRead("acc.r", 16, nil),
+		DestAddr: field(7, 0).build(s),
+		Src:      reg("acc.r", 16).build(s),
 		Cond: ExecCond{Static: m.True(),
-			Dynamic: []*Expr{NewOp(OpEq, 1, NewRead("z.r", 1, nil), NewConst(1, 1))}},
-	}
-	got := tpl2.String()
-	if !strings.Contains(got, "ram.m[IW[7:0]] := acc.r") || !strings.Contains(got, "when") {
-		t.Errorf("String = %q", got)
+			Dynamic: []ExprID{op(OpEq, 1, reg("z.r", 1), cnst(1, 1)).build(s)}},
+	})
+	if got, want := tpl2.String(), "ram.m[IW[7:0]] := acc.r when (z.r == 1)"; got != want {
+		t.Errorf("String = %q, want %q", got, want)
 	}
 }
 
 func TestBaseDedup(t *testing.T) {
 	m := bdd.New()
 	b := NewBase(m)
+	s := b.Exprs()
 	x, y := m.Var(0), m.Var(1)
-	t1 := &Template{Dest: "acc.r", Src: NewRead("b.r", 16, nil),
+	t1 := &Template{Dest: "acc.r", DestAddr: NoExpr, Src: reg("b.r", 16).build(s),
 		Cond: ExecCond{Static: x}, Width: 16}
-	t2 := &Template{Dest: "acc.r", Src: NewRead("b.r", 16, nil),
+	t2 := &Template{Dest: "acc.r", DestAddr: NoExpr, Src: reg("b.r", 16).build(s),
 		Cond: ExecCond{Static: y}, Width: 16}
 	c1 := b.Add(t1)
 	c2 := b.Add(t2)
@@ -176,7 +221,7 @@ func TestBaseDedup(t *testing.T) {
 		t.Fatal("merged condition must be the disjunction")
 	}
 	// A different transfer stays separate.
-	t3 := &Template{Dest: "acc.r", Src: NewRead("c.r", 16, nil),
+	t3 := &Template{Dest: "acc.r", DestAddr: NoExpr, Src: reg("c.r", 16).build(s),
 		Cond: ExecCond{Static: x}, Width: 16}
 	b.Add(t3)
 	if b.Len() != 2 {
@@ -190,11 +235,12 @@ func TestBaseDedup(t *testing.T) {
 func TestBaseDynamicGuardsKeptSeparate(t *testing.T) {
 	m := bdd.New()
 	b := NewBase(m)
-	g := NewOp(OpEq, 1, NewRead("z.r", 1, nil), NewConst(1, 1))
-	t1 := &Template{Dest: "pc.r", Src: NewInsnField(7, 0),
+	s := b.Exprs()
+	g := op(OpEq, 1, reg("z.r", 1), cnst(1, 1)).build(s)
+	t1 := &Template{Dest: "pc.r", DestAddr: NoExpr, Src: field(7, 0).build(s),
 		Cond: ExecCond{Static: m.Var(0)}}
-	t2 := &Template{Dest: "pc.r", Src: NewInsnField(7, 0),
-		Cond: ExecCond{Static: m.Var(1), Dynamic: []*Expr{g}}}
+	t2 := &Template{Dest: "pc.r", DestAddr: NoExpr, Src: field(7, 0).build(s),
+		Cond: ExecCond{Static: m.Var(1), Dynamic: []ExprID{g}}}
 	b.Add(t1)
 	b.Add(t2)
 	if b.Len() != 2 {
@@ -207,10 +253,11 @@ func TestBaseDynamicGuardsKeptSeparate(t *testing.T) {
 func TestBaseIDsAndString(t *testing.T) {
 	m := bdd.New()
 	b := NewBase(m)
-	add := NewOp(OpAdd, 8, NewRead("a.r", 8, nil), NewRead("b.r", 8, nil))
-	t0 := b.Add(&Template{Dest: "a.r", Src: add, Cond: ExecCond{Static: m.True()}})
+	s := b.Exprs()
+	add := op(OpAdd, 8, reg("a.r", 8), reg("b.r", 8)).build(s)
+	t0 := b.Add(&Template{Dest: "a.r", DestAddr: NoExpr, Src: add, Cond: ExecCond{Static: m.True()}})
 	b.AddSwap(t0, 1)
-	t2 := b.Add(&Template{Dest: "b.r", Src: NewConst(0, 8), Cond: ExecCond{Static: m.True()}})
+	t2 := b.Add(&Template{Dest: "b.r", DestAddr: NoExpr, Src: s.Const(0, 8), Cond: ExecCond{Static: m.True()}})
 	if b.Len() != 3 || t0.ID != 0 || b.Swaps[0].ID != 1 || t2.ID != 2 {
 		t.Fatalf("IDs not sequential: Len %d, IDs %d, %d, %d", b.Len(), t0.ID, b.Swaps[0].ID, t2.ID)
 	}
@@ -225,42 +272,26 @@ func TestBaseIDsAndString(t *testing.T) {
 	}
 }
 
-// swapped builds e with the operands of the swap sites selected by mask
-// exchanged, numbering sites in pre-order from *site.
-func swapped(e *Expr, mask uint64, site *int) *Expr {
-	c := *e
-	swap := false
-	if e.SwapSite() {
-		swap = mask&(1<<uint(*site)) != 0
-		*site++
-	}
-	c.Kids = make([]*Expr, len(e.Kids))
-	for i, k := range e.Kids {
-		c.Kids[i] = swapped(k, mask, site)
-	}
-	if swap {
-		c.Kids[0], c.Kids[1] = c.Kids[1], c.Kids[0]
-	}
-	return &c
-}
-
 // TestRenderSwapMatchesSwappedTree renders a tree with swap sites under
 // operators, in a memory address and under a non-commutative operator,
-// under every mask, against the tree with those operands exchanged.
+// under every mask, against the reference tree with those operands
+// exchanged.
 func TestRenderSwapMatchesSwappedTree(t *testing.T) {
-	r := func(s string) *Expr { return NewRead(s, 8, nil) }
-	addr := NewOp(OpAdd, 8, r("x.r"), NewConst(1, 8))
-	e := NewOp(OpSub, 8,
-		NewOp(OpMul, 8, NewOp(OpAdd, 8, r("a.r"), r("b.r")), NewOp(OpAnd, 8, r("c.r"), NewRead("m.m", 8, addr))),
-		NewOp(OpXor, 8, NewOp(OpNeg, 8, r("d.r")), NewSlice(3, 0, NewOp(OpOr, 8, r("e.r"), r("f.r")))))
-	if n := e.SwapSites(); n != 6 {
+	r := func(s string) *tree { return reg(s, 8) }
+	addr := op(OpAdd, 8, r("x.r"), cnst(1, 8))
+	e := op(OpSub, 8,
+		op(OpMul, 8, op(OpAdd, 8, r("a.r"), r("b.r")), op(OpAnd, 8, r("c.r"), mem("m.m", 8, addr))),
+		op(OpXor, 8, op(OpNeg, 8, r("d.r")), slice(3, 0, op(OpOr, 8, r("e.r"), r("f.r")))))
+	var s Store
+	h := e.build(&s)
+	if n := s.SwapSites(h); n != 6 {
 		t.Fatalf("%d swap sites in %s, want 6", n, e)
 	}
 	for mask := uint64(0); mask < 1<<6; mask++ {
 		var b strings.Builder
-		e.RenderSwap(&b, mask)
+		s.RenderSwap(&b, h, mask)
 		site := 0
-		if want := swapped(e, mask, &site).String(); b.String() != want {
+		if want := e.swapped(mask, &site).String(); b.String() != want {
 			t.Errorf("mask %#x renders %s, want %s", mask, b.String(), want)
 		}
 	}
@@ -270,28 +301,30 @@ func TestRenderSwapMatchesSwappedTree(t *testing.T) {
 // those: a non-commutative operator's operands and node widths count.  A
 // commutative operator with operands of one class is not distinct.
 func TestClassHash(t *testing.T) {
-	r := func(s string) *Expr { return NewRead(s, 8, nil) }
-	e := NewOp(OpMul, 8, NewOp(OpAdd, 8, r("a.r"), r("b.r")), NewOp(OpSub, 8, r("c.r"), NewConst(1, 8)))
-	class, distinct := e.ClassHash()
+	r := func(s string) *tree { return reg(s, 8) }
+	var s Store
+	e := op(OpMul, 8, op(OpAdd, 8, r("a.r"), r("b.r")), op(OpSub, 8, r("c.r"), cnst(1, 8)))
+	class, distinct := s.ClassHash(e.build(&s))
 	if !distinct {
 		t.Errorf("%s not distinct", e)
 	}
 	for mask := uint64(0); mask < 1<<2; mask++ {
 		site := 0
-		s := swapped(e, mask, &site)
-		if c, _ := s.ClassHash(); c != class {
-			t.Errorf("%s: class %#x, want %s's %#x", s, c, e, class)
+		sw := e.swapped(mask, &site)
+		if c, _ := s.ClassHash(sw.build(&s)); c != class {
+			t.Errorf("%s: class %#x, want %s's %#x", sw, c, e, class)
 		}
 	}
-	for _, o := range []*Expr{
-		NewOp(OpMul, 8, NewOp(OpAdd, 8, r("a.r"), r("b.r")), NewOp(OpSub, 8, NewConst(1, 8), r("c.r"))),
-		NewOp(OpMul, 8, NewOp(OpAdd, 8, r("a.r"), r("b.r")), NewOp(OpSub, 8, r("c.r"), NewConst(1, 4))),
+	for _, o := range []*tree{
+		op(OpMul, 8, op(OpAdd, 8, r("a.r"), r("b.r")), op(OpSub, 8, cnst(1, 8), r("c.r"))),
+		op(OpMul, 8, op(OpAdd, 8, r("a.r"), r("b.r")), op(OpSub, 8, r("c.r"), cnst(1, 4))),
 	} {
-		if c, _ := o.ClassHash(); c == class {
+		if c, _ := s.ClassHash(o.build(&s)); c == class {
 			t.Errorf("%s shares %s's class", o, e)
 		}
 	}
-	if _, distinct := NewOp(OpMul, 8, e, NewOp(OpMul, 8, NewOp(OpSub, 8, r("c.r"), NewConst(1, 8)), NewOp(OpAdd, 8, r("b.r"), r("a.r")))).ClassHash(); distinct {
+	same := op(OpMul, 8, e, op(OpMul, 8, op(OpSub, 8, r("c.r"), cnst(1, 8)), op(OpAdd, 8, r("b.r"), r("a.r"))))
+	if _, distinct := s.ClassHash(same.build(&s)); distinct {
 		t.Error("operands of one class reported distinct")
 	}
 }

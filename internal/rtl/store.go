@@ -6,29 +6,29 @@ import (
 	"repro/internal/slab"
 )
 
-// ExprID is the handle of an interned expression in a Store.  Two trees
-// interned into one store get the same handle iff they are Equal.
+// ExprID is the handle of an expression tree in a Store.  Two trees built
+// in one store get the same handle iff they have the same heads in the
+// same shape.
 type ExprID int32
 
-// NoExpr is the handle of the nil expression (an absent address).
+// NoExpr is the handle of no tree (an absent address).
 const NoExpr ExprID = -1
 
 // minExprSlots is the initial size of an empty store's unique table.
 const minExprSlots = 64
 
-// Store hash-conses expression trees: each structurally distinct tree gets
-// one handle and one canonical *Expr, whose kids are canonical too, so
-// equal subtrees of interned trees share a pointer.  The canonical trees
-// are a node slice indexed by handle; an open-addressed, linear-probed
-// unique table over it finds a node by its head (kind, width and the
-// kind's own fields) and its kids' handles, which the store keeps so that
-// a tree can be walked by handle.  The zero value is an empty store.  A
-// Store is not safe for concurrent mutation.
+// Store hash-conses expression trees: a tree is the handle of its root,
+// and each structurally distinct tree gets one handle, so equal subtrees
+// share a handle.  The store keeps each handle's head, carved from a slab
+// and found through the node slice, and its kids' handles; an
+// open-addressed, linear-probed unique table over the nodes finds one by
+// its head (kind, width and the kind's own fields) and its kids'
+// handles.  The zero value is an empty store.  A Store is not safe for
+// concurrent mutation.
 //
-// Intern keeps the caller's nodes where it can; Node builds a tree by
-// handle.  Every node the store makes itself is carved from its own
-// slabs, which Reset reuses: a store that holds one program's trees after
-// another stops allocating once it has held the largest.
+// Reset reuses the store's tables and slab: a store that holds one
+// program's trees after another stops allocating once it has held the
+// largest.
 type Store struct {
 	exprs  []*Expr
 	hashes []uint32 // hashes[id] is exprs[id]'s unique-table hash
@@ -36,15 +36,13 @@ type Store struct {
 	// kids[kidAt[id]:kidAt[id+1]] are the handles of exprs[id]'s kids.
 	kidAt []int32
 	kids  []ExprID
-	// Node's canonical nodes and their kid pointers.
-	nodes   slab.Slab[Expr]
-	kidPtrs slab.Slab[*Expr]
+	nodes slab.Slab[Expr]
 }
 
-// Len returns the number of distinct trees interned.
+// Len returns the number of distinct trees in the store.
 func (s *Store) Len() int { return len(s.exprs) }
 
-// Expr returns the canonical tree of handle id (nil for NoExpr).
+// Expr returns the head of handle id (nil for NoExpr).
 func (s *Store) Expr(id ExprID) *Expr {
 	if id == NoExpr {
 		return nil
@@ -59,58 +57,25 @@ func (s *Store) Kids(id ExprID) []ExprID {
 	return s.kids[lo:hi:hi]
 }
 
-// Intern returns the handle of e, adding e and its subtrees to the store
-// if they are new.  When e's kids are already canonical, e itself becomes
-// the canonical tree; otherwise its head is copied over canonical kids.
-// e is never modified.
-func (s *Store) Intern(e *Expr) ExprID {
-	if e == nil {
-		return NoExpr
+// Addr returns the address of the read id, or NoExpr when id is no read
+// of an array.
+func (s *Store) Addr(id ExprID) ExprID {
+	if kids := s.Kids(id); s.exprs[id].Kind == Read && len(kids) == 1 {
+		return kids[0]
 	}
-	var buf [2]ExprID
-	ids := buf[:0]
-	if len(e.Kids) > len(buf) {
-		ids = make([]ExprID, 0, len(e.Kids))
-	}
-	for _, k := range e.Kids {
-		ids = append(ids, s.Intern(k))
-	}
-	id, h, slot := s.find(e, ids)
-	if id != NoExpr {
-		return id
-	}
-	for i, k := range ids {
-		if e.Kids[i] != s.exprs[k] {
-			return s.add(s.carve(e, ids), h, ids, slot)
-		}
-	}
-	return s.add(e, h, ids, slot)
+	return NoExpr
 }
 
 // Node returns the handle of the tree with head's kind, width and own
-// fields over the trees of handles kids, adding it if it is new; head.Kids
-// is ignored.  A new canonical node is carved from the store's slabs.
+// fields over the trees of handles kids, adding it if it is new.
 func (s *Store) Node(head Expr, kids ...ExprID) ExprID {
 	id, h, slot := s.find(&head, kids)
 	if id != NoExpr {
 		return id
 	}
-	return s.add(s.carve(&head, kids), h, kids, slot)
-}
-
-// carve copies head's own fields into a node from the store's slabs, over
-// the canonical trees of kids.  Such a node stays valid until Reset.
-func (s *Store) carve(head *Expr, kids []ExprID) *Expr {
 	c := s.nodes.New()
-	*c = *head
-	c.Kids = nil
-	if len(kids) > 0 {
-		c.Kids = s.kidPtrs.Make(len(kids))
-		for j, k := range kids {
-			c.Kids[j] = s.exprs[k]
-		}
-	}
-	return c
+	*c = head
+	return s.add(c, h, kids, slot)
 }
 
 // Const is Node for a constant head.
@@ -131,8 +96,8 @@ func (s *Store) Op(op Op, width int, kids ...ExprID) ExprID {
 	return s.Node(Expr{Kind: OpApp, Op: op, Width: width}, kids...)
 }
 
-// Slice is NewSlice by handle: a bit slice hi..lo of kid, folding
-// constants, nested slices, instruction fields and full-range slices.
+// Slice returns a bit slice hi..lo of kid, folding constants, nested
+// slices, instruction fields and full-range slices.
 func (s *Store) Slice(hi, lo int, kid ExprID) ExprID {
 	w, k := hi-lo+1, s.exprs[kid]
 	switch {
@@ -149,17 +114,15 @@ func (s *Store) Slice(hi, lo int, kid ExprID) ExprID {
 	return s.Node(Expr{Kind: Slice, Lo: lo, Hi: hi, Width: w}, kid)
 }
 
-// Reset empties the store, keeping its tables and slabs for reuse.  Every
-// handle, and every tree the store made, becomes invalid.
+// Reset empties the store, keeping its tables and slab for reuse.  Every
+// handle, and every head the store returned, becomes invalid.
 func (s *Store) Reset() {
 	if s.slots == nil {
 		return
 	}
-	clear(s.exprs) // drop the references Intern took
 	s.exprs, s.hashes, s.kidAt, s.kids = s.exprs[:0], s.hashes[:0], s.kidAt[:1], s.kids[:0]
 	clear(s.slots)
 	s.nodes.Reset()
-	s.kidPtrs.Reset()
 }
 
 // find looks up the node with head's own fields over kids.  It returns
@@ -232,13 +195,8 @@ func (s *Store) sameNode(id int32, e *Expr, kids []ExprID) bool {
 	return true
 }
 
-// sameHead compares the fields Equal compares at one node: kind, width,
-// kid count and the kind's own fields.
-func sameHead(e, o *Expr) bool {
-	return len(e.Kids) == len(o.Kids) && sameFields(e, o)
-}
-
-// sameFields is sameHead without the kid count.
+// sameFields compares the fields the store tells nodes apart by, besides
+// their kids: kind, width and the kind's own fields.
 func sameFields(e, o *Expr) bool {
 	if e.Kind != o.Kind || e.Width != o.Width {
 		return false
@@ -258,7 +216,8 @@ func sameFields(e, o *Expr) bool {
 	return true
 }
 
-// headHash hashes the fields sameHead compares, for a node of nkids kids.
+// headHash hashes the fields sameFields compares, for a node of nkids
+// kids.
 func headHash(e *Expr, nkids int) uint32 {
 	h := mix(uint32(e.Kind), uint32(e.Width))
 	h = mix(h, uint32(nkids))
@@ -275,31 +234,6 @@ func headHash(e *Expr, nkids int) uint32 {
 		h = mix(mix(h, uint32(e.Lo)), uint32(e.Hi))
 	}
 	return h
-}
-
-// ClassHash hashes e's commutation class: trees that differ only in the
-// operand order of swap sites hash alike.  Each node contributes its
-// headHash, so Equal trees always hash alike.  distinct reports that no
-// swap site of e has two operands of one class (by hash, so a collision
-// only reports a false "no").
-func (e *Expr) ClassHash() (class uint32, distinct bool) {
-	h := headHash(e, len(e.Kids))
-	distinct = true
-	var buf [2]uint32
-	kids := buf[:0]
-	for _, k := range e.Kids {
-		c, d := k.ClassHash()
-		kids = append(kids, c)
-		distinct = distinct && d
-	}
-	if e.SwapSite() {
-		distinct = distinct && kids[0] != kids[1]
-		kids[0], kids[1] = min(kids[0], kids[1]), max(kids[0], kids[1])
-	}
-	for _, c := range kids {
-		h = mix(h, c)
-	}
-	return h, distinct
 }
 
 func mix(h, v uint32) uint32 {

@@ -9,10 +9,12 @@ import (
 	"repro/internal/rtl"
 )
 
-// TestInternMatchesEqualOnModels interns every template source and
-// address of every bundled model into a fresh store and checks that two
-// trees get the same handle iff they are Equal.  It also checks that each
-// base's own handles name the canonical trees its templates hold.
+// TestInternMatchesEqualOnModels reads every template source, address
+// and dynamic guard of every bundled model out of its base's store as a
+// reference tree, builds it into a fresh store, and checks that two trees
+// get the same handle iff they are equal and that each handle renders as
+// its tree.  It also checks that rebuilding a tree in the base's own
+// store finds the handle the template holds.
 func TestInternMatchesEqualOnModels(t *testing.T) {
 	names := []string{"brancher"}
 	for _, e := range models.All() {
@@ -24,24 +26,32 @@ func TestInternMatchesEqualOnModels(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		base := tg.Base.Exprs()
 		var s rtl.Store
-		canon := map[rtl.ExprID]*rtl.Expr{}
+		canon := map[rtl.ExprID]*rtl.Tree{}
 		for _, tp := range tg.Base.Templates {
-			if got := tg.Base.Exprs().Expr(tp.SrcID()); got != tp.Src {
-				t.Fatalf("%s: template %d holds %p, its handle names %p", name, tp.ID, tp.Src, got)
+			if tp.Exprs() != base {
+				t.Fatalf("%s: template %d holds trees of another store", name, tp.ID)
 			}
-			for _, e := range []*rtl.Expr{tp.Src, tp.DestAddr} {
-				if e == nil {
+			for _, h := range append([]rtl.ExprID{tp.Src, tp.DestAddr}, tp.Cond.Dynamic...) {
+				if h == rtl.NoExpr {
 					continue
 				}
-				id := s.Intern(e.Clone())
+				e := rtl.TreeOf(base, h)
+				if again := e.Build(base); again != h {
+					t.Fatalf("%s: template %d holds %s as %d, rebuilt as %d", name, tp.ID, e, h, again)
+				}
+				id := e.Build(&s)
 				if c, ok := canon[id]; ok && !c.Equal(e) {
 					t.Fatalf("%s: %s and %s share handle %d", name, c, e, id)
+				}
+				if got := s.String(id); got != e.String() {
+					t.Fatalf("%s: %s renders as %s", name, e, got)
 				}
 				canon[id] = e
 			}
 		}
-		distinct := make([]*rtl.Expr, 0, len(canon))
+		distinct := make([]*rtl.Tree, 0, len(canon))
 		for _, e := range canon {
 			distinct = append(distinct, e)
 		}
@@ -52,6 +62,6 @@ func TestInternMatchesEqualOnModels(t *testing.T) {
 				}
 			}
 		}
-		t.Logf("%s: %d templates, %d distinct source and address trees, %d interned nodes", name, len(tg.Base.Templates), len(distinct), tg.Base.Exprs().Len())
+		t.Logf("%s: %d templates, %d distinct source, address and guard trees, %d nodes in the base's store", name, len(tg.Base.Templates), len(distinct), base.Len())
 	}
 }

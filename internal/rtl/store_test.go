@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// decodeTree builds an expression from fuzz bytes, consuming them as it
-// goes; exhausted input reads as zeros, which decode to leaves.  Every
+// decodeTree builds a reference tree from fuzz bytes, consuming them as
+// it goes; exhausted input reads as zeros, which decode to leaves.  Every
 // kind appears, including raw (unfolded) slices and the fields that only
 // some kinds compare.
-func decodeTree(data *[]byte, depth int) *Expr {
+func decodeTree(data *[]byte, depth int) *tree {
 	next := func() byte {
 		if len(*data) == 0 {
 			return 0
@@ -27,56 +27,45 @@ func decodeTree(data *[]byte, depth int) *Expr {
 	}
 	switch kind {
 	case 0:
-		return NewConst(int64(int8(next())), w)
+		return cnst(int64(int8(next())), w)
 	case 1:
-		return NewRead([]string{"a.r", "b.r"}[next()%2], w, nil)
+		return reg([]string{"a.r", "b.r"}[next()%2], w)
 	case 2:
-		return NewRead("m.m", w, decodeTree(data, 0))
+		return mem("m.m", w, decodeTree(data, 0))
 	case 3:
-		return NewPort([]string{"p", "q"}[next()%2], w)
+		return port([]string{"p", "q"}[next()%2], w)
 	case 4:
 		lo := int(next() % 8)
-		return NewInsnField(lo+int(next()%8), lo)
+		return field(lo+int(next()%8), lo)
 	case 5:
 		lo := int(next() % 4)
-		hi := lo + int(next()%4)
-		return &Expr{Kind: Slice, Lo: lo, Hi: hi, Width: hi - lo + 1, Kids: []*Expr{decodeTree(data, depth-1)}}
+		return slice(lo+int(next()%4), lo, decodeTree(data, depth-1))
 	case 6:
-		return NewOp([]Op{OpNeg, OpNot, OpPass}[next()%3], w, decodeTree(data, depth-1))
+		return op([]Op{OpNeg, OpNot, OpPass}[next()%3], w, decodeTree(data, depth-1))
 	}
-	op := []Op{OpAdd, OpSub, OpMul, OpShl, OpEq}[next()%5]
-	return NewOp(op, w, decodeTree(data, depth-1), decodeTree(data, depth-1))
+	o := []Op{OpAdd, OpSub, OpMul, OpShl, OpEq}[next()%5]
+	return op(o, w, decodeTree(data, depth-1), decodeTree(data, depth-1))
 }
 
-// checkCanonical checks that id's canonical tree renders and compares
-// like e, that every kid of it is itself the canonical tree of its
-// handle, so equal subtrees share a pointer, and that Kids gives each
-// node's kids by handle.
-func checkCanonical(t testing.TB, s *Store, e *Expr, id ExprID) {
+// checkCanonical checks that handle id of s holds reference tree e, read
+// back by Expr and Kids, that it renders as e, and that building e again
+// gives id.
+func checkCanonical(t testing.TB, s *Store, e *tree, id ExprID) {
 	t.Helper()
-	c := s.Expr(id)
-	if !c.Equal(e) || c.String() != e.String() {
-		t.Fatalf("canonical tree of %s is %s", e, c)
+	if got := treeOf(s, id); !got.equal(e) {
+		t.Fatalf("handle %d holds %s, built from %s", id, got, e)
 	}
-	c.Walk(func(n *Expr) {
-		kids := s.Kids(s.Intern(n))
-		if len(kids) != len(n.Kids) {
-			t.Fatalf("%s has %d kids, the store records %d", n, len(n.Kids), len(kids))
-		}
-		for i, k := range n.Kids {
-			if s.Expr(s.Intern(k)) != k {
-				t.Fatalf("kid %s of canonical %s is not canonical", k, c)
-			}
-			if s.Expr(kids[i]) != k {
-				t.Fatalf("kid %d of %s is %s by handle", i, n, s.Expr(kids[i]))
-			}
-		}
-	})
+	if got := s.String(id); got != e.String() {
+		t.Fatalf("handle %d of %s renders as %s", id, e, got)
+	}
+	if again := e.build(s); again != id {
+		t.Fatalf("building %s again gives handle %d, first %d", e, again, id)
+	}
 }
 
-// FuzzIntern interns two trees built from the input and checks that they
-// get one handle iff they are Equal, and that each canonical tree renders
-// as its input.
+// FuzzIntern builds two reference trees from the input into one store and
+// checks that they get one handle iff they are equal, and that each
+// handle holds and renders as its tree.
 func FuzzIntern(f *testing.F) {
 	f.Add([]byte{7, 1, 0, 0, 5, 7, 1, 0, 0, 5})
 	f.Add([]byte{0x17, 2, 0x1f, 0, 0x12, 3, 0x17, 2, 0x1f, 0, 0x12, 3})
@@ -86,25 +75,22 @@ func FuzzIntern(f *testing.F) {
 		a := decodeTree(&data, 4)
 		b := decodeTree(&data, 4)
 		var s Store
-		ia, ib := s.Intern(a), s.Intern(b)
-		if (ia == ib) != a.Equal(b) {
-			t.Fatalf("handles %d, %d for %s and %s; Equal = %v", ia, ib, a, b, a.Equal(b))
+		ia, ib := a.build(&s), b.build(&s)
+		if (ia == ib) != a.equal(b) {
+			t.Fatalf("handles %d, %d for %s and %s; equal = %v", ia, ib, a, b, a.equal(b))
 		}
 		checkCanonical(t, &s, a, ia)
 		checkCanonical(t, &s, b, ib)
-		if s.Intern(s.Expr(ia)) != ia || s.Intern(a) != ia {
-			t.Fatalf("re-interning %s changed its handle", a)
-		}
 	})
 }
 
-// TestInternMatchesEqual checks on random trees that two trees get the
-// same handle iff they are Equal; TestInternMatchesEqualOnModels does the
-// same over every bundled model's template sources.
+// TestInternMatchesEqual checks on random reference trees that two get the
+// same handle iff they are equal; TestInternMatchesEqualOnModels does the
+// same over every bundled model's template trees.
 func TestInternMatchesEqual(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var s Store
-	var trees []*Expr
+	var trees []*tree
 	var ids []ExprID
 	for i := 0; i < 600; i++ {
 		data := make([]byte, 24)
@@ -114,15 +100,15 @@ func TestInternMatchesEqual(t *testing.T) {
 		}
 		e := decodeTree(&data, 3)
 		trees = append(trees, e)
-		ids = append(ids, s.Intern(e))
+		ids = append(ids, e.build(&s))
 	}
 	equalPairs := 0
 	for i := range trees {
 		checkCanonical(t, &s, trees[i], ids[i])
 		for j := range trees {
-			eq := trees[i].Equal(trees[j])
+			eq := trees[i].equal(trees[j])
 			if (ids[i] == ids[j]) != eq {
-				t.Fatalf("handles %d, %d for %s and %s; Equal = %v", ids[i], ids[j], trees[i], trees[j], eq)
+				t.Fatalf("handles %d, %d for %s and %s; equal = %v", ids[i], ids[j], trees[i], trees[j], eq)
 			}
 			if eq && i != j {
 				equalPairs++
@@ -132,23 +118,23 @@ func TestInternMatchesEqual(t *testing.T) {
 	if equalPairs == 0 {
 		t.Fatal("no two random trees were equal; the property went unexercised")
 	}
-	if s.Intern(nil) != NoExpr || s.Expr(NoExpr) != nil {
-		t.Fatal("nil must intern as NoExpr")
+	if s.Expr(NoExpr) != nil {
+		t.Fatal("NoExpr must have no head")
 	}
 }
 
-// TestStoreGrowth interns more trees than the initial table holds, so the
+// TestStoreGrowth builds more trees than the initial table holds, so the
 // unique table grows, and checks every handle survives the rehash.
 func TestStoreGrowth(t *testing.T) {
 	var s Store
 	for v := int64(0); v < 5000; v++ {
-		if id := s.Intern(NewConst(v, 16)); int(id) != int(v) {
+		if id := s.Const(v, 16); int(id) != int(v) {
 			t.Fatalf("constant %d got handle %d", v, id)
 		}
 	}
 	for v := int64(0); v < 5000; v++ {
-		if id := s.Intern(NewConst(v, 16)); int(id) != int(v) {
-			t.Fatalf("constant %d re-interned as %d", v, id)
+		if id := s.Const(v, 16); int(id) != int(v) {
+			t.Fatalf("constant %d rebuilt as %d", v, id)
 		}
 	}
 	if s.Len() != 5000 || 4*s.Len() >= 3*len(s.slots) {
