@@ -221,8 +221,9 @@ type Rule struct {
 	Prog *Pattern
 	HW   *Pattern
 	// MapConsts optionally derives program-side constant bindings from the
-	// hardware-side ones (e.g. c = 2^k for shift-to-multiply).  It returns
-	// false when the match should be rejected.
+	// hardware-side ones (e.g. c = 2^k for shift-to-multiply), and may
+	// build them in hw's array.  It returns false when the match should
+	// be rejected.
 	MapConsts func(hw Consts) (Consts, bool)
 }
 
@@ -238,9 +239,9 @@ func StandardLibrary() []Rule {
 			MapConsts: func(hw Consts) (Consts, bool) {
 				k, _ := hw.Get("k")
 				if k < 0 || k > 30 {
-					return nil, false
+					return hw[:0], false
 				}
-				return Consts{{"c", 1 << uint(k)}}, true
+				return append(hw[:0], Bound[int64]{"c", 1 << uint(k)}), true
 			},
 		},
 		{
@@ -308,10 +309,11 @@ func Extend(base *rtl.Base, opts Options) int {
 	snapshot := append([]*rtl.Template(nil), base.Templates...)
 	store := base.Exprs()
 	memo := make([]sourceVariants, store.Len())
+	var b Bindings // every rule probe's, reused
 	variantsOf := func(t *rtl.Template) *sourceVariants {
 		v := &memo[t.Src]
 		if !v.ready {
-			v.derive(store, t.Src, opts)
+			v.derive(store, t.Src, opts, &b)
 		}
 		return v
 	}
@@ -393,8 +395,8 @@ type sourceVariants struct {
 	ruleClasses []uint32
 }
 
-// derive fills v from source src of store s.
-func (v *sourceVariants) derive(s *rtl.Store, src rtl.ExprID, opts Options) {
+// derive fills v from source src of store s, matching rules into b.
+func (v *sourceVariants) derive(s *rtl.Store, src rtl.ExprID, opts Options, b *Bindings) {
 	v.ready = true
 	if opts.Commutativity {
 		if v.sites = s.SwapSites(src); v.sites > 0 {
@@ -402,7 +404,7 @@ func (v *sourceVariants) derive(s *rtl.Store, src rtl.ExprID, opts Options) {
 			v.distinct = v.distinct && v.sites <= 64
 		}
 	}
-	ruleVariants(s, src, opts.Rules, opts.MaxVariantsPerTemplate, func(id rtl.ExprID) {
+	ruleVariants(s, src, opts.Rules, opts.MaxVariantsPerTemplate, b, func(id rtl.ExprID) {
 		if id == src {
 			return
 		}
@@ -492,10 +494,9 @@ func groupOf(t *rtl.Template, class uint32) group {
 }
 
 // ruleVariants applies each rule, in order, at every node of tree root of
-// store s, and passes each variant's handle to emit (one application per
-// variant, at most limit per rule).
-func ruleVariants(s *rtl.Store, root rtl.ExprID, rules []Rule, limit int, emit func(rtl.ExprID)) {
-	var b Bindings
+// store s, matching into b, and passes each variant's handle to emit (one
+// application per variant, at most limit per rule).
+func ruleVariants(s *rtl.Store, root rtl.ExprID, rules []Rule, limit int, b *Bindings, emit func(rtl.ExprID)) {
 	var r *Rule
 	var pos, n int // the pre-order position of the node walk visits; r's variants
 	var walk func(h rtl.ExprID)
@@ -505,8 +506,8 @@ func ruleVariants(s *rtl.Store, root rtl.ExprID, rules []Rule, limit int, emit f
 		}
 		at := pos
 		pos++
-		if r.HW.Match(s, h, &b) && (r.MapConsts == nil || b.mapConsts(r)) {
-			if repl, err := r.Prog.Instantiate(s, &b, s.Expr(h).Width); err == nil {
+		if r.HW.Match(s, h, b) && (r.MapConsts == nil || b.mapConsts(r)) {
+			if repl, err := r.Prog.Instantiate(s, b, s.Expr(h).Width); err == nil {
 				emit(s.ReplaceAt(root, at, repl))
 				n++
 			}

@@ -155,15 +155,26 @@ func TestReplaceAt(t *testing.T) {
 	}
 }
 
-// TestExprHoldsNoPointer pins Expr as a head: it refers to no other node.
+// TestExprHoldsNoPointer keeps Expr a head: no field, however nested, may
+// be a *Expr or a []*Expr, so a tree exists only as a handle into a
+// Store.
 func TestExprHoldsNoPointer(t *testing.T) {
-	typ := reflect.TypeOf(Expr{})
-	for i := 0; i < typ.NumField(); i++ {
-		f := typ.Field(i)
-		if f.Type == reflect.TypeOf((*Expr)(nil)) || f.Type == reflect.TypeOf([]*Expr(nil)) {
-			t.Errorf("Expr.%s is a %s: a tree is a handle into a Store", f.Name, f.Type)
+	node, kids := reflect.TypeOf((*Expr)(nil)), reflect.TypeOf([]*Expr(nil))
+	var check func(path string, typ reflect.Type)
+	check = func(path string, typ reflect.Type) {
+		switch {
+		case typ == node || typ == kids:
+			t.Errorf("%s is a %s: a tree is a handle into a Store", path, typ)
+		case typ.Kind() == reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				check(path+"."+f.Name, f.Type)
+			}
+		case typ.Kind() == reflect.Array:
+			check(path+"[]", typ.Elem())
 		}
 	}
+	check("Expr", reflect.TypeOf(Expr{}))
 }
 
 // TestTemplateSize pins Template to the 96-byte size class: extraction
