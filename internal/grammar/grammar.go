@@ -29,7 +29,7 @@
 // (SubjectTerm), or an address-less read of a spec storage, which stands
 // for that storage's nonterminal.  The commutative swaps of the base
 // (rtl.Swap) are resolved here: a swap's rule gets the handle of its
-// swapped source tree, interned into the same store during Build, so the
+// swapped source tree, built in the same store during Build, so the
 // parser and the code selector match plain patterns and never read a swap
 // mask.  Rules hold no pointer: rule lists are slices of rule indices.
 package grammar
@@ -299,7 +299,7 @@ func Build(base *rtl.Base, spec Spec) (*Grammar, error) {
 // simply stays unselectable) instead of failing the whole build.  The build
 // fails only when no selectable rule survives.  rep may be nil.
 //
-// Build interns the swapped sources of the base's swap entries into the
+// Build builds the swapped sources of the base's swap entries in the
 // base's store; it is the only writer of that store after extension.
 func BuildReported(base *rtl.Base, spec Spec, rep *diag.Reporter) (*Grammar, error) {
 	nNT := 1 + len(spec.Storages) + len(spec.OutPorts)
@@ -339,7 +339,7 @@ func BuildReported(base *rtl.Base, spec Spec, rep *diag.Reporter) (*Grammar, err
 
 	// RT rules, cost 1, one per entry of the base.  A pattern is its
 	// template's source handle, lowered once however many rules share
-	// it; a swap rule's is its swapped source, interned once per
+	// it; a swap rule's is its swapped source, built once per
 	// (source, mask).  Destination addresses are numbered after the
 	// terminals are counted: their terminals must match subject nodes
 	// but are not terminals of the grammar's rules.
