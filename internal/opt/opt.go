@@ -73,14 +73,15 @@ func storeOf(in *code.Instr) (reg string, cell code.Loc, ok bool) {
 		return "", code.Loc{}, false
 	}
 	s := t.Exprs()
-	if src := s.Expr(t.Src); src.Kind != rtl.Read || s.Addr(t.Src) != rtl.NoExpr {
+	src := s.Expr(t.Src)
+	if src.Kind != rtl.Read || s.Addr(t.Src) != rtl.NoExpr {
 		return "", code.Loc{}, false
 	}
 	a, known := in.ResolveAddr(t.DestAddr)
 	if !known {
 		return "", code.Loc{}, false
 	}
-	return s.Expr(t.Src).Storage, code.Loc{Storage: t.Dest, Addr: a, AddrKnown: true}, true
+	return src.Storage, code.Loc{Storage: t.Dest, Addr: a, AddrKnown: true}, true
 }
 
 // mirror is a known equality between a register and a memory cell.
